@@ -180,7 +180,7 @@ func simParallelRun(t *testing.T, workers int) (int64, []athena.QueryResult) {
 }
 
 // TestSimNetworkParallelEngine pins the public facade's kernel switch:
-// the run resolves identically to the sequential engine's scenario shape
+// the run resolves identically to the shared-lane scenario shape
 // and the outcome is byte-identical across worker counts.
 func TestSimNetworkParallelEngine(t *testing.T) {
 	bytes1, res1 := simParallelRun(t, 1)

@@ -1,7 +1,7 @@
 #!/bin/sh
 # CI gate: formatting, compile, vet, the full test suite under the race
-# detector, and (full mode only) an aggregate coverage floor plus an
-# allocation-regression gate against the committed benchmark baseline.
+# detector, and (full mode only) an aggregate coverage floor plus the
+# count-regression gates against the committed benchmark baseline.
 #
 #   ./ci.sh          full gate, as run before every merge
 #   ./ci.sh -short   inner-loop variant: passes -short to the race suite,
@@ -33,6 +33,11 @@ if [ -n "$unformatted" ]; then
 fi
 go build ./...
 go vet ./...
+# bench/ is a module of its own (the repo benchmark, BENCHMARK.json), so
+# ./... does not reach it; compile and test it here or an API break only
+# shows when the benchmark driver runs.
+go vet -C bench .
+go test -C bench .
 # Repo-specific invariants: determinism, lock discipline, lane
 # isolation, wire-protocol exhaustiveness, metrics nil-safety, goroutine
 # lifecycle, dropped transport errors. The run is budgeted: the gate
@@ -62,92 +67,19 @@ if [ "$tenths" -lt "$COVER_FLOOR" ]; then
 	exit 1
 fi
 
-# Allocation-regression gate: allocs/op on the end-to-end lvf scheme run
-# must stay within 10% of the committed baseline (BENCH_core.json, see
-# `make bench`). Alloc counts, unlike ns/op, are stable across machines,
-# so a trip here means a real regression — a closure, boxing, or copy
-# crept into the per-query path. Refresh the baseline with `make bench`
-# when an intentional change moves the number.
-baseline="$(awk '/"name": "BenchmarkScheme\/lvf"/{f=1} f && /"allocs\/op"/{gsub(/[^0-9]/, ""); print; exit}' BENCH_core.json)"
-if [ -z "$baseline" ]; then
-	echo "BenchmarkScheme/lvf allocs/op baseline missing from BENCH_core.json" >&2
-	exit 1
-fi
-measured="$(go test -run '^$' -bench 'BenchmarkScheme$/^lvf$' -benchmem -benchtime 3x . |
-	awk '$1 ~ /^BenchmarkScheme\/lvf/ {for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i - 1)}')"
-if [ -z "$measured" ]; then
-	echo "BenchmarkScheme/lvf did not run" >&2
-	exit 1
-fi
-limit=$((baseline + baseline / 10))
-if [ "$measured" -gt "$limit" ]; then
-	echo "BenchmarkScheme/lvf allocs/op regressed: $measured > $limit (baseline $baseline + 10%)" >&2
-	exit 1
-fi
-
-# Retention-regression gate: directory entries held per node on the
-# sharded A9 rig are deterministic, so any growth past the committed
-# baseline means the retention filter got leakier (records kept outside
-# owned shards). Same 10% slack, same refresh path (`make bench`).
-dm_baseline="$(awk '/"name": "BenchmarkDirectoryMemory\/sharded"/{f=1} f && /"entries\/node"/{gsub(/,/, "", $2); printf "%d", $2; exit}' BENCH_core.json)"
-if [ -z "$dm_baseline" ]; then
-	echo "BenchmarkDirectoryMemory/sharded entries/node baseline missing from BENCH_core.json" >&2
-	exit 1
-fi
-dm_measured="$(go test -run '^$' -bench 'BenchmarkDirectoryMemory$/^sharded$' -benchtime 1x . |
-	awk '$1 ~ /^BenchmarkDirectoryMemory\/sharded/ {for (i = 2; i <= NF; i++) if ($i == "entries/node") printf "%d", $(i - 1)}')"
-if [ -z "$dm_measured" ]; then
-	echo "BenchmarkDirectoryMemory/sharded did not run" >&2
-	exit 1
-fi
-dm_limit=$((dm_baseline + dm_baseline / 10))
-if [ "$dm_measured" -gt "$dm_limit" ]; then
-	echo "BenchmarkDirectoryMemory/sharded entries/node regressed: $dm_measured > $dm_limit (baseline $dm_baseline + 10%)" >&2
-	exit 1
-fi
-
-# Kernel allocation gate: allocs/op of a complete n=512 single-worker
-# kernel simulation. Events are pooled, so this number is the
-# deterministic setup cost; growth past the committed baseline means the
-# per-event path started allocating. Same 10% slack, same refresh path
-# (`make bench`). Only the W=1 variant is gated — multi-worker alloc
-# counts depend on how the runtime grows per-worker stacks and pools.
-sk_baseline="$(awk '/"name": "BenchmarkSimKernel\/w1"/{f=1} f && /"allocs\/op"/{gsub(/[^0-9]/, ""); print; exit}' BENCH_core.json)"
-if [ -z "$sk_baseline" ]; then
-	echo "BenchmarkSimKernel/w1 allocs/op baseline missing from BENCH_core.json" >&2
-	exit 1
-fi
-sk_measured="$(go test -run '^$' -bench 'BenchmarkSimKernel$/^w1$' -benchmem -benchtime 3x . |
-	awk '$1 ~ /^BenchmarkSimKernel\/w1/ {for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i - 1)}')"
-if [ -z "$sk_measured" ]; then
-	echo "BenchmarkSimKernel/w1 did not run" >&2
-	exit 1
-fi
-sk_limit=$((sk_baseline + sk_baseline / 10))
-if [ "$sk_measured" -gt "$sk_limit" ]; then
-	echo "BenchmarkSimKernel/w1 allocs/op regressed: $sk_measured > $sk_limit (baseline $sk_baseline + 10%)" >&2
-	exit 1
-fi
-
-# Coalescing-regression gate: frames/node on the batched A11 incast
-# (n=64, fan-in 8, 10ms window, single worker) is deterministic, so any
-# growth past the committed baseline means the coalescing layer stopped
-# merging traffic it used to merge — a queue bypassed, a flush firing
-# early, or a batch split. Same 10% slack, same refresh path
-# (`make bench`).
-bf_baseline="$(awk '/"name": "BenchmarkBatchedFetch\/on"/{f=1} f && /"frames\/node"/{gsub(/,/, "", $2); printf "%d", $2; exit}' BENCH_core.json)"
-if [ -z "$bf_baseline" ]; then
-	echo "BenchmarkBatchedFetch/on frames/node baseline missing from BENCH_core.json" >&2
-	exit 1
-fi
-bf_measured="$(go test -run '^$' -bench 'BenchmarkBatchedFetch$/^on$' -benchtime 1x . |
-	awk '$1 ~ /^BenchmarkBatchedFetch\/on/ {for (i = 2; i <= NF; i++) if ($i == "frames/node") printf "%d", $(i - 1)}')"
-if [ -z "$bf_measured" ]; then
-	echo "BenchmarkBatchedFetch/on did not run" >&2
-	exit 1
-fi
-bf_limit=$((bf_baseline + bf_baseline / 10))
-if [ "$bf_measured" -gt "$bf_limit" ]; then
-	echo "BenchmarkBatchedFetch/on frames/node regressed: $bf_measured > $bf_limit (baseline $bf_baseline + 10%)" >&2
-	exit 1
-fi
+# Regression gates against the committed baseline (BENCH_core.json, see
+# `make bench`), all through one mechanism: benchjson -check fails if a
+# gated number is missing from the baseline, its benchmark did not run,
+# or the run exceeds baseline + 10%. The gated numbers are counts, which
+# unlike ns/op are stable across machines, so a trip means a real
+# regression (each benchmark's doc comment in bench_test.go says of
+# what: an allocating per-query or per-event path, a leakier retention
+# filter, a coalescing layer that stopped merging). Refresh the baseline
+# with `make bench` when an intentional change moves one.
+go test -run '^$' -bench '^Benchmark(Scheme|DirectoryMemory|SimKernel|BatchedFetch)$/^(lvf|sharded|w1|on)$' -benchmem -benchtime 3x . |
+	tee /dev/stderr |
+	go run ./cmd/benchjson -check BENCH_core.json \
+		-gate 'BenchmarkScheme/lvf:allocs/op:10' \
+		-gate 'BenchmarkDirectoryMemory/sharded:entries/node:10' \
+		-gate 'BenchmarkSimKernel/w1:allocs/op:10' \
+		-gate 'BenchmarkBatchedFetch/on:frames/node:10'

@@ -17,17 +17,17 @@
 //
 // Two CI-oriented scenarios sit outside the figure set:
 //
-//	athena-sim -fig dump       # fixed-seed cluster on the parallel kernel;
+//	athena-sim -fig dump       # fixed-seed cluster, a kernel lane per node;
 //	                           # prints the full outcome as deterministic JSON
 //	                           # (byte-identical for any -workers / GOMAXPROCS)
-//	athena-sim -fig smoke      # n=2048 gossip+sharding membership fleet on the
-//	                           # parallel kernel; prints the row as JSON
+//	athena-sim -fig smoke      # n=2048 gossip+sharding membership fleet, a
+//	                           # lane per node; prints the row as JSON
 //
 // Use -reps, -seed, -schemes and -quick to trade fidelity for time.
-// -workers sets the parallel kernel's executor count for the
-// kernel-backed scenarios (a10, dump, smoke); the classic figures always
-// run the sequential reference engine so their published numbers stay
-// byte-identical across releases.
+// -workers sets the worker count for the scenarios that run a kernel lane
+// per node (a10, a11, dump, smoke); the classic figures always run every
+// node on one shared lane, in global schedule order, so their published
+// numbers stay byte-identical across releases.
 package main
 
 import (

@@ -109,12 +109,13 @@ type ClusterConfig struct {
 	// entirely and run the uninstrumented (nil-instrument) fast path.
 	Metrics        *metrics.Registry
 	DisableMetrics bool
-	// Workers selects the simulation engine. Zero (the default) runs the
-	// sequential reference scheduler — the pre-parallel event loop,
-	// byte-identical to earlier releases. Any positive value runs the
-	// parallel kernel with that many worker goroutines; kernel outcomes
-	// are a pure function of the seed, identical at every worker count,
-	// so Workers only changes wall-clock time.
+	// Workers selects the kernel's lane layout. Zero (the default) runs
+	// every node on one shared lane, in global schedule order — the order
+	// the classic figures and goldens are recorded in. Any positive value
+	// gives every node a lane of its own, merged in the kernel's canonical
+	// order and executed by that many worker goroutines; those outcomes
+	// are a pure function of the seed, identical at every positive worker
+	// count, so there Workers only changes wall-clock time.
 	Workers int
 }
 
@@ -122,10 +123,8 @@ type ClusterConfig struct {
 // workload scenario.
 type Cluster struct {
 	Scenario *workload.Scenario
-	// Scheduler is the sequential engine's event loop; nil when the
-	// cluster runs on the parallel kernel (Workers > 0), in which case
-	// Kernel is set instead. Network.RunUntil drives either.
-	Scheduler *simclock.Scheduler
+	// Kernel is the lane-per-node kernel; nil when every node shares one
+	// lane (Workers == 0). Network.RunUntil drives either layout.
 	Kernel    *simclock.Kernel
 	Network   *netsim.Network
 	Nodes     map[string]*Node
@@ -162,18 +161,7 @@ func NewCluster(s *workload.Scenario, cfg ClusterConfig) (*Cluster, error) {
 		cfg.Metrics = metrics.NewRegistry()
 	}
 
-	var (
-		sched *simclock.Scheduler
-		kern  *simclock.Kernel
-		net   *netsim.Network
-	)
-	if cfg.Workers > 0 {
-		kern = simclock.NewKernel(s.Epoch, simclock.KernelOpts{Workers: cfg.Workers, Seed: uint64(s.Config.Seed)})
-		net = netsim.NewParallel(kern)
-	} else {
-		sched = simclock.New(s.Epoch)
-		net = netsim.New(sched)
-	}
+	net := netsim.NewAt(s.Epoch, cfg.Workers, s.Config.Seed)
 	if err := s.BuildNetwork(net); err != nil {
 		return nil, err
 	}
@@ -202,14 +190,15 @@ func NewCluster(s *workload.Scenario, cfg ClusterConfig) (*Cluster, error) {
 
 	c := &Cluster{
 		Scenario:  s,
-		Scheduler: sched,
-		Kernel:    kern,
 		Network:   net,
 		Nodes:     make(map[string]*Node, len(s.Placements)),
 		Authority: auth,
 		Directory: dir,
 		Metrics:   cfg.Metrics,
 		cfg:       cfg,
+	}
+	if cfg.Workers > 0 {
+		c.Kernel = net.Kernel()
 	}
 
 	for i := range s.Placements {
@@ -223,17 +212,11 @@ func NewCluster(s *workload.Scenario, cfg ClusterConfig) (*Cluster, error) {
 		if cfg.HeartbeatInterval > 0 {
 			nodeDir = NewDirectory(s.Sources)
 		}
-		// Each node's timers live on its own lane in kernel mode, so its
-		// callbacks always execute with the rest of the node's events.
-		var timers Timers = schedTimers{sched}
-		if kern != nil {
-			timers = laneTimers{net.LaneOf(p.ID)}
-		}
 		node, err := New(Config{
 			ID:                p.ID,
 			Transport:         transport.NewSim(net, p.ID),
 			Router:            net,
-			Timers:            timers,
+			Timers:            LaneTimers{Lane: net.LaneOf(p.ID)},
 			Scheme:            cfg.Scheme,
 			Directory:         nodeDir,
 			Meta:              s.Meta,
@@ -286,19 +269,18 @@ func NewCluster(s *workload.Scenario, cfg ClusterConfig) (*Cluster, error) {
 	return c, nil
 }
 
-// schedTimers adapts the simulation scheduler to the Timers interface.
-type schedTimers struct{ s *simclock.Scheduler }
+// LaneTimers adapts the lane a node runs on (netsim.Network.LaneOf) to
+// the Timers interface, so the node's callbacks always execute with the
+// rest of its events.
+type LaneTimers struct{ Lane *simclock.Lane }
 
-func (t schedTimers) After(d time.Duration, fn func()) { t.s.After(d, fn) }
+var _ Timers = LaneTimers{}
 
-func (t schedTimers) AfterArg(d time.Duration, fn func(any), arg any) { t.s.AfterCall(d, fn, arg) }
+// After implements Timers.
+func (t LaneTimers) After(d time.Duration, fn func()) { t.Lane.After(d, fn) }
 
-// laneTimers adapts a node's kernel lane to the Timers interface.
-type laneTimers struct{ l *simclock.Lane }
-
-func (t laneTimers) After(d time.Duration, fn func()) { t.l.After(d, fn) }
-
-func (t laneTimers) AfterArg(d time.Duration, fn func(any), arg any) { t.l.AfterCall(d, fn, arg) }
+// AfterArg implements Timers on the lane's pooled no-handle events.
+func (t LaneTimers) AfterArg(d time.Duration, fn func(any), arg any) { t.Lane.AfterCall(d, fn, arg) }
 
 // Outcome aggregates a finished run.
 type Outcome struct {
@@ -367,8 +349,7 @@ func (c *Cluster) Run() (Outcome, error) {
 		}
 		expr := qs.Expr
 		dl := qs.Deadline
-		// AtNode keeps the injection on the origin's own lane in kernel
-		// mode (and on the shared scheduler otherwise).
+		// AtNode keeps the injection on the origin's lane.
 		err := c.Network.AtNode(qs.Origin, c.Scenario.Epoch.Add(offset), func() {
 			if _, err := node.QueryInit(expr, dl); err != nil {
 				panic(fmt.Sprintf("athena: QueryInit: %v", err))
@@ -400,37 +381,15 @@ func (c *Cluster) Run() (Outcome, error) {
 	out := Outcome{Scheme: c.cfg.Scheme, TotalBytes: c.Network.Stats().BytesSent, Metrics: c.Metrics.Snapshot()}
 	var latencySum time.Duration
 	for _, node := range c.Nodes {
-		st := node.Stats()
-		out.Node.RequestsSent += st.RequestsSent
-		out.Node.Refetches += st.Refetches
-		out.Node.Retransmits += st.Retransmits
-		out.Node.RequestTimeouts += st.RequestTimeouts
-		out.Node.CacheAnswers += st.CacheAnswers
-		out.Node.LabelAnswers += st.LabelAnswers
-		out.Node.PrefetchPushes += st.PrefetchPushes
-		out.Node.Annotations += st.Annotations
-		out.Node.RoutingDrops += st.RoutingDrops
-		out.Node.HeartbeatsSent += st.HeartbeatsSent
-		out.Node.Evictions += st.Evictions
-		out.Node.SyncExchanges += st.SyncExchanges
-		out.Node.PingsSent += st.PingsSent
-		out.Node.Suspicions += st.Suspicions
-		out.Node.Refutations += st.Refutations
-		out.Node.ControlMsgs += st.ControlMsgs
-		out.Node.ControlBytes += st.ControlBytes
-		out.Node.DataFrames += st.DataFrames
-		out.Node.BatchesSent += st.BatchesSent
-		out.Node.BatchedMsgs += st.BatchedMsgs
-		out.Node.BatchBytesSaved += st.BatchBytesSaved
-		out.QueriesIssued += st.QueriesIssued
-		out.ResolvedTrue += st.ResolvedTrue
-		out.ResolvedFalse += st.ResolvedFalse
+		out.Node.Add(node.Stats())
 		for _, r := range node.Results() {
 			if r.Status.String() == "resolved-true" || r.Status.String() == "resolved-false" {
 				latencySum += r.Finished.Sub(r.Issued)
 			}
 		}
 	}
+	out.QueriesIssued = out.Node.QueriesIssued
+	out.ResolvedTrue, out.ResolvedFalse = out.Node.ResolvedTrue, out.Node.ResolvedFalse
 	out.QueriesResolved = out.ResolvedTrue + out.ResolvedFalse
 	if out.QueriesResolved > 0 {
 		out.MeanLatency = latencySum / time.Duration(out.QueriesResolved)

@@ -61,7 +61,7 @@ func buildMemberRig(t *testing.T, world staticWorld, interval time.Duration, mis
 			ID:                id,
 			Transport:         transport.NewSim(net, id),
 			Router:            net,
-			Timers:            schedTimers{sched},
+			Timers:            LaneTimers{Lane: sched.Lane},
 			Scheme:            SchemeLVF,
 			Directory:         NewDirectory(all), // per-node replica
 			Meta:              meta,

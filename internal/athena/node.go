@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"reflect"
 	"sort"
 	"sync"
 	"time"
@@ -118,6 +119,17 @@ type Stats struct {
 	// BatchBytesSaved is the wire bytes batching saved versus shipping
 	// every member in its own frame.
 	BatchBytesSaved int64
+}
+
+// Add accumulates o into s. Every field of Stats is an integer counter;
+// walking them by reflection means a new counter reaches fleet totals
+// without anyone having to list it (TestStatsAddSumsEveryField fails on
+// a field this cannot sum). Called once per node per run, not per event.
+func (s *Stats) Add(o Stats) {
+	dst, src := reflect.ValueOf(s).Elem(), reflect.ValueOf(o)
+	for i := 0; i < dst.NumField(); i++ {
+		dst.Field(i).SetInt(dst.Field(i).Int() + src.Field(i).Int())
+	}
 }
 
 // QueryResult records the outcome of one locally originated query.

@@ -71,7 +71,7 @@ func buildRig(t *testing.T, scheme Scheme, world staticWorld, opts func(*Config)
 			ID:         id,
 			Transport:  transport.NewSim(net, id),
 			Router:     net,
-			Timers:     schedTimers{sched},
+			Timers:     LaneTimers{Lane: sched.Lane},
 			Scheme:     scheme,
 			Directory:  dir,
 			Meta:       meta,
@@ -275,7 +275,7 @@ func TestRefetchAfterExpiry(t *testing.T) {
 	mkNode := func(id string, d *object.Descriptor) *Node {
 		node, err := New(Config{
 			ID: id, Transport: transport.NewSim(net, id), Router: net,
-			Timers: schedTimers{sched}, Scheme: SchemeLVF, Directory: dir,
+			Timers: LaneTimers{Lane: sched.Lane}, Scheme: SchemeLVF, Directory: dir,
 			Meta:  boolexpr.MetaTable{"ls1": {Cost: 400_000, ProbTrue: 0.8, Validity: 4 * time.Second}},
 			World: staticWorld{"ls1": true}, Authority: auth,
 			Signer: auth.Register(id, []byte(id)), Policy: trust.TrustAll(),
@@ -406,7 +406,7 @@ func TestApproximateSubstitution(t *testing.T) {
 	mk := func(id string, d *object.Descriptor) *Node {
 		node, err := New(Config{
 			ID: id, Transport: transport.NewSim(net, id), Router: net,
-			Timers: schedTimers{sched}, Scheme: SchemeLVF, Directory: dir,
+			Timers: LaneTimers{Lane: sched.Lane}, Scheme: SchemeLVF, Directory: dir,
 			Meta: boolexpr.MetaTable{
 				"scene": {Cost: 150_000, ProbTrue: 0.8, Validity: time.Minute},
 				"extra": {Cost: 150_000, ProbTrue: 0.8, Validity: time.Minute},
@@ -501,7 +501,7 @@ func TestCriticalNamespacePriority(t *testing.T) {
 	mk := func(id string, d *object.Descriptor) *Node {
 		node, err := New(Config{
 			ID: id, Transport: transport.NewSim(net, id), Router: net,
-			Timers: schedTimers{sched}, Scheme: SchemeLVF, Directory: dir,
+			Timers: LaneTimers{Lane: sched.Lane}, Scheme: SchemeLVF, Directory: dir,
 			Meta: boolexpr.MetaTable{
 				"bulk1": {Cost: 2_000_000, ProbTrue: 0.8, Validity: 5 * time.Minute},
 				"crit1": {Cost: 100_000, ProbTrue: 0.8, Validity: 5 * time.Minute},

@@ -72,7 +72,7 @@ func buildNoisyRig(t *testing.T, noise float64, nSources int) (*simclock.Schedul
 	mk := func(id string, d *object.Descriptor) *Node {
 		node, err := New(Config{
 			ID: id, Transport: transport.NewSim(net, id), Router: net,
-			Timers: schedTimers{sched}, Scheme: SchemeLVF, Directory: dir,
+			Timers: LaneTimers{Lane: sched.Lane}, Scheme: SchemeLVF, Directory: dir,
 			Meta: meta, World: world, Authority: auth,
 			Signer: auth.Register(id, []byte(id)), Policy: trust.TrustAll(),
 			Descriptor: d, CacheBytes: 8 << 20, DisablePrefetch: true,

@@ -8,7 +8,7 @@ import (
 )
 
 // runEngines runs one scenario on the given engine configuration and
-// returns its outcome. Workers 0 = the sequential reference scheduler.
+// returns its outcome. Workers 0 = one shared lane; > 0 = a lane per node.
 func runEngine(t *testing.T, workers int, churn int, gossip bool) Outcome {
 	t.Helper()
 	wcfg := workload.DefaultConfig()
@@ -45,13 +45,13 @@ func runEngine(t *testing.T, workers int, churn int, gossip bool) Outcome {
 
 // requireOutcomesEqual compares the deterministic portions of two
 // outcomes: everything except the metrics snapshot's float-valued
-// histogram sums (whose accumulation order is engine-defined). With
+// histogram sums (whose accumulation order is layout-defined). With
 // latencySlack > 0, MeanLatency may differ by up to that much — used
-// when comparing the two engines, whose tie-break rules for
+// when comparing the two lane layouts, whose tie-break rules for
 // same-instant events are different but equally valid, which can shift
 // individual message timings by microseconds without changing what the
-// fleet computes. Engine-to-engine comparisons therefore allow the
-// slack; worker-count comparisons (same engine) must be exact.
+// fleet computes. Layout-to-layout comparisons therefore allow the
+// slack; worker-count comparisons (same layout) must be exact.
 func requireOutcomesEqual(t *testing.T, label string, a, b Outcome, latencySlack time.Duration) {
 	t.Helper()
 	if a.QueriesIssued != b.QueriesIssued || a.QueriesResolved != b.QueriesResolved ||
@@ -82,11 +82,11 @@ func requireOutcomesEqual(t *testing.T, label string, a, b Outcome, latencySlack
 	}
 }
 
-// TestClusterKernelMatchesSequential pins the parallel kernel to the
-// sequential reference engine on a full flood-membership cluster
+// TestClusterKernelMatchesSequential pins the lane-per-node layout to
+// the shared lane on a full flood-membership cluster
 // scenario: identical resolution, traffic, and node counters, with
 // mean latency agreeing to well under a millisecond (same-instant tie
-// order is the engines' one permitted difference — see
+// order is the layouts' one permitted difference — see
 // requireOutcomesEqual; netsim's TestParallelMatchesSequentialOutcome
 // pins loss, outage, and churn injection exactly at the network layer).
 func TestClusterKernelMatchesSequential(t *testing.T) {

@@ -61,7 +61,7 @@ func buildShardRig(t *testing.T, n, shards, rf int, seed int64) *shardRig {
 			ID:                id,
 			Transport:         transport.NewSim(net, id),
 			Router:            net,
-			Timers:            schedTimers{sched},
+			Timers:            LaneTimers{Lane: sched.Lane},
 			Scheme:            SchemeLVF,
 			Directory:         NewDirectory(descs),
 			Meta:              meta,

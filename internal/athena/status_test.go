@@ -59,7 +59,7 @@ func buildStatusRig(t *testing.T, world staticWorld) (*memberRig, map[string]*me
 			ID:                id,
 			Transport:         transport.NewSim(net, id),
 			Router:            net,
-			Timers:            schedTimers{sched},
+			Timers:            LaneTimers{Lane: sched.Lane},
 			Scheme:            SchemeLVF,
 			Directory:         NewDirectory(all),
 			Meta:              meta,

@@ -54,7 +54,7 @@ func buildGossipRig(t *testing.T, n, fanout int, seed int64) *gossipRig {
 			ID:                id,
 			Transport:         transport.NewSim(net, id),
 			Router:            net,
-			Timers:            schedTimers{sched},
+			Timers:            LaneTimers{Lane: sched.Lane},
 			Scheme:            SchemeLVF,
 			Directory:         NewDirectory(descs),
 			Meta:              meta,
@@ -296,7 +296,7 @@ func TestGossipControlPlaneCheaperThanFlood(t *testing.T) {
 			desc := descs[i]
 			node, err := New(Config{
 				ID: id, Transport: transport.NewSim(net, id), Router: net,
-				Timers: schedTimers{sched}, Scheme: SchemeLVF,
+				Timers: LaneTimers{Lane: sched.Lane}, Scheme: SchemeLVF,
 				Directory: NewDirectory(descs), Meta: meta,
 				World: staticWorld{"ok": true}, Authority: auth,
 				Signer: auth.Register(id, []byte("k-"+id)), Policy: trust.TrustAll(),

@@ -29,7 +29,6 @@ import (
 	"athena/internal/names"
 	"athena/internal/netsim"
 	"athena/internal/object"
-	"athena/internal/simclock"
 	"athena/internal/transport"
 	"athena/internal/trust"
 )
@@ -88,17 +87,7 @@ func RunBatching(n, fanIn, workers int, window time.Duration, seed int64) (Batch
 	if consumers < 1 {
 		return BatchingRow{}, fmt.Errorf("experiment: batching fleet n=%d too small for %d sources", n, k)
 	}
-	var sched *simclock.Scheduler
-	var kern *simclock.Kernel
-	var net *netsim.Network
-	if workers > 0 {
-		kern = simclock.NewKernel(batchingEpoch, simclock.KernelOpts{Workers: workers, Seed: uint64(seed)})
-		net = netsim.NewParallel(kern)
-	} else {
-		sched = simclock.New(batchingEpoch)
-		net = netsim.New(sched)
-	}
-	_ = kern
+	net := netsim.NewAt(batchingEpoch, workers, seed)
 
 	const gw = "gw"
 	link := netsim.LinkConfig{Bandwidth: 8 << 20, Latency: time.Millisecond}
@@ -157,15 +146,11 @@ func RunBatching(n, fanIn, workers int, window time.Duration, seed int64) (Batch
 		if i >= 1 && i <= k {
 			desc = &descs[i-1]
 		}
-		var timers athena.Timers = memTimers{sched}
-		if kern != nil {
-			timers = memLaneTimers{net.LaneOf(id)}
-		}
 		node, err := athena.New(athena.Config{
 			ID:               id,
 			Transport:        transport.NewSim(net, id),
 			Router:           net,
-			Timers:           timers,
+			Timers:           athena.LaneTimers{Lane: net.LaneOf(id)},
 			Scheme:           athena.SchemeLVF,
 			Directory:        dir,
 			Meta:             meta,
@@ -206,14 +191,7 @@ func RunBatching(n, fanIn, workers int, window time.Duration, seed int64) (Batch
 
 	var agg athena.Stats
 	for _, node := range nodes {
-		st := node.Stats()
-		agg.DataFrames += st.DataFrames
-		agg.BatchesSent += st.BatchesSent
-		agg.BatchedMsgs += st.BatchedMsgs
-		agg.BatchBytesSaved += st.BatchBytesSaved
-		agg.QueriesIssued += st.QueriesIssued
-		agg.ResolvedTrue += st.ResolvedTrue
-		agg.ResolvedFalse += st.ResolvedFalse
+		agg.Add(node.Stats())
 	}
 	netStats := net.Stats()
 	row := BatchingRow{

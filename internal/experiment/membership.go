@@ -12,7 +12,6 @@ import (
 	"athena/internal/names"
 	"athena/internal/netsim"
 	"athena/internal/object"
-	"athena/internal/simclock"
 	"athena/internal/transport"
 	"athena/internal/trust"
 )
@@ -59,20 +58,6 @@ type allTrue struct{}
 
 func (allTrue) LabelValue(string, time.Time) bool { return true }
 
-// memTimers adapts the simulation scheduler to the node Timers interface.
-type memTimers struct{ s *simclock.Scheduler }
-
-func (t memTimers) After(d time.Duration, fn func()) { t.s.After(d, fn) }
-
-func (t memTimers) AfterArg(d time.Duration, fn func(any), arg any) { t.s.AfterCall(d, fn, arg) }
-
-// memLaneTimers adapts a node's kernel lane to the Timers interface.
-type memLaneTimers struct{ l *simclock.Lane }
-
-func (t memLaneTimers) After(d time.Duration, fn func()) { t.l.After(d, fn) }
-
-func (t memLaneTimers) AfterArg(d time.Duration, fn func(any), arg any) { t.l.AfterCall(d, fn, arg) }
-
 // MembershipOpts configures one A8 rig run beyond the fleet size.
 type MembershipOpts struct {
 	// Fanout 0 runs the flooded-heartbeat protocol; > 0 runs SWIM gossip
@@ -80,10 +65,10 @@ type MembershipOpts struct {
 	Fanout int
 	// Seed drives topology, gossip sampling, and the kernel tie-break.
 	Seed int64
-	// Workers > 0 runs the scenario on the parallel kernel with that many
-	// lane executors; 0 uses the sequential reference scheduler. The
-	// outcome is identical either way up to same-instant tie order — the
-	// kernel exists to make the n >= 2048 rows affordable.
+	// Workers > 0 gives every node its own kernel lane, run by that many
+	// lane executors; 0 runs all nodes on one shared lane. The outcome is
+	// identical either way up to same-instant tie order — lane-per-node
+	// exists to make the n >= 2048 rows affordable.
 	Workers int
 	// Shards/ShardReplicas > 0 enable the sharded directory (requires
 	// Fanout > 0), mirroring the A9 configuration on a real simulation.
@@ -103,16 +88,7 @@ func RunMembership(n, fanout int, seed int64) (MembershipRow, error) {
 // RunMembershipOpts is RunMembership with engine and sharding control.
 func RunMembershipOpts(n int, o MembershipOpts) (MembershipRow, error) {
 	fanout, seed := o.Fanout, o.Seed
-	var sched *simclock.Scheduler
-	var kern *simclock.Kernel
-	var net *netsim.Network
-	if o.Workers > 0 {
-		kern = simclock.NewKernel(membershipEpoch, simclock.KernelOpts{Workers: o.Workers, Seed: uint64(seed)})
-		net = netsim.NewParallel(kern)
-	} else {
-		sched = simclock.New(membershipEpoch)
-		net = netsim.New(sched)
-	}
+	net := netsim.NewAt(membershipEpoch, o.Workers, seed)
 	rng := rand.New(rand.NewSource(seed))
 	link := netsim.LinkConfig{Bandwidth: 1 << 20, Latency: time.Millisecond}
 	if err := netsim.BuildRandomConnected(net, n, n/2, link, rng); err != nil {
@@ -133,15 +109,11 @@ func RunMembershipOpts(n int, o MembershipOpts) (MembershipRow, error) {
 	nodes := make(map[string]*athena.Node, n)
 	for i, id := range ids {
 		desc := descs[i]
-		var timers athena.Timers = memTimers{sched}
-		if kern != nil {
-			timers = memLaneTimers{net.LaneOf(id)}
-		}
 		node, err := athena.New(athena.Config{
 			ID:                id,
 			Transport:         transport.NewSim(net, id),
 			Router:            net,
-			Timers:            timers,
+			Timers:            athena.LaneTimers{Lane: net.LaneOf(id)},
 			Scheme:            athena.SchemeLVF,
 			Directory:         athena.NewDirectory(descs),
 			Meta:              meta,

@@ -69,8 +69,7 @@ func (k *kernelTicker) tick() {
 // given worker count and returns the measured cell. Deterministic in
 // (n, seed) — the worker count affects only wall-clock time.
 func RunKernelScale(n, workers int, seed int64) (KernelScaleRow, error) {
-	kern := simclock.NewKernel(kernelEpoch, simclock.KernelOpts{Workers: workers, Seed: uint64(seed)})
-	net := netsim.NewParallel(kern)
+	net := netsim.NewAt(kernelEpoch, workers, seed)
 	rng := rand.New(rand.NewSource(seed))
 	// Odd bandwidth and prime-offset tick periods keep event times off a
 	// shared grid, so same-instant ties (the one place engines may
@@ -113,7 +112,7 @@ func RunKernelScale(n, workers int, seed int64) (KernelScaleRow, error) {
 		Label:     fmt.Sprintf("n=%d W=%d", n, workers),
 		Nodes:     n,
 		Workers:   workers,
-		Events:    kern.Executed(),
+		Events:    net.Kernel().Executed(),
 		Delivered: delivered,
 		Wall:      wall,
 	}

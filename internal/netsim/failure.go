@@ -4,8 +4,8 @@
 // directed link draws losses from its own splitmix64 stream derived from
 // the master failure seed and the link's endpoints, and outages are
 // ordinary events on the lane that owns the affected state — so a
-// failure-injected run is exactly repeatable from its seed, on either
-// engine, at any worker count.
+// failure-injected run is exactly repeatable from its seed, in either
+// lane layout, at any worker count.
 package netsim
 
 import (
@@ -92,7 +92,7 @@ func (n *Network) SetLinkDown(a, b string, down bool) error {
 // ScheduleLinkOutage schedules the a<->b link to go down at the given
 // instant and come back up after the outage duration. Each direction's
 // transitions run on its source node's lane — the lane that reads the
-// flag on the transmit path — so the outage is engine- and worker-safe.
+// flag on the transmit path — so the outage is layout- and worker-safe.
 func (n *Network) ScheduleLinkOutage(a, b string, at time.Time, outage time.Duration) error {
 	la, oka := n.links[[2]string{a, b}]
 	lb, okb := n.links[[2]string{b, a}]
@@ -182,9 +182,8 @@ func (n *Network) ScheduleChurn(seed int64, events int, start time.Time, window,
 }
 
 // OnChurn registers a hook invoked on every node churn transition with the
-// node id and whether it is now up. Hooks run on the event loop — on the
-// parallel engine, on the churning node's lane, so a hook must only touch
-// that node's state.
+// node id and whether it is now up. Hooks run on the churning node's
+// lane, so a hook must only touch that node's state.
 func (n *Network) OnChurn(fn func(id string, up bool)) {
 	n.churnHooks = append(n.churnHooks, fn)
 }

@@ -6,16 +6,19 @@
 // and network-wide byte accounting provides the bandwidth measurements
 // behind Figure 3.
 //
-// A Network runs on one of two engines. The sequential engine (New)
-// drives everything from a single simclock.Scheduler heap. The parallel
-// engine (NewParallel) assigns every node its own simclock.Kernel lane:
-// all of a node's work — serialization on its outgoing links, timer
-// callbacks, handler invocations — executes on that lane, and the only
-// cross-lane effects are message deliveries, posted with a delay of at
-// least the link latency (the kernel's conservative lookahead). Both
-// engines share this file's transmit/deliver path and produce identical
-// outcomes; the parallel engine is additionally identical at any worker
-// count by the kernel's construction.
+// A Network runs on a simclock.Kernel in one of two lane layouts. New
+// hands every node the one lane of a simclock.Scheduler, so all events
+// run in global schedule order. NewParallel assigns every node its own
+// lane: all of a node's work — serialization on its outgoing links,
+// timer callbacks, handler invocations — executes on that lane, and the
+// only cross-lane effects are message deliveries, posted with a delay of
+// at least the link latency (the kernel's conservative lookahead). The
+// transmit/deliver path is the same code in both. Each layout is a pure
+// function of the seed, and lane-per-node is additionally identical at
+// any worker count; the two layouts order same-instant events
+// differently (schedule order vs the kernel's canonical merge order), so
+// they agree on every protocol outcome but are not byte-identical to
+// each other.
 package netsim
 
 import (
@@ -127,8 +130,8 @@ func (q *msgQueue) Pop() any {
 	return m
 }
 
-// link is one directed link. In the parallel engine every field except
-// lost belongs to the source node's lane: Send, serialization, the
+// link is one directed link. Every field except lost belongs to the
+// source node's lane: Send, serialization, the
 // queue, and the failure draw all run there. lost alone is atomic
 // because the destination lane also counts losses (a message arriving
 // at a churned-out node).
@@ -159,17 +162,17 @@ type node struct {
 	handler   Handler
 	neighbors []string
 	idx       int32          // position in Network.order; keys the route tables
-	lane      *simclock.Lane // the node's kernel lane; nil on the sequential engine
+	lane      *simclock.Lane // the lane all of this node's events run on
 	down      bool           // churned out: sends and deliveries are lost
 
 	freeMsgs *pendingMsg // recycled pendingMsgs, owned by this node's lane
 }
 
-// Network is the emulated network, runnable on either the sequential
-// scheduler or the parallel kernel (see the package comment).
+// Network is the emulated network (see the package comment for its two
+// lane layouts).
 type Network struct {
-	sched  *simclock.Scheduler // sequential engine; nil in kernel mode
-	kernel *simclock.Kernel    // parallel engine; nil in scheduler mode
+	kernel *simclock.Kernel
+	shared *simclock.Lane // the lane every node runs on; nil = a lane per node
 	nodes  map[string]*node
 	links  map[[2]string]*link
 
@@ -182,8 +185,8 @@ type Network struct {
 	// hopTab[dstIdx] holds the next-hop table toward dst (entry per src,
 	// -1 = unreachable), built lazily per destination by BFS. Tables are
 	// atomic pointers because any lane may ask for a route; builders
-	// serialize on routeMu. The slice itself only grows outside runs
-	// (see prepare).
+	// serialize on routeMu. The slice itself grows only in AddNode, one
+	// slot per node, never while lanes index it during a run.
 	order   []string
 	routeMu sync.Mutex
 	hopTab  []atomic.Pointer[[]int32]
@@ -197,7 +200,7 @@ type Network struct {
 	haveLatency bool
 
 	// finishTxFn/deliverFn are the method values the transmit path hands
-	// to the engine, bound once here so the hot path allocates no
+	// to the kernel, bound once here so the hot path allocates no
 	// closures.
 	finishTxFn, deliverFn func(any)
 
@@ -207,21 +210,17 @@ type Network struct {
 	churnHooks []func(id string, up bool)
 }
 
-// New creates an empty network on the sequential scheduler engine.
+// New creates an empty network whose nodes all share the scheduler's
+// one lane: events run in global (time, schedule) order.
 func New(sched *simclock.Scheduler) *Network {
-	n := &Network{
-		sched: sched,
-		nodes: make(map[string]*node),
-		links: make(map[[2]string]*link),
-	}
-	n.finishTxFn = n.finishTx
-	n.deliverFn = n.deliver
+	n := NewParallel(sched.Kernel())
+	n.shared = sched.Lane
 	return n
 }
 
-// NewParallel creates an empty network on the parallel kernel engine:
-// each AddNode claims a kernel lane, and RunUntil drives the kernel
-// with a lookahead of the minimum link latency.
+// NewParallel creates an empty network on kernel k in which each AddNode
+// claims a lane of its own. RunUntil drives the kernel with a lookahead
+// of the minimum link latency.
 func NewParallel(k *simclock.Kernel) *Network {
 	n := &Network{
 		kernel: k,
@@ -233,36 +232,35 @@ func NewParallel(k *simclock.Kernel) *Network {
 	return n
 }
 
-// Scheduler exposes the sequential engine's scheduler (also the
-// network's clock); nil when running on the parallel kernel.
-func (n *Network) Scheduler() *simclock.Scheduler { return n.sched }
+// NewAt creates an empty network starting at epoch in the lane layout
+// workers selects: 0 is New on a fresh scheduler (one shared lane); a
+// positive count is NewParallel on a kernel with that many workers, seed
+// feeding its cross-lane merge tie-break.
+func NewAt(epoch time.Time, workers int, seed int64) *Network {
+	if workers <= 0 {
+		return New(simclock.New(epoch))
+	}
+	return NewParallel(simclock.NewKernel(epoch, simclock.KernelOpts{Workers: workers, Seed: uint64(seed)}))
+}
 
-// Kernel exposes the parallel engine's kernel; nil on the sequential
-// engine.
+// Kernel exposes the kernel the network runs on.
 func (n *Network) Kernel() *simclock.Kernel { return n.kernel }
 
 // Now returns the current committed virtual time.
-func (n *Network) Now() time.Time {
-	if n.kernel != nil {
-		return n.kernel.Now()
-	}
-	return n.sched.Now()
-}
+func (n *Network) Now() time.Time { return n.kernel.Now() }
 
 // ClockFor returns the clock a node's own logic should read: the node's
-// lane on the parallel engine (a lane clock tracks the node's current
-// event during execution), the shared scheduler otherwise.
+// lane, which tracks the node's current event during execution. Unknown
+// ids read the kernel's committed time.
 func (n *Network) ClockFor(id string) simclock.Clock {
-	if nd, ok := n.nodes[id]; ok && nd.lane != nil {
+	if nd, ok := n.nodes[id]; ok {
 		return nd.lane
 	}
-	if n.kernel != nil {
-		return n.kernel
-	}
-	return n.sched
+	return n.kernel
 }
 
-// LaneOf returns a node's kernel lane, or nil on the sequential engine.
+// LaneOf returns the lane a node's events run on: its own, or the one
+// every node shares. It is nil only for an unknown id.
 func (n *Network) LaneOf(id string) *simclock.Lane {
 	if nd, ok := n.nodes[id]; ok {
 		return nd.lane
@@ -270,9 +268,8 @@ func (n *Network) LaneOf(id string) *simclock.Lane {
 	return nil
 }
 
-// AtNode schedules fn at the given instant on the node's lane (parallel
-// engine) or the shared scheduler (sequential engine). Anything that
-// touches a single node's state from outside — churn events, query
+// AtNode schedules fn at the given instant on the node's lane. Anything
+// that touches a single node's state from outside — churn events, query
 // injection — must be routed through here so it executes on the lane
 // that owns the state.
 func (n *Network) AtNode(id string, at time.Time, fn func()) error {
@@ -280,39 +277,16 @@ func (n *Network) AtNode(id string, at time.Time, fn func()) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownNode, id)
 	}
-	if nd.lane != nil {
-		nd.lane.At(at, fn)
-	} else {
-		n.sched.At(at, fn)
-	}
+	nd.lane.At(at, fn)
 	return nil
 }
 
-// RunUntil drives the network's engine until the deadline, whichever
-// engine it is. maxEvents (0 = unlimited) bounds execution; exceeding
-// it returns simclock.ErrHorizon.
+// RunUntil drives the kernel until the deadline. maxEvents (0 =
+// unlimited) bounds execution; exceeding it returns simclock.ErrHorizon.
 func (n *Network) RunUntil(deadline time.Time, maxEvents int) error {
-	if n.kernel == nil {
-		return n.sched.RunUntil(deadline, maxEvents)
-	}
-	n.prepare()
 	n.kernel.SetLookahead(n.minLatency)
 	return n.kernel.RunUntil(deadline, maxEvents)
 }
-
-// prepare sizes the route-table slice to the node population so it
-// never grows during a parallel run (lanes index it concurrently).
-func (n *Network) prepare() {
-	n.routeMu.Lock()
-	for len(n.hopTab) < len(n.order) {
-		n.hopTab = append(n.hopTab, atomic.Pointer[[]int32]{})
-	}
-	n.routeMu.Unlock()
-}
-
-// MinLatency returns the smallest latency over all links — the
-// conservative lookahead bound for the parallel engine.
-func (n *Network) MinLatency() time.Duration { return n.minLatency }
 
 // Stats returns the network-wide counters, summed over the per-node
 // shares. Call it between runs (or after them), not from node code.
@@ -330,13 +304,14 @@ func (n *Network) AddNode(id string, h Handler) {
 		existing.handler = h
 		return
 	}
-	nd := &node{handler: h, idx: int32(len(n.order))}
-	if n.kernel != nil {
+	nd := &node{handler: h, idx: int32(len(n.order)), lane: n.shared}
+	if nd.lane == nil {
 		nd.lane = n.kernel.AddLane()
 	}
 	n.nodes[id] = nd
 	n.order = append(n.order, id)
 	n.perNode = append(n.perNode, Stats{})
+	n.hopTab = append(n.hopTab, atomic.Pointer[[]int32]{})
 }
 
 // SetHandler replaces a node's message handler.
@@ -444,8 +419,8 @@ func (n *Network) LinkStats(a, b string) LinkStats {
 // (size/bandwidth) plus propagation latency. Delivery invokes the
 // receiver's handler on the event loop. Messages beyond a bounded queue
 // are dropped (counted, no error) — overload behaves like a real link.
-// On the parallel engine, Send must be called from the sending node's
-// lane (node handlers and timers already are).
+// Send must be called from the sending node's lane (node handlers and
+// timers already are).
 func (n *Network) Send(from, to string, size int64, payload any) error {
 	return n.SendPriority(from, to, size, 0, payload)
 }
@@ -502,16 +477,6 @@ func (n *Network) releaseTo(owner *node, m *pendingMsg) {
 	owner.freeMsgs = m
 }
 
-// afterCallOn schedules fn(arg) after d on the node's lane (parallel)
-// or the shared scheduler (sequential).
-func (n *Network) afterCallOn(nd *node, d time.Duration, fn func(any), arg any) {
-	if nd.lane != nil {
-		nd.lane.AfterCall(d, fn, arg)
-	} else {
-		n.sched.AfterCall(d, fn, arg)
-	}
-}
-
 // transmitNext starts serializing the highest-priority waiting message on
 // the link. It runs on the link's source lane.
 func (n *Network) transmitNext(l *link) {
@@ -526,15 +491,16 @@ func (n *Network) transmitNext(l *link) {
 	}
 	l.sending = true
 	txTime := time.Duration(float64(m.size) / l.bandwidth * float64(time.Second))
-	n.afterCallOn(l.src, txTime, n.finishTxFn, m)
+	l.src.lane.AfterCall(txTime, n.finishTxFn, m)
 }
 
 // finishTx runs when a message's serialization completes (on the source
 // lane): the link is free for its next message, and the frame either
 // dies to an injected failure or propagates toward delivery. The
-// propagation hop is the engines' one cross-lane edge: its delay is the
-// link latency, which is at least the kernel's lookahead by
-// construction, satisfying the conservative contract.
+// propagation hop is the one cross-lane edge (a local event when the
+// lane is shared): its delay is the link latency, which is at least the
+// kernel's lookahead by construction, satisfying the conservative
+// contract.
 func (n *Network) finishTx(arg any) {
 	m, ok := arg.(*pendingMsg)
 	if !ok {
@@ -553,11 +519,7 @@ func (n *Network) finishTx(arg any) {
 		n.transmitNext(l)
 		return
 	}
-	if l.src.lane != nil {
-		l.src.lane.Post(l.dst.lane, l.src.lane.Now().Add(l.latency), n.deliverFn, m)
-	} else {
-		n.sched.AfterCall(l.latency, n.deliverFn, m)
-	}
+	l.src.lane.Post(l.dst.lane, l.src.lane.Now().Add(l.latency), n.deliverFn, m)
 	n.transmitNext(l)
 }
 
@@ -604,13 +566,11 @@ func (n *Network) NextHop(src, dst string) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("%w: %q", ErrUnknownNode, dst)
 	}
-	if int(dn.idx) < len(n.hopTab) {
-		if tab := n.hopTab[dn.idx].Load(); tab != nil {
-			if hi := (*tab)[sn.idx]; hi >= 0 {
-				return n.order[hi], nil
-			}
-			return "", fmt.Errorf("%w: %s -> %s", ErrNoRoute, src, dst)
+	if tab := n.hopTab[dn.idx].Load(); tab != nil {
+		if hi := (*tab)[sn.idx]; hi >= 0 {
+			return n.order[hi], nil
 		}
+		return "", fmt.Errorf("%w: %s -> %s", ErrNoRoute, src, dst)
 	}
 	return n.buildRoute(sn, dn, src, dst)
 }
@@ -623,9 +583,6 @@ func (n *Network) NextHop(src, dst string) (string, error) {
 func (n *Network) buildRoute(sn, dn *node, src, dst string) (string, error) {
 	n.routeMu.Lock()
 	defer n.routeMu.Unlock()
-	for len(n.hopTab) < len(n.order) {
-		n.hopTab = append(n.hopTab, atomic.Pointer[[]int32]{})
-	}
 	// Another lane may have published the table while we waited.
 	if tab := n.hopTab[dn.idx].Load(); tab != nil {
 		if hi := (*tab)[sn.idx]; hi >= 0 {

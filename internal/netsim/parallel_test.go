@@ -14,7 +14,8 @@ import (
 // node-local traffic over it: every node ticks on its own phase and
 // sends to a neighbor chosen by its private splitmix64 stream; receivers
 // probabilistically reply. Loss, a link outage, and node churn are all
-// injected. Returns per-node receive traces and the network.
+// injected. seq puts every node on one shared lane; otherwise each gets
+// its own. Returns per-node receive traces and the network.
 func chatterNet(t *testing.T, workers int, seq bool) (map[string][]string, *Network) {
 	t.Helper()
 	const (
@@ -32,9 +33,10 @@ func chatterNet(t *testing.T, workers int, seq bool) (map[string][]string, *Netw
 	}
 
 	// The odd bandwidth keeps serialization times off any round-ns grid:
-	// the engines agree on the order of same-node same-instant events
-	// only up to their (different but equally valid) tie-break rules, so
-	// the equivalence scenario avoids manufacturing exact-instant ties.
+	// the two lane layouts agree on the order of same-node same-instant
+	// events only up to their (different but equally valid) tie-break
+	// rules, so the equivalence scenario avoids manufacturing
+	// exact-instant ties.
 	topoRNG := rand.New(rand.NewSource(seed))
 	cfg := LinkConfig{Bandwidth: 1250013, Latency: 5 * time.Millisecond, QueueBytes: 1 << 14}
 	if err := BuildRandomConnected(net, nNodes, nNodes, cfg, topoRNG); err != nil {
@@ -101,11 +103,11 @@ func chatterNet(t *testing.T, workers int, seq bool) (map[string][]string, *Netw
 	return traces, net
 }
 
-// TestParallelMatchesSequentialOutcome pins the two engines to each
-// other: same topology, traffic, loss streams, outage and churn schedule
-// must produce the same aggregate counters and the same per-node receive
-// multisets. (Event order between independent nodes may differ; their
-// effects commute.)
+// TestParallelMatchesSequentialOutcome pins the two lane layouts (one
+// shared lane, a lane per node) to each other: same topology, traffic,
+// loss streams, outage and churn schedule must produce the same aggregate
+// counters and the same per-node receive multisets. (Event order between
+// independent nodes may differ; their effects commute.)
 func TestParallelMatchesSequentialOutcome(t *testing.T) {
 	seqTraces, seqNet := chatterNet(t, 1, true)
 	parTraces, parNet := chatterNet(t, 1, false)
@@ -154,8 +156,8 @@ func TestParallelDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestParallelRoutesMatchSequential exercises the lock-free route cache
-// on the parallel engine: next hops agree with the sequential engine's
-// for every pair on the same topology.
+// under both lane layouts: next hops agree for every pair on the same
+// topology.
 func TestParallelRoutesMatchSequential(t *testing.T) {
 	epoch := time.Unix(0, 0).UTC()
 	build := func(net *Network) {
@@ -175,5 +177,39 @@ func TestParallelRoutesMatchSequential(t *testing.T) {
 				t.Fatalf("NextHop(%s, %s): sequential (%q, %v), parallel (%q, %v)", a, b, sh, serr, ph, perr)
 			}
 		}
+	}
+}
+
+// TestSelfAndCrossLanePostDeliverTogether: the propagation hop is a
+// Post to the sender's own lane when the lane is shared and a mailbox
+// Post across lanes otherwise. Both must hand the message over at the
+// same instant — serialization plus latency after the send.
+func TestSelfAndCrossLanePostDeliverTogether(t *testing.T) {
+	epoch := time.Unix(0, 0).UTC()
+	sentAt := epoch.Add(3 * time.Millisecond)
+	deliveredAt := func(net *Network, sharedLane bool) time.Time {
+		t.Helper()
+		var at time.Time
+		net.AddNode("a", nil)
+		net.AddNode("b", func(string, int64, any) { at = net.ClockFor("b").Now() })
+		if got := net.LaneOf("a") == net.LaneOf("b"); got != sharedLane || net.LaneOf("a") == nil {
+			t.Fatalf("a and b share a lane: %v, want %v", got, sharedLane)
+		}
+		if err := net.AddLink("a", "b", LinkConfig{Bandwidth: 1000, Latency: 50 * time.Millisecond}); err != nil {
+			t.Fatal(err)
+		}
+		if err := net.AtNode("a", sentAt, func() { _ = net.Send("a", "b", 1000, nil) }); err != nil {
+			t.Fatal(err)
+		}
+		if err := net.RunUntil(epoch.Add(10*time.Second), 0); err != nil {
+			t.Fatal(err)
+		}
+		return at
+	}
+	self := deliveredAt(New(simclock.New(epoch)), true)
+	cross := deliveredAt(NewParallel(simclock.NewKernel(epoch, simclock.KernelOpts{Workers: 2})), false)
+	if want := sentAt.Add(time.Second + 50*time.Millisecond); !self.Equal(want) || !cross.Equal(want) {
+		t.Fatalf("delivered at %v on the shared lane and %v across lanes, want %v on both",
+			self.Sub(epoch), cross.Sub(epoch), want.Sub(epoch))
 	}
 }

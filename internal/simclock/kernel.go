@@ -1,6 +1,7 @@
-// The parallel deterministic kernel. A Kernel partitions the simulation
-// into lanes — one per network node — each with its own event heap,
-// clock, and schedule-order sequence. Lanes whose next events fall inside
+// The deterministic kernel: the repo's one event engine. A Kernel
+// partitions the simulation into lanes — one per network node, or a
+// single lane every node shares (Scheduler) — each with its own event
+// heap, clock, and schedule-order sequence. Lanes whose next events fall inside
 // the current conservative window [T, T+lookahead) execute concurrently
 // on a configurable number of workers; cross-lane effects (message
 // deliveries) are posted into per-lane mailboxes and merged at the
@@ -13,7 +14,9 @@
 // safety argument applies: a cross-lane effect posted from a window
 // always lands at or after the window's end (netsim guarantees post
 // delay >= lookahead = the minimum link latency), so no lane can ever
-// receive an event earlier than one it already executed.
+// receive an event earlier than one it already executed. A one-lane
+// kernel has no cross-lane effects at all, so its window is the whole
+// run and its order is plain (time, schedule sequence).
 package simclock
 
 import (
@@ -63,8 +66,8 @@ type post struct {
 	// at is the instant the effect fires on the destination lane.
 	at time.Time
 	// postedAt is the source lane's clock when the effect was posted —
-	// the lamport component of the merge order (the sequential reference
-	// engine would have heap-inserted the event at this instant).
+	// the lamport component of the merge order (a shared lane would have
+	// heap-inserted the event at this instant).
 	postedAt time.Time
 	// tie is a seeded hash breaking (at, postedAt) collisions without
 	// systematic lane-index bias; src/seq give the total-order fallback.
@@ -127,23 +130,28 @@ type Lane struct {
 
 var _ Clock = (*Lane)(nil)
 
-// Index returns the lane's index within its kernel.
-func (l *Lane) Index() int { return int(l.idx) }
-
 // Now returns the lane's current virtual time: the instant of the event
 // being executed while the lane runs, and the kernel's committed time
 // between runs.
 func (l *Lane) Now() time.Time { return l.now }
 
-// At schedules fn on this lane at instant t (clamped to the lane's
-// current time) and returns a cancellable handle.
-func (l *Lane) At(t time.Time, fn func()) *Event {
+// enqueue stamps ev with instant t — clamped to the lane's current time,
+// so scheduling in the past runs next instead of rewinding the clock —
+// and with the next schedule sequence, and queues it.
+func (l *Lane) enqueue(ev *Event, t time.Time) {
 	if t.Before(l.now) {
 		t = l.now
 	}
-	ev := &Event{at: t, seq: l.seq, fn: fn}
+	ev.at, ev.seq = t, l.seq
 	l.seq++
 	heap.Push(&l.events, ev)
+}
+
+// At schedules fn on this lane at instant t (clamped to the lane's
+// current time) and returns a cancellable handle.
+func (l *Lane) At(t time.Time, fn func()) *Event {
+	ev := &Event{fn: fn}
+	l.enqueue(ev, t)
 	return ev
 }
 
@@ -152,22 +160,19 @@ func (l *Lane) After(d time.Duration, fn func()) *Event {
 	return l.At(l.now.Add(d), fn)
 }
 
-// AtCall schedules fn(arg) at instant t without returning a handle,
-// recycling the event through the lane's freelist (the same no-handle,
-// no-allocation contract as Scheduler.AtCall).
+// AtCall schedules fn(arg) at instant t without returning a handle. The
+// event cannot be cancelled, which lets the lane recycle it through its
+// freelist — a hot send path schedules without allocating. fn is
+// typically a stored method value, so the call itself captures nothing.
 func (l *Lane) AtCall(t time.Time, fn func(any), arg any) {
-	if t.Before(l.now) {
-		t = l.now
-	}
 	ev := l.free
 	if ev != nil {
 		l.free = ev.nextFree
-		*ev = Event{at: t, seq: l.seq, fnArg: fn, arg: arg, pooled: true}
 	} else {
-		ev = &Event{at: t, seq: l.seq, fnArg: fn, arg: arg, pooled: true}
+		ev = new(Event)
 	}
-	l.seq++
-	heap.Push(&l.events, ev)
+	*ev = Event{fnArg: fn, arg: arg, pooled: true}
+	l.enqueue(ev, t)
 }
 
 // AfterCall schedules fn(arg) d after the lane's current time with
@@ -176,13 +181,18 @@ func (l *Lane) AfterCall(d time.Duration, fn func(any), arg any) {
 	l.AtCall(l.now.Add(d), fn, arg)
 }
 
-// Post schedules fn(arg) on another lane at instant t. The effect is
+// Post schedules fn(arg) on lane dst at instant t. A post to the
+// poster's own lane is a plain local AtCall. A post to another lane is
 // buffered in the posting lane's outbox and merged into the destination
-// at the next window barrier in canonical order. The conservative
+// at the next window barrier in canonical order; the conservative
 // contract requires t >= the current window's end (netsim guarantees it
-// by deriving the kernel lookahead from the minimum link latency);
+// by deriving the kernel lookahead from the minimum link latency), and
 // earlier instants are clamped to the window end.
 func (l *Lane) Post(dst *Lane, t time.Time, fn func(any), arg any) {
+	if dst == l {
+		l.AtCall(t, fn, arg)
+		return
+	}
 	if l.k.inWindow && t.Before(l.k.wEnd) {
 		t = l.k.wEnd
 	}
@@ -194,31 +204,33 @@ func (l *Lane) Post(dst *Lane, t time.Time, fn func(any), arg any) {
 	l.postSeq++
 }
 
+// runOne pops and runs the lane's head event, advancing the lane clock
+// to its instant. The head must be live: call nextAt first.
+func (l *Lane) runOne() {
+	ev, _ := heap.Pop(&l.events).(*Event)
+	l.now = ev.at
+	if ev.pooled {
+		// Copy out before releasing: the callback may schedule new
+		// events that reuse this Event value.
+		fn, arg := ev.fnArg, ev.arg
+		l.release(ev)
+		fn(arg)
+		return
+	}
+	ev.fn()
+}
+
 // runWindow executes the lane's events inside [l.now, wEnd) that are not
-// past the deadline, and reports how many ran.
-func (l *Lane) runWindow(wEnd, deadline time.Time) int {
+// past the deadline, at most budget of them (0 = unlimited), and reports
+// how many ran.
+func (l *Lane) runWindow(wEnd, deadline time.Time, budget int) int {
 	ran := 0
-	for len(l.events) > 0 {
-		ev := l.events[0]
-		if ev.cancelled {
-			heap.Pop(&l.events)
-			if ev.pooled {
-				l.release(ev)
-			}
-			continue
-		}
-		if !ev.at.Before(wEnd) || ev.at.After(deadline) {
+	for budget <= 0 || ran < budget {
+		at, ok := l.nextAt()
+		if !ok || !at.Before(wEnd) || at.After(deadline) {
 			break
 		}
-		heap.Pop(&l.events)
-		l.now = ev.at
-		if ev.pooled {
-			fn, arg := ev.fnArg, ev.arg
-			l.release(ev)
-			fn(arg)
-		} else {
-			ev.fn()
-		}
+		l.runOne()
 		ran++
 	}
 	return ran
@@ -298,9 +310,8 @@ type KernelOpts struct {
 // Kernel is the parallel deterministic event kernel. Create one with
 // NewKernel, add a lane per simulated node, and drive it with RunUntil.
 type Kernel struct {
-	origin time.Time
-	now    time.Time
-	seed   uint64
+	now  time.Time
+	seed uint64
 
 	lookahead time.Duration
 	workers   int
@@ -308,13 +319,14 @@ type Kernel struct {
 	lanes []*Lane
 	wake  laneHeap
 
-	// Window state shared with workers. wEnd and deadline are written by
-	// the coordinating goroutine before workers are released for a
-	// window and read by workers during it (the channel send orders the
-	// accesses); cursor hands out active-lane indices.
+	// Window state shared with workers. wEnd, deadline and budget are
+	// written by the coordinating goroutine before workers are released
+	// for a window and read by workers during it (the channel send orders
+	// the accesses); cursor hands out active-lane indices.
 	inWindow bool
 	wEnd     time.Time
 	deadline time.Time
+	budget   int // events each lane may still run this window; 0 = unlimited
 	active   []*Lane
 	cursor   atomic.Int64
 	pool     *workerPool
@@ -328,7 +340,7 @@ func NewKernel(origin time.Time, opts KernelOpts) *Kernel {
 	if w < 1 {
 		w = 1
 	}
-	return &Kernel{origin: origin, now: origin, seed: opts.Seed, workers: w}
+	return &Kernel{now: origin, seed: opts.Seed, workers: w}
 }
 
 // AddLane appends a lane and returns it. Lanes must be added before
@@ -339,35 +351,17 @@ func (k *Kernel) AddLane() *Lane {
 	return l
 }
 
-// Lane returns lane i.
-func (k *Kernel) Lane(i int) *Lane { return k.lanes[i] }
-
-// Lanes reports the lane count.
-func (k *Kernel) Lanes() int { return len(k.lanes) }
-
 // Now returns the kernel's committed virtual time.
 func (k *Kernel) Now() time.Time { return k.now }
 
 // Executed reports the total number of events run so far.
 func (k *Kernel) Executed() int64 { return k.executed }
 
-// SetWorkers changes the worker count for subsequent runs. Results are
-// unaffected by construction; only wall-clock time changes.
-func (k *Kernel) SetWorkers(w int) {
-	if w < 1 {
-		w = 1
-	}
-	k.workers = w
-}
-
-// Workers reports the configured worker count.
-func (k *Kernel) Workers() int { return k.workers }
-
 // SetLookahead sets the conservative window width: the guaranteed
 // minimum delay of any cross-lane Post. netsim derives it from the
 // minimum link latency before each run. A zero lookahead degrades to
 // one barrier per distinct instant, which is still deterministic —
-// just slower.
+// just slower. A one-lane kernel has no cross-lane posts and ignores it.
 func (k *Kernel) SetLookahead(d time.Duration) {
 	if d < 0 {
 		d = 0
@@ -375,24 +369,38 @@ func (k *Kernel) SetLookahead(d time.Duration) {
 	k.lookahead = d
 }
 
-// Pending reports how many events are queued across all lanes
-// (including cancelled ones not yet reaped).
-func (k *Kernel) Pending() int {
-	n := 0
-	for _, l := range k.lanes {
-		n += len(l.events)
-	}
-	return n
-}
-
 // minParallelLanes is the window occupancy below which dispatching to
 // workers costs more than it buys; such windows run inline.
 const minParallelLanes = 4
 
+// windowEnd returns the end of the conservative window opening at first.
+func (k *Kernel) windowEnd(first, deadline time.Time) time.Time {
+	switch {
+	case len(k.lanes) == 1:
+		// No other lane exists to post into this one: the whole run is
+		// one window, with no barrier per lookahead.
+		return deadline.Add(1)
+	case k.lookahead <= 0:
+		return first.Add(1) // degenerate: one barrier per distinct instant
+	}
+	return first.Add(k.lookahead)
+}
+
+// wakeIfPending queues a lane that is outside the wake heap and has work.
+func (k *Kernel) wakeIfPending(l *Lane) {
+	if l.heapIdx < 0 {
+		if _, ok := l.nextAt(); ok {
+			heap.Push(&k.wake, l)
+		}
+	}
+}
+
 // RunUntil executes events with time at or before deadline, leaving
 // later events queued and the committed clock at the deadline. It
-// returns ErrHorizon if maxEvents (0 = unlimited) ran before the
-// deadline was reached. Results are identical at any worker count.
+// returns ErrHorizon as soon as maxEvents (0 = unlimited) have run
+// before the deadline was reached; the remaining budget bounds every
+// lane inside a window, so a zero-delay self-rescheduling event cannot
+// spin past it. Results are identical at any worker count.
 func (k *Kernel) RunUntil(deadline time.Time, maxEvents int) error {
 	// Seed the wake heap from every lane with pending work: events may
 	// have been scheduled directly between runs.
@@ -410,10 +418,6 @@ func (k *Kernel) RunUntil(deadline time.Time, maxEvents int) error {
 	stop := k.startWorkers()
 	defer stop()
 
-	step := k.lookahead
-	if step <= 0 {
-		step = 1 // degenerate: one barrier per distinct instant
-	}
 	ran := 0
 	for len(k.wake) > 0 {
 		first, ok := k.wake[0].nextAt()
@@ -426,7 +430,8 @@ func (k *Kernel) RunUntil(deadline time.Time, maxEvents int) error {
 		if first.After(deadline) {
 			break
 		}
-		k.wEnd = first.Add(step)
+		k.wEnd = k.windowEnd(first, deadline)
+		k.budget = max(maxEvents-ran, 0)
 		k.inWindow = true
 
 		// Claim every lane with work inside the window. Lanes cannot
@@ -445,7 +450,7 @@ func (k *Kernel) RunUntil(deadline time.Time, maxEvents int) error {
 
 		if k.workers <= 1 || len(k.active) < minParallelLanes {
 			for _, l := range k.active {
-				l.ran = l.runWindow(k.wEnd, deadline)
+				l.ran = l.runWindow(k.wEnd, deadline, k.budget)
 			}
 		} else {
 			k.cursor.Store(0)
@@ -456,26 +461,18 @@ func (k *Kernel) RunUntil(deadline time.Time, maxEvents int) error {
 		k.inWindow = false
 
 		// Barrier: merge outboxes into destination lanes in canonical
-		// order, then requeue lanes with remaining work.
+		// order, then requeue lanes with remaining work. In-wake dirty
+		// lanes were re-positioned inside mergePosts; the dirty pass
+		// wakes lanes that were idle (not in the heap, not active)
+		// before their posts arrived.
 		dirty := k.mergePosts()
 		for _, l := range k.active {
 			ran += l.ran
 			k.executed += int64(l.ran)
-			if l.heapIdx < 0 {
-				if _, ok := l.nextAt(); ok {
-					heap.Push(&k.wake, l)
-				}
-			}
+			k.wakeIfPending(l)
 		}
-		// In-wake dirty lanes were re-positioned inside mergePosts; what
-		// remains is waking lanes that were idle (not in the heap, not
-		// active) before their posts arrived.
 		for _, l := range dirty {
-			if l.heapIdx < 0 {
-				if _, ok := l.nextAt(); ok {
-					heap.Push(&k.wake, l)
-				}
-			}
+			k.wakeIfPending(l)
 		}
 		if maxEvents > 0 && ran >= maxEvents {
 			return ErrHorizon
@@ -485,8 +482,8 @@ func (k *Kernel) RunUntil(deadline time.Time, maxEvents int) error {
 	if k.now.Before(deadline) {
 		k.now = deadline
 	}
-	// Lanes idle between runs read the committed clock, mirroring the
-	// sequential engine's RunUntil contract.
+	// Lanes idle between runs read the committed clock, so idle nodes
+	// observe the same time on every lane layout.
 	for _, l := range k.lanes {
 		if l.now.Before(k.now) {
 			l.now = k.now
@@ -595,6 +592,6 @@ func (k *Kernel) drainActive() {
 			return
 		}
 		l := k.active[i]
-		l.ran = l.runWindow(k.wEnd, k.deadline)
+		l.ran = l.runWindow(k.wEnd, k.deadline, k.budget)
 	}
 }

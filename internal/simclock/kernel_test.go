@@ -15,7 +15,7 @@ type laneTrace struct {
 }
 
 func (tr *laneTrace) hit(l *Lane, tag string) {
-	tr.entries = append(tr.entries, fmt.Sprintf("%d@%s:%s", l.Index(), l.Now().Format(time.RFC3339Nano), tag))
+	tr.entries = append(tr.entries, fmt.Sprintf("%d@%s:%s", l.idx, l.Now().Format(time.RFC3339Nano), tag))
 }
 
 // chatterWorkload drives a kernel with a deterministic cross-lane
@@ -38,11 +38,11 @@ func chatterWorkload(t *testing.T, workers, lanes int, seed uint64, dur time.Dur
 		tick = func() {
 			tr.hit(l, "tick")
 			draw := splitmix64(&rngs[idx])
-			peer := k.Lane(int(draw % uint64(lanes)))
+			peer := k.lanes[draw%uint64(lanes)]
 			jitter := time.Duration(draw>>32%uint64(lookahead)) + lookahead
 			l.Post(peer, l.Now().Add(jitter), func(arg any) {
 				dst, _ := arg.(*Lane)
-				traces[dst.Index()].hit(dst, fmt.Sprintf("msg-from-%d", idx))
+				traces[dst.idx].hit(dst, fmt.Sprintf("msg-from-%d", idx))
 			}, peer)
 			l.After(lookahead/2+time.Duration(draw%7)*time.Millisecond, tick)
 		}
@@ -92,9 +92,10 @@ func TestKernelSeedChangesTieOrder(t *testing.T) {
 	}
 }
 
-// TestKernelSingleLaneMatchesScheduler pins the 1-lane kernel to the
-// sequential reference engine on an identical schedule: same execution
-// order, same observed clocks.
+// TestKernelSingleLaneMatchesScheduler pins a hand-built 1-lane kernel
+// to Scheduler on an identical schedule: same execution order, same
+// observed clocks, whatever lookahead the kernel was told (one lane means
+// one window).
 func TestKernelSingleLaneMatchesScheduler(t *testing.T) {
 	type probe struct {
 		at  time.Duration
@@ -102,7 +103,7 @@ func TestKernelSingleLaneMatchesScheduler(t *testing.T) {
 	}
 	schedule := []probe{
 		{5 * time.Millisecond, "a"},
-		{5 * time.Millisecond, "b"}, // simultaneous: insertion order wins in both engines
+		{5 * time.Millisecond, "b"}, // simultaneous: insertion order wins
 		{1 * time.Millisecond, "c"},
 		{9 * time.Millisecond, "d"},
 		{5 * time.Millisecond, "e"},
@@ -248,8 +249,8 @@ func TestKernelCancelRacingBarrierFlush(t *testing.T) {
 	if len(fired) != 1 || fired[0] != "post" {
 		t.Fatalf("fired = %v, want [post]", fired)
 	}
-	if k.Pending() != 0 {
-		t.Fatalf("pending = %d after drain", k.Pending())
+	if n := len(a.events) + len(b.events); n != 0 {
+		t.Fatalf("pending = %d after drain", n)
 	}
 }
 
@@ -274,8 +275,8 @@ func TestKernelCancelOnlyEventThenIdle(t *testing.T) {
 	}
 }
 
-// TestKernelErrHorizon mirrors the sequential engine's event budget:
-// exceeding maxEvents before the deadline returns ErrHorizon.
+// TestKernelErrHorizon: exceeding maxEvents before the deadline returns
+// ErrHorizon.
 func TestKernelErrHorizon(t *testing.T) {
 	k := NewKernel(kernelEpoch, KernelOpts{})
 	k.SetLookahead(time.Millisecond)
@@ -288,9 +289,29 @@ func TestKernelErrHorizon(t *testing.T) {
 	}
 }
 
+// TestKernelErrHorizonWithinWindow: the budget bounds events, not
+// windows. A zero-delay self-rescheduling event never leaves its window,
+// so a budget checked only at barriers would spin forever; each lane gets
+// the remaining budget and stops on it.
+func TestKernelErrHorizonWithinWindow(t *testing.T) {
+	k := NewKernel(kernelEpoch, KernelOpts{})
+	k.SetLookahead(time.Millisecond)
+	l, _ := k.AddLane(), k.AddLane()
+	ran := 0
+	var spin func()
+	spin = func() { ran++; l.After(0, spin) }
+	l.After(0, spin)
+	if err := k.RunUntil(kernelEpoch.Add(time.Hour), 100); err != ErrHorizon {
+		t.Fatalf("err = %v, want ErrHorizon", err)
+	}
+	if ran != 100 {
+		t.Fatalf("%d events ran, want exactly the budget of 100", ran)
+	}
+}
+
 // TestKernelIdleAdvancesClocks: with nothing scheduled, RunUntil leaves
-// the kernel and every lane clock at the deadline, matching the
-// sequential engine so idle nodes observe the same time.
+// the kernel and every lane clock at the deadline, so idle nodes observe
+// the same time on every lane layout.
 func TestKernelIdleAdvancesClocks(t *testing.T) {
 	k := NewKernel(kernelEpoch, KernelOpts{Workers: 4})
 	a, b := k.AddLane(), k.AddLane()
@@ -355,7 +376,7 @@ func TestKernelPostClamp(t *testing.T) {
 }
 
 // BenchmarkKernelLocalEvents measures the pooled same-lane hot path;
-// steady-state must be allocation-free like the sequential engine.
+// steady-state must be allocation-free.
 func BenchmarkKernelLocalEvents(b *testing.B) {
 	k := NewKernel(kernelEpoch, KernelOpts{})
 	k.SetLookahead(time.Millisecond)

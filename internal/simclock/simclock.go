@@ -4,11 +4,12 @@
 // All of the Athena emulation (internal/netsim, internal/athena,
 // internal/experiment) runs on top of this kernel so that every experiment
 // is exactly repeatable from a seed, independent of wall-clock time or
-// goroutine interleaving.
+// goroutine interleaving. There is one engine — Kernel, whose Lanes are
+// the only event queues (kernel.go) — in two layouts: one lane shared by
+// every node (Scheduler, below) or one lane per node.
 package simclock
 
 import (
-	"container/heap"
 	"errors"
 	"time"
 )
@@ -30,15 +31,15 @@ var _ Clock = WallClock{}
 // Now returns the wall-clock time.
 func (WallClock) Now() time.Time { return time.Now() }
 
-// Event is a scheduled callback. The callback runs with the scheduler's
-// clock already advanced to the event time.
+// Event is a scheduled callback. The callback runs with its lane's clock
+// already advanced to the event time.
 type Event struct {
 	at  time.Time
 	seq uint64 // tie-break so equal-time events run in schedule order
 	fn  func()
 
 	// fnArg/arg are the no-handle form used by AtCall/AfterCall; such
-	// events are recycled through the scheduler's freelist after running,
+	// events are recycled through the lane's freelist after running,
 	// which is only safe because no caller can hold a handle to them.
 	fnArg func(any)
 	arg   any
@@ -101,112 +102,49 @@ func (h *eventHeap) Pop() any {
 // the event queue drains, which usually indicates a scheduling livelock.
 var ErrHorizon = errors.New("simclock: event budget exhausted")
 
-// Scheduler is a deterministic discrete-event scheduler. The zero value is
-// not usable; create one with New.
-type Scheduler struct {
-	now    time.Time
-	seq    uint64
-	events eventHeap
-	free   *Event // recycled no-handle events
-}
+// Scheduler is the shared-lane layout of the kernel: a private Kernel
+// with exactly one Lane that every node schedules on, so events run in
+// global (time, schedule order). It is the engine behind the classic
+// figures and most tests. All scheduling methods (At, After, AtCall,
+// AfterCall, Now) are the lane's own. The zero value is not usable;
+// create one with New.
+type Scheduler struct{ *Lane }
 
 var _ Clock = (*Scheduler)(nil)
 
 // New returns a Scheduler whose clock starts at the given origin.
 func New(origin time.Time) *Scheduler {
-	return &Scheduler{now: origin}
+	return &Scheduler{NewKernel(origin, KernelOpts{}).AddLane()}
 }
 
-// Now returns the current virtual time.
-func (s *Scheduler) Now() time.Time { return s.now }
+// Kernel exposes the one-lane kernel underneath, for callers (netsim)
+// that drive any lane layout through the same type.
+func (s *Scheduler) Kernel() *Kernel { return s.k }
 
 // Pending reports how many events are queued (including cancelled ones not
 // yet reaped).
 func (s *Scheduler) Pending() int { return len(s.events) }
 
-// At schedules fn to run at instant t. Scheduling in the past is clamped to
-// the current time (the event runs next). It returns a handle that can
-// cancel the event.
-func (s *Scheduler) At(t time.Time, fn func()) *Event {
-	if t.Before(s.now) {
-		t = s.now
-	}
-	ev := &Event{at: t, seq: s.seq, fn: fn}
-	s.seq++
-	heap.Push(&s.events, ev)
-	return ev
-}
-
-// After schedules fn to run d after the current virtual time.
-func (s *Scheduler) After(d time.Duration, fn func()) *Event {
-	return s.At(s.now.Add(d), fn)
-}
-
-// AtCall schedules fn(arg) at instant t without returning a handle. The
-// event cannot be cancelled, which lets the scheduler recycle it
-// internally — a hot send path schedules without allocating. fn is
-// typically a stored method value, so the call itself captures nothing.
-func (s *Scheduler) AtCall(t time.Time, fn func(any), arg any) {
-	if t.Before(s.now) {
-		t = s.now
-	}
-	ev := s.free
-	if ev != nil {
-		s.free = ev.nextFree
-		*ev = Event{at: t, seq: s.seq, fnArg: fn, arg: arg, pooled: true}
-	} else {
-		ev = &Event{at: t, seq: s.seq, fnArg: fn, arg: arg, pooled: true}
-	}
-	s.seq++
-	heap.Push(&s.events, ev)
-}
-
-// AfterCall schedules fn(arg) to run d after the current virtual time,
-// with AtCall's no-handle, allocation-recycling semantics.
-func (s *Scheduler) AfterCall(d time.Duration, fn func(any), arg any) {
-	s.AtCall(s.now.Add(d), fn, arg)
-}
-
-// release returns a pooled event to the freelist.
-func (s *Scheduler) release(ev *Event) {
-	*ev = Event{nextFree: s.free}
-	s.free = ev
-}
-
 // Step runs the single earliest pending event, advancing the clock to its
 // time. It reports whether an event ran.
 func (s *Scheduler) Step() bool {
-	for len(s.events) > 0 {
-		ev, ok := heap.Pop(&s.events).(*Event)
-		if !ok {
-			return false
-		}
-		if ev.cancelled {
-			continue
-		}
-		s.now = ev.at
-		if ev.pooled {
-			// Copy out before releasing: the callback may schedule new
-			// events that reuse this Event value.
-			fn, arg := ev.fnArg, ev.arg
-			s.release(ev)
-			fn(arg)
-			return true
-		}
-		ev.fn()
-		return true
+	if _, ok := s.nextAt(); !ok {
+		return false
 	}
-	return false
+	s.runOne()
+	// Keep the kernel's committed view in step: no RunUntil barrier does
+	// it for a hand-stepped lane.
+	s.k.now = s.now
+	s.k.executed++
+	return true
 }
 
 // Run executes events until the queue drains or maxEvents have run. A
 // maxEvents of 0 means no budget. It returns ErrHorizon if the budget was
 // exhausted with events still pending.
 func (s *Scheduler) Run(maxEvents int) error {
-	ran := 0
-	for s.Step() {
-		ran++
-		if maxEvents > 0 && ran >= maxEvents {
+	for ran := 1; s.Step(); ran++ {
+		if ran == maxEvents {
 			if s.Pending() > 0 {
 				return ErrHorizon
 			}
@@ -217,27 +155,8 @@ func (s *Scheduler) Run(maxEvents int) error {
 }
 
 // RunUntil executes events with time at or before deadline, leaving later
-// events queued and the clock at min(deadline, last event time). It returns
-// ErrHorizon if maxEvents (0 = unlimited) ran before reaching the deadline.
+// events queued and the clock at the deadline. It returns ErrHorizon if
+// maxEvents (0 = unlimited) ran before reaching the deadline.
 func (s *Scheduler) RunUntil(deadline time.Time, maxEvents int) error {
-	ran := 0
-	for len(s.events) > 0 {
-		next := s.events[0]
-		if next.cancelled {
-			heap.Pop(&s.events)
-			continue
-		}
-		if next.at.After(deadline) {
-			break
-		}
-		s.Step()
-		ran++
-		if maxEvents > 0 && ran >= maxEvents {
-			return ErrHorizon
-		}
-	}
-	if s.now.Before(deadline) {
-		s.now = deadline
-	}
-	return nil
+	return s.k.RunUntil(deadline, maxEvents)
 }

@@ -11,69 +11,163 @@ import (
 
 var origin = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
-func TestSchedulerOrdering(t *testing.T) {
-	s := New(origin)
-	var got []int
-	s.After(3*time.Second, func() { got = append(got, 3) })
-	s.After(1*time.Second, func() { got = append(got, 1) })
-	s.After(2*time.Second, func() { got = append(got, 2) })
-	if err := s.Run(0); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	want := []int{1, 2, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order = %v, want %v", got, want)
+// laneRigs are the two substrates every lane-semantics case runs on: the
+// Scheduler's shared lane, and one lane of a multi-lane Kernel whose
+// neighbours keep ticking so the lane under test really is cut into
+// lookahead windows. Each returns a fresh lane and the call that drives
+// it to a deadline.
+var laneRigs = []struct {
+	name string
+	make func() (*Lane, func(time.Time) error)
+}{
+	{"scheduler", func() (*Lane, func(time.Time) error) {
+		s := New(origin)
+		return s.Lane, func(d time.Time) error { return s.RunUntil(d, 0) }
+	}},
+	{"kernel-lane", func() (*Lane, func(time.Time) error) {
+		k := NewKernel(origin, KernelOpts{Workers: 2, Seed: 1})
+		k.SetLookahead(10 * time.Millisecond)
+		for _, l := range []*Lane{k.AddLane(), k.AddLane(), k.AddLane()} {
+			l := l
+			var tick func(any)
+			tick = func(any) { l.AfterCall(7*time.Millisecond, tick, nil) }
+			l.AfterCall(0, tick, nil)
 		}
-	}
-	if s.Now() != origin.Add(3*time.Second) {
-		t.Errorf("Now = %v, want origin+3s", s.Now())
-	}
+		return k.AddLane(), func(d time.Time) error { return k.RunUntil(d, 0) }
+	}},
 }
 
-func TestSchedulerTieBreakBySequence(t *testing.T) {
-	s := New(origin)
-	var got []int
-	at := origin.Add(time.Second)
-	for i := 0; i < 10; i++ {
-		i := i
-		s.At(at, func() { got = append(got, i) })
-	}
-	if err := s.Run(0); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	for i := 0; i < 10; i++ {
-		if got[i] != i {
-			t.Fatalf("tie-break order = %v", got)
-		}
-	}
-}
-
-func TestSchedulerPastClamped(t *testing.T) {
-	s := New(origin)
-	s.After(time.Second, func() {
-		// Scheduling in the past must clamp to now, not rewind the clock.
-		s.At(origin, func() {
-			if s.Now().Before(origin.Add(time.Second)) {
-				t.Error("clock rewound")
+// TestLaneSemantics is the one table of single-lane scheduling rules —
+// time order, schedule-order ties, past clamping, cancellation, nested
+// scheduling — checked on both substrates: there is one event queue, so
+// there is one set of rules.
+func TestLaneSemantics(t *testing.T) {
+	horizon := origin.Add(10 * time.Second)
+	cases := []struct {
+		name string
+		run  func(t *testing.T, rig func() (*Lane, func(time.Time) error))
+	}{
+		{"ordering", func(t *testing.T, rig func() (*Lane, func(time.Time) error)) {
+			l, drive := rig()
+			var got []int
+			for _, sec := range []int{3, 1, 2} {
+				sec := sec
+				l.After(time.Duration(sec)*time.Second, func() {
+					got = append(got, sec)
+					if want := origin.Add(time.Duration(sec) * time.Second); !l.Now().Equal(want) {
+						t.Errorf("event %d saw clock %v, want %v", sec, l.Now(), want)
+					}
+				})
 			}
-		})
-	})
-	if err := s.Run(0); err != nil {
-		t.Fatalf("Run: %v", err)
+			if err := drive(horizon); err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+				t.Fatalf("order = %v, want [1 2 3]", got)
+			}
+			if !l.Now().Equal(horizon) {
+				t.Errorf("Now = %v after the run, want the deadline %v", l.Now(), horizon)
+			}
+		}},
+		{"tie-break", func(t *testing.T, rig func() (*Lane, func(time.Time) error)) {
+			// Equal instants run in schedule order, handle and no-handle
+			// forms sharing one sequence.
+			l, drive := rig()
+			var got []int
+			at := origin.Add(time.Second)
+			for i := 0; i < 10; i++ {
+				i := i
+				if i%2 == 0 {
+					l.At(at, func() { got = append(got, i) })
+				} else {
+					l.AtCall(at, func(arg any) { got = append(got, arg.(int)) }, i)
+				}
+			}
+			if err := drive(horizon); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 10; i++ {
+				if len(got) != 10 || got[i] != i {
+					t.Fatalf("tie-break order = %v", got)
+				}
+			}
+		}},
+		{"past-clamp", func(t *testing.T, rig func() (*Lane, func(time.Time) error)) {
+			l, drive := rig()
+			ran := false
+			l.After(time.Second, func() {
+				// Scheduling in the past must clamp to now, not rewind the clock.
+				ev := l.At(origin, func() {
+					ran = true
+					if l.Now().Before(origin.Add(time.Second)) {
+						t.Error("clock rewound")
+					}
+				})
+				if !ev.At().Equal(origin.Add(time.Second)) {
+					t.Errorf("past event scheduled for %v, want now", ev.At())
+				}
+			})
+			if err := drive(horizon); err != nil {
+				t.Fatal(err)
+			}
+			if !ran {
+				t.Error("clamped event never ran")
+			}
+		}},
+		{"cancel", func(t *testing.T, rig func() (*Lane, func(time.Time) error)) {
+			l, drive := rig()
+			l.After(time.Second, func() { t.Error("cancelled event ran") }).Cancel()
+			// Cancelling from inside an earlier event works the same.
+			late := l.After(3*time.Second, func() { t.Error("event cancelled mid-run ran") })
+			live := false
+			l.After(2*time.Second, func() { live = true; late.Cancel() })
+			if err := drive(horizon); err != nil {
+				t.Fatal(err)
+			}
+			if !live {
+				t.Error("live event behind a cancelled head did not run")
+			}
+			if n := len(l.events); n != 0 {
+				t.Errorf("%d events left queued after the run", n)
+			}
+		}},
+		{"nested-scheduling", func(t *testing.T, rig func() (*Lane, func(time.Time) error)) {
+			// Events scheduled from inside callbacks fire exactly once
+			// each and in time order.
+			rng := rand.New(rand.NewSource(7))
+			for trial := 0; trial < 50; trial++ {
+				l, drive := rig()
+				scheduled, count := 1, 0
+				var last time.Time
+				var spawn func(depth int)
+				spawn = func(depth int) {
+					count++
+					if l.Now().Before(last) {
+						t.Fatal("time went backwards")
+					}
+					last = l.Now()
+					if depth < 3 {
+						for i, n := 0, rng.Intn(3); i < n; i++ {
+							d := time.Duration(rng.Intn(1000)) * time.Millisecond
+							scheduled++
+							l.After(d, func() { spawn(depth + 1) })
+						}
+					}
+				}
+				l.After(0, func() { spawn(0) })
+				if err := drive(horizon); err != nil {
+					t.Fatal(err)
+				}
+				if count != scheduled {
+					t.Fatalf("trial %d: %d events ran, %d scheduled", trial, count, scheduled)
+				}
+			}
+		}},
 	}
-}
-
-func TestEventCancel(t *testing.T) {
-	s := New(origin)
-	ran := false
-	ev := s.After(time.Second, func() { ran = true })
-	ev.Cancel()
-	if err := s.Run(0); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if ran {
-		t.Error("cancelled event ran")
+	for _, c := range cases {
+		for _, r := range laneRigs {
+			t.Run(c.name+"/"+r.name, func(t *testing.T) { c.run(t, r.make) })
+		}
 	}
 }
 
@@ -86,6 +180,42 @@ func TestRunBudget(t *testing.T) {
 	err := s.Run(100)
 	if !errors.Is(err, ErrHorizon) {
 		t.Fatalf("Run err = %v, want ErrHorizon", err)
+	}
+
+	// A finite chain drains inside the budget; Run, unlike RunUntil,
+	// leaves the clock at the last event.
+	s = New(origin)
+	s.After(3*time.Second, func() {})
+	s.After(time.Second, func() {})
+	if err := s.Run(2); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if s.Now() != origin.Add(3*time.Second) || s.Pending() != 0 {
+		t.Errorf("Now = %v, Pending = %d; want origin+3s, 0", s.Now(), s.Pending())
+	}
+}
+
+// TestRunUntilBudget: the shared lane runs its whole RunUntil as one
+// window, and the budget still counts single events inside it — a
+// zero-delay livelock stops after exactly maxEvents.
+func TestRunUntilBudget(t *testing.T) {
+	s := New(origin)
+	ran := 0
+	var spin func()
+	spin = func() { ran++; s.After(0, spin) }
+	s.After(0, spin)
+	if err := s.RunUntil(origin.Add(time.Hour), 100); !errors.Is(err, ErrHorizon) {
+		t.Fatalf("RunUntil err = %v, want ErrHorizon", err)
+	}
+	if ran != 100 {
+		t.Fatalf("%d events ran, want exactly the budget of 100", ran)
+	}
+	// RunUntil's ErrHorizon means "the budget was reached", even when the
+	// last budgeted event also emptied the queue (Run differs: see above).
+	s = New(origin)
+	s.After(time.Second, func() {})
+	if err := s.RunUntil(origin.Add(time.Hour), 1); !errors.Is(err, ErrHorizon) {
+		t.Fatalf("RunUntil on an exact budget: err = %v, want ErrHorizon", err)
 	}
 }
 
@@ -142,39 +272,6 @@ func TestPropertyMonotoneFiring(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Property: events scheduled from inside callbacks still fire exactly once
-// each and in time order.
-func TestPropertyNestedScheduling(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		s := New(origin)
-		count := 0
-		var last time.Time
-		var spawn func(depth int)
-		spawn = func(depth int) {
-			count++
-			if s.Now().Before(last) {
-				t.Fatal("time went backwards")
-			}
-			last = s.Now()
-			if depth < 3 {
-				n := rng.Intn(3)
-				for i := 0; i < n; i++ {
-					d := time.Duration(rng.Intn(1000)) * time.Millisecond
-					s.After(d, func() { spawn(depth + 1) })
-				}
-			}
-		}
-		s.After(0, func() { spawn(0) })
-		if err := s.Run(0); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		if count == 0 {
-			t.Fatal("no events ran")
-		}
 	}
 }
 

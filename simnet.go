@@ -11,7 +11,6 @@ import (
 	"athena/internal/names"
 	"athena/internal/netsim"
 	"athena/internal/object"
-	"athena/internal/simclock"
 	"athena/internal/transport"
 	"athena/internal/trust"
 )
@@ -40,8 +39,6 @@ func MustParseName(s string) ContentName { return names.MustParse(s) }
 // paper's fixed grid scenario. Build links first, then nodes, then issue
 // queries and Run.
 type SimNetwork struct {
-	sched *simclock.Scheduler
-	kern  *simclock.Kernel
 	net   *netsim.Network
 	auth  *trust.Authority
 	start time.Time
@@ -79,10 +76,8 @@ type simNodeSpec struct {
 // NewSimNetwork creates an empty simulated network starting at the given
 // virtual instant.
 func NewSimNetwork(start time.Time) *SimNetwork {
-	sched := simclock.New(start)
 	return &SimNetwork{
-		sched: sched,
-		net:   netsim.New(sched),
+		net:   netsim.NewAt(start, 0, 0),
 		auth:  trust.NewAuthority(),
 		start: start,
 		reg:   metrics.NewRegistry(),
@@ -90,14 +85,14 @@ func NewSimNetwork(start time.Time) *SimNetwork {
 	}
 }
 
-// SetWorkers switches the simulation onto the parallel deterministic
-// kernel with the given number of lane executors (values <= 1 still use
-// the kernel, single-threaded). seed feeds the kernel's canonical
-// merge-order tie-break; the outcome is a pure function of the scenario
-// and seed, never of the worker count or GOMAXPROCS. Must be called
-// before the first AddLink. Not calling it keeps the sequential
-// reference scheduler — the original engine, byte-identical to every
-// release before the kernel existed.
+// SetWorkers switches the simulation from one lane shared by every node
+// to a kernel lane per node, executed by the given number of workers
+// (values <= 1 run the lanes single-threaded). seed feeds the kernel's
+// canonical merge-order tie-break; the outcome is a pure function of the
+// scenario and seed, never of the worker count or GOMAXPROCS. Must be
+// called before the first AddLink. Not calling it keeps the shared lane,
+// whose global schedule order is what the recorded goldens pin;
+// same-instant events may order differently between the two layouts.
 func (s *SimNetwork) SetWorkers(workers int, seed int64) error {
 	if s.built {
 		return errors.New("athena: SetWorkers after Build")
@@ -105,9 +100,7 @@ func (s *SimNetwork) SetWorkers(workers int, seed int64) error {
 	if s.touched {
 		return errors.New("athena: SetWorkers must be called before AddLink")
 	}
-	s.kern = simclock.NewKernel(s.start, simclock.KernelOpts{Workers: workers, Seed: uint64(seed)})
-	s.sched = nil
-	s.net = netsim.NewParallel(s.kern)
+	s.net = netsim.NewAt(s.start, max(workers, 1), seed)
 	return nil
 }
 
@@ -291,17 +284,11 @@ func (s *SimNetwork) Build() error {
 		if s.hbInterval > 0 {
 			nodeDir = iathena.NewDirectory(s.descriptors)
 		}
-		// On the kernel engine each node's timers live on its own lane,
-		// so callbacks execute with the rest of the node's events.
-		var timers iathena.Timers = simTimers{s.sched}
-		if s.kern != nil {
-			timers = laneSimTimers{s.net.LaneOf(spec.id)}
-		}
 		node, err := iathena.New(iathena.Config{
 			ID:                  spec.id,
 			Transport:           transport.NewSim(s.net, spec.id),
 			Router:              s.net,
-			Timers:              timers,
+			Timers:              iathena.LaneTimers{Lane: s.net.LaneOf(spec.id)},
 			Scheme:              spec.scheme,
 			Directory:           nodeDir,
 			Meta:                meta,
@@ -342,18 +329,6 @@ func (s *SimNetwork) Build() error {
 	s.built = true
 	return nil
 }
-
-type simTimers struct{ s *simclock.Scheduler }
-
-func (t simTimers) After(d time.Duration, fn func()) { t.s.After(d, fn) }
-
-func (t simTimers) AfterArg(d time.Duration, fn func(any), arg any) { t.s.AfterCall(d, fn, arg) }
-
-type laneSimTimers struct{ l *simclock.Lane }
-
-func (t laneSimTimers) After(d time.Duration, fn func()) { t.l.After(d, fn) }
-
-func (t laneSimTimers) AfterArg(d time.Duration, fn func(any), arg any) { t.l.AfterCall(d, fn, arg) }
 
 // Node returns a built node by id.
 func (s *SimNetwork) Node(id string) (*Node, error) {
