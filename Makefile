@@ -46,11 +46,12 @@ ci-short:
 # interval at n=64), the directory-memory benchmark (entries held per
 # node, sharded vs full replica), the simulation-kernel benchmark
 # (n=512 synthetic workload at W=1 and W=NumCPU), and the data-plane
-# batching benchmark (A11 incast at n=64, coalescing off/on), parsed
-# into machine-readable JSON. CI archives the file per commit;
+# batching benchmark (A11 incast at n=64, coalescing off/on), and the
+# node's object delivery with 0 and 2000 finished queries behind it
+# (internal/athena), parsed into machine-readable JSON. CI archives the file per commit;
 # regressions are judged against the committed baseline.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkScheme|BenchmarkMembershipControlPlane|BenchmarkDirectoryMemory|BenchmarkSimKernel|BenchmarkBatchedFetch' -benchmem -benchtime 3x . \
+	$(GO) test -run '^$$' -bench 'BenchmarkScheme|BenchmarkMembershipControlPlane|BenchmarkDirectoryMemory|BenchmarkSimKernel|BenchmarkBatchedFetch|BenchmarkDeliverObjectHistory' -benchmem -benchtime 3x . ./internal/athena \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_core.json
 
 # figures reproduces the paper's evaluation tables (quick variants).

@@ -74,12 +74,14 @@ fi
 # unlike ns/op are stable across machines, so a trip means a real
 # regression (each benchmark's doc comment in bench_test.go says of
 # what: an allocating per-query or per-event path, a leakier retention
-# filter, a coalescing layer that stopped merging). Refresh the baseline
+# filter, a coalescing layer that stopped merging, an object delivery
+# that pays for a node's finished queries). Refresh the baseline
 # with `make bench` when an intentional change moves one.
-go test -run '^$' -bench '^Benchmark(Scheme|DirectoryMemory|SimKernel|BatchedFetch)$/^(lvf|sharded|w1|on)$' -benchmem -benchtime 3x . |
+go test -run '^$' -bench '^Benchmark(Scheme|DirectoryMemory|SimKernel|BatchedFetch|DeliverObjectHistory)$/^(lvf|sharded|w1|on|n2000)$' -benchmem -benchtime 3x . ./internal/athena |
 	tee /dev/stderr |
 	go run ./cmd/benchjson -check BENCH_core.json \
 		-gate 'BenchmarkScheme/lvf:allocs/op:10' \
 		-gate 'BenchmarkDirectoryMemory/sharded:entries/node:10' \
 		-gate 'BenchmarkSimKernel/w1:allocs/op:10' \
-		-gate 'BenchmarkBatchedFetch/on:frames/node:10'
+		-gate 'BenchmarkBatchedFetch/on:frames/node:10' \
+		-gate 'BenchmarkDeliverObjectHistory/n2000:allocs/op:10'

@@ -470,19 +470,7 @@ func (n *Node) deliverObject(obj *object.Object, now time.Time) {
 		return
 	}
 	objName := obj.ID.Name.String()
-	// Visit queries in a fixed order: iteration here schedules sends and
-	// timers, and map order would make event order — and therefore which
-	// messages seeded loss draws land on — vary across identical runs.
-	ids := make([]string, 0, len(n.queries))
-	for id := range n.queries {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		q := n.queries[id]
-		if q.recorded {
-			continue
-		}
+	for q := n.liveAfter(""); q != nil; q = n.liveAfter(q.engine.ID()) {
 		sentAt, waiting := q.outstanding[objName]
 		if !waiting && !queryWantsAny(q, obj) {
 			continue

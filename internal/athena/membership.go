@@ -97,16 +97,7 @@ func (n *Node) evictSource(src string) {
 // request goes to an alternate covering source
 // (SourceForLabelExcluding). Callers hold n.mu.
 func (n *Node) reSourceFrom(src, objName string) {
-	ids := make([]string, 0, len(n.queries))
-	for id := range n.queries {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		q := n.queries[id]
-		if q.recorded {
-			continue
-		}
+	for q := n.liveAfter(""); q != nil; q = n.liveAfter(q.engine.ID()) {
 		if _, ok := q.outstanding[objName]; !ok {
 			continue
 		}

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -430,7 +432,8 @@ type Node struct {
 	labels   *cache.LabelCache
 	interest *InterestTable
 
-	queries        map[string]*localQuery
+	queries        map[string]*localQuery // every query ever issued here, by id
+	live           []*localQuery          // the unrecorded ones, sorted by id
 	seenAnnounce   map[string]bool
 	pushed         map[string]bool      // queryID -> already prefetch-pushed
 	pushedVersions map[string]uint64    // origin|object -> last pushed version
@@ -735,7 +738,7 @@ func (n *Node) PendingQueries() int {
 	defer n.mu.Unlock()
 	now := n.tr.Clock().Now()
 	pending := 0
-	for _, q := range n.queries {
+	for _, q := range n.live {
 		if q.engine.Step(now) == core.Pending {
 			pending++
 		}
@@ -744,6 +747,32 @@ func (n *Node) PendingQueries() int {
 }
 
 func (n *Node) now() time.Time { return n.tr.Clock().Now() }
+
+// liveFrom returns the position in n.live at which id sorts, and whether
+// the query there has that id. Callers hold n.mu.
+func (n *Node) liveFrom(id string) (int, bool) {
+	return slices.BinarySearchFunc(n.live, id, func(q *localQuery, id string) int {
+		return strings.Compare(q.engine.ID(), id)
+	})
+}
+
+// liveAfter returns the unrecorded query that follows id in string order,
+// nil past the last one: `for q := n.liveAfter(""); q != nil; q =
+// n.liveAfter(q.engine.ID())` visits every live query. The order is fixed
+// because visiting schedules sends and timers, and any other order would
+// move which messages the seeded loss draws land on. Looking the position
+// up afresh each step keeps the walk right when the body records q, or,
+// through a nested delivery, any other query. Callers hold n.mu.
+func (n *Node) liveAfter(id string) *localQuery {
+	i, found := n.liveFrom(id)
+	if found {
+		i++
+	}
+	if i == len(n.live) {
+		return nil
+	}
+	return n.live[i]
+}
 
 // DebugQueries renders the state of all local queries, for diagnostics.
 // Queries and their outstanding fetches are listed in sorted order so the
@@ -800,6 +829,8 @@ func (n *Node) QueryInit(expr boolexpr.DNF, deadline time.Duration) (string, err
 		q.selected = n.selectSources(id, expr.Labels())
 	}
 	n.queries[id] = q
+	at, _ := n.liveFrom(id)
+	n.live = slices.Insert(n.live, at, q)
 	n.stats.QueriesIssued++
 	n.seenAnnounce[id] = true
 
@@ -1155,8 +1186,8 @@ func (n *Node) scheduleExpiryCheck(q *localQuery, now time.Time) {
 	})
 }
 
-// recordIfTerminal records a terminal query exactly once. Callers hold
-// n.mu.
+// recordIfTerminal records a terminal query exactly once and drops it
+// from the live index. Callers hold n.mu.
 func (n *Node) recordIfTerminal(q *localQuery) {
 	if q.recorded {
 		return
@@ -1166,6 +1197,9 @@ func (n *Node) recordIfTerminal(q *localQuery) {
 		return
 	}
 	q.recorded = true
+	if at, found := n.liveFrom(q.engine.ID()); found {
+		n.live = slices.Delete(n.live, at, at+1)
+	}
 	switch status {
 	case core.ResolvedTrue:
 		n.stats.ResolvedTrue++

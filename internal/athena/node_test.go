@@ -27,7 +27,7 @@ type rig struct {
 	nodes map[string]*Node
 }
 
-func buildRig(t *testing.T, scheme Scheme, world staticWorld, opts func(*Config)) *rig {
+func buildRig(t testing.TB, scheme Scheme, world staticWorld, opts func(*Config)) *rig {
 	t.Helper()
 	sched := simclock.New(tBase)
 	net := netsim.New(sched)
@@ -97,7 +97,7 @@ func buildRig(t *testing.T, scheme Scheme, world staticWorld, opts func(*Config)
 	return r
 }
 
-func (r *rig) run(t *testing.T, until time.Duration) {
+func (r *rig) run(t testing.TB, until time.Duration) {
 	t.Helper()
 	if err := r.sched.RunUntil(tBase.Add(until), 0); err != nil {
 		t.Fatal(err)

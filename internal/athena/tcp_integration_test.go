@@ -100,9 +100,32 @@ func TestTCPThreeNodeRelay(t *testing.T) {
 	}
 }
 
+// shareTap is a TCP transport that reports, on handled, every LabelShare
+// its node has finished handling — the moment the records are in that
+// node's label cache.
+type shareTap struct {
+	*transport.TCPTransport
+	handled chan struct{}
+}
+
+func (s shareTap) SetHandler(h transport.Handler) {
+	s.TCPTransport.SetHandler(func(from string, size int64, payload any) {
+		h(from, size, payload)
+		if _, ok := payload.(*athena.LabelShare); ok {
+			s.handled <- struct{}{}
+		}
+	})
+}
+
 // TestTCPLabelSharingAcrossProcesses verifies that a second consumer is
 // answered with signed label records over TCP after the first resolved
-// the same predicates.
+// the same predicates. Prefetching is off: with it on, the source also
+// pushes the object toward every announced query in the background
+// (Section VI-A), and a consumer that receives the push before its own
+// request has been dispatched or answered annotates the object itself —
+// a legitimate outcome in which no request is ever answered from the
+// source's label cache. With it off, a label answer is the only way
+// consumerB can resolve without fetching the object.
 func TestTCPLabelSharingAcrossProcesses(t *testing.T) {
 	world := staticWorld{"shared1": true}
 	desc := object.Descriptor{
@@ -117,18 +140,21 @@ func TestTCPLabelSharingAcrossProcesses(t *testing.T) {
 	auth := trust.NewAuthority()
 	meta := boolexpr.MetaTable{"shared1": {Cost: 500_000, ProbTrue: 0.8, Validity: time.Minute}}
 
-	mk := func(id string, d *object.Descriptor) (*athena.Node, *transport.TCPTransport) {
+	mk := func(id string, d *object.Descriptor) (*athena.Node, shareTap) {
 		t.Helper()
-		tr, err := transport.NewTCP(id, "127.0.0.1:0", wire.Codec{})
+		tcp, err := transport.NewTCP(id, "127.0.0.1:0", wire.Codec{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		// One LabelShare reaches each node in this test; the buffer lets
+		// the read loop move on whether or not the test waits for it.
+		tr := shareTap{TCPTransport: tcp, handled: make(chan struct{}, 1)}
 		node, err := athena.New(athena.Config{
 			ID: id, Transport: tr, Router: &athena.StaticRouter{Self: id},
 			Timers: athena.WallTimers{}, Scheme: athena.SchemeLVFL, Directory: dir,
 			Meta: meta, World: world, Authority: auth,
 			Signer: auth.Register(id, []byte(id)), Policy: trust.TrustAll(),
-			Descriptor: d, CacheBytes: 8 << 20,
+			Descriptor: d, CacheBytes: 8 << 20, DisablePrefetch: true,
 		})
 		if err != nil {
 			tr.Close()
@@ -153,39 +179,37 @@ func TestTCPLabelSharingAcrossProcesses(t *testing.T) {
 	trSrc.AddPeer("consumerB", trB.Addr())
 
 	expr := boolexpr.ToDNF(boolexpr.MustParse("shared1"))
-	doneA := make(chan athena.QueryResult, 1)
-	consumerA.OnQueryDone(func(r athena.QueryResult) { doneA <- r })
-	if _, err := consumerA.QueryInit(expr, 20*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case r := <-doneA:
-		if r.Status != core.ResolvedTrue {
-			t.Fatalf("consumerA status = %v", r.Status)
+	resolve := func(name string, n *athena.Node) {
+		t.Helper()
+		done := make(chan athena.QueryResult, 1)
+		n.OnQueryDone(func(r athena.QueryResult) { done <- r })
+		if _, err := n.QueryInit(expr, 20*time.Second); err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("consumerA timed out")
+		select {
+		case r := <-done:
+			if r.Status != core.ResolvedTrue {
+				t.Fatalf("%s status = %v", name, r.Status)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s timed out", name)
+		}
 	}
 
-	// Give consumerA's label-share propagation a moment to reach and be
-	// cached at the source before consumerB asks.
-	time.Sleep(200 * time.Millisecond)
-
-	doneB := make(chan athena.QueryResult, 1)
-	consumerB.OnQueryDone(func(r athena.QueryResult) { doneB <- r })
-	if _, err := consumerB.QueryInit(expr, 20*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	resolve("consumerA", consumerA)
+	// consumerB asks only once consumerA's records are cached at the source.
 	select {
-	case r := <-doneB:
-		if r.Status != core.ResolvedTrue {
-			t.Fatalf("consumerB status = %v", r.Status)
-		}
+	case <-trSrc.handled:
 	case <-time.After(30 * time.Second):
-		t.Fatal("consumerB timed out")
+		t.Fatal("consumerA's label share never reached the source")
 	}
-	if src.Stats().LabelAnswers == 0 {
-		t.Error("source answered consumerB with the object, not cached labels")
+	resolve("consumerB", consumerB)
+
+	if got := src.Stats().LabelAnswers; got != 1 {
+		t.Errorf("source LabelAnswers = %d, want 1: consumerB's request was not answered from the label cache", got)
+	}
+	if got := consumerB.Stats().Annotations; got != 0 {
+		t.Errorf("consumerB annotated %d labels itself; it should have been sent records, not the object", got)
 	}
 }
 

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -341,9 +342,14 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 		*buf = (*buf)[:0]
 		frameBufPool.Put(buf)
 	}()
+	// One read fills the buffer with a small frame's prefix and body
+	// together; a bulk body still lands directly in the frame buffer,
+	// because bufio reads straight into any destination at least as large
+	// as its own buffer.
+	r := bufio.NewReader(conn)
 	var hdr [4]byte
 	for {
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			return
 		}
 		n := int(uint32(hdr[0])<<24 | uint32(hdr[1])<<16 | uint32(hdr[2])<<8 | uint32(hdr[3]))
@@ -357,7 +363,7 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 			*buf = make([]byte, 0, n)
 		}
 		body := (*buf)[:n]
-		if _, err := io.ReadFull(conn, body); err != nil {
+		if _, err := io.ReadFull(r, body); err != nil {
 			return
 		}
 		from, payload, err := t.codec.Decode(body)

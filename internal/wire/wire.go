@@ -35,6 +35,7 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -176,12 +177,27 @@ func (Codec) Decode(body []byte) (from string, payload any, err error) {
 		return "", nil, r.err
 	}
 	// Whatever remains must be padding.
-	for _, b := range r.b[r.off:] {
-		if b != 0 {
-			return "", nil, fmt.Errorf("%w: non-zero padding", ErrBadFrame)
-		}
+	if !allZero(r.b[r.off:]) {
+		return "", nil, fmt.Errorf("%w: non-zero padding", ErrBadFrame)
 	}
 	return from, payload, nil
+}
+
+// zeroPage is what padding is compared against, one block at a time.
+var zeroPage [4096]byte
+
+// allZero reports whether every byte of b is zero. Bulk ObjectData frames
+// carry up to a megabyte of padding, so the check runs as block compares
+// (bytes.Equal is the runtime's vectorised memequal) rather than a byte
+// loop; the first non-zero byte anywhere still fails it.
+func allZero(b []byte) bool {
+	for len(b) > len(zeroPage) {
+		if !bytes.Equal(b[:len(zeroPage)], zeroPage[:]) {
+			return false
+		}
+		b = b[len(zeroPage):]
+	}
+	return bytes.Equal(b, zeroPage[:len(b)])
 }
 
 // EncodedFrameLen returns the total frame length (prefix included) that

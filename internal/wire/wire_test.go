@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -253,6 +254,62 @@ func TestDecodeRejectsBadFrames(t *testing.T) {
 	})
 }
 
+// paddedData encodes an ObjectData frame carrying exactly pad bytes of
+// padding and returns its body with the offset the padding starts at.
+func paddedData(t testing.TB, pad int) (body []byte, padStart int) {
+	t.Helper()
+	m := &athena.ObjectData{Object: "/city/market/cam3", Version: 12, Size: int64(pad), Labels: []string{"viable:h:1-2"}, SourceNode: "node-017", Origin: "node-042", QueryID: "node-042/q17"}
+	raw, err := (Codec{}).Append(nil, "node-017", 0, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := (Codec{}).Append(nil, "node-017", int64(len(raw)+pad), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(frame) != len(raw)+pad {
+		t.Fatalf("frame = %d bytes, want %d raw + %d padding", len(frame), len(raw), pad)
+	}
+	return frame[4:], len(raw) - 4
+}
+
+// TestPaddingVerifiedAtEveryOffset flips one padding byte of a bulk frame
+// at each place a block-wise verifier could overlook — the ends, both
+// sides of every block boundary, and a tail shorter than one machine
+// word — and requires ErrBadFrame each time.
+func TestPaddingVerifiedAtEveryOffset(t *testing.T) {
+	const block = len(zeroPage)
+	const pad = 1<<20 + 5 // whole blocks, then a 5-byte tail
+	body, start := paddedData(t, pad)
+	if _, _, err := (Codec{}).Decode(body); err != nil {
+		t.Fatalf("clean frame: %v", err)
+	}
+	offsets := []int{0, pad - 1}
+	for b := block; b < pad; b += block {
+		offsets = append(offsets, b-1, b)
+	}
+	for o := pad - 5; o < pad; o++ {
+		offsets = append(offsets, o)
+	}
+	for _, o := range offsets {
+		body[start+o] = 0x01
+		if _, _, err := (Codec{}).Decode(body); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("non-zero byte at padding offset %d of %d: err = %v, want ErrBadFrame", o, pad, err)
+		}
+		body[start+o] = 0
+	}
+}
+
+func TestZeroPaddingOfAnyLengthDecodes(t *testing.T) {
+	const block = len(zeroPage)
+	for _, pad := range []int{0, 1, 7, 8, block - 1, block, block + 1} {
+		body, _ := paddedData(t, pad)
+		if _, _, err := (Codec{}).Decode(body); err != nil {
+			t.Errorf("%d bytes of zero padding: %v", pad, err)
+		}
+	}
+}
+
 func TestOversizeEncodingShipsUnpadded(t *testing.T) {
 	// A message whose raw encoding exceeds its modeled size must ship
 	// as-is; the receiver reports actual bytes, never the stale model.
@@ -404,6 +461,7 @@ func FuzzObjectRequest(f *testing.F) {
 
 func FuzzObjectData(f *testing.F) {
 	f.Add("/city/cam1", uint64(3), int64(1000), int64(5e9), int64(1e9), "lbl", uint8(1), "src", "origin", "q1", false)
+	f.Add("/city/cam1", uint64(3), int64(1<<20+5), int64(5e9), int64(1e9), "lbl", uint8(1), "src", "origin", "q1", false)
 	f.Fuzz(func(t *testing.T, obj string, version uint64, size, created, validity int64, lbl string, n uint8, src, origin, id string, bg bool) {
 		roundTrip(t, &athena.ObjectData{Object: obj, Version: version, Size: size, Created: fuzzTime(created), Validity: time.Duration(validity), Labels: fuzzStrings(lbl, n), SourceNode: src, Origin: origin, QueryID: id, Background: bg})
 	})
@@ -576,6 +634,8 @@ func FuzzDecode(f *testing.F) {
 	f.Add(frame[4:])
 	f.Add([]byte{1, 5, 0, 0})
 	f.Add([]byte{})
+	bulk, _ := paddedData(f, 1<<20+5)
+	f.Add(bulk)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		_, _, _ = (Codec{}).Decode(body)
 	})
@@ -593,6 +653,41 @@ func TestConstantsCoverRawEncoding(t *testing.T) {
 		}
 		if raw := int64(len(buf)); raw > m.WireSize() {
 			t.Errorf("%T: raw encoding %d exceeds WireSize %d", m, raw, m.WireSize())
+		}
+	}
+}
+
+// benchData is the bulk frame the socket path spends its codec time on:
+// a 500 KB object, almost all of it padding.
+var benchData = &athena.ObjectData{Object: "/city/market/cam3", Version: 12, Size: 500_000, Created: tAt(5e9), Validity: time.Minute, Labels: []string{"viable:h:1-2", "viable:v:3-1"}, SourceNode: "node-017", Origin: "node-042", QueryID: "node-042/q17"}
+
+func BenchmarkEncodeObjectData(b *testing.B) {
+	var c Codec
+	buf := make([]byte, 0, benchData.WireSize())
+	b.SetBytes(benchData.WireSize())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		frame, err := c.Append(buf[:0], "node-017", benchData.WireSize(), benchData)
+		if err != nil {
+			b.Fatal(err)
+		}
+		buf = frame
+	}
+}
+
+func BenchmarkDecodeObjectData(b *testing.B) {
+	var c Codec
+	frame, err := c.Append(nil, "node-017", benchData.WireSize(), benchData)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(frame)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := c.Decode(frame[4:]); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
