@@ -45,13 +45,15 @@ ci-short:
 # membership control-plane benchmark (flood vs gossip bytes per node per
 # interval at n=64), the directory-memory benchmark (entries held per
 # node, sharded vs full replica), the simulation-kernel benchmark
-# (n=512 synthetic workload at W=1 and W=NumCPU), and the data-plane
-# batching benchmark (A11 incast at n=64, coalescing off/on), and the
-# node's object delivery with 0 and 2000 finished queries behind it
-# (internal/athena), parsed into machine-readable JSON. CI archives the file per commit;
+# (n=512 synthetic workload at W=1 and W=NumCPU), the data-plane
+# batching benchmark (A11 incast at n=64, coalescing off/on), the
+# node's object delivery with 0 and 2000 finished queries behind it and
+# its does-this-query-reference-that-label check (internal/athena), and
+# the event queue at depths 1, 512 and 8192 (internal/simclock), parsed
+# into machine-readable JSON. CI archives the file per commit;
 # regressions are judged against the committed baseline.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkScheme|BenchmarkMembershipControlPlane|BenchmarkDirectoryMemory|BenchmarkSimKernel|BenchmarkBatchedFetch|BenchmarkDeliverObjectHistory' -benchmem -benchtime 3x . ./internal/athena \
+	$(GO) test -run '^$$' -bench 'BenchmarkScheme|BenchmarkMembershipControlPlane|BenchmarkDirectoryMemory|BenchmarkSimKernel|BenchmarkBatchedFetch|BenchmarkDeliverObjectHistory|BenchmarkQueryReferences|BenchmarkLaneQueue' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_core.json
 
 # figures reproduces the paper's evaluation tables (quick variants).

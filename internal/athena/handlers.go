@@ -486,7 +486,7 @@ func (n *Node) deliverObject(obj *object.Object, now time.Time) {
 		}
 		var records []trust.Label
 		for _, label := range obj.Labels {
-			if !queryReferences(q, label) {
+			if !q.engine.References(label) {
 				continue
 			}
 			value, _, err := n.annotator.Annotate(label, obj)
@@ -542,18 +542,9 @@ func coversAnyLabel(obj *object.Object, wanted []string) bool {
 	return false
 }
 
-func queryReferences(q *localQuery, label string) bool {
-	for _, l := range q.engine.Labels() {
-		if l == label {
-			return true
-		}
-	}
-	return false
-}
-
 func queryWantsAny(q *localQuery, obj *object.Object) bool {
 	for _, l := range obj.Labels {
-		if queryReferences(q, l) {
+		if q.engine.References(l) {
 			return true
 		}
 	}

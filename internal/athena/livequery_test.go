@@ -68,6 +68,70 @@ func TestDeliverObjectIgnoresFinishedQueries(t *testing.T) {
 	}
 }
 
+// TestDeliverObjectLabelChecksDoNotAllocate: whether a live query can use
+// an arrival is a search of the label set its engine already holds. With
+// 50 live queries and an object none of them references, a delivery asks
+// 50 times and allocates nothing.
+func TestDeliverObjectLabelChecksDoNotAllocate(t *testing.T) {
+	r := buildRig(t, SchemeLVF, staticWorld{"lc1": true, "lc2": true}, nil)
+	a := r.nodes["nodeA"]
+	expr := boolexpr.ToDNF(boolexpr.MustParse("(lc1 & lc2) | (la1 & !lc2)"))
+	for i := 0; i < 50; i++ {
+		if _, err := a.QueryInit(expr, time.Hour); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.run(t, time.Second) // the 200 KB object they wait for needs ~3.2 s
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if len(a.live) != 50 {
+		t.Fatalf("%d live queries, want 50", len(a.live))
+	}
+	now := a.now()
+	obj := unrelatedObject(now)
+	if allocs := testing.AllocsPerRun(100, func() { a.deliverObject(obj, now) }); allocs != 0 {
+		t.Errorf("delivering an object no live query references allocates %v times", allocs)
+	}
+}
+
+// TestQueryWantsAnyReadsWholeExpression: an arrival is of use to a query
+// that mentions one of its labels anywhere — negated, or in a term the
+// plan has not reached.
+func TestQueryWantsAnyReadsWholeExpression(t *testing.T) {
+	expr := boolexpr.ToDNF(boolexpr.MustParse("(la1 & la2) | (lc1 & !lc2)"))
+	q := &localQuery{engine: core.NewEngine("q", expr, time.Time{}, nil)}
+	for _, c := range []struct {
+		labels []string
+		want   bool
+	}{
+		{[]string{"lc2"}, true},          // only ever negated, last term
+		{[]string{"other", "lc1"}, true}, // not the object's first label
+		{[]string{"other", "la"}, false},
+		{nil, false},
+	} {
+		if got := queryWantsAny(q, &object.Object{Labels: c.labels}); got != c.want {
+			t.Errorf("queryWantsAny(%v) = %v, want %v", c.labels, got, c.want)
+		}
+	}
+}
+
+// BenchmarkQueryReferences times the question deliverObject asks of every
+// live query on every arrival — does the query reference any label of
+// this object — for a six-label query and a two-label object whose second
+// label matches. It must not allocate.
+func BenchmarkQueryReferences(b *testing.B) {
+	expr := boolexpr.ToDNF(boolexpr.MustParse("(r1 & r2 & r3) | (r4 & r5 & r6)"))
+	q := &localQuery{engine: core.NewEngine("q", expr, time.Time{}, nil)}
+	obj := &object.Object{Labels: []string{"r0", "r6"}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !queryWantsAny(q, obj) {
+			b.Fatal("query does not want an object carrying r6")
+		}
+	}
+}
+
 // TestActiveQueriesVisitedInIdOrder pins the order an arrival visits live
 // queries in — plain string order of their ids, "nodeA/q10" before
 // "nodeA/q2" — which fixes the order of the sends and timers the visits

@@ -826,7 +826,7 @@ func (n *Node) QueryInit(expr boolexpr.DNF, deadline time.Duration) (string, err
 		corr:        make(map[string]*corrState),
 	}
 	if n.scheme != SchemeCMP {
-		q.selected = n.selectSources(id, expr.Labels())
+		q.selected = n.selectSources(id, q.engine.Labels())
 	}
 	n.queries[id] = q
 	at, _ := n.liveFrom(id)

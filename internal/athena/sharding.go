@@ -308,7 +308,7 @@ func (n *Node) handleShardLookupReply(from string, m *ShardLookupReply) {
 			continue
 		}
 		if n.scheme != SchemeCMP {
-			q.selected = n.selectSources(id, q.engine.Expr().Labels())
+			q.selected = n.selectSources(id, q.engine.Labels())
 		}
 		n.pump(q)
 	}

@@ -10,6 +10,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"athena/internal/boolexpr"
@@ -70,7 +71,10 @@ type Engine struct {
 	plan     boolexpr.QueryPlan
 
 	entries map[string]Entry
-	known   map[string]bool // labels referenced by the expression
+	// labels is the set of labels the expression references, sorted and
+	// fixed at construction: Labels hands it out, References and Set
+	// search it.
+	labels []string
 
 	resolved   Status
 	resolvedAt time.Time
@@ -80,10 +84,6 @@ type Engine struct {
 // the short-circuit plan (Section III-A); missing entries get neutral
 // defaults.
 func NewEngine(id string, expr boolexpr.DNF, deadline time.Time, meta boolexpr.MetaTable) *Engine {
-	known := make(map[string]bool)
-	for _, l := range expr.Labels() {
-		known[l] = true
-	}
 	return &Engine{
 		id:       id,
 		expr:     expr,
@@ -91,7 +91,7 @@ func NewEngine(id string, expr boolexpr.DNF, deadline time.Time, meta boolexpr.M
 		meta:     meta,
 		plan:     boolexpr.GreedyPlan(expr, meta),
 		entries:  make(map[string]Entry),
-		known:    known,
+		labels:   expr.Labels(),
 		resolved: Pending,
 	}
 }
@@ -114,8 +114,16 @@ func (e *Engine) Expr() boolexpr.DNF { return e.expr }
 // Deadline returns the decision deadline.
 func (e *Engine) Deadline() time.Time { return e.deadline }
 
-// Labels returns the labels the query references, sorted.
-func (e *Engine) Labels() []string { return e.expr.Labels() }
+// Labels returns the labels the query references, sorted. The slice is the
+// engine's own, computed once: callers must not modify it.
+func (e *Engine) Labels() []string { return e.labels }
+
+// References reports whether the query's expression mentions label, in any
+// term and under either polarity.
+func (e *Engine) References(label string) bool {
+	_, found := slices.BinarySearch(e.labels, label)
+	return found
+}
 
 // Plan returns the short-circuit evaluation plan in use.
 func (e *Engine) Plan() boolexpr.QueryPlan { return e.plan }
@@ -123,7 +131,7 @@ func (e *Engine) Plan() boolexpr.QueryPlan { return e.plan }
 // Set records a resolved label. Stale entries (expires before now) are
 // accepted but will read as Unknown. Setting after resolution is a no-op.
 func (e *Engine) Set(label string, value bool, expires time.Time, source, annotator string) error {
-	if !e.known[label] {
+	if !e.References(label) {
 		return fmt.Errorf("%w: %q", ErrUnknownLabel, label)
 	}
 	if e.resolved != Pending {

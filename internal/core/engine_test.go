@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -102,6 +103,43 @@ func TestEngineSetUnknownLabel(t *testing.T) {
 	e := newEngine("a", time.Minute)
 	if err := e.Set("zz", true, t0.Add(time.Minute), "", ""); !errors.Is(err, ErrUnknownLabel) {
 		t.Errorf("err = %v, want ErrUnknownLabel", err)
+	}
+}
+
+// TestEngineLabelSet: the engine works its label set out once. Labels is
+// that set — sorted, the same slice on every call, equal to what the
+// expression reports — and References and Set answer from it, wherever in
+// the expression a label sits and whichever way it is negated.
+func TestEngineLabelSet(t *testing.T) {
+	e := newEngine("(m & b) | (!z & b) | (c & !m)", time.Minute)
+	got := e.Labels()
+	if want := []string{"b", "c", "m", "z"}; !slices.Equal(got, want) || !slices.Equal(got, e.Expr().Labels()) {
+		t.Fatalf("Labels = %v, want %v = Expr().Labels() %v", got, want, e.Expr().Labels())
+	}
+	if again := e.Labels(); &again[0] != &got[0] || len(again) != len(got) {
+		t.Error("Labels built a new slice on the second call")
+	}
+	for _, c := range []struct {
+		label string
+		want  bool
+	}{
+		{"m", true},
+		{"z", true}, // only ever negated
+		{"c", true}, // only in the last term
+		{"a", false},
+		{"bb", false},
+		{"zz", false},
+		{"", false},
+	} {
+		if e.References(c.label) != c.want {
+			t.Errorf("References(%q) = %v, want %v", c.label, !c.want, c.want)
+		}
+		if err := e.Set(c.label, true, t0.Add(time.Minute), "", ""); errors.Is(err, ErrUnknownLabel) == c.want {
+			t.Errorf("Set(%q) = %v; referenced: %v", c.label, err, c.want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = e.References("z"); _ = e.Labels() }); allocs != 0 {
+		t.Errorf("References + Labels allocate %v times a call", allocs)
 	}
 }
 

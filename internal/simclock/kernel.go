@@ -20,7 +20,9 @@
 package simclock
 
 import (
+	"cmp"
 	"container/heap"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -63,13 +65,16 @@ func RandNext(state *uint64) uint64 {
 type post struct {
 	fn  func(any)
 	arg any
-	// at is the instant the effect fires on the destination lane.
-	at time.Time
-	// postedAt is the source lane's clock when the effect was posted —
-	// the lamport component of the merge order (a shared lane would have
-	// heap-inserted the event at this instant).
-	postedAt time.Time
-	// tie is a seeded hash breaking (at, postedAt) collisions without
+	// at is the instant the effect fires on the destination lane; key is
+	// the same instant on the kernel's integer time line, which is what
+	// the merge order compares.
+	at  time.Time
+	key int64
+	// posted is the source lane's clock (as a kernel instant) when the
+	// effect was posted — the lamport component of the merge order (a
+	// shared lane would have heap-inserted the event at this instant).
+	posted int64
+	// tie is a seeded hash breaking (key, posted) collisions without
 	// systematic lane-index bias; src/seq give the total-order fallback.
 	tie      uint64
 	src, dst int32
@@ -82,28 +87,19 @@ type post struct {
 // a pure function of the schedule, so the order is identical at any
 // worker count.
 func cmpPost(a, b post) int {
-	if c := a.at.Compare(b.at); c != 0 {
+	if c := cmp.Compare(a.key, b.key); c != 0 {
 		return c
 	}
-	if c := a.postedAt.Compare(b.postedAt); c != 0 {
+	if c := cmp.Compare(a.posted, b.posted); c != 0 {
 		return c
 	}
-	if a.tie != b.tie {
-		if a.tie < b.tie {
-			return -1
-		}
-		return 1
+	if c := cmp.Compare(a.tie, b.tie); c != 0 {
+		return c
 	}
-	if a.src != b.src {
-		return int(a.src - b.src)
+	if c := cmp.Compare(a.src, b.src); c != 0 {
+		return c
 	}
-	if a.seq < b.seq {
-		return -1
-	}
-	if a.seq > b.seq {
-		return 1
-	}
-	return 0
+	return cmp.Compare(a.seq, b.seq)
 }
 
 // Lane is one deterministic partition of a Kernel: an event heap, a
@@ -137,14 +133,21 @@ func (l *Lane) Now() time.Time { return l.now }
 
 // enqueue stamps ev with instant t — clamped to the lane's current time,
 // so scheduling in the past runs next instead of rewinding the clock —
-// and with the next schedule sequence, and queues it.
+// and queues it under (t as a kernel instant, next schedule sequence).
+// The key is taken after the clamp, so it is the instant the event runs
+// at. An instant past the end of the integer time line is pulled back to
+// that end, where it runs in schedule order with any other such event.
 func (l *Lane) enqueue(ev *Event, t time.Time) {
 	if t.Before(l.now) {
 		t = l.now
 	}
-	ev.at, ev.seq = t, l.seq
+	at := l.k.instant(t)
+	if at == math.MaxInt64 {
+		t = l.k.origin.Add(time.Duration(at))
+	}
+	ev.at = t
+	l.events.push(slot{at: at, seq: l.seq, ev: ev})
 	l.seq++
-	heap.Push(&l.events, ev)
 }
 
 // At schedules fn on this lane at instant t (clamped to the lane's
@@ -198,7 +201,7 @@ func (l *Lane) Post(dst *Lane, t time.Time, fn func(any), arg any) {
 	}
 	h := l.k.seed ^ (uint64(l.idx) << 40) ^ l.postSeq ^ uint64(t.UnixNano())
 	l.outbox = append(l.outbox, post{
-		fn: fn, arg: arg, at: t, postedAt: l.now,
+		fn: fn, arg: arg, at: t, key: l.k.instant(t), posted: l.k.instant(l.now),
 		tie: Mix64(h), src: l.idx, dst: dst.idx, seq: l.postSeq,
 	})
 	l.postSeq++
@@ -207,7 +210,7 @@ func (l *Lane) Post(dst *Lane, t time.Time, fn func(any), arg any) {
 // runOne pops and runs the lane's head event, advancing the lane clock
 // to its instant. The head must be live: call nextAt first.
 func (l *Lane) runOne() {
-	ev, _ := heap.Pop(&l.events).(*Event)
+	ev := l.events.pop()
 	l.now = ev.at
 	if ev.pooled {
 		// Copy out before releasing: the callback may schedule new
@@ -246,11 +249,11 @@ func (l *Lane) release(ev *Event) {
 // event time; ok is false when the lane is drained.
 func (l *Lane) nextAt() (time.Time, bool) {
 	for len(l.events) > 0 {
-		ev := l.events[0]
+		ev := l.events[0].ev
 		if !ev.cancelled {
 			return ev.at, true
 		}
-		heap.Pop(&l.events)
+		l.events.pop()
 		if ev.pooled {
 			l.release(ev)
 		}
@@ -310,8 +313,11 @@ type KernelOpts struct {
 // Kernel is the parallel deterministic event kernel. Create one with
 // NewKernel, add a lane per simulated node, and drive it with RunUntil.
 type Kernel struct {
-	now  time.Time
-	seed uint64
+	// origin is the zero of the integer time line event queues and the
+	// mailbox merge order are keyed on (see instant).
+	origin time.Time
+	now    time.Time
+	seed   uint64
 
 	lookahead time.Duration
 	workers   int
@@ -340,8 +346,15 @@ func NewKernel(origin time.Time, opts KernelOpts) *Kernel {
 	if w < 1 {
 		w = 1
 	}
-	return &Kernel{now: origin, seed: opts.Seed, workers: w}
+	return &Kernel{origin: origin, now: origin, seed: opts.Seed, workers: w}
 }
+
+// instant places t on the kernel's integer time line: nanoseconds since
+// the origin. Within 292 years either side of the origin the result is
+// exact, so two instants compare as time.Time.Compare orders them (both
+// count the same nanoseconds; neither looks at a Location); beyond that
+// time.Time.Sub saturates at the end of the line instead of wrapping.
+func (k *Kernel) instant(t time.Time) int64 { return int64(t.Sub(k.origin)) }
 
 // AddLane appends a lane and returns it. Lanes must be added before
 // RunUntil is first called.

@@ -1,7 +1,10 @@
 package simclock
 
 import (
+	"cmp"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -506,5 +509,58 @@ func TestKernelMassBarrierWakeOrder(t *testing.T) {
 	}
 	if late > 0 {
 		t.Fatalf("%d cross-lane posts ran off their posted instant (max skew %v)", late, maxSkew)
+	}
+}
+
+// TestCmpPostMatchesTimeOrder: the merge order compares kernel instants as
+// integers. On random mailboxes — few distinct instants so every level of
+// the comparison breaks ties, plus instants two centuries from the origin —
+// it must sort exactly as the time.Time.Compare chain it replaced.
+func TestCmpPostMatchesTimeOrder(t *testing.T) {
+	type timed struct {
+		at, postedAt time.Time
+		post
+	}
+	byTime := func(a, b timed) int {
+		if c := a.at.Compare(b.at); c != 0 {
+			return c
+		}
+		if c := a.postedAt.Compare(b.postedAt); c != 0 {
+			return c
+		}
+		return cmp.Or(cmp.Compare(a.tie, b.tie), cmp.Compare(a.src, b.src), cmp.Compare(a.seq, b.seq))
+	}
+	k := NewKernel(kernelEpoch, KernelOpts{})
+	rng := rand.New(rand.NewSource(14))
+	instant := func() time.Time {
+		switch k := rng.Intn(20); k {
+		case 0:
+			return kernelEpoch.AddDate(200, 0, rng.Intn(2))
+		case 1:
+			return kernelEpoch.AddDate(-200, 0, rng.Intn(2))
+		case 2:
+			return kernelEpoch.Add(time.Duration(rng.Int63n(int64(time.Hour))))
+		default:
+			return kernelEpoch.Add(time.Duration(rng.Intn(4)) * time.Millisecond)
+		}
+	}
+	for trial := 0; trial < 200; trial++ {
+		mailbox := make([]timed, 64)
+		for i := range mailbox {
+			at, postedAt := instant(), instant()
+			mailbox[i] = timed{at, postedAt, post{
+				key: k.instant(at), posted: k.instant(postedAt),
+				tie: uint64(rng.Intn(3)), src: int32(rng.Intn(3)), seq: uint64(i),
+			}}
+		}
+		want := slices.Clone(mailbox)
+		slices.SortFunc(want, byTime)
+		slices.SortFunc(mailbox, func(a, b timed) int { return cmpPost(a.post, b.post) })
+		for i := range want {
+			if mailbox[i].seq != want[i].seq {
+				t.Fatalf("trial %d, position %d: integer order has post %d (at %v, posted %v), time order post %d (at %v, posted %v)",
+					trial, i, mailbox[i].seq, mailbox[i].at, mailbox[i].postedAt, want[i].seq, want[i].at, want[i].postedAt)
+			}
+		}
 	}
 }

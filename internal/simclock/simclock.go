@@ -34,9 +34,8 @@ func (WallClock) Now() time.Time { return time.Now() }
 // Event is a scheduled callback. The callback runs with its lane's clock
 // already advanced to the event time.
 type Event struct {
-	at  time.Time
-	seq uint64 // tie-break so equal-time events run in schedule order
-	fn  func()
+	at time.Time
+	fn func()
 
 	// fnArg/arg are the no-handle form used by AtCall/AfterCall; such
 	// events are recycled through the lane's freelist after running,
@@ -44,7 +43,6 @@ type Event struct {
 	fnArg func(any)
 	arg   any
 
-	index     int // heap index; -1 once popped or cancelled
 	cancelled bool
 	pooled    bool
 	nextFree  *Event
@@ -61,41 +59,81 @@ func (e *Event) Cancel() {
 // At reports the instant the event is scheduled for.
 func (e *Event) At() time.Time { return e.at }
 
-// eventHeap orders events by time, then by scheduling sequence.
-type eventHeap []*Event
+// slot is one entry of a lane's event queue. The whole sort key sits in
+// the slot, so a sift compares integers it already has in hand and never
+// follows ev.
+type slot struct {
+	// at is the event's instant on the kernel's integer time line
+	// (Kernel.instant): it orders exactly as Event.at does.
+	at int64
+	// seq is the lane's schedule sequence: equal instants run in the
+	// order they were scheduled.
+	seq uint64
+	ev  *Event
+}
 
-func (h eventHeap) Len() int { return len(h) }
+func (a slot) before(b slot) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
 
-func (h eventHeap) Less(i, j int) bool {
-	if !h[i].at.Equal(h[j].at) {
-		return h[i].at.Before(h[j].at)
+// heapArity is the fan-out of eventHeap. Four children per node halve the
+// depth of a binary heap, and a node's children share a cache line or two.
+const heapArity = 4
+
+// eventHeap is a lane's event queue: a d-ary min-heap of slots ordered by
+// (instant, schedule sequence). The order is total — a lane never reuses a
+// sequence — so events leave in exactly that order whatever the shape of
+// the heap.
+type eventHeap []slot
+
+func (h *eventHeap) push(s slot) {
+	q := append(*h, s)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / heapArity
+		if !s.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
 	}
-	return h[i].seq < h[j].seq
+	q[i] = s
+	*h = q
 }
 
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *eventHeap) Push(x any) {
-	ev, ok := x.(*Event)
-	if !ok {
-		return
+// pop removes and returns the earliest event. The heap must not be empty.
+func (h *eventHeap) pop() *Event {
+	q := *h
+	top := q[0].ev
+	n := len(q) - 1
+	s := q[n]
+	q[n] = slot{} // drop the queue's reference to the event
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return top
 	}
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
+	// Sift the former last slot down from the root.
+	i := 0
+	for {
+		first := i*heapArity + 1
+		if first >= n {
+			break
+		}
+		least, end := first, min(first+heapArity, n)
+		for c := first + 1; c < end; c++ {
+			if q[c].before(q[least]) {
+				least = c
+			}
+		}
+		if !q[least].before(s) {
+			break
+		}
+		q[i] = q[least]
+		i = least
+	}
+	q[i] = s
+	return top
 }
 
 // ErrHorizon is returned by Run when the event budget is exhausted before

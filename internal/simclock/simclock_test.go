@@ -2,6 +2,8 @@ package simclock
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -11,11 +13,15 @@ import (
 
 var origin = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
+// rigTicks is how long the kernel rig's neighbour lanes keep ticking.
+const rigTicks = 10 * time.Second
+
 // laneRigs are the two substrates every lane-semantics case runs on: the
 // Scheduler's shared lane, and one lane of a multi-lane Kernel whose
-// neighbours keep ticking so the lane under test really is cut into
-// lookahead windows. Each returns a fresh lane and the call that drives
-// it to a deadline.
+// neighbours tick through the first rigTicks so the lane under test really
+// is cut into lookahead windows (and then fall silent, so a drive to a
+// far-future deadline ends). Each returns a fresh lane and the call that
+// drives it to a deadline.
 var laneRigs = []struct {
 	name string
 	make func() (*Lane, func(time.Time) error)
@@ -30,7 +36,11 @@ var laneRigs = []struct {
 		for _, l := range []*Lane{k.AddLane(), k.AddLane(), k.AddLane()} {
 			l := l
 			var tick func(any)
-			tick = func(any) { l.AfterCall(7*time.Millisecond, tick, nil) }
+			tick = func(any) {
+				if l.Now().Before(origin.Add(rigTicks)) {
+					l.AfterCall(7*time.Millisecond, tick, nil)
+				}
+			}
 			l.AfterCall(0, tick, nil)
 		}
 		return k.AddLane(), func(d time.Time) error { return k.RunUntil(d, 0) }
@@ -42,7 +52,7 @@ var laneRigs = []struct {
 // scheduling — checked on both substrates: there is one event queue, so
 // there is one set of rules.
 func TestLaneSemantics(t *testing.T) {
-	horizon := origin.Add(10 * time.Second)
+	horizon := origin.Add(rigTicks)
 	cases := []struct {
 		name string
 		run  func(t *testing.T, rig func() (*Lane, func(time.Time) error))
@@ -129,6 +139,37 @@ func TestLaneSemantics(t *testing.T) {
 			}
 			if n := len(l.events); n != 0 {
 				t.Errorf("%d events left queued after the run", n)
+			}
+		}},
+		{"lazy-cancel", func(t *testing.T, rig func() (*Lane, func(time.Time) error)) {
+			// Cancel marks; it does not unlink. A cancelled event that is
+			// not the head stays queued — Scheduler.Pending, which is
+			// len(l.events), counts it — until it surfaces, is reaped
+			// there, and never runs; nextAt never reports its instant.
+			l, drive := rig()
+			var got []string
+			l.After(time.Second, func() { got = append(got, "a") })
+			l.After(3*time.Second, func() { got = append(got, "cancelled") }).Cancel()
+			l.After(5*time.Second, func() { got = append(got, "c") })
+			if n := len(l.events); n != 3 {
+				t.Fatalf("%d events queued with a cancelled one behind the head, want 3", n)
+			}
+			if at, ok := l.nextAt(); !ok || !at.Equal(origin.Add(time.Second)) || len(l.events) != 3 {
+				t.Fatalf("nextAt = %v, %v with %d queued; want the live head at +1s and nothing reaped", at, ok, len(l.events))
+			}
+			if err := drive(origin.Add(2 * time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			// The cancelled event surfaced when "a" left, and was reaped by
+			// the look for the next event.
+			if at, ok := l.nextAt(); !ok || !at.Equal(origin.Add(5*time.Second)) || len(l.events) != 1 {
+				t.Fatalf("after the head ran: nextAt = %v, %v with %d queued; want +5s and 1", at, ok, len(l.events))
+			}
+			if err := drive(horizon); err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(got) != "[a c]" || len(l.events) != 0 {
+				t.Fatalf("ran %v with %d left queued, want [a c] and 0", got, len(l.events))
 			}
 		}},
 		{"nested-scheduling", func(t *testing.T, rig func() (*Lane, func(time.Time) error)) {
@@ -281,5 +322,221 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.After(time.Duration(i%100)*time.Millisecond, func() {})
 		s.Step()
+	}
+}
+
+// checkEventOrder verifies a lane queue's structural invariants: no slot
+// orders before its parent, every slot's key is its event's instant on the
+// kernel's integer time line, and no schedule sequence appears twice. It
+// reports with Errorf, so events may call it from a worker goroutine.
+func checkEventOrder(t *testing.T, l *Lane) {
+	t.Helper()
+	seqs := make(map[uint64]bool, len(l.events))
+	for i, s := range l.events {
+		if s.ev == nil {
+			t.Errorf("events[%d] holds no event", i)
+			return
+		}
+		if want := l.k.instant(s.ev.at); s.at != want {
+			t.Errorf("events[%d] keyed %d, its event's instant %v is %d", i, s.at, s.ev.at, want)
+		}
+		if seqs[s.seq] {
+			t.Errorf("events[%d] repeats schedule sequence %d", i, s.seq)
+		}
+		seqs[s.seq] = true
+		if parent := (i - 1) / heapArity; i > 0 && s.before(l.events[parent]) {
+			t.Errorf("queue order violated: events[%d] (%d, seq %d) orders before its parent events[%d] (%d, seq %d)",
+				i, s.at, s.seq, parent, l.events[parent].at, l.events[parent].seq)
+		}
+	}
+}
+
+// TestLaneOrderMatchesReference is the differential test of the event
+// queue: 12 000 seeded schedule operations — all four scheduling forms,
+// instants that collide by the dozen, instants in the past, instants two
+// centuries either side of the origin and past the end of the integer time
+// line, cancellation of queued, head and already-run events, scheduling
+// from inside callbacks and between drives — must run in exactly the order
+// a stable sort of the schedule log by clamped instant gives, which is
+// (time, schedule sequence). Each event also checks the clock it runs at.
+func TestLaneOrderMatchesReference(t *testing.T) {
+	const ops = 12000
+	// The last instant a queue key can hold; later ones are pulled back to it.
+	end := origin.Add(math.MaxInt64)
+	for _, r := range laneRigs {
+		t.Run(r.name, func(t *testing.T) {
+			l, drive := r.make()
+			rng := rand.New(rand.NewSource(14))
+			var (
+				planned   []time.Time // by schedule sequence: the instant the event must run at
+				handles   []*Event    // nil for the no-handle forms
+				cancelled []bool      // cancelled while still queued
+				done      []bool
+				ran       []int
+			)
+			idOf := make(map[*Event]int)
+
+			pick := func() time.Time {
+				now := l.Now()
+				switch k := rng.Intn(100); {
+				case k < 40: // a handful of distinct instants: long runs of ties
+					return now.Add(time.Duration(rng.Intn(8)) * time.Millisecond)
+				case k < 55:
+					return now
+				case k < 70: // the past: clamped to now
+					return now.Add(-time.Duration(rng.Int63n(int64(time.Second))))
+				case k < 95:
+					return now.Add(time.Duration(rng.Int63n(int64(2 * time.Second))))
+				case k < 97:
+					return origin.AddDate(200, 0, rng.Intn(3))
+				case k < 99:
+					return origin.AddDate(-200, 0, rng.Intn(3))
+				default: // beyond the integer time line
+					return origin.AddDate(400, 0, rng.Intn(3))
+				}
+			}
+			cancel := func(id int) {
+				handles[id].Cancel()
+				if !done[id] {
+					cancelled[id] = true
+				}
+			}
+			var fire func(id int)
+			schedule := func() {
+				id := len(planned)
+				at, form := pick(), rng.Intn(4)
+				if form >= 2 {
+					// The After forms take a delay, which saturates sooner
+					// than an instant does: plan for the instant they compute.
+					at = l.Now().Add(at.Sub(l.Now()))
+				}
+				delay := at.Sub(l.Now())
+				var h *Event
+				switch form {
+				case 0:
+					h = l.At(at, func() { fire(id) })
+				case 1:
+					l.AtCall(at, func(arg any) { fire(arg.(int)) }, id)
+				case 2:
+					h = l.After(delay, func() { fire(id) })
+				case 3:
+					l.AfterCall(delay, func(arg any) { fire(arg.(int)) }, id)
+				}
+				if at.Before(l.Now()) {
+					at = l.Now()
+				}
+				if at.After(end) {
+					at = end
+				}
+				planned, handles = append(planned, at), append(handles, h)
+				cancelled, done = append(cancelled, false), append(done, false)
+				if h != nil {
+					idOf[h] = id
+					if !h.At().Equal(at) {
+						t.Errorf("event %d: handle reports %v, planned %v", id, h.At(), at)
+					}
+				}
+			}
+			fire = func(id int) {
+				if done[id] || cancelled[id] {
+					t.Errorf("event %d ran (already ran: %v, cancelled: %v)", id, done[id], cancelled[id])
+				}
+				if !l.Now().Equal(planned[id]) {
+					t.Errorf("event %d ran at %v, planned %v", id, l.Now(), planned[id])
+				}
+				done[id] = true
+				ran = append(ran, id)
+				for n := rng.Intn(3); n > 0 && len(planned) < ops; n-- {
+					schedule()
+				}
+				switch rng.Intn(8) {
+				case 0: // any earlier handle: queued, or run already (a no-op)
+					if victim := rng.Intn(len(handles)); handles[victim] != nil {
+						cancel(victim)
+					}
+				case 1: // the event at the head of the queue
+					if len(l.events) > 0 && !l.events[0].ev.pooled {
+						cancel(idOf[l.events[0].ev])
+					}
+				}
+				if len(ran)%101 == 0 {
+					checkEventOrder(t, l)
+				}
+			}
+
+			for round := 1; len(planned) < ops; round++ {
+				for i := 0; i < 500 && len(planned) < ops; i++ {
+					schedule()
+					if h := handles[len(handles)-1]; h != nil && rng.Intn(10) == 0 {
+						cancel(len(handles) - 1)
+					}
+				}
+				checkEventOrder(t, l)
+				if err := drive(origin.Add(time.Duration(round) * 400 * time.Millisecond)); err != nil {
+					t.Fatal(err)
+				}
+				checkEventOrder(t, l)
+			}
+			if err := drive(end); err != nil {
+				t.Fatal(err)
+			}
+
+			var want []int
+			for id := range planned {
+				if !cancelled[id] {
+					want = append(want, id)
+				}
+			}
+			sort.SliceStable(want, func(i, j int) bool { return planned[want[i]].Before(planned[want[j]]) })
+			if len(ran) != len(want) {
+				t.Fatalf("%d events ran, reference runs %d (of %d scheduled)", len(ran), len(want), len(planned))
+			}
+			for i := range want {
+				if ran[i] != want[i] {
+					t.Fatalf("run %d: event %d (planned %v), reference has event %d (planned %v)",
+						i, ran[i], planned[ran[i]], want[i], planned[want[i]])
+				}
+			}
+			if n := len(l.events); n != 0 {
+				t.Errorf("%d events left queued", n)
+			}
+			if len(planned) < ops || len(want) == len(planned) {
+				t.Errorf("schedule too tame: %d operations, %d cancelled", len(planned), len(planned)-len(want))
+			}
+		})
+	}
+}
+
+// BenchmarkLaneQueue times one schedule plus one run on a queue held at a
+// fixed depth (the classic hold model: every event run is replaced by one
+// a random delay ahead). The simulator workloads run at a depth of several
+// hundred; depth1 is the regime the older micro-benchmarks measure. Pooled
+// events: steady state allocates nothing, and ci.sh gates that at depth512.
+func BenchmarkLaneQueue(b *testing.B) {
+	for _, depth := range []int{1, 512, 8192} {
+		b.Run(fmt.Sprintf("depth%d", depth), func(b *testing.B) {
+			s := New(origin)
+			nop := func(any) {}
+			rng := uint64(depth)
+			hold := func() {
+				s.AfterCall(time.Duration(RandNext(&rng)%uint64(time.Second)), nop, nil)
+			}
+			for i := 0; i < depth; i++ {
+				hold()
+			}
+			// One extra round trip sizes the queue and the freelist for
+			// the transient depth+1.
+			hold()
+			s.Step()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				hold()
+				s.Step()
+			}
+			if s.Pending() != depth {
+				b.Fatalf("queue depth drifted to %d", s.Pending())
+			}
+		})
 	}
 }
