@@ -223,6 +223,14 @@ func TestSimNetworkValidation(t *testing.T) {
 	if _, err := net.Node("missing"); err == nil {
 		t.Error("unknown node returned")
 	}
+	// Each membership layer is rejected at the call when the one beneath it
+	// is off, not later at Build.
+	if err := net.EnableGossip(2, 1); err == nil {
+		t.Error("EnableGossip without EnableMembership accepted")
+	}
+	if err := net.EnableSharding(4, 2); err == nil {
+		t.Error("EnableSharding without EnableGossip accepted")
+	}
 	// Build is implicit and idempotent; post-build mutation fails.
 	if err := net.Build(); err != nil {
 		t.Fatal(err)

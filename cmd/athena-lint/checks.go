@@ -45,6 +45,7 @@ var Analyzers = []*Analyzer{
 	{Name: "laneshare", Doc: "code reachable from kernel lane handlers (AtCall/AfterCall/AfterArg) must not write package-level vars or another instance's state outside a mailbox post or a held mutex", Run: runLaneShare},
 	{Name: "floatorder", Doc: "no float accumulation (+=, x = x + v) inside a map range in lane-reachable code; map order makes the rounding, and the run, irreproducible", Run: runFloatOrder},
 	{Name: "wireproto", Doc: "every registered wire type ID has an appendPayload/readPayload/typeID case, a WireSize method, a fuzz target, a round-trip test construction, and a handleMessage dispatch case", Run: runWireProto},
+	{Name: "deadoption", Doc: "every exported field of internal/athena's Config and ClusterConfig is set by some non-test file (bench/ included) outside the one declaring it; an option nobody sets is a constant", Run: runDeadOption},
 	{Name: lintkit.DirectiveCheck, Doc: "//lint:allow directives are well-formed (known check, non-empty reason) and actually suppress something", Run: nil}, // enforced by the runner
 }
 

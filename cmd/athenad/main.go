@@ -80,7 +80,7 @@ func run() error {
 		heartbeat = flag.Duration("heartbeat", 0, "membership heartbeat interval (0 = static directory; implied 2s when -join is used)")
 		miss      = flag.Int("miss", 3, "missed heartbeats before a source is evicted")
 		gfanout   = flag.Int("gossip-fanout", 0, "SWIM gossip probe fanout per interval (0 = flooded heartbeats)")
-		suspectTO = flag.Duration("suspect-timeout", 0, "silence tolerated after suspicion before eviction (default miss*heartbeat)")
+		suspectTO = flag.Duration("suspect-timeout", 0, "silence tolerated after suspicion before eviction (default 3*miss*heartbeat)")
 		status    = flag.String("status", "", "serve the observability endpoint on this address (e.g. :8080): /statusz JSON, /debug/vars, /debug/pprof")
 		shards    = flag.Int("shards", 0, "partition the directory into this many name-prefix shards (0 = full replica; requires -gossip-fanout)")
 		shardRF   = flag.Int("shard-replicas", 3, "replicas per directory shard when -shards is set")
@@ -175,7 +175,7 @@ func run() error {
 		})
 	}
 
-	meta := metaFromDescriptors(descList)
+	meta := iathena.PriceLabels(nil, descList)
 	auth := trust.NewAuthority()
 	node, err := iathena.New(iathena.Config{
 		ID:        *id,
@@ -339,32 +339,16 @@ func labelsCovered(dir *iathena.Directory, labels []string) bool {
 // mergeDirectoryMeta folds advertised streams learned at runtime (via the
 // membership handshake) into the planning metadata table.
 func mergeDirectoryMeta(meta boolexpr.MetaTable, dir *iathena.Directory) {
+	var descs []object.Descriptor
 	for _, a := range dir.Snapshot() {
 		if a.Withdrawn {
 			continue
 		}
-		d, err := a.Descriptor()
-		if err != nil {
-			continue
-		}
-		for _, l := range d.Labels {
-			if existing, ok := meta[l]; !ok || float64(d.Size) < existing.Cost {
-				meta[l] = boolexpr.Meta{Cost: float64(d.Size), ProbTrue: d.ProbTrue, Validity: d.Validity}
-			}
+		if d, err := a.Descriptor(); err == nil {
+			descs = append(descs, d)
 		}
 	}
-}
-
-func metaFromDescriptors(descs []object.Descriptor) boolexpr.MetaTable {
-	meta := make(boolexpr.MetaTable)
-	for _, d := range descs {
-		for _, l := range d.Labels {
-			if existing, ok := meta[l]; !ok || float64(d.Size) < existing.Cost {
-				meta[l] = boolexpr.Meta{Cost: float64(d.Size), ProbTrue: d.ProbTrue, Validity: d.Validity}
-			}
-		}
-	}
-	return meta
+	iathena.PriceLabels(meta, descs)
 }
 
 // runDemo spins up a sensor node and a query node over loopback TCP and
@@ -390,7 +374,7 @@ func runDemo() error {
 		node, err := iathena.New(iathena.Config{
 			ID: id, Transport: tr, Router: &iathena.StaticRouter{Self: id},
 			Timers: iathena.WallTimers{}, Scheme: athena.SchemeLVFL,
-			Directory: dir, Meta: metaFromDescriptors([]object.Descriptor{desc}),
+			Directory: dir, Meta: iathena.PriceLabels(nil, []object.Descriptor{desc}),
 			World: world, Authority: auth,
 			Signer: auth.Register(id, []byte(id)), Policy: trust.TrustAll(),
 			Descriptor: d, CacheBytes: 16 << 20,

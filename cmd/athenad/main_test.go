@@ -63,7 +63,7 @@ func TestMetaFromDescriptors(t *testing.T) {
 		{Size: 500, Labels: []string{"x", "y"}, ProbTrue: 0.7, Validity: time.Minute},
 		{Size: 100, Labels: []string{"y"}, ProbTrue: 0.6, Validity: time.Second},
 	}
-	meta := metaFromDescriptors(descs)
+	meta := iathena.PriceLabels(nil, descs)
 	if meta["x"].Cost != 500 {
 		t.Errorf("x cost = %v", meta["x"].Cost)
 	}
@@ -135,7 +135,7 @@ func TestStatusEndpointSmoke(t *testing.T) {
 		Timers:     iathena.WallTimers{},
 		Scheme:     athena.SchemeLVF,
 		Directory:  iathena.NewDirectory([]object.Descriptor{desc}),
-		Meta:       metaFromDescriptors([]object.Descriptor{desc}),
+		Meta:       iathena.PriceLabels(nil, []object.Descriptor{desc}),
 		World:      staticWorld{"up": true},
 		Authority:  auth,
 		Signer:     auth.Register("solo", []byte("solo")),

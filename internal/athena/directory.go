@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"athena/internal/boolexpr"
 	"athena/internal/cover"
 	"athena/internal/metrics"
 	"athena/internal/names"
@@ -64,6 +65,24 @@ func advertisementOf(desc object.Descriptor, seq uint64) Advertisement {
 		ProbTrue: desc.ProbTrue,
 		Seq:      seq,
 	}
+}
+
+// PriceLabels folds descs into meta, the planner's per-label table, and
+// returns it (a nil meta starts a new table): the cheapest advertised
+// stream that evidences a label prices it — cost is that stream's object
+// size, with its ProbTrue and Validity.
+func PriceLabels(meta boolexpr.MetaTable, descs []object.Descriptor) boolexpr.MetaTable {
+	if meta == nil {
+		meta = make(boolexpr.MetaTable)
+	}
+	for _, d := range descs {
+		for _, l := range d.Labels {
+			if existing, ok := meta[l]; !ok || float64(d.Size) < existing.Cost {
+				meta[l] = boolexpr.Meta{Cost: float64(d.Size), ProbTrue: d.ProbTrue, Validity: d.Validity}
+			}
+		}
+	}
+	return meta
 }
 
 // advState is one source's directory record. A record outlives its

@@ -331,14 +331,14 @@ func (n *Node) forwardRequest(req *ObjectRequest, attempt int) {
 		if !n.interest.HasWaiters(req.Object, now) {
 			return // everyone downstream gave up; let the pending mark lapse
 		}
-		if attempt+1 > n.maxRetries {
+		if attempt+1 > maxRetries {
 			n.interest.ClearPending(req.Object)
 			return
 		}
 		n.stats.Retransmits++
 		n.m.retransmits.Inc()
 		// Keep the pending mark alive through the next retry window.
-		n.interest.RefreshPending(req.Object, now.Add(n.retryDelay(attempt+1, objSize)+n.retryInterval))
+		n.interest.RefreshPending(req.Object, now.Add(n.retryDelay(attempt+1, objSize)+retryInterval))
 		n.forwardRequest(req, attempt+1)
 	})
 }
@@ -501,13 +501,12 @@ func (n *Node) deliverObject(obj *object.Object, now time.Time) {
 				}
 				value = v
 			}
-			done := now.Add(n.annotateLatency)
 			rec := &trust.Label{
 				Name:     label,
 				Value:    value,
 				Evidence: []string{obj.ID.String()},
-				Computed: done,
-				Validity: obj.RemainingValidity(done),
+				Computed: now,
+				Validity: obj.RemainingValidity(now),
 			}
 			n.signer.Sign(rec)
 			n.labels.Put(rec)
@@ -642,7 +641,7 @@ func (n *Node) drain() {
 	}
 	if len(n.prefetchQ) > 0 {
 		n.draining = true
-		n.timers.After(n.prefetchDelay, n.drain)
+		n.timers.After(prefetchDelay, n.drain)
 	}
 }
 

@@ -174,35 +174,8 @@ type Config struct {
 	Descriptor *object.Descriptor
 	// CacheBytes bounds the content store (negative = unbounded).
 	CacheBytes int64
-	// AnnotateLatency is the local annotation delay.
-	AnnotateLatency time.Duration
-	// AnnounceTTL bounds query-expression flooding (default 4).
-	AnnounceTTL int
 	// DisablePrefetch turns off background prefetching (ablation A2).
 	DisablePrefetch bool
-	// PrefetchDelay paces background pushes (default 250ms).
-	PrefetchDelay time.Duration
-	// InterestTTL bounds interest-table entries (default 30s).
-	InterestTTL time.Duration
-	// BatchWindow caps concurrent in-flight object requests per query for
-	// the batch schemes cmp/slt/lcf (default 8). The decision-driven
-	// schemes are sequential (window 1) by design.
-	BatchWindow int
-	// RequestTimeout clears a stuck in-flight request so the query can
-	// retry (default 30s). With retries enabled it also caps the
-	// per-attempt backoff delay.
-	RequestTimeout time.Duration
-	// RetryInterval is the base delay before a lapsed request is retried
-	// — origin-side re-requests and interest-layer retransmissions both
-	// back off exponentially from it (default 6s).
-	RetryInterval time.Duration
-	// RetryBackoff is the exponential backoff multiplier applied to
-	// RetryInterval on successive attempts (default 2).
-	RetryBackoff float64
-	// MaxRetries bounds retransmissions per forwarded request and
-	// origin-side timeouts before an alternate source is tried
-	// (default 3).
-	MaxRetries int
 	// RetryBandwidth is the assumed worst-case end-to-end throughput
 	// used to stretch retry delays for large objects: every attempt
 	// waits an extra Size/RetryBandwidth on top of the backoff, so a
@@ -212,7 +185,7 @@ type Config struct {
 	// window arms the responder-side duplicate suppression.
 	RetryBandwidth float64
 	// DisableRetries turns the recovery layer off (ablation A6 baseline):
-	// requests get only the single fixed RequestTimeout safety net and
+	// requests get only the single fixed requestTimeout safety net and
 	// forwarded interests are never retransmitted.
 	DisableRetries bool
 	// SequentialWindow caps concurrent transfers for the decision-driven
@@ -257,14 +230,11 @@ type Config struct {
 	// GossipFanout switches the membership layer from flooded heartbeats
 	// to SWIM-style peer-sampled gossip: each heartbeat interval the node
 	// pings this many sampled members directly instead of flooding,
-	// suspicion is confirmed through GossipIndirect intermediaries before
+	// suspicion is confirmed through gossipIndirect intermediaries before
 	// eviction, and membership updates ride as bounded piggyback buffers
 	// on ping/ack instead of being flooded. Zero (the default) keeps the
 	// flood protocol. Requires HeartbeatInterval > 0.
 	GossipFanout int
-	// GossipIndirect is the number of intermediaries asked to ping-req a
-	// silent probe target on the prober's behalf (default 2).
-	GossipIndirect int
 	// SuspectTimeout is how long an unacknowledged probe target stays
 	// suspect before eviction (default 3×HeartbeatMiss heartbeat
 	// intervals). Unlike the flood detector — whose redundant delivery
@@ -276,11 +246,6 @@ type Config struct {
 	// local health multiplier), so shorter values are safe on idle or
 	// fast networks.
 	SuspectTimeout time.Duration
-	// GossipRetransmit is λ in the per-update piggyback retransmit budget
-	// λ·⌈log₂(n+1)⌉ (default 3).
-	GossipRetransmit int
-	// GossipMaxPiggyback caps membership updates per ping/ack (default 8).
-	GossipMaxPiggyback int
 	// GossipSeed seeds the deterministic peer-sampling RNG; the node's own
 	// id is mixed in, so one scenario seed serves a whole fleet.
 	GossipSeed int64
@@ -295,9 +260,6 @@ type Config struct {
 	Shards int
 	// ShardReplicas is the per-shard replication factor (default 3).
 	ShardReplicas int
-	// ShardCacheSize bounds the LRU of remote lookup results a sharded
-	// node keeps (default 256 labels).
-	ShardCacheSize int
 	// Metrics, when non-nil, mirrors the node's activity into the registry:
 	// cache and interest-table counters, retry/failover counts, membership
 	// events, directory version, and fetch-latency / decision-age
@@ -305,6 +267,49 @@ type Config struct {
 	// nil no-op; see internal/metrics).
 	Metrics *metrics.Registry
 }
+
+// Fixed parameters of a node. Each was a Config field until it turned out
+// that no caller — daemon, simulator, benchmark, experiment, example or
+// test — had ever set it, so every recorded figure and golden was taken at
+// exactly these values. One becomes a field again when two callers that
+// exist need different values (DESIGN §5 item 10, "Options").
+const (
+	// announceTTL bounds query-expression flooding, in hops.
+	announceTTL = 4
+	// prefetchDelay paces background pushes: the prefetch queue drains one
+	// task per delay, behind foreground traffic.
+	prefetchDelay = 250 * time.Millisecond
+	// interestTTL bounds interest-table entries.
+	interestTTL = 30 * time.Second
+	// batchWindow caps concurrent in-flight object requests per query for
+	// the batch schemes cmp/slt/lcf. The decision-driven schemes are
+	// near-sequential by design (Config.SequentialWindow).
+	batchWindow = 8
+	// requestTimeout clears a stuck in-flight request so the query can
+	// retry. With retries enabled it also caps the per-attempt backoff
+	// delay.
+	requestTimeout = 30 * time.Second
+	// retryInterval is the base delay before a lapsed request is retried —
+	// origin-side re-requests and interest-layer retransmissions both back
+	// off from it by retryBackoff per attempt: 6 s, 12 s, 24 s, then the
+	// requestTimeout cap (TestRetryDelayLadder).
+	retryInterval = 6 * time.Second
+	retryBackoff  = 2
+	// maxRetries bounds retransmissions per forwarded request and
+	// origin-side timeouts before an alternate source is tried.
+	maxRetries = 3
+	// gossipIndirect is the number of intermediaries asked to ping-req a
+	// silent probe target on the prober's behalf.
+	gossipIndirect = 2
+	// gossipRetransmit is λ in the per-update piggyback retransmit budget
+	// λ·⌈log₂(n+1)⌉ (why log n: DESIGN §5.8).
+	gossipRetransmit = 3
+	// gossipMaxPiggyback caps membership updates per ping/ack.
+	gossipMaxPiggyback = 8
+	// shardCacheSize bounds the LRU of remote lookup results a sharded
+	// node keeps, in labels.
+	shardCacheSize = 256
+)
 
 type localQuery struct {
 	engine      *core.Engine
@@ -447,16 +452,8 @@ type Node struct {
 	version    uint64
 	querySeq   int
 
-	announceTTL      int
 	disablePrefetch  bool
-	prefetchDelay    time.Duration
-	annotateLatency  time.Duration
-	batchWindow      int
 	sequentialWindow int
-	requestTimeout   time.Duration
-	retryInterval    time.Duration
-	retryBackoff     float64
-	maxRetries       int
 	retryBandwidth   float64
 	disableRetries   bool
 	approxMinSim     float64
@@ -483,10 +480,7 @@ type Node struct {
 	// SWIM gossip mode (zero-valued and inert unless gossipOn).
 	gossipOn    bool
 	fanout      int           // peers probed per protocol period
-	indirectK   int           // ping-req intermediaries per suspicion
 	suspectTO   time.Duration // probe → eviction window
-	lambda      int           // piggyback retransmit multiplier
-	piggyMax    int           // piggyback updates per ping/ack
 	sampler     *gossip.Sampler
 	piggy       *gossip.Queue
 	probeSeq    uint64                 // this node's probe counter
@@ -535,32 +529,8 @@ func New(cfg Config) (*Node, error) {
 	if cfg.Authority == nil || cfg.Policy == nil {
 		return nil, errors.New("athena: Authority and Policy are required")
 	}
-	if cfg.AnnounceTTL <= 0 {
-		cfg.AnnounceTTL = 4
-	}
-	if cfg.PrefetchDelay <= 0 {
-		cfg.PrefetchDelay = 250 * time.Millisecond
-	}
-	if cfg.InterestTTL <= 0 {
-		cfg.InterestTTL = 30 * time.Second
-	}
-	if cfg.BatchWindow <= 0 {
-		cfg.BatchWindow = 8
-	}
-	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = 30 * time.Second
-	}
 	if cfg.SequentialWindow <= 0 {
 		cfg.SequentialWindow = 4
-	}
-	if cfg.RetryInterval <= 0 {
-		cfg.RetryInterval = 6 * time.Second
-	}
-	if cfg.RetryBackoff <= 1 {
-		cfg.RetryBackoff = 2
-	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = 3
 	}
 	if cfg.RetryBandwidth <= 0 {
 		cfg.RetryBandwidth = 50_000
@@ -578,17 +548,8 @@ func New(cfg Config) (*Node, error) {
 		if cfg.HeartbeatInterval <= 0 {
 			return nil, errors.New("athena: GossipFanout requires HeartbeatInterval")
 		}
-		if cfg.GossipIndirect <= 0 {
-			cfg.GossipIndirect = 2
-		}
 		if cfg.SuspectTimeout <= 0 {
 			cfg.SuspectTimeout = 3 * time.Duration(cfg.HeartbeatMiss) * cfg.HeartbeatInterval
-		}
-		if cfg.GossipRetransmit <= 0 {
-			cfg.GossipRetransmit = 3
-		}
-		if cfg.GossipMaxPiggyback <= 0 {
-			cfg.GossipMaxPiggyback = 8
 		}
 	}
 	if cfg.Shards > 0 {
@@ -597,9 +558,6 @@ func New(cfg Config) (*Node, error) {
 		}
 		if cfg.ShardReplicas <= 0 {
 			cfg.ShardReplicas = 3
-		}
-		if cfg.ShardCacheSize <= 0 {
-			cfg.ShardCacheSize = 256
 		}
 	}
 	n := &Node{
@@ -617,22 +575,14 @@ func New(cfg Config) (*Node, error) {
 		desc:             cfg.Descriptor,
 		store:            cache.NewStore(cfg.CacheBytes),
 		labels:           cache.NewLabelCache(),
-		interest:         NewInterestTable(cfg.InterestTTL),
+		interest:         NewInterestTable(interestTTL),
 		queries:          make(map[string]*localQuery),
 		seenAnnounce:     make(map[string]bool),
 		pushed:           make(map[string]bool),
 		pushedVersions:   make(map[string]uint64),
 		sentRecently:     make(map[string]time.Time),
-		announceTTL:      cfg.AnnounceTTL,
 		disablePrefetch:  cfg.DisablePrefetch,
-		prefetchDelay:    cfg.PrefetchDelay,
-		annotateLatency:  cfg.AnnotateLatency,
-		batchWindow:      cfg.BatchWindow,
 		sequentialWindow: cfg.SequentialWindow,
-		requestTimeout:   cfg.RequestTimeout,
-		retryInterval:    cfg.RetryInterval,
-		retryBackoff:     cfg.RetryBackoff,
-		maxRetries:       cfg.MaxRetries,
 		retryBandwidth:   cfg.RetryBandwidth,
 		disableRetries:   cfg.DisableRetries,
 		approxMinSim:     cfg.ApproxMinSimilarity,
@@ -654,7 +604,7 @@ func New(cfg Config) (*Node, error) {
 		n.dir.Instrument(cfg.Metrics.Gauge("directory.version"))
 	}
 	if cfg.World != nil {
-		n.annotator = annotate.NewMachine(cfg.ID, cfg.World, cfg.AnnotateLatency, 0, nil)
+		n.annotator = annotate.NewMachine(cfg.ID, cfg.World, 0, 0, nil)
 	}
 	if cfg.HeartbeatInterval > 0 {
 		n.memberOn = true
@@ -676,10 +626,7 @@ func New(cfg Config) (*Node, error) {
 		if cfg.GossipFanout > 0 {
 			n.gossipOn = true
 			n.fanout = cfg.GossipFanout
-			n.indirectK = cfg.GossipIndirect
 			n.suspectTO = cfg.SuspectTimeout
-			n.lambda = cfg.GossipRetransmit
-			n.piggyMax = cfg.GossipMaxPiggyback
 			h := fnv.New64a()
 			h.Write([]byte(cfg.ID))
 			n.sampler = gossip.NewSampler(cfg.GossipSeed ^ int64(h.Sum64()))
@@ -690,7 +637,7 @@ func New(cfg Config) (*Node, error) {
 		}
 		if cfg.Shards > 0 {
 			n.shardOn = true
-			n.shardRouter = NewShardRouter(cfg.ID, cfg.Shards, cfg.ShardReplicas, cfg.ShardCacheSize)
+			n.shardRouter = NewShardRouter(cfg.ID, cfg.Shards, cfg.ShardReplicas, shardCacheSize)
 			n.shardVer = ^uint64(0)
 			// Until the first refresh the router's nil snapshot keeps every
 			// payload; the first gossip tick thins the replica down to the
@@ -840,7 +787,7 @@ func (n *Node) QueryInit(expr boolexpr.DNF, deadline time.Duration) (string, err
 		Origin:   n.id,
 		Expr:     exprText,
 		Deadline: abs,
-		TTL:      n.announceTTL,
+		TTL:      announceTTL,
 	}, "")
 
 	// Deadline watchdog.
@@ -953,7 +900,7 @@ func (n *Node) pumpBatch(q *localQuery, now time.Time) {
 		})
 	}
 	for _, t := range targets {
-		if len(q.outstanding) >= n.batchWindow {
+		if len(q.outstanding) >= batchWindow {
 			break
 		}
 		if _, inFlight := q.outstanding[t.obj]; inFlight {
@@ -1078,7 +1025,7 @@ func (n *Node) requestObject(q *localQuery, source string, now time.Time) {
 	// timestamp check ignores answers that arrived and were re-requested.
 	id := q.engine.ID()
 	sentAt := now
-	timeout := n.requestTimeout
+	timeout := requestTimeout
 	if !n.disableRetries {
 		timeout = n.retryDelay(q.attempts[objName], desc.Size)
 	}
@@ -1097,7 +1044,7 @@ func (n *Node) requestObject(q *localQuery, source string, now time.Time) {
 			n.stats.RequestTimeouts++
 			n.m.retryTimeouts.Inc()
 			lq.attempts[objName]++
-			if lq.attempts[objName] > n.maxRetries && !lq.suspect[source] {
+			if lq.attempts[objName] > maxRetries && !lq.suspect[source] {
 				lq.suspect[source] = true
 				n.m.failovers.Inc()
 			}
@@ -1107,22 +1054,19 @@ func (n *Node) requestObject(q *localQuery, source string, now time.Time) {
 	n.kick()
 }
 
-// retryDelay is the backoff delay before attempt's retry: RetryInterval
-// scaled by RetryBackoff^attempt (capped at RequestTimeout), plus a
+// retryDelay is the backoff delay before attempt's retry: retryInterval
+// scaled by retryBackoff^attempt (capped at requestTimeout), plus a
 // size-proportional allowance so a large object still serializing over a
 // slow multi-hop path is not declared lost while making progress. Callers
 // hold n.mu.
 func (n *Node) retryDelay(attempt int, size int64) time.Duration {
-	d := n.retryInterval
+	d := retryInterval
 	for i := 0; i < attempt; i++ {
-		d = time.Duration(float64(d) * n.retryBackoff)
-		if d >= n.requestTimeout {
-			d = n.requestTimeout
+		d *= retryBackoff
+		if d >= requestTimeout {
+			d = requestTimeout
 			break
 		}
-	}
-	if d > n.requestTimeout {
-		d = n.requestTimeout
 	}
 	if size > 0 && n.retryBandwidth > 0 {
 		d += time.Duration(float64(size) / n.retryBandwidth * float64(time.Second))
@@ -1215,7 +1159,7 @@ func (n *Node) recordIfTerminal(q *localQuery) {
 		Finished: q.engine.ResolvedAt(),
 		Deadline: q.engine.Deadline(),
 	}
-	if status == core.ResolvedTrue || status == core.ResolvedFalse {
+	if status.Resolved() {
 		n.m.resolveLatency.ObserveDuration(res.Finished.Sub(res.Issued))
 	}
 	n.results = append(n.results, res)
@@ -1245,7 +1189,7 @@ func (n *Node) Prewarm(expr boolexpr.DNF) error {
 		Origin:   n.id,
 		Expr:     expr.String(),
 		Deadline: n.now().Add(time.Hour),
-		TTL:      n.announceTTL,
+		TTL:      announceTTL,
 	}, "")
 	return nil
 }

@@ -42,7 +42,7 @@ func TestRetransmissionRecoversFromOutage(t *testing.T) {
 
 // The same outage with retries disabled strands the query: the lost
 // request is never re-forwarded and the only safety net (the fixed
-// RequestTimeout) lies beyond the deadline.
+// requestTimeout) lies beyond the deadline.
 func TestOutageWithoutRetriesExpires(t *testing.T) {
 	world := staticWorld{"lc1": true, "lc2": true}
 	r := buildRig(t, SchemeLVF, world, func(c *Config) { c.DisableRetries = true })
@@ -92,5 +92,33 @@ func TestBackoffBoundsRequestVolume(t *testing.T) {
 	sent := r.nodes["nodeA"].Stats().RequestsSent
 	if sent < 2 || sent > 8 {
 		t.Errorf("origin sent %d requests; want a small backoff-bounded number (2..8)", sent)
+	}
+}
+
+// retryDelay's ladder at the recovery layer's fixed constants: 6 s doubling
+// per attempt up to the 30 s cap, plus size/RetryBandwidth on every rung —
+// at the default 50 kB/s and at the effectively-infinite bandwidth the socket
+// benchmark sets (bench/tcp.go), the two values RetryBandwidth takes.
+func TestRetryDelayLadder(t *testing.T) {
+	backoff := []time.Duration{6 * time.Second, 12 * time.Second, 24 * time.Second,
+		30 * time.Second, 30 * time.Second, 30 * time.Second}
+	for _, tc := range []struct {
+		name      string
+		bandwidth float64 // 0 = Config default
+		size      int64
+		allowance time.Duration
+	}{
+		{"default/0B", 0, 0, 0},
+		{"default/1MB", 0, 1_000_000, 20 * time.Second},
+		{"1e12/0B", 1e12, 0, 0},
+		{"1e12/1MB", 1e12, 1_000_000, time.Microsecond},
+	} {
+		r := buildRig(t, SchemeLVF, staticWorld{}, func(c *Config) { c.RetryBandwidth = tc.bandwidth })
+		n := r.nodes["nodeA"]
+		for attempt, base := range backoff {
+			if got, want := n.retryDelay(attempt, tc.size), base+tc.allowance; got != want {
+				t.Errorf("%s: retryDelay(%d, %d) = %v, want %v", tc.name, attempt, tc.size, got, want)
+			}
+		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 // (GossipFanout > 0), the scalable alternative to membership.go's flooded
 // heartbeats. Each protocol period a node pings GossipFanout members drawn
 // from a deterministic round-robin sampler; an unacknowledged probe makes
-// the target suspect and is retried indirectly through GossipIndirect
+// the target suspect and is retried indirectly through gossipIndirect
 // intermediaries (ping-req); a suspect still silent after SuspectTimeout
 // is evicted and the eviction notice disseminates epidemically. All
 // membership updates — joins, leaves, evictions, refutations — ride as
@@ -231,7 +231,7 @@ func (n *Node) probeTimeout(arg any) {
 	}
 	clear(n.pickExcl)
 	n.pickExcl[pr.target] = true
-	for _, mid := range n.sampler.Pick(n.indirectK, n.pickExcl) {
+	for _, mid := range n.sampler.Pick(gossipIndirect, n.pickExcl) {
 		preq := &PingReq{From: n.id, To: mid, Target: pr.target, Seq: ps.seq, Updates: n.takePiggy()}
 		n.stats.PingsSent++
 		n.m.pings.Inc()
@@ -396,7 +396,7 @@ func (n *Node) checkPeerState(peer string, advSeq, digest uint64, now time.Time)
 // knows of). Per-source rank ordering makes newer protocol states
 // supersede queued older ones. Callers hold n.mu.
 func (n *Node) enqueuePiggy(u MemberUpdate) {
-	n.piggy.Put(u.Adv.Source, updateRank(u), u, gossip.Budget(n.lambda, len(n.dir.AllSources())))
+	n.piggy.Put(u.Adv.Source, updateRank(u), u, gossip.Budget(gossipRetransmit, len(n.dir.AllSources())))
 }
 
 // updateRank orders piggyback updates about the same source: higher
@@ -416,7 +416,7 @@ func updateRank(u MemberUpdate) uint64 {
 // takePiggy drains up to the per-message piggyback cap from the buffer.
 // Callers hold n.mu.
 func (n *Node) takePiggy() []MemberUpdate {
-	items := n.piggy.Take(n.piggyMax)
+	items := n.piggy.Take(gossipMaxPiggyback)
 	if len(items) == 0 {
 		return nil
 	}

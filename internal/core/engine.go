@@ -42,6 +42,9 @@ const (
 	Expired
 )
 
+// Resolved reports whether a decision, true or false, was reached.
+func (s Status) Resolved() bool { return s == ResolvedTrue || s == ResolvedFalse }
+
 // String renders the status.
 func (s Status) String() string {
 	switch s {

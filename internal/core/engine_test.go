@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -232,6 +233,9 @@ func TestStatusString(t *testing.T) {
 	} {
 		if s.String() != want {
 			t.Errorf("String(%d) = %q", int(s), s.String())
+		}
+		if got := s.Resolved(); got != strings.HasPrefix(want, "resolved-") {
+			t.Errorf("%v.Resolved() = %v", s, got)
 		}
 	}
 }

@@ -209,8 +209,7 @@ func RunBatching(n, fanIn, workers int, window time.Duration, seed int64) (Batch
 	var lats []time.Duration
 	for _, node := range nodes {
 		for _, r := range node.Results() {
-			s := r.Status.String()
-			if s == "resolved-true" || s == "resolved-false" {
+			if r.Status.Resolved() {
 				lats = append(lats, r.Finished.Sub(r.Issued))
 			}
 		}

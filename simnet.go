@@ -45,7 +45,7 @@ type SimNetwork struct {
 	reg   *metrics.Registry
 
 	descriptors []SourceDescriptor
-	nodeCfgs    []simNodeSpec
+	nodeCfgs    []SimNodeConfig
 	nodes       map[string]*Node
 	built       bool
 	touched     bool
@@ -56,21 +56,6 @@ type SimNetwork struct {
 	gSeed      int64
 	shards     int
 	shardRF    int
-}
-
-type simNodeSpec struct {
-	id         string
-	scheme     Scheme
-	descriptor *SourceDescriptor
-	world      GroundTruth
-	policy     *trust.Policy
-	cacheBytes int64
-	noPrefetch bool
-	noise      float64
-	confTarget float64
-	approxSim  float64
-	critical   ContentName
-	noRetries  bool
 }
 
 // NewSimNetwork creates an empty simulated network starting at the given
@@ -187,20 +172,7 @@ func (s *SimNetwork) AddNode(cfg SimNodeConfig) error {
 	if cfg.Source != nil {
 		s.descriptors = append(s.descriptors, *cfg.Source)
 	}
-	s.nodeCfgs = append(s.nodeCfgs, simNodeSpec{
-		id:         cfg.ID,
-		scheme:     cfg.Scheme,
-		descriptor: cfg.Source,
-		world:      cfg.World,
-		policy:     cfg.Policy,
-		cacheBytes: cfg.CacheBytes,
-		noPrefetch: cfg.DisablePrefetch,
-		noise:      cfg.SensorNoise,
-		confTarget: cfg.ConfidenceTarget,
-		approxSim:  cfg.ApproxMinSimilarity,
-		critical:   cfg.CriticalPrefix,
-		noRetries:  cfg.DisableRetries,
-	})
+	s.nodeCfgs = append(s.nodeCfgs, cfg)
 	return nil
 }
 
@@ -237,6 +209,9 @@ func (s *SimNetwork) EnableGossip(fanout int, seed int64) error {
 	if fanout <= 0 {
 		return errors.New("athena: gossip fanout must be positive")
 	}
+	if s.hbInterval <= 0 {
+		return errors.New("athena: EnableGossip requires EnableMembership")
+	}
 	s.gFanout = fanout
 	s.gSeed = seed
 	return nil
@@ -271,39 +246,32 @@ func (s *SimNetwork) Build() error {
 		return nil
 	}
 	dir := iathena.NewDirectory(s.descriptors)
-	meta := make(MetaTable)
-	for _, d := range s.descriptors {
-		for _, l := range d.Labels {
-			if existing, ok := meta[l]; !ok || float64(d.Size) < existing.Cost {
-				meta[l] = Meta{Cost: float64(d.Size), ProbTrue: d.ProbTrue, Validity: d.Validity}
-			}
-		}
-	}
-	for _, spec := range s.nodeCfgs {
+	meta := iathena.PriceLabels(nil, s.descriptors)
+	for _, cfg := range s.nodeCfgs {
 		nodeDir := dir
 		if s.hbInterval > 0 {
 			nodeDir = iathena.NewDirectory(s.descriptors)
 		}
 		node, err := iathena.New(iathena.Config{
-			ID:                  spec.id,
-			Transport:           transport.NewSim(s.net, spec.id),
+			ID:                  cfg.ID,
+			Transport:           transport.NewSim(s.net, cfg.ID),
 			Router:              s.net,
-			Timers:              iathena.LaneTimers{Lane: s.net.LaneOf(spec.id)},
-			Scheme:              spec.scheme,
+			Timers:              iathena.LaneTimers{Lane: s.net.LaneOf(cfg.ID)},
+			Scheme:              cfg.Scheme,
 			Directory:           nodeDir,
 			Meta:                meta,
-			World:               spec.world,
+			World:               cfg.World,
 			Authority:           s.auth,
-			Signer:              s.auth.Register(spec.id, []byte("simnet-"+spec.id)),
-			Policy:              spec.policy,
-			Descriptor:          spec.descriptor,
-			CacheBytes:          spec.cacheBytes,
-			DisablePrefetch:     spec.noPrefetch,
-			SensorNoise:         spec.noise,
-			ConfidenceTarget:    spec.confTarget,
-			ApproxMinSimilarity: spec.approxSim,
-			CriticalPrefix:      spec.critical,
-			DisableRetries:      spec.noRetries,
+			Signer:              s.auth.Register(cfg.ID, []byte("simnet-"+cfg.ID)),
+			Policy:              cfg.Policy,
+			Descriptor:          cfg.Source,
+			CacheBytes:          cfg.CacheBytes,
+			DisablePrefetch:     cfg.DisablePrefetch,
+			SensorNoise:         cfg.SensorNoise,
+			ConfidenceTarget:    cfg.ConfidenceTarget,
+			ApproxMinSimilarity: cfg.ApproxMinSimilarity,
+			CriticalPrefix:      cfg.CriticalPrefix,
+			DisableRetries:      cfg.DisableRetries,
 			HeartbeatInterval:   s.hbInterval,
 			HeartbeatMiss:       s.hbMiss,
 			GossipFanout:        s.gFanout,
@@ -313,9 +281,9 @@ func (s *SimNetwork) Build() error {
 			Metrics:             s.reg,
 		})
 		if err != nil {
-			return fmt.Errorf("athena: build node %s: %w", spec.id, err)
+			return fmt.Errorf("athena: build node %s: %w", cfg.ID, err)
 		}
-		s.nodes[spec.id] = node
+		s.nodes[cfg.ID] = node
 	}
 	if s.hbInterval > 0 {
 		s.net.OnChurn(func(id string, up bool) {
