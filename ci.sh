@@ -76,10 +76,11 @@ fi
 # what: an allocating per-query or per-event path, a leakier retention
 # filter, a coalescing layer that stopped merging, an object delivery
 # that pays for a node's finished queries, an event queue that allocates
-# at the depth the simulator runs it at — baseline 0, so any allocation
-# trips it). Refresh the baseline with `make bench` when an intentional
+# at the depth the simulator runs it at, a wire encoder whose state
+# escapes to the heap — baseline 0 for both, so any allocation trips
+# them). Refresh the baseline with `make bench` when an intentional
 # change moves one.
-go test -run '^$' -bench '^Benchmark(Scheme|DirectoryMemory|SimKernel|BatchedFetch|DeliverObjectHistory|LaneQueue)$/^(lvf|sharded|w1|on|n2000|depth512)$' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock |
+go test -run '^$' -bench '^Benchmark(Scheme|DirectoryMemory|SimKernel|BatchedFetch|DeliverObjectHistory|LaneQueue|EncodeSmall)$/^(lvf|sharded|w1|on|n2000|depth512|request)$' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire |
 	tee /dev/stderr |
 	go run ./cmd/benchjson -check BENCH_core.json \
 		-gate 'BenchmarkScheme/lvf:allocs/op:10' \
@@ -87,4 +88,5 @@ go test -run '^$' -bench '^Benchmark(Scheme|DirectoryMemory|SimKernel|BatchedFet
 		-gate 'BenchmarkSimKernel/w1:allocs/op:10' \
 		-gate 'BenchmarkBatchedFetch/on:frames/node:10' \
 		-gate 'BenchmarkDeliverObjectHistory/n2000:allocs/op:10' \
-		-gate 'BenchmarkLaneQueue/depth512:allocs/op:10'
+		-gate 'BenchmarkLaneQueue/depth512:allocs/op:10' \
+		-gate 'BenchmarkEncodeSmall/request:allocs/op:10'

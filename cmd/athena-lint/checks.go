@@ -44,7 +44,7 @@ var Analyzers = []*Analyzer{
 	{Name: "wiresize", Doc: "send helpers (sendTo/sendToPri/floodCtl) must price the frame with payload.WireSize(); anything else decouples the bandwidth model from the encoded bytes", Run: runWireSize},
 	{Name: "laneshare", Doc: "code reachable from kernel lane handlers (AtCall/AfterCall/AfterArg) must not write package-level vars or another instance's state outside a mailbox post or a held mutex", Run: runLaneShare},
 	{Name: "floatorder", Doc: "no float accumulation (+=, x = x + v) inside a map range in lane-reachable code; map order makes the rounding, and the run, irreproducible", Run: runFloatOrder},
-	{Name: "wireproto", Doc: "every registered wire type ID has an appendPayload/readPayload/typeID case, a WireSize method, a fuzz target, a round-trip test construction, and a handleMessage dispatch case", Run: runWireProto},
+	{Name: "wireproto", Doc: "every registered wire type ID has an encode case and a decode case pairing it with its message struct, a WireSize method, a fuzz target, a round-trip test construction, and a handleMessage dispatch case; a Type* registry no codec switch names is itself a finding", Run: runWireProto},
 	{Name: "deadoption", Doc: "every exported field of internal/athena's Config and ClusterConfig is set by some non-test file (bench/ included) outside the one declaring it; an option nobody sets is a constant", Run: runDeadOption},
 	{Name: lintkit.DirectiveCheck, Doc: "//lint:allow directives are well-formed (known check, non-empty reason) and actually suppress something", Run: nil}, // enforced by the runner
 }

@@ -168,6 +168,29 @@ func TestLaneReachabilityCoversHandlers(t *testing.T) {
 	}
 }
 
+// TestWireProtoSeesRealCodec guards wireproto against vacuity on the
+// real repo: the codec's switches are matched by shape, so a rewrite of
+// internal/wire that the matcher no longer recognizes must fail here
+// rather than leave a check with nothing to compare.
+func TestWireProtoSeesRealCodec(t *testing.T) {
+	mod := loadRepo(t)
+	for _, pkg := range mod.Pkgs {
+		if pkg.Path != mod.Path+"/internal/wire" {
+			continue
+		}
+		blocks := wireTypeBlocks(pkg)
+		if len(blocks) != 1 || len(blocks[0]) != 20 {
+			t.Fatalf("wireproto sees %d Type* block(s) in %s, want one of 20 constants", len(blocks), pkg.Path)
+		}
+		encode, decode := collectCodecCases(pkg)
+		if len(encode) != 20 || len(decode) != 20 {
+			t.Errorf("wireproto sees %d encode and %d decode cases in %s, want 20 of each", len(encode), len(decode), pkg.Path)
+		}
+		return
+	}
+	t.Fatal("internal/wire is not among the loaded packages")
+}
+
 // TestInferredLockGraphMatchesDeclaredOrder pins the lockorder
 // inference on the real repo: the inferred acquisition graph must be
 // non-empty (the hot locks really do nest), acyclic, and every edge

@@ -3,8 +3,10 @@
 // protocol artifact. TypeEcho is fully wired (zero findings prove the
 // cross-reference recognizes complete coverage); TypeEchoReply cannot be
 // decoded, TypeChunk cannot be priced or fuzzed and is never built in
-// tests, TypeProbe is never dispatched, and TypeRetired carries the
-// annotated exception for a frame kept only for decode compatibility.
+// tests, TypeProbe is never dispatched, TypeRelay's encode case returns
+// another message's ID, and TypeRetired carries the annotated exception
+// for a frame kept only for decode compatibility. The second const block
+// is a registry no switch refers to: a codec the check cannot see.
 package wireproto
 
 const (
@@ -12,57 +14,61 @@ const (
 	TypeEchoReply
 	TypeChunk
 	TypeProbe
+	TypeRelay
 	TypeRetired //lint:allow wireproto retired frame kept for decode compat; no new traffic to fuzz
+)
+
+const (
+	TypeGhost = 100 + iota
+	TypeShade
 )
 
 type Echo struct{ Seq uint64 }
 type EchoReply struct{ Seq uint64 }
 type Chunk struct{ Data []byte }
 type Probe struct{}
+type Relay struct{ Seq uint64 }
 type Retired struct{}
 
-func typeID(payload any) (byte, bool) {
-	switch payload.(type) {
-	case *Echo:
-		return TypeEcho, true
-	case *EchoReply:
-		return TypeEchoReply, true
-	case *Chunk:
-		return TypeChunk, true
-	case *Probe:
-		return TypeProbe, true
-	case *Retired:
-		return TypeRetired, true
-	}
-	return 0, false
-}
-
-func appendPayload(dst []byte, payload any) []byte {
+// encodePayload walks the message and returns its type ID. The Relay
+// case was pasted from Echo and still returns TypeEcho: Relay frames go
+// out under the wrong ID.
+func encodePayload(dst *[]byte, payload any) byte {
 	switch m := payload.(type) {
 	case *Echo:
-		return appendUint(dst, m.Seq)
+		*dst = appendUint(*dst, m.Seq)
+		return TypeEcho
 	case *EchoReply:
-		return appendUint(dst, m.Seq)
+		*dst = appendUint(*dst, m.Seq)
+		return TypeEchoReply
 	case *Chunk:
-		return append(dst, m.Data...)
-	case *Probe, *Retired:
-		return dst
+		*dst = append(*dst, m.Data...)
+		return TypeChunk
+	case *Probe:
+		return TypeProbe
+	case *Relay:
+		*dst = appendUint(*dst, m.Seq)
+		return TypeEcho
+	case *Retired:
+		return TypeRetired
 	}
-	return dst
+	return 0
 }
 
-// readPayload is missing the TypeEchoReply case: received EchoReply
+// decodePayload is missing the TypeEchoReply case: received EchoReply
 // frames fail to decode.
-func readPayload(id byte) any {
+func decodePayload(id byte) any {
 	switch id {
 	case TypeEcho:
-		return &Echo{}
+		return new(Echo)
 	case TypeChunk:
-		return &Chunk{}
+		return new(Chunk)
 	case TypeProbe:
-		return &Probe{}
+		return new(Probe)
+	case TypeRelay:
+		return new(Relay)
 	case TypeRetired:
-		return &Retired{}
+		return new(Retired)
 	}
 	return nil
 }
@@ -71,6 +77,7 @@ func readPayload(id byte) any {
 func (Echo) WireSize() int64      { return 8 }
 func (EchoReply) WireSize() int64 { return 8 }
 func (Probe) WireSize() int64     { return 0 }
+func (Relay) WireSize() int64     { return 8 }
 func (Retired) WireSize() int64   { return 0 }
 
 // handleMessage is missing the Probe case: delivered Probe frames are
@@ -80,6 +87,7 @@ func handleMessage(payload any) {
 	case *Echo:
 	case *EchoReply:
 	case *Chunk:
+	case *Relay:
 	case *Retired:
 	}
 }

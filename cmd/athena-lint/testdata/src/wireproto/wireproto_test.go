@@ -24,18 +24,24 @@ func FuzzProbe(f *testing.F) {
 	})
 }
 
+func FuzzRelay(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seq uint64) {
+		roundTrip(t, &Relay{Seq: seq})
+	})
+}
+
 func TestRetiredStillDecodes(t *testing.T) {
 	roundTrip(t, &Retired{})
 }
 
 func roundTrip(t *testing.T, payload any) {
 	t.Helper()
-	id, ok := typeID(payload)
-	if !ok {
-		t.Fatalf("typeID rejected %T", payload)
+	var buf []byte
+	id := encodePayload(&buf, payload)
+	if id == 0 {
+		t.Fatalf("encodePayload rejected %T", payload)
 	}
-	if got := readPayload(id); got == nil {
-		t.Fatalf("readPayload(%d) = nil", id)
+	if got := decodePayload(id); got == nil {
+		t.Fatalf("decodePayload(%d) = nil", id)
 	}
-	_ = appendPayload(nil, payload)
 }

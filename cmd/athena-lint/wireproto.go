@@ -1,18 +1,22 @@
 package main
 
 // Wire-protocol exhaustiveness check. Adding a message type to the wire
-// codec takes seven coordinated edits; forgetting any one of them
-// compiles fine and fails at a distance — frames that won't decode, a
+// codec takes six coordinated edits; forgetting any one of them compiles
+// fine and fails at a distance — frames that won't encode or decode, a
 // bandwidth model that can't price the message, a handler that silently
 // drops it, or a fuzz/golden hole that lets the layout drift. This
 // check cross-references the registered Type* constants against every
-// artifact the protocol contract requires: the typeID mapping, the
-// appendPayload and readPayload codec cases, a WireSize method on the
-// message struct, a Fuzz<Name> round-trip target and a test
-// construction of the struct in the package's _test.go files (parsed
-// separately — test files are not part of the loaded package), and a
-// dispatch case in the transport's handleMessage type switch (which is
-// also where batching/relay frames fan back into the node).
+// artifact the protocol contract requires: an encode case (a type-switch
+// case for the message struct that names its constant) and a decode case
+// (a `case TypeX` that constructs the struct) in the codec package, a
+// WireSize method on the message struct, a Fuzz<Name> round-trip target
+// and a test construction of the struct in the package's _test.go files
+// (parsed separately — test files are not part of the loaded package),
+// and a dispatch case in the transport's handleMessage type switch
+// (which is also where batching/relay frames fan back into the node).
+// The codec cases are matched by shape, not by function name, and each
+// pairs a struct with its constant, so a case that walks one message
+// and returns another's ID is a finding too.
 
 import (
 	"go/ast"
@@ -26,90 +30,101 @@ import (
 // wireArtifacts is everything the protocol contract cross-references,
 // keyed by message name (the Type constant minus its prefix).
 type wireArtifacts struct {
-	typeID    map[string]bool // `return TypeX` in func typeID
-	appendPay map[string]bool // type-switch case in func appendPayload
-	readPay   map[string]bool // `case TypeX` in func readPayload
-	wireSize  map[string]bool // WireSize method receiver base types
-	fuzz      map[string]bool // FuzzX declarations in _test.go files
-	built     map[string]bool // X{...} composite literals in _test.go files
-	dispatch  map[string]bool // handleMessage type-switch case types
+	encode   map[string]bool // type-switch `case *X` whose body names TypeX
+	decode   map[string]bool // `case TypeX` whose body names X
+	wireSize map[string]bool // WireSize method receiver base types
+	fuzz     map[string]bool // FuzzX declarations in _test.go files
+	built    map[string]bool // X{...} composite literals in _test.go files
+	dispatch map[string]bool // handleMessage type-switch case types
 }
 
 func runWireProto(p *Pass) {
-	consts := wireTypeConsts(p)
-	if len(consts) == 0 {
+	blocks := wireTypeBlocks(p.Pkg)
+	if len(blocks) == 0 {
 		return
 	}
 	art := collectWireArtifacts(p)
-	for _, c := range consts {
-		name := strings.TrimPrefix(c.Name, "Type")
-		missing := func(format string, args ...any) {
-			p.Reportf(c.Pos(), format, args...)
+	for _, block := range blocks {
+		// A registry no codec switch refers to at all is reported once:
+		// staying silent there is how a renamed codec function would turn
+		// this whole check off.
+		if !art.codecNamesAny(block) {
+			p.Reportf(block[0].Pos(), "wire types %s..%s: no switch in the package encodes or decodes any of them; there is no codec to cross-reference",
+				block[0].Name, block[len(block)-1].Name)
+			continue
 		}
-		if !art.typeID[name] {
-			missing("wire type %s: typeID maps no payload to it; the codec cannot encode %s frames", c.Name, name)
-		}
-		if !art.appendPay[name] {
-			missing("wire type %s: appendPayload has no case for %s; encoding it fails at runtime", c.Name, name)
-		}
-		if !art.readPay[name] {
-			missing("wire type %s: readPayload has no case for it; received %s frames fail to decode", c.Name, name)
-		}
-		if !art.wireSize[name] {
-			missing("wire type %s: %s has no WireSize method; the bandwidth model cannot price the frame", c.Name, name)
-		}
-		if !art.fuzz["Fuzz"+name] {
-			missing("wire type %s: no Fuzz%s round-trip target in the package tests; the layout can drift unnoticed", c.Name, name)
-		}
-		if !art.built[name] {
-			missing("wire type %s: the package tests never construct %s; golden/round-trip coverage is missing", c.Name, name)
-		}
-		if !art.dispatch[name] {
-			missing("wire type %s: no handleMessage dispatch case for %s; delivered frames are silently dropped", c.Name, name)
+		for _, c := range block {
+			name := strings.TrimPrefix(c.Name, "Type")
+			missing := func(format string, args ...any) {
+				p.Reportf(c.Pos(), format, args...)
+			}
+			if !art.encode[name] {
+				missing("wire type %s: no type-switch case for %s names it; the codec cannot encode %s frames", c.Name, name, name)
+			}
+			if !art.decode[name] {
+				missing("wire type %s: no `case %s` constructs %s; received %s frames fail to decode", c.Name, c.Name, name, name)
+			}
+			if !art.wireSize[name] {
+				missing("wire type %s: %s has no WireSize method; the bandwidth model cannot price the frame", c.Name, name)
+			}
+			if !art.fuzz["Fuzz"+name] {
+				missing("wire type %s: no Fuzz%s round-trip target in the package tests; the layout can drift unnoticed", c.Name, name)
+			}
+			if !art.built[name] {
+				missing("wire type %s: the package tests never construct %s; golden/round-trip coverage is missing", c.Name, name)
+			}
+			if !art.dispatch[name] {
+				missing("wire type %s: no handleMessage dispatch case for %s; delivered frames are silently dropped", c.Name, name)
+			}
 		}
 	}
 }
 
-// wireTypeConsts finds the registered wire type constants — a const
-// block declaring two or more Type*-named constants — in a package that
-// also defines the codec's typeID or readPayload function. Matched
-// structurally so the fixture can model a miniature codec.
-func wireTypeConsts(p *Pass) []*ast.Ident {
-	hasCodec := false
-	var consts []*ast.Ident
-	for _, f := range p.Pkg.Files {
+func (a *wireArtifacts) codecNamesAny(block []*ast.Ident) bool {
+	for _, c := range block {
+		name := strings.TrimPrefix(c.Name, "Type")
+		if a.encode[name] || a.decode[name] {
+			return true
+		}
+	}
+	return false
+}
+
+// isWireTypeName reports whether name is a wire type constant's: Type
+// followed by the message name.
+func isWireTypeName(name string) bool {
+	return strings.HasPrefix(name, "Type") && len(name) > len("Type")
+}
+
+// wireTypeBlocks finds the registered wire type constants: each const
+// block of the package declaring two or more Type*-named constants.
+// Matched structurally so the fixture can model a miniature codec.
+func wireTypeBlocks(pkg *Package) [][]*ast.Ident {
+	var blocks [][]*ast.Ident
+	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				if d.Recv == nil && (d.Name.Name == "typeID" || d.Name.Name == "readPayload") {
-					hasCodec = true
-				}
-			case *ast.GenDecl:
-				if d.Tok != token.CONST {
+			d, ok := decl.(*ast.GenDecl)
+			if !ok || d.Tok != token.CONST {
+				continue
+			}
+			var block []*ast.Ident
+			for _, spec := range d.Specs {
+				vs, ok := spec.(*ast.ValueSpec)
+				if !ok {
 					continue
 				}
-				var block []*ast.Ident
-				for _, spec := range d.Specs {
-					vs, ok := spec.(*ast.ValueSpec)
-					if !ok {
-						continue
-					}
-					for _, name := range vs.Names {
-						if strings.HasPrefix(name.Name, "Type") && len(name.Name) > len("Type") {
-							block = append(block, name)
-						}
+				for _, name := range vs.Names {
+					if isWireTypeName(name.Name) {
+						block = append(block, name)
 					}
 				}
-				if len(block) >= 2 {
-					consts = append(consts, block...)
-				}
+			}
+			if len(block) >= 2 {
+				blocks = append(blocks, block)
 			}
 		}
 	}
-	if !hasCodec {
-		return nil
-	}
-	return consts
+	return blocks
 }
 
 // collectWireArtifacts gathers the protocol artifacts: codec cases from
@@ -118,39 +133,12 @@ func wireTypeConsts(p *Pass) []*ast.Ident {
 // constructions from the package directory's _test.go files.
 func collectWireArtifacts(p *Pass) *wireArtifacts {
 	art := &wireArtifacts{
-		typeID:    make(map[string]bool),
-		appendPay: make(map[string]bool),
-		readPay:   make(map[string]bool),
-		wireSize:  make(map[string]bool),
-		fuzz:      make(map[string]bool),
-		built:     make(map[string]bool),
-		dispatch:  make(map[string]bool),
+		wireSize: make(map[string]bool),
+		fuzz:     make(map[string]bool),
+		built:    make(map[string]bool),
+		dispatch: make(map[string]bool),
 	}
-	for _, f := range p.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || fd.Recv != nil {
-				continue
-			}
-			switch fd.Name.Name {
-			case "typeID", "readPayload":
-				// Both reference the Type constants by name: returns in
-				// typeID, case expressions in readPayload.
-				sink := art.typeID
-				if fd.Name.Name == "readPayload" {
-					sink = art.readPay
-				}
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					if id, ok := n.(*ast.Ident); ok && strings.HasPrefix(id.Name, "Type") {
-						sink[strings.TrimPrefix(id.Name, "Type")] = true
-					}
-					return true
-				})
-			case "appendPayload":
-				collectTypeSwitchCases(fd.Body, art.appendPay)
-			}
-		}
-	}
+	art.encode, art.decode = collectCodecCases(p.Pkg)
 	for _, pkg := range sessionPkgs(p) {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
@@ -173,6 +161,68 @@ func collectWireArtifacts(p *Pass) *wireArtifacts {
 	return art
 }
 
+// collectCodecCases finds the codec's two switches wherever in the
+// package they are. A type-switch case for struct X that names TypeX
+// encodes X; an expression-switch `case TypeX` that names X decodes it.
+func collectCodecCases(pkg *Package) (encode, decode map[string]bool) {
+	encode, decode = make(map[string]bool), make(map[string]bool)
+	for _, f := range pkg.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch sw := n.(type) {
+			case *ast.TypeSwitchStmt:
+				for _, cc := range caseClauses(sw.Body) {
+					named := identsIn(cc.Body)
+					for _, expr := range cc.List {
+						if name := baseTypeName(expr); name != "" && named["Type"+name] {
+							encode[name] = true
+						}
+					}
+				}
+			case *ast.SwitchStmt:
+				for _, cc := range caseClauses(sw.Body) {
+					named := identsIn(cc.Body)
+					for _, expr := range cc.List {
+						id, ok := expr.(*ast.Ident)
+						if !ok || !isWireTypeName(id.Name) {
+							continue
+						}
+						if name := strings.TrimPrefix(id.Name, "Type"); named[name] {
+							decode[name] = true
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+	return encode, decode
+}
+
+func caseClauses(body *ast.BlockStmt) []*ast.CaseClause {
+	var out []*ast.CaseClause
+	for _, stmt := range body.List {
+		if cc, ok := stmt.(*ast.CaseClause); ok {
+			out = append(out, cc)
+		}
+	}
+	return out
+}
+
+// identsIn is the set of identifier names appearing anywhere in stmts,
+// package-qualified names by their selector (athena.Ping -> Ping).
+func identsIn(stmts []ast.Stmt) map[string]bool {
+	names := make(map[string]bool)
+	for _, s := range stmts {
+		ast.Inspect(s, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				names[id.Name] = true
+			}
+			return true
+		})
+	}
+	return names
+}
+
 // collectTypeSwitchCases records the base type name of every case in
 // every type switch under root.
 func collectTypeSwitchCases(root ast.Node, sink map[string]bool) {
@@ -181,11 +231,7 @@ func collectTypeSwitchCases(root ast.Node, sink map[string]bool) {
 		if !ok {
 			return true
 		}
-		for _, stmt := range ts.Body.List {
-			cc, ok := stmt.(*ast.CaseClause)
-			if !ok {
-				continue
-			}
+		for _, cc := range caseClauses(ts.Body) {
 			for _, expr := range cc.List {
 				if name := baseTypeName(expr); name != "" {
 					sink[name] = true

@@ -28,10 +28,7 @@ type ClusterConfig struct {
 	// default: ablation A2 shows the push model costs more bandwidth
 	// than it saves in the Section VII workload.
 	EnablePrefetch bool
-	// SequentialWindow / SensorNoise / ConfidenceTarget pass through to
-	// every node's Config.
-	//lint:allow deadoption nothing sets it (RunBatching sets Config.SequentialWindow, not this one); found by this check once PR 15's list was fixed, left for the next options pass
-	SequentialWindow int
+	// SensorNoise / ConfidenceTarget pass through to every node's Config.
 	SensorNoise      float64
 	ConfidenceTarget float64
 	// CoalesceWindow / CoalesceBytes enable data-plane batching on every
@@ -81,12 +78,10 @@ type ClusterConfig struct {
 	ChurnEvents int
 	// ChurnOutage is each churned node's downtime (default 30s).
 	ChurnOutage time.Duration
-	// Metrics is the shared fleet registry every node mirrors its activity
-	// into. Nil (the default) makes NewCluster create one, so Outcome
-	// snapshots are always populated; set DisableMetrics to opt out
-	// entirely and run the uninstrumented (nil-instrument) fast path.
-	//lint:allow deadoption nothing sets it (NewCluster always fills it in); found by this check once PR 15's list was fixed, left for the next options pass
-	Metrics *metrics.Registry
+	// DisableMetrics runs the uninstrumented (nil-instrument) fast path.
+	// By default NewCluster creates one fleet registry that every node
+	// mirrors its activity into (Cluster.Metrics), so Outcome snapshots
+	// are always populated.
 	//lint:allow deadoption only BenchmarkSchemeNoMetrics sets it: the uninstrumented baseline the metrics layer's cost is measured against
 	DisableMetrics bool
 	// Workers selects the kernel's lane layout. Zero (the default) runs
@@ -139,10 +134,9 @@ func NewCluster(s *workload.Scenario, cfg ClusterConfig) (*Cluster, error) {
 	if cfg.TrustFraction == 0 {
 		cfg.TrustFraction = 1
 	}
-	if cfg.DisableMetrics {
-		cfg.Metrics = nil
-	} else if cfg.Metrics == nil {
-		cfg.Metrics = metrics.NewRegistry()
+	var reg *metrics.Registry
+	if !cfg.DisableMetrics {
+		reg = metrics.NewRegistry()
 	}
 
 	net := netsim.NewAt(s.Epoch, cfg.Workers, s.Config.Seed)
@@ -178,7 +172,7 @@ func NewCluster(s *workload.Scenario, cfg ClusterConfig) (*Cluster, error) {
 		Nodes:     make(map[string]*Node, len(s.Placements)),
 		Authority: auth,
 		Directory: dir,
-		Metrics:   cfg.Metrics,
+		Metrics:   reg,
 		cfg:       cfg,
 	}
 	if cfg.Workers > 0 {
@@ -211,7 +205,6 @@ func NewCluster(s *workload.Scenario, cfg ClusterConfig) (*Cluster, error) {
 			Descriptor:        &desc,
 			CacheBytes:        cfg.CacheBytes,
 			DisablePrefetch:   !cfg.EnablePrefetch,
-			SequentialWindow:  cfg.SequentialWindow,
 			CoalesceWindow:    cfg.CoalesceWindow,
 			CoalesceBytes:     cfg.CoalesceBytes,
 			SensorNoise:       cfg.SensorNoise,
@@ -223,7 +216,7 @@ func NewCluster(s *workload.Scenario, cfg ClusterConfig) (*Cluster, error) {
 			GossipSeed:        s.Config.Seed,
 			Shards:            cfg.Shards,
 			ShardReplicas:     cfg.ShardReplicas,
-			Metrics:           cfg.Metrics,
+			Metrics:           reg,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("athena: node %s: %w", p.ID, err)

@@ -7,6 +7,7 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -101,11 +102,11 @@ func sizedMessages() []interface {
 func TestWireSizeIsFrameLength(t *testing.T) {
 	var c Codec
 	for _, m := range sizedMessages() {
-		got, err := c.EncodedFrameLen("node-042", m.WireSize(), m)
+		frame, err := c.Append(nil, "node-042", m.WireSize(), m)
 		if err != nil {
 			t.Fatalf("%T: %v", m, err)
 		}
-		if got != m.WireSize() {
+		if got := int64(len(frame)); got != m.WireSize() {
 			t.Errorf("%T: encoded frame = %d bytes, WireSize() = %d", m, got, m.WireSize())
 		}
 	}
@@ -657,6 +658,75 @@ func TestConstantsCoverRawEncoding(t *testing.T) {
 	}
 }
 
+// mapFields counts the message struct's map fields. Encoding a map sorts
+// its keys into a scratch slice, one allocation; nothing else in an
+// encode allocates.
+func mapFields(m any) int {
+	n := 0
+	t := reflect.TypeOf(m).Elem()
+	for i := 0; i < t.NumField(); i++ {
+		if t.Field(i).Type.Kind() == reflect.Map {
+			n++
+		}
+	}
+	return n
+}
+
+// TestEncodeDoesNotAllocate holds the encoder's state on the stack. The
+// layout functions are reached by static calls for this reason: behind a
+// closure table, an interface or a generic helper the state escapes and
+// every frame costs an allocation. Frames are encoded unpadded because
+// under -race the compiler does not fuse the padding's append-of-make;
+// the padded path is held by ci.sh's BenchmarkEncodeSmall gate.
+func TestEncodeDoesNotAllocate(t *testing.T) {
+	var c Codec
+	for _, m := range sizedMessages() {
+		buf := make([]byte, 0, m.WireSize())
+		want := float64(mapFields(m))
+		got := testing.AllocsPerRun(100, func() {
+			if _, err := c.Append(buf, "node-042", 0, m); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != want {
+			t.Errorf("%T: %v allocations per encode, want %v", m, got, want)
+		}
+	}
+}
+
+// TestEncodeLeavesMessageUntouched: encoding only reads. A flood hands
+// one message pointer to several neighbours' send paths at once, so the
+// second half encodes a shared *AdvertGossip from two goroutines for the
+// race detector to watch.
+func TestEncodeLeavesMessageUntouched(t *testing.T) {
+	var c Codec
+	want := sizedMessages()
+	for i, m := range sizedMessages() {
+		if _, err := c.Append(nil, "node-042", m.WireSize(), m); err != nil {
+			t.Fatalf("%T: %v", m, err)
+		}
+		if !reflect.DeepEqual(m, want[i]) {
+			t.Errorf("%T: encoding changed the message:\n got %#v\nwant %#v", m, m, want[i])
+		}
+	}
+
+	shared := &athena.AdvertGossip{To: "node-017", Adverts: []athena.Advertisement{advert("node-03", 4), advert("node-11", 9)}}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if _, err := c.Append(nil, "node-042", shared.WireSize(), shared); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // benchData is the bulk frame the socket path spends its codec time on:
 // a 500 KB object, almost all of it padding.
 var benchData = &athena.ObjectData{Object: "/city/market/cam3", Version: 12, Size: 500_000, Created: tAt(5e9), Validity: time.Minute, Labels: []string{"viable:h:1-2", "viable:v:3-1"}, SourceNode: "node-017", Origin: "node-042", QueryID: "node-042/q17"}
@@ -689,5 +759,59 @@ func BenchmarkDecodeObjectData(b *testing.B) {
 		if _, _, err := c.Decode(frame[4:]); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// smallFrames are the frames whose cost is per field, not per byte: a
+// request, a two-record label share, and a probe carrying four membership
+// updates.
+var smallFrames = []struct {
+	name string
+	msg  interface{ WireSize() int64 }
+}{
+	{"request", &athena.ObjectRequest{QueryID: "node-042/q17", Origin: "node-042", Object: "/city/market/cam3", SourceNode: "node-017", Labels: []string{"viable:h:1-2", "viable:v:3-1"}}},
+	{"share", &athena.LabelShare{Records: []trust.Label{label("viable:h:1-2", "node-017", 5e9), label("viable:v:3-1", "node-017", 6e9)}, Dest: "node-042", QueryID: "node-042/q17"}},
+	{"ping4", &athena.Ping{From: "node-042", To: "node-017", Seq: 31, AdvSeq: 7, Digest: 0xfeed, Updates: updates(4)}},
+}
+
+// benchSink keeps the compiler from discarding a benchmarked call.
+var benchSink any
+
+func BenchmarkEncodeSmall(b *testing.B) {
+	var c Codec
+	for _, f := range smallFrames {
+		b.Run(f.name, func(b *testing.B) {
+			buf := make([]byte, 0, f.msg.WireSize())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				frame, err := c.Append(buf[:0], "node-042", f.msg.WireSize(), f.msg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				buf = frame
+			}
+		})
+	}
+}
+
+func BenchmarkDecodeSmall(b *testing.B) {
+	var c Codec
+	for _, f := range smallFrames {
+		b.Run(f.name, func(b *testing.B) {
+			frame, err := c.Append(nil, "node-042", f.msg.WireSize(), f.msg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, m, err := c.Decode(frame[4:])
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink = m
+			}
+		})
 	}
 }
