@@ -49,12 +49,14 @@ ci-short:
 # batching benchmark (A11 incast at n=64, coalescing off/on), the
 # node's object delivery with 0 and 2000 finished queries behind it and
 # its does-this-query-reference-that-label check (internal/athena), the
-# event queue at depths 1, 512 and 8192 (internal/simclock), and the
+# event queue at depths 1, 512 and 8192 (internal/simclock), the
 # wire codec on three small frames and a 500 KB one, each way
-# (internal/wire), parsed into machine-readable JSON. CI archives the
+# (internal/wire), the prefetch ablation (frames per decision with the
+# announce flood off and on), and one label signature and verification
+# (internal/trust), parsed into machine-readable JSON. CI archives the
 # file per commit; regressions are judged against the committed baseline.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkScheme|BenchmarkMembershipControlPlane|BenchmarkDirectoryMemory|BenchmarkSimKernel|BenchmarkBatchedFetch|BenchmarkDeliverObjectHistory|BenchmarkQueryReferences|BenchmarkLaneQueue|BenchmarkEncode|BenchmarkDecode' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire \
+	$(GO) test -run '^$$' -bench 'BenchmarkScheme|BenchmarkAblationPrefetch|BenchmarkMembershipControlPlane|BenchmarkDirectoryMemory|BenchmarkSimKernel|BenchmarkBatchedFetch|BenchmarkDeliverObjectHistory|BenchmarkQueryReferences|BenchmarkLaneQueue|BenchmarkEncode|BenchmarkDecode|BenchmarkSign|BenchmarkVerify' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire ./internal/trust \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_core.json
 
 # figures reproduces the paper's evaluation tables (quick variants).

@@ -5,8 +5,9 @@ package athena_test
 // deterministic simulation; reported MB/op-style metrics come from custom
 // b.ReportMetric calls:
 //
-//	resolution  - query resolution ratio (Figure 2's y-axis)
-//	MB          - total network traffic (Figure 3's y-axis)
+//	resolution       - query resolution ratio (Figure 2's y-axis)
+//	MB               - total network traffic (Figure 3's y-axis)
+//	frames/decision  - frames of every kind put on a link, per query issued
 //
 // Full-scale regeneration (Section VII parameters, 10 repetitions) is
 // done by `go run ./cmd/athena-sim -fig all`.
@@ -40,7 +41,7 @@ func runSchemeCluster(b *testing.B, ccfg athena.ClusterConfig, dynamics float64)
 	cfg := benchWorkload()
 	cfg.FastRatio = dynamics
 	var ratio float64
-	var bytes int64
+	var bytes, frames, issued int64
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i + 1)
 		s, err := athena.GenerateScenario(cfg)
@@ -57,9 +58,12 @@ func runSchemeCluster(b *testing.B, ccfg athena.ClusterConfig, dynamics float64)
 		}
 		ratio += out.ResolutionRatio()
 		bytes += out.TotalBytes
+		frames += cluster.Network.Stats().MessagesSent
+		issued += int64(out.QueriesIssued)
 	}
 	b.ReportMetric(ratio/float64(b.N), "resolution")
 	b.ReportMetric(float64(bytes)/float64(b.N)/1e6, "MB")
+	b.ReportMetric(float64(frames)/float64(issued), "frames/decision")
 }
 
 // BenchmarkScheme runs one reduced-scale simulation per scheme with the
@@ -116,7 +120,10 @@ func BenchmarkAblationLabelSharing(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPrefetch (A2) measures lvf with prefetch pushes on.
+// BenchmarkAblationPrefetch (A2) measures lvf with prefetch pushes off
+// and on. No workload of the repo benchmark (bench/) runs prefetch on, so
+// the on variant's frames/decision, gated in ci.sh, is the one mechanical
+// hold on how far an announce is flooded (prefetchHops).
 func BenchmarkAblationPrefetch(b *testing.B) {
 	for _, enable := range []bool{false, true} {
 		name := "off"
@@ -124,29 +131,7 @@ func BenchmarkAblationPrefetch(b *testing.B) {
 			name = "on"
 		}
 		b.Run(name, func(b *testing.B) {
-			cfg := benchWorkload()
-			cfg.FastRatio = 0.4
-			var bytes int64
-			for i := 0; i < b.N; i++ {
-				cfg.Seed = int64(i + 1)
-				s, err := athena.GenerateScenario(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cluster, err := athena.NewCluster(s, athena.ClusterConfig{
-					Scheme:         athena.SchemeLVF,
-					EnablePrefetch: enable,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				out, err := cluster.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				bytes += out.TotalBytes
-			}
-			b.ReportMetric(float64(bytes)/float64(b.N)/1e6, "MB")
+			runSchemeCluster(b, athena.ClusterConfig{Scheme: athena.SchemeLVF, EnablePrefetch: enable}, 0.4)
 		})
 	}
 }

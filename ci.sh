@@ -78,12 +78,15 @@ fi
 # that pays for a node's finished queries, an event queue that allocates
 # at the depth the simulator runs it at, a wire encoder whose state
 # escapes to the heap — baseline 0 for both, so any allocation trips
-# them). Refresh the baseline with `make bench` when an intentional
-# change moves one.
-go test -run '^$' -bench '^Benchmark(Scheme|DirectoryMemory|SimKernel|BatchedFetch|DeliverObjectHistory|LaneQueue|EncodeSmall)$/^(lvf|sharded|w1|on|n2000|depth512|request)$' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire |
+# them; a query announce that is flooded where nobody prefetches, or
+# further than a receiver may act on it). Refresh the baseline with
+# `make bench` when an intentional change moves one.
+go test -run '^$' -bench '^Benchmark(Scheme|AblationPrefetch|DirectoryMemory|SimKernel|BatchedFetch|DeliverObjectHistory|LaneQueue|EncodeSmall)$/^(lvf|lvfl|sharded|w1|on|n2000|depth512|request)$' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire |
 	tee /dev/stderr |
 	go run ./cmd/benchjson -check BENCH_core.json \
 		-gate 'BenchmarkScheme/lvf:allocs/op:10' \
+		-gate 'BenchmarkScheme/lvfl:frames/decision:10' \
+		-gate 'BenchmarkAblationPrefetch/on:frames/decision:10' \
 		-gate 'BenchmarkDirectoryMemory/sharded:entries/node:10' \
 		-gate 'BenchmarkSimKernel/w1:allocs/op:10' \
 		-gate 'BenchmarkBatchedFetch/on:frames/node:10' \

@@ -145,6 +145,7 @@ func (n *Node) floodAnnounce(a *QueryAnnounce, except string) {
 		if nb == except {
 			continue
 		}
+		n.stats.AnnouncesSent++
 		if err := n.tr.Send(nb, a.WireSize(), a); err != nil {
 			n.stats.RoutingDrops++
 		}
@@ -153,9 +154,18 @@ func (n *Node) floodAnnounce(a *QueryAnnounce, except string) {
 
 // handleAnnounce implements the prefetch side of Query_Recv: remember the
 // query, queue background prefetch of any locally sourced objects it
-// needs, and keep flooding within the TTL.
+// needs, and keep flooding within the prefetch radius.
 func (n *Node) handleAnnounce(from string, a *QueryAnnounce) {
+	// A copy from outside the radius (both counters are signed 64-bit on
+	// the wire, and the sender may be an older build or hostile) is neither
+	// acted on, forwarded nor remembered: were it marked seen, whether this
+	// node prefetches would depend on which copy the link queues let
+	// through first.
+	if a.Hops < 0 || a.Hops >= prefetchHops {
+		return
+	}
 	if n.seenAnnounce[a.QueryID] {
+		n.stats.AnnounceDups++
 		return
 	}
 	n.seenAnnounce[a.QueryID] = true
@@ -165,7 +175,7 @@ func (n *Node) handleAnnounce(from string, a *QueryAnnounce) {
 	// label and close to the origin — unselective pushing would flood the
 	// network with redundant evidence.
 	if !n.disablePrefetch && n.desc != nil && a.Origin != n.id &&
-		!n.pushed[a.QueryID] && a.Hops < 2 {
+		!n.pushed[a.QueryID] {
 		expr, err := boolexpr.Parse(a.Expr)
 		if err == nil {
 			needed := make(map[string]bool)
@@ -183,7 +193,9 @@ func (n *Node) handleAnnounce(from string, a *QueryAnnounce) {
 		}
 	}
 
-	if a.TTL > 1 {
+	// Forward only what the next receiver may still act on, whatever TTL
+	// the sender claims.
+	if a.Hops+1 < prefetchHops && a.TTL > 1 {
 		// The incoming message is shared with other receivers; copy
 		// before stamping this hop's TTL/Hops.
 		fwd := *a
@@ -552,34 +564,35 @@ func queryWantsAny(q *localQuery, obj *object.Object) bool {
 
 // handleLabelShare caches shared label records and either consumes them
 // (when this node is the destination) or forwards them on (Section VI-D).
+// Each record is authenticated once per arrival, before it is cached or
+// applied to a query.
 func (n *Node) handleLabelShare(from string, s *LabelShare) {
 	now := n.now()
+	// Only a share addressed to a query still live at this node is applied
+	// as well as cached; one traveling toward the data source carries no
+	// query id and ends its propagation at its destination.
+	var q *localQuery
+	if s.Dest == n.id && s.QueryID != "" {
+		q = n.queries[s.QueryID]
+	}
+	accepted := false
 	for i := range s.Records {
 		rec := s.Records[i]
-		if n.authority.Verify(&rec) == nil {
-			n.labels.Put(&rec)
+		if n.authority.Verify(&rec) != nil {
+			continue
+		}
+		n.labels.Put(&rec)
+		if q != nil && n.policy.AcceptVerified(&rec, now) == nil &&
+			q.engine.Set(rec.Name, rec.Value, rec.Expiry(), "", rec.Annotator) == nil {
+			accepted = true
 		}
 	}
 	if s.Dest != n.id {
 		n.sendTo(s.Dest, s.WireSize(), s)
 		return
 	}
-	if s.QueryID == "" {
-		return // propagation toward source ends here
-	}
-	q, ok := n.queries[s.QueryID]
-	if !ok {
+	if q == nil {
 		return
-	}
-	accepted := false
-	for i := range s.Records {
-		rec := s.Records[i]
-		if err := n.policy.Accept(n.authority, &rec, now); err != nil {
-			continue
-		}
-		if q.engine.Set(rec.Name, rec.Value, rec.Expiry(), "", rec.Annotator) == nil {
-			accepted = true
-		}
 	}
 	// A label answer retires the object request it replaced: clear any
 	// outstanding objects that could have resolved the now-known labels.
@@ -620,7 +633,11 @@ func (n *Node) drain() {
 	for len(n.fetchQ) > 0 {
 		qr := n.fetchQ[0]
 		n.fetchQ = n.fetchQ[1:]
-		n.dispatchRequest(qr.req)
+		// Checked per entry: a dispatch can finish a query whose other
+		// requests are still queued, and those are no longer owed.
+		if q, live := n.queries[qr.req.QueryID]; live {
+			n.dispatchRequest(q, qr.req)
+		}
 	}
 
 	if len(n.prefetchQ) == 0 {
@@ -645,30 +662,28 @@ func (n *Node) drain() {
 	}
 }
 
-// dispatchRequest serves a locally originated request: local cache and
+// dispatchRequest serves a request of local query q: local cache and
 // own-sensor answers short-circuit the network entirely; otherwise the
 // request is routed toward the source. Callers hold n.mu.
-func (n *Node) dispatchRequest(req *ObjectRequest) {
+func (n *Node) dispatchRequest(q *localQuery, req *ObjectRequest) {
 	now := n.now()
 
 	// Local label-cache answer (lvfl).
 	if n.scheme == SchemeLVFL {
-		if q, ok := n.queries[req.QueryID]; ok {
-			satisfied := true
-			for _, l := range req.Labels {
-				rec, found := n.labels.Get(l, trust.TrustAll(), now)
-				if !found || n.policy.Accept(n.authority, rec, now) != nil {
-					satisfied = false
-					break
-				}
-				_ = q.engine.Set(rec.Name, rec.Value, rec.Expiry(), "", rec.Annotator)
+		satisfied := true
+		for _, l := range req.Labels {
+			rec, found := n.labels.Get(l, trust.TrustAll(), now)
+			if !found || n.policy.Accept(n.authority, rec, now) != nil {
+				satisfied = false
+				break
 			}
-			if satisfied {
-				n.stats.LabelAnswers++
-				delete(q.outstanding, req.Object)
-				n.pump(q)
-				return
-			}
+			_ = q.engine.Set(rec.Name, rec.Value, rec.Expiry(), "", rec.Annotator)
+		}
+		if satisfied {
+			n.stats.LabelAnswers++
+			delete(q.outstanding, req.Object)
+			n.pump(q)
+			return
 		}
 	}
 

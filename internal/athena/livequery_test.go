@@ -56,8 +56,8 @@ func TestDeliverObjectIgnoresFinishedQueries(t *testing.T) {
 		a := rigWithHistory(t, finished).nodes["nodeA"]
 		a.mu.Lock()
 		defer a.mu.Unlock()
-		if len(a.queries) != finished+1 || len(a.live) != 1 {
-			t.Fatalf("after %d finished queries: %d known, %d live, want %d and 1", finished, len(a.queries), len(a.live), finished+1)
+		if len(a.queries) != 1 || len(a.live) != 1 {
+			t.Fatalf("after %d finished queries: %d known, %d live, want 1 and 1", finished, len(a.queries), len(a.live))
 		}
 		now := a.now()
 		obj := unrelatedObject(now)

@@ -73,6 +73,11 @@ type Stats struct {
 	LabelAnswers int
 	// PrefetchPushes counts background object pushes.
 	PrefetchPushes int
+	// AnnouncesSent counts QueryAnnounce frames this node put on a link,
+	// as origin or relay; AnnounceDups counts the arrivals that found the
+	// announce already seen here — frames the flood carried for nothing.
+	AnnouncesSent int
+	AnnounceDups  int
 	// Annotations counts labels computed locally.
 	Annotations int
 	// RoutingDrops counts messages dropped for lack of a route.
@@ -174,7 +179,11 @@ type Config struct {
 	Descriptor *object.Descriptor
 	// CacheBytes bounds the content store (negative = unbounded).
 	CacheBytes int64
-	// DisablePrefetch turns off background prefetching (ablation A2).
+	// DisablePrefetch takes the node out of prefetching (ablation A2): it
+	// neither pushes its object for others' queries nor announces its own
+	// queries to solicit pushes. It still relays the announces that reach
+	// it (it cannot know who lies beyond), and Prewarm, an explicit
+	// solicitation, still floods.
 	DisablePrefetch bool
 	// RetryBandwidth is the assumed worst-case end-to-end throughput
 	// used to stretch retry delays for large objects: every attempt
@@ -274,8 +283,10 @@ type Config struct {
 // exactly these values. One becomes a field again when two callers that
 // exist need different values (DESIGN §5 item 10, "Options").
 const (
-	// announceTTL bounds query-expression flooding, in hops.
-	announceTTL = 4
+	// prefetchHops is the prefetch radius: a source pushes for a query only
+	// when the announce reached it over at most this many links, so that
+	// is also exactly how far an announce is flooded.
+	prefetchHops = 2
 	// prefetchDelay paces background pushes: the prefetch queue drains one
 	// task per delay, behind foreground traffic.
 	prefetchDelay = 250 * time.Millisecond
@@ -322,7 +333,6 @@ type localQuery struct {
 	batch       bool
 	nextExpiry  time.Time
 	nextRetry   time.Time
-	recorded    bool
 	corr        map[string]*corrState // label -> corroboration (noisy mode)
 }
 
@@ -437,8 +447,8 @@ type Node struct {
 	labels   *cache.LabelCache
 	interest *InterestTable
 
-	queries        map[string]*localQuery // every query ever issued here, by id
-	live           []*localQuery          // the unrecorded ones, sorted by id
+	queries        map[string]*localQuery // the unrecorded queries issued here, by id
+	live           []*localQuery          // the same queries, sorted by id
 	seenAnnounce   map[string]bool
 	pushed         map[string]bool      // queryID -> already prefetch-pushed
 	pushedVersions map[string]uint64    // origin|object -> last pushed version
@@ -721,7 +731,7 @@ func (n *Node) liveAfter(id string) *localQuery {
 	return n.live[i]
 }
 
-// DebugQueries renders the state of all local queries, for diagnostics.
+// DebugQueries renders the state of the live local queries, for diagnostics.
 // Queries and their outstanding fetches are listed in sorted order so the
 // dump is stable run to run (both live in maps).
 func (n *Node) DebugQueries() string {
@@ -749,7 +759,8 @@ func (n *Node) DebugQueries() string {
 
 // QueryInit issues a decision query at this node (the paper's Query_Init):
 // it plans retrieval per the node's scheme, floods the expression to
-// neighbors for prefetching, and starts fetching evidence.
+// neighbors for prefetching (unless DisablePrefetch), and starts fetching
+// evidence.
 func (n *Node) QueryInit(expr boolexpr.DNF, deadline time.Duration) (string, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -779,16 +790,20 @@ func (n *Node) QueryInit(expr boolexpr.DNF, deadline time.Duration) (string, err
 	at, _ := n.liveFrom(id)
 	n.live = slices.Insert(n.live, at, q)
 	n.stats.QueriesIssued++
-	n.seenAnnounce[id] = true
 
-	// Step (iv): share the decision structure with neighbors.
-	n.floodAnnounce(&QueryAnnounce{
-		QueryID:  id,
-		Origin:   n.id,
-		Expr:     exprText,
-		Deadline: abs,
-		TTL:      announceTTL,
-	}, "")
+	// Step (iv): share the decision structure with neighbors. The only use
+	// a receiver has for it is prefetch, so a node that takes no part in
+	// prefetch does not ask the fleet to carry it.
+	if !n.disablePrefetch {
+		n.seenAnnounce[id] = true
+		n.floodAnnounce(&QueryAnnounce{
+			QueryID:  id,
+			Origin:   n.id,
+			Expr:     exprText,
+			Deadline: abs,
+			TTL:      prefetchHops,
+		}, "")
+	}
 
 	// Deadline watchdog.
 	n.timers.After(deadline+time.Millisecond, func() {
@@ -1033,7 +1048,7 @@ func (n *Node) requestObject(q *localQuery, source string, now time.Time) {
 		n.mu.Lock()
 		defer n.mu.Unlock()
 		lq, ok := n.queries[id]
-		if !ok || lq.recorded {
+		if !ok {
 			return
 		}
 		if at, inFlight := lq.outstanding[objName]; !inFlight || !at.Equal(sentAt) {
@@ -1130,18 +1145,21 @@ func (n *Node) scheduleExpiryCheck(q *localQuery, now time.Time) {
 	})
 }
 
-// recordIfTerminal records a terminal query exactly once and drops it
-// from the live index. Callers hold n.mu.
+// recordIfTerminal records a terminal query exactly once and drops it from
+// the node: its timers still to fire, its requests still queued and any
+// late answer find no query under its id and stop there. Callers hold
+// n.mu.
 func (n *Node) recordIfTerminal(q *localQuery) {
-	if q.recorded {
-		return
+	id := q.engine.ID()
+	if n.queries[id] != q {
+		return // already recorded
 	}
 	status := q.engine.Step(n.now())
 	if status == core.Pending {
 		return
 	}
-	q.recorded = true
-	if at, found := n.liveFrom(q.engine.ID()); found {
+	delete(n.queries, id)
+	if at, found := n.liveFrom(id); found {
 		n.live = slices.Delete(n.live, at, at+1)
 	}
 	switch status {
@@ -1189,7 +1207,7 @@ func (n *Node) Prewarm(expr boolexpr.DNF) error {
 		Origin:   n.id,
 		Expr:     expr.String(),
 		Deadline: n.now().Add(time.Hour),
-		TTL:      announceTTL,
+		TTL:      prefetchHops,
 	}, "")
 	return nil
 }

@@ -44,7 +44,7 @@ func runCoalesceScenario(t *testing.T, window time.Duration, budget int64) Outco
 // must be equally inert (the budget only bounds an enabled queue).
 func TestUnbatchedUnchangedByBatchingLayer(t *testing.T) {
 	const (
-		goldenBytes    = int64(67970515)
+		goldenBytes    = int64(67446971)
 		goldenIssued   = 24
 		goldenResolved = 22
 	)

@@ -304,7 +304,7 @@ func (n *Node) handleShardLookupReply(from string, m *ShardLookupReply) {
 	}
 	for _, id := range ids {
 		q, live := n.queries[id]
-		if !live || q.recorded {
+		if !live {
 			continue
 		}
 		if n.scheme != SchemeCMP {

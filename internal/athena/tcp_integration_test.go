@@ -100,6 +100,78 @@ func TestTCPThreeNodeRelay(t *testing.T) {
 	}
 }
 
+// TestTCPFinishedQueriesLeaveNode is the socket half of the soak: a
+// consumer with no room to cache makes 500 decisions against a source in
+// another endpoint, each fetched over the socket, and ends holding no
+// query — though the wall-clock watchdogs and request timeouts of most of
+// them have yet to fire.
+func TestTCPFinishedQueriesLeaveNode(t *testing.T) {
+	world := staticWorld{"soak1": true}
+	desc := object.Descriptor{
+		Name: names.MustParse("/tcp/soak/cam"), Size: 2_000, Validity: time.Minute,
+		Labels: []string{"soak1"}, Source: "src", ProbTrue: 0.8,
+	}
+	dir := athena.NewDirectory([]object.Descriptor{desc})
+	auth := trust.NewAuthority()
+	mk := func(id string, d *object.Descriptor, cacheBytes int64) (*athena.Node, *transport.TCPTransport) {
+		t.Helper()
+		tr, err := transport.NewTCP(id, "127.0.0.1:0", wire.Codec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		node, err := athena.New(athena.Config{
+			ID: id, Transport: tr, Router: &athena.StaticRouter{Self: id},
+			Timers: athena.WallTimers{}, Scheme: athena.SchemeLVF, Directory: dir,
+			Meta:  boolexpr.MetaTable{"soak1": {Cost: 2_000, ProbTrue: 0.8, Validity: time.Minute}},
+			World: world, Authority: auth,
+			Signer: auth.Register(id, []byte(id)), Policy: trust.TrustAll(),
+			Descriptor: d, CacheBytes: cacheBytes,
+			// Back-to-back decisions ask for one object a fraction of a
+			// millisecond apart; at the default allowance the source would
+			// take the second for a duplicate of a transfer still in
+			// flight and leave it to its 6 s retry.
+			RetryBandwidth: 1e12,
+		})
+		if err != nil {
+			tr.Close()
+			t.Fatal(err)
+		}
+		return node, tr
+	}
+	consumer, trC := mk("consumer", nil, 1)
+	defer trC.Close()
+	src, trSrc := mk("src", &desc, 8<<20)
+	defer trSrc.Close()
+	trC.AddPeer("src", trSrc.Addr())
+	trSrc.AddPeer("consumer", trC.Addr())
+
+	const decisions = 500
+	done := make(chan athena.QueryResult, decisions)
+	consumer.OnQueryDone(func(r athena.QueryResult) { done <- r })
+	expr := boolexpr.ToDNF(boolexpr.MustParse("soak1"))
+	for i := 0; i < decisions; i++ {
+		if _, err := consumer.QueryInit(expr, 20*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case r := <-done:
+			if r.Status != core.ResolvedTrue {
+				t.Fatalf("decision %d: %v", i, r.Status)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("decision %d timed out", i)
+		}
+	}
+	for name, n := range map[string]*athena.Node{"consumer": consumer, "src": src} {
+		if known, live := n.QueryCounts(); known != 0 || live != 0 {
+			t.Errorf("%s ends with %d queries, %d live; want none", name, known, live)
+		}
+	}
+	if got := src.Stats().CacheAnswers; got < decisions-1 {
+		t.Errorf("the source answered %d requests; the consumer was meant to fetch every decision's evidence", got)
+	}
+}
+
 // shareTap is a TCP transport that reports, on handled, every LabelShare
 // its node has finished handling — the moment the records are in that
 // node's label cache.

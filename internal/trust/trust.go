@@ -12,7 +12,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
+	"hash"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -57,17 +58,32 @@ func (l *Label) BoolValue(t time.Time) boolexpr.Value {
 	return boolexpr.FromBool(l.Value)
 }
 
-// canonical serializes the signed fields deterministically.
-func (l *Label) canonical() []byte {
-	ev := append([]string(nil), l.Evidence...)
-	sort.Strings(ev)
-	payload := l.Name + "|" + strconv.FormatBool(l.Value) + "|" + l.Annotator +
-		"|" + strconv.FormatInt(l.Computed.UnixNano(), 10) +
-		"|" + strconv.FormatInt(int64(l.Validity), 10)
-	for _, e := range ev {
-		payload += "|" + e
+// appendCanonical appends the signed fields, serialized deterministically:
+// the evidence in sorted order, whatever order the record lists it in. A
+// record's Evidence array is shared by every node the record passes
+// through, so more than one entry is sorted in a copy (*scratch, reused),
+// never in place.
+func (l *Label) appendCanonical(b []byte, scratch *[]string) []byte {
+	b = append(b, l.Name...)
+	b = append(b, '|')
+	b = strconv.AppendBool(b, l.Value)
+	b = append(b, '|')
+	b = append(b, l.Annotator...)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, l.Computed.UnixNano(), 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(l.Validity), 10)
+	ev := l.Evidence
+	if len(ev) > 1 {
+		*scratch = append((*scratch)[:0], ev...)
+		slices.Sort(*scratch)
+		ev = *scratch
 	}
-	return []byte(payload)
+	for _, e := range ev {
+		b = append(b, '|')
+		b = append(b, e...)
+	}
+	return b
 }
 
 // MarshalJSON uses the paper's JSON label format.
@@ -89,18 +105,18 @@ var (
 // safe for concurrent use.
 type Authority struct {
 	mu   sync.RWMutex
-	keys map[string][]byte
+	keys map[string]*macKey
 }
 
 // NewAuthority returns an empty Authority.
 func NewAuthority() *Authority {
-	return &Authority{keys: make(map[string][]byte)}
+	return &Authority{keys: make(map[string]*macKey)}
 }
 
 // Register derives and stores a signing key for the annotator, returning a
 // Signer bound to it. Re-registering replaces the key.
 func (a *Authority) Register(annotator string, secret []byte) Signer {
-	key := deriveKey(annotator, secret)
+	key := newMACKey(deriveKey(annotator, secret))
 	a.mu.Lock()
 	a.keys[annotator] = key
 	a.mu.Unlock()
@@ -121,8 +137,10 @@ func (a *Authority) Verify(l *Label) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownAnnotator, l.Annotator)
 	}
-	want := sign(key, l)
-	if !hmac.Equal([]byte(want), []byte(l.Signature)) {
+	var want, got [sigLen]byte
+	key.sign(l, &want)
+	// Copied into a fixed array so the comparison converts no string.
+	if len(l.Signature) != sigLen || !hmac.Equal(want[:], append(got[:0], l.Signature...)) {
 		return fmt.Errorf("%w: label %q by %q", ErrBadSignature, l.Name, l.Annotator)
 	}
 	return nil
@@ -131,7 +149,7 @@ func (a *Authority) Verify(l *Label) error {
 // Signer signs label records on behalf of one annotator.
 type Signer struct {
 	annotator string
-	key       []byte
+	key       *macKey
 }
 
 // Annotator returns the identity the signer signs as.
@@ -140,13 +158,49 @@ func (s Signer) Annotator() string { return s.annotator }
 // Sign fills in the record's Annotator and Signature fields.
 func (s Signer) Sign(l *Label) {
 	l.Annotator = s.annotator
-	l.Signature = sign(s.key, l)
+	key := s.key
+	if key == nil {
+		key = newMACKey(nil) // the zero Signer signs under the empty key
+	}
+	var sig [sigLen]byte
+	key.sign(l, &sig)
+	l.Signature = string(sig[:])
 }
 
-func sign(key []byte, l *Label) string {
-	mac := hmac.New(sha256.New, key)
-	mac.Write(l.canonical())
-	return hex.EncodeToString(mac.Sum(nil))
+// sigLen is the length of a signature: an HMAC-SHA256 in hex.
+const sigLen = 2 * sha256.Size
+
+// macKey is one signing key in the form signatures are made with: keying
+// an HMAC hashes the key twice, so a keyed one is kept and Reset per
+// signature instead of built per signature. Hashing holds no lock; callers
+// signing at once (the parallel kernel's workers verify under one
+// Authority) each take a state of their own from the pool.
+type macKey struct{ states sync.Pool }
+
+// macState is what one signature needs and the next one reuses. The
+// buffers live here, not on the caller's stack, because everything handed
+// to a hash.Hash method escapes.
+type macState struct {
+	mac       hash.Hash // HMAC-SHA256, keyed
+	canonical []byte
+	evidence  []string
+	sum       [sha256.Size]byte
+}
+
+func newMACKey(key []byte) *macKey {
+	k := new(macKey)
+	k.states.New = func() any { return &macState{mac: hmac.New(sha256.New, key)} }
+	return k
+}
+
+// sign writes the record's signature under the key into sig.
+func (k *macKey) sign(l *Label, sig *[sigLen]byte) {
+	st := k.states.Get().(*macState)
+	st.canonical = l.appendCanonical(st.canonical[:0], &st.evidence)
+	st.mac.Reset()
+	st.mac.Write(st.canonical)
+	hex.Encode(sig[:], st.mac.Sum(st.sum[:0]))
+	k.states.Put(st)
 }
 
 // Policy decides which annotators a consumer trusts for which labels. The
@@ -195,6 +249,13 @@ func (p *Policy) Accept(a *Authority, l *Label, now time.Time) error {
 	if err := a.Verify(l); err != nil {
 		return err
 	}
+	return p.AcceptVerified(l, now)
+}
+
+// AcceptVerified is the policy's half of Accept, for a record the caller
+// has itself just verified: its annotator must be trusted and the record
+// fresh at instant now.
+func (p *Policy) AcceptVerified(l *Label, now time.Time) error {
 	if !p.Trusts(l.Annotator) {
 		return fmt.Errorf("trust: annotator %q not trusted for label %q", l.Annotator, l.Name)
 	}

@@ -39,11 +39,15 @@ func TestVerifyDetectsTampering(t *testing.T) {
 		func(l *Label) { l.Value = false },
 		func(l *Label) { l.Name = "viableB" },
 		func(l *Label) { l.Evidence = append(l.Evidence, "/bogus#1") },
+		func(l *Label) { l.Evidence = l.Evidence[:1] },
+		func(l *Label) { l.Evidence[1] = "/grid/a/cam#3" },
+		func(l *Label) { l.Annotator = "vision-2" }, // registered, other key
 		func(l *Label) { l.Computed = l.Computed.Add(time.Second) },
 		func(l *Label) { l.Validity += time.Second },
 		func(l *Label) { l.Signature = "deadbeef" },
 	} {
 		l, _ := signedLabel(t, auth)
+		auth.Register("vision-2", []byte("secret"))
 		mutate(l)
 		if err := auth.Verify(l); !errors.Is(err, ErrBadSignature) {
 			t.Errorf("tampered record verified: %v", err)

@@ -122,7 +122,8 @@ type SimNodeConfig struct {
 	Policy *trust.Policy
 	// CacheBytes bounds the content store (default 16 MB).
 	CacheBytes int64
-	// DisablePrefetch turns off background prefetching.
+	// DisablePrefetch takes the node out of background prefetching: it
+	// neither pushes for others' queries nor announces its own.
 	DisablePrefetch bool
 	// SensorNoise is the per-annotation error rate; positive values turn
 	// on corroboration to ConfidenceTarget (Section IV-B).
