@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race fmt ci ci-short bench figures clean
+.PHONY: all build vet lint test race fmt ci ci-short bench loc figures clean
 
 all: build
 
@@ -48,7 +48,8 @@ ci-short:
 # (n=512 synthetic workload at W=1 and W=NumCPU), the data-plane
 # batching benchmark (A11 incast at n=64, coalescing off/on), the
 # node's object delivery with 0 and 2000 finished queries behind it and
-# its does-this-query-reference-that-label check (internal/athena), the
+# its does-this-query-reference-that-label check, and a 30-label source
+# selection on a full replica and on a sharded node (internal/athena), the
 # event queue at depths 1, 512 and 8192 (internal/simclock), the
 # wire codec on three small frames and a 500 KB one, each way
 # (internal/wire), the prefetch ablation (frames per decision with the
@@ -56,8 +57,23 @@ ci-short:
 # (internal/trust), parsed into machine-readable JSON. CI archives the
 # file per commit; regressions are judged against the committed baseline.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkScheme|BenchmarkAblationPrefetch|BenchmarkMembershipControlPlane|BenchmarkDirectoryMemory|BenchmarkSimKernel|BenchmarkBatchedFetch|BenchmarkDeliverObjectHistory|BenchmarkQueryReferences|BenchmarkLaneQueue|BenchmarkEncode|BenchmarkDecode|BenchmarkSign|BenchmarkVerify' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire ./internal/trust \
+	$(GO) test -run '^$$' -bench 'BenchmarkScheme|BenchmarkAblationPrefetch|BenchmarkMembershipControlPlane|BenchmarkDirectoryMemory|BenchmarkSimKernel|BenchmarkBatchedFetch|BenchmarkDeliverObjectHistory|BenchmarkQueryReferences|BenchmarkSelectSources|BenchmarkLaneQueue|BenchmarkEncode|BenchmarkDecode|BenchmarkSign|BenchmarkVerify' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire ./internal/trust \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_core.json
+
+# loc prints the net Go lines of a change, the figure ROADMAP has every
+# PR report in CHANGES.md: the tree (new files count once `git add`ed)
+# against BASE — HEAD before the commit, HEAD~1 after — split into
+# non-test and test lines, with bench/ and testdata/ listed apart.
+BASE ?= HEAD
+loc:
+	@git diff --numstat $(BASE) -- '*.go' | awk ' \
+		{ k = "non-test"; \
+		  if ($$3 ~ /(^|\/)testdata\//) k = "testdata/"; \
+		  else if ($$3 ~ /^bench\//) k = "bench/"; \
+		  else if ($$3 ~ /_test\.go$$/) k = "test"; \
+		  add[k] += $$1; del[k] += $$2 } \
+		END { n = split("non-test test bench/ testdata/", ks, " "); \
+		  for (i = 1; i <= n; i++) printf "%-9s +%d -%d net %+d\n", ks[i], add[ks[i]], del[ks[i]], add[ks[i]] - del[ks[i]] }'
 
 # figures reproduces the paper's evaluation tables (quick variants).
 figures:

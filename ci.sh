@@ -79,9 +79,11 @@ fi
 # at the depth the simulator runs it at, a wire encoder whose state
 # escapes to the heap — baseline 0 for both, so any allocation trips
 # them; a query announce that is flooded where nobody prefetches, or
-# further than a receiver may act on it). Refresh the baseline with
-# `make bench` when an intentional change moves one.
-go test -run '^$' -bench '^Benchmark(Scheme|AblationPrefetch|DirectoryMemory|SimKernel|BatchedFetch|DeliverObjectHistory|LaneQueue|EncodeSmall)$/^(lvf|lvfl|sharded|w1|on|n2000|depth512|request)$' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire |
+# further than a receiver may act on it; a sharded source selection that
+# grew back a copy of the cover's bookkeeping beside the full replica's).
+# Refresh the baseline with `make bench` when an intentional change moves
+# one.
+go test -run '^$' -bench '^Benchmark(Scheme|AblationPrefetch|DirectoryMemory|SimKernel|BatchedFetch|DeliverObjectHistory|SelectSources|LaneQueue|EncodeSmall)$/^(lvf|lvfl|sharded|w1|on|n2000|depth512|request)$' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire |
 	tee /dev/stderr |
 	go run ./cmd/benchjson -check BENCH_core.json \
 		-gate 'BenchmarkScheme/lvf:allocs/op:10' \
@@ -91,5 +93,6 @@ go test -run '^$' -bench '^Benchmark(Scheme|AblationPrefetch|DirectoryMemory|Sim
 		-gate 'BenchmarkSimKernel/w1:allocs/op:10' \
 		-gate 'BenchmarkBatchedFetch/on:frames/node:10' \
 		-gate 'BenchmarkDeliverObjectHistory/n2000:allocs/op:10' \
+		-gate 'BenchmarkSelectSources/sharded:allocs/op:10' \
 		-gate 'BenchmarkLaneQueue/depth512:allocs/op:10' \
 		-gate 'BenchmarkEncodeSmall/request:allocs/op:10'

@@ -415,34 +415,51 @@ func seqState(seq uint64, withdrawn bool) uint64 {
 	return s
 }
 
-// SeqVector summarizes every known source's sequence state for a delta
-// anti-entropy exchange: source → seqState. It is the watermark DeltaAgainst
+// SeqVector summarizes the sequence state of the sources in scope for a
+// delta anti-entropy exchange: source → seqState. It is the watermark Delta
 // extracts changes against, and costs O(sources) small entries instead of
-// the full advertisement snapshot.
-func (d *Directory) SeqVector() map[string]uint64 {
+// the full advertisement snapshot. A nil scope lists every record the
+// directory has, evicted and thin ones included (the unsharded exchange
+// covers the whole seq space); a scope lists what Delta could ship under
+// it — the full present records it accepts plus every withdrawn tombstone.
+func (d *Directory) SeqVector(scope func(object.Descriptor) bool) map[string]uint64 {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	out := make(map[string]uint64, len(d.records))
+	// Only the unscoped vector is sized up front: a scope keeps a small
+	// share of a large directory, and a map sized for all of it costs the
+	// sharded fleet more than the rehashes it saves.
+	size := 0
+	if scope == nil {
+		size = len(d.records)
+	}
+	out := make(map[string]uint64, size)
 	for src, r := range d.records {
-		out[src] = seqState(r.seq, !r.present && r.withdrawn)
+		withdrawn := !r.present && r.withdrawn
+		if scope == nil || withdrawn || (r.present && !r.thin && scope(r.desc)) {
+			out[src] = seqState(r.seq, withdrawn)
+		}
 	}
 	return out
 }
 
-// DeltaAgainst returns the records (present advertisements and withdrawn
-// tombstones) that are news to a replica whose SeqVector is peer — the
-// delta half of the gossip-mode anti-entropy exchange. Evicted records are
-// omitted for the same reason Snapshot omits them: an eviction is this
-// replica's suspicion, not state to push; thin records are omitted because
-// their payload is not held here. Sorted by source.
-func (d *Directory) DeltaAgainst(peer map[string]uint64) []Advertisement {
+// Delta returns the records that are news to a replica whose SeqVector is
+// peer, sorted by source — the anti-entropy exchange unit. A nil peer has
+// seen nothing, so everything is news. Records are present advertisements
+// the scope accepts (nil accepts all; ShardRouter.InShards restricts a
+// sharded exchange to the shards both sides replicate) and withdrawn
+// tombstones, which are in every scope: a tombstone's shard set is
+// unknowable — its payload is gone — and its entry is tiny. Evicted records
+// are omitted, because an eviction is this replica's suspicion, not state
+// to push; thin records because their payload is not held here. scope runs
+// under the directory lock and must take none.
+func (d *Directory) Delta(peer map[string]uint64, scope func(object.Descriptor) bool) []Advertisement {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	out := make([]Advertisement, 0, len(d.records))
 	for src, r := range d.records {
 		var a Advertisement
 		switch {
-		case r.present && !r.thin:
+		case r.present && !r.thin && (scope == nil || scope(r.desc)):
 			a = advertisementOf(r.desc, r.seq)
 		case !r.present && r.withdrawn:
 			a = Advertisement{Source: src, Seq: r.seq, Withdrawn: true}
@@ -454,73 +471,13 @@ func (d *Directory) DeltaAgainst(peer map[string]uint64) []Advertisement {
 		}
 	}
 	sortAdverts(out)
-	return out
-}
-
-// DeltaScoped is DeltaAgainst restricted to a shard subset: the full
-// present records the include filter accepts, plus every withdrawn
-// tombstone (a tombstone's shard set is unknowable — its payload is gone —
-// and its seq entry is tiny), filtered to news against the peer vector.
-// Sorted by source.
-func (d *Directory) DeltaScoped(peer map[string]uint64, include func(object.Descriptor) bool) []Advertisement {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	out := make([]Advertisement, 0, len(d.records))
-	for src, r := range d.records {
-		var a Advertisement
-		switch {
-		case r.present && !r.thin && include(r.desc):
-			a = advertisementOf(r.desc, r.seq)
-		case !r.present && r.withdrawn:
-			a = Advertisement{Source: src, Seq: r.seq, Withdrawn: true}
-		default:
-			continue
-		}
-		if have, ok := peer[src]; !ok || seqState(r.seq, a.Withdrawn) > have {
-			out = append(out, a)
-		}
-	}
-	sortAdverts(out)
-	return out
-}
-
-// SeqVectorScoped is SeqVector restricted the same way DeltaScoped is:
-// full present records the include filter accepts plus withdrawn
-// tombstones. It is the watermark half of a shard-scoped sync request.
-func (d *Directory) SeqVectorScoped(include func(object.Descriptor) bool) map[string]uint64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	out := make(map[string]uint64)
-	for src, r := range d.records {
-		switch {
-		case r.present && !r.thin && include(r.desc):
-			out[src] = seqState(r.seq, false)
-		case !r.present && r.withdrawn:
-			out[src] = seqState(r.seq, true)
-		}
-	}
 	return out
 }
 
 // Snapshot returns every present advertisement plus withdrawn tombstones,
-// sorted by source — the anti-entropy exchange unit. Evicted records are
-// omitted: an eviction is this replica's suspicion, not state to push.
-// Thin records are omitted too — their payload is not held here.
-func (d *Directory) Snapshot() []Advertisement {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	out := make([]Advertisement, 0, len(d.records))
-	for src, r := range d.records {
-		switch {
-		case r.present && !r.thin:
-			out = append(out, advertisementOf(r.desc, r.seq))
-		case !r.present && r.withdrawn:
-			out = append(out, Advertisement{Source: src, Seq: r.seq, Withdrawn: true})
-		}
-	}
-	sortAdverts(out)
-	return out
-}
+// sorted by source: the delta against a peer that has seen nothing — what
+// a join handshake and a flood-mode sync exchange.
+func (d *Directory) Snapshot() []Advertisement { return d.Delta(nil, nil) }
 
 // sortAdverts orders adverts by source without sort.Slice's interface and
 // swapper allocations — these sorts sit on the anti-entropy and status
@@ -661,15 +618,15 @@ func (d *Directory) Descriptor(source string) (object.Descriptor, bool) {
 }
 
 // SelectSources solves the Section III-B coverage problem for a label set:
-// the least-cost subset of sources covering all labels, via greedy
-// weighted set cover (ref [10]). It returns the chosen source ids. Labels
-// nobody covers are simply omitted from the result's coverage (the query
-// will fail to resolve them, which is surfaced at decision time).
+// the least-cost subset of sources covering all labels (coverSources). It
+// returns the chosen source ids. Labels nobody covers are simply omitted
+// from the result's coverage (the query will fail to resolve them, which is
+// surfaced at decision time).
 func (d *Directory) SelectSources(labels []string) []string {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	candidateSet := make(map[string]bool)
 	coverable := make([]string, 0, len(labels))
+	var pool []cover.Source
 	for _, l := range labels {
 		srcs := d.byLabel[l]
 		if len(srcs) == 0 {
@@ -677,41 +634,40 @@ func (d *Directory) SelectSources(labels []string) []string {
 		}
 		coverable = append(coverable, l)
 		for _, s := range srcs {
-			candidateSet[s] = true
+			desc := d.records[s].desc
+			pool = append(pool, cover.Source{ID: s, Cost: float64(desc.Size), Covers: desc.Labels})
 		}
 	}
+	return coverSources(coverable, pool)
+}
+
+// coverSources is the one source selection (Sec. III-B, ref [10]): greedy
+// weighted set cover of the coverable labels over a candidate pool, as
+// sorted source ids. The pool is gathered label by label, so a source
+// covering several labels is listed several times; it is sorted by id —
+// the greedy rule breaks ties to the lower index — and deduplicated here.
+// Each Source shares its descriptor's label slice unfiltered (nothing
+// writes it): cover.Greedy counts only labels in the universe it is given.
+// When the pool cannot cover a label — its only candidate could not be
+// priced — the whole pool is returned rather than dropping coverage. It
+// takes data, not callbacks, because Directory.SelectSources runs it under
+// the directory lock.
+func coverSources(coverable []string, pool []cover.Source) []string {
 	if len(coverable) == 0 {
 		return nil
 	}
-	candidates := make([]string, 0, len(candidateSet))
-	for s := range candidateSet {
-		candidates = append(candidates, s)
-	}
-	sort.Strings(candidates)
-
-	wanted := make(map[string]bool, len(coverable))
-	for _, l := range coverable {
-		wanted[l] = true
-	}
-	sources := make([]cover.Source, len(candidates))
-	for i, s := range candidates {
-		desc := d.records[s].desc
-		covers := make([]string, 0, len(desc.Labels))
-		for _, l := range desc.Labels {
-			if wanted[l] {
-				covers = append(covers, l)
-			}
-		}
-		sources[i] = cover.Source{ID: s, Cost: float64(desc.Size), Covers: covers}
-	}
-	picked, err := cover.Greedy(coverable, sources)
+	slices.SortFunc(pool, func(a, b cover.Source) int { return strings.Compare(a.ID, b.ID) })
+	pool = slices.CompactFunc(pool, func(a, b cover.Source) bool { return a.ID == b.ID })
+	picked, err := cover.Greedy(coverable, pool)
 	if err != nil {
-		// Greedy covers everything coverable by construction; defensive.
-		return candidates
+		picked = make([]int, len(pool))
+		for i := range picked {
+			picked[i] = i
+		}
 	}
 	out := make([]string, len(picked))
 	for i, idx := range picked {
-		out[i] = sources[idx].ID
+		out[i] = pool[idx].ID
 	}
 	sort.Strings(out)
 	return out
@@ -731,35 +687,32 @@ func (d *Directory) SourceForLabel(label string, preferred []string) string {
 func (d *Directory) SourceForLabelExcluding(label string, preferred []string, exclude map[string]bool) string {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	all := d.byLabel[label]
-	if len(all) == 0 {
-		return ""
-	}
-	prefSet := make(map[string]bool, len(preferred))
-	for _, p := range preferred {
-		prefSet[p] = true
-	}
-	best := ""
-	var bestSize int64
-	consider := func(s string) {
-		if exclude[s] {
-			return
-		}
-		desc := d.records[s].desc
-		if best == "" || desc.Size < bestSize || (desc.Size == bestSize && s < best) {
-			best, bestSize = s, desc.Size
+	var best cheapest
+	for _, s := range d.byLabel[label] {
+		if !exclude[s] {
+			best.offer(s, d.records[s].desc.Size, slices.Contains(preferred, s))
 		}
 	}
-	for _, s := range all {
-		if prefSet[s] {
-			consider(s)
-		}
+	return best.id
+}
+
+// cheapest keeps the minimum of the pick rule every per-label source
+// choice applies (this one, Node.pickCached over a routed lookup result,
+// corrSource over the sources yet to vote): a preferred source beats any
+// other, then the smaller object, then the smaller id. preferred is a
+// query's selected set — a handful of ids, which callers scan per offer
+// rather than copy into a set per call.
+type cheapest struct {
+	id        string
+	size      int64
+	preferred bool
+}
+
+// offer replaces the kept source when the offered one ranks before it.
+func (c *cheapest) offer(id string, size int64, preferred bool) {
+	if c.id == "" ||
+		(preferred && !c.preferred) ||
+		(preferred == c.preferred && (size < c.size || (size == c.size && id < c.id))) {
+		*c = cheapest{id: id, size: size, preferred: preferred}
 	}
-	if best != "" {
-		return best
-	}
-	for _, s := range all {
-		consider(s)
-	}
-	return best
 }

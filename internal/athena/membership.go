@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"athena/internal/object"
 	"athena/internal/transport"
 	"athena/internal/trust"
 )
@@ -135,27 +136,10 @@ func (n *Node) handleHeartbeat(from string, hb *Heartbeat) {
 	now := n.now()
 	n.lastHeard[hb.Node] = now
 	n.floodCtl(hb.WireSize(), hb, from)
-	// Divergence checks shared with the gossip protocol (swim.go) — note
-	// the flood protocol syncs with the delivering neighbor, not the
-	// beat's originator, so checkPeerState's peer argument is the node
-	// whose advert/digest we examined while the sync partner stays `from`.
-	needSync := false
-	if hb.AdvSeq > 0 {
-		// A live node advertises a source we do not list: either we missed
-		// the advertisement or we evicted it (a false positive, or a healed
-		// partition). A withdrawn tombstone at or past AdvSeq means it left
-		// on purpose and this beat is stale — no sync for that.
-		seq, present, withdrawn := n.dir.Known(hb.Node)
-		if !present && (hb.AdvSeq > seq || !withdrawn) {
-			needSync = true
-		}
-	}
-	if hb.Digest != n.dir.Digest() {
-		needSync = true
-	}
-	if needSync {
-		n.maybeSync(from, now)
-	}
+	// The advert and digest examined are the originator's, but the flood
+	// protocol syncs with the neighbor that delivered the beat: the full
+	// snapshot it pushes then crosses one link, not a route.
+	n.checkPeerState(hb.Node, from, hb.AdvSeq, hb.Digest, now)
 }
 
 // maybeSync opens a push-pull anti-entropy exchange with a peer,
@@ -179,13 +163,7 @@ func (n *Node) maybeSync(peer string, now time.Time) {
 		}
 		n.stats.SyncExchanges++
 		n.m.syncRounds.Inc()
-		sreq := &ShardSyncRequest{
-			From:   n.id,
-			To:     peer,
-			Shards: shared,
-			Seqs:   n.dir.SeqVectorScoped(n.shardRouter.InShards(shared)),
-		}
-		n.sendCtl(peer, sreq.WireSize(), sreq)
+		n.sendShardSync(peer, shared)
 		return
 	}
 	n.stats.SyncExchanges++
@@ -197,7 +175,7 @@ func (n *Node) maybeSync(peer string, now time.Time) {
 		// plane (query answers); shipping the full label cache on every
 		// digest divergence would dwarf the probe traffic this protocol
 		// exists to bound.
-		req.Seqs = n.dir.SeqVector()
+		req.Seqs = n.dir.SeqVector(nil)
 	} else {
 		req.Adverts = n.dir.Snapshot()
 		req.Labels = n.labels.Records(now)
@@ -222,8 +200,8 @@ func (n *Node) handleSyncRequest(from string, req *SyncRequest) {
 	now := n.now()
 	resp := &SyncResponse{From: n.id, To: req.From}
 	if len(req.Seqs) > 0 {
-		resp.Adverts = n.dir.DeltaAgainst(req.Seqs)
-		resp.Seqs = n.dir.SeqVector()
+		resp.Adverts = n.dir.Delta(req.Seqs, nil)
+		resp.Seqs = n.dir.SeqVector(nil)
 	} else {
 		resp.Adverts = n.dir.Snapshot()
 		resp.Labels = n.labels.Records(now)
@@ -245,11 +223,21 @@ func (n *Node) handleSyncResponse(from string, resp *SyncResponse) {
 	}
 	n.applyAdverts(resp.Adverts, "")
 	n.absorbLabels(resp.Labels)
-	if len(resp.Seqs) > 0 {
-		if push := n.dir.DeltaAgainst(resp.Seqs); len(push) > 0 {
-			g := &AdvertGossip{To: resp.From, Adverts: push}
-			n.sendCtl(resp.From, g.WireSize(), g)
-		}
+	n.syncPushBack(resp.From, resp.Seqs, nil)
+}
+
+// syncPushBack is the last leg of a seq-vector exchange, scoped or not:
+// whatever the responder's vector shows it is still missing within scope
+// is routed back to it, so both replicas end at the union of their
+// records. A flood-mode response carries no vector and gets no push.
+// Callers hold n.mu.
+func (n *Node) syncPushBack(to string, seqs map[string]uint64, scope func(object.Descriptor) bool) {
+	if len(seqs) == 0 {
+		return
+	}
+	if push := n.dir.Delta(seqs, scope); len(push) > 0 {
+		g := &AdvertGossip{To: to, Adverts: push}
+		n.sendCtl(to, g.WireSize(), g)
 	}
 }
 

@@ -503,7 +503,7 @@ type ShardSyncRequest struct {
 	// Shards are the shard ids the exchange is scoped to.
 	Shards []uint32
 	// Seqs is the requester's seq vector restricted to the scoped shards
-	// (plus withdraw tombstones; see Directory.SeqVectorScoped).
+	// (plus withdraw tombstones; see Directory.SeqVector).
 	Seqs map[string]uint64
 }
 

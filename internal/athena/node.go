@@ -900,7 +900,11 @@ func (n *Node) pumpBatch(q *localQuery, now time.Time) {
 	}
 	for _, label := range q.engine.UnknownLabels(now) {
 		if n.scheme == SchemeCMP {
-			for _, src := range n.sourcesForLabel(q, label) {
+			srcs, cached := n.candidates(q.engine.ID(), label)
+			if !cached {
+				srcs = n.dir.SourcesFor(label)
+			}
+			for _, src := range srcs {
 				add(src)
 			}
 		} else {
@@ -1089,22 +1093,26 @@ func (n *Node) retryDelay(attempt int, size int64) time.Duration {
 	return d
 }
 
-// sourceFor picks the source covering label for query q, steering around
-// sources whose requests kept timing out (the directory supplies the
-// alternate next hop). When every covering source is suspect, the primary
-// is retried — a struggling source beats none. On a sharded directory an
-// unowned label resolves through the router's cache instead. Callers hold
-// n.mu.
+// sourceFor picks the source covering label for query q — the query's
+// selected set first, then any covering source, cheapest first — steering
+// around sources whose requests kept timing out (the directory supplies
+// the alternate next hop). When every covering source is suspect, the
+// primary is retried: a struggling source beats none. The pick runs over
+// wherever the label's candidates come from. Callers hold n.mu.
 func (n *Node) sourceFor(q *localQuery, label string) string {
-	if n.shardOn && !n.shardRouter.OwnsLabel(label) {
-		return n.sourceForRouted(q, label)
+	srcs, cached := n.candidates(q.engine.ID(), label)
+	pick := func(exclude map[string]bool) string {
+		if cached {
+			return n.pickCached(srcs, q.selected, exclude)
+		}
+		return n.dir.SourceForLabelExcluding(label, q.selected, exclude)
 	}
 	if len(q.suspect) > 0 {
-		if s := n.dir.SourceForLabelExcluding(label, q.selected, q.suspect); s != "" {
+		if s := pick(q.suspect); s != "" {
 			return s
 		}
 	}
-	return n.dir.SourceForLabel(label, q.selected)
+	return pick(nil)
 }
 
 // queryUrgency is the hierarchical priority key of ref [1]: the minimum

@@ -3,7 +3,7 @@ package athena
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 	"time"
 
 	"athena/internal/annotate"
@@ -62,58 +62,32 @@ func (n *Node) corroborate(q *localQuery, label string, obj *object.Object, true
 }
 
 // corrSource picks the covering source to consult next for a label still
-// under corroboration: the cheapest source whose current sample has not
-// voted yet (a source can vote again once its previous sample expires and
-// a new version exists). When every source's fresh sample already voted,
-// it returns "" and the earliest instant a new vote becomes possible.
+// under corroboration: by the pick rule of every source choice (cheapest:
+// the query's selected sources first, then the smaller object, then the
+// smaller id), among the sources whose current sample has not voted yet (a
+// source can vote again once its previous sample expires and a new version
+// exists). When every source's fresh sample already voted, it returns ""
+// and the earliest instant a new vote becomes possible.
 func (n *Node) corrSource(q *localQuery, label string, now time.Time) (src string, retry time.Time) {
 	cs := q.corr[label]
-	sources := n.dir.SourcesFor(label)
-	// Prefer the query's selected sources first, then everyone, cheapest
-	// first within each group.
-	ordered := make([]string, 0, len(sources))
-	inSelected := make(map[string]bool, len(q.selected))
-	for _, s := range q.selected {
-		inSelected[s] = true
-	}
-	var rest []string
-	for _, s := range sources {
-		if inSelected[s] {
-			ordered = append(ordered, s)
-		} else {
-			rest = append(rest, s)
-		}
-	}
-	bySize := func(list []string) {
-		sort.SliceStable(list, func(a, b int) bool {
-			da, _ := n.dir.Descriptor(list[a])
-			db, _ := n.dir.Descriptor(list[b])
-			if da.Size != db.Size {
-				return da.Size < db.Size
-			}
-			return list[a] < list[b]
-		})
-	}
-	bySize(ordered)
-	bySize(rest)
-	ordered = append(ordered, rest...)
-
-	var earliest time.Time
-	for _, s := range ordered {
+	var best cheapest
+	for _, s := range n.dir.SourcesFor(label) {
 		desc, ok := n.dir.Descriptor(s)
 		if !ok {
 			continue
 		}
-		if cs == nil {
-			return s, time.Time{}
+		if cs != nil {
+			if exp, voted := cs.nameExpiry[desc.Name.String()]; voted && exp.After(now) {
+				if retry.IsZero() || exp.Before(retry) {
+					retry = exp
+				}
+				continue
+			}
 		}
-		exp, voted := cs.nameExpiry[desc.Name.String()]
-		if !voted || !exp.After(now) {
-			return s, time.Time{}
-		}
-		if earliest.IsZero() || exp.Before(earliest) {
-			earliest = exp
-		}
+		best.offer(s, desc.Size, slices.Contains(q.selected, s))
 	}
-	return "", earliest
+	if best.id != "" {
+		return best.id, time.Time{}
+	}
+	return "", retry
 }

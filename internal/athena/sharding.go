@@ -1,6 +1,7 @@
 package athena
 
 import (
+	"slices"
 	"sort"
 
 	"athena/internal/cover"
@@ -8,10 +9,12 @@ import (
 )
 
 // This file wires the ShardRouter (shardrouter.go) into the node: the
-// retention-driven shard refresh and backfill, the query-path wrappers
-// that resolve owned labels from the local directory and route the rest,
-// and the handlers for the four shard wire messages. Everything here is
-// inert unless Config.Shards > 0.
+// retention-driven shard refresh and backfill, where the query path's
+// candidate sources come from (candidates: the local directory for owned
+// labels, the routed lookup cache for the rest), and the handlers for the
+// four shard wire messages. Selection, delta extraction and the divergence
+// check are the full replica's own code, handed a candidate pool or a scope
+// predicate. Everything here is inert unless Config.Shards > 0.
 
 // shardRefresh recomputes shard ownership when the directory version moved
 // (the membership view is derived from it, mirroring refreshSampler),
@@ -47,15 +50,21 @@ func (n *Node) shardRefresh() {
 	}
 	sort.Strings(peers)
 	for _, peer := range peers {
-		shards := byPeer[peer]
-		req := &ShardSyncRequest{
-			From:   n.id,
-			To:     peer,
-			Shards: shards,
-			Seqs:   n.dir.SeqVectorScoped(n.shardRouter.InShards(shards)),
-		}
-		n.sendCtl(peer, req.WireSize(), req)
+		n.sendShardSync(peer, byPeer[peer])
 	}
+}
+
+// sendShardSync opens a scoped anti-entropy exchange with peer over the
+// given shards: this replica's seq vector within them is the watermark the
+// peer extracts its delta against. Callers hold n.mu.
+func (n *Node) sendShardSync(peer string, shards []uint32) {
+	req := &ShardSyncRequest{
+		From:   n.id,
+		To:     peer,
+		Shards: shards,
+		Seqs:   n.dir.SeqVector(n.shardRouter.InShards(shards)),
+	}
+	n.sendCtl(peer, req.WireSize(), req)
 }
 
 // descriptorOf resolves a source's descriptor from the local directory,
@@ -71,29 +80,41 @@ func (n *Node) descriptorOf(source string) (object.Descriptor, bool) {
 	return object.Descriptor{}, false
 }
 
-// selectSources is the sharded counterpart of Directory.SelectSources: the
-// local directory is authoritative for labels whose home shard this node
-// replicates, unowned labels resolve from the lookup cache, and cache
-// misses start a routed ShardLookup on behalf of the query (whose selected
-// set is recomputed when the reply lands). The greedy set cover then runs
-// over the combined candidate pool. Callers hold n.mu.
+// candidates is what sharding adds to source selection: where a label's
+// candidate sources come from. The local directory holds every covering
+// advert when the node is unsharded or replicates the label's home shard.
+// Otherwise the lookup cache answers; on a miss a routed ShardLookup starts
+// on the query's behalf (its selected set is recomputed when the reply
+// lands) and the directory's partial view — own source, name-shard
+// overlap — serves best-effort meanwhile. cached reports that srcs is a
+// lookup result, whose descriptors descriptorOf resolves; otherwise srcs is
+// nil and the caller reads the directory, which lists (SourcesFor) and
+// picks (SourceForLabelExcluding) under its own lock. Callers hold n.mu.
+func (n *Node) candidates(queryID, label string) (srcs []string, cached bool) {
+	if !n.shardOn || n.shardRouter.OwnsLabel(label) {
+		return nil, false
+	}
+	if srcs, ok := n.shardRouter.CachedSources(label); ok {
+		n.stats.ShardLookupHits++
+		return srcs, true
+	}
+	n.startShardLookup(label, queryID)
+	return nil, false
+}
+
+// selectSources solves the Section III-B coverage problem for a query's
+// labels: Directory.SelectSources on a full replica; on a sharded node the
+// same cover over the pool candidates gathers label by label, priced
+// through descriptorOf. Callers hold n.mu.
 func (n *Node) selectSources(queryID string, labels []string) []string {
 	if !n.shardOn {
 		return n.dir.SelectSources(labels)
 	}
-	candidateSet := make(map[string]bool)
 	coverable := make([]string, 0, len(labels))
+	var pool []cover.Source
 	for _, l := range labels {
-		var srcs []string
-		if n.shardRouter.OwnsLabel(l) {
-			srcs = n.dir.SourcesFor(l)
-		} else if cached, ok := n.shardRouter.CachedSources(l); ok {
-			n.stats.ShardLookupHits++
-			srcs = cached
-		} else {
-			n.startShardLookup(l, queryID)
-			// Best-effort until the reply lands: whatever partial view the
-			// local directory holds (own source, name-shard overlap).
+		srcs, cached := n.candidates(queryID, l)
+		if !cached {
 			srcs = n.dir.SourcesFor(l)
 		}
 		if len(srcs) == 0 {
@@ -101,124 +122,31 @@ func (n *Node) selectSources(queryID string, labels []string) []string {
 		}
 		coverable = append(coverable, l)
 		for _, s := range srcs {
-			candidateSet[s] = true
+			// A candidate whose descriptor went away between indexing and
+			// pricing just stays out of the pool.
+			if desc, ok := n.descriptorOf(s); ok {
+				pool = append(pool, cover.Source{ID: s, Cost: float64(desc.Size), Covers: desc.Labels})
+			}
 		}
 	}
-	if len(coverable) == 0 {
-		return nil
-	}
-	candidates := make([]string, 0, len(candidateSet))
-	for s := range candidateSet {
-		candidates = append(candidates, s)
-	}
-	sort.Strings(candidates)
+	return coverSources(coverable, pool)
+}
 
-	wanted := make(map[string]bool, len(coverable))
-	for _, l := range coverable {
-		wanted[l] = true
-	}
-	sources := make([]cover.Source, 0, len(candidates))
-	for _, s := range candidates {
-		desc, ok := n.descriptorOf(s)
-		if !ok {
+// pickCached is Directory.SourceForLabelExcluding over a lookup-cache
+// result: the same single pass and the same rule (cheapest.offer), with
+// descriptorOf pricing the sources the directory holds only thin. Callers
+// hold n.mu.
+func (n *Node) pickCached(srcs, preferred []string, exclude map[string]bool) string {
+	var best cheapest
+	for _, s := range srcs {
+		if exclude[s] {
 			continue
 		}
-		covers := make([]string, 0, len(desc.Labels))
-		for _, l := range desc.Labels {
-			if wanted[l] {
-				covers = append(covers, l)
-			}
-		}
-		sources = append(sources, cover.Source{ID: s, Cost: float64(desc.Size), Covers: covers})
-	}
-	picked, err := cover.Greedy(coverable, sources)
-	if err != nil {
-		// A candidate's descriptor went away between indexing and pricing;
-		// fall back to the whole pool rather than dropping coverage.
-		out := make([]string, len(sources))
-		for i := range sources {
-			out[i] = sources[i].ID
-		}
-		return out
-	}
-	out := make([]string, len(picked))
-	for i, idx := range picked {
-		out[i] = sources[idx].ID
-	}
-	sort.Strings(out)
-	return out
-}
-
-// sourcesForLabel is the sharded counterpart of Directory.SourcesFor for
-// the cmp scheme's fan-out-to-everyone retrieval. Callers hold n.mu.
-func (n *Node) sourcesForLabel(q *localQuery, label string) []string {
-	if !n.shardOn || n.shardRouter.OwnsLabel(label) {
-		return n.dir.SourcesFor(label)
-	}
-	if cached, ok := n.shardRouter.CachedSources(label); ok {
-		n.stats.ShardLookupHits++
-		return cached
-	}
-	n.startShardLookup(label, q.engine.ID())
-	return n.dir.SourcesFor(label)
-}
-
-// sourceForRouted resolves an unowned label from the lookup cache with the
-// same preference rules as Directory.SourceForLabelExcluding: the query's
-// selected set first, then any covering source; cheapest descriptor wins,
-// ties to the smaller id; suspects are steered around when an alternative
-// exists. A cache miss starts a routed lookup and falls back to the local
-// directory's partial view. Callers hold n.mu.
-func (n *Node) sourceForRouted(q *localQuery, label string) string {
-	srcs, ok := n.shardRouter.CachedSources(label)
-	if !ok {
-		n.startShardLookup(label, q.engine.ID())
-		if len(q.suspect) > 0 {
-			if s := n.dir.SourceForLabelExcluding(label, q.selected, q.suspect); s != "" {
-				return s
-			}
-		}
-		return n.dir.SourceForLabel(label, q.selected)
-	}
-	n.stats.ShardLookupHits++
-	prefSet := make(map[string]bool, len(q.selected))
-	for _, p := range q.selected {
-		prefSet[p] = true
-	}
-	pick := func(exclude map[string]bool) string {
-		best := ""
-		var bestSize int64
-		consider := func(s string) {
-			if exclude[s] {
-				return
-			}
-			desc, have := n.descriptorOf(s)
-			if !have {
-				return
-			}
-			if best == "" || desc.Size < bestSize || (desc.Size == bestSize && s < best) {
-				best, bestSize = s, desc.Size
-			}
-		}
-		for _, s := range srcs {
-			if prefSet[s] {
-				consider(s)
-			}
-		}
-		if best != "" {
-			return best
-		}
-		for _, s := range srcs {
-			consider(s)
-		}
-		return best
-	}
-	if len(q.suspect) > 0 {
-		if s := pick(q.suspect); s != "" {
-			return s
+		if desc, ok := n.descriptorOf(s); ok {
+			best.offer(s, desc.Size, slices.Contains(preferred, s))
 		}
 	}
-	return pick(nil)
+	return best.id
 }
 
 // startShardLookup routes a lookup for an unowned label to its home
@@ -325,13 +253,13 @@ func (n *Node) handleShardSyncRequest(from string, req *ShardSyncRequest) {
 		n.sendCtl(req.To, req.WireSize(), req)
 		return
 	}
-	include := n.shardRouter.InShards(req.Shards)
+	scope := n.shardRouter.InShards(req.Shards)
 	resp := &ShardSyncResponse{
 		From:    n.id,
 		To:      req.From,
 		Shards:  req.Shards,
-		Adverts: n.dir.DeltaScoped(req.Seqs, include),
-		Seqs:    n.dir.SeqVectorScoped(include),
+		Adverts: n.dir.Delta(req.Seqs, scope),
+		Seqs:    n.dir.SeqVector(scope),
 	}
 	n.sendCtl(req.From, resp.WireSize(), resp)
 }
@@ -349,12 +277,7 @@ func (n *Node) handleShardSyncResponse(from string, resp *ShardSyncResponse) {
 		return
 	}
 	n.applyAdverts(resp.Adverts, "")
-	if len(resp.Seqs) > 0 {
-		if push := n.dir.DeltaScoped(resp.Seqs, n.shardRouter.InShards(resp.Shards)); len(push) > 0 {
-			g := &AdvertGossip{To: resp.From, Adverts: push}
-			n.sendCtl(resp.From, g.WireSize(), g)
-		}
-	}
+	n.syncPushBack(resp.From, resp.Seqs, n.shardRouter.InShards(resp.Shards))
 }
 
 // ShardingEnabled reports whether the sharded directory is on.

@@ -104,25 +104,30 @@ func NewShardRouter(self string, shards, rf, cacheCap int) *ShardRouter {
 }
 
 // Keep is the directory retention filter: keep the full payload when the
-// advertisement is this node's own, or when any of its shards — the name
-// prefix's, or any coverage label's home — is replicated here. Labels hash
-// to a home shard of their own so a label query routes to ONE shard whose
-// owners hold every covering advert. Called under the directory lock; it
-// must take no locks, so it reads the atomic ownership snapshot. Before
-// the first Refresh the snapshot is nil and everything is kept.
+// advertisement is this node's own, or when it is in scope of the shards
+// replicated here (inShards over the owned set). Called under the
+// directory lock; it must take no locks, so it reads the atomic ownership
+// snapshot. Before the first Refresh the snapshot is nil and everything is
+// kept.
 func (sr *ShardRouter) Keep(desc object.Descriptor) bool {
 	if desc.Source == sr.self {
 		return true
 	}
 	v := sr.view.Load()
-	if v == nil {
-		return true
-	}
-	if v.owned[sr.smap.OfName(desc.Name)] {
+	return v == nil || sr.inShards(v.owned, desc)
+}
+
+// inShards is the scope rule of the sharded directory: an advertisement
+// belongs to a shard set when its name prefix's shard, or any coverage
+// label's home shard, is in the set. Labels hash to a home shard of their
+// own so a label query routes to ONE shard whose owners hold every
+// covering advert. It takes no locks (the shard map is immutable).
+func (sr *ShardRouter) inShards(set map[int]bool, desc object.Descriptor) bool {
+	if set[sr.smap.OfName(desc.Name)] {
 		return true
 	}
 	for _, l := range desc.Labels {
-		if v.owned[sr.smap.OfKey(l)] {
+		if set[sr.smap.OfKey(l)] {
 			return true
 		}
 	}
@@ -200,28 +205,15 @@ func (sr *ShardRouter) SharedShards(peer string) []uint32 {
 	return out
 }
 
-// InShards returns an inclusion predicate for the scoped anti-entropy
-// methods (Directory.DeltaScoped / SeqVectorScoped): an advertisement is
-// in scope when its name-prefix shard or any label's home shard is in the
-// given set. The predicate takes no locks (the shard map is immutable), so
-// the directory may call it while holding its own lock.
+// InShards returns the scope predicate of a sharded anti-entropy exchange
+// (Directory.Delta / SeqVector): inShards over the given set. The
+// directory calls it while holding its own lock.
 func (sr *ShardRouter) InShards(shards []uint32) func(object.Descriptor) bool {
 	set := make(map[int]bool, len(shards))
 	for _, s := range shards {
 		set[int(s)] = true
 	}
-	smap := sr.smap
-	return func(desc object.Descriptor) bool {
-		if set[smap.OfName(desc.Name)] {
-			return true
-		}
-		for _, l := range desc.Labels {
-			if set[smap.OfKey(l)] {
-				return true
-			}
-		}
-		return false
-	}
+	return func(desc object.Descriptor) bool { return sr.inShards(set, desc) }
 }
 
 // CachedSources returns the cached remote lookup result for a label,

@@ -240,8 +240,8 @@ func (n *Node) probeTimeout(arg any) {
 }
 
 // handlePing answers a probe (forwarding it first if this node is only a
-// hop on its route), merging the piggybacked updates and mirroring the
-// flood protocol's advert/digest divergence checks. Callers hold n.mu.
+// hop on its route), merging the piggybacked updates and running the
+// advert/digest divergence check. Callers hold n.mu.
 func (n *Node) handlePing(from string, p *Ping) {
 	if !n.memberOn || !n.gossipOn || p.From == n.id {
 		return
@@ -271,7 +271,7 @@ func (n *Node) handlePing(from string, p *Ping) {
 		}
 		n.sendCtl(dest, ack.WireSize(), ack)
 	}
-	n.checkPeerState(p.From, p.AdvSeq, p.Digest, now)
+	n.checkPeerState(p.From, p.From, p.AdvSeq, p.Digest, now)
 }
 
 // handleAck closes the matching outstanding probe and merges the
@@ -294,7 +294,7 @@ func (n *Node) handleAck(from string, a *Ack) {
 		}
 	}
 	n.applyUpdates(a.Updates, now)
-	n.checkPeerState(a.From, a.AdvSeq, a.Digest, now)
+	n.checkPeerState(a.From, a.From, a.AdvSeq, a.Digest, now)
 }
 
 // handlePingReq relays an indirect probe: ping the suspect on the
@@ -368,10 +368,12 @@ func (n *Node) applyUpdates(ups []MemberUpdate, now time.Time) {
 	}
 }
 
-// checkPeerState triggers anti-entropy when a probe or heartbeat reveals
-// a missing advertisement or a diverged directory — the same divergence
-// rules for both protocols. Callers hold n.mu.
-func (n *Node) checkPeerState(peer string, advSeq, digest uint64, now time.Time) {
+// checkPeerState triggers anti-entropy with syncWith when a probe or
+// heartbeat from peer reveals an advertisement this replica is missing or
+// a diverged directory — the one divergence rule of both protocols. Gossip
+// syncs with the peer itself; the flood with whichever neighbor delivered
+// the beat. Callers hold n.mu.
+func (n *Node) checkPeerState(peer, syncWith string, advSeq, digest uint64, now time.Time) {
 	needSync := false
 	if advSeq > 0 {
 		// A live node advertises a source we do not list: either we missed
@@ -387,7 +389,7 @@ func (n *Node) checkPeerState(peer string, advSeq, digest uint64, now time.Time)
 		needSync = true
 	}
 	if needSync {
-		n.maybeSync(peer, now)
+		n.maybeSync(syncWith, now)
 	}
 }
 
