@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race fmt ci ci-short bench loc figures clean
+.PHONY: all build vet lint test race fmt ci ci-short bench loc parity figures clean
 
 all: build
 
@@ -74,6 +74,13 @@ loc:
 		  add[k] += $$1; del[k] += $$2 } \
 		END { n = split("non-test test bench/ testdata/", ks, " "); \
 		  for (i = 1; i <= n; i++) printf "%-9s +%d -%d net %+d\n", ks[i], add[ks[i]], del[ks[i]], add[ks[i]] - del[ks[i]] }'
+
+# parity is the no-move proof for a change that claims every frame,
+# decision and dump is where it was: athena-sim built at BASE and at the
+# tree, 13 outputs compared byte for byte (parity.sh lists them), one
+# same/DIFFERS line each, non-zero exit on any difference. ~1 min.
+parity:
+	./parity.sh $(BASE)
 
 # figures reproduces the paper's evaluation tables (quick variants).
 figures:

@@ -41,7 +41,6 @@ var Analyzers = []*Analyzer{
 	{Name: "golifetime", Doc: "goroutines launched in non-test code must be tied to a stop channel, context, WaitGroup, or a deferred Close of something they use", Run: runGoLifetime},
 	{Name: "droppederr", Doc: "error returns from internal/transport and encode/decode calls must not be discarded", Run: runDroppedErr},
 	{Name: "gobuse", Doc: "no encoding/gob imports; messages are framed by the explicit binary codec in internal/wire, whose sizes the bandwidth model prices", Run: runGobUse},
-	{Name: "wiresize", Doc: "send helpers (sendTo/sendToPri/floodCtl) must price the frame with payload.WireSize(); anything else decouples the bandwidth model from the encoded bytes", Run: runWireSize},
 	{Name: "laneshare", Doc: "code reachable from kernel lane handlers (AtCall/AfterCall/AfterArg) must not write package-level vars or another instance's state outside a mailbox post or a held mutex", Run: runLaneShare},
 	{Name: "floatorder", Doc: "no float accumulation (+=, x = x + v) inside a map range in lane-reachable code; map order makes the rounding, and the run, irreproducible", Run: runFloatOrder},
 	{Name: "wireproto", Doc: "every registered wire type ID has an encode case and a decode case pairing it with its message struct, a WireSize method, a fuzz target, a round-trip test construction, and a handleMessage dispatch case; a Type* registry no codec switch names is itself a finding", Run: runWireProto},

@@ -178,7 +178,8 @@ func (n *Node) settleQueue(sq *sendQueue, delay time.Duration) {
 // flushQueue ships everything the queue holds: one RequestBatch and/or
 // one DataBatch, except that a lone member of either kind ships in its
 // native frame (a one-element batch would cost more wire than it saves).
-// Callers hold n.mu.
+// Coalesced traffic is always default-priority (critical bypasses the
+// queue). Callers hold n.mu.
 func (n *Node) flushQueue(sq *sendQueue) {
 	reqs, datas := sq.reqs, sq.datas
 	sq.reqs, sq.datas = nil, nil
@@ -188,7 +189,7 @@ func (n *Node) flushQueue(sq *sendQueue) {
 
 	switch {
 	case len(reqs) == 1:
-		n.transmitOrDrop(sq.hop, reqs[0].WireSize(), reqs[0])
+		n.ship(sq.hop, reqs[0], reqs[0].WireSize(), 0)
 	case len(reqs) > 1:
 		b := &RequestBatch{Requests: make([]ObjectRequest, len(reqs))}
 		var native int64
@@ -196,13 +197,14 @@ func (n *Node) flushQueue(sq *sendQueue) {
 			b.Requests[i] = *r
 			native += r.WireSize()
 		}
-		n.recordBatch(len(reqs), native, b.WireSize())
-		n.transmitOrDrop(sq.hop, b.WireSize(), b)
+		size := b.WireSize()
+		n.recordBatch(len(reqs), native, size)
+		n.ship(sq.hop, b, size, 0)
 	}
 
 	switch {
 	case len(datas) == 1:
-		n.transmitOrDrop(sq.hop, datas[0].WireSize(), datas[0])
+		n.ship(sq.hop, datas[0], datas[0].WireSize(), 0)
 	case len(datas) > 1:
 		b := &DataBatch{Items: make([]ObjectData, len(datas))}
 		var native int64
@@ -210,18 +212,9 @@ func (n *Node) flushQueue(sq *sendQueue) {
 			b.Items[i] = *d
 			native += d.WireSize()
 		}
-		n.recordBatch(len(datas), native, b.WireSize())
-		n.transmitOrDrop(sq.hop, b.WireSize(), b)
-	}
-}
-
-// transmitOrDrop sends a flushed frame to the queue's neighbor,
-// accounting a routing drop on failure exactly like the native path.
-// Coalesced traffic is always default-priority (critical bypasses the
-// queue), so no priority class is needed.
-func (n *Node) transmitOrDrop(hop string, size int64, payload any) {
-	if err := n.transmit(hop, size, payload, 0); err != nil {
-		n.stats.RoutingDrops++
+		size := b.WireSize()
+		n.recordBatch(len(datas), native, size)
+		n.ship(sq.hop, b, size, 0)
 	}
 }
 

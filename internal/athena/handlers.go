@@ -24,6 +24,8 @@ func (n *Node) handleMessage(from string, size int64, payload any) {
 	// pointers by internal/wire — so a multi-hop forward re-sends the
 	// same allocation instead of re-boxing a struct copy per hop.
 	// Handlers that mutate a message before forwarding copy it first.
+	mem := n.member
+	swim := mem != nil && mem.swim != nil
 	switch msg := payload.(type) {
 	case *QueryAnnounce:
 		n.handleAnnounce(from, msg)
@@ -44,44 +46,102 @@ func (n *Node) handleMessage(from string, size int64, payload any) {
 		}
 	case *LabelShare:
 		n.handleLabelShare(from, msg)
+	// The 14 membership and shard frames. Each belongs to one component
+	// and is dropped, unforwarded, by a node where that component is off
+	// (nil); a routed one is handled only by its addressee (mine). The
+	// handlers below this switch assume both.
 	case *Heartbeat:
-		n.handleHeartbeat(from, msg)
-	case *AdvertGossip:
-		n.handleGossip(from, msg)
+		if mem != nil && mem.flood != nil {
+			n.handleHeartbeat(from, msg)
+		}
 	case *PeerJoin:
-		n.handlePeerJoin(from, msg)
+		if mem != nil {
+			n.handlePeerJoin(from, msg)
+		}
 	case *PeerJoinAck:
-		n.handlePeerJoinAck(from, msg)
+		if mem != nil {
+			n.handlePeerJoinAck(msg)
+		}
 	case *PeerLeave:
-		n.handlePeerLeave(from, msg)
+		if mem != nil {
+			n.handlePeerLeave(from, msg)
+		}
+	// Anti-entropy: routed in gossip mode; the flood's copies carry no To
+	// and are for whichever neighbor receives them.
+	case *AdvertGossip:
+		if mem != nil && (msg.To == "" || n.mine(msg.To, msg)) {
+			n.applyAdverts(msg.Adverts, from)
+		}
 	case *SyncRequest:
-		n.handleSyncRequest(from, msg)
+		if mem != nil && (msg.To == "" || n.mine(msg.To, msg)) {
+			n.handleSyncRequest(msg)
+		}
 	case *SyncResponse:
-		n.handleSyncResponse(from, msg)
+		if mem != nil && (msg.To == "" || n.mine(msg.To, msg)) {
+			n.handleSyncResponse(msg)
+		}
+	// SWIM probes: one of this node's own come back round a routing loop
+	// is dropped before it can be forwarded again.
 	case *Ping:
-		n.handlePing(from, msg)
+		if swim && msg.From != n.id && n.mine(msg.To, msg) {
+			n.handlePing(msg)
+		}
 	case *Ack:
-		n.handleAck(from, msg)
+		if swim && msg.From != n.id && n.mine(msg.To, msg) {
+			n.handleAck(msg)
+		}
 	case *PingReq:
-		n.handlePingReq(from, msg)
+		if swim && msg.From != n.id && n.mine(msg.To, msg) {
+			n.handlePingReq(msg)
+		}
 	case *ShardLookup:
-		n.handleShardLookup(from, msg)
+		if n.shard != nil && n.mine(msg.To, msg) {
+			n.handleShardLookup(msg)
+		}
 	case *ShardLookupReply:
-		n.handleShardLookupReply(from, msg)
+		if n.shard != nil && n.mine(msg.To, msg) {
+			n.handleShardLookupReply(msg)
+		}
 	case *ShardSyncRequest:
-		n.handleShardSyncRequest(from, msg)
+		if n.shard != nil && n.mine(msg.To, msg) {
+			n.handleShardSyncRequest(msg)
+		}
 	case *ShardSyncResponse:
-		n.handleShardSyncResponse(from, msg)
+		if n.shard != nil && n.mine(msg.To, msg) {
+			n.handleShardSyncResponse(msg)
+		}
 	}
 }
 
-// sendTo routes a message toward dest via the next hop, accounting for
-// routing failures. Callers hold n.mu.
-func (n *Node) sendTo(dest string, size int64, payload any) {
-	n.sendToPri(dest, size, payload, 0)
+// mine reports whether a routed control frame is addressed to this node;
+// one that is not is forwarded a hop toward its addressee, as control
+// traffic. The only place a frame's To meets n.id. Callers hold n.mu.
+func (n *Node) mine(to string, msg frame) bool {
+	if to == n.id {
+		return true
+	}
+	n.sendCtl(to, msg)
+	return false
 }
 
-func (n *Node) sendToPri(dest string, size int64, payload any, priority int) {
+// frame is any message the node sends. What it costs on the wire is the
+// frame's own to say, so a send helper takes the frame alone and a call
+// site cannot price one message with another's size; below the helpers
+// the size, read once per frame (once per flood), travels with it to
+// transmit.
+type frame interface{ WireSize() int64 }
+
+// sendTo routes a message toward dest via the next hop, accounting for
+// routing failures. Callers hold n.mu.
+func (n *Node) sendTo(dest string, msg frame) {
+	n.route(dest, msg, msg.WireSize(), 0)
+}
+
+func (n *Node) sendToPri(dest string, msg frame, priority int) {
+	n.route(dest, msg, msg.WireSize(), priority)
+}
+
+func (n *Node) route(dest string, msg frame, size int64, priority int) {
 	if dest == n.id {
 		return
 	}
@@ -90,11 +150,16 @@ func (n *Node) sendToPri(dest string, size int64, payload any, priority int) {
 		n.stats.RoutingDrops++
 		return
 	}
-	// Default-priority data-plane traffic may coalesce with other messages
-	// headed for the same next hop (coalesce.go); everything else — and
-	// everything when batching is off — ships in its own frame.
+	n.toNeighbor(hop, msg, size, priority)
+}
+
+// toNeighbor hands a frame to a direct neighbor's link. Default-priority
+// data-plane traffic may coalesce with other messages headed for the same
+// neighbor (coalesce.go); everything else — and everything when batching
+// is off — ships in its own frame. Callers hold n.mu.
+func (n *Node) toNeighbor(hop string, msg frame, size int64, priority int) {
 	if priority == 0 {
-		switch m := payload.(type) {
+		switch m := msg.(type) {
 		case *ObjectRequest:
 			if n.enqueueRequest(hop, m) {
 				return
@@ -105,24 +170,30 @@ func (n *Node) sendToPri(dest string, size int64, payload any, priority int) {
 			}
 		}
 	}
-	if err := n.transmit(hop, size, payload, priority); err != nil {
+	n.ship(hop, msg, size, priority)
+}
+
+// ship transmits, counting a failure as a routing drop. Callers hold n.mu.
+func (n *Node) ship(neighbor string, msg frame, size int64, priority int) {
+	if err := n.transmit(neighbor, msg, size, priority); err != nil {
 		n.stats.RoutingDrops++
 	}
 }
 
-// transmit sends to a direct neighbor, using the priority class when the
-// transport supports one (Section V-C).
-func (n *Node) transmit(neighbor string, size int64, payload any, priority int) error {
-	switch payload.(type) {
+// transmit puts one frame on the transport, for a direct neighbor — the
+// only place the node does — using the priority class when the transport
+// supports one (Section V-C). Callers hold n.mu.
+func (n *Node) transmit(neighbor string, msg frame, size int64, priority int) error {
+	switch msg.(type) {
 	case *ObjectRequest, *ObjectData, *RequestBatch, *DataBatch:
 		n.stats.DataFrames++
 	}
 	if priority > 0 {
 		if ps, ok := n.tr.(transport.PrioritySender); ok {
-			return ps.SendPriority(neighbor, size, priority, payload)
+			return ps.SendPriority(neighbor, size, priority, msg)
 		}
 	}
-	return n.tr.Send(neighbor, size, payload)
+	return n.tr.Send(neighbor, size, msg)
 }
 
 // isCritical reports whether an object name falls in the critical part of
@@ -141,13 +212,11 @@ func (n *Node) isCritical(objName string) bool {
 // floodAnnounce fans a query announcement out to all neighbors except the
 // one it came from. Callers hold n.mu.
 func (n *Node) floodAnnounce(a *QueryAnnounce, except string) {
+	size := a.WireSize()
 	for _, nb := range n.tr.Neighbors() {
-		if nb == except {
-			continue
-		}
-		n.stats.AnnouncesSent++
-		if err := n.tr.Send(nb, a.WireSize(), a); err != nil {
-			n.stats.RoutingDrops++
+		if nb != except {
+			n.stats.AnnouncesSent++
+			n.ship(nb, a, size, 0)
 		}
 	}
 }
@@ -227,8 +296,7 @@ func (n *Node) handleRequest(from string, req *ObjectRequest) {
 		}
 		if covered {
 			n.stats.LabelAnswers++
-			share := &LabelShare{Records: records, Dest: req.Origin, QueryID: req.QueryID}
-			n.sendTo(req.Origin, share.WireSize(), share)
+			n.sendTo(req.Origin, &LabelShare{Records: records, Dest: req.Origin, QueryID: req.QueryID})
 			return
 		}
 	}
@@ -324,7 +392,7 @@ func (n *Node) duplicateInFlight(objName, neighbor string, size int64, now time.
 // incoming interest forwards afresh, possibly via an alternate source
 // chosen at the origin. Callers hold n.mu.
 func (n *Node) forwardRequest(req *ObjectRequest, attempt int) {
-	n.sendTo(req.SourceNode, req.WireSize(), req)
+	n.sendTo(req.SourceNode, req)
 	if n.disableRetries {
 		return
 	}
@@ -408,7 +476,7 @@ func (n *Node) sendData(obj *object.Object, dest, queryID string, background boo
 		return
 	}
 	msg := dataMsg(obj, dest, queryID, background)
-	n.sendToPri(dest, msg.WireSize(), msg, n.dataPriority(msg))
+	n.sendToPri(dest, msg, n.dataPriority(msg))
 }
 
 // sendDataTo ships an object to a specific neighbor — the reverse-path
@@ -418,13 +486,7 @@ func (n *Node) sendDataTo(neighbor string, obj *object.Object, dest, queryID str
 		return
 	}
 	msg := dataMsg(obj, dest, queryID, background)
-	pri := n.dataPriority(msg)
-	if pri == 0 && n.enqueueData(neighbor, msg) {
-		return
-	}
-	if err := n.transmit(neighbor, msg.WireSize(), msg, pri); err != nil {
-		n.stats.RoutingDrops++
-	}
+	n.toNeighbor(neighbor, msg, msg.WireSize(), n.dataPriority(msg))
 }
 
 func dataToObject(d *ObjectData) *object.Object {
@@ -469,7 +531,7 @@ func (n *Node) handleData(from string, d *ObjectData) {
 	n.deliverObject(obj, now)
 
 	if !servedOrigin {
-		n.sendToPri(d.Origin, d.WireSize(), d, n.dataPriority(d))
+		n.sendToPri(d.Origin, d, n.dataPriority(d))
 	}
 }
 
@@ -535,8 +597,7 @@ func (n *Node) deliverObject(obj *object.Object, now time.Time) {
 		// Label sharing: propagate computed labels back toward the data
 		// source so the path caches them (Section VI-D).
 		if n.scheme == SchemeLVFL && len(records) > 0 && obj.Source != n.id {
-			share := &LabelShare{Records: records, Dest: obj.Source}
-			n.sendTo(obj.Source, share.WireSize(), share)
+			n.sendTo(obj.Source, &LabelShare{Records: records, Dest: obj.Source})
 		}
 		n.pump(q)
 	}
@@ -588,7 +649,7 @@ func (n *Node) handleLabelShare(from string, s *LabelShare) {
 		}
 	}
 	if s.Dest != n.id {
-		n.sendTo(s.Dest, s.WireSize(), s)
+		n.sendTo(s.Dest, s)
 		return
 	}
 	if q == nil {
@@ -704,5 +765,5 @@ func (n *Node) dispatchRequest(q *localQuery, req *ObjectRequest) {
 		return
 	}
 
-	n.sendTo(req.SourceNode, req.WireSize(), req)
+	n.sendTo(req.SourceNode, req)
 }

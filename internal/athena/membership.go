@@ -19,61 +19,99 @@ import (
 // partition heals. The same code path runs over the deterministic
 // simulator (cluster churn) and over real TCP (cmd/athenad join/leave).
 
-// startMembership arms the protocol loop — flooded heartbeats by default,
-// SWIM gossip rounds when GossipFanout is set (swim.go). Called once from
-// New when HeartbeatInterval is positive; runs on the node's timers so the
-// first round happens after construction (and, over TCP, after peers are
-// added).
-func (n *Node) startMembership() {
-	n.timers.After(0, func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		if n.gossipOn {
-			n.gossipTick()
-		} else {
-			n.heartbeatTick()
-		}
-	})
+// membership is the live-membership component: the state both protocols
+// share, plus exactly one of them — flood (heartbeats every replica hears,
+// below) or swim (sampled probes, swim.go). It exists only when
+// Config.HeartbeatInterval > 0; a node without it has a static directory.
+// Node.mu guards it. It knows nothing of the node: what must also touch
+// the directory, the query plane or the transport is a Node method that
+// reads these fields.
+type membership struct {
+	interval  time.Duration        // the protocol period
+	adSeq     uint64               // this node's advertisement sequence number
+	lastHeard map[string]time.Time // source -> last heartbeat, probe, ack or advert
+	lastSync  map[string]time.Time // peer -> last anti-entropy request time
+	flood     *floodProto          // exactly one of flood and swim is set
+	swim      *swimProto
 }
 
-// heartbeatTick floods one heartbeat, runs the failure detector, and
-// re-arms itself. Callers hold n.mu.
+// floodProto is what the flood protocol keeps beyond the shared state.
+type floodProto struct {
+	miss     int               // silent intervals before a source is evicted
+	beatSeq  uint64            // this node's heartbeat counter
+	seenBeat map[string]uint64 // node -> highest heartbeat re-flooded
+}
+
+func newMembership(cfg Config) *membership {
+	mem := &membership{
+		interval:  cfg.HeartbeatInterval,
+		lastHeard: make(map[string]time.Time),
+		lastSync:  make(map[string]time.Time),
+	}
+	if cfg.GossipFanout > 0 {
+		mem.swim = newSwim(cfg)
+	} else {
+		mem.flood = &floodProto{miss: cfg.HeartbeatMiss, seenBeat: make(map[string]uint64)}
+	}
+	return mem
+}
+
+// liveness is the running detector's verdict on one source, for /statusz.
+// The flood hears every live node every interval, so silence past the miss
+// budget is evidence. A sampled prober contacts a given peer only every
+// ~(n-1)/2k periods, so under SWIM silence is not: a listed source is
+// alive unless a probe of it is currently unanswered.
+func (mem *membership) liveness(src string, present bool, now time.Time) (last time.Time, alive bool) {
+	last, heard := mem.lastHeard[src]
+	if mem.swim != nil {
+		_, suspected := mem.swim.suspects[src]
+		return last, present && !suspected
+	}
+	return last, heard && now.Sub(last) <= time.Duration(mem.flood.miss)*mem.interval
+}
+
+// memberTick runs one protocol period — a flooded heartbeat, or a SWIM
+// probe round — and re-arms itself. arg is the node: a plain function and
+// an argument already on the heap, so a period allocates no closure.
+func memberTick(arg any) {
+	n := arg.(*Node)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.member.swim != nil {
+		n.gossipTick()
+	} else {
+		n.heartbeatTick()
+	}
+	n.timers.AfterArg(n.member.interval, memberTick, n)
+}
+
+// heartbeatTick floods one heartbeat and runs the failure detector.
+// Callers hold n.mu.
 func (n *Node) heartbeatTick() {
+	mem := n.member
 	now := n.now()
-	n.beatSeq++
-	hb := &Heartbeat{Node: n.id, Beat: n.beatSeq, AdvSeq: n.adSeq, Digest: n.dir.Digest()}
-	n.floodCtl(hb.WireSize(), hb, "")
+	mem.flood.beatSeq++
+	n.floodCtl(&Heartbeat{Node: n.id, Beat: mem.flood.beatSeq, AdvSeq: mem.adSeq, Digest: n.dir.Digest()}, "")
 	n.stats.HeartbeatsSent++
 	n.m.heartbeats.Inc()
 
 	// Failure detection: a present source (other than us) that has been
 	// silent for HeartbeatMiss intervals is evicted. A source we have never
 	// heard from gets its grace clock armed now.
-	deadline := time.Duration(n.hbMiss) * n.hbInterval
+	deadline := time.Duration(mem.flood.miss) * mem.interval
 	for _, src := range n.dir.Sources() {
 		if src == n.id {
 			continue
 		}
-		last, ok := n.lastHeard[src]
+		last, ok := mem.lastHeard[src]
 		if !ok {
-			n.lastHeard[src] = now
+			mem.lastHeard[src] = now
 			continue
 		}
 		if now.Sub(last) > deadline {
 			n.evictSource(src)
 		}
 	}
-
-	n.timers.AfterArg(n.hbInterval, n.heartbeatTickFn, nil)
-}
-
-// heartbeatTickArg adapts heartbeatTick to the Timers.AfterArg shape; it
-// is bound once in New (n.heartbeatTickFn) so re-arming each interval
-// allocates nothing.
-func (n *Node) heartbeatTickArg(any) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.heartbeatTick()
 }
 
 // evictSource removes a silent source from the directory and re-sources
@@ -86,7 +124,7 @@ func (n *Node) evictSource(src string) {
 	}
 	n.stats.Evictions++
 	n.m.evictions.Inc()
-	delete(n.lastHeard, src)
+	delete(n.member.lastHeard, src)
 	n.shardOnSourceDown(src)
 	if had {
 		n.reSourceFrom(src, desc.Name.String())
@@ -110,14 +148,12 @@ func (n *Node) reSourceFrom(src, objName string) {
 
 // floodCtl fans a control message out to all neighbors except one,
 // charging each copy to the control-plane counters. Callers hold n.mu.
-func (n *Node) floodCtl(size int64, payload any, except string) {
+func (n *Node) floodCtl(msg frame, except string) {
+	size := msg.WireSize()
 	for _, nb := range n.tr.Neighbors() {
-		if nb == except {
-			continue
-		}
-		n.accountCtl(size)
-		if err := n.tr.Send(nb, size, payload); err != nil {
-			n.stats.RoutingDrops++
+		if nb != except {
+			n.accountCtl(size)
+			n.ship(nb, msg, size, 0)
 		}
 	}
 }
@@ -126,16 +162,14 @@ func (n *Node) floodCtl(size int64, payload any, except string) {
 // anti-entropy when the beat reveals a missing advertisement or a
 // diverged directory. Callers hold n.mu.
 func (n *Node) handleHeartbeat(from string, hb *Heartbeat) {
-	if !n.memberOn || hb.Node == n.id {
+	seen := n.member.flood.seenBeat
+	if hb.Node == n.id || hb.Beat <= seen[hb.Node] {
 		return
 	}
-	if hb.Beat <= n.seenBeat[hb.Node] {
-		return
-	}
-	n.seenBeat[hb.Node] = hb.Beat
+	seen[hb.Node] = hb.Beat
 	now := n.now()
-	n.lastHeard[hb.Node] = now
-	n.floodCtl(hb.WireSize(), hb, from)
+	n.member.lastHeard[hb.Node] = now
+	n.floodCtl(hb, from)
 	// The advert and digest examined are the originator's, but the flood
 	// protocol syncs with the neighbor that delivered the beat: the full
 	// snapshot it pushes then crosses one link, not a route.
@@ -148,16 +182,17 @@ func (n *Node) handleHeartbeat(from string, hb *Heartbeat) {
 // seq vector to the (possibly distant) peer and each side then ships only
 // the records the other's vector is behind on. Callers hold n.mu.
 func (n *Node) maybeSync(peer string, now time.Time) {
-	if last, ok := n.lastSync[peer]; ok && now.Sub(last) < n.hbInterval {
+	mem := n.member
+	if last, ok := mem.lastSync[peer]; ok && now.Sub(last) < mem.interval {
 		return
 	}
-	n.lastSync[peer] = now
-	if n.shardOn {
+	mem.lastSync[peer] = now
+	if n.shard != nil {
 		// Sharded replicas reconcile only the shards both sides own; the
 		// rest of the seq space converges through the piggyback channel.
 		// Nothing shared means nothing to exchange (the rate-limit slot
 		// still burns, bounding re-checks against this peer).
-		shared := n.shardRouter.SharedShards(peer)
+		shared := n.shard.router.SharedShards(peer)
 		if len(shared) == 0 {
 			return
 		}
@@ -169,7 +204,7 @@ func (n *Node) maybeSync(peer string, now time.Time) {
 	n.stats.SyncExchanges++
 	n.m.syncRounds.Inc()
 	req := &SyncRequest{From: n.id, To: peer}
-	if n.gossipOn {
+	if mem.swim != nil {
 		// Gossip-mode sync reconciles the directory only: seq vectors in,
 		// deltas out. Label records keep flowing through the retrieval
 		// plane (query answers); shipping the full label cache on every
@@ -180,21 +215,14 @@ func (n *Node) maybeSync(peer string, now time.Time) {
 		req.Adverts = n.dir.Snapshot()
 		req.Labels = n.labels.Records(now)
 	}
-	n.sendCtl(peer, req.WireSize(), req)
+	n.sendCtl(peer, req)
 }
 
 // handleSyncRequest applies the requester's push half and answers with
 // this replica's records — the full snapshot for a flood-mode request,
 // or the delta against the requester's seq vector plus this replica's own
 // vector for a gossip-mode one. Callers hold n.mu.
-func (n *Node) handleSyncRequest(from string, req *SyncRequest) {
-	if !n.memberOn {
-		return
-	}
-	if req.To != "" && req.To != n.id {
-		n.sendCtl(req.To, req.WireSize(), req)
-		return
-	}
+func (n *Node) handleSyncRequest(req *SyncRequest) {
 	n.applyAdverts(req.Adverts, "")
 	n.absorbLabels(req.Labels)
 	now := n.now()
@@ -206,21 +234,14 @@ func (n *Node) handleSyncRequest(from string, req *SyncRequest) {
 		resp.Adverts = n.dir.Snapshot()
 		resp.Labels = n.labels.Records(now)
 	}
-	n.sendCtl(req.From, resp.WireSize(), resp)
+	n.sendCtl(req.From, resp)
 }
 
 // handleSyncResponse applies the pull half and, in gossip mode, pushes
 // back whatever the responder's seq vector shows it is still missing —
 // closing the exchange with both replicas at the union of their records.
 // Callers hold n.mu.
-func (n *Node) handleSyncResponse(from string, resp *SyncResponse) {
-	if !n.memberOn {
-		return
-	}
-	if resp.To != "" && resp.To != n.id {
-		n.sendCtl(resp.To, resp.WireSize(), resp)
-		return
-	}
+func (n *Node) handleSyncResponse(resp *SyncResponse) {
 	n.applyAdverts(resp.Adverts, "")
 	n.absorbLabels(resp.Labels)
 	n.syncPushBack(resp.From, resp.Seqs, nil)
@@ -236,25 +257,8 @@ func (n *Node) syncPushBack(to string, seqs map[string]uint64, scope func(object
 		return
 	}
 	if push := n.dir.Delta(seqs, scope); len(push) > 0 {
-		g := &AdvertGossip{To: to, Adverts: push}
-		n.sendCtl(to, g.WireSize(), g)
+		n.sendCtl(to, &AdvertGossip{To: to, Adverts: push})
 	}
-}
-
-// handleGossip applies propagated advertisements: a flood-mode message
-// (no To) re-floods whatever was news so the flood self-terminates on
-// convergence; a routed one (gossip mode's sync push) is forwarded until
-// it reaches its destination and applied there, with news spreading
-// onward through the piggyback channel. Callers hold n.mu.
-func (n *Node) handleGossip(from string, g *AdvertGossip) {
-	if !n.memberOn {
-		return
-	}
-	if g.To != "" && g.To != n.id {
-		n.sendCtl(g.To, g.WireSize(), g)
-		return
-	}
-	n.applyAdverts(g.Adverts, from)
 }
 
 // applyOneAdvert merges one advertisement record into the directory with
@@ -268,15 +272,16 @@ func (n *Node) applyOneAdvert(a Advertisement, now time.Time) bool {
 	if !n.dir.Apply(a) {
 		return false
 	}
-	delete(n.suspects, a.Source)
+	mem := n.member
+	mem.unsuspect(a.Source)
 	if a.Withdrawn {
-		delete(n.lastHeard, a.Source)
+		delete(mem.lastHeard, a.Source)
 		n.shardOnSourceDown(a.Source)
 		if hadDesc {
 			n.reSourceFrom(a.Source, desc.Name.String())
 		}
 	} else {
-		n.lastHeard[a.Source] = now
+		mem.lastHeard[a.Source] = now
 	}
 	return true
 }
@@ -285,7 +290,8 @@ func (n *Node) applyOneAdvert(a Advertisement, now time.Time) bool {
 // re-sources fetches stranded by applied withdrawals, and disseminates
 // the records that were news — flooding them to all neighbors except the
 // one they came from, or (gossip mode) enqueueing them on the piggyback
-// buffer. Callers hold n.mu.
+// buffer. A flooded AdvertGossip is handled by exactly this, so its flood
+// self-terminates on convergence. Callers hold n.mu.
 func (n *Node) applyAdverts(advs []Advertisement, from string) []Advertisement {
 	now := n.now()
 	var news []Advertisement
@@ -295,13 +301,12 @@ func (n *Node) applyAdverts(advs []Advertisement, from string) []Advertisement {
 		}
 	}
 	if len(news) > 0 {
-		if n.gossipOn {
+		if n.member.swim != nil {
 			for _, a := range news {
 				n.enqueuePiggy(MemberUpdate{Adv: a, Born: now})
 			}
 		} else {
-			g := &AdvertGossip{Adverts: news}
-			n.floodCtl(g.WireSize(), g, from)
+			n.floodCtl(&AdvertGossip{Adverts: news}, from)
 		}
 	}
 	return news
@@ -326,7 +331,7 @@ func (n *Node) absorbLabels(recs []trust.Label) {
 // member, and the joiner only handshakes with one of them. Callers hold
 // n.mu.
 func (n *Node) handlePeerJoin(from string, pj *PeerJoin) {
-	if !n.memberOn || pj.Node == n.id {
+	if pj.Node == n.id {
 		return
 	}
 	news := false
@@ -334,31 +339,27 @@ func (n *Node) handlePeerJoin(from string, pj *PeerJoin) {
 		news = n.peerAddrs()[pj.Node] != pj.Addr
 		pa.AddPeer(pj.Node, pj.Addr)
 	}
-	n.lastHeard[pj.Node] = n.now()
+	n.member.lastHeard[pj.Node] = n.now()
 	n.applyAdverts(pj.Adverts, pj.Node)
 	if from == pj.Node {
 		// Direct handshake: answer with our directory and peer map.
 		// Flooded copies stay one-way — the joiner already has an ack.
-		ack := &PeerJoinAck{
+		n.sendCtl(pj.Node, &PeerJoinAck{
 			Node:    n.id,
 			Addr:    n.selfAddr(),
 			Peers:   n.peerAddrs(),
 			Adverts: n.dir.Snapshot(),
-		}
-		n.sendCtl(pj.Node, ack.WireSize(), ack)
+		})
 	}
 	if news {
-		n.floodCtl(pj.WireSize(), pj, from)
+		n.floodCtl(pj, from)
 	}
 }
 
 // handlePeerJoinAck completes the joiner's side of the handshake: learn
 // every peer address the responder shared and merge its directory.
 // Callers hold n.mu.
-func (n *Node) handlePeerJoinAck(from string, ack *PeerJoinAck) {
-	if !n.memberOn {
-		return
-	}
+func (n *Node) handlePeerJoinAck(ack *PeerJoinAck) {
 	if pa, ok := n.tr.(transport.PeerAdder); ok {
 		if ack.Addr != "" {
 			pa.AddPeer(ack.Node, ack.Addr)
@@ -374,7 +375,7 @@ func (n *Node) handlePeerJoinAck(from string, ack *PeerJoinAck) {
 			}
 		}
 	}
-	n.lastHeard[ack.Node] = n.now()
+	n.member.lastHeard[ack.Node] = n.now()
 	n.applyAdverts(ack.Adverts, ack.Node)
 }
 
@@ -382,28 +383,30 @@ func (n *Node) handlePeerJoinAck(from string, ack *PeerJoinAck) {
 // depended on it, and re-floods while the withdraw is news. Callers hold
 // n.mu.
 func (n *Node) handlePeerLeave(from string, pl *PeerLeave) {
-	if !n.memberOn || pl.Node == n.id {
+	if pl.Node == n.id {
 		return
 	}
 	desc, had := n.descriptorOf(pl.Node)
 	if !n.dir.Withdraw(pl.Node, pl.Seq) {
 		return
 	}
-	delete(n.lastHeard, pl.Node)
-	delete(n.suspects, pl.Node)
+	delete(n.member.lastHeard, pl.Node)
+	n.member.unsuspect(pl.Node)
 	n.shardOnSourceDown(pl.Node)
 	if had {
 		n.reSourceFrom(pl.Node, desc.Name.String())
 	}
-	if n.gossipOn {
+	if n.member.swim != nil {
 		n.enqueuePiggy(MemberUpdate{
 			Adv:  Advertisement{Source: pl.Node, Seq: pl.Seq, Withdrawn: true},
 			Born: n.now(),
 		})
 	} else {
-		n.floodCtl(pl.WireSize(), pl, from)
+		n.floodCtl(pl, from)
 	}
 }
+
+var errMembershipOff = errors.New("athena: membership disabled (set HeartbeatInterval)")
 
 // Join introduces this node to an already-known peer: it sends the join
 // handshake carrying this node's advertisements and (over TCP) its
@@ -412,15 +415,13 @@ func (n *Node) handlePeerLeave(from string, pl *PeerLeave) {
 func (n *Node) Join(peer string) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if !n.memberOn {
-		return errors.New("athena: membership disabled (set HeartbeatInterval)")
+	if n.member == nil {
+		return errMembershipOff
 	}
 	pj := &PeerJoin{Node: n.id, Addr: n.selfAddr(), Adverts: n.dir.Snapshot()}
-	n.accountCtl(pj.WireSize())
-	if err := n.tr.Send(peer, pj.WireSize(), pj); err != nil {
-		return err
-	}
-	return nil
+	size := pj.WireSize()
+	n.accountCtl(size)
+	return n.transmit(peer, pj, size, 0)
 }
 
 // Leave floods this node's graceful departure: every replica tombstones
@@ -429,26 +430,26 @@ func (n *Node) Join(peer string) error {
 func (n *Node) Leave() error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if !n.memberOn {
-		return errors.New("athena: membership disabled (set HeartbeatInterval)")
+	mem := n.member
+	if mem == nil {
+		return errMembershipOff
 	}
-	n.dir.Withdraw(n.id, n.adSeq)
-	if n.gossipOn {
+	n.dir.Withdraw(n.id, mem.adSeq)
+	if sw := mem.swim; sw != nil {
 		// The tombstone rides the piggyback channel; an immediate probe
 		// round seeds its dissemination before this node goes quiet.
-		n.left = true
+		sw.left = true
 		n.enqueuePiggy(MemberUpdate{
-			Adv:  Advertisement{Source: n.id, Seq: n.adSeq, Withdrawn: true},
+			Adv:  Advertisement{Source: n.id, Seq: mem.adSeq, Withdrawn: true},
 			Born: n.now(),
 		})
 		now := n.now()
 		n.refreshSampler()
-		for _, target := range n.sampler.Next(n.fanout) {
+		for _, target := range sw.sampler.Next(sw.fanout) {
 			n.sendProbe(target, now)
 		}
 	} else {
-		pl := &PeerLeave{Node: n.id, Seq: n.adSeq}
-		n.floodCtl(pl.WireSize(), pl, "")
+		n.floodCtl(&PeerLeave{Node: n.id, Seq: mem.adSeq}, "")
 	}
 	return nil
 }
@@ -462,37 +463,34 @@ func (n *Node) Leave() error {
 func (n *Node) Rejoin() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if !n.memberOn {
+	mem := n.member
+	if mem == nil {
 		return
 	}
+	sw := mem.swim
 	now := n.now()
-	for k := range n.lastSync {
-		delete(n.lastSync, k)
-	}
-	if n.gossipOn {
-		// Pending probe timers from before the outage are stale: drop the
-		// probe state so their callbacks become no-ops.
-		n.left = false
-		for seq := range n.probes {
-			delete(n.probes, seq)
-		}
+	clear(mem.lastSync)
+	if sw != nil {
+		// Probes from before the outage are stale: forget them, so their
+		// timeouts find nothing outstanding.
+		sw.left = false
+		clear(sw.probes)
 	}
 	if n.desc != nil {
-		n.adSeq++
-		n.dir.Advertise(*n.desc, n.adSeq)
-		adv := advertisementOf(*n.desc, n.adSeq)
-		if n.gossipOn {
+		mem.adSeq++
+		n.dir.Advertise(*n.desc, mem.adSeq)
+		adv := advertisementOf(*n.desc, mem.adSeq)
+		if sw != nil {
 			n.enqueuePiggy(MemberUpdate{Adv: adv, Born: now})
 		} else {
-			g := &AdvertGossip{Adverts: []Advertisement{adv}}
-			n.floodCtl(g.WireSize(), g, "")
+			n.floodCtl(&AdvertGossip{Adverts: []Advertisement{adv}}, "")
 		}
 	}
-	if n.gossipOn {
+	if sw != nil {
 		// Relearn what changed while away from a sampled peer, and run an
 		// immediate probe round so the fresh advertisement starts spreading.
 		n.refreshSampler()
-		targets := n.sampler.Next(n.fanout)
+		targets := sw.sampler.Next(sw.fanout)
 		if len(targets) > 0 {
 			n.maybeSync(targets[0], now)
 		}
@@ -510,7 +508,7 @@ func (n *Node) Rejoin() {
 func (n *Node) Directory() *Directory { return n.dir }
 
 // MembershipEnabled reports whether the live-membership layer is on.
-func (n *Node) MembershipEnabled() bool { return n.memberOn }
+func (n *Node) MembershipEnabled() bool { return n.member != nil }
 
 // selfAddr returns the transport's dialable address, if it has one.
 // Callers hold n.mu.

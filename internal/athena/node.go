@@ -3,7 +3,6 @@ package athena
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"reflect"
 	"slices"
 	"sort"
@@ -15,7 +14,6 @@ import (
 	"athena/internal/boolexpr"
 	"athena/internal/cache"
 	"athena/internal/core"
-	"athena/internal/gossip"
 	"athena/internal/metrics"
 	"athena/internal/names"
 	"athena/internal/object"
@@ -477,44 +475,12 @@ type Node struct {
 	sendQ          map[string]*sendQueue
 	burstQs        []*sendQueue
 
-	// Live membership (zero-valued and inert unless memberOn).
-	memberOn   bool
-	hbInterval time.Duration
-	hbMiss     int
-	adSeq      uint64               // this node's advertisement sequence number
-	beatSeq    uint64               // this node's heartbeat counter
-	lastHeard  map[string]time.Time // source -> last heartbeat (or advert) time
-	seenBeat   map[string]uint64    // node -> highest heartbeat re-flooded
-	lastSync   map[string]time.Time // peer -> last anti-entropy request time
-
-	// SWIM gossip mode (zero-valued and inert unless gossipOn).
-	gossipOn    bool
-	fanout      int           // peers probed per protocol period
-	suspectTO   time.Duration // probe → eviction window
-	sampler     *gossip.Sampler
-	piggy       *gossip.Queue
-	probeSeq    uint64                 // this node's probe counter
-	probes      map[uint64]*probeState // outstanding probes by seq
-	probeFree   *probeState            // recycled probe states (see freeProbe)
-	pickExcl    map[string]bool        // scratch exclude set for sampler.Pick
-	peerScratch []string               // refreshSampler's peer-list scratch
-	suspects    map[string]time.Time   // suspect -> first-suspected instant
-	samplerVer  uint64                 // directory version at last ring refresh
-	left        bool                   // this node issued a graceful Leave
-	lhm         int                    // Lifeguard-style local health multiplier
-
-	// Sharded directory (zero-valued and inert unless shardOn; see
-	// sharding.go and shardrouter.go).
-	shardOn     bool
-	shardRouter *ShardRouter
-	shardVer    uint64 // directory version at last shard refresh
-
-	// Method values bound once in New: the membership loops re-arm
-	// themselves every period through Timers.AfterArg, and binding these
-	// per call would allocate a closure per tick per node.
-	gossipTickFn    func(any)
-	heartbeatTickFn func(any)
-	probeTimeoutFn  func(any)
+	// The protocols that are on, each owning its state: live membership
+	// (membership.go; flooded heartbeats or SWIM, swim.go) and the sharded
+	// directory (sharding.go). Nil is off, and is tested where a frame or
+	// a public call enters, not inside the handlers.
+	member *membership
+	shard  *shardClient
 
 	// Query-plan memoization: planFor's output keyed by expression text,
 	// valid while the directory version is unchanged (directory changes are
@@ -617,47 +583,30 @@ func New(cfg Config) (*Node, error) {
 		n.annotator = annotate.NewMachine(cfg.ID, cfg.World, 0, 0, nil)
 	}
 	if cfg.HeartbeatInterval > 0 {
-		n.memberOn = true
-		n.hbInterval = cfg.HeartbeatInterval
-		n.hbMiss = cfg.HeartbeatMiss
-		n.lastHeard = make(map[string]time.Time)
-		n.seenBeat = make(map[string]uint64)
-		n.lastSync = make(map[string]time.Time)
+		n.member = newMembership(cfg)
 		// Make sure our own stream is advertised under a sequence number we
 		// own, so Leave/Rejoin can order later updates.
 		if n.desc != nil {
 			if seq, ok := n.dir.Seq(n.id); ok && n.dir.Has(n.id) {
-				n.adSeq = seq
+				n.member.adSeq = seq
 			} else {
-				n.adSeq = 1
-				n.dir.Advertise(*n.desc, n.adSeq)
+				n.member.adSeq = 1
+				n.dir.Advertise(*n.desc, n.member.adSeq)
 			}
 		}
-		if cfg.GossipFanout > 0 {
-			n.gossipOn = true
-			n.fanout = cfg.GossipFanout
-			n.suspectTO = cfg.SuspectTimeout
-			h := fnv.New64a()
-			h.Write([]byte(cfg.ID))
-			n.sampler = gossip.NewSampler(cfg.GossipSeed ^ int64(h.Sum64()))
-			n.piggy = gossip.NewQueue()
-			n.probes = make(map[uint64]*probeState)
-			n.suspects = make(map[string]time.Time)
-			n.samplerVer = ^uint64(0)
-		}
 		if cfg.Shards > 0 {
-			n.shardOn = true
-			n.shardRouter = NewShardRouter(cfg.ID, cfg.Shards, cfg.ShardReplicas, shardCacheSize)
-			n.shardVer = ^uint64(0)
+			n.shard = &shardClient{
+				router: NewShardRouter(cfg.ID, cfg.Shards, cfg.ShardReplicas, shardCacheSize),
+				ver:    ^uint64(0),
+			}
 			// Until the first refresh the router's nil snapshot keeps every
 			// payload; the first gossip tick thins the replica down to the
 			// shards this node owns.
-			n.dir.SetRetention(n.shardRouter.Keep)
+			n.dir.SetRetention(n.shard.router.Keep)
 		}
-		n.gossipTickFn = n.gossipTickArg
-		n.heartbeatTickFn = n.heartbeatTickArg
-		n.probeTimeoutFn = n.probeTimeout
-		n.startMembership()
+		// The protocol loop runs on the node's timers, so the first round
+		// happens after construction (and, over TCP, after peers are added).
+		n.timers.AfterArg(0, memberTick, n)
 	}
 	cfg.Transport.SetHandler(n.handleMessage)
 	return n, nil

@@ -14,7 +14,16 @@ import (
 // labels, the routed lookup cache for the rest), and the handlers for the
 // four shard wire messages. Selection, delta extraction and the divergence
 // check are the full replica's own code, handed a candidate pool or a scope
-// predicate. Everything here is inert unless Config.Shards > 0.
+// predicate.
+
+// shardClient is the sharded-directory component: the router and the
+// directory version its ownership view was last derived from. It exists
+// only when Config.Shards > 0; without it the node holds a full replica
+// and every lookup is local.
+type shardClient struct {
+	router *ShardRouter
+	ver    uint64
+}
 
 // shardRefresh recomputes shard ownership when the directory version moved
 // (the membership view is derived from it, mirroring refreshSampler),
@@ -22,22 +31,23 @@ import (
 // owned shards from a standing co-replica — the local copies are thin, and
 // only a scoped sync can restore the payloads. Callers hold n.mu.
 func (n *Node) shardRefresh() {
-	if !n.shardOn {
+	sh := n.shard
+	if sh == nil {
 		return
 	}
 	v := n.dir.Version()
-	if v == n.shardVer {
+	if v == sh.ver {
 		return
 	}
-	n.shardVer = v
-	added, changed := n.shardRouter.Refresh(n.dir.Sources())
+	sh.ver = v
+	added, changed := sh.router.Refresh(n.dir.Sources())
 	if !changed {
 		return
 	}
 	n.dir.Refilter()
 	byPeer := make(map[string][]uint32)
 	for _, s := range added {
-		for _, r := range n.shardRouter.Replicas(s) {
+		for _, r := range sh.router.Replicas(s) {
 			if r != n.id {
 				byPeer[r] = append(byPeer[r], uint32(s))
 				break
@@ -58,13 +68,12 @@ func (n *Node) shardRefresh() {
 // given shards: this replica's seq vector within them is the watermark the
 // peer extracts its delta against. Callers hold n.mu.
 func (n *Node) sendShardSync(peer string, shards []uint32) {
-	req := &ShardSyncRequest{
+	n.sendCtl(peer, &ShardSyncRequest{
 		From:   n.id,
 		To:     peer,
 		Shards: shards,
-		Seqs:   n.dir.SeqVector(n.shardRouter.InShards(shards)),
-	}
-	n.sendCtl(peer, req.WireSize(), req)
+		Seqs:   n.dir.SeqVector(n.shard.router.InShards(shards)),
+	})
 }
 
 // descriptorOf resolves a source's descriptor from the local directory,
@@ -74,8 +83,8 @@ func (n *Node) descriptorOf(source string) (object.Descriptor, bool) {
 	if desc, ok := n.dir.Descriptor(source); ok {
 		return desc, true
 	}
-	if n.shardOn {
-		return n.shardRouter.Desc(source)
+	if n.shard != nil {
+		return n.shard.router.Desc(source)
 	}
 	return object.Descriptor{}, false
 }
@@ -91,10 +100,10 @@ func (n *Node) descriptorOf(source string) (object.Descriptor, bool) {
 // nil and the caller reads the directory, which lists (SourcesFor) and
 // picks (SourceForLabelExcluding) under its own lock. Callers hold n.mu.
 func (n *Node) candidates(queryID, label string) (srcs []string, cached bool) {
-	if !n.shardOn || n.shardRouter.OwnsLabel(label) {
+	if n.shard == nil || n.shard.router.OwnsLabel(label) {
 		return nil, false
 	}
-	if srcs, ok := n.shardRouter.CachedSources(label); ok {
+	if srcs, ok := n.shard.router.CachedSources(label); ok {
 		n.stats.ShardLookupHits++
 		return srcs, true
 	}
@@ -107,7 +116,7 @@ func (n *Node) candidates(queryID, label string) (srcs []string, cached bool) {
 // same cover over the pool candidates gathers label by label, priced
 // through descriptorOf. Callers hold n.mu.
 func (n *Node) selectSources(queryID string, labels []string) []string {
-	if !n.shardOn {
+	if n.shard == nil {
 		return n.dir.SelectSources(labels)
 	}
 	coverable := make([]string, 0, len(labels))
@@ -153,27 +162,27 @@ func (n *Node) pickCached(srcs, preferred []string, exclude map[string]bool) str
 // shard's primary, deduplicated per label, with a retry timer that walks
 // the replica set. Callers hold n.mu.
 func (n *Node) startShardLookup(label, queryID string) {
-	msg, ok := n.shardRouter.Begin(label, queryID)
+	msg, ok := n.shard.router.Begin(label, queryID)
 	if !ok {
 		return
 	}
 	n.stats.ShardLookups++
-	n.sendCtl(msg.To, msg.WireSize(), msg)
+	n.sendCtl(msg.To, msg)
 	n.armShardRetry(msg.Nonce)
 }
 
 // armShardRetry re-sends a still-unanswered lookup to the next replica in
 // rendezvous order after two protocol periods. Callers hold n.mu.
 func (n *Node) armShardRetry(nonce uint64) {
-	n.timers.After(2*n.hbInterval, func() {
+	n.timers.After(2*n.member.interval, func() {
 		n.mu.Lock()
 		defer n.mu.Unlock()
-		msg, ok := n.shardRouter.Retry(nonce)
+		msg, ok := n.shard.router.Retry(nonce)
 		if !ok {
 			return
 		}
 		n.stats.ShardReroutes++
-		n.sendCtl(msg.To, msg.WireSize(), msg)
+		n.sendCtl(msg.To, msg)
 		n.armShardRetry(nonce)
 	})
 }
@@ -182,12 +191,12 @@ func (n *Node) armShardRetry(nonce uint64) {
 // results naming the source are invalidated and pending lookups targeting
 // it are re-routed to the next replica. Callers hold n.mu.
 func (n *Node) shardOnSourceDown(src string) {
-	if !n.shardOn {
+	if n.shard == nil {
 		return
 	}
-	for _, msg := range n.shardRouter.SourceDown(src) {
+	for _, msg := range n.shard.router.SourceDown(src) {
 		n.stats.ShardReroutes++
-		n.sendCtl(msg.To, msg.WireSize(), msg)
+		n.sendCtl(msg.To, msg)
 	}
 }
 
@@ -195,38 +204,23 @@ func (n *Node) shardOnSourceDown(src string) {
 // (this replica owns the label's home shard; the index holds every
 // covering advert). A stale view at the requester just gets whatever this
 // replica has — the requester's retry walks on. Callers hold n.mu.
-func (n *Node) handleShardLookup(from string, m *ShardLookup) {
-	if !n.shardOn {
-		return
-	}
-	if m.To != n.id {
-		n.sendCtl(m.To, m.WireSize(), m)
-		return
-	}
+func (n *Node) handleShardLookup(m *ShardLookup) {
 	n.stats.ShardServed++
-	reply := &ShardLookupReply{
+	n.sendCtl(m.From, &ShardLookupReply{
 		From:    n.id,
 		To:      m.From,
 		Label:   m.Label,
 		Shard:   m.Shard,
 		Nonce:   m.Nonce,
 		Adverts: n.dir.AdvertsFor(m.Label),
-	}
-	n.sendCtl(m.From, reply.WireSize(), reply)
+	})
 }
 
 // handleShardLookupReply completes a pending lookup: the result is cached,
 // and every query that was waiting re-selects its sources and pumps.
 // Callers hold n.mu.
-func (n *Node) handleShardLookupReply(from string, m *ShardLookupReply) {
-	if !n.shardOn {
-		return
-	}
-	if m.To != n.id {
-		n.sendCtl(m.To, m.WireSize(), m)
-		return
-	}
-	ids, ok := n.shardRouter.Complete(m.Nonce, m.Adverts)
+func (n *Node) handleShardLookupReply(m *ShardLookupReply) {
+	ids, ok := n.shard.router.Complete(m.Nonce, m.Adverts)
 	if !ok {
 		return
 	}
@@ -245,43 +239,28 @@ func (n *Node) handleShardLookupReply(from string, m *ShardLookupReply) {
 // handleShardSyncRequest answers a scoped anti-entropy request with the
 // delta this replica holds within the requested shards, plus its own
 // scoped vector for the push-back half. Callers hold n.mu.
-func (n *Node) handleShardSyncRequest(from string, req *ShardSyncRequest) {
-	if !n.shardOn {
-		return
-	}
-	if req.To != n.id {
-		n.sendCtl(req.To, req.WireSize(), req)
-		return
-	}
-	scope := n.shardRouter.InShards(req.Shards)
-	resp := &ShardSyncResponse{
+func (n *Node) handleShardSyncRequest(req *ShardSyncRequest) {
+	scope := n.shard.router.InShards(req.Shards)
+	n.sendCtl(req.From, &ShardSyncResponse{
 		From:    n.id,
 		To:      req.From,
 		Shards:  req.Shards,
 		Adverts: n.dir.Delta(req.Seqs, scope),
 		Seqs:    n.dir.SeqVector(scope),
-	}
-	n.sendCtl(req.From, resp.WireSize(), resp)
+	})
 }
 
 // handleShardSyncResponse applies the pull half of a scoped sync and
 // pushes back whatever the responder's scoped vector shows it is still
 // missing — both replicas end at the union of their records within the
 // exchanged shards. Callers hold n.mu.
-func (n *Node) handleShardSyncResponse(from string, resp *ShardSyncResponse) {
-	if !n.shardOn {
-		return
-	}
-	if resp.To != n.id {
-		n.sendCtl(resp.To, resp.WireSize(), resp)
-		return
-	}
+func (n *Node) handleShardSyncResponse(resp *ShardSyncResponse) {
 	n.applyAdverts(resp.Adverts, "")
-	n.syncPushBack(resp.From, resp.Seqs, n.shardRouter.InShards(resp.Shards))
+	n.syncPushBack(resp.From, resp.Seqs, n.shard.router.InShards(resp.Shards))
 }
 
 // ShardingEnabled reports whether the sharded directory is on.
-func (n *Node) ShardingEnabled() bool { return n.shardOn }
+func (n *Node) ShardingEnabled() bool { return n.shard != nil }
 
 // ShardInfo summarizes the node's shard state for /statusz.
 type ShardInfo struct {
@@ -305,15 +284,16 @@ type ShardInfo struct {
 func (n *Node) ShardInfo() (ShardInfo, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if !n.shardOn {
+	if n.shard == nil {
 		return ShardInfo{}, false
 	}
+	sr := n.shard.router
 	return ShardInfo{
-		Shards:      n.shardRouter.smap.Shards(),
-		Replicas:    n.shardRouter.rf,
-		Owned:       n.shardRouter.OwnedShards(),
+		Shards:      sr.smap.Shards(),
+		Replicas:    sr.rf,
+		Owned:       sr.OwnedShards(),
 		EntriesHeld: n.dir.EntriesHeld(),
-		CacheLen:    n.shardRouter.CacheLen(),
+		CacheLen:    sr.CacheLen(),
 		Lookups:     n.stats.ShardLookups,
 		Served:      n.stats.ShardServed,
 	}, true

@@ -314,7 +314,7 @@ func routedNode(tb testing.TB, descs []object.Descriptor) *Node {
 			tb.Fatalf("lookup for %s did not complete", l)
 		}
 	}
-	return &Node{id: "querier", dir: NewDirectory(nil), shardOn: true, shardRouter: sr}
+	return &Node{id: "querier", dir: NewDirectory(nil), shard: &shardClient{router: sr}}
 }
 
 // twoPassPick is the pick rule as it was written before the single pass:
@@ -377,7 +377,7 @@ func TestPickCachedMatchesDirectoryPick(t *testing.T) {
 
 		dir := NewDirectory(descs)
 		routed := routedNode(t, descs)
-		srcs, ok := routed.shardRouter.CachedSources("l")
+		srcs, ok := routed.shard.router.CachedSources("l")
 		if !ok {
 			t.Fatalf("case %d: label not in the lookup cache", c)
 		}
@@ -464,7 +464,7 @@ func TestShardedSelectSourcesMatchesFullReplica(t *testing.T) {
 				t.Errorf("%s selects %v for %v, full replica %v", id, got, set, want)
 			}
 			for _, l := range set {
-				if l != "uncovered" && !node.shardRouter.OwnsLabel(l) {
+				if l != "uncovered" && !node.shard.router.OwnsLabel(l) {
 					routed++
 				}
 			}

@@ -18,9 +18,11 @@ type PeerStatus struct {
 	Present bool `json:"present"`
 	// Withdrawn marks an explicit leave (vs. a local eviction).
 	Withdrawn bool `json:"withdrawn,omitempty"`
-	// Alive reports whether the source has been heard from within the
-	// failure detector's miss budget. Without membership it mirrors
-	// Present (a static directory has no liveness signal).
+	// Alive is the running failure detector's verdict: heard from within
+	// the miss budget (flooded heartbeats), or listed and not currently
+	// suspected (SWIM, where a sampled prober's silence toward one peer is
+	// not evidence). Without membership it mirrors Present (a static
+	// directory has no liveness signal).
 	Alive bool `json:"alive"`
 	// Seq is the source's highest processed advertisement sequence number.
 	Seq uint64 `json:"seq"`
@@ -35,7 +37,6 @@ func (n *Node) PeerLiveness() map[string]PeerStatus {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	now := n.now()
-	deadline := time.Duration(n.hbMiss) * n.hbInterval
 	out := make(map[string]PeerStatus)
 	for _, src := range n.dir.AllSources() {
 		seq, present, withdrawn := n.dir.Known(src)
@@ -44,13 +45,10 @@ func (n *Node) PeerLiveness() map[string]PeerStatus {
 		case src == n.id:
 			ps.Alive = true
 			ps.LastHeard = now
-		case !n.memberOn:
+		case n.member == nil:
 			ps.Alive = present
 		default:
-			if last, ok := n.lastHeard[src]; ok {
-				ps.LastHeard = last
-				ps.Alive = deadline <= 0 || now.Sub(last) <= deadline
-			}
+			ps.LastHeard, ps.Alive = n.member.liveness(src, present, now)
 		}
 		out[src] = ps
 	}
@@ -83,7 +81,7 @@ type StatusSnapshot struct {
 // StatusSnapshot captures the node's current status.
 func (n *Node) StatusSnapshot() StatusSnapshot {
 	peers := n.PeerLiveness()
-	shard, shardOn := n.ShardInfo()
+	shard, sharded := n.ShardInfo()
 	n.mu.Lock()
 	s := StatusSnapshot{
 		Node:             n.id,
@@ -103,7 +101,7 @@ func (n *Node) StatusSnapshot() StatusSnapshot {
 		s.CacheHitRatio = 1
 	}
 	s.Metrics = reg.Snapshot()
-	if shardOn {
+	if sharded {
 		s.Sharding = &shard
 	}
 	return s

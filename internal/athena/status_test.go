@@ -180,3 +180,73 @@ func TestStatusEndpointAfterEviction(t *testing.T) {
 		t.Error("registry snapshot lost the eviction")
 	}
 }
+
+// /statusz asks the detector that is running. A SWIM prober contacts a given
+// peer only every ~(n-1)/2k periods, so on an idle, healthy fleet most peers
+// have been silent for longer than the flood's miss budget at any instant;
+// that is not evidence, and every listed peer reads alive. A crashed peer
+// reads not-alive at the nodes whose probe of it went unanswered, from the
+// suspicion on, and absent everywhere once the eviction has spread.
+func TestStatusLivenessUnderGossip(t *testing.T) {
+	for _, n := range []int{32, 81} {
+		r := buildGossipRig(t, n, 3, 7)
+		r.run(t, 60*time.Second)
+		for _, id := range r.ids {
+			if ev := r.nodes[id].Stats().Evictions; ev != 0 {
+				t.Fatalf("n=%d: %s evicted %d peers on an idle fleet", n, id, ev)
+			}
+			for peer, ps := range r.nodes[id].PeerLiveness() {
+				if ps.Present && !ps.Alive {
+					t.Errorf("n=%d: %s reports healthy %s not alive (last heard %v ago)",
+						n, id, peer, tBase.Add(60*time.Second).Sub(ps.LastHeard))
+				}
+			}
+		}
+	}
+
+	const n = 32
+	r := buildGossipRig(t, n, 3, 13)
+	r.run(t, 20*time.Second)
+	// A leaf, so that nothing else becomes unreachable with it.
+	victim := ""
+	for _, id := range r.ids {
+		if len(r.net.Neighbors(id)) == 1 {
+			victim = id
+			break
+		}
+	}
+	if victim == "" {
+		t.Fatal("topology has no leaf node")
+	}
+	if err := r.net.SetNodeDown(victim, true); err != nil {
+		t.Fatal(err)
+	}
+	// Suspicion window 9 s, then O(log n) rounds of dissemination.
+	end := 20*time.Second + 9*time.Second + time.Duration(4*logRounds(n))*time.Second + 10*time.Second
+	suspected := make(map[string]bool) // observers that have reported the victim present but not alive
+	for at := 20 * time.Second; at <= end; at += 500 * time.Millisecond {
+		r.run(t, at)
+		for _, id := range r.ids {
+			if id == victim {
+				continue
+			}
+			ps := r.nodes[id].PeerLiveness()[victim]
+			switch {
+			case !ps.Present && ps.Alive:
+				t.Fatalf("t=%v: %s reports evicted %s alive", at, id, victim)
+			case ps.Present && !ps.Alive:
+				suspected[id] = true
+			case ps.Present && suspected[id]:
+				t.Fatalf("t=%v: %s reports crashed %s alive again after suspecting it", at, id, victim)
+			}
+		}
+	}
+	if len(suspected) == 0 {
+		t.Errorf("no node reported %s present-but-not-alive between its crash and its eviction", victim)
+	}
+	for _, id := range r.ids {
+		if ps := r.nodes[id].PeerLiveness()[victim]; id != victim && (ps.Present || ps.Alive) {
+			t.Errorf("%s still reports crashed %s present=%v alive=%v", id, victim, ps.Present, ps.Alive)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package athena
 
 import (
+	"hash/fnv"
 	"sort"
 	"time"
 
@@ -23,55 +24,102 @@ import (
 // maybeSync) instead of a full-snapshot push. Per-node control traffic is
 // O(fanout·log n) per period instead of the flood's O(n·degree).
 
-// probeState tracks one outstanding direct probe. It carries its own seq
-// so the state value can double as the timeout timer's argument, and a
-// freelist link: the timer is the last holder of every probe state, so
-// probeTimeout can recycle them through the node's freelist.
+// swimProto is what the SWIM protocol keeps beyond the shared membership
+// state: who to probe next, which probes and suspicions are open, and the
+// updates waiting to ride the next ping or ack.
+type swimProto struct {
+	fanout     int           // peers probed per protocol period
+	suspectTO  time.Duration // probe → eviction window
+	sampler    *gossip.Sampler
+	samplerVer uint64 // directory version at last ring refresh
+	piggy      *gossip.Queue
+
+	// Probes are numbered as sent and every probe's timeout runs the same
+	// half period after it, so timeouts fire in the order the probes went
+	// out: the k-th timeout is probe k's, and the timer needs no argument
+	// beyond the node. (Two wall-clock timers microseconds apart may swap;
+	// each then judges the other's probe, that much early or late.)
+	probeSeq  uint64                 // probes sent
+	timedOut  uint64                 // probe timeouts fired
+	probes    map[uint64]*probeState // unanswered probes younger than half a period, by seq
+	probeFree *probeState            // recycled probe states
+
+	suspects map[string]time.Time // suspect -> first-suspected instant
+	lhm      int                  // Lifeguard-style local health multiplier
+	left     bool                 // this node issued a graceful Leave
+
+	pickExcl    map[string]bool // scratch exclude set for sampler.Pick
+	peerScratch []string        // refreshSampler's peer-list scratch
+}
+
+func newSwim(cfg Config) *swimProto {
+	h := fnv.New64a()
+	h.Write([]byte(cfg.ID))
+	return &swimProto{
+		fanout:     cfg.GossipFanout,
+		suspectTO:  cfg.SuspectTimeout,
+		sampler:    gossip.NewSampler(cfg.GossipSeed ^ int64(h.Sum64())),
+		samplerVer: ^uint64(0),
+		piggy:      gossip.NewQueue(),
+		probes:     make(map[uint64]*probeState),
+		suspects:   make(map[string]time.Time),
+		pickExcl:   make(map[string]bool, 2),
+	}
+}
+
+// probeState is one outstanding direct probe (and a freelist link).
 type probeState struct {
 	target  string
 	started time.Time
-	seq     uint64
 	next    *probeState
 }
 
-// newProbe takes a probe state off the freelist (or allocates one).
-// Callers hold n.mu.
-func (n *Node) newProbe(target string, started time.Time, seq uint64) *probeState {
-	ps := n.probeFree
+// openProbe numbers and records a probe of target.
+func (sw *swimProto) openProbe(target string, started time.Time) (seq uint64) {
+	ps := sw.probeFree
 	if ps == nil {
-		return &probeState{target: target, started: started, seq: seq}
+		ps = new(probeState)
+	} else {
+		sw.probeFree = ps.next
 	}
-	n.probeFree = ps.next
-	*ps = probeState{target: target, started: started, seq: seq}
-	return ps
+	*ps = probeState{target: target, started: started}
+	sw.probeSeq++
+	sw.probes[sw.probeSeq] = ps
+	return sw.probeSeq
 }
 
-// freeProbe returns a probe state to the freelist. Only probeTimeout may
-// call it: the timeout timer always fires and is always the last holder.
-func (n *Node) freeProbe(ps *probeState) {
-	*ps = probeState{next: n.probeFree}
-	n.probeFree = ps
+// closeProbe forgets probe seq, answered or timed out, and recycles its
+// state ps.
+func (sw *swimProto) closeProbe(seq uint64, ps *probeState) {
+	delete(sw.probes, seq)
+	*ps = probeState{next: sw.probeFree}
+	sw.probeFree = ps
 }
 
-// gossipTickArg adapts gossipTick to the Timers.AfterArg shape; it is
-// bound once in New (n.gossipTickFn) so re-arming each protocol period
-// allocates nothing.
-func (n *Node) gossipTickArg(any) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.gossipTick()
+// unsuspect clears any suspicion of src: it was heard from, or news of it
+// arrived. Flood mode has no suspects.
+func (mem *membership) unsuspect(src string) {
+	if mem.swim != nil {
+		delete(mem.swim.suspects, src)
+	}
+}
+
+// contact records a frame from src itself: alive as of now, whatever an
+// unanswered probe suggested.
+func (mem *membership) contact(src string, now time.Time) {
+	mem.lastHeard[src] = now
+	delete(mem.swim.suspects, src)
 }
 
 // gossipTick runs one SWIM protocol period — sweep the suspect list,
-// probe the sampled peers plus every live suspect — and re-arms itself.
-// Callers hold n.mu.
+// probe the sampled peers plus every live suspect. Callers hold n.mu.
 func (n *Node) gossipTick() {
+	sw := n.member.swim
 	now := n.now()
-	n.beatSeq++
 	n.sweepSuspects(now)
 	n.refreshSampler()
 	n.shardRefresh()
-	targets := n.sampler.Next(n.fanout)
+	targets := sw.sampler.Next(sw.fanout)
 	for _, target := range targets {
 		n.sendProbe(target, now)
 	}
@@ -79,18 +127,17 @@ func (n *Node) gossipTick() {
 	// each period is another chance for a slow ack to clear the suspicion
 	// before the timeout expires. The common tick has no suspects, so the
 	// dedup set is only built when there is something to dedup against.
-	if len(n.suspects) > 0 {
+	if len(sw.suspects) > 0 {
 		probed := make(map[string]bool, len(targets))
 		for _, t := range targets {
 			probed[t] = true
 		}
-		for _, target := range sortedKeys(n.suspects) {
+		for _, target := range sortedKeys(sw.suspects) {
 			if !probed[target] {
 				n.sendProbe(target, now)
 			}
 		}
 	}
-	n.timers.AfterArg(n.hbInterval, n.gossipTickFn, nil)
 }
 
 // lhmMax caps the local health multiplier: the suspicion window dilates
@@ -106,21 +153,22 @@ const lhmMax = 8
 // the suspect is silent while other acks flow, lhm sits at zero and
 // detection stays fast. Callers hold n.mu.
 func (n *Node) sweepSuspects(now time.Time) {
-	window := time.Duration(1+n.lhm) * n.suspectTO
-	for _, target := range sortedKeys(n.suspects) {
-		since := n.suspects[target]
-		if last, heard := n.lastHeard[target]; heard && !last.Before(since) {
-			delete(n.suspects, target)
+	sw := n.member.swim
+	window := time.Duration(1+sw.lhm) * sw.suspectTO
+	for _, target := range sortedKeys(sw.suspects) {
+		since := sw.suspects[target]
+		if last, heard := n.member.lastHeard[target]; heard && !last.Before(since) {
+			delete(sw.suspects, target)
 			continue
 		}
 		if !n.dir.Has(target) {
-			delete(n.suspects, target)
+			delete(sw.suspects, target)
 			continue
 		}
 		if now.Sub(since) < window {
 			continue
 		}
-		delete(n.suspects, target)
+		delete(sw.suspects, target)
 		deadSeq, _, _ := n.dir.Known(target)
 		n.evictSource(target)
 		n.enqueuePiggy(MemberUpdate{
@@ -146,25 +194,26 @@ func sortedKeys(m map[string]time.Time) []string {
 // sources when the directory changed since the last refresh. Callers hold
 // n.mu.
 func (n *Node) refreshSampler() {
+	mem, sw := n.member, n.member.swim
 	v := n.dir.Version()
-	if v == n.samplerVer {
+	if v == sw.samplerVer {
 		return
 	}
-	n.samplerVer = v
+	sw.samplerVer = v
 	sources := n.dir.Sources()
 	// First refresh with the directory populated: re-make lastHeard sized
 	// for the fleet, so the per-contact bookkeeping writes never rehash.
-	if len(n.lastHeard) == 0 && len(sources) > 1 {
-		n.lastHeard = make(map[string]time.Time, 2*len(sources))
+	if len(mem.lastHeard) == 0 && len(sources) > 1 {
+		mem.lastHeard = make(map[string]time.Time, 2*len(sources))
 	}
-	peers := n.peerScratch[:0]
+	peers := sw.peerScratch[:0]
 	for _, s := range sources {
 		if s != n.id {
 			peers = append(peers, s)
 		}
 	}
-	n.peerScratch = peers
-	n.sampler.SetPeers(peers)
+	sw.peerScratch = peers
+	sw.sampler.SetPeers(peers)
 }
 
 // sendProbe opens one direct probe of target and arms the suspicion
@@ -175,84 +224,65 @@ func (n *Node) sendProbe(target string, now time.Time) {
 	if target == n.id {
 		return
 	}
-	n.probeSeq++
-	seq := n.probeSeq
-	p := &Ping{
+	mem, sw := n.member, n.member.swim
+	seq := sw.openProbe(target, now)
+	n.stats.PingsSent++
+	n.m.pings.Inc()
+	n.sendCtl(target, &Ping{
 		From:    n.id,
 		To:      target,
 		Seq:     seq,
-		AdvSeq:  n.adSeq,
+		AdvSeq:  mem.adSeq,
 		Digest:  n.dir.Digest(),
-		Updates: n.takePiggy(),
-	}
-	n.stats.PingsSent++
-	n.m.pings.Inc()
-	n.sendCtl(target, p.WireSize(), p)
-	ps := n.newProbe(target, now, seq)
-	n.probes[seq] = ps
-
-	// The probe state itself rides as the timer argument: the timeout
-	// path allocates no closure (n.probeTimeoutFn is bound once in New).
-	n.timers.AfterArg(n.hbInterval/2, n.probeTimeoutFn, ps)
+		Updates: sw.takePiggy(),
+	})
+	n.timers.AfterArg(mem.interval/2, probeTimeout, n)
 }
 
-// probeTimeout fires half a period after a direct probe: if the probe is
-// still outstanding the target becomes suspect and the indirect ping-req
-// round starts. arg is the *probeState registered by sendProbe.
-func (n *Node) probeTimeout(arg any) {
-	ps, ok := arg.(*probeState)
-	if !ok {
-		return
-	}
+// probeTimeout fires half a period after a direct probe (arg is the node;
+// which probe, swimProto says): if the probe is still outstanding the
+// target becomes suspect and the indirect ping-req round starts.
+func probeTimeout(arg any) {
+	n := arg.(*Node)
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	defer n.freeProbe(ps) // the timer was the last holder
-	pr, ok := n.probes[ps.seq]
-	if !ok || pr != ps {
+	mem, sw := n.member, n.member.swim
+	sw.timedOut++
+	seq := sw.timedOut
+	pr, outstanding := sw.probes[seq]
+	if !outstanding {
 		return // acked in time
 	}
-	delete(n.probes, ps.seq) // the probe failed; indirect round takes over
-	if last, heard := n.lastHeard[pr.target]; heard && !last.Before(pr.started) {
+	target, started := pr.target, pr.started
+	sw.closeProbe(seq, pr) // the probe failed; the indirect round takes over
+	if last, heard := mem.lastHeard[target]; heard && !last.Before(started) {
 		return // heard from it through other traffic since the probe
 	}
-	if _, already := n.suspects[pr.target]; !already {
-		n.suspects[pr.target] = pr.started
+	if _, already := sw.suspects[target]; !already {
+		sw.suspects[target] = started
 		n.stats.Suspicions++
 		n.m.suspicions.Inc()
 		// A fresh failed probe is evidence this node's own view of the
 		// network is degraded (congestion, or its own links): stretch
 		// the suspicion window (Lifeguard's local health multiplier).
-		if n.lhm < lhmMax {
-			n.lhm++
+		if sw.lhm < lhmMax {
+			sw.lhm++
 		}
 	}
-	if n.pickExcl == nil {
-		n.pickExcl = make(map[string]bool, 2)
-	}
-	clear(n.pickExcl)
-	n.pickExcl[pr.target] = true
-	for _, mid := range n.sampler.Pick(gossipIndirect, n.pickExcl) {
-		preq := &PingReq{From: n.id, To: mid, Target: pr.target, Seq: ps.seq, Updates: n.takePiggy()}
+	clear(sw.pickExcl)
+	sw.pickExcl[target] = true
+	for _, mid := range sw.sampler.Pick(gossipIndirect, sw.pickExcl) {
 		n.stats.PingsSent++
 		n.m.pings.Inc()
-		n.sendCtl(mid, preq.WireSize(), preq)
+		n.sendCtl(mid, &PingReq{From: n.id, To: mid, Target: target, Seq: seq, Updates: sw.takePiggy()})
 	}
 }
 
-// handlePing answers a probe (forwarding it first if this node is only a
-// hop on its route), merging the piggybacked updates and running the
-// advert/digest divergence check. Callers hold n.mu.
-func (n *Node) handlePing(from string, p *Ping) {
-	if !n.memberOn || !n.gossipOn || p.From == n.id {
-		return
-	}
-	if p.To != n.id {
-		n.sendCtl(p.To, p.WireSize(), p)
-		return
-	}
+// handlePing answers a probe, merging the piggybacked updates and running
+// the advert/digest divergence check. Callers hold n.mu.
+func (n *Node) handlePing(p *Ping) {
 	now := n.now()
-	n.lastHeard[p.From] = now
-	delete(n.suspects, p.From)
+	n.member.contact(p.From, now)
 	n.applyUpdates(p.Updates, now)
 	// Direct probes ack to the prober; relayed probes (ping-req) ack
 	// straight to the original prober under its own probe sequence.
@@ -261,36 +291,28 @@ func (n *Node) handlePing(from string, p *Ping) {
 		dest, seq = p.OnBehalf, p.OnBehalfSeq
 	}
 	if dest != n.id {
-		ack := &Ack{
-			From:    n.id,
-			To:      dest,
-			Seq:     seq,
-			AdvSeq:  n.adSeq,
-			Digest:  n.dir.Digest(),
-			Updates: n.takePiggy(),
-		}
-		n.sendCtl(dest, ack.WireSize(), ack)
+		n.sendAck(dest, seq)
 	}
 	n.checkPeerState(p.From, p.From, p.AdvSeq, p.Digest, now)
 }
 
+// sendAck answers probe seq of dest with this node's advert seq, digest
+// and a piggyback load. Callers hold n.mu.
+func (n *Node) sendAck(dest string, seq uint64) {
+	mem := n.member
+	n.sendCtl(dest, &Ack{From: n.id, To: dest, Seq: seq, AdvSeq: mem.adSeq, Digest: n.dir.Digest(), Updates: mem.swim.takePiggy()})
+}
+
 // handleAck closes the matching outstanding probe and merges the
 // responder's piggybacked state. Callers hold n.mu.
-func (n *Node) handleAck(from string, a *Ack) {
-	if !n.memberOn || !n.gossipOn || a.From == n.id {
-		return
-	}
-	if a.To != n.id {
-		n.sendCtl(a.To, a.WireSize(), a)
-		return
-	}
+func (n *Node) handleAck(a *Ack) {
+	mem, sw := n.member, n.member.swim
 	now := n.now()
-	n.lastHeard[a.From] = now
-	delete(n.suspects, a.From)
-	if pr, ok := n.probes[a.Seq]; ok && pr.target == a.From {
-		delete(n.probes, a.Seq)
-		if n.lhm > 0 {
-			n.lhm-- // a timely ack is evidence the local view is healthy
+	mem.contact(a.From, now)
+	if pr, ok := sw.probes[a.Seq]; ok && pr.target == a.From {
+		sw.closeProbe(a.Seq, pr)
+		if sw.lhm > 0 {
+			sw.lhm-- // a timely ack is evidence the local view is healthy
 		}
 	}
 	n.applyUpdates(a.Updates, now)
@@ -300,36 +322,27 @@ func (n *Node) handleAck(from string, a *Ack) {
 // handlePingReq relays an indirect probe: ping the suspect on the
 // requester's behalf, with the suspect acking the requester directly.
 // Callers hold n.mu.
-func (n *Node) handlePingReq(from string, pr *PingReq) {
-	if !n.memberOn || !n.gossipOn || pr.From == n.id {
-		return
-	}
-	if pr.To != n.id {
-		n.sendCtl(pr.To, pr.WireSize(), pr)
-		return
-	}
+func (n *Node) handlePingReq(pr *PingReq) {
+	mem, sw := n.member, n.member.swim
 	now := n.now()
-	n.lastHeard[pr.From] = now
-	delete(n.suspects, pr.From)
+	mem.contact(pr.From, now)
 	n.applyUpdates(pr.Updates, now)
 	if pr.Target == n.id {
 		// We are the suspect: answer directly.
-		ack := &Ack{From: n.id, To: pr.From, Seq: pr.Seq, AdvSeq: n.adSeq, Digest: n.dir.Digest(), Updates: n.takePiggy()}
-		n.sendCtl(pr.From, ack.WireSize(), ack)
+		n.sendAck(pr.From, pr.Seq)
 		return
-	}
-	relay := &Ping{
-		From:        n.id,
-		To:          pr.Target,
-		AdvSeq:      n.adSeq,
-		Digest:      n.dir.Digest(),
-		OnBehalf:    pr.From,
-		OnBehalfSeq: pr.Seq,
-		Updates:     n.takePiggy(),
 	}
 	n.stats.PingsSent++
 	n.m.pings.Inc()
-	n.sendCtl(pr.Target, relay.WireSize(), relay)
+	n.sendCtl(pr.Target, &Ping{
+		From:        n.id,
+		To:          pr.Target,
+		AdvSeq:      mem.adSeq,
+		Digest:      n.dir.Digest(),
+		OnBehalf:    pr.From,
+		OnBehalfSeq: pr.Seq,
+		Updates:     sw.takePiggy(),
+	})
 }
 
 // applyUpdates merges piggybacked membership events: adverts and
@@ -340,21 +353,22 @@ func (n *Node) handlePingReq(from string, pr *PingReq) {
 // was news is re-enqueued so it keeps spreading epidemically. Callers
 // hold n.mu.
 func (n *Node) applyUpdates(ups []MemberUpdate, now time.Time) {
+	mem, sw := n.member, n.member.swim
 	for _, u := range ups {
 		if u.Adv.Source == n.id {
-			if (u.Dead || u.Adv.Withdrawn) && !n.left && n.desc != nil && u.Adv.Seq >= n.adSeq {
-				n.adSeq = u.Adv.Seq + 1
-				n.dir.Advertise(*n.desc, n.adSeq)
+			if (u.Dead || u.Adv.Withdrawn) && !sw.left && n.desc != nil && u.Adv.Seq >= mem.adSeq {
+				mem.adSeq = u.Adv.Seq + 1
+				n.dir.Advertise(*n.desc, mem.adSeq)
 				n.stats.Refutations++
 				n.m.refutes.Inc()
-				n.enqueuePiggy(MemberUpdate{Adv: advertisementOf(*n.desc, n.adSeq), Born: now})
+				n.enqueuePiggy(MemberUpdate{Adv: advertisementOf(*n.desc, mem.adSeq), Born: now})
 			}
 			continue
 		}
 		if u.Dead {
 			seq, present, _ := n.dir.Known(u.Adv.Source)
 			if present && seq <= u.Adv.Seq {
-				delete(n.suspects, u.Adv.Source)
+				delete(sw.suspects, u.Adv.Source)
 				n.evictSource(u.Adv.Source)
 				n.enqueuePiggy(u)
 				n.observeConvergence(u.Born, now)
@@ -398,7 +412,7 @@ func (n *Node) checkPeerState(peer, syncWith string, advSeq, digest uint64, now 
 // knows of). Per-source rank ordering makes newer protocol states
 // supersede queued older ones. Callers hold n.mu.
 func (n *Node) enqueuePiggy(u MemberUpdate) {
-	n.piggy.Put(u.Adv.Source, updateRank(u), u, gossip.Budget(gossipRetransmit, len(n.dir.AllSources())))
+	n.member.swim.piggy.Put(u.Adv.Source, updateRank(u), u, gossip.Budget(gossipRetransmit, len(n.dir.AllSources())))
 }
 
 // updateRank orders piggyback updates about the same source: higher
@@ -416,9 +430,8 @@ func updateRank(u MemberUpdate) uint64 {
 }
 
 // takePiggy drains up to the per-message piggyback cap from the buffer.
-// Callers hold n.mu.
-func (n *Node) takePiggy() []MemberUpdate {
-	items := n.piggy.Take(gossipMaxPiggyback)
+func (sw *swimProto) takePiggy() []MemberUpdate {
+	items := sw.piggy.Take(gossipMaxPiggyback)
 	if len(items) == 0 {
 		return nil
 	}
@@ -460,11 +473,12 @@ func (n *Node) accountCtl(size int64) {
 // honest under congestion without starving data. Flood-mode control stays
 // in the default class, exactly as before this protocol existed. Callers
 // hold n.mu.
-func (n *Node) sendCtl(dest string, size int64, payload any) {
+func (n *Node) sendCtl(dest string, msg frame) {
+	size := msg.WireSize()
 	n.accountCtl(size)
-	if n.gossipOn {
-		n.sendToPri(dest, size, payload, 1)
-	} else {
-		n.sendTo(dest, size, payload)
+	priority := 0
+	if n.member.swim != nil {
+		priority = 1
 	}
+	n.route(dest, msg, size, priority)
 }
