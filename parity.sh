@@ -4,8 +4,10 @@
 # that claims to move no frame, decision or dump has to leave alone —
 # `-fig dump` on the lane-per-node kernel at 1 and 8 workers and at
 # GOMAXPROCS=1, with batching off and on; the quick figures that between
-# them run the flood, SWIM, sharded and batched paths; and the n=512
-# gossip+sharding smoke minus its wall-clock line. One `same`/`DIFFERS`
+# them run the flood, SWIM, sharded and batched paths, plus prefetch on
+# (a2: announce and push), noisy sensors (a5: corrSource's retry timer) and
+# lossy links (a6: the recovery timers); and the n=512 gossip+sharding
+# smoke minus its wall-clock line. One `same`/`DIFFERS`
 # line per cell; exits non-zero on any difference. A1's partial-trust rows
 # differ between two runs of one binary (ROADMAP item 1) and are not here.
 set -eu
@@ -44,7 +46,7 @@ for window in 0 10ms; do
 	cell "dump workers=8 batch-window=$window" "" -fig dump -workers 8 -batch-window "$window"
 	cell "dump GOMAXPROCS=1 workers=8 batch-window=$window" GOMAXPROCS=1 -fig dump -workers 8 -batch-window "$window"
 done
-for fig in 2 3 a7 a8 a9 a11; do
+for fig in 2 3 a2 a5 a6 a7 a8 a9 a11; do
 	cell "fig $fig -quick" "" -fig "$fig" -quick
 done
 cell "smoke -quick (minus wallSeconds)" "" -fig smoke -quick -workers 2
