@@ -64,9 +64,10 @@ bench:
 # PR report in CHANGES.md: the tree (new files count once `git add`ed)
 # against BASE — HEAD before the commit, HEAD~1 after — split into
 # non-test and test lines, with bench/ and testdata/ listed apart.
+# DIR=internal/athena restricts the count to that directory.
 BASE ?= HEAD
 loc:
-	@git diff --numstat $(BASE) -- '*.go' | awk ' \
+	@git diff --numstat $(BASE) -- '$(if $(DIR),$(DIR)/)*.go' | awk ' \
 		{ k = "non-test"; \
 		  if ($$3 ~ /(^|\/)testdata\//) k = "testdata/"; \
 		  else if ($$3 ~ /^bench\//) k = "bench/"; \

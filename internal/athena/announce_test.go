@@ -171,14 +171,15 @@ func TestRelayIgnoresClaimedTTL(t *testing.T) {
 			QueryID: fmt.Sprintf("a/x%d", i), Origin: "a", Expr: "lb",
 			Deadline: tBase.Add(time.Minute), TTL: 1 << 40, Hops: c.hops,
 		}
-		before := b.Stats().AnnouncesSent
+		before, queued := b.Stats().AnnouncesSent, len(b.prefetch.queue)
 		b.handleMessage("a", a.WireSize(), a)
 		if got := b.Stats().AnnouncesSent - before; (got == 1) != c.forwarded || got > 1 {
 			t.Errorf("Hops %d: forwarded %d copies, want forwarded = %v", c.hops, got, c.forwarded)
 		}
-		if b.pushed[a.QueryID] != c.used || b.seenAnnounce[a.QueryID] != c.used {
+		pushQueued := len(b.prefetch.queue) == queued+1
+		if _, seen := b.seenAnnounce[a.QueryID]; pushQueued != c.used || seen != c.used {
 			t.Errorf("Hops %d: queued a push = %v, marked seen = %v; want both %v",
-				c.hops, b.pushed[a.QueryID], b.seenAnnounce[a.QueryID], c.used)
+				c.hops, pushQueued, seen, c.used)
 		}
 	}
 	// The one forwarded copy still claims TTL 2^40 - 1; it is c's to use

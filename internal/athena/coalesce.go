@@ -25,6 +25,18 @@ import "time"
 // less than this many coalescing windows of slack left skips the wait.
 const coalesceSlackFactor = 8
 
+// coalescer is the batching component's state: the window, the byte
+// budget, one send queue per neighbor, and the queues the dispatch in
+// progress has touched. It exists only when Config.CoalesceWindow > 0;
+// toNeighbor is the one place that asks. Node.mu guards it, and it holds no
+// *Node — the Node methods below read its fields.
+type coalescer struct {
+	window time.Duration
+	budget int64 // queued bytes per neighbor that force a flush
+	queues map[string]*sendQueue
+	burst  []*sendQueue
+}
+
 // sendQueue is one neighbor's pending coalesced traffic. bytes counts the
 // members' batched contribution (what the flush will ship), flushAt is
 // the armed flush instant (zero when no flush is armed; it only ever
@@ -43,93 +55,64 @@ type sendQueue struct {
 	inBurst  bool
 }
 
-// queueFor returns (creating on first use) the neighbor's send queue.
-// Callers hold n.mu.
-func (n *Node) queueFor(hop string) *sendQueue {
-	sq := n.sendQ[hop]
+// enqueue coalesces a request or data message headed for the neighbor — the
+// one way into a send queue, for both kinds — reporting whether it was
+// queued (false = the caller transmits it natively). Critical-namespace
+// objects bypass, even as background pushes: the queue must never sit
+// between a critical object and the wire. So does a message for a quiet
+// link, the Nagle-style immediate path: with nothing queued and no
+// data-plane send to this neighbor within the last window, waiting would
+// add latency with nothing to merge (the send is remembered, so a companion
+// arriving within the window does coalesce behind it). Callers hold n.mu
+// and have checked n.coalesce.
+func (n *Node) enqueue(hop string, msg frame) bool {
+	req, _ := msg.(*ObjectRequest)
+	data, _ := msg.(*ObjectData)
+	var object, queryID string
+	switch {
+	case req != nil:
+		object, queryID = req.Object, req.QueryID
+	case data != nil:
+		object, queryID = data.Object, data.QueryID
+	default:
+		return false
+	}
+	if n.isCritical(object) {
+		return false
+	}
+	c, now := n.coalesce, n.now()
+	sq := c.queues[hop]
 	if sq == nil {
 		sq = &sendQueue{hop: hop}
-		n.sendQ[hop] = sq
+		c.queues[hop] = sq
 	}
-	return sq
-}
-
-// coalesceDelay bounds the coalescing wait by deadline slack: when the
-// message serves a query issued at this node and that query's remaining
-// slack is under coalesceSlackFactor windows, the wait collapses to zero
-// — batching must never cost a query its deadline. Non-local queries
-// (forwarded members) get the full window; it is milliseconds against
-// deadlines of seconds. Callers hold n.mu.
-func (n *Node) coalesceDelay(queryID string, now time.Time) time.Duration {
-	if q, ok := n.queries[queryID]; ok {
-		if slack := q.engine.Deadline().Sub(now); slack < coalesceSlackFactor*n.coalesceWindow {
-			return 0
-		}
-	}
-	return n.coalesceWindow
-}
-
-// enqueueRequest coalesces a request headed for the neighbor, reporting
-// whether it was queued (false = caller must transmit natively: batching
-// off, or critical-namespace bypass). Callers hold n.mu.
-func (n *Node) enqueueRequest(hop string, req *ObjectRequest) bool {
-	if n.coalesceWindow <= 0 || n.isCritical(req.Object) {
+	if len(sq.reqs)+len(sq.datas) == 0 && now.Sub(sq.lastSend) >= c.window {
+		sq.lastSend = now
 		return false
 	}
-	sq := n.queueFor(hop)
-	if n.linkIdle(sq) {
-		return false // quiet link: ship immediately, remember the send
+	if req != nil {
+		sq.reqs = append(sq.reqs, req)
+		sq.bytes += batchedRequestBytes
+	} else {
+		sq.datas = append(sq.datas, data)
+		sq.bytes += batchedDataHeaderBytes + data.Size
 	}
-	sq.reqs = append(sq.reqs, req)
-	sq.bytes += batchedRequestBytes
-	n.markBurst(sq)
-	n.settleQueue(sq, n.coalesceDelay(req.QueryID, n.now()))
-	return true
-}
-
-// enqueueData coalesces a data message headed for the neighbor, reporting
-// whether it was queued. Critical-namespace objects bypass even as
-// background pushes: the queue must never sit between a critical object
-// and the wire. Callers hold n.mu.
-func (n *Node) enqueueData(hop string, d *ObjectData) bool {
-	if n.coalesceWindow <= 0 || n.isCritical(d.Object) {
-		return false
-	}
-	sq := n.queueFor(hop)
-	if n.linkIdle(sq) {
-		return false // quiet link: ship immediately, remember the send
-	}
-	sq.datas = append(sq.datas, d)
-	sq.bytes += batchedDataHeaderBytes + d.Size
-	n.markBurst(sq)
-	n.settleQueue(sq, n.coalesceDelay(d.QueryID, n.now()))
-	return true
-}
-
-// linkIdle implements the Nagle-style immediate path: with nothing queued
-// and no data-plane send to this neighbor within the last window, waiting
-// would add latency with nothing to merge, so the message ships natively
-// right away (the send is remembered, so a companion arriving within the
-// window does coalesce behind it). Callers hold n.mu.
-func (n *Node) linkIdle(sq *sendQueue) bool {
-	if len(sq.reqs)+len(sq.datas) > 0 {
-		return false
-	}
-	now := n.now()
-	if now.Sub(sq.lastSend) < n.coalesceWindow {
-		return false
-	}
-	sq.lastSend = now
-	return true
-}
-
-// markBurst records that the current dispatch touched this queue, so
-// flushBursts can consider it when the dispatch ends. Callers hold n.mu.
-func (n *Node) markBurst(sq *sendQueue) {
+	// flushBursts looks at the queue again when this dispatch ends.
 	if !sq.inBurst {
 		sq.inBurst = true
-		n.burstQs = append(n.burstQs, sq)
+		c.burst = append(c.burst, sq)
 	}
+	// The wait is bounded by deadline slack: when the message serves a
+	// query issued at this node with under coalesceSlackFactor windows left,
+	// it collapses to zero — batching must never cost a query its deadline.
+	// Non-local queries (forwarded members) get the full window; it is
+	// milliseconds against deadlines of seconds.
+	delay := c.window
+	if q, ok := n.queries[queryID]; ok && q.engine.Deadline().Sub(now) < coalesceSlackFactor*c.window {
+		delay = 0
+	}
+	n.settleQueue(sq, delay)
+	return true
 }
 
 // flushBursts is the Nagle "push": a dispatch (one inbound frame, or one
@@ -143,20 +126,24 @@ func (n *Node) markBurst(sq *sendQueue) {
 // paid only by stragglers. Runs at the end of every top-level dispatch;
 // callers hold n.mu.
 func (n *Node) flushBursts() {
-	for _, sq := range n.burstQs {
+	c := n.coalesce
+	if c == nil {
+		return
+	}
+	for _, sq := range c.burst {
 		sq.inBurst = false
 		if len(sq.reqs)+len(sq.datas) >= 2 {
 			n.flushQueue(sq)
 		}
 	}
-	n.burstQs = n.burstQs[:0]
+	c.burst = c.burst[:0]
 }
 
 // settleQueue flushes a queue whose byte budget is full or whose newest
 // member demands an immediate send, and otherwise (re-)arms the flush
 // timer. Callers hold n.mu.
 func (n *Node) settleQueue(sq *sendQueue, delay time.Duration) {
-	if sq.bytes >= n.coalesceBytes || delay <= 0 {
+	if sq.bytes >= n.coalesce.budget || delay <= 0 {
 		n.flushQueue(sq)
 		return
 	}

@@ -4,7 +4,6 @@ import (
 	"sort"
 	"time"
 
-	"athena/internal/boolexpr"
 	"athena/internal/core"
 	"athena/internal/names"
 	"athena/internal/object"
@@ -137,10 +136,6 @@ func (n *Node) sendTo(dest string, msg frame) {
 	n.route(dest, msg, msg.WireSize(), 0)
 }
 
-func (n *Node) sendToPri(dest string, msg frame, priority int) {
-	n.route(dest, msg, msg.WireSize(), priority)
-}
-
 func (n *Node) route(dest string, msg frame, size int64, priority int) {
 	if dest == n.id {
 		return
@@ -153,24 +148,15 @@ func (n *Node) route(dest string, msg frame, size int64, priority int) {
 	n.toNeighbor(hop, msg, size, priority)
 }
 
-// toNeighbor hands a frame to a direct neighbor's link. Default-priority
-// data-plane traffic may coalesce with other messages headed for the same
-// neighbor (coalesce.go); everything else — and everything when batching
-// is off — ships in its own frame. Callers hold n.mu.
+// toNeighbor hands a frame to a direct neighbor's link. With batching on,
+// default-priority data-plane traffic may coalesce with other messages
+// headed for the same neighbor (coalesce.go); everything else — and
+// everything when batching is off — ships in its own frame. Callers hold
+// n.mu.
 func (n *Node) toNeighbor(hop string, msg frame, size int64, priority int) {
-	if priority == 0 {
-		switch m := msg.(type) {
-		case *ObjectRequest:
-			if n.enqueueRequest(hop, m) {
-				return
-			}
-		case *ObjectData:
-			if n.enqueueData(hop, m) {
-				return
-			}
-		}
+	if n.coalesce == nil || priority != 0 || !n.enqueue(hop, msg) {
+		n.ship(hop, msg, size, priority)
 	}
-	n.ship(hop, msg, size, priority)
 }
 
 // ship transmits, counting a failure as a routing drop. Callers hold n.mu.
@@ -221,45 +207,28 @@ func (n *Node) floodAnnounce(a *QueryAnnounce, except string) {
 	}
 }
 
-// handleAnnounce implements the prefetch side of Query_Recv: remember the
-// query, queue background prefetch of any locally sourced objects it
-// needs, and keep flooding within the prefetch radius.
+// handleAnnounce is Query_Recv: remember the announce so each is relayed
+// once, hand it to the prefetcher (if this node has one) to queue a push
+// of a locally sourced object the query needs, and keep flooding within
+// the prefetch radius.
 func (n *Node) handleAnnounce(from string, a *QueryAnnounce) {
 	// A copy from outside the radius (both counters are signed 64-bit on
 	// the wire, and the sender may be an older build or hostile) is neither
 	// acted on, forwarded nor remembered: were it marked seen, whether this
 	// node prefetches would depend on which copy the link queues let
-	// through first.
-	if a.Hops < 0 || a.Hops >= prefetchHops {
+	// through first. Nor is one that arrives at or past its deadline —
+	// nobody can still use a push for it, and it is what lets markAnnounced
+	// forget an id at its deadline without a late copy being flooded anew.
+	now := n.now()
+	if a.Hops < 0 || a.Hops >= prefetchHops || !now.Before(a.Deadline) {
 		return
 	}
-	if n.seenAnnounce[a.QueryID] {
+	if !n.markAnnounced(a.QueryID, a.Deadline, now) {
 		n.stats.AnnounceDups++
 		return
 	}
-	n.seenAnnounce[a.QueryID] = true
-
-	// Prefetch (Section VI-A): background-push this node's object toward
-	// the origin, but only when it is the cheapest source for a needed
-	// label and close to the origin — unselective pushing would flood the
-	// network with redundant evidence.
-	if !n.disablePrefetch && n.desc != nil && a.Origin != n.id &&
-		!n.pushed[a.QueryID] {
-		expr, err := boolexpr.Parse(a.Expr)
-		if err == nil {
-			needed := make(map[string]bool)
-			for _, l := range boolexpr.Labels(expr) {
-				needed[l] = true
-			}
-			for _, l := range n.desc.Labels {
-				if needed[l] && n.dir.SourceForLabel(l, nil) == n.id {
-					n.pushed[a.QueryID] = true
-					n.prefetchQ = append(n.prefetchQ, prefetchTask{origin: a.Origin, queryID: a.QueryID})
-					n.kick()
-					break
-				}
-			}
-		}
+	if n.prefetch != nil {
+		n.considerPush(a)
 	}
 
 	// Forward only what the next receiver may still act on, whatever TTL
@@ -271,6 +240,38 @@ func (n *Node) handleAnnounce(from string, a *QueryAnnounce) {
 		fwd.TTL--
 		fwd.Hops++
 		n.floodAnnounce(&fwd, from)
+	}
+}
+
+// seenAnnounceSweep is how many announces a node remembers before each new
+// one has it look for lapsed ones to forget.
+const seenAnnounceSweep = 1024
+
+// markAnnounced records that query id's announce, good until deadline, has
+// been seen here — the relay dedupe every node needs, prefetcher or not —
+// and reports whether that was news. An entry is needed only until its
+// deadline (handleAnnounce drops a later copy on arrival), so a long-lived
+// node holds the announces still live, not every one it ever saw. Callers
+// hold n.mu.
+func (n *Node) markAnnounced(id string, deadline, now time.Time) bool {
+	if _, seen := n.seenAnnounce[id]; seen {
+		return false
+	}
+	dropLapsed(n.seenAnnounce, seenAnnounceSweep, now)
+	n.seenAnnounce[id] = deadline
+	return true
+}
+
+// dropLapsed deletes the entries of m whose instant has come, once m holds
+// more than limit.
+func dropLapsed(m map[string]time.Time, limit int, now time.Time) {
+	if len(m) <= limit {
+		return
+	}
+	for k, until := range m {
+		if !now.Before(until) {
+			delete(m, k)
+		}
 	}
 }
 
@@ -370,13 +371,7 @@ func (n *Node) duplicateInFlight(objName, neighbor string, size int64, now time.
 		n.stats.DupSuppressed++
 		return true
 	}
-	if len(n.sentRecently) > 4096 {
-		for k, until := range n.sentRecently {
-			if !now.Before(until) {
-				delete(n.sentRecently, k)
-			}
-		}
-	}
+	dropLapsed(n.sentRecently, 4096, now)
 	n.sentRecently[key] = now.Add(time.Duration(float64(size) / n.retryBandwidth * float64(time.Second)))
 	return false
 }
@@ -469,16 +464,6 @@ func (n *Node) dataPriority(msg *ObjectData) int {
 	return 0
 }
 
-// sendData routes an object toward dest via the next hop (used for
-// prefetch pushes, which have no interest trail). Callers hold n.mu.
-func (n *Node) sendData(obj *object.Object, dest, queryID string, background bool) {
-	if dest == n.id {
-		return
-	}
-	msg := dataMsg(obj, dest, queryID, background)
-	n.sendToPri(dest, msg, n.dataPriority(msg))
-}
-
 // sendDataTo ships an object to a specific neighbor — the reverse-path
 // hop of the request being answered. Callers hold n.mu.
 func (n *Node) sendDataTo(neighbor string, obj *object.Object, dest, queryID string, background bool) {
@@ -531,7 +516,7 @@ func (n *Node) handleData(from string, d *ObjectData) {
 	n.deliverObject(obj, now)
 
 	if !servedOrigin {
-		n.sendToPri(d.Origin, d, n.dataPriority(d))
+		n.route(d.Origin, d, d.WireSize(), n.dataPriority(d))
 	}
 }
 
@@ -665,7 +650,8 @@ func (n *Node) handleLabelShare(from string, s *LabelShare) {
 	n.pump(q)
 }
 
-// kick schedules queue draining. Callers hold n.mu.
+// kick schedules a drain, unless one is already scheduled. Callers hold
+// n.mu.
 func (n *Node) kick() {
 	if n.draining {
 		return
@@ -674,9 +660,11 @@ func (n *Node) kick() {
 	n.timers.After(0, n.drain)
 }
 
-// drain processes the fetch queue fully, then at most one background
-// prefetch task (the prefetch queue is only served when the fetch queue is
-// empty, Section VI-A).
+// drain processes the fetch queue fully, then lets the prefetcher serve a
+// background push if one is due (the prefetch queue is only served when
+// the fetch queue is empty, Section VI-A). It is kick's callback and the
+// prefetcher's pacing timer's; when both come due in one instant the
+// second finds nothing left to do.
 func (n *Node) drain() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -701,25 +689,8 @@ func (n *Node) drain() {
 		}
 	}
 
-	if len(n.prefetchQ) == 0 {
-		return
-	}
-	task := n.prefetchQ[0]
-	n.prefetchQ = n.prefetchQ[1:]
-	if n.desc != nil && task.origin != n.id {
-		now := n.now()
-		obj := n.sample(now)
-		// Don't re-push a version this origin already received.
-		key := task.origin + "|" + obj.ID.Name.String()
-		if n.pushedVersions[key] != obj.ID.Version {
-			n.pushedVersions[key] = obj.ID.Version
-			n.stats.PrefetchPushes++
-			n.sendData(obj, task.origin, task.queryID, true)
-		}
-	}
-	if len(n.prefetchQ) > 0 {
-		n.draining = true
-		n.timers.After(prefetchDelay, n.drain)
+	if n.prefetch != nil {
+		n.pushNext()
 	}
 }
 

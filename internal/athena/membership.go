@@ -124,7 +124,18 @@ func (n *Node) evictSource(src string) {
 	}
 	n.stats.Evictions++
 	n.m.evictions.Inc()
+	n.sourceGone(src, desc, had)
+}
+
+// sourceGone is what follows the directory dropping a source, evicted or
+// withdrawn (tombstone advert, PeerLeave): the detectors forget it, then
+// shard lookups waiting on it are re-routed, then fetches in flight to it
+// are re-sourced — in that order, the pumps read what the re-routing
+// invalidated. desc is its descriptor from before the drop. Callers hold
+// n.mu.
+func (n *Node) sourceGone(src string, desc object.Descriptor, had bool) {
 	delete(n.member.lastHeard, src)
+	n.member.unsuspect(src)
 	n.shardOnSourceDown(src)
 	if had {
 		n.reSourceFrom(src, desc.Name.String())
@@ -272,16 +283,11 @@ func (n *Node) applyOneAdvert(a Advertisement, now time.Time) bool {
 	if !n.dir.Apply(a) {
 		return false
 	}
-	mem := n.member
-	mem.unsuspect(a.Source)
 	if a.Withdrawn {
-		delete(mem.lastHeard, a.Source)
-		n.shardOnSourceDown(a.Source)
-		if hadDesc {
-			n.reSourceFrom(a.Source, desc.Name.String())
-		}
+		n.sourceGone(a.Source, desc, hadDesc)
 	} else {
-		mem.lastHeard[a.Source] = now
+		n.member.unsuspect(a.Source)
+		n.member.lastHeard[a.Source] = now
 	}
 	return true
 }
@@ -301,15 +307,22 @@ func (n *Node) applyAdverts(advs []Advertisement, from string) []Advertisement {
 		}
 	}
 	if len(news) > 0 {
-		if n.member.swim != nil {
-			for _, a := range news {
-				n.enqueuePiggy(MemberUpdate{Adv: a, Born: now})
-			}
-		} else {
-			n.floodCtl(&AdvertGossip{Adverts: news}, from)
-		}
+		n.spreadAdverts(news, from, now)
 	}
 	return news
+}
+
+// spreadAdverts disseminates advertisement records that are news: on the
+// piggyback buffer under SWIM, otherwise flooded to all neighbors except
+// the one they came from. Callers hold n.mu.
+func (n *Node) spreadAdverts(news []Advertisement, except string, now time.Time) {
+	if n.member.swim == nil {
+		n.floodCtl(&AdvertGossip{Adverts: news}, except)
+		return
+	}
+	for _, a := range news {
+		n.enqueuePiggy(MemberUpdate{Adv: a, Born: now})
+	}
 }
 
 // absorbLabels verifies and caches shared label records from an
@@ -390,12 +403,7 @@ func (n *Node) handlePeerLeave(from string, pl *PeerLeave) {
 	if !n.dir.Withdraw(pl.Node, pl.Seq) {
 		return
 	}
-	delete(n.member.lastHeard, pl.Node)
-	n.member.unsuspect(pl.Node)
-	n.shardOnSourceDown(pl.Node)
-	if had {
-		n.reSourceFrom(pl.Node, desc.Name.String())
-	}
+	n.sourceGone(pl.Node, desc, had)
 	if n.member.swim != nil {
 		n.enqueuePiggy(MemberUpdate{
 			Adv:  Advertisement{Source: pl.Node, Seq: pl.Seq, Withdrawn: true},
@@ -479,12 +487,7 @@ func (n *Node) Rejoin() {
 	if n.desc != nil {
 		mem.adSeq++
 		n.dir.Advertise(*n.desc, mem.adSeq)
-		adv := advertisementOf(*n.desc, mem.adSeq)
-		if sw != nil {
-			n.enqueuePiggy(MemberUpdate{Adv: adv, Born: now})
-		} else {
-			n.floodCtl(&AdvertGossip{Adverts: []Advertisement{adv}}, "")
-		}
+		n.spreadAdverts([]Advertisement{advertisementOf(*n.desc, mem.adSeq)}, "", now)
 	}
 	if sw != nil {
 		// Relearn what changed while away from a sampled peer, and run an

@@ -329,8 +329,7 @@ type localQuery struct {
 	attempts    map[string]int       // object name -> origin-side timeout count
 	suspect     map[string]bool      // sources that exhausted their retries
 	batch       bool
-	nextExpiry  time.Time
-	nextRetry   time.Time
+	armed       [2]time.Time          // the instant a pump is armed for, by purpose (pumpAt)
 	corr        map[string]*corrState // label -> corroboration (noisy mode)
 }
 
@@ -354,11 +353,6 @@ type queuedRequest struct {
 	// drains in this order (Section VI-A's "optimal object retrieval order
 	// according to the current set of queries").
 	urgency int64
-}
-
-type prefetchTask struct {
-	origin  string
-	queryID string
 }
 
 // nodeMetrics holds the node's pre-resolved instruments so per-event code
@@ -434,7 +428,6 @@ type Node struct {
 	scheme    Scheme
 	dir       *Directory
 	meta      boolexpr.MetaTable
-	world     annotate.GroundTruth
 	annotator annotate.Annotator
 	authority *trust.Authority
 	signer    trust.Signer
@@ -445,22 +438,18 @@ type Node struct {
 	labels   *cache.LabelCache
 	interest *InterestTable
 
-	queries        map[string]*localQuery // the unrecorded queries issued here, by id
-	live           []*localQuery          // the same queries, sorted by id
-	seenAnnounce   map[string]bool
-	pushed         map[string]bool      // queryID -> already prefetch-pushed
-	pushedVersions map[string]uint64    // origin|object -> last pushed version
-	sentRecently   map[string]time.Time // object|neighbor -> in-flight window end
+	queries      map[string]*localQuery // the unrecorded queries issued here, by id
+	live         []*localQuery          // the same queries, sorted by id
+	seenAnnounce map[string]time.Time   // announced query -> its deadline (markAnnounced)
+	sentRecently map[string]time.Time   // object|neighbor -> in-flight window end
 
-	fetchQ    []queuedRequest
-	prefetchQ []prefetchTask
-	draining  bool
+	fetchQ   []queuedRequest
+	draining bool // a drain of fetchQ is scheduled
 
 	lastSample *object.Object
 	version    uint64
 	querySeq   int
 
-	disablePrefetch  bool
 	sequentialWindow int
 	retryBandwidth   float64
 	disableRetries   bool
@@ -469,18 +458,15 @@ type Node struct {
 	sensorNoise      float64
 	confTarget       float64
 
-	// Data-plane batching (inert unless coalesceWindow > 0; coalesce.go).
-	coalesceWindow time.Duration
-	coalesceBytes  int64
-	sendQ          map[string]*sendQueue
-	burstQs        []*sendQueue
-
-	// The protocols that are on, each owning its state: live membership
-	// (membership.go; flooded heartbeats or SWIM, swim.go) and the sharded
-	// directory (sharding.go). Nil is off, and is tested where a frame or
-	// a public call enters, not inside the handlers.
-	member *membership
-	shard  *shardClient
+	// The parts that are on, each owning its state: data-plane batching
+	// (coalesce.go), prefetch (prefetch.go), live membership (membership.go;
+	// flooded heartbeats or SWIM, swim.go) and the sharded directory
+	// (sharding.go). Nil is off, and is tested where a frame, a send or a
+	// public call enters, not inside the handlers.
+	coalesce *coalescer
+	prefetch *prefetcher
+	member   *membership
+	shard    *shardClient
 
 	// Query-plan memoization: planFor's output keyed by expression text,
 	// valid while the directory version is unchanged (directory changes are
@@ -544,7 +530,6 @@ func New(cfg Config) (*Node, error) {
 		scheme:           cfg.Scheme,
 		dir:              cfg.Directory,
 		meta:             cfg.Meta,
-		world:            cfg.World,
 		authority:        cfg.Authority,
 		signer:           cfg.Signer,
 		policy:           cfg.Policy,
@@ -553,11 +538,8 @@ func New(cfg Config) (*Node, error) {
 		labels:           cache.NewLabelCache(),
 		interest:         NewInterestTable(interestTTL),
 		queries:          make(map[string]*localQuery),
-		seenAnnounce:     make(map[string]bool),
-		pushed:           make(map[string]bool),
-		pushedVersions:   make(map[string]uint64),
+		seenAnnounce:     make(map[string]time.Time),
 		sentRecently:     make(map[string]time.Time),
-		disablePrefetch:  cfg.DisablePrefetch,
 		sequentialWindow: cfg.SequentialWindow,
 		retryBandwidth:   cfg.RetryBandwidth,
 		disableRetries:   cfg.DisableRetries,
@@ -565,11 +547,12 @@ func New(cfg Config) (*Node, error) {
 		criticalPrefix:   cfg.CriticalPrefix,
 		sensorNoise:      cfg.SensorNoise,
 		confTarget:       cfg.ConfidenceTarget,
-		coalesceWindow:   cfg.CoalesceWindow,
-		coalesceBytes:    cfg.CoalesceBytes,
 	}
 	if cfg.CoalesceWindow > 0 {
-		n.sendQ = make(map[string]*sendQueue)
+		n.coalesce = &coalescer{window: cfg.CoalesceWindow, budget: cfg.CoalesceBytes, queues: make(map[string]*sendQueue)}
+	}
+	if !cfg.DisablePrefetch {
+		n.prefetch = &prefetcher{pushedVersions: make(map[string]uint64)}
 	}
 	n.reg = cfg.Metrics
 	n.m = newNodeMetrics(cfg.Metrics)
@@ -681,27 +664,21 @@ func (n *Node) liveAfter(id string) *localQuery {
 }
 
 // DebugQueries renders the state of the live local queries, for diagnostics.
-// Queries and their outstanding fetches are listed in sorted order so the
-// dump is stable run to run (both live in maps).
+// Queries (n.live is sorted by id) and their outstanding fetches are listed
+// in sorted order so the dump is stable run to run.
 func (n *Node) DebugQueries() string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	now := n.now()
-	ids := make([]string, 0, len(n.queries))
-	for id := range n.queries {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
 	out := ""
-	for _, id := range ids {
-		q := n.queries[id]
+	for _, q := range n.live {
 		inflight := make([]string, 0, len(q.outstanding))
 		for obj, at := range q.outstanding {
 			inflight = append(inflight, fmt.Sprintf("%s@%s", obj, at.Format("15:04:05")))
 		}
 		sort.Strings(inflight)
 		out += fmt.Sprintf("%s status=%v unknown=%v outstanding=%v expr=%s\n",
-			id, q.engine.Step(now), q.engine.UnknownLabels(now), inflight, q.engine.Expr())
+			q.engine.ID(), q.engine.Step(now), q.engine.UnknownLabels(now), inflight, q.engine.Expr())
 	}
 	return out
 }
@@ -743,29 +720,42 @@ func (n *Node) QueryInit(expr boolexpr.DNF, deadline time.Duration) (string, err
 	// Step (iv): share the decision structure with neighbors. The only use
 	// a receiver has for it is prefetch, so a node that takes no part in
 	// prefetch does not ask the fleet to carry it.
-	if !n.disablePrefetch {
-		n.seenAnnounce[id] = true
-		n.floodAnnounce(&QueryAnnounce{
-			QueryID:  id,
-			Origin:   n.id,
-			Expr:     exprText,
-			Deadline: abs,
-			TTL:      prefetchHops,
-		}, "")
+	if n.prefetch != nil {
+		n.announce(id, exprText, abs, now)
 	}
 
 	// Deadline watchdog.
-	n.timers.After(deadline+time.Millisecond, func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		if lq, ok := n.queries[id]; ok {
-			lq.engine.Step(n.now())
-			n.recordIfTerminal(lq)
-		}
-	})
+	n.timers.After(deadline+time.Millisecond, func() { n.whenLive(id, n.recordIfTerminal) })
 
 	n.pump(q)
 	return id, nil
+}
+
+// announce floods a decision expression within the prefetch radius, as
+// its origin. Callers hold n.mu.
+func (n *Node) announce(id, expr string, deadline, now time.Time) {
+	n.markAnnounced(id, deadline, now)
+	n.floodAnnounce(&QueryAnnounce{
+		QueryID:  id,
+		Origin:   n.id,
+		Expr:     expr,
+		Deadline: deadline,
+		TTL:      prefetchHops,
+	}, "")
+}
+
+// whenLive is how a timer comes back to a local query, and the one place
+// a timer looks one up: under n.mu, act runs on query id, unless it has
+// been recorded meanwhile. A recorded query is gone from n.queries, so what
+// is still armed for it finds nothing and stops; a timer holds the id,
+// never the query. (act is only called, so a func literal passed here stays
+// on the caller's stack: a timer costs the one closure handed to After.)
+func (n *Node) whenLive(id string, act func(*localQuery)) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if q, ok := n.queries[id]; ok {
+		act(q)
+	}
 }
 
 // cachedPlan is one memoized planFor result, valid while the directory
@@ -823,7 +813,11 @@ func (n *Node) pump(q *localQuery) {
 	} else {
 		n.pumpSequential(q, now)
 	}
-	n.scheduleExpiryCheck(q, now)
+	// Come back at the engine's next load-bearing evidence expiry so stale
+	// labels get refetched.
+	if exp, ok := q.engine.NextExpiry(now); ok {
+		n.pumpAt(q, expiryRecheck, exp, now)
+	}
 }
 
 // pumpBatch (cmp/slt/lcf) keeps a request in flight for every unresolved
@@ -909,7 +903,7 @@ func (n *Node) pumpSequential(q *localQuery, now time.Time) {
 				if src == "" && !retry.IsZero() {
 					// Every fresh sample already voted; try again once a
 					// new sample can exist.
-					n.scheduleRetry(q, retry, now)
+					n.pumpAt(q, sampleRetry, retry, now)
 				}
 			}
 			if src == "" {
@@ -928,21 +922,26 @@ func (n *Node) pumpSequential(q *localQuery, now time.Time) {
 	}
 }
 
-// scheduleRetry arms a pump at the given instant (deduplicated per
-// query). Callers hold n.mu.
-func (n *Node) scheduleRetry(q *localQuery, at, now time.Time) {
-	if q.nextRetry.Equal(at) {
-		return
+// The purposes a pump is armed for: the recheck at the next evidence expiry
+// (pump), and the retry once a fresh sample can exist (pumpSequential).
+const (
+	expiryRecheck = iota
+	sampleRetry
+)
+
+// pumpAt arms a pump of q just past the given instant, once per instant
+// per purpose. Callers hold n.mu.
+func (n *Node) pumpAt(q *localQuery, purpose int, at, now time.Time) {
+	if q.armed[purpose].Equal(at) {
+		return // already armed
 	}
-	q.nextRetry = at
+	q.armed[purpose] = at
 	id := q.engine.ID()
 	n.timers.After(at.Sub(now)+time.Millisecond, func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		if lq, ok := n.queries[id]; ok {
-			lq.nextRetry = time.Time{}
-			n.pump(lq)
-		}
+		n.whenLive(id, func(q *localQuery) {
+			q.armed[purpose] = time.Time{}
+			n.pump(q)
+		})
 	})
 }
 
@@ -992,32 +991,27 @@ func (n *Node) requestObject(q *localQuery, source string, now time.Time) {
 	// disabled this degrades to the single fixed-timeout safety net. The
 	// timestamp check ignores answers that arrived and were re-requested.
 	id := q.engine.ID()
-	sentAt := now
 	timeout := requestTimeout
 	if !n.disableRetries {
 		timeout = n.retryDelay(q.attempts[objName], desc.Size)
 	}
 	n.timers.After(timeout, func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		lq, ok := n.queries[id]
-		if !ok {
-			return
-		}
-		if at, inFlight := lq.outstanding[objName]; !inFlight || !at.Equal(sentAt) {
-			return
-		}
-		delete(lq.outstanding, objName)
-		if !n.disableRetries {
-			n.stats.RequestTimeouts++
-			n.m.retryTimeouts.Inc()
-			lq.attempts[objName]++
-			if lq.attempts[objName] > maxRetries && !lq.suspect[source] {
-				lq.suspect[source] = true
-				n.m.failovers.Inc()
+		n.whenLive(id, func(q *localQuery) {
+			if at, inFlight := q.outstanding[objName]; !inFlight || !at.Equal(now) {
+				return
 			}
-		}
-		n.pump(lq)
+			delete(q.outstanding, objName)
+			if !n.disableRetries {
+				n.stats.RequestTimeouts++
+				n.m.retryTimeouts.Inc()
+				q.attempts[objName]++
+				if q.attempts[objName] > maxRetries && !q.suspect[source] {
+					q.suspect[source] = true
+					n.m.failovers.Inc()
+				}
+			}
+			n.pump(q)
+		})
 	})
 	n.kick()
 }
@@ -1080,28 +1074,6 @@ func (n *Node) queryUrgency(q *localQuery, now time.Time) time.Time {
 	return u
 }
 
-// scheduleExpiryCheck arms a timer at the engine's next load-bearing
-// evidence expiry so stale labels get refetched. Callers hold n.mu.
-func (n *Node) scheduleExpiryCheck(q *localQuery, now time.Time) {
-	exp, ok := q.engine.NextExpiry(now)
-	if !ok {
-		return
-	}
-	if q.nextExpiry.Equal(exp) {
-		return // already armed
-	}
-	q.nextExpiry = exp
-	id := q.engine.ID()
-	n.timers.After(exp.Sub(now)+time.Millisecond, func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		if lq, ok := n.queries[id]; ok {
-			lq.nextExpiry = time.Time{}
-			n.pump(lq)
-		}
-	})
-}
-
 // recordIfTerminal records a terminal query exactly once and drops it from
 // the node: its timers still to fire, its requests still queued and any
 // late answer find no query under its id and stop there. Callers hold
@@ -1157,15 +1129,8 @@ func (n *Node) Prewarm(expr boolexpr.DNF) error {
 		return errors.New("athena: empty decision expression")
 	}
 	n.querySeq++
-	id := fmt.Sprintf("%s/warm%d", n.id, n.querySeq)
-	n.seenAnnounce[id] = true
-	n.floodAnnounce(&QueryAnnounce{
-		QueryID:  id,
-		Origin:   n.id,
-		Expr:     expr.String(),
-		Deadline: n.now().Add(time.Hour),
-		TTL:      prefetchHops,
-	}, "")
+	now := n.now()
+	n.announce(fmt.Sprintf("%s/warm%d", n.id, n.querySeq), expr.String(), now.Add(time.Hour), now)
 	return nil
 }
 
