@@ -42,6 +42,7 @@ ci-short:
 
 # bench refreshes the committed benchmark baseline: the BenchmarkScheme
 # family (end-to-end scheme runs reporting ns/op, resolution and MB), the
+# decision engine's construct-ask-set loop on a nine-label query, the
 # membership control-plane benchmark (flood vs gossip bytes per node per
 # interval at n=64), the directory-memory benchmark (entries held per
 # node, sharded vs full replica), the simulation-kernel benchmark
@@ -57,7 +58,7 @@ ci-short:
 # (internal/trust), parsed into machine-readable JSON. CI archives the
 # file per commit; regressions are judged against the committed baseline.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkScheme|BenchmarkAblationPrefetch|BenchmarkMembershipControlPlane|BenchmarkDirectoryMemory|BenchmarkSimKernel|BenchmarkBatchedFetch|BenchmarkDeliverObjectHistory|BenchmarkQueryReferences|BenchmarkSelectSources|BenchmarkLaneQueue|BenchmarkEncode|BenchmarkDecode|BenchmarkSign|BenchmarkVerify' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire ./internal/trust \
+	$(GO) test -run '^$$' -bench 'BenchmarkScheme|BenchmarkDecisionEngine|BenchmarkAblationPrefetch|BenchmarkMembershipControlPlane|BenchmarkDirectoryMemory|BenchmarkSimKernel|BenchmarkBatchedFetch|BenchmarkDeliverObjectHistory|BenchmarkQueryReferences|BenchmarkSelectSources|BenchmarkLaneQueue|BenchmarkEncode|BenchmarkDecode|BenchmarkSign|BenchmarkVerify' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire ./internal/trust \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_core.json
 
 # loc prints the net Go lines of a change, the figure ROADMAP has every

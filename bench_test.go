@@ -193,7 +193,11 @@ func BenchmarkAblationInfomax(b *testing.B) {
 }
 
 // BenchmarkDecisionEngine measures the pure decision-engine step loop —
-// the per-evidence overhead of decision-driven execution.
+// the per-evidence overhead of decision-driven execution: one engine built
+// (planned once), then asked for its next label and given it until the
+// nine-label query resolves. Everything it allocates is construction; a
+// rise in the gated allocs/op is an engine that allocates to answer
+// NextLabel or Step, or a constructor that plans twice.
 func BenchmarkDecisionEngine(b *testing.B) {
 	dnf := athena.ToDNF(athena.MustParseExpr(
 		"(a & b & c) | (d & e & f) | (g & h & i)"))
@@ -203,6 +207,7 @@ func BenchmarkDecisionEngine(b *testing.B) {
 	}
 	now := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d := athena.NewDecision("bench", dnf, now.Add(time.Minute), meta)
 		for {

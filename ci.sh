@@ -73,7 +73,8 @@ fi
 # or the run exceeds baseline + 10%. The gated numbers are counts, which
 # unlike ns/op are stable across machines, so a trip means a real
 # regression (each benchmark's doc comment in bench_test.go says of
-# what: an allocating per-query or per-event path, a leakier retention
+# what: an allocating per-query or per-event path, a decision engine that
+# allocates to answer a question or plans a query twice, a leakier retention
 # filter, a coalescing layer that stopped merging, an object delivery
 # that pays for a node's finished queries, an event queue that allocates
 # at the depth the simulator runs it at, a wire encoder whose state
@@ -83,11 +84,17 @@ fi
 # grew back a copy of the cover's bookkeeping beside the full replica's).
 # Refresh the baseline with `make bench` when an intentional change moves
 # one.
-go test -run '^$' -bench '^Benchmark(Scheme|AblationPrefetch|DirectoryMemory|SimKernel|BatchedFetch|DeliverObjectHistory|SelectSources|LaneQueue|EncodeSmall)$/^(lvf|lvfl|sharded|w1|on|n2000|depth512|request)$' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire |
+# BenchmarkDecisionEngine has no sub-benchmarks, and a two-level -bench
+# pattern skips a benchmark that has none, so it gets its own run.
+{
+	go test -run '^$' -bench '^Benchmark(Scheme|AblationPrefetch|DirectoryMemory|SimKernel|BatchedFetch|DeliverObjectHistory|SelectSources|LaneQueue|EncodeSmall)$/^(lvf|lvfl|sharded|w1|on|n2000|depth512|request)$' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire
+	go test -run '^$' -bench '^BenchmarkDecisionEngine$' -benchmem -benchtime 3x .
+} |
 	tee /dev/stderr |
 	go run ./cmd/benchjson -check BENCH_core.json \
 		-gate 'BenchmarkScheme/lvf:allocs/op:10' \
 		-gate 'BenchmarkScheme/lvfl:frames/decision:10' \
+		-gate 'BenchmarkDecisionEngine:allocs/op:10' \
 		-gate 'BenchmarkAblationPrefetch/on:frames/decision:10' \
 		-gate 'BenchmarkDirectoryMemory/sharded:entries/node:10' \
 		-gate 'BenchmarkSimKernel/w1:allocs/op:10' \

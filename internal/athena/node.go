@@ -826,7 +826,8 @@ func (n *Node) pumpBatch(q *localQuery, now time.Time) {
 	type target struct {
 		source string
 		obj    string
-		size   int64 // descriptor size, precomputed for the LCF sort
+		labels []string // the descriptor's, for the request
+		size   int64    // the descriptor's, for the LCF sort and the retry allowance
 	}
 	var targets []target
 	seen := make(map[string]bool)
@@ -838,7 +839,7 @@ func (n *Node) pumpBatch(q *localQuery, now time.Time) {
 		obj := desc.Name.String()
 		if !seen[obj] {
 			seen[obj] = true
-			targets = append(targets, target{source: src, obj: obj, size: desc.Size})
+			targets = append(targets, target{source: src, obj: obj, labels: desc.Labels, size: desc.Size})
 		}
 	}
 	for _, label := range q.engine.UnknownLabels(now) {
@@ -868,7 +869,7 @@ func (n *Node) pumpBatch(q *localQuery, now time.Time) {
 		if _, inFlight := q.outstanding[t.obj]; inFlight {
 			continue
 		}
-		n.requestObject(q, t.source, now)
+		n.requestObject(q, t.source, t.obj, t.labels, t.size, now)
 	}
 }
 
@@ -879,12 +880,10 @@ func (n *Node) pumpBatch(q *localQuery, now time.Time) {
 // short-circuits the term and the next pump moves on to the next
 // alternative.
 func (n *Node) pumpSequential(q *localQuery, now time.Time) {
-	a := q.engine.Assignment(now)
 	expr := q.engine.Expr()
 	plan := q.engine.Plan()
 	for _, ti := range plan.TermOrder {
-		t := expr.Terms[ti]
-		if t.Eval(a) != boolexpr.Unknown {
+		if q.engine.TermValue(ti, now) != boolexpr.Unknown {
 			continue // decided either way; not the active term
 		}
 		// Active term: keep up to sequentialWindow transfers in flight.
@@ -892,10 +891,10 @@ func (n *Node) pumpSequential(q *localQuery, now time.Time) {
 			if len(q.outstanding) >= n.sequentialWindow {
 				return
 			}
-			label := t.Literals[li].Label
-			if a.Get(label) != boolexpr.Unknown {
+			if !q.engine.LiteralUnknown(ti, li, now) {
 				continue
 			}
+			label := expr.Terms[ti].Literals[li].Label
 			src := n.sourceFor(q, label)
 			if n.sensorNoise > 0 {
 				var retry time.Time
@@ -913,10 +912,11 @@ func (n *Node) pumpSequential(q *localQuery, now time.Time) {
 			if !ok {
 				continue
 			}
-			if _, inFlight := q.outstanding[desc.Name.String()]; inFlight {
+			objName := desc.Name.String()
+			if _, inFlight := q.outstanding[objName]; inFlight {
 				continue
 			}
-			n.requestObject(q, src, now)
+			n.requestObject(q, src, objName, desc.Labels, desc.Size, now)
 		}
 		return
 	}
@@ -945,26 +945,13 @@ func (n *Node) pumpAt(q *localQuery, purpose int, at, now time.Time) {
 	})
 }
 
-// requestObject enqueues a fetch for the source's object on behalf of q.
-// Callers hold n.mu.
-func (n *Node) requestObject(q *localQuery, source string, now time.Time) {
-	desc, ok := n.descriptorOf(source)
-	if !ok {
-		return
-	}
-	objName := desc.Name.String()
+// requestObject enqueues a fetch of source's object on behalf of q. The
+// object's name, the labels it evidences and its size are its descriptor's,
+// which every caller has just looked up. Callers hold n.mu.
+func (n *Node) requestObject(q *localQuery, source, objName string, labels []string, size int64, now time.Time) {
 	// The request's labels are the query labels this object can resolve
-	// and that are still unknown.
-	unknown := make(map[string]bool)
-	for _, l := range q.engine.UnknownLabels(now) {
-		unknown[l] = true
-	}
-	var want []string
-	for _, l := range desc.Labels {
-		if unknown[l] {
-			want = append(want, l)
-		}
-	}
+	// and that are still unknown, in the descriptor's order.
+	want := q.engine.Wanted(labels, now)
 	if len(want) == 0 {
 		return
 	}
@@ -993,7 +980,7 @@ func (n *Node) requestObject(q *localQuery, source string, now time.Time) {
 	id := q.engine.ID()
 	timeout := requestTimeout
 	if !n.disableRetries {
-		timeout = n.retryDelay(q.attempts[objName], desc.Size)
+		timeout = n.retryDelay(q.attempts[objName], size)
 	}
 	n.timers.After(timeout, func() {
 		n.whenLive(id, func(q *localQuery) {
