@@ -49,16 +49,18 @@ ci-short:
 # (n=512 synthetic workload at W=1 and W=NumCPU), the data-plane
 # batching benchmark (A11 incast at n=64, coalescing off/on), the
 # node's object delivery with 0 and 2000 finished queries behind it and
-# its does-this-query-reference-that-label check, and a 30-label source
-# selection on a full replica and on a sharded node (internal/athena), the
-# event queue at depths 1, 512 and 8192 (internal/simclock), the
-# wire codec on three small frames and a 500 KB one, each way
-# (internal/wire), the prefetch ablation (frames per decision with the
-# announce flood off and on), and one label signature and verification
-# (internal/trust), parsed into machine-readable JSON. CI archives the
-# file per commit; regressions are judged against the committed baseline.
+# its does-this-query-reference-that-label check, a 30-label source
+# selection on a full replica and on a sharded node, and the shard
+# router's refresh (same view, changed view) and routed-lookup start
+# (internal/athena), the event queue at depths 1, 512 and 8192
+# (internal/simclock), the wire codec on three small frames and a 500 KB
+# one, each way (internal/wire), the prefetch ablation (frames per
+# decision with the announce flood off and on), and one label signature
+# and verification (internal/trust), parsed into machine-readable JSON.
+# CI archives the file per commit; regressions are judged against the
+# committed baseline.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkScheme|BenchmarkDecisionEngine|BenchmarkAblationPrefetch|BenchmarkMembershipControlPlane|BenchmarkDirectoryMemory|BenchmarkSimKernel|BenchmarkBatchedFetch|BenchmarkDeliverObjectHistory|BenchmarkQueryReferences|BenchmarkSelectSources|BenchmarkLaneQueue|BenchmarkEncode|BenchmarkDecode|BenchmarkSign|BenchmarkVerify' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire ./internal/trust \
+	$(GO) test -run '^$$' -bench 'BenchmarkScheme|BenchmarkDecisionEngine|BenchmarkAblationPrefetch|BenchmarkMembershipControlPlane|BenchmarkDirectoryMemory|BenchmarkSimKernel|BenchmarkBatchedFetch|BenchmarkDeliverObjectHistory|BenchmarkQueryReferences|BenchmarkSelectSources|BenchmarkShardRefresh|BenchmarkShardLookupBegin|BenchmarkLaneQueue|BenchmarkEncode|BenchmarkDecode|BenchmarkSign|BenchmarkVerify' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire ./internal/trust \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_core.json
 
 # loc prints the net Go lines of a change, the figure ROADMAP has every

@@ -81,14 +81,19 @@ fi
 # escapes to the heap — baseline 0 for both, so any allocation trips
 # them; a query announce that is flooded where nobody prefetches, or
 # further than a receiver may act on it; a sharded source selection that
-# grew back a copy of the cover's bookkeeping beside the full replica's).
+# grew back a copy of the cover's bookkeeping beside the full replica's,
+# or a cover that counts gains through maps again; a shard router that
+# recomputes placement for a membership view it already has — baseline 0 —
+# or ranks the members again to start a lookup on one).
 # Refresh the baseline with `make bench` when an intentional change moves
 # one.
-# BenchmarkDecisionEngine has no sub-benchmarks, and a two-level -bench
-# pattern skips a benchmark that has none, so it gets its own run.
+# BenchmarkDecisionEngine and BenchmarkShardLookupBegin have no
+# sub-benchmarks, and a two-level -bench pattern skips a benchmark that has
+# none, so each gets its own run.
 {
-	go test -run '^$' -bench '^Benchmark(Scheme|AblationPrefetch|DirectoryMemory|SimKernel|BatchedFetch|DeliverObjectHistory|SelectSources|LaneQueue|EncodeSmall)$/^(lvf|lvfl|sharded|w1|on|n2000|depth512|request)$' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire
+	go test -run '^$' -bench '^Benchmark(Scheme|AblationPrefetch|DirectoryMemory|SimKernel|BatchedFetch|DeliverObjectHistory|SelectSources|ShardRefresh|LaneQueue|EncodeSmall)$/^(lvf|lvfl|sharded|unchanged|w1|on|n2000|depth512|request)$' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire
 	go test -run '^$' -bench '^BenchmarkDecisionEngine$' -benchmem -benchtime 3x .
+	go test -run '^$' -bench '^BenchmarkShardLookupBegin$' -benchmem -benchtime 3x ./internal/athena
 } |
 	tee /dev/stderr |
 	go run ./cmd/benchjson -check BENCH_core.json \
@@ -101,5 +106,7 @@ fi
 		-gate 'BenchmarkBatchedFetch/on:frames/node:10' \
 		-gate 'BenchmarkDeliverObjectHistory/n2000:allocs/op:10' \
 		-gate 'BenchmarkSelectSources/sharded:allocs/op:10' \
+		-gate 'BenchmarkShardRefresh/unchanged:allocs/op:10' \
+		-gate 'BenchmarkShardLookupBegin:allocs/op:10' \
 		-gate 'BenchmarkLaneQueue/depth512:allocs/op:10' \
 		-gate 'BenchmarkEncodeSmall/request:allocs/op:10'

@@ -626,38 +626,48 @@ func (d *Directory) SelectSources(labels []string) []string {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	coverable := make([]string, 0, len(labels))
-	var pool []cover.Source
+	var ids []string
 	for _, l := range labels {
 		srcs := d.byLabel[l]
 		if len(srcs) == 0 {
 			continue
 		}
 		coverable = append(coverable, l)
-		for _, s := range srcs {
-			desc := d.records[s].desc
-			pool = append(pool, cover.Source{ID: s, Cost: float64(desc.Size), Covers: desc.Labels})
-		}
+		ids = addDistinct(ids, srcs)
+	}
+	pool := make([]cover.Source, len(ids))
+	for i, s := range ids {
+		desc := d.records[s].desc
+		pool[i] = cover.Source{ID: s, Cost: float64(desc.Size), Covers: desc.Labels}
 	}
 	return coverSources(coverable, pool)
 }
 
+// addDistinct adds the srcs not yet in ids, keeping ids sorted: candidates
+// are gathered label by label, so a source covering several labels comes
+// up several times, and is priced once.
+func addDistinct(ids, srcs []string) []string {
+	for _, s := range srcs {
+		if i, found := slices.BinarySearch(ids, s); !found {
+			ids = slices.Insert(ids, i, s)
+		}
+	}
+	return ids
+}
+
 // coverSources is the one source selection (Sec. III-B, ref [10]): greedy
 // weighted set cover of the coverable labels over a candidate pool, as
-// sorted source ids. The pool is gathered label by label, so a source
-// covering several labels is listed several times; it is sorted by id —
-// the greedy rule breaks ties to the lower index — and deduplicated here.
-// Each Source shares its descriptor's label slice unfiltered (nothing
-// writes it): cover.Greedy counts only labels in the universe it is given.
-// When the pool cannot cover a label — its only candidate could not be
-// priced — the whole pool is returned rather than dropping coverage. It
-// takes data, not callbacks, because Directory.SelectSources runs it under
-// the directory lock.
+// sorted source ids. The pool lists each candidate once, sorted by id —
+// the greedy rule breaks ties to the lower index. Each Source shares its
+// descriptor's label slice unfiltered (nothing writes it): cover.Greedy
+// counts only labels in the universe it is given. When the pool cannot
+// cover a label — its only candidate could not be priced — the whole pool
+// is returned rather than dropping coverage. It takes data, not callbacks,
+// because Directory.SelectSources runs it under the directory lock.
 func coverSources(coverable []string, pool []cover.Source) []string {
 	if len(coverable) == 0 {
 		return nil
 	}
-	slices.SortFunc(pool, func(a, b cover.Source) int { return strings.Compare(a.ID, b.ID) })
-	pool = slices.CompactFunc(pool, func(a, b cover.Source) bool { return a.ID == b.ID })
 	picked, err := cover.Greedy(coverable, pool)
 	if err != nil {
 		picked = make([]int, len(pool))
@@ -669,7 +679,7 @@ func coverSources(coverable []string, pool []cover.Source) []string {
 	for i, idx := range picked {
 		out[i] = pool[idx].ID
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 

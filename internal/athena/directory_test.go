@@ -500,15 +500,18 @@ func TestScopedSeqVectorSizedByScope(t *testing.T) {
 	}
 }
 
-// coverSources takes the pool as it is gathered — label by label, so a
-// source covering two of the labels is in it twice — and each source's
-// labels unfiltered.
+// Candidates are gathered label by label, so a source covering two of the
+// labels comes up twice: addDistinct keeps it once, in id order, and
+// coverSources takes each source's labels unfiltered.
 func TestCoverSources(t *testing.T) {
+	if got := addDistinct(addDistinct(nil, []string{"b", "c"}), []string{"a", "b"}); !slices.Equal(got, []string{"a", "b", "c"}) {
+		t.Errorf("[b c] then [a b] gathered as %v, want [a b c]", got)
+	}
 	a := cover.Source{ID: "a", Cost: 8, Covers: []string{"l1"}}
 	b := cover.Source{ID: "b", Cost: 10, Covers: []string{"l1", "l2", "x", "y"}}
-	pool := func() []cover.Source { return []cover.Source{b, a, b} }
+	pool := func() []cover.Source { return []cover.Source{a, b} }
 	if got := coverSources([]string{"l1", "l2"}, pool()); !slices.Equal(got, []string{"b"}) {
-		t.Errorf("source listed under both labels: got %v, want it once, alone", got)
+		t.Errorf("source covering both labels: got %v, want it alone", got)
 	}
 	// b's labels outside the universe earn it nothing: 10 for l1 loses to 8.
 	if got := coverSources([]string{"l1"}, pool()); !slices.Equal(got, []string{"a"}) {

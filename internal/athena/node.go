@@ -323,6 +323,7 @@ const (
 type localQuery struct {
 	engine      *core.Engine
 	issued      time.Time
+	minValidity time.Duration        // smallest positive validity among the labels; 0 = none (queryUrgency)
 	selected    []string             // selected source ids (slt/lcf/lvf/lvfl)
 	outstanding map[string]time.Time // object name -> request send time
 	requested   map[string]bool      // object names requested at least once
@@ -709,6 +710,11 @@ func (n *Node) QueryInit(expr boolexpr.DNF, deadline time.Duration) (string, err
 		batch:       n.scheme == SchemeCMP || n.scheme == SchemeSLT || n.scheme == SchemeLCF,
 		corr:        make(map[string]*corrState),
 	}
+	for _, l := range q.engine.Labels() {
+		if v := n.meta.Get(l).Validity; v > 0 && (q.minValidity == 0 || v < q.minValidity) {
+			q.minValidity = v
+		}
+	}
 	if n.scheme != SchemeCMP {
 		q.selected = n.selectSources(id, q.engine.Labels())
 	}
@@ -1047,15 +1053,14 @@ func (n *Node) sourceFor(q *localQuery, label string) string {
 
 // queryUrgency is the hierarchical priority key of ref [1]: the minimum
 // of the query's deadline and the earliest expiration its evidence could
-// have (now + the smallest validity interval among its labels). Callers
-// hold n.mu.
+// have (now + the smallest validity interval among its labels, which
+// QueryInit found — the meta table is not written after New). Callers hold
+// n.mu.
 func (n *Node) queryUrgency(q *localQuery, now time.Time) time.Time {
 	u := q.engine.Deadline()
-	for _, l := range q.engine.Labels() {
-		if v := n.meta.Get(l).Validity; v > 0 {
-			if exp := now.Add(v); exp.Before(u) {
-				u = exp
-			}
+	if q.minValidity > 0 {
+		if exp := now.Add(q.minValidity); exp.Before(u) {
+			u = exp
 		}
 	}
 	return u

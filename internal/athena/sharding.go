@@ -113,14 +113,14 @@ func (n *Node) candidates(queryID, label string) (srcs []string, cached bool) {
 
 // selectSources solves the Section III-B coverage problem for a query's
 // labels: Directory.SelectSources on a full replica; on a sharded node the
-// same cover over the pool candidates gathers label by label, priced
-// through descriptorOf. Callers hold n.mu.
+// same cover over the candidates gathered label by label, each distinct
+// one priced once through descriptorOf. Callers hold n.mu.
 func (n *Node) selectSources(queryID string, labels []string) []string {
 	if n.shard == nil {
 		return n.dir.SelectSources(labels)
 	}
 	coverable := make([]string, 0, len(labels))
-	var pool []cover.Source
+	var ids []string
 	for _, l := range labels {
 		srcs, cached := n.candidates(queryID, l)
 		if !cached {
@@ -130,12 +130,14 @@ func (n *Node) selectSources(queryID string, labels []string) []string {
 			continue
 		}
 		coverable = append(coverable, l)
-		for _, s := range srcs {
-			// A candidate whose descriptor went away between indexing and
-			// pricing just stays out of the pool.
-			if desc, ok := n.descriptorOf(s); ok {
-				pool = append(pool, cover.Source{ID: s, Cost: float64(desc.Size), Covers: desc.Labels})
-			}
+		ids = addDistinct(ids, srcs)
+	}
+	pool := make([]cover.Source, 0, len(ids))
+	for _, s := range ids {
+		// A candidate whose descriptor went away between indexing and
+		// pricing just stays out of the pool.
+		if desc, ok := n.descriptorOf(s); ok {
+			pool = append(pool, cover.Source{ID: s, Cost: float64(desc.Size), Covers: desc.Labels})
 		}
 	}
 	return coverSources(coverable, pool)

@@ -1,6 +1,7 @@
 package athena
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -78,6 +79,12 @@ type ShardRouter struct {
 	members []string // live view at last Refresh, sorted
 	owned   []int    // owned shards at last Refresh, sorted
 
+	// replicas memoizes shard → replica set under members: placement is a
+	// function of the view, so it is computed on first use and cleared when
+	// the view changes. At most shards × rf ids. An entry is never written
+	// after it is stored — pending lookups and callers under sr.mu share it.
+	replicas map[int][]string
+
 	cacheCap int
 	stamp    uint64
 	cache    map[string]*shardCacheEntry
@@ -96,6 +103,7 @@ func NewShardRouter(self string, shards, rf, cacheCap int) *ShardRouter {
 		rf:       rf,
 		self:     self,
 		cacheCap: cacheCap,
+		replicas: make(map[int][]string),
 		cache:    make(map[string]*shardCacheEntry),
 		descs:    make(map[string]*refDesc),
 		pending:  make(map[string]*pendingShardLookup),
@@ -137,11 +145,24 @@ func (sr *ShardRouter) inShards(set map[int]bool, desc object.Descriptor) bool {
 // Refresh recomputes shard ownership from the live membership view and
 // swaps the retention snapshot. It returns the shards this node gained
 // (the caller backfills them from a co-replica) and whether ownership
-// changed at all (the caller refilters the directory then).
+// changed at all (the caller refilters the directory then). Ownership is a
+// function of the view: a refresh with the members of the last one (in any
+// order) returns (nil, false) without recomputing anything.
 func (sr *ShardRouter) Refresh(members []string) (added []int, changed bool) {
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
-	owned := sr.smap.OwnedBy(sr.self, members, sr.rf)
+	if !slices.IsSorted(members) {
+		members = slices.Clone(members)
+		sort.Strings(members)
+	}
+	first := sr.view.Load() == nil
+	if !first && slices.Equal(members, sr.members) {
+		return nil, false
+	}
+	sr.members = append(sr.members[:0], members...)
+	clear(sr.replicas)
+
+	owned := sr.smap.OwnedBy(sr.self, sr.members, sr.rf)
 	prev := make(map[int]bool, len(sr.owned))
 	for _, s := range sr.owned {
 		prev[s] = true
@@ -156,14 +177,24 @@ func (sr *ShardRouter) Refresh(members []string) (added []int, changed bool) {
 	// The first refresh always counts as a change: until then the nil
 	// snapshot kept every payload, and the caller must refilter even when
 	// this node turns out to own nothing.
-	changed = sr.view.Load() == nil || len(added) > 0 || len(owned) != len(sr.owned)
-	sr.members = append(sr.members[:0], members...)
-	sort.Strings(sr.members)
+	changed = first || len(added) > 0 || len(owned) != len(sr.owned)
 	sr.owned = owned
 	if changed {
 		sr.view.Store(&shardView{owned: ownedSet})
 	}
 	return added, changed
+}
+
+// replicasLocked is shard s's replica set under the last refreshed view,
+// through the memo. The slice is shared: callers read it, never write it.
+// Callers hold sr.mu.
+func (sr *ShardRouter) replicasLocked(s int) []string {
+	reps, ok := sr.replicas[s]
+	if !ok {
+		reps = sr.smap.Replicas(s, sr.members, sr.rf)
+		sr.replicas[s] = reps
+	}
+	return reps
 }
 
 // OwnsLabel reports whether this node replicates the label's home shard —
@@ -183,11 +214,11 @@ func (sr *ShardRouter) OwnedShards() []int {
 }
 
 // Replicas returns shard s's replica set under the last refreshed view, in
-// rendezvous (descending-weight) order.
+// rendezvous (descending-weight) order. The result is the caller's own.
 func (sr *ShardRouter) Replicas(s int) []string {
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
-	return sr.smap.Replicas(s, sr.members, sr.rf)
+	return slices.Clone(sr.replicasLocked(s))
 }
 
 // SharedShards returns the sorted shard ids both this node and peer
@@ -198,7 +229,7 @@ func (sr *ShardRouter) SharedShards(peer string) []uint32 {
 	defer sr.mu.Unlock()
 	var out []uint32
 	for _, s := range sr.owned {
-		if sr.smap.Owns(peer, s, sr.members, sr.rf) {
+		if slices.Contains(sr.replicasLocked(s), peer) {
 			out = append(out, uint32(s))
 		}
 	}
@@ -277,10 +308,16 @@ func (sr *ShardRouter) Begin(label, queryID string) (msg *ShardLookup, ok bool) 
 }
 
 // targetsFor is shard s's replica set minus this node, in rendezvous
-// order. Callers hold sr.mu.
+// order: the memoized set itself when this node is not in it (a lookup is
+// for a label whose shard is not replicated here), else a filtered copy.
+// Either way nothing writes the result again, so a pending lookup may keep
+// it across a view change. Callers hold sr.mu.
 func (sr *ShardRouter) targetsFor(s int) []string {
-	reps := sr.smap.Replicas(s, sr.members, sr.rf)
-	out := reps[:0]
+	reps := sr.replicasLocked(s)
+	if !slices.Contains(reps, sr.self) {
+		return reps
+	}
+	out := make([]string, 0, len(reps)-1)
 	for _, r := range reps {
 		if r != sr.self {
 			out = append(out, r)

@@ -2,6 +2,9 @@ package athena
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -260,5 +263,166 @@ func TestShardRouterCacheLRU(t *testing.T) {
 	}
 	if sr.CacheLen() != 2 {
 		t.Errorf("CacheLen = %d, want 2", sr.CacheLen())
+	}
+}
+
+// Placement is memoized per membership view and must follow it: through a
+// seeded walk of refreshes — members evicted, rejoining, the same view
+// again in another order — the router answers Replicas, Begin's targets,
+// SharedShards and OwnedShards exactly as a router built fresh on that
+// view does, before and after the memo is warm. An unchanged view reports
+// (nil, false), the first refresh a change even when nothing is owned.
+// What callers are handed is theirs (writing to it changes no later
+// answer), and a pending lookup's targets survive later view changes
+// untouched.
+func TestShardRouterMemoFollowsView(t *testing.T) {
+	const shards, rf = 32, 3
+	rng := rand.New(rand.NewSource(24))
+	all := routerView(12)
+	sr := NewShardRouter("n0", shards, rf, 16)
+	if added, changed := NewShardRouter("outsider", shards, rf, 16).Refresh(all); !changed || added != nil {
+		t.Fatalf("first refresh of a node that owns nothing = %v, %v; want nil, true", added, changed)
+	}
+	if _, changed := NewShardRouter("n0", shards, rf, 16).Refresh(nil); !changed {
+		t.Fatal("first refresh with an empty view (equal to the zero member list) must still report a change")
+	}
+
+	type held struct {
+		p       *pendingShardLookup
+		targets []string
+	}
+	var pendings []held
+	var last []string
+	for step := 0; step < 60; step++ {
+		var members []string
+		for _, id := range all {
+			if id == "n0" || rng.Intn(4) != 0 {
+				members = append(members, id)
+			}
+		}
+		if step%5 == 4 {
+			members = slices.Clone(last) // the same view, shuffled
+		}
+		rng.Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
+		sorted := slices.Clone(members)
+		sort.Strings(sorted)
+
+		added, changed := sr.Refresh(members)
+		if slices.Equal(sorted, last) && (added != nil || changed) {
+			t.Fatalf("step %d: refresh with the unchanged view %v = %v, %v; want nil, false", step, members, added, changed)
+		}
+		last = sorted
+
+		fresh := NewShardRouter("n0", shards, rf, 16)
+		fresh.Refresh(sorted)
+		if got, want := sr.OwnedShards(), fresh.OwnedShards(); !slices.Equal(got, want) {
+			t.Fatalf("step %d: OwnedShards = %v, fresh router %v", step, got, want)
+		}
+		for pass := 0; pass < 2; pass++ { // cold memo, then warm
+			for s := 0; s < shards; s++ {
+				got, want := sr.Replicas(s), fresh.Replicas(s)
+				if !slices.Equal(got, want) {
+					t.Fatalf("step %d pass %d: Replicas(%d) = %v, fresh router %v", step, pass, s, got, want)
+				}
+				for i := range got {
+					got[i] = "scribbled"
+				}
+			}
+			for _, peer := range all {
+				// The reference is the ranking-free Owns, as SharedShards
+				// was written before the memo.
+				var want []uint32
+				for _, s := range fresh.OwnedShards() {
+					if fresh.smap.Owns(peer, s, sorted, rf) {
+						want = append(want, uint32(s))
+					}
+				}
+				if got := sr.SharedShards(peer); !slices.Equal(got, want) {
+					t.Fatalf("step %d pass %d: SharedShards(%s) = %v, want %v (the owned shards %s owns too)", step, pass, peer, got, want, peer)
+				}
+			}
+		}
+
+		// Lookups for labels on owned and unowned shards alike: the targets
+		// are the replica set minus this node, and stay what they were.
+		for k := 0; k < 4; k++ {
+			label := fmt.Sprintf("step%d-l%d", step, k)
+			msg, ok := sr.Begin(label, "q")
+			fmsg, fok := fresh.Begin(label, "q")
+			if ok != fok {
+				t.Fatalf("step %d: Begin(%s) ok = %v, fresh router %v", step, label, ok, fok)
+			}
+			if !ok {
+				continue
+			}
+			p, fp := sr.pending[label], fresh.pending[label]
+			if msg.To != fmsg.To || !slices.Equal(p.targets, fp.targets) || slices.Contains(p.targets, "n0") {
+				t.Fatalf("step %d: Begin(%s) targets %v (first %s), fresh router %v (first %s)", step, label, p.targets, msg.To, fp.targets, fmsg.To)
+			}
+			if got, want := sr.Replicas(p.shardID), fresh.Replicas(p.shardID); !slices.Equal(got, want) {
+				t.Fatalf("step %d: Replicas(%d) = %v after a lookup for it, fresh router %v", step, p.shardID, got, want)
+			}
+			pendings = append(pendings, held{p, slices.Clone(p.targets)})
+		}
+		for _, h := range pendings {
+			if !slices.Equal(h.p.targets, h.targets) {
+				t.Fatalf("step %d: pending lookup for %s now targets %v, began with %v", step, h.p.label, h.p.targets, h.targets)
+			}
+		}
+	}
+}
+
+// BenchmarkShardRefresh is what a directory version bump costs the shard
+// router. Most bumps leave the membership view as it was (a re-advert, a
+// refilter), and then placement is not recomputed: ci.sh gates
+// unchanged at 0 allocs/op. changed alternates two views of the 81-node
+// fleet, one member apart.
+func BenchmarkShardRefresh(b *testing.B) {
+	full := routerView(81)
+	sort.Strings(full)
+	for _, c := range []struct {
+		name  string
+		views [2][]string
+	}{
+		{"unchanged", [2][]string{full, full}},
+		{"changed", [2][]string{full, full[1:]}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			sr := NewShardRouter("n40", 400, 3, shardCacheSize)
+			sr.Refresh(c.views[1])
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sr.Refresh(c.views[i%2])
+			}
+		})
+	}
+}
+
+// BenchmarkShardLookupBegin is one routed lookup started and answered on a
+// view whose placement is already memoized: the pending entry, its waiter
+// set, the message and the waiters' ids — no ranking of the 81 members.
+// ci.sh gates the allocs/op.
+func BenchmarkShardLookupBegin(b *testing.B) {
+	sr := NewShardRouter("querier", 400, 3, shardCacheSize)
+	sr.Refresh(routerView(81))
+	labels := make([]string, 64)
+	for i := range labels {
+		labels[i] = fmt.Sprintf("seg%02d", i)
+	}
+	ask := func(i int) {
+		msg, ok := sr.Begin(labels[i%len(labels)], "q")
+		if !ok {
+			b.Fatal("no replica to ask")
+		}
+		sr.Complete(msg.Nonce, nil)
+	}
+	for i := range labels {
+		ask(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ask(i)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -31,37 +32,58 @@ var ErrUncoverable = errors.New("cover: labels not coverable by any source subse
 // take the source minimizing cost per newly covered label. It returns
 // indices into sources in selection order. Labels that no source covers
 // yield ErrUncoverable naming the first such label.
+//
+// The universe is indexed once (a label's bit is its first position among
+// the distinct labels) and each source's Covers becomes a bit mask once, so
+// a round's gain is popcount(mask & need). A chosen source needs no mark:
+// its bits leave need, so its gain is zero from then on.
 func Greedy(labels []string, sources []Source) ([]int, error) {
-	need := make(map[string]bool, len(labels))
+	bit := make(map[string]int, len(labels))
 	for _, l := range labels {
-		need[l] = true
+		if _, ok := bit[l]; !ok {
+			bit[l] = len(bit)
+		}
 	}
-	if len(need) == 0 {
+	if len(bit) == 0 {
 		return nil, nil
 	}
 
+	// need and the per-source masks share one backing array, words uint64s
+	// each; instances up to greedyStackWords (a 64-label universe over 127
+	// sources, or 128 labels over 63) keep it on the stack.
+	words := (len(bit) + 63) / 64
+	var stack [greedyStackWords]uint64
+	backing := stack[:]
+	if n := (len(sources) + 1) * words; n > len(backing) {
+		backing = make([]uint64, n)
+	}
+	need, masks := backing[:words], backing[words:]
+	for b := 0; b < len(bit); b++ {
+		need[b/64] |= 1 << (b % 64)
+	}
+	for i, s := range sources {
+		mask := masks[i*words : (i+1)*words]
+		for _, l := range s.Covers {
+			if b, ok := bit[l]; ok {
+				mask[b/64] |= 1 << (b % 64)
+			}
+		}
+	}
+
 	var selected []int
-	chosen := make([]bool, len(sources))
-	for len(need) > 0 {
+	for {
 		bestIdx := -1
 		bestRatio := math.Inf(1)
 		bestGain := 0
-		for i, s := range sources {
-			if chosen[i] {
-				continue
-			}
+		for i := range sources {
 			gain := 0
-			counted := make(map[string]bool, len(s.Covers))
-			for _, l := range s.Covers {
-				if need[l] && !counted[l] {
-					counted[l] = true
-					gain++
-				}
+			for w, m := range masks[i*words : (i+1)*words] {
+				gain += bits.OnesCount64(m & need[w])
 			}
 			if gain == 0 {
 				continue
 			}
-			ratio := s.Cost / float64(gain)
+			ratio := sources[i].Cost / float64(gain)
 			// Ties: prefer larger gain, then lower index, for determinism.
 			if ratio < bestRatio || (ratio == bestRatio && gain > bestGain) {
 				bestIdx, bestRatio, bestGain = i, ratio, gain
@@ -69,20 +91,26 @@ func Greedy(labels []string, sources []Source) ([]int, error) {
 		}
 		if bestIdx < 0 {
 			for _, l := range labels {
-				if need[l] {
+				if b := bit[l]; need[b/64]&(1<<(b%64)) != 0 {
 					return nil, fmt.Errorf("%w: label %q", ErrUncoverable, l)
 				}
 			}
 			return nil, ErrUncoverable
 		}
-		chosen[bestIdx] = true
 		selected = append(selected, bestIdx)
-		for _, l := range sources[bestIdx].Covers {
-			delete(need, l)
+		left := uint64(0)
+		for w, m := range masks[bestIdx*words : (bestIdx+1)*words] {
+			need[w] &^= m
+			left |= need[w]
+		}
+		if left == 0 {
+			return selected, nil
 		}
 	}
-	return selected, nil
 }
+
+// greedyStackWords is the size of Greedy's on-stack mask buffer.
+const greedyStackWords = 128
 
 // Exact finds a minimum-cost cover by dynamic programming over label
 // subsets. It requires len(labels) <= 20; intended for tests and small

@@ -8,11 +8,7 @@
 // removing one node from the view moves only that node's shards.
 package shard
 
-import (
-	"sort"
-
-	"athena/internal/names"
-)
+import "athena/internal/names"
 
 // FNV-1a, manually inlined so shard lookups stay allocation-free on the
 // query hot path (same constants as internal/athena's digest fold).
@@ -74,18 +70,25 @@ func (m *Map) OfKey(key string) int {
 	return int(fnvString(fnvOffset, key) % uint64(m.shards))
 }
 
-// weight is the rendezvous score of a (shard, node) pair: the shard id is
-// folded into the FNV stream before the node id (so each shard ranks nodes
-// from a different base), and a splitmix-style finalizer gives the
-// avalanche FNV lacks — without it, small shard ids barely perturb the
-// high bits that decide the ranking.
-func (m *Map) weight(s int, node string) uint64 {
+// shardBase is the FNV state after shard s's id: the part of a rendezvous
+// weight that is the same for every node, so a walk over a view computes
+// it once.
+func shardBase(s int) uint64 {
 	h := uint64(fnvOffset)
 	for k := 0; k < 4; k++ {
 		h ^= uint64(s) >> (8 * k) & 0xff
 		h *= fnvPrime
 	}
-	h = fnvString(h, node)
+	return h
+}
+
+// weightFrom is the rendezvous score of a (shard, node) pair, from the
+// shard's base: the shard id is folded into the FNV stream before the node
+// id (so each shard ranks nodes from a different base), and a
+// splitmix-style finalizer gives the avalanche FNV lacks — without it,
+// small shard ids barely perturb the high bits that decide the ranking.
+func weightFrom(base uint64, node string) uint64 {
+	h := fnvString(base, node)
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
@@ -99,7 +102,9 @@ func (m *Map) weight(s int, node string) uint64 {
 // by descending weight — index 0 is the shard's primary, and the remainder
 // is the deterministic re-route order when earlier owners are evicted from
 // the view. view need not be sorted and is not modified. rf is clamped to
-// len(view).
+// len(view). Only the rf best seen so far are kept while the view is
+// walked (rankIn), so the cost is one weight per member, and for rf up to 8
+// the result is the only allocation.
 func (m *Map) Replicas(s int, view []string, rf int) []string {
 	if rf > len(view) {
 		rf = len(view)
@@ -107,25 +112,37 @@ func (m *Map) Replicas(s int, view []string, rf int) []string {
 	if rf <= 0 {
 		return nil
 	}
-	type scored struct {
-		id string
-		w  uint64
+	var buf [8]uint64
+	ids, ws := make([]string, 0, rf), buf[:0]
+	if rf > len(buf) {
+		ws = make([]uint64, 0, rf)
 	}
-	all := make([]scored, len(view))
-	for i, id := range view {
-		all[i] = scored{id: id, w: m.weight(s, id)}
+	base := shardBase(s)
+	for _, id := range view {
+		ids, ws = rankIn(ids, ws, id, weightFrom(base, id))
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].w != all[j].w {
-			return all[i].w > all[j].w
-		}
-		return all[i].id < all[j].id
-	})
-	out := make([]string, rf)
-	for i := range out {
-		out[i] = all[i].id
+	return ids
+}
+
+// rankIn inserts (id, w) at its rank among the pairs ids and ws hold in
+// parallel — weight descending, then id ascending — keeping at most
+// cap(ids) of them: the last one drops off a full ranking, and a pair that
+// ranks after all of a full ranking is ignored.
+func rankIn(ids []string, ws []uint64, id string, w uint64) ([]string, []uint64) {
+	i := len(ids)
+	for i > 0 && (w > ws[i-1] || (w == ws[i-1] && id < ids[i-1])) {
+		i--
 	}
-	return out
+	if i >= cap(ids) {
+		return ids, ws
+	}
+	if len(ids) < cap(ids) {
+		ids, ws = append(ids, ""), append(ws, 0)
+	}
+	copy(ids[i+1:], ids[i:])
+	copy(ws[i+1:], ws[i:])
+	ids[i], ws[i] = id, w
+	return ids, ws
 }
 
 // Owns reports whether node is in shard s's replica set under the given
@@ -135,7 +152,8 @@ func (m *Map) Owns(node string, s int, view []string, rf int) bool {
 	if rf <= 0 {
 		return false
 	}
-	nw := m.weight(s, node)
+	base := shardBase(s)
+	nw := weightFrom(base, node)
 	seen := false
 	higher := 0
 	for _, id := range view {
@@ -143,7 +161,7 @@ func (m *Map) Owns(node string, s int, view []string, rf int) bool {
 			seen = true
 			continue
 		}
-		w := m.weight(s, id)
+		w := weightFrom(base, id)
 		if w > nw || (w == nw && id < node) {
 			higher++
 			if higher >= rf {

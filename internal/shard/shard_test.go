@@ -2,6 +2,9 @@ package shard
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"athena/internal/names"
@@ -168,5 +171,89 @@ func TestNewMapClamps(t *testing.T) {
 	}
 	if s := m.OfKey("anything"); s != 0 {
 		t.Errorf("single-shard OfKey = %d", s)
+	}
+}
+
+// fullRanking is Replicas as it was written before the top-rf insertion,
+// kept as the reference: score the whole view, sort it by weight
+// descending then id ascending, take the first rf.
+func fullRanking(view []string, rf int, weight func(string) uint64) []string {
+	if rf > len(view) {
+		rf = len(view)
+	}
+	if rf <= 0 {
+		return nil
+	}
+	type scored struct {
+		id string
+		w  uint64
+	}
+	all := make([]scored, len(view))
+	for i, id := range view {
+		all[i] = scored{id: id, w: weight(id)}
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].w != all[j].w {
+			return all[i].w > all[j].w
+		}
+		return all[i].id < all[j].id
+	})
+	out := make([]string, rf)
+	for i := range out {
+		out[i] = all[i].id
+	}
+	return out
+}
+
+// Keeping the rf best while the view is walked gives the prefix of the
+// full ranking: for shuffled views of 0 to 40 members, a member listed
+// twice now and then, and rf from 0 through 1, the stack buffer's 8 and 9
+// to past the view's length. Two 64-bit rendezvous weights do not tie, so
+// the tie rule (the smaller id first) is checked on the ranking itself,
+// with weights drawn from three values.
+func TestReplicasMatchesFullRanking(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	m := NewMap(64, 2)
+	for c := 0; c < 2000; c++ {
+		v := view(rng.Intn(41))
+		if len(v) > 0 && rng.Intn(4) == 0 {
+			v = append(v, v[rng.Intn(len(v))])
+		}
+		rng.Shuffle(len(v), func(i, j int) { v[i], v[j] = v[j], v[i] })
+		rf := []int{-1, 0, 1, 2, 3, 8, 9, len(v), len(v) + 3}[rng.Intn(9)]
+		s := rng.Intn(64)
+		before := slices.Clone(v)
+
+		want := fullRanking(v, rf, func(id string) uint64 { return weightFrom(shardBase(s), id) })
+		if got := m.Replicas(s, v, rf); !slices.Equal(got, want) {
+			t.Fatalf("case %d: Replicas(%d, %d members, rf %d) = %v, full ranking %v", c, s, len(v), rf, got, want)
+		}
+		if !slices.Equal(v, before) {
+			t.Fatalf("case %d: Replicas reordered the view", c)
+		}
+
+		tied := make(map[string]uint64, len(v))
+		for _, id := range v {
+			tied[id] = uint64(rng.Intn(3))
+		}
+		if rf = min(rf, len(v)); rf <= 0 {
+			continue
+		}
+		ids, ws := make([]string, 0, rf), make([]uint64, 0, rf)
+		for _, id := range v {
+			ids, ws = rankIn(ids, ws, id, tied[id])
+		}
+		if want := fullRanking(v, rf, func(id string) uint64 { return tied[id] }); !slices.Equal(ids, want) {
+			t.Fatalf("case %d: top %d of %d members under tied weights = %v, full ranking %v", c, rf, len(v), ids, want)
+		}
+	}
+}
+
+// A replica set costs its result: the weights of an rf up to 8 are ranked
+// on the stack, and nothing is boxed or reflect-sorted.
+func TestReplicasAllocatesOnlyResult(t *testing.T) {
+	m, v := NewMap(64, 2), view(81)
+	if allocs := testing.AllocsPerRun(50, func() { m.Replicas(7, v, 3) }); allocs > 1 {
+		t.Errorf("Replicas allocates %.0f times, want 1 (the result)", allocs)
 	}
 }
