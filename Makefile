@@ -46,7 +46,7 @@ ci-short:
 # membership control-plane benchmark (flood vs gossip bytes per node per
 # interval at n=64), the directory-memory benchmark (entries held per
 # node, sharded vs full replica), the simulation-kernel benchmark
-# (n=512 synthetic workload at W=1 and W=NumCPU), the data-plane
+# (n=512 synthetic workload, a lane per node), the data-plane
 # batching benchmark (A11 incast at n=64, coalescing off/on), the
 # node's object delivery with 0 and 2000 finished queries behind it and
 # its does-this-query-reference-that-label check, a 30-label source
@@ -81,7 +81,7 @@ loc:
 
 # parity is the no-move proof for a change that claims every frame,
 # decision and dump is where it was: athena-sim built at BASE and at the
-# tree, 16 outputs compared byte for byte (parity.sh lists them), one
+# tree, 14 outputs compared byte for byte (parity.sh lists them), one
 # same/DIFFERS line each, non-zero exit on any difference. ~1 min.
 parity:
 	./parity.sh $(BASE)

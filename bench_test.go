@@ -13,7 +13,6 @@ package athena_test
 // done by `go run ./cmd/athena-sim -fig all`.
 
 import (
-	"runtime"
 	"testing"
 	"time"
 
@@ -304,36 +303,25 @@ func BenchmarkDirectoryMemory(b *testing.B) {
 	}
 }
 
-// BenchmarkSimKernel measures the parallel event kernel on the A10
+// BenchmarkSimKernel measures the lane-per-node kernel on the A10
 // synthetic workload at n=512: one complete 2-virtual-second simulation
-// per iteration. The w1 variant is the single-executor path whose
-// allocs/op the ci.sh gate pins — events are pooled, so the allocation
-// count is the deterministic setup cost and any growth means the hot
-// path started allocating. The wN variant (NumCPU executors) reports
-// parallel throughput; its ns/op is informational only on shared
-// runners, and its event counts must match w1 exactly (worker count
-// never changes results — the A10 rig's own tests pin this).
+// per iteration. Its allocs/op is what the ci.sh gate pins — events are
+// pooled, so the allocation count is the deterministic setup cost and
+// any growth means the hot path started allocating. The sub-benchmark
+// keeps the name w1 the gate and BENCH_core.json know it by.
 func BenchmarkSimKernel(b *testing.B) {
-	for _, tc := range []struct {
-		name    string
-		workers int
-	}{
-		{"w1", 1},
-		{"wN", runtime.NumCPU()},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var evps float64
-			for i := 0; i < b.N; i++ {
-				row, err := experiment.RunKernelScale(512, tc.workers, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				evps += row.EventsPerSec
+	b.Run("w1", func(b *testing.B) {
+		b.ReportAllocs()
+		var evps float64
+		for i := 0; i < b.N; i++ {
+			row, err := experiment.RunKernelScale(512, 1)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(evps/float64(b.N), "events/sec")
-		})
-	}
+			evps += row.EventsPerSec
+		}
+		b.ReportMetric(evps/float64(b.N), "events/sec")
+	})
 }
 
 // BenchmarkAblationNoise (A5) measures corroboration cost under sensor
@@ -375,10 +363,10 @@ func BenchmarkAblationNoise(b *testing.B) {
 
 // BenchmarkBatchedFetch measures the data-plane batching layer (A11) on
 // a reduced incast rig: n=64 nodes behind one gateway, fan-in 8, with
-// coalescing off and on. The on variant's frames/node is deterministic
-// (single-worker kernel), so the committed baseline doubles as a
-// coalescing-regression gate (see ci.sh): growth means the layer stopped
-// merging traffic it used to merge.
+// coalescing off and on. The on variant's frames/node is deterministic,
+// so the committed baseline doubles as a coalescing-regression gate (see
+// ci.sh): growth means the layer stopped merging traffic it used to
+// merge.
 func BenchmarkBatchedFetch(b *testing.B) {
 	for _, tc := range []struct {
 		name   string
@@ -390,7 +378,7 @@ func BenchmarkBatchedFetch(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			var frames, bytes, batch float64
 			for i := 0; i < b.N; i++ {
-				row, err := experiment.RunBatching(64, 8, 1, tc.window, 1)
+				row, err := experiment.RunBatching(64, 8, tc.window, 1)
 				if err != nil {
 					b.Fatal(err)
 				}

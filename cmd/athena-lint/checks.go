@@ -33,7 +33,6 @@ var Analyzers = []*Analyzer{
 	{Name: "walltime", Doc: "no wall-clock time (time.Now/Since/After/...) outside the designated boundary files; deterministic code threads a simclock.Clock", Run: runWalltime},
 	{Name: "globalrand", Doc: "no global math/rand top-level functions outside boundary files; randomness comes from a seeded *rand.Rand", Run: runGlobalRand},
 	{Name: "maporder", Doc: "no map-iteration-order-dependent output (prints or unsorted slice accumulation inside a map range) in simulation-reachable packages", Run: runMapOrder},
-	{Name: "lockcopy", Doc: "no copying of values containing sync or atomic state in assignments, returns, or range statements", Run: runLockCopy},
 	{Name: "lockheld", Doc: "every mutex Lock/RLock has a same-function Unlock/RUnlock (deferred or direct)", Run: runLockHeld},
 	{Name: "lockorder", Doc: "the inferred lock-acquisition graph (direct and through calls) must be acyclic and reproduce the declared order (Node < ShardRouter < Directory < InterestTable; tcpPeer < TCPTransport)", Run: runLockOrder},
 	{Name: "metricsvalue", Doc: "metrics instruments are held as pointers (*metrics.Counter, ...) so a nil registry stays a no-op; value-typed fields defeat that contract", Run: runMetricsValue},

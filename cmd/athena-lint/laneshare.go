@@ -1,18 +1,18 @@
 package main
 
-// Lane-isolation check. The PDES kernel's determinism guarantee — runs
-// are byte-identical across -workers settings — holds because lane
-// handlers only touch state their own lane owns; every cross-lane effect
-// is buffered as a Lane.Post and merged at the window barrier in
-// canonical order. This check turns that convention into a proof
+// Lane-isolation check. The PDES kernel's conservative window is causal
+// only because lane handlers touch state their own lane owns: a window's
+// lanes run one after another, each through the whole window, and every
+// cross-lane effect is buffered as a Lane.Post and merged at the window
+// barrier in canonical order. This check turns that convention into a proof
 // obligation: it computes the set of functions reachable from kernel
 // lane entry points (handlers registered through AtCall / AfterCall /
 // AfterArg, resolved through stored method values and func-typed fields
 // by the call graph) and flags, inside that set, writes to package-level
 // variables and writes or calls that reach into another instance of the
 // handler's own type — the "peer lane" shape that bypasses the mailbox.
-// A held mutex exempts a write: serialized cross-lane state is ordered
-// by the lock, not the worker interleaving, and the lock checks audit
+// A held mutex exempts a write: state behind a lock is a shared service
+// (the socket daemon's goroutines use it too), and the lock checks audit
 // the mutex itself.
 
 import (
@@ -204,7 +204,7 @@ func checkLaneWrite(p *Pass, n *lintkit.FuncNode, lhs ast.Expr, recvObj types.Ob
 		return
 	}
 	if v, ok := obj.(*types.Var); ok && v.Parent() == p.Pkg.Types.Scope() {
-		p.Reportf(lhs.Pos(), "lane handler code writes package-level var %s; worker interleaving orders the writes, so runs stop being a pure function of the seed — thread the state through the lane or guard it with a mutex", base.Name)
+		p.Reportf(lhs.Pos(), "lane handler code writes package-level var %s; a window's lanes run one after another, so the write takes hold at a virtual time no event scheduled and the two lane layouts stop agreeing — thread the state through the lane or guard it with a mutex", base.Name)
 		return
 	}
 	if _, bare := lhs.(*ast.Ident); bare {

@@ -1,10 +1,11 @@
 package main
 
-// Lock-discipline checks: no copying of lock- or atomic-bearing values,
-// every Lock paired with a same-function Unlock, and nested acquisition of
-// the known hot locks in canonical order. The membership layer's
-// correctness under -race depends on these holding everywhere, not just in
-// the packages the race job happens to exercise.
+// Lock-discipline checks: every Lock paired with a same-function Unlock,
+// and nested acquisition of the known hot locks in canonical order. The
+// membership layer's correctness under -race depends on these holding
+// everywhere, not just in the packages the race job happens to exercise.
+// Copying a lock or an atomic is go vet's copylocks check, which ci.sh
+// and the CI lint job run beside this one.
 
 import (
 	"go/ast"
@@ -15,102 +16,6 @@ import (
 
 	"athena/internal/lintkit"
 )
-
-// containsLockState reports whether t (by value) embeds sync or
-// sync/atomic state, which must never be copied once in use. The metrics
-// instruments are caught transitively through their atomic fields.
-func containsLockState(t types.Type) string {
-	return lockStateIn(t, make(map[types.Type]bool))
-}
-
-func lockStateIn(t types.Type, seen map[types.Type]bool) string {
-	if t == nil || seen[t] {
-		return ""
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj != nil && obj.Pkg() != nil {
-			switch obj.Pkg().Path() {
-			case "sync":
-				switch obj.Name() {
-				case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond", "Pool", "Map":
-					return "sync." + obj.Name()
-				}
-			case "sync/atomic":
-				switch obj.Name() {
-				case "Bool", "Int32", "Int64", "Uint32", "Uint64", "Uintptr", "Pointer", "Value":
-					return "atomic." + obj.Name()
-				}
-			}
-		}
-		return lockStateIn(named.Underlying(), seen)
-	}
-	switch u := t.(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if s := lockStateIn(u.Field(i).Type(), seen); s != "" {
-				return s
-			}
-		}
-	case *types.Array:
-		return lockStateIn(u.Elem(), seen)
-	}
-	return ""
-}
-
-// copySource reports whether e denotes existing storage (a variable,
-// field, element, or dereference) whose copy would duplicate lock state.
-// Fresh composite literals and call results are initialisations, not
-// copies.
-func copySource(e ast.Expr) bool {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return e.Name != "nil"
-	case *ast.SelectorExpr, *ast.IndexExpr:
-		return true
-	case *ast.StarExpr:
-		return true
-	case *ast.ParenExpr:
-		return copySource(e.X)
-	}
-	return false
-}
-
-func runLockCopy(p *Pass) {
-	for _, f := range p.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				for _, rhs := range n.Rhs {
-					if !copySource(rhs) {
-						continue
-					}
-					if s := containsLockState(p.TypeOf(rhs)); s != "" {
-						p.Reportf(rhs.Pos(), "assignment copies %s, which contains %s; share a pointer instead", p.Render(rhs), s)
-					}
-				}
-			case *ast.ReturnStmt:
-				for _, res := range n.Results {
-					if !copySource(res) {
-						continue
-					}
-					if s := containsLockState(p.TypeOf(res)); s != "" {
-						p.Reportf(res.Pos(), "return copies %s, which contains %s; return a pointer instead", p.Render(res), s)
-					}
-				}
-			case *ast.RangeStmt:
-				if n.Value == nil {
-					return true
-				}
-				if s := containsLockState(p.TypeOf(n.Value)); s != "" {
-					p.Reportf(n.Value.Pos(), "range copies each element into %s, which contains %s; range over indices or pointers instead", p.Render(n.Value), s)
-				}
-			}
-			return true
-		})
-	}
-}
 
 // lockUse tallies one guarded expression's acquire/release calls within a
 // function.

@@ -1,9 +1,9 @@
 // Package laneshare is the fixture corpus for the laneshare check: a
 // seeded miniature of the PDES kernel's lane discipline (internal/simclock)
 // in which the mailbox post has been deleted along the violating paths.
-// Handlers registered through AtCall / AfterCall run on the owning lane's
-// worker; every cross-lane effect must be buffered with Post and merged at
-// the window barrier, or the run stops replaying from its seed.
+// Handlers registered through AtCall / AfterCall run on the owning lane;
+// every cross-lane effect must be buffered with Post and merged at the
+// window barrier, or it takes hold at a virtual time no event scheduled.
 package laneshare
 
 import "sync"
@@ -55,7 +55,7 @@ func Wire(l *Lane) {
 }
 
 // delivered counts deliveries across all lanes: package-level state
-// written from lane code, so worker interleaving orders the increments.
+// written from lane code, so lane run order orders the increments.
 var delivered int
 
 // tickHandler is a registered top-level handler.
@@ -65,7 +65,7 @@ func tickHandler(any) {
 
 // onDeliver hands an event to the peer lane with the mailbox post
 // deleted: it writes the peer's inbox directly and pokes the peer's
-// clock, so the result depends on which worker runs first.
+// clock, so the result depends on which lane runs first.
 func (l *Lane) onDeliver(arg any) {
 	dst := l.peer
 	dst.inbox = append(dst.inbox, post{dst: dst, at: l.now, arg: arg})
@@ -96,10 +96,10 @@ func (l *Lane) onStats(any) {
 	statsMu.Unlock()
 }
 
-// seedCounter is bumped once per lane during warm-up, before any worker
-// forks; the exception is deliberate and annotated.
+// seedCounter is bumped once per lane during warm-up, before the first
+// window opens; the exception is deliberate and annotated.
 var seedCounter int
 
 func (l *Lane) onSeed(any) {
-	seedCounter++ //lint:allow laneshare warm-up runs single-threaded before workers fork
+	seedCounter++ //lint:allow laneshare warm-up runs before the first window opens
 }

@@ -11,7 +11,7 @@
 //	athena-sim -fig a7         # Ablation: node churn with/without live membership
 //	athena-sim -fig a8         # Ablation: membership control plane, flood vs gossip
 //	athena-sim -fig a9         # Ablation: directory sharding, memory/sync vs full replica
-//	athena-sim -fig a10        # Ablation: parallel kernel throughput and speedup
+//	athena-sim -fig a10        # Ablation: lane-per-node kernel throughput
 //	athena-sim -fig a11        # Ablation: data-plane batching, frames/bytes vs latency
 //	athena-sim -fig all        # everything
 //
@@ -19,15 +19,14 @@
 //
 //	athena-sim -fig dump       # fixed-seed cluster, a kernel lane per node;
 //	                           # prints the full outcome as deterministic JSON
-//	                           # (byte-identical for any -workers / GOMAXPROCS)
+//	                           # (byte-identical run to run and at any GOMAXPROCS)
 //	athena-sim -fig smoke      # n=2048 gossip+sharding membership fleet, a
 //	                           # lane per node; prints the row as JSON
 //
 // Use -reps, -seed, -schemes and -quick to trade fidelity for time.
-// -workers sets the worker count for the scenarios that run a kernel lane
-// per node (a10, a11, dump, smoke); the classic figures always run every
-// node on one shared lane, in global schedule order, so their published
-// numbers stay byte-identical across releases.
+// a10, a11, dump and smoke run a kernel lane per node; the classic
+// figures always run every node on one shared lane, in global schedule
+// order, so their published numbers stay byte-identical across releases.
 package main
 
 import (
@@ -35,7 +34,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -58,7 +56,6 @@ func run() error {
 		schemes = flag.String("schemes", "cmp,slt,lcf,lvf,lvfl", "comma-separated schemes")
 		csv     = flag.Bool("csv", false, "emit CSV instead of tables (figures 2 and 3)")
 		quick   = flag.Bool("quick", false, "smaller workload for a fast smoke run")
-		workers = flag.Int("workers", runtime.NumCPU(), "parallel kernel workers for kernel-backed scenarios (a10, dump, smoke); never affects results, only wall time")
 		batch   = flag.Duration("batch-window", 0, "data-plane coalescing window for the dump scenario (0 = batching off); CI diffs dump output with batching on and off")
 	)
 	flag.Parse()
@@ -66,9 +63,9 @@ func run() error {
 	// The CI scenarios bypass the figure machinery entirely.
 	switch *fig {
 	case "dump":
-		return runDump(*seed, *workers, *batch)
+		return runDump(*seed, *batch)
 	case "smoke":
-		return runSmoke(*seed, *workers, *quick)
+		return runSmoke(*seed, *quick)
 	}
 
 	cfg := experiment.Default()
@@ -213,11 +210,7 @@ func run() error {
 		if *quick {
 			sizes = []int{512}
 		}
-		wlist := []int{1}
-		if *workers > 1 {
-			wlist = append(wlist, *workers)
-		}
-		rows, err := experiment.AblationKernelScale(sizes, wlist, cfg.BaseSeed)
+		rows, err := experiment.AblationKernelScale(sizes, cfg.BaseSeed)
 		if err != nil {
 			return err
 		}
@@ -229,7 +222,7 @@ func run() error {
 		if *quick {
 			sizes = []int{64}
 		}
-		rows, err := experiment.AblationBatching(cfg.BaseSeed, *workers, sizes)
+		rows, err := experiment.AblationBatching(cfg.BaseSeed, sizes)
 		if err != nil {
 			return err
 		}
@@ -242,9 +235,9 @@ func run() error {
 }
 
 // dumpHistogram is a histogram snapshot without the float running sum.
-// Bucket counts are integers and accumulate commutatively, so they are
-// identical for any worker count; the sum is a float reduced in execution
-// order, whose ulp-level wobble would break byte-for-byte diffs.
+// Bucket counts are integers and accumulate commutatively; the sum is a
+// float reduced in execution order, whose ulp-level wobble would break
+// byte-for-byte diffs.
 type dumpHistogram struct {
 	Bounds []float64 `json:"bounds"`
 	Counts []int64   `json:"counts"`
@@ -256,7 +249,6 @@ type dumpHistogram struct {
 // encoding/json, no order-sensitive floats.
 type dumpOutcome struct {
 	Scheme          string                   `json:"scheme"`
-	Workers         string                   `json:"workers"`
 	Seed            int64                    `json:"seed"`
 	QueriesIssued   int                      `json:"queriesIssued"`
 	QueriesResolved int                      `json:"queriesResolved"`
@@ -270,12 +262,12 @@ type dumpOutcome struct {
 	Histograms      map[string]dumpHistogram `json:"histograms"`
 }
 
-// runDump executes a fixed-seed cluster scenario on the parallel kernel —
+// runDump executes a fixed-seed cluster scenario, a kernel lane per node —
 // gossip membership, churn, the most timing-sensitive configuration — and
-// prints the complete outcome as JSON. The output is byte-identical for
-// any workers value and any GOMAXPROCS; CI diffs it across both axes, with
-// data-plane batching both off and on (-batch-window).
-func runDump(seed int64, workers int, batchWindow time.Duration) error {
+// prints the complete outcome as JSON. The output is byte-identical run to
+// run and at any GOMAXPROCS; CI diffs it across both, with data-plane
+// batching both off and on (-batch-window).
+func runDump(seed int64, batchWindow time.Duration) error {
 	wcfg := athena.DefaultWorkload()
 	wcfg.GridRows, wcfg.GridCols = 6, 6
 	wcfg.Nodes = 24
@@ -286,12 +278,9 @@ func runDump(seed int64, workers int, batchWindow time.Duration) error {
 	if err != nil {
 		return err
 	}
-	if workers < 1 {
-		workers = 1
-	}
 	cluster, err := athena.NewCluster(s, athena.ClusterConfig{
 		Scheme:            athena.SchemeLVF,
-		Workers:           workers,
+		Workers:           1, // a lane per node
 		HeartbeatInterval: 2 * time.Second,
 		HeartbeatMiss:     3,
 		GossipFanout:      2,
@@ -308,7 +297,6 @@ func runDump(seed int64, workers int, batchWindow time.Duration) error {
 	}
 	dump := dumpOutcome{
 		Scheme:          out.Scheme.String(),
-		Workers:         "any", // the point: this field must not vary with -workers
 		Seed:            seed,
 		QueriesIssued:   out.QueriesIssued,
 		QueriesResolved: out.QueriesResolved,
@@ -329,23 +317,20 @@ func runDump(seed int64, workers int, batchWindow time.Duration) error {
 	return enc.Encode(dump)
 }
 
-// runSmoke runs the n=2048 gossip+sharding membership fleet on the
-// parallel kernel and prints the measured row as JSON — the CI scale
-// job's artifact. -quick trims the fleet to n=512 for local checks.
-func runSmoke(seed int64, workers int, quick bool) error {
+// runSmoke runs the n=2048 gossip+sharding membership fleet, a kernel
+// lane per node, and prints the measured row as JSON — the CI scale job's
+// artifact. -quick trims the fleet to n=512 for local checks.
+func runSmoke(seed int64, quick bool) error {
 	n := 2048
 	if quick {
 		n = 512
-	}
-	if workers < 1 {
-		workers = 1
 	}
 	//lint:allow walltime operator-facing elapsed-time report, not simulation state
 	start := time.Now()
 	row, err := experiment.RunMembershipOpts(n, experiment.MembershipOpts{
 		Fanout:        2,
 		Seed:          seed,
-		Workers:       workers,
+		LanePerNode:   true,
 		Shards:        4 * n,
 		ShardReplicas: 3,
 	})
@@ -354,7 +339,6 @@ func runSmoke(seed int64, workers int, quick bool) error {
 	}
 	out := struct {
 		Nodes            int     `json:"nodes"`
-		Workers          int     `json:"workers"`
 		Seed             int64   `json:"seed"`
 		CtlMsgsPerNode   float64 `json:"ctlMsgsPerNodePerInterval"`
 		CtlBytesPerNode  float64 `json:"ctlBytesPerNodePerInterval"`
@@ -363,7 +347,6 @@ func runSmoke(seed int64, workers int, quick bool) error {
 		WallSeconds      float64 `json:"wallSeconds"`
 	}{
 		Nodes:            row.Nodes,
-		Workers:          workers,
 		Seed:             seed,
 		CtlMsgsPerNode:   row.CtlMsgs,
 		CtlBytesPerNode:  row.CtlBytes,

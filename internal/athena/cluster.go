@@ -88,9 +88,8 @@ type ClusterConfig struct {
 	// every node on one shared lane, in global schedule order — the order
 	// the classic figures and goldens are recorded in. Any positive value
 	// gives every node a lane of its own, merged in the kernel's canonical
-	// order and executed by that many worker goroutines; those outcomes
-	// are a pure function of the seed, identical at every positive worker
-	// count, so there Workers only changes wall-clock time.
+	// order; the count itself is not used (every lane runs on the calling
+	// goroutine), and the field stays an int because bench/ sets it.
 	Workers int
 }
 
@@ -111,8 +110,8 @@ const (
 // workload scenario.
 type Cluster struct {
 	Scenario *workload.Scenario
-	// Kernel is the lane-per-node kernel; nil when every node shares one
-	// lane (Workers == 0). Network.RunUntil drives either layout.
+	// Kernel is the kernel the network runs on: one lane per node, or
+	// one lane every node shares (Workers == 0).
 	Kernel    *simclock.Kernel
 	Network   *netsim.Network
 	Nodes     map[string]*Node
@@ -139,7 +138,7 @@ func NewCluster(s *workload.Scenario, cfg ClusterConfig) (*Cluster, error) {
 		reg = metrics.NewRegistry()
 	}
 
-	net := netsim.NewAt(s.Epoch, cfg.Workers, s.Config.Seed)
+	net := netsim.NewAt(s.Epoch, cfg.Workers > 0, s.Config.Seed)
 	if err := s.BuildNetwork(net); err != nil {
 		return nil, err
 	}
@@ -168,6 +167,7 @@ func NewCluster(s *workload.Scenario, cfg ClusterConfig) (*Cluster, error) {
 
 	c := &Cluster{
 		Scenario:  s,
+		Kernel:    net.Kernel(),
 		Network:   net,
 		Nodes:     make(map[string]*Node, len(s.Placements)),
 		Authority: auth,
@@ -175,10 +175,6 @@ func NewCluster(s *workload.Scenario, cfg ClusterConfig) (*Cluster, error) {
 		Metrics:   reg,
 		cfg:       cfg,
 	}
-	if cfg.Workers > 0 {
-		c.Kernel = net.Kernel()
-	}
-
 	for i := range s.Placements {
 		p := s.Placements[i]
 		desc := s.Sources[i]

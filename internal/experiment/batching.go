@@ -79,15 +79,15 @@ type BatchingRow struct {
 	ByteSavings    float64
 }
 
-// RunBatching runs one A11 cell. Deterministic in (n, fanIn, window,
-// seed); workers only changes wall-clock time.
-func RunBatching(n, fanIn, workers int, window time.Duration, seed int64) (BatchingRow, error) {
+// RunBatching runs one A11 cell, a kernel lane per node. Deterministic in
+// (n, fanIn, window, seed).
+func RunBatching(n, fanIn int, window time.Duration, seed int64) (BatchingRow, error) {
 	k := batchingSources
 	consumers := n - k - 1
 	if consumers < 1 {
 		return BatchingRow{}, fmt.Errorf("experiment: batching fleet n=%d too small for %d sources", n, k)
 	}
-	net := netsim.NewAt(batchingEpoch, workers, seed)
+	net := netsim.NewAt(batchingEpoch, true, seed)
 
 	const gw = "gw"
 	link := netsim.LinkConfig{Bandwidth: 8 << 20, Latency: time.Millisecond}
@@ -234,7 +234,7 @@ func windowLabel(w time.Duration) string {
 // AblationBatching (A11) sweeps fleet size × fan-in × coalescing window,
 // normalizing every batched cell against its (n, fan-in) unbatched
 // baseline. A nil sizes slice runs {64, 512, 2048}.
-func AblationBatching(seed int64, workers int, sizes []int) ([]BatchingRow, error) {
+func AblationBatching(seed int64, sizes []int) ([]BatchingRow, error) {
 	if len(sizes) == 0 {
 		sizes = []int{64, 512, 2048}
 	}
@@ -245,7 +245,7 @@ func AblationBatching(seed int64, workers int, sizes []int) ([]BatchingRow, erro
 		for _, f := range fanIns {
 			var base BatchingRow
 			for i, w := range windows {
-				row, err := RunBatching(n, f, workers, w, seed)
+				row, err := RunBatching(n, f, w, seed)
 				if err != nil {
 					return nil, err
 				}

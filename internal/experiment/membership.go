@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
 	"time"
 
@@ -65,11 +64,10 @@ type MembershipOpts struct {
 	Fanout int
 	// Seed drives topology, gossip sampling, and the kernel tie-break.
 	Seed int64
-	// Workers > 0 gives every node its own kernel lane, run by that many
-	// lane executors; 0 runs all nodes on one shared lane. The outcome is
-	// identical either way up to same-instant tie order — lane-per-node
-	// exists to make the n >= 2048 rows affordable.
-	Workers int
+	// LanePerNode gives every node its own kernel lane; false runs all
+	// nodes on one shared lane. The outcome is identical either way up to
+	// same-instant tie order.
+	LanePerNode bool
 	// Shards/ShardReplicas > 0 enable the sharded directory (requires
 	// Fanout > 0), mirroring the A9 configuration on a real simulation.
 	Shards, ShardReplicas int
@@ -88,7 +86,7 @@ func RunMembership(n, fanout int, seed int64) (MembershipRow, error) {
 // RunMembershipOpts is RunMembership with engine and sharding control.
 func RunMembershipOpts(n int, o MembershipOpts) (MembershipRow, error) {
 	fanout, seed := o.Fanout, o.Seed
-	net := netsim.NewAt(membershipEpoch, o.Workers, seed)
+	net := netsim.NewAt(membershipEpoch, o.LanePerNode, seed)
 	rng := rand.New(rand.NewSource(seed))
 	link := netsim.LinkConfig{Bandwidth: 1 << 20, Latency: time.Millisecond}
 	if err := netsim.BuildRandomConnected(net, n, n/2, link, rng); err != nil {
@@ -239,7 +237,7 @@ func RunMembershipOpts(n int, o MembershipOpts) (MembershipRow, error) {
 // λ·log n piggybacked deltas), at the price of a longer — but bounded and
 // false-positive-resistant — detection window. A nil sizes slice runs the
 // full {8, 32, 128, 512} sweep plus an n=2048 gossip+sharding row that is
-// simulated for real on the parallel kernel (flooding at that size would
+// simulated for real, a kernel lane per node (flooding at that size would
 // cost O(n²) messages per interval for no new information, so only the
 // scalable configuration gets the scale row).
 func AblationMembership(cfg Config, sizes []int) ([]MembershipRow, error) {
@@ -267,7 +265,7 @@ func AblationMembership(cfg Config, sizes []int) ([]MembershipRow, error) {
 		row, err := RunMembershipOpts(n, MembershipOpts{
 			Fanout:        2,
 			Seed:          cfg.BaseSeed,
-			Workers:       runtime.NumCPU(),
+			LanePerNode:   true,
 			Shards:        4 * n,
 			ShardReplicas: 3,
 		})

@@ -1,17 +1,15 @@
 package experiment
 
-// Ablation A10: parallel kernel throughput. The rig is netsim-only — a
-// synthetic message-passing workload rather than full Athena nodes — so
+// Ablation A10: lane-per-node kernel throughput. The rig is netsim-only —
+// a synthetic message-passing workload rather than full Athena nodes — so
 // fleet size can reach n=10240 (a full node carries per-fleet directory
 // state that makes 10k-node deployments a memory experiment, not a
-// kernel-throughput one). Every row's outcome is a pure function of
-// (n, seed): the worker sweep re-runs the identical scenario and only
-// wall-clock time may change, which is what the speedup column measures.
+// kernel-throughput one). Every row's event and delivery counts are a
+// pure function of (n, seed); only the wall column depends on the host.
 
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
 	"time"
 
@@ -19,20 +17,18 @@ import (
 	"athena/internal/simclock"
 )
 
-// KernelScaleRow is one (fleet size × worker count) cell of the A10 table.
+// KernelScaleRow is one fleet-size cell of the A10 table.
 type KernelScaleRow struct {
-	// Label names the configuration (e.g. "n=2048 W=8").
+	// Label names the configuration (e.g. "n=2048").
 	Label string
-	// Nodes is the fleet size; Workers the kernel's executor count.
-	Nodes, Workers int
+	// Nodes is the fleet size.
+	Nodes int
 	// Events is the number of simulation events executed; Delivered the
-	// messages that arrived (both worker-count-invariant by construction).
+	// messages that arrived.
 	Events, Delivered int64
 	// Wall is the host time the run took; EventsPerSec is Events/Wall.
 	Wall         time.Duration
 	EventsPerSec float64
-	// Speedup is EventsPerSec relative to the same fleet at W=1.
-	Speedup float64
 }
 
 // kernelEpoch anchors the rig's virtual clock; deterministic in the seed,
@@ -65,11 +61,11 @@ func (k *kernelTicker) tick() {
 	k.lane.After(k.period, k.tick)
 }
 
-// RunKernelScale runs the synthetic workload for fleet size n with the
-// given worker count and returns the measured cell. Deterministic in
-// (n, seed) — the worker count affects only wall-clock time.
-func RunKernelScale(n, workers int, seed int64) (KernelScaleRow, error) {
-	net := netsim.NewAt(kernelEpoch, workers, seed)
+// RunKernelScale runs the synthetic workload for fleet size n, a kernel
+// lane per node, and returns the measured cell. Events and Delivered are
+// deterministic in (n, seed).
+func RunKernelScale(n int, seed int64) (KernelScaleRow, error) {
+	net := netsim.NewAt(kernelEpoch, true, seed)
 	rng := rand.New(rand.NewSource(seed))
 	// Odd bandwidth and prime-offset tick periods keep event times off a
 	// shared grid, so same-instant ties (the one place engines may
@@ -109,9 +105,8 @@ func RunKernelScale(n, workers int, seed int64) (KernelScaleRow, error) {
 		delivered += c
 	}
 	row := KernelScaleRow{
-		Label:     fmt.Sprintf("n=%d W=%d", n, workers),
+		Label:     fmt.Sprintf("n=%d", n),
 		Nodes:     n,
-		Workers:   workers,
 		Events:    net.Kernel().Executed(),
 		Delivered: delivered,
 		Wall:      wall,
@@ -122,39 +117,19 @@ func RunKernelScale(n, workers int, seed int64) (KernelScaleRow, error) {
 	return row, nil
 }
 
-// AblationKernelScale (A10) sweeps fleet size × worker count and reports
-// kernel throughput and parallel speedup. The W=1 cell doubles as the
-// determinism baseline: every W cell of the same n must report identical
-// Events and Delivered counts (the test suite pins this; here it is
-// surfaced in the table so a regression is visible in the artifact). A
-// nil sizes slice runs {512, 2048, 10240}; a nil workers slice runs
-// {1, NumCPU} (deduplicated on single-core hosts).
-func AblationKernelScale(sizes, workers []int, seed int64) ([]KernelScaleRow, error) {
+// AblationKernelScale (A10) sweeps fleet size and reports kernel
+// throughput. A nil sizes slice runs {512, 2048, 10240}.
+func AblationKernelScale(sizes []int, seed int64) ([]KernelScaleRow, error) {
 	if len(sizes) == 0 {
 		sizes = []int{512, 2048, 10240}
 	}
-	if len(workers) == 0 {
-		workers = []int{1}
-		if nc := runtime.NumCPU(); nc > 1 {
-			workers = append(workers, nc)
-		}
-	}
 	var rows []KernelScaleRow
 	for _, n := range sizes {
-		var base float64
-		for _, w := range workers {
-			row, err := RunKernelScale(n, w, seed)
-			if err != nil {
-				return nil, err
-			}
-			if base == 0 {
-				base = row.EventsPerSec
-			}
-			if base > 0 {
-				row.Speedup = row.EventsPerSec / base
-			}
-			rows = append(rows, row)
+		row, err := RunKernelScale(n, seed)
+		if err != nil {
+			return nil, err
 		}
+		rows = append(rows, row)
 	}
 	return rows, nil
 }
@@ -162,13 +137,13 @@ func AblationKernelScale(sizes, workers []int, seed int64) ([]KernelScaleRow, er
 // RenderKernelScale prints the A10 table.
 func RenderKernelScale(rows []KernelScaleRow) string {
 	var b strings.Builder
-	b.WriteString("Ablation A10: parallel kernel throughput — events/sec and speedup vs n and workers\n")
-	fmt.Fprintf(&b, "%-16s%12s%12s%12s%14s%10s\n",
-		"config", "events", "delivered", "wall", "events/sec", "speedup")
+	b.WriteString("Ablation A10: lane-per-node kernel throughput — events/sec vs n\n")
+	fmt.Fprintf(&b, "%-16s%12s%12s%12s%14s\n",
+		"config", "events", "delivered", "wall", "events/sec")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-16s%12d%12d%12s%14.0f%9.2fx\n",
+		fmt.Fprintf(&b, "%-16s%12d%12d%12s%14.0f\n",
 			r.Label, r.Events, r.Delivered, r.Wall.Round(time.Millisecond),
-			r.EventsPerSec, r.Speedup)
+			r.EventsPerSec)
 	}
 	return b.String()
 }

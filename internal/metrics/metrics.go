@@ -73,7 +73,7 @@ func (g *Gauge) Add(delta int64) {
 // Concurrent SetMax calls commute, so a gauge fed by many writers (for
 // example one directory replica per node mirroring its version) settles
 // on the same value regardless of update order — a requirement for
-// worker-count-independent simulation outcomes.
+// simulation outcomes that do not depend on which lane ran first.
 func (g *Gauge) SetMax(v int64) {
 	if g == nil {
 		return

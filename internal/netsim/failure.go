@@ -5,7 +5,7 @@
 // the master failure seed and the link's endpoints, and outages are
 // ordinary events on the lane that owns the affected state — so a
 // failure-injected run is exactly repeatable from its seed, in either
-// lane layout, at any worker count.
+// lane layout.
 package netsim
 
 import (
@@ -75,8 +75,8 @@ func (n *Network) SetLoss(p float64) error {
 
 // SetLinkDown takes the a<->b link down (or back up). Messages sent or in
 // flight while the link is down are lost (counted, no error), as on a
-// severed radio link. Call it between runs; during a parallel run use
-// ScheduleLinkOutage, which routes each direction's transition to the
+// severed radio link. Call it between runs; during a lane-per-node run
+// use ScheduleLinkOutage, which routes each direction's transition to the
 // lane that owns it.
 func (n *Network) SetLinkDown(a, b string, down bool) error {
 	la, oka := n.links[[2]string{a, b}]
@@ -92,7 +92,7 @@ func (n *Network) SetLinkDown(a, b string, down bool) error {
 // ScheduleLinkOutage schedules the a<->b link to go down at the given
 // instant and come back up after the outage duration. Each direction's
 // transitions run on its source node's lane — the lane that reads the
-// flag on the transmit path — so the outage is layout- and worker-safe.
+// flag on the transmit path — so both layouts see the same outage.
 func (n *Network) ScheduleLinkOutage(a, b string, at time.Time, outage time.Duration) error {
 	la, oka := n.links[[2]string{a, b}]
 	lb, okb := n.links[[2]string{b, a}]

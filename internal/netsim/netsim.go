@@ -14,8 +14,7 @@
 // only cross-lane effects are message deliveries, posted with a delay of
 // at least the link latency (the kernel's conservative lookahead). The
 // transmit/deliver path is the same code in both. Each layout is a pure
-// function of the seed, and lane-per-node is additionally identical at
-// any worker count; the two layouts order same-instant events
+// function of the seed; the two layouts order same-instant events
 // differently (schedule order vs the kernel's canonical merge order), so
 // they agree on every protocol outcome but are not byte-identical to
 // each other.
@@ -26,8 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"athena/internal/simclock"
@@ -130,11 +127,11 @@ func (q *msgQueue) Pop() any {
 	return m
 }
 
-// link is one directed link. Every field except lost belongs to the
-// source node's lane: Send, serialization, the
-// queue, and the failure draw all run there. lost alone is atomic
-// because the destination lane also counts losses (a message arriving
-// at a churned-out node).
+// link is one directed link. Every field but stats.Lost belongs to the
+// source node's lane: Send, serialization, the queue, and the failure
+// draw all run there. The destination lane also counts losses (a message
+// arriving at a churned-out node); lanes run one at a time on one
+// goroutine, so the shared counter needs no synchronization.
 type link struct {
 	bandwidth float64 // bytes per second
 	latency   time.Duration
@@ -147,12 +144,11 @@ type link struct {
 	queued  int64    // bytes accepted but not yet fully serialized
 	seq     uint64   // FIFO tiebreak within this link's queue
 	stats   LinkStats
-	lost    atomic.Int64 // injected-failure losses (src and dst lanes)
 
 	// Injected failure state (see failure.go). rng is the link's own
 	// splitmix64 loss stream, derived from the master failure seed and
 	// the link's endpoints, so draws are independent of global event
-	// interleaving — a requirement for worker-count independence.
+	// interleaving — the same draws on either lane layout.
 	lossProb float64 // per-message loss probability
 	rng      uint64  // seeded splitmix64 state; valid once seeded
 	down     bool    // link severed: everything on it is lost
@@ -183,15 +179,12 @@ type Network struct {
 
 	// Route cache: order maps a node index back to its id, and
 	// hopTab[dstIdx] holds the next-hop table toward dst (entry per src,
-	// -1 = unreachable), built lazily per destination by BFS. Tables are
-	// atomic pointers because any lane may ask for a route; builders
-	// serialize on routeMu. The slice itself grows only in AddNode, one
-	// slot per node, never while lanes index it during a run.
-	order   []string
-	routeMu sync.Mutex
-	hopTab  []atomic.Pointer[[]int32]
+	// -1 = unreachable; nil until built), built lazily per destination by
+	// BFS and shared by every lane.
+	order  []string
+	hopTab [][]int32
 
-	// BFS scratch reused across route builds; guarded by routeMu.
+	// BFS scratch reused across route builds.
 	bfsFrontier, bfsLevel []int32
 
 	// minLatency is the smallest link latency — the kernel's
@@ -232,15 +225,14 @@ func NewParallel(k *simclock.Kernel) *Network {
 	return n
 }
 
-// NewAt creates an empty network starting at epoch in the lane layout
-// workers selects: 0 is New on a fresh scheduler (one shared lane); a
-// positive count is NewParallel on a kernel with that many workers, seed
-// feeding its cross-lane merge tie-break.
-func NewAt(epoch time.Time, workers int, seed int64) *Network {
-	if workers <= 0 {
+// NewAt creates an empty network starting at epoch: New on a fresh
+// scheduler (one shared lane), or with lanePerNode NewParallel on a fresh
+// kernel, seed feeding its cross-lane merge tie-break.
+func NewAt(epoch time.Time, lanePerNode bool, seed int64) *Network {
+	if !lanePerNode {
 		return New(simclock.New(epoch))
 	}
-	return NewParallel(simclock.NewKernel(epoch, simclock.KernelOpts{Workers: workers, Seed: uint64(seed)}))
+	return NewParallel(simclock.NewKernel(epoch, simclock.KernelOpts{Seed: uint64(seed)}))
 }
 
 // Kernel exposes the kernel the network runs on.
@@ -311,7 +303,7 @@ func (n *Network) AddNode(id string, h Handler) {
 	n.nodes[id] = nd
 	n.order = append(n.order, id)
 	n.perNode = append(n.perNode, Stats{})
-	n.hopTab = append(n.hopTab, atomic.Pointer[[]int32]{})
+	n.hopTab = append(n.hopTab, nil)
 }
 
 // SetHandler replaces a node's message handler.
@@ -403,13 +395,13 @@ func (n *Network) LinkStats(a, b string) LinkStats {
 		out.Bytes += l.stats.Bytes
 		out.Messages += l.stats.Messages
 		out.Dropped += l.stats.Dropped
-		out.Lost += l.lost.Load()
+		out.Lost += l.stats.Lost
 	}
 	if l, ok := n.links[[2]string{b, a}]; ok {
 		out.Bytes += l.stats.Bytes
 		out.Messages += l.stats.Messages
 		out.Dropped += l.stats.Dropped
-		out.Lost += l.lost.Load()
+		out.Lost += l.stats.Lost
 	}
 	return out
 }
@@ -513,7 +505,7 @@ func (n *Network) finishTx(arg any) {
 	// transit. (Destination churn is judged at arrival, on the
 	// destination's lane — see deliver.)
 	if n.lose(l) {
-		l.lost.Add(1)
+		l.stats.Lost++
 		n.perNode[l.src.idx].MessagesLost++
 		n.releaseTo(l.src, m)
 		n.transmitNext(l)
@@ -535,7 +527,7 @@ func (n *Network) deliver(arg any) {
 	dst := l.dst
 	st := &n.perNode[dst.idx]
 	if dst.down {
-		l.lost.Add(1)
+		l.stats.Lost++
 		st.MessagesLost++
 		n.releaseTo(dst, m)
 		return
@@ -550,10 +542,9 @@ func (n *Network) deliver(arg any) {
 
 // NextHop returns the next hop on a shortest (fewest-hops) path from src
 // toward dst, computing and caching routes by BFS. Ties break toward the
-// lexicographically smallest neighbor for determinism. Safe to call from
-// any lane: route tables are atomically published and builders serialize
-// on routeMu, and the table contents depend only on the topology, so the
-// cache is worker-count independent.
+// lexicographically smallest neighbor for determinism. The table
+// contents depend only on the topology, so which lane asks first never
+// matters.
 func (n *Network) NextHop(src, dst string) (string, error) {
 	if src == dst {
 		return dst, nil
@@ -566,30 +557,22 @@ func (n *Network) NextHop(src, dst string) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("%w: %q", ErrUnknownNode, dst)
 	}
-	if tab := n.hopTab[dn.idx].Load(); tab != nil {
-		if hi := (*tab)[sn.idx]; hi >= 0 {
-			return n.order[hi], nil
-		}
-		return "", fmt.Errorf("%w: %s -> %s", ErrNoRoute, src, dst)
+	tab := n.hopTab[dn.idx]
+	if tab == nil {
+		tab = n.buildRoute(dn)
 	}
-	return n.buildRoute(sn, dn, src, dst)
+	if hi := tab[sn.idx]; hi >= 0 {
+		return n.order[hi], nil
+	}
+	return "", fmt.Errorf("%w: %s -> %s", ErrNoRoute, src, dst)
 }
 
-// buildRoute computes and publishes the next-hop table toward dst by a
-// backward BFS, so each visited node learns its next hop toward dst in
+// buildRoute computes and caches the next-hop table toward dn by a
+// backward BFS, so each visited node learns its next hop toward dn in
 // one pass. The per-destination table is cached until the topology
 // changes: n int32s per destination, not a map entry per (src, dst)
 // string pair.
-func (n *Network) buildRoute(sn, dn *node, src, dst string) (string, error) {
-	n.routeMu.Lock()
-	defer n.routeMu.Unlock()
-	// Another lane may have published the table while we waited.
-	if tab := n.hopTab[dn.idx].Load(); tab != nil {
-		if hi := (*tab)[sn.idx]; hi >= 0 {
-			return n.order[hi], nil
-		}
-		return "", fmt.Errorf("%w: %s -> %s", ErrNoRoute, src, dst)
-	}
+func (n *Network) buildRoute(dn *node) []int32 {
 	tab := make([]int32, len(n.order))
 	for i := range tab {
 		tab[i] = -1
@@ -612,11 +595,8 @@ func (n *Network) buildRoute(sn, dn *node, src, dst string) (string, error) {
 		frontier, level = level, frontier
 	}
 	n.bfsFrontier, n.bfsLevel = frontier, level
-	n.hopTab[dn.idx].Store(&tab)
-	if hi := tab[sn.idx]; hi >= 0 {
-		return n.order[hi], nil
-	}
-	return "", fmt.Errorf("%w: %s -> %s", ErrNoRoute, src, dst)
+	n.hopTab[dn.idx] = tab
+	return tab
 }
 
 // PathLength returns the hop count of the shortest path from src to dst.

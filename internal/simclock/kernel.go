@@ -1,22 +1,20 @@
 // The deterministic kernel: the repo's one event engine. A Kernel
 // partitions the simulation into lanes — one per network node, or a
 // single lane every node shares (Scheduler) — each with its own event
-// heap, clock, and schedule-order sequence. Lanes whose next events fall inside
-// the current conservative window [T, T+lookahead) execute concurrently
-// on a configurable number of workers; cross-lane effects (message
+// heap, clock, and schedule-order sequence. Lanes whose next events fall
+// inside the current conservative window [T, T+lookahead) run one after
+// another on the calling goroutine; cross-lane effects (message
 // deliveries) are posted into per-lane mailboxes and merged at the
-// window barrier in a canonical order. Because lane assignment, window
-// boundaries, per-lane sequences, and the mailbox merge order are all
-// derived from the seed and the schedule alone — never from worker
-// count, goroutine interleaving, or GOMAXPROCS — a Kernel run is a pure
-// function of (seed, topology): the same seed produces byte-identical
-// event orders at any worker count. The classic conservative-PDES
-// safety argument applies: a cross-lane effect posted from a window
-// always lands at or after the window's end (netsim guarantees post
-// delay >= lookahead = the minimum link latency), so no lane can ever
-// receive an event earlier than one it already executed. A one-lane
-// kernel has no cross-lane effects at all, so its window is the whole
-// run and its order is plain (time, schedule sequence).
+// window barrier in a canonical order. Because window boundaries,
+// per-lane sequences, and the mailbox merge order are all derived from
+// the seed and the schedule alone — never from which lane of a window
+// ran first — a Kernel run is a pure function of (seed, topology). The
+// classic conservative-PDES safety argument applies: a cross-lane effect
+// posted from a window always lands at or after the window's end (netsim
+// guarantees post delay >= lookahead = the minimum link latency), so no
+// lane can ever receive an event earlier than one it already executed. A
+// one-lane kernel has no cross-lane effects at all, so its window is the
+// whole run and its order is plain (time, schedule sequence).
 package simclock
 
 import (
@@ -24,8 +22,6 @@ import (
 	"container/heap"
 	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -84,8 +80,8 @@ type post struct {
 // cmpPost is the canonical mailbox merge order: delivery time, then the
 // lamport post instant, then the seeded tie-break, then (source lane,
 // per-lane post sequence) as a total-order fallback. Every component is
-// a pure function of the schedule, so the order is identical at any
-// worker count.
+// a pure function of the schedule, so the order does not depend on which
+// lane of a window ran first.
 func cmpPost(a, b post) int {
 	if c := cmp.Compare(a.key, b.key); c != 0 {
 		return c
@@ -103,9 +99,9 @@ func cmpPost(a, b post) int {
 }
 
 // Lane is one deterministic partition of a Kernel: an event heap, a
-// clock, and a schedule-order sequence, owned by exactly one worker for
-// the duration of a window. All scheduling calls on a Lane must come
-// from code running on that lane (or from outside RunUntil entirely).
+// clock, and a schedule-order sequence. All scheduling calls on a Lane
+// must come from code running on that lane (or from outside RunUntil
+// entirely).
 type Lane struct {
 	k   *Kernel
 	idx int32
@@ -121,7 +117,6 @@ type Lane struct {
 
 	outbox []post
 	inbox  []post
-	ran    int
 }
 
 var _ Clock = (*Lane)(nil)
@@ -302,16 +297,16 @@ func (h *laneHeap) Pop() any {
 
 // KernelOpts configures a Kernel.
 type KernelOpts struct {
-	// Workers is the number of concurrent lane executors (<= 1 runs the
-	// whole window inline on the calling goroutine). Worker count never
-	// affects results — only wall-clock time.
+	// Deprecated: Workers is ignored. Every window's lanes run on the
+	// goroutine that calls RunUntil; the field stays because bench/
+	// compiles against it.
 	Workers int
 	// Seed feeds the canonical merge order's tie-break hash.
 	Seed uint64
 }
 
-// Kernel is the parallel deterministic event kernel. Create one with
-// NewKernel, add a lane per simulated node, and drive it with RunUntil.
+// Kernel is the deterministic event kernel. Create one with NewKernel,
+// add a lane per simulated node, and drive it with RunUntil.
 type Kernel struct {
 	// origin is the zero of the integer time line event queues and the
 	// mailbox merge order are keyed on (see instant).
@@ -320,33 +315,22 @@ type Kernel struct {
 	seed   uint64
 
 	lookahead time.Duration
-	workers   int
 
 	lanes []*Lane
 	wake  laneHeap
 
-	// Window state shared with workers. wEnd, deadline and budget are
-	// written by the coordinating goroutine before workers are released
-	// for a window and read by workers during it (the channel send orders
-	// the accesses); cursor hands out active-lane indices.
+	// Window state: Post reads wEnd while inWindow; active holds the
+	// lanes claimed for the current window.
 	inWindow bool
 	wEnd     time.Time
-	deadline time.Time
-	budget   int // events each lane may still run this window; 0 = unlimited
 	active   []*Lane
-	cursor   atomic.Int64
-	pool     *workerPool
 
 	executed int64
 }
 
 // NewKernel returns an empty Kernel whose clock starts at origin.
 func NewKernel(origin time.Time, opts KernelOpts) *Kernel {
-	w := opts.Workers
-	if w < 1 {
-		w = 1
-	}
-	return &Kernel{origin: origin, now: origin, seed: opts.Seed, workers: w}
+	return &Kernel{origin: origin, now: origin, seed: opts.Seed}
 }
 
 // instant places t on the kernel's integer time line: nanoseconds since
@@ -382,10 +366,6 @@ func (k *Kernel) SetLookahead(d time.Duration) {
 	k.lookahead = d
 }
 
-// minParallelLanes is the window occupancy below which dispatching to
-// workers costs more than it buys; such windows run inline.
-const minParallelLanes = 4
-
 // windowEnd returns the end of the conservative window opening at first.
 func (k *Kernel) windowEnd(first, deadline time.Time) time.Time {
 	switch {
@@ -413,7 +393,7 @@ func (k *Kernel) wakeIfPending(l *Lane) {
 // returns ErrHorizon as soon as maxEvents (0 = unlimited) have run
 // before the deadline was reached; the remaining budget bounds every
 // lane inside a window, so a zero-delay self-rescheduling event cannot
-// spin past it. Results are identical at any worker count.
+// spin past it. Every event runs on the calling goroutine.
 func (k *Kernel) RunUntil(deadline time.Time, maxEvents int) error {
 	// Seed the wake heap from every lane with pending work: events may
 	// have been scheduled directly between runs.
@@ -426,10 +406,6 @@ func (k *Kernel) RunUntil(deadline time.Time, maxEvents int) error {
 		}
 	}
 	heap.Init(&k.wake)
-	k.deadline = deadline
-
-	stop := k.startWorkers()
-	defer stop()
 
 	ran := 0
 	for len(k.wake) > 0 {
@@ -444,7 +420,7 @@ func (k *Kernel) RunUntil(deadline time.Time, maxEvents int) error {
 			break
 		}
 		k.wEnd = k.windowEnd(first, deadline)
-		k.budget = max(maxEvents-ran, 0)
+		budget := max(maxEvents-ran, 0) // each lane's cap this window; 0 = unlimited
 		k.inWindow = true
 
 		// Claim every lane with work inside the window. Lanes cannot
@@ -461,15 +437,10 @@ func (k *Kernel) RunUntil(deadline time.Time, maxEvents int) error {
 			k.active = append(k.active, l)
 		}
 
-		if k.workers <= 1 || len(k.active) < minParallelLanes {
-			for _, l := range k.active {
-				l.ran = l.runWindow(k.wEnd, deadline, k.budget)
-			}
-		} else {
-			k.cursor.Store(0)
-			k.releaseWorkers()
-			k.drainActive()
-			k.awaitWorkers()
+		for _, l := range k.active {
+			n := l.runWindow(k.wEnd, deadline, budget)
+			ran += n
+			k.executed += int64(n)
 		}
 		k.inWindow = false
 
@@ -480,8 +451,6 @@ func (k *Kernel) RunUntil(deadline time.Time, maxEvents int) error {
 		// before their posts arrived.
 		dirty := k.mergePosts()
 		for _, l := range k.active {
-			ran += l.ran
-			k.executed += int64(l.ran)
 			k.wakeIfPending(l)
 		}
 		for _, l := range dirty {
@@ -508,7 +477,7 @@ func (k *Kernel) RunUntil(deadline time.Time, maxEvents int) error {
 // mergePosts distributes every active lane's outbox into destination
 // inboxes, sorts each inbox canonically, and appends the posts to the
 // destination heaps in that order. It returns the lanes that received
-// posts. Single-threaded: it runs between windows.
+// posts. It runs between windows.
 func (k *Kernel) mergePosts() []*Lane {
 	var dirty []*Lane
 	for _, src := range k.active {
@@ -541,70 +510,4 @@ func (k *Kernel) mergePosts() []*Lane {
 		}
 	}
 	return dirty
-}
-
-// Worker pool. Workers are spawned per RunUntil and torn down before it
-// returns; each window the coordinator resets the cursor, releases the
-// workers, participates itself, and waits for the window WaitGroup.
-type workerPool struct {
-	wake []chan struct{}
-	done sync.WaitGroup
-	quit chan struct{}
-	join sync.WaitGroup
-}
-
-var noopStop = func() {}
-
-func (k *Kernel) startWorkers() func() {
-	if k.workers <= 1 {
-		return noopStop
-	}
-	p := &workerPool{quit: make(chan struct{})}
-	p.wake = make([]chan struct{}, k.workers-1)
-	for i := range p.wake {
-		ch := make(chan struct{}, 1)
-		p.wake[i] = ch
-		p.join.Add(1)
-		go func() {
-			defer p.join.Done()
-			for {
-				select {
-				case <-p.quit:
-					return
-				case <-ch:
-				}
-				k.drainActive()
-				p.done.Done()
-			}
-		}()
-	}
-	k.pool = p
-	return func() {
-		close(p.quit)
-		p.join.Wait()
-		k.pool = nil
-	}
-}
-
-func (k *Kernel) releaseWorkers() {
-	k.pool.done.Add(len(k.pool.wake))
-	for _, ch := range k.pool.wake {
-		ch <- struct{}{}
-	}
-}
-
-func (k *Kernel) awaitWorkers() { k.pool.done.Wait() }
-
-// drainActive claims active lanes off the shared cursor and runs their
-// windows. Which worker runs which lane never matters: lanes are
-// disjoint and the merge order is canonical.
-func (k *Kernel) drainActive() {
-	for {
-		i := k.cursor.Add(1) - 1
-		if int(i) >= len(k.active) {
-			return
-		}
-		l := k.active[i]
-		l.ran = l.runWindow(k.wEnd, k.deadline, k.budget)
-	}
 }

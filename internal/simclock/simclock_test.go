@@ -31,7 +31,7 @@ var laneRigs = []struct {
 		return s.Lane, func(d time.Time) error { return s.RunUntil(d, 0) }
 	}},
 	{"kernel-lane", func() (*Lane, func(time.Time) error) {
-		k := NewKernel(origin, KernelOpts{Workers: 2, Seed: 1})
+		k := NewKernel(origin, KernelOpts{Seed: 1})
 		k.SetLookahead(10 * time.Millisecond)
 		for _, l := range []*Lane{k.AddLane(), k.AddLane(), k.AddLane()} {
 			l := l
@@ -327,8 +327,7 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 
 // checkEventOrder verifies a lane queue's structural invariants: no slot
 // orders before its parent, every slot's key is its event's instant on the
-// kernel's integer time line, and no schedule sequence appears twice. It
-// reports with Errorf, so events may call it from a worker goroutine.
+// kernel's integer time line, and no schedule sequence appears twice.
 func checkEventOrder(t *testing.T, l *Lane) {
 	t.Helper()
 	seqs := make(map[uint64]bool, len(l.events))

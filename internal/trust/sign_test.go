@@ -60,9 +60,9 @@ func TestSignatureGolden(t *testing.T) {
 	}
 }
 
-// TestConcurrentVerify runs under -race in CI: the parallel kernel's
-// workers verify against one Authority at once, and a daemon registers
-// late joiners' keys while they do.
+// TestConcurrentVerify runs under -race in CI: the nodes of an in-process
+// socket fleet verify against one Authority at once, and a daemon
+// registers late joiners' keys while they do.
 func TestConcurrentVerify(t *testing.T) {
 	auth := NewAuthority()
 	signer := auth.Register("vision-1", []byte("secret"))

@@ -173,8 +173,8 @@ const sigLen = 2 * sha256.Size
 // macKey is one signing key in the form signatures are made with: keying
 // an HMAC hashes the key twice, so a keyed one is kept and Reset per
 // signature instead of built per signature. Hashing holds no lock; callers
-// signing at once (the parallel kernel's workers verify under one
-// Authority) each take a state of their own from the pool.
+// signing at once (the nodes of an in-process socket fleet verify under
+// one Authority) each take a state of their own from the pool.
 type macKey struct{ states sync.Pool }
 
 // macState is what one signature needs and the next one reuses. The

@@ -62,7 +62,7 @@ type SimNetwork struct {
 // virtual instant.
 func NewSimNetwork(start time.Time) *SimNetwork {
 	return &SimNetwork{
-		net:   netsim.NewAt(start, 0, 0),
+		net:   netsim.NewAt(start, false, 0),
 		auth:  trust.NewAuthority(),
 		start: start,
 		reg:   metrics.NewRegistry(),
@@ -70,22 +70,21 @@ func NewSimNetwork(start time.Time) *SimNetwork {
 	}
 }
 
-// SetWorkers switches the simulation from one lane shared by every node
-// to a kernel lane per node, executed by the given number of workers
-// (values <= 1 run the lanes single-threaded). seed feeds the kernel's
-// canonical merge-order tie-break; the outcome is a pure function of the
-// scenario and seed, never of the worker count or GOMAXPROCS. Must be
-// called before the first AddLink. Not calling it keeps the shared lane,
-// whose global schedule order is what the recorded goldens pin;
-// same-instant events may order differently between the two layouts.
-func (s *SimNetwork) SetWorkers(workers int, seed int64) error {
+// SetLanePerNode switches the simulation from one lane shared by every
+// node to a kernel lane per node. seed feeds the kernel's canonical
+// merge-order tie-break; the outcome is a pure function of the scenario
+// and seed. Must be called before the first AddLink. Not calling it keeps
+// the shared lane, whose global schedule order is what the recorded
+// goldens pin; same-instant events may order differently between the two
+// layouts.
+func (s *SimNetwork) SetLanePerNode(seed int64) error {
 	if s.built {
-		return errors.New("athena: SetWorkers after Build")
+		return errors.New("athena: SetLanePerNode after Build")
 	}
 	if s.touched {
-		return errors.New("athena: SetWorkers must be called before AddLink")
+		return errors.New("athena: SetLanePerNode must be called before AddLink")
 	}
-	s.net = netsim.NewAt(s.start, max(workers, 1), seed)
+	s.net = netsim.NewAt(s.start, true, seed)
 	return nil
 }
 
