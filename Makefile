@@ -55,12 +55,14 @@ ci-short:
 # (internal/athena), the event queue at depths 1, 512 and 8192
 # (internal/simclock), the wire codec on three small frames and a 500 KB
 # one, each way (internal/wire), the prefetch ablation (frames per
-# decision with the announce flood off and on), and one label signature
-# and verification (internal/trust), parsed into machine-readable JSON.
+# decision with the announce flood off and on), one label signature
+# and verification (internal/trust), and one scenario generated at the
+# Sec. VII shape and at the 81-node grid (internal/workload), parsed into
+# machine-readable JSON.
 # CI archives the file per commit; regressions are judged against the
 # committed baseline.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkScheme|BenchmarkDecisionEngine|BenchmarkAblationPrefetch|BenchmarkMembershipControlPlane|BenchmarkDirectoryMemory|BenchmarkSimKernel|BenchmarkBatchedFetch|BenchmarkDeliverObjectHistory|BenchmarkQueryReferences|BenchmarkSelectSources|BenchmarkShardRefresh|BenchmarkShardLookupBegin|BenchmarkLaneQueue|BenchmarkEncode|BenchmarkDecode|BenchmarkSign|BenchmarkVerify' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire ./internal/trust \
+	$(GO) test -run '^$$' -bench 'BenchmarkScheme|BenchmarkDecisionEngine|BenchmarkAblationPrefetch|BenchmarkMembershipControlPlane|BenchmarkDirectoryMemory|BenchmarkSimKernel|BenchmarkBatchedFetch|BenchmarkDeliverObjectHistory|BenchmarkQueryReferences|BenchmarkSelectSources|BenchmarkShardRefresh|BenchmarkShardLookupBegin|BenchmarkLaneQueue|BenchmarkEncode|BenchmarkDecode|BenchmarkSign|BenchmarkVerify|BenchmarkGenerate' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire ./internal/trust ./internal/workload \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_core.json
 
 # loc prints the net Go lines of a change, the figure ROADMAP has every
@@ -81,7 +83,7 @@ loc:
 
 # parity is the no-move proof for a change that claims every frame,
 # decision and dump is where it was: athena-sim built at BASE and at the
-# tree, 14 outputs compared byte for byte (parity.sh lists them), one
+# tree, 15 outputs compared byte for byte (parity.sh lists them), one
 # same/DIFFERS line each, non-zero exit on any difference. ~1 min.
 parity:
 	./parity.sh $(BASE)

@@ -84,14 +84,15 @@ fi
 # grew back a copy of the cover's bookkeeping beside the full replica's,
 # or a cover that counts gains through maps again; a shard router that
 # recomputes placement for a membership view it already has — baseline 0 —
-# or ranks the members again to start a lookup on one).
+# or ranks the members again to start a lookup on one; a scenario
+# generator whose route search allocates per extracted intersection).
 # Refresh the baseline with `make bench` when an intentional change moves
 # one.
 # BenchmarkDecisionEngine and BenchmarkShardLookupBegin have no
 # sub-benchmarks, and a two-level -bench pattern skips a benchmark that has
 # none, so each gets its own run.
 {
-	go test -run '^$' -bench '^Benchmark(Scheme|AblationPrefetch|DirectoryMemory|SimKernel|BatchedFetch|DeliverObjectHistory|SelectSources|ShardRefresh|LaneQueue|EncodeSmall)$/^(lvf|lvfl|sharded|unchanged|w1|on|n2000|depth512|request)$' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire
+	go test -run '^$' -bench '^Benchmark(Scheme|AblationPrefetch|DirectoryMemory|SimKernel|BatchedFetch|DeliverObjectHistory|SelectSources|ShardRefresh|LaneQueue|EncodeSmall|Generate)$/^(lvf|lvfl|sharded|unchanged|w1|on|n2000|depth512|request|sec7)$' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire ./internal/workload
 	go test -run '^$' -bench '^BenchmarkDecisionEngine$' -benchmem -benchtime 3x .
 	go test -run '^$' -bench '^BenchmarkShardLookupBegin$' -benchmem -benchtime 3x ./internal/athena
 } |
@@ -109,4 +110,5 @@ fi
 		-gate 'BenchmarkShardRefresh/unchanged:allocs/op:10' \
 		-gate 'BenchmarkShardLookupBegin:allocs/op:10' \
 		-gate 'BenchmarkLaneQueue/depth512:allocs/op:10' \
-		-gate 'BenchmarkEncodeSmall/request:allocs/op:10'
+		-gate 'BenchmarkEncodeSmall/request:allocs/op:10' \
+		-gate 'BenchmarkGenerate/sec7:allocs/op:10'

@@ -52,26 +52,24 @@ func RenderAblation(title, extraHeader string, rows []AblationRow) string {
 	return b.String()
 }
 
-// aggregate runs Reps clusters built by mk (which receives the repetition
-// seed) on a bounded pool and averages outcomes.
-func aggregate(cfg Config, mk func(seed int64) (*athena.Cluster, error)) (AblationRow, error) {
-	return aggregateExtra(cfg, mk, func(out athena.Outcome) float64 {
+// aggregate runs one cluster built by mk on each repetition's scenario,
+// on a bounded pool, and averages outcomes. Every row of an ablation
+// passes the same scens (see scenarios): generated once, read by all.
+func aggregate(cfg Config, scens []*workload.Scenario, mk func(*workload.Scenario) (*athena.Cluster, error)) (AblationRow, error) {
+	return aggregateExtra(cfg, scens, mk, func(out athena.Outcome) float64 {
 		return float64(out.Node.LabelAnswers)
 	})
 }
 
 // aggregateExtra is aggregate with a custom Extra-column reducer.
-func aggregateExtra(cfg Config, mk func(seed int64) (*athena.Cluster, error), extra func(athena.Outcome) float64) (AblationRow, error) {
-	if cfg.Reps <= 0 {
-		cfg.Reps = 10
-	}
+func aggregateExtra(cfg Config, scens []*workload.Scenario, mk func(*workload.Scenario) (*athena.Cluster, error), extra func(athena.Outcome) float64) (AblationRow, error) {
 	type res struct {
 		out athena.Outcome
 		err error
 	}
-	results := make([]res, cfg.Reps)
-	runPool(cfg.Reps, cfg.Parallelism, func(r int) {
-		cluster, err := mk(cfg.BaseSeed + int64(r))
+	results := make([]res, len(scens))
+	runPool(len(scens), cfg.Parallelism, func(r int) {
+		cluster, err := mk(scens[r])
 		if err != nil {
 			results[r] = res{err: err}
 			return
@@ -124,30 +122,27 @@ func foldOutcomes(outs []athena.Outcome, extra func(athena.Outcome) float64) Abl
 // lvfl and compares against plain lvf: label sharing's savings shrink as
 // fewer annotators are trusted (Section VI-D's Alice/Bob example).
 func AblationLabelSharing(cfg Config) ([]AblationRow, error) {
+	scens, err := scenarios(cfg, cfg.Workload.FastRatio)
+	if err != nil {
+		return nil, err
+	}
 	var rows []AblationRow
-	base := cfg
-	mk := func(scheme athena.Scheme, trust float64) func(int64) (*athena.Cluster, error) {
-		return func(seed int64) (*athena.Cluster, error) {
-			wcfg := base.Workload
-			wcfg.Seed = seed
-			s, err := workload.Generate(wcfg)
-			if err != nil {
-				return nil, err
-			}
-			ccfg := base.Cluster
+	mk := func(scheme athena.Scheme, trust float64) func(*workload.Scenario) (*athena.Cluster, error) {
+		return func(s *workload.Scenario) (*athena.Cluster, error) {
+			ccfg := cfg.Cluster
 			ccfg.Scheme = scheme
 			ccfg.TrustFraction = trust
 			return athena.NewCluster(s, ccfg)
 		}
 	}
-	row, err := aggregate(cfg, mk(athena.SchemeLVF, 1))
+	row, err := aggregate(cfg, scens, mk(athena.SchemeLVF, 1))
 	if err != nil {
 		return nil, err
 	}
 	row.Label = "lvf (no share)"
 	rows = append(rows, row)
 	for _, trust := range []float64{0.25, 0.5, 0.75, 1.0} {
-		row, err := aggregate(cfg, mk(athena.SchemeLVFL, trust))
+		row, err := aggregate(cfg, scens, mk(athena.SchemeLVFL, trust))
 		if err != nil {
 			return nil, err
 		}
@@ -160,16 +155,14 @@ func AblationLabelSharing(cfg Config) ([]AblationRow, error) {
 // AblationPrefetch (A2) compares lvf with and without background
 // prefetching of announced query expressions.
 func AblationPrefetch(cfg Config) ([]AblationRow, error) {
+	scens, err := scenarios(cfg, cfg.Workload.FastRatio)
+	if err != nil {
+		return nil, err
+	}
 	var rows []AblationRow
 	for _, enable := range []bool{false, true} {
 		enable := enable
-		row, err := aggregate(cfg, func(seed int64) (*athena.Cluster, error) {
-			wcfg := cfg.Workload
-			wcfg.Seed = seed
-			s, err := workload.Generate(wcfg)
-			if err != nil {
-				return nil, err
-			}
+		row, err := aggregate(cfg, scens, func(s *workload.Scenario) (*athena.Cluster, error) {
 			ccfg := cfg.Cluster
 			ccfg.Scheme = athena.SchemeLVF
 			ccfg.EnablePrefetch = enable
@@ -190,18 +183,16 @@ func AblationPrefetch(cfg Config) ([]AblationRow, error) {
 
 // AblationCache (A3) sweeps per-node content-store capacity under lvf.
 func AblationCache(cfg Config) ([]AblationRow, error) {
+	scens, err := scenarios(cfg, cfg.Workload.FastRatio)
+	if err != nil {
+		return nil, err
+	}
 	var rows []AblationRow
 	// A capacity of 1 byte fits nothing: effectively no caching. (The
 	// cluster treats 0 as "use the default".)
 	for _, capBytes := range []int64{-1, 16 << 20, 4 << 20, 1 << 20, 1} {
 		capBytes := capBytes
-		row, err := aggregate(cfg, func(seed int64) (*athena.Cluster, error) {
-			wcfg := cfg.Workload
-			wcfg.Seed = seed
-			s, err := workload.Generate(wcfg)
-			if err != nil {
-				return nil, err
-			}
+		row, err := aggregate(cfg, scens, func(s *workload.Scenario) (*athena.Cluster, error) {
 			ccfg := cfg.Cluster
 			ccfg.Scheme = athena.SchemeLVF
 			ccfg.CacheBytes = capBytes
@@ -227,16 +218,14 @@ func AblationCache(cfg Config) ([]AblationRow, error) {
 // lvf with corroboration to 95% confidence (Section IV-B): noisier
 // sensors force more corroborating evidence, raising cost and latency.
 func AblationNoise(cfg Config) ([]AblationRow, error) {
+	scens, err := scenarios(cfg, cfg.Workload.FastRatio)
+	if err != nil {
+		return nil, err
+	}
 	var rows []AblationRow
 	for _, noise := range []float64{0, 0.1, 0.2, 0.3} {
 		noise := noise
-		row, err := aggregate(cfg, func(seed int64) (*athena.Cluster, error) {
-			wcfg := cfg.Workload
-			wcfg.Seed = seed
-			s, err := workload.Generate(wcfg)
-			if err != nil {
-				return nil, err
-			}
+		row, err := aggregate(cfg, scens, func(s *workload.Scenario) (*athena.Cluster, error) {
 			ccfg := cfg.Cluster
 			ccfg.Scheme = athena.SchemeLVF
 			ccfg.SensorNoise = noise
@@ -259,18 +248,16 @@ func AblationNoise(cfg Config) ([]AblationRow, error) {
 // frame strands its query until the fixed request timeout, usually past
 // the deadline. Extra is the mean retransmission count.
 func AblationFailure(cfg Config) ([]AblationRow, error) {
+	scens, err := scenarios(cfg, cfg.Workload.FastRatio)
+	if err != nil {
+		return nil, err
+	}
 	var rows []AblationRow
 	for _, scheme := range []athena.Scheme{athena.SchemeLVF, athena.SchemeLVFL} {
 		for _, loss := range []float64{0, 0.1, 0.2, 0.3} {
 			for _, retries := range []bool{true, false} {
 				scheme, loss, retries := scheme, loss, retries
-				row, err := aggregateExtra(cfg, func(seed int64) (*athena.Cluster, error) {
-					wcfg := cfg.Workload
-					wcfg.Seed = seed
-					s, err := workload.Generate(wcfg)
-					if err != nil {
-						return nil, err
-					}
+				row, err := aggregateExtra(cfg, scens, func(s *workload.Scenario) (*athena.Cluster, error) {
 					ccfg := cfg.Cluster
 					ccfg.Scheme = scheme
 					ccfg.LinkLoss = loss
@@ -305,17 +292,15 @@ func AblationFailure(cfg Config) ([]AblationRow, error) {
 // deltas): churn resolution must hold while the control plane shrinks
 // (ablation A8 measures the shrinkage). Extra is the mean eviction count.
 func AblationChurn(cfg Config) ([]AblationRow, error) {
+	scens, err := scenarios(cfg, cfg.Workload.FastRatio)
+	if err != nil {
+		return nil, err
+	}
 	var rows []AblationRow
 	for _, churn := range []int{0, 2, 4, 8} {
 		for _, mode := range []string{"live", "gossip", "static"} {
 			churn, mode := churn, mode
-			row, err := aggregateExtra(cfg, func(seed int64) (*athena.Cluster, error) {
-				wcfg := cfg.Workload
-				wcfg.Seed = seed
-				s, err := workload.Generate(wcfg)
-				if err != nil {
-					return nil, err
-				}
+			row, err := aggregateExtra(cfg, scens, func(s *workload.Scenario) (*athena.Cluster, error) {
 				ccfg := cfg.Cluster
 				ccfg.Scheme = athena.SchemeLVF
 				ccfg.ChurnEvents = churn

@@ -83,7 +83,8 @@ type runResult struct {
 }
 
 // sweep runs Reps repetitions of every (scheme, dynamics) combination in
-// parallel and aggregates.
+// parallel and aggregates. Each (dynamics, rep) scenario is generated
+// once, and every scheme runs on that one read-only copy.
 func sweep(cfg Config, dynamics []float64) ([]Point, error) {
 	if cfg.Reps <= 0 {
 		cfg.Reps = 10
@@ -92,24 +93,56 @@ func sweep(cfg Config, dynamics []float64) ([]Point, error) {
 		cfg.Schemes = athena.Schemes()
 	}
 
+	scens, err := scenarios(cfg, dynamics...)
+	if err != nil {
+		return nil, err
+	}
 	type job struct {
-		key  runKey
-		seed int64
+		key      runKey
+		scenario *workload.Scenario
 	}
 	var jobs []job
-	for _, d := range dynamics {
+	for i, d := range dynamics {
 		for _, s := range cfg.Schemes {
 			for r := 0; r < cfg.Reps; r++ {
-				jobs = append(jobs, job{key: runKey{scheme: s, dynamics: d}, seed: cfg.BaseSeed + int64(r)})
+				jobs = append(jobs, job{key: runKey{scheme: s, dynamics: d}, scenario: scens[i*cfg.Reps+r]})
 			}
 		}
 	}
 
 	results := make([]runResult, len(jobs))
 	runPool(len(jobs), cfg.Parallelism, func(i int) {
-		results[i] = runOne(cfg, jobs[i].key, jobs[i].seed)
+		results[i] = runOne(cfg, jobs[i].key, jobs[i].scenario)
 	})
 	return aggregatePoints(results)
+}
+
+// scenarios generates, in one pass on the bounded pool, the cfg.Reps
+// repetitions of cfg.Workload at each fast ratio: element i*cfg.Reps + r
+// is repetition r (seed cfg.BaseSeed + r) at fast[i]. A scenario is
+// never written after it is built, so every run handed it reads the
+// same one, concurrently or not.
+func scenarios(cfg Config, fast ...float64) ([]*workload.Scenario, error) {
+	if cfg.Reps <= 0 {
+		cfg.Reps = 10
+	}
+	scens := make([]*workload.Scenario, len(fast)*cfg.Reps)
+	errs := make([]error, len(scens))
+	runPool(len(scens), cfg.Parallelism, func(i int) {
+		wcfg := cfg.Workload
+		wcfg.FastRatio = fast[i/cfg.Reps]
+		wcfg.Seed = cfg.BaseSeed + int64(i%cfg.Reps)
+		scens[i], errs[i] = workload.Generate(wcfg)
+		if errs[i] != nil {
+			errs[i] = fmt.Errorf("experiment: generate seed %d: %w", wcfg.Seed, errs[i])
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return scens, nil
 }
 
 // aggregatePoints folds per-repetition outcomes into one Point per
@@ -169,14 +202,8 @@ func aggregatePoints(results []runResult) ([]Point, error) {
 	return points, nil
 }
 
-func runOne(cfg Config, key runKey, seed int64) runResult {
-	wcfg := cfg.Workload
-	wcfg.Seed = seed
-	wcfg.FastRatio = key.dynamics
-	scenario, err := workload.Generate(wcfg)
-	if err != nil {
-		return runResult{key: key, err: fmt.Errorf("experiment: generate seed %d: %w", seed, err)}
-	}
+func runOne(cfg Config, key runKey, scenario *workload.Scenario) runResult {
+	seed := scenario.Config.Seed
 	ccfg := cfg.Cluster
 	ccfg.Scheme = key.scheme
 	cluster, err := athena.NewCluster(scenario, ccfg)

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,27 +11,51 @@ import (
 )
 
 // runPool must execute every job exactly once while never exceeding the
-// worker bound.
+// worker bound. Jobs hold at a gate until the pool is full, so the bound
+// is reached by construction rather than by hoping jobs overlap; the test
+// checks it while they are held, then releases them.
 func TestRunPoolBoundsConcurrency(t *testing.T) {
 	const jobs, workers = 50, 4
 	var current, peak, ran int32
 	var mu sync.Mutex
-	runPool(jobs, workers, func(i int) {
-		c := atomic.AddInt32(&current, 1)
-		mu.Lock()
-		if c > peak {
-			peak = c
-		}
-		mu.Unlock()
-		time.Sleep(time.Millisecond)
-		atomic.AddInt32(&ran, 1)
-		atomic.AddInt32(&current, -1)
-	})
+	full := make(chan struct{})    // closed when workers jobs run at once
+	release := make(chan struct{}) // closed by the test once it has looked
+	var fullOnce sync.Once
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		runPool(jobs, workers, func(i int) {
+			c := atomic.AddInt32(&current, 1)
+			mu.Lock()
+			if c > peak {
+				peak = c
+			}
+			mu.Unlock()
+			if c == workers {
+				fullOnce.Do(func() { close(full) })
+			}
+			<-release
+			atomic.AddInt32(&ran, 1)
+			atomic.AddInt32(&current, -1)
+		})
+	}()
+	<-full
+	// Give a job the bound should keep out every chance to start before
+	// the held ones are released (a pool one worker too wide fails here
+	// in 20 runs of 20).
+	for i := 0; i < 100; i++ {
+		runtime.Gosched()
+	}
+	if c := atomic.LoadInt32(&current); c != workers {
+		t.Errorf("%d jobs running with the pool full, want %d", c, workers)
+	}
+	close(release)
+	<-done
 	if ran != jobs {
 		t.Errorf("ran %d jobs, want %d", ran, jobs)
 	}
-	if peak > workers {
-		t.Errorf("peak concurrency %d exceeded worker bound %d", peak, workers)
+	if peak != workers {
+		t.Errorf("peak concurrency %d, want the worker bound %d", peak, workers)
 	}
 	// Degenerate shapes must not hang.
 	runPool(0, workers, func(int) { t.Error("fn called for n=0") })

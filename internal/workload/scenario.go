@@ -196,7 +196,8 @@ func Generate(cfg Config) (*Scenario, error) {
 	links = connectComponents(placements, links)
 
 	// Camera sources: each node's stream covers the segments around its
-	// intersection.
+	// intersection. A label's planning cost is the cheapest covering
+	// camera's size.
 	sources := make([]object.Descriptor, cfg.Nodes)
 	labelSources := make(map[string][]string)
 	meta := make(boolexpr.MetaTable)
@@ -224,35 +225,24 @@ func Generate(cfg Config) (*Scenario, error) {
 		}
 		for _, l := range labels {
 			labelSources[l] = append(labelSources[l], p.ID)
-		}
-	}
-	for l, srcs := range labelSources {
-		sort.Strings(srcs)
-		labelSources[l] = srcs
-	}
-
-	// Per-label metadata: cost is the cheapest covering camera's size.
-	for l, srcs := range labelSources {
-		minSize := int64(1 << 62)
-		for _, sid := range srcs {
-			for i := range placements {
-				if placements[i].ID == sid && sources[i].Size < minSize {
-					minSize = sources[i].Size
+			if m, ok := meta[l]; !ok || float64(size) < m.Cost {
+				meta[l] = boolexpr.Meta{
+					Cost:     float64(size),
+					ProbTrue: cfg.ProbViable,
+					Validity: world.Period(l),
 				}
 			}
 		}
-		meta[l] = boolexpr.Meta{
-			Cost:     float64(minSize),
-			ProbTrue: cfg.ProbViable,
-			Validity: world.Period(l),
-		}
+	}
+	for _, srcs := range labelSources {
+		sort.Strings(srcs)
 	}
 
 	// Route queries. The covered road network is identical for every
 	// query, so build it (and its Dijkstra scratch) once.
 	g := newRouteGraph(cfg, placements)
 	var queries []QuerySpec
-	for i, p := range placements {
+	for _, p := range placements {
 		for q := 0; q < cfg.QueriesPerNode; q++ {
 			dest := placements[rng.Intn(len(placements))]
 			for dest.Row == p.Row && dest.Col == p.Col {
@@ -262,7 +252,6 @@ func Generate(cfg Config) (*Scenario, error) {
 			if !ok {
 				continue
 			}
-			_ = i
 			queries = append(queries, QuerySpec{
 				Origin:   p.ID,
 				Expr:     expr,
@@ -312,6 +301,56 @@ type routeGraph struct {
 	visited  []bool
 	prevSeg  []Segment
 	prevNode []int32
+	// frontier is a binary min-heap of tentative distances keyed
+	// (dist, idx). An entry is pushed on every improvement and never
+	// removed early, so popping skips stale entries.
+	frontier []frontierEntry
+}
+
+type frontierEntry struct {
+	dist float64
+	idx  int32
+}
+
+func (a frontierEntry) less(b frontierEntry) bool {
+	return a.dist < b.dist || (a.dist == b.dist && a.idx < b.idx)
+}
+
+func (g *routeGraph) push(e frontierEntry) {
+	h := append(g.frontier, e)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h[i].less(h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	g.frontier = h
+}
+
+func (g *routeGraph) pop() frontierEntry {
+	h := g.frontier
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		m, l, r := i, 2*i+1, 2*i+2
+		if l < n && h[l].less(h[m]) {
+			m = l
+		}
+		if r < n && h[r].less(h[m]) {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+	g.frontier = h
+	return top
 }
 
 type inter struct{ r, c int }
@@ -407,6 +446,7 @@ func (g *routeGraph) relax(rng *rand.Rand, best int32, seg Segment, t inter) {
 		g.dist[ti] = nd
 		g.prevSeg[ti] = seg
 		g.prevNode[ti] = best
+		g.push(frontierEntry{nd, ti})
 	}
 }
 
@@ -415,30 +455,30 @@ func (g *routeGraph) relax(rng *rand.Rand, best int32, seg Segment, t inter) {
 // repeated calls yield diverse plausible routes. The relaxation order —
 // and therefore the rng draw sequence — matches segmentsAround: the
 // east, west, south, then north segment of the extracted intersection,
-// drawing one weight per covered edge to an unvisited neighbor.
+// drawing one weight per covered edge to an unvisited neighbor. The
+// next intersection extracted is the unvisited one of least distance,
+// ties going to the smaller index (row, col): the frontier's
+// (dist, idx) order, which is part of the same contract.
 func (g *routeGraph) randomRoute(rng *rand.Rand, from, to inter) []Segment {
 	for i := range g.dist {
 		g.dist[i] = -1
 		g.visited[i] = false
 	}
-	g.dist[g.interIdx(from)] = 0
+	start := g.interIdx(from)
+	g.dist[start] = 0
+	g.frontier = append(g.frontier[:0], frontierEntry{0, start})
 	target := g.interIdx(to)
 	for {
-		// Extract the unvisited node with minimum distance (grids are
-		// tiny; linear scan is fine and deterministic). Scanning in
-		// increasing index order breaks distance ties toward the smaller
-		// (row, col).
-		best := int32(-1)
-		for i, d := range g.dist {
-			if d < 0 || g.visited[i] {
-				continue
-			}
-			if best < 0 || d < g.dist[best] {
-				best = int32(i)
-			}
-		}
-		if best < 0 {
+		if len(g.frontier) == 0 {
 			return nil // unreachable
+		}
+		// A distance only ever falls, and a visited intersection's current
+		// entry has already been popped, so one comparison skips both a
+		// stale entry and any entry of a visited intersection.
+		e := g.pop()
+		best := e.idx
+		if e.dist != g.dist[best] {
+			continue
 		}
 		if best == target {
 			break
@@ -459,7 +499,6 @@ func (g *routeGraph) randomRoute(rng *rand.Rand, from, to inter) []Segment {
 		}
 	}
 	var segs []Segment
-	start := g.interIdx(from)
 	for at := target; at != start; at = g.prevNode[at] {
 		segs = append(segs, g.prevSeg[at])
 	}

@@ -203,6 +203,30 @@ func TestGenerateErrors(t *testing.T) {
 	}
 }
 
+// BenchmarkGenerate builds one scenario per op: sec7 is the Sec. VII
+// default (8×8 segments, 30 nodes), fleet81 the 81-node full grid the
+// kernel_fleet benchmark workload runs. Every op uses the same seed, so
+// allocs/op is a pure function of the code and ci.sh gates it: a route
+// search that allocates per extracted intersection, or a per-label loop
+// that grew a map, shows there.
+func BenchmarkGenerate(b *testing.B) {
+	fleet := DefaultConfig()
+	fleet.GridRows, fleet.GridCols, fleet.Nodes = 9, 9, 81
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{{"sec7", DefaultConfig()}, {"fleet81", fleet}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Generate(c.cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func TestMetaMatchesWorldPeriods(t *testing.T) {
 	s, err := Generate(DefaultConfig())
 	if err != nil {

@@ -7,11 +7,15 @@
 # them run the flood, SWIM, sharded and batched paths, plus prefetch on
 # (a2: announce and push), noisy sensors (a5: corrSource's retry timer) and
 # lossy links (a6: the recovery timers); and the n=512 gossip+sharding
-# smoke minus its wall-clock line. A `"workers"` line is stripped the same
-# way: builds before PR 25 print one (a -workers flag that never changed a
-# result), later builds do not. One `same`/`DIFFERS` line per cell; exits
-# non-zero on any difference. A1's partial-trust rows differ between two
-# runs of one binary (ROADMAP item 1) and are not here.
+# smoke minus its wall-clock line; and a3, whose rows share one generated
+# scenario per seed (a sweep's scenarios come from one generation pass).
+# A `"workers"` line is stripped the same way: builds that still had the
+# kernel's worker pool print one (a -workers flag that never changed a
+# result), later builds do not.
+# One `same`/`DIFFERS` line per cell; exits non-zero on any difference.
+# A1 is not here: its partial-trust rows differ between two runs of one
+# binary (`LabelCache.Get` breaks expiry ties in map order), and stay out
+# until ROADMAP item 11 fixes that tie.
 set -eu
 
 base="${1:?usage: $0 <base-rev>}"
@@ -47,7 +51,7 @@ for window in 0 10ms; do
 	cell "dump batch-window=$window" "" -fig dump -batch-window "$window"
 	cell "dump GOMAXPROCS=1 batch-window=$window" GOMAXPROCS=1 -fig dump -batch-window "$window"
 done
-for fig in 2 3 a2 a5 a6 a7 a8 a9 a11; do
+for fig in 2 3 a2 a3 a5 a6 a7 a8 a9 a11; do
 	cell "fig $fig -quick" "" -fig "$fig" -quick
 done
 cell "smoke -quick (minus wallSeconds)" "" -fig smoke -quick
