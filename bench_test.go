@@ -65,24 +65,12 @@ func runSchemeCluster(b *testing.B, ccfg athena.ClusterConfig, dynamics float64)
 	b.ReportMetric(float64(frames)/float64(issued), "frames/decision")
 }
 
-// BenchmarkScheme runs one reduced-scale simulation per scheme with the
-// metrics registry enabled (the cluster default). This is the family the
-// BENCH_core.json baseline tracks for hot-path regressions.
+// BenchmarkScheme runs one reduced-scale simulation per scheme. This is
+// the family the BENCH_core.json baseline tracks for hot-path regressions.
 func BenchmarkScheme(b *testing.B) {
 	for _, scheme := range athena.Schemes() {
 		b.Run(scheme.String(), func(b *testing.B) {
 			runScheme(b, scheme, 0.4)
-		})
-	}
-}
-
-// BenchmarkSchemeNoMetrics is the same workload with instrumentation
-// disabled (nil registry, no-op instruments); any delta against
-// BenchmarkScheme is the cost of the metrics layer.
-func BenchmarkSchemeNoMetrics(b *testing.B) {
-	for _, scheme := range athena.Schemes() {
-		b.Run(scheme.String(), func(b *testing.B) {
-			runSchemeCluster(b, athena.ClusterConfig{Scheme: scheme, DisableMetrics: true}, 0.4)
 		})
 	}
 }

@@ -78,12 +78,6 @@ type ClusterConfig struct {
 	ChurnEvents int
 	// ChurnOutage is each churned node's downtime (default 30s).
 	ChurnOutage time.Duration
-	// DisableMetrics runs the uninstrumented (nil-instrument) fast path.
-	// By default NewCluster creates one fleet registry that every node
-	// mirrors its activity into (Cluster.Metrics), so Outcome snapshots
-	// are always populated.
-	//lint:allow deadoption only BenchmarkSchemeNoMetrics sets it: the uninstrumented baseline the metrics layer's cost is measured against
-	DisableMetrics bool
 	// Workers selects the kernel's lane layout. Zero (the default) runs
 	// every node on one shared lane, in global schedule order — the order
 	// the classic figures and goldens are recorded in. Any positive value
@@ -117,8 +111,8 @@ type Cluster struct {
 	Nodes     map[string]*Node
 	Authority *trust.Authority
 	Directory *Directory
-	// Metrics is the fleet registry shared by every node (nil when
-	// DisableMetrics was set).
+	// Metrics is the fleet registry shared by every node: each registers
+	// its counts with it and pushes its histograms into it.
 	Metrics *metrics.Registry
 
 	cfg ClusterConfig
@@ -133,10 +127,7 @@ func NewCluster(s *workload.Scenario, cfg ClusterConfig) (*Cluster, error) {
 	if cfg.TrustFraction == 0 {
 		cfg.TrustFraction = 1
 	}
-	var reg *metrics.Registry
-	if !cfg.DisableMetrics {
-		reg = metrics.NewRegistry()
-	}
+	reg := metrics.NewRegistry()
 
 	net := netsim.NewAt(s.Epoch, cfg.Workers > 0, s.Config.Seed)
 	if err := s.BuildNetwork(net); err != nil {
@@ -266,7 +257,7 @@ type Outcome struct {
 	// Metrics is the fleet registry snapshot at the end of the run: cache
 	// hit/miss/eviction counters, retry and failover counts, membership
 	// events, and fetch-latency / decision-age histograms summed across all
-	// nodes. Zero-valued when the cluster ran with DisableMetrics.
+	// nodes.
 	Metrics metrics.Snapshot
 }
 

@@ -212,6 +212,4 @@ func (n *Node) recordBatch(k int, native, batched int64) {
 	n.stats.BatchedMsgs += k
 	n.stats.BatchBytesSaved += native - batched
 	n.m.batchSize.Observe(float64(k))
-	n.m.batchFramesSaved.Add(int64(k - 1))
-	n.m.batchBytesSaved.Add(native - batched)
 }

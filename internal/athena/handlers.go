@@ -411,7 +411,6 @@ func (n *Node) forwardRequest(req *ObjectRequest, attempt int) {
 			return
 		}
 		n.stats.Retransmits++
-		n.m.retransmits.Inc()
 		// Keep the pending mark alive through the next retry window.
 		n.interest.RefreshPending(req.Object, now.Add(n.retryDelay(attempt+1, objSize)+retryInterval))
 		n.forwardRequest(req, attempt+1)

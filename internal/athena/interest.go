@@ -1,10 +1,6 @@
 package athena
 
-import (
-	"time"
-
-	"athena/internal/metrics"
-)
+import "time"
 
 // interestEntry records that a downstream node awaits an object
 // (Section VI-B): who asked, for which query, via which neighbor the
@@ -25,11 +21,11 @@ type interestEntry struct {
 // retransmission layer), so a lapsed waiter does not cause the next Add to
 // forward a duplicate upstream request while the first is still in flight.
 type InterestTable struct {
-	ttl      time.Duration
-	entries  map[string][]interestEntry // object name -> waiters
-	pending  map[string]time.Time       // object name -> upstream request expiry
-	inserts  *metrics.Counter
-	expiries *metrics.Counter
+	ttl     time.Duration
+	entries map[string][]interestEntry // object name -> waiters
+	pending map[string]time.Time       // object name -> upstream request expiry
+	// inserts and expiries count waiters added and waiters lapsed unserved.
+	inserts, expiries int64
 }
 
 // NewInterestTable creates a table whose entries expire after ttl.
@@ -39,13 +35,6 @@ func NewInterestTable(ttl time.Duration) *InterestTable {
 		entries: make(map[string][]interestEntry),
 		pending: make(map[string]time.Time),
 	}
-}
-
-// Instrument mirrors waiter inserts and expiries into the given counters
-// (either may be nil for a no-op).
-func (t *InterestTable) Instrument(inserts, expiries *metrics.Counter) {
-	t.inserts = inserts
-	t.expiries = expiries
 }
 
 // Add records interest of origin/query in the object, remembering the
@@ -63,7 +52,7 @@ func (t *InterestTable) Add(obj, origin, queryID, from string, labels []string, 
 			return t.Pending(obj, now)
 		}
 	}
-	t.inserts.Inc()
+	t.inserts++
 	t.entries[obj] = append(entries, interestEntry{
 		origin:  origin,
 		queryID: queryID,
@@ -151,9 +140,7 @@ func (t *InterestTable) reap(obj string, now time.Time) {
 			live = append(live, e)
 		}
 	}
-	if n := len(entries) - len(live); n > 0 {
-		t.expiries.Add(int64(n))
-	}
+	t.expiries += int64(len(entries) - len(live))
 	if len(live) == 0 {
 		delete(t.entries, obj)
 		return

@@ -93,7 +93,6 @@ func (n *Node) heartbeatTick() {
 	mem.flood.beatSeq++
 	n.floodCtl(&Heartbeat{Node: n.id, Beat: mem.flood.beatSeq, AdvSeq: mem.adSeq, Digest: n.dir.Digest()}, "")
 	n.stats.HeartbeatsSent++
-	n.m.heartbeats.Inc()
 
 	// Failure detection: a present source (other than us) that has been
 	// silent for HeartbeatMiss intervals is evicted. A source we have never
@@ -123,7 +122,6 @@ func (n *Node) evictSource(src string) {
 		return
 	}
 	n.stats.Evictions++
-	n.m.evictions.Inc()
 	n.sourceGone(src, desc, had)
 }
 
@@ -208,12 +206,10 @@ func (n *Node) maybeSync(peer string, now time.Time) {
 			return
 		}
 		n.stats.SyncExchanges++
-		n.m.syncRounds.Inc()
 		n.sendShardSync(peer, shared)
 		return
 	}
 	n.stats.SyncExchanges++
-	n.m.syncRounds.Inc()
 	req := &SyncRequest{From: n.id, To: peer}
 	if mem.swim != nil {
 		// Gossip-mode sync reconciles the directory only: seq vectors in,

@@ -41,7 +41,9 @@ type Timers interface {
 	AfterArg(d time.Duration, fn func(arg any), arg any)
 }
 
-// Stats counts a node's activity.
+// Stats counts a node's activity. A field tagged `metric:"name"` is also
+// the registry counter of that name: the registry reads it when it takes
+// a snapshot (Node.collect).
 type Stats struct {
 	// QueriesIssued counts locally originated queries.
 	QueriesIssued int
@@ -55,10 +57,10 @@ type Stats struct {
 	Refetches int
 	// Retransmits counts upstream requests re-forwarded by the interest
 	// layer after a retry window lapsed without data.
-	Retransmits int
+	Retransmits int `metric:"retry.retransmits"`
 	// RequestTimeouts counts origin-side request timeouts (the backoff
 	// timer fired with the request still unanswered).
-	RequestTimeouts int
+	RequestTimeouts int `metric:"retry.timeouts"`
 	// DupSuppressed counts duplicate requests dropped because the object
 	// was plausibly still in flight to the same neighbor.
 	DupSuppressed int
@@ -81,24 +83,24 @@ type Stats struct {
 	// RoutingDrops counts messages dropped for lack of a route.
 	RoutingDrops int
 	// HeartbeatsSent counts membership heartbeats originated here.
-	HeartbeatsSent int
+	HeartbeatsSent int `metric:"membership.heartbeats_sent"`
 	// Evictions counts sources this node's failure detector evicted.
-	Evictions int
+	Evictions int `metric:"membership.evictions"`
 	// SyncExchanges counts anti-entropy exchanges this node initiated.
-	SyncExchanges int
+	SyncExchanges int `metric:"membership.sync_rounds"`
 	// PingsSent counts SWIM probes (direct, indirect requests, and relays)
 	// originated here.
-	PingsSent int
+	PingsSent int `metric:"membership.pings_sent"`
 	// Suspicions counts probe targets that entered the suspect state here.
-	Suspicions int
+	Suspicions int `metric:"membership.suspicions"`
 	// Refutations counts false-positive evictions of this node it refuted
 	// by re-advertising with a bumped sequence number.
-	Refutations int
+	Refutations int `metric:"membership.refutations"`
 	// ControlMsgs / ControlBytes count membership control-plane traffic
 	// (heartbeats, adverts, leaves, syncs, pings/acks) sent or forwarded by
 	// this node, in both flood and gossip mode.
-	ControlMsgs  int
-	ControlBytes int64
+	ControlMsgs  int   `metric:"membership.ctl_msgs"`
+	ControlBytes int64 `metric:"membership.ctl_bytes"`
 	// PlanCacheHits counts QueryInits served by the memoized query plan.
 	PlanCacheHits int
 	// ShardLookups counts routed label lookups this node issued (sharded
@@ -123,7 +125,7 @@ type Stats struct {
 	BatchedMsgs int
 	// BatchBytesSaved is the wire bytes batching saved versus shipping
 	// every member in its own frame.
-	BatchBytesSaved int64
+	BatchBytesSaved int64 `metric:"batch.bytes_saved"`
 }
 
 // Add accumulates o into s. Every field of Stats is an integer counter;
@@ -267,11 +269,13 @@ type Config struct {
 	Shards int
 	// ShardReplicas is the per-shard replication factor (default 3).
 	ShardReplicas int
-	// Metrics, when non-nil, mirrors the node's activity into the registry:
-	// cache and interest-table counters, retry/failover counts, membership
-	// events, directory version, and fetch-latency / decision-age
-	// histograms. Nil keeps instrumentation disabled (every instrument is a
-	// nil no-op; see internal/metrics).
+	// Metrics, when non-nil, publishes the node's activity in the registry.
+	// Counts — the tagged Stats fields, retry/failover, cache and
+	// interest-table counts — are read from the node whenever the registry
+	// takes a snapshot (Node.collect); the directory.version gauge and the
+	// latency, decision-age and batch-size histograms are pushed as events
+	// happen. Nil keeps instrumentation disabled (every instrument is a nil
+	// no-op; see internal/metrics).
 	Metrics *metrics.Registry
 }
 
@@ -356,66 +360,59 @@ type queuedRequest struct {
 	urgency int64
 }
 
-// nodeMetrics holds the node's pre-resolved instruments so per-event code
+// nodeMetrics holds the node's pre-resolved histograms so per-event code
 // never touches a registry map or lock. Every field is nil (a no-op) when
-// the node was built without a registry.
+// the node was built without a registry. Counts are not here: the
+// registry reads them from the node (collect).
 type nodeMetrics struct {
-	retryTimeouts    *metrics.Counter
-	failovers        *metrics.Counter
-	retransmits      *metrics.Counter
-	heartbeats       *metrics.Counter
-	evictions        *metrics.Counter
-	syncRounds       *metrics.Counter
-	pings            *metrics.Counter
-	suspicions       *metrics.Counter
-	refutes          *metrics.Counter
-	ctlMsgs          *metrics.Counter
-	ctlBytes         *metrics.Counter
-	fetchLatency     *metrics.Histogram
-	resolveLatency   *metrics.Histogram
-	decisionAge      *metrics.Histogram
-	convergence      *metrics.Histogram
-	batchSize        *metrics.Histogram
-	batchFramesSaved *metrics.Counter
-	batchBytesSaved  *metrics.Counter
+	fetchLatency   *metrics.Histogram
+	resolveLatency *metrics.Histogram
+	decisionAge    *metrics.Histogram
+	convergence    *metrics.Histogram
+	batchSize      *metrics.Histogram
 }
 
-// newNodeMetrics resolves the node's instruments once. A nil registry
+// newNodeMetrics resolves the node's histograms once. A nil registry
 // yields all-nil instruments.
 func newNodeMetrics(r *metrics.Registry) nodeMetrics {
 	return nodeMetrics{
-		retryTimeouts:    r.Counter("retry.timeouts"),
-		failovers:        r.Counter("retry.failovers"),
-		retransmits:      r.Counter("retry.retransmits"),
-		heartbeats:       r.Counter("membership.heartbeats_sent"),
-		evictions:        r.Counter("membership.evictions"),
-		syncRounds:       r.Counter("membership.sync_rounds"),
-		pings:            r.Counter("membership.pings_sent"),
-		suspicions:       r.Counter("membership.suspicions"),
-		refutes:          r.Counter("membership.refutations"),
-		ctlMsgs:          r.Counter("membership.ctl_msgs"),
-		ctlBytes:         r.Counter("membership.ctl_bytes"),
-		fetchLatency:     r.Histogram("query.fetch_latency_s", metrics.LatencyBuckets()),
-		resolveLatency:   r.Histogram("query.resolve_latency_s", metrics.LatencyBuckets()),
-		decisionAge:      r.Histogram("query.decision_age_s", metrics.LatencyBuckets()),
-		convergence:      r.Histogram("membership.convergence_s", metrics.LatencyBuckets()),
-		batchSize:        r.Histogram("batch.size", metrics.LinearBuckets(1, 1, 16)),
-		batchFramesSaved: r.Counter("batch.frames_saved"),
-		batchBytesSaved:  r.Counter("batch.bytes_saved"),
+		fetchLatency:   r.Histogram("query.fetch_latency_s", metrics.LatencyBuckets()),
+		resolveLatency: r.Histogram("query.resolve_latency_s", metrics.LatencyBuckets()),
+		decisionAge:    r.Histogram("query.decision_age_s", metrics.LatencyBuckets()),
+		convergence:    r.Histogram("membership.convergence_s", metrics.LatencyBuckets()),
+		batchSize:      r.Histogram("batch.size", metrics.LinearBuckets(1, 1, 16)),
 	}
 }
 
-// cacheMetrics resolves the counter set mirroring one cache's Stats under
-// the given name prefix ("cache" for the content store, "labels" for the
-// label cache).
-func cacheMetrics(r *metrics.Registry, prefix string) cache.Metrics {
-	return cache.Metrics{
-		Hits:       r.Counter(prefix + ".hits"),
-		ApproxHits: r.Counter(prefix + ".approx_hits"),
-		Misses:     r.Counter(prefix + ".misses"),
-		StaleDrops: r.Counter(prefix + ".stale_drops"),
-		Evictions:  r.Counter(prefix + ".evictions"),
+// collect reports the node's counts to its registry at snapshot time
+// (metrics.Registry.Collect): every tagged Stats field, the batching
+// layer's frames saved, failovers, both caches' Stats and the interest
+// table's counts — every name every time, zeros included, so a snapshot's
+// key set does not depend on what happened.
+func (n *Node) collect(emit func(name string, v int64)) {
+	n.mu.Lock()
+	st, failovers := n.stats, n.failovers
+	caches := [2]cache.Stats{n.store.Stats(), n.labels.Stats()}
+	inserts, expiries := n.interest.inserts, n.interest.expiries
+	n.mu.Unlock()
+
+	v := reflect.ValueOf(st)
+	for i := 0; i < v.NumField(); i++ {
+		if name := v.Type().Field(i).Tag.Get("metric"); name != "" {
+			emit(name, v.Field(i).Int())
+		}
 	}
+	emit("batch.frames_saved", int64(st.BatchedMsgs-st.BatchesSent))
+	emit("retry.failovers", failovers)
+	for i, prefix := range [2]string{"cache", "labels"} {
+		emit(prefix+".hits", caches[i].Hits)
+		emit(prefix+".approx_hits", caches[i].ApproxHits)
+		emit(prefix+".misses", caches[i].Misses)
+		emit(prefix+".stale_drops", caches[i].StaleDrops)
+		emit(prefix+".evictions", caches[i].Evictions)
+	}
+	emit("interest.inserts", inserts)
+	emit("interest.expiries", expiries)
 }
 
 // Node is one Athena node.
@@ -479,6 +476,11 @@ type Node struct {
 	stats   Stats
 	results []QueryResult
 	onDone  func(QueryResult)
+
+	// failovers counts sources a query gave up on after maxRetries
+	// timeouts ("retry.failovers"). It is not a Stats field because Stats
+	// is what the dump's node object and /statusz print.
+	failovers int64
 }
 
 // New assembles a node and installs its transport handler.
@@ -558,10 +560,8 @@ func New(cfg Config) (*Node, error) {
 	n.reg = cfg.Metrics
 	n.m = newNodeMetrics(cfg.Metrics)
 	if cfg.Metrics != nil {
-		n.store.Instrument(cacheMetrics(cfg.Metrics, "cache"))
-		n.labels.Instrument(cacheMetrics(cfg.Metrics, "labels"))
-		n.interest.Instrument(cfg.Metrics.Counter("interest.inserts"), cfg.Metrics.Counter("interest.expiries"))
 		n.dir.Instrument(cfg.Metrics.Gauge("directory.version"))
+		cfg.Metrics.Collect(n.collect)
 	}
 	if cfg.World != nil {
 		n.annotator = annotate.NewMachine(cfg.ID, cfg.World, 0, 0, nil)
@@ -996,11 +996,10 @@ func (n *Node) requestObject(q *localQuery, source, objName string, labels []str
 			delete(q.outstanding, objName)
 			if !n.disableRetries {
 				n.stats.RequestTimeouts++
-				n.m.retryTimeouts.Inc()
 				q.attempts[objName]++
 				if q.attempts[objName] > maxRetries && !q.suspect[source] {
 					q.suspect[source] = true
-					n.m.failovers.Inc()
+					n.failovers++
 				}
 			}
 			n.pump(q)

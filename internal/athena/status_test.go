@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"athena/internal/boolexpr"
+	"athena/internal/cache"
 	"athena/internal/metrics"
 	"athena/internal/names"
 	"athena/internal/netsim"
@@ -15,6 +16,7 @@ import (
 	"athena/internal/simclock"
 	"athena/internal/transport"
 	"athena/internal/trust"
+	"athena/internal/workload"
 )
 
 // buildStatusRig is the membership line srcA - mid - srcC with every node
@@ -248,5 +250,117 @@ func TestStatusLivenessUnderGossip(t *testing.T) {
 		if ps := r.nodes[id].PeerLiveness()[victim]; id != victim && (ps.Present || ps.Alive) {
 			t.Errorf("%s still reports crashed %s present=%v alive=%v", id, victim, ps.Present, ps.Alive)
 		}
+	}
+}
+
+// TestRegistryCountsMatchStats pins what a fleet registry publishes, on
+// the -fig dump cluster (gossip, churn, a lane per node) with batching on
+// so that the batch counters move: exactly these counter, gauge and
+// histogram names, and every counter equal to the plain count it is read
+// from. A metric dropped, renamed or counted twice fails it.
+func TestRegistryCountsMatchStats(t *testing.T) {
+	wcfg := workload.DefaultConfig()
+	wcfg.GridRows, wcfg.GridCols = 6, 6
+	wcfg.Nodes = 24
+	wcfg.QueriesPerNode = 3
+	wcfg.Seed = 1
+	wcfg.FastRatio = 0.4
+	s, err := workload.Generate(wcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCluster(s, ClusterConfig{
+		Scheme:            SchemeLVF,
+		Workers:           1,
+		HeartbeatInterval: 2 * time.Second,
+		HeartbeatMiss:     3,
+		GossipFanout:      2,
+		ChurnEvents:       3,
+		ChurnOutage:       30 * time.Second,
+		CoalesceWindow:    10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := c.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var store, labels cache.Stats
+	var failovers, inserts, expiries int64
+	addCache := func(dst *cache.Stats, s cache.Stats) {
+		dst.Hits += s.Hits
+		dst.ApproxHits += s.ApproxHits
+		dst.Misses += s.Misses
+		dst.StaleDrops += s.StaleDrops
+		dst.Evictions += s.Evictions
+	}
+	for _, n := range c.Nodes {
+		addCache(&store, n.store.Stats())
+		addCache(&labels, n.labels.Stats())
+		failovers += n.failovers
+		inserts += n.interest.inserts
+		expiries += n.interest.expiries
+	}
+	st := out.Node
+	want := map[string]int64{
+		"retry.timeouts":             int64(st.RequestTimeouts),
+		"retry.retransmits":          int64(st.Retransmits),
+		"retry.failovers":            failovers,
+		"membership.heartbeats_sent": int64(st.HeartbeatsSent),
+		"membership.evictions":       int64(st.Evictions),
+		"membership.sync_rounds":     int64(st.SyncExchanges),
+		"membership.pings_sent":      int64(st.PingsSent),
+		"membership.suspicions":      int64(st.Suspicions),
+		"membership.refutations":     int64(st.Refutations),
+		"membership.ctl_msgs":        int64(st.ControlMsgs),
+		"membership.ctl_bytes":       st.ControlBytes,
+		"batch.frames_saved":         int64(st.BatchedMsgs - st.BatchesSent),
+		"batch.bytes_saved":          st.BatchBytesSaved,
+		"interest.inserts":           inserts,
+		"interest.expiries":          expiries,
+	}
+	for prefix, cs := range map[string]cache.Stats{"cache": store, "labels": labels} {
+		want[prefix+".hits"] = cs.Hits
+		want[prefix+".approx_hits"] = cs.ApproxHits
+		want[prefix+".misses"] = cs.Misses
+		want[prefix+".stale_drops"] = cs.StaleDrops
+		want[prefix+".evictions"] = cs.Evictions
+	}
+	if len(want) != 25 {
+		t.Fatalf("the test lists %d counters, want 25", len(want))
+	}
+	got := out.Metrics.Counters
+	for name, v := range want {
+		if g, ok := got[name]; !ok || g != v {
+			t.Errorf("counter %s = %d (present %v), want %d", name, g, ok, v)
+		}
+	}
+	for name := range got {
+		if _, ok := want[name]; !ok {
+			t.Errorf("unexpected counter %s = %d", name, got[name])
+		}
+	}
+	// Identities that hold at zero prove little: the run must move these.
+	for _, name := range []string{"retry.timeouts", "membership.pings_sent", "membership.ctl_bytes",
+		"batch.frames_saved", "batch.bytes_saved", "cache.hits", "interest.inserts"} {
+		if got[name] == 0 {
+			t.Errorf("counter %s is 0 on the dump cluster with batching on", name)
+		}
+	}
+
+	if g := out.Metrics.Gauges; len(g) != 1 || g["directory.version"] == 0 {
+		t.Errorf("gauges = %v, want directory.version alone, non-zero", g)
+	}
+	hists := []string{"batch.size", "membership.convergence_s", "query.decision_age_s",
+		"query.fetch_latency_s", "query.resolve_latency_s"}
+	for _, name := range hists {
+		if _, ok := out.Metrics.Histograms[name]; !ok {
+			t.Errorf("histogram %s missing", name)
+		}
+	}
+	if len(out.Metrics.Histograms) != len(hists) {
+		t.Errorf("%d histograms, want %d: %v", len(out.Metrics.Histograms), len(hists), hists)
 	}
 }

@@ -227,7 +227,6 @@ func (n *Node) sendProbe(target string, now time.Time) {
 	mem, sw := n.member, n.member.swim
 	seq := sw.openProbe(target, now)
 	n.stats.PingsSent++
-	n.m.pings.Inc()
 	n.sendCtl(target, &Ping{
 		From:    n.id,
 		To:      target,
@@ -261,7 +260,6 @@ func probeTimeout(arg any) {
 	if _, already := sw.suspects[target]; !already {
 		sw.suspects[target] = started
 		n.stats.Suspicions++
-		n.m.suspicions.Inc()
 		// A fresh failed probe is evidence this node's own view of the
 		// network is degraded (congestion, or its own links): stretch
 		// the suspicion window (Lifeguard's local health multiplier).
@@ -273,7 +271,6 @@ func probeTimeout(arg any) {
 	sw.pickExcl[target] = true
 	for _, mid := range sw.sampler.Pick(gossipIndirect, sw.pickExcl) {
 		n.stats.PingsSent++
-		n.m.pings.Inc()
 		n.sendCtl(mid, &PingReq{From: n.id, To: mid, Target: target, Seq: seq, Updates: sw.takePiggy()})
 	}
 }
@@ -333,7 +330,6 @@ func (n *Node) handlePingReq(pr *PingReq) {
 		return
 	}
 	n.stats.PingsSent++
-	n.m.pings.Inc()
 	n.sendCtl(pr.Target, &Ping{
 		From:        n.id,
 		To:          pr.Target,
@@ -360,7 +356,6 @@ func (n *Node) applyUpdates(ups []MemberUpdate, now time.Time) {
 				mem.adSeq = u.Adv.Seq + 1
 				n.dir.Advertise(*n.desc, mem.adSeq)
 				n.stats.Refutations++
-				n.m.refutes.Inc()
 				n.enqueuePiggy(MemberUpdate{Adv: advertisementOf(*n.desc, mem.adSeq), Born: now})
 			}
 			continue
@@ -461,8 +456,6 @@ func (n *Node) observeConvergence(born, now time.Time) {
 func (n *Node) accountCtl(size int64) {
 	n.stats.ControlMsgs++
 	n.stats.ControlBytes += size
-	n.m.ctlMsgs.Inc()
-	n.m.ctlBytes.Add(size)
 }
 
 // sendCtl routes a membership control message toward dest, accounting its

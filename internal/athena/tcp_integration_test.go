@@ -1,12 +1,14 @@
 package athena_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"athena/internal/athena"
 	"athena/internal/boolexpr"
 	"athena/internal/core"
+	"athena/internal/metrics"
 	"athena/internal/names"
 	"athena/internal/object"
 	"athena/internal/transport"
@@ -100,16 +102,17 @@ func TestTCPThreeNodeRelay(t *testing.T) {
 	}
 }
 
-// TestTCPFinishedQueriesLeaveNode is the socket half of the soak: a
-// consumer with no room to cache makes 500 decisions against a source in
-// another endpoint, each fetched over the socket, and ends holding no
-// query — though the wall-clock watchdogs and request timeouts of most of
-// them have yet to fire.
-func TestTCPFinishedQueriesLeaveNode(t *testing.T) {
-	world := staticWorld{"soak1": true}
+// socketPair is a consumer with no room to cache and a source of one
+// 2 KB object labelled label, each in its own endpoint, joined by a
+// socket; instrumented gives each node a registry of its own. decide makes
+// n back-to-back decisions on the consumer, each fetched over the socket,
+// and fails the test on any that does not resolve true.
+func socketPair(t *testing.T, label string, instrumented bool) (consumer, src *athena.Node, decide func(n int)) {
+	t.Helper()
+	world := staticWorld{label: true}
 	desc := object.Descriptor{
-		Name: names.MustParse("/tcp/soak/cam"), Size: 2_000, Validity: time.Minute,
-		Labels: []string{"soak1"}, Source: "src", ProbTrue: 0.8,
+		Name: names.MustParse("/tcp/" + label + "/cam"), Size: 2_000, Validity: time.Minute,
+		Labels: []string{label}, Source: "src", ProbTrue: 0.8,
 	}
 	dir := athena.NewDirectory([]object.Descriptor{desc})
 	auth := trust.NewAuthority()
@@ -119,10 +122,15 @@ func TestTCPFinishedQueriesLeaveNode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { tr.Close() })
+		var reg *metrics.Registry
+		if instrumented {
+			reg = metrics.NewRegistry()
+		}
 		node, err := athena.New(athena.Config{
 			ID: id, Transport: tr, Router: &athena.StaticRouter{Self: id},
 			Timers: athena.WallTimers{}, Scheme: athena.SchemeLVF, Directory: dir,
-			Meta:  boolexpr.MetaTable{"soak1": {Cost: 2_000, ProbTrue: 0.8, Validity: time.Minute}},
+			Meta:  boolexpr.MetaTable{label: {Cost: 2_000, ProbTrue: 0.8, Validity: time.Minute}},
 			World: world, Authority: auth,
 			Signer: auth.Register(id, []byte(id)), Policy: trust.TrustAll(),
 			Descriptor: d, CacheBytes: cacheBytes,
@@ -131,37 +139,48 @@ func TestTCPFinishedQueriesLeaveNode(t *testing.T) {
 			// take the second for a duplicate of a transfer still in
 			// flight and leave it to its 6 s retry.
 			RetryBandwidth: 1e12,
+			Metrics:        reg,
 		})
 		if err != nil {
-			tr.Close()
 			t.Fatal(err)
 		}
 		return node, tr
 	}
 	consumer, trC := mk("consumer", nil, 1)
-	defer trC.Close()
 	src, trSrc := mk("src", &desc, 8<<20)
-	defer trSrc.Close()
 	trC.AddPeer("src", trSrc.Addr())
 	trSrc.AddPeer("consumer", trC.Addr())
 
-	const decisions = 500
-	done := make(chan athena.QueryResult, decisions)
+	done := make(chan athena.QueryResult, 1)
 	consumer.OnQueryDone(func(r athena.QueryResult) { done <- r })
-	expr := boolexpr.ToDNF(boolexpr.MustParse("soak1"))
-	for i := 0; i < decisions; i++ {
-		if _, err := consumer.QueryInit(expr, 20*time.Second); err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case r := <-done:
-			if r.Status != core.ResolvedTrue {
-				t.Fatalf("decision %d: %v", i, r.Status)
+	expr := boolexpr.ToDNF(boolexpr.MustParse(label))
+	return consumer, src, func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := consumer.QueryInit(expr, 20*time.Second); err != nil {
+				t.Fatal(err)
 			}
-		case <-time.After(30 * time.Second):
-			t.Fatalf("decision %d timed out", i)
+			select {
+			case r := <-done:
+				if r.Status != core.ResolvedTrue {
+					t.Fatalf("decision %d: %v", i, r.Status)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatalf("decision %d timed out", i)
+			}
 		}
 	}
+}
+
+// TestTCPFinishedQueriesLeaveNode is the socket half of the soak: a
+// consumer with no room to cache makes 500 decisions against a source in
+// another endpoint, each fetched over the socket, and ends holding no
+// query — though the wall-clock watchdogs and request timeouts of most of
+// them have yet to fire.
+func TestTCPFinishedQueriesLeaveNode(t *testing.T) {
+	consumer, src, decide := socketPair(t, "soak1", false)
+	const decisions = 500
+	decide(decisions)
 	for name, n := range map[string]*athena.Node{"consumer": consumer, "src": src} {
 		if known, live := n.QueryCounts(); known != 0 || live != 0 {
 			t.Errorf("%s ends with %d queries, %d live; want none", name, known, live)
@@ -169,6 +188,50 @@ func TestTCPFinishedQueriesLeaveNode(t *testing.T) {
 	}
 	if got := src.Stats().CacheAnswers; got < decisions-1 {
 		t.Errorf("the source answered %d requests; the consumer was meant to fetch every decision's evidence", got)
+	}
+}
+
+// TestTCPStatusUnderLoad reads /statusz's document from a second goroutine
+// while a socket pair serves decisions: the registry's collector takes the
+// node lock the socket handlers hold, so under -race this is the check
+// that reading counts at snapshot time is safe. No count may fall from one
+// snapshot to the next.
+func TestTCPStatusUnderLoad(t *testing.T) {
+	consumer, src, decide := socketPair(t, "load1", true)
+	stop := make(chan struct{})
+	polled := make(chan error, 1)
+	go func() {
+		last := map[*athena.Node]map[string]int64{}
+		for polls := 1; ; polls++ {
+			for _, n := range []*athena.Node{consumer, src} {
+				counters := n.StatusSnapshot().Metrics.Counters
+				for name, v := range last[n] {
+					if counters[name] < v {
+						polled <- fmt.Errorf("%s: counter %s fell from %d to %d", n.ID(), name, v, counters[name])
+						return
+					}
+				}
+				last[n] = counters
+			}
+			select {
+			case <-stop:
+				if polls < 2 {
+					polled <- fmt.Errorf("only %d polls overlapped the decisions", polls)
+				}
+				close(polled)
+				return
+			default:
+			}
+		}
+	}()
+	const decisions = 100
+	decide(decisions)
+	close(stop)
+	if err := <-polled; err != nil {
+		t.Fatal(err)
+	}
+	if s := src.StatusSnapshot(); s.Metrics.Counter("cache.hits") == 0 {
+		t.Errorf("the source's registry counted no content-store hits after %d decisions: %v", decisions, s.Metrics.Counters)
 	}
 }
 

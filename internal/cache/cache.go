@@ -10,7 +10,6 @@ import (
 	"sort"
 	"time"
 
-	"athena/internal/metrics"
 	"athena/internal/names"
 	"athena/internal/object"
 	"athena/internal/trust"
@@ -30,13 +29,6 @@ type Stats struct {
 	Evictions int64
 }
 
-// Metrics mirrors a cache's counters into a metrics registry. Any field
-// may be nil (a nil counter is a no-op), so an uninstrumented cache pays
-// only a nil check per event.
-type Metrics struct {
-	Hits, ApproxHits, Misses, StaleDrops, Evictions *metrics.Counter
-}
-
 // Store is a content store for evidence objects with a byte-capacity bound.
 // It is not safe for concurrent use; each simulated node owns one.
 type Store struct {
@@ -45,7 +37,6 @@ type Store struct {
 	index    names.Trie[*entry]
 	lru      list.List // front = most recently used
 	stats    Stats
-	m        Metrics
 }
 
 type entry struct {
@@ -62,9 +53,6 @@ func NewStore(capacity int64) *Store {
 
 // Stats returns a copy of the store's counters.
 func (s *Store) Stats() Stats { return s.stats }
-
-// Instrument mirrors the store's counters into m from now on.
-func (s *Store) Instrument(m Metrics) { s.m = m }
 
 // Len reports the number of cached objects.
 func (s *Store) Len() int { return s.index.Len() }
@@ -109,20 +97,16 @@ func (s *Store) Get(name names.Name, now time.Time) (*object.Object, bool) {
 	e, ok := s.index.Get(name)
 	if !ok {
 		s.stats.Misses++
-		s.m.Misses.Inc()
 		return nil, false
 	}
 	if !e.obj.FreshAt(now) {
 		s.removeEntry(name, e)
 		s.stats.StaleDrops++
 		s.stats.Misses++
-		s.m.StaleDrops.Inc()
-		s.m.Misses.Inc()
 		return nil, false
 	}
 	s.lru.MoveToFront(e.elt)
 	s.stats.Hits++
-	s.m.Hits.Inc()
 	return e.obj, true
 }
 
@@ -136,16 +120,13 @@ func (s *Store) GetApprox(name names.Name, minSimilarity float64, now time.Time)
 	})
 	if !ok {
 		s.stats.Misses++
-		s.m.Misses.Inc()
 		return nil, false
 	}
 	s.lru.MoveToFront(e.elt)
 	if match.Compare(name) == 0 {
 		s.stats.Hits++
-		s.m.Hits.Inc()
 	} else {
 		s.stats.ApproxHits++
-		s.m.ApproxHits.Inc()
 	}
 	return e.obj, true
 }
@@ -167,7 +148,6 @@ func (s *Store) reap(now time.Time) int {
 		}
 		s.removeEntry(e.obj.ID.Name, e)
 		s.stats.StaleDrops++
-		s.m.StaleDrops.Inc()
 		dropped++
 	}
 	return dropped
@@ -184,7 +164,6 @@ func (s *Store) evictLRU() bool {
 	}
 	s.removeEntry(e.obj.ID.Name, e)
 	s.stats.Evictions++
-	s.m.Evictions.Inc()
 	return true
 }
 
@@ -200,7 +179,6 @@ func (s *Store) removeEntry(name names.Name, e *entry) {
 type LabelCache struct {
 	records map[string]map[string]*trust.Label // label -> annotator -> record
 	stats   Stats
-	m       Metrics
 }
 
 // NewLabelCache returns an empty label cache.
@@ -210,9 +188,6 @@ func NewLabelCache() *LabelCache {
 
 // Stats returns a copy of the cache's counters.
 func (c *LabelCache) Stats() Stats { return c.stats }
-
-// Instrument mirrors the cache's counters into m from now on.
-func (c *LabelCache) Instrument(m Metrics) { c.m = m }
 
 // Len reports the number of cached records.
 func (c *LabelCache) Len() int {
@@ -248,7 +223,6 @@ func (c *LabelCache) Records(now time.Time) []trust.Label {
 			if !rec.FreshAt(now) {
 				delete(byAnn, ann)
 				c.stats.StaleDrops++
-				c.m.StaleDrops.Inc()
 				continue
 			}
 			out = append(out, *rec)
@@ -275,7 +249,6 @@ func (c *LabelCache) Get(label string, policy *trust.Policy, now time.Time) (*tr
 		if !rec.FreshAt(now) {
 			delete(byAnn, ann)
 			c.stats.StaleDrops++
-			c.m.StaleDrops.Inc()
 			continue
 		}
 		if !policy.Trusts(ann) {
@@ -290,10 +263,8 @@ func (c *LabelCache) Get(label string, policy *trust.Policy, now time.Time) (*tr
 	}
 	if best == nil {
 		c.stats.Misses++
-		c.m.Misses.Inc()
 		return nil, false
 	}
 	c.stats.Hits++
-	c.m.Hits.Inc()
 	return best, true
 }

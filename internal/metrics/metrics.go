@@ -3,6 +3,14 @@
 // snapshots feed the athenad status endpoint and the simulator's per-run
 // tables. It is pure stdlib and safe for concurrent use.
 //
+// A count reaches a snapshot one of two ways. Pushed: code holds a
+// *Counter and adds to it as events happen — for counts written from
+// goroutines that share no lock, such as a socket transport's. Pulled: a
+// component that already keeps the count in a plain field registers a
+// collector (Registry.Collect), and the registry reads the field when it
+// takes a snapshot, so the event is counted once. Gauges and histograms
+// are always pushed.
+//
 // The package is built around a disabled-is-free contract: every
 // instrument is usable as a nil pointer, and a nil *Registry hands out nil
 // instruments. A nil Inc/Add/Observe is a single branch — no allocation,
@@ -185,6 +193,7 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
+	collectors []func(emit func(name string, v int64))
 }
 
 // NewRegistry returns an empty registry.
@@ -242,17 +251,30 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	return h
 }
 
-// Snapshot captures every instrument's current value. The result is
-// detached: later instrument updates do not alter it. A nil registry
-// yields the zero Snapshot.
+// Collect registers fn, which every Snapshot calls to read counts kept
+// elsewhere: fn calls emit once per name with the count so far, and the
+// value adds to any pushed counter and any other collector's value under
+// that name. Snapshot calls fn outside the registry's lock, so fn may take
+// its owner's lock and may use the registry. A nil registry ignores fn.
+func (r *Registry) Collect(fn func(emit func(name string, v int64))) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.collectors = append(r.collectors, fn)
+}
+
+// Snapshot captures every instrument's current value and every
+// collector's counts. The result is detached: later instrument updates do
+// not alter it. A nil registry yields the zero Snapshot.
 func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	s := Snapshot{}
-	if len(r.counters) > 0 {
+	if len(r.counters) > 0 || len(r.collectors) > 0 {
 		s.Counters = make(map[string]int64, len(r.counters))
 		for name, c := range r.counters {
 			s.Counters[name] = c.Value()
@@ -269,6 +291,12 @@ func (r *Registry) Snapshot() Snapshot {
 		for name, h := range r.histograms {
 			s.Histograms[name] = h.snapshot()
 		}
+	}
+	collectors := r.collectors // append-only, so this prefix never changes
+	r.mu.Unlock()
+	emit := func(name string, v int64) { s.Counters[name] += v }
+	for _, fn := range collectors {
+		fn(emit)
 	}
 	return s
 }

@@ -199,6 +199,70 @@ func TestSnapshotJSON(t *testing.T) {
 	}
 }
 
+// A collector's counts add to a pushed counter of the same name and to
+// each other's; a collector may use the registry it reports to; a snapshot
+// does not follow the collected counts once taken; a nil registry ignores
+// a collector.
+func TestRegistryCollect(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("shared").Add(5)
+	var mu sync.Mutex // the collected counts' owner lock, as a node's
+	owned := int64(2)
+	r.Collect(func(emit func(string, int64)) {
+		mu.Lock()
+		defer mu.Unlock()
+		emit("shared", owned)
+		emit("only.collected", owned)
+		emit("zero", 0)
+	})
+	r.Collect(func(emit func(string, int64)) {
+		r.Counter("made.in.collector").Inc() // would deadlock under r.mu
+		emit("shared", 10)
+	})
+
+	done := make(chan Snapshot)
+	go func() { done <- r.Snapshot() }()
+	var snap Snapshot
+	select {
+	case snap = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Snapshot deadlocked on a collector that calls r.Counter")
+	}
+	// The counter the collector created came after the pushed counters
+	// were copied, so it first appears in the next snapshot.
+	want := map[string]int64{"shared": 17, "only.collected": 2, "zero": 0}
+	for name, v := range want {
+		if got, ok := snap.Counters[name]; !ok || got != v {
+			t.Errorf("counter %s = %d (present %v), want %d", name, got, ok, v)
+		}
+	}
+	if len(snap.Counters) != len(want) {
+		t.Errorf("snapshot counters = %v, want exactly %v", snap.Counters, want)
+	}
+
+	mu.Lock()
+	owned = 100
+	mu.Unlock()
+	r.Counter("shared").Add(1000)
+	if snap.Counters["shared"] != 17 || snap.Counters["only.collected"] != 2 {
+		t.Errorf("snapshot followed later counts: %v", snap.Counters)
+	}
+	again := r.Snapshot()
+	if got := again.Counters["shared"]; got != 1005+100+10 {
+		t.Errorf("second snapshot shared = %d, want %d", got, 1005+100+10)
+	}
+	if got := again.Counters["made.in.collector"]; got != 1 {
+		t.Errorf("second snapshot made.in.collector = %d, want 1", got)
+	}
+
+	var nilReg *Registry
+	called := false
+	nilReg.Collect(func(func(string, int64)) { called = true })
+	if s := nilReg.Snapshot(); called || s.Counters != nil {
+		t.Errorf("nil registry ran a collector (%v) or reported counters %v", called, s.Counters)
+	}
+}
+
 // The no-op contract is enforced by benchmarks: enabled instruments must
 // be allocation-free, and nil instruments must be branch-only.
 
