@@ -45,12 +45,15 @@ ci-short:
 # decision engine's construct-ask-set loop on a nine-label query, the
 # membership control-plane benchmark (flood vs gossip bytes per node per
 # interval at n=64), the directory-memory benchmark (entries held per
-# node, sharded vs full replica), the simulation-kernel benchmark
+# node, sharded vs full replica; run without -benchmem, because its timed
+# region is the same model for both and its B/op said nothing), the
+# simulation-kernel benchmark
 # (n=512 synthetic workload, a lane per node), the data-plane
 # batching benchmark (A11 incast at n=64, coalescing off/on), the
 # node's object delivery with 0 and 2000 finished queries behind it and
 # its does-this-query-reference-that-label check, a 30-label source
-# selection on a full replica and on a sharded node, and the shard
+# selection on a full replica and on two sharded nodes, a scoped directory
+# delta for a caught-up peer, and the shard
 # router's refresh (same view, changed view) and routed-lookup start
 # (internal/athena), the event queue at depths 1, 512 and 8192
 # (internal/simclock), the wire codec on three small frames and a 500 KB
@@ -62,7 +65,8 @@ ci-short:
 # CI archives the file per commit; regressions are judged against the
 # committed baseline.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkScheme|BenchmarkDecisionEngine|BenchmarkAblationPrefetch|BenchmarkMembershipControlPlane|BenchmarkDirectoryMemory|BenchmarkSimKernel|BenchmarkBatchedFetch|BenchmarkDeliverObjectHistory|BenchmarkQueryReferences|BenchmarkSelectSources|BenchmarkShardRefresh|BenchmarkShardLookupBegin|BenchmarkLaneQueue|BenchmarkEncode|BenchmarkDecode|BenchmarkSign|BenchmarkVerify|BenchmarkGenerate' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire ./internal/trust ./internal/workload \
+	{ $(GO) test -run '^$$' -bench 'BenchmarkScheme|BenchmarkDecisionEngine|BenchmarkAblationPrefetch|BenchmarkMembershipControlPlane|BenchmarkSimKernel|BenchmarkBatchedFetch|BenchmarkDeliverObjectHistory|BenchmarkQueryReferences|BenchmarkSelectSources|BenchmarkDirectoryDelta|BenchmarkShardRefresh|BenchmarkShardLookupBegin|BenchmarkLaneQueue|BenchmarkEncode|BenchmarkDecode|BenchmarkSign|BenchmarkVerify|BenchmarkGenerate' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire ./internal/trust ./internal/workload && \
+	  $(GO) test -run '^$$' -bench 'BenchmarkDirectoryMemory' -benchtime 3x . ; } \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_core.json
 
 # loc prints the net Go lines of a change, the figure ROADMAP has every

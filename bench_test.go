@@ -255,7 +255,9 @@ func BenchmarkMembershipControlPlane(b *testing.B) {
 // per-exchange anti-entropy bytes, sharded vs full-replica, on A9's
 // structural rig (n=64 nodes, 10^4 sources, 256 shards, rf=3). Both
 // reported metrics are deterministic, so the committed baseline doubles
-// as a retention-regression gate (see ci.sh).
+// as a retention-regression gate (see ci.sh). Both sub-benchmarks time the
+// same model, which computes both sides, so their B/op is the same number:
+// `make bench` and ci.sh run it without -benchmem.
 func BenchmarkDirectoryMemory(b *testing.B) {
 	const (
 		nodes   = 64

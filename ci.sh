@@ -82,7 +82,9 @@ fi
 # them; a query announce that is flooded where nobody prefetches, or
 # further than a receiver may act on it; a sharded source selection that
 # grew back a copy of the cover's bookkeeping beside the full replica's,
-# or a cover that counts gains through maps again; a shard router that
+# or a cover that counts gains through maps again, or a selection that
+# allocates its candidate buffers per call again; a scoped directory delta
+# sized for the whole directory — baseline 0; a shard router that
 # recomputes placement for a membership view it already has — baseline 0 —
 # or ranks the members again to start a lookup on one; a scenario
 # generator whose route search allocates per extracted intersection).
@@ -90,9 +92,11 @@ fi
 # one.
 # BenchmarkDecisionEngine and BenchmarkShardLookupBegin have no
 # sub-benchmarks, and a two-level -bench pattern skips a benchmark that has
-# none, so each gets its own run.
+# none, so each gets its own run. BenchmarkDirectoryMemory runs without
+# -benchmem, as `make bench` records it: only its entries/node is gated.
 {
-	go test -run '^$' -bench '^Benchmark(Scheme|AblationPrefetch|DirectoryMemory|SimKernel|BatchedFetch|DeliverObjectHistory|SelectSources|ShardRefresh|LaneQueue|EncodeSmall|Generate)$/^(lvf|lvfl|sharded|unchanged|w1|on|n2000|depth512|request|sec7)$' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire ./internal/workload
+	go test -run '^$' -bench '^Benchmark(Scheme|AblationPrefetch|SimKernel|BatchedFetch|DeliverObjectHistory|SelectSources|DirectoryDelta|ShardRefresh|LaneQueue|EncodeSmall|Generate)$/^(lvf|lvfl|sharded|sharded-owned|scoped|unchanged|w1|on|n2000|depth512|request|sec7)$' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire ./internal/workload
+	go test -run '^$' -bench '^BenchmarkDirectoryMemory$/^sharded$' -benchtime 3x .
 	go test -run '^$' -bench '^BenchmarkDecisionEngine$' -benchmem -benchtime 3x .
 	go test -run '^$' -bench '^BenchmarkShardLookupBegin$' -benchmem -benchtime 3x ./internal/athena
 } |
@@ -107,6 +111,8 @@ fi
 		-gate 'BenchmarkBatchedFetch/on:frames/node:10' \
 		-gate 'BenchmarkDeliverObjectHistory/n2000:allocs/op:10' \
 		-gate 'BenchmarkSelectSources/sharded:allocs/op:10' \
+		-gate 'BenchmarkSelectSources/sharded-owned:allocs/op:10' \
+		-gate 'BenchmarkDirectoryDelta/scoped:B/op:10' \
 		-gate 'BenchmarkShardRefresh/unchanged:allocs/op:10' \
 		-gate 'BenchmarkShardLookupBegin:allocs/op:10' \
 		-gate 'BenchmarkLaneQueue/depth512:allocs/op:10' \

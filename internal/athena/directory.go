@@ -127,6 +127,11 @@ type Directory struct {
 	digestOK   bool
 	digestSrcs []string
 
+	// sources caches Sources()'s list until the next mutation, guarded by
+	// mu. A mutation drops it rather than rewriting it: callers share it.
+	sources   []string
+	sourcesOK bool
+
 	// keep is the retention filter installed by SetRetention (nil keeps
 	// every payload — the full-replica default). It must not take locks:
 	// Advertise calls it while holding d.mu.
@@ -318,26 +323,53 @@ func (d *Directory) Evict(source string) bool {
 }
 
 // bumpVersionLocked increments the mutation counter, mirrors it into
-// the instrumentation gauge, and invalidates the cached digest. Callers
-// hold d.mu.
+// the instrumentation gauge, and invalidates the cached digest and source
+// list. Callers hold d.mu.
 func (d *Directory) bumpVersionLocked() {
 	d.version++
 	d.digestOK = false
+	d.sources, d.sourcesOK = nil, false
 	// SetMax, not Set: in a cluster every replica mirrors into one fleet
 	// gauge, and max-merge is the only order-independent combination.
 	d.verGauge.SetMax(int64(d.version))
 }
 
-// Apply dispatches a wire advertisement to Advertise or Withdraw.
+// Apply dispatches a wire advertisement to Advertise or Withdraw. An
+// advertisement Advertise would reject at any payload is turned away
+// before it is parsed: piggybacked and synced records are mostly ones the
+// directory already has, and parsing the name and copying the labels of
+// each was most of what applying them cost.
 func (d *Directory) Apply(a Advertisement) bool {
 	if a.Withdrawn {
 		return d.Withdraw(a.Source, a.Seq)
+	}
+	if d.stale(a.Source, a.Seq) {
+		return false
 	}
 	desc, err := a.Descriptor()
 	if err != nil {
 		return false
 	}
 	return d.Advertise(desc, a.Seq)
+}
+
+// stale reports whether Advertise rejects seq for source whatever the
+// payload: a strict subset of its rejections, leaving out the one that
+// depends on the payload — a thin record upgraded at its own seq when the
+// retention filter wants the descriptor — so Advertise stays the
+// authority.
+func (d *Directory) stale(source string, seq uint64) bool {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	r, ok := d.records[source]
+	switch {
+	case !ok:
+		return false
+	case r.present:
+		return seq < r.seq || (seq == r.seq && !r.thin)
+	default:
+		return seq < r.seq || (seq == r.seq && r.withdrawn)
+	}
 }
 
 // Version returns the mutation counter: it increments on every applied
@@ -455,19 +487,27 @@ func (d *Directory) SeqVector(scope func(object.Descriptor) bool) map[string]uin
 func (d *Directory) Delta(peer map[string]uint64, scope func(object.Descriptor) bool) []Advertisement {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	out := make([]Advertisement, 0, len(d.records))
+	// Only an unscoped delta is sized for the whole directory: a scoped
+	// one (a shard sync) ships a few records at most, and is usually empty.
+	size := 0
+	if scope == nil {
+		size = len(d.records)
+	}
+	out := make([]Advertisement, 0, size)
 	for src, r := range d.records {
-		var a Advertisement
-		switch {
-		case r.present && !r.thin && (scope == nil || scope(r.desc)):
-			a = advertisementOf(r.desc, r.seq)
-		case !r.present && r.withdrawn:
-			a = Advertisement{Source: src, Seq: r.seq, Withdrawn: true}
-		default:
+		withdrawn := !r.present && r.withdrawn
+		if !withdrawn && !(r.present && !r.thin && (scope == nil || scope(r.desc))) {
 			continue
 		}
-		if have, ok := peer[src]; !ok || seqState(r.seq, a.Withdrawn) > have {
-			out = append(out, a)
+		// The peer's vector is checked before the advert is built: a
+		// caught-up peer costs no labels copy.
+		if have, ok := peer[src]; ok && seqState(r.seq, withdrawn) <= have {
+			continue
+		}
+		if withdrawn {
+			out = append(out, Advertisement{Source: src, Seq: r.seq, Withdrawn: true})
+		} else {
+			out = append(out, advertisementOf(r.desc, r.seq))
 		}
 	}
 	sortAdverts(out)
@@ -502,18 +542,31 @@ func (d *Directory) AllSources() []string {
 	return out
 }
 
-// Sources lists the present source nodes, sorted.
+// Sources lists the present source nodes, sorted. The list is built once
+// per directory version and shared by every caller until the next
+// mutation: it is read-only. (The SWIM sampler and the shard router both
+// read it when the version moves.)
 func (d *Directory) Sources() []string {
 	d.mu.RLock()
-	defer d.mu.RUnlock()
-	out := make([]string, 0, len(d.records))
-	for src, r := range d.records {
-		if r.present {
-			out = append(out, src)
-		}
+	if d.sourcesOK {
+		out := d.sources
+		d.mu.RUnlock()
+		return out
 	}
-	sort.Strings(out)
-	return out
+	d.mu.RUnlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if !d.sourcesOK {
+		out := make([]string, 0, len(d.records))
+		for src, r := range d.records {
+			if r.present {
+				out = append(out, src)
+			}
+		}
+		sort.Strings(out)
+		d.sources, d.sourcesOK = out, true
+	}
+	return d.sources
 }
 
 // Has reports whether the source is currently admitted.
@@ -587,6 +640,16 @@ func (d *Directory) SourcesFor(label string) []string {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return append([]string(nil), d.byLabel[label]...)
+}
+
+// addSourcesFor merges the sources covering label into ids (sorted,
+// distinct; see addDistinct) without copying the index entry out, and
+// reports whether any source covers it.
+func (d *Directory) addSourcesFor(ids []string, label string) ([]string, bool) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	srcs := d.byLabel[label]
+	return addDistinct(ids, srcs), len(srcs) > 0
 }
 
 // AdvertsFor returns full advertisements for the present sources covering

@@ -2,6 +2,7 @@ package athena
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
@@ -350,8 +351,10 @@ func TestDirectoryAdvertsFor(t *testing.T) {
 }
 
 // Listing methods must pre-size their result buffers: per-call allocations
-// stay flat (AllSources, Sources) or exactly one labels copy per advert
-// (Snapshot, Delta) regardless of directory size.
+// stay flat (AllSources) or exactly one labels copy per advert (Snapshot,
+// Delta) regardless of directory size. A scoped Delta is not pre-sized —
+// one that matches nothing allocates at most its (empty) result — and
+// Sources is built once per directory version, so a repeat call is free.
 func TestDirectoryListingAllocs(t *testing.T) {
 	const n = 64
 	d := NewDirectory(nil)
@@ -365,9 +368,10 @@ func TestDirectoryListingAllocs(t *testing.T) {
 		fn   func()
 	}{
 		{"AllSources", 2, func() { d.AllSources() }},
-		{"Sources", 2, func() { d.Sources() }},
+		{"Sources", 0, func() { d.Sources() }},
 		{"Snapshot", n + 2, func() { d.Snapshot() }},
 		{"Delta", n + 2, func() { d.Delta(nil, nil) }},
+		{"Delta/scoped-none", 1, func() { d.Delta(nil, func(object.Descriptor) bool { return false }) }},
 	}
 	for _, c := range checks {
 		if got := testing.AllocsPerRun(20, c.fn); got > c.max {
@@ -524,4 +528,138 @@ func TestCoverSources(t *testing.T) {
 	if got := coverSources(nil, nil); got != nil {
 		t.Errorf("nothing coverable: got %v, want nil", got)
 	}
+}
+
+// refApply is Apply as it was before it rejected stale adverts ahead of
+// parsing them, kept verbatim as the reference.
+func refApply(d *Directory, a Advertisement) bool {
+	if a.Withdrawn {
+		return d.Withdraw(a.Source, a.Seq)
+	}
+	desc, err := a.Descriptor()
+	if err != nil {
+		return false
+	}
+	return d.Advertise(desc, a.Seq)
+}
+
+// Apply's early stale reject turns away only what Advertise would: seeded
+// random runs of Apply (present, withdrawn, malformed name), Advertise,
+// Withdraw, Evict and retention flips over three sources and four
+// sequence numbers leave a directory indistinguishable — return value,
+// Snapshot, SeqVector, Version — from one applying through the reference.
+// The case that needs the thin clause is a thin record upgraded at its
+// own seq after the filter starts wanting its payload; dropping that
+// clause fails here. A stale Apply allocates nothing.
+func TestApplyStaleRejectMatchesAdvertise(t *testing.T) {
+	srcs := []string{"a", "b", "c"}
+	filters := []func(object.Descriptor) bool{
+		nil,
+		func(desc object.Descriptor) bool { return desc.Source != "a" },
+		func(desc object.Descriptor) bool { return desc.Source == "c" },
+		func(object.Descriptor) bool { return false },
+	}
+	upgrades := 0
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		got, want := NewDirectory(nil), NewDirectory(nil)
+		for op := 0; op < 60; op++ {
+			src := srcs[rng.Intn(len(srcs))]
+			seq := uint64(1 + rng.Intn(4))
+			adv := advertisementOf(dirDesc(src, "/g/"+src+"/1", int64(10*seq), "l-"+src, "shared"), seq)
+			var desc string
+			var g, w bool
+			switch k := rng.Intn(8); k {
+			case 0, 1, 2:
+				if k == 2 && rng.Intn(3) == 0 {
+					adv.Name = "no-slash"
+				}
+				desc = fmt.Sprintf("Apply(%s@%d %q)", src, seq, adv.Name)
+				// Present but not in the label index: a thin record.
+				prev, present, _ := want.Known(src)
+				thin := present && len(want.AdvertsFor("l-"+src)) == 0
+				g, w = got.Apply(adv), refApply(want, adv)
+				if thin && w && prev == seq {
+					upgrades++
+				}
+			case 3:
+				adv = Advertisement{Source: src, Seq: seq, Withdrawn: true}
+				desc = fmt.Sprintf("Apply(withdraw %s@%d)", src, seq)
+				g, w = got.Apply(adv), refApply(want, adv)
+			case 4:
+				dd, _ := adv.Descriptor()
+				desc = fmt.Sprintf("Advertise(%s@%d)", src, seq)
+				g, w = got.Advertise(dd, seq), want.Advertise(dd, seq)
+			case 5:
+				desc = fmt.Sprintf("Withdraw(%s@%d)", src, seq)
+				g, w = got.Withdraw(src, seq), want.Withdraw(src, seq)
+			case 6:
+				desc = fmt.Sprintf("Evict(%s)", src)
+				g, w = got.Evict(src), want.Evict(src)
+			case 7:
+				f := rng.Intn(len(filters))
+				desc = fmt.Sprintf("SetRetention(%d)", f)
+				got.SetRetention(filters[f])
+				want.SetRetention(filters[f])
+			}
+			if g != w {
+				t.Fatalf("seed %d op %d %s: returned %v, reference %v", seed, op, desc, g, w)
+			}
+			if gs, ws := got.Snapshot(), want.Snapshot(); !reflect.DeepEqual(gs, ws) {
+				t.Fatalf("seed %d op %d %s: snapshot %+v, reference %+v", seed, op, desc, gs, ws)
+			}
+			if gv, wv := got.SeqVector(nil), want.SeqVector(nil); !reflect.DeepEqual(gv, wv) {
+				t.Fatalf("seed %d op %d %s: seq vector %v, reference %v", seed, op, desc, gv, wv)
+			}
+			if gv, wv := got.Version(), want.Version(); gv != wv {
+				t.Fatalf("seed %d op %d %s: version %d, reference %d", seed, op, desc, gv, wv)
+			}
+		}
+	}
+	// The generator must keep reaching the case the thin clause is for.
+	if upgrades < 20 {
+		t.Errorf("only %d thin records upgraded at their own seq by Apply", upgrades)
+	}
+
+	d := NewDirectory(nil)
+	d.Advertise(dirDesc("a", "/g/a/1", 10, "l"), 5)
+	d.Advertise(dirDesc("b", "/g/b/1", 10, "l"), 5)
+	d.Withdraw("b", 6)
+	for _, a := range []Advertisement{
+		advertisementOf(dirDesc("a", "/g/a/1", 10, "l"), 4),
+		advertisementOf(dirDesc("a", "/g/a/1", 10, "l"), 5),
+		advertisementOf(dirDesc("b", "/g/b/1", 10, "l"), 6),
+	} {
+		if allocs := testing.AllocsPerRun(20, func() { d.Apply(a) }); allocs != 0 {
+			t.Errorf("stale Apply(%s@%d) allocates %.0f times, want 0", a.Source, a.Seq, allocs)
+		}
+	}
+}
+
+// BenchmarkDirectoryDelta is the responder's side of a shard sync on A9's
+// rig (10^4 records over 256 shards): the delta within one shard for a
+// peer that is caught up, which is what nearly every scoped exchange
+// ships. ci.sh gates its B/op: a scoped delta pre-sized for the whole
+// directory shows there.
+func BenchmarkDirectoryDelta(b *testing.B) {
+	const sources, shards = 10_000, 256
+	d := NewDirectory(nil)
+	for i := 0; i < sources; i++ {
+		src := fmt.Sprintf("s%d", i)
+		d.Advertise(dirDesc(src, fmt.Sprintf("/r%d/b%d/%s", i%16, i/8, src), 1000, fmt.Sprintf("l%03d", i%256)), 1)
+	}
+	sr := NewShardRouter("n000", shards, 1, shardCacheSize)
+	scope := sr.InShards([]uint32{7})
+	peer := d.SeqVector(scope)
+	if len(peer) == 0 {
+		b.Fatal("the scope holds no record")
+	}
+	b.Run("scoped", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if got := d.Delta(peer, scope); len(got) != 0 {
+				b.Fatalf("caught-up peer sent %d records", len(got))
+			}
+		}
+	})
 }

@@ -23,6 +23,14 @@ import (
 type shardClient struct {
 	router *ShardRouter
 	ver    uint64
+
+	// selectSources' scratch, reset per call (callers hold n.mu): the
+	// coverable labels, the distinct candidate ids and the priced pool.
+	// Nothing that outlives a call points into them — coverSources
+	// returns a fresh slice.
+	coverable []string
+	ids       []string
+	pool      []cover.Source
 }
 
 // shardRefresh recomputes shard ownership when the directory version moved
@@ -97,8 +105,9 @@ func (n *Node) descriptorOf(source string) (object.Descriptor, bool) {
 // lands) and the directory's partial view — own source, name-shard
 // overlap — serves best-effort meanwhile. cached reports that srcs is a
 // lookup result, whose descriptors descriptorOf resolves; otherwise srcs is
-// nil and the caller reads the directory, which lists (SourcesFor) and
-// picks (SourceForLabelExcluding) under its own lock. Callers hold n.mu.
+// nil and the caller reads the directory, which lists (SourcesFor,
+// addSourcesFor) and picks (SourceForLabelExcluding) under its own lock.
+// Callers hold n.mu.
 func (n *Node) candidates(queryID, label string) (srcs []string, cached bool) {
 	if n.shard == nil || n.shard.router.OwnsLabel(label) {
 		return nil, false
@@ -113,26 +122,27 @@ func (n *Node) candidates(queryID, label string) (srcs []string, cached bool) {
 
 // selectSources solves the Section III-B coverage problem for a query's
 // labels: Directory.SelectSources on a full replica; on a sharded node the
-// same cover over the candidates gathered label by label, each distinct
-// one priced once through descriptorOf. Callers hold n.mu.
+// same cover over the candidates gathered label by label into the shard
+// client's scratch, each distinct one priced once through descriptorOf.
+// Callers hold n.mu.
 func (n *Node) selectSources(queryID string, labels []string) []string {
-	if n.shard == nil {
+	sh := n.shard
+	if sh == nil {
 		return n.dir.SelectSources(labels)
 	}
-	coverable := make([]string, 0, len(labels))
-	var ids []string
+	coverable, ids := sh.coverable[:0], sh.ids[:0]
 	for _, l := range labels {
-		srcs, cached := n.candidates(queryID, l)
-		if !cached {
-			srcs = n.dir.SourcesFor(l)
+		var covered bool
+		if srcs, cached := n.candidates(queryID, l); cached {
+			ids, covered = addDistinct(ids, srcs), len(srcs) > 0
+		} else {
+			ids, covered = n.dir.addSourcesFor(ids, l)
 		}
-		if len(srcs) == 0 {
-			continue
+		if covered {
+			coverable = append(coverable, l)
 		}
-		coverable = append(coverable, l)
-		ids = addDistinct(ids, srcs)
 	}
-	pool := make([]cover.Source, 0, len(ids))
+	pool := sh.pool[:0]
 	for _, s := range ids {
 		// A candidate whose descriptor went away between indexing and
 		// pricing just stays out of the pool.
@@ -140,6 +150,7 @@ func (n *Node) selectSources(queryID string, labels []string) []string {
 			pool = append(pool, cover.Source{ID: s, Cost: float64(desc.Size), Covers: desc.Labels})
 		}
 	}
+	sh.coverable, sh.ids, sh.pool = coverable, ids, pool
 	return coverSources(coverable, pool)
 }
 

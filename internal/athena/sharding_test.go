@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -479,6 +480,65 @@ func TestShardedSelectSourcesMatchesFullReplica(t *testing.T) {
 	}
 }
 
+// Sharded selection gathers into the shard client's scratch, so whatever
+// it returns must not point into that scratch: a query's selected set is
+// unchanged by the next query's selection and by a lookup reply's
+// re-selection of another query.
+func TestSelectSourcesScratchDoesNotAlias(t *testing.T) {
+	r := buildShardRig(t, 24, 16, 3, 9)
+	r.run(t, 10*time.Second)
+	origin := r.nodes[r.ids[0]]
+	var owned, unowned []string
+	for i := range r.ids {
+		l := fmt.Sprintf("s%02d", i)
+		if origin.shard.router.OwnsLabel(l) {
+			owned = append(owned, l)
+		} else {
+			unowned = append(unowned, l)
+		}
+	}
+	if len(owned) < 2 || len(unowned) < 2 {
+		t.Fatalf("origin owns %v and not %v: want two of each", owned, unowned)
+	}
+	issue := func(labels ...string) *localQuery {
+		t.Helper()
+		expr := boolexpr.ToDNF(boolexpr.MustParse(strings.Join(labels, " & ")))
+		id, err := origin.QueryInit(expr, 40*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		origin.mu.Lock()
+		defer origin.mu.Unlock()
+		return origin.queries[id]
+	}
+	selectedOf := func(q *localQuery) []string {
+		origin.mu.Lock()
+		defer origin.mu.Unlock()
+		return slices.Clone(q.selected)
+	}
+
+	first := issue(owned[0], owned[1])
+	want := selectedOf(first)
+	if len(want) < 2 {
+		t.Fatalf("first query selected %v, want a source per owned label", want)
+	}
+	issue(unowned[0], unowned[1])
+	if got := selectedOf(first); !slices.Equal(got, want) {
+		t.Fatalf("first query's selection became %v after the second selected, was %v", got, want)
+	}
+	lookups := origin.Stats().ShardLookups
+	if lookups == 0 {
+		t.Fatal("the second query routed no lookup")
+	}
+	r.run(t, 15*time.Second) // the replies land and re-select the second query
+	if got := selectedOf(first); !slices.Equal(got, want) {
+		t.Fatalf("first query's selection became %v after a lookup reply re-selected, was %v", got, want)
+	}
+	if hits := origin.Stats().ShardLookupHits; hits == 0 {
+		t.Error("no re-selection read a lookup result")
+	}
+}
+
 // selectFixture is a Sec. VII-shaped selection: a route-finding query's 30
 // segment labels over 25 cameras, each covering four adjacent segments at
 // one of eleven object sizes.
@@ -498,14 +558,19 @@ func selectFixture() (descs []object.Descriptor, labels []string) {
 }
 
 // BenchmarkSelectSources is what every QueryInit pays for source selection,
-// on a full replica and on a sharded node serving every label from its
-// lookup cache. The two must select the same sources; ci.sh gates the
-// sharded allocs/op, which is where a second copy of the cover — its own
-// candidate set, its per-source filtered label slices — shows.
+// on a full replica, on a sharded node serving every label from its lookup
+// cache, and on a sharded node that owns every label (sharded-owned: the
+// candidates come from its directory). The three must select the same
+// sources; ci.sh gates both sharded allocs/op, which is where a second copy
+// of the cover — its own candidate set, its per-source filtered label
+// slices — or per-call candidate buffers show.
 func BenchmarkSelectSources(b *testing.B) {
 	descs, labels := selectFixture()
 	full := &Node{id: "querier", dir: NewDirectory(descs)}
 	sharded := routedNode(b, descs)
+	owner := NewShardRouter("querier", 16, 2, shardCacheSize)
+	owner.Refresh([]string{"querier"})
+	shardedOwned := &Node{id: "querier", dir: NewDirectory(descs), shard: &shardClient{router: owner}}
 	want := full.dir.SelectSources(labels)
 	if len(want) < 8 {
 		b.Fatalf("fixture selects %v, want a cover of several sources", want)
@@ -513,7 +578,7 @@ func BenchmarkSelectSources(b *testing.B) {
 	for _, c := range []struct {
 		name string
 		node *Node
-	}{{"full", full}, {"sharded", sharded}} {
+	}{{"full", full}, {"sharded", sharded}, {"sharded-owned", shardedOwned}} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

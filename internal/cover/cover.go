@@ -33,38 +33,53 @@ var ErrUncoverable = errors.New("cover: labels not coverable by any source subse
 // indices into sources in selection order. Labels that no source covers
 // yield ErrUncoverable naming the first such label.
 //
-// The universe is indexed once (a label's bit is its first position among
-// the distinct labels) and each source's Covers becomes a bit mask once, so
-// a round's gain is popcount(mask & need). A chosen source needs no mark:
-// its bits leave need, so its gain is zero from then on.
+// The universe is indexed once (a label's bit is its position among the
+// distinct labels, in first-seen order) and each source's Covers becomes a
+// bit mask once, so a round's gain is popcount(mask & need). A chosen
+// source needs no mark: its bits leave need, so its gain is zero from then
+// on. The index is not a map but an open-addressed table of bits at most
+// half full: up to greedyStackLabels labels it and the distinct labels stay
+// on the stack, past that they come from the heap.
 func Greedy(labels []string, sources []Source) ([]int, error) {
-	bit := make(map[string]int, len(labels))
-	for _, l := range labels {
-		if _, ok := bit[l]; !ok {
-			bit[l] = len(bit)
-		}
-	}
-	if len(bit) == 0 {
+	if len(labels) == 0 {
 		return nil, nil
 	}
+	var slotStack [2 * greedyStackLabels]int32
+	var uniqStack [greedyStackLabels]string
+	size := 1
+	for size < 2*len(labels) {
+		size <<= 1
+	}
+	slots := slotStack[:]
+	if size > len(slots) {
+		slots = make([]int32, size)
+	}
+	ix := labelIndex{slots: slots[:size], uniq: uniqStack[:0]}
+	for _, l := range labels {
+		if i, b := ix.find(l); b < 0 {
+			ix.uniq = append(ix.uniq, l)
+			ix.slots[i] = int32(len(ix.uniq))
+		}
+	}
+	uniq := ix.uniq
 
 	// need and the per-source masks share one backing array, words uint64s
 	// each; instances up to greedyStackWords (a 64-label universe over 127
 	// sources, or 128 labels over 63) keep it on the stack.
-	words := (len(bit) + 63) / 64
+	words := (len(uniq) + 63) / 64
 	var stack [greedyStackWords]uint64
 	backing := stack[:]
 	if n := (len(sources) + 1) * words; n > len(backing) {
 		backing = make([]uint64, n)
 	}
 	need, masks := backing[:words], backing[words:]
-	for b := 0; b < len(bit); b++ {
+	for b := range uniq {
 		need[b/64] |= 1 << (b % 64)
 	}
 	for i, s := range sources {
 		mask := masks[i*words : (i+1)*words]
 		for _, l := range s.Covers {
-			if b, ok := bit[l]; ok {
+			if _, b := ix.find(l); b >= 0 {
 				mask[b/64] |= 1 << (b % 64)
 			}
 		}
@@ -91,7 +106,7 @@ func Greedy(labels []string, sources []Source) ([]int, error) {
 		}
 		if bestIdx < 0 {
 			for _, l := range labels {
-				if b := bit[l]; need[b/64]&(1<<(b%64)) != 0 {
+				if _, b := ix.find(l); need[b/64]&(1<<(b%64)) != 0 {
 					return nil, fmt.Errorf("%w: label %q", ErrUncoverable, l)
 				}
 			}
@@ -109,8 +124,36 @@ func Greedy(labels []string, sources []Source) ([]int, error) {
 	}
 }
 
-// greedyStackWords is the size of Greedy's on-stack mask buffer.
-const greedyStackWords = 128
+// greedyStackWords and greedyStackLabels size Greedy's on-stack mask
+// buffer and label index.
+const (
+	greedyStackWords  = 128
+	greedyStackLabels = 64
+)
+
+// labelIndex numbers Greedy's distinct labels in first-seen order:
+// uniq[b] is bit b's label, and slots, a power-of-two table at most half
+// full, holds b+1 at or after slot hash(uniq[b]), 0 where free.
+type labelIndex struct {
+	slots []int32
+	uniq  []string
+}
+
+// find returns l's bit, or -1 and the free slot where it goes.
+func (ix labelIndex) find(l string) (slot, bit int) {
+	// FNV-1a.
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for i := 0; i < len(l); i++ {
+		h = (h ^ uint64(l[i])) * prime64
+	}
+	mask := len(ix.slots) - 1
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		if b := int(ix.slots[i]) - 1; b < 0 || ix.uniq[b] == l {
+			return i, b
+		}
+	}
+}
 
 // Exact finds a minimum-cost cover by dynamic programming over label
 // subsets. It requires len(labels) <= 20; intended for tests and small

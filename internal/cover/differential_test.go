@@ -68,21 +68,21 @@ func refGreedy(labels []string, sources []Source) ([]int, error) {
 // for index and in the same order, and fails with the same text, on seeded
 // random instances built to reach every place the two could part: universe
 // labels listed twice, Covers naming labels outside the universe and one
-// label several times, universes of up to 200 labels (one to four mask
-// words, the last one partly used), instances on either side of the
-// on-stack buffer, costs from so few values that ratios tie exactly (4/2
-// against 2/1) and include zero, and universes some label of which nobody
-// covers.
+// label several times, universes of 65 to 200 labels (one to four mask
+// words, the last one partly used, the distinct-label list past its stack
+// array), instances on either side of the on-stack buffers, costs from so
+// few values that ratios tie exactly (4/2 against 2/1) and include zero,
+// and universes some label of which nobody covers.
 func TestGreedyMatchesMapReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
-	covered, uncoverable, multiWord, heap := 0, 0, 0, 0
+	covered, uncoverable, multiWord, heap, spilled := 0, 0, 0, 0, 0
 	for c := 0; c < 3000; c++ {
 		nLabels := 1 + rng.Intn(12)
 		switch rng.Intn(6) {
 		case 0:
 			nLabels = 60 + rng.Intn(10) // around the one-word boundary
 		case 1:
-			nLabels = 120 + rng.Intn(81)
+			nLabels = 65 + rng.Intn(136)
 		}
 		name := func(i int) string { return fmt.Sprintf("l%03d", i) }
 		var labels []string
@@ -146,18 +146,21 @@ func TestGreedyMatchesMapReference(t *testing.T) {
 		if (len(sources)+1)*((nLabels+63)/64) > greedyStackWords {
 			heap++
 		}
+		if nLabels > greedyStackLabels && len(labels) > nLabels {
+			spilled++ // past the stack list, with a label listed twice
+		}
 	}
 	// The generator must keep reaching what the test is for.
-	if covered < 500 || uncoverable < 500 || multiWord < 500 || heap < 100 {
-		t.Errorf("coverage of the instance space: %d covered, %d uncoverable, %d over one mask word, %d past the stack buffer", covered, uncoverable, multiWord, heap)
+	if covered < 500 || uncoverable < 500 || multiWord < 500 || heap < 100 || spilled < 200 {
+		t.Errorf("coverage of the instance space: %d covered, %d uncoverable, %d over one mask word, %d past the stack buffer, %d with duplicates past the stack label list", covered, uncoverable, multiWord, heap, spilled)
 	}
 }
 
 // On a Sec. VII-sized instance (30 labels, 25 sources of four) the bit
-// cover allocates no more than the map cover did: the index map stands
-// where the need map stood, the masks are on the stack, and the chosen
-// marks are gone. (What a whole selection allocates is gated in ci.sh,
-// BenchmarkSelectSources in internal/athena.)
+// cover allocates no more than the map cover did: the label index and the
+// masks are on the stack, and the chosen marks are gone. (What a whole
+// selection allocates is gated in ci.sh, BenchmarkSelectSources in
+// internal/athena.)
 func TestGreedyAllocatesNoMoreThanMapReference(t *testing.T) {
 	var labels []string
 	for i := 0; i < 30; i++ {
