@@ -57,7 +57,8 @@ ci-short:
 # router's refresh (same view, changed view) and routed-lookup start
 # (internal/athena), the event queue at depths 1, 512 and 8192
 # (internal/simclock), the wire codec on three small frames and a 500 KB
-# one, each way (internal/wire), the prefetch ablation (frames per
+# one, each way, the 500 KB encode both whole and as the head the TCP
+# transport sends (internal/wire), the prefetch ablation (frames per
 # decision with the announce flood off and on), one label signature
 # and verification (internal/trust), and one scenario generated at the
 # Sec. VII shape and at the 81-node grid (internal/workload), parsed into

@@ -87,7 +87,11 @@ fi
 # sized for the whole directory — baseline 0; a shard router that
 # recomputes placement for a membership view it already has — baseline 0 —
 # or ranks the members again to start a lookup on one; a scenario
-# generator whose route search allocates per extracted intersection).
+# generator whose route search allocates per extracted intersection; a
+# bulk frame whose zero padding is built in the encode buffer again
+# instead of written by the transport — frame-B/op, the bytes an encode
+# writes, is ~0.1 KB of a 500 KB frame; a small-frame decode that
+# allocates more than the 9 it does, which ROADMAP item 3 cuts).
 # Refresh the baseline with `make bench` when an intentional change moves
 # one.
 # BenchmarkDecisionEngine and BenchmarkShardLookupBegin have no
@@ -95,7 +99,7 @@ fi
 # none, so each gets its own run. BenchmarkDirectoryMemory runs without
 # -benchmem, as `make bench` records it: only its entries/node is gated.
 {
-	go test -run '^$' -bench '^Benchmark(Scheme|AblationPrefetch|SimKernel|BatchedFetch|DeliverObjectHistory|SelectSources|DirectoryDelta|ShardRefresh|LaneQueue|EncodeSmall|Generate)$/^(lvf|lvfl|sharded|sharded-owned|scoped|unchanged|w1|on|n2000|depth512|request|sec7)$' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire ./internal/workload
+	go test -run '^$' -bench '^Benchmark(Scheme|AblationPrefetch|SimKernel|BatchedFetch|DeliverObjectHistory|SelectSources|DirectoryDelta|ShardRefresh|LaneQueue|EncodeSmall|EncodeObjectData|DecodeSmall|Generate)$/^(lvf|lvfl|sharded|sharded-owned|scoped|unchanged|w1|on|n2000|depth512|request|head|sec7)$' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire ./internal/workload
 	go test -run '^$' -bench '^BenchmarkDirectoryMemory$/^sharded$' -benchtime 3x .
 	go test -run '^$' -bench '^BenchmarkDecisionEngine$' -benchmem -benchtime 3x .
 	go test -run '^$' -bench '^BenchmarkShardLookupBegin$' -benchmem -benchtime 3x ./internal/athena
@@ -117,4 +121,6 @@ fi
 		-gate 'BenchmarkShardLookupBegin:allocs/op:10' \
 		-gate 'BenchmarkLaneQueue/depth512:allocs/op:10' \
 		-gate 'BenchmarkEncodeSmall/request:allocs/op:10' \
+		-gate 'BenchmarkEncodeObjectData/head:frame-B/op:10' \
+		-gate 'BenchmarkDecodeSmall/request:allocs/op:10' \
 		-gate 'BenchmarkGenerate/sec7:allocs/op:10'

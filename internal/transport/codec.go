@@ -15,11 +15,31 @@ type Codec interface {
 	// prefix (counting everything after itself) followed by the body —
 	// onto dst and returns the extended slice. from is the sender id;
 	// size is the sender's modeled wire size, which the codec pads the
-	// frame to when the raw encoding is smaller. On error dst is
-	// returned unmodified.
+	// frame to with zero bytes when the raw encoding is smaller. On error
+	// dst is returned unmodified. A codec that also implements
+	// HeadAppender leaves those zeros for the transport to write.
 	Append(dst []byte, from string, size int64, payload any) ([]byte, error)
 	// Decode parses a frame body (everything after the length prefix)
 	// into the sender id and payload. An error means the frame is
 	// corrupt and the connection should be severed.
 	Decode(body []byte) (from string, payload any, err error)
+}
+
+// HeadAppender is the optional half of a Codec whose frames end in zero
+// padding. AppendHead appends Append's frame without its trailing pad
+// zero bytes and returns pad; the length prefix counts them, so the head
+// followed by pad zeros is Append's frame byte for byte. The TCP
+// transport writes that padding itself, by reference from one shared
+// zero block, instead of building it in the frame buffer.
+type HeadAppender interface {
+	AppendHead(dst []byte, from string, size int64, payload any) (frame []byte, pad int, err error)
+}
+
+// wholeFrames gives a Codec without AppendHead the HeadAppender shape:
+// its frames come complete, with no padding left to write.
+type wholeFrames struct{ Codec }
+
+func (w wholeFrames) AppendHead(dst []byte, from string, size int64, payload any) ([]byte, int, error) {
+	frame, err := w.Append(dst, from, size, payload)
+	return frame, 0, err
 }

@@ -26,14 +26,36 @@ var frameBufPool = sync.Pool{
 	},
 }
 
+// zeroBlock is what every frame's padding is written from. Nothing writes
+// to it, so all peers share it: a megabyte of padding goes out as sixteen
+// iovecs pointing here instead of a megabyte cleared in a frame buffer.
+var zeroBlock [64 << 10]byte
+
 // tcpPeer is the per-peer connection state. Each peer has its own lock so
 // a slow or unreachable peer (dial timeout, blocked write) never blocks
-// sends to the others. addr is guarded by the transport lock, conn by the
-// peer lock.
+// sends to the others. addr is guarded by the transport lock, conn and
+// iov by the peer lock.
 type tcpPeer struct {
 	mu   sync.Mutex
 	addr string
 	conn net.Conn
+	iov  net.Buffers // write's iovecs, kept so that a send allocates none
+}
+
+// write sends frame and then pad zero bytes from zeroBlock in one
+// vectored write (writev on a TCP connection). WriteTo consumes the
+// buffers it writes, so they are built again on every call, a retry
+// included, and the frame always goes out from its first byte. Called
+// with p.mu held.
+func (p *tcpPeer) write(frame []byte, pad int) error {
+	iov := append(p.iov[:0], frame)
+	for ; pad > 0; pad -= len(zeroBlock) {
+		iov = append(iov, zeroBlock[:min(pad, len(zeroBlock))])
+	}
+	p.iov = iov
+	_, err := p.iov.WriteTo(p.conn)
+	p.iov = iov[:0]
+	return err
 }
 
 // TCPTransport implements Transport over real TCP connections, one
@@ -45,6 +67,7 @@ type TCPTransport struct {
 	id    string
 	ln    net.Listener
 	codec Codec
+	head  HeadAppender // codec's AppendHead, or wholeFrames if it has none
 
 	mu       sync.Mutex // guards peers map, peer addrs, conn sets, handler, closed
 	peers    map[string]*tcpPeer
@@ -64,7 +87,7 @@ type TCPTransport struct {
 // registry. Any field may be nil (a nil counter is a no-op).
 type TCPMetrics struct {
 	// Sends counts successful message sends; SentBytes their frame bytes
-	// as actually written to the socket.
+	// as actually written to the socket, padding included.
 	Sends, SentBytes *metrics.Counter
 	// Redials counts reconnect attempts after a failed dial or write;
 	// SendErrors counts messages given up on after exhausting retries.
@@ -83,10 +106,15 @@ func NewTCP(id, addr string, codec Codec) (*TCPTransport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
+	head, ok := codec.(HeadAppender)
+	if !ok {
+		head = wholeFrames{codec}
+	}
 	t := &TCPTransport{
 		id:            id,
 		ln:            ln,
 		codec:         codec,
+		head:          head,
 		peers:         make(map[string]*tcpPeer),
 		outbound:      make(map[net.Conn]bool),
 		inbound:       make(map[net.Conn]bool),
@@ -196,10 +224,12 @@ func (t *TCPTransport) SetHandler(h Handler) {
 // Clock implements Transport.
 func (t *TCPTransport) Clock() simclock.Clock { return simclock.WallClock{} }
 
-// Send implements Transport: it encodes one frame with the codec, lazily
-// dials the peer, and on dial or write failure redials with exponential
-// backoff (per SetRetryPolicy) before reporting the last error. Only the
-// target peer's lock is held, so an unresponsive peer stalls no one else.
+// Send implements Transport: it encodes a frame's head with the codec,
+// lazily dials the peer and writes the head and the frame's zero padding
+// in one vectored write, and on dial or write failure redials with
+// exponential backoff (per SetRetryPolicy) before reporting the last
+// error. Only the target peer's lock is held, so an unresponsive peer
+// stalls no one else.
 func (t *TCPTransport) Send(to string, size int64, payload any) error {
 	t.mu.Lock()
 	if t.closed {
@@ -223,7 +253,7 @@ func (t *TCPTransport) Send(to string, size int64, payload any) error {
 		*buf = (*buf)[:0]
 		frameBufPool.Put(buf)
 	}()
-	frame, err := t.codec.Append((*buf)[:0], t.id, size, payload)
+	frame, pad, err := t.head.AppendHead((*buf)[:0], t.id, size, payload)
 	if err != nil {
 		// An unencodable payload is a programming error, not a flaky
 		// link; retrying cannot help.
@@ -257,7 +287,7 @@ func (t *TCPTransport) Send(to string, size int64, payload any) error {
 			t.mu.Unlock()
 			p.conn = conn
 		}
-		if _, err := p.conn.Write(frame); err != nil {
+		if err := p.write(frame, pad); err != nil {
 			// Drop the broken connection so the next attempt redials.
 			p.conn.Close()
 			t.mu.Lock()
@@ -272,7 +302,7 @@ func (t *TCPTransport) Send(to string, size int64, payload any) error {
 			continue
 		}
 		m.Sends.Inc()
-		m.SentBytes.Add(int64(len(frame)))
+		m.SentBytes.Add(int64(len(frame) + pad))
 		return nil
 	}
 	m.SendErrors.Inc()
@@ -289,8 +319,8 @@ func (t *TCPTransport) Close() error {
 	}
 	t.closed = true
 	// Close raw connections without taking peer locks: a writer blocked in
-	// Write holds its peer lock, and severing the socket is what unblocks
-	// it.
+	// a write holds its peer lock, and severing the socket is what
+	// unblocks it.
 	for c := range t.outbound {
 		c.Close()
 	}

@@ -1,13 +1,17 @@
 package transport
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"athena/internal/metrics"
 	"athena/internal/netsim"
 	"athena/internal/simclock"
 )
@@ -124,6 +128,142 @@ func (testCodec) Decode(body []byte) (string, any, error) {
 		return from, testMsg{Text: text, N: int(rest[0])<<8 | int(rest[1])}, nil
 	}
 	return "", nil, fmt.Errorf("testCodec: unknown kind %d", kind)
+}
+
+// headCodec is testCodec with its padding left to the transport: the
+// head is testCodec's unpadded frame, its length prefix counting pad more
+// bytes.
+type headCodec struct{ testCodec }
+
+func (c headCodec) AppendHead(dst []byte, from string, size int64, payload any) ([]byte, int, error) {
+	start := len(dst)
+	frame, err := c.Append(dst, from, 0, payload)
+	if err != nil {
+		return frame, 0, err
+	}
+	pad := 0
+	if raw := int64(len(frame) - start); size > raw {
+		pad = int(size - raw)
+	}
+	binary.BigEndian.PutUint32(frame[start:], uint32(len(frame)-start-4+pad))
+	return frame, pad, nil
+}
+
+// sendPaths runs a socket test once per way Send builds a frame: whole,
+// from Append, and as a head whose padding the transport writes.
+var sendPaths = []struct {
+	name  string
+	codec Codec
+}{{"append", testCodec{}}, {"head", headCodec{}}}
+
+// readStream accepts one connection on ln and sends everything read from
+// it until the sender closes it (nil if nothing connects in time).
+func readStream(ln net.Listener, out chan<- []byte) {
+	conn, err := ln.Accept()
+	if err != nil {
+		out <- nil
+		return
+	}
+	defer conn.Close()
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	b, _ := io.ReadAll(conn)
+	out <- b
+}
+
+// TestTCPPaddedStreamMatchesAppend reads off a raw socket what Send puts
+// there for two padded frames from a HeadAppender: exactly Append's two
+// frames back to back, so padding of the wrong length shifts the second.
+// SentBytes counts the padding Send never built.
+func TestTCPPaddedStreamMatchesAppend(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	read := make(chan []byte, 1)
+	go readStream(ln, read)
+
+	ta, err := NewTCP("a", "127.0.0.1:0", headCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ta.Close()
+	sent := new(metrics.Counter)
+	ta.Instrument(TCPMetrics{SentBytes: sent})
+	ta.AddPeer("raw", ln.Addr().String())
+
+	// Three whole zero blocks and a tail, then padding inside one block.
+	frames := []struct {
+		size int64
+		msg  testMsg
+	}{
+		{3*int64(len(zeroBlock)) + 17, testMsg{Text: "first", N: 1}},
+		{1000, testMsg{Text: "second", N: 2}},
+	}
+	var want []byte
+	for _, f := range frames {
+		if want, err = (testCodec{}).Append(want, "a", f.size, f.msg); err != nil {
+			t.Fatal(err)
+		}
+		if err := ta.Send("raw", f.size, f.msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ta.Close() // ends the stream
+	if got := <-read; !bytes.Equal(got, want) {
+		t.Errorf("the socket carried %d bytes that are not Append's %d", len(got), len(want))
+	}
+	if n := sent.Value(); n != int64(len(want)) {
+		t.Errorf("SentBytes = %d, want the %d bytes on the wire", n, len(want))
+	}
+}
+
+// TestTCPPaddedSendAllocs: a megabyte-padded Send to a live peer allocates
+// nothing, whole or as a head. The iovecs are kept on the peer, and the
+// pooled frame buffer is reused either way.
+func TestTCPPaddedSendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	for _, sp := range sendPaths {
+		t.Run(sp.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			// The peer reads into one buffer, so it allocates nothing the
+			// count could pick up.
+			go func() {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				defer conn.Close()
+				buf := make([]byte, 64<<10)
+				for {
+					if _, err := conn.Read(buf); err != nil {
+						return
+					}
+				}
+			}()
+			ta, err := NewTCP("a", "127.0.0.1:0", sp.codec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ta.Close()
+			ta.AddPeer("sink", ln.Addr().String())
+			var msg any = testMsg{Text: "frame", N: 1}
+			got := testing.AllocsPerRun(20, func() {
+				if err := ta.Send("sink", 1<<20, msg); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got != 0 {
+				t.Errorf("%v allocations per padded Send, want 0", got)
+			}
+		})
+	}
 }
 
 func TestTCPTransportRoundTrip(t *testing.T) {

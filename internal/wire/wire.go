@@ -38,7 +38,10 @@
 // The codec keeps no buffers: Append extends the slice it is given (the
 // TCP transport recycles its own), and decoded messages never alias the
 // input buffer (strings and byte fields are copied out), so callers may
-// recycle a buffer as soon as Decode returns.
+// recycle a buffer as soon as Decode returns. The padding need not be
+// built at all: AppendHead stops before it and reports its length, and
+// the TCP transport writes those zeros by reference from a shared block
+// (transport.HeadAppender). The receiver still checks every one.
 package wire
 
 import (
@@ -93,7 +96,10 @@ const (
 // stateless; the zero value is ready to use.
 type Codec struct{}
 
-var _ transport.Codec = Codec{}
+var (
+	_ transport.Codec        = Codec{}
+	_ transport.HeadAppender = Codec{}
+)
 
 var (
 	// ErrUnknownType reports an unregistered payload type on encode or an
@@ -110,8 +116,23 @@ var (
 // Append encodes one complete frame — length prefix, header, payload,
 // padding — onto dst and returns the extended slice. from is the sender
 // id stamped into the header; size is the sender's modeled wire size,
-// which the frame is padded to when the raw encoding is smaller.
-func (Codec) Append(dst []byte, from string, size int64, payload any) ([]byte, error) {
+// which the frame is padded to when the raw encoding is smaller. It is
+// AppendHead with the padding appended.
+func (c Codec) Append(dst []byte, from string, size int64, payload any) ([]byte, error) {
+	frame, pad, err := c.AppendHead(dst, from, size, payload)
+	if err != nil {
+		return frame, err
+	}
+	return append(frame, make([]byte, pad)...), nil
+}
+
+// AppendHead encodes a frame's head — length prefix, header, payload —
+// onto dst and returns the extended slice with the number of zero bytes
+// of padding that complete the frame. The length prefix already counts
+// them: the head followed by pad zeros is byte for byte Append's frame,
+// and the caller writes the padding (the TCP transport sends it by
+// reference from a shared zero block, so it is never built in memory).
+func (Codec) AppendHead(dst []byte, from string, size int64, payload any) (frame []byte, pad int, err error) {
 	start := len(dst)
 	// Reserve the length prefix and the type byte; each is patched once
 	// known.
@@ -119,24 +140,25 @@ func (Codec) Append(dst []byte, from string, size int64, payload any) ([]byte, e
 	c.str(&from)
 	id := encodePayload(&c, payload)
 	if id == 0 {
-		return c.b[:start], fmt.Errorf("%w: %T", ErrUnknownType, payload)
+		return c.b[:start], 0, fmt.Errorf("%w: %T", ErrUnknownType, payload)
 	}
 	if c.err != nil {
-		return c.b[:start], c.err
+		return c.b[:start], 0, c.err
 	}
 	dst = c.b
 	dst[start+5] = id
 	// Pad to the modeled size so measured traffic matches the simulator's
 	// accounting; an oversized raw encoding ships as-is.
-	if raw := int64(len(dst) - start); size > raw && size <= MaxFrame {
-		dst = append(dst, make([]byte, size-raw)...)
+	raw := len(dst) - start
+	if size > int64(raw) && size <= MaxFrame {
+		pad = int(size) - raw
 	}
-	total := len(dst) - start
+	total := raw + pad
 	if total > MaxFrame {
-		return dst[:start], fmt.Errorf("%w: %d bytes", ErrTooLarge, total)
+		return dst[:start], 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, total)
 	}
 	binary.BigEndian.PutUint32(dst[start:], uint32(total-4))
-	return dst, nil
+	return dst, pad, nil
 }
 
 // Decode parses a frame body (everything after the 4-byte length prefix)

@@ -2,8 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -346,10 +348,68 @@ func TestZeroTimeRoundTrips(t *testing.T) {
 	}
 }
 
+// headMatchesAppend checks AppendHead against Append and against the
+// frame both must produce, at sizes 0, one under, at and one over m's raw
+// encoding, its WireSize() and MaxFrame+1: the head followed by pad zero
+// bytes is Append's frame byte for byte, the length prefix counts the
+// padding, and both return the same error. When buf can hold MaxFrame
+// bytes, the size MaxFrame itself is tried too, with Append writing its
+// 64 MB frame into buf.
+func headMatchesAppend(t testing.TB, m interface{ WireSize() int64 }, buf []byte) {
+	t.Helper()
+	var c Codec
+	raw, rawErr := c.Append(nil, "node-042", 0, m)
+	n := int64(len(raw))
+	sizes := []int64{0, n - 1, n, n + 1, m.WireSize(), MaxFrame + 1}
+	if cap(buf) >= MaxFrame {
+		sizes = append(sizes, MaxFrame)
+	}
+	for _, size := range sizes {
+		frame, err := c.Append(buf[:0], "node-042", size, m)
+		head, pad, headErr := c.AppendHead(nil, "node-042", size, m)
+		if fmt.Sprint(headErr) != fmt.Sprint(err) {
+			t.Errorf("%T at size %d: AppendHead error %v, Append error %v", m, size, headErr, err)
+			continue
+		}
+		if err != nil || rawErr != nil {
+			continue
+		}
+		total := n // the raw encoding, padded to size when that is larger
+		if size > n && size <= MaxFrame {
+			total = size
+		}
+		switch {
+		case int64(len(frame)) != total:
+			t.Errorf("%T at size %d: Append's frame is %d bytes, want %d", m, size, len(frame), total)
+		case int64(len(head)+pad) != total:
+			t.Errorf("%T at size %d: %d-byte head + %d padding, want %d bytes", m, size, len(head), pad, total)
+		case int64(binary.BigEndian.Uint32(head)) != total-4:
+			t.Errorf("%T at size %d: length prefix %d, want %d", m, size, binary.BigEndian.Uint32(head), total-4)
+		case !bytes.Equal(head[4:], raw[4:]):
+			t.Errorf("%T at size %d: the head is not the raw encoding", m, size)
+		case !bytes.Equal(frame[:len(head)], head) || !allZero(frame[len(head):]):
+			t.Errorf("%T at size %d: Append's frame is not the head followed by %d zero bytes", m, size, pad)
+		}
+	}
+}
+
+// TestAppendHeadMatchesAppend pins the two-piece frame the TCP transport
+// writes to Append's, for every golden message at every size
+// headMatchesAppend tries, MaxFrame included. roundTrip runs the same
+// check on every fuzz seed and input, MaxFrame excepted: a 64 MB frame
+// per input would stall a fuzzing run.
+func TestAppendHeadMatchesAppend(t *testing.T) {
+	buf := make([]byte, 0, MaxFrame)
+	for _, m := range sizedMessages() {
+		headMatchesAppend(t, m, buf)
+	}
+}
+
 // roundTrip encodes msg, decodes it back, and fails on any loss of
 // fidelity. Shared by all the per-type fuzz targets.
 func roundTrip(t *testing.T, msg interface{ WireSize() int64 }) {
 	t.Helper()
+	headMatchesAppend(t, msg, nil)
 	var c Codec
 	frame, err := c.Append(nil, "fuzz-node", msg.WireSize(), msg)
 	if err != nil {
@@ -675,9 +735,10 @@ func mapFields(m any) int {
 // TestEncodeDoesNotAllocate holds the encoder's state on the stack. The
 // layout functions are reached by static calls for this reason: behind a
 // closure table, an interface or a generic helper the state escapes and
-// every frame costs an allocation. Frames are encoded unpadded because
-// under -race the compiler does not fuse the padding's append-of-make;
-// the padded path is held by ci.sh's BenchmarkEncodeSmall gate.
+// every frame costs an allocation. Append encodes unpadded because under
+// -race the compiler does not fuse the padding's append-of-make (the
+// padded path is held by ci.sh's BenchmarkEncodeSmall gate); AppendHead
+// builds no padding, so it encodes at WireSize().
 func TestEncodeDoesNotAllocate(t *testing.T) {
 	var c Codec
 	for _, m := range sizedMessages() {
@@ -690,6 +751,14 @@ func TestEncodeDoesNotAllocate(t *testing.T) {
 		})
 		if got != want {
 			t.Errorf("%T: %v allocations per encode, want %v", m, got, want)
+		}
+		got = testing.AllocsPerRun(100, func() {
+			if _, _, err := c.AppendHead(buf, "node-042", m.WireSize(), m); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != want {
+			t.Errorf("%T: %v allocations per AppendHead, want %v", m, got, want)
 		}
 	}
 }
@@ -731,19 +800,40 @@ func TestEncodeLeavesMessageUntouched(t *testing.T) {
 // a 500 KB object, almost all of it padding.
 var benchData = &athena.ObjectData{Object: "/city/market/cam3", Version: 12, Size: 500_000, Created: tAt(5e9), Validity: time.Minute, Labels: []string{"viable:h:1-2", "viable:v:3-1"}, SourceNode: "node-017", Origin: "node-042", QueryID: "node-042/q17"}
 
+// BenchmarkEncodeObjectData frames the bulk object both ways: append
+// builds the whole frame, head only what the TCP transport cannot send by
+// reference. frame-B/op is the bytes an encode writes into its buffer;
+// ci.sh gates head's, which padding built back into AppendHead would
+// multiply by four thousand.
 func BenchmarkEncodeObjectData(b *testing.B) {
 	var c Codec
-	buf := make([]byte, 0, benchData.WireSize())
-	b.SetBytes(benchData.WireSize())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		frame, err := c.Append(buf[:0], "node-017", benchData.WireSize(), benchData)
-		if err != nil {
-			b.Fatal(err)
+	b.Run("append", func(b *testing.B) {
+		buf := make([]byte, 0, benchData.WireSize())
+		b.SetBytes(benchData.WireSize())
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			frame, err := c.Append(buf[:0], "node-017", benchData.WireSize(), benchData)
+			if err != nil {
+				b.Fatal(err)
+			}
+			buf = frame
 		}
-		buf = frame
-	}
+		b.ReportMetric(float64(len(buf)), "frame-B/op")
+	})
+	b.Run("head", func(b *testing.B) {
+		buf := make([]byte, 0, benchData.WireSize())
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			frame, _, err := c.AppendHead(buf[:0], "node-017", benchData.WireSize(), benchData)
+			if err != nil {
+				b.Fatal(err)
+			}
+			buf = frame
+		}
+		b.ReportMetric(float64(len(buf)), "frame-B/op")
+	})
 }
 
 func BenchmarkDecodeObjectData(b *testing.B) {
