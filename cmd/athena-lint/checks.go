@@ -34,7 +34,7 @@ var Analyzers = []*Analyzer{
 	{Name: "globalrand", Doc: "no global math/rand top-level functions outside boundary files; randomness comes from a seeded *rand.Rand", Run: runGlobalRand},
 	{Name: "maporder", Doc: "no map-iteration-order-dependent output (prints or unsorted slice accumulation inside a map range) in simulation-reachable packages", Run: runMapOrder},
 	{Name: "lockheld", Doc: "every mutex Lock/RLock has a same-function Unlock/RUnlock (deferred or direct)", Run: runLockHeld},
-	{Name: "lockorder", Doc: "the inferred lock-acquisition graph (direct and through calls) must be acyclic and reproduce the declared order (Node < ShardRouter < Directory < InterestTable; tcpPeer < TCPTransport)", Run: runLockOrder},
+	{Name: "lockorder", Doc: "the inferred lock-acquisition graph (direct and through calls) must be acyclic and reproduce the declared order (Node < ShardRouter < Directory; tcpPeer < TCPTransport)", Run: runLockOrder},
 	{Name: "metricsvalue", Doc: "metrics instruments are held as pointers (*metrics.Counter, ...) so a nil registry stays a no-op; value-typed fields defeat that contract", Run: runMetricsValue},
 	{Name: "metricshotlookup", Doc: "no Registry.Counter/Gauge/Histogram lookups inside loops; resolve instruments once and hold the pointer", Run: runMetricsHotLookup},
 	{Name: "golifetime", Doc: "goroutines launched in non-test code must be tied to a stop channel, context, WaitGroup, or a deferred Close of something they use", Run: runGoLifetime},

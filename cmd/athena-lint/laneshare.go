@@ -2,7 +2,8 @@ package main
 
 // Lane-isolation check. The PDES kernel's conservative window is causal
 // only because lane handlers touch state their own lane owns: a window's
-// lanes run one after another, each through the whole window, and every
+// events of all lanes interleave by instant on the kernel's one queue, a
+// lane's clock advances only when its own events run, and every
 // cross-lane effect is buffered as a Lane.Post and merged at the window
 // barrier in canonical order. This check turns that convention into a proof
 // obligation: it computes the set of functions reachable from kernel
@@ -204,7 +205,7 @@ func checkLaneWrite(p *Pass, n *lintkit.FuncNode, lhs ast.Expr, recvObj types.Ob
 		return
 	}
 	if v, ok := obj.(*types.Var); ok && v.Parent() == p.Pkg.Types.Scope() {
-		p.Reportf(lhs.Pos(), "lane handler code writes package-level var %s; a window's lanes run one after another, so the write takes hold at a virtual time no event scheduled and the two lane layouts stop agreeing — thread the state through the lane or guard it with a mutex", base.Name)
+		p.Reportf(lhs.Pos(), "lane handler code writes package-level var %s; a lane's clock moves only with its own events, so the write takes hold at a virtual time no event scheduled and the two lane layouts stop agreeing — thread the state through the lane or guard it with a mutex", base.Name)
 		return
 	}
 	if _, bare := lhs.(*ast.Ident); bare {

@@ -95,16 +95,15 @@ var hotLockRank = map[string]struct {
 	chain string
 	rank  int
 }{
-	"Node":          {"athena", 0}, // membership state lives under Node.mu
-	"ShardRouter":   {"athena", 1}, // routed-lookup state; called from under Node.mu
-	"Directory":     {"athena", 2},
-	"InterestTable": {"athena", 3},
-	"tcpPeer":       {"transport", 0},
-	"TCPTransport":  {"transport", 1},
+	"Node":         {"athena", 0}, // membership state lives under Node.mu
+	"ShardRouter":  {"athena", 1}, // routed-lookup state; called from under Node.mu
+	"Directory":    {"athena", 2},
+	"tcpPeer":      {"transport", 0},
+	"TCPTransport": {"transport", 1},
 }
 
 var hotLockOrder = map[string]string{
-	"athena":    "Node < ShardRouter < Directory < InterestTable",
+	"athena":    "Node < ShardRouter < Directory",
 	"transport": "tcpPeer < TCPTransport",
 }
 

@@ -44,12 +44,12 @@ func Sequential(n *Node, d *Directory) {
 	n.mu.Unlock()
 }
 
-// InvertedRouter takes Directory before ShardRouter: violation.
-func InvertedRouter(r *ShardRouter, d *Directory) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+// InvertedRouter takes ShardRouter before Node: violation.
+func InvertedRouter(n *Node, r *ShardRouter) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 }
 
 // RouterCanonical takes Node, then ShardRouter, then Directory: fine.
@@ -60,11 +60,6 @@ func RouterCanonical(n *Node, r *ShardRouter, d *Directory) {
 	defer r.mu.Unlock()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-}
-
-// InterestTable stands in for the interest-table lock (rank 3).
-type InterestTable struct {
-	mu sync.Mutex
 }
 
 // tcpPeer stands in for the per-peer transport lock (transport chain).
@@ -79,19 +74,19 @@ func lockShard(r *ShardRouter) {
 	defer r.mu.Unlock()
 }
 
-// InvertedThroughCall holds InterestTable and reaches the ShardRouter
-// lock through lockShard: the inversion exists only interprocedurally.
-func InvertedThroughCall(it *InterestTable, r *ShardRouter) {
-	it.mu.Lock()
-	defer it.mu.Unlock()
+// InvertedThroughCall holds Directory and reaches the ShardRouter lock
+// through lockShard: the inversion exists only interprocedurally.
+func InvertedThroughCall(d *Directory, r *ShardRouter) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	lockShard(r)
 }
 
-// CrossChainAB holds InterestTable, then takes tcpPeer: no declared
-// rank relates the two chains, so this edge is locally legal.
-func CrossChainAB(it *InterestTable, p *tcpPeer) {
-	it.mu.Lock()
-	defer it.mu.Unlock()
+// CrossChainAB holds Directory, then takes tcpPeer: no declared rank
+// relates the two chains, so this edge is locally legal.
+func CrossChainAB(d *Directory, p *tcpPeer) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 }
@@ -99,9 +94,9 @@ func CrossChainAB(it *InterestTable, p *tcpPeer) {
 // CrossChainBA takes them in the opposite order: combined with
 // CrossChainAB the inferred graph has a cycle no rank row forbids, and
 // some interleaving of the two functions deadlocks.
-func CrossChainBA(it *InterestTable, p *tcpPeer) {
+func CrossChainBA(d *Directory, p *tcpPeer) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	it.mu.Lock()
-	defer it.mu.Unlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 }

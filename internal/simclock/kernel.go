@@ -1,16 +1,16 @@
 // The deterministic kernel: the repo's one event engine. A Kernel
 // partitions the simulation into lanes — one per network node, or a
-// single lane every node shares (Scheduler) — each with its own event
-// heap, clock, and schedule-order sequence. Lanes whose next events fall
-// inside the current conservative window [T, T+lookahead) run one after
-// another on the calling goroutine; cross-lane effects (message
-// deliveries) are posted into per-lane mailboxes and merged at the
-// window barrier in a canonical order. Because window boundaries,
-// per-lane sequences, and the mailbox merge order are all derived from
-// the seed and the schedule alone — never from which lane of a window
-// ran first — a Kernel run is a pure function of (seed, topology). The
-// classic conservative-PDES safety argument applies: a cross-lane effect
-// posted from a window always lands at or after the window's end (netsim
+// single lane every node shares (Scheduler) — each with its own clock.
+// Every lane's events live on the kernel's one queue, ordered by (time,
+// schedule sequence) under one kernel-wide sequence, and run on the
+// calling goroutine. The kernel advances in conservative windows
+// [T, T+lookahead): cross-lane effects (message deliveries) are buffered
+// as posts and scheduled on their destination lanes at the window barrier
+// in a canonical order. Window boundaries, the schedule sequence and the
+// post merge order are all derived from the seed and the schedule alone,
+// so a Kernel run is a pure function of (seed, topology). The classic
+// conservative-PDES safety argument applies: a cross-lane effect posted
+// from a window always lands at or after the window's end (netsim
 // guarantees post delay >= lookahead = the minimum link latency), so no
 // lane can ever receive an event earlier than one it already executed. A
 // one-lane kernel has no cross-lane effects at all, so its window is the
@@ -19,7 +19,6 @@ package simclock
 
 import (
 	"cmp"
-	"container/heap"
 	"math"
 	"slices"
 	"time"
@@ -77,11 +76,11 @@ type post struct {
 	seq      uint64
 }
 
-// cmpPost is the canonical mailbox merge order: delivery time, then the
+// cmpPost is the canonical post merge order: delivery time, then the
 // lamport post instant, then the seeded tie-break, then (source lane,
 // per-lane post sequence) as a total-order fallback. Every component is
-// a pure function of the schedule, so the order does not depend on which
-// lane of a window ran first.
+// a pure function of the schedule, so the order does not depend on how a
+// window's events of different lanes interleaved.
 func cmpPost(a, b post) int {
 	if c := cmp.Compare(a.key, b.key); c != 0 {
 		return c
@@ -98,25 +97,15 @@ func cmpPost(a, b post) int {
 	return cmp.Compare(a.seq, b.seq)
 }
 
-// Lane is one deterministic partition of a Kernel: an event heap, a
-// clock, and a schedule-order sequence. All scheduling calls on a Lane
-// must come from code running on that lane (or from outside RunUntil
-// entirely).
+// Lane is one deterministic partition of a Kernel: a clock and a post
+// sequence. Its events live on the kernel's one queue. All scheduling
+// calls on a Lane must come from code running on that lane (or from
+// outside RunUntil entirely).
 type Lane struct {
-	k   *Kernel
-	idx int32
-	// heapIdx is the lane's position in the kernel's wake heap; -1 when
-	// the lane has no pending events.
-	heapIdx int32
-
+	k       *Kernel
+	idx     int32
 	now     time.Time
-	seq     uint64
 	postSeq uint64
-	events  eventHeap
-	free    *Event
-
-	outbox []post
-	inbox  []post
 }
 
 var _ Clock = (*Lane)(nil)
@@ -126,23 +115,25 @@ var _ Clock = (*Lane)(nil)
 // between runs.
 func (l *Lane) Now() time.Time { return l.now }
 
-// enqueue stamps ev with instant t — clamped to the lane's current time,
-// so scheduling in the past runs next instead of rewinding the clock —
-// and queues it under (t as a kernel instant, next schedule sequence).
-// The key is taken after the clamp, so it is the instant the event runs
-// at. An instant past the end of the integer time line is pulled back to
-// that end, where it runs in schedule order with any other such event.
+// enqueue stamps ev with lane l and instant t — clamped to the lane's
+// current time, so scheduling in the past runs next instead of rewinding
+// the clock — and queues it under (t as a kernel instant, next schedule
+// sequence). The key is taken after the clamp, so it is the instant the
+// event runs at. An instant past the end of the integer time line is
+// pulled back to that end, where it runs in schedule order with any other
+// such event.
 func (l *Lane) enqueue(ev *Event, t time.Time) {
 	if t.Before(l.now) {
 		t = l.now
 	}
-	at := l.k.instant(t)
+	k := l.k
+	at := k.instant(t)
 	if at == math.MaxInt64 {
-		t = l.k.origin.Add(time.Duration(at))
+		t = k.origin.Add(time.Duration(at))
 	}
-	ev.at = t
-	l.events.push(slot{at: at, seq: l.seq, ev: ev})
-	l.seq++
+	ev.at, ev.lane = t, l
+	k.events.push(slot{at: at, seq: k.seq, ev: ev})
+	k.seq++
 }
 
 // At schedules fn on this lane at instant t (clamped to the lane's
@@ -159,13 +150,14 @@ func (l *Lane) After(d time.Duration, fn func()) *Event {
 }
 
 // AtCall schedules fn(arg) at instant t without returning a handle. The
-// event cannot be cancelled, which lets the lane recycle it through its
+// event cannot be cancelled, which lets the kernel recycle it through its
 // freelist — a hot send path schedules without allocating. fn is
 // typically a stored method value, so the call itself captures nothing.
 func (l *Lane) AtCall(t time.Time, fn func(any), arg any) {
-	ev := l.free
+	k := l.k
+	ev := k.free
 	if ev != nil {
-		l.free = ev.nextFree
+		k.free = ev.nextFree
 	} else {
 		ev = new(Event)
 	}
@@ -181,125 +173,33 @@ func (l *Lane) AfterCall(d time.Duration, fn func(any), arg any) {
 
 // Post schedules fn(arg) on lane dst at instant t. A post to the
 // poster's own lane is a plain local AtCall. A post to another lane is
-// buffered in the posting lane's outbox and merged into the destination
-// at the next window barrier in canonical order; the conservative
-// contract requires t >= the current window's end (netsim guarantees it
-// by deriving the kernel lookahead from the minimum link latency), and
+// buffered in the kernel's posts and scheduled on the destination at the
+// next window barrier in canonical order; the conservative contract
+// requires t >= the current window's end (netsim guarantees it by
+// deriving the kernel lookahead from the minimum link latency), and
 // earlier instants are clamped to the window end.
 func (l *Lane) Post(dst *Lane, t time.Time, fn func(any), arg any) {
 	if dst == l {
 		l.AtCall(t, fn, arg)
 		return
 	}
-	if l.k.inWindow && t.Before(l.k.wEnd) {
-		t = l.k.wEnd
+	k := l.k
+	if k.inWindow && t.Before(k.wEnd) {
+		t = k.wEnd
 	}
-	h := l.k.seed ^ (uint64(l.idx) << 40) ^ l.postSeq ^ uint64(t.UnixNano())
-	l.outbox = append(l.outbox, post{
-		fn: fn, arg: arg, at: t, key: l.k.instant(t), posted: l.k.instant(l.now),
+	h := k.seed ^ (uint64(l.idx) << 40) ^ l.postSeq ^ uint64(t.UnixNano())
+	k.posts = append(k.posts, post{
+		fn: fn, arg: arg, at: t, key: k.instant(t), posted: k.instant(l.now),
 		tie: Mix64(h), src: l.idx, dst: dst.idx, seq: l.postSeq,
 	})
 	l.postSeq++
 }
 
-// runOne pops and runs the lane's head event, advancing the lane clock
-// to its instant. The head must be live: call nextAt first.
-func (l *Lane) runOne() {
-	ev := l.events.pop()
-	l.now = ev.at
-	if ev.pooled {
-		// Copy out before releasing: the callback may schedule new
-		// events that reuse this Event value.
-		fn, arg := ev.fnArg, ev.arg
-		l.release(ev)
-		fn(arg)
-		return
-	}
-	ev.fn()
-}
-
-// runWindow executes the lane's events inside [l.now, wEnd) that are not
-// past the deadline, at most budget of them (0 = unlimited), and reports
-// how many ran.
-func (l *Lane) runWindow(wEnd, deadline time.Time, budget int) int {
-	ran := 0
-	for budget <= 0 || ran < budget {
-		at, ok := l.nextAt()
-		if !ok || !at.Before(wEnd) || at.After(deadline) {
-			break
-		}
-		l.runOne()
-		ran++
-	}
-	return ran
-}
-
-// release returns a pooled event to the lane freelist.
-func (l *Lane) release(ev *Event) {
-	*ev = Event{nextFree: l.free}
-	l.free = ev
-}
-
-// nextAt reaps cancelled heap heads and returns the lane's next pending
-// event time; ok is false when the lane is drained.
-func (l *Lane) nextAt() (time.Time, bool) {
-	for len(l.events) > 0 {
-		ev := l.events[0].ev
-		if !ev.cancelled {
-			return ev.at, true
-		}
-		l.events.pop()
-		if ev.pooled {
-			l.release(ev)
-		}
-	}
-	return time.Time{}, false
-}
-
-// laneHeap orders lanes by next pending event time, then lane index.
-type laneHeap []*Lane
-
-func (h laneHeap) Len() int { return len(h) }
-
-func (h laneHeap) Less(i, j int) bool {
-	ti, _ := h[i].nextAt()
-	tj, _ := h[j].nextAt()
-	if !ti.Equal(tj) {
-		return ti.Before(tj)
-	}
-	return h[i].idx < h[j].idx
-}
-
-func (h laneHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].heapIdx = int32(i)
-	h[j].heapIdx = int32(j)
-}
-
-func (h *laneHeap) Push(x any) {
-	l, ok := x.(*Lane)
-	if !ok {
-		return
-	}
-	l.heapIdx = int32(len(*h))
-	*h = append(*h, l)
-}
-
-func (h *laneHeap) Pop() any {
-	old := *h
-	n := len(old)
-	l := old[n-1]
-	old[n-1] = nil
-	l.heapIdx = -1
-	*h = old[:n-1]
-	return l
-}
-
 // KernelOpts configures a Kernel.
 type KernelOpts struct {
-	// Deprecated: Workers is ignored. Every window's lanes run on the
-	// goroutine that calls RunUntil; the field stays because bench/
-	// compiles against it.
+	// Deprecated: Workers is ignored. Every event runs on the goroutine
+	// that calls RunUntil; the field stays because bench/ compiles
+	// against it.
 	Workers int
 	// Seed feeds the canonical merge order's tie-break hash.
 	Seed uint64
@@ -308,22 +208,26 @@ type KernelOpts struct {
 // Kernel is the deterministic event kernel. Create one with NewKernel,
 // add a lane per simulated node, and drive it with RunUntil.
 type Kernel struct {
-	// origin is the zero of the integer time line event queues and the
-	// mailbox merge order are keyed on (see instant).
+	// origin is the zero of the integer time line the event queue and the
+	// post merge order are keyed on (see instant).
 	origin time.Time
 	now    time.Time
 	seed   uint64
 
 	lookahead time.Duration
+	lanes     []*Lane
 
-	lanes []*Lane
-	wake  laneHeap
+	// events is the one event queue, seq the schedule sequence every lane
+	// draws from, free the freelist of pooled events.
+	events eventHeap
+	seq    uint64
+	free   *Event
 
-	// Window state: Post reads wEnd while inWindow; active holds the
-	// lanes claimed for the current window.
+	// Window state: Post reads wEnd while inWindow and buffers cross-lane
+	// effects in posts until the window's barrier.
 	inWindow bool
 	wEnd     time.Time
-	active   []*Lane
+	posts    []post
 
 	executed int64
 }
@@ -343,7 +247,7 @@ func (k *Kernel) instant(t time.Time) int64 { return int64(t.Sub(k.origin)) }
 // AddLane appends a lane and returns it. Lanes must be added before
 // RunUntil is first called.
 func (k *Kernel) AddLane() *Lane {
-	l := &Lane{k: k, idx: int32(len(k.lanes)), heapIdx: -1, now: k.now}
+	l := &Lane{k: k, idx: int32(len(k.lanes)), now: k.now}
 	k.lanes = append(k.lanes, l)
 	return l
 }
@@ -366,6 +270,38 @@ func (k *Kernel) SetLookahead(d time.Duration) {
 	k.lookahead = d
 }
 
+// nextAt reaps cancelled heads and returns the next pending event time;
+// ok is false when the queue is drained. A cancelled event always has a
+// handle, so it is never a pooled one.
+func (k *Kernel) nextAt() (time.Time, bool) {
+	for len(k.events) > 0 {
+		ev := k.events[0].ev
+		if !ev.cancelled {
+			return ev.at, true
+		}
+		k.events.pop()
+	}
+	return time.Time{}, false
+}
+
+// runOne pops and runs the head event, advancing its lane's clock to the
+// event's instant. The head must be live: call nextAt first.
+func (k *Kernel) runOne() {
+	ev := k.events.pop()
+	ev.lane.now = ev.at
+	k.executed++
+	if ev.pooled {
+		// Copy out before releasing: the callback may schedule new
+		// events that reuse this Event value.
+		fn, arg := ev.fnArg, ev.arg
+		*ev = Event{nextFree: k.free}
+		k.free = ev
+		fn(arg)
+		return
+	}
+	ev.fn()
+}
+
 // windowEnd returns the end of the conservative window opening at first.
 func (k *Kernel) windowEnd(first, deadline time.Time) time.Time {
 	switch {
@@ -379,83 +315,41 @@ func (k *Kernel) windowEnd(first, deadline time.Time) time.Time {
 	return first.Add(k.lookahead)
 }
 
-// wakeIfPending queues a lane that is outside the wake heap and has work.
-func (k *Kernel) wakeIfPending(l *Lane) {
-	if l.heapIdx < 0 {
-		if _, ok := l.nextAt(); ok {
-			heap.Push(&k.wake, l)
-		}
-	}
-}
-
 // RunUntil executes events with time at or before deadline, leaving
 // later events queued and the committed clock at the deadline. It
 // returns ErrHorizon as soon as maxEvents (0 = unlimited) have run
-// before the deadline was reached; the remaining budget bounds every
-// lane inside a window, so a zero-delay self-rescheduling event cannot
-// spin past it. Every event runs on the calling goroutine.
+// before the deadline was reached — exactly maxEvents on any lane
+// count, so a zero-delay self-rescheduling event cannot spin past it.
+// Every event runs on the calling goroutine.
 func (k *Kernel) RunUntil(deadline time.Time, maxEvents int) error {
-	// Seed the wake heap from every lane with pending work: events may
-	// have been scheduled directly between runs.
-	k.wake = k.wake[:0]
-	for _, l := range k.lanes {
-		l.heapIdx = -1
-		if _, ok := l.nextAt(); ok {
-			l.heapIdx = int32(len(k.wake))
-			k.wake = append(k.wake, l)
-		}
-	}
-	heap.Init(&k.wake)
-
 	ran := 0
-	for len(k.wake) > 0 {
-		first, ok := k.wake[0].nextAt()
-		if !ok {
-			// Fully-cancelled lane: reap it rather than let a zero
-			// next-event time distort the window start.
-			heap.Pop(&k.wake)
-			continue
-		}
-		if first.After(deadline) {
+	for {
+		first, ok := k.nextAt()
+		if !ok || first.After(deadline) {
 			break
 		}
+		// Run the window [first, wEnd) in queue order. Events a window
+		// schedules locally may run inside it; its cross-lane posts land
+		// at or after wEnd, so none is missing from the queue.
 		k.wEnd = k.windowEnd(first, deadline)
-		budget := max(maxEvents-ran, 0) // each lane's cap this window; 0 = unlimited
 		k.inWindow = true
-
-		// Claim every lane with work inside the window. Lanes cannot
-		// become runnable mid-window: local scheduling stays on the
-		// already-claimed lane and cross-lane posts land at or after
-		// wEnd.
-		k.active = k.active[:0]
-		for len(k.wake) > 0 {
-			t, _ := k.wake[0].nextAt()
-			if !t.Before(k.wEnd) || t.After(deadline) {
+		for ; maxEvents <= 0 || ran < maxEvents; ran++ {
+			at, ok := k.nextAt()
+			if !ok || !at.Before(k.wEnd) || at.After(deadline) {
 				break
 			}
-			l, _ := heap.Pop(&k.wake).(*Lane)
-			k.active = append(k.active, l)
-		}
-
-		for _, l := range k.active {
-			n := l.runWindow(k.wEnd, deadline, budget)
-			ran += n
-			k.executed += int64(n)
+			k.runOne()
 		}
 		k.inWindow = false
 
-		// Barrier: merge outboxes into destination lanes in canonical
-		// order, then requeue lanes with remaining work. In-wake dirty
-		// lanes were re-positioned inside mergePosts; the dirty pass
-		// wakes lanes that were idle (not in the heap, not active)
-		// before their posts arrived.
-		dirty := k.mergePosts()
-		for _, l := range k.active {
-			k.wakeIfPending(l)
+		// Barrier: schedule the window's posts on their destinations in
+		// canonical order. Each takes a schedule sequence above anything
+		// its destination queued before the barrier.
+		slices.SortFunc(k.posts, cmpPost)
+		for _, p := range k.posts {
+			k.lanes[p.dst].AtCall(p.at, p.fn, p.arg)
 		}
-		for _, l := range dirty {
-			k.wakeIfPending(l)
-		}
+		k.posts = k.posts[:0]
 		if maxEvents > 0 && ran >= maxEvents {
 			return ErrHorizon
 		}
@@ -472,42 +366,4 @@ func (k *Kernel) RunUntil(deadline time.Time, maxEvents int) error {
 		}
 	}
 	return nil
-}
-
-// mergePosts distributes every active lane's outbox into destination
-// inboxes, sorts each inbox canonically, and appends the posts to the
-// destination heaps in that order. It returns the lanes that received
-// posts. It runs between windows.
-func (k *Kernel) mergePosts() []*Lane {
-	var dirty []*Lane
-	for _, src := range k.active {
-		for _, p := range src.outbox {
-			dst := k.lanes[p.dst]
-			if len(dst.inbox) == 0 {
-				dirty = append(dirty, dst)
-			}
-			dst.inbox = append(dst.inbox, p)
-		}
-		src.outbox = src.outbox[:0]
-	}
-	for _, dst := range dirty {
-		slices.SortFunc(dst.inbox, cmpPost)
-		for _, p := range dst.inbox {
-			dst.AtCall(p.at, p.fn, p.arg)
-		}
-		dst.inbox = dst.inbox[:0]
-		// Restore the wake heap NOW, before the next lane's inserts touch
-		// another key. heap.Fix is only sound for a single out-of-place
-		// element in an otherwise valid heap: deferring all fixes to the
-		// end of the barrier (while posts shrink many in-wake keys at
-		// once) lets a sift move a large-keyed lane above a small-keyed
-		// one it is never compared against, and a lane stranded deep in
-		// the heap stops being claimed — its events (and every message
-		// behind them) sit until some unrelated far-future timer drags
-		// the window forward.
-		if dst.heapIdx >= 0 {
-			heap.Fix(&k.wake, int(dst.heapIdx))
-		}
-	}
-	return dirty
 }

@@ -3,6 +3,8 @@ package simclock
 import (
 	"cmp"
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -271,14 +273,14 @@ func TestKernelCancelRacingBarrierFlush(t *testing.T) {
 	if len(fired) != 1 || fired[0] != "post" {
 		t.Fatalf("fired = %v, want [post]", fired)
 	}
-	if n := len(a.events) + len(b.events); n != 0 {
+	if n := len(k.events); n != 0 {
 		t.Fatalf("pending = %d after drain", n)
 	}
 }
 
 // TestKernelCancelOnlyEventThenIdle pins the fully-cancelled-lane path:
 // a lane whose only pending event is cancelled must be reaped from the
-// wake heap without stalling the run or firing anything.
+// queue without stalling the run or firing anything.
 func TestKernelCancelOnlyEventThenIdle(t *testing.T) {
 	k := NewKernel(kernelEpoch, KernelOpts{})
 	k.SetLookahead(time.Millisecond)
@@ -313,8 +315,8 @@ func TestKernelErrHorizon(t *testing.T) {
 
 // TestKernelErrHorizonWithinWindow: the budget bounds events, not
 // windows. A zero-delay self-rescheduling event never leaves its window,
-// so a budget checked only at barriers would spin forever; each lane gets
-// the remaining budget and stops on it.
+// so a budget checked only at barriers would spin forever; the window
+// stops on the budget.
 func TestKernelErrHorizonWithinWindow(t *testing.T) {
 	k := NewKernel(kernelEpoch, KernelOpts{})
 	k.SetLookahead(time.Millisecond)
@@ -328,6 +330,28 @@ func TestKernelErrHorizonWithinWindow(t *testing.T) {
 	}
 	if ran != 100 {
 		t.Fatalf("%d events ran, want exactly the budget of 100", ran)
+	}
+}
+
+// TestKernelBudgetExactOnTwoLanes: the budget is one count over the
+// kernel, not a cap handed to each lane of a window. Two lanes that each
+// reschedule themselves with zero delay run exactly the budget between
+// them.
+func TestKernelBudgetExactOnTwoLanes(t *testing.T) {
+	k := NewKernel(kernelEpoch, KernelOpts{})
+	k.SetLookahead(time.Millisecond)
+	ran := 0
+	for i := 0; i < 2; i++ {
+		l := k.AddLane()
+		var spin func()
+		spin = func() { ran++; l.After(0, spin) }
+		l.After(0, spin)
+	}
+	if err := k.RunUntil(kernelEpoch.Add(time.Hour), 100); err != ErrHorizon {
+		t.Fatalf("err = %v, want ErrHorizon", err)
+	}
+	if ran != 100 || k.Executed() != 100 {
+		t.Fatalf("%d events ran (Executed %d), want exactly the budget of 100", ran, k.Executed())
 	}
 }
 
@@ -417,43 +441,12 @@ func BenchmarkKernelLocalEvents(b *testing.B) {
 	}
 }
 
-// checkWakeOrder verifies the wake heap's structural invariants: every
-// in-heap lane's heapIdx matches its position, and no parent orders after
-// a child. A violation strands the child's subtree — those lanes stop
-// being claimed until an unrelated far-future window drags time forward.
-func checkWakeOrder(t *testing.T, k *Kernel) {
-	t.Helper()
-	for i, l := range k.wake {
-		if int(l.heapIdx) != i {
-			t.Fatalf("wake[%d] lane %d has heapIdx %d", i, l.idx, l.heapIdx)
-		}
-		if i == 0 {
-			continue
-		}
-		p := k.wake[(i-1)/2]
-		ct, cok := l.nextAt()
-		pt, pok := p.nextAt()
-		if pok && cok && pt.After(ct) {
-			t.Fatalf("wake order violated: parent lane %d at %v above child lane %d at %v (pos %d)",
-				p.idx, pt.Sub(kernelEpoch), l.idx, ct.Sub(kernelEpoch), i)
-		}
-		if !pok && cok {
-			t.Fatalf("wake order violated: eventless parent lane %d above child lane %d (pos %d)", p.idx, l.idx, i)
-		}
-	}
-}
-
-// TestKernelMassBarrierWakeOrder reproduces a wake-heap corruption: a
-// barrier that merges posts into a subset of quiet in-wake lanes
-// (rewriting their far-future keys to near-term ones, in an order
-// unrelated to their heap positions) while re-queueing a large fleet of
-// active lanes. Deferring the heap fixes to the end of the barrier let
-// re-queued lanes pile up beneath a mispositioned small-key lane, and
-// the deferred sift-up then dragged an untouched far-future lane down on
-// top of them — a subtree the claim loop never reached, so its events ran
-// seconds late, and every message they posted was clamped to the late
-// window. The test checks the heap invariant between steps and asserts
-// every cross-lane post lands exactly at its posted instant.
+// TestKernelMassBarrierWakeOrder: a barrier merges posts into a subset
+// of quiet lanes (pulling their far-future next events to near-term ones,
+// in an order unrelated to the lanes' indices) while a large fleet of
+// active lanes carries on, and every cross-lane post must land exactly at
+// its posted instant. This scenario once stranded lanes in a heap of lanes
+// the kernel kept, so their events ran seconds late.
 func TestKernelMassBarrierWakeOrder(t *testing.T) {
 	const (
 		lookahead = time.Millisecond
@@ -475,8 +468,7 @@ func TestKernelMassBarrierWakeOrder(t *testing.T) {
 		}
 	}
 
-	// Quiet lanes idle on varied far-future timers — the keys a bad sift
-	// can strand the fleet behind.
+	// Quiet lanes idle on varied far-future timers.
 	quietLanes := make([]*Lane, quiet)
 	for i := range quietLanes {
 		l := k.AddLane()
@@ -499,7 +491,7 @@ func TestKernelMassBarrierWakeOrder(t *testing.T) {
 	// Just before each fleet tick, the hub pings a rotating subset of the
 	// quiet lanes, with delivery instants ordered against the lanes' timer
 	// order; the merge of those posts shares a barrier with the fleet's
-	// mass re-queue and rewrites scattered in-wake keys at once.
+	// activity and moves scattered lanes' next events at once.
 	for n := 1; n <= ticks; n++ {
 		n := n
 		at := kernelEpoch.Add(time.Duration(n)*30*time.Millisecond - lookahead/2)
@@ -514,20 +506,153 @@ func TestKernelMassBarrierWakeOrder(t *testing.T) {
 			}
 		})
 	}
-	// Step through the tick storms in small increments, auditing the wake
-	// heap at each pause; then run out the clock and demand punctuality.
+	// Step through the tick storms in small increments, then run out the
+	// clock and demand punctuality.
 	end := kernelEpoch.Add(12 * time.Second)
 	for at := kernelEpoch.Add(time.Millisecond); at.Before(kernelEpoch.Add(300 * time.Millisecond)); at = at.Add(time.Millisecond) {
 		if err := k.RunUntil(at, 0); err != nil {
 			t.Fatal(err)
 		}
-		checkWakeOrder(t, k)
 	}
 	if err := k.RunUntil(end, 0); err != nil {
 		t.Fatal(err)
 	}
 	if late > 0 {
 		t.Fatalf("%d cross-lane posts ran off their posted instant (max skew %v)", late, maxSkew)
+	}
+}
+
+// laneTraceHashes runs a seeded 8-lane workload and returns, per lane, an
+// FNV-64a hash of its (instant, label) trace, plus the events executed.
+// Every draw comes from the running lane's own stream and every record goes
+// to its own trace, so a lane's trace is a function of its own event order
+// alone. The mix covers each scheduling form: At and After with handles,
+// AtCall and AfterCall, Post to the poster's own lane, Post exactly one
+// lookahead ahead and beyond it onto a millisecond grid (so posts from many
+// lanes collide at one instant), cancellation of queued, running-lane and
+// already-run events, same-instant bursts, and scheduling from outside the
+// run between deadlines.
+func laneTraceHashes(lookahead time.Duration) ([]uint64, int64) {
+	const (
+		lanes = 8
+		limit = 400 // events a lane may spawn from its own handlers
+	)
+	k := NewKernel(kernelEpoch, KernelOpts{Seed: 0x51ab})
+	k.SetLookahead(lookahead)
+	type laneState struct {
+		l       *Lane
+		rng     *rand.Rand
+		hash    hash.Hash64
+		spawned int
+		handles []*Event
+	}
+	st := make([]*laneState, lanes)
+	for i := range st {
+		st[i] = &laneState{l: k.AddLane(), rng: rand.New(rand.NewSource(int64(1000 + i))), hash: fnv.New64a()}
+	}
+	record := func(s *laneState, label string) {
+		fmt.Fprintf(s.hash, "%d %s\n", s.l.Now().Sub(kernelEpoch), label)
+	}
+	var act func(s *laneState, label string)
+	run := func(arg any) {
+		p := arg.([2]any)
+		act(p[0].(*laneState), p[1].(string))
+	}
+	act = func(s *laneState, label string) {
+		record(s, label)
+		for n := s.rng.Intn(4); n > 0 && s.spawned < limit; n-- {
+			s.spawned++
+			tag := fmt.Sprintf("%s.%d", label, s.spawned)
+			now := s.l.Now()
+			switch op := s.rng.Intn(10); op {
+			case 0, 1:
+				d := time.Duration(s.rng.Intn(5)) * time.Millisecond
+				s.handles = append(s.handles, s.l.After(d, func() { act(s, "a"+tag) }))
+			case 2:
+				s.l.AtCall(now.Add(time.Duration(s.rng.Intn(3000))*time.Microsecond), run, [2]any{s, "c" + tag})
+			case 3:
+				s.l.AfterCall(0, run, [2]any{s, "z" + tag})
+			case 4:
+				// A burst at one instant, handle and no-handle forms mixed.
+				at := now.Add(time.Duration(1+s.rng.Intn(2)) * time.Millisecond)
+				for j := 0; j < 3; j++ {
+					s.handles = append(s.handles, s.l.At(at, func() { act(s, fmt.Sprintf("b%s/%d", tag, j)) }))
+					s.l.AtCall(at, run, [2]any{s, fmt.Sprintf("B%s/%d", tag, j)})
+				}
+			case 5, 6, 7:
+				dst := st[s.rng.Intn(lanes)]
+				at := now.Add(lookahead)
+				if op != 5 {
+					// Beyond the lookahead, on the millisecond grid.
+					at = now.Add(lookahead + time.Duration(1+s.rng.Intn(4))*time.Millisecond).Truncate(time.Millisecond)
+				}
+				s.l.Post(dst.l, at, run, [2]any{dst, "p" + tag})
+			case 8:
+				if len(s.handles) > 0 {
+					s.handles[s.rng.Intn(len(s.handles))].Cancel()
+				}
+			case 9:
+				// Schedule, then cancel at once: never runs.
+				s.l.After(time.Millisecond, func() { act(s, "never"+tag) }).Cancel()
+			}
+		}
+	}
+	for _, s := range st {
+		s := s
+		s.l.At(kernelEpoch, func() { act(s, "start") })
+		s.l.AtCall(kernelEpoch.Add(time.Millisecond), run, [2]any{s, "start1"})
+	}
+	for at := 15 * time.Millisecond; at <= 300*time.Millisecond; at += 15 * time.Millisecond {
+		if err := k.RunUntil(kernelEpoch.Add(at), 0); err != nil {
+			panic(err)
+		}
+		// Between runs, schedule from outside onto every lane.
+		for i, s := range st {
+			if int(at/time.Millisecond)%(i+2) == 0 {
+				s := s
+				s.l.After(time.Duration(i)*time.Millisecond, func() { act(s, "outside") })
+			}
+		}
+	}
+	if err := k.RunUntil(kernelEpoch.Add(time.Hour), 0); err != nil {
+		panic(err)
+	}
+	sums := make([]uint64, lanes)
+	for i, s := range st {
+		sums[i] = s.hash.Sum64()
+	}
+	return sums, k.Executed()
+}
+
+// TestKernelLaneTracesGolden pins the lane-per-node event order: each
+// lane's trace hash and the executed count at lookahead 0 and 1 ms, recorded
+// before the kernel's queues were merged into one. A change to the window,
+// post-merge or per-lane schedule order moves some lane's hash.
+func TestKernelLaneTracesGolden(t *testing.T) {
+	golden := []struct {
+		lookahead time.Duration
+		lanes     []uint64
+		executed  int64
+	}{
+		{0, []uint64{
+			0xa07223ad93eceae5, 0x06ac6fb3705cbc22, 0xbfe67d7a05f8b988, 0x31f4a5595e3b49a9,
+			0xe93a7d04870644fb, 0x59d4e6fb6c0d4407, 0x3c632538e20bfc25, 0x8e0e04f9e4c63737,
+		}, 4158},
+		{time.Millisecond, []uint64{
+			0x2558191b1d843bfc, 0xfacb6c7243b678dd, 0x919843dc574d75d9, 0x1da69c6d7997834a,
+			0xe3857a034cc514f9, 0x94159d95f49c1816, 0x44459a2f241703af, 0x8b4766aa3f3942aa,
+		}, 4164},
+	}
+	for _, g := range golden {
+		sums, executed := laneTraceHashes(g.lookahead)
+		for i, sum := range sums {
+			if sum != g.lanes[i] {
+				t.Errorf("lookahead %v, lane %d: trace hash %#x, recorded %#x", g.lookahead, i, sum, g.lanes[i])
+			}
+		}
+		if executed != g.executed {
+			t.Errorf("lookahead %v: %d events executed, recorded %d", g.lookahead, executed, g.executed)
+		}
 	}
 }
 

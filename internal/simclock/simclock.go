@@ -4,9 +4,9 @@
 // All of the Athena emulation (internal/netsim, internal/athena,
 // internal/experiment) runs on top of this kernel so that every experiment
 // is exactly repeatable from a seed, independent of wall-clock time or
-// goroutine interleaving. There is one engine — Kernel, whose Lanes are
-// the only event queues (kernel.go) — in two layouts: one lane shared by
-// every node (Scheduler, below) or one lane per node.
+// goroutine interleaving. There is one engine — Kernel, which owns the
+// only event queue (kernel.go) — in two layouts: one lane shared by every
+// node (Scheduler, below) or one lane per node.
 package simclock
 
 import (
@@ -34,11 +34,12 @@ func (WallClock) Now() time.Time { return time.Now() }
 // Event is a scheduled callback. The callback runs with its lane's clock
 // already advanced to the event time.
 type Event struct {
-	at time.Time
-	fn func()
+	at   time.Time
+	lane *Lane
+	fn   func()
 
 	// fnArg/arg are the no-handle form used by AtCall/AfterCall; such
-	// events are recycled through the lane's freelist after running,
+	// events are recycled through the kernel's freelist after running,
 	// which is only safe because no caller can hold a handle to them.
 	fnArg func(any)
 	arg   any
@@ -59,14 +60,14 @@ func (e *Event) Cancel() {
 // At reports the instant the event is scheduled for.
 func (e *Event) At() time.Time { return e.at }
 
-// slot is one entry of a lane's event queue. The whole sort key sits in
+// slot is one entry of the kernel's event queue. The whole sort key sits in
 // the slot, so a sift compares integers it already has in hand and never
 // follows ev.
 type slot struct {
 	// at is the event's instant on the kernel's integer time line
 	// (Kernel.instant): it orders exactly as Event.at does.
 	at int64
-	// seq is the lane's schedule sequence: equal instants run in the
+	// seq is the kernel's schedule sequence: equal instants run in the
 	// order they were scheduled.
 	seq uint64
 	ev  *Event
@@ -80,10 +81,10 @@ func (a slot) before(b slot) bool {
 // depth of a binary heap, and a node's children share a cache line or two.
 const heapArity = 4
 
-// eventHeap is a lane's event queue: a d-ary min-heap of slots ordered by
-// (instant, schedule sequence). The order is total — a lane never reuses a
-// sequence — so events leave in exactly that order whatever the shape of
-// the heap.
+// eventHeap is the kernel's event queue: a d-ary min-heap of slots ordered
+// by (instant, schedule sequence). The order is total — the kernel never
+// reuses a sequence — so events leave in exactly that order whatever the
+// shape of the heap.
 type eventHeap []slot
 
 func (h *eventHeap) push(s slot) {
@@ -161,19 +162,18 @@ func (s *Scheduler) Kernel() *Kernel { return s.k }
 
 // Pending reports how many events are queued (including cancelled ones not
 // yet reaped).
-func (s *Scheduler) Pending() int { return len(s.events) }
+func (s *Scheduler) Pending() int { return len(s.k.events) }
 
 // Step runs the single earliest pending event, advancing the clock to its
 // time. It reports whether an event ran.
 func (s *Scheduler) Step() bool {
-	if _, ok := s.nextAt(); !ok {
+	if _, ok := s.k.nextAt(); !ok {
 		return false
 	}
-	s.runOne()
+	s.k.runOne()
 	// Keep the kernel's committed view in step: no RunUntil barrier does
 	// it for a hand-stepped lane.
 	s.k.now = s.now
-	s.k.executed++
 	return true
 }
 

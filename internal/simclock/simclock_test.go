@@ -137,39 +137,48 @@ func TestLaneSemantics(t *testing.T) {
 			if !live {
 				t.Error("live event behind a cancelled head did not run")
 			}
-			if n := len(l.events); n != 0 {
+			if n := queued(l); n != 0 {
 				t.Errorf("%d events left queued after the run", n)
 			}
 		}},
 		{"lazy-cancel", func(t *testing.T, rig func() (*Lane, func(time.Time) error)) {
 			// Cancel marks; it does not unlink. A cancelled event that is
-			// not the head stays queued — Scheduler.Pending, which is
-			// len(l.events), counts it — until it surfaces, is reaped
-			// there, and never runs; nextAt never reports its instant.
+			// not the head stays on the kernel's queue — Scheduler.Pending,
+			// which is len(k.events), counts it — until it surfaces, is
+			// reaped there, and never runs; nextAt never reports its instant.
 			l, drive := rig()
+			k := l.k
 			var got []string
 			l.After(time.Second, func() { got = append(got, "a") })
 			l.After(3*time.Second, func() { got = append(got, "cancelled") }).Cancel()
 			l.After(5*time.Second, func() { got = append(got, "c") })
-			if n := len(l.events); n != 3 {
+			if n := queued(l); n != 3 {
 				t.Fatalf("%d events queued with a cancelled one behind the head, want 3", n)
 			}
-			if at, ok := l.nextAt(); !ok || !at.Equal(origin.Add(time.Second)) || len(l.events) != 3 {
-				t.Fatalf("nextAt = %v, %v with %d queued; want the live head at +1s and nothing reaped", at, ok, len(l.events))
+			if at, ok := k.nextAt(); !ok || at.After(origin.Add(time.Second)) || queued(l) != 3 {
+				t.Fatalf("nextAt = %v, %v with %d queued; want a live head by +1s and nothing reaped", at, ok, queued(l))
 			}
-			if err := drive(origin.Add(2 * time.Second)); err != nil {
-				t.Fatal(err)
-			}
-			// The cancelled event surfaced when "a" left, and was reaped by
-			// the look for the next event.
-			if at, ok := l.nextAt(); !ok || !at.Equal(origin.Add(5*time.Second)) || len(l.events) != 1 {
-				t.Fatalf("after the head ran: nextAt = %v, %v with %d queued; want +5s and 1", at, ok, len(l.events))
-			}
+			// Drive past the cancelled instant. Then queue one more
+			// cancelled event between two live ones and stop the run after
+			// its instant: the look for the next event reaped it, and
+			// nextAt reports the live one behind it.
 			if err := drive(horizon); err != nil {
 				t.Fatal(err)
 			}
-			if fmt.Sprint(got) != "[a c]" || len(l.events) != 0 {
-				t.Fatalf("ran %v with %d left queued, want [a c] and 0", got, len(l.events))
+			l.After(0, func() { got = append(got, "b") })
+			l.After(time.Second, func() { got = append(got, "never") }).Cancel()
+			l.After(2*time.Second, func() { got = append(got, "d") })
+			if err := drive(horizon.Add(time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			if at, ok := k.nextAt(); !ok || !at.Equal(horizon.Add(2*time.Second)) || queued(l) != 1 {
+				t.Fatalf("after the head ran: nextAt = %v, %v with %d queued; want +2s past the horizon and 1", at, ok, queued(l))
+			}
+			if err := drive(horizon.Add(3 * time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(got) != "[a c b d]" || len(k.events) != 0 {
+				t.Fatalf("ran %v with %d left queued, want [a c b d] and 0", got, len(k.events))
 			}
 		}},
 		{"nested-scheduling", func(t *testing.T, rig func() (*Lane, func(time.Time) error)) {
@@ -325,27 +334,40 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 	}
 }
 
-// checkEventOrder verifies a lane queue's structural invariants: no slot
-// orders before its parent, every slot's key is its event's instant on the
-// kernel's integer time line, and no schedule sequence appears twice.
-func checkEventOrder(t *testing.T, l *Lane) {
+// queued counts the events of lane l on its kernel's queue, cancelled ones
+// not yet reaped included.
+func queued(l *Lane) int {
+	n := 0
+	for _, s := range l.k.events {
+		if s.ev.lane == l {
+			n++
+		}
+	}
+	return n
+}
+
+// checkEventOrder verifies the kernel queue's structural invariants: no
+// slot orders before its parent, every slot's key is its event's instant on
+// the kernel's integer time line, every event belongs to one of the
+// kernel's lanes, and no schedule sequence appears twice.
+func checkEventOrder(t *testing.T, k *Kernel) {
 	t.Helper()
-	seqs := make(map[uint64]bool, len(l.events))
-	for i, s := range l.events {
-		if s.ev == nil {
-			t.Errorf("events[%d] holds no event", i)
+	seqs := make(map[uint64]bool, len(k.events))
+	for i, s := range k.events {
+		if s.ev == nil || s.ev.lane == nil || s.ev.lane.k != k {
+			t.Errorf("events[%d] holds no event of this kernel's lanes", i)
 			return
 		}
-		if want := l.k.instant(s.ev.at); s.at != want {
+		if want := k.instant(s.ev.at); s.at != want {
 			t.Errorf("events[%d] keyed %d, its event's instant %v is %d", i, s.at, s.ev.at, want)
 		}
 		if seqs[s.seq] {
 			t.Errorf("events[%d] repeats schedule sequence %d", i, s.seq)
 		}
 		seqs[s.seq] = true
-		if parent := (i - 1) / heapArity; i > 0 && s.before(l.events[parent]) {
+		if parent := (i - 1) / heapArity; i > 0 && s.before(k.events[parent]) {
 			t.Errorf("queue order violated: events[%d] (%d, seq %d) orders before its parent events[%d] (%d, seq %d)",
-				i, s.at, s.seq, parent, l.events[parent].at, l.events[parent].seq)
+				i, s.at, s.seq, parent, k.events[parent].at, k.events[parent].seq)
 		}
 	}
 }
@@ -453,13 +475,13 @@ func TestLaneOrderMatchesReference(t *testing.T) {
 					if victim := rng.Intn(len(handles)); handles[victim] != nil {
 						cancel(victim)
 					}
-				case 1: // the event at the head of the queue
-					if len(l.events) > 0 && !l.events[0].ev.pooled {
-						cancel(idOf[l.events[0].ev])
+				case 1: // the event at the head of the queue, if it is this lane's
+					if q := l.k.events; len(q) > 0 && q[0].ev.lane == l && !q[0].ev.pooled {
+						cancel(idOf[q[0].ev])
 					}
 				}
 				if len(ran)%101 == 0 {
-					checkEventOrder(t, l)
+					checkEventOrder(t, l.k)
 				}
 			}
 
@@ -470,11 +492,11 @@ func TestLaneOrderMatchesReference(t *testing.T) {
 						cancel(len(handles) - 1)
 					}
 				}
-				checkEventOrder(t, l)
+				checkEventOrder(t, l.k)
 				if err := drive(origin.Add(time.Duration(round) * 400 * time.Millisecond)); err != nil {
 					t.Fatal(err)
 				}
-				checkEventOrder(t, l)
+				checkEventOrder(t, l.k)
 			}
 			if err := drive(end); err != nil {
 				t.Fatal(err)
@@ -496,7 +518,7 @@ func TestLaneOrderMatchesReference(t *testing.T) {
 						i, ran[i], planned[ran[i]], want[i], planned[want[i]])
 				}
 			}
-			if n := len(l.events); n != 0 {
+			if n := queued(l); n != 0 {
 				t.Errorf("%d events left queued", n)
 			}
 			if len(planned) < ops || len(want) == len(planned) {

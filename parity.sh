@@ -7,8 +7,10 @@
 # them run the flood, SWIM, sharded and batched paths, plus prefetch on
 # (a2: announce and push), noisy sensors (a5: corrSource's retry timer) and
 # lossy links (a6: the recovery timers); and the n=512 gossip+sharding
-# smoke minus its wall-clock line; and a3, whose rows share one generated
-# scenario per seed (a sweep's scenarios come from one generation pass).
+# smoke minus its wall-clock line; a3, whose rows share one generated
+# scenario per seed (a sweep's scenarios come from one generation pass);
+# and the a10 kernel-scale rig's config, events and delivered columns (its
+# wall and events/sec columns are the host's).
 # A `"workers"` line is stripped the same way: builds that still had the
 # kernel's worker pool print one (a -workers flag that never changed a
 # result), later builds do not.
@@ -28,6 +30,8 @@ git archive "$base" | tar -x -C "$tmp/src"
 go build -o "$tmp/tree" ./cmd/athena-sim
 
 fail=0
+# cols > 0 makes cell compare only the first cols fields of each line.
+cols=0
 # cell NAME ENV ARGS...: run both binaries as `env ENV athena-sim ARGS`.
 cell() {
 	name="$1" env="$2"
@@ -36,6 +40,11 @@ cell() {
 		# stdout only: stderr carries athena-sim's elapsed-time line.
 		env $env "$tmp/$side" "$@" >"$tmp/$side.out" 2>/dev/null || echo "exit status $?" >>"$tmp/$side.out"
 		sed -i '/"wallSeconds"/d; /"workers"/d' "$tmp/$side.out"
+		if [ "$cols" -gt 0 ]; then
+			awk -v n="$cols" '{ s = $1; for (i = 2; i <= n && i <= NF; i++) s = s " " $i; print s }' \
+				"$tmp/$side.out" >"$tmp/$side.cut"
+			mv "$tmp/$side.cut" "$tmp/$side.out"
+		fi
 	done
 	# An unknown -fig prints nothing and exits 0; two empty outputs prove
 	# nothing.
@@ -55,4 +64,6 @@ for fig in 2 3 a2 a3 a5 a6 a7 a8 a9 a11; do
 	cell "fig $fig -quick" "" -fig "$fig" -quick
 done
 cell "smoke -quick (minus wallSeconds)" "" -fig smoke -quick
+cols=3
+cell "fig a10 -quick (config, events, delivered)" "" -fig a10 -quick
 exit "$fail"
