@@ -91,18 +91,22 @@ fi
 # bulk frame whose zero padding is built in the encode buffer again
 # instead of written by the transport — frame-B/op, the bytes an encode
 # writes, is ~0.1 KB of a 500 KB frame; a small-frame decode that
-# allocates more than the 9 it does, which ROADMAP item 3 cuts).
+# allocates more than the 9 it does, which ROADMAP item 3 cuts; a TCP
+# reader that holds its largest frame again instead of one 64 KB chunk —
+# held-B/op, the heap an open connection keeps after 1 MB frames, is
+# ~62 KB, and ~1 MB when frames are read whole).
 # Refresh the baseline with `make bench` when an intentional change moves
 # one.
-# BenchmarkDecisionEngine and BenchmarkShardLookupBegin have no
-# sub-benchmarks, and a two-level -bench pattern skips a benchmark that has
-# none, so each gets its own run. BenchmarkDirectoryMemory runs without
+# BenchmarkDecisionEngine, BenchmarkShardLookupBegin and
+# BenchmarkTCPReceivePadded have no sub-benchmarks, and a two-level -bench
+# pattern skips a benchmark that has none, so each gets its own run. BenchmarkDirectoryMemory runs without
 # -benchmem, as `make bench` records it: only its entries/node is gated.
 {
 	go test -run '^$' -bench '^Benchmark(Scheme|AblationPrefetch|SimKernel|BatchedFetch|DeliverObjectHistory|SelectSources|DirectoryDelta|ShardRefresh|LaneQueue|EncodeSmall|EncodeObjectData|DecodeSmall|Generate)$/^(lvf|lvfl|sharded|sharded-owned|scoped|unchanged|w1|on|n2000|depth512|request|head|sec7)$' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire ./internal/workload
 	go test -run '^$' -bench '^BenchmarkDirectoryMemory$/^sharded$' -benchtime 3x .
 	go test -run '^$' -bench '^BenchmarkDecisionEngine$' -benchmem -benchtime 3x .
 	go test -run '^$' -bench '^BenchmarkShardLookupBegin$' -benchmem -benchtime 3x ./internal/athena
+	go test -run '^$' -bench '^BenchmarkTCPReceivePadded$' -benchmem -benchtime 3x ./internal/transport
 } |
 	tee /dev/stderr |
 	go run ./cmd/benchjson -check BENCH_core.json \
@@ -123,4 +127,5 @@ fi
 		-gate 'BenchmarkEncodeSmall/request:allocs/op:10' \
 		-gate 'BenchmarkEncodeObjectData/head:frame-B/op:10' \
 		-gate 'BenchmarkDecodeSmall/request:allocs/op:10' \
-		-gate 'BenchmarkGenerate/sec7:allocs/op:10'
+		-gate 'BenchmarkGenerate/sec7:allocs/op:10' \
+		-gate 'BenchmarkTCPReceivePadded:held-B/op:10'

@@ -22,6 +22,13 @@ type Codec interface {
 	// Decode parses a frame body (everything after the length prefix)
 	// into the sender id and payload. An error means the frame is
 	// corrupt and the connection should be severed.
+	//
+	// The TCP transport hands Decode only the first chunk of a long
+	// frame, so Decode must keep two rules: every byte after the message
+	// is zero padding, and a body that ends inside the message is an
+	// error. Then a first chunk that decodes is the whole message, and
+	// the transport checks the rest of the frame for zeros itself; one
+	// that does not is read whole and decoded again.
 	Decode(body []byte) (from string, payload any, err error)
 }
 

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -17,8 +18,8 @@ import (
 // ErrUnknownPeer is returned when sending to a peer that was never added.
 var ErrUnknownPeer = errors.New("transport: unknown peer")
 
-// frameBufPool recycles frame buffers across sends and reads so the
-// steady-state hot path allocates nothing per message.
+// frameBufPool recycles frame buffers across sends so the steady-state
+// hot path allocates nothing per message.
 var frameBufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 4096)
@@ -26,9 +27,11 @@ var frameBufPool = sync.Pool{
 	},
 }
 
-// zeroBlock is what every frame's padding is written from. Nothing writes
-// to it, so all peers share it: a megabyte of padding goes out as sixteen
-// iovecs pointing here instead of a megabyte cleared in a frame buffer.
+// zeroBlock is what every frame's padding is written from and checked
+// against. Nothing writes to it, so all peers share it: a megabyte of
+// padding goes out as sixteen iovecs pointing here instead of a megabyte
+// cleared in a frame buffer. Its length is also the receive chunk: a
+// connection reads at most this much of a frame at a time.
 var zeroBlock [64 << 10]byte
 
 // tcpPeer is the per-peer connection state. Each peer has its own lock so
@@ -348,10 +351,16 @@ func (t *TCPTransport) acceptLoop() {
 }
 
 // readLoop reads length-prefixed frames off one inbound connection. Any
-// malformed frame — length prefix out of bounds, short body, or a codec
-// decode error — severs the connection; the sender's redial path
-// re-establishes it. The handler's size argument is the actual frame
-// length read off the wire, never a sender-asserted figure.
+// malformed frame — length prefix out of bounds, short body, a codec
+// decode error or a non-zero padding byte — severs the connection; the
+// sender's redial path re-establishes it. The handler's size argument is
+// the actual frame length read off the wire, never a sender-asserted
+// figure, and the handler runs only once the whole frame has passed.
+//
+// A frame is read a chunk of len(zeroBlock) bytes at a time into one
+// buffer, so a connection holds a chunk, not the largest frame its peer
+// ever sent. Only a message longer than a chunk is gathered whole, and
+// only while it arrives (readFrame).
 func (t *TCPTransport) readLoop(conn net.Conn) {
 	defer t.wg.Done()
 	defer conn.Close()
@@ -367,16 +376,12 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 		delete(t.inbound, conn)
 		t.mu.Unlock()
 	}()
-	buf := frameBufPool.Get().(*[]byte)
-	defer func() {
-		*buf = (*buf)[:0]
-		frameBufPool.Put(buf)
-	}()
-	// One read fills the buffer with a small frame's prefix and body
-	// together; a bulk body still lands directly in the frame buffer,
-	// because bufio reads straight into any destination at least as large
-	// as its own buffer.
+	// One read fills the bufio buffer with a small frame's prefix and body
+	// together; a bulk chunk still lands directly in buf, because bufio
+	// reads straight into any destination at least as large as its own
+	// buffer.
 	r := bufio.NewReader(conn)
+	var buf []byte
 	var hdr [4]byte
 	for {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -389,14 +394,10 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 		if n < 2 || n > MaxFrame-4 {
 			return
 		}
-		if cap(*buf) < n {
-			*buf = make([]byte, 0, n)
+		if len(buf) < min(n, len(zeroBlock)) {
+			buf = make([]byte, readBufSize(n))
 		}
-		body := (*buf)[:n]
-		if _, err := io.ReadFull(r, body); err != nil {
-			return
-		}
-		from, payload, err := t.codec.Decode(body)
+		from, payload, err := t.readFrame(r, buf, n)
 		if err != nil {
 			return
 		}
@@ -412,3 +413,59 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 		}
 	}
 }
+
+// readBufSize is the size of the buffer a connection reads an n-byte
+// frame body into: 4 KB while its frames are small, one chunk once a
+// frame is longer. It never holds more.
+func readBufSize(n int) int {
+	if n <= 4<<10 {
+		return 4 << 10
+	}
+	return len(zeroBlock)
+}
+
+// errPadding reports a non-zero byte where a frame's padding should be.
+var errPadding = errors.New("transport: non-zero padding")
+
+// readFrame reads an n-byte frame body off r and decodes it, using buf
+// (at least min(n, one chunk) long) as scratch. A body that fits in one
+// chunk is read whole and handed to Decode. A longer one is read a chunk
+// at a time, in buf: Decode is handed the first chunk, and if the message
+// ends there, every later byte is padding, compared with zeroBlock in the
+// buffer that just received it. If the first chunk does not decode (the
+// message is longer than a chunk, or corrupt), the body is gathered
+// whole, growing only as its bytes arrive, and decoded once it is
+// complete; that buffer is dropped as soon as Decode returns.
+func (t *TCPTransport) readFrame(r io.Reader, buf []byte, n int) (string, any, error) {
+	chunk := buf[:min(n, len(zeroBlock))]
+	if _, err := io.ReadFull(r, chunk); err != nil {
+		return "", nil, err
+	}
+	from, payload, err := t.codec.Decode(chunk)
+	if len(chunk) == n {
+		return from, payload, err
+	}
+	var whole []byte
+	if err != nil {
+		whole = append([]byte(nil), chunk...)
+	}
+	for rest := n - len(chunk); rest > 0; rest -= len(chunk) {
+		chunk = chunk[:min(rest, len(chunk))]
+		if _, err := io.ReadFull(r, chunk); err != nil {
+			return "", nil, err
+		}
+		if whole != nil {
+			whole = append(whole, chunk...)
+		} else if !isZero(chunk) {
+			return "", nil, errPadding
+		}
+	}
+	if whole != nil {
+		return t.codec.Decode(whole)
+	}
+	return from, payload, nil
+}
+
+// isZero reports whether b, at most a chunk long, is all zero bytes
+// (bytes.Equal is the runtime's vectorised memequal).
+func isZero(b []byte) bool { return bytes.Equal(b, zeroBlock[:len(b)]) }

@@ -118,16 +118,26 @@ func (testCodec) Decode(body []byte) (string, any, error) {
 	}
 	text := string(rest[4 : 4+tl])
 	rest = rest[4+tl:]
+	var payload any
 	switch kind {
 	case 1:
-		return from, text, nil
+		payload = text
 	case 2:
 		if len(rest) < 2 {
 			return "", nil, errors.New("testCodec: short N")
 		}
-		return from, testMsg{Text: text, N: int(rest[0])<<8 | int(rest[1])}, nil
+		payload = testMsg{Text: text, N: int(rest[0])<<8 | int(rest[1])}
+		rest = rest[2:]
+	default:
+		return "", nil, fmt.Errorf("testCodec: unknown kind %d", kind)
 	}
-	return "", nil, fmt.Errorf("testCodec: unknown kind %d", kind)
+	// Whatever remains must be padding, as in internal/wire.
+	for _, b := range rest {
+		if b != 0 {
+			return "", nil, errors.New("testCodec: non-zero padding")
+		}
+	}
+	return from, payload, nil
 }
 
 // headCodec is testCodec with its padding left to the transport: the

@@ -41,7 +41,10 @@
 // recycle a buffer as soon as Decode returns. The padding need not be
 // built at all: AppendHead stops before it and reports its length, and
 // the TCP transport writes those zeros by reference from a shared block
-// (transport.HeadAppender). The receiver still checks every one.
+// (transport.HeadAppender). Nor is it held on receipt: the transport
+// hands Decode only the first chunk of a long frame and checks the rest
+// of the zeros a chunk at a time as they arrive. Every one is still
+// checked.
 package wire
 
 import (
@@ -164,7 +167,8 @@ func (Codec) AppendHead(dst []byte, from string, size int64, payload any) (frame
 // Decode parses a frame body (everything after the 4-byte length prefix)
 // and returns the sender id and the decoded message as a pointer
 // (*athena.Ping, *athena.ObjectData, ...). Trailing bytes must be zero
-// padding; anything else is ErrBadFrame.
+// padding; anything else is ErrBadFrame, as is a body that ends inside
+// the message.
 func (Codec) Decode(body []byte) (from string, payload any, err error) {
 	c := coder{b: body}
 	var v, id byte

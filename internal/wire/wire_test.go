@@ -688,7 +688,12 @@ func FuzzDataBatch(f *testing.F) {
 }
 
 // FuzzDecode throws arbitrary bytes at the decoder: it must reject or
-// parse, never panic or over-allocate.
+// parse, never panic or over-allocate. It also holds Decode to the rule
+// the TCP transport reads long frames by, handing Decode only their first
+// chunk: a body Decode accepts, cut short anywhere, is refused with no
+// payload until the cut reaches the end of the message, and from there
+// on decodes to the same sender and payload; a non-zero byte after the
+// message is refused.
 func FuzzDecode(f *testing.F) {
 	hb := &athena.Heartbeat{Node: "n1", Beat: 1}
 	frame, _ := (Codec{}).Append(nil, "a", hb.WireSize(), hb)
@@ -698,7 +703,37 @@ func FuzzDecode(f *testing.F) {
 	bulk, _ := paddedData(f, 1<<20+5)
 	f.Add(bulk)
 	f.Fuzz(func(t *testing.T, body []byte) {
-		_, _, _ = (Codec{}).Decode(body)
+		var c Codec
+		from, payload, err := c.Decode(body)
+		if err != nil {
+			return
+		}
+		end := 0
+		for ; ; end++ {
+			fr, p, err := c.Decode(body[:end])
+			if err != nil {
+				if p != nil {
+					t.Fatalf("body cut at %d: payload %#v with error %v", end, p, err)
+				}
+				continue
+			}
+			if fr != from || !reflect.DeepEqual(p, payload) {
+				t.Fatalf("body cut at %d decodes to %q %#v, whole body to %q %#v", end, fr, p, from, payload)
+			}
+			break
+		}
+		if mid := (end + len(body)) / 2; mid > end {
+			if fr, p, err := c.Decode(body[:mid]); err != nil || fr != from || !reflect.DeepEqual(p, payload) {
+				t.Fatalf("message ends at %d, body cut at %d decodes to %q %#v, %v", end, mid, fr, p, err)
+			}
+		}
+		if end < len(body) {
+			bad := append([]byte(nil), body...)
+			bad[len(bad)-1] = 1
+			if _, p, err := c.Decode(bad); err == nil || p != nil {
+				t.Fatalf("message ends at %d, a non-zero last byte of %d decodes to %#v", end, len(body), p)
+			}
+		}
 	})
 }
 
