@@ -89,7 +89,7 @@ loc:
 
 # parity is the no-move proof for a change that claims every frame,
 # decision and dump is where it was: athena-sim built at BASE and at the
-# tree, 16 outputs compared byte for byte (parity.sh lists them), one
+# tree, 17 outputs compared byte for byte (parity.sh lists them), one
 # same/DIFFERS line each, non-zero exit on any difference. ~1 min.
 parity:
 	./parity.sh $(BASE)

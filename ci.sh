@@ -10,10 +10,10 @@
 #                    code by design)
 set -eux
 
-# Minimum aggregate statement coverage, in tenths of a percent (740 =
-# 74.0%). Set just under the measured total so coverage can only ratchet
+# Minimum aggregate statement coverage, in tenths of a percent (830 =
+# 83.0%). Set just under the measured total so coverage can only ratchet
 # up; raise it when the measured number climbs.
-COVER_FLOOR=740
+COVER_FLOOR=830
 
 short=0
 case "${1:-}" in

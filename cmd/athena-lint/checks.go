@@ -47,14 +47,6 @@ var Analyzers = []*Analyzer{
 	{Name: lintkit.DirectiveCheck, Doc: "//lint:allow directives are well-formed (known check, non-empty reason) and actually suppress something", Run: nil}, // enforced by the runner
 }
 
-func analyzerNames() []string {
-	names := make([]string, len(Analyzers))
-	for i, a := range Analyzers {
-		names[i] = a.Name
-	}
-	return names
-}
-
 var knownChecks = func() map[string]bool {
 	m := make(map[string]bool)
 	for _, a := range Analyzers {

@@ -21,5 +21,5 @@ var liveGauge metrics.Gauge
 func Touch(b *statsBad, g *statsGood) {
 	b.hits.Inc()
 	g.hits.Inc()
-	liveGauge.Set(1)
+	liveGauge.SetMax(1)
 }

@@ -1,34 +1,17 @@
 // Package annotate implements annotators (Section II-B): entities that
-// examine evidence objects and resolve label values. It provides machine
-// annotators driven by a ground-truth world model, simulated human
-// annotators with decision latency, per-source reliability profiles built
-// from annotator feedback, and corroboration of noisy sensor evidence to a
-// target confidence (Section IV-B).
+// examine evidence objects and resolve label values. It provides the machine
+// annotator, driven by a ground-truth world model, and corroboration of noisy
+// sensor evidence to a target confidence (Section IV-B).
 package annotate
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
-	"sync"
 	"time"
 
 	"athena/internal/object"
-	"athena/internal/trust"
 )
-
-// Annotator turns evidence objects into label values.
-type Annotator interface {
-	// ID identifies the annotator (also its signing identity).
-	ID() string
-	// Accepts reports whether the annotator can evaluate the given label
-	// from the given object.
-	Accepts(label string, obj *object.Object) bool
-	// Annotate resolves the label from the object, returning the value
-	// and the processing latency incurred.
-	Annotate(label string, obj *object.Object) (value bool, latency time.Duration, err error)
-}
 
 // ErrCannotAnnotate is returned when an annotator is asked to evaluate
 // evidence it does not accept.
@@ -41,140 +24,26 @@ type GroundTruth interface {
 	LabelValue(label string, t time.Time) bool
 }
 
-// Machine is a software annotator (e.g. a vision model): it reads the
-// ground truth as of the object's sample time, optionally corrupted by a
-// symmetric noise rate, with a fixed compute latency.
+// Machine is a software annotator (e.g. a vision model): an instantaneous,
+// perfect read of the ground truth as of the object's sample time. Sensor
+// noise is modelled by the node, not here.
 type Machine struct {
-	id      string
-	truth   GroundTruth
-	latency time.Duration
-	// NoiseRate is the probability the annotator misreads the evidence
-	// (symmetric flip). Zero means a perfect annotator.
-	NoiseRate float64
-	// rand returns a uniform [0,1) sample; injected for determinism.
-	rand func() float64
+	truth GroundTruth
 }
 
-var _ Annotator = (*Machine)(nil)
-
-// NewMachine builds a machine annotator. The rnd function drives noise
-// decisions and may be nil when NoiseRate is zero.
-func NewMachine(id string, truth GroundTruth, latency time.Duration, noiseRate float64, rnd func() float64) *Machine {
-	return &Machine{id: id, truth: truth, latency: latency, NoiseRate: noiseRate, rand: rnd}
+// NewMachine builds a machine annotator over a world model.
+func NewMachine(truth GroundTruth) *Machine {
+	return &Machine{truth: truth}
 }
 
-// ID implements Annotator.
-func (m *Machine) ID() string { return m.id }
-
-// Accepts implements Annotator: the object must list the label.
-func (m *Machine) Accepts(label string, obj *object.Object) bool {
-	return obj.CoversLabel(label)
-}
-
-// Annotate implements Annotator. The value reflects the world at the
-// object's sample time (evidence is a snapshot), not at annotation time.
-func (m *Machine) Annotate(label string, obj *object.Object) (bool, time.Duration, error) {
-	if !m.Accepts(label, obj) {
-		return false, 0, fmt.Errorf("%w: %s from %s", ErrCannotAnnotate, label, obj.ID)
+// Annotate resolves the label from the object. The value reflects the
+// world at the object's sample time (evidence is a snapshot), not at
+// annotation time. The object must list the label.
+func (m *Machine) Annotate(label string, obj *object.Object) (bool, error) {
+	if !obj.CoversLabel(label) {
+		return false, fmt.Errorf("%w: %s from %s", ErrCannotAnnotate, label, obj.ID)
 	}
-	v := m.truth.LabelValue(label, obj.Created)
-	if m.NoiseRate > 0 && m.rand != nil && m.rand() < m.NoiseRate {
-		v = !v
-	}
-	return v, m.latency, nil
-}
-
-// Human simulates a human analyst: same semantics as Machine but with a
-// (typically much larger) per-judgment latency.
-type Human struct {
-	machine Machine
-}
-
-var _ Annotator = (*Human)(nil)
-
-// NewHuman builds a simulated human annotator with the given judgment
-// latency and error rate.
-func NewHuman(id string, truth GroundTruth, judgment time.Duration, errRate float64, rnd func() float64) *Human {
-	return &Human{machine: Machine{id: id, truth: truth, latency: judgment, NoiseRate: errRate, rand: rnd}}
-}
-
-// ID implements Annotator.
-func (h *Human) ID() string { return h.machine.id }
-
-// Accepts implements Annotator.
-func (h *Human) Accepts(label string, obj *object.Object) bool {
-	return h.machine.Accepts(label, obj)
-}
-
-// Annotate implements Annotator.
-func (h *Human) Annotate(label string, obj *object.Object) (bool, time.Duration, error) {
-	return h.machine.Annotate(label, obj)
-}
-
-// Registry tracks annotators and their advertised capabilities, pairing an
-// incoming (label, object) with an annotator that accepts it. Safe for
-// concurrent use.
-type Registry struct {
-	mu         sync.RWMutex
-	annotators map[string]Annotator
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{annotators: make(map[string]Annotator)}
-}
-
-// Add registers an annotator (replacing any with the same ID).
-func (r *Registry) Add(a Annotator) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.annotators[a.ID()] = a
-}
-
-// Get returns an annotator by id.
-func (r *Registry) Get(id string) (Annotator, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	a, ok := r.annotators[id]
-	return a, ok
-}
-
-// Find returns an annotator accepting the (label, object) pair, trying ids
-// in sorted order for determinism.
-func (r *Registry) Find(label string, obj *object.Object) (Annotator, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	ids := make([]string, 0, len(r.annotators))
-	for id := range r.annotators {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		if a := r.annotators[id]; a.Accepts(label, obj) {
-			return a, true
-		}
-	}
-	return nil, false
-}
-
-// MakeLabel runs an annotator over evidence and returns a signed label
-// record whose validity inherits the evidence's remaining validity at
-// annotation completion.
-func MakeLabel(a Annotator, signer trust.Signer, label string, obj *object.Object, now time.Time) (*trust.Label, time.Duration, error) {
-	v, latency, err := a.Annotate(label, obj)
-	if err != nil {
-		return nil, 0, err
-	}
-	done := now.Add(latency)
-	rec := &trust.Label{
-		Name:     label,
-		Value:    v,
-		Evidence: []string{obj.ID.String()},
-		Computed: done,
-		Validity: obj.RemainingValidity(done),
-	}
-	signer.Sign(rec)
-	return rec, latency, nil
+	return m.truth.LabelValue(label, obj.Created), nil
 }
 
 // Confidence is the posterior probability that the majority value of n
@@ -192,17 +61,6 @@ func Confidence(votesFor, votesAgainst int, eps float64) float64 {
 	logLR := float64(votesFor-votesAgainst) * math.Log((1-eps)/eps)
 	pTrue := 1 / (1 + math.Exp(-logLR))
 	return math.Max(pTrue, 1-pTrue)
-}
-
-// VotesNeeded returns the minimum number of unanimous annotations needed
-// to reach the target confidence with per-annotation error rate eps.
-func VotesNeeded(target, eps float64) int {
-	for n := 1; n <= 64; n++ {
-		if Confidence(n, 0, eps) >= target {
-			return n
-		}
-	}
-	return 64
 }
 
 // Corroborator accumulates noisy annotations for one label until a target
@@ -239,67 +97,4 @@ func (c *Corroborator) Decided() (value bool, confident bool) {
 	}
 	conf := Confidence(c.votesFor, c.votesAgainst, c.Eps)
 	return c.votesFor > c.votesAgainst, conf >= c.Target
-}
-
-// Profile is a per-source reliability profile built from annotator
-// feedback (Section IV-B): annotators mark evidence useful or not, and the
-// accumulated Beta-style counts rank sources for future selection.
-type Profile struct {
-	useful  int
-	useless int
-}
-
-// Reliability is the smoothed fraction of useful evidence (Laplace +1/+2).
-func (p Profile) Reliability() float64 {
-	return float64(p.useful+1) / float64(p.useful+p.useless+2)
-}
-
-// Profiles tracks reliability per source. Each query originator keeps its
-// own Profiles, so trust in sources stays pairwise.
-type Profiles struct {
-	mu      sync.Mutex
-	bySouce map[string]Profile
-}
-
-// NewProfiles returns an empty profile set.
-func NewProfiles() *Profiles {
-	return &Profiles{bySouce: make(map[string]Profile)}
-}
-
-// Feedback records whether evidence from source was useful.
-func (p *Profiles) Feedback(source string, useful bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	prof := p.bySouce[source]
-	if useful {
-		prof.useful++
-	} else {
-		prof.useless++
-	}
-	p.bySouce[source] = prof
-}
-
-// Reliability returns the source's smoothed reliability (0.5 when
-// unknown).
-func (p *Profiles) Reliability(source string) float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.bySouce[source].Reliability()
-}
-
-// Rank returns the sources ordered from most to least reliable; ties
-// break lexicographically.
-func (p *Profiles) Rank(sources []string) []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := append([]string(nil), sources...)
-	sort.SliceStable(out, func(a, b int) bool {
-		ra := p.bySouce[out[a]].Reliability()
-		rb := p.bySouce[out[b]].Reliability()
-		if ra != rb {
-			return ra > rb
-		}
-		return out[a] < out[b]
-	})
-	return out
 }

@@ -2,13 +2,11 @@ package annotate
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 	"time"
 
 	"athena/internal/names"
 	"athena/internal/object"
-	"athena/internal/trust"
 )
 
 var t0 = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -36,115 +34,29 @@ func evidence(labels ...string) *object.Object {
 }
 
 func TestMachineAnnotate(t *testing.T) {
-	m := NewMachine("m1", world{}, 10*time.Millisecond, 0, nil)
+	m := NewMachine(world{})
 	obj := evidence("viableA", "alwaysFalse")
 
-	v, lat, err := m.Annotate("viableA", obj)
-	if err != nil || !v || lat != 10*time.Millisecond {
-		t.Errorf("Annotate = %v %v %v", v, lat, err)
+	v, err := m.Annotate("viableA", obj)
+	if err != nil || !v {
+		t.Errorf("Annotate = %v %v", v, err)
 	}
-	v, _, err = m.Annotate("alwaysFalse", obj)
+	v, err = m.Annotate("alwaysFalse", obj)
 	if err != nil || v {
 		t.Errorf("Annotate alwaysFalse = %v %v", v, err)
 	}
-	if _, _, err := m.Annotate("other", obj); !errors.Is(err, ErrCannotAnnotate) {
+	if _, err := m.Annotate("other", obj); !errors.Is(err, ErrCannotAnnotate) {
 		t.Errorf("err = %v, want ErrCannotAnnotate", err)
 	}
 }
 
 func TestMachineReadsSampleTimeNotNow(t *testing.T) {
-	m := NewMachine("m1", world{}, 0, 0, nil)
+	m := NewMachine(world{})
 	obj := evidence("flips")
 	obj.Created = time.Unix(100, 0) // even second: true
-	v, _, err := m.Annotate("flips", obj)
+	v, err := m.Annotate("flips", obj)
 	if err != nil || !v {
 		t.Errorf("Annotate = %v %v, want snapshot at sample time", v, err)
-	}
-}
-
-func TestMachineNoise(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	m := NewMachine("noisy", world{}, 0, 0.3, rng.Float64)
-	obj := evidence("viableA")
-	flips := 0
-	const n = 5000
-	for i := 0; i < n; i++ {
-		v, _, err := m.Annotate("viableA", obj)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !v {
-			flips++
-		}
-	}
-	rate := float64(flips) / n
-	if rate < 0.25 || rate > 0.35 {
-		t.Errorf("noise rate = %v, want ~0.3", rate)
-	}
-}
-
-func TestHumanAnnotator(t *testing.T) {
-	h := NewHuman("alice", world{}, 2*time.Second, 0, nil)
-	obj := evidence("viableA")
-	v, lat, err := h.Annotate("viableA", obj)
-	if err != nil || !v || lat != 2*time.Second {
-		t.Errorf("human Annotate = %v %v %v", v, lat, err)
-	}
-	if h.ID() != "alice" || !h.Accepts("viableA", obj) {
-		t.Error("human identity/acceptance")
-	}
-}
-
-func TestRegistryFindDeterministic(t *testing.T) {
-	r := NewRegistry()
-	r.Add(NewMachine("zeta", world{}, 0, 0, nil))
-	r.Add(NewMachine("alpha", world{}, 0, 0, nil))
-	obj := evidence("viableA")
-	a, ok := r.Find("viableA", obj)
-	if !ok || a.ID() != "alpha" {
-		t.Errorf("Find = %v %v, want alpha (sorted order)", a, ok)
-	}
-	if _, ok := r.Find("uncovered", obj); ok {
-		t.Error("Find matched annotator for uncovered label")
-	}
-	if got, ok := r.Get("zeta"); !ok || got.ID() != "zeta" {
-		t.Error("Get failed")
-	}
-}
-
-func TestMakeLabelSignsAndInheritsValidity(t *testing.T) {
-	auth := trust.NewAuthority()
-	signer := auth.Register("m1", []byte("key"))
-	m := NewMachine("m1", world{}, 5*time.Second, 0, nil)
-	obj := evidence("viableA") // created t0, validity 30s
-
-	now := t0.Add(10 * time.Second)
-	rec, lat, err := MakeLabel(m, signer, "viableA", obj, now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lat != 5*time.Second {
-		t.Errorf("latency = %v", lat)
-	}
-	if err := auth.Verify(rec); err != nil {
-		t.Errorf("Verify: %v", err)
-	}
-	// Annotation completes at t0+15s; evidence expires at t0+30s; the
-	// record inherits the 15s remainder.
-	if rec.Validity != 15*time.Second {
-		t.Errorf("Validity = %v, want 15s", rec.Validity)
-	}
-	if len(rec.Evidence) != 1 || rec.Evidence[0] != obj.ID.String() {
-		t.Errorf("Evidence = %v", rec.Evidence)
-	}
-}
-
-func TestMakeLabelRejectsWrongEvidence(t *testing.T) {
-	auth := trust.NewAuthority()
-	signer := auth.Register("m1", []byte("key"))
-	m := NewMachine("m1", world{}, 0, 0, nil)
-	if _, _, err := MakeLabel(m, signer, "other", evidence("viableA"), t0); !errors.Is(err, ErrCannotAnnotate) {
-		t.Errorf("err = %v", err)
 	}
 }
 
@@ -163,22 +75,6 @@ func TestConfidenceMonotone(t *testing.T) {
 	}
 	if c := Confidence(1, 0, 0); c != 1 {
 		t.Errorf("noise-free confidence = %v, want 1", c)
-	}
-}
-
-func TestVotesNeeded(t *testing.T) {
-	if n := VotesNeeded(0.9, 0.0); n != 1 {
-		t.Errorf("noise-free VotesNeeded = %d, want 1", n)
-	}
-	n02 := VotesNeeded(0.99, 0.2)
-	if n02 < 2 {
-		t.Errorf("VotesNeeded(0.99, 0.2) = %d, want >= 2", n02)
-	}
-	if Confidence(n02, 0, 0.2) < 0.99 {
-		t.Error("VotesNeeded result does not reach target")
-	}
-	if n := VotesNeeded(0.999, 0.4); n <= n02 {
-		t.Errorf("noisier sensor needs fewer votes: %d <= %d", n, n02)
 	}
 }
 
@@ -204,28 +100,5 @@ func TestCorroborator(t *testing.T) {
 	c2.Add(false)
 	if _, confident := c2.Decided(); confident {
 		t.Error("tied corroborator decided")
-	}
-}
-
-func TestProfiles(t *testing.T) {
-	p := NewProfiles()
-	if r := p.Reliability("new"); r != 0.5 {
-		t.Errorf("unknown reliability = %v, want 0.5", r)
-	}
-	for i := 0; i < 8; i++ {
-		p.Feedback("good", true)
-		p.Feedback("bad", false)
-	}
-	p.Feedback("good", false)
-	p.Feedback("bad", true)
-	if p.Reliability("good") <= p.Reliability("bad") {
-		t.Error("feedback did not separate sources")
-	}
-	ranked := p.Rank([]string{"bad", "new", "good"})
-	want := []string{"good", "new", "bad"}
-	for i := range want {
-		if ranked[i] != want[i] {
-			t.Fatalf("Rank = %v, want %v", ranked, want)
-		}
 	}
 }

@@ -547,7 +547,7 @@ func (n *Node) deliverObject(obj *object.Object, now time.Time) {
 			if !q.engine.References(label) {
 				continue
 			}
-			value, _, err := n.annotator.Annotate(label, obj)
+			value, err := n.annotator.Annotate(label, obj)
 			if err != nil {
 				continue
 			}

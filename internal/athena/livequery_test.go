@@ -94,6 +94,46 @@ func TestDeliverObjectLabelChecksDoNotAllocate(t *testing.T) {
 	}
 }
 
+// TestDeliverObjectSignsEvidencedLabels pins the label record the query
+// origin makes for an arrival: one per label the object evidences and the
+// query references, naming the object as its evidence, valid for what is
+// left of the object's validity, and signed so the fleet authority
+// verifies it. A referenced label the object does not evidence gets none.
+func TestDeliverObjectSignsEvidencedLabels(t *testing.T) {
+	r := buildRig(t, SchemeLVF, staticWorld{"lc1": true, "lc2": true}, nil)
+	a := r.nodes["nodeA"]
+	if _, err := a.QueryInit(boolexpr.ToDNF(boolexpr.MustParse("lc1 & lc2")), time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	r.run(t, time.Second) // the 200 KB object the query waits for needs ~3.2 s
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	now := a.now()
+	obj := &object.Object{
+		ID:       object.ID{Name: names.MustParse("/cam/c1"), Version: 1},
+		Size:     1000,
+		Created:  now.Add(-5 * time.Second),
+		Validity: time.Minute,
+		Labels:   []string{"lc1"},
+		Source:   "nodeC",
+	}
+	a.deliverObject(obj, now)
+	recs := a.labels.Records(now)
+	if len(recs) != 1 || recs[0].Name != "lc1" {
+		t.Fatalf("records after the delivery = %+v, want one for lc1", recs)
+	}
+	rec := recs[0]
+	if !rec.Value || len(rec.Evidence) != 1 || rec.Evidence[0] != obj.ID.String() {
+		t.Errorf("record value %v, evidence %v; want true from [%s]", rec.Value, rec.Evidence, obj.ID)
+	}
+	if !rec.Computed.Equal(now) || rec.Validity != obj.RemainingValidity(now) || rec.Validity != 55*time.Second {
+		t.Errorf("record computed %v valid %v, want %v and the object's remaining %v", rec.Computed, rec.Validity, now, obj.RemainingValidity(now))
+	}
+	if err := a.authority.Verify(&rec); err != nil {
+		t.Errorf("record does not verify: %v", err)
+	}
+}
+
 // TestQueryWantsAnyReadsWholeExpression: an arrival is of use to a query
 // that mentions one of its labels anywhere — negated, or in a term the
 // plan has not reached.

@@ -426,7 +426,7 @@ type Node struct {
 	scheme    Scheme
 	dir       *Directory
 	meta      boolexpr.MetaTable
-	annotator annotate.Annotator
+	annotator *annotate.Machine
 	authority *trust.Authority
 	signer    trust.Signer
 	policy    *trust.Policy
@@ -564,7 +564,7 @@ func New(cfg Config) (*Node, error) {
 		cfg.Metrics.Collect(n.collect)
 	}
 	if cfg.World != nil {
-		n.annotator = annotate.NewMachine(cfg.ID, cfg.World, 0, 0, nil)
+		n.annotator = annotate.NewMachine(cfg.World)
 	}
 	if cfg.HeartbeatInterval > 0 {
 		n.member = newMembership(cfg)

@@ -5,10 +5,7 @@
 // of Section III-A that drives decision-driven retrieval scheduling.
 package boolexpr
 
-import (
-	"sort"
-	"strings"
-)
+import "strings"
 
 // Value is the three-valued logic value of a label or expression. The zero
 // value is Unknown on purpose: unset state is "not yet resolved".
@@ -212,16 +209,4 @@ func joinExprs(xs []Expr, sep string, parenOr bool) string {
 		parts[i] = s
 	}
 	return strings.Join(parts, sep)
-}
-
-// Resolved reports whether the expression's value is decided (True or
-// False) under the assignment — i.e. no further evidence is needed.
-func Resolved(e Expr, a Assignment) bool { return e.Eval(a) != Unknown }
-
-// SortedLabels returns the referenced labels in lexicographic order, for
-// deterministic iteration.
-func SortedLabels(e Expr) []string {
-	ls := Labels(e)
-	sort.Strings(ls)
-	return ls
 }

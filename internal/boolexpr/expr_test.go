@@ -69,10 +69,6 @@ func TestLabelsOrder(t *testing.T) {
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Errorf("Labels = %v, want %v", got, want)
 	}
-	sorted := SortedLabels(e)
-	if strings.Join(sorted, ",") != "a,b,c" {
-		t.Errorf("SortedLabels = %v", sorted)
-	}
 }
 
 func TestStringRoundTrip(t *testing.T) {

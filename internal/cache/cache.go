@@ -131,14 +131,11 @@ func (s *Store) GetApprox(name names.Name, minSimilarity float64, now time.Time)
 	return e.obj, true
 }
 
-// Reap drops all entries stale at now and returns how many were dropped.
-func (s *Store) Reap(now time.Time) int { return s.reap(now) }
-
-func (s *Store) reap(now time.Time) int {
+// reap drops all entries stale at now.
+func (s *Store) reap(now time.Time) {
 	// Scan the LRU list rather than walking the name index: the trie
 	// walk re-materializes every stored name, while the list already
 	// holds the entries. Removal is order-independent.
-	dropped := 0
 	var next *list.Element
 	for elt := s.lru.Front(); elt != nil; elt = next {
 		next = elt.Next()
@@ -148,9 +145,7 @@ func (s *Store) reap(now time.Time) int {
 		}
 		s.removeEntry(e.obj.ID.Name, e)
 		s.stats.StaleDrops++
-		dropped++
 	}
-	return dropped
 }
 
 func (s *Store) evictLRU() bool {

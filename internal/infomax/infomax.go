@@ -2,15 +2,11 @@
 // Section V-B: the utility of delivered data is sub-additive, with
 // redundancy between objects estimated from their hierarchical-name
 // similarity (longer shared prefix = more redundant). Greedy
-// marginal-utility-per-byte selection decides what to forward across a
-// bottleneck or keep in a cache under overload.
+// marginal-utility-per-byte selection decides what to send across a
+// bottleneck under a byte budget; A4 and examples/overload run it.
 package infomax
 
-import (
-	"sort"
-
-	"athena/internal/names"
-)
+import "athena/internal/names"
 
 // Item is a candidate object for triage.
 type Item struct {
@@ -94,48 +90,4 @@ func Greedy(items []Item, budget int64) []int {
 			remaining -= items[bestIdx].Size
 		}
 	}
-}
-
-// RankForCache orders items from most to least worth keeping under the
-// same marginal-utility-per-byte rule, with no budget: a cache evicting
-// from the tail of this order preferentially keeps dissimilar content
-// (Section V-B: "cache more dissimilar content").
-func RankForCache(items []Item) []int {
-	order := Greedy(items, 0)
-	if len(order) == len(items) {
-		return order
-	}
-	// Items with zero marginal utility (exact-duplicate names) go last,
-	// ordered by base utility then index.
-	inOrder := make([]bool, len(items))
-	for _, i := range order {
-		inOrder[i] = true
-	}
-	var rest []int
-	for i := range items {
-		if !inOrder[i] {
-			rest = append(rest, i)
-		}
-	}
-	sort.SliceStable(rest, func(a, b int) bool {
-		return items[rest[a]].BaseUtility > items[rest[b]].BaseUtility
-	})
-	return append(order, rest...)
-}
-
-// DropRedundant filters a transmission queue, keeping only items whose
-// marginal utility over the kept set reaches minMarginal. Used by
-// forwarders to refrain from sending partially redundant objects across a
-// bottleneck.
-func DropRedundant(items []Item, minMarginal float64) (keep []Item, dropped []Item) {
-	var seen []names.Name
-	for _, it := range items {
-		if MarginalUtility(it, seen) >= minMarginal {
-			keep = append(keep, it)
-			seen = append(seen, it.Name)
-		} else {
-			dropped = append(dropped, it)
-		}
-	}
-	return keep, dropped
 }

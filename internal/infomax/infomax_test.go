@@ -99,38 +99,6 @@ func TestGreedySkipsZeroMarginal(t *testing.T) {
 	}
 }
 
-func TestRankForCachePutsDuplicatesLast(t *testing.T) {
-	items := []Item{
-		item("/a/x", 100, 3),
-		item("/a/x", 100, 9), // duplicate name, higher base utility
-		item("/b/y", 100, 5),
-	}
-	order := RankForCache(items)
-	if len(order) != 3 {
-		t.Fatalf("rank len = %d", len(order))
-	}
-	last := items[order[2]]
-	if last.Name.String() != "/a/x" {
-		t.Errorf("last ranked = %v, want a duplicate", last.Name)
-	}
-}
-
-func TestDropRedundant(t *testing.T) {
-	queue := []Item{
-		item("/city/bridge/cam1", 100, 10),
-		item("/city/bridge/cam1", 100, 10), // exact duplicate
-		item("/city/bridge/cam2", 100, 10), // mostly redundant
-		item("/rural/farm/s1", 100, 10),    // novel
-	}
-	keep, dropped := DropRedundant(queue, 5.0)
-	if len(keep) != 2 || len(dropped) != 2 {
-		t.Fatalf("keep=%d dropped=%d, want 2/2", len(keep), len(dropped))
-	}
-	if keep[0].Name.String() != "/city/bridge/cam1" || keep[1].Name.String() != "/rural/farm/s1" {
-		t.Errorf("kept %v", keep)
-	}
-}
-
 // Property: greedy with a budget never exceeds it, and its delivered
 // utility is at least that of a random feasible selection (sanity, not the
 // full submodular bound).

@@ -106,39 +106,6 @@ func (g *CallGraph) LitNode(lit *ast.FuncLit) *FuncNode { return g.byLit[lit] }
 // Nodes returns every node in the graph.
 func (g *CallGraph) Nodes() []*FuncNode { return g.nodes }
 
-// EnclosingNode returns the innermost function node whose body spans
-// pos in the given package, or nil.
-func (g *CallGraph) EnclosingNode(pkg *Package, pos token.Pos) *FuncNode {
-	var best *FuncNode
-	for _, n := range g.nodes {
-		if n.Pkg != pkg {
-			continue
-		}
-		var lo, hi token.Pos
-		if n.Lit != nil {
-			lo, hi = n.Lit.Pos(), n.Lit.End()
-		} else if n.Decl != nil {
-			lo, hi = n.Decl.Pos(), n.Decl.End()
-		} else {
-			continue
-		}
-		if pos < lo || pos > hi {
-			continue
-		}
-		if best == nil || (lo >= bestLo(best)) {
-			best = n
-		}
-	}
-	return best
-}
-
-func bestLo(n *FuncNode) token.Pos {
-	if n.Lit != nil {
-		return n.Lit.Pos()
-	}
-	return n.Decl.Pos()
-}
-
 // Reachable returns the set of nodes reachable from roots over call
 // edges (roots included).
 func (g *CallGraph) Reachable(roots []*FuncNode) map[*FuncNode]bool {

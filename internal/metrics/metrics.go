@@ -57,24 +57,10 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is an instantaneous level that can move both ways. The zero value
-// is ready to use; a nil *Gauge is a valid no-op instrument.
+// Gauge is a level that only rises: a high-water mark. The zero value is
+// ready to use; a nil *Gauge is a valid no-op instrument.
 type Gauge struct {
 	v atomic.Int64
-}
-
-// Set stores the current level.
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v.Store(v)
-	}
-}
-
-// Add moves the level by delta.
-func (g *Gauge) Add(delta int64) {
-	if g != nil {
-		g.v.Add(delta)
-	}
 }
 
 // SetMax raises the level to v if it is above the current value.

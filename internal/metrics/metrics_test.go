@@ -23,7 +23,7 @@ func TestConcurrentIncrements(t *testing.T) {
 			h := r.Histogram("latency", LinearBuckets(1, 1, 10))
 			for i := 0; i < per; i++ {
 				c.Inc()
-				g.Add(1)
+				g.SetMax(int64(w*per + i + 1))
 				h.Observe(float64(i%10) + 0.5)
 			}
 		}()
@@ -72,8 +72,7 @@ func TestNilSafety(t *testing.T) {
 	}
 	c.Inc()
 	c.Add(5)
-	g.Set(3)
-	g.Add(1)
+	g.SetMax(3)
 	h.Observe(1)
 	h.ObserveDuration(time.Second)
 	if c.Value() != 0 || g.Value() != 0 {
@@ -181,7 +180,7 @@ func TestSnapshotJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("cache.hits").Add(3)
 	r.Counter("cache.misses").Inc()
-	r.Gauge("directory.version").Set(7)
+	r.Gauge("directory.version").SetMax(7)
 	r.Histogram("lat", []float64{1}).Observe(0.5)
 	data, err := json.Marshal(r.Snapshot())
 	if err != nil {

@@ -156,27 +156,6 @@ func TestTrieLongestPrefix(t *testing.T) {
 	}
 }
 
-func TestTrieWalkPrefixOrder(t *testing.T) {
-	var tr Trie[int]
-	for i, s := range []string{"/a/b", "/a/a", "/a/c/d", "/b/x"} {
-		tr.Put(MustParse(s), i)
-	}
-	var got []string
-	tr.WalkPrefix(MustParse("/a"), func(n Name, _ int) bool {
-		got = append(got, n.String())
-		return true
-	})
-	want := []string{"/a/a", "/a/b", "/a/c/d"}
-	if len(got) != len(want) {
-		t.Fatalf("WalkPrefix = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("WalkPrefix = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestPrefix(t *testing.T) {
 	n := MustParse("/a/b/c")
 	cases := []struct {
@@ -235,40 +214,35 @@ func TestTrieDeletePrefixOfLiveName(t *testing.T) {
 	}
 }
 
-// WalkPrefix from the root (zero Name) must visit every stored name in
-// lexicographic order, identically to Walk.
+// Walk from the root must visit every stored name in lexicographic order
+// and honour an early stop.
 func TestTrieWalkPrefixFromRoot(t *testing.T) {
 	var tr Trie[int]
 	stored := []string{"/b/x", "/a/b", "/a", "/c"}
 	for i, s := range stored {
 		tr.Put(MustParse(s), i)
 	}
-	var viaWalk, viaPrefix []string
+	var got []string
 	tr.Walk(func(n Name, _ int) bool {
-		viaWalk = append(viaWalk, n.String())
-		return true
-	})
-	tr.WalkPrefix(Name{}, func(n Name, _ int) bool {
-		viaPrefix = append(viaPrefix, n.String())
+		got = append(got, n.String())
 		return true
 	})
 	want := []string{"/a", "/a/b", "/b/x", "/c"}
-	if len(viaPrefix) != len(want) {
-		t.Fatalf("WalkPrefix(root) = %v, want %v", viaPrefix, want)
+	if len(got) != len(want) {
+		t.Fatalf("Walk = %v, want %v", got, want)
 	}
 	for i := range want {
-		if viaPrefix[i] != want[i] || viaWalk[i] != want[i] {
-			t.Fatalf("WalkPrefix(root) = %v, Walk = %v, want %v", viaPrefix, viaWalk, want)
+		if got[i] != want[i] {
+			t.Fatalf("Walk = %v, want %v", got, want)
 		}
 	}
-	// Early stop from the root is honoured.
 	var first []string
-	tr.WalkPrefix(Name{}, func(n Name, _ int) bool {
+	tr.Walk(func(n Name, _ int) bool {
 		first = append(first, n.String())
 		return false
 	})
 	if len(first) != 1 || first[0] != "/a" {
-		t.Errorf("WalkPrefix(root) early stop = %v, want [/a]", first)
+		t.Errorf("Walk early stop = %v, want [/a]", first)
 	}
 }
 

@@ -132,21 +132,6 @@ func (t *Trie[V]) LongestPrefix(query Name) (Name, V, bool) {
 	return prefix, bestValue, true
 }
 
-// WalkPrefix visits every stored name under prefix (inclusive) in
-// lexicographic order. Returning false from fn stops the walk.
-func (t *Trie[V]) WalkPrefix(prefix Name, fn func(Name, V) bool) {
-	start := &t.root
-	comps := prefix.Components()
-	for _, c := range comps {
-		next, ok := start.children[c]
-		if !ok {
-			return
-		}
-		start = next
-	}
-	walk(start, comps, fn)
-}
-
 // Walk visits every stored name in lexicographic order.
 func (t *Trie[V]) Walk(fn func(Name, V) bool) {
 	walk(&t.root, nil, fn)

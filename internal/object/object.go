@@ -43,9 +43,6 @@ type Object struct {
 	Labels []string
 	// Source identifies the node that originated the object.
 	Source string
-	// Payload carries synthetic content. For simulation we keep it empty
-	// and account for Size analytically; the TCP transport fills it.
-	Payload []byte
 }
 
 // Expiry is the instant the object's evidence becomes stale.
@@ -72,15 +69,6 @@ func (o *Object) CoversLabel(label string) bool {
 		}
 	}
 	return false
-}
-
-// Clone returns a deep copy (payload included) so caches can hand out
-// objects without aliasing internal state.
-func (o *Object) Clone() *Object {
-	dup := *o
-	dup.Labels = append([]string(nil), o.Labels...)
-	dup.Payload = append([]byte(nil), o.Payload...)
-	return &dup
 }
 
 // Descriptor is the advertised metadata of a *source's* object stream —

@@ -17,7 +17,6 @@ func sample() *Object {
 		Validity: 10 * time.Second,
 		Labels:   []string{"viable:3-4", "viable:3-5"},
 		Source:   "node7",
-		Payload:  []byte{1, 2, 3},
 	}
 }
 
@@ -47,19 +46,6 @@ func TestCoversLabel(t *testing.T) {
 	}
 	if o.CoversLabel("viable:9-9") {
 		t.Error("CoversLabel matched unlisted label")
-	}
-}
-
-func TestCloneIsDeep(t *testing.T) {
-	o := sample()
-	dup := o.Clone()
-	dup.Labels[0] = "mutated"
-	dup.Payload[0] = 99
-	if o.Labels[0] == "mutated" || o.Payload[0] == 99 {
-		t.Error("Clone shares backing arrays")
-	}
-	if dup.ID != o.ID || dup.Size != o.Size {
-		t.Error("Clone lost fields")
 	}
 }
 

@@ -154,29 +154,6 @@ func (t *TCPTransport) Peers() map[string]string {
 	return out
 }
 
-// RemovePeer forgets a peer, closing any open connection to it. Used when
-// a peer leaves the mesh.
-func (t *TCPTransport) RemovePeer(id string) {
-	t.mu.Lock()
-	p, ok := t.peers[id]
-	if ok {
-		delete(t.peers, id)
-	}
-	t.mu.Unlock()
-	if !ok {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.conn != nil {
-		p.conn.Close()
-		t.mu.Lock()
-		delete(t.outbound, p.conn)
-		t.mu.Unlock()
-		p.conn = nil
-	}
-}
-
 var (
 	_ PeerAdder  = (*TCPTransport)(nil)
 	_ Addresser  = (*TCPTransport)(nil)

@@ -17,8 +17,6 @@ import (
 	"strconv"
 	"sync"
 	"time"
-
-	"athena/internal/boolexpr"
 )
 
 // Label is the paper's cached label record: the resolved predicate value,
@@ -48,15 +46,6 @@ func (l *Label) Expiry() time.Time { return l.Computed.Add(l.Validity) }
 
 // FreshAt reports whether the record is still valid at t.
 func (l *Label) FreshAt(t time.Time) bool { return !t.After(l.Expiry()) }
-
-// BoolValue converts the record's value to a three-valued logic value,
-// Unknown if the record is stale at t.
-func (l *Label) BoolValue(t time.Time) boolexpr.Value {
-	if !l.FreshAt(t) {
-		return boolexpr.Unknown
-	}
-	return boolexpr.FromBool(l.Value)
-}
 
 // appendCanonical appends the signed fields, serialized deterministically:
 // the evidence in sorted order, whatever order the record lists it in. A

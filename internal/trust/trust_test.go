@@ -5,8 +5,6 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"athena/internal/boolexpr"
 )
 
 var t0 = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -73,14 +71,14 @@ func TestVerifyUnknownAnnotator(t *testing.T) {
 	}
 }
 
-func TestFreshnessAndBoolValue(t *testing.T) {
+func TestLabelFreshAt(t *testing.T) {
 	auth := NewAuthority()
 	l, _ := signedLabel(t, auth)
-	if got := l.BoolValue(t0.Add(10 * time.Second)); got != boolexpr.True {
-		t.Errorf("BoolValue fresh = %v, want true", got)
+	if !l.FreshAt(t0.Add(10*time.Second)) || !l.FreshAt(t0.Add(30*time.Second)) {
+		t.Error("label stale within its validity")
 	}
-	if got := l.BoolValue(t0.Add(time.Minute)); got != boolexpr.Unknown {
-		t.Errorf("BoolValue stale = %v, want unknown", got)
+	if l.FreshAt(t0.Add(time.Minute)) {
+		t.Error("label fresh past its validity")
 	}
 }
 

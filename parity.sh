@@ -6,7 +6,8 @@
 # batching off and on; the quick figures that between
 # them run the flood, SWIM, sharded and batched paths, plus prefetch on
 # (a2: announce and push), noisy sensors (a5: corrSource's retry timer) and
-# lossy links (a6: the recovery timers); and the n=512 gossip+sharding
+# lossy links (a6: the recovery timers); a4, the only figure that runs the
+# infomax triage; and the n=512 gossip+sharding
 # smoke minus its wall-clock line; a3, whose rows share one generated
 # scenario per seed (a sweep's scenarios come from one generation pass);
 # and the a10 kernel-scale rig's config, events and delivered columns (its
@@ -60,7 +61,7 @@ for window in 0 10ms; do
 	cell "dump batch-window=$window" "" -fig dump -batch-window "$window"
 	cell "dump GOMAXPROCS=1 batch-window=$window" GOMAXPROCS=1 -fig dump -batch-window "$window"
 done
-for fig in 2 3 a2 a3 a5 a6 a7 a8 a9 a11; do
+for fig in 2 3 a2 a3 a4 a5 a6 a7 a8 a9 a11; do
 	cell "fig $fig -quick" "" -fig "$fig" -quick
 done
 cell "smoke -quick (minus wallSeconds)" "" -fig smoke -quick
