@@ -94,12 +94,16 @@ fi
 # allocates more than the 9 it does, which ROADMAP item 3 cuts; a TCP
 # reader that holds its largest frame again instead of one 64 KB chunk —
 # held-B/op, the heap an open connection keeps after 1 MB frames, is
-# ~62 KB, and ~1 MB when frames are read whole).
+# ~62 KB, and ~1 MB when frames are read whole; a finished decision whose
+# wall-clock timers are left to fire instead of stopped — held-B/op, the
+# heap a closed and dropped socket pair still holds per decision, is 0
+# once its nodes are collected and ~3 KB while armed timers pin them).
 # Refresh the baseline with `make bench` when an intentional change moves
 # one.
-# BenchmarkDecisionEngine, BenchmarkShardLookupBegin and
-# BenchmarkTCPReceivePadded have no sub-benchmarks, and a two-level -bench
-# pattern skips a benchmark that has none, so each gets its own run. BenchmarkDirectoryMemory runs without
+# BenchmarkDecisionEngine, BenchmarkShardLookupBegin,
+# BenchmarkTCPReceivePadded and BenchmarkTCPClosedPairHeld have no
+# sub-benchmarks, and a two-level -bench pattern skips a benchmark that
+# has none, so each gets its own run. BenchmarkDirectoryMemory runs without
 # -benchmem, as `make bench` records it: only its entries/node is gated.
 {
 	go test -run '^$' -bench '^Benchmark(Scheme|AblationPrefetch|SimKernel|BatchedFetch|DeliverObjectHistory|SelectSources|DirectoryDelta|ShardRefresh|LaneQueue|EncodeSmall|EncodeObjectData|DecodeSmall|Generate)$/^(lvf|lvfl|sharded|sharded-owned|scoped|unchanged|w1|on|n2000|depth512|request|head|sec7)$' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire ./internal/workload
@@ -107,6 +111,7 @@ fi
 	go test -run '^$' -bench '^BenchmarkDecisionEngine$' -benchmem -benchtime 3x .
 	go test -run '^$' -bench '^BenchmarkShardLookupBegin$' -benchmem -benchtime 3x ./internal/athena
 	go test -run '^$' -bench '^BenchmarkTCPReceivePadded$' -benchmem -benchtime 3x ./internal/transport
+	go test -run '^$' -bench '^BenchmarkTCPClosedPairHeld$' -benchmem -benchtime 3x ./internal/athena
 } |
 	tee /dev/stderr |
 	go run ./cmd/benchjson -check BENCH_core.json \
@@ -128,4 +133,5 @@ fi
 		-gate 'BenchmarkEncodeObjectData/head:frame-B/op:10' \
 		-gate 'BenchmarkDecodeSmall/request:allocs/op:10' \
 		-gate 'BenchmarkGenerate/sec7:allocs/op:10' \
-		-gate 'BenchmarkTCPReceivePadded:held-B/op:10'
+		-gate 'BenchmarkTCPReceivePadded:held-B/op:10' \
+		-gate 'BenchmarkTCPClosedPairHeld:held-B/op:10'

@@ -396,7 +396,7 @@ func (n *Node) forwardRequest(req *ObjectRequest, attempt int) {
 		objSize = desc.Size
 	}
 	delay := n.retryDelay(attempt, objSize)
-	n.timers.After(delay, func() {
+	n.interest.holdRetry(req.Object, n.arm(delay, func() {
 		n.mu.Lock()
 		defer n.mu.Unlock()
 		now := n.now()
@@ -414,7 +414,7 @@ func (n *Node) forwardRequest(req *ObjectRequest, attempt int) {
 		// Keep the pending mark alive through the next retry window.
 		n.interest.RefreshPending(req.Object, now.Add(n.retryDelay(attempt+1, objSize)+retryInterval))
 		n.forwardRequest(req, attempt+1)
-	})
+	}))
 }
 
 // sample returns the sensor's current object, reusing the last sample
@@ -529,14 +529,14 @@ func (n *Node) deliverObject(obj *object.Object, now time.Time) {
 	}
 	objName := obj.ID.Name.String()
 	for q := n.liveAfter(""); q != nil; q = n.liveAfter(q.engine.ID()) {
-		sentAt, waiting := q.outstanding[objName]
+		sent, waiting := q.outstanding[objName]
 		if !waiting && !queryWantsAny(q, obj) {
 			continue
 		}
 		if waiting {
-			n.m.fetchLatency.ObserveDuration(now.Sub(sentAt))
+			n.m.fetchLatency.ObserveDuration(now.Sub(sent.at))
 		}
-		delete(q.outstanding, objName)
+		q.settle(objName)
 		delete(q.attempts, objName) // answered: reset its backoff
 		if q.engine.Step(now) != core.Pending {
 			n.recordIfTerminal(q)
@@ -643,7 +643,7 @@ func (n *Node) handleLabelShare(from string, s *LabelShare) {
 	// outstanding objects that could have resolved the now-known labels.
 	if accepted {
 		for objName := range q.outstanding {
-			delete(q.outstanding, objName)
+			q.settle(objName)
 		}
 	}
 	n.pump(q)
@@ -712,7 +712,7 @@ func (n *Node) dispatchRequest(q *localQuery, req *ObjectRequest) {
 		}
 		if satisfied {
 			n.stats.LabelAnswers++
-			delete(q.outstanding, req.Object)
+			q.settle(req.Object)
 			n.pump(q)
 			return
 		}

@@ -20,10 +20,12 @@ type interestEntry struct {
 // request stays pending until its own expiry (extended by the
 // retransmission layer), so a lapsed waiter does not cause the next Add to
 // forward a duplicate upstream request while the first is still in flight.
+// A pending mark holds the retransmit timer armed for its request
+// (holdRetry), and whatever drops the mark stops that timer.
 type InterestTable struct {
 	ttl     time.Duration
 	entries map[string][]interestEntry // object name -> waiters
-	pending map[string]time.Time       // object name -> upstream request expiry
+	pending map[string]timed           // object name -> upstream request expiry and retransmit timer
 	// inserts and expiries count waiters added and waiters lapsed unserved.
 	inserts, expiries int64
 }
@@ -33,7 +35,7 @@ func NewInterestTable(ttl time.Duration) *InterestTable {
 	return &InterestTable{
 		ttl:     ttl,
 		entries: make(map[string][]interestEntry),
-		pending: make(map[string]time.Time),
+		pending: make(map[string]timed),
 	}
 }
 
@@ -62,7 +64,7 @@ func (t *InterestTable) Add(obj, origin, queryID, from string, labels []string, 
 	})
 	was := t.Pending(obj, now)
 	if !was {
-		t.pending[obj] = now.Add(t.ttl)
+		t.pending[obj] = timed{at: now.Add(t.ttl)}
 	}
 	return was
 }
@@ -79,7 +81,7 @@ func (t *InterestTable) Waiters(obj string, now time.Time, satisfied bool) []int
 	out := t.entries[obj]
 	delete(t.entries, obj)
 	if satisfied {
-		delete(t.pending, obj)
+		t.ClearPending(obj)
 	}
 	return out
 }
@@ -93,12 +95,12 @@ func (t *InterestTable) HasWaiters(obj string, now time.Time) bool {
 
 // Pending reports whether a request for the object is in flight upstream.
 func (t *InterestTable) Pending(obj string, now time.Time) bool {
-	exp, ok := t.pending[obj]
+	p, ok := t.pending[obj]
 	if !ok {
 		return false
 	}
-	if !exp.After(now) {
-		delete(t.pending, obj)
+	if !p.at.After(now) {
+		t.ClearPending(obj)
 		return false
 	}
 	return true
@@ -108,15 +110,31 @@ func (t *InterestTable) Pending(obj string, now time.Time) bool {
 // (used by the retransmission layer to cover the next retry window). A
 // refresh never shortens the current lifetime.
 func (t *InterestTable) RefreshPending(obj string, expires time.Time) {
-	if cur, ok := t.pending[obj]; !ok || expires.After(cur) {
-		t.pending[obj] = expires
+	if cur, ok := t.pending[obj]; !ok || expires.After(cur.at) {
+		cur.at = expires
+		t.pending[obj] = cur
+	}
+}
+
+// holdRetry keeps h, the retransmit timer armed for the object's pending
+// request, beside its mark, replacing the timer of an earlier attempt
+// (which is the one firing). Without a mark there is nothing to keep it for.
+func (t *InterestTable) holdRetry(obj string, h Stopper) {
+	if p, ok := t.pending[obj]; ok {
+		p.timer = h
+		t.pending[obj] = p
 	}
 }
 
 // ClearPending drops the pending-request mark, allowing the next Add to
-// forward a fresh upstream request (used when retransmission gives up).
+// forward a fresh upstream request (used when retransmission gives up),
+// and stops the mark's retransmit timer, which would now find nothing
+// pending.
 func (t *InterestTable) ClearPending(obj string) {
-	delete(t.pending, obj)
+	if p, ok := t.pending[obj]; ok {
+		stop(p.timer)
+		delete(t.pending, obj)
+	}
 }
 
 // Len counts live entries across all objects.

@@ -149,7 +149,7 @@ func (n *Node) reSourceFrom(src, objName string) {
 		if _, ok := q.outstanding[objName]; !ok {
 			continue
 		}
-		delete(q.outstanding, objName)
+		q.settle(objName)
 		q.suspect[src] = true
 		n.pump(q)
 	}

@@ -30,7 +30,10 @@ type Router interface {
 }
 
 // Timers schedules callbacks; the simulator's scheduler and wall-clock
-// timers both satisfy it.
+// timers both satisfy it. Neither method returns a handle: a timer runs
+// when it comes due, and the node's guards make one that outlived what it
+// guarded do nothing. Timers that can also be stopped implement StopTimers,
+// and the node then stops each one as soon as what it guards is settled.
 type Timers interface {
 	// After runs fn after d (d <= 0 means as soon as possible).
 	After(d time.Duration, fn func())
@@ -39,6 +42,32 @@ type Timers interface {
 	// the simulator's scheduler additionally recycles the event, since no
 	// handle escapes.
 	AfterArg(d time.Duration, fn func(arg any), arg any)
+}
+
+// StopTimers is the optional interface of Timers whose timers can be
+// stopped before they fire. A stopped timer lets go of its callback, and
+// with it of everything the callback reaches, instead of holding it until
+// it comes due; on a daemon making thousands of decisions a second that
+// is most of its heap (DESIGN §5 item 11(a)). WallTimers implements it;
+// the simulator's LaneTimers does not, so a simulated node arms exactly
+// the events it always did.
+type StopTimers interface {
+	// AfterStop is After, returning the armed timer.
+	AfterStop(d time.Duration, fn func()) Stopper
+}
+
+// Stopper is an armed timer; *time.Timer is one. Stop reports whether it
+// stopped the timer: false means the timer had fired (its callback may be
+// waiting for the node lock) or been stopped already.
+type Stopper interface{ Stop() bool }
+
+// stop stops h, if there is one. A stop that loses the race to a firing
+// callback is harmless: every timer the node stops is one whose callback
+// now finds nothing to do.
+func stop(h Stopper) {
+	if h != nil {
+		h.Stop()
+	}
 }
 
 // Stats counts a node's activity. A field tagged `metric:"name"` is also
@@ -327,15 +356,35 @@ const (
 type localQuery struct {
 	engine      *core.Engine
 	issued      time.Time
-	minValidity time.Duration        // smallest positive validity among the labels; 0 = none (queryUrgency)
-	selected    []string             // selected source ids (slt/lcf/lvf/lvfl)
-	outstanding map[string]time.Time // object name -> request send time
-	requested   map[string]bool      // object names requested at least once
-	attempts    map[string]int       // object name -> origin-side timeout count
-	suspect     map[string]bool      // sources that exhausted their retries
+	minValidity time.Duration    // smallest positive validity among the labels; 0 = none (queryUrgency)
+	selected    []string         // selected source ids (slt/lcf/lvf/lvfl)
+	outstanding map[string]timed // object name -> request send time and recovery timer
+	requested   map[string]bool  // object names requested at least once
+	attempts    map[string]int   // object name -> origin-side timeout count
+	suspect     map[string]bool  // sources that exhausted their retries
 	batch       bool
-	armed       [2]time.Time          // the instant a pump is armed for, by purpose (pumpAt)
+	armed       [2]timed              // the instant a pump is armed for and its timer, by purpose (pumpAt)
+	watchdog    Stopper               // the deadline watchdog (QueryInit)
 	corr        map[string]*corrState // label -> corroboration (noisy mode)
+}
+
+// timed is an instant the node keeps and the timer armed on its account:
+// a request's send time and its recovery timer, a pump's instant and its
+// timer, an upstream request's expiry and its retransmit timer (the
+// interest table's pending mark). The timer is nil unless the node's
+// Timers can stop one (StopTimers).
+type timed struct {
+	at    time.Time
+	timer Stopper
+}
+
+// settle drops obj's in-flight mark and stops its recovery timer, whose
+// firing would now find nothing to do. Callers hold n.mu.
+func (q *localQuery) settle(obj string) {
+	if r, ok := q.outstanding[obj]; ok {
+		stop(r.timer)
+		delete(q.outstanding, obj)
+	}
 }
 
 // corrState accumulates noisy annotation votes for one label of one query
@@ -423,6 +472,7 @@ type Node struct {
 	tr        transport.Transport
 	router    Router
 	timers    Timers
+	stopper   StopTimers // timers, when they can be stopped (arm)
 	scheme    Scheme
 	dir       *Directory
 	meta      boolexpr.MetaTable
@@ -551,6 +601,7 @@ func New(cfg Config) (*Node, error) {
 		sensorNoise:      cfg.SensorNoise,
 		confTarget:       cfg.ConfidenceTarget,
 	}
+	n.stopper, _ = cfg.Timers.(StopTimers)
 	if cfg.CoalesceWindow > 0 {
 		n.coalesce = &coalescer{window: cfg.CoalesceWindow, budget: cfg.CoalesceBytes, queues: make(map[string]*sendQueue)}
 	}
@@ -674,8 +725,8 @@ func (n *Node) DebugQueries() string {
 	out := ""
 	for _, q := range n.live {
 		inflight := make([]string, 0, len(q.outstanding))
-		for obj, at := range q.outstanding {
-			inflight = append(inflight, fmt.Sprintf("%s@%s", obj, at.Format("15:04:05")))
+		for obj, r := range q.outstanding {
+			inflight = append(inflight, fmt.Sprintf("%s@%s", obj, r.at.Format("15:04:05")))
 		}
 		sort.Strings(inflight)
 		out += fmt.Sprintf("%s status=%v unknown=%v outstanding=%v expr=%s\n",
@@ -703,7 +754,7 @@ func (n *Node) QueryInit(expr boolexpr.DNF, deadline time.Duration) (string, err
 	q := &localQuery{
 		engine:      core.NewEngineWithPlan(id, expr, abs, n.meta, n.planFor(expr, exprText)),
 		issued:      now,
-		outstanding: make(map[string]time.Time),
+		outstanding: make(map[string]timed),
 		requested:   make(map[string]bool),
 		attempts:    make(map[string]int),
 		suspect:     make(map[string]bool),
@@ -731,7 +782,7 @@ func (n *Node) QueryInit(expr boolexpr.DNF, deadline time.Duration) (string, err
 	}
 
 	// Deadline watchdog.
-	n.timers.After(deadline+time.Millisecond, func() { n.whenLive(id, n.recordIfTerminal) })
+	q.watchdog = n.arm(deadline+time.Millisecond, func() { n.whenLive(id, n.recordIfTerminal) })
 
 	n.pump(q)
 	return id, nil
@@ -748,6 +799,18 @@ func (n *Node) announce(id, expr string, deadline, now time.Time) {
 		Deadline: deadline,
 		TTL:      prefetchHops,
 	}, "")
+}
+
+// arm runs fn after d on the node's timers and returns the timer, nil
+// when they cannot stop one. Every timer guarding a query or a pending
+// upstream request is armed here, and its handle is kept beside what it
+// guards, so the timer is stopped when that is settled.
+func (n *Node) arm(d time.Duration, fn func()) Stopper {
+	if n.stopper != nil {
+		return n.stopper.AfterStop(d, fn)
+	}
+	n.timers.After(d, fn)
+	return nil
 }
 
 // whenLive is how a timer comes back to a local query, and the one place
@@ -938,17 +1001,25 @@ const (
 // pumpAt arms a pump of q just past the given instant, once per instant
 // per purpose. Callers hold n.mu.
 func (n *Node) pumpAt(q *localQuery, purpose int, at, now time.Time) {
-	if q.armed[purpose].Equal(at) {
+	if q.armed[purpose].at.Equal(at) {
 		return // already armed
 	}
-	q.armed[purpose] = at
+	// A pump armed for another instant stays armed: its firing still pumps.
+	// Only the newest timer's handle is kept, for recordIfTerminal, so a
+	// superseded timer's firing leaves it be; were it cleared, the pump
+	// would arm a second timer for the newest instant and keep only that
+	// one's handle. A node whose timers keep no handle (the simulator's)
+	// still clears it and re-arms that instant: not doing so would move
+	// the simulator's events and goldens (ROADMAP item 11).
 	id := q.engine.ID()
-	n.timers.After(at.Sub(now)+time.Millisecond, func() {
+	q.armed[purpose] = timed{at: at, timer: n.arm(at.Sub(now)+time.Millisecond, func() {
 		n.whenLive(id, func(q *localQuery) {
-			q.armed[purpose] = time.Time{}
+			if cur := q.armed[purpose]; cur.at.Equal(at) || cur.timer == nil {
+				q.armed[purpose] = timed{}
+			}
 			n.pump(q)
 		})
-	})
+	})}
 }
 
 // requestObject enqueues a fetch of source's object on behalf of q. The
@@ -965,7 +1036,6 @@ func (n *Node) requestObject(q *localQuery, source, objName string, labels []str
 		n.stats.Refetches++
 	}
 	q.requested[objName] = true
-	q.outstanding[objName] = now
 	n.stats.RequestsSent++
 	n.fetchQ = append(n.fetchQ, queuedRequest{
 		req: &ObjectRequest{
@@ -988,9 +1058,9 @@ func (n *Node) requestObject(q *localQuery, source, objName string, labels []str
 	if !n.disableRetries {
 		timeout = n.retryDelay(q.attempts[objName], size)
 	}
-	n.timers.After(timeout, func() {
+	q.outstanding[objName] = timed{at: now, timer: n.arm(timeout, func() {
 		n.whenLive(id, func(q *localQuery) {
-			if at, inFlight := q.outstanding[objName]; !inFlight || !at.Equal(now) {
+			if r, inFlight := q.outstanding[objName]; !inFlight || !r.at.Equal(now) {
 				return
 			}
 			delete(q.outstanding, objName)
@@ -1004,7 +1074,7 @@ func (n *Node) requestObject(q *localQuery, source, objName string, labels []str
 			}
 			n.pump(q)
 		})
-	})
+	})}
 	n.kick()
 }
 
@@ -1081,6 +1151,15 @@ func (n *Node) recordIfTerminal(q *localQuery) {
 	delete(n.queries, id)
 	if at, found := n.liveFrom(id); found {
 		n.live = slices.Delete(n.live, at, at+1)
+	}
+	// Every timer the query still holds would now find no query under its
+	// id; stopped, none of them keeps the node's state alive until it fires.
+	stop(q.watchdog)
+	for _, p := range q.armed {
+		stop(p.timer)
+	}
+	for _, r := range q.outstanding {
+		stop(r.timer)
 	}
 	switch status {
 	case core.ResolvedTrue:

@@ -2,6 +2,8 @@ package athena_test
 
 import (
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -104,11 +106,21 @@ func TestTCPThreeNodeRelay(t *testing.T) {
 
 // socketPair is a consumer with no room to cache and a source of one
 // 2 KB object labelled label, each in its own endpoint, joined by a
-// socket; instrumented gives each node a registry of its own. decide makes
-// n back-to-back decisions on the consumer, each fetched over the socket,
-// and fails the test on any that does not resolve true.
-func socketPair(t *testing.T, label string, instrumented bool) (consumer, src *athena.Node, decide func(n int)) {
-	t.Helper()
+// socket. Each node runs on WallTimers unless configure, when not nil,
+// changes that or anything else in the node's Config.
+type socketPair struct {
+	consumer, src *athena.Node
+	// decide makes n back-to-back decisions on the consumer, each fetched
+	// over the socket, and fails the test on any that does not resolve
+	// true.
+	decide func(n int)
+	// close closes both endpoints and lets go of them; the test's cleanup
+	// calls it too.
+	close func()
+}
+
+func newSocketPair(tb testing.TB, label string, configure func(id string, c *athena.Config)) *socketPair {
+	tb.Helper()
 	world := staticWorld{label: true}
 	desc := object.Descriptor{
 		Name: names.MustParse("/tcp/" + label + "/cam"), Size: 2_000, Validity: time.Minute,
@@ -116,18 +128,22 @@ func socketPair(t *testing.T, label string, instrumented bool) (consumer, src *a
 	}
 	dir := athena.NewDirectory([]object.Descriptor{desc})
 	auth := trust.NewAuthority()
+	var trs []*transport.TCPTransport
+	closePair := func() {
+		for _, tr := range trs {
+			tr.Close()
+		}
+		trs = nil
+	}
+	tb.Cleanup(closePair)
 	mk := func(id string, d *object.Descriptor, cacheBytes int64) (*athena.Node, *transport.TCPTransport) {
-		t.Helper()
+		tb.Helper()
 		tr, err := transport.NewTCP(id, "127.0.0.1:0", wire.Codec{})
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
-		t.Cleanup(func() { tr.Close() })
-		var reg *metrics.Registry
-		if instrumented {
-			reg = metrics.NewRegistry()
-		}
-		node, err := athena.New(athena.Config{
+		trs = append(trs, tr)
+		cfg := athena.Config{
 			ID: id, Transport: tr, Router: &athena.StaticRouter{Self: id},
 			Timers: athena.WallTimers{}, Scheme: athena.SchemeLVF, Directory: dir,
 			Meta:  boolexpr.MetaTable{label: {Cost: 2_000, ProbTrue: 0.8, Validity: time.Minute}},
@@ -139,10 +155,13 @@ func socketPair(t *testing.T, label string, instrumented bool) (consumer, src *a
 			// take the second for a duplicate of a transfer still in
 			// flight and leave it to its 6 s retry.
 			RetryBandwidth: 1e12,
-			Metrics:        reg,
-		})
+		}
+		if configure != nil {
+			configure(id, &cfg)
+		}
+		node, err := athena.New(cfg)
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		return node, tr
 	}
@@ -154,41 +173,210 @@ func socketPair(t *testing.T, label string, instrumented bool) (consumer, src *a
 	done := make(chan athena.QueryResult, 1)
 	consumer.OnQueryDone(func(r athena.QueryResult) { done <- r })
 	expr := boolexpr.ToDNF(boolexpr.MustParse(label))
-	return consumer, src, func(n int) {
-		t.Helper()
+	return &socketPair{consumer: consumer, src: src, close: closePair, decide: func(n int) {
+		tb.Helper()
 		for i := 0; i < n; i++ {
 			if _, err := consumer.QueryInit(expr, 20*time.Second); err != nil {
-				t.Fatal(err)
+				tb.Fatal(err)
 			}
+			// A stopped timer, not time.After: at this module's go version
+			// an unstopped one stays on the heap until it fires.
+			timeout := time.NewTimer(30 * time.Second)
 			select {
 			case r := <-done:
+				timeout.Stop()
 				if r.Status != core.ResolvedTrue {
-					t.Fatalf("decision %d: %v", i, r.Status)
+					tb.Fatalf("decision %d: %v", i, r.Status)
 				}
-			case <-time.After(30 * time.Second):
-				t.Fatalf("decision %d timed out", i)
+			case <-timeout.C:
+				tb.Fatalf("decision %d timed out", i)
 			}
 		}
+	}}
+}
+
+// countedTimers is WallTimers counting the timers it arms, those that
+// fire and those stopped before firing.
+type countedTimers struct {
+	armed, fired, stopped atomic.Int64
+	// changed is nudged whenever a timer fires or is stopped.
+	changed chan struct{}
+}
+
+func newCountedTimers() *countedTimers { return &countedTimers{changed: make(chan struct{}, 1)} }
+
+func (c *countedTimers) After(d time.Duration, fn func()) { c.AfterStop(d, fn) }
+func (c *countedTimers) AfterArg(d time.Duration, fn func(any), arg any) {
+	c.AfterStop(d, func() { fn(arg) })
+}
+func (c *countedTimers) AfterStop(d time.Duration, fn func()) athena.Stopper {
+	c.armed.Add(1)
+	return countedTimer{c, athena.WallTimers{}.AfterStop(d, func() {
+		c.count(&c.fired)
+		fn()
+	})}
+}
+
+func (c *countedTimers) count(n *atomic.Int64) {
+	n.Add(1)
+	select {
+	case c.changed <- struct{}{}:
+	default:
 	}
+}
+
+// pending is how many timers are armed and have neither fired nor been
+// stopped.
+func (c *countedTimers) pending() int64 { return c.armed.Load() - c.fired.Load() - c.stopped.Load() }
+
+// drained waits up to timeout for no timer to be pending and reports
+// whether that happened.
+func (c *countedTimers) drained(timeout time.Duration) bool {
+	limit := time.NewTimer(timeout)
+	defer limit.Stop()
+	for c.pending() != 0 {
+		select {
+		case <-c.changed:
+		case <-limit.C:
+			return c.pending() == 0
+		}
+	}
+	return true
+}
+
+type countedTimer struct {
+	c *countedTimers
+	athena.Stopper
+}
+
+func (t countedTimer) Stop() bool {
+	stopped := t.Stopper.Stop()
+	if stopped {
+		t.c.count(&t.c.stopped)
+	}
+	return stopped
 }
 
 // TestTCPFinishedQueriesLeaveNode is the socket half of the soak: a
 // consumer with no room to cache makes 500 decisions against a source in
-// another endpoint, each fetched over the socket, and ends holding no
-// query — though the wall-clock watchdogs and request timeouts of most of
-// them have yet to fire.
+// another endpoint, each resolving true on evidence fetched over the
+// socket, and both nodes end holding no query. With prefetch off, as in
+// the socket benchmark fleet, they also end holding no timer: the
+// wall-clock watchdog and request timeout of each decision would fire 6 to
+// 20 s later, and are stopped when the decision is recorded and its
+// request answered; what is armed for a moment (a drain, a completion
+// callback) fires at once. With prefetch on (the default), a push that
+// lands before the consumer's request is drained can resolve a decision
+// instead, so the source answers fewer requests; and it queues a push per
+// announced decision and paces them 250 ms apart, so 500 back-to-back
+// decisions leave it a pacing timer armed for two minutes (ROADMAP item 2).
+// That row checks the consumer's timers only.
 func TestTCPFinishedQueriesLeaveNode(t *testing.T) {
-	consumer, src, decide := socketPair(t, "soak1", false)
-	const decisions = 500
-	decide(decisions)
-	for name, n := range map[string]*athena.Node{"consumer": consumer, "src": src} {
-		if known, live := n.QueryCounts(); known != 0 || live != 0 {
-			t.Errorf("%s ends with %d queries, %d live; want none", name, known, live)
+	for _, tc := range []struct {
+		name     string
+		prefetch bool
+	}{
+		{"prefetch off", false},
+		{"prefetch on", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			timers := map[string]*countedTimers{"consumer": newCountedTimers(), "src": newCountedTimers()}
+			p := newSocketPair(t, "soak1", func(id string, c *athena.Config) {
+				c.Timers, c.DisablePrefetch = timers[id], !tc.prefetch
+			})
+			const decisions = 500
+			p.decide(decisions)
+			for name, n := range map[string]*athena.Node{"consumer": p.consumer, "src": p.src} {
+				if known, live := n.QueryCounts(); known != 0 || live != 0 {
+					t.Errorf("%s ends with %d queries, %d live; want none", name, known, live)
+				}
+				if tc.prefetch && name == "src" {
+					continue
+				}
+				c := timers[name]
+				if !c.drained(5 * time.Second) {
+					t.Errorf("%s ends with %d timers armed (%d armed, %d fired, %d stopped); want none",
+						name, c.pending(), c.armed.Load(), c.fired.Load(), c.stopped.Load())
+				}
+			}
+			s := p.src.Stats()
+			if got := s.CacheAnswers; !tc.prefetch && got < decisions-1 {
+				t.Errorf("the source answered %d requests; the consumer was meant to fetch every decision's evidence", got)
+			}
+			if got := s.CacheAnswers + s.PrefetchPushes; tc.prefetch && got < decisions-1 {
+				t.Errorf("the source answered %d requests and pushed %d objects; the consumer was meant to be sent every decision's evidence",
+					s.CacheAnswers, s.PrefetchPushes)
+			}
+		})
+	}
+}
+
+// BenchmarkTCPClosedPairHeld makes b.N decisions on a socket pair of
+// WallTimers nodes, wired as the socket benchmark fleet is (no prefetch),
+// then closes the pair and drops it. held-B/op is the heap the closed
+// pair still holds, per decision: zero once both nodes have been
+// collected, and otherwise the heap in use against the heap before the
+// pair was built. Timers that outlive their decision hold the whole pair
+// until the last of them fires, 6 to 20 s on; stopped when the decision
+// is settled, they hold nothing. ci.sh gates it.
+func BenchmarkTCPClosedPairHeld(b *testing.B) {
+	noPrefetch := func(_ string, c *athena.Config) { c.DisablePrefetch = true }
+	// A pair built, used and closed first takes what the socket path's
+	// first use allocates for good (codec tables, runtime settings).
+	warm := newSocketPair(b, "held0", noPrefetch)
+	warm.decide(1)
+	warm.close()
+	warm = nil
+	base := liveHeap()
+	// A node is in a cycle with its transport (whose handler is the
+	// node's), and a finalizer in a cycle never runs; the node's router
+	// is held by the node alone, so it goes when the node does.
+	collected := make(chan struct{}, 2)
+	p := newSocketPair(b, "held1", func(id string, c *athena.Config) {
+		noPrefetch(id, c)
+		runtime.SetFinalizer(c.Router, func(athena.Router) { collected <- struct{}{} })
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	p.decide(b.N)
+	b.StopTimer()
+	p.close()
+	p = nil
+	var held int64
+	if !finalized(collected, 2, time.Second) {
+		held = liveHeap() - base
+	}
+	b.ReportMetric(float64(held)/float64(b.N), "held-B/op")
+}
+
+// finalized collects until n finalizers have reported on done, and
+// reports whether they did before the timeout.
+func finalized(done <-chan struct{}, n int, timeout time.Duration) bool {
+	limit := time.NewTimer(timeout)
+	defer limit.Stop()
+	again := time.NewTicker(10 * time.Millisecond)
+	defer again.Stop()
+	for runtime.GC(); n > 0; {
+		select {
+		case <-done:
+			n--
+		case <-again.C:
+			runtime.GC()
+		case <-limit.C:
+			return false
 		}
 	}
-	if got := src.Stats().CacheAnswers; got < decisions-1 {
-		t.Errorf("the source answered %d requests; the consumer was meant to fetch every decision's evidence", got)
-	}
+	return true
+}
+
+// liveHeap is the heap in use after two collections; the second empties
+// every sync.Pool, so pooled buffers do not count.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
 }
 
 // TestTCPStatusUnderLoad reads /statusz's document from a second goroutine
@@ -197,7 +385,8 @@ func TestTCPFinishedQueriesLeaveNode(t *testing.T) {
 // that reading counts at snapshot time is safe. No count may fall from one
 // snapshot to the next.
 func TestTCPStatusUnderLoad(t *testing.T) {
-	consumer, src, decide := socketPair(t, "load1", true)
+	p := newSocketPair(t, "load1", func(_ string, c *athena.Config) { c.Metrics = metrics.NewRegistry() })
+	consumer, src := p.consumer, p.src
 	stop := make(chan struct{})
 	polled := make(chan error, 1)
 	go func() {
@@ -225,7 +414,7 @@ func TestTCPStatusUnderLoad(t *testing.T) {
 		}
 	}()
 	const decisions = 100
-	decide(decisions)
+	p.decide(decisions)
 	close(stop)
 	if err := <-polled; err != nil {
 		t.Fatal(err)

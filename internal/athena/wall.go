@@ -6,17 +6,26 @@ import (
 )
 
 // WallTimers schedules node callbacks on real time, for nodes running
-// outside the simulator (cmd/athenad).
+// outside the simulator (cmd/athenad). Its timers can be stopped
+// (StopTimers): a node stops each one when what it guards is settled, so
+// a finished decision holds no timer, and a daemon's heap does not grow
+// with its decision rate times the longest retry window.
 type WallTimers struct{}
 
-var _ Timers = WallTimers{}
+var (
+	_ Timers     = WallTimers{}
+	_ StopTimers = WallTimers{}
+)
 
 // After implements Timers with time.AfterFunc.
-func (WallTimers) After(d time.Duration, fn func()) {
+func (w WallTimers) After(d time.Duration, fn func()) { w.AfterStop(d, fn) }
+
+// AfterStop implements StopTimers: the handle is the *time.Timer.
+func (WallTimers) AfterStop(d time.Duration, fn func()) Stopper {
 	if d < 0 {
 		d = 0
 	}
-	time.AfterFunc(d, fn)
+	return time.AfterFunc(d, fn)
 }
 
 // AfterArg implements Timers. Wall-clock timers gain nothing from the
