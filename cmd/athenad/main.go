@@ -195,7 +195,10 @@ func run() error {
 			}
 			return nil
 		}(),
-		CacheBytes:        64 << 20,
+		CacheBytes: 64 << 20,
+		// Prefetch stays off, as NewCluster has it: ablation A2 finds
+		// the pushes cost more bandwidth and resolution than they save.
+		DisablePrefetch:   true,
 		HeartbeatInterval: *heartbeat,
 		HeartbeatMiss:     *miss,
 		GossipFanout:      *gfanout,
@@ -377,7 +380,7 @@ func runDemo() error {
 			Directory: dir, Meta: iathena.PriceLabels(nil, []object.Descriptor{desc}),
 			World: world, Authority: auth,
 			Signer: auth.Register(id, []byte(id)), Policy: trust.TrustAll(),
-			Descriptor: d, CacheBytes: 16 << 20,
+			Descriptor: d, CacheBytes: 16 << 20, DisablePrefetch: true,
 		})
 		if err != nil {
 			if cerr := tr.Close(); cerr != nil {

@@ -7,7 +7,8 @@
 //
 // The example runs the same decision twice under label sharing (lvfl):
 // the second query — issued by a different team at the relay site — is
-// answered with tiny signed label records instead of megabyte pictures,
+// answered with tiny signed label records instead of megabyte pictures
+// (records the relay cached as the first decision's labels passed it),
 // demonstrating the "orders of magnitude" savings of Section VI-D.
 //
 // Run with: go run ./examples/routefinding
@@ -131,6 +132,8 @@ func run() error {
 	if secondBytes > 0 {
 		fmt.Printf("  label sharing saved %.0fx over refetching the pictures\n",
 			float64(firstBytes)/float64(secondBytes))
+	} else {
+		fmt.Println("  the relay already held the hospital's label records: nothing crossed a link")
 	}
 	return nil
 }

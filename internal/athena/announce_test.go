@@ -148,9 +148,10 @@ func TestAnnounceStopsAtPrefetchRadius(t *testing.T) {
 	}
 }
 
-// TestRelayIgnoresClaimedTTL hands a relay announces whose sender claims a
-// TTL of 2^40: TTL and Hops are signed 64-bit on the wire, and a peer on an
-// older build or a hostile one may send anything. Only a copy a receiver
+// TestRelayIgnoresClaimedTTL hands a relay announces whose sender claims
+// any hop count: Hops is signed 64-bit on the wire, and a hostile peer may
+// send anything (the TTL it once claimed beside it is gone from the
+// format; the radius was always the relay's own). Only a copy a receiver
 // could still act on is forwarded, and one from outside the radius leaves
 // no trace at all.
 func TestRelayIgnoresClaimedTTL(t *testing.T) {
@@ -169,7 +170,7 @@ func TestRelayIgnoresClaimedTTL(t *testing.T) {
 	} {
 		a := &QueryAnnounce{
 			QueryID: fmt.Sprintf("a/x%d", i), Origin: "a", Expr: "lb",
-			Deadline: tBase.Add(time.Minute), TTL: 1 << 40, Hops: c.hops,
+			Deadline: tBase.Add(time.Minute), Hops: c.hops,
 		}
 		before, queued := b.Stats().AnnouncesSent, len(b.prefetch.queue)
 		b.handleMessage("a", a.WireSize(), a)
@@ -182,8 +183,8 @@ func TestRelayIgnoresClaimedTTL(t *testing.T) {
 				c.hops, pushQueued, seen, c.used)
 		}
 	}
-	// The one forwarded copy still claims TTL 2^40 - 1; it is c's to use
-	// and goes no further.
+	// The one forwarded copy reaches c at Hops 1; it is c's to use and
+	// goes no further.
 	r.run(t, time.Minute)
 	if got := r.nodes["c"].Stats().AnnouncesSent; got != 0 {
 		t.Errorf("c forwarded %d copies of an announce at the edge of the radius", got)

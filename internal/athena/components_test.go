@@ -55,7 +55,7 @@ func TestComponentsNilWhenOff(t *testing.T) {
 				}
 				dup := &QueryAnnounce{
 					QueryID: fmt.Sprintf("a/warm%d", a.querySeq), Origin: "a", Expr: "ld",
-					Deadline: r.sched.Now().Add(time.Minute), TTL: prefetchHops,
+					Deadline: r.sched.Now().Add(time.Minute),
 				}
 				b.handleMessage("a", dup.WireSize(), dup)
 				if st := b.Stats(); st.AnnounceDups != before.AnnounceDups+1 || st.AnnouncesSent != before.AnnouncesSent {
@@ -79,7 +79,7 @@ func TestSeenAnnounceIsBounded(t *testing.T) {
 	r := buildMesh(t, SchemeLVF, line5, nil)
 	b := r.nodes["b"]
 	announce := func(i int, deadline time.Time) *QueryAnnounce {
-		return &QueryAnnounce{QueryID: fmt.Sprintf("a/x%d", i), Origin: "a", Expr: "lzz", Deadline: deadline, TTL: prefetchHops}
+		return &QueryAnnounce{QueryID: fmt.Sprintf("a/x%d", i), Origin: "a", Expr: "lzz", Deadline: deadline}
 	}
 	const n = 3 * seenAnnounceSweep
 	first := announce(0, tBase.Add(time.Second))
@@ -115,7 +115,7 @@ func TestForegroundRequestIgnoresPrefetchPacing(t *testing.T) {
 	r := buildMesh(t, SchemeLVF, line5, nil)
 	b := r.nodes["b"]
 	for i := 0; i < 3; i++ {
-		a := &QueryAnnounce{QueryID: fmt.Sprintf("a/x%d", i), Origin: "a", Expr: "lb", Deadline: tBase.Add(time.Minute), TTL: 1}
+		a := &QueryAnnounce{QueryID: fmt.Sprintf("a/x%d", i), Origin: "a", Expr: "lb", Deadline: tBase.Add(time.Minute), Hops: prefetchHops - 1}
 		b.handleMessage("a", a.WireSize(), a)
 	}
 	r.run(t, 100*time.Millisecond)

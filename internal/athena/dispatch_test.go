@@ -2,6 +2,8 @@ package athena
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -97,8 +99,9 @@ func newDispatchNode(t *testing.T, set func(*Config)) (*Node, *recTransport) {
 	return n, rec
 }
 
-// ctlFrame is one of the 14 membership and shard frame types: who owns it,
-// how it is addressed, and how to tell that a node applied it.
+// ctlFrame is one way a membership or shard frame reaches a node: who owns
+// it, how it is addressed, and how to tell that a node applied it. A Sync
+// frame has two rows, since its scope decides its owner.
 type ctlFrame struct {
 	owner string // "flood", "member" (either protocol), "swim" or "shard"
 	// family is the forwarding rule: "local" frames carry no To; "sync"
@@ -154,26 +157,32 @@ func ctlFrames() map[string]ctlFrame {
 			func(from, to string) frame { return &ShardLookup{From: from, To: to, Label: "lb", Nonce: 1} },
 			func(n *Node, _ []sentFrame) bool { return n.Stats().ShardServed == 1 }},
 		"ShardLookupReply": {"shard", "shard",
-			func(from, to string) frame { return &ShardLookupReply{From: from, To: to, Label: "lb", Nonce: 1} },
+			func(from, to string) frame { return &ShardLookupReply{From: from, To: to, Nonce: 1} },
 			nil},
-		"ShardSyncRequest": {"shard", "shard",
+		// A scoped Sync is the sharded directory's: a member node without
+		// sharding drops it, and does not forward it.
+		"SyncRequest/scoped": {"shard", "shard",
 			func(from, to string) frame {
-				return &ShardSyncRequest{From: from, To: to, Shards: []uint32{0, 1, 2, 3}}
-			}, sentTo("a", "*athena.ShardSyncResponse")},
-		"ShardSyncResponse": {"shard", "shard",
+				return &SyncRequest{From: from, To: to, Shards: []uint32{0, 1, 2, 3}}
+			}, sentTo("a", "*athena.SyncResponse")},
+		"SyncResponse/scoped": {"shard", "shard",
 			func(from, to string) frame {
-				return &ShardSyncResponse{From: from, To: to, Shards: []uint32{0, 1, 2, 3}, Adverts: news}
+				return &SyncResponse{From: from, To: to, Shards: []uint32{0, 1, 2, 3}, Adverts: news}
 			}, learnedZ},
 	}
 }
 
-// TestControlFrameDispatch pins what handleMessage does with each of the 14
+// TestControlFrameDispatch pins what handleMessage does with each of the 12
 // membership and shard frame types before any handler runs: which component
 // must be on, and each family's forwarding rule.
 func TestControlFrameDispatch(t *testing.T) {
 	frames := ctlFrames()
-	if len(frames) != 14 {
-		t.Fatalf("table has %d frame types, want 14", len(frames))
+	types := make(map[string]bool)
+	for _, f := range frames {
+		types[fmt.Sprintf("%T", f.mk("a", "b"))] = true
+	}
+	if len(types) != 12 {
+		t.Fatalf("table has %d frame types, want 12", len(types))
 	}
 	for name, f := range frames {
 		for _, mode := range dispatchModes {
@@ -244,5 +253,44 @@ func TestControlFrameDispatch(t *testing.T) {
 				forwarded("with no To", f.mk("a", ""), "")
 			}
 		}
+	}
+}
+
+// TestScopedSyncWithEmptyVectorGetsScopedDelta: a node that has just
+// gained a shard holds only thin records there, so its backfill request
+// carries the shard and an empty seq vector. It is owed that shard's
+// records and the responder's vector over it — not the flood snapshot an
+// unscoped request with no vector gets, which would ship the whole
+// directory.
+func TestScopedSyncWithEmptyVectorGetsScopedDelta(t *testing.T) {
+	n, rec := newDispatchNode(t, dispatchModes[3].set) // the sharded node
+	all := n.Directory().Snapshot()
+	var shard uint32
+	var want []Advertisement
+	for s := uint32(0); s < 4; s++ {
+		want = n.Directory().Delta(nil, n.shard.router.InShards([]uint32{s}))
+		if len(want) > 0 && len(want) < len(all) {
+			shard = s
+			break
+		}
+	}
+	if len(want) == 0 || len(want) == len(all) {
+		t.Fatalf("no shard holds some but not all of the %d records", len(all))
+	}
+	req := &SyncRequest{From: "a", To: "b", Shards: []uint32{shard}}
+	n.handleMessage("a", req.WireSize(), req)
+	if len(rec.sent) != 1 {
+		t.Fatalf("sent %d frames, want the one response", len(rec.sent))
+	}
+	resp, ok := rec.sent[0].payload.(*SyncResponse)
+	if !ok || rec.sent[0].to != "a" {
+		t.Fatalf("sent %T to %q, want a *SyncResponse to a", rec.sent[0].payload, rec.sent[0].to)
+	}
+	if !reflect.DeepEqual(resp.Adverts, want) || len(resp.Labels) != 0 || len(resp.Seqs) != len(want) {
+		t.Errorf("response to a scoped request with no vector: %d adverts, %d labels, %d seqs; want shard %d's %d adverts and vector, no labels (the directory holds %d)",
+			len(resp.Adverts), len(resp.Labels), len(resp.Seqs), shard, len(want), len(all))
+	}
+	if !slices.Equal(resp.Shards, req.Shards) {
+		t.Errorf("response scope %v, want the request's %v", resp.Shards, req.Shards)
 	}
 }

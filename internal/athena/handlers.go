@@ -45,7 +45,7 @@ func (n *Node) handleMessage(from string, size int64, payload any) {
 		}
 	case *LabelShare:
 		n.handleLabelShare(from, msg)
-	// The 14 membership and shard frames. Each belongs to one component
+	// The 12 membership and shard frames. Each belongs to one component
 	// and is dropped, unforwarded, by a node where that component is off
 	// (nil); a routed one is handled only by its addressee (mine). The
 	// handlers below this switch assume both.
@@ -72,11 +72,11 @@ func (n *Node) handleMessage(from string, size int64, payload any) {
 			n.applyAdverts(msg.Adverts, from)
 		}
 	case *SyncRequest:
-		if mem != nil && (msg.To == "" || n.mine(msg.To, msg)) {
+		if n.takesSync(msg.Shards, msg.To, msg) {
 			n.handleSyncRequest(msg)
 		}
 	case *SyncResponse:
-		if mem != nil && (msg.To == "" || n.mine(msg.To, msg)) {
+		if n.takesSync(msg.Shards, msg.To, msg) {
 			n.handleSyncResponse(msg)
 		}
 	// SWIM probes: one of this node's own come back round a routing loop
@@ -101,15 +101,18 @@ func (n *Node) handleMessage(from string, size int64, payload any) {
 		if n.shard != nil && n.mine(msg.To, msg) {
 			n.handleShardLookupReply(msg)
 		}
-	case *ShardSyncRequest:
-		if n.shard != nil && n.mine(msg.To, msg) {
-			n.handleShardSyncRequest(msg)
-		}
-	case *ShardSyncResponse:
-		if n.shard != nil && n.mine(msg.To, msg) {
-			n.handleShardSyncResponse(msg)
-		}
 	}
+}
+
+// takesSync is the dispatch rule of a Sync frame. A scoped one (shards
+// set) is the sharded directory's, and is dropped unforwarded where
+// sharding is off, as a ShardLookup is; an unscoped one is membership's,
+// and a flood copy of it carries no To. Callers hold n.mu.
+func (n *Node) takesSync(shards []uint32, to string, msg frame) bool {
+	if len(shards) > 0 {
+		return n.shard != nil && n.mine(to, msg)
+	}
+	return n.member != nil && (to == "" || n.mine(to, msg))
 }
 
 // mine reports whether a routed control frame is addressed to this node;
@@ -212,8 +215,8 @@ func (n *Node) floodAnnounce(a *QueryAnnounce, except string) {
 // of a locally sourced object the query needs, and keep flooding within
 // the prefetch radius.
 func (n *Node) handleAnnounce(from string, a *QueryAnnounce) {
-	// A copy from outside the radius (both counters are signed 64-bit on
-	// the wire, and the sender may be an older build or hostile) is neither
+	// A copy from outside the radius (Hops is signed 64-bit on the wire,
+	// and the sender may be an older build or hostile) is neither
 	// acted on, forwarded nor remembered: were it marked seen, whether this
 	// node prefetches would depend on which copy the link queues let
 	// through first. Nor is one that arrives at or past its deadline —
@@ -231,13 +234,11 @@ func (n *Node) handleAnnounce(from string, a *QueryAnnounce) {
 		n.considerPush(a)
 	}
 
-	// Forward only what the next receiver may still act on, whatever TTL
-	// the sender claims.
-	if a.Hops+1 < prefetchHops && a.TTL > 1 {
+	// Forward only what the next receiver may still act on.
+	if a.Hops+1 < prefetchHops {
 		// The incoming message is shared with other receivers; copy
-		// before stamping this hop's TTL/Hops.
+		// before stamping this hop's Hops.
 		fwd := *a
-		fwd.TTL--
 		fwd.Hops++
 		n.floodAnnounce(&fwd, from)
 	}

@@ -186,85 +186,96 @@ func (n *Node) handleHeartbeat(from string, hb *Heartbeat) {
 }
 
 // maybeSync opens a push-pull anti-entropy exchange with a peer,
-// rate-limited to one per heartbeat interval per peer. Flood mode pushes
-// the full directory snapshot to a neighbor; gossip mode routes a compact
-// seq vector to the (possibly distant) peer and each side then ships only
-// the records the other's vector is behind on. Callers hold n.mu.
+// rate-limited to one per heartbeat interval per peer. Callers hold n.mu.
 func (n *Node) maybeSync(peer string, now time.Time) {
 	mem := n.member
 	if last, ok := mem.lastSync[peer]; ok && now.Sub(last) < mem.interval {
 		return
 	}
 	mem.lastSync[peer] = now
+	var shared []uint32
 	if n.shard != nil {
 		// Sharded replicas reconcile only the shards both sides own; the
 		// rest of the seq space converges through the piggyback channel.
 		// Nothing shared means nothing to exchange (the rate-limit slot
 		// still burns, bounding re-checks against this peer).
-		shared := n.shard.router.SharedShards(peer)
+		shared = n.shard.router.SharedShards(peer)
 		if len(shared) == 0 {
 			return
 		}
-		n.stats.SyncExchanges++
-		n.sendShardSync(peer, shared)
-		return
 	}
 	n.stats.SyncExchanges++
-	req := &SyncRequest{From: n.id, To: peer}
-	if mem.swim != nil {
-		// Gossip-mode sync reconciles the directory only: seq vectors in,
+	n.sendSync(peer, shared)
+}
+
+// sendSync opens an exchange with peer, scoped to shards when any are
+// given. Flood mode pushes the full directory snapshot to a neighbor;
+// gossip mode, and any scoped exchange, routes a compact seq vector to
+// the (possibly distant) peer — the watermark it extracts its delta
+// against — and each side then ships only the records the other's vector
+// is behind on. Callers hold n.mu.
+func (n *Node) sendSync(peer string, shards []uint32) {
+	req := &SyncRequest{From: n.id, To: peer, Shards: shards}
+	if len(shards) > 0 || n.member.swim != nil {
+		// Seq-vector sync reconciles the directory only: vectors in,
 		// deltas out. Label records keep flowing through the retrieval
 		// plane (query answers); shipping the full label cache on every
 		// digest divergence would dwarf the probe traffic this protocol
 		// exists to bound.
-		req.Seqs = n.dir.SeqVector(nil)
+		req.Seqs = n.dir.SeqVector(n.syncScope(shards))
 	} else {
 		req.Adverts = n.dir.Snapshot()
-		req.Labels = n.labels.Records(now)
+		req.Labels = n.labels.Records(n.now())
 	}
 	n.sendCtl(peer, req)
+}
+
+// syncScope is the directory scope of an exchange over shards: nil, the
+// whole directory, when it is unscoped. Only a sharded node sends or
+// takes a scoped one. Callers hold n.mu.
+func (n *Node) syncScope(shards []uint32) func(object.Descriptor) bool {
+	if len(shards) == 0 {
+		return nil
+	}
+	return n.shard.router.InShards(shards)
 }
 
 // handleSyncRequest applies the requester's push half and answers with
 // this replica's records — the full snapshot for a flood-mode request,
 // or the delta against the requester's seq vector plus this replica's own
-// vector for a gossip-mode one. Callers hold n.mu.
+// vector for a gossip-mode or scoped one. Scope is tested before the
+// vector: a scoped request with an empty vector is the backfill of a
+// shard the requester has just gained, whose records there are all thin,
+// and it is owed that shard's records, not the whole directory. Callers
+// hold n.mu.
 func (n *Node) handleSyncRequest(req *SyncRequest) {
 	n.applyAdverts(req.Adverts, "")
 	n.absorbLabels(req.Labels)
-	now := n.now()
-	resp := &SyncResponse{From: n.id, To: req.From}
-	if len(req.Seqs) > 0 {
-		resp.Adverts = n.dir.Delta(req.Seqs, nil)
-		resp.Seqs = n.dir.SeqVector(nil)
+	resp := &SyncResponse{From: n.id, To: req.From, Shards: req.Shards}
+	if len(req.Shards) > 0 || len(req.Seqs) > 0 {
+		scope := n.syncScope(req.Shards)
+		resp.Adverts = n.dir.Delta(req.Seqs, scope)
+		resp.Seqs = n.dir.SeqVector(scope)
 	} else {
 		resp.Adverts = n.dir.Snapshot()
-		resp.Labels = n.labels.Records(now)
+		resp.Labels = n.labels.Records(n.now())
 	}
 	n.sendCtl(req.From, resp)
 }
 
-// handleSyncResponse applies the pull half and, in gossip mode, pushes
-// back whatever the responder's seq vector shows it is still missing —
-// closing the exchange with both replicas at the union of their records.
-// Callers hold n.mu.
+// handleSyncResponse applies the pull half and, when the response carries
+// a seq vector, pushes back whatever that vector shows the responder is
+// still missing within the exchange's scope — closing it with both
+// replicas at the union of their records. A flood-mode response carries
+// no vector and gets no push. Callers hold n.mu.
 func (n *Node) handleSyncResponse(resp *SyncResponse) {
 	n.applyAdverts(resp.Adverts, "")
 	n.absorbLabels(resp.Labels)
-	n.syncPushBack(resp.From, resp.Seqs, nil)
-}
-
-// syncPushBack is the last leg of a seq-vector exchange, scoped or not:
-// whatever the responder's vector shows it is still missing within scope
-// is routed back to it, so both replicas end at the union of their
-// records. A flood-mode response carries no vector and gets no push.
-// Callers hold n.mu.
-func (n *Node) syncPushBack(to string, seqs map[string]uint64, scope func(object.Descriptor) bool) {
-	if len(seqs) == 0 {
+	if len(resp.Seqs) == 0 {
 		return
 	}
-	if push := n.dir.Delta(seqs, scope); len(push) > 0 {
-		n.sendCtl(to, &AdvertGossip{To: to, Adverts: push})
+	if push := n.dir.Delta(resp.Seqs, n.syncScope(resp.Shards)); len(push) > 0 {
+		n.sendCtl(resp.From, &AdvertGossip{To: resp.From, Adverts: push})
 	}
 }
 

@@ -103,11 +103,10 @@ const (
 	memberUpdateBytes = advertBytes + 16
 	seqEntryBytes     = 24
 	// Shard-routed directory traffic: a lookup is a small routed frame
-	// (sender, target, label, shard id, nonce), and scoped sync frames
-	// carry a shard-id list on top of the usual seq-vector + advert load.
-	shardLookupBytes   = 128
-	shardSyncBaseBytes = 96
-	shardIDBytes       = 4
+	// (sender, target, label, nonce), and a scoped sync carries a shard-id
+	// list on top of the usual seq-vector + advert load.
+	shardLookupBytes = 128
+	shardIDBytes     = 4
 	// Coalesced data-plane frames: one batch header amortizes the
 	// per-message overhead (length prefix, version/type, addressing,
 	// padding slack) across every member, so a batched member is priced
@@ -129,9 +128,8 @@ type QueryAnnounce struct {
 	Expr string
 	// Deadline is the absolute decision deadline.
 	Deadline time.Time
-	// TTL limits flooding hops.
-	TTL int
-	// Hops counts how far the announcement has traveled from the origin.
+	// Hops counts how far the announcement has traveled from the origin;
+	// a copy is relayed while Hops+1 is inside the prefetch radius.
 	Hops int
 }
 
@@ -305,50 +303,59 @@ func (m PeerLeave) WireSize() int64 { return heartbeatBytes }
 // Section VI-D spirit). In flood mode the requester pushes its full
 // directory snapshot; in gossip mode it sends only its per-source seq
 // vector (Seqs), and each side then ships just the records the other is
-// behind on — delta extraction against a seq watermark.
+// behind on — delta extraction against a seq watermark. A scoped exchange
+// (Shards set) is the sharded directory's: the vector and every delta are
+// restricted to the shards both ends replicate, which also makes it the
+// backfill path when a node gains a shard.
 type SyncRequest struct {
 	// From is the requesting node (the SyncResponse's destination).
 	From string
 	// To routes the exchange to one node over multiple hops ("" = the
 	// receiving neighbor, the pre-gossip behavior).
 	To string
+	// Shards scopes the exchange to these shard ids (empty = the whole
+	// directory).
+	Shards []uint32
 	// Adverts are the requester's directory records (flood mode).
 	Adverts []Advertisement
 	// Seqs maps each known source to its encoded sequence state (gossip
-	// mode; see Directory.SeqVector).
+	// mode, or within Shards; see Directory.SeqVector).
 	Seqs map[string]uint64
-	// Labels are the requester's fresh signed label records.
+	// Labels are the requester's fresh signed label records (flood mode).
 	Labels []trust.Label
 }
 
 // WireSize is the modeled frame length of the encoded message, charged
 // against link bandwidth by netsim and padded to by the TCP transport.
 func (m SyncRequest) WireSize() int64 {
-	return syncBaseBytes + int64(len(m.Adverts))*advertBytes +
+	return syncBaseBytes + int64(len(m.Shards))*shardIDBytes + int64(len(m.Adverts))*advertBytes +
 		int64(len(m.Seqs))*seqEntryBytes + int64(len(m.Labels))*labelRecordBytes
 }
 
 // SyncResponse completes the exchange with the responder's records — the
 // full snapshot in flood mode, or only the delta the requester's seq
-// vector was missing plus the responder's own vector in gossip mode (so
-// the requester can push back whatever the responder lacks).
+// vector was missing plus the responder's own vector otherwise (so the
+// requester can push back whatever the responder lacks), within the
+// request's Shards when it was scoped.
 type SyncResponse struct {
 	// From is the responding node.
 	From string
 	// To routes the response back to the requester ("" = neighbor).
 	To string
+	// Shards echo the exchange's scope.
+	Shards []uint32
 	// Adverts are the responder's directory records (full or delta).
 	Adverts []Advertisement
-	// Seqs is the responder's seq vector (gossip mode).
+	// Seqs is the responder's seq vector (gossip mode or scoped).
 	Seqs map[string]uint64
-	// Labels are the responder's fresh signed label records.
+	// Labels are the responder's fresh signed label records (flood mode).
 	Labels []trust.Label
 }
 
 // WireSize is the modeled frame length of the encoded message, charged
 // against link bandwidth by netsim and padded to by the TCP transport.
 func (m SyncResponse) WireSize() int64 {
-	return syncBaseBytes + int64(len(m.Adverts))*advertBytes +
+	return syncBaseBytes + int64(len(m.Shards))*shardIDBytes + int64(len(m.Adverts))*advertBytes +
 		int64(len(m.Seqs))*seqEntryBytes + int64(len(m.Labels))*labelRecordBytes
 }
 
@@ -456,8 +463,6 @@ type ShardLookup struct {
 	To string
 	// Label is the coverage label being resolved.
 	Label string
-	// Shard is the label's home shard, echoed for ownership checks.
-	Shard uint32
 	// Nonce matches the reply to the querier's pending lookup state.
 	Nonce uint64
 }
@@ -474,11 +479,7 @@ type ShardLookupReply struct {
 	From string
 	// To routes the reply back to the querier.
 	To string
-	// Label echoes the resolved label.
-	Label string
-	// Shard echoes the label's home shard.
-	Shard uint32
-	// Nonce echoes the lookup's nonce.
+	// Nonce echoes the lookup's nonce; it alone names the pending lookup.
 	Nonce uint64
 	// Adverts are the covering sources' full advertisement records.
 	Adverts []Advertisement
@@ -488,54 +489,6 @@ type ShardLookupReply struct {
 // against link bandwidth by netsim and padded to by the TCP transport.
 func (m ShardLookupReply) WireSize() int64 {
 	return shardLookupBytes + int64(len(m.Adverts))*advertBytes
-}
-
-// ShardSyncRequest opens a push-pull anti-entropy exchange scoped to the
-// shards both ends replicate: the requester ships its seq vector restricted
-// to those shards' sources, and the responder returns only the records the
-// requester is behind on. Replaces whole-directory sync between co-replicas
-// and serves as the backfill path when a node gains a shard.
-type ShardSyncRequest struct {
-	// From is the requesting node (the response's destination).
-	From string
-	// To routes the exchange to one co-replica over multiple hops.
-	To string
-	// Shards are the shard ids the exchange is scoped to.
-	Shards []uint32
-	// Seqs is the requester's seq vector restricted to the scoped shards
-	// (plus withdraw tombstones; see Directory.SeqVector).
-	Seqs map[string]uint64
-}
-
-// WireSize is the modeled frame length of the encoded message, charged
-// against link bandwidth by netsim and padded to by the TCP transport.
-func (m ShardSyncRequest) WireSize() int64 {
-	return shardSyncBaseBytes + int64(len(m.Shards))*shardIDBytes +
-		int64(len(m.Seqs))*seqEntryBytes
-}
-
-// ShardSyncResponse completes a scoped exchange: the delta the requester's
-// vector was missing within the scoped shards, plus the responder's own
-// scoped vector so the requester can push back whatever the responder
-// lacks — without ever widening the exchange past the shared shards.
-type ShardSyncResponse struct {
-	// From is the responding co-replica.
-	From string
-	// To routes the response back to the requester.
-	To string
-	// Shards echo the exchange's scope.
-	Shards []uint32
-	// Adverts are the scoped delta records.
-	Adverts []Advertisement
-	// Seqs is the responder's scoped seq vector.
-	Seqs map[string]uint64
-}
-
-// WireSize is the modeled frame length of the encoded message, charged
-// against link bandwidth by netsim and padded to by the TCP transport.
-func (m ShardSyncResponse) WireSize() int64 {
-	return shardSyncBaseBytes + int64(len(m.Shards))*shardIDBytes +
-		int64(len(m.Adverts))*advertBytes + int64(len(m.Seqs))*seqEntryBytes
 }
 
 // RequestBatch coalesces same-neighbor ObjectRequests into one frame.

@@ -797,7 +797,6 @@ func (n *Node) announce(id, expr string, deadline, now time.Time) {
 		Origin:   n.id,
 		Expr:     expr,
 		Deadline: deadline,
-		TTL:      prefetchHops,
 	}, "")
 }
 

@@ -12,7 +12,8 @@ import (
 // retention-driven shard refresh and backfill, where the query path's
 // candidate sources come from (candidates: the local directory for owned
 // labels, the routed lookup cache for the rest), and the handlers for the
-// four shard wire messages. Selection, delta extraction and the divergence
+// two lookup wire messages (a scoped Sync is membership.go's, with its
+// scope from syncScope). Selection, delta extraction and the divergence
 // check are the full replica's own code, handed a candidate pool or a scope
 // predicate.
 
@@ -68,20 +69,8 @@ func (n *Node) shardRefresh() {
 	}
 	sort.Strings(peers)
 	for _, peer := range peers {
-		n.sendShardSync(peer, byPeer[peer])
+		n.sendSync(peer, byPeer[peer])
 	}
-}
-
-// sendShardSync opens a scoped anti-entropy exchange with peer over the
-// given shards: this replica's seq vector within them is the watermark the
-// peer extracts its delta against. Callers hold n.mu.
-func (n *Node) sendShardSync(peer string, shards []uint32) {
-	n.sendCtl(peer, &ShardSyncRequest{
-		From:   n.id,
-		To:     peer,
-		Shards: shards,
-		Seqs:   n.dir.SeqVector(n.shard.router.InShards(shards)),
-	})
 }
 
 // descriptorOf resolves a source's descriptor from the local directory,
@@ -222,8 +211,6 @@ func (n *Node) handleShardLookup(m *ShardLookup) {
 	n.sendCtl(m.From, &ShardLookupReply{
 		From:    n.id,
 		To:      m.From,
-		Label:   m.Label,
-		Shard:   m.Shard,
 		Nonce:   m.Nonce,
 		Adverts: n.dir.AdvertsFor(m.Label),
 	})
@@ -247,29 +234,6 @@ func (n *Node) handleShardLookupReply(m *ShardLookupReply) {
 		}
 		n.pump(q)
 	}
-}
-
-// handleShardSyncRequest answers a scoped anti-entropy request with the
-// delta this replica holds within the requested shards, plus its own
-// scoped vector for the push-back half. Callers hold n.mu.
-func (n *Node) handleShardSyncRequest(req *ShardSyncRequest) {
-	scope := n.shard.router.InShards(req.Shards)
-	n.sendCtl(req.From, &ShardSyncResponse{
-		From:    n.id,
-		To:      req.From,
-		Shards:  req.Shards,
-		Adverts: n.dir.Delta(req.Seqs, scope),
-		Seqs:    n.dir.SeqVector(scope),
-	})
-}
-
-// handleShardSyncResponse applies the pull half of a scoped sync and
-// pushes back whatever the responder's scoped vector shows it is still
-// missing — both replicas end at the union of their records within the
-// exchanged shards. Callers hold n.mu.
-func (n *Node) handleShardSyncResponse(resp *ShardSyncResponse) {
-	n.applyAdverts(resp.Adverts, "")
-	n.syncPushBack(resp.From, resp.Seqs, n.shard.router.InShards(resp.Shards))
 }
 
 // ShardingEnabled reports whether the sharded directory is on.

@@ -50,7 +50,6 @@ type refDesc struct {
 // tried, and the local queries waiting on the answer.
 type pendingShardLookup struct {
 	label   string
-	shardID int
 	nonce   uint64
 	targets []string
 	next    int
@@ -294,7 +293,6 @@ func (sr *ShardRouter) Begin(label, queryID string) (msg *ShardLookup, ok bool) 
 	sr.nonce++
 	p := &pendingShardLookup{
 		label:   label,
-		shardID: s,
 		nonce:   sr.nonce,
 		targets: targets,
 		queries: make(map[string]bool, 1),
@@ -332,7 +330,6 @@ func (p *pendingShardLookup) lookup(self string) *ShardLookup {
 		From:  self,
 		To:    p.targets[p.next],
 		Label: p.label,
-		Shard: uint32(p.shardID),
 		Nonce: p.nonce,
 	}
 }

@@ -359,8 +359,8 @@ func TestShardRouterMemoFollowsView(t *testing.T) {
 			if msg.To != fmsg.To || !slices.Equal(p.targets, fp.targets) || slices.Contains(p.targets, "n0") {
 				t.Fatalf("step %d: Begin(%s) targets %v (first %s), fresh router %v (first %s)", step, label, p.targets, msg.To, fp.targets, fmsg.To)
 			}
-			if got, want := sr.Replicas(p.shardID), fresh.Replicas(p.shardID); !slices.Equal(got, want) {
-				t.Fatalf("step %d: Replicas(%d) = %v after a lookup for it, fresh router %v", step, p.shardID, got, want)
+			if s := sr.smap.OfKey(label); !slices.Equal(sr.Replicas(s), fresh.Replicas(s)) {
+				t.Fatalf("step %d: Replicas(%d) = %v after a lookup for it, fresh router %v", step, s, sr.Replicas(s), fresh.Replicas(s))
 			}
 			pendings = append(pendings, held{p, slices.Clone(p.targets)})
 		}

@@ -115,8 +115,8 @@ func RunShardScale(n, sources, shards, rf int) (ShardScaleRow, error) {
 		for k := 0; k < scope; k++ {
 			seqs[fmt.Sprintf("s%d", k)] = 1
 		}
-		req := athena.ShardSyncRequest{From: id, To: peer, Shards: shared, Seqs: seqs}
-		resp := athena.ShardSyncResponse{From: peer, To: id, Shards: shared, Seqs: seqs}
+		req := athena.SyncRequest{From: id, To: peer, Shards: shared, Seqs: seqs}
+		resp := athena.SyncResponse{From: peer, To: id, Shards: shared, Seqs: seqs}
 		totalSync += req.WireSize() + resp.WireSize()
 	}
 

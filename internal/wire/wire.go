@@ -8,7 +8,7 @@
 //
 //	offset  size  field
 //	0       4     N: frame length, bytes after this prefix (u32)
-//	4       1     format version (currently 1)
+//	4       1     format version (currently 2)
 //	5       1     message type ID (see Type* constants)
 //	6       2     sender id length L (u16)
 //	8       L     sender id (UTF-8)
@@ -62,8 +62,11 @@ import (
 )
 
 // Version is the wire format version stamped into every frame. Receivers
-// reject frames with a different version rather than guessing.
-const Version = 1
+// reject frames with a different version rather than guessing. Version 2
+// folded the scoped ShardSync frames into SyncRequest/SyncResponse and
+// dropped fields no receiver read (QueryAnnounce.TTL, ShardLookup.Shard,
+// ShardLookupReply.Label and .Shard).
+const Version = 2
 
 // MaxFrame bounds a frame's total length (prefix included). The value is
 // the transport's receive-side guard: Append refuses to produce frames
@@ -89,8 +92,6 @@ const (
 	TypePingReq
 	TypeShardLookup
 	TypeShardLookupReply
-	TypeShardSyncRequest
-	TypeShardSyncResponse
 	TypeRequestBatch
 	TypeDataBatch
 )
@@ -264,12 +265,6 @@ func encodePayload(c *coder, payload any) byte {
 	case *athena.ShardLookupReply:
 		shardLookupReply(c, m)
 		return TypeShardLookupReply
-	case *athena.ShardSyncRequest:
-		shardSyncRequest(c, m)
-		return TypeShardSyncRequest
-	case *athena.ShardSyncResponse:
-		shardSyncResponse(c, m)
-		return TypeShardSyncResponse
 	case *athena.RequestBatch:
 		requestBatch(c, m)
 		return TypeRequestBatch
@@ -348,14 +343,6 @@ func decodePayload(c *coder, id byte) any {
 		m := new(athena.ShardLookupReply)
 		shardLookupReply(c, m)
 		return m
-	case TypeShardSyncRequest:
-		m := new(athena.ShardSyncRequest)
-		shardSyncRequest(c, m)
-		return m
-	case TypeShardSyncResponse:
-		m := new(athena.ShardSyncResponse)
-		shardSyncResponse(c, m)
-		return m
 	case TypeRequestBatch:
 		m := new(athena.RequestBatch)
 		requestBatch(c, m)
@@ -375,7 +362,6 @@ func queryAnnounce(c *coder, m *athena.QueryAnnounce) {
 	c.str(&m.Origin)
 	c.str(&m.Expr)
 	c.time(&m.Deadline)
-	c.int(&m.TTL)
 	c.int(&m.Hops)
 }
 
@@ -440,6 +426,7 @@ func peerLeave(c *coder, m *athena.PeerLeave) {
 func syncRequest(c *coder, m *athena.SyncRequest) {
 	c.str(&m.From)
 	c.str(&m.To)
+	c.u32s(&m.Shards)
 	adverts(c, &m.Adverts)
 	c.seqMap(&m.Seqs)
 	trustLabels(c, &m.Labels)
@@ -448,6 +435,7 @@ func syncRequest(c *coder, m *athena.SyncRequest) {
 func syncResponse(c *coder, m *athena.SyncResponse) {
 	c.str(&m.From)
 	c.str(&m.To)
+	c.u32s(&m.Shards)
 	adverts(c, &m.Adverts)
 	c.seqMap(&m.Seqs)
 	trustLabels(c, &m.Labels)
@@ -485,32 +473,14 @@ func shardLookup(c *coder, m *athena.ShardLookup) {
 	c.str(&m.From)
 	c.str(&m.To)
 	c.str(&m.Label)
-	c.u32(&m.Shard)
 	c.u64(&m.Nonce)
 }
 
 func shardLookupReply(c *coder, m *athena.ShardLookupReply) {
 	c.str(&m.From)
 	c.str(&m.To)
-	c.str(&m.Label)
-	c.u32(&m.Shard)
 	c.u64(&m.Nonce)
 	adverts(c, &m.Adverts)
-}
-
-func shardSyncRequest(c *coder, m *athena.ShardSyncRequest) {
-	c.str(&m.From)
-	c.str(&m.To)
-	c.u32s(&m.Shards)
-	c.seqMap(&m.Seqs)
-}
-
-func shardSyncResponse(c *coder, m *athena.ShardSyncResponse) {
-	c.str(&m.From)
-	c.str(&m.To)
-	c.u32s(&m.Shards)
-	adverts(c, &m.Adverts)
-	c.seqMap(&m.Seqs)
 }
 
 func requestBatch(c *coder, m *athena.RequestBatch) {

@@ -59,16 +59,18 @@ func updates(n int) []athena.MemberUpdate {
 }
 
 // sizedMessages returns one realistic instance per wire message type,
-// with ids and payload shapes like those the experiments generate. Every
-// message must satisfy WireSize() >= raw encoding so the padded frame
-// length equals the modeled size.
+// with ids and payload shapes like those the experiments generate. The two
+// Sync frames set every field, scope and flood payload together, which no
+// node sends, so that one golden pins each layout whole. Every message
+// must satisfy WireSize() >= raw encoding so the padded frame length
+// equals the modeled size.
 func sizedMessages() []interface {
 	WireSize() int64
 } {
 	return []interface {
 		WireSize() int64
 	}{
-		&athena.QueryAnnounce{QueryID: "node-042/q17", Origin: "node-042", Expr: "viable:h:1-2 & viable:v:3-1 | viable:h:2-2", Deadline: tAt(9e9), TTL: 4, Hops: 1},
+		&athena.QueryAnnounce{QueryID: "node-042/q17", Origin: "node-042", Expr: "viable:h:1-2 & viable:v:3-1 | viable:h:2-2", Deadline: tAt(9e9), Hops: 1},
 		&athena.ObjectRequest{QueryID: "node-042/q17", Origin: "node-042", Object: "/city/market/cam3", SourceNode: "node-017", Labels: []string{"viable:h:1-2", "viable:v:3-1"}, Prefetch: false},
 		&athena.ObjectData{Object: "/city/market/cam3", Version: 12, Size: 250_000, Created: tAt(5e9), Validity: time.Minute, Labels: []string{"viable:h:1-2", "viable:v:3-1"}, SourceNode: "node-017", Origin: "node-042", QueryID: "node-042/q17"},
 		&athena.LabelShare{Records: []trust.Label{label("viable:h:1-2", "node-017", 5e9), label("viable:v:3-1", "node-017", 6e9)}, Dest: "node-042", QueryID: "node-042/q17"},
@@ -77,15 +79,13 @@ func sizedMessages() []interface {
 		&athena.PeerJoin{Node: "node-042", Addr: "192.168.10.42:9042", Adverts: []athena.Advertisement{advert("node-042", 1)}},
 		&athena.PeerJoinAck{Node: "node-017", Addr: "192.168.10.17:9017", Peers: map[string]string{"node-03": "192.168.10.3:9003", "node-11": "192.168.10.11:9011"}, Adverts: []athena.Advertisement{advert("node-03", 4), advert("node-17", 2)}},
 		&athena.PeerLeave{Node: "node-042", Seq: 8},
-		&athena.SyncRequest{From: "node-042", To: "node-017", Adverts: []athena.Advertisement{advert("node-042", 7)}, Seqs: map[string]uint64{"node-03": 9, "node-11": 19, "node-17": 5}, Labels: []trust.Label{label("viable:h:1-2", "node-017", 5e9)}},
-		&athena.SyncResponse{From: "node-017", To: "node-042", Adverts: []athena.Advertisement{advert("node-17", 2)}, Seqs: map[string]uint64{"node-03": 9, "node-42": 15}, Labels: []trust.Label{label("viable:v:3-1", "node-042", 6e9)}},
+		&athena.SyncRequest{From: "node-042", To: "node-017", Shards: []uint32{3, 23, 41}, Adverts: []athena.Advertisement{advert("node-042", 7)}, Seqs: map[string]uint64{"node-03": 9, "node-11": 19, "node-17": 5}, Labels: []trust.Label{label("viable:h:1-2", "node-017", 5e9)}},
+		&athena.SyncResponse{From: "node-017", To: "node-042", Shards: []uint32{3, 23, 41}, Adverts: []athena.Advertisement{advert("node-17", 2)}, Seqs: map[string]uint64{"node-03": 9, "node-42": 15}, Labels: []trust.Label{label("viable:v:3-1", "node-042", 6e9)}},
 		&athena.Ping{From: "node-042", To: "node-017", Seq: 31, AdvSeq: 7, Digest: 0xfeed, OnBehalf: "node-003", OnBehalfSeq: 12, Updates: updates(2)},
 		&athena.Ack{From: "node-017", To: "node-042", Seq: 31, AdvSeq: 2, Digest: 0xbeef, Updates: updates(3)},
 		&athena.PingReq{From: "node-042", To: "node-011", Target: "node-017", Seq: 31, Updates: updates(1)},
-		&athena.ShardLookup{From: "node-042", To: "node-017", Label: "viable:h:1-2", Shard: 23, Nonce: 7771},
-		&athena.ShardLookupReply{From: "node-017", To: "node-042", Label: "viable:h:1-2", Shard: 23, Nonce: 7771, Adverts: []athena.Advertisement{advert("node-03", 4), advert("node-11", 9)}},
-		&athena.ShardSyncRequest{From: "node-042", To: "node-017", Shards: []uint32{3, 23, 41}, Seqs: map[string]uint64{"node-03": 9, "node-11": 19, "node-17": 5}},
-		&athena.ShardSyncResponse{From: "node-017", To: "node-042", Shards: []uint32{3, 23, 41}, Adverts: []athena.Advertisement{advert("node-03", 4)}, Seqs: map[string]uint64{"node-03": 9, "node-42": 15}},
+		&athena.ShardLookup{From: "node-042", To: "node-017", Label: "viable:h:1-2", Nonce: 7771},
+		&athena.ShardLookupReply{From: "node-017", To: "node-042", Nonce: 7771, Adverts: []athena.Advertisement{advert("node-03", 4), advert("node-11", 9)}},
 		&athena.RequestBatch{Requests: []athena.ObjectRequest{
 			{QueryID: "node-042/q17", Origin: "node-042", Object: "/city/market/cam3", SourceNode: "node-017", Labels: []string{"viable:h:1-2", "viable:v:3-1"}},
 			{QueryID: "node-042/q18", Origin: "node-042", Object: "/city/market/cam4", SourceNode: "node-017", Labels: []string{"viable:h:2-2"}},
@@ -146,7 +146,7 @@ func TestGoldenFrameBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden := "0000003c" + // length: 60 bytes follow
-		"01" + // version 1
+		"02" + // version 2
 		"05" + // type: Heartbeat
 		"000161" + // from: "a"
 		"00026e31" + // Node: "n1"
@@ -166,21 +166,20 @@ func TestGoldenFrameBytes(t *testing.T) {
 // TestGoldenShardLookupBytes pins the shard-routed lookup's frame layout
 // the same way the heartbeat golden pins the original message set.
 func TestGoldenShardLookupBytes(t *testing.T) {
-	m := &athena.ShardLookup{From: "n1", To: "n2", Label: "seg", Shard: 7, Nonce: 9}
+	m := &athena.ShardLookup{From: "n1", To: "n2", Label: "seg", Nonce: 9}
 	frame, err := (Codec{}).Append(nil, "a", m.WireSize(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	golden := "0000007c" + // length: 124 bytes follow
-		"01" + // version 1
+		"02" + // version 2
 		"0f" + // type: ShardLookup (15)
 		"000161" + // from: "a"
 		"00026e31" + // From: "n1"
 		"00026e32" + // To: "n2"
 		"0003736567" + // Label: "seg"
-		"00000007" + // Shard (u32)
 		"0000000000000009" + // Nonce
-		strings.Repeat("00", 94) // padding up to shardLookupBytes (128)
+		strings.Repeat("00", 98) // padding up to shardLookupBytes (128)
 	want, err := hex.DecodeString(golden)
 	if err != nil {
 		t.Fatal(err)
@@ -201,8 +200,8 @@ func TestGoldenRequestBatchBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden := "000000ac" + // length: 172 bytes follow
-		"01" + // version 1
-		"13" + // type: RequestBatch (19)
+		"02" + // version 2
+		"11" + // type: RequestBatch (17)
 		"000161" + // from: "a"
 		"0001" + // member count
 		"000171" + // QueryID: "q"
@@ -234,6 +233,15 @@ func TestDecodeRejectsBadFrames(t *testing.T) {
 		b[0] = 99
 		if _, _, err := (Codec{}).Decode(b); err == nil {
 			t.Error("accepted wrong version")
+		}
+	})
+	t.Run("version 1", func(t *testing.T) {
+		// A heartbeat as a version-1 peer sends it: the layout is the same
+		// in both versions, so only the version byte refuses it.
+		b := append([]byte(nil), body...)
+		b[0] = 1
+		if _, _, err := (Codec{}).Decode(b); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("version-1 frame: err = %v, want ErrBadFrame", err)
 		}
 	})
 	t.Run("unknown type", func(t *testing.T) {
@@ -489,6 +497,20 @@ func fuzzSeqs(k1, k2 string, n uint8) map[string]uint64 {
 	return map[string]uint64{k1: 1, k2: 9}
 }
 
+// fuzzShards derives a bounded shard-id slice from fuzz inputs (nil when
+// the count folds to 0, matching the codec's nil-for-empty decoding).
+func fuzzShards(base uint32, n uint8) []uint32 {
+	k := int(n % 4)
+	if k == 0 {
+		return nil
+	}
+	out := make([]uint32, k)
+	for i := range out {
+		out[i] = base + uint32(i)
+	}
+	return out
+}
+
 func fuzzLabels(name, annot, ev, sig string, n uint8, ns int64, validity int64, val bool) []trust.Label {
 	k := int(n % 3)
 	if k == 0 {
@@ -506,10 +528,10 @@ func fuzzLabels(name, annot, ev, sig string, n uint8, ns int64, validity int64, 
 }
 
 func FuzzQueryAnnounce(f *testing.F) {
-	f.Add("q1", "origin", "a & b", int64(5e9), 4, 1)
-	f.Add("", "", "", int64(math.MinInt64), -1, 0)
-	f.Fuzz(func(t *testing.T, id, origin, expr string, deadline int64, ttl, hops int) {
-		roundTrip(t, &athena.QueryAnnounce{QueryID: id, Origin: origin, Expr: expr, Deadline: fuzzTime(deadline), TTL: ttl, Hops: hops})
+	f.Add("q1", "origin", "a & b", int64(5e9), 1)
+	f.Add("", "", "", int64(math.MinInt64), -1)
+	f.Fuzz(func(t *testing.T, id, origin, expr string, deadline int64, hops int) {
+		roundTrip(t, &athena.QueryAnnounce{QueryID: id, Origin: origin, Expr: expr, Deadline: fuzzTime(deadline), Hops: hops})
 	})
 }
 
@@ -575,22 +597,24 @@ func FuzzPeerLeave(f *testing.F) {
 }
 
 func FuzzSyncRequest(f *testing.F) {
-	f.Add("from", "to", "src", "/name", "lbl", uint8(1), uint8(1), int64(5), uint64(1), false, "k1", "k2", uint8(1), "annot", "sig", int64(5e9))
-	f.Fuzz(func(t *testing.T, from, to, src, name, lbl string, count, lbls uint8, size int64, seq uint64, withdrawn bool, k1, k2 string, n uint8, annot, sig string, ns int64) {
+	f.Add("from", "to", "src", "/name", "lbl", uint8(1), uint8(1), int64(5), uint64(1), false, "k1", "k2", uint8(1), "annot", "sig", int64(5e9), uint32(0), uint8(0))
+	f.Add("from", "to", "src", "/name", "lbl", uint8(0), uint8(1), int64(5), uint64(1), false, "k1", "k2", uint8(3), "annot", "sig", int64(5e9), uint32(3), uint8(2))
+	f.Fuzz(func(t *testing.T, from, to, src, name, lbl string, count, lbls uint8, size int64, seq uint64, withdrawn bool, k1, k2 string, n uint8, annot, sig string, ns int64, base uint32, sn uint8) {
 		if k1 == k2 {
 			k2 = k1 + "x"
 		}
-		roundTrip(t, &athena.SyncRequest{From: from, To: to, Adverts: fuzzAdverts(src, name, lbl, count, lbls, size, seq, withdrawn), Seqs: fuzzSeqs(k1, k2, n), Labels: fuzzLabels(lbl, annot, name, sig, n, ns, size, withdrawn)})
+		roundTrip(t, &athena.SyncRequest{From: from, To: to, Shards: fuzzShards(base, sn), Adverts: fuzzAdverts(src, name, lbl, count, lbls, size, seq, withdrawn), Seqs: fuzzSeqs(k1, k2, n), Labels: fuzzLabels(lbl, annot, name, sig, n, ns, size, withdrawn)})
 	})
 }
 
 func FuzzSyncResponse(f *testing.F) {
-	f.Add("from", "to", "src", "/name", "lbl", uint8(1), uint8(1), int64(5), uint64(1), false, "k1", "k2", uint8(1), "annot", "sig", int64(5e9))
-	f.Fuzz(func(t *testing.T, from, to, src, name, lbl string, count, lbls uint8, size int64, seq uint64, withdrawn bool, k1, k2 string, n uint8, annot, sig string, ns int64) {
+	f.Add("from", "to", "src", "/name", "lbl", uint8(1), uint8(1), int64(5), uint64(1), false, "k1", "k2", uint8(1), "annot", "sig", int64(5e9), uint32(0), uint8(0))
+	f.Add("from", "to", "src", "/name", "lbl", uint8(0), uint8(1), int64(5), uint64(1), false, "k1", "k2", uint8(3), "annot", "sig", int64(5e9), uint32(3), uint8(2))
+	f.Fuzz(func(t *testing.T, from, to, src, name, lbl string, count, lbls uint8, size int64, seq uint64, withdrawn bool, k1, k2 string, n uint8, annot, sig string, ns int64, base uint32, sn uint8) {
 		if k1 == k2 {
 			k2 = k1 + "x"
 		}
-		roundTrip(t, &athena.SyncResponse{From: from, To: to, Adverts: fuzzAdverts(src, name, lbl, count, lbls, size, seq, withdrawn), Seqs: fuzzSeqs(k1, k2, n), Labels: fuzzLabels(lbl, annot, name, sig, n, ns, size, withdrawn)})
+		roundTrip(t, &athena.SyncResponse{From: from, To: to, Shards: fuzzShards(base, sn), Adverts: fuzzAdverts(src, name, lbl, count, lbls, size, seq, withdrawn), Seqs: fuzzSeqs(k1, k2, n), Labels: fuzzLabels(lbl, annot, name, sig, n, ns, size, withdrawn)})
 	})
 }
 
@@ -615,51 +639,17 @@ func FuzzPingReq(f *testing.F) {
 	})
 }
 
-// fuzzShards derives a bounded shard-id slice from fuzz inputs (nil when
-// the count folds to 0, matching the codec's nil-for-empty decoding).
-func fuzzShards(base uint32, n uint8) []uint32 {
-	k := int(n % 4)
-	if k == 0 {
-		return nil
-	}
-	out := make([]uint32, k)
-	for i := range out {
-		out[i] = base + uint32(i)
-	}
-	return out
-}
-
 func FuzzShardLookup(f *testing.F) {
-	f.Add("from", "to", "lbl", uint32(3), uint64(9))
-	f.Fuzz(func(t *testing.T, from, to, lbl string, shard uint32, nonce uint64) {
-		roundTrip(t, &athena.ShardLookup{From: from, To: to, Label: lbl, Shard: shard, Nonce: nonce})
+	f.Add("from", "to", "lbl", uint64(9))
+	f.Fuzz(func(t *testing.T, from, to, lbl string, nonce uint64) {
+		roundTrip(t, &athena.ShardLookup{From: from, To: to, Label: lbl, Nonce: nonce})
 	})
 }
 
 func FuzzShardLookupReply(f *testing.F) {
-	f.Add("from", "to", "lbl", uint32(3), uint64(9), "src", "/name", uint8(1), uint8(1), int64(5), uint64(1), false)
-	f.Fuzz(func(t *testing.T, from, to, lbl string, shard uint32, nonce uint64, src, name string, count, lbls uint8, size int64, seq uint64, withdrawn bool) {
-		roundTrip(t, &athena.ShardLookupReply{From: from, To: to, Label: lbl, Shard: shard, Nonce: nonce, Adverts: fuzzAdverts(src, name, lbl, count, lbls, size, seq, withdrawn)})
-	})
-}
-
-func FuzzShardSyncRequest(f *testing.F) {
-	f.Add("from", "to", uint32(3), uint8(2), "k1", "k2", uint8(1))
-	f.Fuzz(func(t *testing.T, from, to string, base uint32, sn uint8, k1, k2 string, n uint8) {
-		if k1 == k2 {
-			k2 = k1 + "x"
-		}
-		roundTrip(t, &athena.ShardSyncRequest{From: from, To: to, Shards: fuzzShards(base, sn), Seqs: fuzzSeqs(k1, k2, n)})
-	})
-}
-
-func FuzzShardSyncResponse(f *testing.F) {
-	f.Add("from", "to", uint32(3), uint8(2), "src", "/name", "lbl", uint8(1), uint8(1), int64(5), uint64(1), false, "k1", "k2", uint8(1))
-	f.Fuzz(func(t *testing.T, from, to string, base uint32, sn uint8, src, name, lbl string, count, lbls uint8, size int64, seq uint64, withdrawn bool, k1, k2 string, n uint8) {
-		if k1 == k2 {
-			k2 = k1 + "x"
-		}
-		roundTrip(t, &athena.ShardSyncResponse{From: from, To: to, Shards: fuzzShards(base, sn), Adverts: fuzzAdverts(src, name, lbl, count, lbls, size, seq, withdrawn), Seqs: fuzzSeqs(k1, k2, n)})
+	f.Add("from", "to", uint64(9), "src", "/name", "lbl", uint8(1), uint8(1), int64(5), uint64(1), false)
+	f.Fuzz(func(t *testing.T, from, to string, nonce uint64, src, name, lbl string, count, lbls uint8, size int64, seq uint64, withdrawn bool) {
+		roundTrip(t, &athena.ShardLookupReply{From: from, To: to, Nonce: nonce, Adverts: fuzzAdverts(src, name, lbl, count, lbls, size, seq, withdrawn)})
 	})
 }
 

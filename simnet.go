@@ -121,9 +121,10 @@ type SimNodeConfig struct {
 	Policy *trust.Policy
 	// CacheBytes bounds the content store (default 16 MB).
 	CacheBytes int64
-	// DisablePrefetch takes the node out of background prefetching: it
-	// neither pushes for others' queries nor announces its own.
-	DisablePrefetch bool
+	// EnablePrefetch puts the node in background prefetching: it pushes
+	// for others' queries and announces its own. Off by default, as in
+	// NewCluster: ablation A2 finds it costs bandwidth and resolution.
+	EnablePrefetch bool
 	// SensorNoise is the per-annotation error rate; positive values turn
 	// on corroboration to ConfidenceTarget (Section IV-B).
 	SensorNoise float64
@@ -266,7 +267,7 @@ func (s *SimNetwork) Build() error {
 			Policy:              cfg.Policy,
 			Descriptor:          cfg.Source,
 			CacheBytes:          cfg.CacheBytes,
-			DisablePrefetch:     cfg.DisablePrefetch,
+			DisablePrefetch:     !cfg.EnablePrefetch,
 			SensorNoise:         cfg.SensorNoise,
 			ConfidenceTarget:    cfg.ConfidenceTarget,
 			ApproxMinSimilarity: cfg.ApproxMinSimilarity,
