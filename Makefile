@@ -90,9 +90,10 @@ loc:
 		  for (i = 1; i <= n; i++) printf "%-9s +%d -%d net %+d\n", ks[i], add[ks[i]], del[ks[i]], add[ks[i]] - del[ks[i]] }'
 
 # parity is the no-move proof for a change that claims every frame,
-# decision and dump is where it was: athena-sim built at BASE and at the
-# tree, 17 outputs compared byte for byte (parity.sh lists them), one
-# same/DIFFERS line each, non-zero exit on any difference. ~1 min.
+# decision and dump is where it was: athena-sim and the eight examples
+# built at BASE and at the tree, 25 outputs compared byte for byte
+# (parity.sh lists them), one same/DIFFERS line each, non-zero exit on any
+# difference. ~1 min.
 parity:
 	./parity.sh $(BASE)
 

@@ -133,79 +133,6 @@ func TestSimNetworkEndToEnd(t *testing.T) {
 	}
 }
 
-// simParallelRun builds a small three-node chain, a kernel lane per node,
-// and returns its traffic totals and the consumer's results.
-func simParallelRun(t *testing.T) (int64, []athena.QueryResult) {
-	t.Helper()
-	start := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	net := athena.NewSimNetwork(start)
-	if err := net.SetLanePerNode(42); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.AddLink("consumer", "relay", 125_000, time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.AddLink("relay", "sensor", 125_000, 2*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	src := &athena.SourceDescriptor{
-		Name:     athena.MustParseName("/sim/cam"),
-		Size:     100_000,
-		Validity: time.Minute,
-		Labels:   []string{"x", "y"},
-		Source:   "sensor",
-		ProbTrue: 0.5,
-	}
-	for _, cfg := range []athena.SimNodeConfig{
-		{ID: "consumer", World: worldTrue{}},
-		{ID: "relay", World: worldTrue{}},
-		{ID: "sensor", World: worldTrue{}, Source: src},
-	} {
-		if err := net.AddNode(cfg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	consumer, err := net.Node("consumer")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := consumer.QueryInit(athena.ToDNF(athena.MustParseExpr("x & y")), 30*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.Run(time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	return net.BytesSent(), consumer.Results()
-}
-
-// TestSimNetworkParallelEngine pins the public facade's layout switch:
-// the run resolves as the shared-lane scenario shape does, and a second
-// run with the same seed is identical.
-func TestSimNetworkParallelEngine(t *testing.T) {
-	bytes1, res1 := simParallelRun(t)
-	if len(res1) != 1 || res1[0].Status != athena.ResolvedTrue {
-		t.Fatalf("results = %+v", res1)
-	}
-	if bytes1 < 100_000 {
-		t.Errorf("BytesSent = %d", bytes1)
-	}
-	bytes2, res2 := simParallelRun(t)
-	if bytes2 != bytes1 {
-		t.Errorf("second run: BytesSent = %d, first %d", bytes2, bytes1)
-	}
-	if len(res2) != len(res1) || res2[0] != res1[0] {
-		t.Errorf("second run: results = %+v, first %+v", res2, res1)
-	}
-	// SetLanePerNode must precede topology building and Build.
-	late := athena.NewSimNetwork(time.Now())
-	if err := late.AddLink("a", "b", 1000, time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if err := late.SetLanePerNode(1); err == nil {
-		t.Error("SetLanePerNode after AddLink accepted")
-	}
-}
-
 func TestSimNetworkValidation(t *testing.T) {
 	net := athena.NewSimNetwork(time.Now())
 	if err := net.AddNode(athena.SimNodeConfig{}); err == nil {

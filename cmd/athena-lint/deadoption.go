@@ -1,47 +1,93 @@
 package main
 
 // Dead-option check. Every exported field of internal/athena's Config and
-// ClusterConfig is a value somebody can set, and so a configuration the
-// goldens and the benchmark would have to cover. A field earns that when
-// some non-test file in the walk (bench/ included) writes it, as a
-// composite-literal key or the left side of an assignment, outside the
-// file that declares its struct; one that only its constructor's
-// `if cfg.X <= 0` default writes has one value in use and is a constant
-// (PR 15 found 25 of 77). A write that only copies another option field
-// (NewCluster's `X: cfg.X`) counts only if something sets the source, so
-// a dead pass-through is reported on both structs at once.
+// ClusterConfig and of the root package's SimNodeConfig is a value
+// somebody can set, and so a configuration the goldens and the benchmark
+// would have to cover. A field earns that when some non-test file in the
+// walk (bench/ included) writes it, as a composite-literal key or the left
+// side of an assignment, outside the file that declares its struct; one
+// that only its constructor's `if cfg.X <= 0` default writes has one value
+// in use and is a constant. A write that only copies another option field
+// (NewCluster's or SimNetwork.Build's `X: cfg.X`) counts only if something
+// sets the source, so a dead pass-through is reported on both structs at
+// once. The three structs are one owner set for that reason, although
+// they live in two packages.
 
 import (
 	"go/ast"
 	"go/types"
 )
 
+// optionStructs are the option structs, by package relative to the
+// module root. A fixture declares all of them in its one package.
+var optionStructs = []struct{ pkg, name string }{
+	{"internal/athena", "Config"},
+	{"internal/athena", "ClusterConfig"},
+	{"", "SimNodeConfig"},
+}
+
+// deadOptions is the check's module-wide result: every option field, in
+// declaration order, with its struct's name and whether anything sets it.
+type deadOptions struct {
+	owner  map[*types.Var]string
+	fields []*types.Var
+	set    map[*types.Var]bool
+}
+
 func runDeadOption(p *Pass) {
-	if !p.Pkg.Fixture && p.PkgRel() != "internal/athena" {
-		return
+	var opts *deadOptions
+	if p.Pkg.Fixture {
+		// Nothing in the module can import a fixture.
+		opts = findDeadOptions(p, []*Package{p.Pkg})
+	} else {
+		owns := false
+		for _, s := range optionStructs {
+			owns = owns || s.pkg == p.PkgRel()
+		}
+		if !owns {
+			return
+		}
+		const key = "deadoption"
+		opts, _ = p.Session.Cache[key].(*deadOptions)
+		if opts == nil {
+			opts = findDeadOptions(p, p.Mod.Pkgs)
+			p.Session.Cache[key] = opts
+		}
 	}
+	for _, f := range opts.fields {
+		if f.Pkg() == p.Pkg.Types && !opts.set[f] {
+			p.Reportf(f.Pos(), "option %s.%s is set by no non-test file outside the one that declares it: one value in use is a constant — make it one, or keep the field once a caller needs a second value",
+				opts.owner[f], f.Name())
+		}
+	}
+}
+
+// findDeadOptions collects the option fields of optionStructs declared in
+// pkgs and marks those some file of pkgs sets.
+func findDeadOptions(p *Pass, pkgs []*Package) *deadOptions {
 	owner := make(map[*types.Var]string) // exported option field -> its struct
 	var fields []*types.Var              // the same, in declaration order
-	for _, name := range []string{"Config", "ClusterConfig"} {
-		tn, _ := p.Pkg.Types.Scope().Lookup(name).(*types.TypeName)
-		if tn == nil {
-			continue
-		}
-		st, _ := tn.Type().Underlying().(*types.Struct)
-		for i := 0; st != nil && i < st.NumFields(); i++ {
-			if f := st.Field(i); f.Exported() {
-				owner[f] = name
-				fields = append(fields, f)
+	for _, s := range optionStructs {
+		for _, pkg := range pkgs {
+			if !pkg.Fixture && p.Mod.Rel(pkg) != s.pkg {
+				continue
+			}
+			tn, _ := pkg.Types.Scope().Lookup(s.name).(*types.TypeName)
+			if tn == nil {
+				continue
+			}
+			st, _ := tn.Type().Underlying().(*types.Struct)
+			for i := 0; st != nil && i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					owner[f] = s.name
+					fields = append(fields, f)
+				}
 			}
 		}
 	}
 
 	set := make(map[*types.Var]bool)            // written with a value of the caller's own
 	copies := make(map[*types.Var][]*types.Var) // written with another option field's value
-	pkgs := p.Mod.Pkgs
-	if p.Pkg.Fixture {
-		pkgs = []*Package{p.Pkg} // nothing in the module can import a fixture
-	}
 	for _, pkg := range pkgs {
 		// field resolves a literal key or a selector to the option it names.
 		field := func(e ast.Expr) *types.Var {
@@ -95,10 +141,5 @@ func runDeadOption(p *Pass) {
 			}
 		}
 	}
-	for _, f := range fields {
-		if !set[f] {
-			p.Reportf(f.Pos(), "option %s.%s is set by no non-test file outside the one that declares it: one value in use is a constant — make it one, or keep the field once a caller needs a second value",
-				owner[f], f.Name())
-		}
-	}
+	return &deadOptions{owner: owner, fields: fields, set: set}
 }

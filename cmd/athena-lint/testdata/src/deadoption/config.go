@@ -1,5 +1,6 @@
 // Package deadoption is a fixture corpus for the deadoption check: a
-// miniature of internal/athena's node.go / cluster.go / caller split.
+// miniature of internal/athena's node.go / cluster.go / caller split, with
+// the root package's simnet.go as a third option struct in sim.go.
 // Config and its constructor live here; a write in this file (the
 // constructor's own default) never counts as somebody setting the option.
 package deadoption
@@ -20,6 +21,12 @@ type Config struct {
 	Backoff float64
 	// Latency is written nowhere at all: dead.
 	Latency int
+	// Zone reaches here only through SimNodeConfig.Zone, which the caller
+	// sets: fine on both structs.
+	Zone string
+	// Similarity is copied from SimNodeConfig.Similarity, which nobody
+	// sets: both are reported.
+	Similarity float64
 	// scratch is unexported, so not an option.
 	scratch int
 }

@@ -1,13 +1,15 @@
-// Mission: workflow-driven anticipation (Section VIII) plus model
-// learning, end to end over a simulated network.
+// Mission: a Section VIII workflow walked one decision point at a time
+// over a simulated network, with a learned label model printed at the end.
 //
 // A search-and-rescue team follows doctrine: ASSESS the scene; if safe,
-// decide a ROUTE; then clear TRANSPORT. Because the workflow is known, the
-// system anticipates the next decision's labels while the current one is
-// still being made, and issues the successor query the moment the current
-// decision lands — no idle gap between decision points. Meanwhile a model
-// estimator watches the annotations stream by and learns which labels are
-// volatile, refining the planner's metadata for the next mission.
+// decide a ROUTE; then clear TRANSPORT. Because the workflow is known
+// (workflow.go), the labels the next decision points will reference are
+// known too; the example prints them beside each step, weighted by
+// distance. It does not fetch them early: its nodes run with prefetch
+// off, the setting ablation A2 favours. Each step's query is issued once
+// the previous step's run window has ended. An estimator (estimator.go)
+// records every step's label values and prints how often routeA and
+// routeB held; nothing feeds those numbers back into a node's planner.
 //
 // Run with: go run ./examples/mission
 package main
@@ -37,8 +39,8 @@ func main() {
 
 func run() error {
 	// 1. Doctrine as a workflow.
-	wf := athena.NewWorkflow("assess")
-	steps := []athena.WorkflowStep{
+	wf := NewWorkflow("assess")
+	steps := []Step{
 		{ID: "assess", Expr: toDNF("sceneSafe & accessOpen"), Deadline: 30 * time.Second,
 			OnTrue: []string{"route"}},
 		{ID: "route", Expr: toDNF("routeA | routeB"), Deadline: 30 * time.Second,
@@ -50,7 +52,7 @@ func run() error {
 			return err
 		}
 	}
-	runner, err := athena.NewWorkflowRunner(wf)
+	runner, err := NewRunner(wf)
 	if err != nil {
 		return err
 	}
@@ -82,11 +84,11 @@ func run() error {
 		return err
 	}
 
-	// 3. The learning loop shadows every decision.
-	estimator := athena.NewEstimator(0)
+	// 3. The estimator records the labels every decision referenced.
+	estimator := NewEstimator()
 
-	// 4. Walk the workflow: issue each decision point's query, and while
-	// waiting, print what anticipation would prefetch.
+	// 4. Walk the workflow: print the labels the next decision points
+	// will reference, then issue this decision point's query.
 	for {
 		step, ok := runner.Current()
 		if !ok {
@@ -116,9 +118,9 @@ func run() error {
 		outcome := last.Status == athena.ResolvedTrue
 		fmt.Printf("          -> %s\n", last.Status)
 
-		// Feed the estimator with what the decision engine observed.
+		// Record each label's ground-truth value at the decision instant.
 		for _, l := range step.Expr.Labels() {
-			estimator.Observe(athena.Observation{
+			estimator.Observe(Observation{
 				Label: l,
 				Value: missionWorld{}.LabelValue(l, net.Now()),
 				At:    net.Now(),

@@ -2,8 +2,9 @@ package main
 
 import "testing"
 
-// TestRun runs the workflow-driven mission end to end: anticipation,
-// back-to-back decision points and the model estimator's refinement.
+// TestRun runs the workflow-driven mission end to end: the anticipated
+// labels printed per step, back-to-back decision points and the
+// estimator's learned probabilities.
 func TestRun(t *testing.T) {
 	if err := run(); err != nil {
 		t.Fatal(err)

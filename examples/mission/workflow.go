@@ -1,11 +1,11 @@
-// Package workflow implements the Section VIII anticipation machinery:
-// missions follow prescribed workflows — flowcharts of decision points —
-// so, given the current decision query, the system can anticipate which
-// decisions (and therefore which labels and evidence objects) come next,
-// and warm them up before they are asked for. "Anticipating what
-// information is needed next ... gives the system more time to acquire it
-// before it is actually used."
-package workflow
+package main
+
+// The Section VIII anticipation machinery: missions follow prescribed
+// workflows — flowcharts of decision points — so, given the current
+// decision query, the next decisions (and therefore the labels and
+// evidence objects they will need) are known before they are asked for.
+// "Anticipating what information is needed next ... gives the system more
+// time to acquire it before it is actually used."
 
 import (
 	"errors"
@@ -13,7 +13,7 @@ import (
 	"sort"
 	"time"
 
-	"athena/internal/boolexpr"
+	"athena"
 )
 
 // Step is one decision point in a workflow.
@@ -21,7 +21,7 @@ type Step struct {
 	// ID names the step.
 	ID string
 	// Expr is the decision logic evaluated at this step.
-	Expr boolexpr.DNF
+	Expr athena.DNF
 	// Deadline is the decision deadline once the step activates.
 	Deadline time.Duration
 	// OnTrue and OnFalse list successor step ids for each outcome.
@@ -43,8 +43,8 @@ var (
 	ErrDuplicateStep = errors.New("workflow: duplicate step")
 )
 
-// New creates a workflow that begins at the step named start.
-func New(start string) *Workflow {
+// NewWorkflow creates a workflow that begins at the step named start.
+func NewWorkflow(start string) *Workflow {
 	return &Workflow{start: start, steps: make(map[string]*Step)}
 }
 
@@ -63,9 +63,6 @@ func (w *Workflow) AddStep(s Step) error {
 	return nil
 }
 
-// Start returns the start step id.
-func (w *Workflow) Start() string { return w.start }
-
 // Step returns a step by id.
 func (w *Workflow) Step(id string) (Step, bool) {
 	s, ok := w.steps[id]
@@ -74,9 +71,6 @@ func (w *Workflow) Step(id string) (Step, bool) {
 	}
 	return *s, true
 }
-
-// Len reports the number of steps.
-func (w *Workflow) Len() int { return len(w.steps) }
 
 // Validate checks that the start step exists and all successor references
 // resolve.
@@ -111,11 +105,9 @@ type Anticipated struct {
 	// Label is the predicate that may need evidence.
 	Label string
 	// Weight scores how soon/likely: 1/2^d summed over reachable steps
-	// at distance d >= 1 that reference the label. Higher = warm it up
-	// first.
+	// at distance d >= 1 that reference the label. Higher = needed
+	// sooner.
 	Weight float64
-	// Steps lists the step ids that would consume it, sorted.
-	Steps []string
 }
 
 // Anticipate returns the labels referenced by decision points reachable
@@ -135,11 +127,7 @@ func (w *Workflow) Anticipate(from string, horizon int) ([]Anticipated, error) {
 		current[l] = true
 	}
 
-	type hit struct {
-		weight float64
-		steps  map[string]bool
-	}
-	hits := make(map[string]*hit)
+	weights := make(map[string]float64)
 	// BFS over both outcomes, tracking the shortest distance at which
 	// each step is reachable (cycles visit each step once).
 	type frontierItem struct {
@@ -163,28 +151,16 @@ func (w *Workflow) Anticipate(from string, horizon int) ([]Anticipated, error) {
 			seen[next] = d
 			frontier = append(frontier, frontierItem{id: next, dist: d})
 			for _, l := range w.steps[next].Expr.Labels() {
-				if current[l] {
-					continue
+				if !current[l] {
+					weights[l] += 1 / float64(int(1)<<d)
 				}
-				h := hits[l]
-				if h == nil {
-					h = &hit{steps: make(map[string]bool)}
-					hits[l] = h
-				}
-				h.weight += 1 / float64(int(1)<<d)
-				h.steps[next] = true
 			}
 		}
 	}
 
-	out := make([]Anticipated, 0, len(hits))
-	for l, h := range hits {
-		steps := make([]string, 0, len(h.steps))
-		for id := range h.steps {
-			steps = append(steps, id)
-		}
-		sort.Strings(steps)
-		out = append(out, Anticipated{Label: l, Weight: h.weight, Steps: steps})
+	out := make([]Anticipated, 0, len(weights))
+	for l, weight := range weights {
+		out = append(out, Anticipated{Label: l, Weight: weight})
 	}
 	sort.Slice(out, func(a, b int) bool {
 		if out[a].Weight != out[b].Weight {
@@ -207,15 +183,12 @@ type Path struct {
 
 // Runner walks a workflow, one decision at a time. Branching with
 // multiple successors takes the first (doctrine lists alternatives in
-// priority order); a custom Chooser can override.
+// priority order).
 type Runner struct {
 	wf      *Workflow
 	current string
 	done    bool
 	history []Path
-
-	// Chooser picks among multiple successors (default: first).
-	Chooser func(candidates []string) string
 }
 
 // NewRunner starts a runner at the workflow's start step. The workflow
@@ -224,7 +197,7 @@ func NewRunner(wf *Workflow) (*Runner, error) {
 	if err := wf.Validate(); err != nil {
 		return nil, err
 	}
-	return &Runner{wf: wf, current: wf.Start()}, nil
+	return &Runner{wf: wf, current: wf.start}, nil
 }
 
 // Current returns the active decision point; ok=false once the workflow
@@ -254,9 +227,6 @@ func (r *Runner) Resolve(outcome bool, at time.Time) (continues bool, err error)
 		return false, nil
 	}
 	next := candidates[0]
-	if r.Chooser != nil && len(candidates) > 1 {
-		next = r.Chooser(candidates)
-	}
 	if _, ok := r.wf.Step(next); !ok {
 		return false, fmt.Errorf("%w: %q", ErrUnknownStep, next)
 	}

@@ -1,23 +1,21 @@
-package workflow
+package main
 
 import (
 	"errors"
 	"testing"
 	"time"
 
-	"athena/internal/boolexpr"
+	"athena"
 )
 
-var t0 = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-
-func dnf(s string) boolexpr.DNF { return boolexpr.ToDNF(boolexpr.MustParse(s)) }
+func dnf(s string) athena.DNF { return athena.ToDNF(athena.MustParseExpr(s)) }
 
 // rescueWorkflow models a post-disaster doctrine: assess the scene, then
 // either evacuate (route decision) or shelter (supply decision); an
 // evacuation decision leads to a transport decision.
 func rescueWorkflow(t *testing.T) *Workflow {
 	t.Helper()
-	w := New("assess")
+	w := NewWorkflow("assess")
 	steps := []Step{
 		{ID: "assess", Expr: dnf("sceneSafe & accessOpen"), Deadline: 30 * time.Second,
 			OnTrue: []string{"evacuate"}, OnFalse: []string{"shelter"}},
@@ -38,11 +36,11 @@ func rescueWorkflow(t *testing.T) *Workflow {
 }
 
 func TestValidate(t *testing.T) {
-	w := New("missing")
+	w := NewWorkflow("missing")
 	if err := w.Validate(); !errors.Is(err, ErrNoStart) {
 		t.Errorf("err = %v, want ErrNoStart", err)
 	}
-	w = New("a")
+	w = NewWorkflow("a")
 	if err := w.AddStep(Step{ID: "a", Expr: dnf("x"), OnTrue: []string{"ghost"}}); err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +120,7 @@ func TestAnticipateHorizonOne(t *testing.T) {
 }
 
 func TestAnticipateHandlesCycles(t *testing.T) {
-	w := New("patrol")
+	w := NewWorkflow("patrol")
 	if err := w.AddStep(Step{ID: "patrol", Expr: dnf("areaClear"),
 		OnTrue: []string{"patrol"}, OnFalse: []string{"investigate"}}); err != nil {
 		t.Fatal(err)
@@ -200,8 +198,8 @@ func TestRunnerFalseBranch(t *testing.T) {
 	}
 }
 
-func TestRunnerChooser(t *testing.T) {
-	w := New("a")
+func TestRunnerTakesFirstSuccessor(t *testing.T) {
+	w := NewWorkflow("a")
 	if err := w.AddStep(Step{ID: "a", Expr: dnf("x"), OnTrue: []string{"b", "c"}}); err != nil {
 		t.Fatal(err)
 	}
@@ -215,17 +213,16 @@ func TestRunnerChooser(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Chooser = func(candidates []string) string { return candidates[1] }
 	if _, err := r.Resolve(true, t0); err != nil {
 		t.Fatal(err)
 	}
-	if step, _ := r.Current(); step.ID != "c" {
-		t.Errorf("Chooser ignored: at %s", step.ID)
+	if step, _ := r.Current(); step.ID != "b" {
+		t.Errorf("first successor not taken: at %s", step.ID)
 	}
 }
 
 func TestNewRunnerValidates(t *testing.T) {
-	w := New("missing")
+	w := NewWorkflow("missing")
 	if _, err := NewRunner(w); err == nil {
 		t.Error("invalid workflow accepted")
 	}

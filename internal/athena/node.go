@@ -244,11 +244,13 @@ type Config struct {
 	// (Section V-A): a cached object whose name similarity to the
 	// requested one is at least this threshold may answer the request,
 	// provided it covers at least one requested label. Zero disables.
+	//lint:allow deadoption only tests set it; ROADMAP item 17 gives approximate matching (Sec. V-A) a recorded row or removes it
 	ApproxMinSimilarity float64
 	// CriticalPrefix marks a critical part of the name space
 	// (Section V-C): objects under this prefix get transmission priority
 	// on priority-capable transports and are exempt from approximate
 	// substitution. Zero value disables.
+	//lint:allow deadoption only tests set it; ROADMAP item 17 gives criticality (Sec. V-C) a recorded row or removes it
 	CriticalPrefix names.Name
 	// SensorNoise is the probability a single annotation misreads its
 	// evidence (Section IV-B). When positive, labels are corroborated

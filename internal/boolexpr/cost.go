@@ -7,15 +7,12 @@ import (
 )
 
 // Meta holds the per-condition metadata of Section III-A: retrieval cost
-// (e.g. object size in bytes or MB), estimated retrieval latency, success
-// probability (probability the underlying label is true), and data validity
+// (e.g. object size in bytes or MB), success probability (probability the underlying label is true), and data validity
 // interval.
 type Meta struct {
 	// Cost is the retrieval cost of the evidence for this label, in
 	// arbitrary units (the paper uses data size).
 	Cost float64
-	// Latency is the estimated retrieval latency.
-	Latency time.Duration
 	// ProbTrue is the prior probability that the label evaluates to true.
 	ProbTrue float64
 	// Validity is how long evidence for this label stays fresh.

@@ -1,5 +1,5 @@
 // Failure models for the emulated network (the post-disaster setting of
-// Section VII): per-link probabilistic message loss, scheduled link
+// Section VII): probabilistic message loss, scheduled link
 // up/down windows, and node churn. All failures are deterministic — each
 // directed link draws losses from its own splitmix64 stream derived from
 // the master failure seed and the link's endpoints, and outages are
@@ -35,7 +35,7 @@ func linkStream(seed uint64, from, to string) uint64 {
 // SeedFailures installs the master seed behind probabilistic message
 // loss: every directed link gets an independent splitmix64 draw stream
 // derived from this seed and its endpoints. It must be called before any
-// SetLoss/SetLinkLoss takes effect; calling it again reseeds (restarting
+// SetLoss takes effect; calling it again reseeds (restarting
 // every stream).
 func (n *Network) SeedFailures(seed int64) {
 	n.failSeed = uint64(seed)
@@ -43,23 +43,6 @@ func (n *Network) SeedFailures(seed int64) {
 	for key, l := range n.links {
 		l.rng = linkStream(n.failSeed, key[0], key[1])
 	}
-}
-
-// SetLinkLoss sets the probability that a message crossing the a<->b link
-// (either direction) is lost in transit. Requires SeedFailures first when
-// p > 0.
-func (n *Network) SetLinkLoss(a, b string, p float64) error {
-	la, oka := n.links[[2]string{a, b}]
-	lb, okb := n.links[[2]string{b, a}]
-	if !oka || !okb {
-		return fmt.Errorf("%w: %s <-> %s", ErrNoLink, a, b)
-	}
-	if p > 0 && !n.failSeeded {
-		return fmt.Errorf("netsim: SetLinkLoss(%s, %s): SeedFailures not called", a, b)
-	}
-	la.lossProb = p
-	lb.lossProb = p
-	return nil
 }
 
 // SetLoss sets the same loss probability on every link.
@@ -70,22 +53,6 @@ func (n *Network) SetLoss(p float64) error {
 	for _, l := range n.links {
 		l.lossProb = p
 	}
-	return nil
-}
-
-// SetLinkDown takes the a<->b link down (or back up). Messages sent or in
-// flight while the link is down are lost (counted, no error), as on a
-// severed radio link. Call it between runs; during a lane-per-node run
-// use ScheduleLinkOutage, which routes each direction's transition to the
-// lane that owns it.
-func (n *Network) SetLinkDown(a, b string, down bool) error {
-	la, oka := n.links[[2]string{a, b}]
-	lb, okb := n.links[[2]string{b, a}]
-	if !oka || !okb {
-		return fmt.Errorf("%w: %s <-> %s", ErrNoLink, a, b)
-	}
-	la.down = down
-	lb.down = down
 	return nil
 }
 

@@ -15,7 +15,7 @@ func TestLinkLossDropsAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	net.SeedFailures(1)
-	if err := net.SetLinkLoss("a", "b", 1); err != nil {
+	if err := net.SetLoss(1); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
@@ -39,7 +39,7 @@ func TestLinkLossDropsAll(t *testing.T) {
 
 func (n *Network) linkPair(a, b string) *link { return n.links[[2]string{a, b}] }
 
-// SetLinkLoss without SeedFailures is rejected: unseeded loss would be
+// SetLoss without SeedFailures is rejected: unseeded loss would be
 // nondeterministic.
 func TestLinkLossRequiresSeed(t *testing.T) {
 	_, net := newNet()
@@ -47,9 +47,6 @@ func TestLinkLossRequiresSeed(t *testing.T) {
 	net.AddNode("b", nil)
 	if err := net.AddLink("a", "b", LinkConfig{Bandwidth: 1000}); err != nil {
 		t.Fatal(err)
-	}
-	if err := net.SetLinkLoss("a", "b", 0.5); err == nil {
-		t.Fatal("SetLinkLoss before SeedFailures succeeded")
 	}
 	if err := net.SetLoss(0.5); err == nil {
 		t.Fatal("SetLoss before SeedFailures succeeded")

@@ -11,7 +11,9 @@
 # smoke minus its wall-clock line; a3, whose rows share one generated
 # scenario per seed (a sweep's scenarios come from one generation pass);
 # and the a10 kernel-scale rig's config, events and delivered columns (its
-# wall and events/sec columns are the host's).
+# wall and events/sec columns are the host's). Then each of the examples
+# under examples/, the public testbed, built at BASE and at the tree: an
+# example BASE lacks has no binary there, and its cell differs.
 # A `"workers"` line is stripped the same way: builds that still had the
 # kernel's worker pool print one (a -workers flag that never changed a
 # result), later builds do not.
@@ -27,19 +29,22 @@ trap 'rm -rf "$tmp"' EXIT
 
 mkdir "$tmp/src"
 git archive "$base" | tar -x -C "$tmp/src"
-(cd "$tmp/src" && go build -o "$tmp/base" ./cmd/athena-sim)
-go build -o "$tmp/tree" ./cmd/athena-sim
+mkdir "$tmp/base" "$tmp/tree"
+(cd "$tmp/src" && go build -o "$tmp/base/" ./cmd/athena-sim ./examples/...)
+go build -o "$tmp/tree/" ./cmd/athena-sim ./examples/...
 
 fail=0
 # cols > 0 makes cell compare only the first cols fields of each line.
 cols=0
-# cell NAME ENV ARGS...: run both binaries as `env ENV athena-sim ARGS`.
+# bin is the program cell runs, built on both sides.
+bin=athena-sim
+# cell NAME ENV ARGS...: run both sides' bin as `env ENV bin ARGS`.
 cell() {
 	name="$1" env="$2"
 	shift 2
 	for side in base tree; do
 		# stdout only: stderr carries athena-sim's elapsed-time line.
-		env $env "$tmp/$side" "$@" >"$tmp/$side.out" 2>/dev/null || echo "exit status $?" >>"$tmp/$side.out"
+		env $env "$tmp/$side/$bin" "$@" >"$tmp/$side.out" 2>/dev/null || echo "exit status $?" >>"$tmp/$side.out"
 		sed -i '/"wallSeconds"/d; /"workers"/d' "$tmp/$side.out"
 		if [ "$cols" -gt 0 ]; then
 			awk -v n="$cols" '{ s = $1; for (i = 2; i <= n && i <= NF; i++) s = s " " $i; print s }' \
@@ -67,4 +72,9 @@ done
 cell "smoke -quick (minus wallSeconds)" "" -fig smoke -quick
 cols=3
 cell "fig a10 -quick (config, events, delivered)" "" -fig a10 -quick
+cols=0
+for dir in examples/*/; do
+	bin="$(basename "$dir")"
+	cell "example $bin" ""
+done
 exit "$fail"

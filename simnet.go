@@ -39,16 +39,14 @@ func MustParseName(s string) ContentName { return names.MustParse(s) }
 // paper's fixed grid scenario. Build links first, then nodes, then issue
 // queries and Run.
 type SimNetwork struct {
-	net   *netsim.Network
-	auth  *trust.Authority
-	start time.Time
-	reg   *metrics.Registry
+	net  *netsim.Network
+	auth *trust.Authority
+	reg  *metrics.Registry
 
 	descriptors []SourceDescriptor
 	nodeCfgs    []SimNodeConfig
 	nodes       map[string]*Node
 	built       bool
-	touched     bool
 
 	hbInterval time.Duration
 	hbMiss     int
@@ -64,28 +62,9 @@ func NewSimNetwork(start time.Time) *SimNetwork {
 	return &SimNetwork{
 		net:   netsim.NewAt(start, false, 0),
 		auth:  trust.NewAuthority(),
-		start: start,
 		reg:   metrics.NewRegistry(),
 		nodes: make(map[string]*Node),
 	}
-}
-
-// SetLanePerNode switches the simulation from one lane shared by every
-// node to a kernel lane per node. seed feeds the kernel's canonical
-// merge-order tie-break; the outcome is a pure function of the scenario
-// and seed. Must be called before the first AddLink. Not calling it keeps
-// the shared lane, whose global schedule order is what the recorded
-// goldens pin; same-instant events may order differently between the two
-// layouts.
-func (s *SimNetwork) SetLanePerNode(seed int64) error {
-	if s.built {
-		return errors.New("athena: SetLanePerNode after Build")
-	}
-	if s.touched {
-		return errors.New("athena: SetLanePerNode must be called before AddLink")
-	}
-	s.net = netsim.NewAt(s.start, true, seed)
-	return nil
 }
 
 // Now returns the current virtual time.
@@ -98,13 +77,16 @@ func (s *SimNetwork) AddLink(a, b string, bandwidth float64, latency time.Durati
 	if s.built {
 		return errors.New("athena: AddLink after Build")
 	}
-	s.touched = true
 	s.net.AddNode(a, nil)
 	s.net.AddNode(b, nil)
 	return s.net.AddLink(a, b, netsim.LinkConfig{Bandwidth: bandwidth, Latency: latency})
 }
 
-// SimNodeConfig describes one node for AddNode.
+// SimNodeConfig describes one node for AddNode. Every node it builds
+// trusts all verified annotators, has a 16 MB content store, reads its
+// sensors without noise, and runs with prefetch off, as NewCluster does by
+// default (ablation A2 finds prefetch costs bandwidth and resolution).
+// NewCluster and NewNode take each of these as an option.
 type SimNodeConfig struct {
 	// ID is the node identifier (must appear in at least one AddLink).
 	ID string
@@ -116,25 +98,12 @@ type SimNodeConfig struct {
 	// World is the ground truth this node's annotator reads. Required
 	// for nodes that issue queries or host sensors.
 	World GroundTruth
-	// Policy decides whose shared labels this node accepts (default:
-	// trust all).
-	Policy *trust.Policy
-	// CacheBytes bounds the content store (default 16 MB).
-	CacheBytes int64
-	// EnablePrefetch puts the node in background prefetching: it pushes
-	// for others' queries and announces its own. Off by default, as in
-	// NewCluster: ablation A2 finds it costs bandwidth and resolution.
-	EnablePrefetch bool
-	// SensorNoise is the per-annotation error rate; positive values turn
-	// on corroboration to ConfidenceTarget (Section IV-B).
-	SensorNoise float64
-	// ConfidenceTarget is the corroboration confidence (default 0.95
-	// when SensorNoise > 0).
-	ConfidenceTarget float64
 	// ApproxMinSimilarity enables approximate object substitution
 	// (Section V-A); zero disables.
+	//lint:allow deadoption no caller sets it; ROADMAP item 17 gives approximate matching (Sec. V-A) a recorded row or removes it
 	ApproxMinSimilarity float64
 	// CriticalPrefix marks the critical name space (Section V-C).
+	//lint:allow deadoption no caller sets it; ROADMAP item 17 gives criticality (Sec. V-C) a recorded row or removes it
 	CriticalPrefix ContentName
 	// DisableRetries turns off the timeout/retransmission recovery layer
 	// on this node (useful to contrast behaviour under injected faults).
@@ -164,12 +133,6 @@ func (s *SimNetwork) AddNode(cfg SimNodeConfig) error {
 	if cfg.Scheme == 0 {
 		cfg.Scheme = SchemeLVFL
 	}
-	if cfg.CacheBytes == 0 {
-		cfg.CacheBytes = 16 << 20
-	}
-	if cfg.Policy == nil {
-		cfg.Policy = trust.TrustAll()
-	}
 	if cfg.Source != nil {
 		s.descriptors = append(s.descriptors, *cfg.Source)
 	}
@@ -182,8 +145,8 @@ func (s *SimNetwork) AddNode(cfg SimNodeConfig) error {
 // the shared static index), floods heartbeats every interval, evicts
 // sources that miss `miss` consecutive beats, re-sources their in-flight
 // fetches, and reconciles replicas by anti-entropy after partitions heal.
-// Nodes returning from a SetNodeDown/ScheduleNodeOutage churn re-announce
-// themselves automatically. Must be called before Build/Run.
+// Nodes returning from a ScheduleNodeOutage churn re-announce themselves
+// automatically. Must be called before Build/Run.
 func (s *SimNetwork) EnableMembership(interval time.Duration, miss int) error {
 	if s.built {
 		return errors.New("athena: EnableMembership after Build")
@@ -264,12 +227,10 @@ func (s *SimNetwork) Build() error {
 			World:               cfg.World,
 			Authority:           s.auth,
 			Signer:              s.auth.Register(cfg.ID, []byte("simnet-"+cfg.ID)),
-			Policy:              cfg.Policy,
+			Policy:              trust.TrustAll(),
 			Descriptor:          cfg.Source,
-			CacheBytes:          cfg.CacheBytes,
-			DisablePrefetch:     !cfg.EnablePrefetch,
-			SensorNoise:         cfg.SensorNoise,
-			ConfidenceTarget:    cfg.ConfidenceTarget,
+			CacheBytes:          16 << 20,
+			DisablePrefetch:     true,
 			ApproxMinSimilarity: cfg.ApproxMinSimilarity,
 			CriticalPrefix:      cfg.CriticalPrefix,
 			DisableRetries:      cfg.DisableRetries,
@@ -342,19 +303,8 @@ func (s *SimNetwork) MessagesLost() int64 { return s.net.Stats().MessagesLost }
 // reproduces the same drop pattern.
 func (s *SimNetwork) SeedFailures(seed int64) { s.net.SeedFailures(seed) }
 
-// SetLinkLoss sets the per-message loss probability on the a<->b link.
-func (s *SimNetwork) SetLinkLoss(a, b string, p float64) error {
-	return s.net.SetLinkLoss(a, b, p)
-}
-
 // SetLoss sets the per-message loss probability on every link.
 func (s *SimNetwork) SetLoss(p float64) error { return s.net.SetLoss(p) }
-
-// SetLinkDown takes the a<->b link down (or back up). Messages sent over
-// a down link are silently dropped, like a radio shadow.
-func (s *SimNetwork) SetLinkDown(a, b string, down bool) error {
-	return s.net.SetLinkDown(a, b, down)
-}
 
 // ScheduleLinkOutage takes the a<->b link down at the given virtual
 // instant and restores it after outage.
@@ -362,17 +312,8 @@ func (s *SimNetwork) ScheduleLinkOutage(a, b string, at time.Time, outage time.D
 	return s.net.ScheduleLinkOutage(a, b, at, outage)
 }
 
-// SetNodeDown fails (or revives) a node: while down it neither sends nor
-// receives.
-func (s *SimNetwork) SetNodeDown(id string, down bool) error {
-	return s.net.SetNodeDown(id, down)
-}
-
 // ScheduleNodeOutage fails the node at the given virtual instant and
 // revives it after outage.
 func (s *SimNetwork) ScheduleNodeOutage(id string, at time.Time, outage time.Duration) error {
 	return s.net.ScheduleNodeOutage(id, at, outage)
 }
-
-// OnChurn registers a hook fired whenever a node changes up/down state.
-func (s *SimNetwork) OnChurn(fn func(id string, up bool)) { s.net.OnChurn(fn) }
