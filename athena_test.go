@@ -149,7 +149,7 @@ func TestSimNetworkValidation(t *testing.T) {
 	}
 	// Each membership layer is rejected at the call when the one beneath it
 	// is off, not later at Build.
-	if err := net.EnableGossip(2, 1); err == nil {
+	if err := net.EnableGossip(1); err == nil {
 		t.Error("EnableGossip without EnableMembership accepted")
 	}
 	if err := net.EnableSharding(4, 2); err == nil {
@@ -170,7 +170,6 @@ func TestSimNetworkValidation(t *testing.T) {
 func TestFacadeExperimentRender(t *testing.T) {
 	cfg := athena.DefaultExperiment()
 	cfg.Reps = 1
-	cfg.Dynamics = []float64{0.4}
 	cfg.Schemes = []athena.Scheme{athena.SchemeLVFL}
 	w := athena.DefaultWorkload()
 	w.GridRows, w.GridCols = 4, 4
@@ -181,7 +180,7 @@ func TestFacadeExperimentRender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 1 {
+	if len(points) != 6 { // one scheme at six dynamics
 		t.Fatalf("points = %d", len(points))
 	}
 	if out := athena.RenderFig2(points); !strings.Contains(out, "lvfl") {

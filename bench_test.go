@@ -333,9 +333,8 @@ func BenchmarkAblationNoise(b *testing.B) {
 					b.Fatal(err)
 				}
 				cluster, err := athena.NewCluster(s, athena.ClusterConfig{
-					Scheme:           athena.SchemeLVF,
-					SensorNoise:      noise,
-					ConfidenceTarget: 0.95,
+					Scheme:      athena.SchemeLVF,
+					SensorNoise: noise,
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -43,7 +43,7 @@ var Analyzers = []*Analyzer{
 	{Name: "laneshare", Doc: "code reachable from kernel lane handlers (AtCall/AfterCall/AfterArg) must not write package-level vars or another instance's state outside a mailbox post or a held mutex", Run: runLaneShare},
 	{Name: "floatorder", Doc: "no float accumulation (+=, x = x + v) inside a map range in lane-reachable code; map order makes the rounding, and the run, irreproducible", Run: runFloatOrder},
 	{Name: "wireproto", Doc: "every registered wire type ID has an encode case and a decode case pairing it with its message struct, a WireSize method, a fuzz target, a round-trip test construction, and a handleMessage dispatch case; a Type* registry no codec switch names is itself a finding", Run: runWireProto},
-	{Name: "deadoption", Doc: "every exported field of internal/athena's Config and ClusterConfig and the root's SimNodeConfig is set by some non-test file (bench/ included) outside the one declaring it, a copy of another such field counting only if its source is set; an option nobody sets is a constant", Run: runDeadOption},
+	{Name: "deadoption", Doc: "every exported field of an option struct (an exported struct named Config or ending in Config or Opts) is set by some non-test file (bench/ included) outside the one declaring it, a write through a nested field setting each option on the way and a copy of another option field counting only if its source is set; an option nobody sets is a constant", Run: runDeadOption},
 	{Name: lintkit.DirectiveCheck, Doc: "//lint:allow directives are well-formed (known check, non-empty reason) and actually suppress something", Run: nil}, // enforced by the runner
 }
 

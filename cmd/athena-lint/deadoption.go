@@ -1,29 +1,39 @@
 package main
 
-// Dead-option check. Every exported field of internal/athena's Config and
-// ClusterConfig and of the root package's SimNodeConfig is a value
-// somebody can set, and so a configuration the goldens and the benchmark
-// would have to cover. A field earns that when some non-test file in the
-// walk (bench/ included) writes it, as a composite-literal key or the left
-// side of an assignment, outside the file that declares its struct; one
-// that only its constructor's `if cfg.X <= 0` default writes has one value
-// in use and is a constant. A write that only copies another option field
-// (NewCluster's or SimNetwork.Build's `X: cfg.X`) counts only if something
-// sets the source, so a dead pass-through is reported on both structs at
-// once. The three structs are one owner set for that reason, although
-// they live in two packages.
+// Dead-option check. An option struct is any exported struct type of the
+// module named Config or ending in Config or Opts (athena.Config,
+// ClusterConfig, the root's SimNodeConfig, workload.Config, ...), found
+// by that rule rather than listed, so a new one is owned the day it is
+// declared. Each exported field of one is a value somebody can set, and
+// so a configuration the goldens and the benchmark would have to cover. A
+// field earns that when some non-test file in the walk (bench/ included)
+// writes it, as a composite-literal key or the left side of an
+// assignment, outside the file that declares its struct; one that only
+// its constructor's `if cfg.X <= 0` default writes has one value in use
+// and is a constant. A write through a nested field sets every option on
+// the way: athena-sim's `cfg.Workload.GridRows = 5` sets
+// experiment.Config.Workload as well as GridRows. A write that only
+// copies another option field (NewCluster's or SimNetwork.Build's
+// `X: cfg.X`) counts only if something sets the source, so a dead
+// pass-through is reported on both structs at once. All option structs
+// are one owner set for that reason, although they live in several
+// packages.
 
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
-// optionStructs are the option structs, by package relative to the
-// module root. A fixture declares all of them in its one package.
-var optionStructs = []struct{ pkg, name string }{
-	{"internal/athena", "Config"},
-	{"internal/athena", "ClusterConfig"},
-	{"", "SimNodeConfig"},
+// isOptionStruct reports whether tn names an option struct.
+func isOptionStruct(tn *types.TypeName) bool {
+	name := tn.Name()
+	if tn.IsAlias() || !tn.Exported() ||
+		!(name == "Config" || strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Opts")) {
+		return false
+	}
+	_, ok := tn.Type().Underlying().(*types.Struct)
+	return ok
 }
 
 // deadOptions is the check's module-wide result: every option field, in
@@ -40,13 +50,6 @@ func runDeadOption(p *Pass) {
 		// Nothing in the module can import a fixture.
 		opts = findDeadOptions(p, []*Package{p.Pkg})
 	} else {
-		owns := false
-		for _, s := range optionStructs {
-			owns = owns || s.pkg == p.PkgRel()
-		}
-		if !owns {
-			return
-		}
 		const key = "deadoption"
 		opts, _ = p.Session.Cache[key].(*deadOptions)
 		if opts == nil {
@@ -62,24 +65,22 @@ func runDeadOption(p *Pass) {
 	}
 }
 
-// findDeadOptions collects the option fields of optionStructs declared in
+// findDeadOptions collects the fields of the option structs declared in
 // pkgs and marks those some file of pkgs sets.
 func findDeadOptions(p *Pass, pkgs []*Package) *deadOptions {
 	owner := make(map[*types.Var]string) // exported option field -> its struct
 	var fields []*types.Var              // the same, in declaration order
-	for _, s := range optionStructs {
-		for _, pkg := range pkgs {
-			if !pkg.Fixture && p.Mod.Rel(pkg) != s.pkg {
+	for _, pkg := range pkgs {
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			tn, _ := scope.Lookup(name).(*types.TypeName)
+			if tn == nil || !isOptionStruct(tn) {
 				continue
 			}
-			tn, _ := pkg.Types.Scope().Lookup(s.name).(*types.TypeName)
-			if tn == nil {
-				continue
-			}
-			st, _ := tn.Type().Underlying().(*types.Struct)
-			for i := 0; st != nil && i < st.NumFields(); i++ {
+			st := tn.Type().Underlying().(*types.Struct)
+			for i := 0; i < st.NumFields(); i++ {
 				if f := st.Field(i); f.Exported() {
-					owner[f] = s.name
+					owner[f] = name
 					fields = append(fields, f)
 				}
 			}
@@ -103,15 +104,22 @@ func findDeadOptions(p *Pass, pkgs []*Package) *deadOptions {
 		}
 		for _, file := range pkg.Files {
 			here := p.Mod.Fset.Position(file.Pos()).Filename
+			elsewhere := func(f *types.Var) bool {
+				return f != nil && p.Mod.Fset.Position(f.Pos()).Filename != here
+			}
 			write := func(target, value ast.Expr) {
-				f := field(target)
-				if f == nil || p.Mod.Fset.Position(f.Pos()).Filename == here {
-					return
+				if f := field(target); elsewhere(f) {
+					if src := field(value); src != nil {
+						copies[f] = append(copies[f], src)
+					} else {
+						set[f] = true
+					}
 				}
-				if src := field(value); src != nil {
-					copies[f] = append(copies[f], src)
-				} else {
-					set[f] = true
+				// a.B.C = v writes into a.B: every option on the way is set.
+				for sel, ok := target.(*ast.SelectorExpr); ok; sel, ok = sel.X.(*ast.SelectorExpr) {
+					if f := field(sel.X); elsewhere(f) {
+						set[f] = true
+					}
 				}
 			}
 			ast.Inspect(file, func(node ast.Node) bool {

@@ -6,3 +6,10 @@ func Run() (Config, Config, Config) {
 	cc.Seed = 7
 	return NewCluster(cc), New(Config{ID: "solo", Window: 8}), Build(SimNodeConfig{Zone: "north"})
 }
+
+// Probe sets a probe's workload through a nested field.
+func Probe() ProbeOpts {
+	c := DefaultProbe()
+	c.Workload.Rows = 2
+	return c
+}

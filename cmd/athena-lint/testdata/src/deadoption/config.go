@@ -1,6 +1,6 @@
 // Package deadoption is a fixture corpus for the deadoption check: a
-// miniature of internal/athena's node.go / cluster.go / caller split, with
-// the root package's simnet.go as a third option struct in sim.go.
+// miniature of internal/athena's node.go / cluster.go / caller split, plus
+// simnet.go's struct in sim.go and one owned by its name alone in probe.go.
 // Config and its constructor live here; a write in this file (the
 // constructor's own default) never counts as somebody setting the option.
 package deadoption

@@ -282,7 +282,6 @@ func runDump(seed int64, batchWindow time.Duration) error {
 		Scheme:            athena.SchemeLVF,
 		Workers:           1, // a lane per node
 		HeartbeatInterval: 2 * time.Second,
-		HeartbeatMiss:     3,
 		GossipFanout:      2,
 		ChurnEvents:       3,
 		ChurnOutage:       30 * time.Second,
@@ -328,11 +327,10 @@ func runSmoke(seed int64, quick bool) error {
 	//lint:allow walltime operator-facing elapsed-time report, not simulation state
 	start := time.Now()
 	row, err := experiment.RunMembershipOpts(n, experiment.MembershipOpts{
-		Fanout:        2,
-		Seed:          seed,
-		LanePerNode:   true,
-		Shards:        4 * n,
-		ShardReplicas: 3,
+		Fanout:      2,
+		Seed:        seed,
+		LanePerNode: true,
+		Shards:      4 * n,
 	})
 	if err != nil {
 		return err

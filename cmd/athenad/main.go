@@ -78,14 +78,10 @@ func run() error {
 		deadline  = flag.Duration("deadline", 30*time.Second, "decision deadline for -query")
 		demo      = flag.Bool("demo", false, "run a self-contained two-node TCP demo and exit")
 		heartbeat = flag.Duration("heartbeat", 0, "membership heartbeat interval (0 = static directory; implied 2s when -join is used)")
-		miss      = flag.Int("miss", 3, "missed heartbeats before a source is evicted")
 		gfanout   = flag.Int("gossip-fanout", 0, "SWIM gossip probe fanout per interval (0 = flooded heartbeats)")
-		suspectTO = flag.Duration("suspect-timeout", 0, "silence tolerated after suspicion before eviction (default 3*miss*heartbeat)")
 		status    = flag.String("status", "", "serve the observability endpoint on this address (e.g. :8080): /statusz JSON, /debug/vars, /debug/pprof")
 		shards    = flag.Int("shards", 0, "partition the directory into this many name-prefix shards (0 = full replica; requires -gossip-fanout)")
-		shardRF   = flag.Int("shard-replicas", 3, "replicas per directory shard when -shards is set")
 		batchWin  = flag.Duration("batch-window", 0, "data-plane coalescing window: same-neighbor requests/data merge into batch frames for up to this long (0 = batching off)")
-		batchByte = flag.Int64("batch-bytes", 0, "per-neighbor byte budget that flushes a coalescing queue early (default 256 KiB when -batch-window is set)")
 		peers     repeatable
 		routes    repeatable
 		sources   repeatable
@@ -200,13 +196,9 @@ func run() error {
 		// the pushes cost more bandwidth and resolution than they save.
 		DisablePrefetch:   true,
 		HeartbeatInterval: *heartbeat,
-		HeartbeatMiss:     *miss,
 		GossipFanout:      *gfanout,
-		SuspectTimeout:    *suspectTO,
 		Shards:            *shards,
-		ShardReplicas:     *shardRF,
 		CoalesceWindow:    *batchWin,
-		CoalesceBytes:     *batchByte,
 		Metrics:           reg,
 	})
 	if err != nil {

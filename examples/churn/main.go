@@ -47,7 +47,7 @@ func build(membership bool) (*athena.SimNetwork, *athena.Node, error) {
 	start := time.Date(2026, 1, 1, 9, 0, 0, 0, time.UTC)
 	net := athena.NewSimNetwork(start)
 	if membership {
-		if err := net.EnableMembership(2*time.Second, 3); err != nil {
+		if err := net.EnableMembership(2 * time.Second); err != nil {
 			return nil, nil, err
 		}
 	}

@@ -36,10 +36,10 @@ const cams = 16
 func run() error {
 	start := time.Date(2026, 1, 1, 9, 0, 0, 0, time.UTC)
 	net := athena.NewSimNetwork(start)
-	if err := net.EnableMembership(time.Second, 3); err != nil {
+	if err := net.EnableMembership(time.Second); err != nil {
 		return err
 	}
-	if err := net.EnableGossip(2, 42); err != nil {
+	if err := net.EnableGossip(42); err != nil {
 		return err
 	}
 	// 8 shards, 2 replicas each: with 16 nodes, each node owns roughly

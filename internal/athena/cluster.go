@@ -28,17 +28,14 @@ type ClusterConfig struct {
 	// default: ablation A2 shows the push model costs more bandwidth
 	// than it saves in the Section VII workload.
 	EnablePrefetch bool
-	// SensorNoise / ConfidenceTarget pass through to every node's Config.
-	SensorNoise      float64
-	ConfidenceTarget float64
-	// CoalesceWindow / CoalesceBytes enable data-plane batching on every
-	// node (ablation A11): same-destination requests and data coalesce
-	// into RequestBatch/DataBatch frames for up to CoalesceWindow or
-	// until CoalesceBytes are queued. Zero window (the default) keeps the
+	// SensorNoise passes through to every node's Config (ablation A5).
+	SensorNoise float64
+	// CoalesceWindow enables data-plane batching on every node (ablation
+	// A11): same-destination requests and data coalesce into
+	// RequestBatch/DataBatch frames for up to CoalesceWindow or until the
+	// node's byte budget is queued. Zero window (the default) keeps the
 	// one-frame-per-message data plane, byte for byte.
 	CoalesceWindow time.Duration
-	//lint:allow deadoption only TestUnbatchedUnchangedByBatchingLayer sets it, to pin that a budget without a window is inert
-	CoalesceBytes int64
 	// DisableRetries turns the recovery layer off on every node
 	// (ablation A6 baseline).
 	DisableRetries bool
@@ -48,21 +45,18 @@ type ClusterConfig struct {
 	LinkLoss float64
 	// HeartbeatInterval enables the live-membership layer (ablation A7):
 	// every node gets its own directory replica fed by advertisements,
-	// floods heartbeats, evicts silent sources after HeartbeatMiss missed
-	// beats, re-sources their in-flight fetches, and reconciles replicas
-	// by anti-entropy. Zero (the default) keeps the pre-membership shared
+	// floods heartbeats, evicts sources silent for heartbeatMiss beats,
+	// re-sources their in-flight fetches, and reconciles replicas by
+	// anti-entropy. Zero (the default) keeps the pre-membership shared
 	// static directory.
 	HeartbeatInterval time.Duration
-	// HeartbeatMiss is the failure detector tolerance in missed beats
-	// (default 3).
-	HeartbeatMiss int
 	// GossipFanout switches the membership layer from flooded heartbeats
 	// to SWIM-style gossip (ablation A8): each interval every node probes
 	// this many sampled peers, failure detection goes through indirect
 	// ping-req and a suspicion timeout, and membership updates ride as
 	// piggybacked deltas on the probe traffic. Zero (the default) keeps
-	// the flood protocol. Requires HeartbeatInterval > 0. Suspects get
-	// Config.SuspectTimeout's default, 3×HeartbeatMiss intervals.
+	// the flood protocol. Requires HeartbeatInterval > 0. Suspects are
+	// evicted after suspectPeriods silent intervals.
 	GossipFanout int
 	// Shards partitions every node's directory replica into this many
 	// name-prefix shards (ablation A9): each shard is replicated on
@@ -193,12 +187,9 @@ func NewCluster(s *workload.Scenario, cfg ClusterConfig) (*Cluster, error) {
 			CacheBytes:        cfg.CacheBytes,
 			DisablePrefetch:   !cfg.EnablePrefetch,
 			CoalesceWindow:    cfg.CoalesceWindow,
-			CoalesceBytes:     cfg.CoalesceBytes,
 			SensorNoise:       cfg.SensorNoise,
-			ConfidenceTarget:  cfg.ConfidenceTarget,
 			DisableRetries:    cfg.DisableRetries,
 			HeartbeatInterval: cfg.HeartbeatInterval,
-			HeartbeatMiss:     cfg.HeartbeatMiss,
 			GossipFanout:      cfg.GossipFanout,
 			GossipSeed:        s.Config.Seed,
 			Shards:            cfg.Shards,

@@ -197,6 +197,8 @@ func (r *coalesceRig) take() []sentFrame {
 
 const testWindow = 10 * time.Millisecond
 
+// newCoalesceRig builds the node under test with batching on and its
+// per-neighbor byte budget (coalesceBudget in production) set to budget.
 func newCoalesceRig(t *testing.T, budget int64) *coalesceRig {
 	t.Helper()
 	r := &coalesceRig{now: tBase}
@@ -205,12 +207,13 @@ func newCoalesceRig(t *testing.T, budget int64) *coalesceRig {
 		ID: "b", Transport: r, Router: &StaticRouter{Self: "b"}, Timers: r,
 		Scheme: SchemeLVF, Directory: NewDirectory([]object.Descriptor{dispatchDesc("a"), dispatchDesc("c")}),
 		Authority: auth, Signer: auth.Register("b", []byte("k-b")), Policy: trust.TrustAll(),
-		DisablePrefetch: true, CoalesceWindow: testWindow, CoalesceBytes: budget,
+		DisablePrefetch: true, CoalesceWindow: testWindow,
 		CriticalPrefix: names.MustParse("/crit"),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	n.coalesce.budget = budget
 	r.n = n
 	return r
 }

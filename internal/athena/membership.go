@@ -13,7 +13,7 @@ import (
 // This file implements the live-membership layer (the deployment half of
 // the paper's semantic lookup service, refs [8][9]): nodes advertise their
 // source streams, flood heartbeats so every replica's failure detector
-// hears every live node, evict sources that miss HeartbeatMiss beats,
+// hears every live node, evict sources that miss heartbeatMiss beats,
 // re-source in-flight fetches of evicted sources, and reconcile diverged
 // directory replicas and label caches with push-pull anti-entropy after a
 // partition heals. The same code path runs over the deterministic
@@ -37,7 +37,6 @@ type membership struct {
 
 // floodProto is what the flood protocol keeps beyond the shared state.
 type floodProto struct {
-	miss     int               // silent intervals before a source is evicted
 	beatSeq  uint64            // this node's heartbeat counter
 	seenBeat map[string]uint64 // node -> highest heartbeat re-flooded
 }
@@ -51,7 +50,7 @@ func newMembership(cfg Config) *membership {
 	if cfg.GossipFanout > 0 {
 		mem.swim = newSwim(cfg)
 	} else {
-		mem.flood = &floodProto{miss: cfg.HeartbeatMiss, seenBeat: make(map[string]uint64)}
+		mem.flood = &floodProto{seenBeat: make(map[string]uint64)}
 	}
 	return mem
 }
@@ -67,7 +66,7 @@ func (mem *membership) liveness(src string, present bool, now time.Time) (last t
 		_, suspected := mem.swim.suspects[src]
 		return last, present && !suspected
 	}
-	return last, heard && now.Sub(last) <= time.Duration(mem.flood.miss)*mem.interval
+	return last, heard && now.Sub(last) <= heartbeatMiss*mem.interval
 }
 
 // memberTick runs one protocol period — a flooded heartbeat, or a SWIM
@@ -95,9 +94,9 @@ func (n *Node) heartbeatTick() {
 	n.stats.HeartbeatsSent++
 
 	// Failure detection: a present source (other than us) that has been
-	// silent for HeartbeatMiss intervals is evicted. A source we have never
+	// silent for heartbeatMiss intervals is evicted. A source we have never
 	// heard from gets its grace clock armed now.
-	deadline := time.Duration(mem.flood.miss) * mem.interval
+	deadline := heartbeatMiss * mem.interval
 	for _, src := range n.dir.Sources() {
 		if src == n.id {
 			continue

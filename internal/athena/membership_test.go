@@ -23,7 +23,7 @@ type memberRig struct {
 	nodes map[string]*Node
 }
 
-func buildMemberRig(t *testing.T, world staticWorld, interval time.Duration, miss int) *memberRig {
+func buildMemberRig(t *testing.T, world staticWorld, interval time.Duration) *memberRig {
 	t.Helper()
 	sched := simclock.New(tBase)
 	net := netsim.New(sched)
@@ -73,7 +73,6 @@ func buildMemberRig(t *testing.T, world staticWorld, interval time.Duration, mis
 			CacheBytes:        8 << 20,
 			DisablePrefetch:   true,
 			HeartbeatInterval: interval,
-			HeartbeatMiss:     miss,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -95,7 +94,7 @@ func (r *memberRig) run(t *testing.T, until time.Duration) {
 // before the retry layer alone would have.
 func TestMembershipEvictsSilentSourceAndReSources(t *testing.T) {
 	world := staticWorld{"shared": true}
-	r := buildMemberRig(t, world, time.Second, 3)
+	r := buildMemberRig(t, world, time.Second)
 
 	// srcA (the preferred, cheaper source) is dead from the start.
 	if err := r.net.SetNodeDown("srcA", true); err != nil {
@@ -142,7 +141,7 @@ func TestMembershipEvictsSilentSourceAndReSources(t *testing.T) {
 func TestMembershipPartitionHealAntiEntropy(t *testing.T) {
 	runOnce := func(t *testing.T) (Stats, Stats) {
 		world := staticWorld{"shared": true, "la1": true}
-		r := buildMemberRig(t, world, time.Second, 3)
+		r := buildMemberRig(t, world, time.Second)
 
 		// Partition srcC away from {srcA, mid} between t=2s and t=15s.
 		if err := r.net.ScheduleLinkOutage("mid", "srcC", tBase.Add(2*time.Second), 13*time.Second); err != nil {
@@ -204,7 +203,7 @@ func TestMembershipPartitionHealAntiEntropy(t *testing.T) {
 // miss budget) and a later stale re-advertisement cannot resurrect it.
 func TestMembershipGracefulLeave(t *testing.T) {
 	world := staticWorld{"shared": true}
-	r := buildMemberRig(t, world, time.Second, 3)
+	r := buildMemberRig(t, world, time.Second)
 
 	r.sched.After(2*time.Second, func() {
 		if err := r.nodes["srcA"].Leave(); err != nil {

@@ -237,9 +237,6 @@ type Config struct {
 	// byte. Queries close to their deadline flush immediately and
 	// critical-namespace traffic bypasses the queue.
 	CoalesceWindow time.Duration
-	// CoalesceBytes is the per-neighbor byte budget that forces a flush
-	// before the window expires (default 256 KiB when batching is on).
-	CoalesceBytes int64
 	// ApproxMinSimilarity enables approximate object substitution
 	// (Section V-A): a cached object whose name similarity to the
 	// requested one is at least this threshold may answer the request,
@@ -254,19 +251,14 @@ type Config struct {
 	CriticalPrefix names.Name
 	// SensorNoise is the probability a single annotation misreads its
 	// evidence (Section IV-B). When positive, labels are corroborated
-	// across multiple evidence objects until ConfidenceTarget is reached.
+	// across multiple evidence objects until the posterior confidence
+	// reaches confidenceTarget.
 	SensorNoise float64
-	// ConfidenceTarget is the required posterior confidence for noisy
-	// labels (default 0.95 when SensorNoise > 0).
-	ConfidenceTarget float64
 	// HeartbeatInterval enables the live-membership layer: the node floods
-	// a heartbeat every interval, evicts sources that miss HeartbeatMiss
+	// a heartbeat every interval, evicts sources that miss heartbeatMiss
 	// beats, and reconciles directory replicas by anti-entropy. Zero (the
 	// default) keeps the directory static — the pre-membership behavior.
 	HeartbeatInterval time.Duration
-	// HeartbeatMiss is the failure detector's tolerance in missed
-	// heartbeat intervals before a silent source is evicted (default 3).
-	HeartbeatMiss int
 	// GossipFanout switches the membership layer from flooded heartbeats
 	// to SWIM-style peer-sampled gossip: each heartbeat interval the node
 	// pings this many sampled members directly instead of flooding,
@@ -275,17 +267,6 @@ type Config struct {
 	// on ping/ack instead of being flooded. Zero (the default) keeps the
 	// flood protocol. Requires HeartbeatInterval > 0.
 	GossipFanout int
-	// SuspectTimeout is how long an unacknowledged probe target stays
-	// suspect before eviction (default 3×HeartbeatMiss heartbeat
-	// intervals). Unlike the flood detector — whose redundant delivery
-	// paths refresh liveness from any direction — a sampled probe rides
-	// one route, so the window must also cover worst-case head-of-line
-	// blocking behind bulk object transfers on that route. Suspicion is
-	// cleared by any contact, suspects are re-probed every period, and
-	// the window self-dilates under local congestion (Lifeguard-style
-	// local health multiplier), so shorter values are safe on idle or
-	// fast networks.
-	SuspectTimeout time.Duration
 	// GossipSeed seeds the deterministic peer-sampling RNG; the node's own
 	// id is mixed in, so one scenario seed serves a whole fleet.
 	GossipSeed int64
@@ -353,6 +334,24 @@ const (
 	// shardCacheSize bounds the LRU of remote lookup results a sharded
 	// node keeps, in labels.
 	shardCacheSize = 256
+	// heartbeatMiss is the failure detector's tolerance: a source silent
+	// for this many heartbeat intervals is evicted (flooded heartbeats).
+	heartbeatMiss = 3
+	// suspectPeriods is how many heartbeat intervals an unacknowledged
+	// probe target stays suspect before eviction (SWIM gossip): three miss
+	// budgets. Unlike the flood detector, whose redundant delivery paths
+	// refresh liveness from any direction, a sampled probe rides one
+	// route, so the window must also cover head-of-line blocking behind
+	// bulk object transfers on that route. Any contact clears suspicion,
+	// suspects are re-probed every period, and the window dilates under
+	// local congestion (the local health multiplier, swim.go).
+	suspectPeriods = 3 * heartbeatMiss
+	// coalesceBudget is the per-neighbor byte budget that flushes a
+	// coalescing queue before its window expires (DESIGN §3.3 rule 4).
+	coalesceBudget = 256 << 10
+	// confidenceTarget is the posterior confidence a noisy label is
+	// corroborated to (Section IV-B; SensorNoise > 0).
+	confidenceTarget = 0.95
 )
 
 type localQuery struct {
@@ -506,7 +505,6 @@ type Node struct {
 	approxMinSim     float64
 	criticalPrefix   names.Name
 	sensorNoise      float64
-	confTarget       float64
 
 	// The parts that are on, each owning its state: data-plane batching
 	// (coalesce.go), prefetch (prefetch.go), live membership (membership.go;
@@ -552,22 +550,8 @@ func New(cfg Config) (*Node, error) {
 	if cfg.RetryBandwidth <= 0 {
 		cfg.RetryBandwidth = 50_000
 	}
-	if cfg.SensorNoise > 0 && cfg.ConfidenceTarget <= 0 {
-		cfg.ConfidenceTarget = 0.95
-	}
-	if cfg.CoalesceWindow > 0 && cfg.CoalesceBytes <= 0 {
-		cfg.CoalesceBytes = 256 << 10
-	}
-	if cfg.HeartbeatInterval > 0 && cfg.HeartbeatMiss <= 0 {
-		cfg.HeartbeatMiss = 3
-	}
-	if cfg.GossipFanout > 0 {
-		if cfg.HeartbeatInterval <= 0 {
-			return nil, errors.New("athena: GossipFanout requires HeartbeatInterval")
-		}
-		if cfg.SuspectTimeout <= 0 {
-			cfg.SuspectTimeout = 3 * time.Duration(cfg.HeartbeatMiss) * cfg.HeartbeatInterval
-		}
+	if cfg.GossipFanout > 0 && cfg.HeartbeatInterval <= 0 {
+		return nil, errors.New("athena: GossipFanout requires HeartbeatInterval")
 	}
 	if cfg.Shards > 0 {
 		if cfg.GossipFanout <= 0 {
@@ -601,11 +585,10 @@ func New(cfg Config) (*Node, error) {
 		approxMinSim:     cfg.ApproxMinSimilarity,
 		criticalPrefix:   cfg.CriticalPrefix,
 		sensorNoise:      cfg.SensorNoise,
-		confTarget:       cfg.ConfidenceTarget,
 	}
 	n.stopper, _ = cfg.Timers.(StopTimers)
 	if cfg.CoalesceWindow > 0 {
-		n.coalesce = &coalescer{window: cfg.CoalesceWindow, budget: cfg.CoalesceBytes, queues: make(map[string]*sendQueue)}
+		n.coalesce = &coalescer{window: cfg.CoalesceWindow, budget: coalesceBudget, queues: make(map[string]*sendQueue)}
 	}
 	if !cfg.DisablePrefetch {
 		n.prefetch = &prefetcher{pushedVersions: make(map[string]uint64)}

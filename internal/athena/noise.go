@@ -13,7 +13,7 @@ import (
 // This file implements the Section IV-B noisy-sensor machinery: a single
 // annotation misreads its evidence with probability SensorNoise, so query
 // origins corroborate each label across multiple evidence objects until
-// the posterior confidence reaches ConfidenceTarget, and the scheduler
+// the posterior confidence reaches confidenceTarget, and the scheduler
 // widens source selection to gather that corroborating evidence.
 
 // noisyReading deterministically corrupts an annotation: the flip decision
@@ -45,7 +45,7 @@ func (n *Node) corroborate(q *localQuery, label string, obj *object.Object, true
 	cs := q.corr[label]
 	if cs == nil {
 		cs = &corrState{
-			c:            &annotate.Corroborator{Target: n.confTarget, Eps: n.sensorNoise},
+			c:            &annotate.Corroborator{Target: confidenceTarget, Eps: n.sensorNoise},
 			votedVersion: make(map[string]bool),
 			nameExpiry:   make(map[string]time.Time),
 		}

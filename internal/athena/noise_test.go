@@ -76,7 +76,7 @@ func buildNoisyRig(t *testing.T, noise float64, nSources int) (*simclock.Schedul
 			Meta: meta, World: world, Authority: auth,
 			Signer: auth.Register(id, []byte(id)), Policy: trust.TrustAll(),
 			Descriptor: d, CacheBytes: 8 << 20, DisablePrefetch: true,
-			SensorNoise: noise, ConfidenceTarget: 0.95,
+			SensorNoise: noise,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -32,7 +32,6 @@ func runEngine(t *testing.T, lanePerNode bool, churn int, gossip bool) Outcome {
 	ccfg := ClusterConfig{
 		Scheme:            SchemeLVF,
 		HeartbeatInterval: 2 * time.Second,
-		HeartbeatMiss:     3,
 		ChurnEvents:       churn,
 		ChurnOutage:       30 * time.Second,
 	}

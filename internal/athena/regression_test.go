@@ -8,8 +8,8 @@ import (
 )
 
 // runCoalesceScenario runs the pin scenario with the given coalescing
-// settings on the sequential reference scheduler.
-func runCoalesceScenario(t *testing.T, window time.Duration, budget int64) Outcome {
+// window on the sequential reference scheduler.
+func runCoalesceScenario(t *testing.T, window time.Duration) Outcome {
 	t.Helper()
 	wcfg := workload.DefaultConfig()
 	wcfg.GridRows, wcfg.GridCols = 5, 5
@@ -24,7 +24,6 @@ func runCoalesceScenario(t *testing.T, window time.Duration, budget int64) Outco
 	cluster, err := NewCluster(s, ClusterConfig{
 		Scheme:         SchemeLVF,
 		CoalesceWindow: window,
-		CoalesceBytes:  budget,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -40,15 +39,14 @@ func runCoalesceScenario(t *testing.T, window time.Duration, budget int64) Outco
 // the coalescing layer: with CoalesceWindow zero the data plane is
 // byte-for-byte the pre-batching node — the goldens below were recorded
 // from the baseline this layer landed on, and any drift in them means the
-// off path is no longer inert. A non-zero CoalesceBytes without a window
-// must be equally inert (the budget only bounds an enabled queue).
+// off path is no longer inert.
 func TestUnbatchedUnchangedByBatchingLayer(t *testing.T) {
 	const (
 		goldenBytes    = int64(67446971)
 		goldenIssued   = 24
 		goldenResolved = 22
 	)
-	off := runCoalesceScenario(t, 0, 0)
+	off := runCoalesceScenario(t, 0)
 	if off.TotalBytes != goldenBytes {
 		t.Errorf("unbatched TotalBytes = %d, golden %d: the off path is no longer byte-identical",
 			off.TotalBytes, goldenBytes)
@@ -60,12 +58,6 @@ func TestUnbatchedUnchangedByBatchingLayer(t *testing.T) {
 	if off.Node.BatchesSent != 0 || off.Node.BatchedMsgs != 0 || off.Node.BatchBytesSaved != 0 {
 		t.Errorf("unbatched run shipped batches: %+v", off.Node)
 	}
-
-	budgetOnly := runCoalesceScenario(t, 0, 1<<20)
-	if budgetOnly.TotalBytes != off.TotalBytes || budgetOnly.Node != off.Node {
-		t.Errorf("CoalesceBytes without a window changed the run:\n%+v\nvs\n%+v",
-			budgetOnly.Node, off.Node)
-	}
 }
 
 // TestBatchedMatchesUnbatchedDecisions runs the pin scenario with
@@ -73,8 +65,8 @@ func TestUnbatchedUnchangedByBatchingLayer(t *testing.T) {
 // query still resolves to the same decisions, batches actually ship, and
 // the data plane crosses the network in fewer frames for fewer bytes.
 func TestBatchedMatchesUnbatchedDecisions(t *testing.T) {
-	off := runCoalesceScenario(t, 0, 0)
-	on := runCoalesceScenario(t, 10*time.Millisecond, 0)
+	off := runCoalesceScenario(t, 0)
+	on := runCoalesceScenario(t, 10*time.Millisecond)
 	if on.QueriesIssued != off.QueriesIssued || on.ResolvedTrue != off.ResolvedTrue ||
 		on.ResolvedFalse != off.ResolvedFalse {
 		t.Errorf("batched resolution diverged: %d issued (%d true, %d false) vs %d (%d, %d)",

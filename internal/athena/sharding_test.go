@@ -77,7 +77,6 @@ func buildShardRig(t *testing.T, n, shards, rf int, seed int64) *shardRig {
 			CacheBytes:        8 << 20,
 			DisablePrefetch:   true,
 			HeartbeatInterval: time.Second,
-			HeartbeatMiss:     3,
 			GossipFanout:      2,
 			GossipSeed:        seed,
 			Shards:            shards,

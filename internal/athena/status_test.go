@@ -73,7 +73,6 @@ func buildStatusRig(t *testing.T, world staticWorld) (*memberRig, map[string]*me
 			CacheBytes:        8 << 20,
 			DisablePrefetch:   true,
 			HeartbeatInterval: time.Second,
-			HeartbeatMiss:     3,
 			Metrics:           regs[id],
 		})
 		if err != nil {
@@ -273,7 +272,6 @@ func TestRegistryCountsMatchStats(t *testing.T) {
 		Scheme:            SchemeLVF,
 		Workers:           1,
 		HeartbeatInterval: 2 * time.Second,
-		HeartbeatMiss:     3,
 		GossipFanout:      2,
 		ChurnEvents:       3,
 		ChurnOutage:       30 * time.Second,

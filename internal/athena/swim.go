@@ -13,10 +13,10 @@ import (
 // heartbeats. Each protocol period a node pings GossipFanout members drawn
 // from a deterministic round-robin sampler; an unacknowledged probe makes
 // the target suspect and is retried indirectly through gossipIndirect
-// intermediaries (ping-req); a suspect still silent after SuspectTimeout
-// is evicted and the eviction notice disseminates epidemically. All
-// membership updates — joins, leaves, evictions, refutations — ride as
-// bounded piggyback buffers on ping/ack with per-update retransmit
+// intermediaries (ping-req); a suspect still silent after suspectPeriods
+// intervals is evicted and the eviction notice disseminates epidemically.
+// All membership updates — joins, leaves, evictions, refutations — ride
+// as bounded piggyback buffers on ping/ack with per-update retransmit
 // budgets of λ·⌈log₂(n+1)⌉ transmissions, so the AdvertGossip/PeerLeave
 // floods and the periodic digest sync of the flood protocol collapse into
 // the probe channel. Directory divergence detected by a probe's digest
@@ -57,7 +57,7 @@ func newSwim(cfg Config) *swimProto {
 	h.Write([]byte(cfg.ID))
 	return &swimProto{
 		fanout:     cfg.GossipFanout,
-		suspectTO:  cfg.SuspectTimeout,
+		suspectTO:  suspectPeriods * cfg.HeartbeatInterval,
 		sampler:    gossip.NewSampler(cfg.GossipSeed ^ int64(h.Sum64())),
 		samplerVer: ^uint64(0),
 		piggy:      gossip.NewQueue(),
@@ -147,11 +147,11 @@ const lhmMax = 8
 // sweepSuspects clears suspicions answered since they were raised and
 // evicts suspects that stayed silent through the whole suspicion window,
 // disseminating each eviction as a piggybacked death notice. The window
-// is SuspectTimeout dilated by the local health multiplier: when this
-// node's probes are failing across the board the problem is local (its
-// links, or fleet-wide congestion), so eviction verdicts wait; when only
-// the suspect is silent while other acks flow, lhm sits at zero and
-// detection stays fast. Callers hold n.mu.
+// is suspectPeriods intervals dilated by the local health multiplier:
+// when this node's probes are failing across the board the problem is
+// local (its links, or fleet-wide congestion), so eviction verdicts wait;
+// when only the suspect is silent while other acks flow, lhm sits at zero
+// and detection stays fast. Callers hold n.mu.
 func (n *Node) sweepSuspects(now time.Time) {
 	sw := n.member.swim
 	window := time.Duration(1+sw.lhm) * sw.suspectTO
@@ -218,8 +218,8 @@ func (n *Node) refreshSampler() {
 
 // sendProbe opens one direct probe of target and arms the suspicion
 // machinery: no ack within half a period → indirect ping-req through
-// intermediaries; still nothing heard from the target by SuspectTimeout →
-// eviction. Callers hold n.mu.
+// intermediaries; still nothing heard from the target for
+// suspectPeriods intervals → eviction. Callers hold n.mu.
 func (n *Node) sendProbe(target string, now time.Time) {
 	if target == n.id {
 		return

@@ -66,7 +66,6 @@ func buildGossipRig(t *testing.T, n, fanout int, seed int64) *gossipRig {
 			CacheBytes:        8 << 20,
 			DisablePrefetch:   true,
 			HeartbeatInterval: time.Second,
-			HeartbeatMiss:     3,
 			GossipFanout:      fanout,
 			GossipSeed:        seed,
 		})
@@ -301,8 +300,7 @@ func TestGossipControlPlaneCheaperThanFlood(t *testing.T) {
 				World: staticWorld{"ok": true}, Authority: auth,
 				Signer: auth.Register(id, []byte("k-"+id)), Policy: trust.TrustAll(),
 				Descriptor: &desc, CacheBytes: 8 << 20, DisablePrefetch: true,
-				HeartbeatInterval: time.Second, HeartbeatMiss: 3,
-				GossipFanout: fanout, GossipSeed: 31,
+				HeartbeatInterval: time.Second, GossipFanout: fanout, GossipSeed: 31,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -576,7 +576,6 @@ func TestTCPMembershipLifecycle(t *testing.T) {
 			Signer: auth.Register(id, []byte(id)), Policy: trust.TrustAll(),
 			Descriptor: d, CacheBytes: 8 << 20,
 			HeartbeatInterval: 100 * time.Millisecond,
-			HeartbeatMiss:     3,
 		})
 		if err != nil {
 			tr.Close()
@@ -706,9 +705,7 @@ func TestTCPGossipJoinAddressDissemination(t *testing.T) {
 			Signer: auth.Register(id, []byte(id)), Policy: trust.TrustAll(),
 			Descriptor: d, CacheBytes: 8 << 20,
 			HeartbeatInterval: 100 * time.Millisecond,
-			HeartbeatMiss:     3,
 			GossipFanout:      2,
-			SuspectTimeout:    300 * time.Millisecond,
 		})
 		if err != nil {
 			tr.Close()
@@ -754,8 +751,9 @@ func TestTCPGossipJoinAddressDissemination(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Several suspicion windows (300ms timeout, 100ms probe interval):
-	// long enough that an undeliverable probe path would have evicted.
+	// More than three suspicion windows: a suspect is evicted after
+	// suspectPeriods (3 × heartbeatMiss = 9) silent 100ms intervals, 900ms,
+	// so an undeliverable probe path would have evicted well within 3s.
 	time.Sleep(3 * time.Second)
 
 	for _, n := range []*athena.Node{origin, camA, camB} {

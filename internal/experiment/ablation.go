@@ -52,70 +52,56 @@ func RenderAblation(title, extraHeader string, rows []AblationRow) string {
 	return b.String()
 }
 
-// aggregate runs one cluster built by mk on each repetition's scenario,
-// on a bounded pool, and averages outcomes. Every row of an ablation
-// passes the same scens (see scenarios): generated once, read by all.
-func aggregate(cfg Config, scens []*workload.Scenario, mk func(*workload.Scenario) (*athena.Cluster, error)) (AblationRow, error) {
-	return aggregateExtra(cfg, scens, mk, func(out athena.Outcome) float64 {
-		return float64(out.Node.LabelAnswers)
+// aggregate runs cc on each repetition's scenario, on a bounded pool,
+// and averages the outcomes into one row; extra, when not nil, fills the
+// row's Extra column with its mean. Every row of an ablation passes the
+// same scens (see scenarios): generated once, read by all.
+func aggregate(cfg Config, scens []*workload.Scenario, cc athena.ClusterConfig, extra func(athena.Outcome) float64) (AblationRow, error) {
+	outs, err := runAll(cfg, len(scens), func(r int) (*workload.Scenario, athena.ClusterConfig) {
+		return scens[r], cc
 	})
+	if err != nil {
+		return AblationRow{}, err
+	}
+	p := foldOutcomes(outs)
+	row := AblationRow{Ratio: p.Ratio, MeanMB: p.MeanMB, MeanLatency: p.MeanLatency, HitRatio: p.HitRatio, Retries: p.Retries}
+	if extra != nil {
+		for _, out := range outs {
+			row.Extra += extra(out)
+		}
+		row.Extra /= float64(len(outs))
+	}
+	return row, nil
 }
 
-// aggregateExtra is aggregate with a custom Extra-column reducer.
-func aggregateExtra(cfg Config, scens []*workload.Scenario, mk func(*workload.Scenario) (*athena.Cluster, error), extra func(athena.Outcome) float64) (AblationRow, error) {
-	type res struct {
-		out athena.Outcome
-		err error
-	}
-	results := make([]res, len(scens))
-	runPool(len(scens), cfg.Parallelism, func(r int) {
-		cluster, err := mk(scens[r])
-		if err != nil {
-			results[r] = res{err: err}
-			return
-		}
-		out, err := cluster.Run()
-		results[r] = res{out: out, err: err}
-	})
-
-	outs := make([]athena.Outcome, len(results))
-	for i, r := range results {
-		if r.err != nil {
-			return AblationRow{}, r.err
-		}
-		outs[i] = r.out
-	}
-	return foldOutcomes(outs, extra), nil
-}
-
-// foldOutcomes averages repetition outcomes into one row. Latency is
-// weighted by each repetition's resolved-query count so repetitions that
-// resolved nothing (and so report zero latency) do not dilute the mean.
-func foldOutcomes(outs []athena.Outcome, extra func(athena.Outcome) float64) AblationRow {
-	var row AblationRow
+// foldOutcomes averages repetition outcomes, in the order given, into one
+// Point (scheme and dynamics left for the caller). Latency is weighted by
+// each repetition's resolved-query count so repetitions that resolved
+// nothing (and so report zero latency) do not dilute the mean.
+func foldOutcomes(outs []athena.Outcome) Point {
+	p := Point{RatioMin: 2, RatioMax: -1, Reps: len(outs)}
 	var lat time.Duration
 	resolved := 0
 	for _, out := range outs {
-		row.Ratio += out.ResolutionRatio()
-		row.MeanMB += float64(out.TotalBytes) / (1 << 20)
-		row.HitRatio += out.CacheHitRatio()
-		row.Retries += float64(out.RetryCount())
-		if extra != nil {
-			row.Extra += extra(out)
-		}
+		ratio := out.ResolutionRatio()
+		p.Ratio += ratio
+		p.RatioMin = min(p.RatioMin, ratio)
+		p.RatioMax = max(p.RatioMax, ratio)
+		p.MeanMB += float64(out.TotalBytes) / (1 << 20)
+		p.HitRatio += out.CacheHitRatio()
+		p.Retries += float64(out.RetryCount())
 		lat += out.MeanLatency * time.Duration(out.QueriesResolved)
 		resolved += out.QueriesResolved
 	}
 	n := float64(len(outs))
-	row.Ratio /= n
-	row.MeanMB /= n
-	row.HitRatio /= n
-	row.Retries /= n
-	row.Extra /= n
+	p.Ratio /= n
+	p.MeanMB /= n
+	p.HitRatio /= n
+	p.Retries /= n
 	if resolved > 0 {
-		row.MeanLatency = lat / time.Duration(resolved)
+		p.MeanLatency = lat / time.Duration(resolved)
 	}
-	return row
+	return p
 }
 
 // AblationLabelSharing (A1) sweeps the trusted-annotator fraction under
@@ -127,22 +113,15 @@ func AblationLabelSharing(cfg Config) ([]AblationRow, error) {
 		return nil, err
 	}
 	var rows []AblationRow
-	mk := func(scheme athena.Scheme, trust float64) func(*workload.Scenario) (*athena.Cluster, error) {
-		return func(s *workload.Scenario) (*athena.Cluster, error) {
-			ccfg := cfg.Cluster
-			ccfg.Scheme = scheme
-			ccfg.TrustFraction = trust
-			return athena.NewCluster(s, ccfg)
-		}
-	}
-	row, err := aggregate(cfg, scens, mk(athena.SchemeLVF, 1))
+	labelAnswers := func(out athena.Outcome) float64 { return float64(out.Node.LabelAnswers) }
+	row, err := aggregate(cfg, scens, athena.ClusterConfig{Scheme: athena.SchemeLVF, TrustFraction: 1}, labelAnswers)
 	if err != nil {
 		return nil, err
 	}
 	row.Label = "lvf (no share)"
 	rows = append(rows, row)
 	for _, trust := range []float64{0.25, 0.5, 0.75, 1.0} {
-		row, err := aggregate(cfg, scens, mk(athena.SchemeLVFL, trust))
+		row, err := aggregate(cfg, scens, athena.ClusterConfig{Scheme: athena.SchemeLVFL, TrustFraction: trust}, labelAnswers)
 		if err != nil {
 			return nil, err
 		}
@@ -161,13 +140,7 @@ func AblationPrefetch(cfg Config) ([]AblationRow, error) {
 	}
 	var rows []AblationRow
 	for _, enable := range []bool{false, true} {
-		enable := enable
-		row, err := aggregate(cfg, scens, func(s *workload.Scenario) (*athena.Cluster, error) {
-			ccfg := cfg.Cluster
-			ccfg.Scheme = athena.SchemeLVF
-			ccfg.EnablePrefetch = enable
-			return athena.NewCluster(s, ccfg)
-		})
+		row, err := aggregate(cfg, scens, athena.ClusterConfig{Scheme: athena.SchemeLVF, EnablePrefetch: enable}, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -191,13 +164,7 @@ func AblationCache(cfg Config) ([]AblationRow, error) {
 	// A capacity of 1 byte fits nothing: effectively no caching. (The
 	// cluster treats 0 as "use the default".)
 	for _, capBytes := range []int64{-1, 16 << 20, 4 << 20, 1 << 20, 1} {
-		capBytes := capBytes
-		row, err := aggregate(cfg, scens, func(s *workload.Scenario) (*athena.Cluster, error) {
-			ccfg := cfg.Cluster
-			ccfg.Scheme = athena.SchemeLVF
-			ccfg.CacheBytes = capBytes
-			return athena.NewCluster(s, ccfg)
-		})
+		row, err := aggregate(cfg, scens, athena.ClusterConfig{Scheme: athena.SchemeLVF, CacheBytes: capBytes}, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -224,14 +191,7 @@ func AblationNoise(cfg Config) ([]AblationRow, error) {
 	}
 	var rows []AblationRow
 	for _, noise := range []float64{0, 0.1, 0.2, 0.3} {
-		noise := noise
-		row, err := aggregate(cfg, scens, func(s *workload.Scenario) (*athena.Cluster, error) {
-			ccfg := cfg.Cluster
-			ccfg.Scheme = athena.SchemeLVF
-			ccfg.SensorNoise = noise
-			ccfg.ConfidenceTarget = 0.95
-			return athena.NewCluster(s, ccfg)
-		})
+		row, err := aggregate(cfg, scens, athena.ClusterConfig{Scheme: athena.SchemeLVF, SensorNoise: noise}, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -256,14 +216,8 @@ func AblationFailure(cfg Config) ([]AblationRow, error) {
 	for _, scheme := range []athena.Scheme{athena.SchemeLVF, athena.SchemeLVFL} {
 		for _, loss := range []float64{0, 0.1, 0.2, 0.3} {
 			for _, retries := range []bool{true, false} {
-				scheme, loss, retries := scheme, loss, retries
-				row, err := aggregateExtra(cfg, scens, func(s *workload.Scenario) (*athena.Cluster, error) {
-					ccfg := cfg.Cluster
-					ccfg.Scheme = scheme
-					ccfg.LinkLoss = loss
-					ccfg.DisableRetries = !retries
-					return athena.NewCluster(s, ccfg)
-				}, func(out athena.Outcome) float64 {
+				cc := athena.ClusterConfig{Scheme: scheme, LinkLoss: loss, DisableRetries: !retries}
+				row, err := aggregate(cfg, scens, cc, func(out athena.Outcome) float64 {
 					return float64(out.Node.Retransmits)
 				})
 				if err != nil {
@@ -299,21 +253,14 @@ func AblationChurn(cfg Config) ([]AblationRow, error) {
 	var rows []AblationRow
 	for _, churn := range []int{0, 2, 4, 8} {
 		for _, mode := range []string{"live", "gossip", "static"} {
-			churn, mode := churn, mode
-			row, err := aggregateExtra(cfg, scens, func(s *workload.Scenario) (*athena.Cluster, error) {
-				ccfg := cfg.Cluster
-				ccfg.Scheme = athena.SchemeLVF
-				ccfg.ChurnEvents = churn
-				ccfg.ChurnOutage = 60 * time.Second
-				if mode != "static" {
-					ccfg.HeartbeatInterval = 2 * time.Second
-					ccfg.HeartbeatMiss = 3
-				}
-				if mode == "gossip" {
-					ccfg.GossipFanout = 2
-				}
-				return athena.NewCluster(s, ccfg)
-			}, func(out athena.Outcome) float64 {
+			cc := athena.ClusterConfig{Scheme: athena.SchemeLVF, ChurnEvents: churn, ChurnOutage: 60 * time.Second}
+			if mode != "static" {
+				cc.HeartbeatInterval = 2 * time.Second
+			}
+			if mode == "gossip" {
+				cc.GossipFanout = 2
+			}
+			row, err := aggregate(cfg, scens, cc, func(out athena.Outcome) float64 {
 				return float64(out.Node.Evictions)
 			})
 			if err != nil {

@@ -24,17 +24,17 @@ type Config struct {
 	Reps int
 	// Schemes to evaluate (default: all five).
 	Schemes []athena.Scheme
-	// Dynamics are the fast-changing-object ratios for Figure 2.
-	Dynamics []float64
 	// Workload is the base scenario configuration (seed/dynamics fields
 	// are overridden per run).
 	Workload workload.Config
-	// Cluster is the base cluster configuration (scheme overridden per
-	// run).
-	Cluster athena.ClusterConfig
-	// Parallelism bounds concurrent simulations (default: NumCPU).
-	Parallelism int
+
+	// parallelism bounds concurrent simulations (0: NumCPU). Only
+	// TestFig2SharedScenariosParallel sets it.
+	parallelism int
 }
+
+// fig2Dynamics are Figure 2's fast-changing-object ratios.
+var fig2Dynamics = []float64{0, 0.2, 0.4, 0.6, 0.8, 1.0}
 
 // Default returns the paper's Section VII experiment configuration.
 func Default() Config {
@@ -42,7 +42,6 @@ func Default() Config {
 		BaseSeed: 1,
 		Reps:     10,
 		Schemes:  athena.Schemes(),
-		Dynamics: []float64{0, 0.2, 0.4, 0.6, 0.8, 1.0},
 		Workload: workload.DefaultConfig(),
 	}
 }
@@ -71,20 +70,10 @@ type Point struct {
 	Reps int
 }
 
-type runKey struct {
-	scheme   athena.Scheme
-	dynamics float64
-}
-
-type runResult struct {
-	key     runKey
-	outcome athena.Outcome
-	err     error
-}
-
 // sweep runs Reps repetitions of every (scheme, dynamics) combination in
-// parallel and aggregates. Each (dynamics, rep) scenario is generated
-// once, and every scheme runs on that one read-only copy.
+// parallel and folds each combination's repetitions into a Point. Each
+// (dynamics, rep) scenario is generated once, and every scheme runs on
+// that one read-only copy.
 func sweep(cfg Config, dynamics []float64) ([]Point, error) {
 	if cfg.Reps <= 0 {
 		cfg.Reps = 10
@@ -97,24 +86,56 @@ func sweep(cfg Config, dynamics []float64) ([]Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	type job struct {
-		key      runKey
-		scenario *workload.Scenario
+	// Run j is repetition j%Reps of point j/Reps, and point k is scheme
+	// k%len(Schemes) at dynamics k/len(Schemes): a point's repetitions
+	// are adjacent and in repetition order, as foldOutcomes sums them.
+	reps, schemes := cfg.Reps, len(cfg.Schemes)
+	outs, err := runAll(cfg, len(dynamics)*schemes*reps, func(j int) (*workload.Scenario, athena.ClusterConfig) {
+		k := j / reps
+		return scens[k/schemes*reps+j%reps], athena.ClusterConfig{Scheme: cfg.Schemes[k%schemes]}
+	})
+	if err != nil {
+		return nil, err
 	}
-	var jobs []job
-	for i, d := range dynamics {
-		for _, s := range cfg.Schemes {
-			for r := 0; r < cfg.Reps; r++ {
-				jobs = append(jobs, job{key: runKey{scheme: s, dynamics: d}, scenario: scens[i*cfg.Reps+r]})
-			}
+	points := make([]Point, 0, len(dynamics)*schemes)
+	for k := 0; k < len(dynamics)*schemes; k++ {
+		p := foldOutcomes(outs[k*reps : (k+1)*reps])
+		p.Scheme, p.Dynamics = cfg.Schemes[k%schemes], dynamics[k/schemes]
+		points = append(points, p)
+	}
+	sort.SliceStable(points, func(a, b int) bool {
+		if points[a].Dynamics != points[b].Dynamics {
+			return points[a].Dynamics < points[b].Dynamics
+		}
+		return points[a].Scheme < points[b].Scheme
+	})
+	return points, nil
+}
+
+// runAll runs, on the bounded pool, one cluster per job i in [0, n):
+// job(i)'s configuration on job(i)'s scenario. Outcomes come back in job
+// order; so does the error returned, the first in that order.
+func runAll(cfg Config, n int, job func(i int) (*workload.Scenario, athena.ClusterConfig)) ([]athena.Outcome, error) {
+	outs := make([]athena.Outcome, n)
+	errs := make([]error, n)
+	runPool(n, cfg.parallelism, func(i int) {
+		s, cc := job(i)
+		cluster, err := athena.NewCluster(s, cc)
+		if err != nil {
+			errs[i] = fmt.Errorf("experiment: cluster seed %d: %w", s.Config.Seed, err)
+			return
+		}
+		outs[i], err = cluster.Run()
+		if err != nil {
+			errs[i] = fmt.Errorf("experiment: run seed %d scheme %s: %w", s.Config.Seed, cc.Scheme, err)
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
-
-	results := make([]runResult, len(jobs))
-	runPool(len(jobs), cfg.Parallelism, func(i int) {
-		results[i] = runOne(cfg, jobs[i].key, jobs[i].scenario)
-	})
-	return aggregatePoints(results)
+	return outs, nil
 }
 
 // scenarios generates, in one pass on the bounded pool, the cfg.Reps
@@ -128,7 +149,7 @@ func scenarios(cfg Config, fast ...float64) ([]*workload.Scenario, error) {
 	}
 	scens := make([]*workload.Scenario, len(fast)*cfg.Reps)
 	errs := make([]error, len(scens))
-	runPool(len(scens), cfg.Parallelism, func(i int) {
+	runPool(len(scens), cfg.parallelism, func(i int) {
 		wcfg := cfg.Workload
 		wcfg.FastRatio = fast[i/cfg.Reps]
 		wcfg.Seed = cfg.BaseSeed + int64(i%cfg.Reps)
@@ -145,86 +166,10 @@ func scenarios(cfg Config, fast ...float64) ([]*workload.Scenario, error) {
 	return scens, nil
 }
 
-// aggregatePoints folds per-repetition outcomes into one Point per
-// (scheme, dynamics) key. Latency is weighted by each repetition's
-// resolved-query count: a repetition that resolved nothing carries no
-// latency evidence and must not drag the mean toward zero.
-func aggregatePoints(results []runResult) ([]Point, error) {
-	agg := make(map[runKey]*Point)
-	latencySums := make(map[runKey]time.Duration)
-	resolved := make(map[runKey]int)
-	for _, r := range results {
-		if r.err != nil {
-			return nil, r.err
-		}
-		p := agg[r.key]
-		if p == nil {
-			p = &Point{
-				Scheme:   r.key.scheme,
-				Dynamics: r.key.dynamics,
-				RatioMin: 2,
-				RatioMax: -1,
-			}
-			agg[r.key] = p
-		}
-		ratio := r.outcome.ResolutionRatio()
-		p.Ratio += ratio
-		if ratio < p.RatioMin {
-			p.RatioMin = ratio
-		}
-		if ratio > p.RatioMax {
-			p.RatioMax = ratio
-		}
-		p.MeanMB += float64(r.outcome.TotalBytes) / (1 << 20)
-		p.HitRatio += r.outcome.CacheHitRatio()
-		p.Retries += float64(r.outcome.RetryCount())
-		latencySums[r.key] += r.outcome.MeanLatency * time.Duration(r.outcome.QueriesResolved)
-		resolved[r.key] += r.outcome.QueriesResolved
-		p.Reps++
-	}
-	var points []Point
-	for k, p := range agg {
-		p.Ratio /= float64(p.Reps)
-		p.MeanMB /= float64(p.Reps)
-		p.HitRatio /= float64(p.Reps)
-		p.Retries /= float64(p.Reps)
-		if n := resolved[k]; n > 0 {
-			p.MeanLatency = latencySums[k] / time.Duration(n)
-		}
-		points = append(points, *p)
-	}
-	sort.Slice(points, func(a, b int) bool {
-		if points[a].Dynamics != points[b].Dynamics {
-			return points[a].Dynamics < points[b].Dynamics
-		}
-		return points[a].Scheme < points[b].Scheme
-	})
-	return points, nil
-}
-
-func runOne(cfg Config, key runKey, scenario *workload.Scenario) runResult {
-	seed := scenario.Config.Seed
-	ccfg := cfg.Cluster
-	ccfg.Scheme = key.scheme
-	cluster, err := athena.NewCluster(scenario, ccfg)
-	if err != nil {
-		return runResult{key: key, err: fmt.Errorf("experiment: cluster seed %d: %w", seed, err)}
-	}
-	out, err := cluster.Run()
-	if err != nil {
-		return runResult{key: key, err: fmt.Errorf("experiment: run seed %d scheme %s: %w", seed, key.scheme, err)}
-	}
-	return runResult{key: key, outcome: out}
-}
-
 // Fig2 regenerates Figure 2: resolution ratio per scheme across
 // environment-dynamics levels.
 func Fig2(cfg Config) ([]Point, error) {
-	dynamics := cfg.Dynamics
-	if len(dynamics) == 0 {
-		dynamics = []float64{0, 0.2, 0.4, 0.6, 0.8, 1.0}
-	}
-	return sweep(cfg, dynamics)
+	return sweep(cfg, fig2Dynamics)
 }
 
 // Fig3 regenerates Figure 3: total bandwidth per scheme at 40%
@@ -237,7 +182,6 @@ func Fig3(cfg Config) ([]Point, error) {
 // dynamics level, one column per scheme.
 func RenderFig2(points []Point) string {
 	schemes, dynamics := axes(points)
-	byKey := index(points)
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 2: query resolution ratio vs environment dynamics\n")
@@ -249,11 +193,13 @@ func RenderFig2(points []Point) string {
 	for _, d := range dynamics {
 		fmt.Fprintf(&b, "%-10.2f", d)
 		for _, s := range schemes {
-			if p, ok := byKey[runKey{scheme: s, dynamics: d}]; ok {
-				fmt.Fprintf(&b, "%10.3f", p.Ratio)
-			} else {
-				fmt.Fprintf(&b, "%10s", "-")
+			cell := fmt.Sprintf("%10s", "-")
+			for _, p := range points {
+				if p.Scheme == s && p.Dynamics == d {
+					cell = fmt.Sprintf("%10.3f", p.Ratio)
+				}
 			}
+			b.WriteString(cell)
 		}
 		b.WriteByte('\n')
 	}
@@ -306,12 +252,4 @@ func axes(points []Point) ([]athena.Scheme, []float64) {
 	}
 	sort.Float64s(dynamics)
 	return schemes, dynamics
-}
-
-func index(points []Point) map[runKey]Point {
-	m := make(map[runKey]Point, len(points))
-	for _, p := range points {
-		m[runKey{scheme: p.Scheme, dynamics: p.Dynamics}] = p
-	}
-	return m
 }

@@ -3,7 +3,6 @@ package experiment
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"athena/internal/athena"
 	"athena/internal/workload"
@@ -13,13 +12,11 @@ import (
 func tinyConfig() Config {
 	cfg := Default()
 	cfg.Reps = 2
-	cfg.Dynamics = []float64{0, 0.5}
 	cfg.Schemes = []athena.Scheme{athena.SchemeSLT, athena.SchemeLVFL}
 	w := workload.DefaultConfig()
 	w.GridRows, w.GridCols = 4, 4
 	w.Nodes = 8
 	w.QueriesPerNode = 1
-	w.Deadline = 45 * time.Second
 	cfg.Workload = w
 	return cfg
 }
@@ -29,7 +26,7 @@ func TestFig2SmallRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 4 { // 2 dynamics x 2 schemes
+	if len(points) != 12 { // 6 dynamics x 2 schemes
 		t.Fatalf("points = %d", len(points))
 	}
 	for _, p := range points {
@@ -51,7 +48,7 @@ func TestFig2SmallRun(t *testing.T) {
 		t.Errorf("render missing schemes:\n%s", table)
 	}
 	csv := CSV(points)
-	if strings.Count(csv, "\n") != 5 {
+	if strings.Count(csv, "\n") != 13 {
 		t.Errorf("csv rows:\n%s", csv)
 	}
 }
@@ -78,13 +75,12 @@ func TestFig3SmallRun(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	cfg := tinyConfig()
-	cfg.Dynamics = []float64{0.5}
 	cfg.Schemes = []athena.Scheme{athena.SchemeLVFL}
-	a, err := Fig2(cfg)
+	a, err := Fig3(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Fig2(cfg)
+	b, err := Fig3(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

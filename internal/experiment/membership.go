@@ -40,7 +40,6 @@ type MembershipRow struct {
 // preserving the per-node scaling contrast the experiment exists to show.
 const (
 	membershipInterval  = 2 * time.Second
-	membershipMiss      = 3
 	membershipSettle    = 10 * membershipInterval
 	membershipWindow    = 10 * membershipInterval
 	membershipDetectCap = 120 * membershipInterval
@@ -68,9 +67,10 @@ type MembershipOpts struct {
 	// nodes on one shared lane. The outcome is identical either way up to
 	// same-instant tie order.
 	LanePerNode bool
-	// Shards/ShardReplicas > 0 enable the sharded directory (requires
-	// Fanout > 0), mirroring the A9 configuration on a real simulation.
-	Shards, ShardReplicas int
+	// Shards > 0 enables the sharded directory (requires Fanout > 0),
+	// each shard on the node's default three replicas, mirroring the A9
+	// configuration on a real simulation.
+	Shards int
 }
 
 // RunMembership measures the membership control plane at fleet size n on a
@@ -123,11 +123,9 @@ func RunMembershipOpts(n int, o MembershipOpts) (MembershipRow, error) {
 			CacheBytes:        1 << 20,
 			DisablePrefetch:   true,
 			HeartbeatInterval: membershipInterval,
-			HeartbeatMiss:     membershipMiss,
 			GossipFanout:      fanout,
 			GossipSeed:        seed,
 			Shards:            o.Shards,
-			ShardReplicas:     o.ShardReplicas,
 		})
 		if err != nil {
 			return MembershipRow{}, err
@@ -263,11 +261,10 @@ func AblationMembership(cfg Config, sizes []int) ([]MembershipRow, error) {
 	if scaleRow {
 		const n = 2048
 		row, err := RunMembershipOpts(n, MembershipOpts{
-			Fanout:        2,
-			Seed:          cfg.BaseSeed,
-			LanePerNode:   true,
-			Shards:        4 * n,
-			ShardReplicas: 3,
+			Fanout:      2,
+			Seed:        cfg.BaseSeed,
+			LanePerNode: true,
+			Shards:      4 * n,
 		})
 		if err != nil {
 			return nil, err

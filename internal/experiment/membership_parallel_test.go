@@ -8,7 +8,7 @@ import "testing"
 // trustworthy. (It compared worker counts until the kernel lost its
 // worker pool; the name is kept.)
 func TestMembershipKernelWorkerInvariant(t *testing.T) {
-	opts := MembershipOpts{Fanout: 2, Seed: 7, LanePerNode: true, Shards: 8, ShardReplicas: 2}
+	opts := MembershipOpts{Fanout: 2, Seed: 7, LanePerNode: true, Shards: 8}
 	base, err := RunMembershipOpts(24, opts)
 	if err != nil {
 		t.Fatal(err)

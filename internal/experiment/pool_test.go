@@ -69,50 +69,36 @@ func TestRunPoolBoundsConcurrency(t *testing.T) {
 // Mean latency must be weighted by each repetition's resolved-query
 // count: a repetition that resolved nothing reports zero latency, and
 // averaging that zero in would fabricate a faster mean than any query
-// ever achieved.
+// ever achieved. foldOutcomes is the one fold behind Figures 2/3's
+// points and every ablation row.
 func TestAggregatePointsWeightsLatencyByResolved(t *testing.T) {
-	key := runKey{scheme: athena.SchemeLVF, dynamics: 0.4}
-	results := []runResult{
-		{key: key, outcome: athena.Outcome{
-			QueriesIssued: 4, QueriesResolved: 4, ResolvedTrue: 4,
-			MeanLatency: 10 * time.Second,
-		}},
-		{key: key, outcome: athena.Outcome{
-			QueriesIssued: 4, QueriesResolved: 0,
-			MeanLatency: 0, // nothing resolved: no latency evidence
-		}},
+	p := foldOutcomes([]athena.Outcome{
+		{QueriesIssued: 4, QueriesResolved: 4, ResolvedTrue: 4, MeanLatency: 10 * time.Second},
+		{QueriesIssued: 4, QueriesResolved: 0}, // nothing resolved: no latency evidence
+	})
+	if p.MeanLatency != 10*time.Second {
+		t.Errorf("MeanLatency = %v, want 10s (unresolved rep diluted the mean)", p.MeanLatency)
 	}
-	points, err := aggregatePoints(results)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 1 {
-		t.Fatalf("points = %d, want 1", len(points))
-	}
-	if got := points[0].MeanLatency; got != 10*time.Second {
-		t.Errorf("MeanLatency = %v, want 10s (unresolved rep diluted the mean)", got)
-	}
-	if got := points[0].Ratio; got != 0.5 {
-		t.Errorf("Ratio = %v, want 0.5", got)
+	if p.Ratio != 0.5 {
+		t.Errorf("Ratio = %v, want 0.5", p.Ratio)
 	}
 	// All-unresolved: latency stays zero rather than dividing by zero.
-	none := []runResult{{key: key, outcome: athena.Outcome{QueriesIssued: 2}}}
-	points, err = aggregatePoints(none)
-	if err != nil || len(points) != 1 || points[0].MeanLatency != 0 {
-		t.Errorf("all-unresolved aggregation = %+v, %v", points, err)
+	if p := foldOutcomes([]athena.Outcome{{QueriesIssued: 2}}); p.MeanLatency != 0 {
+		t.Errorf("all-unresolved fold = %+v", p)
 	}
 }
 
-// foldOutcomes (the ablation-side aggregation) uses the same weighting.
+// foldOutcomes also carries the ratio's spread and the repetition count
+// that the figures' CSV reports.
 func TestFoldOutcomesWeightsLatency(t *testing.T) {
-	row := foldOutcomes([]athena.Outcome{
+	p := foldOutcomes([]athena.Outcome{
 		{QueriesIssued: 2, QueriesResolved: 2, ResolvedTrue: 2, MeanLatency: 8 * time.Second},
 		{QueriesIssued: 2, QueriesResolved: 0},
-	}, nil)
-	if row.MeanLatency != 8*time.Second {
-		t.Errorf("MeanLatency = %v, want 8s", row.MeanLatency)
+	})
+	if p.MeanLatency != 8*time.Second {
+		t.Errorf("MeanLatency = %v, want 8s", p.MeanLatency)
 	}
-	if row.Ratio != 0.5 {
-		t.Errorf("Ratio = %v, want 0.5", row.Ratio)
+	if p.Ratio != 0.5 || p.RatioMin != 0 || p.RatioMax != 1 || p.Reps != 2 {
+		t.Errorf("ratio %v in [%v, %v] over %d reps, want 0.5 in [0, 1] over 2", p.Ratio, p.RatioMin, p.RatioMax, p.Reps)
 	}
 }

@@ -79,21 +79,21 @@ func TestRunsLeaveScenarioUnchanged(t *testing.T) {
 	}
 }
 
-// Fig2 runs all five schemes of a (dynamics, rep) on one shared Sec. VII
-// scenario, side by side. Under -race (ci.sh) this is the check that
-// sharing is safe; everywhere it checks that it changes nothing: four
-// workers agree with one, point for point.
+// A figure sweep runs all five schemes of a (dynamics, rep) on one shared
+// Sec. VII scenario, side by side (Fig3 is the one-dynamics sweep). Under
+// -race (ci.sh) this is the check that sharing is safe; everywhere it
+// checks that it changes nothing: four workers agree with one, point for
+// point.
 func TestFig2SharedScenariosParallel(t *testing.T) {
 	cfg := Default()
 	cfg.Reps = 2
-	cfg.Dynamics = []float64{0.4}
-	cfg.Parallelism = 4
-	par, err := Fig2(cfg)
+	cfg.parallelism = 4
+	par, err := Fig3(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Parallelism = 1
-	seq, err := Fig2(cfg)
+	cfg.parallelism = 1
+	seq, err := Fig3(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

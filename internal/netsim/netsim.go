@@ -39,7 +39,8 @@ type Stats struct {
 	MessagesSent int64
 	// MessagesDelivered counts messages handed to receivers.
 	MessagesDelivered int64
-	// MessagesDropped counts messages dropped at full link queues.
+	// MessagesDropped is always zero: links queue without bound. It
+	// stays because the benchmark harness reads it.
 	MessagesDropped int64
 	// MessagesLost counts messages lost to injected failures (link loss,
 	// link outages, node churn).
@@ -54,7 +55,6 @@ type Stats struct {
 func (s *Stats) add(o *Stats) {
 	s.MessagesSent += o.MessagesSent
 	s.MessagesDelivered += o.MessagesDelivered
-	s.MessagesDropped += o.MessagesDropped
 	s.MessagesLost += o.MessagesLost
 	s.BytesSent += o.BytesSent
 	s.BytesDelivered += o.BytesDelivered
@@ -66,8 +66,6 @@ type LinkStats struct {
 	Bytes int64
 	// Messages transmitted over the link.
 	Messages int64
-	// Dropped counts queue-overflow drops.
-	Dropped int64
 	// Lost counts messages lost to injected failures.
 	Lost int64
 }
@@ -135,13 +133,11 @@ func (q *msgQueue) Pop() any {
 type link struct {
 	bandwidth float64 // bytes per second
 	latency   time.Duration
-	queueCap  int64 // max queued-but-unsent bytes; <=0 means unbounded
 
 	src, dst *node // endpoints, resolved at AddLink
 
 	queue   msgQueue // waiting messages, highest priority first
 	sending bool     // a transmission is in progress
-	queued  int64    // bytes accepted but not yet fully serialized
 	seq     uint64   // FIFO tiebreak within this link's queue
 	stats   LinkStats
 
@@ -352,8 +348,6 @@ type LinkConfig struct {
 	Bandwidth float64
 	// Latency is the one-way propagation delay.
 	Latency time.Duration
-	// QueueBytes bounds the transmission backlog; <= 0 means unbounded.
-	QueueBytes int64
 }
 
 // AddLink connects a and b with two independent directed links (one per
@@ -371,8 +365,8 @@ func (n *Network) AddLink(a, b string, cfg LinkConfig) error {
 		na.neighbors = insertSorted(na.neighbors, b)
 		nb.neighbors = insertSorted(nb.neighbors, a)
 	}
-	ab := &link{bandwidth: cfg.Bandwidth, latency: cfg.Latency, queueCap: cfg.QueueBytes, src: na, dst: nb}
-	ba := &link{bandwidth: cfg.Bandwidth, latency: cfg.Latency, queueCap: cfg.QueueBytes, src: nb, dst: na}
+	ab := &link{bandwidth: cfg.Bandwidth, latency: cfg.Latency, src: na, dst: nb}
+	ba := &link{bandwidth: cfg.Bandwidth, latency: cfg.Latency, src: nb, dst: na}
 	if n.failSeeded {
 		ab.rng = linkStream(n.failSeed, a, b)
 		ba.rng = linkStream(n.failSeed, b, a)
@@ -394,13 +388,11 @@ func (n *Network) LinkStats(a, b string) LinkStats {
 	if l, ok := n.links[[2]string{a, b}]; ok {
 		out.Bytes += l.stats.Bytes
 		out.Messages += l.stats.Messages
-		out.Dropped += l.stats.Dropped
 		out.Lost += l.stats.Lost
 	}
 	if l, ok := n.links[[2]string{b, a}]; ok {
 		out.Bytes += l.stats.Bytes
 		out.Messages += l.stats.Messages
-		out.Dropped += l.stats.Dropped
 		out.Lost += l.stats.Lost
 	}
 	return out
@@ -409,8 +401,7 @@ func (n *Network) LinkStats(a, b string) LinkStats {
 // Send transmits a message of the given size from one node to a directly
 // linked neighbor at default (zero) priority, modeling FIFO serialization
 // (size/bandwidth) plus propagation latency. Delivery invokes the
-// receiver's handler on the event loop. Messages beyond a bounded queue
-// are dropped (counted, no error) — overload behaves like a real link.
+// receiver's handler on the event loop. A link queues without bound.
 // Send must be called from the sending node's lane (node handlers and
 // timers already are).
 func (n *Network) Send(from, to string, size int64, payload any) error {
@@ -437,13 +428,6 @@ func (n *Network) SendPriority(from, to string, size int64, priority int, payloa
 	if size < 0 {
 		size = 0
 	}
-	if l.queueCap > 0 && l.queued+size > l.queueCap {
-		l.stats.Dropped++
-		st.MessagesDropped++
-		return nil
-	}
-
-	l.queued += size
 	l.stats.Bytes += size
 	l.stats.Messages++
 	st.MessagesSent++
@@ -499,7 +483,6 @@ func (n *Network) finishTx(arg any) {
 		return
 	}
 	l := m.link
-	l.queued -= m.size
 	// Failure check at the end of serialization: a link outage, source
 	// churn, or the link's seeded loss draw destroys the frame in
 	// transit. (Destination churn is judged at arrival, on the

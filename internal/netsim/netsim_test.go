@@ -99,30 +99,6 @@ func TestDirectionsIndependent(t *testing.T) {
 	}
 }
 
-func TestQueueOverflowDrops(t *testing.T) {
-	s, net := newNet()
-	net.AddNode("a", nil)
-	delivered := 0
-	net.AddNode("b", func(string, int64, any) { delivered++ })
-	if err := net.AddLink("a", "b", LinkConfig{Bandwidth: 1000, QueueBytes: 1500}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := net.Send("a", "b", 1000, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if delivered != 1 {
-		t.Errorf("delivered = %d, want 1 (rest dropped)", delivered)
-	}
-	if net.Stats().MessagesDropped != 2 {
-		t.Errorf("dropped = %d, want 2", net.Stats().MessagesDropped)
-	}
-}
-
 func TestSendErrors(t *testing.T) {
 	_, net := newNet()
 	net.AddNode("a", nil)

@@ -39,7 +39,7 @@ func chatterNet(t *testing.T, seq bool) (map[string][]string, *Network) {
 	// rules, so the equivalence scenario avoids manufacturing
 	// exact-instant ties.
 	topoRNG := rand.New(rand.NewSource(seed))
-	cfg := LinkConfig{Bandwidth: 1250013, Latency: 5 * time.Millisecond, QueueBytes: 1 << 14}
+	cfg := LinkConfig{Bandwidth: 1250013, Latency: 5 * time.Millisecond}
 	if err := BuildRandomConnected(net, nNodes, nNodes, cfg, topoRNG); err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,8 @@ import (
 )
 
 // Config parameterizes scenario generation. Defaults (via DefaultConfig)
-// follow Section VII.
+// follow Section VII; the Section VII parameters no caller varies are the
+// constants below it.
 type Config struct {
 	// Seed drives all randomness.
 	Seed int64
@@ -26,27 +27,12 @@ type Config struct {
 	// QueriesPerNode is the number of concurrent route queries each node
 	// issues (paper: 3).
 	QueriesPerNode int
-	// RoutesPerQuery is the number of candidate routes per query
-	// (paper: 5).
-	RoutesPerQuery int
-	// MinObjectBytes, MaxObjectBytes bound evidence object sizes
-	// (paper: 100 KB to ~1 MB).
-	MinObjectBytes, MaxObjectBytes int64
 	// LinkBandwidth is the node-to-node bandwidth in bytes/sec
 	// (paper: 1 Mbps = 125000 B/s).
 	LinkBandwidth float64
-	// LinkLatency is the per-hop propagation delay.
-	LinkLatency time.Duration
 	// FastRatio is the fraction of fast-changing segment labels — the
 	// environment-dynamics knob of Figure 2.
 	FastRatio float64
-	// SlowValidity, FastValidity are the dynamics periods (= validity
-	// intervals) of slow and fast labels.
-	SlowValidity, FastValidity time.Duration
-	// Deadline is each query's decision deadline.
-	Deadline time.Duration
-	// ProbViable is the per-epoch probability a segment is viable.
-	ProbViable float64
 }
 
 // DefaultConfig returns the Section VII parameters.
@@ -57,18 +43,33 @@ func DefaultConfig() Config {
 		GridCols:       8,
 		Nodes:          30,
 		QueriesPerNode: 3,
-		RoutesPerQuery: 5,
-		MinObjectBytes: 100_000,
-		MaxObjectBytes: 1_000_000,
 		LinkBandwidth:  125_000, // 1 Mbps
-		LinkLatency:    5 * time.Millisecond,
 		FastRatio:      0.4,
-		SlowValidity:   600 * time.Second,
-		FastValidity:   18 * time.Second,
-		Deadline:       55 * time.Second,
-		ProbViable:     0.8,
 	}
 }
+
+// Fixed Section VII parameters: each has one value in use, so each is a
+// constant; one becomes a Config field again when two callers need
+// different values (DESIGN §5 item 10, "The knob audit").
+const (
+	// routesPerQuery is the number of candidate routes per query
+	// (paper: 5).
+	routesPerQuery = 5
+	// minObjectBytes, maxObjectBytes bound evidence object sizes
+	// (paper: 100 KB to ~1 MB).
+	minObjectBytes int64 = 100_000
+	maxObjectBytes int64 = 1_000_000
+	// linkLatency is the per-hop propagation delay.
+	linkLatency = 5 * time.Millisecond
+	// slowValidity, fastValidity are the dynamics periods (= validity
+	// intervals) of slow and fast labels.
+	slowValidity = 600 * time.Second
+	fastValidity = 18 * time.Second
+	// queryDeadline is each query's decision deadline.
+	queryDeadline = 55 * time.Second
+	// probViable is the per-epoch probability a segment is viable.
+	probViable = 0.8
+)
 
 // Placement locates one Athena node at a grid intersection.
 type Placement struct {
@@ -155,7 +156,7 @@ func Generate(cfg Config) (*Scenario, error) {
 	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
 	// Assign dynamics periods: FastRatio of all segment labels flip fast.
-	world := NewWorld(cfg.Seed, epoch, cfg.ProbViable, cfg.SlowValidity)
+	world := NewWorld(cfg.Seed, epoch, probViable, slowValidity)
 	var allSegments []Segment
 	for r := 0; r <= cfg.GridRows; r++ {
 		for c := 0; c <= cfg.GridCols; c++ {
@@ -171,9 +172,9 @@ func Generate(cfg Config) (*Scenario, error) {
 	for i, idx := range rng.Perm(len(allSegments)) {
 		seg := allSegments[idx]
 		if i < fastCount {
-			world.SetPeriod(seg.Label(), cfg.FastValidity)
+			world.SetPeriod(seg.Label(), fastValidity)
 		} else {
-			world.SetPeriod(seg.Label(), cfg.SlowValidity)
+			world.SetPeriod(seg.Label(), slowValidity)
 		}
 	}
 
@@ -204,31 +205,28 @@ func Generate(cfg Config) (*Scenario, error) {
 	for i, p := range placements {
 		segs := cameraView(p.Row, p.Col, cfg.GridRows, cfg.GridCols)
 		labels := make([]string, len(segs))
-		validity := cfg.SlowValidity
+		validity := slowValidity
 		for j, s := range segs {
 			labels[j] = s.Label()
 			if wp := world.Period(s.Label()); wp < validity {
 				validity = wp
 			}
 		}
-		size := cfg.MinObjectBytes
-		if cfg.MaxObjectBytes > cfg.MinObjectBytes {
-			size += rng.Int63n(cfg.MaxObjectBytes - cfg.MinObjectBytes)
-		}
+		size := minObjectBytes + rng.Int63n(maxObjectBytes-minObjectBytes)
 		sources[i] = object.Descriptor{
 			Name:     names.MustParse(fmt.Sprintf("/grid/cam/%d-%d", p.Row, p.Col)),
 			Size:     size,
 			Validity: validity,
 			Labels:   labels,
 			Source:   p.ID,
-			ProbTrue: cfg.ProbViable,
+			ProbTrue: probViable,
 		}
 		for _, l := range labels {
 			labelSources[l] = append(labelSources[l], p.ID)
 			if m, ok := meta[l]; !ok || float64(size) < m.Cost {
 				meta[l] = boolexpr.Meta{
 					Cost:     float64(size),
-					ProbTrue: cfg.ProbViable,
+					ProbTrue: probViable,
 					Validity: world.Period(l),
 				}
 			}
@@ -248,14 +246,14 @@ func Generate(cfg Config) (*Scenario, error) {
 			for dest.Row == p.Row && dest.Col == p.Col {
 				dest = placements[rng.Intn(len(placements))]
 			}
-			expr, ok := routeQuery(rng, g, p, dest, cfg)
+			expr, ok := routeQuery(rng, g, p, dest)
 			if !ok {
 				continue
 			}
 			queries = append(queries, QuerySpec{
 				Origin:   p.ID,
 				Expr:     expr,
-				Deadline: cfg.Deadline,
+				Deadline: queryDeadline,
 			})
 		}
 	}
@@ -266,7 +264,7 @@ func Generate(cfg Config) (*Scenario, error) {
 		Links:      links,
 		LinkCfg: netsim.LinkConfig{
 			Bandwidth: cfg.LinkBandwidth,
-			Latency:   cfg.LinkLatency,
+			Latency:   linkLatency,
 		},
 		Sources:      sources,
 		Queries:      queries,
@@ -510,10 +508,10 @@ func (g *routeGraph) randomRoute(rng *rand.Rand, from, to inter) []Segment {
 
 // routeQuery builds a candidate-route DNF between two intersections over
 // the covered road network (5 candidate routes per Section VII).
-func routeQuery(rng *rand.Rand, g *routeGraph, from, to Placement, cfg Config) (boolexpr.DNF, bool) {
+func routeQuery(rng *rand.Rand, g *routeGraph, from, to Placement) (boolexpr.DNF, bool) {
 	var terms []boolexpr.Term
 	seen := make(map[string]bool)
-	for attempt := 0; len(terms) < cfg.RoutesPerQuery && attempt < cfg.RoutesPerQuery*4; attempt++ {
+	for attempt := 0; len(terms) < routesPerQuery && attempt < routesPerQuery*4; attempt++ {
 		route := g.randomRoute(rng, inter{from.Row, from.Col}, inter{to.Row, to.Col})
 		if len(route) == 0 {
 			break // unreachable; no more attempts will help

@@ -79,7 +79,7 @@ func TestGenerateScenarioShape(t *testing.T) {
 		t.Errorf("queries = %d", len(s.Queries))
 	}
 	for _, q := range s.Queries {
-		if len(q.Expr.Terms) == 0 || len(q.Expr.Terms) > cfg.RoutesPerQuery {
+		if len(q.Expr.Terms) == 0 || len(q.Expr.Terms) > routesPerQuery {
 			t.Fatalf("query has %d routes", len(q.Expr.Terms))
 		}
 		// Every label in every query must be coverable.
@@ -93,7 +93,7 @@ func TestGenerateScenarioShape(t *testing.T) {
 		}
 	}
 	for _, src := range s.Sources {
-		if src.Size < cfg.MinObjectBytes || src.Size > cfg.MaxObjectBytes {
+		if src.Size < minObjectBytes || src.Size > maxObjectBytes {
 			t.Errorf("object size %d out of range", src.Size)
 		}
 		if len(src.Labels) == 0 {
@@ -132,7 +132,7 @@ func TestFastRatioControlsPeriods(t *testing.T) {
 		t.Fatal(err)
 	}
 	for l := range s.LabelSources {
-		if s.World.Period(l) != cfg.SlowValidity {
+		if s.World.Period(l) != slowValidity {
 			t.Fatalf("label %s fast at ratio 0", l)
 		}
 	}
@@ -142,7 +142,7 @@ func TestFastRatioControlsPeriods(t *testing.T) {
 		t.Fatal(err)
 	}
 	for l := range s.LabelSources {
-		if s.World.Period(l) != cfg.FastValidity {
+		if s.World.Period(l) != fastValidity {
 			t.Fatalf("label %s slow at ratio 1", l)
 		}
 	}

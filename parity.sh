@@ -11,9 +11,11 @@
 # smoke minus its wall-clock line; a3, whose rows share one generated
 # scenario per seed (a sweep's scenarios come from one generation pass);
 # and the a10 kernel-scale rig's config, events and delivered columns (its
-# wall and events/sec columns are the host's). Then each of the examples
-# under examples/, the public testbed, built at BASE and at the tree: an
-# example BASE lacks has no binary there, and its cell differs.
+# wall and events/sec columns are the host's); Figure 2 as CSV, whose
+# ratio-min/max, latency and point-order columns no table prints. Then
+# each of the examples under examples/, the public testbed, built at BASE
+# and at the tree: an example BASE lacks has no binary there, and its cell
+# differs.
 # A `"workers"` line is stripped the same way: builds that still had the
 # kernel's worker pool print one (a -workers flag that never changed a
 # result), later builds do not.
@@ -69,6 +71,9 @@ done
 for fig in 2 3 a2 a3 a4 a5 a6 a7 a8 a9 a11; do
 	cell "fig $fig -quick" "" -fig "$fig" -quick
 done
+# The CSV is the only output with the ratio min/max and latency columns,
+# and with the points in the order the sweep returns them.
+cell "fig 2 -csv -schemes lvfl,cmp -quick" "" -fig 2 -csv -schemes lvfl,cmp -quick
 cell "smoke -quick (minus wallSeconds)" "" -fig smoke -quick
 cols=3
 cell "fig a10 -quick (config, events, delivered)" "" -fig a10 -quick

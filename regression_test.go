@@ -42,7 +42,6 @@ func TestFloodMembershipUnchangedByGossipLayer(t *testing.T) {
 		cluster, err := athena.NewCluster(s, athena.ClusterConfig{
 			Scheme:            athena.SchemeLVF,
 			HeartbeatInterval: g.hb,
-			HeartbeatMiss:     3,
 			ChurnEvents:       g.churn,
 			ChurnOutage:       30 * time.Second,
 		})

@@ -49,12 +49,15 @@ type SimNetwork struct {
 	built       bool
 
 	hbInterval time.Duration
-	hbMiss     int
 	gFanout    int
 	gSeed      int64
 	shards     int
 	shardRF    int
 }
+
+// simGossipFanout is the probe fan-out of every node once EnableGossip
+// is called: the one value in use, and A8's.
+const simGossipFanout = 2
 
 // NewSimNetwork creates an empty simulated network starting at the given
 // virtual instant.
@@ -143,11 +146,11 @@ func (s *SimNetwork) AddNode(cfg SimNodeConfig) error {
 // EnableMembership turns on the live-membership layer for every node
 // built afterwards: each node gets its own directory replica (instead of
 // the shared static index), floods heartbeats every interval, evicts
-// sources that miss `miss` consecutive beats, re-sources their in-flight
+// sources that miss three consecutive beats, re-sources their in-flight
 // fetches, and reconciles replicas by anti-entropy after partitions heal.
 // Nodes returning from a ScheduleNodeOutage churn re-announce themselves
 // automatically. Must be called before Build/Run.
-func (s *SimNetwork) EnableMembership(interval time.Duration, miss int) error {
+func (s *SimNetwork) EnableMembership(interval time.Duration) error {
 	if s.built {
 		return errors.New("athena: EnableMembership after Build")
 	}
@@ -155,28 +158,24 @@ func (s *SimNetwork) EnableMembership(interval time.Duration, miss int) error {
 		return errors.New("athena: membership interval must be positive")
 	}
 	s.hbInterval = interval
-	s.hbMiss = miss
 	return nil
 }
 
 // EnableGossip switches the membership layer from flooded heartbeats to
-// SWIM-style gossip: each heartbeat interval every node probes `fanout`
+// SWIM-style gossip: each heartbeat interval every node probes two
 // sampled peers, failure detection goes through indirect ping-req plus a
 // suspicion timeout, and membership updates ride as piggybacked deltas on
 // the probe traffic instead of flooding. Peer sampling is seeded from
 // `seed` so runs stay deterministic. Requires EnableMembership; must be
 // called before Build/Run.
-func (s *SimNetwork) EnableGossip(fanout int, seed int64) error {
+func (s *SimNetwork) EnableGossip(seed int64) error {
 	if s.built {
 		return errors.New("athena: EnableGossip after Build")
-	}
-	if fanout <= 0 {
-		return errors.New("athena: gossip fanout must be positive")
 	}
 	if s.hbInterval <= 0 {
 		return errors.New("athena: EnableGossip requires EnableMembership")
 	}
-	s.gFanout = fanout
+	s.gFanout = simGossipFanout
 	s.gSeed = seed
 	return nil
 }
@@ -235,7 +234,6 @@ func (s *SimNetwork) Build() error {
 			CriticalPrefix:      cfg.CriticalPrefix,
 			DisableRetries:      cfg.DisableRetries,
 			HeartbeatInterval:   s.hbInterval,
-			HeartbeatMiss:       s.hbMiss,
 			GossipFanout:        s.gFanout,
 			GossipSeed:          s.gSeed,
 			Shards:              s.shards,
