@@ -91,7 +91,7 @@ loc:
 
 # parity is the no-move proof for a change that claims every frame,
 # decision and dump is where it was: athena-sim and the eight examples
-# built at BASE and at the tree, 26 outputs compared byte for byte
+# built at BASE and at the tree, 27 outputs compared byte for byte
 # (parity.sh lists them), one same/DIFFERS line each, non-zero exit on any
 # difference. ~1 min.
 parity:

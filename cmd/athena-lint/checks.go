@@ -32,7 +32,7 @@ var (
 var Analyzers = []*Analyzer{
 	{Name: "walltime", Doc: "no wall-clock time (time.Now/Since/After/...) outside the designated boundary files; deterministic code threads a simclock.Clock", Run: runWalltime},
 	{Name: "globalrand", Doc: "no global math/rand top-level functions outside boundary files; randomness comes from a seeded *rand.Rand", Run: runGlobalRand},
-	{Name: "maporder", Doc: "no map-iteration-order-dependent output (prints or unsorted slice accumulation inside a map range) in simulation-reachable packages", Run: runMapOrder},
+	{Name: "maporder", Doc: "no map-iteration-order-dependent output (prints, unsorted slice accumulation, or an argmax with untied strict comparison inside a map range) in simulation-reachable packages", Run: runMapOrder},
 	{Name: "lockheld", Doc: "every mutex Lock/RLock has a same-function Unlock/RUnlock (deferred or direct)", Run: runLockHeld},
 	{Name: "lockorder", Doc: "the inferred lock-acquisition graph (direct and through calls) must be acyclic and reproduce the declared order (Node < ShardRouter < Directory; tcpPeer < TCPTransport)", Run: runLockOrder},
 	{Name: "metricsvalue", Doc: "metrics instruments are held as pointers (*metrics.Counter, ...) so a nil registry stays a no-op; value-typed fields defeat that contract", Run: runMetricsValue},
@@ -98,6 +98,7 @@ func simScoped(p *Pass) bool {
 	switch p.PkgRel() {
 	case "", // root package: schemes, simnet glue
 		"internal/netsim",
+		"internal/cache",
 		"internal/schedule",
 		"internal/experiment",
 		"internal/workload",

@@ -9,6 +9,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -84,10 +85,11 @@ func runGlobalRand(p *Pass) {
 }
 
 // runMapOrder flags map-range loops in simulation-reachable packages whose
-// body produces order-sensitive output: a direct print, or an append to a
-// slice declared outside the loop that the function never sorts. Loops
-// that aggregate commutatively (sums, map writes, sorted-key collection)
-// pass untouched.
+// body produces order-sensitive output: a direct print, an append to a
+// slice declared outside the loop that the function never sorts, or an
+// argmax whose comparison is not a total order. Loops that aggregate
+// commutatively (sums, map writes, sorted-key collection, a max of the
+// compared values themselves) pass untouched.
 func runMapOrder(p *Pass) {
 	if !simScoped(p) {
 		return
@@ -125,6 +127,8 @@ func checkMapRangeBody(p *Pass, fd *ast.FuncDecl, rs *ast.RangeStmt, seen map[as
 			return true
 		}
 		switch n := n.(type) {
+		case *ast.IfStmt:
+			checkArgmax(p, fd, rs, n, seen)
 		case *ast.CallExpr:
 			if name, ok := printLike(p, n); ok {
 				seen[n] = true
@@ -173,6 +177,81 @@ func checkMapRangeBody(p *Pass, fd *ast.FuncDecl, rs *ast.RangeStmt, seen map[as
 		}
 		return true
 	})
+}
+
+// checkArgmax flags an argmax inside a map range: an if whose condition
+// orders two values strictly (<, >, or a Before/After method) with no
+// equality test breaking their ties, and whose body keeps something other
+// than a compared value in a variable declared outside the loop. Of two
+// entries that compare equal, the one iterated last (or first) wins, so
+// what the variable ends up holding is map-iteration order.
+func checkArgmax(p *Pass, fd *ast.FuncDecl, rs *ast.RangeStmt, is *ast.IfStmt, seen map[ast.Node]bool) {
+	var operands []string
+	tieBroken := false
+	ast.Inspect(is.Cond, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.BinaryExpr:
+			switch n.Op {
+			case token.LSS, token.GTR:
+				operands = append(operands, types.ExprString(n.X), types.ExprString(n.Y))
+			case token.EQL:
+				if !isSentinel(p, n.X) && !isSentinel(p, n.Y) {
+					tieBroken = true
+				}
+			}
+		case *ast.CallExpr:
+			sel, ok := n.Fun.(*ast.SelectorExpr)
+			if !ok || len(n.Args) != 1 {
+				return true
+			}
+			switch sel.Sel.Name {
+			case "Before", "After":
+				operands = append(operands, types.ExprString(sel.X), types.ExprString(n.Args[0]))
+			case "Equal":
+				tieBroken = true
+			}
+		}
+		return true
+	})
+	if len(operands) == 0 || tieBroken {
+		return
+	}
+	for _, stmt := range is.Body.List {
+		as, ok := stmt.(*ast.AssignStmt)
+		if !ok || as.Tok != token.ASSIGN || seen[as] {
+			continue
+		}
+		for i, lhs := range as.Lhs {
+			dest, ok := lhs.(*ast.Ident)
+			if !ok || i >= len(as.Rhs) {
+				continue
+			}
+			obj := p.ObjectOf(dest)
+			if obj == nil || obj.Pos() == token.NoPos || (obj.Pos() >= rs.Pos() && obj.Pos() <= rs.End()) {
+				continue
+			}
+			if slices.Contains(operands, types.ExprString(as.Rhs[i])) {
+				continue // a max of the compared values: ties hold the same value
+			}
+			seen[as] = true
+			p.Reportf(as.Pos(), "%s is an argmax over a map range in %s, and its comparison leaves ties to map-iteration order; break them by a total order", dest.Name, fd.Name.Name)
+			break
+		}
+	}
+}
+
+// isSentinel reports whether e is nil or a literal: an equality test
+// against one (best == nil) checks for a first entry, it breaks no tie.
+func isSentinel(p *Pass, e ast.Expr) bool {
+	if _, ok := e.(*ast.BasicLit); ok {
+		return true
+	}
+	id, ok := e.(*ast.Ident)
+	if !ok {
+		return false
+	}
+	_, isNil := p.ObjectOf(id).(*types.Nil)
+	return isNil
 }
 
 // printLike reports whether call is a fmt print/sprint or a direct write

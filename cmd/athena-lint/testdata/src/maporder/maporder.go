@@ -5,6 +5,7 @@ package maporder
 import (
 	"fmt"
 	"sort"
+	"time"
 )
 
 // PrintAll emits in map order: violation.
@@ -81,4 +82,68 @@ func sortStrings(s []string) {
 // measure does not sort its argument.
 func measure(s []string) int {
 	return len(s)
+}
+
+// label is a shared label record, as the label cache keeps them.
+type label struct {
+	Signature string
+	Expires   time.Time
+}
+
+// Freshest is the label cache's lookup as it first was: the freshest
+// record, with equally fresh ones left to map order: violation.
+func Freshest(byAnn map[string]*label) *label {
+	var best *label
+	for _, rec := range byAnn {
+		if best == nil || rec.Expires.After(best.Expires) {
+			best = rec
+		}
+	}
+	return best
+}
+
+// FreshestBySignature breaks the ties by signature, a total order: fine.
+func FreshestBySignature(byAnn map[string]*label) *label {
+	var best *label
+	for _, rec := range byAnn {
+		if best == nil || rec.Expires.After(best.Expires) ||
+			rec.Expires.Equal(best.Expires) && rec.Signature < best.Signature {
+			best = rec
+		}
+	}
+	return best
+}
+
+// ArgMax keeps the key of the largest value, and equal values leave it to
+// map order: violation.
+func ArgMax(m map[string]int) string {
+	best, max := "", 0
+	for k, v := range m {
+		if best == "" || v > max {
+			max, best = v, k
+		}
+	}
+	return best
+}
+
+// Max keeps only the compared value, the same whichever tie wins: fine.
+func Max(m map[string]int) int {
+	max := 0
+	for _, v := range m {
+		if v > max {
+			max = v
+		}
+	}
+	return max
+}
+
+// MinKey keeps the smallest key; keys are distinct, so nothing ties: fine.
+func MinKey(m map[string]int) string {
+	best := ""
+	for k := range m {
+		if best == "" || k < best {
+			best = k
+		}
+	}
+	return best
 }

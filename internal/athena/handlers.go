@@ -386,7 +386,9 @@ func (n *Node) duplicateInFlight(objName, neighbor string, size int64, now time.
 // through), so a spurious retry costs one request message on one link.
 // When retries are exhausted the pending mark is cleared so the next
 // incoming interest forwards afresh, possibly via an alternate source
-// chosen at the origin. Callers hold n.mu.
+// chosen at the origin. The timer belongs to the pending mark req was
+// forwarded under: once that mark is gone, a later one for the object is
+// another request's. Callers hold n.mu.
 func (n *Node) forwardRequest(req *ObjectRequest, attempt int) {
 	n.sendTo(req.SourceNode, req)
 	if n.disableRetries {
@@ -397,12 +399,13 @@ func (n *Node) forwardRequest(req *ObjectRequest, attempt int) {
 		objSize = desc.Size
 	}
 	delay := n.retryDelay(attempt, objSize)
+	gen := n.interest.pendingGen(req.Object, n.now())
 	n.interest.holdRetry(req.Object, n.arm(delay, func() {
 		n.mu.Lock()
 		defer n.mu.Unlock()
 		now := n.now()
-		if !n.interest.Pending(req.Object, now) {
-			return // data arrived (or the request lapsed) meanwhile
+		if n.interest.pendingGen(req.Object, now) != gen {
+			return // its mark is gone: data arrived or the request lapsed
 		}
 		if !n.interest.HasWaiters(req.Object, now) {
 			return // everyone downstream gave up; let the pending mark lapse
@@ -640,11 +643,14 @@ func (n *Node) handleLabelShare(from string, s *LabelShare) {
 	if q == nil {
 		return
 	}
-	// A label answer retires the object request it replaced: clear any
-	// outstanding objects that could have resolved the now-known labels.
+	// A label answer retires the object requests it answered: those whose
+	// object evidences no label the query still wants. Any other stays in
+	// flight; settled, the next pump would only request it again.
 	if accepted {
-		for objName := range q.outstanding {
-			q.settle(objName)
+		for objName, r := range q.outstanding {
+			if !q.engine.WantsAny(r.labels, now) {
+				q.settle(objName)
+			}
 		}
 	}
 	n.pump(q)
@@ -704,7 +710,7 @@ func (n *Node) dispatchRequest(q *localQuery, req *ObjectRequest) {
 	if n.scheme == SchemeLVFL {
 		satisfied := true
 		for _, l := range req.Labels {
-			rec, found := n.labels.Get(l, trust.TrustAll(), now)
+			rec, found := n.labels.Get(l, n.policy, now)
 			if !found || n.policy.Accept(n.authority, rec, now) != nil {
 				satisfied = false
 				break

@@ -21,13 +21,24 @@ type interestEntry struct {
 // retransmission layer), so a lapsed waiter does not cause the next Add to
 // forward a duplicate upstream request while the first is still in flight.
 // A pending mark holds the retransmit timer armed for its request
-// (holdRetry), and whatever drops the mark stops that timer.
+// (holdRetry), and whatever drops the mark stops that timer. Each new mark
+// carries a generation of its own, which the retransmit timer captures: a
+// timer that outlived its mark finds another generation there, or none,
+// and does nothing, whether or not it could be stopped.
 type InterestTable struct {
 	ttl     time.Duration
 	entries map[string][]interestEntry // object name -> waiters
-	pending map[string]timed           // object name -> upstream request expiry and retransmit timer
+	pending map[string]pendingMark     // object name -> the upstream request in flight
+	gen     uint64                     // the last generation a pending mark was given
 	// inserts and expiries count waiters added and waiters lapsed unserved.
 	inserts, expiries int64
+}
+
+// pendingMark is an upstream request in flight: its expiry and retransmit
+// timer, and the generation the mark was created with.
+type pendingMark struct {
+	timed
+	gen uint64
 }
 
 // NewInterestTable creates a table whose entries expire after ttl.
@@ -35,7 +46,7 @@ func NewInterestTable(ttl time.Duration) *InterestTable {
 	return &InterestTable{
 		ttl:     ttl,
 		entries: make(map[string][]interestEntry),
-		pending: make(map[string]timed),
+		pending: make(map[string]pendingMark),
 	}
 }
 
@@ -64,7 +75,8 @@ func (t *InterestTable) Add(obj, origin, queryID, from string, labels []string, 
 	})
 	was := t.Pending(obj, now)
 	if !was {
-		t.pending[obj] = timed{at: now.Add(t.ttl)}
+		t.gen++
+		t.pending[obj] = pendingMark{timed: timed{at: now.Add(t.ttl)}, gen: t.gen}
 	}
 	return was
 }
@@ -95,22 +107,29 @@ func (t *InterestTable) HasWaiters(obj string, now time.Time) bool {
 
 // Pending reports whether a request for the object is in flight upstream.
 func (t *InterestTable) Pending(obj string, now time.Time) bool {
+	return t.pendingGen(obj, now) != 0
+}
+
+// pendingGen is the generation of the object's pending mark, 0 when no
+// request for it is in flight upstream.
+func (t *InterestTable) pendingGen(obj string, now time.Time) uint64 {
 	p, ok := t.pending[obj]
 	if !ok {
-		return false
+		return 0
 	}
 	if !p.at.After(now) {
 		t.ClearPending(obj)
-		return false
+		return 0
 	}
-	return true
+	return p.gen
 }
 
 // RefreshPending extends the pending-request lifetime to the given expiry
 // (used by the retransmission layer to cover the next retry window). A
-// refresh never shortens the current lifetime.
+// refresh never shortens the current lifetime, and without a mark there is
+// nothing to extend.
 func (t *InterestTable) RefreshPending(obj string, expires time.Time) {
-	if cur, ok := t.pending[obj]; !ok || expires.After(cur.at) {
+	if cur, ok := t.pending[obj]; ok && expires.After(cur.at) {
 		cur.at = expires
 		t.pending[obj] = cur
 	}

@@ -45,12 +45,13 @@ type Timers interface {
 }
 
 // StopTimers is the optional interface of Timers whose timers can be
-// stopped before they fire. A stopped timer lets go of its callback, and
-// with it of everything the callback reaches, instead of holding it until
-// it comes due; on a daemon making thousands of decisions a second that
-// is most of its heap (DESIGN §5 item 11(a)). WallTimers implements it;
-// the simulator's LaneTimers does not, so a simulated node arms exactly
-// the events it always did.
+// stopped before they fire. The stop releases memory and changes no
+// behaviour: a stopped timer lets go of its callback, and with it of
+// everything the callback reaches, instead of holding it until it comes
+// due; on a daemon making thousands of decisions a second that is most of
+// its heap (DESIGN §5 item 11(a)). A timer left to fire finds its guard
+// settled and does nothing, so a node acts the same on either clock.
+// WallTimers implements it; the simulator's LaneTimers does not.
 type StopTimers interface {
 	// AfterStop is After, returning the armed timer.
 	AfterStop(d time.Duration, fn func()) Stopper
@@ -357,12 +358,12 @@ const (
 type localQuery struct {
 	engine      *core.Engine
 	issued      time.Time
-	minValidity time.Duration    // smallest positive validity among the labels; 0 = none (queryUrgency)
-	selected    []string         // selected source ids (slt/lcf/lvf/lvfl)
-	outstanding map[string]timed // object name -> request send time and recovery timer
-	requested   map[string]bool  // object names requested at least once
-	attempts    map[string]int   // object name -> origin-side timeout count
-	suspect     map[string]bool  // sources that exhausted their retries
+	minValidity time.Duration       // smallest positive validity among the labels; 0 = none (queryUrgency)
+	selected    []string            // selected source ids (slt/lcf/lvf/lvfl)
+	outstanding map[string]inflight // object name -> request send time, recovery timer and labels
+	requested   map[string]bool     // object names requested at least once
+	attempts    map[string]int      // object name -> origin-side timeout count
+	suspect     map[string]bool     // sources that exhausted their retries
 	batch       bool
 	armed       [2]timed              // the instant a pump is armed for and its timer, by purpose (pumpAt)
 	watchdog    Stopper               // the deadline watchdog (QueryInit)
@@ -377,6 +378,15 @@ type localQuery struct {
 type timed struct {
 	at    time.Time
 	timer Stopper
+}
+
+// inflight is an object request of a local query still awaiting its
+// answer: the send time and recovery timer, and the labels the object's
+// descriptor says it evidences, which tell a label answer whether it
+// answered this request too (handleLabelShare).
+type inflight struct {
+	timed
+	labels []string
 }
 
 // settle drops obj's in-flight mark and stops its recovery timer, whose
@@ -739,7 +749,7 @@ func (n *Node) QueryInit(expr boolexpr.DNF, deadline time.Duration) (string, err
 	q := &localQuery{
 		engine:      core.NewEngineWithPlan(id, expr, abs, n.meta, n.planFor(expr, exprText)),
 		issued:      now,
-		outstanding: make(map[string]timed),
+		outstanding: make(map[string]inflight),
 		requested:   make(map[string]bool),
 		attempts:    make(map[string]int),
 		suspect:     make(map[string]bool),
@@ -989,16 +999,13 @@ func (n *Node) pumpAt(q *localQuery, purpose int, at, now time.Time) {
 		return // already armed
 	}
 	// A pump armed for another instant stays armed: its firing still pumps.
-	// Only the newest timer's handle is kept, for recordIfTerminal, so a
-	// superseded timer's firing leaves it be; were it cleared, the pump
-	// would arm a second timer for the newest instant and keep only that
-	// one's handle. A node whose timers keep no handle (the simulator's)
-	// still clears it and re-arms that instant: not doing so would move
-	// the simulator's events and goldens (ROADMAP item 11).
+	// The instant is the mark's generation: a superseded timer's firing
+	// leaves the newest mark be, so the pump it runs does not arm that
+	// instant a second time, on either clock.
 	id := q.engine.ID()
 	q.armed[purpose] = timed{at: at, timer: n.arm(at.Sub(now)+time.Millisecond, func() {
 		n.whenLive(id, func(q *localQuery) {
-			if cur := q.armed[purpose]; cur.at.Equal(at) || cur.timer == nil {
+			if q.armed[purpose].at.Equal(at) {
 				q.armed[purpose] = timed{}
 			}
 			n.pump(q)
@@ -1042,7 +1049,7 @@ func (n *Node) requestObject(q *localQuery, source, objName string, labels []str
 	if !n.disableRetries {
 		timeout = n.retryDelay(q.attempts[objName], size)
 	}
-	q.outstanding[objName] = timed{at: now, timer: n.arm(timeout, func() {
+	q.outstanding[objName] = inflight{labels: labels, timed: timed{at: now, timer: n.arm(timeout, func() {
 		n.whenLive(id, func(q *localQuery) {
 			if r, inFlight := q.outstanding[objName]; !inFlight || !r.at.Equal(now) {
 				return
@@ -1058,7 +1065,7 @@ func (n *Node) requestObject(q *localQuery, source, objName string, labels []str
 			}
 			n.pump(q)
 		})
-	})}
+	})}}
 	n.kick()
 }
 

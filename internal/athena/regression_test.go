@@ -42,7 +42,7 @@ func runCoalesceScenario(t *testing.T, window time.Duration) Outcome {
 // off path is no longer inert.
 func TestUnbatchedUnchangedByBatchingLayer(t *testing.T) {
 	const (
-		goldenBytes    = int64(67446971)
+		goldenBytes    = int64(67446491)
 		goldenIssued   = 24
 		goldenResolved = 22
 	)

@@ -15,7 +15,8 @@ import (
 // stopRig is node "b" on a recording transport, with a clock the test
 // moves and timers the test fires. Built stoppable, the node is given
 // StopTimers, as a daemon is; otherwise only Timers, as the simulator's
-// nodes are.
+// nodes are. It runs lvf and trusts every annotator unless set says
+// otherwise.
 type stopRig struct {
 	recTransport
 	now    time.Time
@@ -62,7 +63,7 @@ type stoppableRig struct{ *stopRig }
 
 func (s stoppableRig) AfterStop(d time.Duration, fn func()) Stopper { return s.arm(d, fn) }
 
-func newStopRig(t *testing.T, stoppable bool) *stopRig {
+func newStopRig(t *testing.T, stoppable bool, set ...func(*Config)) *stopRig {
 	t.Helper()
 	r := &stopRig{now: tBase}
 	var timers Timers = r
@@ -70,13 +71,17 @@ func newStopRig(t *testing.T, stoppable bool) *stopRig {
 		timers = stoppableRig{r}
 	}
 	auth := trust.NewAuthority()
-	n, err := New(Config{
+	cfg := Config{
 		ID: "b", Transport: r, Router: &StaticRouter{Self: "b"}, Timers: timers,
 		Scheme: SchemeLVF, Directory: NewDirectory([]object.Descriptor{dispatchDesc("a"), dispatchDesc("c")}),
 		World: staticWorld{"la": true, "lc": true}, Authority: auth,
 		Signer: auth.Register("b", []byte("k-b")), Policy: trust.TrustAll(),
 		DisablePrefetch: true, CacheBytes: 1,
-	})
+	}
+	for _, f := range set {
+		f(&cfg)
+	}
+	n, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,11 +230,10 @@ func TestStopLosingToFiringTimerChangesNothing(t *testing.T) {
 }
 
 // A forward retry that outlives its answer, with the same object pending
-// again for another query when it fires, re-forwards the old request as
-// a retransmission. Stopped when the answer arrives, it no longer does.
-// The simulator's timers cannot be stopped and still do it: that row
-// records the known behaviour (ROADMAP item 11 counts how often it
-// happens), so fixing it there moves it on purpose.
+// again for another query when it fires, must not re-forward the old
+// request as a retransmission. Stopped when the answer arrives, it cannot;
+// the simulator's timers cannot be stopped, and there the retry finds the
+// object pending under another mark's generation and does nothing.
 func TestStaleForwardRetry(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
@@ -237,7 +241,7 @@ func TestStaleForwardRetry(t *testing.T) {
 		retransmits int
 	}{
 		{"stoppable timers", true, 0},
-		{"simulator timers", false, 1},
+		{"simulator timers", false, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newStopRig(t, tc.stoppable)
@@ -262,6 +266,35 @@ func TestStaleForwardRetry(t *testing.T) {
 				t.Errorf("a/q1's answered request was sent again %d times, want %d", stale, tc.retransmits)
 			}
 		})
+	}
+}
+
+// A fresher sample moves a query's expiry recheck to a later instant; the
+// superseded recheck, firing first, pumps the query but leaves the newer
+// mark be, so the later instant is armed once, on either clock.
+func TestSupersededRecheckArmsNewestOnce(t *testing.T) {
+	for _, stoppable := range []bool{true, false} {
+		r := newStopRig(t, stoppable)
+		r.query(t, "la & lc")
+		for _, wait := range []time.Duration{time.Second, time.Second} {
+			r.advance(wait)
+			obj := sampleOf("a", r.now)
+			obj.Validity = 10 * time.Second
+			r.locked(func() { r.n.deliverObject(obj, r.now) })
+		}
+		// The recheck of the first sample's expiry (11 s) fires; the second
+		// sample's (12 s) is still to come.
+		r.advance(9500 * time.Millisecond)
+		newest := tBase.Add(12*time.Second + time.Millisecond)
+		armed := 0
+		for _, tm := range r.timers {
+			if tm.at.Equal(newest) {
+				armed++
+			}
+		}
+		if armed != 1 {
+			t.Errorf("stoppable=%v: the recheck at 12 s was armed %d times, want 1", stoppable, armed)
+		}
 	}
 }
 

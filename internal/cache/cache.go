@@ -236,7 +236,9 @@ func (c *LabelCache) Records(now time.Time) []trust.Label {
 }
 
 // Get returns the freshest record for label accepted by the policy, or
-// false. Stale records encountered are pruned.
+// false; of equally fresh records, the one with the lower signature, so the
+// answer does not depend on the order records were put in. Stale records
+// encountered are pruned.
 func (c *LabelCache) Get(label string, policy *trust.Policy, now time.Time) (*trust.Label, bool) {
 	byAnn := c.records[label]
 	var best *trust.Label
@@ -249,7 +251,8 @@ func (c *LabelCache) Get(label string, policy *trust.Policy, now time.Time) (*tr
 		if !policy.Trusts(ann) {
 			continue
 		}
-		if best == nil || rec.Expiry().After(best.Expiry()) {
+		if best == nil || rec.Expiry().After(best.Expiry()) ||
+			rec.Expiry().Equal(best.Expiry()) && rec.Signature < best.Signature {
 			best = rec
 		}
 	}

@@ -254,6 +254,32 @@ func TestLabelCacheKeepsFreshest(t *testing.T) {
 	}
 }
 
+// Of equally fresh records, Get returns the one with the lower signature,
+// whatever order they were put in: a tie broken in map-iteration order
+// made one seed's runs disagree.
+func TestLabelCacheBreaksTiesBySignature(t *testing.T) {
+	auth := trust.NewAuthority()
+	var recs []*trust.Label
+	for _, ann := range []string{"ann1", "ann2", "ann3", "ann4"} {
+		recs = append(recs, makeLabel(t, auth, ann, "x", true, time.Minute))
+	}
+	want := recs[0]
+	for _, r := range recs[1:] {
+		if r.Signature < want.Signature {
+			want = r
+		}
+	}
+	for round := 0; round < 32; round++ {
+		c := NewLabelCache()
+		for i := range recs {
+			c.Put(recs[(round+i)%len(recs)])
+		}
+		if rec, ok := c.Get("x", trust.TrustAll(), t0); !ok || rec.Annotator != want.Annotator {
+			t.Fatalf("round %d: Get = %v, want %s's record (lowest signature)", round, rec, want.Annotator)
+		}
+	}
+}
+
 func BenchmarkStorePutGet(b *testing.B) {
 	s := NewStore(1 << 20)
 	namesList := make([]names.Name, 64)

@@ -226,6 +226,9 @@ func TestEngineMatchesMapReference(t *testing.T) {
 				if got, want := e.Wanted(desc, now), ref.wanted(desc, now); !slices.Equal(got, want) {
 					t.Fatalf("%s: Wanted(%v) = %v, reference %v", where, desc, got, want)
 				}
+				if got, want := e.WantsAny(desc, now), len(ref.wanted(desc, now)) > 0; got != want {
+					t.Fatalf("%s: WantsAny(%v) = %v, reference %v", where, desc, got, want)
+				}
 				got, ok := e.NextExpiry(now)
 				if want, found := ref.nextExpiry(now); ok != found || !got.Equal(want) {
 					t.Fatalf("%s: NextExpiry = %v %v, reference %v %v", where, got, ok, want, found)
@@ -300,7 +303,8 @@ func thirtyLabelEngine() (*Engine, time.Time) {
 
 // TestEngineReadsDoNotAllocate pins the point of the index space: asking a
 // 30-label engine whether it is decided, what it wants next, what expires
-// and how a term or a literal reads costs no allocation. (UnknownLabels and
+// and how a term or a literal reads, or whether any of an object's labels is
+// still wanted, costs no allocation. (UnknownLabels and
 // Wanted allocate their result and nothing else.)
 func TestEngineReadsDoNotAllocate(t *testing.T) {
 	e, now := thirtyLabelEngine()
@@ -313,6 +317,7 @@ func TestEngineReadsDoNotAllocate(t *testing.T) {
 		"NextExpiry":     func() { _, _ = e.NextExpiry(now) },
 		"TermValue":      func() { _ = e.TermValue(3, now) },
 		"LiteralUnknown": func() { _ = e.LiteralUnknown(3, 2, now) },
+		"WantsAny":       func() { _ = e.WantsAny([]string{"t9l9", "t0l1"}, now) },
 	} {
 		if allocs := testing.AllocsPerRun(100, read); allocs != 0 {
 			t.Errorf("%s allocates %v times a call, want 0", name, allocs)

@@ -74,8 +74,8 @@ var ErrUnknownLabel = errors.New("core: label not referenced by query")
 // small integers that allocate nothing.
 //
 // An Engine is not safe for concurrent use, its read methods included:
-// UnknownLabels and Wanted mark labels in per-engine scratch. A node only
-// touches a query's engine under its own mutex.
+// UnknownLabels, Wanted and WantsAny mark labels in per-engine scratch. A
+// node only touches a query's engine under its own mutex.
 type Engine struct {
 	id       string
 	expr     boolexpr.DNF
@@ -95,8 +95,8 @@ type Engine struct {
 	// table is the engine's own, in the expression's order; plan order is
 	// applied on the walk.
 	terms [][]literal
-	// gen is the current mark of UnknownLabels and Wanted: a slot whose
-	// mark equals it has been visited by the call in progress.
+	// gen is the current mark of UnknownLabels, Wanted and WantsAny: a slot
+	// whose mark equals it has been visited by the call in progress.
 	gen uint32
 
 	resolved   Status
@@ -345,11 +345,29 @@ func (e *Engine) Wanted(labels []string, now time.Time) []string {
 	e.markUnknown(now, nil)
 	var out []string
 	for _, l := range labels {
-		if i, found := slices.BinarySearch(e.labels, l); found && e.slots[i].mark == e.gen {
+		if e.marked(l) {
 			out = append(out, l)
 		}
 	}
 	return out
+}
+
+// WantsAny reports whether Wanted(labels, now) would list any label,
+// without building the list.
+func (e *Engine) WantsAny(labels []string, now time.Time) bool {
+	e.markUnknown(now, nil)
+	for _, l := range labels {
+		if e.marked(l) {
+			return true
+		}
+	}
+	return false
+}
+
+// marked reports whether label carries the mark of the last markUnknown.
+func (e *Engine) marked(label string) bool {
+	i, found := slices.BinarySearch(e.labels, label)
+	return found && e.slots[i].mark == e.gen
 }
 
 // NextExpiry returns the earliest future expiry among entries that are

@@ -19,10 +19,9 @@
 # A `"workers"` line is stripped the same way: builds that still had the
 # kernel's worker pool print one (a -workers flag that never changed a
 # result), later builds do not.
+# A1 is the label-sharing ablation under partial trust: the cell that
+# moves when a node picks a different cached label record.
 # One `same`/`DIFFERS` line per cell; exits non-zero on any difference.
-# A1 is not here: its partial-trust rows differ between two runs of one
-# binary (`LabelCache.Get` breaks expiry ties in map order), and stay out
-# until ROADMAP item 11 fixes that tie.
 set -eu
 
 base="${1:?usage: $0 <base-rev>}"
@@ -68,7 +67,7 @@ for window in 0 10ms; do
 	cell "dump batch-window=$window" "" -fig dump -batch-window "$window"
 	cell "dump GOMAXPROCS=1 batch-window=$window" GOMAXPROCS=1 -fig dump -batch-window "$window"
 done
-for fig in 2 3 a2 a3 a4 a5 a6 a7 a8 a9 a11; do
+for fig in 2 3 a1 a2 a3 a4 a5 a6 a7 a8 a9 a11; do
 	cell "fig $fig -quick" "" -fig "$fig" -quick
 done
 # The CSV is the only output with the ratio min/max and latency columns,
