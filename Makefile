@@ -54,9 +54,9 @@ ci-short:
 # its does-this-query-reference-that-label check, a 30-label source
 # selection on a full replica and on two sharded nodes, a scoped directory
 # delta for a caught-up peer, and the shard
-# router's refresh (same view, changed view) and routed-lookup start
-# (internal/athena), the event queue at depths 1, 512 and 8192
-# (internal/simclock), the wire codec on three small frames and a 500 KB
+# router's refresh (same view, changed view), routed-lookup start and one
+# query's eight lookup replies landing (internal/athena), the event queue
+# at depths 1, 512 and 8192 (internal/simclock), the wire codec on three small frames and a 500 KB
 # one, each way, the 500 KB encode both whole and as the head the TCP
 # transport sends (internal/wire), the prefetch ablation (frames per
 # decision with the announce flood off and on), one label signature
@@ -69,7 +69,7 @@ ci-short:
 # CI archives the file per commit; regressions are judged against the
 # committed baseline.
 bench:
-	{ $(GO) test -run '^$$' -bench 'BenchmarkScheme|BenchmarkDecisionEngine|BenchmarkAblationPrefetch|BenchmarkMembershipControlPlane|BenchmarkSimKernel|BenchmarkBatchedFetch|BenchmarkDeliverObjectHistory|BenchmarkQueryReferences|BenchmarkSelectSources|BenchmarkDirectoryDelta|BenchmarkShardRefresh|BenchmarkShardLookupBegin|BenchmarkLaneQueue|BenchmarkEncode|BenchmarkDecode|BenchmarkSign|BenchmarkVerify|BenchmarkGenerate|BenchmarkTCPReceivePadded|BenchmarkTCPClosedPairHeld' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire ./internal/trust ./internal/workload ./internal/transport && \
+	{ $(GO) test -run '^$$' -bench 'BenchmarkScheme|BenchmarkDecisionEngine|BenchmarkAblationPrefetch|BenchmarkMembershipControlPlane|BenchmarkSimKernel|BenchmarkBatchedFetch|BenchmarkDeliverObjectHistory|BenchmarkQueryReferences|BenchmarkSelectSources|BenchmarkDirectoryDelta|BenchmarkShardRefresh|BenchmarkShardLookupBegin|BenchmarkLookupReplies|BenchmarkLaneQueue|BenchmarkEncode|BenchmarkDecode|BenchmarkSign|BenchmarkVerify|BenchmarkGenerate|BenchmarkTCPReceivePadded|BenchmarkTCPClosedPairHeld' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire ./internal/trust ./internal/workload ./internal/transport && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkDirectoryMemory' -benchtime 3x . ; } \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_core.json
 
@@ -91,7 +91,7 @@ loc:
 
 # parity is the no-move proof for a change that claims every frame,
 # decision and dump is where it was: athena-sim and the eight examples
-# built at BASE and at the tree, 27 outputs compared byte for byte
+# built at BASE and at the tree, 31 outputs compared byte for byte
 # (parity.sh lists them), one same/DIFFERS line each, non-zero exit on any
 # difference. ~1 min.
 parity:

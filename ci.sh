@@ -86,7 +86,9 @@ fi
 # allocates its candidate buffers per call again; a scoped directory delta
 # sized for the whole directory — baseline 0; a shard router that
 # recomputes placement for a membership view it already has — baseline 0 —
-# or ranks the members again to start a lookup on one; a scenario
+# or ranks the members again to start a lookup on one; a query whose
+# sources are re-selected on every lookup reply instead of once, when its
+# last lookup lands; a scenario
 # generator whose route search allocates per extracted intersection; a
 # bulk frame whose zero padding is built in the encode buffer again
 # instead of written by the transport — frame-B/op, the bytes an encode
@@ -101,15 +103,16 @@ fi
 # Refresh the baseline with `make bench` when an intentional change moves
 # one.
 # BenchmarkDecisionEngine, BenchmarkShardLookupBegin,
-# BenchmarkTCPReceivePadded and BenchmarkTCPClosedPairHeld have no
-# sub-benchmarks, and a two-level -bench pattern skips a benchmark that
-# has none, so each gets its own run. BenchmarkDirectoryMemory runs without
+# BenchmarkLookupReplies, BenchmarkTCPReceivePadded and
+# BenchmarkTCPClosedPairHeld have no sub-benchmarks, and a two-level -bench
+# pattern skips a benchmark that has none, so each gets its own run (the
+# two in internal/athena share one). BenchmarkDirectoryMemory runs without
 # -benchmem, as `make bench` records it: only its entries/node is gated.
 {
 	go test -run '^$' -bench '^Benchmark(Scheme|AblationPrefetch|SimKernel|BatchedFetch|DeliverObjectHistory|SelectSources|DirectoryDelta|ShardRefresh|LaneQueue|EncodeSmall|EncodeObjectData|DecodeSmall|Generate)$/^(lvf|lvfl|sharded|sharded-owned|scoped|unchanged|w1|on|n2000|depth512|request|head|sec7)$' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire ./internal/workload
 	go test -run '^$' -bench '^BenchmarkDirectoryMemory$/^sharded$' -benchtime 3x .
 	go test -run '^$' -bench '^BenchmarkDecisionEngine$' -benchmem -benchtime 3x .
-	go test -run '^$' -bench '^BenchmarkShardLookupBegin$' -benchmem -benchtime 3x ./internal/athena
+	go test -run '^$' -bench '^Benchmark(ShardLookupBegin|LookupReplies)$' -benchmem -benchtime 3x ./internal/athena
 	go test -run '^$' -bench '^BenchmarkTCPReceivePadded$' -benchmem -benchtime 3x ./internal/transport
 	go test -run '^$' -bench '^BenchmarkTCPClosedPairHeld$' -benchmem -benchtime 3x ./internal/athena
 } |
@@ -128,6 +131,7 @@ fi
 		-gate 'BenchmarkDirectoryDelta/scoped:B/op:10' \
 		-gate 'BenchmarkShardRefresh/unchanged:allocs/op:10' \
 		-gate 'BenchmarkShardLookupBegin:allocs/op:10' \
+		-gate 'BenchmarkLookupReplies:allocs/op:10' \
 		-gate 'BenchmarkLaneQueue/depth512:allocs/op:10' \
 		-gate 'BenchmarkEncodeSmall/request:allocs/op:10' \
 		-gate 'BenchmarkEncodeObjectData/head:frame-B/op:10' \

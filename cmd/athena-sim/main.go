@@ -19,7 +19,8 @@
 //
 //	athena-sim -fig dump       # fixed-seed cluster, a kernel lane per node;
 //	                           # prints the full outcome as deterministic JSON
-//	                           # (byte-identical run to run and at any GOMAXPROCS)
+//	                           # (byte-identical run to run and at any GOMAXPROCS);
+//	                           # -shards N runs it on a sharded directory
 //	athena-sim -fig smoke      # n=2048 gossip+sharding membership fleet, a
 //	                           # lane per node; prints the row as JSON
 //
@@ -57,13 +58,14 @@ func run() error {
 		csv     = flag.Bool("csv", false, "emit CSV instead of tables (figures 2 and 3)")
 		quick   = flag.Bool("quick", false, "smaller workload for a fast smoke run")
 		batch   = flag.Duration("batch-window", 0, "data-plane coalescing window for the dump scenario (0 = batching off); CI diffs dump output with batching on and off")
+		shards  = flag.Int("shards", 0, "directory shards for the dump scenario, three replicas each (0 = every node a full replica); CI diffs dump output at 0 and 96")
 	)
 	flag.Parse()
 
 	// The CI scenarios bypass the figure machinery entirely.
 	switch *fig {
 	case "dump":
-		return runDump(*seed, *batch)
+		return runDump(*seed, *batch, *shards)
 	case "smoke":
 		return runSmoke(*seed, *quick)
 	}
@@ -262,12 +264,13 @@ type dumpOutcome struct {
 	Histograms      map[string]dumpHistogram `json:"histograms"`
 }
 
-// runDump executes a fixed-seed cluster scenario, a kernel lane per node —
-// gossip membership, churn, the most timing-sensitive configuration — and
-// prints the complete outcome as JSON. The output is byte-identical run to
-// run and at any GOMAXPROCS; CI diffs it across both, with data-plane
-// batching both off and on (-batch-window).
-func runDump(seed int64, batchWindow time.Duration) error {
+// dumpCluster builds the dump scenario: a fixed-seed cluster, a kernel lane
+// per node — gossip membership, churn, the most timing-sensitive
+// configuration — with data-plane batching at batchWindow (0 = off) and
+// the directory in shards name-prefix shards (0 = a full replica on every
+// node), the only configuration a recorded output issues sharded queries
+// in.
+func dumpCluster(seed int64, batchWindow time.Duration, shards int) (*athena.Cluster, error) {
 	wcfg := athena.DefaultWorkload()
 	wcfg.GridRows, wcfg.GridCols = 6, 6
 	wcfg.Nodes = 24
@@ -276,17 +279,26 @@ func runDump(seed int64, batchWindow time.Duration) error {
 	wcfg.FastRatio = 0.4
 	s, err := athena.GenerateScenario(wcfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	cluster, err := athena.NewCluster(s, athena.ClusterConfig{
+	return athena.NewCluster(s, athena.ClusterConfig{
 		Scheme:            athena.SchemeLVF,
 		Workers:           1, // a lane per node
 		HeartbeatInterval: 2 * time.Second,
 		GossipFanout:      2,
+		Shards:            shards,
 		ChurnEvents:       3,
 		ChurnOutage:       30 * time.Second,
 		CoalesceWindow:    batchWindow,
 	})
+}
+
+// runDump runs the dump scenario (dumpCluster) and prints the complete
+// outcome as JSON. The output is byte-identical run to run and at any
+// GOMAXPROCS; CI diffs it across both, with data-plane batching both off
+// and on (-batch-window) and on a full and a sharded directory (-shards).
+func runDump(seed int64, batchWindow time.Duration, shards int) error {
+	cluster, err := dumpCluster(seed, batchWindow, shards)
 	if err != nil {
 		return err
 	}

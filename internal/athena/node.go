@@ -135,9 +135,14 @@ type Stats struct {
 	PlanCacheHits int
 	// ShardLookups counts routed label lookups this node issued (sharded
 	// directory); ShardLookupHits counts query-path resolutions served from
-	// the local lookup cache instead.
+	// the local lookup cache instead, a negative entry's included.
 	ShardLookups    int
 	ShardLookupHits int
+	// ShardReselects counts source selections re-solved once a query's
+	// last pending lookup left the pending table (answered, given up, or
+	// out of replicas). Omitted from JSON at zero, so an unsharded run's
+	// output has the bytes it had before the counter existed.
+	ShardReselects int `json:",omitempty"`
 	// ShardServed counts routed lookups this node answered as a shard
 	// owner.
 	ShardServed int

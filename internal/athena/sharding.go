@@ -89,19 +89,20 @@ func (n *Node) descriptorOf(source string) (object.Descriptor, bool) {
 // candidates is what sharding adds to source selection: where a label's
 // candidate sources come from. The local directory holds every covering
 // advert when the node is unsharded or replicates the label's home shard.
-// Otherwise the lookup cache answers; on a miss a routed ShardLookup starts
-// on the query's behalf (its selected set is recomputed when the reply
-// lands) and the directory's partial view — own source, name-shard
-// overlap — serves best-effort meanwhile. cached reports that srcs is a
-// lookup result, whose descriptors descriptorOf resolves; otherwise srcs is
-// nil and the caller reads the directory, which lists (SourcesFor,
-// addSourcesFor) and picks (SourceForLabelExcluding) under its own lock.
-// Callers hold n.mu.
+// Otherwise the lookup cache answers (a negative entry, "nobody covers the
+// label", answers as cached and empty, and counts as a hit like any other);
+// on a miss a routed ShardLookup starts on the query's behalf (the query is
+// re-selected once none of its labels has a lookup pending) while the
+// directory's partial view — own source, name-shard overlap — serves
+// best-effort meanwhile. cached reports that srcs is a lookup result, whose
+// descriptors descriptorOf resolves; otherwise srcs is nil and the caller
+// reads the directory, which lists (SourcesFor, addSourcesFor) and picks
+// (SourceForLabelExcluding) under its own lock. Callers hold n.mu.
 func (n *Node) candidates(queryID, label string) (srcs []string, cached bool) {
 	if n.shard == nil || n.shard.router.OwnsLabel(label) {
 		return nil, false
 	}
-	if srcs, ok := n.shard.router.CachedSources(label); ok {
+	if srcs, ok := n.shard.router.CachedSources(label, n.now()); ok {
 		n.stats.ShardLookupHits++
 		return srcs, true
 	}
@@ -174,13 +175,15 @@ func (n *Node) startShardLookup(label, queryID string) {
 }
 
 // armShardRetry re-sends a still-unanswered lookup to the next replica in
-// rendezvous order after two protocol periods. Callers hold n.mu.
+// rendezvous order after shardRetryPeriods protocol periods; a lookup that
+// runs out of tries hands its waiters back. Callers hold n.mu.
 func (n *Node) armShardRetry(nonce uint64) {
-	n.timers.After(2*n.member.interval, func() {
+	n.timers.After(shardRetryPeriods*n.member.interval, func() {
 		n.mu.Lock()
 		defer n.mu.Unlock()
-		msg, ok := n.shard.router.Retry(nonce)
-		if !ok {
+		msg, abandoned := n.shard.router.Retry(nonce)
+		if msg == nil {
+			n.resumeSettled(abandoned)
 			return
 		}
 		n.stats.ShardReroutes++
@@ -189,17 +192,51 @@ func (n *Node) armShardRetry(nonce uint64) {
 	})
 }
 
+// shardRetryPeriods is how many protocol periods a lookup waits for its
+// reply before it is re-sent, and how long an empty reply is believed.
+const shardRetryPeriods = 2
+
 // shardOnSourceDown reacts to an eviction or withdrawal: cached lookup
-// results naming the source are invalidated and pending lookups targeting
-// it are re-routed to the next replica. Callers hold n.mu.
+// results naming the source are invalidated, pending lookups targeting it
+// are re-routed to the next replica, and the waiters of a lookup left with
+// no replica are handed back. Callers hold n.mu.
 func (n *Node) shardOnSourceDown(src string) {
 	if n.shard == nil {
 		return
 	}
-	for _, msg := range n.shard.router.SourceDown(src) {
+	resend, abandoned := n.shard.router.SourceDown(src)
+	for _, msg := range resend {
 		n.stats.ShardReroutes++
 		n.sendCtl(msg.To, msg)
 	}
+	n.resumeSettled(abandoned)
+}
+
+// resumeSettled re-selects and pumps the queries among ids that no longer
+// wait on any lookup: a lookup they waited on left the pending table
+// without an answer. Callers hold n.mu.
+func (n *Node) resumeSettled(ids []string) {
+	for _, id := range ids {
+		if q, live := n.queries[id]; live && n.reselectIfSettled(q) {
+			n.pump(q)
+		}
+	}
+}
+
+// reselectIfSettled re-solves q's source selection when none of its labels
+// has a lookup pending any more, so the cover runs once over complete
+// candidates rather than once per reply. It reports whether q is settled.
+// Callers hold n.mu.
+func (n *Node) reselectIfSettled(q *localQuery) bool {
+	labels := q.engine.Labels()
+	if n.shard.router.AnyPending(labels) {
+		return false
+	}
+	if n.scheme != SchemeCMP {
+		n.stats.ShardReselects++
+		q.selected = n.selectSources(q.engine.ID(), labels)
+	}
+	return true
 }
 
 // handleShardLookup serves a routed label lookup from the local directory
@@ -217,10 +254,12 @@ func (n *Node) handleShardLookup(m *ShardLookup) {
 }
 
 // handleShardLookupReply completes a pending lookup: the result is cached,
-// and every query that was waiting re-selects its sources and pumps.
-// Callers hold n.mu.
+// and every query that was waiting pumps, so a label whose candidates just
+// arrived is fetched at once. A waiting query is re-selected only when this
+// was its last pending lookup: until then it pumps by the cover QueryInit
+// computed over a partial view. Callers hold n.mu.
 func (n *Node) handleShardLookupReply(m *ShardLookupReply) {
-	ids, ok := n.shard.router.Complete(m.Nonce, m.Adverts)
+	ids, ok := n.shard.router.Complete(m.Nonce, m.Adverts, n.now().Add(shardRetryPeriods*n.member.interval))
 	if !ok {
 		return
 	}
@@ -229,9 +268,7 @@ func (n *Node) handleShardLookupReply(m *ShardLookupReply) {
 		if !live {
 			continue
 		}
-		if n.scheme != SchemeCMP {
-			q.selected = n.selectSources(id, q.engine.Labels())
-		}
+		n.reselectIfSettled(q)
 		n.pump(q)
 	}
 }
@@ -254,6 +291,8 @@ type ShardInfo struct {
 	// Lookups / Served count routed lookups issued and answered here.
 	Lookups int `json:"lookups"`
 	Served  int `json:"served"`
+	// Reselects counts queries re-selected once their lookups settled.
+	Reselects int `json:"reselects"`
 }
 
 // ShardInfo returns the node's shard state; ok is false when sharding is
@@ -273,5 +312,6 @@ func (n *Node) ShardInfo() (ShardInfo, bool) {
 		CacheLen:    sr.CacheLen(),
 		Lookups:     n.stats.ShardLookups,
 		Served:      n.stats.ShardServed,
+		Reselects:   n.stats.ShardReselects,
 	}, true
 }

@@ -215,6 +215,10 @@ func TestShardedClusterResolvesRoutedQueries(t *testing.T) {
 	if info, ok := r.nodes[r.ids[0]].ShardInfo(); !ok || info.Shards != shards || info.Replicas != rf {
 		t.Errorf("ShardInfo = %+v, %v; want shards=%d rf=%d", info, ok, shards, rf)
 	}
+	r.run(t, 140*time.Second) // a minute on: what the queries left lapses
+	if v := Quiescent(r.nodes); len(v) > 0 {
+		t.Errorf("not quiescent:\n%s", strings.Join(v, "\n"))
+	}
 }
 
 // An evicted shard owner's lookups re-route: pending lookups walk to the
@@ -282,12 +286,17 @@ func TestShardedClusterSurvivesOwnerCrash(t *testing.T) {
 			t.Errorf("%s still lists crashed %s", id, dead)
 		}
 	}
+	r.run(t, 180*time.Second) // a minute on: what the queries left lapses
+	if v := Quiescent(r.nodes); len(v) > 0 {
+		t.Errorf("not quiescent:\n%s", strings.Join(v, "\n"))
+	}
 }
 
 // routedNode is the query path of a sharded node that replicates no shard
 // and holds no payload: every label's candidates come from the lookup
-// cache, filled here the way completed ShardLookups fill it. It has no
-// transport, so a label outside descs (a cache miss) must not be asked.
+// cache, filled here the way completed ShardLookups fill it. Its transport
+// records and its clock stands still, and it has no timers, so a label
+// outside descs (a cache miss) must not be asked.
 func routedNode(tb testing.TB, descs []object.Descriptor) *Node {
 	tb.Helper()
 	sr := NewShardRouter("querier", 16, 2, shardCacheSize)
@@ -310,11 +319,11 @@ func routedNode(tb testing.TB, descs []object.Descriptor) *Node {
 		if !ok {
 			tb.Fatalf("no replica to ask for %s", l)
 		}
-		if _, ok := sr.Complete(msg.Nonce, byLabel[l]); !ok {
+		if _, ok := sr.Complete(msg.Nonce, byLabel[l], time.Time{}); !ok {
 			tb.Fatalf("lookup for %s did not complete", l)
 		}
 	}
-	return &Node{id: "querier", dir: NewDirectory(nil), shard: &shardClient{router: sr}}
+	return &Node{id: "querier", tr: &recTransport{}, dir: NewDirectory(nil), shard: &shardClient{router: sr}}
 }
 
 // twoPassPick is the pick rule as it was written before the single pass:
@@ -377,7 +386,7 @@ func TestPickCachedMatchesDirectoryPick(t *testing.T) {
 
 		dir := NewDirectory(descs)
 		routed := routedNode(t, descs)
-		srcs, ok := routed.shard.router.CachedSources("l")
+		srcs, ok := routed.shard.router.CachedSources("l", time.Time{})
 		if !ok {
 			t.Fatalf("case %d: label not in the lookup cache", c)
 		}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"athena/internal/object"
 	"athena/internal/shard"
@@ -30,10 +31,13 @@ type shardView struct {
 
 // shardCacheEntry is one remote lookup result: the sources covering a
 // label, stamped for LRU eviction with a logical counter (wall-clock-free,
-// so eviction order is deterministic under the simulator).
+// so eviction order is deterministic under the simulator). An empty result
+// is a negative entry, "nobody covers the label", which answers only until
+// emptyUntil: a label that gains coverage is asked again after it.
 type shardCacheEntry struct {
-	sources []string
-	stamp   uint64
+	sources    []string
+	stamp      uint64
+	emptyUntil time.Time
 }
 
 // refDesc reference-counts a remote source's descriptor across the cache
@@ -58,8 +62,8 @@ type pendingShardLookup struct {
 }
 
 // shardLookupMaxTries bounds re-sends per pending lookup (cycling through
-// the replica set) before the lookup is abandoned; the next query pump
-// starts a fresh one.
+// the replica set) before the lookup is abandoned; its waiters are handed
+// back, and the next query pump starts a fresh one.
 const shardLookupMaxTries = 8
 
 // ShardRouter owns the prefix→shard map, the rendezvous assignment of
@@ -247,12 +251,13 @@ func (sr *ShardRouter) InShards(shards []uint32) func(object.Descriptor) bool {
 }
 
 // CachedSources returns the cached remote lookup result for a label,
-// touching its LRU stamp on hit.
-func (sr *ShardRouter) CachedSources(label string) ([]string, bool) {
+// touching its LRU stamp on hit. A negative entry answers (nil, true) until
+// its emptyUntil, and is a miss from then on.
+func (sr *ShardRouter) CachedSources(label string, now time.Time) ([]string, bool) {
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
 	e, ok := sr.cache[label]
-	if !ok {
+	if !ok || (len(e.sources) == 0 && !now.Before(e.emptyUntil)) {
 		return nil, false
 	}
 	sr.stamp++
@@ -335,30 +340,46 @@ func (p *pendingShardLookup) lookup(self string) *ShardLookup {
 }
 
 // Retry advances a still-pending lookup to the next replica (wrapping) and
-// returns the re-routed message. ok=false means the lookup completed in
-// the meantime or exhausted its tries and was abandoned — the next query
-// pump starts a fresh one.
-func (sr *ShardRouter) Retry(nonce uint64) (msg *ShardLookup, ok bool) {
+// returns the re-routed message. A nil message means there is nothing to
+// re-send: the lookup completed in the meantime, or it exhausted its tries
+// and was abandoned, and then abandoned lists its waiting query ids — the
+// next pump of any of them starts a fresh lookup.
+func (sr *ShardRouter) Retry(nonce uint64) (msg *ShardLookup, abandoned []string) {
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
 	p, exists := sr.byNonce[nonce]
 	if !exists {
-		return nil, false
+		return nil, nil
 	}
 	p.tries++
 	if p.tries >= shardLookupMaxTries {
 		sr.dropPendingLocked(p)
-		return nil, false
+		return nil, p.waiters()
 	}
 	p.next = (p.next + 1) % len(p.targets)
-	return p.lookup(sr.self), true
+	return p.lookup(sr.self), nil
+}
+
+// AnyPending reports whether any of the labels still has a lookup in
+// flight: a query over them has not yet seen all its candidates.
+func (sr *ShardRouter) AnyPending(labels []string) bool {
+	sr.mu.Lock()
+	defer sr.mu.Unlock()
+	for _, l := range labels {
+		if _, ok := sr.pending[l]; ok {
+			return true
+		}
+	}
+	return false
 }
 
 // Complete resolves a pending lookup from its reply: the result is
-// installed in the LRU cache (empty results are not cached, so a label
-// that gains coverage later is re-asked) and the waiting query ids are
-// returned for re-pumping. ok=false marks a stale or duplicate reply.
-func (sr *ShardRouter) Complete(nonce uint64, adverts []Advertisement) (queries []string, ok bool) {
+// installed in the LRU cache and the waiting query ids are returned for
+// re-pumping. An empty result is cached as a negative entry that answers
+// until emptyUntil, so a label nobody covers is not re-asked on every
+// pump, while one that gains coverage later still is. ok=false marks a
+// stale or duplicate reply.
+func (sr *ShardRouter) Complete(nonce uint64, adverts []Advertisement, emptyUntil time.Time) (queries []string, ok bool) {
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
 	p, exists := sr.byNonce[nonce]
@@ -366,8 +387,9 @@ func (sr *ShardRouter) Complete(nonce uint64, adverts []Advertisement) (queries 
 		return nil, false
 	}
 	sr.dropPendingLocked(p)
+	var sources []string
 	if len(adverts) > 0 {
-		sources := make([]string, 0, len(adverts))
+		sources = make([]string, 0, len(adverts))
 		for _, a := range adverts {
 			desc, err := a.Descriptor()
 			if err != nil {
@@ -381,14 +403,19 @@ func (sr *ShardRouter) Complete(nonce uint64, adverts []Advertisement) (queries 
 			}
 		}
 		sort.Strings(sources)
-		sr.installLocked(p.label, sources)
 	}
-	queries = make([]string, 0, len(p.queries))
+	sr.installLocked(p.label, sources, emptyUntil)
+	return p.waiters(), true
+}
+
+// waiters returns the ids of the queries waiting on the lookup, sorted.
+func (p *pendingShardLookup) waiters() []string {
+	ids := make([]string, 0, len(p.queries))
 	for id := range p.queries {
-		queries = append(queries, id)
+		ids = append(ids, id)
 	}
-	sort.Strings(queries)
-	return queries, true
+	sort.Strings(ids)
+	return ids
 }
 
 // dropPendingLocked removes a pending lookup from both indexes. Callers
@@ -399,12 +426,19 @@ func (sr *ShardRouter) dropPendingLocked(p *pendingShardLookup) {
 }
 
 // installLocked inserts a cache entry, evicting the least-recently-touched
-// entry when at capacity (min-stamp scan — O(cap), deterministic). Callers
-// hold sr.mu.
-func (sr *ShardRouter) installLocked(label string, sources []string) {
+// entry when at capacity (min-stamp scan — O(cap), deterministic). An
+// entry the label already has — a lapsed negative one, asked again — is
+// reused in place, so re-asking a label nobody covers allocates no entry.
+// Callers hold sr.mu.
+func (sr *ShardRouter) installLocked(label string, sources []string, emptyUntil time.Time) {
+	for _, s := range sources {
+		sr.descs[s].refs++
+	}
+	sr.stamp++
 	if old, exists := sr.cache[label]; exists {
 		sr.releaseLocked(old.sources)
-		delete(sr.cache, label)
+		*old = shardCacheEntry{sources: sources, stamp: sr.stamp, emptyUntil: emptyUntil}
+		return
 	}
 	for len(sr.cache) >= sr.cacheCap && sr.cacheCap > 0 {
 		victim, minStamp := "", ^uint64(0)
@@ -416,11 +450,7 @@ func (sr *ShardRouter) installLocked(label string, sources []string) {
 		sr.releaseLocked(sr.cache[victim].sources)
 		delete(sr.cache, victim)
 	}
-	for _, s := range sources {
-		sr.descs[s].refs++
-	}
-	sr.stamp++
-	sr.cache[label] = &shardCacheEntry{sources: sources, stamp: sr.stamp}
+	sr.cache[label] = &shardCacheEntry{sources: sources, stamp: sr.stamp, emptyUntil: emptyUntil}
 }
 
 // releaseLocked drops one cache entry's references, deleting descriptors
@@ -440,8 +470,10 @@ func (sr *ShardRouter) releaseLocked(sources []string) {
 // naming it are invalidated (their labels get re-asked on the next pump),
 // and pending lookups currently targeting it are re-routed to the next
 // replica in rendezvous order. The re-routed messages are returned for the
-// node to send.
-func (sr *ShardRouter) SourceDown(src string) (resend []*ShardLookup) {
+// node to send. A lookup with no replica left to try is dropped, and the
+// queries that waited on it are returned in abandoned, sorted and each
+// once.
+func (sr *ShardRouter) SourceDown(src string) (resend []*ShardLookup, abandoned []string) {
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
 	labels := make([]string, 0, len(sr.cache))
@@ -480,11 +512,13 @@ func (sr *ShardRouter) SourceDown(src string) (resend []*ShardLookup) {
 		}
 		if !moved {
 			sr.dropPendingLocked(p)
+			abandoned = append(abandoned, p.waiters()...)
 			continue
 		}
 		resend = append(resend, p.lookup(sr.self))
 	}
-	return resend
+	slices.Sort(abandoned)
+	return resend, slices.Compact(abandoned)
 }
 
 // CacheLen returns the number of cached lookup results (for /statusz).

@@ -135,34 +135,51 @@ func TestShardRouterLookupLifecycle(t *testing.T) {
 	}
 	queries, ok := sr.Complete(msg.Nonce, []Advertisement{
 		shardAdvert("n3", "/grid/g3/n3", 1, "sx"),
-	})
+	}, time.Time{})
 	if !ok || len(queries) != 2 || queries[0] != "q1" || queries[1] != "q2" {
 		t.Fatalf("Complete = %v, %v; want [q1 q2]", queries, ok)
 	}
-	if _, ok := sr.Complete(msg.Nonce, nil); ok {
+	if _, ok := sr.Complete(msg.Nonce, nil, time.Time{}); ok {
 		t.Fatal("duplicate reply must be rejected")
 	}
-	if srcs, ok := sr.CachedSources("sx"); !ok || len(srcs) != 1 || srcs[0] != "n3" {
+	if srcs, ok := sr.CachedSources("sx", time.Time{}); !ok || len(srcs) != 1 || srcs[0] != "n3" {
 		t.Fatalf("CachedSources = %v, %v", srcs, ok)
 	}
 	if d, ok := sr.Desc("n3"); !ok || d.Source != "n3" {
 		t.Fatalf("Desc(n3) = %+v, %v", d, ok)
 	}
-	// Empty replies are not cached: the label gets re-asked next pump.
+	// An empty reply is a negative entry: cached and empty until the
+	// instant Complete was given, a miss from then on, so the label is
+	// asked again; the next answer replaces it.
 	msg2, ok := sr.Begin("sy", "q3")
 	if !ok {
 		t.Fatal("Begin sy")
 	}
-	if _, ok := sr.Complete(msg2.Nonce, nil); !ok {
+	until := tBase.Add(2 * time.Second)
+	if _, ok := sr.Complete(msg2.Nonce, nil, until); !ok {
 		t.Fatal("empty reply still completes the lookup")
 	}
-	if _, ok := sr.CachedSources("sy"); ok {
-		t.Fatal("empty result must not be cached")
+	if srcs, ok := sr.CachedSources("sy", until.Add(-time.Nanosecond)); !ok || srcs != nil {
+		t.Fatalf("CachedSources(sy) before the negative entry lapses = %v, %v; want nil, true", srcs, ok)
+	}
+	if _, ok := sr.CachedSources("sy", until); ok {
+		t.Fatal("a lapsed negative entry must be a miss")
+	}
+	msg3, ok := sr.Begin("sy", "q3")
+	if !ok {
+		t.Fatal("Begin sy after the negative entry lapsed")
+	}
+	sr.Complete(msg3.Nonce, []Advertisement{shardAdvert("n4", "/grid/g4/n4", 1, "sy")}, until)
+	if srcs, ok := sr.CachedSources("sy", until.Add(time.Hour)); !ok || !slices.Equal(srcs, []string{"n4"}) {
+		t.Fatalf("CachedSources(sy) after coverage arrived = %v, %v; want [n4]", srcs, ok)
+	}
+	if n := sr.CacheLen(); n != 2 {
+		t.Fatalf("CacheLen = %d, want 2: the answer replaces the negative entry", n)
 	}
 }
 
-// Retry walks the replica set and gives up after the try budget; a
-// completed lookup stops retrying.
+// Retry walks the replica set and gives up after the try budget, handing
+// back the lookup's waiters; a completed lookup stops retrying.
 func TestShardRouterRetryWalksReplicas(t *testing.T) {
 	sr := NewShardRouter("n0", 8, 3, 16)
 	sr.Refresh(routerView(6))
@@ -170,11 +187,15 @@ func TestShardRouterRetryWalksReplicas(t *testing.T) {
 	if !ok {
 		t.Fatal("Begin")
 	}
+	sr.Begin("sx", "q0")
 	seen := map[string]bool{msg.To: true}
 	tries := 1
 	for {
-		next, ok := sr.Retry(msg.Nonce)
-		if !ok {
+		next, abandoned := sr.Retry(msg.Nonce)
+		if next == nil {
+			if !slices.Equal(abandoned, []string{"q0", "q1"}) {
+				t.Fatalf("give-up handed back %v, want [q0 q1]", abandoned)
+			}
 			break
 		}
 		if next.To == "n0" {
@@ -189,6 +210,15 @@ func TestShardRouterRetryWalksReplicas(t *testing.T) {
 	if len(seen) < 2 {
 		t.Fatalf("retries never advanced past the primary: %v", seen)
 	}
+	if tries != shardLookupMaxTries {
+		t.Fatalf("%d sends before the give-up, want %d", tries, shardLookupMaxTries)
+	}
+	if sr.AnyPending([]string{"sx"}) {
+		t.Fatal("an exhausted lookup is still pending")
+	}
+	if msg, abandoned := sr.Retry(msg.Nonce); msg != nil || abandoned != nil {
+		t.Fatalf("a second Retry after the give-up = %+v, %v; want nothing", msg, abandoned)
+	}
 	// The exhausted lookup is gone: a fresh Begin starts over.
 	if _, ok := sr.Begin("sx", "q1"); !ok {
 		t.Fatal("exhausted lookup must allow a fresh Begin")
@@ -196,7 +226,8 @@ func TestShardRouterRetryWalksReplicas(t *testing.T) {
 }
 
 // SourceDown invalidates cache entries naming the dead source (dropping
-// descriptor refcounts) and re-routes pending lookups around it.
+// descriptor refcounts), re-routes pending lookups around it, and hands
+// back, each once, the waiters of lookups with no replica left.
 func TestShardRouterSourceDown(t *testing.T) {
 	sr := NewShardRouter("n0", 8, 3, 16)
 	sr.Refresh(routerView(6))
@@ -204,24 +235,24 @@ func TestShardRouterSourceDown(t *testing.T) {
 	sr.Complete(m1.Nonce, []Advertisement{
 		shardAdvert("n3", "/grid/g3/n3", 1, "sa"),
 		shardAdvert("n4", "/grid/g4/n4", 1, "sa"),
-	})
+	}, time.Time{})
 	m2, _ := sr.Begin("sb", "q2")
-	sr.Complete(m2.Nonce, []Advertisement{shardAdvert("n4", "/grid/g4/n4", 1, "sb")})
+	sr.Complete(m2.Nonce, []Advertisement{shardAdvert("n4", "/grid/g4/n4", 1, "sb")}, time.Time{})
 
 	m3, ok := sr.Begin("sc", "q3")
 	if !ok {
 		t.Fatal("Begin sc")
 	}
-	resend := sr.SourceDown(m3.To)
-	if len(resend) != 1 || resend[0].To == m3.To || resend[0].Label != "sc" {
-		t.Fatalf("SourceDown resend = %+v", resend)
+	resend, abandoned := sr.SourceDown(m3.To)
+	if len(resend) != 1 || resend[0].To == m3.To || resend[0].Label != "sc" || abandoned != nil {
+		t.Fatalf("SourceDown resend = %+v, abandoned %v", resend, abandoned)
 	}
 
 	sr.SourceDown("n4")
-	if _, ok := sr.CachedSources("sa"); ok {
+	if _, ok := sr.CachedSources("sa", time.Time{}); ok {
 		t.Error("cache entry naming the dead source survived")
 	}
-	if _, ok := sr.CachedSources("sb"); ok {
+	if _, ok := sr.CachedSources("sb", time.Time{}); ok {
 		t.Error("second cache entry naming the dead source survived")
 	}
 	if _, ok := sr.Desc("n4"); ok {
@@ -229,6 +260,26 @@ func TestShardRouterSourceDown(t *testing.T) {
 	}
 	if _, ok := sr.Desc("n3"); ok {
 		t.Error("descriptor leaked after its last cache entry was invalidated")
+	}
+
+	// One replica a shard, on a two-node view: every lookup has the one
+	// target, and losing it abandons the lookup.
+	solo := NewShardRouter("n0", 8, 1, 16)
+	solo.Refresh(routerView(2))
+	var asked []string
+	for i := 0; len(asked) < 2; i++ {
+		l := fmt.Sprintf("l%d", i)
+		if _, ok := solo.Begin(l, "q2"); ok {
+			solo.Begin(l, "q1")
+			asked = append(asked, l)
+		}
+	}
+	resend, abandoned = solo.SourceDown("n1")
+	if resend != nil || !slices.Equal(abandoned, []string{"q1", "q2"}) {
+		t.Fatalf("SourceDown of the only replica = %+v, abandoned %v; want nothing to re-send and [q1 q2]", resend, abandoned)
+	}
+	if solo.AnyPending(asked) {
+		t.Fatal("an abandoned lookup is still pending")
 	}
 }
 
@@ -242,20 +293,20 @@ func TestShardRouterCacheLRU(t *testing.T) {
 		if !ok {
 			t.Fatalf("Begin %s", label)
 		}
-		if _, ok := sr.Complete(m.Nonce, []Advertisement{shardAdvert(src, "/grid/g1/"+src, 1, label)}); !ok {
+		if _, ok := sr.Complete(m.Nonce, []Advertisement{shardAdvert(src, "/grid/g1/"+src, 1, label)}, time.Time{}); !ok {
 			t.Fatalf("Complete %s", label)
 		}
 	}
 	install("la", "n3")
 	install("lb", "n4")
-	if _, ok := sr.CachedSources("la"); !ok { // touch la: lb becomes LRU
+	if _, ok := sr.CachedSources("la", time.Time{}); !ok { // touch la: lb becomes LRU
 		t.Fatal("la missing")
 	}
 	install("lc", "n5")
-	if _, ok := sr.CachedSources("lb"); ok {
+	if _, ok := sr.CachedSources("lb", time.Time{}); ok {
 		t.Error("lb should have been evicted as LRU")
 	}
-	if _, ok := sr.CachedSources("la"); !ok {
+	if _, ok := sr.CachedSources("la", time.Time{}); !ok {
 		t.Error("la evicted despite recent touch")
 	}
 	if _, ok := sr.Desc("n4"); ok {
@@ -415,7 +466,7 @@ func BenchmarkShardLookupBegin(b *testing.B) {
 		if !ok {
 			b.Fatal("no replica to ask")
 		}
-		sr.Complete(msg.Nonce, nil)
+		sr.Complete(msg.Nonce, nil, time.Time{})
 	}
 	for i := range labels {
 		ask(i)

@@ -3,7 +3,8 @@
 # and at the working tree and compare, byte for byte, everything a change
 # that claims to move no frame, decision or dump has to leave alone —
 # `-fig dump` on the lane-per-node kernel, also at GOMAXPROCS=1, with
-# batching off and on; the quick figures that between
+# batching off and on, on a full replica and on 96 directory shards (the
+# only recorded output that issues sharded queries); the quick figures that between
 # them run the flood, SWIM, sharded and batched paths, plus prefetch on
 # (a2: announce and push), noisy sensors (a5: corrSource's retry timer) and
 # lossy links (a6: the recovery timers); a4, the only figure that runs the
@@ -66,6 +67,9 @@ cell() {
 for window in 0 10ms; do
 	cell "dump batch-window=$window" "" -fig dump -batch-window "$window"
 	cell "dump GOMAXPROCS=1 batch-window=$window" GOMAXPROCS=1 -fig dump -batch-window "$window"
+	# -shards is newer than the rest: a BASE without it fails these cells.
+	cell "dump shards=96 batch-window=$window" "" -fig dump -shards 96 -batch-window "$window"
+	cell "dump shards=96 GOMAXPROCS=1 batch-window=$window" GOMAXPROCS=1 -fig dump -shards 96 -batch-window "$window"
 done
 for fig in 2 3 a1 a2 a3 a4 a5 a6 a7 a8 a9 a11; do
 	cell "fig $fig -quick" "" -fig "$fig" -quick
