@@ -31,6 +31,28 @@ if [ -n "$unformatted" ]; then
 	echo "$unformatted" >&2
 	exit 1
 fi
+# The newest CHANGES.md entry, from its last line that starts "- " to the
+# end of the file, is at most 25 lines of at most 100 columns (ROADMAP
+# item 21). A column is a rune: in the C locale a byte that continues a
+# UTF-8 sequence (octal 200-277) is not counted. Older entries predate the
+# rule and are not read.
+LC_ALL=C awk '
+	/^- / { start = NR }
+	{ s = $0; gsub(/[\200-\277]/, "", s); width[NR] = length(s) }
+	END {
+		bad = 0
+		if (NR - start + 1 > 25) {
+			printf "CHANGES.md: the newest entry has %d lines, over 25\n", NR - start + 1
+			bad = 1
+		}
+		for (i = start; i <= NR; i++) {
+			if (width[i] > 100) {
+				printf "CHANGES.md:%d: %d columns, over 100\n", i, width[i]
+				bad = 1
+			}
+		}
+		exit bad
+	}' CHANGES.md
 go build ./...
 go vet ./...
 # bench/ is a module of its own (the repo benchmark, BENCHMARK.json), so

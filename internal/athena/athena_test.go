@@ -114,18 +114,18 @@ var tBase = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
 func TestInterestTable(t *testing.T) {
 	it := NewInterestTable(10 * time.Second)
-	if pending := it.Add("/cam/x", "origin1", "q1", "nb1", []string{"l1"}, tBase); pending {
+	if pending := it.Add("/cam/x", "origin1", "q1", "nb1", tBase); pending {
 		t.Error("first Add reported pending")
 	}
-	if pending := it.Add("/cam/x", "origin2", "q2", "nb2", nil, tBase); !pending {
+	if pending := it.Add("/cam/x", "origin2", "q2", "nb2", tBase); !pending {
 		t.Error("second Add did not report pending")
 	}
 	// Duplicate waiter: still pending, not duplicated.
-	if pending := it.Add("/cam/x", "origin1", "q1", "nb1", nil, tBase); !pending {
+	if pending := it.Add("/cam/x", "origin1", "q1", "nb1", tBase); !pending {
 		t.Error("duplicate Add did not report pending")
 	}
-	if n := it.Len(tBase); n != 2 {
-		t.Errorf("Len = %d, want 2", n)
+	if n := len(it.reqs["/cam/x"].waiters); n != 2 {
+		t.Errorf("%d waiters, want 2", n)
 	}
 	ws := it.Waiters("/cam/x", tBase.Add(time.Second), true)
 	if len(ws) != 2 {
@@ -135,18 +135,18 @@ func TestInterestTable(t *testing.T) {
 		t.Errorf("waiter froms = %v %v", ws[0].from, ws[1].from)
 	}
 	// Consumed: no longer pending.
-	if it.Pending("/cam/x", tBase.Add(time.Second)) {
+	if it.pending("/cam/x", tBase.Add(time.Second)) {
 		t.Error("consumed entry still pending")
 	}
 }
 
 func TestInterestTableExpiry(t *testing.T) {
 	it := NewInterestTable(5 * time.Second)
-	it.Add("/cam/x", "o", "q", "nb", nil, tBase)
-	if !it.Pending("/cam/x", tBase.Add(4*time.Second)) {
+	it.Add("/cam/x", "o", "q", "nb", tBase)
+	if !it.pending("/cam/x", tBase.Add(4*time.Second)) {
 		t.Error("entry lapsed early")
 	}
-	if it.Pending("/cam/x", tBase.Add(6*time.Second)) {
+	if it.pending("/cam/x", tBase.Add(6*time.Second)) {
 		t.Error("entry survived TTL")
 	}
 	if ws := it.Waiters("/cam/x", tBase.Add(6*time.Second), true); len(ws) != 0 {

@@ -346,8 +346,7 @@ func (n *Node) handleRequest(from string, req *ObjectRequest) {
 		return
 	}
 
-	alreadyPending := n.interest.Add(req.Object, req.Origin, req.QueryID, from, req.Labels, now)
-	if !alreadyPending {
+	if !n.interest.Add(req.Object, req.Origin, req.QueryID, from, now) {
 		n.forwardRequest(req, 0)
 	}
 }
@@ -377,18 +376,14 @@ func (n *Node) duplicateInFlight(objName, neighbor string, size int64, now time.
 	return false
 }
 
-// forwardRequest sends a request upstream toward its source and, unless
-// retries are disabled, arms a retransmit timer: if the retry window
-// lapses with the interest still pending and live downstream waiters, the
-// request is re-forwarded with exponential backoff, up to maxRetries.
-// Retransmissions recover hop-by-hop — a duplicate is absorbed by the next
-// hop's pending mark (or answered from its content store once data passed
-// through), so a spurious retry costs one request message on one link.
-// When retries are exhausted the pending mark is cleared so the next
-// incoming interest forwards afresh, possibly via an alternate source
-// chosen at the origin. The timer belongs to the pending mark req was
-// forwarded under: once that mark is gone, a later one for the object is
-// another request's. Callers hold n.mu.
+// forwardRequest sends a request upstream toward its source, under the
+// object's interest mark, and, unless retries are disabled, arms a
+// retransmit timer: the request is re-forwarded with exponential backoff,
+// up to maxRetries, for as long as its mark and a waiter live
+// (InterestTable.retransmit). Retransmissions recover hop-by-hop — a
+// duplicate is absorbed by the next hop's mark, or answered from its
+// content store once data passed through — so a spurious retry costs one
+// request message on one link. Callers hold n.mu.
 func (n *Node) forwardRequest(req *ObjectRequest, attempt int) {
 	n.sendTo(req.SourceNode, req)
 	if n.disableRetries {
@@ -398,26 +393,16 @@ func (n *Node) forwardRequest(req *ObjectRequest, attempt int) {
 	if desc, ok := n.dir.Descriptor(req.SourceNode); ok {
 		objSize = desc.Size
 	}
-	delay := n.retryDelay(attempt, objSize)
-	gen := n.interest.pendingGen(req.Object, n.now())
-	n.interest.holdRetry(req.Object, n.arm(delay, func() {
+	gen := n.interest.reqs[req.Object].gen // the mark req goes under
+	n.interest.holdRetry(req.Object, n.arm(n.retryDelay(attempt, objSize), func() {
 		n.mu.Lock()
 		defer n.mu.Unlock()
 		now := n.now()
-		if n.interest.pendingGen(req.Object, now) != gen {
-			return // its mark is gone: data arrived or the request lapsed
+		until := now.Add(n.retryDelay(attempt+1, objSize) + retryInterval)
+		if n.interest.retransmit(req.Object, gen, attempt+1 > maxRetries, until, now) {
+			n.stats.Retransmits++
+			n.forwardRequest(req, attempt+1)
 		}
-		if !n.interest.HasWaiters(req.Object, now) {
-			return // everyone downstream gave up; let the pending mark lapse
-		}
-		if attempt+1 > maxRetries {
-			n.interest.ClearPending(req.Object)
-			return
-		}
-		n.stats.Retransmits++
-		// Keep the pending mark alive through the next retry window.
-		n.interest.RefreshPending(req.Object, now.Add(n.retryDelay(attempt+1, objSize)+retryInterval))
-		n.forwardRequest(req, attempt+1)
 	}))
 }
 
@@ -533,15 +518,12 @@ func (n *Node) deliverObject(obj *object.Object, now time.Time) {
 	}
 	objName := obj.ID.Name.String()
 	for q := n.liveAfter(""); q != nil; q = n.liveAfter(q.engine.ID()) {
-		sent, waiting := q.outstanding[objName]
-		if !waiting && !queryWantsAny(q, obj) {
+		if !q.reqs[objName].inFlight && !queryWantsAny(q, obj) {
 			continue
 		}
-		if waiting {
-			n.m.fetchLatency.ObserveDuration(now.Sub(sent.at))
+		if r, waiting := q.step(objName, reqData, 0); waiting {
+			n.m.fetchLatency.ObserveDuration(now.Sub(r.at))
 		}
-		q.settle(objName)
-		delete(q.attempts, objName) // answered: reset its backoff
 		if q.engine.Step(now) != core.Pending {
 			n.recordIfTerminal(q)
 			continue
@@ -647,9 +629,9 @@ func (n *Node) handleLabelShare(from string, s *LabelShare) {
 	// object evidences no label the query still wants. Any other stays in
 	// flight; settled, the next pump would only request it again.
 	if accepted {
-		for objName, r := range q.outstanding {
-			if !q.engine.WantsAny(r.labels, now) {
-				q.settle(objName)
+		for objName, r := range q.reqs {
+			if r.inFlight && !q.engine.WantsAny(r.labels, now) {
+				q.step(objName, reqLabel, 0)
 			}
 		}
 	}
@@ -719,14 +701,14 @@ func (n *Node) dispatchRequest(q *localQuery, req *ObjectRequest) {
 		}
 		if satisfied {
 			n.stats.LabelAnswers++
-			q.settle(req.Object)
+			q.step(req.Object, reqLabel, 0)
 			n.pump(q)
 			return
 		}
 	}
 
-	// Local content store; deliverObject clears the outstanding mark and
-	// pumps the query.
+	// Local content store; deliverObject takes the request out of flight
+	// and pumps the query.
 	if name, err := names.Parse(req.Object); err == nil {
 		if obj, ok := n.store.Get(name, now); ok {
 			n.stats.CacheAnswers++

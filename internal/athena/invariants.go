@@ -57,19 +57,17 @@ func (n *Node) quiescenceViolations() []string {
 		}
 	}
 	now := n.now()
-	objs := make([]string, 0, len(n.interest.entries)+len(n.interest.pending))
-	for obj := range n.interest.entries {
-		objs = append(objs, obj)
-	}
-	for obj := range n.interest.pending {
+	objs := make([]string, 0, len(n.interest.reqs))
+	for obj := range n.interest.reqs {
 		objs = append(objs, obj)
 	}
 	sort.Strings(objs)
-	for _, obj := range slices.Compact(objs) {
-		if slices.ContainsFunc(n.interest.entries[obj], func(w interestEntry) bool { return w.expires.After(now) }) {
+	for _, obj := range objs {
+		r := n.interest.reqs[obj]
+		if slices.ContainsFunc(r.waiters, func(w interestEntry) bool { return w.expires.After(now) }) {
 			out = append(out, "interest in "+obj+": a waiter not drained")
 		}
-		if p, ok := n.interest.pending[obj]; ok && p.at.After(now) {
+		if r.gen != 0 && r.mark.at.After(now) {
 			out = append(out, "interest in "+obj+": a pending mark not drained")
 		}
 	}

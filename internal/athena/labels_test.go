@@ -17,7 +17,7 @@ func lvfl(c *Config) { c.Scheme = SchemeLVFL }
 func TestLabelShareRetiresOnlyWhatItAnswered(t *testing.T) {
 	r := newStopRig(t, false, lvfl)
 	id := r.query(t, "la & lc")
-	if n := len(r.n.queries[id].outstanding); n != 2 {
+	if n := r.n.queries[id].inFlight; n != 2 {
 		t.Fatalf("%d objects in flight, want 2", n)
 	}
 	rec := &trust.Label{Name: "la", Value: true, Computed: r.now, Validity: time.Minute}
@@ -28,10 +28,10 @@ func TestLabelShareRetiresOnlyWhatItAnswered(t *testing.T) {
 	})
 	r.advance(0)
 	q := r.n.queries[id]
-	if _, ok := q.outstanding["/cam/a"]; ok {
+	if q.reqs["/cam/a"].inFlight {
 		t.Error("a's request is still outstanding after the share answered it")
 	}
-	if _, ok := q.outstanding["/cam/c"]; !ok {
+	if !q.reqs["/cam/c"].inFlight {
 		t.Error("c's request was settled by a share that did not answer it")
 	}
 	r.locked(func() { r.n.deliverObject(sampleOf("c", r.now), r.now) })

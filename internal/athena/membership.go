@@ -139,16 +139,15 @@ func (n *Node) sourceGone(src string, desc object.Descriptor, had bool) {
 	}
 }
 
-// reSourceFrom clears in-flight fetches of the given object and marks its
-// source suspect on every affected query, then pumps them so the next
-// request goes to an alternate covering source
+// reSourceFrom takes in-flight fetches of the given object out of flight
+// and marks its source suspect on every affected query, then pumps them so
+// the next request goes to an alternate covering source
 // (SourceForLabelExcluding). Callers hold n.mu.
 func (n *Node) reSourceFrom(src, objName string) {
 	for q := n.liveAfter(""); q != nil; q = n.liveAfter(q.engine.ID()) {
-		if _, ok := q.outstanding[objName]; !ok {
+		if _, was := q.step(objName, reqLost, 0); !was {
 			continue
 		}
-		q.settle(objName)
 		q.suspect[src] = true
 		n.pump(q)
 	}

@@ -83,7 +83,9 @@ type Stats struct {
 	// RequestsSent counts object requests dispatched (first sends and
 	// refetches).
 	RequestsSent int
-	// Refetches counts requests re-issued after evidence expired.
+	// Refetches counts repeat sends of an object the query sent before,
+	// whatever ended the earlier send: a recovery timeout, a label answer,
+	// the loss of its source, or the object's evidence expiring.
 	Refetches int
 	// Retransmits counts upstream requests re-forwarded by the interest
 	// layer after a retry window lapsed without data.
@@ -363,12 +365,11 @@ const (
 type localQuery struct {
 	engine      *core.Engine
 	issued      time.Time
-	minValidity time.Duration       // smallest positive validity among the labels; 0 = none (queryUrgency)
-	selected    []string            // selected source ids (slt/lcf/lvf/lvfl)
-	outstanding map[string]inflight // object name -> request send time, recovery timer and labels
-	requested   map[string]bool     // object names requested at least once
-	attempts    map[string]int      // object name -> origin-side timeout count
-	suspect     map[string]bool     // sources that exhausted their retries
+	minValidity time.Duration     // smallest positive validity among the labels; 0 = none (queryUrgency)
+	selected    []string          // selected source ids (slt/lcf/lvf/lvfl)
+	reqs        map[string]objReq // object name -> the query's request for it, once sent
+	inFlight    int               // the requests in flight: the pumps' window
+	suspect     map[string]bool   // sources that exhausted their retries
 	batch       bool
 	armed       [2]timed              // the instant a pump is armed for and its timer, by purpose (pumpAt)
 	watchdog    Stopper               // the deadline watchdog (QueryInit)
@@ -385,22 +386,64 @@ type timed struct {
 	timer Stopper
 }
 
-// inflight is an object request of a local query still awaiting its
-// answer: the send time and recovery timer, and the labels the object's
-// descriptor says it evidences, which tell a label answer whether it
-// answered this request too (handleLabelShare).
-type inflight struct {
+// objReq is a local query's request for one object, from its first send
+// until the query is recorded: in flight or idle, the attempt count, and
+// the last send's number, instant, recovery timer and descriptor labels
+// (which tell a label answer whether it answered this request too). A
+// recovery timer carries its send's number: one armed for an earlier send
+// does nothing.
+type objReq struct {
 	timed
-	labels []string
+	labels   []string
+	attempts int // recovery timeouts since the object last arrived
+	sends    int
+	inFlight bool
 }
 
-// settle drops obj's in-flight mark and stops its recovery timer, whose
-// firing would now find nothing to do. Callers hold n.mu.
-func (q *localQuery) settle(obj string) {
-	if r, ok := q.outstanding[obj]; ok {
-		stop(r.timer)
-		delete(q.outstanding, obj)
+// reqEvent is what happens to an object request (localQuery.step).
+type reqEvent uint8
+
+const (
+	reqSend    reqEvent = iota // requestObject sends it
+	reqTimeout                 // a recovery timer fires
+	reqData                    // the object arrives
+	reqLabel                   // a label answer covers it
+	reqLost                    // its source is evicted
+)
+
+// step is the one place an object request of q changes phase. It applies
+// ev to obj's request and returns the request after it, and whether it was
+// in flight before. A send puts it in flight under the next send number;
+// any other event takes it out of flight and stops its timer, except a
+// timeout of a send not the current one in flight. A timeout counts an
+// attempt and data resets them, in flight or not. Sending a request in
+// flight, or any event for one never sent, changes nothing (the table is
+// TestObjReqTransitions). Callers hold n.mu.
+func (q *localQuery) step(obj string, ev reqEvent, send int) (r objReq, was bool) {
+	r, sent := q.reqs[obj]
+	was = r.inFlight
+	switch {
+	case ev == reqSend && was, ev != reqSend && !sent:
+		return r, was
+	case ev == reqSend:
+		r.inFlight, r.sends = true, r.sends+1
+		q.inFlight++
+	case ev == reqTimeout && (!was || r.sends != send):
+		return r, false
+	case ev == reqTimeout:
+		r.attempts++
+	case ev == reqData:
+		r.attempts = 0
+	case !was:
+		return r, was
 	}
+	if was {
+		stop(r.timer)
+		r.timer, r.inFlight = nil, false
+		q.inFlight--
+	}
+	q.reqs[obj] = r
+	return r, was
 }
 
 // corrState accumulates noisy annotation votes for one label of one query
@@ -724,9 +767,11 @@ func (n *Node) DebugQueries() string {
 	now := n.now()
 	out := ""
 	for _, q := range n.live {
-		inflight := make([]string, 0, len(q.outstanding))
-		for obj, r := range q.outstanding {
-			inflight = append(inflight, fmt.Sprintf("%s@%s", obj, r.at.Format("15:04:05")))
+		inflight := make([]string, 0, q.inFlight)
+		for obj, r := range q.reqs {
+			if r.inFlight {
+				inflight = append(inflight, fmt.Sprintf("%s@%s", obj, r.at.Format("15:04:05")))
+			}
 		}
 		sort.Strings(inflight)
 		out += fmt.Sprintf("%s status=%v unknown=%v outstanding=%v expr=%s\n",
@@ -752,14 +797,12 @@ func (n *Node) QueryInit(expr boolexpr.DNF, deadline time.Duration) (string, err
 	exprText := expr.String()
 
 	q := &localQuery{
-		engine:      core.NewEngineWithPlan(id, expr, abs, n.meta, n.planFor(expr, exprText)),
-		issued:      now,
-		outstanding: make(map[string]inflight),
-		requested:   make(map[string]bool),
-		attempts:    make(map[string]int),
-		suspect:     make(map[string]bool),
-		batch:       n.scheme == SchemeCMP || n.scheme == SchemeSLT || n.scheme == SchemeLCF,
-		corr:        make(map[string]*corrState),
+		engine:  core.NewEngineWithPlan(id, expr, abs, n.meta, n.planFor(expr, exprText)),
+		issued:  now,
+		reqs:    make(map[string]objReq),
+		suspect: make(map[string]bool),
+		batch:   n.scheme == SchemeCMP || n.scheme == SchemeSLT || n.scheme == SchemeLCF,
+		corr:    make(map[string]*corrState),
 	}
 	for _, l := range q.engine.Labels() {
 		if v := n.meta.Get(l).Validity; v > 0 && (q.minValidity == 0 || v < q.minValidity) {
@@ -931,10 +974,10 @@ func (n *Node) pumpBatch(q *localQuery, now time.Time) {
 		})
 	}
 	for _, t := range targets {
-		if len(q.outstanding) >= batchWindow {
+		if q.inFlight >= batchWindow {
 			break
 		}
-		if _, inFlight := q.outstanding[t.obj]; inFlight {
+		if q.reqs[t.obj].inFlight {
 			continue
 		}
 		n.requestObject(q, t.source, t.obj, t.labels, t.size, now)
@@ -956,7 +999,7 @@ func (n *Node) pumpSequential(q *localQuery, now time.Time) {
 		}
 		// Active term: keep up to sequentialWindow transfers in flight.
 		for _, li := range plan.LiteralOrder[ti] {
-			if len(q.outstanding) >= n.sequentialWindow {
+			if q.inFlight >= n.sequentialWindow {
 				return
 			}
 			if !q.engine.LiteralUnknown(ti, li, now) {
@@ -981,7 +1024,7 @@ func (n *Node) pumpSequential(q *localQuery, now time.Time) {
 				continue
 			}
 			objName := desc.Name.String()
-			if _, inFlight := q.outstanding[objName]; inFlight {
+			if q.reqs[objName].inFlight {
 				continue
 			}
 			n.requestObject(q, src, objName, desc.Labels, desc.Size, now)
@@ -1028,10 +1071,13 @@ func (n *Node) requestObject(q *localQuery, source, objName string, labels []str
 	if len(want) == 0 {
 		return
 	}
-	if q.requested[objName] {
+	r, was := q.step(objName, reqSend, 0)
+	if was {
+		return
+	}
+	if r.sends > 1 {
 		n.stats.Refetches++
 	}
-	q.requested[objName] = true
 	n.stats.RequestsSent++
 	n.fetchQ = append(n.fetchQ, queuedRequest{
 		req: &ObjectRequest{
@@ -1044,33 +1090,33 @@ func (n *Node) requestObject(q *localQuery, source, objName string, labels []str
 		urgency: n.queryUrgency(q, now).UnixNano(),
 	})
 	// Recovery timer: if no answer arrives (lost request or data,
-	// overload), clear the in-flight mark so the next pump re-requests —
-	// with exponential backoff across attempts, and switching to an
-	// alternate source once this one exhausts its retries. With retries
-	// disabled this degrades to the single fixed-timeout safety net. The
-	// timestamp check ignores answers that arrived and were re-requested.
-	id := q.engine.ID()
+	// overload), take the request out of flight so the next pump asks
+	// again — with exponential backoff across attempts, and an alternate
+	// source once this one exhausts its retries. With retries disabled
+	// this degrades to the single fixed-timeout safety net.
+	id, send := q.engine.ID(), r.sends
 	timeout := requestTimeout
 	if !n.disableRetries {
-		timeout = n.retryDelay(q.attempts[objName], size)
+		timeout = n.retryDelay(r.attempts, size)
 	}
-	q.outstanding[objName] = inflight{labels: labels, timed: timed{at: now, timer: n.arm(timeout, func() {
+	r.at, r.labels = now, labels
+	r.timer = n.arm(timeout, func() {
 		n.whenLive(id, func(q *localQuery) {
-			if r, inFlight := q.outstanding[objName]; !inFlight || !r.at.Equal(now) {
+			lapsed, current := q.step(objName, reqTimeout, send)
+			if !current {
 				return
 			}
-			delete(q.outstanding, objName)
 			if !n.disableRetries {
 				n.stats.RequestTimeouts++
-				q.attempts[objName]++
-				if q.attempts[objName] > maxRetries && !q.suspect[source] {
+				if lapsed.attempts > maxRetries && !q.suspect[source] {
 					q.suspect[source] = true
 					n.failovers++
 				}
 			}
 			n.pump(q)
 		})
-	})}}
+	})
+	q.reqs[objName] = r
 	n.kick()
 }
 
@@ -1154,7 +1200,7 @@ func (n *Node) recordIfTerminal(q *localQuery) {
 	for _, p := range q.armed {
 		stop(p.timer)
 	}
-	for _, r := range q.outstanding {
+	for _, r := range q.reqs {
 		stop(r.timer)
 	}
 	switch status {

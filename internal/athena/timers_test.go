@@ -165,9 +165,12 @@ type rigState struct {
 func (r *stopRig) state(queryID string) rigState {
 	s := rigState{stats: r.n.stats, results: len(r.n.results), sent: len(r.sent)}
 	if q, ok := r.n.queries[queryID]; ok {
-		s.outstanding, s.attempts = len(q.outstanding), len(q.attempts)
+		s.outstanding = q.inFlight
+		for _, req := range q.reqs {
+			s.attempts += req.attempts
+		}
 	}
-	_, s.pending = r.n.interest.pending["/cam/c"]
+	s.pending = r.n.interest.reqs["/cam/c"].gen != 0
 	return s
 }
 
@@ -193,13 +196,13 @@ func TestStopLosingToFiringTimerChangesNothing(t *testing.T) {
 		}},
 		{"request recovery", func(t *testing.T, r *stopRig) (string, *rigTimer) {
 			id := r.query(t, "la & lc")
-			return id, r.n.queries[id].outstanding["/cam/a"].timer.(*rigTimer)
+			return id, r.n.queries[id].reqs["/cam/a"].timer.(*rigTimer)
 		}, func(r *stopRig) {
 			r.n.deliverObject(sampleOf("a", r.now), r.now) // answers /cam/a; lc still pending
 		}},
 		{"forward retry", func(t *testing.T, r *stopRig) (string, *rigTimer) {
 			r.locked(func() { r.n.handleRequest("a", relayed("a/q1")) })
-			return "", r.n.interest.pending["/cam/c"].timer.(*rigTimer)
+			return "", r.n.interest.reqs["/cam/c"].mark.timer.(*rigTimer)
 		}, func(r *stopRig) {
 			r.n.handleData("c", answer("a/q1", r.now)) // satisfies the pending mark
 		}},
