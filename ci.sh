@@ -121,7 +121,9 @@ fi
 # ~62 KB, and ~1 MB when frames are read whole; a finished decision whose
 # wall-clock timers are left to fire instead of stopped — held-B/op, the
 # heap a closed and dropped socket pair still holds per decision, is 0
-# once its nodes are collected and ~3 KB while armed timers pin them).
+# once its nodes are collected and ~3 KB while armed timers pin them; a
+# query planner that looks a label's metadata up per comparison again, or
+# allocates per term — 5 allocs/op at -benchtime 3x, 21 when it did).
 # Refresh the baseline with `make bench` when an intentional change moves
 # one.
 # BenchmarkDecisionEngine, BenchmarkShardLookupBegin,
@@ -131,7 +133,7 @@ fi
 # two in internal/athena share one). BenchmarkDirectoryMemory runs without
 # -benchmem, as `make bench` records it: only its entries/node is gated.
 {
-	go test -run '^$' -bench '^Benchmark(Scheme|AblationPrefetch|SimKernel|BatchedFetch|DeliverObjectHistory|SelectSources|DirectoryDelta|ShardRefresh|LaneQueue|EncodeSmall|EncodeObjectData|DecodeSmall|Generate)$/^(lvf|lvfl|sharded|sharded-owned|scoped|unchanged|w1|on|n2000|depth512|request|head|sec7)$' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire ./internal/workload
+	go test -run '^$' -bench '^Benchmark(Scheme|AblationPrefetch|SimKernel|BatchedFetch|DeliverObjectHistory|SelectSources|DirectoryDelta|ShardRefresh|LaneQueue|EncodeSmall|EncodeObjectData|DecodeSmall|Generate|PlanFor)$/^(lvf|lvfl|sharded|sharded-owned|scoped|unchanged|w1|on|n2000|depth512|request|head|sec7|uncached)$' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire ./internal/workload
 	go test -run '^$' -bench '^BenchmarkDirectoryMemory$/^sharded$' -benchtime 3x .
 	go test -run '^$' -bench '^BenchmarkDecisionEngine$' -benchmem -benchtime 3x .
 	go test -run '^$' -bench '^Benchmark(ShardLookupBegin|LookupReplies)$' -benchmem -benchtime 3x ./internal/athena
@@ -160,4 +162,5 @@ fi
 		-gate 'BenchmarkDecodeSmall/request:allocs/op:10' \
 		-gate 'BenchmarkGenerate/sec7:allocs/op:10' \
 		-gate 'BenchmarkTCPReceivePadded:held-B/op:10' \
-		-gate 'BenchmarkTCPClosedPairHeld:held-B/op:10'
+		-gate 'BenchmarkTCPClosedPairHeld:held-B/op:10' \
+		-gate 'BenchmarkPlanFor/uncached:allocs/op:10'

@@ -13,7 +13,9 @@
 //	athena-sim -fig a9         # Ablation: directory sharding, memory/sync vs full replica
 //	athena-sim -fig a10        # Ablation: lane-per-node kernel throughput
 //	athena-sim -fig a11        # Ablation: data-plane batching, frames/bytes vs latency
-//	athena-sim -fig all        # everything
+//	athena-sim -fig all        # everything above
+//	athena-sim -fig misses     # where deadlines die: expired queries by cause
+//	                           # (not part of all)
 //
 // Two CI-oriented scenarios sit outside the figure set:
 //
@@ -51,7 +53,7 @@ func main() {
 
 func run() error {
 	var (
-		fig     = flag.String("fig", "all", "which figure to regenerate: 2, 3, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, all, dump, smoke")
+		fig     = flag.String("fig", "all", "which figure to regenerate: 2, 3, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, all, misses, dump, smoke")
 		reps    = flag.Int("reps", 10, "repetitions per data point")
 		seed    = flag.Int64("seed", 1, "base random seed")
 		schemes = flag.String("schemes", "cmp,slt,lcf,lvf,lvfl", "comma-separated schemes")
@@ -229,6 +231,16 @@ func run() error {
 			return err
 		}
 		fmt.Print(experiment.RenderBatching(rows))
+		fmt.Println()
+	}
+	// The misses table is asked for by name only, so -fig all (and
+	// results_full.txt) print what they did before it existed.
+	if *fig == "misses" {
+		rows, err := experiment.Misses(cfg)
+		if err != nil {
+			return err
+		}
+		fmt.Print(experiment.RenderMisses(rows))
 		fmt.Println()
 	}
 	//lint:allow walltime operator-facing elapsed-time report, not simulation state

@@ -416,21 +416,20 @@ func (d *Directory) computeDigestLocked() uint64 {
 	}
 	sort.Strings(srcs)
 	d.digestSrcs = srcs
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
+	h := uint64(fnvOffset64)
 	for _, s := range srcs {
 		r := d.records[s]
 		for i := 0; i < len(s); i++ {
-			h = (h ^ uint64(s[i])) * prime64
+			h = (h ^ uint64(s[i])) * fnvPrime64
 		}
 		for i := 0; i < 8; i++ {
-			h = (h ^ (r.seq >> (8 * i) & 0xff)) * prime64
+			h = (h ^ (r.seq >> (8 * i) & 0xff)) * fnvPrime64
 		}
 		w := uint64(0)
 		if r.withdrawn {
 			w = 1
 		}
-		h = (h ^ w) * prime64
+		h = (h ^ w) * fnvPrime64
 	}
 	return h
 }

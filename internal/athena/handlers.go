@@ -1,7 +1,8 @@
 package athena
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"athena/internal/core"
@@ -286,7 +287,10 @@ func (n *Node) handleRequest(from string, req *ObjectRequest) {
 	// everything the requester wants, reply with records instead of the
 	// object — "several orders of magnitude resource savings".
 	if n.scheme == SchemeLVFL && len(req.Labels) > 0 {
-		records := make([]trust.Label, 0, len(req.Labels))
+		// Most requests a node sees are not covered: the records are
+		// copied out only once every label is.
+		var found [8]*trust.Label
+		recs := found[:0]
 		covered := true
 		for _, l := range req.Labels {
 			rec, ok := n.labels.Get(l, trust.TrustAll(), now)
@@ -294,9 +298,13 @@ func (n *Node) handleRequest(from string, req *ObjectRequest) {
 				covered = false
 				break
 			}
-			records = append(records, *rec)
+			recs = append(recs, rec)
 		}
 		if covered {
+			records := make([]trust.Label, len(recs))
+			for i, rec := range recs {
+				records[i] = *rec
+			}
 			n.stats.LabelAnswers++
 			n.sendTo(req.Origin, &LabelShare{Records: records, Dest: req.Origin, QueryID: req.QueryID})
 			return
@@ -517,6 +525,7 @@ func (n *Node) deliverObject(obj *object.Object, now time.Time) {
 		return
 	}
 	objName := obj.ID.Name.String()
+	evidence := "" // obj.ID.String(), rendered for the first record that cites it
 	for q := n.liveAfter(""); q != nil; q = n.liveAfter(q.engine.ID()) {
 		if !q.reqs[objName].inFlight && !queryWantsAny(q, obj) {
 			continue
@@ -545,15 +554,21 @@ func (n *Node) deliverObject(obj *object.Object, now time.Time) {
 				}
 				value = v
 			}
+			if evidence == "" {
+				evidence = obj.ID.String()
+			}
 			rec := &trust.Label{
 				Name:     label,
 				Value:    value,
-				Evidence: []string{obj.ID.String()},
+				Evidence: []string{evidence},
 				Computed: now,
 				Validity: obj.RemainingValidity(now),
 			}
 			n.signer.Sign(rec)
 			n.labels.Put(rec)
+			if records == nil {
+				records = make([]trust.Label, 0, len(obj.Labels))
+			}
 			records = append(records, *rec)
 			// The engine accepts the evidence with the object's expiry.
 			_ = q.engine.Set(label, value, obj.Expiry(), obj.Source, n.id)
@@ -664,8 +679,8 @@ func (n *Node) drain() {
 	// Drain the fetch queue most-urgent query first (hierarchical
 	// priority bands, ref [1]); the sort is stable so a query's own
 	// requests keep their plan order.
-	sort.SliceStable(n.fetchQ, func(a, b int) bool {
-		return n.fetchQ[a].urgency < n.fetchQ[b].urgency
+	slices.SortStableFunc(n.fetchQ, func(a, b queuedRequest) int {
+		return cmp.Compare(a.urgency, b.urgency)
 	})
 	for len(n.fetchQ) > 0 {
 		qr := n.fetchQ[0]

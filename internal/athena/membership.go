@@ -148,7 +148,7 @@ func (n *Node) reSourceFrom(src, objName string) {
 		if _, was := q.step(objName, reqLost, 0); !was {
 			continue
 		}
-		q.suspect[src] = true
+		q.suspectSource(src)
 		n.pump(q)
 	}
 }

@@ -1,11 +1,13 @@
 package athena
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"reflect"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -186,6 +188,32 @@ type QueryResult struct {
 	Issued, Finished time.Time
 	// Deadline is the absolute deadline it had.
 	Deadline time.Time
+	// Waiting is an expired query's post-mortem: what it still waited on
+	// when it was recorded. One entry per request covering a label it
+	// still wanted, by object name, then one per wanted label no request
+	// covered, in plan order. Empty for a resolved query.
+	Waiting []Waiting
+}
+
+// Waiting is one thing an expired query was still waiting on: a request
+// of its, or a label it wanted and never requested.
+type Waiting struct {
+	// Object is the requested object's name; empty for a label never
+	// requested.
+	Object string
+	// Label is the wanted label no request covered; empty for a request.
+	Label string
+	// Source is the node the object was requested from.
+	Source string
+	// Attempts counts the request's recovery timeouts since its object
+	// last arrived; Sends counts its sends.
+	Attempts, Sends int
+	// InFlight is how long the current send had been out; zero when the
+	// request was not in flight.
+	InFlight time.Duration
+	// Suspect is set when the source had exhausted its retries for the
+	// query.
+	Suspect bool
 }
 
 // Config assembles a node.
@@ -369,11 +397,11 @@ type localQuery struct {
 	selected    []string          // selected source ids (slt/lcf/lvf/lvfl)
 	reqs        map[string]objReq // object name -> the query's request for it, once sent
 	inFlight    int               // the requests in flight: the pumps' window
-	suspect     map[string]bool   // sources that exhausted their retries
+	suspect     map[string]bool   // sources that exhausted their retries; nil until one does
 	batch       bool
 	armed       [2]timed              // the instant a pump is armed for and its timer, by purpose (pumpAt)
 	watchdog    Stopper               // the deadline watchdog (QueryInit)
-	corr        map[string]*corrState // label -> corroboration (noisy mode)
+	corr        map[string]*corrState // label -> corroboration (noisy mode; nil until a vote)
 }
 
 // timed is an instant the node keeps and the timer armed on its account:
@@ -388,12 +416,13 @@ type timed struct {
 
 // objReq is a local query's request for one object, from its first send
 // until the query is recorded: in flight or idle, the attempt count, and
-// the last send's number, instant, recovery timer and descriptor labels
-// (which tell a label answer whether it answered this request too). A
+// the last send's number, instant, recovery timer, source and descriptor
+// labels (which tell a label answer whether it answered this request too). A
 // recovery timer carries its send's number: one armed for an earlier send
 // does nothing.
 type objReq struct {
 	timed
+	source   string
 	labels   []string
 	attempts int // recovery timeouts since the object last arrived
 	sends    int
@@ -444,6 +473,14 @@ func (q *localQuery) step(obj string, ev reqEvent, send int) (r objReq, was bool
 	}
 	q.reqs[obj] = r
 	return r, was
+}
+
+// suspectSource marks src suspect for q. Callers hold n.mu.
+func (q *localQuery) suspectSource(src string) {
+	if q.suspect == nil {
+		q.suspect = make(map[string]bool)
+	}
+	q.suspect[src] = true
 }
 
 // corrState accumulates noisy annotation votes for one label of one query
@@ -791,18 +828,16 @@ func (n *Node) QueryInit(expr boolexpr.DNF, deadline time.Duration) (string, err
 		return "", errors.New("athena: empty decision expression")
 	}
 	n.querySeq++
-	id := fmt.Sprintf("%s/q%d", n.id, n.querySeq)
+	id := n.id + "/q" + strconv.Itoa(n.querySeq)
 	now := n.now()
 	abs := now.Add(deadline)
 	exprText := expr.String()
 
 	q := &localQuery{
-		engine:  core.NewEngineWithPlan(id, expr, abs, n.meta, n.planFor(expr, exprText)),
-		issued:  now,
-		reqs:    make(map[string]objReq),
-		suspect: make(map[string]bool),
-		batch:   n.scheme == SchemeCMP || n.scheme == SchemeSLT || n.scheme == SchemeLCF,
-		corr:    make(map[string]*corrState),
+		engine: core.NewEngineWithPlan(id, expr, abs, n.meta, n.planFor(expr, exprText)),
+		issued: now,
+		reqs:   make(map[string]objReq),
+		batch:  n.scheme == SchemeCMP || n.scheme == SchemeSLT || n.scheme == SchemeLCF,
 	}
 	for _, l := range q.engine.Labels() {
 		if v := n.meta.Get(l).Validity; v > 0 && (q.minValidity == 0 || v < q.minValidity) {
@@ -881,27 +916,22 @@ type cachedPlan struct {
 // first; batch schemes use the greedy plan only for bookkeeping. Plans are
 // memoized by expression text — recurring queries (QueryEvery) re-plan an
 // identical expression every period otherwise — and invalidated when the
-// directory version moves (membership churn re-prices the metadata the
-// plan was built from). Cached plans are shared across engines; the engine
-// only reads them.
+// directory version moves. Node code never writes n.meta: the only
+// re-pricing is athenad's mergeDirectoryMeta, which folds advertised
+// streams into the table between queries, and a version change is the
+// cheap signal that one may have run. Cached plans are shared across
+// engines; the engine only reads them.
 func (n *Node) planFor(expr boolexpr.DNF, key string) boolexpr.QueryPlan {
 	dirv := n.dir.Version()
 	if c, ok := n.planCache[key]; ok && c.dirv == dirv {
 		n.stats.PlanCacheHits++
 		return c.plan
 	}
-	plan := boolexpr.GreedyPlan(expr, n.meta)
+	var plan boolexpr.QueryPlan
 	if n.scheme == SchemeLVF || n.scheme == SchemeLVFL {
-		for ti, t := range expr.Terms {
-			order := plan.LiteralOrder[ti]
-			validity := make([]time.Duration, len(t.Literals))
-			for li := range t.Literals {
-				validity[li] = n.meta.Get(t.Literals[li].Label).Validity
-			}
-			sort.SliceStable(order, func(a, b int) bool {
-				return validity[order[a]] > validity[order[b]]
-			})
-		}
+		plan = boolexpr.ValidityFirstPlan(expr, n.meta)
+	} else {
+		plan = boolexpr.GreedyPlan(expr, n.meta)
 	}
 	if n.planCache == nil || len(n.planCache) >= 256 {
 		n.planCache = make(map[string]cachedPlan)
@@ -969,8 +999,8 @@ func (n *Node) pumpBatch(q *localQuery, now time.Time) {
 		}
 	}
 	if n.scheme == SchemeLCF {
-		sort.SliceStable(targets, func(a, b int) bool {
-			return targets[a].size < targets[b].size
+		slices.SortStableFunc(targets, func(a, b target) int {
+			return cmp.Compare(a.size, b.size)
 		})
 	}
 	for _, t := range targets {
@@ -1099,7 +1129,7 @@ func (n *Node) requestObject(q *localQuery, source, objName string, labels []str
 	if !n.disableRetries {
 		timeout = n.retryDelay(r.attempts, size)
 	}
-	r.at, r.labels = now, labels
+	r.at, r.source, r.labels = now, source, labels
 	r.timer = n.arm(timeout, func() {
 		n.whenLive(id, func(q *localQuery) {
 			lapsed, current := q.step(objName, reqTimeout, send)
@@ -1109,7 +1139,7 @@ func (n *Node) requestObject(q *localQuery, source, objName string, labels []str
 			if !n.disableRetries {
 				n.stats.RequestTimeouts++
 				if lapsed.attempts > maxRetries && !q.suspect[source] {
-					q.suspect[source] = true
+					q.suspectSource(source)
 					n.failovers++
 				}
 			}
@@ -1218,6 +1248,9 @@ func (n *Node) recordIfTerminal(q *localQuery) {
 		Finished: q.engine.ResolvedAt(),
 		Deadline: q.engine.Deadline(),
 	}
+	if status == core.Expired {
+		res.Waiting = q.waiting(n.now())
+	}
 	if status.Resolved() {
 		n.m.resolveLatency.ObserveDuration(res.Finished.Sub(res.Issued))
 	}
@@ -1226,6 +1259,43 @@ func (n *Node) recordIfTerminal(q *localQuery) {
 		cb := n.onDone
 		n.timers.After(0, func() { cb(res) })
 	}
+}
+
+// waiting is q's miss post-mortem at instant now (QueryResult.Waiting): its
+// requests that cover a label it still wants, by object name, then each
+// wanted label none of them covers. Callers hold n.mu.
+func (q *localQuery) waiting(now time.Time) []Waiting {
+	wanted := q.engine.UnknownLabels(now)
+	objs := make([]string, 0, len(q.reqs))
+	for obj := range q.reqs {
+		objs = append(objs, obj)
+	}
+	sort.Strings(objs)
+	var out []Waiting
+	covered := make(map[string]bool, len(wanted))
+	for _, obj := range objs {
+		r := q.reqs[obj]
+		cover := false
+		for _, l := range r.labels {
+			if slices.Contains(wanted, l) {
+				cover, covered[l] = true, true
+			}
+		}
+		if !cover {
+			continue
+		}
+		w := Waiting{Object: obj, Source: r.source, Attempts: r.attempts, Sends: r.sends, Suspect: q.suspect[r.source]}
+		if r.inFlight {
+			w.InFlight = now.Sub(r.at)
+		}
+		out = append(out, w)
+	}
+	for _, l := range wanted {
+		if !covered[l] {
+			out = append(out, Waiting{Label: l})
+		}
+	}
+	return out
 }
 
 // Prewarm floods a decision expression that is *anticipated* but not yet

@@ -1,8 +1,6 @@
 package athena
 
 import (
-	"fmt"
-	"hash/fnv"
 	"slices"
 	"time"
 
@@ -21,9 +19,13 @@ import (
 // of the same evidence by the same observer agree, while different
 // evidence objects err independently.
 func noisyReading(truth bool, observer, objectID, label string, rate float64) bool {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%s|%s", observer, objectID, label)
-	x := h.Sum64()
+	// 64-bit FNV-1a of "observer|objectID|label", folded in place.
+	x := uint64(fnvOffset64)
+	for _, s := range [...]string{observer, "|", objectID, "|", label} {
+		for i := 0; i < len(s); i++ {
+			x = (x ^ uint64(s[i])) * fnvPrime64
+		}
+	}
 	// splitmix64 finalizer to whiten FNV output.
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
@@ -37,11 +39,19 @@ func noisyReading(truth bool, observer, objectID, label string, rate float64) bo
 	return truth
 }
 
+// The 64-bit FNV-1a parameters (hash/fnv's New64a), for the hashes a node
+// folds in place: the noisy reading and the directory digest.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
 // corroborate records one (noisy) annotation vote for a query label and
 // reports whether confidence has been reached, with the majority value.
 // Each exact object version votes at most once. Callers hold n.mu.
 func (n *Node) corroborate(q *localQuery, label string, obj *object.Object, trueValue bool) (decided, value bool) {
-	reading := noisyReading(trueValue, n.id, obj.ID.String(), label, n.sensorNoise)
+	vid := obj.ID.String()
+	reading := noisyReading(trueValue, n.id, vid, label, n.sensorNoise)
 	cs := q.corr[label]
 	if cs == nil {
 		cs = &corrState{
@@ -49,9 +59,11 @@ func (n *Node) corroborate(q *localQuery, label string, obj *object.Object, true
 			votedVersion: make(map[string]bool),
 			nameExpiry:   make(map[string]time.Time),
 		}
+		if q.corr == nil {
+			q.corr = make(map[string]*corrState)
+		}
 		q.corr[label] = cs
 	}
-	vid := obj.ID.String()
 	if !cs.votedVersion[vid] {
 		cs.votedVersion[vid] = true
 		cs.nameExpiry[obj.ID.Name.String()] = obj.Expiry()

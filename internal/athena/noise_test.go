@@ -1,6 +1,8 @@
 package athena
 
 import (
+	"fmt"
+	"hash/fnv"
 	"testing"
 	"time"
 
@@ -37,6 +39,44 @@ func TestNoisyReadingDeterministicAndRateful(t *testing.T) {
 	// Rate 0 never flips.
 	if !noisyReading(true, "n1", "/cam/x#1", "l", 0) {
 		t.Error("rate 0 flipped")
+	}
+}
+
+// fmtNoisyReading is noisyReading as it was before its hash was folded in
+// place: hash/fnv fed by fmt.Fprintf.
+func fmtNoisyReading(truth bool, observer, objectID, label string, rate float64) bool {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%s|%s|%s", observer, objectID, label)
+	x := h.Sum64()
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	u := float64(x>>11) / float64(1<<53)
+	if u < rate {
+		return !truth
+	}
+	return truth
+}
+
+// TestNoisyReadingMatchesFmtFNV runs noisyReading against the fnv+Fprintf
+// hash it replaced, over observers, object ids and labels (empty ones and
+// ones holding the separator included), both truths and three rates.
+func TestNoisyReadingMatchesFmtFNV(t *testing.T) {
+	strs := []string{"", "n1", "|", "a|b", "/cam/x#1", "/city/marketplace/south#18446744073709551615", "ü"}
+	for _, observer := range strs {
+		for _, id := range strs {
+			for _, label := range strs {
+				for _, rate := range []float64{0, 0.3, 0.7} {
+					for _, truth := range []bool{false, true} {
+						if got, want := noisyReading(truth, observer, id, label, rate), fmtNoisyReading(truth, observer, id, label, rate); got != want {
+							t.Fatalf("noisyReading(%v, %q, %q, %q, %v) = %v, want %v", truth, observer, id, label, rate, got, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -2,9 +2,12 @@ package athena
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
+	"athena/internal/boolexpr"
+	"athena/internal/core"
 	"athena/internal/trust"
 )
 
@@ -146,4 +149,35 @@ func TestInFlightRequestsHoldLiveTimers(t *testing.T) {
 
 	r.locked(func() { r.n.deliverObject(sampleOf("c", r.now), r.now) })
 	check("data")
+}
+
+// TestWaitingPostMortem builds an expired query's post-mortem by hand:
+// requests that cover a still-wanted label are listed by object name with
+// their source, counts, time in flight and suspicion; a request whose
+// labels are all known is left out; a wanted label no request covers gets
+// an entry of its own.
+func TestWaitingPostMortem(t *testing.T) {
+	t0 := time.Unix(1000, 0)
+	expr := boolexpr.ToDNF(boolexpr.MustParse("a & b & c & d"))
+	q := &localQuery{
+		engine:  core.NewEngine("q", expr, t0.Add(time.Second), nil),
+		suspect: map[string]bool{"s2": true},
+		reqs: map[string]objReq{
+			"/o3": {timed: timed{at: t0}, source: "s3", labels: []string{"d"}, sends: 1},
+			"/o2": {timed: timed{at: t0.Add(time.Second)}, source: "s2", labels: []string{"b", "x"}, attempts: 4, sends: 5, inFlight: true},
+			"/o1": {timed: timed{at: t0}, source: "s1", labels: []string{"a"}, sends: 1, inFlight: true},
+		},
+	}
+	if err := q.engine.Set("d", true, t0.Add(time.Hour), "s3", "me"); err != nil {
+		t.Fatal(err)
+	}
+	now := t0.Add(3 * time.Second)
+	want := []Waiting{
+		{Object: "/o1", Source: "s1", Sends: 1, InFlight: 3 * time.Second},
+		{Object: "/o2", Source: "s2", Attempts: 4, Sends: 5, InFlight: 2 * time.Second, Suspect: true},
+		{Label: "c"},
+	}
+	if got := q.waiting(now); !reflect.DeepEqual(got, want) {
+		t.Errorf("waiting =\n%+v\nwant\n%+v", got, want)
+	}
 }

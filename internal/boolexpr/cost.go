@@ -2,7 +2,7 @@ package boolexpr
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -84,16 +84,52 @@ func identityOrder(n int) []int {
 // ordering minimizes expected cost (it is the classic "pipelined filter
 // ordering" optimum). Ties break by original position for determinism.
 func OrderTermGreedy(t Term, m MetaTable) []int {
-	order := identityOrder(len(t.Literals))
-	sort.SliceStable(order, func(a, b int) bool {
-		la, lb := t.Literals[order[a]], t.Literals[order[b]]
-		ca := m.Get(la.Label).Cost
-		cb := m.Get(lb.Label).Cost
-		// Compare (1-pa)/ca > (1-pb)/cb without dividing (cost may be 0:
-		// zero-cost literals go first).
-		return (1-probTrue(la, m))*cb > (1-probTrue(lb, m))*ca
-	})
+	keys := appendLitKeys(nil, t, m)
+	order := identityOrder(len(keys))
+	sortGreedy(order, keys)
 	return order
+}
+
+// litKey is what planning reads of one literal, looked up once: its
+// retrieval cost, the probability it reads true (probTrue) and its
+// validity.
+type litKey struct {
+	cost, pTrue float64
+	validity    time.Duration
+}
+
+// appendLitKeys appends the keys of t's literals to keys, in literal order.
+func appendLitKeys(keys []litKey, t Term, m MetaTable) []litKey {
+	for _, l := range t.Literals {
+		meta := m.Get(l.Label)
+		p := clamp01(meta.ProbTrue)
+		if l.Negated {
+			p = 1 - p
+		}
+		keys = append(keys, litKey{cost: meta.Cost, pTrue: p, validity: meta.Validity})
+	}
+	return keys
+}
+
+// before is a slices.SortStableFunc comparison from a strict "a goes
+// first": negative exactly when it holds. The stable sort only ever asks
+// whether cmp < 0, and it is the insertion-sort and symMerge of
+// sort.SliceStable, so it makes the same moves a less function would, ties
+// included.
+func before(first bool) int {
+	if first {
+		return -1
+	}
+	return 0
+}
+
+// sortGreedy stably sorts order, literal indices into keys, by descending
+// (1-p)/C, comparing (1-pa)/ca > (1-pb)/cb without dividing (cost may be
+// 0: zero-cost literals go first).
+func sortGreedy(order []int, keys []litKey) {
+	slices.SortStableFunc(order, func(a, b int) int {
+		return before((1-keys[a].pTrue)*keys[b].cost > (1-keys[b].pTrue)*keys[a].cost)
+	})
 }
 
 // OrderTermBruteForce finds a minimum-expected-cost order by exhaustive
@@ -154,19 +190,70 @@ func ExpectedQueryCost(d DNF, m MetaTable, plan QueryPlan) float64 {
 // descending (1-p)/C, terms by descending probability-of-success per unit
 // expected cost (the OR-side short-circuit rule).
 func GreedyPlan(d DNF, m MetaTable) QueryPlan {
-	litOrder := make([][]int, len(d.Terms))
-	termCost := make([]float64, len(d.Terms))
-	termProb := make([]float64, len(d.Terms))
-	for i, t := range d.Terms {
-		litOrder[i] = OrderTermGreedy(t, m)
-		termCost[i] = ExpectedTermCost(t, m, litOrder[i])
-		termProb[i] = TermProbTrue(t, m)
+	return plan(d, m, false)
+}
+
+// ValidityFirstPlan is GreedyPlan with each term's literals then re-sorted,
+// stably, by descending validity — the longest-validity-first retrieval
+// order of Section IV-A. Terms keep GreedyPlan's order, which the greedy
+// literal order prices.
+func ValidityFirstPlan(d DNF, m MetaTable) QueryPlan {
+	return plan(d, m, true)
+}
+
+// plan builds GreedyPlan, or ValidityFirstPlan when validityFirst is set.
+// It reads each literal's metadata once, and one slice backs the term order
+// and every literal order.
+func plan(d DNF, m MetaTable, validityFirst bool) QueryPlan {
+	nlit := 0
+	for _, t := range d.Terms {
+		nlit += len(t.Literals)
 	}
-	termOrder := identityOrder(len(d.Terms))
-	sort.SliceStable(termOrder, func(a, b int) bool {
-		ia, ib := termOrder[a], termOrder[b]
+	nt := len(d.Terms)
+	orders := make([]int, nt+nlit) // the term order, then each term's literal order
+	litOrder := make([][]int, nt)
+	// Scratch, on the stack at the sizes queries have; a larger query's
+	// spills to the heap. terms[i] is term i's expected cost under its
+	// greedy literal order and its probability of being true.
+	var keyBuf [32]litKey
+	var termBuf [8]struct{ cost, prob float64 }
+	keys, terms := keyBuf[:0], termBuf[:0]
+	at := nt
+	for i, t := range d.Terms {
+		from := len(keys)
+		keys = appendLitKeys(keys, t, m)
+		k := keys[from:]
+		order := orders[at : at+len(k) : at+len(k)]
+		at += len(k)
+		for j := range order {
+			order[j] = j
+		}
+		sortGreedy(order, k)
+		// The folds of ExpectedTermCost and TermProbTrue, on the keys.
+		cost, pAllTrue := 0.0, 1.0
+		for _, j := range order {
+			cost += pAllTrue * k[j].cost
+			pAllTrue *= k[j].pTrue
+		}
+		prob := 1.0
+		for _, key := range k {
+			prob *= key.pTrue
+		}
+		terms = append(terms, struct{ cost, prob float64 }{cost, prob})
+		if validityFirst {
+			slices.SortStableFunc(order, func(a, b int) int {
+				return before(k[a].validity > k[b].validity)
+			})
+		}
+		litOrder[i] = order
+	}
+	termOrder := orders[:nt:nt]
+	for i := range termOrder {
+		termOrder[i] = i
+	}
+	slices.SortStableFunc(termOrder, func(a, b int) int {
 		// Compare p_a/c_a > p_b/c_b without dividing.
-		return termProb[ia]*termCost[ib] > termProb[ib]*termCost[ia]
+		return before(terms[a].prob*terms[b].cost > terms[b].prob*terms[a].cost)
 	})
 	return QueryPlan{TermOrder: termOrder, LiteralOrder: litOrder}
 }

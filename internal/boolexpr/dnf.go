@@ -1,6 +1,7 @@
 package boolexpr
 
 import (
+	"slices"
 	"sort"
 	"strings"
 )
@@ -46,11 +47,35 @@ type Term struct {
 
 // String renders the term.
 func (t Term) String() string {
-	parts := make([]string, len(t.Literals))
-	for i, l := range t.Literals {
-		parts[i] = l.String()
+	var b strings.Builder
+	b.Grow(t.textLen())
+	t.writeTo(&b)
+	return b.String()
+}
+
+// textLen is the length of String's result.
+func (t Term) textLen() int {
+	n := max(0, 3*(len(t.Literals)-1))
+	for _, l := range t.Literals {
+		n += len(l.Label)
+		if l.Negated {
+			n++
+		}
 	}
-	return strings.Join(parts, " & ")
+	return n
+}
+
+// writeTo writes String's result to b.
+func (t Term) writeTo(b *strings.Builder) {
+	for i, l := range t.Literals {
+		if i > 0 {
+			b.WriteString(" & ")
+		}
+		if l.Negated {
+			b.WriteByte('!')
+		}
+		b.WriteString(l.Label)
+	}
 }
 
 // Eval computes the three-valued conjunction of the term's literals.
@@ -87,20 +112,37 @@ type DNF struct {
 	Terms []Term
 }
 
-// String renders the DNF as a parseable expression.
+// String renders the DNF as a parseable expression: the terms joined by
+// " | ", each in parentheses when there are several and it has several
+// literals. It is the node's plan-cache key, so it is built in one
+// allocation.
 func (d DNF) String() string {
 	if len(d.Terms) == 0 {
 		return "false"
 	}
-	parts := make([]string, len(d.Terms))
-	for i, t := range d.Terms {
-		if len(d.Terms) > 1 && len(t.Literals) > 1 {
-			parts[i] = "(" + t.String() + ")"
-		} else {
-			parts[i] = t.String()
+	paren := func(t Term) bool { return len(d.Terms) > 1 && len(t.Literals) > 1 }
+	n := 3 * (len(d.Terms) - 1)
+	for _, t := range d.Terms {
+		n += t.textLen()
+		if paren(t) {
+			n += 2
 		}
 	}
-	return strings.Join(parts, " | ")
+	var b strings.Builder
+	b.Grow(n)
+	for i, t := range d.Terms {
+		if i > 0 {
+			b.WriteString(" | ")
+		}
+		if paren(t) {
+			b.WriteByte('(')
+			t.writeTo(&b)
+			b.WriteByte(')')
+		} else {
+			t.writeTo(&b)
+		}
+	}
+	return b.String()
 }
 
 // Eval computes the three-valued disjunction over the terms.
@@ -143,18 +185,18 @@ func (d DNF) Expr() Expr {
 
 // Labels returns the distinct labels across all terms, sorted.
 func (d DNF) Labels() []string {
-	seen := make(map[string]bool)
+	n := 0
+	for _, t := range d.Terms {
+		n += len(t.Literals)
+	}
+	out := make([]string, 0, n)
 	for _, t := range d.Terms {
 		for _, l := range t.Literals {
-			seen[l.Label] = true
+			out = append(out, l.Label)
 		}
 	}
-	out := make([]string, 0, len(seen))
-	for l := range seen {
-		out = append(out, l)
-	}
-	sort.Strings(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // ToDNF converts an arbitrary expression to disjunctive normal form:

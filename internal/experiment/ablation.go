@@ -59,7 +59,7 @@ func RenderAblation(title, extraHeader string, rows []AblationRow) string {
 func aggregate(cfg Config, scens []*workload.Scenario, cc athena.ClusterConfig, extra func(athena.Outcome) float64) (AblationRow, error) {
 	outs, err := runAll(cfg, len(scens), func(r int) (*workload.Scenario, athena.ClusterConfig) {
 		return scens[r], cc
-	})
+	}, nil)
 	if err != nil {
 		return AblationRow{}, err
 	}

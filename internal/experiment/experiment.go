@@ -93,7 +93,7 @@ func sweep(cfg Config, dynamics []float64) ([]Point, error) {
 	outs, err := runAll(cfg, len(dynamics)*schemes*reps, func(j int) (*workload.Scenario, athena.ClusterConfig) {
 		k := j / reps
 		return scens[k/schemes*reps+j%reps], athena.ClusterConfig{Scheme: cfg.Schemes[k%schemes]}
-	})
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -114,8 +114,10 @@ func sweep(cfg Config, dynamics []float64) ([]Point, error) {
 
 // runAll runs, on the bounded pool, one cluster per job i in [0, n):
 // job(i)'s configuration on job(i)'s scenario. Outcomes come back in job
-// order; so does the error returned, the first in that order.
-func runAll(cfg Config, n int, job func(i int) (*workload.Scenario, athena.ClusterConfig)) ([]athena.Outcome, error) {
+// order; so does the error returned, the first in that order. A non-nil
+// after reads job i's cluster once it has run, on the goroutine that ran
+// it.
+func runAll(cfg Config, n int, job func(i int) (*workload.Scenario, athena.ClusterConfig), after func(i int, c *athena.Cluster)) ([]athena.Outcome, error) {
 	outs := make([]athena.Outcome, n)
 	errs := make([]error, n)
 	runPool(n, cfg.parallelism, func(i int) {
@@ -128,6 +130,8 @@ func runAll(cfg Config, n int, job func(i int) (*workload.Scenario, athena.Clust
 		outs[i], err = cluster.Run()
 		if err != nil {
 			errs[i] = fmt.Errorf("experiment: run seed %d scheme %s: %w", s.Config.Seed, cc.Scheme, err)
+		} else if after != nil {
+			after(i, cluster)
 		}
 	})
 	for _, err := range errs {

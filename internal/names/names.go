@@ -34,11 +34,10 @@ func Parse(s string) (Name, error) {
 		return Name{}, fmt.Errorf("%w: %q lacks leading slash", ErrMalformed, s)
 	}
 	s = strings.TrimSuffix(s, "/")
-	parts := strings.Split(s[1:], "/")
-	for _, p := range parts {
-		if p == "" {
-			return Name{}, fmt.Errorf("%w: %q has empty component", ErrMalformed, s)
-		}
+	// One trailing slash is trimmed; any slash left at the end, or two in a
+	// row anywhere, is an empty component.
+	if strings.HasSuffix(s, "/") || strings.Contains(s, "//") {
+		return Name{}, fmt.Errorf("%w: %q has empty component", ErrMalformed, s)
 	}
 	return Name{s: s}, nil
 }
@@ -64,12 +63,24 @@ func (n Name) IsZero() bool { return n.s == "" }
 // String returns the canonical textual form.
 func (n Name) String() string { return n.s }
 
-// Components splits the name into path components.
+// Components splits the name into path components. Per-message paths walk
+// them in place with nextComponent instead.
 func (n Name) Components() []string {
 	if n.IsZero() {
 		return nil
 	}
 	return strings.Split(n.s[1:], "/")
+}
+
+// nextComponent splits the first component off rest, which is a name's
+// text or a tail of it that starts with '/': "/a/b" gives "a" and "/b",
+// "/b" gives "b" and "". Callers stop once rest is "".
+func nextComponent(rest string) (comp, tail string) {
+	rest = rest[1:]
+	if j := strings.IndexByte(rest, '/'); j >= 0 {
+		return rest[:j], rest[j:]
+	}
+	return rest, ""
 }
 
 // Depth is the number of components.
@@ -130,10 +141,15 @@ func (n Name) Prefix(depth int) Name {
 
 // CommonPrefixLen returns the number of leading components n shares with m.
 func (n Name) CommonPrefixLen(m Name) int {
-	a, b := n.Components(), m.Components()
-	limit := min(len(a), len(b))
+	a, b := n.s, m.s
 	k := 0
-	for k < limit && a[k] == b[k] {
+	for a != "" && b != "" {
+		var ca, cb string
+		ca, a = nextComponent(a)
+		cb, b = nextComponent(b)
+		if ca != cb {
+			break
+		}
 		k++
 	}
 	return k

@@ -22,7 +22,9 @@ func (t *Trie[V]) Len() int { return t.size }
 // Put stores value under name, replacing any previous value.
 func (t *Trie[V]) Put(name Name, value V) {
 	node := &t.root
-	for _, c := range name.Components() {
+	for rest := name.s; rest != ""; {
+		var c string
+		c, rest = nextComponent(rest)
 		if node.children == nil {
 			node.children = make(map[string]*trieNode[V])
 		}
@@ -53,15 +55,16 @@ func (t *Trie[V]) Get(name Name) (V, bool) {
 // Delete removes name. It reports whether the name was present. Interior
 // nodes left childless are pruned.
 func (t *Trie[V]) Delete(name Name) bool {
-	comps := name.Components()
-	if len(comps) == 0 {
+	if name.IsZero() {
 		return false
 	}
-	return t.deleteRec(&t.root, comps)
+	return t.deleteRec(&t.root, name.s)
 }
 
-func (t *Trie[V]) deleteRec(node *trieNode[V], comps []string) bool {
-	if len(comps) == 0 {
+// deleteRec deletes the name whose components not yet walked are rest (a
+// tail of its text, as nextComponent leaves it) below node.
+func (t *Trie[V]) deleteRec(node *trieNode[V], rest string) bool {
+	if rest == "" {
 		if !node.present {
 			return false
 		}
@@ -71,20 +74,23 @@ func (t *Trie[V]) deleteRec(node *trieNode[V], comps []string) bool {
 		t.size--
 		return true
 	}
-	child, ok := node.children[comps[0]]
+	c, tail := nextComponent(rest)
+	child, ok := node.children[c]
 	if !ok {
 		return false
 	}
-	deleted := t.deleteRec(child, comps[1:])
+	deleted := t.deleteRec(child, tail)
 	if deleted && !child.present && len(child.children) == 0 {
-		delete(node.children, comps[0])
+		delete(node.children, c)
 	}
 	return deleted
 }
 
 func (t *Trie[V]) lookup(name Name) *trieNode[V] {
 	node := &t.root
-	for _, c := range name.Components() {
+	for rest := name.s; rest != ""; {
+		var c string
+		c, rest = nextComponent(rest)
 		next, ok := node.children[c]
 		if !ok {
 			return nil
@@ -98,7 +104,6 @@ func (t *Trie[V]) lookup(name Name) *trieNode[V] {
 // query, with its value — the NDN FIB lookup.
 func (t *Trie[V]) LongestPrefix(query Name) (Name, V, bool) {
 	node := &t.root
-	comps := query.Components()
 	var (
 		bestDepth = -1
 		bestValue V
@@ -108,7 +113,9 @@ func (t *Trie[V]) LongestPrefix(query Name) (Name, V, bool) {
 		bestDepth = 0
 		bestValue = node.value
 	}
-	for _, c := range comps {
+	for rest := query.s; rest != ""; {
+		var c string
+		c, rest = nextComponent(rest)
 		next, ok := node.children[c]
 		if !ok {
 			break
@@ -124,12 +131,7 @@ func (t *Trie[V]) LongestPrefix(query Name) (Name, V, bool) {
 		var zero V
 		return Name{}, zero, false
 	}
-	prefix, err := New(comps[:bestDepth]...)
-	if err != nil {
-		var zero V
-		return Name{}, zero, false
-	}
-	return prefix, bestValue, true
+	return query.Prefix(bestDepth), bestValue, true
 }
 
 // Walk visits every stored name in lexicographic order.

@@ -6,7 +6,8 @@
 package object
 
 import (
-	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"athena/internal/names"
@@ -22,9 +23,18 @@ type ID struct {
 	Version uint64
 }
 
-// String renders the ID.
+// String renders the ID as "name#version", in one allocation: an ID is
+// rendered per label record on the delivery path.
 func (id ID) String() string {
-	return fmt.Sprintf("%s#%d", id.Name, id.Version)
+	var digits [20]byte
+	v := strconv.AppendUint(digits[:0], id.Version, 10)
+	name := id.Name.String()
+	var b strings.Builder
+	b.Grow(len(name) + 1 + len(v))
+	b.WriteString(name)
+	b.WriteByte('#')
+	b.Write(v)
+	return b.String()
 }
 
 // Object is one sampled evidence item.

@@ -1,6 +1,7 @@
 package object
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -53,5 +54,23 @@ func TestIDString(t *testing.T) {
 	o := sample()
 	if got := o.ID.String(); got != "/grid/seg/3/4/cam#2" {
 		t.Errorf("ID.String = %q", got)
+	}
+}
+
+// TestIDStringMatchesSprintf runs ID.String against the fmt.Sprintf it
+// replaced, over zero, small, large and maximal versions and the zero
+// name, and pins it at one allocation.
+func TestIDStringMatchesSprintf(t *testing.T) {
+	for _, name := range []names.Name{{}, names.MustParse("/a"), names.MustParse("/grid/seg/3/4/cam")} {
+		for _, v := range []uint64{0, 1, 9, 10, 99, 12345, 1 << 32, ^uint64(0)} {
+			id := ID{Name: name, Version: v}
+			if got, want := id.String(), fmt.Sprintf("%s#%d", id.Name, id.Version); got != want {
+				t.Errorf("ID{%q, %d}.String() = %q, want %q", name, v, got, want)
+			}
+		}
+	}
+	id := sample().ID
+	if n := testing.AllocsPerRun(100, func() { _ = id.String() }); n != 1 {
+		t.Errorf("ID.String: %v allocs/op, want 1", n)
 	}
 }

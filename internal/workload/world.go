@@ -7,8 +7,6 @@
 package workload
 
 import (
-	"fmt"
-	"hash/fnv"
 	"strconv"
 	"time"
 )
@@ -90,13 +88,34 @@ func (w *World) LabelValue(label string, t time.Time) bool {
 	if t.After(w.epoch) {
 		epochIdx = int64(t.Sub(w.epoch) / period)
 	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s|%d", w.seed, label, epochIdx)
+	// The hash is 64-bit FNV-1a of the text "seed|label|epoch" (decimal
+	// integers), folded in place: this runs on every annotation.
+	var digits [20]byte
+	h := fnvFold(fnvOffset64, strconv.AppendInt(digits[:0], w.seed, 10))
+	h = fnvFold(h, "|")
+	h = fnvFold(h, label)
+	h = fnvFold(h, "|")
+	h = fnvFold(h, strconv.AppendInt(digits[:0], epochIdx, 10))
 	// Map the hash to [0,1) and compare against the viability prior. FNV
 	// alone has weak high bits; run it through a splitmix64 finalizer
 	// first.
-	u := float64(mix64(h.Sum64())>>11) / float64(1<<53)
+	u := float64(mix64(h)>>11) / float64(1<<53)
 	return u < w.probViable
+}
+
+// The 64-bit FNV-1a parameters (hash/fnv's New64a).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvFold folds the bytes of s into the FNV-1a hash h.
+func fnvFold[T string | []byte](h uint64, s T) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime64
+	}
+	return h
 }
 
 // mix64 is the splitmix64 finalizer, used to whiten FNV output.

@@ -21,7 +21,8 @@
 # kernel's worker pool print one (a -workers flag that never changed a
 # result), later builds do not.
 # A1 is the label-sharing ablation under partial trust: the cell that
-# moves when a node picks a different cached label record.
+# moves when a node picks a different cached label record. The misses
+# table (-fig misses) is the expired queries' post-mortem, sorted by cause.
 # One `same`/`DIFFERS` line per cell; exits non-zero on any difference.
 set -eu
 
@@ -77,6 +78,9 @@ done
 # The CSV is the only output with the ratio min/max and latency columns,
 # and with the points in the order the sweep returns them.
 cell "fig 2 -csv -schemes lvfl,cmp -quick" "" -fig 2 -csv -schemes lvfl,cmp -quick
+# -fig misses is newer than the rest: a BASE without it prints nothing and
+# fails this cell.
+cell "fig misses -quick (new: a BASE before it differs)" "" -fig misses -quick
 cell "smoke -quick (minus wallSeconds)" "" -fig smoke -quick
 cols=3
 cell "fig a10 -quick (config, events, delivered)" "" -fig a10 -quick
