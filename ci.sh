@@ -74,6 +74,21 @@ if [ "$lint_elapsed" -gt 90 ]; then
 	exit 1
 fi
 
+# ROADMAP item 1's fault-schedule draw: seeded schedules of loss, link and
+# node outages (churn, with rejoin) and partitions on the five chaos
+# fleets, with every fleet invariant checked at checkpoints and at
+# quiescence. A violation prints the seed, the shortest failing schedule
+# prefix and the command that replays it, and fails the gate. The seed
+# count is budgeted (`make chaos` runs more): a step that creeps past 60
+# seconds fails too.
+chaos_start="$(date +%s)"
+go run ./cmd/athena-sim -fig chaos -reps 12 -seed 1
+chaos_elapsed="$(($(date +%s) - chaos_start))"
+if [ "$chaos_elapsed" -gt 60 ]; then
+	echo "the chaos step took ${chaos_elapsed}s, over its 60s budget" >&2
+	exit 1
+fi
+
 if [ "$short" = 1 ]; then
 	go test -race -short ./...
 	exit 0
@@ -123,7 +138,9 @@ fi
 # heap a closed and dropped socket pair still holds per decision, is 0
 # once its nodes are collected and ~3 KB while armed timers pin them; a
 # query planner that looks a label's metadata up per comparison again, or
-# allocates per term — 5 allocs/op at -benchtime 3x, 21 when it did).
+# allocates per term — 5 allocs/op at -benchtime 3x, 21 when it did; a
+# node that verifies, or copies, a shared label record it already holds —
+# baseline 0, 3 when every arriving record was copied).
 # Refresh the baseline with `make bench` when an intentional change moves
 # one.
 # BenchmarkDecisionEngine, BenchmarkShardLookupBegin,
@@ -133,7 +150,7 @@ fi
 # two in internal/athena share one). BenchmarkDirectoryMemory runs without
 # -benchmem, as `make bench` records it: only its entries/node is gated.
 {
-	go test -run '^$' -bench '^Benchmark(Scheme|AblationPrefetch|SimKernel|BatchedFetch|DeliverObjectHistory|SelectSources|DirectoryDelta|ShardRefresh|LaneQueue|EncodeSmall|EncodeObjectData|DecodeSmall|Generate|PlanFor)$/^(lvf|lvfl|sharded|sharded-owned|scoped|unchanged|w1|on|n2000|depth512|request|head|sec7|uncached)$' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire ./internal/workload
+	go test -run '^$' -bench '^Benchmark(Scheme|AblationPrefetch|SimKernel|BatchedFetch|DeliverObjectHistory|SelectSources|DirectoryDelta|ShardRefresh|LaneQueue|EncodeSmall|EncodeObjectData|DecodeSmall|Generate|PlanFor|LabelShare)$/^(lvf|lvfl|sharded|sharded-owned|scoped|unchanged|w1|on|n2000|depth512|request|head|sec7|uncached|held)$' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire ./internal/workload
 	go test -run '^$' -bench '^BenchmarkDirectoryMemory$/^sharded$' -benchtime 3x .
 	go test -run '^$' -bench '^BenchmarkDecisionEngine$' -benchmem -benchtime 3x .
 	go test -run '^$' -bench '^Benchmark(ShardLookupBegin|LookupReplies)$' -benchmem -benchtime 3x ./internal/athena
@@ -163,4 +180,5 @@ fi
 		-gate 'BenchmarkGenerate/sec7:allocs/op:10' \
 		-gate 'BenchmarkTCPReceivePadded:held-B/op:10' \
 		-gate 'BenchmarkTCPClosedPairHeld:held-B/op:10' \
-		-gate 'BenchmarkPlanFor/uncached:allocs/op:10'
+		-gate 'BenchmarkPlanFor/uncached:allocs/op:10' \
+		-gate 'BenchmarkLabelShare/held:allocs/op:10'

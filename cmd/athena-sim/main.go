@@ -16,6 +16,10 @@
 //	athena-sim -fig all        # everything above
 //	athena-sim -fig misses     # where deadlines die: expired queries by cause
 //	                           # (not part of all)
+//	athena-sim -fig chaos      # seeded fault schedules on five fleets, fleet
+//	                           # invariants checked; exits 1 on a violation
+//	                           # (not part of all; -reps seeds from -seed,
+//	                           # -faults runs a schedule prefix)
 //
 // Two CI-oriented scenarios sit outside the figure set:
 //
@@ -41,6 +45,7 @@ import (
 	"time"
 
 	"athena"
+	iathena "athena/internal/athena"
 	"athena/internal/experiment"
 )
 
@@ -53,7 +58,7 @@ func main() {
 
 func run() error {
 	var (
-		fig     = flag.String("fig", "all", "which figure to regenerate: 2, 3, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, all, misses, dump, smoke")
+		fig     = flag.String("fig", "all", "which figure to regenerate: 2, 3, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, all, misses, chaos, dump, smoke")
 		reps    = flag.Int("reps", 10, "repetitions per data point")
 		seed    = flag.Int64("seed", 1, "base random seed")
 		schemes = flag.String("schemes", "cmp,slt,lcf,lvf,lvfl", "comma-separated schemes")
@@ -61,6 +66,7 @@ func run() error {
 		quick   = flag.Bool("quick", false, "smaller workload for a fast smoke run")
 		batch   = flag.Duration("batch-window", 0, "data-plane coalescing window for the dump scenario (0 = batching off); CI diffs dump output with batching on and off")
 		shards  = flag.Int("shards", 0, "directory shards for the dump scenario, three replicas each (0 = every node a full replica); CI diffs dump output at 0 and 96")
+		faults  = flag.Int("faults", -1, "chaos: run only the first N faults of each schedule (-1 = all); a violation prints the N that replays it")
 	)
 	flag.Parse()
 
@@ -70,6 +76,8 @@ func run() error {
 		return runDump(*seed, *batch, *shards)
 	case "smoke":
 		return runSmoke(*seed, *quick)
+	case "chaos":
+		return runChaos(*seed, *reps, *faults)
 	}
 
 	cfg := experiment.Default()
@@ -338,6 +346,46 @@ func runDump(seed int64, batchWindow time.Duration, shards int) error {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	return enc.Encode(dump)
+}
+
+// runChaos runs reps seeds from seed on each chaos fleet under its drawn
+// fault schedule, one row per run. A run that violates a fleet invariant
+// is shrunk to the shortest schedule prefix that still does, and printed
+// with its faults, its violations and the command that replays it; the
+// command then fails.
+func runChaos(seed int64, reps, faults int) error {
+	fleets := iathena.ChaosFleets()
+	fmt.Printf("%-14s %5s %6s %8s %7s %6s %10s\n", "fleet", "seed", "issued", "resolved", "expired", "lost", "violations")
+	var bad []iathena.ChaosReport
+	for s := seed; s < seed+int64(reps); s++ {
+		for _, f := range fleets {
+			rep, err := iathena.RunChaos(f, s, faults)
+			if err != nil {
+				return err
+			}
+			fmt.Printf("%-14s %5d %6d %8d %7d %6d %10d\n", f.Name, s, rep.Issued, rep.Resolved, rep.Expired, rep.Lost, len(rep.Violations))
+			if len(rep.Violations) > 0 {
+				if rep, err = iathena.ShrinkChaos(f, rep); err != nil {
+					return err
+				}
+				bad = append(bad, rep)
+			}
+		}
+	}
+	for _, rep := range bad {
+		fmt.Printf("\n%s seed %d: shortest failing prefix %d faults\n", rep.Fleet, rep.Seed, len(rep.Schedule))
+		for i, f := range rep.Schedule {
+			fmt.Printf("  fault %d: %v\n", i+1, f)
+		}
+		for _, v := range rep.Violations {
+			fmt.Printf("  %s\n", v)
+		}
+		fmt.Printf("  replay: %s\n", rep.ReplayCommand())
+	}
+	if len(bad) > 0 {
+		return fmt.Errorf("chaos: %d runs violated a fleet invariant", len(bad))
+	}
+	return nil
 }
 
 // runSmoke runs the n=2048 gossip+sharding membership fleet, a kernel

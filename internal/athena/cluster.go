@@ -281,12 +281,26 @@ func (o Outcome) RetryCount() int64 {
 // simulation until all deadlines plus slack have passed, and aggregates
 // the outcome.
 func (c *Cluster) Run() (Outcome, error) {
+	stop, err := c.issue()
+	if err != nil {
+		return Outcome{}, err
+	}
+	if err := c.Network.RunUntil(stop, maxEvents); err != nil {
+		return Outcome{}, fmt.Errorf("athena: simulation horizon: %w", err)
+	}
+	return c.outcome(), nil
+}
+
+// issue schedules every scenario query (staggered deterministically) and
+// the configured churn, and returns the instant the run stops: the last
+// deadline plus slack.
+func (c *Cluster) issue() (stop time.Time, err error) {
 	rng := rand.New(rand.NewSource(c.Scenario.Config.Seed + 0x5eed))
 	var lastDeadline time.Time
 	for _, qs := range c.Scenario.Queries {
 		node, ok := c.Nodes[qs.Origin]
 		if !ok {
-			return Outcome{}, fmt.Errorf("athena: query origin %q has no node", qs.Origin)
+			return time.Time{}, fmt.Errorf("athena: query origin %q has no node", qs.Origin)
 		}
 		offset := time.Duration(rng.Int63n(int64(issueStagger)))
 		deadlineAt := c.Scenario.Epoch.Add(offset).Add(qs.Deadline)
@@ -302,7 +316,7 @@ func (c *Cluster) Run() (Outcome, error) {
 			}
 		})
 		if err != nil {
-			return Outcome{}, fmt.Errorf("athena: query injection: %w", err)
+			return time.Time{}, fmt.Errorf("athena: query injection: %w", err)
 		}
 	}
 
@@ -319,11 +333,11 @@ func (c *Cluster) Run() (Outcome, error) {
 		c.Network.ScheduleChurn(c.Scenario.Config.Seed+0xc4c4, c.cfg.ChurnEvents, start, window, outage)
 	}
 
-	stop := lastDeadline.Add(runSlack)
-	if err := c.Network.RunUntil(stop, maxEvents); err != nil {
-		return Outcome{}, fmt.Errorf("athena: simulation horizon: %w", err)
-	}
+	return lastDeadline.Add(runSlack), nil
+}
 
+// outcome aggregates the run so far.
+func (c *Cluster) outcome() Outcome {
 	out := Outcome{Scheme: c.cfg.Scheme, TotalBytes: c.Network.Stats().BytesSent, Metrics: c.Metrics.Snapshot()}
 	var latencySum time.Duration
 	for _, node := range c.Nodes {
@@ -340,5 +354,5 @@ func (c *Cluster) Run() (Outcome, error) {
 	if out.QueriesResolved > 0 {
 		out.MeanLatency = latencySum / time.Duration(out.QueriesResolved)
 	}
-	return out, nil
+	return out
 }

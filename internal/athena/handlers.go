@@ -5,6 +5,7 @@ import (
 	"slices"
 	"time"
 
+	"athena/internal/cache"
 	"athena/internal/core"
 	"athena/internal/names"
 	"athena/internal/object"
@@ -293,7 +294,7 @@ func (n *Node) handleRequest(from string, req *ObjectRequest) {
 		recs := found[:0]
 		covered := true
 		for _, l := range req.Labels {
-			rec, ok := n.labels.Get(l, trust.TrustAll(), now)
+			rec, ok := n.labelCache().Get(l, trust.TrustAll(), now)
 			if !ok {
 				covered = false
 				break
@@ -303,6 +304,9 @@ func (n *Node) handleRequest(from string, req *ObjectRequest) {
 		if covered {
 			records := make([]trust.Label, len(recs))
 			for i, rec := range recs {
+				if n.audit != nil {
+					n.audit.served(rec, now)
+				}
 				records[i] = *rec
 			}
 			n.stats.LabelAnswers++
@@ -393,6 +397,9 @@ func (n *Node) duplicateInFlight(objName, neighbor string, size int64, now time.
 // content store once data passed through — so a spurious retry costs one
 // request message on one link. Callers hold n.mu.
 func (n *Node) forwardRequest(req *ObjectRequest, attempt int) {
+	if n.audit != nil {
+		n.audit.forwarded(n.interest, req.Object, n.now())
+	}
 	n.sendTo(req.SourceNode, req)
 	if n.disableRetries {
 		return
@@ -525,7 +532,12 @@ func (n *Node) deliverObject(obj *object.Object, now time.Time) {
 		return
 	}
 	objName := obj.ID.Name.String()
-	evidence := "" // obj.ID.String(), rendered for the first record that cites it
+	labels := n.labelCache()
+	// A signer whose key has been replaced signs records no node accepts,
+	// this one included: they are shared but not cached, and no record
+	// held is theirs to reuse.
+	own := n.signer.Current()
+	var evidence []string // [obj.ID.String()], made for the first record that cites it
 	for q := n.liveAfter(""); q != nil; q = n.liveAfter(q.engine.ID()) {
 		if !q.reqs[objName].inFlight && !queryWantsAny(q, obj) {
 			continue
@@ -554,22 +566,34 @@ func (n *Node) deliverObject(obj *object.Object, now time.Time) {
 				}
 				value = v
 			}
-			if evidence == "" {
-				evidence = obj.ID.String()
+			if evidence == nil {
+				evidence = []string{obj.ID.String()}
 			}
-			rec := &trust.Label{
-				Name:     label,
-				Value:    value,
-				Evidence: []string{evidence},
-				Computed: now,
-				Validity: obj.RemainingValidity(now),
-			}
-			n.signer.Sign(rec)
-			n.labels.Put(rec)
 			if records == nil {
+				// Presized and never grown: the cache holds its records
+				// by reference.
 				records = make([]trust.Label, 0, len(obj.Labels))
 			}
-			records = append(records, *rec)
+			records = append(records, trust.Label{
+				Name:      label,
+				Value:     value,
+				Annotator: n.signer.Annotator(),
+				Evidence:  evidence,
+				Computed:  now,
+				Validity:  obj.RemainingValidity(now),
+			})
+			rec := &records[len(records)-1]
+			// A record this node already holds with the same signed fields
+			// (another query of this delivery wanted the label) has the
+			// signature signing would make.
+			if held := labels.Held(label, rec.Annotator); own && held != nil && held.SameFields(rec) {
+				rec.Signature = held.Signature
+			} else {
+				n.signer.Sign(rec)
+				if own {
+					labels.Put(rec)
+				}
+			}
 			// The engine accepts the evidence with the object's expiry.
 			_ = q.engine.Set(label, value, obj.Expiry(), obj.Source, n.id)
 		}
@@ -586,6 +610,24 @@ func (n *Node) deliverObject(obj *object.Object, now time.Time) {
 		}
 		n.pump(q)
 	}
+}
+
+// admitLabel authenticates a shared record once per node and caches it by
+// reference. A record with the same signed fields and signature as the one
+// held for its (label, annotator) was authenticated when that one was, and
+// is neither verified nor put again; any other is verified, and cached
+// only if authentic. It reports whether rec is authentic. labels is
+// n.labelCache(); callers hold n.mu.
+func (n *Node) admitLabel(labels *cache.LabelCache, rec *trust.Label) bool {
+	if held := labels.Held(rec.Name, rec.Annotator); held != nil &&
+		held.Signature == rec.Signature && held.SameFields(rec) {
+		return true
+	}
+	if n.authority.Verify(rec) != nil {
+		return false
+	}
+	labels.Put(rec)
+	return true
 }
 
 // coversAnyLabel reports whether the object evidences at least one of the
@@ -610,8 +652,8 @@ func queryWantsAny(q *localQuery, obj *object.Object) bool {
 
 // handleLabelShare caches shared label records and either consumes them
 // (when this node is the destination) or forwards them on (Section VI-D).
-// Each record is authenticated once per arrival, before it is cached or
-// applied to a query.
+// Each record is authenticated once per node (admitLabel), before it is
+// cached or applied to a query.
 func (n *Node) handleLabelShare(from string, s *LabelShare) {
 	now := n.now()
 	// Only a share addressed to a query still live at this node is applied
@@ -621,14 +663,14 @@ func (n *Node) handleLabelShare(from string, s *LabelShare) {
 	if s.Dest == n.id && s.QueryID != "" {
 		q = n.queries[s.QueryID]
 	}
+	labels := n.labelCache()
 	accepted := false
 	for i := range s.Records {
-		rec := s.Records[i]
-		if n.authority.Verify(&rec) != nil {
+		rec := &s.Records[i]
+		if !n.admitLabel(labels, rec) {
 			continue
 		}
-		n.labels.Put(&rec)
-		if q != nil && n.policy.AcceptVerified(&rec, now) == nil &&
+		if q != nil && n.policy.AcceptVerified(rec, now) == nil &&
 			q.engine.Set(rec.Name, rec.Value, rec.Expiry(), "", rec.Annotator) == nil {
 			accepted = true
 		}
@@ -707,10 +749,14 @@ func (n *Node) dispatchRequest(q *localQuery, req *ObjectRequest) {
 	if n.scheme == SchemeLVFL {
 		satisfied := true
 		for _, l := range req.Labels {
-			rec, found := n.labels.Get(l, n.policy, now)
-			if !found || n.policy.Accept(n.authority, rec, now) != nil {
+			// The cache holds only authenticated records (admitLabel).
+			rec, found := n.labelCache().Get(l, n.policy, now)
+			if !found || n.policy.AcceptVerified(rec, now) != nil {
 				satisfied = false
 				break
+			}
+			if n.audit != nil {
+				n.audit.served(rec, now)
 			}
 			_ = q.engine.Set(rec.Name, rec.Value, rec.Expiry(), "", rec.Annotator)
 		}

@@ -149,6 +149,13 @@ func (t *InterestTable) retransmit(obj string, gen uint64, last bool, until, now
 	return len(r.waiters) > 0 && !last
 }
 
+// pending reports whether obj's upstream request is marked in flight at
+// now.
+func (t *InterestTable) pending(obj string, now time.Time) bool {
+	r := t.reqs[obj]
+	return r.gen != 0 && r.mark.at.After(now)
+}
+
 // holdRetry keeps h, the retransmit timer armed for the object's marked
 // request, beside its mark, replacing the timer of an earlier attempt
 // (which is the one firing).

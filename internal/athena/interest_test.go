@@ -9,13 +9,6 @@ import (
 	"athena/internal/boolexpr"
 )
 
-// pending reports whether obj's upstream request is marked in flight at
-// now.
-func (t *InterestTable) pending(obj string, now time.Time) bool {
-	r := t.reqs[obj]
-	return r.gen != 0 && r.mark.at.After(now)
-}
-
 // hasWaiters reports whether a live waiter for obj remains at now.
 func (t *InterestTable) hasWaiters(obj string, now time.Time) bool {
 	return slices.ContainsFunc(t.reqs[obj].waiters, func(w interestEntry) bool { return w.expires.After(now) })

@@ -223,7 +223,7 @@ func (n *Node) sendSync(peer string, shards []uint32) {
 		req.Seqs = n.dir.SeqVector(n.syncScope(shards))
 	} else {
 		req.Adverts = n.dir.Snapshot()
-		req.Labels = n.labels.Records(n.now())
+		req.Labels = n.labelCache().Records(n.now())
 	}
 	n.sendCtl(peer, req)
 }
@@ -256,7 +256,7 @@ func (n *Node) handleSyncRequest(req *SyncRequest) {
 		resp.Seqs = n.dir.SeqVector(scope)
 	} else {
 		resp.Adverts = n.dir.Snapshot()
-		resp.Labels = n.labels.Records(n.now())
+		resp.Labels = n.labelCache().Records(n.now())
 	}
 	n.sendCtl(req.From, resp)
 }
@@ -330,14 +330,12 @@ func (n *Node) spreadAdverts(news []Advertisement, except string, now time.Time)
 	}
 }
 
-// absorbLabels verifies and caches shared label records from an
-// anti-entropy exchange. Callers hold n.mu.
+// absorbLabels admits shared label records from an anti-entropy exchange
+// into the label cache. Callers hold n.mu.
 func (n *Node) absorbLabels(recs []trust.Label) {
+	labels := n.labelCache()
 	for i := range recs {
-		rec := recs[i]
-		if n.authority.Verify(&rec) == nil {
-			n.labels.Put(&rec)
-		}
+		n.admitLabel(labels, &recs[i])
 	}
 }
 

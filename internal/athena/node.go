@@ -579,8 +579,13 @@ type Node struct {
 	desc      *object.Descriptor
 
 	store    *cache.Store
-	labels   *cache.LabelCache
+	labels   *cache.LabelCache // read through labelCache
 	interest *InterestTable
+	// labelKeys is authority.Replacements() when labels was last read.
+	labelKeys uint64
+	// audit checks, as they happen, the fleet invariants a chaos run
+	// cannot read off the node at a checkpoint; nil outside one (chaos.go).
+	audit *chaosAudit
 
 	queries      map[string]*localQuery // the unrecorded queries issued here, by id
 	live         []*localQuery          // the same queries, sorted by id
@@ -670,6 +675,7 @@ func New(cfg Config) (*Node, error) {
 		desc:             cfg.Descriptor,
 		store:            cache.NewStore(cfg.CacheBytes),
 		labels:           cache.NewLabelCache(),
+		labelKeys:        cfg.Authority.Replacements(),
 		interest:         NewInterestTable(interestTTL),
 		queries:          make(map[string]*localQuery),
 		seenAnnounce:     make(map[string]time.Time),
@@ -768,6 +774,20 @@ func (n *Node) PendingQueries() int {
 }
 
 func (n *Node) now() time.Time { return n.tr.Clock().Now() }
+
+// labelCache returns the node's label cache, emptied first if an
+// annotator's key has been replaced since it was last read: the cache
+// holds only records authenticated under the keys current when they were
+// admitted (admitLabel), and serves them without verifying them again, so
+// it may hold none that would fail under the current key. Callers hold
+// n.mu.
+func (n *Node) labelCache() *cache.LabelCache {
+	if r := n.authority.Replacements(); r != n.labelKeys {
+		n.labelKeys = r
+		n.labels.Reset()
+	}
+	return n.labels
+}
 
 // liveFrom returns the position in n.live at which id sorts, and whether
 // the query there has that id. Callers hold n.mu.
@@ -1255,6 +1275,9 @@ func (n *Node) recordIfTerminal(q *localQuery) {
 		n.m.resolveLatency.ObserveDuration(res.Finished.Sub(res.Issued))
 	}
 	n.results = append(n.results, res)
+	if n.audit != nil {
+		n.audit.recorded(q, res)
+	}
 	if n.onDone != nil {
 		cb := n.onDone
 		n.timers.After(0, func() { cb(res) })

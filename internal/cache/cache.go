@@ -170,15 +170,20 @@ func (s *Store) removeEntry(name names.Name, e *entry) {
 
 // LabelCache stores shared label records (Section VI-D), keyed by label
 // name and annotator, so consumers with different trust policies can each
-// find an acceptable record.
+// find an acceptable record. It holds records by reference: a record is
+// never written after it is signed, so the cache, the share that carried
+// it and every node it passed through may hold the same one.
 type LabelCache struct {
-	records map[string]map[string]*trust.Label // label -> annotator -> record
+	// records holds, per label, at most one record per annotator, in no
+	// order an answer depends on. A label's slice is pruned in place and
+	// kept when it empties, so a label put again costs no allocation.
+	records map[string][]*trust.Label
 	stats   Stats
 }
 
 // NewLabelCache returns an empty label cache.
 func NewLabelCache() *LabelCache {
-	return &LabelCache{records: make(map[string]map[string]*trust.Label)}
+	return &LabelCache{records: make(map[string][]*trust.Label)}
 }
 
 // Stats returns a copy of the cache's counters.
@@ -187,24 +192,73 @@ func (c *LabelCache) Stats() Stats { return c.stats }
 // Len reports the number of cached records.
 func (c *LabelCache) Len() int {
 	n := 0
-	for _, m := range c.records {
-		n += len(m)
+	for _, recs := range c.records {
+		n += len(recs)
 	}
 	return n
 }
 
+// Reset drops every record, keeping the counters.
+func (c *LabelCache) Reset() { clear(c.records) }
+
 // Put caches a record, keeping only the freshest record per
 // (label, annotator).
 func (c *LabelCache) Put(l *trust.Label) {
-	byAnn := c.records[l.Name]
-	if byAnn == nil {
-		byAnn = make(map[string]*trust.Label)
-		c.records[l.Name] = byAnn
+	recs := c.records[l.Name]
+	for i, prev := range recs {
+		if prev.Annotator == l.Annotator {
+			if !prev.Expiry().After(l.Expiry()) {
+				recs[i] = l
+			}
+			return
+		}
 	}
-	if prev, ok := byAnn[l.Annotator]; ok && prev.Expiry().After(l.Expiry()) {
-		return
+	c.records[l.Name] = append(recs, l)
+}
+
+// Held returns the record cached for (label, annotator), fresh or not, or
+// nil. It prunes nothing and counts nothing.
+func (c *LabelCache) Held(label, annotator string) *trust.Label {
+	for _, rec := range c.records[label] {
+		if rec.Annotator == annotator {
+			return rec
+		}
 	}
-	byAnn[l.Annotator] = l
+	return nil
+}
+
+// All returns every record held, fresh or not, sorted by label name then
+// annotator. It prunes nothing and counts nothing: checkers read it.
+func (c *LabelCache) All() []*trust.Label {
+	var out []*trust.Label
+	for _, recs := range c.records {
+		out = append(out, recs...)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Name != out[j].Name {
+			return out[i].Name < out[j].Name
+		}
+		return out[i].Annotator < out[j].Annotator
+	})
+	return out
+}
+
+// prune drops the label's records stale at now, counting each, and returns
+// the fresh ones, in their order.
+func (c *LabelCache) prune(label string, recs []*trust.Label, now time.Time) []*trust.Label {
+	kept := recs[:0]
+	for _, rec := range recs {
+		if rec.FreshAt(now) {
+			kept = append(kept, rec)
+		} else {
+			c.stats.StaleDrops++
+		}
+	}
+	if len(kept) < len(recs) {
+		clear(recs[len(kept):])
+		c.records[label] = kept
+	}
+	return kept
 }
 
 // Records returns every record still fresh at now, sorted by label name
@@ -213,17 +267,9 @@ func (c *LabelCache) Put(l *trust.Label) {
 // records encountered are pruned.
 func (c *LabelCache) Records(now time.Time) []trust.Label {
 	var out []trust.Label
-	for label, byAnn := range c.records {
-		for ann, rec := range byAnn {
-			if !rec.FreshAt(now) {
-				delete(byAnn, ann)
-				c.stats.StaleDrops++
-				continue
-			}
+	for label, recs := range c.records {
+		for _, rec := range c.prune(label, recs, now) {
 			out = append(out, *rec)
-		}
-		if len(byAnn) == 0 {
-			delete(c.records, label)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -240,24 +286,15 @@ func (c *LabelCache) Records(now time.Time) []trust.Label {
 // answer does not depend on the order records were put in. Stale records
 // encountered are pruned.
 func (c *LabelCache) Get(label string, policy *trust.Policy, now time.Time) (*trust.Label, bool) {
-	byAnn := c.records[label]
 	var best *trust.Label
-	for ann, rec := range byAnn {
-		if !rec.FreshAt(now) {
-			delete(byAnn, ann)
-			c.stats.StaleDrops++
-			continue
-		}
-		if !policy.Trusts(ann) {
+	for _, rec := range c.prune(label, c.records[label], now) {
+		if !policy.Trusts(rec.Annotator) {
 			continue
 		}
 		if best == nil || rec.Expiry().After(best.Expiry()) ||
 			rec.Expiry().Equal(best.Expiry()) && rec.Signature < best.Signature {
 			best = rec
 		}
-	}
-	if len(byAnn) == 0 {
-		delete(c.records, label)
 	}
 	if best == nil {
 		c.stats.Misses++

@@ -11,6 +11,8 @@ package netsim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"time"
 
 	"athena/internal/simclock"
@@ -170,4 +172,31 @@ func (n *Network) lose(l *link) bool {
 		return true
 	}
 	return false
+}
+
+// ScheduleLoss sets every link's loss probability to p at the given instant
+// and back to zero after the window. Windows do not stack: the end of one
+// restores a loss-free network even inside another. Each link's transitions
+// run on its source node's lane, in link order, as ScheduleLinkOutage's do.
+// SeedFailures must have been called.
+func (n *Network) ScheduleLoss(p float64, at time.Time, window time.Duration) error {
+	if !n.failSeeded {
+		return fmt.Errorf("netsim: ScheduleLoss: SeedFailures not called")
+	}
+	keys := make([][2]string, 0, len(n.links))
+	for key := range n.links {
+		keys = append(keys, key)
+	}
+	slices.SortFunc(keys, func(a, b [2]string) int {
+		if c := strings.Compare(a[0], b[0]); c != 0 {
+			return c
+		}
+		return strings.Compare(a[1], b[1])
+	})
+	for _, key := range keys {
+		l := n.links[key]
+		_ = n.AtNode(key[0], at, func() { l.lossProb = p })
+		_ = n.AtNode(key[0], at.Add(window), func() { l.lossProb = 0 })
+	}
+	return nil
 }

@@ -62,10 +62,13 @@ func TestSignatureGolden(t *testing.T) {
 
 // TestConcurrentVerify runs under -race in CI: the nodes of an in-process
 // socket fleet verify against one Authority at once, and a daemon
-// registers late joiners' keys while they do.
+// registers late joiners' keys while they do. The records are signed under
+// another Authority holding the same key, so the verifiers make the key's
+// MAC state between them.
 func TestConcurrentVerify(t *testing.T) {
 	auth := NewAuthority()
-	signer := auth.Register("vision-1", []byte("secret"))
+	auth.Register("vision-1", []byte("secret"))
+	signer := NewAuthority().Register("vision-1", []byte("secret"))
 	recs := make([]Label, len(goldenRecords))
 	for i, g := range goldenRecords {
 		recs[i] = g.rec

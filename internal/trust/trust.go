@@ -3,6 +3,11 @@
 // which evidence objects were used, and are accepted by a query source only
 // if its trust policy accepts the annotator. Signing uses HMAC-SHA256 with
 // per-annotator keys issued by a shared Authority (a stand-in for a PKI).
+// Each key keeps one keyed MAC state for its whole life, so a verification
+// allocates nothing and a signature only its hex string;
+// Authority.Replacements tells a holder of verified records when a key
+// they were verified under has been replaced, and Signer.Current a signer
+// whether its own key has been.
 package trust
 
 import (
@@ -16,6 +21,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -46,6 +52,15 @@ func (l *Label) Expiry() time.Time { return l.Computed.Add(l.Validity) }
 
 // FreshAt reports whether the record is still valid at t.
 func (l *Label) FreshAt(t time.Time) bool { return !t.After(l.Expiry()) }
+
+// SameFields reports whether two records carry the same signed fields, in
+// the same order: the same canonical form, so under one key the same
+// signature. The signatures themselves are not compared.
+func (l *Label) SameFields(o *Label) bool {
+	return l.Name == o.Name && l.Value == o.Value && l.Annotator == o.Annotator &&
+		l.Computed.UnixNano() == o.Computed.UnixNano() && l.Validity == o.Validity &&
+		slices.Equal(l.Evidence, o.Evidence)
+}
 
 // appendCanonical appends the signed fields, serialized deterministically:
 // the evidence in sorted order, whatever order the record lists it in. A
@@ -95,6 +110,8 @@ var (
 type Authority struct {
 	mu   sync.RWMutex
 	keys map[string]*macKey
+	// replaced counts Register calls that replaced an annotator's key.
+	replaced atomic.Uint64
 }
 
 // NewAuthority returns an empty Authority.
@@ -103,13 +120,40 @@ func NewAuthority() *Authority {
 }
 
 // Register derives and stores a signing key for the annotator, returning a
-// Signer bound to it. Re-registering replaces the key.
+// Signer bound to it. Re-registering replaces the key, counts a
+// replacement, and leaves the Signers bound to the old key no longer
+// Current.
 func (a *Authority) Register(annotator string, secret []byte) Signer {
 	key := newMACKey(deriveKey(annotator, secret))
 	a.mu.Lock()
+	if old, ok := a.keys[annotator]; ok {
+		old.replaced.Store(true)
+		a.replaced.Add(1)
+	}
 	a.keys[annotator] = key
 	a.mu.Unlock()
 	return Signer{annotator: annotator, key: key}
+}
+
+// Replacements counts the keys Register has replaced. A record verified
+// while the count read c may fail under the current key once it reads more
+// than c, so whoever keeps verified records without re-verifying them
+// (a node's label cache) drops them when the count moves.
+func (a *Authority) Replacements() uint64 { return a.replaced.Load() }
+
+// MACs counts the keyed MACs computed under the authority's current keys,
+// signatures and verifications together. Tests and profiles read it; no
+// decision does.
+func (a *Authority) MACs() int64 {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	var n int64
+	for _, k := range a.keys {
+		k.mu.Lock()
+		n += k.macs
+		k.mu.Unlock()
+	}
+	return n
 }
 
 func deriveKey(annotator string, secret []byte) []byte {
@@ -144,12 +188,17 @@ type Signer struct {
 // Annotator returns the identity the signer signs as.
 func (s Signer) Annotator() string { return s.annotator }
 
+// Current reports whether the signer's key is still its annotator's
+// registered one: whether what it signs now verifies. The zero Signer's
+// never is.
+func (s Signer) Current() bool { return s.key != nil && !s.key.replaced.Load() }
+
 // Sign fills in the record's Annotator and Signature fields.
 func (s Signer) Sign(l *Label) {
 	l.Annotator = s.annotator
 	key := s.key
 	if key == nil {
-		key = newMACKey(nil) // the zero Signer signs under the empty key
+		key = unkeyed // the zero Signer signs under the empty key
 	}
 	var sig [sigLen]byte
 	key.sign(l, &sig)
@@ -160,11 +209,22 @@ func (s Signer) Sign(l *Label) {
 const sigLen = 2 * sha256.Size
 
 // macKey is one signing key in the form signatures are made with: keying
-// an HMAC hashes the key twice, so a keyed one is kept and Reset per
-// signature instead of built per signature. Hashing holds no lock; callers
-// signing at once (the nodes of an in-process socket fleet verify under
-// one Authority) each take a state of their own from the pool.
-type macKey struct{ states sync.Pool }
+// an HMAC hashes the key twice, so one keyed state is kept for the key's
+// whole life and Reset per signature. The state is held under mu, and
+// made at the key's first MAC: a fleet registers an annotator per node
+// whether or not it ever signs. Simulator nodes sign and verify on one
+// goroutine, so the lock is never contended there; the nodes of an
+// in-process socket fleet run at once, and meet on it only when two verify
+// records of the same annotator, or one signs while another verifies, for
+// the ~0.3 µs one MAC over a record takes.
+type macKey struct {
+	key  []byte
+	mu   sync.Mutex
+	st   macState
+	macs int64 // keyed MACs computed, read by Authority.MACs
+	// replaced is set when Register replaces the key (Signer.Current).
+	replaced atomic.Bool
+}
 
 // macState is what one signature needs and the next one reuses. The
 // buffers live here, not on the caller's stack, because everything handed
@@ -176,20 +236,24 @@ type macState struct {
 	sum       [sha256.Size]byte
 }
 
-func newMACKey(key []byte) *macKey {
-	k := new(macKey)
-	k.states.New = func() any { return &macState{mac: hmac.New(sha256.New, key)} }
-	return k
-}
+// unkeyed is the key the zero Signer signs under.
+var unkeyed = newMACKey(nil)
+
+func newMACKey(key []byte) *macKey { return &macKey{key: key} }
 
 // sign writes the record's signature under the key into sig.
 func (k *macKey) sign(l *Label, sig *[sigLen]byte) {
-	st := k.states.Get().(*macState)
+	k.mu.Lock()
+	st := &k.st
+	if st.mac == nil {
+		st.mac = hmac.New(sha256.New, k.key)
+	}
 	st.canonical = l.appendCanonical(st.canonical[:0], &st.evidence)
 	st.mac.Reset()
 	st.mac.Write(st.canonical)
 	hex.Encode(sig[:], st.mac.Sum(st.sum[:0]))
-	k.states.Put(st)
+	k.macs++
+	k.mu.Unlock()
 }
 
 // Policy decides which annotators a consumer trusts for which labels. The
@@ -232,18 +296,9 @@ func (p *Policy) Trusts(annotator string) bool {
 	return p.trustAll || p.allowed[annotator]
 }
 
-// Accept verifies a record against the authority and the policy: the
-// record must be authentic, trusted, and fresh at instant now.
-func (p *Policy) Accept(a *Authority, l *Label, now time.Time) error {
-	if err := a.Verify(l); err != nil {
-		return err
-	}
-	return p.AcceptVerified(l, now)
-}
-
-// AcceptVerified is the policy's half of Accept, for a record the caller
-// has itself just verified: its annotator must be trusted and the record
-// fresh at instant now.
+// AcceptVerified is the policy's half of accepting a record the caller has
+// authenticated (Authority.Verify, once per node): its annotator must be
+// trusted and the record fresh at instant now.
 func (p *Policy) AcceptVerified(l *Label, now time.Time) error {
 	if !p.Trusts(l.Annotator) {
 		return fmt.Errorf("trust: annotator %q not trusted for label %q", l.Annotator, l.Name)

@@ -22,7 +22,8 @@
 # result), later builds do not.
 # A1 is the label-sharing ablation under partial trust: the cell that
 # moves when a node picks a different cached label record. The misses
-# table (-fig misses) is the expired queries' post-mortem, sorted by cause.
+# table (-fig misses) is the expired queries' post-mortem, sorted by cause;
+# the chaos rows (-fig chaos) are fleets under seeded fault schedules.
 # One `same`/`DIFFERS` line per cell; exits non-zero on any difference.
 set -eu
 
@@ -81,6 +82,10 @@ cell "fig 2 -csv -schemes lvfl,cmp -quick" "" -fig 2 -csv -schemes lvfl,cmp -qui
 # -fig misses is newer than the rest: a BASE without it prints nothing and
 # fails this cell.
 cell "fig misses -quick (new: a BASE before it differs)" "" -fig misses -quick
+# -fig chaos is newer still (ROADMAP item 1): two seeds of fault schedules
+# on the five chaos fleets, the only cell that runs prefetch and partial
+# trust under faults.
+cell "fig chaos -reps 2 (new: a BASE before it differs)" "" -fig chaos -reps 2
 cell "smoke -quick (minus wallSeconds)" "" -fig smoke -quick
 cols=3
 cell "fig a10 -quick (config, events, delivered)" "" -fig a10 -quick
