@@ -293,7 +293,7 @@ func BenchmarkDirectoryMemory(b *testing.B) {
 	}
 }
 
-// BenchmarkSimKernel measures the lane-per-node kernel on the A10
+// BenchmarkSimKernel measures the kernel on the A10
 // synthetic workload at n=512: one complete 2-virtual-second simulation
 // per iteration. Its allocs/op is what the ci.sh gate pins — events are
 // pooled, so the allocation count is the deterministic setup cost and
@@ -367,7 +367,7 @@ func BenchmarkBatchedFetch(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			var frames, bytes, batch float64
 			for i := 0; i < b.N; i++ {
-				row, err := experiment.RunBatching(64, 8, tc.window, 1)
+				row, err := experiment.RunBatching(64, 8, tc.window)
 				if err != nil {
 					b.Fatal(err)
 				}

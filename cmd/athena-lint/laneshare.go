@@ -1,17 +1,18 @@
 package main
 
-// Lane-isolation check. The PDES kernel's conservative window is causal
-// only because lane handlers touch state their own lane owns: a window's
-// events of all lanes interleave by instant on the kernel's one queue, a
-// lane's clock advances only when its own events run, and every
-// cross-lane effect is buffered as a Lane.Post and merged at the window
-// barrier in canonical order. This check turns that convention into a proof
+// Lane-isolation check. Every simulated node schedules on the kernel's
+// one lane, so the kernel no longer needs a handler to keep to its own
+// node's state. The node does: a handler that writes package-level state
+// or reaches into another node makes the outcome depend on which of two
+// same-instant events the schedule happens to run first, and a node that
+// is one goroutine fed by its own inbox (the daemon's target shape) can
+// only share what it sends. This check turns that convention into a proof
 // obligation: it computes the set of functions reachable from kernel
 // lane entry points (handlers registered through AtCall / AfterCall /
 // AfterArg, resolved through stored method values and func-typed fields
 // by the call graph) and flags, inside that set, writes to package-level
 // variables and writes or calls that reach into another instance of the
-// handler's own type — the "peer lane" shape that bypasses the mailbox.
+// handler's own type — the "peer" shape that bypasses the message path.
 // A held mutex exempts a write: state behind a lock is a shared service
 // (the socket daemon's goroutines use it too), and the lock checks audit
 // the mutex itself.

@@ -11,7 +11,7 @@
 //	athena-sim -fig a7         # Ablation: node churn with/without live membership
 //	athena-sim -fig a8         # Ablation: membership control plane, flood vs gossip
 //	athena-sim -fig a9         # Ablation: directory sharding, memory/sync vs full replica
-//	athena-sim -fig a10        # Ablation: lane-per-node kernel throughput
+//	athena-sim -fig a10        # Ablation: kernel throughput
 //	athena-sim -fig a11        # Ablation: data-plane batching, frames/bytes vs latency
 //	athena-sim -fig all        # everything above
 //	athena-sim -fig misses     # where deadlines die: expired queries by cause
@@ -23,17 +23,16 @@
 //
 // Two CI-oriented scenarios sit outside the figure set:
 //
-//	athena-sim -fig dump       # fixed-seed cluster, a kernel lane per node;
-//	                           # prints the full outcome as deterministic JSON
+//	athena-sim -fig dump       # fixed-seed gossip+churn cluster; prints
+//	                           # the full outcome as deterministic JSON
 //	                           # (byte-identical run to run and at any GOMAXPROCS);
 //	                           # -shards N runs it on a sharded directory
-//	athena-sim -fig smoke      # n=2048 gossip+sharding membership fleet, a
-//	                           # lane per node; prints the row as JSON
+//	athena-sim -fig smoke      # n=2048 gossip+sharding membership fleet;
+//	                           # prints the row as JSON
 //
 // Use -reps, -seed, -schemes and -quick to trade fidelity for time.
-// a10, a11, dump and smoke run a kernel lane per node; the classic
-// figures always run every node on one shared lane, in global schedule
-// order, so their published numbers stay byte-identical across releases.
+// Every run is one kernel in one order, (time, schedule sequence), so
+// every output is a pure function of its flags.
 package main
 
 import (
@@ -234,7 +233,7 @@ func run() error {
 		if *quick {
 			sizes = []int{64}
 		}
-		rows, err := experiment.AblationBatching(cfg.BaseSeed, sizes)
+		rows, err := experiment.AblationBatching(sizes)
 		if err != nil {
 			return err
 		}
@@ -284,9 +283,9 @@ type dumpOutcome struct {
 	Histograms      map[string]dumpHistogram `json:"histograms"`
 }
 
-// dumpCluster builds the dump scenario: a fixed-seed cluster, a kernel lane
-// per node — gossip membership, churn, the most timing-sensitive
-// configuration — with data-plane batching at batchWindow (0 = off) and
+// dumpCluster builds the dump scenario: a fixed-seed cluster — gossip
+// membership, churn, the most timing-sensitive configuration — with
+// data-plane batching at batchWindow (0 = off) and
 // the directory in shards name-prefix shards (0 = a full replica on every
 // node), the only configuration a recorded output issues sharded queries
 // in.
@@ -303,7 +302,6 @@ func dumpCluster(seed int64, batchWindow time.Duration, shards int) (*athena.Clu
 	}
 	return athena.NewCluster(s, athena.ClusterConfig{
 		Scheme:            athena.SchemeLVF,
-		Workers:           1, // a lane per node
 		HeartbeatInterval: 2 * time.Second,
 		GossipFanout:      2,
 		Shards:            shards,
@@ -388,8 +386,8 @@ func runChaos(seed int64, reps, faults int) error {
 	return nil
 }
 
-// runSmoke runs the n=2048 gossip+sharding membership fleet, a kernel
-// lane per node, and prints the measured row as JSON — the CI scale job's
+// runSmoke runs the n=2048 gossip+sharding membership fleet and prints
+// the measured row as JSON — the CI scale job's
 // artifact. -quick trims the fleet to n=512 for local checks.
 func runSmoke(seed int64, quick bool) error {
 	n := 2048
@@ -399,10 +397,9 @@ func runSmoke(seed int64, quick bool) error {
 	//lint:allow walltime operator-facing elapsed-time report, not simulation state
 	start := time.Now()
 	row, err := experiment.RunMembershipOpts(n, experiment.MembershipOpts{
-		Fanout:      2,
-		Seed:        seed,
-		LanePerNode: true,
-		Shards:      4 * n,
+		Fanout: 2,
+		Seed:   seed,
+		Shards: 4 * n,
 	})
 	if err != nil {
 		return err

@@ -149,7 +149,7 @@ type ChaosFleet struct {
 
 // ChaosFleets are the fleets a chaos seed runs on: the Sec. VII fleet
 // under lvfl and under cmp, the kernel_fleet configuration (SWIM, a
-// sharded directory, coalescing, a kernel lane per node), a prefetch-on
+// sharded directory, coalescing), a prefetch-on
 // fleet and a partial-trust one (A1's half-trusted policy). No golden,
 // dump or benchmark workload runs either of the last two.
 func ChaosFleets() []ChaosFleet {
@@ -162,7 +162,6 @@ func ChaosFleets() []ChaosFleet {
 		{Name: "sec7-cmp", Workload: sec7, Cluster: ClusterConfig{Scheme: SchemeCMP}},
 		{Name: "kernel", Workload: grid, Cluster: ClusterConfig{
 			Scheme:            SchemeLVF,
-			Workers:           1,
 			HeartbeatInterval: 2 * time.Second,
 			GossipFanout:      2,
 			Shards:            96,

@@ -72,12 +72,8 @@ type ClusterConfig struct {
 	ChurnEvents int
 	// ChurnOutage is each churned node's downtime (default 30s).
 	ChurnOutage time.Duration
-	// Workers selects the kernel's lane layout. Zero (the default) runs
-	// every node on one shared lane, in global schedule order — the order
-	// the classic figures and goldens are recorded in. Any positive value
-	// gives every node a lane of its own, merged in the kernel's canonical
-	// order; the count itself is not used (every lane runs on the calling
-	// goroutine), and the field stays an int because bench/ sets it.
+	// Deprecated: ignored; bench/ compiles against it. Every node runs
+	// on the kernel's one lane.
 	Workers int
 }
 
@@ -98,8 +94,7 @@ const (
 // workload scenario.
 type Cluster struct {
 	Scenario *workload.Scenario
-	// Kernel is the kernel the network runs on: one lane per node, or
-	// one lane every node shares (Workers == 0).
+	// Kernel is the kernel the network runs on.
 	Kernel    *simclock.Kernel
 	Network   *netsim.Network
 	Nodes     map[string]*Node
@@ -123,7 +118,7 @@ func NewCluster(s *workload.Scenario, cfg ClusterConfig) (*Cluster, error) {
 	}
 	reg := metrics.NewRegistry()
 
-	net := netsim.NewAt(s.Epoch, cfg.Workers > 0, s.Config.Seed)
+	net := netsim.NewAt(s.Epoch)
 	if err := s.BuildNetwork(net); err != nil {
 		return nil, err
 	}
@@ -216,8 +211,8 @@ func NewCluster(s *workload.Scenario, cfg ClusterConfig) (*Cluster, error) {
 }
 
 // LaneTimers adapts the lane a node runs on (netsim.Network.LaneOf) to
-// the Timers interface, so the node's callbacks always execute with the
-// rest of its events.
+// the Timers interface, so the node's callbacks run in order with every
+// other event of the run.
 type LaneTimers struct{ Lane *simclock.Lane }
 
 var _ Timers = LaneTimers{}
@@ -309,7 +304,6 @@ func (c *Cluster) issue() (stop time.Time, err error) {
 		}
 		expr := qs.Expr
 		dl := qs.Deadline
-		// AtNode keeps the injection on the origin's lane.
 		err := c.Network.AtNode(qs.Origin, c.Scenario.Epoch.Add(offset), func() {
 			if _, err := node.QueryInit(expr, dl); err != nil {
 				panic(fmt.Sprintf("athena: QueryInit: %v", err))

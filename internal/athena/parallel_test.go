@@ -1,7 +1,7 @@
 package athena
 
 import (
-	"maps"
+	"reflect"
 	"testing"
 	"time"
 
@@ -24,22 +24,20 @@ func engineScenario(t *testing.T) *workload.Scenario {
 	return s
 }
 
-// runEngine runs one scenario on the given lane layout and returns its
-// outcome.
-func runEngine(t *testing.T, lanePerNode bool, churn int, gossip bool) Outcome {
+// runEngine runs one scenario with the given ClusterConfig.Workers and
+// returns its outcome.
+func runEngine(t *testing.T, workers, churn int, gossip bool) Outcome {
 	t.Helper()
 	s := engineScenario(t)
 	ccfg := ClusterConfig{
 		Scheme:            SchemeLVF,
+		Workers:           workers,
 		HeartbeatInterval: 2 * time.Second,
 		ChurnEvents:       churn,
 		ChurnOutage:       30 * time.Second,
 	}
 	if gossip {
 		ccfg.GossipFanout = 2
-	}
-	if lanePerNode {
-		ccfg.Workers = 1
 	}
 	cluster, err := NewCluster(s, ccfg)
 	if err != nil {
@@ -52,16 +50,9 @@ func runEngine(t *testing.T, lanePerNode bool, churn int, gossip bool) Outcome {
 	return out
 }
 
-// requireOutcomesEqual compares the deterministic portions of two
-// outcomes: everything except the metrics snapshot's float-valued
-// histogram sums (whose accumulation order is layout-defined). With
-// latencySlack > 0, MeanLatency may differ by up to that much — used
-// when comparing the two lane layouts, whose tie-break rules for
-// same-instant events are different but equally valid, which can shift
-// individual message timings by microseconds without changing what the
-// fleet computes. Layout-to-layout comparisons therefore allow the
-// slack; two runs of one layout must be exact.
-func requireOutcomesEqual(t *testing.T, label string, a, b Outcome, latencySlack time.Duration) {
+// requireOutcomesEqual fails unless two outcomes are identical, naming the
+// first part that differs.
+func requireOutcomesEqual(t *testing.T, label string, a, b Outcome) {
 	t.Helper()
 	if a.QueriesIssued != b.QueriesIssued || a.QueriesResolved != b.QueriesResolved ||
 		a.ResolvedTrue != b.ResolvedTrue || a.ResolvedFalse != b.ResolvedFalse {
@@ -69,54 +60,74 @@ func requireOutcomesEqual(t *testing.T, label string, a, b Outcome, latencySlack
 			label, a.QueriesResolved, a.QueriesIssued, a.ResolvedTrue, a.ResolvedFalse,
 			b.QueriesResolved, b.QueriesIssued, b.ResolvedTrue, b.ResolvedFalse)
 	}
-	if a.TotalBytes != b.TotalBytes {
-		t.Errorf("%s: TotalBytes diverged: %d vs %d", label, a.TotalBytes, b.TotalBytes)
-	}
-	if d := a.MeanLatency - b.MeanLatency; d > latencySlack || -d > latencySlack {
-		t.Errorf("%s: MeanLatency diverged: %v vs %v", label, a.MeanLatency, b.MeanLatency)
+	if a.TotalBytes != b.TotalBytes || a.MeanLatency != b.MeanLatency {
+		t.Errorf("%s: TotalBytes/MeanLatency diverged: %d/%v vs %d/%v", label, a.TotalBytes, a.MeanLatency, b.TotalBytes, b.MeanLatency)
 	}
 	if a.Node != b.Node {
 		t.Errorf("%s: node stats diverged:\n%+v\nvs\n%+v", label, a.Node, b.Node)
 	}
-	// Every counter, not a list of them: on these scenarios the whole map
-	// agrees between the layouts, and an empty map would agree trivially.
+	// Every counter, not a list of them: an empty map would agree
+	// trivially.
 	if len(a.Metrics.Counters) == 0 {
 		t.Errorf("%s: the first outcome has no counters", label)
 	}
-	if !maps.Equal(a.Metrics.Counters, b.Metrics.Counters) {
-		t.Errorf("%s: counters diverged:\n%v\nvs\n%v", label, a.Metrics.Counters, b.Metrics.Counters)
-	}
-	if av, bv := a.Metrics.Gauges["directory.version"], b.Metrics.Gauges["directory.version"]; av != bv {
-		t.Errorf("%s: directory.version diverged: %d vs %d", label, av, bv)
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("%s: outcomes diverged:\n%+v\nvs\n%+v", label, a, b)
 	}
 }
 
-// TestClusterKernelMatchesSequential pins the lane-per-node layout to
-// the shared lane on a full flood-membership cluster
-// scenario: identical resolution, traffic, and node counters, with
-// mean latency agreeing to well under a millisecond (same-instant tie
-// order is the layouts' one permitted difference — see
-// requireOutcomesEqual; netsim's TestParallelMatchesSequentialOutcome
-// pins loss, outage, and churn injection exactly at the network layer).
+// TestClusterKernelMatchesSequential: ClusterConfig.Workers is ignored.
+// NewCluster at Workers 0 and 1 returns identical outcomes, on the small
+// gossip+churn fleet and on the kernel_fleet configuration's seed 2, and
+// both equal the outcome the shared lane gave before the lane-per-node
+// layout was removed (recorded literals; that layout resolved 243 of
+// seed 2's decisions, in 805 604 745 bytes).
 func TestClusterKernelMatchesSequential(t *testing.T) {
-	seqOut := runEngine(t, false, 0, false)
-	kernOut := runEngine(t, true, 0, false)
-	requireOutcomesEqual(t, "shared lane vs lane per node", seqOut, kernOut, time.Millisecond)
+	requireOutcomesEqual(t, "engine scenario, workers 0 vs 1", runEngine(t, 0, 3, true), runEngine(t, 1, 3, true))
+
+	wcfg := workload.DefaultConfig()
+	wcfg.GridRows, wcfg.GridCols, wcfg.Nodes = 9, 9, 81
+	wcfg.LinkBandwidth = 1.25e6
+	wcfg.Seed = 2
+	s, err := workload.Generate(wcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(workers int) Outcome {
+		c, err := NewCluster(s, ClusterConfig{
+			Scheme: SchemeLVF, Workers: workers, HeartbeatInterval: 2 * time.Second, GossipFanout: 2,
+			Shards: 400, ShardReplicas: 3, CoalesceWindow: 10 * time.Millisecond,
+			ChurnEvents: 3, ChurnOutage: 10 * time.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := c.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	shared, lanes := run(0), run(1)
+	requireOutcomesEqual(t, "kernel_fleet seed 2, workers 0 vs 1", shared, lanes)
+	if shared.QueriesResolved != 242 || shared.QueriesIssued != 243 || shared.ResolvedTrue != 145 ||
+		shared.TotalBytes != 807873439 || shared.MeanLatency != 2397305020 {
+		t.Errorf("kernel_fleet seed 2: %d/%d resolved (%d true), %d bytes, mean %v; the shared lane recorded 242/243 (145 true), 807873439 bytes, mean 2.39730502s",
+			shared.QueriesResolved, shared.QueriesIssued, shared.ResolvedTrue, shared.TotalBytes, shared.MeanLatency)
+	}
 }
 
 // TestClusterKernelWorkerCountInvariant pins the headline guarantee at
-// the cluster layer: a lane-per-node run repeated with the same seed
-// gives the same outcome — exact equality, no slack, on the most
-// timing-sensitive configuration (gossip membership plus churn). (It
-// compared worker counts until the kernel lost its worker pool; the name
-// is kept.)
+// the cluster layer: a run repeated with the same seed gives the same
+// outcome, on the most timing-sensitive configuration (gossip membership
+// plus churn). (It compared worker counts until the kernel lost its
+// worker pool; the name is kept.)
 func TestClusterKernelWorkerCountInvariant(t *testing.T) {
-	requireOutcomesEqual(t, "first vs second run", runEngine(t, true, 3, true), runEngine(t, true, 3, true), 0)
+	requireOutcomesEqual(t, "first vs second run", runEngine(t, 0, 3, true), runEngine(t, 0, 3, true))
 }
 
-// TestClusterKernelOnSharedLane: the shared layout is a one-lane kernel,
-// and Cluster.Kernel is that kernel, not nil, so its event count is there
-// to read on either layout.
+// TestClusterKernelOnSharedLane: Cluster.Kernel is the network's kernel,
+// not nil, so its event count is there to read.
 func TestClusterKernelOnSharedLane(t *testing.T) {
 	c, err := NewCluster(engineScenario(t), ClusterConfig{Scheme: SchemeLVF})
 	if err != nil {

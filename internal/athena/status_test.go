@@ -253,7 +253,7 @@ func TestStatusLivenessUnderGossip(t *testing.T) {
 }
 
 // TestRegistryCountsMatchStats pins what a fleet registry publishes, on
-// the -fig dump cluster (gossip, churn, a lane per node) with batching on
+// the -fig dump cluster (gossip, churn) with batching on
 // so that the batch counters move: exactly these counter, gauge and
 // histogram names, and every counter equal to the plain count it is read
 // from. A metric dropped, renamed or counted twice fails it.
@@ -270,7 +270,6 @@ func TestRegistryCountsMatchStats(t *testing.T) {
 	}
 	c, err := NewCluster(s, ClusterConfig{
 		Scheme:            SchemeLVF,
-		Workers:           1,
 		HeartbeatInterval: 2 * time.Second,
 		GossipFanout:      2,
 		ChurnEvents:       3,

@@ -44,8 +44,7 @@ const (
 	batchingSlack    = 10 * time.Second
 )
 
-// batchingEpoch anchors the rig's virtual clock; deterministic in the
-// seed, so any fixed instant works.
+// batchingEpoch anchors the rig's virtual clock; any fixed instant works.
 var batchingEpoch = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
 // BatchingRow is one (fleet size × fan-in × window) cell of the A11 table.
@@ -79,15 +78,14 @@ type BatchingRow struct {
 	ByteSavings    float64
 }
 
-// RunBatching runs one A11 cell, a kernel lane per node. Deterministic in
-// (n, fanIn, window, seed).
-func RunBatching(n, fanIn int, window time.Duration, seed int64) (BatchingRow, error) {
+// RunBatching runs one A11 cell. Deterministic in (n, fanIn, window).
+func RunBatching(n, fanIn int, window time.Duration) (BatchingRow, error) {
 	k := batchingSources
 	consumers := n - k - 1
 	if consumers < 1 {
 		return BatchingRow{}, fmt.Errorf("experiment: batching fleet n=%d too small for %d sources", n, k)
 	}
-	net := netsim.NewAt(batchingEpoch, true, seed)
+	net := netsim.NewAt(batchingEpoch)
 
 	const gw = "gw"
 	link := netsim.LinkConfig{Bandwidth: 8 << 20, Latency: time.Millisecond}
@@ -234,7 +232,7 @@ func windowLabel(w time.Duration) string {
 // AblationBatching (A11) sweeps fleet size × fan-in × coalescing window,
 // normalizing every batched cell against its (n, fan-in) unbatched
 // baseline. A nil sizes slice runs {64, 512, 2048}.
-func AblationBatching(seed int64, sizes []int) ([]BatchingRow, error) {
+func AblationBatching(sizes []int) ([]BatchingRow, error) {
 	if len(sizes) == 0 {
 		sizes = []int{64, 512, 2048}
 	}
@@ -245,7 +243,7 @@ func AblationBatching(seed int64, sizes []int) ([]BatchingRow, error) {
 		for _, f := range fanIns {
 			var base BatchingRow
 			for i, w := range windows {
-				row, err := RunBatching(n, f, w, seed)
+				row, err := RunBatching(n, f, w)
 				if err != nil {
 					return nil, err
 				}

@@ -61,12 +61,8 @@ type MembershipOpts struct {
 	// Fanout 0 runs the flooded-heartbeat protocol; > 0 runs SWIM gossip
 	// with that probe fan-out.
 	Fanout int
-	// Seed drives topology, gossip sampling, and the kernel tie-break.
+	// Seed drives topology and gossip sampling.
 	Seed int64
-	// LanePerNode gives every node its own kernel lane; false runs all
-	// nodes on one shared lane. The outcome is identical either way up to
-	// same-instant tie order.
-	LanePerNode bool
 	// Shards > 0 enables the sharded directory (requires Fanout > 0),
 	// each shard on the node's default three replicas, mirroring the A9
 	// configuration on a real simulation.
@@ -83,10 +79,10 @@ func RunMembership(n, fanout int, seed int64) (MembershipRow, error) {
 	return RunMembershipOpts(n, MembershipOpts{Fanout: fanout, Seed: seed})
 }
 
-// RunMembershipOpts is RunMembership with engine and sharding control.
+// RunMembershipOpts is RunMembership with sharding control.
 func RunMembershipOpts(n int, o MembershipOpts) (MembershipRow, error) {
 	fanout, seed := o.Fanout, o.Seed
-	net := netsim.NewAt(membershipEpoch, o.LanePerNode, seed)
+	net := netsim.NewAt(membershipEpoch)
 	rng := rand.New(rand.NewSource(seed))
 	link := netsim.LinkConfig{Bandwidth: 1 << 20, Latency: time.Millisecond}
 	if err := netsim.BuildRandomConnected(net, n, n/2, link, rng); err != nil {
@@ -235,9 +231,9 @@ func RunMembershipOpts(n int, o MembershipOpts) (MembershipRow, error) {
 // λ·log n piggybacked deltas), at the price of a longer — but bounded and
 // false-positive-resistant — detection window. A nil sizes slice runs the
 // full {8, 32, 128, 512} sweep plus an n=2048 gossip+sharding row that is
-// simulated for real, a kernel lane per node (flooding at that size would
-// cost O(n²) messages per interval for no new information, so only the
-// scalable configuration gets the scale row).
+// simulated for real (flooding at that size would cost O(n²) messages per
+// interval for no new information, so only the scalable configuration gets
+// the scale row).
 func AblationMembership(cfg Config, sizes []int) ([]MembershipRow, error) {
 	scaleRow := len(sizes) == 0
 	if len(sizes) == 0 {
@@ -261,10 +257,9 @@ func AblationMembership(cfg Config, sizes []int) ([]MembershipRow, error) {
 	if scaleRow {
 		const n = 2048
 		row, err := RunMembershipOpts(n, MembershipOpts{
-			Fanout:      2,
-			Seed:        cfg.BaseSeed,
-			LanePerNode: true,
-			Shards:      4 * n,
+			Fanout: 2,
+			Seed:   cfg.BaseSeed,
+			Shards: 4 * n,
 		})
 		if err != nil {
 			return nil, err

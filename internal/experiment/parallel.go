@@ -1,6 +1,6 @@
 package experiment
 
-// Ablation A10: lane-per-node kernel throughput. The rig is netsim-only —
+// Ablation A10: kernel throughput. The rig is netsim-only —
 // a synthetic message-passing workload rather than full Athena nodes — so
 // fleet size can reach n=10240 (a full node carries per-fleet directory
 // state that makes 10k-node deployments a memory experiment, not a
@@ -43,7 +43,7 @@ const kernelScaleSim = 2 * time.Second
 
 // kernelTicker is one node's share of the synthetic workload: a ~100 Hz
 // tick that sends a small message to a pseudo-randomly chosen neighbor,
-// with the stream state owned by the node's lane.
+// with a stream state of its own.
 type kernelTicker struct {
 	net       *netsim.Network
 	lane      *simclock.Lane
@@ -61,20 +61,20 @@ func (k *kernelTicker) tick() {
 	k.lane.After(k.period, k.tick)
 }
 
-// RunKernelScale runs the synthetic workload for fleet size n, a kernel
-// lane per node, and returns the measured cell. Events and Delivered are
+// RunKernelScale runs the synthetic workload for fleet size n and returns
+// the measured cell. Events and Delivered are
 // deterministic in (n, seed).
 func RunKernelScale(n int, seed int64) (KernelScaleRow, error) {
-	net := netsim.NewAt(kernelEpoch, true, seed)
+	net := netsim.NewAt(kernelEpoch)
 	rng := rand.New(rand.NewSource(seed))
 	// Odd bandwidth and prime-offset tick periods keep event times off a
-	// shared grid, so same-instant ties (the one place engines may
-	// reorder) stay rare and the workload exercises genuine concurrency.
+	// shared grid, so same-instant ties stay rare and the queue holds
+	// many distinct instants.
 	link := netsim.LinkConfig{Bandwidth: 1_250_013, Latency: time.Millisecond}
 	if err := netsim.BuildRandomConnected(net, n, n/2, link, rng); err != nil {
 		return KernelScaleRow{}, err
 	}
-	var delivered int64 // summed post-run from lane-owned counters
+	var delivered int64 // summed post-run from per-node counters
 	counts := make([]int64, n)
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("n%d", i)
@@ -134,7 +134,9 @@ func AblationKernelScale(sizes []int, seed int64) ([]KernelScaleRow, error) {
 	return rows, nil
 }
 
-// RenderKernelScale prints the A10 table.
+// RenderKernelScale prints the A10 table. Its title still names the
+// lane-per-node layout the rows were first recorded on: results_full.txt
+// holds the table, and the title changes with its next shift.
 func RenderKernelScale(rows []KernelScaleRow) string {
 	var b strings.Builder
 	b.WriteString("Ablation A10: lane-per-node kernel throughput — events/sec vs n\n")

@@ -21,11 +21,10 @@ func scenarioHash(s *workload.Scenario) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// kernelFleetCluster is the kernel_fleet benchmark workload's cluster: a
-// lane per node, SWIM gossip, a sharded directory, coalescing and churn.
+// kernelFleetCluster is the kernel_fleet benchmark workload's cluster:
+// SWIM gossip, a sharded directory, coalescing and churn.
 var kernelFleetCluster = athena.ClusterConfig{
 	Scheme:            athena.SchemeLVF,
-	Workers:           2,
 	HeartbeatInterval: 2 * time.Second,
 	GossipFanout:      2,
 	Shards:            400,
@@ -73,7 +72,7 @@ func TestRunsLeaveScenarioUnchanged(t *testing.T) {
 				t.Fatal(err)
 			}
 			if after := scenarioHash(s); after != before {
-				t.Fatalf("%s: a %s run (workers %d, shards %d) changed the scenario", c.name, ccfg.Scheme, ccfg.Workers, ccfg.Shards)
+				t.Fatalf("%s: a %s run (shards %d) changed the scenario", c.name, ccfg.Scheme, ccfg.Shards)
 			}
 		}
 	}

@@ -3,9 +3,8 @@
 // up/down windows, and node churn. All failures are deterministic — each
 // directed link draws losses from its own splitmix64 stream derived from
 // the master failure seed and the link's endpoints, and outages are
-// ordinary events on the lane that owns the affected state — so a
-// failure-injected run is exactly repeatable from its seed, in either
-// lane layout.
+// ordinary events on the kernel's queue — so a failure-injected run is
+// exactly repeatable from its seed.
 package netsim
 
 import (
@@ -60,8 +59,7 @@ func (n *Network) SetLoss(p float64) error {
 
 // ScheduleLinkOutage schedules the a<->b link to go down at the given
 // instant and come back up after the outage duration. Each direction's
-// transitions run on its source node's lane — the lane that reads the
-// flag on the transmit path — so both layouts see the same outage.
+// transitions are scheduled for its source node, a then b.
 func (n *Network) ScheduleLinkOutage(a, b string, at time.Time, outage time.Duration) error {
 	la, oka := n.links[[2]string{a, b}]
 	lb, okb := n.links[[2]string{b, a}]
@@ -78,9 +76,8 @@ func (n *Network) ScheduleLinkOutage(a, b string, at time.Time, outage time.Dura
 // SetNodeDown takes a node out of the network (or brings it back): while
 // down it neither sends nor receives — messages addressed to or from it
 // are lost. Churn hooks installed with OnChurn fire on every transition.
-// During a parallel run this must execute on the node's own lane (use
-// ScheduleNodeOutage/ScheduleChurn, which arrange that); between runs it
-// may be called directly.
+// During a run, schedule it (ScheduleNodeOutage/ScheduleChurn); between
+// runs it may be called directly.
 func (n *Network) SetNodeDown(id string, down bool) error {
 	nd, ok := n.nodes[id]
 	if !ok {
@@ -103,8 +100,7 @@ func (n *Network) NodeDown(id string) bool {
 }
 
 // ScheduleNodeOutage schedules a node to churn out at the given instant
-// and rejoin after the outage duration. The transitions run on the
-// node's own lane.
+// and rejoin after the outage duration.
 func (n *Network) ScheduleNodeOutage(id string, at time.Time, outage time.Duration) error {
 	if _, ok := n.nodes[id]; !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownNode, id)
@@ -151,19 +147,18 @@ func (n *Network) ScheduleChurn(seed int64, events int, start time.Time, window,
 }
 
 // OnChurn registers a hook invoked on every node churn transition with the
-// node id and whether it is now up. Hooks run on the churning node's
-// lane, so a hook must only touch that node's state.
+// node id and whether it is now up. A hook must only touch that node's
+// state.
 func (n *Network) OnChurn(fn func(id string, up bool)) {
 	n.churnHooks = append(n.churnHooks, fn)
 }
 
 // lose decides whether a message on link l is lost to injected failures
 // at the end of serialization: the link is down, its source has churned
-// out, or the link's seeded loss draw fires. It runs on the source lane
-// and reads only source-side state; destination churn is judged at
-// arrival on the destination lane (see deliver). Draws come from the
-// link's own stream in the link's own serialization order, so they are
-// independent of how events on other links interleave.
+// out, or the link's seeded loss draw fires. It reads only source-side
+// state; destination churn is judged at arrival (see deliver). Draws come
+// from the link's own stream in the link's own serialization order, so
+// they are independent of how events on other links interleave.
 func (n *Network) lose(l *link) bool {
 	if l.down || l.src.down {
 		return true
@@ -177,7 +172,8 @@ func (n *Network) lose(l *link) bool {
 // ScheduleLoss sets every link's loss probability to p at the given instant
 // and back to zero after the window. Windows do not stack: the end of one
 // restores a loss-free network even inside another. Each link's transitions
-// run on its source node's lane, in link order, as ScheduleLinkOutage's do.
+// are scheduled in link order, for its source node, as ScheduleLinkOutage's
+// are.
 // SeedFailures must have been called.
 func (n *Network) ScheduleLoss(p float64, at time.Time, window time.Duration) error {
 	if !n.failSeeded {

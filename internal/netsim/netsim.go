@@ -6,18 +6,11 @@
 // and network-wide byte accounting provides the bandwidth measurements
 // behind Figure 3.
 //
-// A Network runs on a simclock.Kernel in one of two lane layouts. New
-// hands every node the one lane of a simclock.Scheduler, so all events
-// run in global schedule order. NewParallel assigns every node its own
-// lane: all of a node's work — serialization on its outgoing links,
-// timer callbacks, handler invocations — executes on that lane, and the
-// only cross-lane effects are message deliveries, posted with a delay of
-// at least the link latency (the kernel's conservative lookahead). The
-// transmit/deliver path is the same code in both. Each layout is a pure
-// function of the seed; the two layouts order same-instant events
-// differently (schedule order vs the kernel's canonical merge order), so
-// they agree on every protocol outcome but are not byte-identical to
-// each other.
+// A Network runs on the one lane of a simclock.Scheduler: every node's
+// work — serialization on its outgoing links, timer callbacks, message
+// deliveries, handler invocations — is an event on the kernel's one
+// queue, so a run is in global (time, schedule sequence) order and a pure
+// function of the seed.
 package netsim
 
 import (
@@ -51,15 +44,6 @@ type Stats struct {
 	BytesDelivered int64
 }
 
-// add accumulates other into s.
-func (s *Stats) add(o *Stats) {
-	s.MessagesSent += o.MessagesSent
-	s.MessagesDelivered += o.MessagesDelivered
-	s.MessagesLost += o.MessagesLost
-	s.BytesSent += o.BytesSent
-	s.BytesDelivered += o.BytesDelivered
-}
-
 // LinkStats is the per-link accounting.
 type LinkStats struct {
 	// Bytes transmitted over the link (both directions).
@@ -83,8 +67,8 @@ var (
 
 // pendingMsg is one message waiting for (or in) transmission on a link.
 // It carries its link so the serialization- and delivery-complete
-// callbacks need no per-message closure, and recycles through per-node
-// freelists once delivered or lost.
+// callbacks need no per-message closure, and recycles through the
+// network's freelist once delivered or lost.
 type pendingMsg struct {
 	size     int64
 	payload  any
@@ -125,11 +109,7 @@ func (q *msgQueue) Pop() any {
 	return m
 }
 
-// link is one directed link. Every field but stats.Lost belongs to the
-// source node's lane: Send, serialization, the queue, and the failure
-// draw all run there. The destination lane also counts losses (a message
-// arriving at a churned-out node); lanes run one at a time on one
-// goroutine, so the shared counter needs no synchronization.
+// link is one directed link.
 type link struct {
 	bandwidth float64 // bytes per second
 	latency   time.Duration
@@ -144,7 +124,7 @@ type link struct {
 	// Injected failure state (see failure.go). rng is the link's own
 	// splitmix64 loss stream, derived from the master failure seed and
 	// the link's endpoints, so draws are independent of global event
-	// interleaving — the same draws on either lane layout.
+	// interleaving.
 	lossProb float64 // per-message loss probability
 	rng      uint64  // seeded splitmix64 state; valid once seeded
 	down     bool    // link severed: everything on it is lost
@@ -153,40 +133,27 @@ type link struct {
 type node struct {
 	handler   Handler
 	neighbors []string
-	idx       int32          // position in Network.order; keys the route tables
-	lane      *simclock.Lane // the lane all of this node's events run on
-	down      bool           // churned out: sends and deliveries are lost
-
-	freeMsgs *pendingMsg // recycled pendingMsgs, owned by this node's lane
+	idx       int32 // position in Network.order; keys the route tables
+	down      bool  // churned out: sends and deliveries are lost
 }
 
-// Network is the emulated network (see the package comment for its two
-// lane layouts).
+// Network is the emulated network (see the package comment).
 type Network struct {
-	kernel *simclock.Kernel
-	shared *simclock.Lane // the lane every node runs on; nil = a lane per node
-	nodes  map[string]*node
-	links  map[[2]string]*link
-
-	// perNode holds each node's share of the network counters, indexed
-	// by node idx. Every event mutates only the slot of the lane it runs
-	// on, so no synchronization is needed; Stats sums the slots.
-	perNode []Stats
+	lane  *simclock.Lane // the lane every node's events run on
+	nodes map[string]*node
+	links map[[2]string]*link
+	stats Stats
+	free  *pendingMsg // recycled pendingMsgs
 
 	// Route cache: order maps a node index back to its id, and
 	// hopTab[dstIdx] holds the next-hop table toward dst (entry per src,
 	// -1 = unreachable; nil until built), built lazily per destination by
-	// BFS and shared by every lane.
+	// BFS.
 	order  []string
 	hopTab [][]int32
 
 	// BFS scratch reused across route builds.
 	bfsFrontier, bfsLevel []int32
-
-	// minLatency is the smallest link latency — the kernel's
-	// conservative lookahead.
-	minLatency  time.Duration
-	haveLatency bool
 
 	// finishTxFn/deliverFn are the method values the transmit path hands
 	// to the kernel, bound once here so the hot path allocates no
@@ -199,92 +166,68 @@ type Network struct {
 	churnHooks []func(id string, up bool)
 }
 
-// New creates an empty network whose nodes all share the scheduler's
-// one lane: events run in global (time, schedule) order.
+// New creates an empty network on the scheduler's lane.
 func New(sched *simclock.Scheduler) *Network {
-	n := NewParallel(sched.Kernel())
-	n.shared = sched.Lane
-	return n
-}
-
-// NewParallel creates an empty network on kernel k in which each AddNode
-// claims a lane of its own. RunUntil drives the kernel with a lookahead
-// of the minimum link latency.
-func NewParallel(k *simclock.Kernel) *Network {
 	n := &Network{
-		kernel: k,
-		nodes:  make(map[string]*node),
-		links:  make(map[[2]string]*link),
+		lane:  sched.Lane,
+		nodes: make(map[string]*node),
+		links: make(map[[2]string]*link),
 	}
 	n.finishTxFn = n.finishTx
 	n.deliverFn = n.deliver
 	return n
 }
 
-// NewAt creates an empty network starting at epoch: New on a fresh
-// scheduler (one shared lane), or with lanePerNode NewParallel on a fresh
-// kernel, seed feeding its cross-lane merge tie-break.
-func NewAt(epoch time.Time, lanePerNode bool, seed int64) *Network {
-	if !lanePerNode {
-		return New(simclock.New(epoch))
-	}
-	return NewParallel(simclock.NewKernel(epoch, simclock.KernelOpts{Seed: uint64(seed)}))
+// NewParallel creates an empty network on kernel k's lane.
+//
+// Deprecated: ignored; bench/ compiles against it. Use New.
+func NewParallel(k *simclock.Kernel) *Network {
+	return New(&simclock.Scheduler{Lane: k.AddLane()})
 }
+
+// NewAt creates an empty network on a fresh scheduler starting at epoch.
+func NewAt(epoch time.Time) *Network { return New(simclock.New(epoch)) }
 
 // Kernel exposes the kernel the network runs on.
-func (n *Network) Kernel() *simclock.Kernel { return n.kernel }
+func (n *Network) Kernel() *simclock.Kernel { return n.lane.Kernel() }
 
-// Now returns the current committed virtual time.
-func (n *Network) Now() time.Time { return n.kernel.Now() }
+// Now returns the current virtual time.
+func (n *Network) Now() time.Time { return n.lane.Now() }
 
-// ClockFor returns the clock a node's own logic should read: the node's
-// lane, which tracks the node's current event during execution. Unknown
-// ids read the kernel's committed time.
-func (n *Network) ClockFor(id string) simclock.Clock {
-	if nd, ok := n.nodes[id]; ok {
-		return nd.lane
-	}
-	return n.kernel
-}
+// ClockFor returns the clock a node's own logic should read: the
+// network's one clock, whatever the id.
+func (n *Network) ClockFor(string) simclock.Clock { return n.lane }
 
-// LaneOf returns the lane a node's events run on: its own, or the one
-// every node shares. It is nil only for an unknown id.
+// LaneOf returns the lane a node's events run on, the one every node
+// shares. It is nil only for an unknown id.
 func (n *Network) LaneOf(id string) *simclock.Lane {
-	if nd, ok := n.nodes[id]; ok {
-		return nd.lane
+	if _, ok := n.nodes[id]; ok {
+		return n.lane
 	}
 	return nil
 }
 
-// AtNode schedules fn at the given instant on the node's lane. Anything
-// that touches a single node's state from outside — churn events, query
-// injection — must be routed through here so it executes on the lane
-// that owns the state.
+// AtNode schedules fn at the given instant for a known node. Anything that
+// touches a single node's state from outside — churn events, query
+// injection — goes through here, so it runs in order with the node's own
+// events.
 func (n *Network) AtNode(id string, at time.Time, fn func()) error {
-	nd, ok := n.nodes[id]
-	if !ok {
+	if _, ok := n.nodes[id]; !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownNode, id)
 	}
-	nd.lane.At(at, fn)
+	n.lane.At(at, fn)
 	return nil
 }
 
 // RunUntil drives the kernel until the deadline. maxEvents (0 =
 // unlimited) bounds execution; exceeding it returns simclock.ErrHorizon.
 func (n *Network) RunUntil(deadline time.Time, maxEvents int) error {
-	n.kernel.SetLookahead(n.minLatency)
-	return n.kernel.RunUntil(deadline, maxEvents)
+	return n.Kernel().RunUntil(deadline, maxEvents)
 }
 
-// Stats returns the network-wide counters, summed over the per-node
-// shares. Call it between runs (or after them), not from node code.
-func (n *Network) Stats() Stats {
-	var out Stats
-	for i := range n.perNode {
-		out.add(&n.perNode[i])
-	}
-	return out
-}
+// Stats returns the network-wide counters. Call it between runs (or after
+// them), not from node code.
+func (n *Network) Stats() Stats { return n.stats }
 
 // AddNode registers a node. Adding an existing node replaces its handler.
 func (n *Network) AddNode(id string, h Handler) {
@@ -292,13 +235,8 @@ func (n *Network) AddNode(id string, h Handler) {
 		existing.handler = h
 		return
 	}
-	nd := &node{handler: h, idx: int32(len(n.order)), lane: n.shared}
-	if nd.lane == nil {
-		nd.lane = n.kernel.AddLane()
-	}
-	n.nodes[id] = nd
+	n.nodes[id] = &node{handler: h, idx: int32(len(n.order))}
 	n.order = append(n.order, id)
-	n.perNode = append(n.perNode, Stats{})
 	n.hopTab = append(n.hopTab, nil)
 }
 
@@ -373,10 +311,6 @@ func (n *Network) AddLink(a, b string, cfg LinkConfig) error {
 	}
 	n.links[[2]string{a, b}] = ab
 	n.links[[2]string{b, a}] = ba
-	if !n.haveLatency || cfg.Latency < n.minLatency {
-		n.minLatency = cfg.Latency
-		n.haveLatency = true
-	}
 	clear(n.hopTab) // topology changed
 	return nil
 }
@@ -402,8 +336,6 @@ func (n *Network) LinkStats(a, b string) LinkStats {
 // linked neighbor at default (zero) priority, modeling FIFO serialization
 // (size/bandwidth) plus propagation latency. Delivery invokes the
 // receiver's handler on the event loop. A link queues without bound.
-// Send must be called from the sending node's lane (node handlers and
-// timers already are).
 func (n *Network) Send(from, to string, size int64, payload any) error {
 	return n.SendPriority(from, to, size, 0, payload)
 }
@@ -413,8 +345,7 @@ func (n *Network) Send(from, to string, size int64, payload any) error {
 // serialized before lower-priority backlog; the in-flight transmission is
 // never preempted.
 func (n *Network) SendPriority(from, to string, size int64, priority int, payload any) error {
-	nf, ok := n.nodes[from]
-	if !ok {
+	if _, ok := n.nodes[from]; !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownNode, from)
 	}
 	if _, ok := n.nodes[to]; !ok {
@@ -424,17 +355,16 @@ func (n *Network) SendPriority(from, to string, size int64, priority int, payloa
 	if !ok {
 		return fmt.Errorf("%w: %s -> %s", ErrNoLink, from, to)
 	}
-	st := &n.perNode[nf.idx]
 	if size < 0 {
 		size = 0
 	}
 	l.stats.Bytes += size
 	l.stats.Messages++
-	st.MessagesSent++
-	st.BytesSent += size
-	m := nf.freeMsgs
+	n.stats.MessagesSent++
+	n.stats.BytesSent += size
+	m := n.free
 	if m != nil {
-		nf.freeMsgs = m.next
+		n.free = m.next
 		*m = pendingMsg{size: size, payload: payload, from: from, to: to, priority: priority, seq: l.seq, link: l}
 	} else {
 		m = &pendingMsg{size: size, payload: payload, from: from, to: to, priority: priority, seq: l.seq, link: l}
@@ -447,14 +377,14 @@ func (n *Network) SendPriority(from, to string, size int64, priority int, payloa
 	return nil
 }
 
-// releaseTo returns a delivered or lost message to owner's freelist.
-func (n *Network) releaseTo(owner *node, m *pendingMsg) {
-	*m = pendingMsg{next: owner.freeMsgs}
-	owner.freeMsgs = m
+// release returns a delivered or lost message to the freelist.
+func (n *Network) release(m *pendingMsg) {
+	*m = pendingMsg{next: n.free}
+	n.free = m
 }
 
 // transmitNext starts serializing the highest-priority waiting message on
-// the link. It runs on the link's source lane.
+// the link.
 func (n *Network) transmitNext(l *link) {
 	if len(l.queue) == 0 {
 		l.sending = false
@@ -467,16 +397,12 @@ func (n *Network) transmitNext(l *link) {
 	}
 	l.sending = true
 	txTime := time.Duration(float64(m.size) / l.bandwidth * float64(time.Second))
-	l.src.lane.AfterCall(txTime, n.finishTxFn, m)
+	n.lane.AfterCall(txTime, n.finishTxFn, m)
 }
 
-// finishTx runs when a message's serialization completes (on the source
-// lane): the link is free for its next message, and the frame either
-// dies to an injected failure or propagates toward delivery. The
-// propagation hop is the one cross-lane edge (a local event when the
-// lane is shared): its delay is the link latency, which is at least the
-// kernel's lookahead by construction, satisfying the conservative
-// contract.
+// finishTx runs when a message's serialization completes: the link is
+// free for its next message, and the frame either dies to an injected
+// failure or propagates toward delivery, one link latency later.
 func (n *Network) finishTx(arg any) {
 	m, ok := arg.(*pendingMsg)
 	if !ok {
@@ -485,22 +411,20 @@ func (n *Network) finishTx(arg any) {
 	l := m.link
 	// Failure check at the end of serialization: a link outage, source
 	// churn, or the link's seeded loss draw destroys the frame in
-	// transit. (Destination churn is judged at arrival, on the
-	// destination's lane — see deliver.)
+	// transit. (Destination churn is judged at arrival — see deliver.)
 	if n.lose(l) {
 		l.stats.Lost++
-		n.perNode[l.src.idx].MessagesLost++
-		n.releaseTo(l.src, m)
+		n.stats.MessagesLost++
+		n.release(m)
 		n.transmitNext(l)
 		return
 	}
-	l.src.lane.Post(l.dst.lane, l.src.lane.Now().Add(l.latency), n.deliverFn, m)
+	n.lane.AfterCall(l.latency, n.deliverFn, m)
 	n.transmitNext(l)
 }
 
-// deliver runs after propagation, on the destination lane: the message
-// reaches its destination, or dies there if the destination has churned
-// out by the arrival instant.
+// deliver runs after propagation: the message reaches its destination, or
+// dies there if the destination has churned out by the arrival instant.
 func (n *Network) deliver(arg any) {
 	m, ok := arg.(*pendingMsg)
 	if !ok {
@@ -508,25 +432,24 @@ func (n *Network) deliver(arg any) {
 	}
 	l := m.link
 	dst := l.dst
-	st := &n.perNode[dst.idx]
 	if dst.down {
 		l.stats.Lost++
-		st.MessagesLost++
-		n.releaseTo(dst, m)
+		n.stats.MessagesLost++
+		n.release(m)
 		return
 	}
-	st.MessagesDelivered++
-	st.BytesDelivered += m.size
+	n.stats.MessagesDelivered++
+	n.stats.BytesDelivered += m.size
 	if dst.handler != nil {
 		dst.handler(m.from, m.size, m.payload)
 	}
-	n.releaseTo(dst, m)
+	n.release(m)
 }
 
 // NextHop returns the next hop on a shortest (fewest-hops) path from src
 // toward dst, computing and caching routes by BFS. Ties break toward the
 // lexicographically smallest neighbor for determinism. The table
-// contents depend only on the topology, so which lane asks first never
+// contents depend only on the topology, so which node asks first never
 // matters.
 func (n *Network) NextHop(src, dst string) (string, error) {
 	if src == dst {

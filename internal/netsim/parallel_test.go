@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 	"time"
 
@@ -15,9 +14,10 @@ import (
 // node-local traffic over it: every node ticks on its own phase and
 // sends to a neighbor chosen by its private splitmix64 stream; receivers
 // probabilistically reply. Loss, a link outage, and node churn are all
-// injected. seq puts every node on one shared lane; otherwise each gets
-// its own. Returns per-node receive traces and the network.
-func chatterNet(t *testing.T, seq bool) (map[string][]string, *Network) {
+// injected. parallel builds the network with the deprecated NewParallel
+// constructor instead of New. Returns per-node receive traces and the
+// network.
+func chatterNet(t *testing.T, parallel bool) (map[string][]string, *Network) {
 	t.Helper()
 	const (
 		nNodes = 24
@@ -26,25 +26,19 @@ func chatterNet(t *testing.T, seq bool) (map[string][]string, *Network) {
 	)
 	epoch := time.Unix(0, 0).UTC()
 
-	var net *Network
-	if seq {
-		net = New(simclock.New(epoch))
-	} else {
+	net := New(simclock.New(epoch))
+	if parallel {
 		net = NewParallel(simclock.NewKernel(epoch, simclock.KernelOpts{Seed: seed}))
 	}
 
-	// The odd bandwidth keeps serialization times off any round-ns grid:
-	// the two lane layouts agree on the order of same-node same-instant
-	// events only up to their (different but equally valid) tie-break
-	// rules, so the equivalence scenario avoids manufacturing
-	// exact-instant ties.
+	// The odd bandwidth keeps serialization times off any round-ns grid.
 	topoRNG := rand.New(rand.NewSource(seed))
 	cfg := LinkConfig{Bandwidth: 1250013, Latency: 5 * time.Millisecond}
 	if err := BuildRandomConnected(net, nNodes, nNodes, cfg, topoRNG); err != nil {
 		t.Fatal(err)
 	}
 
-	// traceArr[i] is appended only by node i's handler — lane-owned.
+	// traceArr[i] is appended only by node i's handler.
 	traceArr := make([][]string, nNodes)
 	ids := make([]string, nNodes)
 	rngs := make([]uint64, nNodes)
@@ -103,38 +97,28 @@ func chatterNet(t *testing.T, seq bool) (map[string][]string, *Network) {
 	return traces, net
 }
 
-// TestParallelMatchesSequentialOutcome pins the two lane layouts (one
-// shared lane, a lane per node) to each other: same topology, traffic,
-// loss streams, outage and churn schedule must produce the same aggregate
-// counters and the same per-node receive multisets. (Event order between
-// independent nodes may differ; their effects commute.)
+// TestParallelMatchesSequentialOutcome pins the deprecated NewParallel to
+// New: the same topology, traffic, loss streams, outage and churn schedule
+// produce the same counters and the same per-node receive traces, order
+// included — there is one lane and one order.
 func TestParallelMatchesSequentialOutcome(t *testing.T) {
-	seqTraces, seqNet := chatterNet(t, true)
-	parTraces, parNet := chatterNet(t, false)
+	seqTraces, seqNet := chatterNet(t, false)
+	parTraces, parNet := chatterNet(t, true)
 
 	if s, p := seqNet.Stats(), parNet.Stats(); s != p {
-		t.Fatalf("stats diverged:\nsequential %+v\nparallel   %+v", s, p)
+		t.Fatalf("stats diverged:\nNew         %+v\nNewParallel %+v", s, p)
 	}
 	for id, want := range seqTraces {
-		got := parTraces[id]
-		if len(got) != len(want) {
-			t.Fatalf("node %s: %d receives on parallel, %d on sequential", id, len(got), len(want))
-		}
-		ws, gs := append([]string(nil), want...), append([]string(nil), got...)
-		sort.Strings(ws)
-		sort.Strings(gs)
-		for i := range ws {
-			if ws[i] != gs[i] {
-				t.Fatalf("node %s receive multiset diverged at %d: %q vs %q", id, i, gs[i], ws[i])
-			}
+		if got := parTraces[id]; !slices.Equal(got, want) {
+			t.Fatalf("node %s receives diverged:\nNew         %q\nNewParallel %q", id, want, got)
 		}
 	}
 }
 
 // TestParallelDeterministicAcrossWorkers pins the headline property at
-// the netsim layer: a lane-per-node run repeated with the same seed gives
-// identical per-node receive traces, order included. (It compared worker
-// counts until the kernel lost its worker pool; the name is kept.)
+// the netsim layer: a run repeated with the same seed gives identical
+// per-node receive traces, order included. (It compared worker counts
+// until the kernel lost its worker pool; the name is kept.)
 func TestParallelDeterministicAcrossWorkers(t *testing.T) {
 	ref, refNet := chatterNet(t, false)
 	got, gotNet := chatterNet(t, false)
@@ -149,7 +133,7 @@ func TestParallelDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestParallelRoutesMatchSequential exercises the route cache under both
-// lane layouts: next hops agree for every pair on the same topology.
+// constructors: next hops agree for every pair on the same topology.
 func TestParallelRoutesMatchSequential(t *testing.T) {
 	epoch := time.Unix(0, 0).UTC()
 	build := func(net *Network) {
@@ -172,20 +156,19 @@ func TestParallelRoutesMatchSequential(t *testing.T) {
 	}
 }
 
-// TestSelfAndCrossLanePostDeliverTogether: the propagation hop is a
-// Post to the sender's own lane when the lane is shared and a mailbox
-// Post across lanes otherwise. Both must hand the message over at the
-// same instant — serialization plus latency after the send.
+// TestSelfAndCrossLanePostDeliverTogether: on either constructor every
+// node shares one lane, and the propagation hop hands the message over
+// serialization plus latency after the send.
 func TestSelfAndCrossLanePostDeliverTogether(t *testing.T) {
 	epoch := time.Unix(0, 0).UTC()
 	sentAt := epoch.Add(3 * time.Millisecond)
-	deliveredAt := func(net *Network, sharedLane bool) time.Time {
+	deliveredAt := func(net *Network) time.Time {
 		t.Helper()
 		var at time.Time
 		net.AddNode("a", nil)
 		net.AddNode("b", func(string, int64, any) { at = net.ClockFor("b").Now() })
-		if got := net.LaneOf("a") == net.LaneOf("b"); got != sharedLane || net.LaneOf("a") == nil {
-			t.Fatalf("a and b share a lane: %v, want %v", got, sharedLane)
+		if net.LaneOf("a") != net.LaneOf("b") || net.LaneOf("a") == nil || net.LaneOf("c") != nil {
+			t.Fatal("a and b do not share one lane, or an unknown node has one")
 		}
 		if err := net.AddLink("a", "b", LinkConfig{Bandwidth: 1000, Latency: 50 * time.Millisecond}); err != nil {
 			t.Fatal(err)
@@ -198,10 +181,10 @@ func TestSelfAndCrossLanePostDeliverTogether(t *testing.T) {
 		}
 		return at
 	}
-	self := deliveredAt(New(simclock.New(epoch)), true)
-	cross := deliveredAt(NewParallel(simclock.NewKernel(epoch, simclock.KernelOpts{})), false)
+	self := deliveredAt(New(simclock.New(epoch)))
+	cross := deliveredAt(NewParallel(simclock.NewKernel(epoch, simclock.KernelOpts{})))
 	if want := sentAt.Add(time.Second + 50*time.Millisecond); !self.Equal(want) || !cross.Equal(want) {
-		t.Fatalf("delivered at %v on the shared lane and %v across lanes, want %v on both",
+		t.Fatalf("delivered at %v on New and %v on NewParallel, want %v on both",
 			self.Sub(epoch), cross.Sub(epoch), want.Sub(epoch))
 	}
 }

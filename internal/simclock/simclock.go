@@ -5,8 +5,8 @@
 // internal/experiment) runs on top of this kernel so that every experiment
 // is exactly repeatable from a seed, independent of wall-clock time or
 // goroutine interleaving. There is one engine — Kernel, which owns the
-// only event queue (kernel.go) — in two layouts: one lane shared by every
-// node (Scheduler, below) or one lane per node.
+// only clock and the only event queue (kernel.go) — and one order: (time,
+// schedule sequence). Scheduler, below, is a kernel and its lane.
 package simclock
 
 import (
@@ -31,12 +31,11 @@ var _ Clock = WallClock{}
 // Now returns the wall-clock time.
 func (WallClock) Now() time.Time { return time.Now() }
 
-// Event is a scheduled callback. The callback runs with its lane's clock
-// already advanced to the event time.
+// Event is a scheduled callback. The callback runs with the kernel's
+// clock already advanced to the event time.
 type Event struct {
-	at   time.Time
-	lane *Lane
-	fn   func()
+	at time.Time
+	fn func()
 
 	// fnArg/arg are the no-handle form used by AtCall/AfterCall; such
 	// events are recycled through the kernel's freelist after running,
@@ -141,24 +140,18 @@ func (h *eventHeap) pop() *Event {
 // the event queue drains, which usually indicates a scheduling livelock.
 var ErrHorizon = errors.New("simclock: event budget exhausted")
 
-// Scheduler is the shared-lane layout of the kernel: a private Kernel
-// with exactly one Lane that every node schedules on, so events run in
-// global (time, schedule order). It is the engine behind the classic
-// figures and most tests. All scheduling methods (At, After, AtCall,
-// AfterCall, Now) are the lane's own. The zero value is not usable;
-// create one with New.
+// Scheduler is a private Kernel and its lane, with hand-stepping on top:
+// the engine behind every simulated network and most tests. All
+// scheduling methods (At, After, AtCall, AfterCall, Now, Kernel) are the
+// lane's own. The zero value is not usable; create one with New.
 type Scheduler struct{ *Lane }
 
 var _ Clock = (*Scheduler)(nil)
 
 // New returns a Scheduler whose clock starts at the given origin.
 func New(origin time.Time) *Scheduler {
-	return &Scheduler{NewKernel(origin, KernelOpts{}).AddLane()}
+	return &Scheduler{&NewKernel(origin, KernelOpts{}).lane}
 }
-
-// Kernel exposes the one-lane kernel underneath, for callers (netsim)
-// that drive any lane layout through the same type.
-func (s *Scheduler) Kernel() *Kernel { return s.k }
 
 // Pending reports how many events are queued (including cancelled ones not
 // yet reaped).
@@ -171,9 +164,6 @@ func (s *Scheduler) Step() bool {
 		return false
 	}
 	s.k.runOne()
-	// Keep the kernel's committed view in step: no RunUntil barrier does
-	// it for a hand-stepped lane.
-	s.k.now = s.now
 	return true
 }
 

@@ -13,15 +13,15 @@ import (
 
 var origin = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
-// rigTicks is how long the kernel rig's neighbour lanes keep ticking.
+// rigTicks is how long the kernel rig's neighbours keep ticking.
 const rigTicks = 10 * time.Second
 
-// laneRigs are the two substrates every lane-semantics case runs on: the
-// Scheduler's shared lane, and one lane of a multi-lane Kernel whose
-// neighbours tick through the first rigTicks so the lane under test really
-// is cut into lookahead windows (and then fall silent, so a drive to a
-// far-future deadline ends). Each returns a fresh lane and the call that
-// drives it to a deadline.
+// laneRigs are the two substrates every lane-semantics case runs on: a
+// Scheduler's lane to itself, and a lane three neighbours share, ticking
+// through the first rigTicks so the events under test interleave with
+// theirs (and then falling silent, so a drive to a far-future deadline
+// ends), driven by Kernel.RunUntil. Each returns a fresh lane and the call
+// that drives it to a deadline.
 var laneRigs = []struct {
 	name string
 	make func() (*Lane, func(time.Time) error)
@@ -31,10 +31,8 @@ var laneRigs = []struct {
 		return s.Lane, func(d time.Time) error { return s.RunUntil(d, 0) }
 	}},
 	{"kernel-lane", func() (*Lane, func(time.Time) error) {
-		k := NewKernel(origin, KernelOpts{Seed: 1})
-		k.SetLookahead(10 * time.Millisecond)
-		for _, l := range []*Lane{k.AddLane(), k.AddLane(), k.AddLane()} {
-			l := l
+		l := New(origin).Lane
+		for i := 0; i < 3; i++ {
 			var tick func(any)
 			tick = func(any) {
 				if l.Now().Before(origin.Add(rigTicks)) {
@@ -43,7 +41,7 @@ var laneRigs = []struct {
 			}
 			l.AfterCall(0, tick, nil)
 		}
-		return k.AddLane(), func(d time.Time) error { return k.RunUntil(d, 0) }
+		return l, func(d time.Time) error { return l.Kernel().RunUntil(d, 0) }
 	}},
 }
 
@@ -245,9 +243,8 @@ func TestRunBudget(t *testing.T) {
 	}
 }
 
-// TestRunUntilBudget: the shared lane runs its whole RunUntil as one
-// window, and the budget still counts single events inside it — a
-// zero-delay livelock stops after exactly maxEvents.
+// TestRunUntilBudget: the budget counts single events — a zero-delay
+// livelock stops after exactly maxEvents.
 func TestRunUntilBudget(t *testing.T) {
 	s := New(origin)
 	ran := 0
@@ -334,12 +331,13 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 	}
 }
 
-// queued counts the events of lane l on its kernel's queue, cancelled ones
-// not yet reaped included.
+// queued counts the handle events (At, After) on lane l's kernel queue,
+// cancelled ones not yet reaped included; the rigs' neighbours schedule
+// only pooled ones.
 func queued(l *Lane) int {
 	n := 0
 	for _, s := range l.k.events {
-		if s.ev.lane == l {
+		if !s.ev.pooled {
 			n++
 		}
 	}
@@ -348,14 +346,13 @@ func queued(l *Lane) int {
 
 // checkEventOrder verifies the kernel queue's structural invariants: no
 // slot orders before its parent, every slot's key is its event's instant on
-// the kernel's integer time line, every event belongs to one of the
-// kernel's lanes, and no schedule sequence appears twice.
+// the kernel's integer time line, and no schedule sequence appears twice.
 func checkEventOrder(t *testing.T, k *Kernel) {
 	t.Helper()
 	seqs := make(map[uint64]bool, len(k.events))
 	for i, s := range k.events {
-		if s.ev == nil || s.ev.lane == nil || s.ev.lane.k != k {
-			t.Errorf("events[%d] holds no event of this kernel's lanes", i)
+		if s.ev == nil {
+			t.Errorf("events[%d] holds no event", i)
 			return
 		}
 		if want := k.instant(s.ev.at); s.at != want {
@@ -475,8 +472,8 @@ func TestLaneOrderMatchesReference(t *testing.T) {
 					if victim := rng.Intn(len(handles)); handles[victim] != nil {
 						cancel(victim)
 					}
-				case 1: // the event at the head of the queue, if it is this lane's
-					if q := l.k.events; len(q) > 0 && q[0].ev.lane == l && !q[0].ev.pooled {
+				case 1: // the event at the head of the queue, if it is a handle of ours
+					if q := l.k.events; len(q) > 0 && !q[0].ev.pooled {
 						cancel(idOf[q[0].ev])
 					}
 				}
@@ -518,7 +515,7 @@ func TestLaneOrderMatchesReference(t *testing.T) {
 						i, ran[i], planned[ran[i]], want[i], planned[want[i]])
 				}
 			}
-			if n := queued(l); n != 0 {
+			if n := len(l.k.events); n != 0 {
 				t.Errorf("%d events left queued", n)
 			}
 			if len(planned) < ops || len(want) == len(planned) {

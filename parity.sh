@@ -2,7 +2,7 @@
 # The no-move proof (`make parity BASE=<rev>`): build athena-sim at BASE
 # and at the working tree and compare, byte for byte, everything a change
 # that claims to move no frame, decision or dump has to leave alone —
-# `-fig dump` on the lane-per-node kernel, also at GOMAXPROCS=1, with
+# `-fig dump` (gossip and churn), also at GOMAXPROCS=1, with
 # batching off and on, on a full replica and on 96 directory shards (the
 # only recorded output that issues sharded queries); the quick figures that between
 # them run the flood, SWIM, sharded and batched paths, plus prefetch on
@@ -19,7 +19,10 @@
 # differs.
 # A `"workers"` line is stripped the same way: builds that still had the
 # kernel's worker pool print one (a -workers flag that never changed a
-# result), later builds do not.
+# result), later builds do not. Every run is on the kernel's one lane, in
+# one (time, schedule sequence) order; a BASE that still ran dump, the
+# chaos kernel fleet, a8's scale row, a10, a11 and smoke a lane per node
+# differs on the dump and chaos cells (same-instant order moved there).
 # A1 is the label-sharing ablation under partial trust: the cell that
 # moves when a node picks a different cached label record. The misses
 # table (-fig misses) is the expired queries' post-mortem, sorted by cause;

@@ -63,7 +63,7 @@ const simGossipFanout = 2
 // virtual instant.
 func NewSimNetwork(start time.Time) *SimNetwork {
 	return &SimNetwork{
-		net:   netsim.NewAt(start, false, 0),
+		net:   netsim.NewAt(start),
 		auth:  trust.NewAuthority(),
 		reg:   metrics.NewRegistry(),
 		nodes: make(map[string]*Node),
