@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race fmt ci ci-short bench loc parity chaos figures clean
+.PHONY: all build vet lint test race fmt ci ci-short bench loc parity chaos sweep figures clean
 
 all: build
 
@@ -65,13 +65,14 @@ ci-short:
 # Sec. VII shape and at the 81-node grid (internal/workload), and 1 MB
 # padded frames received over one loopback connection with the heap it
 # holds after them (internal/transport), the heap a closed socket pair
-# of nodes still holds per decision it made, and a share of label records
-# a node already holds (internal/athena), parsed into
+# of nodes still holds per decision it made, a share of label records
+# a node already holds, and a Sec. VII cmp query's batch pump
+# (internal/athena), parsed into
 # machine-readable JSON.
 # CI archives the file per commit; regressions are judged against the
 # committed baseline.
 bench:
-	{ $(GO) test -run '^$$' -bench 'BenchmarkScheme|BenchmarkDecisionEngine|BenchmarkPlanFor|BenchmarkAblationPrefetch|BenchmarkMembershipControlPlane|BenchmarkSimKernel|BenchmarkBatchedFetch|BenchmarkDeliverObjectHistory|BenchmarkQueryReferences|BenchmarkSelectSources|BenchmarkDirectoryDelta|BenchmarkShardRefresh|BenchmarkShardLookupBegin|BenchmarkLookupReplies|BenchmarkLaneQueue|BenchmarkEncode|BenchmarkDecode|BenchmarkSign|BenchmarkVerify|BenchmarkGenerate|BenchmarkTCPReceivePadded|BenchmarkTCPClosedPairHeld|BenchmarkLabelShare' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire ./internal/trust ./internal/workload ./internal/transport && \
+	{ $(GO) test -run '^$$' -bench 'BenchmarkScheme|BenchmarkDecisionEngine|BenchmarkPlanFor|BenchmarkAblationPrefetch|BenchmarkMembershipControlPlane|BenchmarkSimKernel|BenchmarkBatchedFetch|BenchmarkDeliverObjectHistory|BenchmarkQueryReferences|BenchmarkSelectSources|BenchmarkDirectoryDelta|BenchmarkShardRefresh|BenchmarkShardLookupBegin|BenchmarkLookupReplies|BenchmarkLaneQueue|BenchmarkEncode|BenchmarkDecode|BenchmarkSign|BenchmarkVerify|BenchmarkGenerate|BenchmarkTCPReceivePadded|BenchmarkTCPClosedPairHeld|BenchmarkLabelShare|BenchmarkPumpBatch' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire ./internal/trust ./internal/workload ./internal/transport && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkDirectoryMemory' -benchtime 3x . ; } \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_core.json
 
@@ -93,7 +94,7 @@ loc:
 
 # parity is the no-move proof for a change that claims every frame,
 # decision and dump is where it was: athena-sim and the eight examples
-# built at BASE and at the tree, 33 outputs compared byte for byte
+# built at BASE and at the tree, 34 outputs compared byte for byte
 # (parity.sh lists them), one same/DIFFERS line each, non-zero exit on any
 # difference. ~1 min.
 parity:
@@ -105,6 +106,14 @@ parity:
 # schedule prefix and a one-line replay command. ~5 min.
 chaos:
 	$(GO) run ./cmd/athena-sim -fig chaos -reps 200 -seed 1
+
+# sweep runs the order-independence sweep (ROADMAP item 1) on its full
+# set: scenario seeds 1-20 of the kernel_fleet configuration and of the
+# dump's four, each in four same-instant orders beside the schedule order;
+# every decision compared, every difference classed, every run audited.
+# Fails on an unexplained difference or a violation. ~3 min.
+sweep:
+	$(GO) run ./cmd/athena-sim -fig sweep -reps 20 -seed 1
 
 # figures reproduces the paper's evaluation tables (quick variants).
 figures:

@@ -140,7 +140,9 @@ fi
 # query planner that looks a label's metadata up per comparison again, or
 # allocates per term — 5 allocs/op at -benchtime 3x, 21 when it did; a
 # node that verifies, or copies, a shared label record it already holds —
-# baseline 0, 3 when every arriving record was copied).
+# baseline 0, 3 when every arriving record was copied; a batch pump that
+# walks the directory for its targets again instead of its query's target
+# table — 22 allocs/op, requestObject's own, and 40 when it walked).
 # Refresh the baseline with `make bench` when an intentional change moves
 # one.
 # BenchmarkDecisionEngine, BenchmarkShardLookupBegin,
@@ -150,7 +152,7 @@ fi
 # two in internal/athena share one). BenchmarkDirectoryMemory runs without
 # -benchmem, as `make bench` records it: only its entries/node is gated.
 {
-	go test -run '^$' -bench '^Benchmark(Scheme|AblationPrefetch|SimKernel|BatchedFetch|DeliverObjectHistory|SelectSources|DirectoryDelta|ShardRefresh|LaneQueue|EncodeSmall|EncodeObjectData|DecodeSmall|Generate|PlanFor|LabelShare)$/^(lvf|lvfl|sharded|sharded-owned|scoped|unchanged|w1|on|n2000|depth512|request|head|sec7|uncached|held)$' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire ./internal/workload
+	go test -run '^$' -bench '^Benchmark(Scheme|AblationPrefetch|SimKernel|BatchedFetch|DeliverObjectHistory|SelectSources|DirectoryDelta|ShardRefresh|LaneQueue|EncodeSmall|EncodeObjectData|DecodeSmall|Generate|PlanFor|LabelShare|PumpBatch)$/^(lvf|lvfl|sharded|sharded-owned|scoped|unchanged|w1|on|n2000|depth512|request|head|sec7|uncached|held|cmp)$' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire ./internal/workload
 	go test -run '^$' -bench '^BenchmarkDirectoryMemory$/^sharded$' -benchtime 3x .
 	go test -run '^$' -bench '^BenchmarkDecisionEngine$' -benchmem -benchtime 3x .
 	go test -run '^$' -bench '^Benchmark(ShardLookupBegin|LookupReplies)$' -benchmem -benchtime 3x ./internal/athena
@@ -181,4 +183,5 @@ fi
 		-gate 'BenchmarkTCPReceivePadded:held-B/op:10' \
 		-gate 'BenchmarkTCPClosedPairHeld:held-B/op:10' \
 		-gate 'BenchmarkPlanFor/uncached:allocs/op:10' \
-		-gate 'BenchmarkLabelShare/held:allocs/op:10'
+		-gate 'BenchmarkLabelShare/held:allocs/op:10' \
+		-gate 'BenchmarkPumpBatch/cmp:allocs/op:10'

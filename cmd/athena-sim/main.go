@@ -20,6 +20,11 @@
 //	                           # invariants checked; exits 1 on a violation
 //	                           # (not part of all; -reps seeds from -seed,
 //	                           # -faults runs a schedule prefix)
+//	athena-sim -fig sweep      # order independence: each scenario in four
+//	                           # same-instant orders beside the schedule
+//	                           # order, decisions compared and differences
+//	                           # classed; exits 1 on an unexplained one or
+//	                           # a violation (not part of all; -reps seeds)
 //
 // Two CI-oriented scenarios sit outside the figure set:
 //
@@ -36,10 +41,12 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -57,7 +64,7 @@ func main() {
 
 func run() error {
 	var (
-		fig     = flag.String("fig", "all", "which figure to regenerate: 2, 3, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, all, misses, chaos, dump, smoke")
+		fig     = flag.String("fig", "all", "which figure to regenerate: 2, 3, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, all, misses, chaos, sweep, dump, smoke")
 		reps    = flag.Int("reps", 10, "repetitions per data point")
 		seed    = flag.Int64("seed", 1, "base random seed")
 		schemes = flag.String("schemes", "cmp,slt,lcf,lvf,lvfl", "comma-separated schemes")
@@ -77,6 +84,8 @@ func run() error {
 		return runSmoke(*seed, *quick)
 	case "chaos":
 		return runChaos(*seed, *reps, *faults)
+	case "sweep":
+		return runSweep(*seed, *reps)
 	}
 
 	cfg := experiment.Default()
@@ -290,25 +299,14 @@ type dumpOutcome struct {
 // node), the only configuration a recorded output issues sharded queries
 // in.
 func dumpCluster(seed int64, batchWindow time.Duration, shards int) (*athena.Cluster, error) {
-	wcfg := athena.DefaultWorkload()
-	wcfg.GridRows, wcfg.GridCols = 6, 6
-	wcfg.Nodes = 24
-	wcfg.QueriesPerNode = 3
+	f := iathena.DumpFleet(batchWindow, shards)
+	wcfg := f.Workload
 	wcfg.Seed = seed
-	wcfg.FastRatio = 0.4
 	s, err := athena.GenerateScenario(wcfg)
 	if err != nil {
 		return nil, err
 	}
-	return athena.NewCluster(s, athena.ClusterConfig{
-		Scheme:            athena.SchemeLVF,
-		HeartbeatInterval: 2 * time.Second,
-		GossipFanout:      2,
-		Shards:            shards,
-		ChurnEvents:       3,
-		ChurnOutage:       30 * time.Second,
-		CoalesceWindow:    batchWindow,
-	})
+	return athena.NewCluster(s, f.Cluster)
 }
 
 // runDump runs the dump scenario (dumpCluster) and prints the complete
@@ -384,6 +382,95 @@ func runChaos(seed int64, reps, faults int) error {
 		return fmt.Errorf("chaos: %d runs violated a fleet invariant", len(bad))
 	}
 	return nil
+}
+
+// sweepPerms is how many same-instant orders -fig sweep runs beside the
+// schedule order.
+const sweepPerms = 4
+
+// runSweep runs the order-independence sweep on reps scenario seeds from
+// seed, each fleet's scenario in the schedule order and sweepPerms other
+// same-instant orders, and prints each fleet's decisions by class, then
+// every difference of class expiry or unexplained, every violation, and
+// the origin's deliveries around the two earliest-finishing differences
+// that are not timing alone (world, expiry, unexplained). It fails on an
+// unexplained difference or a violation.
+func runSweep(seed int64, reps int) error {
+	fmt.Printf("%-16s %5s %5s %9s", "fleet", "seeds", "perms", "decisions")
+	for c := iathena.SweepSame; c <= iathena.SweepUnexplained; c++ {
+		fmt.Printf(" %11s", c)
+	}
+	fmt.Printf(" %10s\n", "violations")
+	type found struct {
+		fleet iathena.Fleet
+		seed  int64
+		diff  iathena.SweepDiff
+	}
+	var notable []found
+	var violations []string
+	bad := 0
+	for _, f := range iathena.SweepFleets() {
+		var classes [iathena.SweepUnexplained + 1]int
+		total, viol := 0, 0
+		for s := seed; s < seed+int64(reps); s++ {
+			rep, err := iathena.RunSweep(f, s, sweepPerms)
+			if err != nil {
+				return err
+			}
+			for c, n := range rep.Classes {
+				classes[c] += n
+				total += n
+			}
+			for _, d := range rep.Diffs {
+				if d.Class >= iathena.SweepWorld {
+					notable = append(notable, found{f, s, d})
+				}
+			}
+			for _, v := range rep.Violations {
+				violations = append(violations, fmt.Sprintf("%s seed %d %s", f.Name, s, v))
+			}
+			viol += len(rep.Violations)
+			bad += len(rep.Violations) + rep.Classes[iathena.SweepUnexplained]
+		}
+		fmt.Printf("%-16s %5d %5d %9d", f.Name, reps, sweepPerms, total)
+		for _, n := range classes {
+			fmt.Printf(" %11d", n)
+		}
+		fmt.Printf(" %10d\n", viol)
+	}
+	for _, n := range notable {
+		if n.diff.Class >= iathena.SweepExpiry {
+			fmt.Printf("\n%s seed %d order %d %s: %v\n  schedule order: %s\n  order %d:        %s\n",
+				n.fleet.Name, n.seed, n.diff.Perm, n.diff.Query, n.diff.Class, n.diff.Base, n.diff.Perm, n.diff.Got)
+		}
+	}
+	for _, v := range violations {
+		fmt.Printf("\nviolation: %s\n", v)
+	}
+	slices.SortStableFunc(notable, func(a, b found) int { return cmp.Compare(a.diff.At, b.diff.At) })
+	for _, n := range notable[:min(2, len(notable))] {
+		common, base, got, err := iathena.SweepTraces(n.fleet, n.seed, n.diff)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("\n%s seed %d order %d %s (%v, finished at %v): %d deliveries to its origin alike, then\n",
+			n.fleet.Name, n.seed, n.diff.Perm, n.diff.Query, n.diff.Class, n.diff.At, common)
+		for i := 0; i < 6 && (i < len(base) || i < len(got)); i++ {
+			fmt.Printf("  %-48s | %s\n", at(base, i), at(got, i))
+		}
+	}
+	if bad > 0 {
+		return fmt.Errorf("sweep: %d unexplained differences and violations", bad)
+	}
+	return nil
+}
+
+// at is lines[i], or "" past its end.
+func at(lines []string, i int) string {
+	if i < len(lines) {
+		return lines[i]
+	}
+	return ""
 }
 
 // runSmoke runs the n=2048 gossip+sharding membership fleet and prints

@@ -139,8 +139,9 @@ func (s Schedule) install(net *netsim.Network, epoch time.Time, seed int64) erro
 	return nil
 }
 
-// ChaosFleet is a fleet a chaos schedule runs on.
-type ChaosFleet struct {
+// Fleet is a fleet configuration a chaos schedule or the order-independence
+// sweep runs on.
+type Fleet struct {
 	Name string
 	// Workload generates the scenario; its Seed is the run's.
 	Workload workload.Config
@@ -152,12 +153,12 @@ type ChaosFleet struct {
 // sharded directory, coalescing), a prefetch-on
 // fleet and a partial-trust one (A1's half-trusted policy). No golden,
 // dump or benchmark workload runs either of the last two.
-func ChaosFleets() []ChaosFleet {
+func ChaosFleets() []Fleet {
 	sec7 := workload.DefaultConfig()
 	grid := workload.DefaultConfig()
 	grid.GridRows, grid.GridCols, grid.Nodes = 9, 9, 81
 	grid.LinkBandwidth = 1.25e6
-	return []ChaosFleet{
+	return []Fleet{
 		{Name: "sec7-lvfl", Workload: sec7, Cluster: ClusterConfig{Scheme: SchemeLVFL}},
 		{Name: "sec7-cmp", Workload: sec7, Cluster: ClusterConfig{Scheme: SchemeCMP}},
 		{Name: "kernel", Workload: grid, Cluster: ClusterConfig{
@@ -203,7 +204,7 @@ const (
 
 // RunChaos runs the fleet on seed's scenario under the first faults of
 // seed's schedule (all of them when faults is negative).
-func RunChaos(f ChaosFleet, seed int64, faults int) (ChaosReport, error) {
+func RunChaos(f Fleet, seed int64, faults int) (ChaosReport, error) {
 	wcfg := f.Workload
 	wcfg.Seed = seed
 	s, err := workload.Generate(wcfg)
@@ -225,34 +226,13 @@ func RunChaos(f ChaosFleet, seed int64, faults int) (ChaosReport, error) {
 	if err := sched.install(c.Network, s.Epoch, seed); err != nil {
 		return rep, err
 	}
-	ids := make([]string, 0, len(c.Nodes))
-	for id, n := range c.Nodes {
-		n.audit = &chaosAudit{}
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
+	c.audit()
 	stop, err := c.issue()
 	if err != nil {
 		return rep, err
 	}
-	end := stop.Add(chaosQuiesce)
-	for t := s.Epoch; t.Before(end); {
-		t = t.Add(chaosCheckpoint)
-		if t.After(end) {
-			t = end
-		}
-		if err := c.Network.RunUntil(t, maxEvents); err != nil {
-			return rep, fmt.Errorf("athena: chaos: %w", err)
-		}
-		at := fmt.Sprintf("t=%v ", t.Sub(s.Epoch))
-		for _, id := range ids {
-			for _, v := range c.Nodes[id].chaosViolations() {
-				rep.Violations = append(rep.Violations, at+id+": "+v)
-			}
-		}
-	}
-	for _, v := range Quiescent(c.Nodes) {
-		rep.Violations = append(rep.Violations, "quiescent "+v)
+	if rep.Violations, err = c.runAudited(stop.Add(chaosQuiesce)); err != nil {
+		return rep, fmt.Errorf("athena: chaos: %w", err)
 	}
 	out := c.outcome()
 	rep.Issued, rep.Resolved, rep.Expired = out.QueriesIssued, out.QueriesResolved, out.Node.Expired
@@ -262,7 +242,7 @@ func RunChaos(f ChaosFleet, seed int64, faults int) (ChaosReport, error) {
 
 // ShrinkChaos returns the report of the shortest prefix of a violating
 // run's schedule that still violates, found by bisecting on its length.
-func ShrinkChaos(f ChaosFleet, full ChaosReport) (ChaosReport, error) {
+func ShrinkChaos(f Fleet, full ChaosReport) (ChaosReport, error) {
 	lo, hi, best := 0, len(full.Schedule), full
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -284,6 +264,44 @@ func (r ChaosReport) ReplayCommand() string {
 	return fmt.Sprintf("go run ./cmd/athena-sim -fig chaos -seed %d -reps 1 -faults %d", r.Seed, len(r.Schedule))
 }
 
+// audit gives every node of c an auditor and returns them, by node.
+func (c *Cluster) audit() map[string]*chaosAudit {
+	out := make(map[string]*chaosAudit, len(c.Nodes))
+	for id, n := range c.Nodes {
+		n.audit = &chaosAudit{}
+		out[id] = n.audit
+	}
+	return out
+}
+
+// runAudited runs c's audited fleet to end, checking every node at each
+// checkpoint from the scenario epoch on, then checks quiescence, and
+// returns the violations found, "instant node: what" lines in order.
+func (c *Cluster) runAudited(end time.Time) ([]string, error) {
+	epoch := c.Scenario.Epoch
+	ids := sortedMapKeys(c.Nodes)
+	var out []string
+	for t := epoch; t.Before(end); {
+		t = t.Add(chaosCheckpoint)
+		if t.After(end) {
+			t = end
+		}
+		if err := c.Network.RunUntil(t, maxEvents); err != nil {
+			return out, err
+		}
+		at := fmt.Sprintf("t=%v ", t.Sub(epoch))
+		for _, id := range ids {
+			for _, v := range c.Nodes[id].chaosViolations() {
+				out = append(out, at+id+": "+v)
+			}
+		}
+	}
+	for _, v := range Quiescent(c.Nodes) {
+		out = append(out, "quiescent "+v)
+	}
+	return out, nil
+}
+
 // chaosAudit collects the violations a node's hooks see as they happen,
 // and what a checkpoint compares with the last one. Each node has its own,
 // touched only under its n.mu.
@@ -291,12 +309,18 @@ type chaosAudit struct {
 	violations []string
 	// seqs is the node's directory seq vector at the last checkpoint.
 	seqs map[string]uint64
+	// decisions, when not nil, keeps every recorded decision by query id
+	// (the order-independence sweep).
+	decisions map[string]sweepDecision
 }
 
 // recorded checks a resolved query's evidence: a term whose every literal
 // held, fresh at the resolution instant, for ResolvedTrue; a failing
 // literal, fresh then, in every term for ResolvedFalse.
 func (a *chaosAudit) recorded(q *localQuery, res QueryResult) {
+	if a.decisions != nil {
+		a.decisions[res.QueryID] = decisionOf(q, res)
+	}
 	if !res.Status.Resolved() {
 		return
 	}

@@ -651,6 +651,18 @@ func (d *Directory) addSourcesFor(ids []string, label string) ([]string, bool) {
 	return addDistinct(ids, srcs), len(srcs) > 0
 }
 
+// appendCovering appends the descriptors of the present sources covering
+// label to out, in source order — SourcesFor and a Descriptor per source,
+// under one read lock and copying no list out.
+func (d *Directory) appendCovering(out []object.Descriptor, label string) []object.Descriptor {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	for _, s := range d.byLabel[label] {
+		out = append(out, d.records[s].desc)
+	}
+	return out
+}
+
 // AdvertsFor returns full advertisements for the present sources covering
 // a label, sorted by source — the payload a shard owner serves in a
 // ShardLookupReply.

@@ -393,12 +393,12 @@ const (
 type localQuery struct {
 	engine      *core.Engine
 	issued      time.Time
-	minValidity time.Duration     // smallest positive validity among the labels; 0 = none (queryUrgency)
-	selected    []string          // selected source ids (slt/lcf/lvf/lvfl)
-	reqs        map[string]objReq // object name -> the query's request for it, once sent
-	inFlight    int               // the requests in flight: the pumps' window
-	suspect     map[string]bool   // sources that exhausted their retries; nil until one does
-	batch       bool
+	minValidity time.Duration         // smallest positive validity among the labels; 0 = none (queryUrgency)
+	selected    []string              // selected source ids (slt/lcf/lvf/lvfl)
+	reqs        map[string]objReq     // object name -> the query's request for it, once sent
+	inFlight    int                   // the requests in flight: the pumps' window
+	suspect     map[string]bool       // sources that exhausted their retries; nil until one does
+	batch       *batchTable           // the batch schemes' target table (pumpBatch); nil under lvf/lvfl
 	armed       [2]timed              // the instant a pump is armed for and its timer, by purpose (pumpAt)
 	watchdog    Stopper               // the deadline watchdog (QueryInit)
 	corr        map[string]*corrState // label -> corroboration (noisy mode; nil until a vote)
@@ -857,7 +857,9 @@ func (n *Node) QueryInit(expr boolexpr.DNF, deadline time.Duration) (string, err
 		engine: core.NewEngineWithPlan(id, expr, abs, n.meta, n.planFor(expr, exprText)),
 		issued: now,
 		reqs:   make(map[string]objReq),
-		batch:  n.scheme == SchemeCMP || n.scheme == SchemeSLT || n.scheme == SchemeLCF,
+	}
+	if n.scheme == SchemeCMP || n.scheme == SchemeSLT || n.scheme == SchemeLCF {
+		q.batch = &batchTable{}
 	}
 	for _, l := range q.engine.Labels() {
 		if v := n.meta.Get(l).Validity; v > 0 && (q.minValidity == 0 || v < q.minValidity) {
@@ -969,7 +971,7 @@ func (n *Node) pump(q *localQuery) {
 		n.recordIfTerminal(q)
 		return
 	}
-	if q.batch {
+	if q.batch != nil {
 		n.pumpBatch(q, now)
 	} else {
 		n.pumpSequential(q, now)
@@ -982,56 +984,158 @@ func (n *Node) pump(q *localQuery) {
 }
 
 // pumpBatch (cmp/slt/lcf) keeps a request in flight for every unresolved
-// label's object.
+// label's object. The targets come from the query's target table (one
+// directory read per directory version, not one per pump), in the order a
+// walk of the directory gives: unknown labels in plan order, cmp taking a
+// label's every covering source in source order and slt/lcf the one
+// sourceFor picks, each object once, at its first source. A sharded node
+// asks candidates for each label first, as source selection does, and a
+// label its lookup cache answers is priced through descriptorOf.
 func (n *Node) pumpBatch(q *localQuery, now time.Time) {
-	type target struct {
-		source string
-		obj    string
-		labels []string // the descriptor's, for the request
-		size   int64    // the descriptor's, for the LCF sort and the retry allowance
+	t := q.batch
+	if v := n.dir.Version(); t.rows == nil || t.dirv != v {
+		t.build(n.dir, q.engine.Labels(), v)
 	}
-	var targets []target
-	seen := make(map[string]bool)
-	add := func(src string) {
-		desc, ok := n.descriptorOf(src)
-		if !ok {
+	t.nextStamp()
+	targets := t.targets[:0]
+	id, labels := q.engine.ID(), q.engine.Labels()
+	q.engine.EachUnknown(now, func(l int) {
+		label := labels[l]
+		if n.scheme != SchemeCMP {
+			src := n.sourceFor(q, label)
+			if src == "" {
+				return
+			}
+			if e, ok := t.find(l, src); ok {
+				targets = t.take(targets, e)
+			} else if desc, ok := n.descriptorOf(src); ok {
+				targets = t.take(targets, t.entry(desc))
+			}
 			return
 		}
-		obj := desc.Name.String()
-		if !seen[obj] {
-			seen[obj] = true
-			targets = append(targets, target{source: src, obj: obj, labels: desc.Labels, size: desc.Size})
+		srcs, cached := n.candidates(id, label)
+		if !cached {
+			for _, e := range t.rows[l] {
+				targets = t.take(targets, e)
+			}
+			return
 		}
-	}
-	for _, label := range q.engine.UnknownLabels(now) {
-		if n.scheme == SchemeCMP {
-			srcs, cached := n.candidates(q.engine.ID(), label)
-			if !cached {
-				srcs = n.dir.SourcesFor(label)
-			}
-			for _, src := range srcs {
-				add(src)
-			}
-		} else {
-			if src := n.sourceFor(q, label); src != "" {
-				add(src)
+		for _, src := range srcs {
+			if desc, ok := n.descriptorOf(src); ok {
+				targets = t.take(targets, t.entry(desc))
 			}
 		}
-	}
+	})
+	t.targets = targets
 	if n.scheme == SchemeLCF {
-		slices.SortStableFunc(targets, func(a, b target) int {
+		slices.SortStableFunc(targets, func(a, b batchEntry) int {
 			return cmp.Compare(a.size, b.size)
 		})
 	}
-	for _, t := range targets {
+	for _, e := range targets {
 		if q.inFlight >= batchWindow {
 			break
 		}
-		if q.reqs[t.obj].inFlight {
+		obj := t.objs[e.obj].name
+		if q.reqs[obj].inFlight {
 			continue
 		}
-		n.requestObject(q, t.source, t.obj, t.labels, t.size, now)
+		n.requestObject(q, e.source, obj, e.labels, e.size, now)
 	}
+}
+
+// batchTable is a batch-scheme query's view of the directory at version
+// dirv. rows[l] lists, for the engine's label l, the present sources
+// covering it in source order, each with its descriptor's object, labels
+// and size. objs holds one record per distinct object name, with the
+// stamp of the last pump that made it a target: a pump takes an object
+// once, at its first source. targets is the pump's scratch. A query's
+// table is touched only under its node's n.mu.
+type batchTable struct {
+	dirv    uint64
+	stamp   uint32
+	rows    [][]batchEntry // nil until the first build
+	objs    []batchObj
+	byName  map[string]int32
+	targets []batchEntry
+}
+
+// batchEntry is one (source, object) pair of a row, or a pump's target.
+type batchEntry struct {
+	source string
+	obj    int32 // index in batchTable.objs
+	labels []string
+	size   int64
+}
+
+// batchObj is one distinct object of a batch table.
+type batchObj struct {
+	name  string
+	stamp uint32
+}
+
+// build refills the table from dir at version v, one row per label.
+func (t *batchTable) build(dir *Directory, labels []string, v uint64) {
+	t.dirv = v
+	t.rows = slices.Grow(t.rows[:0], len(labels))[:len(labels)]
+	t.objs = t.objs[:0]
+	clear(t.byName)
+	var descs []object.Descriptor
+	for l, label := range labels {
+		descs = dir.appendCovering(descs[:0], label)
+		row := t.rows[l][:0]
+		for _, desc := range descs {
+			row = append(row, t.entry(desc))
+		}
+		t.rows[l] = row
+	}
+}
+
+// entry is desc's (source, object) pair, its object recorded if new.
+func (t *batchTable) entry(desc object.Descriptor) batchEntry {
+	name := desc.Name.String()
+	o, ok := t.byName[name]
+	if !ok {
+		if t.byName == nil {
+			t.byName = make(map[string]int32)
+		}
+		o = int32(len(t.objs))
+		t.objs = append(t.objs, batchObj{name: name})
+		t.byName[name] = o
+	}
+	return batchEntry{source: desc.Source, obj: o, labels: desc.Labels, size: desc.Size}
+}
+
+// nextStamp starts a pump: no object is a target of it yet.
+func (t *batchTable) nextStamp() {
+	t.stamp++
+	if t.stamp == 0 { // wrapped: no object may still carry last time round's stamp
+		for i := range t.objs {
+			t.objs[i].stamp = 0
+		}
+		t.stamp = 1
+	}
+}
+
+// take appends e to targets unless its object is already one.
+func (t *batchTable) take(targets []batchEntry, e batchEntry) []batchEntry {
+	if o := &t.objs[e.obj]; o.stamp != t.stamp {
+		o.stamp = t.stamp
+		targets = append(targets, e)
+	}
+	return targets
+}
+
+// find returns src's pair in label l's row, if the directory lists src
+// there. Its descriptor is the one descriptorOf returns for src, which
+// reads the directory first.
+func (t *batchTable) find(l int, src string) (batchEntry, bool) {
+	for _, e := range t.rows[l] {
+		if e.source == src {
+			return e, true
+		}
+	}
+	return batchEntry{}, false
 }
 
 // pumpSequential (lvf/lvfl) is the decision-driven retrieval schedule:

@@ -1,0 +1,137 @@
+package athena
+
+import (
+	"strings"
+	"testing"
+	"time"
+
+	"athena/internal/core"
+	"athena/internal/object"
+	"athena/internal/workload"
+)
+
+// TestSweepOrderIndependence runs the order-independence sweep on two
+// same-instant orders besides the schedule order: the kernel_fleet
+// configuration on seed 2 (where the retired lane-per-node layout left
+// athena04/q2 resolved and the schedule order leaves it expired) and the
+// dump's four configurations on seed 1. Under every order the audit finds no
+// violation and every difference falls in a named class; athena04/q2's
+// is an expiry under churn with a request in flight.
+func TestSweepOrderIndependence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the sweep runs five fleets three times each, for minutes of virtual time")
+	}
+	fleets := SweepFleets()
+	for i, f := range fleets {
+		seed := int64(1)
+		if i == 0 {
+			seed = 2
+		}
+		rep, err := RunSweep(f, seed, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Classes[SweepSame] == 0 {
+			t.Errorf("%s seed %d: no decision compared the same: %v", f.Name, seed, rep.Classes)
+		}
+		if len(rep.Violations) > 0 {
+			t.Errorf("%s seed %d:\n%s", f.Name, seed, strings.Join(rep.Violations, "\n"))
+		}
+		expiry := false
+		for _, d := range rep.Diffs {
+			if d.Class == SweepUnexplained {
+				t.Errorf("%s seed %d order %d %s differs unexplained:\n schedule order %s\n this order     %s", f.Name, seed, d.Perm, d.Query, d.Base, d.Got)
+			}
+			expiry = expiry || d.Query == "athena04/q2" && d.Class == SweepExpiry
+		}
+		if i == 0 && !expiry {
+			t.Errorf("%s seed 2: athena04/q2 is no expiry difference: %+v", f.Name, rep.Diffs)
+		}
+	}
+}
+
+// With its tie seed at 0 an audited sweep run decides what a plain run
+// does, decision for decision and instant for instant.
+func TestSweepScheduleOrderIsPlainRun(t *testing.T) {
+	f := DumpFleet(10*time.Millisecond, 96)
+	wcfg := f.Workload
+	wcfg.Seed = 3
+	s, err := workload.Generate(wcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCluster(s, f.Cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	got, _, _, err := sweepRun(f, 3, 0, &SweepReport{}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, node := range c.Nodes {
+		for _, res := range node.Results() {
+			d, ok := got[res.QueryID]
+			if !ok || d.status != res.Status || !d.finished.Equal(res.Finished) {
+				t.Errorf("%s: plain run %v at %v, sweep run %v", res.QueryID, res.Status, res.Finished, d.render(s.Epoch))
+			}
+			n++
+		}
+	}
+	if n == 0 || n != len(got) {
+		t.Errorf("plain run recorded %d decisions, sweep run %d", n, len(got))
+	}
+}
+
+// TestSweepClasses pins each class on hand-made decisions, and what is
+// not explained: a value read differently from one sample instant, true
+// against false on the same values, an expiry with nothing in flight or
+// without churn.
+func TestSweepClasses(t *testing.T) {
+	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	world := workload.NewWorld(1, epoch, 0.5, time.Second)
+	sources := []object.Descriptor{{Source: "s1", Validity: time.Second}, {Source: "s2", Validity: time.Second}}
+	// flip is an instant, a whole number of seconds in, where the world's
+	// value of "l" differs from its value at epoch+1s.
+	one := epoch.Add(time.Second)
+	flip := one
+	for world.LabelValue("l", flip) == world.LabelValue("l", one) {
+		flip = flip.Add(time.Second)
+	}
+	entry := func(src string, at time.Time) core.Entry {
+		return core.Entry{Value: world.LabelValue("l", at), Expires: at.Add(time.Second), Source: src, Annotator: "a"}
+	}
+	dec := func(st core.Status, finished time.Duration, inFlight bool, evidence ...core.Entry) sweepDecision {
+		d := sweepDecision{status: st, finished: epoch.Add(finished), evidence: map[string]core.Entry{}, inFlight: inFlight}
+		if len(evidence) > 0 {
+			d.evidence["l"] = evidence[0]
+		}
+		return d
+	}
+	lie := entry("s1", one)
+	lie.Value = !lie.Value
+	for _, c := range []struct {
+		name  string
+		a, b  sweepDecision
+		churn bool
+		want  SweepClass
+	}{
+		{"same", dec(core.ResolvedTrue, time.Second, false, entry("s1", one)), dec(core.ResolvedTrue, time.Second, false, entry("s1", one)), false, SweepSame},
+		{"finish instant", dec(core.ResolvedTrue, time.Second, false, entry("s1", one)), dec(core.ResolvedTrue, 2*time.Second, false, entry("s1", one)), false, SweepInstant},
+		{"evidence age", dec(core.ResolvedTrue, time.Second, false, entry("s1", one)), dec(core.ResolvedTrue, time.Second, false, entry("s1", one.Add(time.Millisecond))), false, SweepInstant},
+		{"source", dec(core.ResolvedTrue, time.Second, false, entry("s1", one)), dec(core.ResolvedTrue, time.Second, false, entry("s2", one)), false, SweepSource},
+		{"world", dec(core.ResolvedTrue, time.Second, false, entry("s1", one)), dec(core.ResolvedFalse, time.Second, false, entry("s1", flip)), false, SweepWorld},
+		{"expiry", dec(core.ResolvedTrue, time.Second, false, entry("s1", one)), dec(core.Expired, time.Second, true), true, SweepExpiry},
+		{"value, one sample instant", dec(core.ResolvedTrue, time.Second, false, entry("s1", one)), dec(core.ResolvedTrue, time.Second, false, lie), false, SweepUnexplained},
+		{"true against false", dec(core.ResolvedTrue, time.Second, false, entry("s1", one)), dec(core.ResolvedFalse, time.Second, false, entry("s1", one)), false, SweepUnexplained},
+		{"expiry, nothing in flight", dec(core.ResolvedTrue, time.Second, false), dec(core.Expired, time.Second, false), true, SweepUnexplained},
+		{"expiry, no churn", dec(core.Expired, time.Second, true), dec(core.ResolvedTrue, time.Second, false), false, SweepUnexplained},
+	} {
+		if got := classify(world, sources, c.a, c.b, c.churn); got != c.want {
+			t.Errorf("%s: %v, want %v", c.name, got, c.want)
+		}
+	}
+}

@@ -258,6 +258,56 @@ func TestEngineMatchesMapReference(t *testing.T) {
 				}
 			}
 		}
+		interleave(t, rng, trial, s, desc)
+	}
+}
+
+// interleave runs one engine through a random sequence of EachUnknown,
+// Wanted, WantsAny and Set calls at instants drawn from three, so that
+// most calls repeat the last call's instant, with or without a Set between
+// them: the mark pass's memo must answer exactly what the reference does.
+// Step is never called, so every Set applies, as it does to the reference.
+func interleave(t *testing.T, rng *rand.Rand, trial int, s scenario, desc []string) {
+	t.Helper()
+	e, ref := s.after(0)
+	labels := e.Labels()
+	instants := []time.Time{
+		t0.Add(time.Duration(rng.Intn(12)) * time.Second),
+		t0.Add(time.Duration(rng.Intn(12)) * time.Second),
+		t0.Add(time.Duration(rng.Int63n(int64(12 * time.Second)))),
+	}
+	now := instants[0]
+	for op := 0; op < 40; op++ {
+		if rng.Intn(3) == 0 {
+			now = instants[rng.Intn(len(instants))]
+		}
+		where := fmt.Sprintf("trial %d: %s plan %v, op %d at t0%+v", trial, s.expr, s.plan, op, now.Sub(t0))
+		switch rng.Intn(4) {
+		case 0:
+			var got []string
+			e.EachUnknown(now, func(l int) { got = append(got, labels[l]) })
+			if want := ref.unknownLabels(now); !slices.Equal(got, want) {
+				t.Fatalf("%s: EachUnknown visits %v, reference %v", where, got, want)
+			}
+		case 1:
+			if got, want := e.Wanted(desc, now), ref.wanted(desc, now); !slices.Equal(got, want) {
+				t.Fatalf("%s: Wanted(%v) = %v, reference %v", where, desc, got, want)
+			}
+		case 2:
+			if got, want := e.WantsAny(desc, now), len(ref.wanted(desc, now)) > 0; got != want {
+				t.Fatalf("%s: WantsAny(%v) = %v, reference %v", where, desc, got, want)
+			}
+		case 3:
+			ev := evidence{
+				label:   labels[rng.Intn(len(labels))],
+				value:   rng.Intn(2) == 0,
+				expires: t0.Add(time.Duration(rng.Intn(12)-2) * time.Second),
+			}
+			if err := e.Set(ev.label, ev.value, ev.expires, "s", "ann"); err != nil {
+				t.Fatal(err)
+			}
+			ref.set(ev.label, ev.value, ev.expires, "s", "ann")
+		}
 	}
 }
 
@@ -275,6 +325,41 @@ func TestMarkGenerationWraps(t *testing.T) {
 		if got := e.Wanted([]string{"c", "x", "a"}, t0); !slices.Equal(got, []string{"c", "a"}) {
 			t.Fatalf("gen %d: Wanted = %v, want [c a]", e.gen, got)
 		}
+	}
+}
+
+// TestMarkMemoFollowsSet: a mark pass that visits nothing, at the instant
+// of the last pass and with no Set since, leaves the marks as they are (the
+// generation does not move); a Set at that same instant, or another
+// instant, makes the next Wanted or WantsAny mark afresh.
+func TestMarkMemoFollowsSet(t *testing.T) {
+	e := newEngine("(a & b) | (b & c)", time.Minute)
+	desc := []string{"c", "b", "a"}
+	if got := e.Wanted(desc, t0); !slices.Equal(got, desc) {
+		t.Fatalf("Wanted = %v, want %v", got, desc)
+	}
+	gen := e.gen
+	if !e.WantsAny([]string{"a"}, t0) || e.gen != gen {
+		t.Fatalf("WantsAny at the same instant with no Set: %v at gen %d, want true at gen %d", e.WantsAny([]string{"a"}, t0), e.gen, gen)
+	}
+	if err := e.Set("a", true, t0.Add(time.Second), "s", "ann"); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Wanted(desc, t0); !slices.Equal(got, []string{"c", "b"}) {
+		t.Errorf("Wanted after a Set at the same instant = %v, want [c b]", got)
+	}
+	if e.WantsAny([]string{"a"}, t0) {
+		t.Error("WantsAny([a]) after a Set at the same instant: a still marked")
+	}
+	if err := e.Set("b", false, t0.Add(time.Second), "s", "ann"); err != nil {
+		t.Fatal(err)
+	}
+	if e.WantsAny(desc, t0) {
+		t.Error("WantsAny after b ruled out both terms: a label still marked")
+	}
+	// Past a's and b's expiry, every label is wanted again.
+	if got := e.Wanted(desc, t0.Add(2*time.Second)); !slices.Equal(got, desc) {
+		t.Errorf("Wanted at a later instant = %v, want %v", got, desc)
 	}
 }
 
@@ -303,8 +388,9 @@ func thirtyLabelEngine() (*Engine, time.Time) {
 
 // TestEngineReadsDoNotAllocate pins the point of the index space: asking a
 // 30-label engine whether it is decided, what it wants next, what expires
-// and how a term or a literal reads, or whether any of an object's labels is
-// still wanted, costs no allocation. (UnknownLabels and
+// and how a term or a literal reads, which labels are unknown (visited),
+// or whether any of an object's labels is still wanted, costs no
+// allocation. (UnknownLabels and
 // Wanted allocate their result and nothing else.)
 func TestEngineReadsDoNotAllocate(t *testing.T) {
 	e, now := thirtyLabelEngine()
@@ -318,6 +404,7 @@ func TestEngineReadsDoNotAllocate(t *testing.T) {
 		"TermValue":      func() { _ = e.TermValue(3, now) },
 		"LiteralUnknown": func() { _ = e.LiteralUnknown(3, 2, now) },
 		"WantsAny":       func() { _ = e.WantsAny([]string{"t9l9", "t0l1"}, now) },
+		"EachUnknown":    func() { e.EachUnknown(now, func(int) {}) },
 	} {
 		if allocs := testing.AllocsPerRun(100, read); allocs != 0 {
 			t.Errorf("%s allocates %v times a call, want 0", name, allocs)

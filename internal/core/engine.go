@@ -74,8 +74,9 @@ var ErrUnknownLabel = errors.New("core: label not referenced by query")
 // small integers that allocate nothing.
 //
 // An Engine is not safe for concurrent use, its read methods included:
-// UnknownLabels, Wanted and WantsAny mark labels in per-engine scratch. A
-// node only touches a query's engine under its own mutex.
+// EachUnknown, UnknownLabels, Wanted and WantsAny mark labels in per-engine
+// scratch, and remember the instant they marked at. A node only touches a
+// query's engine under its own mutex.
 type Engine struct {
 	id       string
 	expr     boolexpr.DNF
@@ -95,9 +96,14 @@ type Engine struct {
 	// table is the engine's own, in the expression's order; plan order is
 	// applied on the walk.
 	terms [][]literal
-	// gen is the current mark of UnknownLabels, Wanted and WantsAny: a slot
+	// gen is the current mark of EachUnknown, Wanted and WantsAny: a slot
 	// whose mark equals it has been visited by the call in progress.
 	gen uint32
+	// marksOK reports that the slots carrying gen are exactly those a mark
+	// pass at instant markedAt leaves marked: no Set has changed a slot
+	// since. A pass that visits nothing at that instant is then a no-op.
+	marksOK  bool
+	markedAt time.Time
 
 	resolved   Status
 	resolvedAt time.Time
@@ -198,6 +204,7 @@ func (e *Engine) Set(label string, value bool, expires time.Time, source, annota
 		return nil
 	}
 	s.Entry, s.held = Entry{Value: value, Expires: expires, Source: source, Annotator: annotator}, true
+	e.marksOK = false
 	return nil
 }
 
@@ -302,10 +309,23 @@ func (e *Engine) NextLabel(now time.Time) (string, bool) {
 	return "", false
 }
 
-// markUnknown starts a new mark generation and calls visit once, in plan
-// order, for every label that reads Unknown at instant now in a term not
-// ruled false; those labels, and no others, are left carrying the mark.
-func (e *Engine) markUnknown(now time.Time, visit func(label int32)) {
+// EachUnknown calls visit with the index in Labels of every label that
+// currently reads Unknown in the first undecided term and all later terms
+// — the candidate set batch schemes fetch eagerly — once each, in plan
+// order. visit must not call back into the engine.
+//
+// The walk starts a new mark generation and leaves those labels, and no
+// others, carrying the mark, which is how Wanted and WantsAny (a nil
+// visit) find them. A pass with no visitor at the instant of the last
+// pass, with no Set since, would leave the same marks, so it leaves the
+// ones there: Wanted and WantsAny after a pump cost a search per label,
+// not a walk of the plan. The instant is compared with ==, not Equal: a
+// memo hit needs the very instant, whose every comparison with an expiry
+// comes out the same.
+func (e *Engine) EachUnknown(now time.Time, visit func(label int)) {
+	if visit == nil && e.marksOK && e.markedAt == now {
+		return
+	}
 	e.gen++
 	if e.gen == 0 { // wrapped: no slot may still carry a mark from last time round
 		for i := range e.slots {
@@ -313,6 +333,7 @@ func (e *Engine) markUnknown(now time.Time, visit func(label int32)) {
 		}
 		e.gen = 1
 	}
+	e.marksOK, e.markedAt = true, now
 	for _, ti := range e.plan.TermOrder {
 		if e.TermValue(ti, now) == boolexpr.False {
 			continue
@@ -322,19 +343,17 @@ func (e *Engine) markUnknown(now time.Time, visit func(label int32)) {
 			if s := &e.slots[l]; s.mark != e.gen && e.unknown(l, now) {
 				s.mark = e.gen
 				if visit != nil {
-					visit(l)
+					visit(int(l))
 				}
 			}
 		}
 	}
 }
 
-// UnknownLabels lists every label that currently reads Unknown in the
-// first undecided term and all later terms — the candidate set batch
-// schemes fetch eagerly. Order follows the plan.
+// UnknownLabels lists the labels EachUnknown visits, in its order.
 func (e *Engine) UnknownLabels(now time.Time) []string {
 	var out []string
-	e.markUnknown(now, func(l int32) { out = append(out, e.labels[l]) })
+	e.EachUnknown(now, func(l int) { out = append(out, e.labels[l]) })
 	return out
 }
 
@@ -342,7 +361,7 @@ func (e *Engine) UnknownLabels(now time.Time) []string {
 // the ones UnknownLabels would list — in the order given. It is how a
 // request for an object names the labels it is after.
 func (e *Engine) Wanted(labels []string, now time.Time) []string {
-	e.markUnknown(now, nil)
+	e.EachUnknown(now, nil)
 	var out []string
 	for _, l := range labels {
 		if e.marked(l) {
@@ -355,7 +374,7 @@ func (e *Engine) Wanted(labels []string, now time.Time) []string {
 // WantsAny reports whether Wanted(labels, now) would list any label,
 // without building the list.
 func (e *Engine) WantsAny(labels []string, now time.Time) bool {
-	e.markUnknown(now, nil)
+	e.EachUnknown(now, nil)
 	for _, l := range labels {
 		if e.marked(l) {
 			return true
@@ -364,7 +383,7 @@ func (e *Engine) WantsAny(labels []string, now time.Time) bool {
 	return false
 }
 
-// marked reports whether label carries the mark of the last markUnknown.
+// marked reports whether label carries the mark of the last EachUnknown.
 func (e *Engine) marked(label string) bool {
 	i, found := slices.BinarySearch(e.labels, label)
 	return found && e.slots[i].mark == e.gen

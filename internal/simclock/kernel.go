@@ -74,7 +74,11 @@ func (l *Lane) enqueue(ev *Event, t time.Time) {
 		t = k.origin.Add(time.Duration(at))
 	}
 	ev.at = t
-	k.events.push(slot{at: at, seq: k.seq, ev: ev})
+	key := k.seq
+	if k.permute != 0 {
+		key = Mix64(key ^ k.permute)
+	}
+	k.events.push(slot{at: at, seq: key, ev: ev})
 	k.seq++
 }
 
@@ -144,6 +148,9 @@ type Kernel struct {
 	events eventHeap
 	seq    uint64
 	free   *Event
+	// permute, when not 0, orders same-instant events by
+	// Mix64(seq ^ permute) instead of seq (PermuteTies).
+	permute uint64
 
 	executed int64
 }
@@ -154,6 +161,16 @@ func NewKernel(origin time.Time, _ KernelOpts) *Kernel {
 	k.lane.k = k
 	return k
 }
+
+// PermuteTies makes events queued from now on that share an instant run
+// in an order drawn from seed instead of the order they were scheduled
+// in: each is keyed by Mix64(sequence ^ seed), a bijection, so the order
+// stays total and a pure function of the seed. Events at different
+// instants keep their order, and an event scheduled for the instant
+// being run still runs after the one scheduling it. Seed 0 is the
+// schedule order. It is a test seam: an order-independence sweep runs one
+// scenario under several seeds and wants the same decisions.
+func (k *Kernel) PermuteTies(seed uint64) { k.permute = seed }
 
 // instant places t on the kernel's integer time line: nanoseconds since
 // the origin. Within 292 years either side of the origin the result is

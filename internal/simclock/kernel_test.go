@@ -572,3 +572,76 @@ func TestKernelLaneTracesGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestPermuteTiesReordersOnlyTies: under a permutation seed, events still
+// run in instant order and every event runs once; within an instant the
+// order is the seed's — the same for the same seed, another for another
+// seed — and seed 0 is the schedule order. An event scheduled for the
+// instant being run runs after the one that scheduled it.
+func TestPermuteTiesReordersOnlyTies(t *testing.T) {
+	order := func(seed uint64) []string {
+		s := New(kernelEpoch)
+		s.Kernel().PermuteTies(seed)
+		var got []string
+		for i := 0; i < 48; i++ {
+			at := kernelEpoch.Add(time.Duration(i%3) * time.Millisecond)
+			tag := fmt.Sprintf("%d@%d", i, i%3)
+			s.At(at, func() {
+				got = append(got, tag)
+				s.After(0, func() { got = append(got, tag+"+") })
+			})
+		}
+		if err := s.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	base := order(0)
+	for i, tag := range base[:32] {
+		// Schedule order: the 16 events of instant 0 and each one's
+		// follow-up, scheduled as the instant runs, after all of them.
+		want := fmt.Sprintf("%d@0", 3*i)
+		if i >= 16 {
+			want = fmt.Sprintf("%d@0+", 3*(i-16))
+		}
+		if tag != want {
+			t.Fatalf("seed 0: event %d is %s, want %s (schedule order)", i, tag, want)
+		}
+	}
+	var differs bool
+	for seed := uint64(1); seed <= 4; seed++ {
+		got := order(seed)
+		if !slices.Equal(got, order(seed)) {
+			t.Fatalf("seed %d: two runs ran in two orders", seed)
+		}
+		if !slices.Equal(sorted(got), sorted(base)) {
+			t.Fatalf("seed %d ran %v, want the events of %v", seed, got, base)
+		}
+		ran := map[string]bool{}
+		for i, tag := range got {
+			var n, at int
+			fmt.Sscanf(tag, "%d@%d", &n, &at)
+			if i > 0 {
+				var pn, pat int
+				fmt.Sscanf(got[i-1], "%d@%d", &pn, &pat)
+				if at < pat {
+					t.Fatalf("seed %d: %s ran after %s", seed, tag, got[i-1])
+				}
+			}
+			if tag[len(tag)-1] == '+' && !ran[tag[:len(tag)-1]] {
+				t.Fatalf("seed %d: %s ran before the event that scheduled it", seed, tag)
+			}
+			ran[tag] = true
+		}
+		differs = differs || !slices.Equal(got, base)
+	}
+	if !differs {
+		t.Error("no seed changed the order of same-instant events")
+	}
+}
+
+func sorted(s []string) []string {
+	s = slices.Clone(s)
+	slices.Sort(s)
+	return s
+}

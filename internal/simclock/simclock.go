@@ -66,8 +66,8 @@ type slot struct {
 	// at is the event's instant on the kernel's integer time line
 	// (Kernel.instant): it orders exactly as Event.at does.
 	at int64
-	// seq is the kernel's schedule sequence: equal instants run in the
-	// order they were scheduled.
+	// seq is the kernel's schedule sequence, or its permuted key
+	// (Kernel.PermuteTies): equal instants run in its order.
 	seq uint64
 	ev  *Event
 }

@@ -26,7 +26,8 @@
 # A1 is the label-sharing ablation under partial trust: the cell that
 # moves when a node picks a different cached label record. The misses
 # table (-fig misses) is the expired queries' post-mortem, sorted by cause;
-# the chaos rows (-fig chaos) are fleets under seeded fault schedules.
+# the chaos rows (-fig chaos) are fleets under seeded fault schedules; the
+# sweep rows (-fig sweep) are decisions compared across same-instant orders.
 # One `same`/`DIFFERS` line per cell; exits non-zero on any difference.
 set -eu
 
@@ -89,6 +90,10 @@ cell "fig misses -quick (new: a BASE before it differs)" "" -fig misses -quick
 # on the five chaos fleets, the only cell that runs prefetch and partial
 # trust under faults.
 cell "fig chaos -reps 2 (new: a BASE before it differs)" "" -fig chaos -reps 2
+# -fig sweep is the order-independence sweep (ROADMAP item 1): one seed of
+# the kernel_fleet and dump fleets, each in four same-instant orders beside
+# the schedule order. A BASE before it prints nothing there and differs.
+cell "fig sweep -reps 1 (new: a BASE before it differs)" "" -fig sweep -reps 1
 cell "smoke -quick (minus wallSeconds)" "" -fig smoke -quick
 cols=3
 cell "fig a10 -quick (config, events, delivered)" "" -fig a10 -quick
