@@ -148,9 +148,7 @@ func TestBatchPumpMatchesDirectoryWalk(t *testing.T) {
 			targets := 0
 			for step := 1; step <= 120; step++ {
 				at := s.Epoch.Add(time.Duration(step) * 100 * time.Millisecond)
-				if err := c.Network.RunUntil(at, maxEvents); err != nil {
-					t.Fatal(err)
-				}
+				runWithin(t, c, at)
 				switch step {
 				case 40:
 					churnDirectory(t, c)
@@ -172,31 +170,61 @@ func TestBatchPumpMatchesDirectoryWalk(t *testing.T) {
 	}
 }
 
+// runWithin runs c until at, and fails the test if that takes more than
+// a minute of wall time: a node whose drain re-dispatches what it just
+// answered never returns from its event, and the test must say so rather
+// than hang the package. The stuck run is left spinning on its own
+// goroutine (the kernel has no way to stop an event from outside), and
+// the package's other tests still run and report.
+func runWithin(t *testing.T, c *Cluster, at time.Time) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- c.Network.RunUntil(at, maxEvents) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Minute):
+		t.Fatalf("the run to %v did not return within a minute: an event never ends", at)
+	}
+}
+
 // churnDirectory changes the fleet's shared directory the three ways a
 // membership layer does: the first source withdraws, the second is
 // evicted, and the fourth re-advertises as a replica of the third's
 // object, its name and labels at another size — one object under two
-// sources. (A name re-advertised with other labels than its content
-// carries livelocks the origin's drain; ROADMAP item 14 files it.)
+// sources. The fifth re-advertises under the third's name too, but with
+// the fourth's labels: a name whose content covers none of what it is
+// advertised for. A request for it that the origin's content store
+// answers with the third's object is not the request's data, and must go
+// to the network rather than back into the fetch queue (ROADMAP item 14's
+// livelock: drain → dispatchRequest → deliverObject, for ever).
 func churnDirectory(t *testing.T, c *Cluster) {
 	t.Helper()
 	d := c.Directory
 	srcs := d.Sources()
-	if len(srcs) < 4 {
-		t.Fatalf("directory lists %v, want four sources", srcs)
+	if len(srcs) < 5 {
+		t.Fatalf("directory lists %v, want five sources", srcs)
 	}
 	seq, _ := d.Seq(srcs[0])
 	if !d.Withdraw(srcs[0], seq+1) || !d.Evict(srcs[1]) {
 		t.Fatal("directory did not change")
 	}
 	third, _ := d.Descriptor(srcs[2])
-	seq, _ = d.Seq(srcs[3])
-	moved := object.Descriptor{
-		Name: third.Name, Size: third.Size/2 + 1, Validity: third.Validity,
-		Labels: slices.Clone(third.Labels), Source: srcs[3], ProbTrue: third.ProbTrue,
-	}
-	if !d.Advertise(moved, seq+1) {
-		t.Fatal("re-advertisement not admitted")
+	fourth, _ := d.Descriptor(srcs[3])
+	for _, re := range []struct {
+		src    string
+		labels []string
+	}{{srcs[3], third.Labels}, {srcs[4], fourth.Labels}} {
+		seq, _ = d.Seq(re.src)
+		moved := object.Descriptor{
+			Name: third.Name, Size: third.Size/2 + 1, Validity: third.Validity,
+			Labels: slices.Clone(re.labels), Source: re.src, ProbTrue: third.ProbTrue,
+		}
+		if !d.Advertise(moved, seq+1) {
+			t.Fatal("re-advertisement not admitted")
+		}
 	}
 }
 
