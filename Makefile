@@ -55,8 +55,9 @@ ci-short:
 # its does-this-query-reference-that-label check, a 30-label source
 # selection on a full replica and on two sharded nodes, a scoped directory
 # delta for a caught-up peer, and the shard
-# router's refresh (same view, changed view), routed-lookup start and one
-# query's eight lookup replies landing (internal/athena), the event queue
+# router's refresh (same view, changed view), routed-lookup start, one
+# query's eight lookup replies landing, a shard owner serving one lookup
+# and one SWIM probe round on full piggyback buffers (internal/athena), the event queue
 # at depths 1, 512 and 8192 (internal/simclock), the wire codec on three small frames and a 500 KB
 # one, each way, the 500 KB encode both whole and as the head the TCP
 # transport sends (internal/wire), the prefetch ablation (frames per
@@ -72,7 +73,7 @@ ci-short:
 # CI archives the file per commit; regressions are judged against the
 # committed baseline.
 bench:
-	{ $(GO) test -run '^$$' -bench 'BenchmarkScheme|BenchmarkDecisionEngine|BenchmarkPlanFor|BenchmarkAblationPrefetch|BenchmarkMembershipControlPlane|BenchmarkSimKernel|BenchmarkBatchedFetch|BenchmarkDeliverObjectHistory|BenchmarkQueryReferences|BenchmarkSelectSources|BenchmarkDirectoryDelta|BenchmarkShardRefresh|BenchmarkShardLookupBegin|BenchmarkLookupReplies|BenchmarkLaneQueue|BenchmarkEncode|BenchmarkDecode|BenchmarkSign|BenchmarkVerify|BenchmarkGenerate|BenchmarkTCPReceivePadded|BenchmarkTCPClosedPairHeld|BenchmarkLabelShare|BenchmarkPumpBatch' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire ./internal/trust ./internal/workload ./internal/transport && \
+	{ $(GO) test -run '^$$' -bench 'BenchmarkScheme|BenchmarkDecisionEngine|BenchmarkPlanFor|BenchmarkAblationPrefetch|BenchmarkMembershipControlPlane|BenchmarkSimKernel|BenchmarkBatchedFetch|BenchmarkDeliverObjectHistory|BenchmarkQueryReferences|BenchmarkSelectSources|BenchmarkDirectoryDelta|BenchmarkShardRefresh|BenchmarkShardLookupBegin|BenchmarkLookupReplies|BenchmarkShardLookupServe|BenchmarkSwimProbeRound|BenchmarkLaneQueue|BenchmarkEncode|BenchmarkDecode|BenchmarkSign|BenchmarkVerify|BenchmarkGenerate|BenchmarkTCPReceivePadded|BenchmarkTCPClosedPairHeld|BenchmarkLabelShare|BenchmarkPumpBatch' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire ./internal/trust ./internal/workload ./internal/transport && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkDirectoryMemory' -benchtime 3x . ; } \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_core.json
 

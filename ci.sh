@@ -142,20 +142,26 @@ fi
 # node that verifies, or copies, a shared label record it already holds —
 # baseline 0, 3 when every arriving record was copied; a batch pump that
 # walks the directory for its targets again instead of its query's target
-# table — 22 allocs/op, requestObject's own, and 40 when it walked).
+# table — 22 allocs/op, requestObject's own, and 40 when it walked; a
+# shard owner whose lookup reply copies each covering record's labels
+# again — 2 allocs/op, the reply and its advert list, 6 when it copied;
+# a SWIM probe round whose piggyback takes box, reflect-sort and copy
+# their updates again — 4 allocs/op, two frames and their update lists,
+# 10 when they did).
 # Refresh the baseline with `make bench` when an intentional change moves
 # one.
 # BenchmarkDecisionEngine, BenchmarkShardLookupBegin,
-# BenchmarkLookupReplies, BenchmarkTCPReceivePadded and
-# BenchmarkTCPClosedPairHeld have no sub-benchmarks, and a two-level -bench
-# pattern skips a benchmark that has none, so each gets its own run (the
-# two in internal/athena share one). BenchmarkDirectoryMemory runs without
+# BenchmarkLookupReplies, BenchmarkShardLookupServe, BenchmarkSwimProbeRound,
+# BenchmarkTCPReceivePadded and BenchmarkTCPClosedPairHeld have no
+# sub-benchmarks, and a two-level -bench pattern skips a benchmark that has
+# none, so each gets its own run (the four lookup and probe benchmarks in
+# internal/athena share one). BenchmarkDirectoryMemory runs without
 # -benchmem, as `make bench` records it: only its entries/node is gated.
 {
 	go test -run '^$' -bench '^Benchmark(Scheme|AblationPrefetch|SimKernel|BatchedFetch|DeliverObjectHistory|SelectSources|DirectoryDelta|ShardRefresh|LaneQueue|EncodeSmall|EncodeObjectData|DecodeSmall|Generate|PlanFor|LabelShare|PumpBatch)$/^(lvf|lvfl|sharded|sharded-owned|scoped|unchanged|w1|on|n2000|depth512|request|head|sec7|uncached|held|cmp)$' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire ./internal/workload
 	go test -run '^$' -bench '^BenchmarkDirectoryMemory$/^sharded$' -benchtime 3x .
 	go test -run '^$' -bench '^BenchmarkDecisionEngine$' -benchmem -benchtime 3x .
-	go test -run '^$' -bench '^Benchmark(ShardLookupBegin|LookupReplies)$' -benchmem -benchtime 3x ./internal/athena
+	go test -run '^$' -bench '^Benchmark(ShardLookupBegin|LookupReplies|ShardLookupServe|SwimProbeRound)$' -benchmem -benchtime 3x ./internal/athena
 	go test -run '^$' -bench '^BenchmarkTCPReceivePadded$' -benchmem -benchtime 3x ./internal/transport
 	go test -run '^$' -bench '^BenchmarkTCPClosedPairHeld$' -benchmem -benchtime 3x ./internal/athena
 } |
@@ -175,6 +181,8 @@ fi
 		-gate 'BenchmarkShardRefresh/unchanged:allocs/op:10' \
 		-gate 'BenchmarkShardLookupBegin:allocs/op:10' \
 		-gate 'BenchmarkLookupReplies:allocs/op:10' \
+		-gate 'BenchmarkShardLookupServe:allocs/op:10' \
+		-gate 'BenchmarkSwimProbeRound:allocs/op:10' \
 		-gate 'BenchmarkLaneQueue/depth512:allocs/op:10' \
 		-gate 'BenchmarkEncodeSmall/request:allocs/op:10' \
 		-gate 'BenchmarkEncodeObjectData/head:frame-B/op:10' \

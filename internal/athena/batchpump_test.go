@@ -124,10 +124,13 @@ func liveQueries(n *Node) []*localQuery {
 // fleets under cmp, slt and lcf, every live query is pumped every 100 ms of
 // its first 12 s and must target and request exactly what the walk does.
 // Mid-run the shared directory changes under the queries — a source
-// withdrawn, one evicted, and a new source advertising another's object
-// name with other labels and size — and slt/lcf queries mark their
-// selected sources suspect, so the pick fails over.
+// withdrawn, one evicted, and two sources advertising another's object
+// name, one with its labels and one with labels its content lacks
+// (churnDirectory) — and slt/lcf queries mark their selected sources
+// suspect, so the pick fails over. Some origin must decline a
+// content-store answer for the misadvertised name (Stats.ForeignAnswers).
 func TestBatchPumpMatchesDirectoryWalk(t *testing.T) {
+	foreign := 0
 	for _, scheme := range []Scheme{SchemeCMP, SchemeSLT, SchemeLCF} {
 		for seed := int64(1); seed <= 2; seed++ {
 			wcfg := workload.DefaultConfig()
@@ -166,7 +169,13 @@ func TestBatchPumpMatchesDirectoryWalk(t *testing.T) {
 			if targets == 0 {
 				t.Errorf("%v seed %d: no pump had a target", scheme, seed)
 			}
+			for _, id := range ids {
+				foreign += c.Nodes[id].Stats().ForeignAnswers
+			}
 		}
+	}
+	if foreign == 0 {
+		t.Error("no content-store answer was declined: the re-advertised name never met a request")
 	}
 }
 

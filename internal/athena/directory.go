@@ -54,14 +54,17 @@ func (a Advertisement) Descriptor() (object.Descriptor, error) {
 	}, nil
 }
 
-// advertisementOf flattens a descriptor into its wire form.
+// advertisementOf flattens a descriptor into its wire form. The advert
+// shares the descriptor's labels: a directory record is never written
+// after it is stored, so a served advert is a read-only view of it, and a
+// receiver copies what it keeps (Descriptor).
 func advertisementOf(desc object.Descriptor, seq uint64) Advertisement {
 	return Advertisement{
 		Source:   desc.Source,
 		Name:     desc.Name.String(),
 		Size:     desc.Size,
 		Validity: desc.Validity,
-		Labels:   append([]string(nil), desc.Labels...),
+		Labels:   desc.Labels,
 		ProbTrue: desc.ProbTrue,
 		Seq:      seq,
 	}
@@ -539,6 +542,14 @@ func (d *Directory) AllSources() []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// Records counts the sources the directory has a record for — present,
+// withdrawn or evicted: AllSources' length, without the list.
+func (d *Directory) Records() int {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return len(d.records)
 }
 
 // Sources lists the present source nodes, sorted. The list is built once

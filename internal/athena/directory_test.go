@@ -351,10 +351,11 @@ func TestDirectoryAdvertsFor(t *testing.T) {
 }
 
 // Listing methods must pre-size their result buffers: per-call allocations
-// stay flat (AllSources) or exactly one labels copy per advert (Snapshot,
-// Delta) regardless of directory size. A scoped Delta is not pre-sized —
-// one that matches nothing allocates at most its (empty) result — and
-// Sources is built once per directory version, so a repeat call is free.
+// stay flat regardless of directory size (AllSources; Snapshot and Delta,
+// whose adverts share their records' labels). A scoped Delta is not
+// pre-sized — one that matches nothing allocates at most its (empty)
+// result — and Sources is built once per directory version, so a repeat
+// call is free.
 func TestDirectoryListingAllocs(t *testing.T) {
 	const n = 64
 	d := NewDirectory(nil)
@@ -369,14 +370,54 @@ func TestDirectoryListingAllocs(t *testing.T) {
 	}{
 		{"AllSources", 2, func() { d.AllSources() }},
 		{"Sources", 0, func() { d.Sources() }},
-		{"Snapshot", n + 2, func() { d.Snapshot() }},
-		{"Delta", n + 2, func() { d.Delta(nil, nil) }},
+		{"Snapshot", 2, func() { d.Snapshot() }},
+		{"Delta", 2, func() { d.Delta(nil, nil) }},
 		{"Delta/scoped-none", 1, func() { d.Delta(nil, func(object.Descriptor) bool { return false }) }},
 	}
 	for _, c := range checks {
 		if got := testing.AllocsPerRun(20, c.fn); got > c.max {
 			t.Errorf("%s: %.0f allocs/op with %d records, want <= %.0f", c.name, got, n, c.max)
 		}
+	}
+}
+
+// TestServedAdvertsAreReadOnlyViews: a served advert is a read-only view
+// of its directory record — AdvertsFor, Delta and Snapshot copy no labels
+// — and every receiver copies what it keeps. A receiver that writes the
+// labels of a descriptor it got from one (Advertisement.Descriptor, a
+// directory that applied it, a shard router that completed a lookup with
+// it) leaves the serving directory's adverts as they were.
+func TestServedAdvertsAreReadOnlyViews(t *testing.T) {
+	d := NewDirectory(nil)
+	d.Advertise(dirDesc("n1", "/g/a/1", 10, "seg", "other"), 3)
+	d.Advertise(dirDesc("n2", "/g/a/2", 10, "seg"), 1)
+	served := func() string { return fmt.Sprint(d.AdvertsFor("seg"), d.Delta(nil, nil), d.Snapshot()) }
+	before := served()
+
+	recv := NewDirectory(nil)
+	sr := NewShardRouter("n0", 8, 2, 16)
+	sr.Refresh(routerView(6))
+	m, _ := sr.Begin("seg", "q")
+	sr.Complete(m.Nonce, d.AdvertsFor("seg"), time.Time{})
+	for _, a := range append(d.AdvertsFor("seg"), d.Delta(nil, nil)...) {
+		desc, err := a.Descriptor()
+		if err != nil {
+			t.Fatal(err)
+		}
+		desc.Labels[0] = "written"
+		recv.Apply(a)
+	}
+	for _, src := range []string{"n1", "n2"} {
+		for _, get := range []func(string) (object.Descriptor, bool){recv.Descriptor, sr.Desc} {
+			desc, ok := get(src)
+			if !ok {
+				t.Fatalf("receiver lacks %s", src)
+			}
+			desc.Labels[len(desc.Labels)-1] = "written"
+		}
+	}
+	if after := served(); after != before {
+		t.Fatalf("a receiver's write reached the serving directory:\n %s\nwas\n %s", after, before)
 	}
 }
 

@@ -769,12 +769,19 @@ func (n *Node) dispatchRequest(q *localQuery, req *ObjectRequest) {
 	}
 
 	// Local content store; deliverObject takes the request out of flight
-	// and pumps the query.
+	// and pumps the query. An object under the requested name that covers
+	// none of the requested labels is not the request's data (another
+	// source advertises the name with other labels): answering with it
+	// would take the request out of flight, the pump would ask again and
+	// this drain would dispatch it again, for ever. It goes to the network.
 	if name, err := names.Parse(req.Object); err == nil {
 		if obj, ok := n.store.Get(name, now); ok {
-			n.stats.CacheAnswers++
-			n.deliverObject(obj, now)
-			return
+			if coversAnyLabel(obj, req.Labels) {
+				n.stats.CacheAnswers++
+				n.deliverObject(obj, now)
+				return
+			}
+			n.stats.ForeignAnswers++
 		}
 	}
 

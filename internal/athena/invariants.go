@@ -98,11 +98,8 @@ func (sr *ShardRouter) pendingWith(live func(id string) bool) []string {
 	defer sr.mu.Unlock()
 	var out []string
 	for l, p := range sr.pending {
-		for id := range p.queries {
-			if live(id) {
-				out = append(out, l)
-				break
-			}
+		if slices.ContainsFunc(p.waiting, live) {
+			out = append(out, l)
 		}
 	}
 	sort.Strings(out)

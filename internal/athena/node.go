@@ -100,6 +100,11 @@ type Stats struct {
 	DupSuppressed int
 	// CacheAnswers counts requests served from the local content store.
 	CacheAnswers int
+	// ForeignAnswers counts content-store hits declined because the stored
+	// object covers none of the request's labels: a source advertises the
+	// name with labels its content does not carry. The request went to the
+	// network instead. Omitted from JSON at zero.
+	ForeignAnswers int `json:",omitempty"`
 	// ApproxAnswers counts requests served by approximate name
 	// substitution (a subset of CacheAnswers).
 	ApproxAnswers int
@@ -719,6 +724,7 @@ func New(cfg Config) (*Node, error) {
 			n.shard = &shardClient{
 				router: NewShardRouter(cfg.ID, cfg.Shards, cfg.ShardReplicas, shardCacheSize),
 				ver:    ^uint64(0),
+				retry:  n.shardRetry,
 			}
 			// Until the first refresh the router's nil snapshot keeps every
 			// payload; the first gossip tick thins the replica down to the

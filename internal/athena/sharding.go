@@ -24,6 +24,7 @@ import (
 type shardClient struct {
 	router *ShardRouter
 	ver    uint64
+	retry  func(any) // Node.shardRetry, bound once
 
 	// selectSources' scratch, reset per call (callers hold n.mu): the
 	// coverable labels, the distinct candidate ids and the priced pool.
@@ -165,31 +166,32 @@ func (n *Node) pickCached(srcs, preferred []string, exclude map[string]bool) str
 // shard's primary, deduplicated per label, with a retry timer that walks
 // the replica set. Callers hold n.mu.
 func (n *Node) startShardLookup(label, queryID string) {
-	msg, ok := n.shard.router.Begin(label, queryID)
-	if !ok {
+	msg, p := n.shard.router.Begin(label, queryID)
+	if p == nil {
 		return
 	}
 	n.stats.ShardLookups++
 	n.sendCtl(msg.To, msg)
-	n.armShardRetry(msg.Nonce)
+	n.timers.AfterArg(shardRetryPeriods*n.member.interval, n.shard.retry, p)
 }
 
-// armShardRetry re-sends a still-unanswered lookup to the next replica in
-// rendezvous order after shardRetryPeriods protocol periods; a lookup that
-// runs out of tries hands its waiters back. Callers hold n.mu.
-func (n *Node) armShardRetry(nonce uint64) {
-	n.timers.After(shardRetryPeriods*n.member.interval, func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		msg, abandoned := n.shard.router.Retry(nonce)
-		if msg == nil {
-			n.resumeSettled(abandoned)
-			return
-		}
-		n.stats.ShardReroutes++
-		n.sendCtl(msg.To, msg)
-		n.armShardRetry(nonce)
-	})
+// shardRetry fires shardRetryPeriods protocol periods after lookup arg (a
+// *pendingShardLookup) was sent: a lookup still unanswered is re-sent to
+// the next replica in rendezvous order and the timer re-armed; one that
+// runs out of tries hands its waiters back; an answered one is done. It is
+// bound once per node as shardClient.retry, so arming it builds nothing.
+func (n *Node) shardRetry(arg any) {
+	p := arg.(*pendingShardLookup)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	msg, abandoned := n.shard.router.Retry(p.nonce)
+	if msg == nil {
+		n.resumeSettled(abandoned)
+		return
+	}
+	n.stats.ShardReroutes++
+	n.sendCtl(msg.To, msg)
+	n.timers.AfterArg(shardRetryPeriods*n.member.interval, n.shard.retry, p)
 }
 
 // shardRetryPeriods is how many protocol periods a lookup waits for its

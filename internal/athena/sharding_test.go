@@ -315,8 +315,8 @@ func routedNode(tb testing.TB, descs []object.Descriptor) *Node {
 	}
 	sort.Strings(labels)
 	for _, l := range labels {
-		msg, ok := sr.Begin(l, "")
-		if !ok {
+		msg, _ := sr.Begin(l, "")
+		if msg == nil {
 			tb.Fatalf("no replica to ask for %s", l)
 		}
 		if _, ok := sr.Complete(msg.Nonce, byLabel[l], time.Time{}); !ok {

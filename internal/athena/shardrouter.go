@@ -42,24 +42,43 @@ type shardCacheEntry struct {
 
 // refDesc reference-counts a remote source's descriptor across the cache
 // entries that mention it, so descriptorOf keeps working until the last
-// entry naming the source is evicted.
+// entry naming the source is evicted. seq is the advertisement sequence
+// number the descriptor came with: a reply carrying an older one leaves
+// it be.
 type refDesc struct {
 	desc object.Descriptor
+	seq  uint64
 	refs int
 }
 
 // pendingShardLookup tracks one in-flight ShardLookup: the replica set it
 // can be routed to (rendezvous order — index 0 is the shard's primary and
 // the rest is the deterministic re-route order), the target currently
-// tried, and the local queries waiting on the answer.
+// tried, and the local queries waiting on the answer — sorted and
+// distinct, in one inline slot until a second query joins (most lookups
+// have one waiter).
 type pendingShardLookup struct {
 	label   string
 	nonce   uint64
 	targets []string
 	next    int
 	tries   int
-	queries map[string]bool
+	waiting []string
+	one     [1]string
 }
+
+// join adds a query to the lookup's waiters, keeping them sorted and
+// distinct.
+func (p *pendingShardLookup) join(queryID string) {
+	if i, found := slices.BinarySearch(p.waiting, queryID); !found {
+		p.waiting = slices.Insert(p.waiting, i, queryID)
+	}
+}
+
+// waiters returns the ids of the queries waiting on the lookup, sorted.
+// The slice is the lookup's own: callers read it once the lookup has left
+// the pending table, when nothing joins it any more.
+func (p *pendingShardLookup) waiters() []string { return p.waiting }
 
 // shardLookupMaxTries bounds re-sends per pending lookup (cycling through
 // the replica set) before the lookup is abandoned; its waiters are handed
@@ -91,7 +110,7 @@ type ShardRouter struct {
 	cacheCap int
 	stamp    uint64
 	cache    map[string]*shardCacheEntry
-	descs    map[string]*refDesc
+	descs    map[string]refDesc
 
 	nonce   uint64
 	pending map[string]*pendingShardLookup // by label
@@ -108,7 +127,7 @@ func NewShardRouter(self string, shards, rf, cacheCap int) *ShardRouter {
 		cacheCap: cacheCap,
 		replicas: make(map[int][]string),
 		cache:    make(map[string]*shardCacheEntry),
-		descs:    make(map[string]*refDesc),
+		descs:    make(map[string]refDesc),
 		pending:  make(map[string]*pendingShardLookup),
 		byNonce:  make(map[uint64]*pendingShardLookup),
 	}
@@ -278,36 +297,36 @@ func (sr *ShardRouter) Desc(src string) (object.Descriptor, bool) {
 
 // Begin registers a lookup for an unowned label on behalf of a query. The
 // first caller gets the ShardLookup to send (routed to the shard's
-// primary); later callers for the same label just join the waiters.
-// Returns ok=false with a nil message when the label's replica set is
-// empty (nobody to ask).
-func (sr *ShardRouter) Begin(label, queryID string) (msg *ShardLookup, ok bool) {
+// primary) and the pending record, which its retry timer carries; later
+// callers for the same label just join the waiters. Both results are nil
+// for a joiner, and when the label's replica set is empty (nobody to ask).
+func (sr *ShardRouter) Begin(label, queryID string) (msg *ShardLookup, p *pendingShardLookup) {
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
 	if p, exists := sr.pending[label]; exists {
 		if queryID != "" {
-			p.queries[queryID] = true
+			p.join(queryID)
 		}
-		return nil, false
+		return nil, nil
 	}
 	s := sr.smap.OfKey(label)
 	targets := sr.targetsFor(s)
 	if len(targets) == 0 {
-		return nil, false
+		return nil, nil
 	}
 	sr.nonce++
-	p := &pendingShardLookup{
+	p = &pendingShardLookup{
 		label:   label,
 		nonce:   sr.nonce,
 		targets: targets,
-		queries: make(map[string]bool, 1),
 	}
+	p.waiting = p.one[:0]
 	if queryID != "" {
-		p.queries[queryID] = true
+		p.join(queryID)
 	}
 	sr.pending[label] = p
 	sr.byNonce[p.nonce] = p
-	return p.lookup(sr.self), true
+	return p.lookup(sr.self), p
 }
 
 // targetsFor is shard s's replica set minus this node, in rendezvous
@@ -379,6 +398,11 @@ func (sr *ShardRouter) AnyPending(labels []string) bool {
 // until emptyUntil, so a label nobody covers is not re-asked on every
 // pump, while one that gains coverage later still is. ok=false marks a
 // stale or duplicate reply.
+//
+// The descriptor table only moves forward: an advert older than the held
+// descriptor of its source leaves it be (the source still counts as a
+// candidate, priced by what is held), and one equal to it field by field
+// is neither parsed nor copied — most replies repeat what the table has.
 func (sr *ShardRouter) Complete(nonce uint64, adverts []Advertisement, emptyUntil time.Time) (queries []string, ok bool) {
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
@@ -390,17 +414,18 @@ func (sr *ShardRouter) Complete(nonce uint64, adverts []Advertisement, emptyUnti
 	var sources []string
 	if len(adverts) > 0 {
 		sources = make([]string, 0, len(adverts))
-		for _, a := range adverts {
-			desc, err := a.Descriptor()
-			if err != nil {
-				continue
+		for i := range adverts {
+			a := &adverts[i]
+			rd, have := sr.descs[a.Source]
+			if !have || (a.Seq >= rd.seq && !rd.holds(a)) {
+				desc, err := a.Descriptor()
+				if err != nil {
+					continue
+				}
+				rd.desc, rd.seq = desc, a.Seq
+				sr.descs[a.Source] = rd
 			}
 			sources = append(sources, a.Source)
-			if rd, have := sr.descs[a.Source]; have {
-				rd.desc = desc
-			} else {
-				sr.descs[a.Source] = &refDesc{desc: desc}
-			}
 		}
 		sort.Strings(sources)
 	}
@@ -408,14 +433,12 @@ func (sr *ShardRouter) Complete(nonce uint64, adverts []Advertisement, emptyUnti
 	return p.waiters(), true
 }
 
-// waiters returns the ids of the queries waiting on the lookup, sorted.
-func (p *pendingShardLookup) waiters() []string {
-	ids := make([]string, 0, len(p.queries))
-	for id := range p.queries {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
+// holds reports whether the held descriptor of a's source is the one a
+// carries, field by field, at a's seq.
+func (rd *refDesc) holds(a *Advertisement) bool {
+	d := &rd.desc
+	return rd.seq == a.Seq && d.Name.String() == a.Name && d.Size == a.Size &&
+		d.Validity == a.Validity && d.ProbTrue == a.ProbTrue && slices.Equal(d.Labels, a.Labels)
 }
 
 // dropPendingLocked removes a pending lookup from both indexes. Callers
@@ -432,7 +455,9 @@ func (sr *ShardRouter) dropPendingLocked(p *pendingShardLookup) {
 // Callers hold sr.mu.
 func (sr *ShardRouter) installLocked(label string, sources []string, emptyUntil time.Time) {
 	for _, s := range sources {
-		sr.descs[s].refs++
+		rd := sr.descs[s]
+		rd.refs++
+		sr.descs[s] = rd
 	}
 	sr.stamp++
 	if old, exists := sr.cache[label]; exists {
@@ -461,6 +486,8 @@ func (sr *ShardRouter) releaseLocked(sources []string) {
 			rd.refs--
 			if rd.refs <= 0 {
 				delete(sr.descs, s)
+			} else {
+				sr.descs[s] = rd
 			}
 		}
 	}

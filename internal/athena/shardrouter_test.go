@@ -123,14 +123,14 @@ func TestShardRouterSharedAndScope(t *testing.T) {
 func TestShardRouterLookupLifecycle(t *testing.T) {
 	sr := NewShardRouter("n0", 8, 2, 16)
 	sr.Refresh(routerView(6))
-	msg, ok := sr.Begin("sx", "q1")
-	if !ok || msg == nil {
+	msg, _ := sr.Begin("sx", "q1")
+	if msg == nil {
 		t.Fatal("first Begin must start a lookup")
 	}
 	if msg.From != "n0" || msg.To == "n0" || msg.Label != "sx" {
 		t.Fatalf("lookup message = %+v", msg)
 	}
-	if dup, ok := sr.Begin("sx", "q2"); ok || dup != nil {
+	if dup, p := sr.Begin("sx", "q2"); p != nil || dup != nil {
 		t.Fatal("second Begin for the same label must join, not re-send")
 	}
 	queries, ok := sr.Complete(msg.Nonce, []Advertisement{
@@ -151,8 +151,8 @@ func TestShardRouterLookupLifecycle(t *testing.T) {
 	// An empty reply is a negative entry: cached and empty until the
 	// instant Complete was given, a miss from then on, so the label is
 	// asked again; the next answer replaces it.
-	msg2, ok := sr.Begin("sy", "q3")
-	if !ok {
+	msg2, _ := sr.Begin("sy", "q3")
+	if msg2 == nil {
 		t.Fatal("Begin sy")
 	}
 	until := tBase.Add(2 * time.Second)
@@ -165,8 +165,8 @@ func TestShardRouterLookupLifecycle(t *testing.T) {
 	if _, ok := sr.CachedSources("sy", until); ok {
 		t.Fatal("a lapsed negative entry must be a miss")
 	}
-	msg3, ok := sr.Begin("sy", "q3")
-	if !ok {
+	msg3, _ := sr.Begin("sy", "q3")
+	if msg3 == nil {
 		t.Fatal("Begin sy after the negative entry lapsed")
 	}
 	sr.Complete(msg3.Nonce, []Advertisement{shardAdvert("n4", "/grid/g4/n4", 1, "sy")}, until)
@@ -183,8 +183,8 @@ func TestShardRouterLookupLifecycle(t *testing.T) {
 func TestShardRouterRetryWalksReplicas(t *testing.T) {
 	sr := NewShardRouter("n0", 8, 3, 16)
 	sr.Refresh(routerView(6))
-	msg, ok := sr.Begin("sx", "q1")
-	if !ok {
+	msg, _ := sr.Begin("sx", "q1")
+	if msg == nil {
 		t.Fatal("Begin")
 	}
 	sr.Begin("sx", "q0")
@@ -220,7 +220,7 @@ func TestShardRouterRetryWalksReplicas(t *testing.T) {
 		t.Fatalf("a second Retry after the give-up = %+v, %v; want nothing", msg, abandoned)
 	}
 	// The exhausted lookup is gone: a fresh Begin starts over.
-	if _, ok := sr.Begin("sx", "q1"); !ok {
+	if msg, _ := sr.Begin("sx", "q1"); msg == nil {
 		t.Fatal("exhausted lookup must allow a fresh Begin")
 	}
 }
@@ -239,8 +239,8 @@ func TestShardRouterSourceDown(t *testing.T) {
 	m2, _ := sr.Begin("sb", "q2")
 	sr.Complete(m2.Nonce, []Advertisement{shardAdvert("n4", "/grid/g4/n4", 1, "sb")}, time.Time{})
 
-	m3, ok := sr.Begin("sc", "q3")
-	if !ok {
+	m3, _ := sr.Begin("sc", "q3")
+	if m3 == nil {
 		t.Fatal("Begin sc")
 	}
 	resend, abandoned := sr.SourceDown(m3.To)
@@ -269,7 +269,7 @@ func TestShardRouterSourceDown(t *testing.T) {
 	var asked []string
 	for i := 0; len(asked) < 2; i++ {
 		l := fmt.Sprintf("l%d", i)
-		if _, ok := solo.Begin(l, "q2"); ok {
+		if msg, _ := solo.Begin(l, "q2"); msg != nil {
 			solo.Begin(l, "q1")
 			asked = append(asked, l)
 		}
@@ -289,8 +289,8 @@ func TestShardRouterCacheLRU(t *testing.T) {
 	sr := NewShardRouter("n0", 8, 2, 2)
 	sr.Refresh(routerView(6))
 	install := func(label, src string) {
-		m, ok := sr.Begin(label, "q")
-		if !ok {
+		m, _ := sr.Begin(label, "q")
+		if m == nil {
 			t.Fatalf("Begin %s", label)
 		}
 		if _, ok := sr.Complete(m.Nonce, []Advertisement{shardAdvert(src, "/grid/g1/"+src, 1, label)}, time.Time{}); !ok {
@@ -398,12 +398,12 @@ func TestShardRouterMemoFollowsView(t *testing.T) {
 		// are the replica set minus this node, and stay what they were.
 		for k := 0; k < 4; k++ {
 			label := fmt.Sprintf("step%d-l%d", step, k)
-			msg, ok := sr.Begin(label, "q")
-			fmsg, fok := fresh.Begin(label, "q")
-			if ok != fok {
-				t.Fatalf("step %d: Begin(%s) ok = %v, fresh router %v", step, label, ok, fok)
+			msg, _ := sr.Begin(label, "q")
+			fmsg, _ := fresh.Begin(label, "q")
+			if (msg == nil) != (fmsg == nil) {
+				t.Fatalf("step %d: Begin(%s) = %+v, fresh router %+v", step, label, msg, fmsg)
 			}
-			if !ok {
+			if msg == nil {
 				continue
 			}
 			p, fp := sr.pending[label], fresh.pending[label]
@@ -462,8 +462,8 @@ func BenchmarkShardLookupBegin(b *testing.B) {
 		labels[i] = fmt.Sprintf("seg%02d", i)
 	}
 	ask := func(i int) {
-		msg, ok := sr.Begin(labels[i%len(labels)], "q")
-		if !ok {
+		msg, _ := sr.Begin(labels[i%len(labels)], "q")
+		if msg == nil {
 			b.Fatal("no replica to ask")
 		}
 		sr.Complete(msg.Nonce, nil, time.Time{})
@@ -475,5 +475,98 @@ func BenchmarkShardLookupBegin(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ask(i)
+	}
+}
+
+// TestShardRouterWaitersMatchMapReference holds a lookup's waiter slice to
+// the map it replaced: queries joined in any order, with repeats and with
+// id-less joins, come back sorted and each once — what listing the map
+// and sorting gave — from Complete and from Retry's give-up. While the
+// lookup is pending, pendingWith lists it exactly for the live ids that
+// joined it.
+func TestShardRouterWaitersMatchMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 300; trial++ {
+		sr := NewShardRouter("n0", 8, 2, 16)
+		sr.Refresh(routerView(6))
+		label := fmt.Sprintf("l%d", trial)
+		ref := make(map[string]bool)
+		var msg *ShardLookup
+		for j := 0; j < 1+rng.Intn(10); j++ {
+			id := ""
+			if rng.Intn(6) > 0 {
+				id = fmt.Sprintf("q%d", rng.Intn(7))
+				ref[id] = true
+			}
+			if m, _ := sr.Begin(label, id); m != nil {
+				msg = m
+			}
+		}
+		if msg == nil {
+			t.Fatalf("trial %d: no Begin started a lookup", trial)
+		}
+		want := make([]string, 0, len(ref))
+		for id := range ref {
+			want = append(want, id)
+		}
+		sort.Strings(want)
+		for i := 0; i < 7; i++ {
+			id := fmt.Sprintf("q%d", i)
+			got := sr.pendingWith(func(w string) bool { return w == id })
+			if wantPending := ref[id]; wantPending != slices.Equal(got, []string{label}) || (!wantPending && got != nil) {
+				t.Fatalf("trial %d: pendingWith(%s) = %v, joined %v", trial, id, got, ref[id])
+			}
+		}
+		var got []string
+		if trial%2 == 0 {
+			got, _ = sr.Complete(msg.Nonce, nil, time.Time{})
+		} else {
+			for m := msg; m != nil; {
+				m, got = sr.Retry(msg.Nonce)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: waiters %v, the map's %v", trial, got, want)
+		}
+		if sr.pendingWith(func(string) bool { return true }) != nil {
+			t.Fatalf("trial %d: the lookup is still pending", trial)
+		}
+	}
+}
+
+// TestShardRouterCompleteKeepsNewestDescriptor: two lookups name the same
+// source and their replies land out of order, the newer advert first. The
+// older advert leaves the held descriptor be, though its source still
+// counts as a candidate of its label. An advert equal to the held one is
+// not copied again (the held labels stay the ones held), and a newer one
+// replaces it.
+func TestShardRouterCompleteKeepsNewestDescriptor(t *testing.T) {
+	sr := NewShardRouter("n0", 8, 2, 16)
+	sr.Refresh(routerView(6))
+	ma, _ := sr.Begin("sa", "q1")
+	mb, _ := sr.Begin("sb", "q2")
+	if ma == nil || mb == nil {
+		t.Fatal("Begin")
+	}
+	sr.Complete(mb.Nonce, []Advertisement{shardAdvert("n3", "/grid/g3/v5", 5, "sa", "sb")}, time.Time{})
+	sr.Complete(ma.Nonce, []Advertisement{shardAdvert("n3", "/grid/g3/v4", 4, "sa", "sb")}, time.Time{})
+	held, ok := sr.Desc("n3")
+	if !ok || held.Name.String() != "/grid/g3/v5" {
+		t.Fatalf("Desc(n3) = %v after the older reply landed, want the seq-5 record /grid/g3/v5", held.Name)
+	}
+	if srcs, ok := sr.CachedSources("sa", time.Time{}); !ok || !slices.Equal(srcs, []string{"n3"}) {
+		t.Fatalf("CachedSources(sa) = %v, %v; want [n3]", srcs, ok)
+	}
+
+	mc, _ := sr.Begin("sc", "q3")
+	sr.Complete(mc.Nonce, []Advertisement{shardAdvert("n3", "/grid/g3/v5", 5, "sa", "sb")}, time.Time{})
+	if again, _ := sr.Desc("n3"); &again.Labels[0] != &held.Labels[0] {
+		t.Fatal("an advert equal to the held descriptor was copied again")
+	}
+
+	md, _ := sr.Begin("sd", "q4")
+	sr.Complete(md.Nonce, []Advertisement{shardAdvert("n3", "/grid/g3/v6", 6, "sa")}, time.Time{})
+	if newer, _ := sr.Desc("n3"); newer.Name.String() != "/grid/g3/v6" || !slices.Equal(newer.Labels, []string{"sa"}) {
+		t.Fatalf("Desc(n3) = %+v after a newer reply, want the seq-6 record", newer)
 	}
 }

@@ -32,7 +32,7 @@ type swimProto struct {
 	suspectTO  time.Duration // probe → eviction window
 	sampler    *gossip.Sampler
 	samplerVer uint64 // directory version at last ring refresh
-	piggy      *gossip.Queue
+	piggy      *gossip.Queue[MemberUpdate]
 
 	// Probes are numbered as sent and every probe's timeout runs the same
 	// half period after it, so timeouts fire in the order the probes went
@@ -60,7 +60,7 @@ func newSwim(cfg Config) *swimProto {
 		suspectTO:  suspectPeriods * cfg.HeartbeatInterval,
 		sampler:    gossip.NewSampler(cfg.GossipSeed ^ int64(h.Sum64())),
 		samplerVer: ^uint64(0),
-		piggy:      gossip.NewQueue(),
+		piggy:      gossip.NewQueue[MemberUpdate](),
 		probes:     make(map[uint64]*probeState),
 		suspects:   make(map[string]time.Time),
 		pickExcl:   make(map[string]bool, 2),
@@ -404,10 +404,10 @@ func (n *Node) checkPeerState(peer, syncWith string, advSeq, digest uint64, now 
 
 // enqueuePiggy adds a membership update to the piggyback buffer with a
 // fresh λ·⌈log₂(n+1)⌉ retransmit budget (n = every source the directory
-// knows of). Per-source rank ordering makes newer protocol states
+// has a record of). Per-source rank ordering makes newer protocol states
 // supersede queued older ones. Callers hold n.mu.
 func (n *Node) enqueuePiggy(u MemberUpdate) {
-	n.member.swim.piggy.Put(u.Adv.Source, updateRank(u), u, gossip.Budget(gossipRetransmit, len(n.dir.AllSources())))
+	n.member.swim.piggy.Put(u.Adv.Source, updateRank(u), u, gossip.Budget(gossipRetransmit, n.dir.Records()))
 }
 
 // updateRank orders piggyback updates about the same source: higher
@@ -424,17 +424,10 @@ func updateRank(u MemberUpdate) uint64 {
 	return r
 }
 
-// takePiggy drains up to the per-message piggyback cap from the buffer.
+// takePiggy drains up to the per-message piggyback cap from the buffer,
+// into a slice the outgoing frame owns.
 func (sw *swimProto) takePiggy() []MemberUpdate {
-	items := sw.piggy.Take(gossipMaxPiggyback)
-	if len(items) == 0 {
-		return nil
-	}
-	out := make([]MemberUpdate, len(items))
-	for i, it := range items {
-		out[i] = it.(MemberUpdate)
-	}
-	return out
+	return sw.piggy.Take(gossipMaxPiggyback)
 }
 
 // observeConvergence records how long a membership update took to reach

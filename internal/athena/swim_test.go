@@ -327,3 +327,69 @@ func TestGossipControlPlaneCheaperThanFlood(t *testing.T) {
 		t.Errorf("gossip control plane = %d B/node, flood = %d B/node; want gossip <= 33%%", gossip, flood)
 	}
 }
+
+// BenchmarkSwimProbeRound is one SWIM probe round between two members
+// whose piggyback buffers are full: a's sendProbe, b's handlePing and
+// sendAck, a's handleAck. Each frame carries gossipMaxPiggyback updates its
+// receiver already has, so nothing is applied and no sync starts; what is
+// left is the two frames and their update lists (4 allocs/op; 10 when a
+// piggyback take boxed, sorted through reflection and copied its
+// updates). ci.sh gates the allocs/op.
+func BenchmarkSwimProbeRound(b *testing.B) {
+	var descs []object.Descriptor
+	for i := 0; i < 18; i++ {
+		id := fmt.Sprintf("m%02d", i)
+		descs = append(descs, object.Descriptor{
+			Name: names.MustParse("/cam/" + id), Size: 1000, Source: id,
+			Labels: []string{"l" + id}, Validity: time.Minute, ProbTrue: 0.8,
+		})
+	}
+	member := func(i int) (*Node, *recTransport) {
+		desc := descs[i]
+		rec := &recTransport{}
+		auth := trust.NewAuthority()
+		n, err := New(Config{
+			ID: desc.Source, Transport: rec, Router: &StaticRouter{Self: desc.Source}, Timers: noTimers{},
+			Scheme: SchemeLVF, Directory: NewDirectory(descs), Descriptor: &desc,
+			Authority: auth, Signer: auth.Register(desc.Source, []byte("k")), Policy: trust.TrustAll(),
+			DisablePrefetch: true, HeartbeatInterval: time.Second, GossipFanout: 2,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		// Every other member's current advert, with a budget no run spends.
+		for j, d := range descs {
+			if j != i {
+				u := MemberUpdate{Adv: advertisementOf(d, uint64(j)+1)}
+				n.member.swim.piggy.Put(d.Source, updateRank(u), u, 1<<30)
+			}
+		}
+		return n, rec
+	}
+	a, ra := member(0)
+	bn, rb := member(1)
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	bn.mu.Lock()
+	defer bn.mu.Unlock()
+	now := a.now()
+	round := func() {
+		ra.sent, rb.sent = ra.sent[:0], rb.sent[:0]
+		a.sendProbe(bn.id, now)
+		bn.handlePing(ra.sent[0].payload.(*Ping))
+		if len(rb.sent) != 1 {
+			b.Fatalf("b answered a probe with %d frames, want its ack alone", len(rb.sent))
+		}
+		a.handleAck(rb.sent[0].payload.(*Ack))
+	}
+	round()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+	b.StopTimer()
+	if ups := len(ra.sent[0].payload.(*Ping).Updates); ups != gossipMaxPiggyback || len(a.member.swim.probes) != 0 {
+		b.Fatalf("a ping carried %d updates with %d probes open, want %d and none", ups, len(a.member.swim.probes), gossipMaxPiggyback)
+	}
+}

@@ -9,8 +9,11 @@
 package gossip
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // Sampler deals peers in SWIM's round-robin random order: every peer is
@@ -143,41 +146,48 @@ func Budget(lambda, n int) int {
 }
 
 // queueEntry is one update awaiting dissemination.
-type queueEntry struct {
+type queueEntry[T any] struct {
 	key     string
 	rank    uint64
-	payload any
+	payload T
 	sends   int
 	budget  int
 }
 
-// Queue is the bounded piggyback buffer: updates keyed by subject, each
-// carrying a precedence rank (newer protocol state replaces older) and a
-// retransmit budget. Take prefers the least-transmitted updates (SWIM's
-// freshness bias) and drops entries whose budget is spent.
-type Queue struct {
-	entries map[string]*queueEntry
-	ordered []*queueEntry // Take's sort scratch, reused across calls
+// Queue is the bounded piggyback buffer: updates of type T keyed by
+// subject, each carrying a precedence rank (newer protocol state replaces
+// older) and a retransmit budget. Take prefers the least-transmitted
+// updates (SWIM's freshness bias) and drops entries whose budget is spent.
+// Payloads are held by value: a Put boxes nothing, and a Take copies them
+// into the one slice it returns.
+type Queue[T any] struct {
+	entries map[string]*queueEntry[T]
+	ordered []*queueEntry[T] // Take's sort scratch, reused across calls
 }
 
 // NewQueue returns an empty piggyback queue.
-func NewQueue() *Queue {
-	return &Queue{entries: make(map[string]*queueEntry)}
+func NewQueue[T any]() *Queue[T] {
+	return &Queue[T]{entries: make(map[string]*queueEntry[T])}
 }
 
 // Put inserts or supersedes the update for key. A strictly higher rank
 // replaces the stored update and resets its transmit count; an equal or
 // lower rank is stale and ignored. Returns whether the update was stored.
-func (q *Queue) Put(key string, rank uint64, payload any, budget int) bool {
-	if e, ok := q.entries[key]; ok && rank <= e.rank {
+func (q *Queue[T]) Put(key string, rank uint64, payload T, budget int) bool {
+	e, ok := q.entries[key]
+	if ok && rank <= e.rank {
 		return false
 	}
-	q.entries[key] = &queueEntry{key: key, rank: rank, payload: payload, budget: budget}
+	if !ok {
+		e = new(queueEntry[T])
+		q.entries[key] = e
+	}
+	*e = queueEntry[T]{key: key, rank: rank, payload: payload, budget: budget}
 	return true
 }
 
 // Rank returns the stored precedence rank for key (0 when absent).
-func (q *Queue) Rank(key string) uint64 {
+func (q *Queue[T]) Rank(key string) uint64 {
 	if e, ok := q.entries[key]; ok {
 		return e.rank
 	}
@@ -187,7 +197,8 @@ func (q *Queue) Rank(key string) uint64 {
 // Take returns up to max payloads for piggybacking on an outgoing message,
 // least-transmitted first (ties broken by key for determinism), charging
 // one transmission to each and evicting entries whose budget is exhausted.
-func (q *Queue) Take(max int) []any {
+// The returned slice is the caller's own, and the only allocation.
+func (q *Queue[T]) Take(max int) []T {
 	if max <= 0 || len(q.entries) == 0 {
 		return nil
 	}
@@ -195,16 +206,18 @@ func (q *Queue) Take(max int) []any {
 	for _, e := range q.entries {
 		ordered = append(ordered, e)
 	}
-	sort.Slice(ordered, func(a, b int) bool {
-		if ordered[a].sends != ordered[b].sends {
-			return ordered[a].sends < ordered[b].sends
+	// Keys are distinct, so the order is total and an unstable sort is
+	// deterministic.
+	slices.SortFunc(ordered, func(a, b *queueEntry[T]) int {
+		if a.sends != b.sends {
+			return cmp.Compare(a.sends, b.sends)
 		}
-		return ordered[a].key < ordered[b].key
+		return strings.Compare(a.key, b.key)
 	})
 	if max > len(ordered) {
 		max = len(ordered)
 	}
-	out := make([]any, 0, max)
+	out := make([]T, 0, max)
 	for _, e := range ordered[:max] {
 		out = append(out, e.payload)
 		e.sends++
@@ -212,12 +225,10 @@ func (q *Queue) Take(max int) []any {
 			delete(q.entries, e.key)
 		}
 	}
-	for i := range ordered {
-		ordered[i] = nil // drop entry references so evictions can collect
-	}
+	clear(ordered) // drop entry references so evictions can collect
 	q.ordered = ordered[:0]
 	return out
 }
 
 // Len is the number of updates still awaiting dissemination.
-func (q *Queue) Len() int { return len(q.entries) }
+func (q *Queue[T]) Len() int { return len(q.entries) }

@@ -1,7 +1,10 @@
 package gossip
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -129,7 +132,7 @@ func TestBudgetGrowsLogarithmically(t *testing.T) {
 }
 
 func TestQueueRankSupersedes(t *testing.T) {
-	q := NewQueue()
+	q := NewQueue[string]()
 	if !q.Put("src", 5, "old", 10) {
 		t.Fatal("first Put rejected")
 	}
@@ -143,7 +146,7 @@ func TestQueueRankSupersedes(t *testing.T) {
 		t.Fatal("higher-rank Put rejected")
 	}
 	got := q.Take(1)
-	if len(got) != 1 || got[0].(string) != "new" {
+	if len(got) != 1 || got[0] != "new" {
 		t.Fatalf("Take = %v, want [new]", got)
 	}
 	if q.Rank("src") != 6 {
@@ -155,7 +158,7 @@ func TestQueueRankSupersedes(t *testing.T) {
 }
 
 func TestQueueBudgetExhaustion(t *testing.T) {
-	q := NewQueue()
+	q := NewQueue[string]()
 	q.Put("a", 1, "a1", 2)
 	for i := 0; i < 2; i++ {
 		if got := q.Take(4); len(got) != 1 {
@@ -171,35 +174,134 @@ func TestQueueBudgetExhaustion(t *testing.T) {
 }
 
 func TestQueuePrefersLeastTransmitted(t *testing.T) {
-	q := NewQueue()
+	q := NewQueue[string]()
 	q.Put("a", 1, "a", 10)
 	q.Put("b", 1, "b", 10)
 	q.Take(2) // both at 1 send
 	q.Put("c", 1, "c", 10)
 	got := q.Take(1)
-	if len(got) != 1 || got[0].(string) != "c" {
+	if len(got) != 1 || got[0] != "c" {
 		t.Fatalf("Take = %v, want the fresh update c", got)
 	}
 	// Now all at 1 send; ties break by key deterministically.
 	got = q.Take(2)
-	if len(got) != 2 || got[0].(string) != "a" || got[1].(string) != "b" {
+	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("tie-break Take = %v, want [a b]", got)
 	}
 }
 
 func TestQueueRankResetsBudget(t *testing.T) {
-	q := NewQueue()
+	q := NewQueue[string]()
 	q.Put("src", 1, "v1", 2)
 	q.Take(1)
 	// A superseding update starts a fresh retransmit budget.
 	q.Put("src", 2, "v2", 2)
 	for i := 0; i < 2; i++ {
 		got := q.Take(1)
-		if len(got) != 1 || got[0].(string) != "v2" {
+		if len(got) != 1 || got[0] != "v2" {
 			t.Fatalf("Take %d = %v, want v2", i, got)
 		}
 	}
 	if q.Len() != 0 {
 		t.Fatalf("len=%d after budget spent", q.Len())
+	}
+}
+
+// refTake is Take before the queue was generic, verbatim but for its
+// entry type: sort.Slice over (sends, key), one transmission charged to
+// each payload taken.
+func refTake(entries map[string]*refEntry, max int) []string {
+	if max <= 0 || len(entries) == 0 {
+		return nil
+	}
+	var ordered []*refEntry
+	for _, e := range entries {
+		ordered = append(ordered, e)
+	}
+	sort.Slice(ordered, func(a, b int) bool {
+		if ordered[a].sends != ordered[b].sends {
+			return ordered[a].sends < ordered[b].sends
+		}
+		return ordered[a].key < ordered[b].key
+	})
+	if max > len(ordered) {
+		max = len(ordered)
+	}
+	out := make([]string, 0, max)
+	for _, e := range ordered[:max] {
+		out = append(out, e.payload)
+		e.sends++
+		if e.sends >= e.budget {
+			delete(entries, e.key)
+		}
+	}
+	return out
+}
+
+// refEntry is refTake's queue entry.
+type refEntry struct {
+	key     string
+	rank    uint64
+	payload string
+	sends   int
+	budget  int
+}
+
+// TestQueueTakeMatchesSortSlice drives the queue and the sort.Slice
+// reference with the same random Puts and Takes — few keys, so entries
+// supersede and tie on sends — and wants every Take to return the same
+// payloads in the same order.
+func TestQueueTakeMatchesSortSlice(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		q := NewQueue[string]()
+		ref := make(map[string]*refEntry)
+		for op := 0; op < 400; op++ {
+			if rng.Intn(3) > 0 {
+				key := fmt.Sprintf("k%02d", rng.Intn(12))
+				rank, budget := uint64(rng.Intn(6)), 1+rng.Intn(5)
+				payload := fmt.Sprintf("%s@%d/%d", key, rank, op)
+				stored := q.Put(key, rank, payload, budget)
+				if e, ok := ref[key]; !ok || rank > e.rank {
+					ref[key] = &refEntry{key: key, rank: rank, payload: payload, budget: budget}
+					if !stored {
+						t.Fatalf("seed %d op %d: Put(%s, %d) refused", seed, op, key, rank)
+					}
+				} else if stored {
+					t.Fatalf("seed %d op %d: stale Put(%s, %d) stored", seed, op, key, rank)
+				}
+				continue
+			}
+			max := rng.Intn(6)
+			got, want := q.Take(max), refTake(ref, max)
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d op %d: Take(%d) = %v, the sort.Slice queue's %v", seed, op, max, got, want)
+			}
+			if q.Len() != len(ref) {
+				t.Fatalf("seed %d op %d: Len = %d, want %d", seed, op, q.Len(), len(ref))
+			}
+		}
+	}
+}
+
+// TestQueueTakeAllocatesItsSliceOnly: a Take copies the payloads into
+// the slice it returns and allocates nothing else — no sort closure or
+// swapper, no boxed payload — and a Put that supersedes an entry
+// rewrites it in place.
+func TestQueueTakeAllocatesItsSliceOnly(t *testing.T) {
+	q := NewQueue[string]()
+	for i := 0; i < 40; i++ {
+		q.Put(fmt.Sprintf("k%02d", i), 1, "v", 1000)
+	}
+	q.Take(8) // size the sort scratch
+	if got := testing.AllocsPerRun(100, func() { q.Take(8) }); got != 1 {
+		t.Errorf("Take allocates %v times, want 1", got)
+	}
+	rank := uint64(1)
+	if got := testing.AllocsPerRun(100, func() {
+		rank++
+		q.Put("k00", rank, "v", 1000)
+	}); got != 0 {
+		t.Errorf("a superseding Put allocates %v times, want 0", got)
 	}
 }
