@@ -31,7 +31,9 @@
 //	athena-sim -fig dump       # fixed-seed gossip+churn cluster; prints
 //	                           # the full outcome as deterministic JSON
 //	                           # (byte-identical run to run and at any GOMAXPROCS);
-//	                           # -shards N runs it on a sharded directory
+//	                           # -shards N runs it on a sharded directory;
+//	                           # -codec puts the wire codec in the loop,
+//	                           # which must not change a byte
 //	athena-sim -fig smoke      # n=2048 gossip+sharding membership fleet;
 //	                           # prints the row as JSON
 //
@@ -53,6 +55,7 @@ import (
 	"athena"
 	iathena "athena/internal/athena"
 	"athena/internal/experiment"
+	"athena/internal/wire"
 )
 
 func main() {
@@ -72,6 +75,7 @@ func run() error {
 		quick   = flag.Bool("quick", false, "smaller workload for a fast smoke run")
 		batch   = flag.Duration("batch-window", 0, "data-plane coalescing window for the dump scenario (0 = batching off); CI diffs dump output with batching on and off")
 		shards  = flag.Int("shards", 0, "directory shards for the dump scenario, three replicas each (0 = every node a full replica); CI diffs dump output at 0 and 96")
+		codec   = flag.Bool("codec", false, "dump: deliver every frame through the wire codec (Decode(Encode(m))); CI diffs the output against the plain dump")
 		faults  = flag.Int("faults", -1, "chaos: run only the first N faults of each schedule (-1 = all); a violation prints the N that replays it")
 	)
 	flag.Parse()
@@ -79,7 +83,7 @@ func run() error {
 	// The CI scenarios bypass the figure machinery entirely.
 	switch *fig {
 	case "dump":
-		return runDump(*seed, *batch, *shards)
+		return runDump(*seed, *batch, *shards, *codec)
 	case "smoke":
 		return runSmoke(*seed, *quick)
 	case "chaos":
@@ -297,9 +301,12 @@ type dumpOutcome struct {
 // data-plane batching at batchWindow (0 = off) and
 // the directory in shards name-prefix shards (0 = a full replica on every
 // node), the only configuration a recorded output issues sharded queries
-// in.
-func dumpCluster(seed int64, batchWindow time.Duration, shards int) (*athena.Cluster, error) {
+// in. With codec set every frame goes through the wire codec.
+func dumpCluster(seed int64, batchWindow time.Duration, shards int, codec bool) (*athena.Cluster, error) {
 	f := iathena.DumpFleet(batchWindow, shards)
+	if codec {
+		f.Cluster.Codec = wire.Codec{}
+	}
 	wcfg := f.Workload
 	wcfg.Seed = seed
 	s, err := athena.GenerateScenario(wcfg)
@@ -312,9 +319,10 @@ func dumpCluster(seed int64, batchWindow time.Duration, shards int) (*athena.Clu
 // runDump runs the dump scenario (dumpCluster) and prints the complete
 // outcome as JSON. The output is byte-identical run to run and at any
 // GOMAXPROCS; CI diffs it across both, with data-plane batching both off
-// and on (-batch-window) and on a full and a sharded directory (-shards).
-func runDump(seed int64, batchWindow time.Duration, shards int) error {
-	cluster, err := dumpCluster(seed, batchWindow, shards)
+// and on (-batch-window), on a full and a sharded directory (-shards), and
+// against the same run with the codec in the loop (-codec).
+func runDump(seed int64, batchWindow time.Duration, shards int, codec bool) error {
+	cluster, err := dumpCluster(seed, batchWindow, shards, codec)
 	if err != nil {
 		return err
 	}

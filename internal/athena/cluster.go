@@ -72,6 +72,11 @@ type ClusterConfig struct {
 	ChurnEvents int
 	// ChurnOutage is each churned node's downtime (default 30s).
 	ChurnOutage time.Duration
+	// Codec, when set, puts a codec in the simulator's loop
+	// (transport.NewSimCodec): every receiver gets Decode(Encode(m)), not
+	// the sender's m. Outcomes must be byte-identical to a run without it
+	// (internal/wire's codec; athena-sim -fig dump -codec).
+	Codec transport.Codec
 	// Deprecated: ignored; bench/ compiles against it. Every node runs
 	// on the kernel's one lane.
 	Workers int
@@ -166,9 +171,13 @@ func NewCluster(s *workload.Scenario, cfg ClusterConfig) (*Cluster, error) {
 		if cfg.HeartbeatInterval > 0 {
 			nodeDir = NewDirectory(s.Sources)
 		}
+		tr := transport.NewSim(net, p.ID)
+		if cfg.Codec != nil {
+			tr = transport.NewSimCodec(net, p.ID, cfg.Codec)
+		}
 		node, err := New(Config{
 			ID:                p.ID,
-			Transport:         transport.NewSim(net, p.ID),
+			Transport:         tr,
 			Router:            net,
 			Timers:            LaneTimers{Lane: net.LaneOf(p.ID)},
 			Scheme:            cfg.Scheme,

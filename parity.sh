@@ -28,6 +28,8 @@
 # table (-fig misses) is the expired queries' post-mortem, sorted by cause;
 # the chaos rows (-fig chaos) are fleets under seeded fault schedules; the
 # sweep rows (-fig sweep) are decisions compared across same-instant orders.
+# The codec cell is the dump with every frame through the wire codec
+# (-codec), which must equal the plain dump byte for byte.
 # One `same`/`DIFFERS` line per cell; exits non-zero on any difference.
 set -eu
 
@@ -77,6 +79,8 @@ for window in 0 10ms; do
 	cell "dump shards=96 batch-window=$window" "" -fig dump -shards 96 -batch-window "$window"
 	cell "dump shards=96 GOMAXPROCS=1 batch-window=$window" GOMAXPROCS=1 -fig dump -shards 96 -batch-window "$window"
 done
+# -codec is newer (ROADMAP item 24): a BASE without it fails this cell.
+cell "dump -codec shards=96 batch-window=10ms (new: a BASE before it differs)" "" -fig dump -codec -shards 96 -batch-window 10ms
 for fig in 2 3 a1 a2 a3 a4 a5 a6 a7 a8 a9 a11; do
 	cell "fig $fig -quick" "" -fig "$fig" -quick
 done
