@@ -142,12 +142,19 @@ fi
 # node that verifies, or copies, a shared label record it already holds —
 # baseline 0, 3 when every arriving record was copied; a batch pump that
 # walks the directory for its targets again instead of its query's target
-# table — 22 allocs/op, requestObject's own, and 40 when it walked; a
+# table — 15 allocs/op, requestObject's own, and 40 when it walked; a
 # shard owner whose lookup reply copies each covering record's labels
 # again — 2 allocs/op, the reply and its advert list, 6 when it copied;
 # a SWIM probe round whose piggyback takes box, reflect-sort and copy
 # their updates again — 4 allocs/op, two frames and their update lists,
-# 10 when they did).
+# 10 when they did; a Sec. VII lvfl run whose fetch path allocates more
+# than its frames again — growing a request's labels by append, a slice
+# per new cached label, a queue re-sliced from the front, a closure and an
+# event per drain, a copy of the labels per data message: 5 121 allocs/op,
+# 5 497 when it did, so its slack is 5 %, not 10 (the count moves by one
+# or two run to run); a content store
+# that allocates to put a new version of a name it holds — 0 allocs/op, 3
+# when each put built a new entry, list element and index node).
 # Refresh the baseline with `make bench` when an intentional change moves
 # one.
 # BenchmarkDecisionEngine, BenchmarkShardLookupBegin,
@@ -158,7 +165,7 @@ fi
 # internal/athena share one). BenchmarkDirectoryMemory runs without
 # -benchmem, as `make bench` records it: only its entries/node is gated.
 {
-	go test -run '^$' -bench '^Benchmark(Scheme|AblationPrefetch|SimKernel|BatchedFetch|DeliverObjectHistory|SelectSources|DirectoryDelta|ShardRefresh|LaneQueue|EncodeSmall|EncodeObjectData|DecodeSmall|Generate|PlanFor|LabelShare|PumpBatch)$/^(lvf|lvfl|sharded|sharded-owned|scoped|unchanged|w1|on|n2000|depth512|request|head|sec7|uncached|held|cmp)$' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire ./internal/workload
+	go test -run '^$' -bench '^Benchmark(Scheme|AblationPrefetch|SimKernel|BatchedFetch|DeliverObjectHistory|SelectSources|DirectoryDelta|ShardRefresh|LaneQueue|EncodeSmall|EncodeObjectData|DecodeSmall|Generate|PlanFor|LabelShare|PumpBatch|StorePut)$/^(lvf|lvfl|sharded|sharded-owned|scoped|unchanged|w1|on|n2000|depth512|request|head|sec7|uncached|held|cmp|replace)$' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire ./internal/workload ./internal/cache
 	go test -run '^$' -bench '^BenchmarkDirectoryMemory$/^sharded$' -benchtime 3x .
 	go test -run '^$' -bench '^BenchmarkDecisionEngine$' -benchmem -benchtime 3x .
 	go test -run '^$' -bench '^Benchmark(ShardLookupBegin|LookupReplies|ShardLookupServe|SwimProbeRound)$' -benchmem -benchtime 3x ./internal/athena
@@ -168,6 +175,7 @@ fi
 	tee /dev/stderr |
 	go run ./cmd/benchjson -check BENCH_core.json \
 		-gate 'BenchmarkScheme/lvf:allocs/op:10' \
+		-gate 'BenchmarkScheme/lvfl:allocs/op:5' \
 		-gate 'BenchmarkScheme/lvfl:frames/decision:10' \
 		-gate 'BenchmarkDecisionEngine:allocs/op:10' \
 		-gate 'BenchmarkAblationPrefetch/on:frames/decision:10' \
@@ -192,4 +200,5 @@ fi
 		-gate 'BenchmarkTCPClosedPairHeld:held-B/op:10' \
 		-gate 'BenchmarkPlanFor/uncached:allocs/op:10' \
 		-gate 'BenchmarkLabelShare/held:allocs/op:10' \
-		-gate 'BenchmarkPumpBatch/cmp:allocs/op:10'
+		-gate 'BenchmarkPumpBatch/cmp:allocs/op:10' \
+		-gate 'BenchmarkStorePut/replace:allocs/op:10'

@@ -450,7 +450,7 @@ func dataMsg(obj *object.Object, dest, queryID string, background bool) *ObjectD
 		Size:       obj.Size,
 		Created:    obj.Created,
 		Validity:   obj.Validity,
-		Labels:     append([]string(nil), obj.Labels...),
+		Labels:     obj.Labels, // read-only, as the object's (DESIGN §3.6)
 		SourceNode: obj.Source,
 		Origin:     dest,
 		QueryID:    queryID,
@@ -477,13 +477,15 @@ func (n *Node) sendDataTo(neighbor string, obj *object.Object, dest, queryID str
 	n.toNeighbor(neighbor, msg, msg.WireSize(), n.dataPriority(msg))
 }
 
+// dataToObject is the object a data message carries. Its labels are the
+// message's, shared: neither is written after it is made (DESIGN §3.6).
 func dataToObject(d *ObjectData) *object.Object {
 	return &object.Object{
 		ID:       object.ID{Name: names.MustParse(d.Object), Version: d.Version},
 		Size:     d.Size,
 		Created:  d.Created,
 		Validity: d.Validity,
-		Labels:   append([]string(nil), d.Labels...),
+		Labels:   d.Labels,
 		Source:   d.SourceNode,
 	}
 }
@@ -695,15 +697,18 @@ func (n *Node) handleLabelShare(from string, s *LabelShare) {
 	n.pump(q)
 }
 
-// kick schedules a drain, unless one is already scheduled. Callers hold
-// n.mu.
+// kick schedules a drain, unless one is already scheduled. Nothing stops
+// a drain, so it goes on the timers' pooled events. Callers hold n.mu.
 func (n *Node) kick() {
 	if n.draining {
 		return
 	}
 	n.draining = true
-	n.timers.After(0, n.drain)
+	n.timers.AfterArg(0, n.drainFn, nil)
 }
+
+// drainTimer is drain in the shape Timers.AfterArg calls (n.drainFn).
+func (n *Node) drainTimer(any) { n.drain() }
 
 // drain processes the fetch queue fully, then lets the prefetcher serve a
 // background push if one is due (the prefetch queue is only served when
@@ -724,15 +729,19 @@ func (n *Node) drain() {
 	slices.SortStableFunc(n.fetchQ, func(a, b queuedRequest) int {
 		return cmp.Compare(a.urgency, b.urgency)
 	})
-	for len(n.fetchQ) > 0 {
-		qr := n.fetchQ[0]
-		n.fetchQ = n.fetchQ[1:]
+	// By index, re-reading the queue: a dispatch may append to it, and
+	// what it appends is drained in this pass, after the sorted entries.
+	// The queue keeps its backing array for the next drain.
+	for i := 0; i < len(n.fetchQ); i++ {
+		req := n.fetchQ[i].req
 		// Checked per entry: a dispatch can finish a query whose other
 		// requests are still queued, and those are no longer owed.
-		if q, live := n.queries[qr.req.QueryID]; live {
-			n.dispatchRequest(q, qr.req)
+		if q, live := n.queries[req.QueryID]; live {
+			n.dispatchRequest(q, req)
 		}
 	}
+	clear(n.fetchQ)
+	n.fetchQ = n.fetchQ[:0]
 
 	if n.prefetch != nil {
 		n.pushNext()

@@ -6,7 +6,6 @@
 package cache
 
 import (
-	"container/list"
 	"sort"
 	"time"
 
@@ -35,13 +34,16 @@ type Store struct {
 	capacity int64
 	used     int64
 	index    names.Trie[*entry]
-	lru      list.List // front = most recently used
-	stats    Stats
+	// head and tail end the LRU list threaded through the entries: head
+	// is the most recently used.
+	head, tail *entry
+	stats      Stats
 }
 
+// entry is one cached object and its place in the LRU list.
 type entry struct {
-	obj *object.Object
-	elt *list.Element // element value is the entry itself
+	obj        *object.Object
+	prev, next *entry // toward head, toward tail
 }
 
 // NewStore returns a content store bounded to capacity bytes. A capacity
@@ -74,20 +76,30 @@ func (s *Store) Put(o *object.Object, now time.Time) {
 	if s.capacity > 0 && o.Size > s.capacity {
 		return
 	}
-	if old, ok := s.index.Get(o.ID.Name); ok {
-		s.removeEntry(o.ID.Name, old)
+	// A same-name entry is reused, index node and all. It is out of the
+	// list while room is made, so nothing below drops it, as if removed.
+	e, replacing := s.index.Get(o.ID.Name)
+	if replacing {
+		s.unlink(e)
+		s.used -= e.obj.Size
 	}
 	if s.capacity > 0 {
 		s.reap(now)
 		for s.used+o.Size > s.capacity {
 			if !s.evictLRU() {
+				if replacing {
+					s.index.Delete(o.ID.Name)
+				}
 				return
 			}
 		}
 	}
-	e := &entry{obj: o}
-	e.elt = s.lru.PushFront(e)
-	s.index.Put(o.ID.Name, e)
+	if !replacing {
+		e = &entry{}
+		s.index.Put(o.ID.Name, e)
+	}
+	e.obj = o
+	s.pushFront(e)
 	s.used += o.Size
 }
 
@@ -100,12 +112,13 @@ func (s *Store) Get(name names.Name, now time.Time) (*object.Object, bool) {
 		return nil, false
 	}
 	if !e.obj.FreshAt(now) {
-		s.removeEntry(name, e)
+		s.removeEntry(e)
 		s.stats.StaleDrops++
 		s.stats.Misses++
 		return nil, false
 	}
-	s.lru.MoveToFront(e.elt)
+	s.unlink(e)
+	s.pushFront(e)
 	s.stats.Hits++
 	return e.obj, true
 }
@@ -122,7 +135,8 @@ func (s *Store) GetApprox(name names.Name, minSimilarity float64, now time.Time)
 		s.stats.Misses++
 		return nil, false
 	}
-	s.lru.MoveToFront(e.elt)
+	s.unlink(e)
+	s.pushFront(e)
 	if match.Compare(name) == 0 {
 		s.stats.Hits++
 	} else {
@@ -136,36 +150,56 @@ func (s *Store) reap(now time.Time) {
 	// Scan the LRU list rather than walking the name index: the trie
 	// walk re-materializes every stored name, while the list already
 	// holds the entries. Removal is order-independent.
-	var next *list.Element
-	for elt := s.lru.Front(); elt != nil; elt = next {
-		next = elt.Next()
-		e, ok := elt.Value.(*entry)
-		if !ok || e.obj.FreshAt(now) {
-			continue
+	for e := s.head; e != nil; {
+		next := e.next
+		if !e.obj.FreshAt(now) {
+			s.removeEntry(e)
+			s.stats.StaleDrops++
 		}
-		s.removeEntry(e.obj.ID.Name, e)
-		s.stats.StaleDrops++
+		e = next
 	}
 }
 
 func (s *Store) evictLRU() bool {
-	back := s.lru.Back()
-	if back == nil {
+	e := s.tail
+	if e == nil {
 		return false
 	}
-	e, ok := back.Value.(*entry)
-	if !ok {
-		return false
-	}
-	s.removeEntry(e.obj.ID.Name, e)
+	s.removeEntry(e)
 	s.stats.Evictions++
 	return true
 }
 
-func (s *Store) removeEntry(name names.Name, e *entry) {
-	s.index.Delete(name)
-	s.lru.Remove(e.elt)
+func (s *Store) removeEntry(e *entry) {
+	s.index.Delete(e.obj.ID.Name)
+	s.unlink(e)
 	s.used -= e.obj.Size
+}
+
+// pushFront makes e, which is in no list, the most recently used.
+func (s *Store) pushFront(e *entry) {
+	e.prev, e.next = nil, s.head
+	if s.head != nil {
+		s.head.prev = e
+	} else {
+		s.tail = e
+	}
+	s.head = e
+}
+
+// unlink takes e out of the LRU list.
+func (s *Store) unlink(e *entry) {
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		s.head = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	} else {
+		s.tail = e.prev
+	}
+	e.prev, e.next = nil, nil
 }
 
 // LabelCache stores shared label records (Section VI-D), keyed by label
@@ -178,8 +212,15 @@ type LabelCache struct {
 	// order an answer depends on. A label's slice is pruned in place and
 	// kept when it empties, so a label put again costs no allocation.
 	records map[string][]*trust.Label
-	stats   Stats
+	// slab backs new labels' slices: a label's first record takes one
+	// slot of it, so it costs no allocation of its own. A second
+	// annotator's record moves the label to a slice of its own.
+	slab  []*trust.Label
+	stats Stats
 }
+
+// labelSlab is how many labels' first records one slab holds.
+const labelSlab = 64
 
 // NewLabelCache returns an empty label cache.
 func NewLabelCache() *LabelCache {
@@ -199,7 +240,10 @@ func (c *LabelCache) Len() int {
 }
 
 // Reset drops every record, keeping the counters.
-func (c *LabelCache) Reset() { clear(c.records) }
+func (c *LabelCache) Reset() {
+	clear(c.records)
+	c.slab = nil
+}
 
 // Put caches a record, keeping only the freshest record per
 // (label, annotator).
@@ -212,6 +256,20 @@ func (c *LabelCache) Put(l *trust.Label) {
 			}
 			return
 		}
+	}
+	switch {
+	case cap(recs) == 0: // a new label: one slot of the slab
+		if len(c.slab) == cap(c.slab) {
+			c.slab = make([]*trust.Label, 0, labelSlab)
+		}
+		i := len(c.slab)
+		c.slab = c.slab[:i+1]
+		recs = c.slab[i : i : i+1]
+	case len(recs) == cap(recs): // append moves the label: let go of its old slots
+		grown := append(recs, l)
+		clear(recs)
+		c.records[l.Name] = grown
+		return
 	}
 	c.records[l.Name] = append(recs, l)
 }

@@ -102,6 +102,209 @@ func (c *mapLabelCache) Get(label string, policy *trust.Policy, now time.Time) (
 	return best, true
 }
 
+// sliceLabelCache is the map-of-slices LabelCache that gave each new label
+// a slice of its own, kept verbatim apart from its name as the reference
+// TestLabelCacheMatchesSliceReference runs the slab-backed cache against.
+type sliceLabelCache struct {
+	records map[string][]*trust.Label
+	stats   Stats
+}
+
+func newSliceLabelCache() *sliceLabelCache {
+	return &sliceLabelCache{records: make(map[string][]*trust.Label)}
+}
+
+func (c *sliceLabelCache) Stats() Stats { return c.stats }
+
+func (c *sliceLabelCache) Len() int {
+	n := 0
+	for _, recs := range c.records {
+		n += len(recs)
+	}
+	return n
+}
+
+func (c *sliceLabelCache) Reset() { clear(c.records) }
+
+func (c *sliceLabelCache) Put(l *trust.Label) {
+	recs := c.records[l.Name]
+	for i, prev := range recs {
+		if prev.Annotator == l.Annotator {
+			if !prev.Expiry().After(l.Expiry()) {
+				recs[i] = l
+			}
+			return
+		}
+	}
+	c.records[l.Name] = append(recs, l)
+}
+
+func (c *sliceLabelCache) Held(label, annotator string) *trust.Label {
+	for _, rec := range c.records[label] {
+		if rec.Annotator == annotator {
+			return rec
+		}
+	}
+	return nil
+}
+
+func (c *sliceLabelCache) All() []*trust.Label {
+	var out []*trust.Label
+	for _, recs := range c.records {
+		out = append(out, recs...)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Name != out[j].Name {
+			return out[i].Name < out[j].Name
+		}
+		return out[i].Annotator < out[j].Annotator
+	})
+	return out
+}
+
+func (c *sliceLabelCache) prune(label string, recs []*trust.Label, now time.Time) []*trust.Label {
+	kept := recs[:0]
+	for _, rec := range recs {
+		if rec.FreshAt(now) {
+			kept = append(kept, rec)
+		} else {
+			c.stats.StaleDrops++
+		}
+	}
+	if len(kept) < len(recs) {
+		clear(recs[len(kept):])
+		c.records[label] = kept
+	}
+	return kept
+}
+
+func (c *sliceLabelCache) Records(now time.Time) []trust.Label {
+	var out []trust.Label
+	for label, recs := range c.records {
+		for _, rec := range c.prune(label, recs, now) {
+			out = append(out, *rec)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Name != out[j].Name {
+			return out[i].Name < out[j].Name
+		}
+		return out[i].Annotator < out[j].Annotator
+	})
+	return out
+}
+
+func (c *sliceLabelCache) Get(label string, policy *trust.Policy, now time.Time) (*trust.Label, bool) {
+	var best *trust.Label
+	for _, rec := range c.prune(label, c.records[label], now) {
+		if !policy.Trusts(rec.Annotator) {
+			continue
+		}
+		if best == nil || rec.Expiry().After(best.Expiry()) ||
+			rec.Expiry().Equal(best.Expiry()) && rec.Signature < best.Signature {
+			best = rec
+		}
+	}
+	if best == nil {
+		c.stats.Misses++
+		return nil, false
+	}
+	c.stats.Hits++
+	return best, true
+}
+
+// TestLabelCacheMatchesSliceReference replays random Put/Get/Records/
+// Held/All/Reset sequences on the slab-backed cache and on the map of
+// slices it replaced, over enough labels that slabs fill and roll over
+// and with up to five annotators a label, so labels move off the slab:
+// every answer, Len and Stats must agree.
+func TestLabelCacheMatchesSliceReference(t *testing.T) {
+	auth := trust.NewAuthority()
+	annotators := []string{"ann0", "ann1", "ann2", "ann3", "ann4"}
+	signers := make([]trust.Signer, len(annotators))
+	for i, a := range annotators {
+		signers[i] = auth.Register(a, []byte(a+"-secret"))
+	}
+	policies := []*trust.Policy{trust.TrustAll(), trust.TrustOnly("ann1", "ann3"), trust.TrustOnly("ann4")}
+	labels := make([]string, 3*labelSlab)
+	for i := range labels {
+		labels[i] = fmt.Sprintf("l%03d", i)
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		slab, ref := NewLabelCache(), newSliceLabelCache()
+		now := t0
+		for op := 0; op < 3000; op++ {
+			label := labels[rng.Intn(len(labels))]
+			switch k := rng.Intn(200); {
+			case k < 100:
+				rec := &trust.Label{
+					Name:     label,
+					Value:    rng.Intn(2) == 0,
+					Computed: now.Add(-time.Duration(rng.Intn(3)) * time.Second),
+					Validity: time.Duration(rng.Intn(40)) * time.Second,
+				}
+				signers[rng.Intn(len(signers))].Sign(rec)
+				slab.Put(rec)
+				ref.Put(rec)
+			case k < 150:
+				p := policies[rng.Intn(len(policies))]
+				got, gok := slab.Get(label, p, now)
+				want, wok := ref.Get(label, p, now)
+				if got != want || gok != wok {
+					t.Fatalf("seed %d op %d: Get(%s) = %v, %v; reference %v, %v", seed, op, label, got, gok, want, wok)
+				}
+			case k < 160:
+				ann := annotators[rng.Intn(len(annotators))]
+				if got, want := slab.Held(label, ann), ref.Held(label, ann); got != want {
+					t.Fatalf("seed %d op %d: Held(%s, %s) = %v, reference %v", seed, op, label, ann, got, want)
+				}
+			case k < 163:
+				if got, want := slab.Records(now), ref.Records(now); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d op %d: Records differ from the reference", seed, op)
+				}
+			case k < 166:
+				if got, want := slab.All(), ref.All(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d op %d: All differs from the reference", seed, op)
+				}
+			case k < 167:
+				slab.Reset()
+				ref.Reset()
+			default:
+				now = now.Add(500 * time.Millisecond)
+			}
+			if slab.Len() != ref.Len() || slab.Stats() != ref.Stats() {
+				t.Fatalf("seed %d op %d: Len %d, Stats %+v; reference %d, %+v", seed, op, slab.Len(), slab.Stats(), ref.Len(), ref.Stats())
+			}
+		}
+	}
+}
+
+// New labels' first records share a slab: after a Reset (which keeps the
+// map's buckets), two slabs' worth of new labels cost two allocations,
+// where a slice per label cost one each.
+func TestLabelCacheNewLabelsShareASlab(t *testing.T) {
+	auth := trust.NewAuthority()
+	signer := auth.Register("ann", []byte("ann-secret"))
+	recs := make([]*trust.Label, 2*labelSlab)
+	for i := range recs {
+		recs[i] = &trust.Label{Name: fmt.Sprintf("l%03d", i), Computed: t0, Validity: time.Minute}
+		signer.Sign(recs[i])
+	}
+	c := NewLabelCache()
+	if n := testing.AllocsPerRun(50, func() {
+		c.Reset()
+		for _, r := range recs {
+			c.Put(r)
+		}
+	}); n != 2 {
+		t.Errorf("%d new labels: %v allocs, want 2 (one per slab)", len(recs), n)
+	}
+	if c.Len() != len(recs) {
+		t.Errorf("Len %d, want %d", c.Len(), len(recs))
+	}
+}
+
 // TestLabelCacheMatchesMapReference replays random Put/Get/Records/Held
 // sequences on the flat cache and on the map-of-maps one it replaced:
 // every answer, Len and Stats must agree. Validities are whole seconds and

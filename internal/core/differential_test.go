@@ -98,6 +98,30 @@ func (e *refEngine) wanted(labels []string, now time.Time) []string {
 	return want
 }
 
+// wantedAppend is Engine.Wanted as it was before it sized its result:
+// the same marks, the result grown by append from nil. Wanted must return
+// what it returns, at exactly its length.
+func wantedAppend(e *Engine, labels []string, now time.Time) []string {
+	e.EachUnknown(now, nil)
+	var out []string
+	for _, l := range labels {
+		if e.marked(l) {
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
+// checkWanted compares e.Wanted(labels, now) with wantedAppend's answer
+// and wants a result with no spare capacity (nil for none).
+func checkWanted(t *testing.T, where string, e *Engine, labels []string, now time.Time) {
+	t.Helper()
+	got, want := e.Wanted(labels, now), wantedAppend(e, labels, now)
+	if !slices.Equal(got, want) || (got == nil) != (want == nil) || cap(got) != len(got) {
+		t.Fatalf("%s: Wanted(%v) = %v (cap %d), append version %v", where, labels, got, cap(got), want)
+	}
+}
+
 // evidence is one Set call of a generated scenario.
 type evidence struct {
 	label   string
@@ -226,6 +250,7 @@ func TestEngineMatchesMapReference(t *testing.T) {
 				if got, want := e.Wanted(desc, now), ref.wanted(desc, now); !slices.Equal(got, want) {
 					t.Fatalf("%s: Wanted(%v) = %v, reference %v", where, desc, got, want)
 				}
+				checkWanted(t, where, e, desc, now)
 				if got, want := e.WantsAny(desc, now), len(ref.wanted(desc, now)) > 0; got != want {
 					t.Fatalf("%s: WantsAny(%v) = %v, reference %v", where, desc, got, want)
 				}
@@ -293,6 +318,7 @@ func interleave(t *testing.T, rng *rand.Rand, trial int, s scenario, desc []stri
 			if got, want := e.Wanted(desc, now), ref.wanted(desc, now); !slices.Equal(got, want) {
 				t.Fatalf("%s: Wanted(%v) = %v, reference %v", where, desc, got, want)
 			}
+			checkWanted(t, where, e, desc, now)
 		case 2:
 			if got, want := e.WantsAny(desc, now), len(ref.wanted(desc, now)) > 0; got != want {
 				t.Fatalf("%s: WantsAny(%v) = %v, reference %v", where, desc, got, want)
@@ -415,6 +441,8 @@ func TestEngineReadsDoNotAllocate(t *testing.T) {
 		want float64
 	}{
 		"Wanted":        {func() []string { return e.Wanted([]string{"t0l1", "t9l9"}, now) }, 1},
+		"Wanted/many":   {func() []string { return e.Wanted(e.Labels(), now) }, 1}, // one, at its exact size
+		"Wanted/none":   {func() []string { return e.Wanted([]string{"nope"}, now) }, 0},
 		"UnknownLabels": {func() []string { return e.UnknownLabels(now) }, 5}, // 15 labels: append grows 1, 2, 4, 8, 16
 	} {
 		if allocs := testing.AllocsPerRun(100, func() { _ = c.read() }); allocs > c.want {

@@ -358,11 +358,21 @@ func (e *Engine) UnknownLabels(now time.Time) []string {
 }
 
 // Wanted returns those of labels the query still wants at instant now —
-// the ones UnknownLabels would list — in the order given. It is how a
-// request for an object names the labels it is after.
+// the ones UnknownLabels would list — in the order given, or nil for none.
+// It is how a request for an object names the labels it is after: the
+// result is the request's, allocated once at its exact size.
 func (e *Engine) Wanted(labels []string, now time.Time) []string {
 	e.EachUnknown(now, nil)
-	var out []string
+	n := 0
+	for _, l := range labels {
+		if e.marked(l) {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]string, 0, n)
 	for _, l := range labels {
 		if e.marked(l) {
 			out = append(out, l)

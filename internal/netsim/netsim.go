@@ -369,11 +369,15 @@ func (n *Network) SendPriority(from, to string, size int64, priority int, payloa
 	} else {
 		m = &pendingMsg{size: size, payload: payload, from: from, to: to, priority: priority, seq: l.seq, link: l}
 	}
-	heap.Push(&l.queue, m)
 	l.seq++
 	if !l.sending {
-		n.transmitNext(l)
+		// An idle link has an empty queue (transmitNext leaves it idle
+		// only then): m is next whatever its priority, so it goes
+		// straight onto the wire without a trip through the heap.
+		n.transmit(l, m)
+		return nil
 	}
+	heap.Push(&l.queue, m)
 	return nil
 }
 
@@ -395,6 +399,11 @@ func (n *Network) transmitNext(l *link) {
 		l.sending = false
 		return
 	}
+	n.transmit(l, m)
+}
+
+// transmit starts serializing m on the link.
+func (n *Network) transmit(l *link, m *pendingMsg) {
 	l.sending = true
 	txTime := time.Duration(float64(m.size) / l.bandwidth * float64(time.Second))
 	n.lane.AfterCall(txTime, n.finishTxFn, m)
