@@ -69,7 +69,7 @@ ci-short:
 # of nodes still holds per decision it made, a share of label records
 # a node already holds, and a Sec. VII cmp query's batch pump
 # (internal/athena), and a warm content store's put of a name it holds
-# and of one it does not (internal/cache), parsed into
+# (internal/cache), parsed into
 # machine-readable JSON.
 # CI archives the file per commit; regressions are judged against the
 # committed baseline.

@@ -149,12 +149,13 @@ fi
 # their updates again — 4 allocs/op, two frames and their update lists,
 # 10 when they did; a Sec. VII lvfl run whose fetch path allocates more
 # than its frames again — growing a request's labels by append, a slice
-# per new cached label, a queue re-sliced from the front, a closure and an
-# event per drain, a copy of the labels per data message: 5 121 allocs/op,
-# 5 497 when it did, so its slack is 5 %, not 10 (the count moves by one
-# or two run to run); a content store
-# that allocates to put a new version of a name it holds — 0 allocs/op, 3
-# when each put built a new entry, list element and index node).
+# per cached label, a queue re-sliced from the front, a closure and an
+# event per drain, a copy of the labels per data message, a string key
+# per forwarded request: 5 038 allocs/op, 5 497 when it did, so its slack
+# is 5 %, not 10 (the count moves by one or two run to run); a content
+# store that allocates to put a new version of a name it holds — 0
+# allocs/op, 3 when each put built a new entry, list element and index
+# node).
 # Refresh the baseline with `make bench` when an intentional change moves
 # one.
 # BenchmarkDecisionEngine, BenchmarkShardLookupBegin,

@@ -267,7 +267,7 @@ func (n *Node) markAnnounced(id string, deadline, now time.Time) bool {
 
 // dropLapsed deletes the entries of m whose instant has come, once m holds
 // more than limit.
-func dropLapsed(m map[string]time.Time, limit int, now time.Time) {
+func dropLapsed[K comparable](m map[K]time.Time, limit int, now time.Time) {
 	if len(m) <= limit {
 		return
 	}
@@ -378,7 +378,7 @@ func (n *Node) duplicateInFlight(objName, neighbor string, size int64, now time.
 	if n.disableRetries || n.retryBandwidth <= 0 {
 		return false
 	}
-	key := objName + "\x00" + neighbor
+	key := sentKey{objName, neighbor}
 	if until, ok := n.sentRecently[key]; ok && now.Before(until) {
 		n.stats.DupSuppressed++
 		return true

@@ -499,6 +499,9 @@ type corrState struct {
 	nameExpiry map[string]time.Time
 }
 
+// sentKey is an object sent toward a neighbor (duplicateInFlight).
+type sentKey struct{ object, neighbor string }
+
 type queuedRequest struct {
 	req *ObjectRequest
 	// urgency is the issuing query's hierarchical priority key (ref [1]):
@@ -595,7 +598,7 @@ type Node struct {
 	queries      map[string]*localQuery // the unrecorded queries issued here, by id
 	live         []*localQuery          // the same queries, sorted by id
 	seenAnnounce map[string]time.Time   // announced query -> its deadline (markAnnounced)
-	sentRecently map[string]time.Time   // object|neighbor -> in-flight window end
+	sentRecently map[sentKey]time.Time  // in-flight window end (duplicateInFlight)
 
 	fetchQ   []queuedRequest
 	draining bool // a drain of fetchQ is scheduled
@@ -687,7 +690,7 @@ func New(cfg Config) (*Node, error) {
 		interest:         NewInterestTable(interestTTL),
 		queries:          make(map[string]*localQuery),
 		seenAnnounce:     make(map[string]time.Time),
-		sentRecently:     make(map[string]time.Time),
+		sentRecently:     make(map[sentKey]time.Time),
 		sequentialWindow: cfg.SequentialWindow,
 		retryBandwidth:   cfg.RetryBandwidth,
 		disableRetries:   cfg.DisableRetries,

@@ -212,14 +212,14 @@ type LabelCache struct {
 	// order an answer depends on. A label's slice is pruned in place and
 	// kept when it empties, so a label put again costs no allocation.
 	records map[string][]*trust.Label
-	// slab backs new labels' slices: a label's first record takes one
-	// slot of it, so it costs no allocation of its own. A second
-	// annotator's record moves the label to a slice of its own.
+	// slab backs the labels' slices: a new label takes one slot of it,
+	// and a full label moves to twice its slots, so neither costs an
+	// allocation of its own.
 	slab  []*trust.Label
 	stats Stats
 }
 
-// labelSlab is how many labels' first records one slab holds.
+// labelSlab is how many record slots one slab holds.
 const labelSlab = 64
 
 // NewLabelCache returns an empty label cache.
@@ -257,21 +257,24 @@ func (c *LabelCache) Put(l *trust.Label) {
 			return
 		}
 	}
-	switch {
-	case cap(recs) == 0: // a new label: one slot of the slab
-		if len(c.slab) == cap(c.slab) {
-			c.slab = make([]*trust.Label, 0, labelSlab)
-		}
-		i := len(c.slab)
-		c.slab = c.slab[:i+1]
-		recs = c.slab[i : i : i+1]
-	case len(recs) == cap(recs): // append moves the label: let go of its old slots
-		grown := append(recs, l)
+	if len(recs) == cap(recs) {
+		// A new label, or a full one: its records move to new slots, and
+		// the old slots let go of what they held.
+		grown := append(c.slots(max(1, 2*len(recs))), recs...)
 		clear(recs)
-		c.records[l.Name] = grown
-		return
+		recs = grown
 	}
 	c.records[l.Name] = append(recs, l)
+}
+
+// slots returns an empty slice of n record slots carved from the slab.
+func (c *LabelCache) slots(n int) []*trust.Label {
+	if cap(c.slab)-len(c.slab) < n {
+		c.slab = make([]*trust.Label, 0, max(labelSlab, n))
+	}
+	i := len(c.slab)
+	c.slab = c.slab[:i+n]
+	return c.slab[i : i : i+n]
 }
 
 // Held returns the record cached for (label, annotator), fresh or not, or

@@ -216,8 +216,8 @@ func (c *sliceLabelCache) Get(label string, policy *trust.Policy, now time.Time)
 // TestLabelCacheMatchesSliceReference replays random Put/Get/Records/
 // Held/All/Reset sequences on the slab-backed cache and on the map of
 // slices it replaced, over enough labels that slabs fill and roll over
-// and with up to five annotators a label, so labels move off the slab:
-// every answer, Len and Stats must agree.
+// and with up to five annotators a label, so full labels move to larger
+// slots: every answer, Len and Stats must agree.
 func TestLabelCacheMatchesSliceReference(t *testing.T) {
 	auth := trust.NewAuthority()
 	annotators := []string{"ann0", "ann1", "ann2", "ann3", "ann4"}
@@ -280,9 +280,10 @@ func TestLabelCacheMatchesSliceReference(t *testing.T) {
 	}
 }
 
-// New labels' first records share a slab: after a Reset (which keeps the
-// map's buckets), two slabs' worth of new labels cost two allocations,
-// where a slice per label cost one each.
+// Labels' records share slabs: after a Reset (which keeps the map's
+// buckets), two slabs' worth of new labels cost two allocations, where a
+// slice per label cost one each; and sixteen labels that each gain four
+// annotators cost a few slabs, not three slices a label.
 func TestLabelCacheNewLabelsShareASlab(t *testing.T) {
 	auth := trust.NewAuthority()
 	signer := auth.Register("ann", []byte("ann-secret"))
@@ -302,6 +303,27 @@ func TestLabelCacheNewLabelsShareASlab(t *testing.T) {
 	}
 	if c.Len() != len(recs) {
 		t.Errorf("Len %d, want %d", c.Len(), len(recs))
+	}
+
+	var shared []*trust.Label
+	for i := 0; i < 4; i++ {
+		s := auth.Register(fmt.Sprintf("ann%d", i), []byte("secret"))
+		for j := 0; j < 16; j++ {
+			r := &trust.Label{Name: fmt.Sprintf("l%03d", j), Computed: t0, Validity: time.Minute}
+			s.Sign(r)
+			shared = append(shared, r)
+		}
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		c.Reset()
+		for _, r := range shared {
+			c.Put(r)
+		}
+	}); n > 3 {
+		t.Errorf("16 labels of 4 annotators: %v allocs, want at most 3 (slabs)", n)
+	}
+	if c.Len() != len(shared) {
+		t.Errorf("Len %d, want %d", c.Len(), len(shared))
 	}
 }
 
