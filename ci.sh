@@ -151,11 +151,10 @@ fi
 # than its frames again — growing a request's labels by append, a slice
 # per cached label, a queue re-sliced from the front, a closure and an
 # event per drain, a copy of the labels per data message, a string key
-# per forwarded request: 5 038 allocs/op, 5 497 when it did, so its slack
+# per forwarded request: 5 024 allocs/op, 5 497 when it did, so its slack
 # is 5 %, not 10 (the count moves by one or two run to run); a content
-# store that allocates to put a new version of a name it holds — 0
-# allocs/op, 3 when each put built a new entry, list element and index
-# node).
+# store whose put allocates a list element again — 2 allocs/op, the entry
+# and its index node, 3 with a container/list element).
 # Refresh the baseline with `make bench` when an intentional change moves
 # one.
 # BenchmarkDecisionEngine, BenchmarkShardLookupBegin,

@@ -171,13 +171,9 @@ func NewCluster(s *workload.Scenario, cfg ClusterConfig) (*Cluster, error) {
 		if cfg.HeartbeatInterval > 0 {
 			nodeDir = NewDirectory(s.Sources)
 		}
-		tr := transport.NewSim(net, p.ID)
-		if cfg.Codec != nil {
-			tr = transport.NewSimCodec(net, p.ID, cfg.Codec)
-		}
 		node, err := New(Config{
 			ID:                p.ID,
-			Transport:         tr,
+			Transport:         transport.NewSimCodec(net, p.ID, cfg.Codec),
 			Router:            net,
 			Timers:            LaneTimers{Lane: net.LaneOf(p.ID)},
 			Scheme:            cfg.Scheme,

@@ -704,11 +704,12 @@ func (n *Node) kick() {
 		return
 	}
 	n.draining = true
-	n.timers.AfterArg(0, n.drainFn, nil)
+	n.timers.AfterArg(0, drainTimer, n)
 }
 
-// drainTimer is drain in the shape Timers.AfterArg calls (n.drainFn).
-func (n *Node) drainTimer(any) { n.drain() }
+// drainTimer is drain in the shape Timers.AfterArg calls. arg is the node,
+// already on the heap, so scheduling a drain allocates no closure.
+func drainTimer(arg any) { arg.(*Node).drain() }
 
 // drain processes the fetch queue fully, then lets the prefetcher serve a
 // background push if one is due (the prefetch queue is only served when

@@ -602,9 +602,6 @@ type Node struct {
 
 	fetchQ   []queuedRequest
 	draining bool // a drain of fetchQ is scheduled
-	// drainFn is drainTimer bound once, so a drain is scheduled on the
-	// timers' pooled events (Timers.AfterArg) without a closure.
-	drainFn func(any)
 
 	lastSample *object.Object
 	version    uint64
@@ -699,7 +696,6 @@ func New(cfg Config) (*Node, error) {
 		sensorNoise:      cfg.SensorNoise,
 	}
 	n.stopper, _ = cfg.Timers.(StopTimers)
-	n.drainFn = n.drainTimer
 	if cfg.CoalesceWindow > 0 {
 		n.coalesce = &coalescer{window: cfg.CoalesceWindow, budget: coalesceBudget, queues: make(map[string]*sendQueue)}
 	}

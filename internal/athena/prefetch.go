@@ -71,6 +71,6 @@ func (n *Node) pushNext() {
 	}
 	if len(p.queue) > 0 {
 		p.nextPush = now.Add(prefetchDelay)
-		n.timers.AfterArg(prefetchDelay, n.drainFn, nil)
+		n.timers.AfterArg(prefetchDelay, drainTimer, n)
 	}
 }

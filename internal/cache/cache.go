@@ -76,30 +76,20 @@ func (s *Store) Put(o *object.Object, now time.Time) {
 	if s.capacity > 0 && o.Size > s.capacity {
 		return
 	}
-	// A same-name entry is reused, index node and all. It is out of the
-	// list while room is made, so nothing below drops it, as if removed.
-	e, replacing := s.index.Get(o.ID.Name)
-	if replacing {
-		s.unlink(e)
-		s.used -= e.obj.Size
+	if old, ok := s.index.Get(o.ID.Name); ok {
+		s.removeEntry(old)
 	}
 	if s.capacity > 0 {
 		s.reap(now)
 		for s.used+o.Size > s.capacity {
 			if !s.evictLRU() {
-				if replacing {
-					s.index.Delete(o.ID.Name)
-				}
 				return
 			}
 		}
 	}
-	if !replacing {
-		e = &entry{}
-		s.index.Put(o.ID.Name, e)
-	}
-	e.obj = o
+	e := &entry{obj: o}
 	s.pushFront(e)
+	s.index.Put(o.ID.Name, e)
 	s.used += o.Size
 }
 

@@ -53,7 +53,8 @@ func NewSim(net *netsim.Network, id string) *SimTransport {
 // sender's struct, as over TCP. The network still charges the size the
 // sender gave. A run with the codec in the loop decides exactly as one
 // without, unless the codec drops a field or the plain run's sender and
-// receiver write through a slice they share; that is what it is for.
+// receiver write through a slice they share; that is what it is for. A
+// nil codec is NewSim.
 func NewSimCodec(net *netsim.Network, id string, codec Codec) *SimTransport {
 	return &SimTransport{net: net, id: id, codec: codec}
 }
