@@ -120,7 +120,10 @@ fi
 # further than a receiver may act on it; a sharded source selection that
 # grew back a copy of the cover's bookkeeping beside the full replica's,
 # or a cover that counts gains through maps again, or a selection that
-# allocates its candidate buffers per call again; a scoped directory delta
+# allocates its candidate buffers per call again — on a full replica too,
+# whose cover reads its directory view into the node's scratch: 6
+# allocs/op, 14 when it grew its candidate list from nil under the
+# directory lock; a scoped directory delta
 # sized for the whole directory — baseline 0; a shard router that
 # recomputes placement for a membership view it already has — baseline 0 —
 # or ranks the members again to start a lookup on one; a query whose
@@ -165,7 +168,7 @@ fi
 # internal/athena share one). BenchmarkDirectoryMemory runs without
 # -benchmem, as `make bench` records it: only its entries/node is gated.
 {
-	go test -run '^$' -bench '^Benchmark(Scheme|AblationPrefetch|SimKernel|BatchedFetch|DeliverObjectHistory|SelectSources|DirectoryDelta|ShardRefresh|LaneQueue|EncodeSmall|EncodeObjectData|DecodeSmall|Generate|PlanFor|LabelShare|PumpBatch|StorePut)$/^(lvf|lvfl|sharded|sharded-owned|scoped|unchanged|w1|on|n2000|depth512|request|head|sec7|uncached|held|cmp|replace)$' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire ./internal/workload ./internal/cache
+	go test -run '^$' -bench '^Benchmark(Scheme|AblationPrefetch|SimKernel|BatchedFetch|DeliverObjectHistory|SelectSources|DirectoryDelta|ShardRefresh|LaneQueue|EncodeSmall|EncodeObjectData|DecodeSmall|Generate|PlanFor|LabelShare|PumpBatch|StorePut)$/^(lvf|lvfl|full|sharded|sharded-owned|scoped|unchanged|w1|on|n2000|depth512|request|head|sec7|uncached|held|cmp|replace)$' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire ./internal/workload ./internal/cache
 	go test -run '^$' -bench '^BenchmarkDirectoryMemory$/^sharded$' -benchtime 3x .
 	go test -run '^$' -bench '^BenchmarkDecisionEngine$' -benchmem -benchtime 3x .
 	go test -run '^$' -bench '^Benchmark(ShardLookupBegin|LookupReplies|ShardLookupServe|SwimProbeRound)$' -benchmem -benchtime 3x ./internal/athena
@@ -183,6 +186,7 @@ fi
 		-gate 'BenchmarkSimKernel/w1:allocs/op:10' \
 		-gate 'BenchmarkBatchedFetch/on:frames/node:10' \
 		-gate 'BenchmarkDeliverObjectHistory/n2000:allocs/op:10' \
+		-gate 'BenchmarkSelectSources/full:allocs/op:10' \
 		-gate 'BenchmarkSelectSources/sharded:allocs/op:10' \
 		-gate 'BenchmarkSelectSources/sharded-owned:allocs/op:10' \
 		-gate 'BenchmarkDirectoryDelta/scoped:B/op:10' \

@@ -42,37 +42,36 @@ func testDescriptors() []object.Descriptor {
 }
 
 func TestDirectoryLookups(t *testing.T) {
-	d := NewDirectory(testDescriptors())
-	if got := d.SourcesFor("l2"); len(got) != 3 {
-		t.Errorf("SourcesFor(l2) = %v", got)
+	v := NewDirectory(testDescriptors()).View()
+	if got := v.cover("l2"); len(got) != 3 {
+		t.Errorf("cover(l2) = %v", got)
 	}
-	if got := d.SourcesFor("zz"); len(got) != 0 {
-		t.Errorf("SourcesFor(zz) = %v", got)
+	if got := v.cover("zz"); len(got) != 0 {
+		t.Errorf("cover(zz) = %v", got)
 	}
-	desc, ok := d.Descriptor("nodeB")
-	if !ok || desc.Size != 50 {
-		t.Errorf("Descriptor(nodeB) = %+v %v", desc, ok)
+	if r := v.source("nodeB"); r == nil || r.desc.Size != 50 {
+		t.Errorf("source(nodeB) = %+v", r)
 	}
 }
 
 func TestDirectorySelectSources(t *testing.T) {
 	d := NewDirectory(testDescriptors())
 	// l1+l2+l3: nodeA(100)+nodeB(50)=150 beats nodeC(500).
-	sel := d.SelectSources([]string{"l1", "l2", "l3"})
+	sel := viewSelect(d, []string{"l1", "l2", "l3"})
 	if len(sel) != 2 || sel[0] != "nodeA" || sel[1] != "nodeB" {
 		t.Errorf("SelectSources = %v", sel)
 	}
 	// l4 only coverable by nodeC.
-	sel = d.SelectSources([]string{"l4"})
+	sel = viewSelect(d, []string{"l4"})
 	if len(sel) != 1 || sel[0] != "nodeC" {
 		t.Errorf("SelectSources(l4) = %v", sel)
 	}
 	// Uncoverable labels are skipped, coverable ones still selected.
-	sel = d.SelectSources([]string{"zz", "l3"})
+	sel = viewSelect(d, []string{"zz", "l3"})
 	if len(sel) != 1 || sel[0] != "nodeB" {
 		t.Errorf("SelectSources(zz,l3) = %v", sel)
 	}
-	if sel := d.SelectSources([]string{"zz"}); sel != nil {
+	if sel := viewSelect(d, []string{"zz"}); sel != nil {
 		t.Errorf("SelectSources(zz) = %v", sel)
 	}
 }
@@ -97,14 +96,14 @@ func TestDirectorySourceForLabel(t *testing.T) {
 }
 
 func TestDirectorySourceForLabelExcluding(t *testing.T) {
-	d := NewDirectory(testDescriptors())
+	v := NewDirectory(testDescriptors()).View()
 	// Excluding the cheapest source yields the alternate.
-	got := d.SourceForLabelExcluding("l2", nil, map[string]bool{"nodeB": true})
+	got := viewPick(v, "l2", nil, map[string]bool{"nodeB": true})
 	if got != "nodeA" {
 		t.Errorf("SourceForLabelExcluding(l2, -nodeB) = %q, want nodeA", got)
 	}
 	// Excluding every covering source yields "" (caller falls back).
-	got = d.SourceForLabelExcluding("l4", nil, map[string]bool{"nodeC": true})
+	got = viewPick(v, "l4", nil, map[string]bool{"nodeC": true})
 	if got != "" {
 		t.Errorf("SourceForLabelExcluding(l4, -nodeC) = %q, want empty", got)
 	}
@@ -183,11 +182,11 @@ func TestPlanForCachesByExpressionAndDirectoryVersion(t *testing.T) {
 	expr := boolexpr.ToDNF(boolexpr.MustParse("a & b"))
 	key := expr.String()
 
-	n.planFor(expr, key)
+	n.planFor(n.dir.View(), expr, key)
 	if n.stats.PlanCacheHits != 0 {
 		t.Fatalf("first planFor hit the cache")
 	}
-	n.planFor(expr, key)
+	n.planFor(n.dir.View(), expr, key)
 	if n.stats.PlanCacheHits != 1 {
 		t.Fatalf("second planFor missed the cache: hits = %d", n.stats.PlanCacheHits)
 	}
@@ -198,11 +197,11 @@ func TestPlanForCachesByExpressionAndDirectoryVersion(t *testing.T) {
 		Name: names.MustParse("/new/src"), Source: "newsrc", Size: 10,
 		Validity: time.Minute, Labels: []string{"a"},
 	}, 1)
-	n.planFor(expr, key)
+	n.planFor(n.dir.View(), expr, key)
 	if n.stats.PlanCacheHits != 1 {
 		t.Fatalf("planFor used a stale plan after directory change: hits = %d", n.stats.PlanCacheHits)
 	}
-	n.planFor(expr, key)
+	n.planFor(n.dir.View(), expr, key)
 	if n.stats.PlanCacheHits != 2 {
 		t.Fatalf("planFor did not re-cache after directory change: hits = %d", n.stats.PlanCacheHits)
 	}
@@ -228,15 +227,15 @@ func BenchmarkPlanFor(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			n.planCache = nil // force a re-plan, as before memoization
-			n.planFor(expr, key)
+			n.planFor(n.dir.View(), expr, key)
 		}
 	})
 	b.Run("cached", func(b *testing.B) {
 		n := &Node{scheme: SchemeLVF, meta: meta, dir: NewDirectory(nil)}
-		n.planFor(expr, key)
+		n.planFor(n.dir.View(), expr, key)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			n.planFor(expr, key)
+			n.planFor(n.dir.View(), expr, key)
 		}
 	})
 }
@@ -249,7 +248,7 @@ func TestPlanForLVFOrdersByValidity(t *testing.T) {
 	}
 	n := &Node{scheme: SchemeLVF, meta: meta, dir: NewDirectory(nil)}
 	expr := boolexpr.ToDNF(boolexpr.MustParse("short & long & mid"))
-	plan := n.planFor(expr, expr.String())
+	plan := n.planFor(n.dir.View(), expr, expr.String())
 	order := plan.LiteralOrder[0]
 	lits := expr.Terms[0].Literals
 	if lits[order[0]].Label != "long" || lits[order[2]].Label != "short" {

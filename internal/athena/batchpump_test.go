@@ -28,7 +28,7 @@ func refBatchTargets(n *Node, q *localQuery, now time.Time) []refTarget {
 	var targets []target
 	seen := make(map[string]bool)
 	add := func(src string) {
-		desc, ok := n.descriptorOf(src)
+		desc, ok := refDescriptorOf(n, src)
 		if !ok {
 			return
 		}
@@ -40,15 +40,15 @@ func refBatchTargets(n *Node, q *localQuery, now time.Time) []refTarget {
 	}
 	for _, label := range q.engine.UnknownLabels(now) {
 		if n.scheme == SchemeCMP {
-			srcs, cached := n.candidates(q.engine.ID(), label)
+			srcs, cached := refCandidates(n, q.engine.ID(), label)
 			if !cached {
-				srcs = n.dir.SourcesFor(label)
+				srcs = refSourcesFor(n.dir, label)
 			}
 			for _, src := range srcs {
 				add(src)
 			}
 		} else {
-			if src := n.sourceFor(q, label); src != "" {
+			if src := refSourceFor(n, q, label); src != "" {
 				add(src)
 			}
 		}
@@ -90,10 +90,10 @@ func checkPump(t *testing.T, n *Node, q *localQuery, where string) int {
 		}
 	}
 	from := len(n.fetchQ)
-	n.pumpBatch(q, now)
+	n.pumpBatch(n.dir.View(), q, now)
 	var got []refTarget
 	for _, e := range q.batch.targets {
-		got = append(got, refTarget{source: e.source, obj: q.batch.objs[e.obj].name, labels: e.labels, size: e.size})
+		got = append(got, refTarget{source: e.desc.Source, obj: e.desc.Name.String(), labels: e.desc.Labels, size: e.desc.Size})
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("%s: %s targets\n %v\nthe directory walk\n %v", where, q.engine.ID(), got, want)
@@ -220,8 +220,8 @@ func churnDirectory(t *testing.T, c *Cluster) {
 	if !d.Withdraw(srcs[0], seq+1) || !d.Evict(srcs[1]) {
 		t.Fatal("directory did not change")
 	}
-	third, _ := d.Descriptor(srcs[2])
-	fourth, _ := d.Descriptor(srcs[3])
+	third, _ := refDescriptor(d, srcs[2])
+	fourth, _ := refDescriptor(d, srcs[3])
 	for _, re := range []struct {
 		src    string
 		labels []string
@@ -302,7 +302,7 @@ func TestBatchPumpMatchesDirectoryWalkSharded(t *testing.T) {
 func routedByRecord(t *testing.T, n *Node) (thin, held string) {
 	t.Helper()
 	for _, l := range routedLabels(t, n, 12, rigLabel) {
-		if len(n.dir.SourcesFor(l)) == 0 {
+		if len(refSourcesFor(n.dir, l)) == 0 {
 			thin = cmp.Or(thin, l)
 		} else {
 			held = cmp.Or(held, l)
@@ -354,11 +354,12 @@ func TestWarmBatchPumpDoesNotAllocate(t *testing.T) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	now := n.now()
-	n.pumpBatch(q, now)
+	v := n.dir.View()
+	n.pumpBatch(v, q, now)
 	if q.inFlight == 0 || len(q.batch.targets) == 0 {
 		t.Fatalf("fixture pump: %d targets, %d requests in flight", len(q.batch.targets), q.inFlight)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { n.pumpBatch(q, now) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { n.pumpBatch(v, q, now) }); allocs != 0 {
 		t.Errorf("a warm pump that requests nothing allocates %v times, want 0", allocs)
 	}
 }
@@ -391,7 +392,7 @@ func pumpFixture(tb testing.TB) (*Node, *localQuery) {
 	defer n.mu.Unlock()
 	id := n.id + "/bench"
 	q := &localQuery{
-		engine: core.NewEngineWithPlan(id, qs.Expr, n.now().Add(qs.Deadline), n.meta, n.planFor(qs.Expr, qs.Expr.String())),
+		engine: core.NewEngineWithPlan(id, qs.Expr, n.now().Add(qs.Deadline), n.meta, n.planFor(n.dir.View(), qs.Expr, qs.Expr.String())),
 		reqs:   make(map[string]objReq),
 		batch:  &batchTable{},
 	}
@@ -410,7 +411,8 @@ func BenchmarkPumpBatch(b *testing.B) {
 		n.mu.Lock()
 		defer n.mu.Unlock()
 		now := n.now()
-		n.pumpBatch(q, now) // the first pump builds the table
+		v := n.dir.View()
+		n.pumpBatch(v, q, now) // the first pump sizes the query's stamps
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -420,7 +422,7 @@ func BenchmarkPumpBatch(b *testing.B) {
 				}
 			}
 			n.fetchQ = n.fetchQ[:0]
-			n.pumpBatch(q, now)
+			n.pumpBatch(v, q, now)
 		}
 		if q.inFlight == 0 {
 			b.Fatal("the pump requested nothing")

@@ -5,10 +5,10 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"athena/internal/boolexpr"
-	"athena/internal/cover"
 	"athena/internal/metrics"
 	"athena/internal/names"
 	"athena/internal/object"
@@ -117,12 +117,17 @@ type advState struct {
 // detector gave up on. Per-source monotonic sequence numbers order
 // concurrent updates, so replicas that exchange advertisements converge
 // regardless of delivery order. All methods are safe for concurrent use.
+// The data plane reads it through View, which takes no lock.
 type Directory struct {
 	mu       sync.RWMutex
 	version  uint64
 	records  map[string]*advState
 	byLabel  map[string][]string // present sources per label, sorted
 	verGauge *metrics.Gauge      // mirrors version; nil when uninstrumented
+
+	// view is the current version's View once a reader has asked for it;
+	// every bump clears it. It is built under mu and loaded without it.
+	view atomic.Pointer[View]
 
 	// digest caches Digest()'s value until the next mutation. digestSrcs
 	// is the recompute's sort scratch; both are guarded by mu.
@@ -326,10 +331,11 @@ func (d *Directory) Evict(source string) bool {
 }
 
 // bumpVersionLocked increments the mutation counter, mirrors it into
-// the instrumentation gauge, and invalidates the cached digest and source
-// list. Callers hold d.mu.
+// the instrumentation gauge, and invalidates the view, the cached digest
+// and the source list. Callers hold d.mu.
 func (d *Directory) bumpVersionLocked() {
 	d.version++
+	d.view.Store(nil)
 	d.digestOK = false
 	d.sources, d.sourcesOK = nil, false
 	// SetMax, not Set: in a cluster every replica mirrors into one fleet
@@ -373,6 +379,23 @@ func (d *Directory) stale(source string, seq uint64) bool {
 	default:
 		return seq < r.seq || (seq == r.seq && r.withdrawn)
 	}
+}
+
+// View returns the directory's current version as a read-only index,
+// building it if this is the version's first read. Readers share it and
+// take no lock; the next mutation leaves it as it is and starts a new one.
+func (d *Directory) View() *View {
+	if v := d.view.Load(); v != nil {
+		return v
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if v := d.view.Load(); v != nil {
+		return v
+	}
+	v := d.buildViewLocked()
+	d.view.Store(v)
+	return v
 }
 
 // Version returns the mutation counter: it increments on every applied
@@ -645,169 +668,12 @@ func (d *Directory) unindexLocked(desc object.Descriptor) {
 	}
 }
 
-// SourcesFor lists the source nodes covering a label, sorted.
-func (d *Directory) SourcesFor(label string) []string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return append([]string(nil), d.byLabel[label]...)
-}
-
-// addSourcesFor merges the sources covering label into ids (sorted,
-// distinct; see addDistinct) without copying the index entry out, and
-// reports whether any source covers it.
-func (d *Directory) addSourcesFor(ids []string, label string) ([]string, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	srcs := d.byLabel[label]
-	return addDistinct(ids, srcs), len(srcs) > 0
-}
-
-// appendCovering appends the descriptors of the present sources covering
-// label to out, in source order — SourcesFor and a Descriptor per source,
-// under one read lock and copying no list out.
-func (d *Directory) appendCovering(out []object.Descriptor, label string) []object.Descriptor {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	for _, s := range d.byLabel[label] {
-		out = append(out, d.records[s].desc)
-	}
-	return out
-}
-
-// AdvertsFor returns full advertisements for the present sources covering
-// a label, sorted by source — the payload a shard owner serves in a
-// ShardLookupReply.
-func (d *Directory) AdvertsFor(label string) []Advertisement {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	srcs := d.byLabel[label]
-	out := make([]Advertisement, 0, len(srcs))
-	for _, s := range srcs {
-		r := d.records[s]
-		out = append(out, advertisementOf(r.desc, r.seq))
-	}
-	return out
-}
-
-// Descriptor returns a present source node's advertised stream. Thin
-// records (payload declined by the retention filter) read as absent, so
-// callers fall through to the shard-routed remote lookup.
-func (d *Directory) Descriptor(source string) (object.Descriptor, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	r, ok := d.records[source]
-	if !ok || !r.present || r.thin {
-		return object.Descriptor{}, false
-	}
-	return r.desc, true
-}
-
-// SelectSources solves the Section III-B coverage problem for a label set:
-// the least-cost subset of sources covering all labels (coverSources). It
-// returns the chosen source ids. Labels nobody covers are simply omitted
-// from the result's coverage (the query will fail to resolve them, which is
-// surfaced at decision time).
-func (d *Directory) SelectSources(labels []string) []string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	coverable := make([]string, 0, len(labels))
-	var ids []string
-	for _, l := range labels {
-		srcs := d.byLabel[l]
-		if len(srcs) == 0 {
-			continue
-		}
-		coverable = append(coverable, l)
-		ids = addDistinct(ids, srcs)
-	}
-	pool := make([]cover.Source, len(ids))
-	for i, s := range ids {
-		desc := d.records[s].desc
-		pool[i] = cover.Source{ID: s, Cost: float64(desc.Size), Covers: desc.Labels}
-	}
-	return coverSources(coverable, pool)
-}
-
-// addDistinct adds the srcs not yet in ids, keeping ids sorted: candidates
-// are gathered label by label, so a source covering several labels comes
-// up several times, and is priced once.
-func addDistinct(ids, srcs []string) []string {
-	for _, s := range srcs {
-		if i, found := slices.BinarySearch(ids, s); !found {
-			ids = slices.Insert(ids, i, s)
-		}
-	}
-	return ids
-}
-
-// coverSources is the one source selection (Sec. III-B, ref [10]): greedy
-// weighted set cover of the coverable labels over a candidate pool, as
-// sorted source ids. The pool lists each candidate once, sorted by id —
-// the greedy rule breaks ties to the lower index. Each Source shares its
-// descriptor's label slice unfiltered (nothing writes it): cover.Greedy
-// counts only labels in the universe it is given. When the pool cannot
-// cover a label — its only candidate could not be priced — the whole pool
-// is returned rather than dropping coverage. It takes data, not callbacks,
-// because Directory.SelectSources runs it under the directory lock.
-func coverSources(coverable []string, pool []cover.Source) []string {
-	if len(coverable) == 0 {
-		return nil
-	}
-	picked, err := cover.Greedy(coverable, pool)
-	if err != nil {
-		picked = make([]int, len(pool))
-		for i := range picked {
-			picked[i] = i
-		}
-	}
-	out := make([]string, len(picked))
-	for i, idx := range picked {
-		out[i] = pool[idx].ID
-	}
-	slices.Sort(out)
-	return out
-}
-
 // SourceForLabel picks, among preferred sources (if any cover the label),
 // the cheapest covering source; preferred is typically the query's
 // selected-source set. Returns "" if nobody covers the label.
 func (d *Directory) SourceForLabel(label string, preferred []string) string {
-	return d.SourceForLabelExcluding(label, preferred, nil)
-}
-
-// SourceForLabelExcluding is SourceForLabel restricted to sources not in
-// exclude. The retry layer uses it to find an alternate source when the
-// primary keeps timing out (Section VI-B's directory-supplied alternates).
-// Returns "" when every covering source is excluded.
-func (d *Directory) SourceForLabelExcluding(label string, preferred []string, exclude map[string]bool) string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	var best cheapest
-	for _, s := range d.byLabel[label] {
-		if !exclude[s] {
-			best.offer(s, d.records[s].desc.Size, slices.Contains(preferred, s))
-		}
+	if r := pick(d.View().cover(label), preferred, nil); r != nil {
+		return r.desc.Source
 	}
-	return best.id
-}
-
-// cheapest keeps the minimum of the pick rule every per-label source
-// choice applies (this one, Node.pickCached over a routed lookup result,
-// corrSource over the sources yet to vote): a preferred source beats any
-// other, then the smaller object, then the smaller id. preferred is a
-// query's selected set — a handful of ids, which callers scan per offer
-// rather than copy into a set per call.
-type cheapest struct {
-	id        string
-	size      int64
-	preferred bool
-}
-
-// offer replaces the kept source when the offered one ranks before it.
-func (c *cheapest) offer(id string, size int64, preferred bool) {
-	if c.id == "" ||
-		(preferred && !c.preferred) ||
-		(preferred == c.preferred && (size < c.size || (size == c.size && id < c.id))) {
-		*c = cheapest{id: id, size: size, preferred: preferred}
-	}
+	return ""
 }

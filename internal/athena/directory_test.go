@@ -34,15 +34,15 @@ func TestSelectSourcesTieBreaking(t *testing.T) {
 		dirDesc("nodeA", "/cam/a", 100, "l1", "l2"),
 		dirDesc("nodeC", "/cam/c", 500, "l1"),
 	})
-	got := d.SelectSources([]string{"l1", "l2"})
+	got := viewSelect(d, []string{"l1", "l2"})
 	if len(got) != 1 || got[0] != "nodeA" {
 		t.Fatalf("SelectSources tie-break: got %v, want [nodeA]", got)
 	}
 	// Labels nobody covers are omitted, not an error.
-	if got := d.SelectSources([]string{"l1", "nocov"}); len(got) != 1 {
+	if got := viewSelect(d, []string{"l1", "nocov"}); len(got) != 1 {
 		t.Fatalf("SelectSources with uncoverable label: got %v", got)
 	}
-	if got := d.SelectSources([]string{"nocov"}); got != nil {
+	if got := viewSelect(d, []string{"nocov"}); got != nil {
 		t.Fatalf("SelectSources all-uncoverable: got %v, want nil", got)
 	}
 }
@@ -58,17 +58,17 @@ func TestSourceForLabelExcludingFallback(t *testing.T) {
 		t.Fatalf("preferred: got %q, want mid", got)
 	}
 	// Excluding the preferred pick falls back to the next preferred.
-	if got := d.SourceForLabelExcluding("l", []string{"mid", "dear"}, map[string]bool{"mid": true}); got != "dear" {
+	if got := viewPick(d.View(), "l", []string{"mid", "dear"}, map[string]bool{"mid": true}); got != "dear" {
 		t.Fatalf("exclude preferred: got %q, want dear", got)
 	}
 	// Excluding every preferred source falls back outside the set.
 	ex := map[string]bool{"mid": true, "dear": true}
-	if got := d.SourceForLabelExcluding("l", []string{"mid", "dear"}, ex); got != "cheap" {
+	if got := viewPick(d.View(), "l", []string{"mid", "dear"}, ex); got != "cheap" {
 		t.Fatalf("exclude all preferred: got %q, want cheap", got)
 	}
 	// Excluding everyone yields "".
 	ex["cheap"] = true
-	if got := d.SourceForLabelExcluding("l", nil, ex); got != "" {
+	if got := viewPick(d.View(), "l", nil, ex); got != "" {
 		t.Fatalf("exclude all: got %q, want empty", got)
 	}
 }
@@ -199,7 +199,7 @@ func TestDirectoryConcurrentAdvertiseEvict(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				d.SourceForLabel("l", nil)
-				d.SelectSources([]string{"l"})
+				viewSelect(d, []string{"l"})
 				d.Sources()
 				d.Snapshot()
 				d.Digest()
@@ -242,13 +242,13 @@ func TestDirectoryRetentionThinsDeclinedRecords(t *testing.T) {
 	if got := d.Sources(); len(got) != 4 {
 		t.Fatalf("Sources = %v, want all 4", got)
 	}
-	if got := d.SourcesFor("seg-h"); len(got) != 2 || got[0] != "n0" || got[1] != "n1" {
+	if got := refSourcesFor(d, "seg-h"); len(got) != 2 || got[0] != "n0" || got[1] != "n1" {
 		t.Fatalf("SourcesFor = %v, want [n0 n1]", got)
 	}
-	if _, ok := d.Descriptor("n3"); ok {
+	if d.View().source("n3") != nil {
 		t.Fatal("thin record returned a descriptor")
 	}
-	if _, ok := d.Descriptor("n1"); !ok {
+	if d.View().source("n1") == nil {
 		t.Fatal("retained record lost its descriptor")
 	}
 	// The digest covers seq state only, so a thinned replica still agrees
@@ -276,7 +276,7 @@ func TestDirectoryRetentionThinsDeclinedRecords(t *testing.T) {
 	if got := d.EntriesHeld(); got != 3 {
 		t.Fatalf("EntriesHeld after refilter+upgrade = %d, want 3", got)
 	}
-	if _, ok := d.Descriptor("n2"); !ok {
+	if d.View().source("n2") == nil {
 		t.Fatal("upgraded record has no descriptor")
 	}
 	if !d.Advertise(dirDesc("n3", "/grid/cam/n3", 100, "seg-h"), 1) {
@@ -285,7 +285,7 @@ func TestDirectoryRetentionThinsDeclinedRecords(t *testing.T) {
 	if got := d.EntriesHeld(); got != 4 {
 		t.Fatalf("EntriesHeld after n3 upgrade = %d, want 4", got)
 	}
-	if got := d.SourcesFor("seg-h"); len(got) != 4 {
+	if got := d.View().cover("seg-h"); len(got) != 4 {
 		t.Fatalf("SourcesFor after upgrades = %v, want 4 sources", got)
 	}
 	// Duplicate equal-seq full advert on a full record is still not news.
@@ -338,14 +338,14 @@ func TestDirectoryAdvertsFor(t *testing.T) {
 	d.Advertise(dirDesc("n2", "/g/a/2", 10, "seg"), 1)
 	d.Advertise(dirDesc("n1", "/g/a/1", 10, "seg", "other"), 4)
 	d.Advertise(dirDesc("n3", "/g/a/3", 10, "other"), 1)
-	got := d.AdvertsFor("seg")
+	got := d.View().AdvertsFor("seg")
 	if len(got) != 2 || got[0].Source != "n1" || got[1].Source != "n2" {
 		t.Fatalf("AdvertsFor(seg) = %v, want sorted [n1 n2]", got)
 	}
 	if got[0].Seq != 4 || len(got[0].Labels) != 2 {
 		t.Fatalf("AdvertsFor lost payload: %+v", got[0])
 	}
-	if got := d.AdvertsFor("nobody"); len(got) != 0 {
+	if got := d.View().AdvertsFor("nobody"); len(got) != 0 {
 		t.Fatalf("AdvertsFor(nobody) = %v, want empty", got)
 	}
 }
@@ -391,15 +391,15 @@ func TestServedAdvertsAreReadOnlyViews(t *testing.T) {
 	d := NewDirectory(nil)
 	d.Advertise(dirDesc("n1", "/g/a/1", 10, "seg", "other"), 3)
 	d.Advertise(dirDesc("n2", "/g/a/2", 10, "seg"), 1)
-	served := func() string { return fmt.Sprint(d.AdvertsFor("seg"), d.Delta(nil, nil), d.Snapshot()) }
+	served := func() string { return fmt.Sprint(d.View().AdvertsFor("seg"), d.Delta(nil, nil), d.Snapshot()) }
 	before := served()
 
 	recv := NewDirectory(nil)
 	sr := NewShardRouter("n0", 8, 2, 16)
 	sr.Refresh(routerView(6))
 	m, _ := sr.Begin("seg", "q")
-	sr.Complete(m.Nonce, d.AdvertsFor("seg"), time.Time{})
-	for _, a := range append(d.AdvertsFor("seg"), d.Delta(nil, nil)...) {
+	sr.Complete(m.Nonce, d.View().AdvertsFor("seg"), time.Time{})
+	for _, a := range append(d.View().AdvertsFor("seg"), d.Delta(nil, nil)...) {
 		desc, err := a.Descriptor()
 		if err != nil {
 			t.Fatal(err)
@@ -408,7 +408,7 @@ func TestServedAdvertsAreReadOnlyViews(t *testing.T) {
 		recv.Apply(a)
 	}
 	for _, src := range []string{"n1", "n2"} {
-		for _, get := range []func(string) (object.Descriptor, bool){recv.Descriptor, sr.Desc} {
+		for _, get := range []func(string) (object.Descriptor, bool){recv.View().descriptor, sr.Desc} {
 			desc, ok := get(src)
 			if !ok {
 				t.Fatalf("receiver lacks %s", src)
@@ -546,11 +546,19 @@ func TestScopedSeqVectorSizedByScope(t *testing.T) {
 }
 
 // Candidates are gathered label by label, so a source covering two of the
-// labels comes up twice: addDistinct keeps it once, in id order, and
+// labels comes up twice: addCandidate keeps it once, in id order, and
 // coverSources takes each source's labels unfiltered.
 func TestCoverSources(t *testing.T) {
-	if got := addDistinct(addDistinct(nil, []string{"b", "c"}), []string{"a", "b"}); !slices.Equal(got, []string{"a", "b", "c"}) {
-		t.Errorf("[b c] then [a b] gathered as %v, want [a b c]", got)
+	var gathered []cover.Source
+	for _, id := range []string{"b", "c", "a", "b"} {
+		gathered = addCandidate(gathered, &row{desc: dirDesc(id, "/cam/"+id, 10, "l")})
+	}
+	var ids []string
+	for _, s := range gathered {
+		ids = append(ids, s.ID)
+	}
+	if !slices.Equal(ids, []string{"a", "b", "c"}) {
+		t.Errorf("[b c] then [a b] gathered as %v, want [a b c]", ids)
 	}
 	a := cover.Source{ID: "a", Cost: 8, Covers: []string{"l1"}}
 	b := cover.Source{ID: "b", Cost: 10, Covers: []string{"l1", "l2", "x", "y"}}
@@ -618,7 +626,7 @@ func TestApplyStaleRejectMatchesAdvertise(t *testing.T) {
 				desc = fmt.Sprintf("Apply(%s@%d %q)", src, seq, adv.Name)
 				// Present but not in the label index: a thin record.
 				prev, present, _ := want.Known(src)
-				thin := present && len(want.AdvertsFor("l-"+src)) == 0
+				thin := present && len(refAdvertsFor(want, "l-"+src)) == 0
 				g, w = got.Apply(adv), refApply(want, adv)
 				if thin && w && prev == seq {
 					upgrades++

@@ -405,8 +405,8 @@ func (n *Node) forwardRequest(req *ObjectRequest, attempt int) {
 		return
 	}
 	var objSize int64
-	if desc, ok := n.dir.Descriptor(req.SourceNode); ok {
-		objSize = desc.Size
+	if r := n.dir.View().source(req.SourceNode); r != nil {
+		objSize = r.desc.Size
 	}
 	gen := n.interest.reqs[req.Object].gen // the mark req goes under
 	n.interest.holdRetry(req.Object, n.arm(n.retryDelay(attempt, objSize), func() {

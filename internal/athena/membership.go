@@ -142,7 +142,7 @@ func (n *Node) sourceGone(src string, desc object.Descriptor, had bool) {
 // reSourceFrom takes in-flight fetches of the given object out of flight
 // and marks its source suspect on every affected query, then pumps them so
 // the next request goes to an alternate covering source
-// (SourceForLabelExcluding). Callers hold n.mu.
+// (sourceFor). Callers hold n.mu.
 func (n *Node) reSourceFrom(src, objName string) {
 	for q := n.liveAfter(""); q != nil; q = n.liveAfter(q.engine.ID()) {
 		if _, was := q.step(objName, reqLost, 0); !was {
@@ -284,7 +284,13 @@ func (n *Node) applyOneAdvert(a Advertisement, now time.Time) bool {
 	if a.Source == n.id {
 		return false // we are the authority on our own advertisement
 	}
-	desc, hadDesc := n.descriptorOf(a.Source)
+	// Only a withdraw needs the descriptor it drops, and reading one
+	// builds the directory's view if this version has none yet.
+	var desc object.Descriptor
+	var hadDesc bool
+	if a.Withdrawn {
+		desc, hadDesc = n.descriptorOf(a.Source)
+	}
 	if !n.dir.Apply(a) {
 		return false
 	}

@@ -16,6 +16,7 @@ import (
 	"athena/internal/boolexpr"
 	"athena/internal/cache"
 	"athena/internal/core"
+	"athena/internal/cover"
 	"athena/internal/metrics"
 	"athena/internal/names"
 	"athena/internal/object"
@@ -625,9 +626,14 @@ type Node struct {
 	shard    *shardClient
 
 	// Query-plan memoization: planFor's output keyed by expression text,
-	// valid while the directory version is unchanged (directory changes are
+	// valid while the directory view is unchanged (directory changes are
 	// the only event that re-prices planning metadata at runtime).
 	planCache map[string]cachedPlan
+
+	// selectSources' scratch, reset per call (callers hold n.mu): the
+	// coverable labels and the priced candidate pool.
+	coverable []string
+	pool      []cover.Source
 
 	reg     *metrics.Registry
 	m       nodeMetrics
@@ -861,9 +867,10 @@ func (n *Node) QueryInit(expr boolexpr.DNF, deadline time.Duration) (string, err
 	now := n.now()
 	abs := now.Add(deadline)
 	exprText := expr.String()
+	v := n.dir.View()
 
 	q := &localQuery{
-		engine: core.NewEngineWithPlan(id, expr, abs, n.meta, n.planFor(expr, exprText)),
+		engine: core.NewEngineWithPlan(id, expr, abs, n.meta, n.planFor(v, expr, exprText)),
 		issued: now,
 		reqs:   make(map[string]objReq),
 	}
@@ -876,7 +883,7 @@ func (n *Node) QueryInit(expr boolexpr.DNF, deadline time.Duration) (string, err
 		}
 	}
 	if n.scheme != SchemeCMP {
-		q.selected = n.selectSources(id, q.engine.Labels())
+		q.selected = n.selectSources(v, id, q.engine.Labels())
 	}
 	n.queries[id] = q
 	at, _ := n.liveFrom(id)
@@ -936,7 +943,7 @@ func (n *Node) whenLive(id string, act func(*localQuery)) {
 }
 
 // cachedPlan is one memoized planFor result, valid while the directory
-// version it was computed under still holds.
+// view it was computed under, by version, is current.
 type cachedPlan struct {
 	plan boolexpr.QueryPlan
 	dirv uint64
@@ -947,13 +954,13 @@ type cachedPlan struct {
 // first; batch schemes use the greedy plan only for bookkeeping. Plans are
 // memoized by expression text — recurring queries (QueryEvery) re-plan an
 // identical expression every period otherwise — and invalidated when the
-// directory version moves. Node code never writes n.meta: the only
-// re-pricing is athenad's mergeDirectoryMeta, which folds advertised
-// streams into the table between queries, and a version change is the
-// cheap signal that one may have run. Cached plans are shared across
-// engines; the engine only reads them.
-func (n *Node) planFor(expr boolexpr.DNF, key string) boolexpr.QueryPlan {
-	dirv := n.dir.Version()
+// directory's view v is not the one they were planned under. Node code
+// never writes n.meta: the only re-pricing is athenad's
+// mergeDirectoryMeta, which folds advertised streams into the table
+// between queries, and a new view is the cheap signal that one may have
+// run. Cached plans are shared across engines; the engine only reads them.
+func (n *Node) planFor(v *View, expr boolexpr.DNF, key string) boolexpr.QueryPlan {
+	dirv := v.version
 	if c, ok := n.planCache[key]; ok && c.dirv == dirv {
 		n.stats.PlanCacheHits++
 		return c.plan
@@ -980,10 +987,10 @@ func (n *Node) pump(q *localQuery) {
 		n.recordIfTerminal(q)
 		return
 	}
-	if q.batch != nil {
-		n.pumpBatch(q, now)
+	if v := n.dir.View(); q.batch != nil {
+		n.pumpBatch(v, q, now)
 	} else {
-		n.pumpSequential(q, now)
+		n.pumpSequential(v, q, now)
 	}
 	// Come back at the engine's next load-bearing evidence expiry so stale
 	// labels get refetched.
@@ -993,158 +1000,87 @@ func (n *Node) pump(q *localQuery) {
 }
 
 // pumpBatch (cmp/slt/lcf) keeps a request in flight for every unresolved
-// label's object. The targets come from the query's target table (one
-// directory read per directory version, not one per pump), in the order a
-// walk of the directory gives: unknown labels in plan order, cmp taking a
-// label's every covering source in source order and slt/lcf the one
-// sourceFor picks, each object once, at its first source. A sharded node
-// asks candidates for each label first, as source selection does, and a
-// label its lookup cache answers is priced through descriptorOf.
-func (n *Node) pumpBatch(q *localQuery, now time.Time) {
+// label's object. The targets are rows of the view, in the order a walk of
+// the directory gives: unknown labels in plan order, cmp taking a label's
+// every candidate row (rowsFor) in source order and slt/lcf the one
+// sourceFor picks, each object once, at its first source.
+func (n *Node) pumpBatch(v *View, q *localQuery, now time.Time) {
 	t := q.batch
-	if v := n.dir.Version(); t.rows == nil || t.dirv != v {
-		t.build(n.dir, q.engine.Labels(), v)
-	}
-	t.nextStamp()
+	t.nextStamp(len(v.byName))
 	targets := t.targets[:0]
 	id, labels := q.engine.ID(), q.engine.Labels()
 	q.engine.EachUnknown(now, func(l int) {
 		label := labels[l]
 		if n.scheme != SchemeCMP {
-			src := n.sourceFor(q, label)
-			if src == "" {
-				return
-			}
-			if e, ok := t.find(l, src); ok {
-				targets = t.take(targets, e)
-			} else if desc, ok := n.descriptorOf(src); ok {
-				targets = t.take(targets, t.entry(desc))
+			if r := n.sourceFor(v, q, label); r != nil {
+				targets = t.take(targets, r)
 			}
 			return
 		}
-		srcs, cached := n.candidates(id, label)
-		if !cached {
-			for _, e := range t.rows[l] {
-				targets = t.take(targets, e)
-			}
-			return
-		}
-		for _, src := range srcs {
-			if desc, ok := n.descriptorOf(src); ok {
-				targets = t.take(targets, t.entry(desc))
-			}
+		for _, r := range n.rowsFor(v, id, label) {
+			targets = t.take(targets, r)
 		}
 	})
 	t.targets = targets
 	if n.scheme == SchemeLCF {
-		slices.SortStableFunc(targets, func(a, b batchEntry) int {
-			return cmp.Compare(a.size, b.size)
+		slices.SortStableFunc(targets, func(a, b row) int {
+			return cmp.Compare(a.desc.Size, b.desc.Size)
 		})
 	}
-	for _, e := range targets {
+	for i := range targets {
 		if q.inFlight >= batchWindow {
 			break
 		}
-		obj := t.objs[e.obj].name
+		d := &targets[i].desc
+		obj := d.Name.String()
 		if q.reqs[obj].inFlight {
 			continue
 		}
-		n.requestObject(q, e.source, obj, e.labels, e.size, now)
+		n.requestObject(q, d.Source, obj, d.Labels, d.Size, now)
 	}
 }
 
-// batchTable is a batch-scheme query's view of the directory at version
-// dirv. rows[l] lists, for the engine's label l, the present sources
-// covering it in source order, each with its descriptor's object, labels
-// and size. objs holds one record per distinct object name, with the
-// stamp of the last pump that made it a target: a pump takes an object
-// once, at its first source. targets is the pump's scratch. A query's
-// table is touched only under its node's n.mu.
+// batchTable is what a batch-scheme query keeps between pumps: per object
+// of the view, the stamp of the last pump that made it a target — a pump
+// takes an object once, at its first source — and the pump's target
+// scratch. A stamp is only ever compared with the current pump's, so a
+// stamp left from an earlier view never matches. A query's table is
+// touched only under its node's n.mu.
 type batchTable struct {
-	dirv    uint64
 	stamp   uint32
-	rows    [][]batchEntry // nil until the first build
-	objs    []batchObj
-	byName  map[string]int32
-	targets []batchEntry
+	stamps  []uint32 // by row obj
+	targets []row
 }
 
-// batchEntry is one (source, object) pair of a row, or a pump's target.
-type batchEntry struct {
-	source string
-	obj    int32 // index in batchTable.objs
-	labels []string
-	size   int64
-}
-
-// batchObj is one distinct object of a batch table.
-type batchObj struct {
-	name  string
-	stamp uint32
-}
-
-// build refills the table from dir at version v, one row per label.
-func (t *batchTable) build(dir *Directory, labels []string, v uint64) {
-	t.dirv = v
-	t.rows = slices.Grow(t.rows[:0], len(labels))[:len(labels)]
-	t.objs = t.objs[:0]
-	clear(t.byName)
-	var descs []object.Descriptor
-	for l, label := range labels {
-		descs = dir.appendCovering(descs[:0], label)
-		row := t.rows[l][:0]
-		for _, desc := range descs {
-			row = append(row, t.entry(desc))
-		}
-		t.rows[l] = row
-	}
-}
-
-// entry is desc's (source, object) pair, its object recorded if new.
-func (t *batchTable) entry(desc object.Descriptor) batchEntry {
-	name := desc.Name.String()
-	o, ok := t.byName[name]
-	if !ok {
-		if t.byName == nil {
-			t.byName = make(map[string]int32)
-		}
-		o = int32(len(t.objs))
-		t.objs = append(t.objs, batchObj{name: name})
-		t.byName[name] = o
-	}
-	return batchEntry{source: desc.Source, obj: o, labels: desc.Labels, size: desc.Size}
-}
-
-// nextStamp starts a pump: no object is a target of it yet.
-func (t *batchTable) nextStamp() {
+// nextStamp starts a pump over a view of objs objects: no object is a
+// target of it yet.
+func (t *batchTable) nextStamp(objs int) {
 	t.stamp++
 	if t.stamp == 0 { // wrapped: no object may still carry last time round's stamp
-		for i := range t.objs {
-			t.objs[i].stamp = 0
-		}
+		clear(t.stamps)
 		t.stamp = 1
 	}
-}
-
-// take appends e to targets unless its object is already one.
-func (t *batchTable) take(targets []batchEntry, e batchEntry) []batchEntry {
-	if o := &t.objs[e.obj]; o.stamp != t.stamp {
-		o.stamp = t.stamp
-		targets = append(targets, e)
+	if len(t.stamps) < objs {
+		t.stamps = append(t.stamps, make([]uint32, objs-len(t.stamps))...)
 	}
-	return targets
 }
 
-// find returns src's pair in label l's row, if the directory lists src
-// there. Its descriptor is the one descriptorOf returns for src, which
-// reads the directory first.
-func (t *batchTable) find(l int, src string) (batchEntry, bool) {
-	for _, e := range t.rows[l] {
-		if e.source == src {
-			return e, true
+// take appends a copy of r to targets unless its object is already one.
+// An overlay row whose object the view lacks is matched by name against
+// the pump's other such targets.
+func (t *batchTable) take(targets []row, r *row) []row {
+	if r.obj < 0 {
+		for i := range targets {
+			if targets[i].obj < 0 && targets[i].desc.Name == r.desc.Name {
+				return targets
+			}
 		}
+	} else if t.stamps[r.obj] == t.stamp {
+		return targets
+	} else {
+		t.stamps[r.obj] = t.stamp
 	}
-	return batchEntry{}, false
+	return append(targets, *r)
 }
 
 // pumpSequential (lvf/lvfl) is the decision-driven retrieval schedule:
@@ -1153,7 +1089,7 @@ func (t *batchTable) find(l int, src string) (batchEntry, bool) {
 // order (longest validity first within the term). A falsifying label
 // short-circuits the term and the next pump moves on to the next
 // alternative.
-func (n *Node) pumpSequential(q *localQuery, now time.Time) {
+func (n *Node) pumpSequential(v *View, q *localQuery, now time.Time) {
 	expr := q.engine.Expr()
 	plan := q.engine.Plan()
 	for _, ti := range plan.TermOrder {
@@ -1169,28 +1105,24 @@ func (n *Node) pumpSequential(q *localQuery, now time.Time) {
 				continue
 			}
 			label := expr.Terms[ti].Literals[li].Label
-			src := n.sourceFor(q, label)
+			r := n.sourceFor(v, q, label)
 			if n.sensorNoise > 0 {
 				var retry time.Time
-				src, retry = n.corrSource(q, label, now)
-				if src == "" && !retry.IsZero() {
+				r, retry = n.corrSource(v, q, label, now)
+				if r == nil && !retry.IsZero() {
 					// Every fresh sample already voted; try again once a
 					// new sample can exist.
 					n.pumpAt(q, sampleRetry, retry, now)
 				}
 			}
-			if src == "" {
+			if r == nil {
 				continue // uncoverable (or awaiting fresh corroboration)
 			}
-			desc, ok := n.descriptorOf(src)
-			if !ok {
-				continue
-			}
-			objName := desc.Name.String()
+			objName := r.desc.Name.String()
 			if q.reqs[objName].inFlight {
 				continue
 			}
-			n.requestObject(q, src, objName, desc.Labels, desc.Size, now)
+			n.requestObject(q, r.desc.Source, objName, r.desc.Labels, r.desc.Size, now)
 		}
 		return
 	}
@@ -1303,26 +1235,22 @@ func (n *Node) retryDelay(attempt int, size int64) time.Duration {
 	return d
 }
 
-// sourceFor picks the source covering label for query q — the query's
-// selected set first, then any covering source, cheapest first — steering
-// around sources whose requests kept timing out (the directory supplies
-// the alternate next hop). When every covering source is suspect, the
-// primary is retried: a struggling source beats none. The pick runs over
-// wherever the label's candidates come from. Callers hold n.mu.
-func (n *Node) sourceFor(q *localQuery, label string) string {
-	srcs, cached := n.candidates(q.engine.ID(), label)
-	pick := func(exclude map[string]bool) string {
-		if cached {
-			return n.pickCached(srcs, q.selected, exclude)
-		}
-		return n.dir.SourceForLabelExcluding(label, q.selected, exclude)
-	}
+// sourceFor picks the row covering label for query q by the pick rule —
+// the query's selected set first, then any covering source, cheapest
+// first — steering around sources whose requests kept timing out (the
+// directory supplies the alternate next hop). When every covering source
+// is suspect, the primary is retried: a struggling source beats none. The
+// pick runs over wherever the label's candidates come from (rowsFor), and
+// the row lives as long as they do. nil when nobody covers the label.
+// Callers hold n.mu.
+func (n *Node) sourceFor(v *View, q *localQuery, label string) *row {
+	rows := n.rowsFor(v, q.engine.ID(), label)
 	if len(q.suspect) > 0 {
-		if s := pick(q.suspect); s != "" {
-			return s
+		if r := pick(rows, q.selected, func(r *row) bool { return q.suspect[r.desc.Source] }); r != nil {
+			return r
 		}
 	}
-	return pick(nil)
+	return pick(rows, q.selected, nil)
 }
 
 // queryUrgency is the hierarchical priority key of ref [1]: the minimum

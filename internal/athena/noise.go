@@ -1,7 +1,6 @@
 package athena
 
 import (
-	"slices"
 	"time"
 
 	"athena/internal/annotate"
@@ -73,33 +72,29 @@ func (n *Node) corroborate(q *localQuery, label string, obj *object.Object, true
 	return confident, v
 }
 
-// corrSource picks the covering source to consult next for a label still
-// under corroboration: by the pick rule of every source choice (cheapest:
-// the query's selected sources first, then the smaller object, then the
-// smaller id), among the sources whose current sample has not voted yet (a
-// source can vote again once its previous sample expires and a new version
-// exists). When every source's fresh sample already voted, it returns ""
-// and the earliest instant a new vote becomes possible.
-func (n *Node) corrSource(q *localQuery, label string, now time.Time) (src string, retry time.Time) {
+// corrSource picks the row to consult next for a label still under
+// corroboration: by the pick rule, over the view's rows whose current
+// sample has not voted yet (a source can vote again once its previous
+// sample expires and a new version exists). When every source's fresh
+// sample already voted, it returns nil and the earliest instant a new vote
+// becomes possible.
+func (n *Node) corrSource(v *View, q *localQuery, label string, now time.Time) (r *row, retry time.Time) {
 	cs := q.corr[label]
-	var best cheapest
-	for _, s := range n.dir.SourcesFor(label) {
-		desc, ok := n.dir.Descriptor(s)
-		if !ok {
-			continue
+	r = pick(v.cover(label), q.selected, func(r *row) bool {
+		if cs == nil {
+			return false
 		}
-		if cs != nil {
-			if exp, voted := cs.nameExpiry[desc.Name.String()]; voted && exp.After(now) {
-				if retry.IsZero() || exp.Before(retry) {
-					retry = exp
-				}
-				continue
-			}
+		exp, voted := cs.nameExpiry[r.desc.Name.String()]
+		if !voted || !exp.After(now) {
+			return false
 		}
-		best.offer(s, desc.Size, slices.Contains(q.selected, s))
+		if retry.IsZero() || exp.Before(retry) {
+			retry = exp
+		}
+		return true
+	})
+	if r != nil {
+		return r, time.Time{}
 	}
-	if best.id != "" {
-		return best.id, time.Time{}
-	}
-	return "", retry
+	return nil, retry
 }

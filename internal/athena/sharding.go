@@ -1,21 +1,19 @@
 package athena
 
 import (
-	"slices"
 	"sort"
 
-	"athena/internal/cover"
 	"athena/internal/object"
 )
 
 // This file wires the ShardRouter (shardrouter.go) into the node: the
 // retention-driven shard refresh and backfill, where the query path's
-// candidate sources come from (candidates: the local directory for owned
-// labels, the routed lookup cache for the rest), and the handlers for the
-// two lookup wire messages (a scoped Sync is membership.go's, with its
-// scope from syncScope). Selection, delta extraction and the divergence
-// check are the full replica's own code, handed a candidate pool or a scope
-// predicate.
+// candidate rows come from (rowsFor: the directory's view for owned
+// labels, the routed lookup cache's overlay for the rest), and the
+// handlers for the two lookup wire messages (a scoped Sync is
+// membership.go's, with its scope from syncScope). The pick, the cover,
+// delta extraction and the divergence check are the full replica's own
+// code, handed rows or a scope predicate.
 
 // shardClient is the sharded-directory component: the router and the
 // directory version its ownership view was last derived from. It exists
@@ -26,13 +24,12 @@ type shardClient struct {
 	ver    uint64
 	retry  func(any) // Node.shardRetry, bound once
 
-	// selectSources' scratch, reset per call (callers hold n.mu): the
-	// coverable labels, the distinct candidate ids and the priced pool.
-	// Nothing that outlives a call points into them — coverSources
-	// returns a fresh slice.
-	coverable []string
-	ids       []string
-	pool      []cover.Source
+	// rowsFor's overlay scratch, reset per call (callers hold n.mu): the
+	// rows of the last lookup-cache result read, and the rows of its
+	// sources the view does not hold. What a caller keeps of a row it
+	// copies.
+	rows []*row
+	own  []row
 }
 
 // shardRefresh recomputes shard ownership when the directory version moved
@@ -74,12 +71,12 @@ func (n *Node) shardRefresh() {
 	}
 }
 
-// descriptorOf resolves a source's descriptor from the local directory,
+// descriptorOf resolves a source's descriptor from the directory's view,
 // falling back to the router's lookup cache for remote sources whose
 // records are thin here. Callers hold n.mu.
 func (n *Node) descriptorOf(source string) (object.Descriptor, bool) {
-	if desc, ok := n.dir.Descriptor(source); ok {
-		return desc, true
+	if r := n.dir.View().source(source); r != nil {
+		return r.desc, true
 	}
 	if n.shard != nil {
 		return n.shard.router.Desc(source)
@@ -87,79 +84,65 @@ func (n *Node) descriptorOf(source string) (object.Descriptor, bool) {
 	return object.Descriptor{}, false
 }
 
-// candidates is what sharding adds to source selection: where a label's
-// candidate sources come from. The local directory holds every covering
-// advert when the node is unsharded or replicates the label's home shard.
-// Otherwise the lookup cache answers (a negative entry, "nobody covers the
-// label", answers as cached and empty, and counts as a hit like any other);
-// on a miss a routed ShardLookup starts on the query's behalf (the query is
+// rowsFor is what sharding adds to source selection: where a label's
+// candidate rows come from. The view holds every covering advert when the
+// node is unsharded or replicates the label's home shard. Otherwise the
+// lookup cache answers (a negative entry, "nobody covers the label",
+// answers as cached and empty, and counts as a hit like any other); on a
+// miss a routed ShardLookup starts on the query's behalf (the query is
 // re-selected once none of its labels has a lookup pending) while the
-// directory's partial view — own source, name-shard overlap — serves
-// best-effort meanwhile. cached reports that srcs is a lookup result, whose
-// descriptors descriptorOf resolves; otherwise srcs is nil and the caller
-// reads the directory, which lists (SourcesFor, addSourcesFor) and picks
-// (SourceForLabelExcluding) under its own lock. Callers hold n.mu.
-func (n *Node) candidates(queryID, label string) (srcs []string, cached bool) {
-	if n.shard == nil || n.shard.router.OwnsLabel(label) {
-		return nil, false
+// view's partial rows — own source, name-shard overlap — serve best-effort
+// meanwhile. A lookup-cache result is an overlay of rows, in the shard
+// client's scratch until the next one: a source the view holds is its row
+// there, any other the descriptor its lookup reply brought, which the
+// router keeps while a cache entry names the source (every cached source
+// has one). Callers hold n.mu.
+func (n *Node) rowsFor(v *View, queryID, label string) []*row {
+	sh := n.shard
+	if sh == nil || sh.router.OwnsLabel(label) {
+		return v.cover(label)
 	}
-	if srcs, ok := n.shard.router.CachedSources(label, n.now()); ok {
-		n.stats.ShardLookupHits++
-		return srcs, true
+	srcs, ok := sh.router.CachedSources(label, n.now())
+	if !ok {
+		n.startShardLookup(label, queryID)
+		return v.cover(label)
 	}
-	n.startShardLookup(label, queryID)
-	return nil, false
+	n.stats.ShardLookupHits++
+	rows, own := sh.rows[:0], sh.own[:0]
+	for _, s := range srcs {
+		if r := v.source(s); r != nil {
+			rows = append(rows, r)
+		} else if desc, ok := sh.router.Desc(s); ok {
+			// A grown own leaves earlier rows in the old array, unchanged.
+			own = append(own, row{desc: desc, obj: v.objIndex(desc.Name.String())})
+			rows = append(rows, &own[len(own)-1])
+		}
+	}
+	sh.rows, sh.own = rows, own
+	return rows
 }
 
 // selectSources solves the Section III-B coverage problem for a query's
-// labels: Directory.SelectSources on a full replica; on a sharded node the
-// same cover over the candidates gathered label by label into the shard
-// client's scratch, each distinct one priced once through descriptorOf.
-// Callers hold n.mu.
-func (n *Node) selectSources(queryID string, labels []string) []string {
-	sh := n.shard
-	if sh == nil {
-		return n.dir.SelectSources(labels)
-	}
-	coverable, ids := sh.coverable[:0], sh.ids[:0]
+// labels: each label's candidate rows (rowsFor) are gathered into the
+// node's pool, each distinct source priced once by its row, and
+// coverSources solves the cover over the pool. A full replica's rows are
+// its view's; a sharded node's unowned labels read the lookup overlay.
+// Only coverSources' result is new: nothing the query keeps points into
+// the scratch. Callers hold n.mu.
+func (n *Node) selectSources(v *View, queryID string, labels []string) []string {
+	coverable, pool := n.coverable[:0], n.pool[:0]
 	for _, l := range labels {
-		var covered bool
-		if srcs, cached := n.candidates(queryID, l); cached {
-			ids, covered = addDistinct(ids, srcs), len(srcs) > 0
-		} else {
-			ids, covered = n.dir.addSourcesFor(ids, l)
-		}
-		if covered {
-			coverable = append(coverable, l)
-		}
-	}
-	pool := sh.pool[:0]
-	for _, s := range ids {
-		// A candidate whose descriptor went away between indexing and
-		// pricing just stays out of the pool.
-		if desc, ok := n.descriptorOf(s); ok {
-			pool = append(pool, cover.Source{ID: s, Cost: float64(desc.Size), Covers: desc.Labels})
-		}
-	}
-	sh.coverable, sh.ids, sh.pool = coverable, ids, pool
-	return coverSources(coverable, pool)
-}
-
-// pickCached is Directory.SourceForLabelExcluding over a lookup-cache
-// result: the same single pass and the same rule (cheapest.offer), with
-// descriptorOf pricing the sources the directory holds only thin. Callers
-// hold n.mu.
-func (n *Node) pickCached(srcs, preferred []string, exclude map[string]bool) string {
-	var best cheapest
-	for _, s := range srcs {
-		if exclude[s] {
+		rows := n.rowsFor(v, queryID, l)
+		if len(rows) == 0 {
 			continue
 		}
-		if desc, ok := n.descriptorOf(s); ok {
-			best.offer(s, desc.Size, slices.Contains(preferred, s))
+		coverable = append(coverable, l)
+		for _, r := range rows {
+			pool = addCandidate(pool, r)
 		}
 	}
-	return best.id
+	n.coverable, n.pool = coverable, pool
+	return coverSources(coverable, pool)
 }
 
 // startShardLookup routes a lookup for an unowned label to its home
@@ -236,7 +219,7 @@ func (n *Node) reselectIfSettled(q *localQuery) bool {
 	}
 	if n.scheme != SchemeCMP {
 		n.stats.ShardReselects++
-		q.selected = n.selectSources(q.engine.ID(), labels)
+		q.selected = n.selectSources(n.dir.View(), q.engine.ID(), labels)
 	}
 	return true
 }
@@ -251,7 +234,7 @@ func (n *Node) handleShardLookup(m *ShardLookup) {
 		From:    n.id,
 		To:      m.From,
 		Nonce:   m.Nonce,
-		Adverts: n.dir.AdvertsFor(m.Label),
+		Adverts: n.dir.View().AdvertsFor(m.Label),
 	})
 }
 

@@ -349,12 +349,12 @@ func twoPassPick(descs []object.Descriptor, preferred []string, exclude map[stri
 	return best
 }
 
-// The two pick loops that remain — the directory's over its label index,
-// the node's over a lookup-cache result priced through descriptorOf —
-// make the same choice: 200 seeded cases with few distinct sizes (ties),
-// preferred ids that do not cover the label, and every source excluded.
-// Through sourceFor the same holds with a query's suspects steered around,
-// and each routed resolution counts one ShardLookupHits.
+// The one pick makes the same choice over the view's rows and over a
+// lookup-cache overlay, whose sources the view holds only thin: 200 seeded
+// cases with few distinct sizes (ties), preferred ids that do not cover
+// the label, and every source excluded. Through sourceFor the same holds
+// with a query's suspects steered around, and each routed resolution
+// counts one ShardLookupHits.
 func TestPickCachedMatchesDirectoryPick(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	expr := boolexpr.ToDNF(boolexpr.MustParse("l"))
@@ -386,14 +386,14 @@ func TestPickCachedMatchesDirectoryPick(t *testing.T) {
 
 		dir := NewDirectory(descs)
 		routed := routedNode(t, descs)
-		srcs, ok := routed.shard.router.CachedSources("l", time.Time{})
-		if !ok {
+		if _, ok := routed.shard.router.CachedSources("l", time.Time{}); !ok {
 			t.Fatalf("case %d: label not in the lookup cache", c)
 		}
-		if got := dir.SourceForLabelExcluding("l", preferred, exclude); got != want {
+		if got := viewPick(dir.View(), "l", preferred, exclude); got != want {
 			t.Errorf("case %d: directory picked %q, want %q (preferred %v, exclude %v)", c, got, want, preferred, exclude)
 		}
-		if got := routed.pickCached(srcs, preferred, exclude); got != want {
+		overlay := routed.rowsFor(routed.dir.View(), "", "l")
+		if got := rowSource(pick(overlay, preferred, func(r *row) bool { return exclude[r.desc.Source] })); got != want {
 			t.Errorf("case %d: node picked %q over the cached result, want %q (preferred %v, exclude %v)", c, got, want, preferred, exclude)
 		}
 
@@ -402,14 +402,14 @@ func TestPickCachedMatchesDirectoryPick(t *testing.T) {
 			want = twoPassPick(descs, preferred, nil) // all suspect: the primary is retried
 		}
 		local := &Node{id: "querier", dir: dir}
-		if got := local.sourceFor(q, "l"); got != want {
+		if got := rowSource(local.sourceFor(dir.View(), q, "l")); got != want {
 			t.Errorf("case %d: full-replica sourceFor = %q, want %q", c, got, want)
 		}
-		if got := routed.sourceFor(q, "l"); got != want {
+		if got := rowSource(routed.sourceFor(routed.dir.View(), q, "l")); got != want {
 			t.Errorf("case %d: routed sourceFor = %q, want %q", c, got, want)
 		}
-		if hits := routed.stats.ShardLookupHits; hits != 1 {
-			t.Errorf("case %d: ShardLookupHits = %d after one routed resolution, want 1", c, hits)
+		if hits := routed.stats.ShardLookupHits; hits != 2 {
+			t.Errorf("case %d: ShardLookupHits = %d after two routed resolutions, want 2", c, hits)
 		}
 	}
 }
@@ -451,7 +451,7 @@ func TestShardedSelectSourcesMatchesFullReplica(t *testing.T) {
 	selectAt := func(node *Node, labels []string) []string {
 		node.mu.Lock()
 		defer node.mu.Unlock()
-		return node.selectSources("", labels)
+		return node.selectSources(node.dir.View(), "", labels)
 	}
 
 	// The first pass starts a routed lookup for every label a node does
@@ -469,7 +469,7 @@ func TestShardedSelectSourcesMatchesFullReplica(t *testing.T) {
 		before := node.Stats().ShardLookupHits
 		routed := 0
 		for _, set := range sets {
-			if got, want := selectAt(node, set), full.SelectSources(set); !slices.Equal(got, want) {
+			if got, want := selectAt(node, set), refSelectSources(full, set); !slices.Equal(got, want) {
 				t.Errorf("%s selects %v for %v, full replica %v", id, got, set, want)
 			}
 			for _, l := range set {
@@ -579,7 +579,7 @@ func BenchmarkSelectSources(b *testing.B) {
 	owner := NewShardRouter("querier", 16, 2, shardCacheSize)
 	owner.Refresh([]string{"querier"})
 	shardedOwned := &Node{id: "querier", dir: NewDirectory(descs), shard: &shardClient{router: owner}}
-	want := full.dir.SelectSources(labels)
+	want := refSelectSources(full.dir, labels)
 	if len(want) < 8 {
 		b.Fatalf("fixture selects %v, want a cover of several sources", want)
 	}
@@ -590,7 +590,7 @@ func BenchmarkSelectSources(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if got := c.node.selectSources("q", labels); !slices.Equal(got, want) {
+				if got := c.node.selectSources(c.node.dir.View(), "q", labels); !slices.Equal(got, want) {
 					b.Fatalf("selected %v, want %v", got, want)
 				}
 			}
