@@ -97,15 +97,9 @@ type ShardRouter struct {
 	rf   int
 	self string
 
-	view    atomic.Pointer[shardView]
-	members []string // live view at last Refresh, sorted
-	owned   []int    // owned shards at last Refresh, sorted
-
-	// replicas memoizes shard → replica set under members: placement is a
-	// function of the view, so it is computed on first use and cleared when
-	// the view changes. At most shards × rf ids. An entry is never written
-	// after it is stored — pending lookups and callers under sr.mu share it.
-	replicas map[int][]string
+	view  atomic.Pointer[shardView]
+	place *shard.Placement // replica sets under the view at last Refresh; nil before
+	owned []int            // owned shards at last Refresh, sorted; the placement's
 
 	cacheCap int
 	stamp    uint64
@@ -125,7 +119,6 @@ func NewShardRouter(self string, shards, rf, cacheCap int) *ShardRouter {
 		rf:       rf,
 		self:     self,
 		cacheCap: cacheCap,
-		replicas: make(map[int][]string),
 		cache:    make(map[string]*shardCacheEntry),
 		descs:    make(map[string]refDesc),
 		pending:  make(map[string]*pendingShardLookup),
@@ -164,12 +157,12 @@ func (sr *ShardRouter) inShards(set map[int]bool, desc object.Descriptor) bool {
 	return false
 }
 
-// Refresh recomputes shard ownership from the live membership view and
-// swaps the retention snapshot. It returns the shards this node gained
+// Refresh reads shard ownership from the live membership view's placement
+// and swaps the retention snapshot. It returns the shards this node gained
 // (the caller backfills them from a co-replica) and whether ownership
 // changed at all (the caller refilters the directory then). Ownership is a
 // function of the view: a refresh with the members of the last one (in any
-// order) returns (nil, false) without recomputing anything.
+// order) returns (nil, false) without looking anything up.
 func (sr *ShardRouter) Refresh(members []string) (added []int, changed bool) {
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
@@ -177,46 +170,40 @@ func (sr *ShardRouter) Refresh(members []string) (added []int, changed bool) {
 		members = slices.Clone(members)
 		sort.Strings(members)
 	}
-	first := sr.view.Load() == nil
-	if !first && slices.Equal(members, sr.members) {
+	first := sr.place == nil
+	if !first && slices.Equal(members, sr.place.View()) {
 		return nil, false
 	}
-	sr.members = append(sr.members[:0], members...)
-	clear(sr.replicas)
-
-	owned := sr.smap.OwnedBy(sr.self, sr.members, sr.rf)
-	prev := make(map[int]bool, len(sr.owned))
-	for _, s := range sr.owned {
-		prev[s] = true
-	}
-	ownedSet := make(map[int]bool, len(owned))
+	sr.place = sr.smap.Placement(members, sr.rf)
+	owned := sr.place.Owned(sr.self)
 	for _, s := range owned {
-		ownedSet[s] = true
-		if !prev[s] {
+		if _, held := slices.BinarySearch(sr.owned, s); !held {
 			added = append(added, s)
 		}
 	}
 	// The first refresh always counts as a change: until then the nil
 	// snapshot kept every payload, and the caller must refilter even when
 	// this node turns out to own nothing.
-	changed = first || len(added) > 0 || len(owned) != len(sr.owned)
+	changed = first || !slices.Equal(owned, sr.owned)
 	sr.owned = owned
 	if changed {
+		ownedSet := make(map[int]bool, len(owned))
+		for _, s := range owned {
+			ownedSet[s] = true
+		}
 		sr.view.Store(&shardView{owned: ownedSet})
 	}
 	return added, changed
 }
 
 // replicasLocked is shard s's replica set under the last refreshed view,
-// through the memo. The slice is shared: callers read it, never write it.
-// Callers hold sr.mu.
+// read from its placement; none before the first refresh. The slice is
+// shared: callers read it, never write it. Callers hold sr.mu.
 func (sr *ShardRouter) replicasLocked(s int) []string {
-	reps, ok := sr.replicas[s]
-	if !ok {
-		reps = sr.smap.Replicas(s, sr.members, sr.rf)
-		sr.replicas[s] = reps
+	if sr.place == nil {
+		return nil
 	}
-	return reps
+	return sr.place.Replicas(s)
 }
 
 // OwnsLabel reports whether this node replicates the label's home shard —
@@ -330,7 +317,7 @@ func (sr *ShardRouter) Begin(label, queryID string) (msg *ShardLookup, p *pendin
 }
 
 // targetsFor is shard s's replica set minus this node, in rendezvous
-// order: the memoized set itself when this node is not in it (a lookup is
+// order: the placement's set itself when this node is not in it (a lookup is
 // for a label whose shard is not replicated here), else a filtered copy.
 // Either way nothing writes the result again, so a pending lookup may keep
 // it across a view change. Callers hold sr.mu.

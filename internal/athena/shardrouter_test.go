@@ -104,7 +104,7 @@ func TestShardRouterSharedAndScope(t *testing.T) {
 		sharedSet[int(s)] = true
 	}
 	for _, s := range sr.OwnedShards() {
-		if sr.smap.Owns("n1", s, routerView(6), 3) != sharedSet[s] {
+		if slices.Contains(sr.smap.Replicas(s, routerView(6), 3), "n1") != sharedSet[s] {
 			t.Fatalf("SharedShards mismatch at shard %d", s)
 		}
 	}
@@ -380,11 +380,11 @@ func TestShardRouterMemoFollowsView(t *testing.T) {
 				}
 			}
 			for _, peer := range all {
-				// The reference is the ranking-free Owns, as SharedShards
-				// was written before the memo.
+				// The reference is Map.Replicas, as SharedShards was
+				// written before the placement.
 				var want []uint32
 				for _, s := range fresh.OwnedShards() {
-					if fresh.smap.Owns(peer, s, sorted, rf) {
+					if slices.Contains(fresh.smap.Replicas(s, sorted, rf), peer) {
 						want = append(want, uint32(s))
 					}
 				}

@@ -79,11 +79,12 @@ func RunShardScale(n, sources, shards, rf int) (ShardScaleRow, error) {
 		pairCount[pair{smap.OfName(name), smap.OfKey(label)}]++
 	}
 
+	place := smap.Placement(view, rf)
 	var totalEntries int64
 	var totalSync int64
 	for i, id := range view {
 		owned := make(map[int]bool)
-		for _, s := range smap.OwnedBy(id, view, rf) {
+		for _, s := range place.Owned(id) {
 			owned[s] = true
 		}
 		for p, c := range pairCount {
@@ -99,7 +100,7 @@ func RunShardScale(n, sources, shards, rf int) (ShardScaleRow, error) {
 		var shared []uint32
 		sharedSet := make(map[int]bool)
 		for s := range owned {
-			if smap.Owns(peer, s, view, rf) {
+			if slices.Contains(place.Replicas(s), peer) {
 				shared = append(shared, uint32(s))
 				sharedSet[s] = true
 			}

@@ -8,7 +8,13 @@
 // removing one node from the view moves only that node's shards.
 package shard
 
-import "athena/internal/names"
+import (
+	"cmp"
+	"slices"
+	"sync"
+
+	"athena/internal/names"
+)
 
 // FNV-1a, manually inlined so shard lookups stay allocation-free on the
 // query hot path (same constants as internal/athena's digest fold).
@@ -127,8 +133,9 @@ func (m *Map) Replicas(s int, view []string, rf int) []string {
 // rankIn inserts (id, w) at its rank among the pairs ids and ws hold in
 // parallel — weight descending, then id ascending — keeping at most
 // cap(ids) of them: the last one drops off a full ranking, and a pair that
-// ranks after all of a full ranking is ignored.
-func rankIn(ids []string, ws []uint64, id string, w uint64) ([]string, []uint64) {
+// ranks after all of a full ranking is ignored. An id is a member's name,
+// or its index in a sorted view, which orders the same.
+func rankIn[T cmp.Ordered](ids []T, ws []uint64, id T, w uint64) ([]T, []uint64) {
 	i := len(ids)
 	for i > 0 && (w > ws[i-1] || (w == ws[i-1] && id < ids[i-1])) {
 		i--
@@ -137,7 +144,8 @@ func rankIn(ids []string, ws []uint64, id string, w uint64) ([]string, []uint64)
 		return ids, ws
 	}
 	if len(ids) < cap(ids) {
-		ids, ws = append(ids, ""), append(ws, 0)
+		var zero T
+		ids, ws = append(ids, zero), append(ws, 0)
 	}
 	copy(ids[i+1:], ids[i:])
 	copy(ws[i+1:], ws[i:])
@@ -145,41 +153,119 @@ func rankIn(ids []string, ws []uint64, id string, w uint64) ([]string, []uint64)
 	return ids, ws
 }
 
-// Owns reports whether node is in shard s's replica set under the given
-// view: node's weight ranks within the top rf. It avoids materializing the
-// full ranking.
-func (m *Map) Owns(node string, s int, view []string, rf int) bool {
-	if rf <= 0 {
-		return false
-	}
-	base := shardBase(s)
-	nw := weightFrom(base, node)
-	seen := false
-	higher := 0
-	for _, id := range view {
-		if id == node {
-			seen = true
-			continue
-		}
-		w := weightFrom(base, id)
-		if w > nw || (w == nw && id < node) {
-			higher++
-			if higher >= rf {
-				return false
-			}
-		}
-	}
-	return seen
+// Placement is every shard's replica set under one membership view, for
+// one shard count and replication factor: what Replicas gives shard by
+// shard, computed once and held in flat arrays, with each member's owned
+// shards beside it. It is immutable, so every router in a process that
+// agrees on the view shares one (Map.Placement).
+type Placement struct {
+	shards, rf int
+	view       []string // sorted, distinct
+	k          int      // replicas per shard: rf clamped to the view
+	reps       []string // shard s's replica set at reps[s*k:(s+1)*k]
+	start      []int    // member i's shards at owned[start[i]:start[i+1]]
+	owned      []int
 }
 
-// OwnedBy returns the sorted set of shards whose replica set includes node
-// under the given view.
-func (m *Map) OwnedBy(node string, view []string, rf int) []int {
-	var out []int
-	for s := 0; s < m.shards; s++ {
-		if m.Owns(node, s, view, rf) {
-			out = append(out, s)
+// placementMemoSize bounds the placements kept for reuse. A fleet's nodes
+// hold a few distinct views at once — the view before a churn event and
+// after it, at the nodes that heard and those that have not yet.
+const placementMemoSize = 8
+
+// placements is the process's memo, newest first. Its lock is a leaf: a
+// placement is built outside it.
+var placements struct {
+	mu   sync.Mutex
+	ring [placementMemoSize]*Placement
+}
+
+// Placement returns the replica sets of every shard under view at
+// replication factor rf. view need not be sorted and is not modified;
+// duplicates count once. The placement is shared: a recent one of an
+// equal view, shard count and rf is returned as it is.
+func (m *Map) Placement(view []string, rf int) *Placement {
+	if !isSet(view) {
+		view = slices.Clone(view)
+		slices.Sort(view)
+		view = slices.Compact(view)
+	}
+	placements.mu.Lock()
+	for _, p := range placements.ring {
+		if p != nil && p.shards == m.shards && p.rf == rf && slices.Equal(p.view, view) {
+			placements.mu.Unlock()
+			return p
 		}
 	}
-	return out
+	placements.mu.Unlock()
+	p := newPlacement(m.shards, rf, view)
+	placements.mu.Lock()
+	copy(placements.ring[1:], placements.ring[:placementMemoSize-1])
+	placements.ring[0] = p
+	placements.mu.Unlock()
+	return p
+}
+
+// isSet reports whether view is sorted with no member twice.
+func isSet(view []string) bool {
+	for i := 1; i < len(view); i++ {
+		if view[i-1] >= view[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// newPlacement ranks every shard's replicas over a sorted, distinct view:
+// one weight per (shard, member), members ranked by their index, which
+// orders as their ids do.
+func newPlacement(shards, rf int, view []string) *Placement {
+	p := &Placement{shards: shards, rf: rf, view: slices.Clone(view), k: max(0, min(rf, len(view)))}
+	k := p.k
+	p.reps = make([]string, shards*k)
+	p.start = make([]int, len(view)+1)
+	idx := make([]int32, shards*k)
+	ws := make([]uint64, 0, k)
+	for s := 0; s < shards; s++ {
+		ids, base := idx[s*k:s*k:(s+1)*k], shardBase(s)
+		ws = ws[:0]
+		for i, id := range p.view {
+			ids, ws = rankIn(ids, ws, int32(i), weightFrom(base, id))
+		}
+		for j, i := range ids {
+			p.reps[s*k+j] = p.view[i]
+			p.start[i+1]++
+		}
+	}
+	for i := range p.view {
+		p.start[i+1] += p.start[i]
+	}
+	p.owned = make([]int, len(idx))
+	fill := slices.Clone(p.start[:len(view)])
+	for j, i := range idx {
+		p.owned[fill[i]] = j / max(k, 1)
+		fill[i]++
+	}
+	return p
+}
+
+// View returns the placement's view, sorted and distinct. It is shared:
+// callers read it, never write it.
+func (p *Placement) View() []string { return p.view }
+
+// Replicas returns shard s's replica set, in rendezvous order (index 0 is
+// the primary), as Map.Replicas gives it. The slice is shared: callers
+// read it, never write it.
+func (p *Placement) Replicas(s int) []string {
+	return p.reps[s*p.k : (s+1)*p.k : (s+1)*p.k]
+}
+
+// Owned returns the sorted shards whose replica set includes node; none
+// when node is not in the view. The slice is shared: callers read it,
+// never write it.
+func (p *Placement) Owned(node string) []int {
+	i, found := slices.BinarySearch(p.view, node)
+	if !found {
+		return nil
+	}
+	return p.owned[p.start[i]:p.start[i+1]:p.start[i+1]]
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"athena/internal/names"
@@ -14,6 +15,45 @@ func view(n int) []string {
 	out := make([]string, n)
 	for i := range out {
 		out[i] = fmt.Sprintf("athena%03d", i)
+	}
+	return out
+}
+
+// Owns reports whether node is in shard s's replica set under the given
+// view: node's weight ranks within the top rf. It scores the view without
+// ranking it, which makes it the oracle Replicas and Placement answer to.
+func (m *Map) Owns(node string, s int, view []string, rf int) bool {
+	if rf <= 0 {
+		return false
+	}
+	base := shardBase(s)
+	nw := weightFrom(base, node)
+	seen := false
+	higher := 0
+	for _, id := range view {
+		if id == node {
+			seen = true
+			continue
+		}
+		w := weightFrom(base, id)
+		if w > nw || (w == nw && id < node) {
+			higher++
+			if higher >= rf {
+				return false
+			}
+		}
+	}
+	return seen
+}
+
+// OwnedBy returns the sorted set of shards whose replica set includes node
+// under the given view, shard by shard through Owns.
+func (m *Map) OwnedBy(node string, view []string, rf int) []int {
+	var out []int
+	for s := 0; s < m.shards; s++ {
+		if m.Owns(node, s, view, rf) {
+			out = append(out, s)
+		}
 	}
 	return out
 }
@@ -256,4 +296,92 @@ func TestReplicasAllocatesOnlyResult(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, func() { m.Replicas(7, v, 3) }); allocs > 1 {
 		t.Errorf("Replicas allocates %.0f times, want 1 (the result)", allocs)
 	}
+}
+
+// A placement is Replicas and Owns shard by shard: on random views (shuffled,
+// a member now and then listed twice), shard counts and rf from 0 to past
+// the view, every shard's replica set is Map.Replicas over the distinct
+// view, and every member's owned shards are those Owns grants, with
+// OwnedBy's order. A stranger owns nothing.
+func TestPlacementMatchesReplicasAndOwns(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	for c := 0; c < 300; c++ {
+		m := NewMap(1+rng.Intn(70), 2)
+		v := view(rng.Intn(30))
+		if len(v) > 0 && rng.Intn(4) == 0 {
+			v = append(v, v[rng.Intn(len(v))])
+		}
+		rng.Shuffle(len(v), func(i, j int) { v[i], v[j] = v[j], v[i] })
+		rf := []int{-1, 0, 1, 2, 3, 8, 9, len(v), len(v) + 3}[rng.Intn(9)]
+		before := slices.Clone(v)
+		p := m.Placement(v, rf)
+		if !slices.Equal(v, before) {
+			t.Fatalf("case %d: Placement reordered the view", c)
+		}
+		distinct := slices.Clone(v)
+		slices.Sort(distinct)
+		distinct = slices.Compact(distinct)
+		if !slices.Equal(p.View(), distinct) {
+			t.Fatalf("case %d: View() = %v, want %v", c, p.View(), distinct)
+		}
+		for s := 0; s < m.Shards(); s++ {
+			if got, want := p.Replicas(s), m.Replicas(s, distinct, rf); !slices.Equal(got, want) {
+				t.Fatalf("case %d: Replicas(%d) = %v, Map.Replicas %v (view %d, rf %d)", c, s, got, want, len(distinct), rf)
+			}
+		}
+		for _, id := range append(distinct, "stranger") {
+			if got, want := p.Owned(id), m.OwnedBy(id, distinct, rf); !slices.Equal(got, want) {
+				t.Fatalf("case %d: Owned(%s) = %v, OwnedBy %v (view %d, rf %d)", c, id, got, want, len(distinct), rf)
+			}
+		}
+	}
+}
+
+// Equal views held in different slices, in any order, share one placement;
+// another shard count or rf is another placement; and the memo keeps at
+// most placementMemoSize of them, so a view placementMemoSize newer ones
+// pushed out is built again, to the same assignment.
+func TestPlacementSharedAndBounded(t *testing.T) {
+	m := NewMap(40, 2)
+	v := view(12)
+	p := m.Placement(v, 3)
+	shuffled := slices.Clone(v)
+	slices.Reverse(shuffled)
+	if q := m.Placement(shuffled, 3); q != p {
+		t.Fatal("an equal view in another slice built a second placement")
+	}
+	if m.Placement(v, 2) == p || NewMap(41, 2).Placement(v, 3) == p {
+		t.Fatal("another rf or shard count shares the placement")
+	}
+	if NewMap(40, 3).Placement(v, 3) != p {
+		t.Fatal("the prefix depth is not part of placement")
+	}
+	for i := 0; i < placementMemoSize; i++ {
+		m.Placement(view(20+i), 3)
+	}
+	if q := m.Placement(v, 3); q == p || !slices.Equal(q.Owned("athena003"), p.Owned("athena003")) {
+		t.Fatal("the evicted view came back as the old placement, or as another assignment")
+	}
+}
+
+// Routers on many goroutines look placements up while others build them:
+// every caller gets the assignment of its view (run it under -race).
+func TestPlacementConcurrent(t *testing.T) {
+	m := NewMap(64, 2)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				v := view(5 + (i+g)%12)
+				p := m.Placement(v, 3)
+				if s := i % 64; !slices.Equal(p.Replicas(s), m.Replicas(s, v, 3)) {
+					t.Errorf("goroutine %d: Replicas(%d) under %d members differs from Map.Replicas", g, s, len(v))
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
