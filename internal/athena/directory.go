@@ -107,6 +107,10 @@ type advState struct {
 	// converge globally — but the labels are dropped and the record is not
 	// in the label index.
 	thin bool
+	// thinAt is the retention epoch the record last went thin at, or was
+	// declined at its own seq at: while the epoch stays there, the filter
+	// still declines the payload its seq carries.
+	thinAt uint64
 }
 
 // Directory is the semantic lookup service (standing in for the paper's
@@ -144,6 +148,9 @@ type Directory struct {
 	// every payload — the full-replica default). It must not take locks:
 	// Advertise calls it while holding d.mu.
 	keep func(object.Descriptor) bool
+	// epoch counts the retention filter's changes: SetRetention and every
+	// Refilter (what the filter decides changed) move it on.
+	epoch uint64
 }
 
 // NewDirectory indexes the bootstrap descriptors. Later descriptors for
@@ -188,6 +195,9 @@ func (d *Directory) Advertise(desc object.Descriptor, seq uint64) bool {
 			// thin record to a full one when the retention filter now wants
 			// the payload (backfill after a shard ownership change).
 			if !(r.thin && keepFull && seq == r.seq) {
+				if r.thin && seq == r.seq {
+					r.thinAt = d.epoch
+				}
 				return false
 			}
 		}
@@ -210,7 +220,7 @@ func (d *Directory) Advertise(desc object.Descriptor, seq uint64) bool {
 		// liveness need. The name survives so re-route bookkeeping can still
 		// tell which stream went away.
 		r.desc = object.Descriptor{Source: desc.Source, Name: desc.Name}
-		r.thin = true
+		r.thin, r.thinAt = true, d.epoch
 	}
 	r.seq = seq
 	r.present = true
@@ -245,6 +255,7 @@ func (d *Directory) Refilter() {
 }
 
 func (d *Directory) refilterLocked() {
+	d.epoch++
 	if d.keep == nil {
 		return
 	}
@@ -255,7 +266,7 @@ func (d *Directory) refilterLocked() {
 		}
 		d.unindexLocked(r.desc)
 		r.desc = object.Descriptor{Source: src, Name: r.desc.Name}
-		r.thin = true
+		r.thin, r.thinAt = true, d.epoch
 		changed = true
 	}
 	if changed {
@@ -363,10 +374,11 @@ func (d *Directory) Apply(a Advertisement) bool {
 }
 
 // stale reports whether Advertise rejects seq for source whatever the
-// payload: a strict subset of its rejections, leaving out the one that
-// depends on the payload — a thin record upgraded at its own seq when the
-// retention filter wants the descriptor — so Advertise stays the
-// authority.
+// payload: a strict subset of its rejections, so Advertise stays the
+// authority. What it leaves out depends on the payload — a thin record
+// upgraded at its own seq when the retention filter wants the descriptor —
+// unless the filter has not changed since it declined that seq's payload
+// (the record's thinAt is the current epoch).
 func (d *Directory) stale(source string, seq uint64) bool {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -375,7 +387,7 @@ func (d *Directory) stale(source string, seq uint64) bool {
 	case !ok:
 		return false
 	case r.present:
-		return seq < r.seq || (seq == r.seq && !r.thin)
+		return seq < r.seq || (seq == r.seq && (!r.thin || r.thinAt == d.epoch))
 	default:
 		return seq < r.seq || (seq == r.seq && r.withdrawn)
 	}

@@ -599,7 +599,8 @@ func refApply(d *Directory, a Advertisement) bool {
 // Snapshot, SeqVector, Version — from one applying through the reference.
 // The case that needs the thin clause is a thin record upgraded at its
 // own seq after the filter starts wanting its payload; dropping that
-// clause fails here. A stale Apply allocates nothing.
+// clause fails here. A stale Apply allocates nothing, a thin record's
+// advert at its own seq under the filter that declined it included.
 func TestApplyStaleRejectMatchesAdvertise(t *testing.T) {
 	srcs := []string{"a", "b", "c"}
 	filters := []func(object.Descriptor) bool{
@@ -674,10 +675,13 @@ func TestApplyStaleRejectMatchesAdvertise(t *testing.T) {
 	d.Advertise(dirDesc("a", "/g/a/1", 10, "l"), 5)
 	d.Advertise(dirDesc("b", "/g/b/1", 10, "l"), 5)
 	d.Withdraw("b", 6)
+	d.SetRetention(func(desc object.Descriptor) bool { return desc.Source != "c" })
+	d.Advertise(dirDesc("c", "/g/c/1", 10, "l"), 5)
 	for _, a := range []Advertisement{
 		advertisementOf(dirDesc("a", "/g/a/1", 10, "l"), 4),
 		advertisementOf(dirDesc("a", "/g/a/1", 10, "l"), 5),
 		advertisementOf(dirDesc("b", "/g/b/1", 10, "l"), 6),
+		advertisementOf(dirDesc("c", "/g/c/1", 10, "l"), 5),
 	} {
 		if allocs := testing.AllocsPerRun(20, func() { d.Apply(a) }); allocs != 0 {
 			t.Errorf("stale Apply(%s@%d) allocates %.0f times, want 0", a.Source, a.Seq, allocs)
