@@ -34,9 +34,12 @@ type shardClient struct {
 
 // shardRefresh recomputes shard ownership when the directory version moved
 // (the membership view is derived from it, mirroring refreshSampler),
-// refilters the directory on an ownership change, and backfills newly
-// owned shards from a standing co-replica — the local copies are thin, and
-// only a scoped sync can restore the payloads. Callers hold n.mu.
+// refilters the directory on an ownership change, and backfills shards
+// gained since the last refresh from a standing co-replica — the local
+// copies are thin, and only a scoped sync can restore the payloads. The
+// first refresh backfills nothing: until then every payload was kept. A
+// record this node never heard of is anti-entropy's (maybeSync). Callers
+// hold n.mu.
 func (n *Node) shardRefresh() {
 	sh := n.shard
 	if sh == nil {

@@ -31,6 +31,14 @@ type shardRig struct {
 
 func buildShardRig(t *testing.T, n, shards, rf int, seed int64) *shardRig {
 	t.Helper()
+	return buildShardRigWith(t, n, shards, rf, seed, nil)
+}
+
+// buildShardRigWith builds the rig with boot, when given, making each
+// node's bootstrap directory from every node's descriptor (the default is
+// them all, at seq index+1).
+func buildShardRigWith(t *testing.T, n, shards, rf int, seed int64, boot func(id string, descs []object.Descriptor) *Directory) *shardRig {
+	t.Helper()
 	sched := simclock.New(tBase)
 	net := netsim.New(sched)
 	rng := rand.New(rand.NewSource(seed))
@@ -61,13 +69,17 @@ func buildShardRig(t *testing.T, n, shards, rf int, seed int64) *shardRig {
 	auth := trust.NewAuthority()
 	for i, id := range r.ids {
 		desc := descs[i]
+		dir := NewDirectory(descs)
+		if boot != nil {
+			dir = boot(id, descs)
+		}
 		node, err := New(Config{
 			ID:                id,
 			Transport:         transport.NewSim(net, id),
 			Router:            net,
 			Timers:            LaneTimers{Lane: sched.Lane},
 			Scheme:            SchemeLVF,
-			Directory:         NewDirectory(descs),
+			Directory:         dir,
 			Meta:              meta,
 			World:             world,
 			Authority:         auth,
@@ -218,6 +230,62 @@ func TestShardedClusterResolvesRoutedQueries(t *testing.T) {
 	r.run(t, 140*time.Second) // a minute on: what the queries left lapses
 	if v := Quiescent(r.nodes); len(v) > 0 {
 		t.Errorf("not quiescent:\n%s", strings.Join(v, "\n"))
+	}
+}
+
+// The first refresh backfills nothing, so a node whose bootstrap directory
+// lacks some records of the shards it owns has only anti-entropy to learn
+// them from: its digest differs from its co-replicas', and the scoped syncs
+// that divergence starts ship every missing record in full.
+func TestShardedNodeLearnsMissingRecordsByAntiEntropy(t *testing.T) {
+	const (
+		n      = 16
+		shards = 16
+		rf     = 3
+	)
+	var missing []object.Descriptor
+	r := buildShardRigWith(t, n, shards, rf, 5, func(id string, descs []object.Descriptor) *Directory {
+		if id != "n0" {
+			return NewDirectory(descs)
+		}
+		ids := make([]string, len(descs))
+		for i, d := range descs {
+			ids[i] = d.Source
+		}
+		sr := NewShardRouter("n0", shards, rf, shardCacheSize)
+		sr.Refresh(ids)
+		owned := make([]uint32, 0, shards)
+		for _, s := range sr.OwnedShards() {
+			owned = append(owned, uint32(s))
+		}
+		inOwned, held := sr.InShards(owned), 0
+		dir := NewDirectory(nil)
+		for i, d := range descs {
+			if d.Source != id && inOwned(d) {
+				if held++; held%2 == 1 { // every other one is missing
+					missing = append(missing, d)
+					continue
+				}
+			}
+			dir.Advertise(d, uint64(i)+1)
+		}
+		return dir
+	})
+	if len(missing) < 2 {
+		t.Fatalf("the bootstrap directory lacks %d records of n0's shards; the rig wants at least 2", len(missing))
+	}
+	r.run(t, 60*time.Second)
+
+	n0 := r.nodes["n0"]
+	v := n0.Directory().View()
+	for _, want := range missing {
+		got := v.source(want.Source)
+		if got == nil || got.desc.Name.String() != want.Name.String() || !slices.Equal(got.desc.Labels, want.Labels) {
+			t.Errorf("n0 holds %+v for %s after a minute of anti-entropy, want the full record %s %v", got, want.Source, want.Name, want.Labels)
+		}
+	}
+	if st := n0.Stats(); st.SyncExchanges == 0 {
+		t.Error("n0 opened no anti-entropy exchange")
 	}
 }
 

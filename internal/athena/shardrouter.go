@@ -159,7 +159,8 @@ func (sr *ShardRouter) inShards(set map[int]bool, desc object.Descriptor) bool {
 
 // Refresh reads shard ownership from the live membership view's placement
 // and swaps the retention snapshot. It returns the shards this node gained
-// (the caller backfills them from a co-replica) and whether ownership
+// since the last refresh (the caller backfills them from a co-replica;
+// the first refresh gains none) and whether ownership
 // changed at all (the caller refilters the directory then). Ownership is a
 // function of the view: a refresh with the members of the last one (in any
 // order) returns (nil, false) without looking anything up.
@@ -176,14 +177,15 @@ func (sr *ShardRouter) Refresh(members []string) (added []int, changed bool) {
 	}
 	sr.place = sr.smap.Placement(members, sr.rf)
 	owned := sr.place.Owned(sr.self)
+	// Until the first refresh the nil snapshot kept every payload, so no
+	// shard can be thin then: the first refresh gains none, and always
+	// counts as a change — the caller must refilter even when this node
+	// turns out to own nothing.
 	for _, s := range owned {
-		if _, held := slices.BinarySearch(sr.owned, s); !held {
+		if _, held := slices.BinarySearch(sr.owned, s); !held && !first {
 			added = append(added, s)
 		}
 	}
-	// The first refresh always counts as a change: until then the nil
-	// snapshot kept every payload, and the caller must refilter even when
-	// this node turns out to own nothing.
 	changed = first || !slices.Equal(owned, sr.owned)
 	sr.owned = owned
 	if changed {

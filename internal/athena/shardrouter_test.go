@@ -59,13 +59,14 @@ func TestShardRouterKeep(t *testing.T) {
 	}
 }
 
-// Refresh reports exactly the newly gained shards, and a shrinking view
-// reassigns the lost node's shards to survivors.
+// Refresh reports exactly the shards gained since the last refresh — none
+// at the first, when the nil snapshot had kept every payload — and a
+// shrinking view reassigns the lost node's shards to survivors.
 func TestShardRouterRefreshTracksOwnership(t *testing.T) {
 	sr := NewShardRouter("n0", 32, 3, 16)
 	added, changed := sr.Refresh(routerView(8))
-	if !changed || len(added) != len(sr.OwnedShards()) {
-		t.Fatalf("first refresh: added=%v changed=%v owned=%v", added, changed, sr.OwnedShards())
+	if !changed || len(added) != 0 || len(sr.OwnedShards()) == 0 {
+		t.Fatalf("first refresh: added=%v changed=%v owned=%v; want none added, a change, some owned", added, changed, sr.OwnedShards())
 	}
 	if _, changed := sr.Refresh(routerView(8)); changed {
 		t.Fatal("unchanged view must not report a change")
