@@ -190,16 +190,12 @@ type ChaosReport struct {
 
 // chaosCheckpoint is the virtual-time interval between checkpoints, and
 // chaosQuiesce how long past its stop a run goes on before the quiescence
-// check. A forward's retransmit chain runs on while any waiter lives, and
-// an origin's re-request just before its deadline refreshes one, so a
-// chain begun near the stop can run four retry delays of the largest
-// object plus a retry interval past it (158 s at 1 MB and the default
-// retry bandwidth), and the waiter its last retransmit adds upstream lives
-// an interest TTL more. A minute, Quiescent's usual margin, is not enough
-// under faults (ROADMAP item 1).
+// check: Quiescent's usual minute. A request lives no longer than its
+// query, so what a fleet still holds a minute past its last deadline is a
+// leak.
 const (
 	chaosCheckpoint = 5 * time.Second
-	chaosQuiesce    = 4 * time.Minute
+	chaosQuiesce    = time.Minute
 )
 
 // RunChaos runs the fleet on seed's scenario under the first faults of

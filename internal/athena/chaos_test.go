@@ -37,6 +37,21 @@ func TestChaosSeeds(t *testing.T) {
 	}
 }
 
+// A forward's retransmit chain ends with its query: on sec7-lvfl seed 7,
+// one partition at 0.33 s for 14.8 s left a forwarder's mark on a 1 MB
+// object pending past Quiescent's minute while waiters carried the interest
+// TTL and not their query's deadline (replay: go run ./cmd/athena-sim -fig
+// chaos -seed 7 -reps 1 -faults 1).
+func TestChaosRetransmitChainEndsWithQuery(t *testing.T) {
+	rep, err := RunChaos(ChaosFleets()[0], 7, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Fleet != "sec7-lvfl" || len(rep.Violations) > 0 {
+		t.Errorf("%s seed 7, one fault: %s", rep.Fleet, strings.Join(rep.Violations, "\n"))
+	}
+}
+
 // A chaos run is a pure function of its fleet, seed and prefix length:
 // what ShrinkChaos and the replay command rely on.
 func TestChaosRunsReplay(t *testing.T) {
