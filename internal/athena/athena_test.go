@@ -113,14 +113,14 @@ var tBase = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
 func TestInterestTable(t *testing.T) {
 	it := NewInterestTable(10 * time.Second)
-	if pending := it.Add("/cam/x", "origin1", "q1", "nb1", tBase); pending {
+	if pending := it.Add("/cam/x", "origin1", "q1", "nb1", 0, tBase); pending {
 		t.Error("first Add reported pending")
 	}
-	if pending := it.Add("/cam/x", "origin2", "q2", "nb2", tBase); !pending {
+	if pending := it.Add("/cam/x", "origin2", "q2", "nb2", 0, tBase); !pending {
 		t.Error("second Add did not report pending")
 	}
 	// Duplicate waiter: still pending, not duplicated.
-	if pending := it.Add("/cam/x", "origin1", "q1", "nb1", tBase); !pending {
+	if pending := it.Add("/cam/x", "origin1", "q1", "nb1", 0, tBase); !pending {
 		t.Error("duplicate Add did not report pending")
 	}
 	if n := len(it.reqs["/cam/x"].waiters); n != 2 {
@@ -141,7 +141,7 @@ func TestInterestTable(t *testing.T) {
 
 func TestInterestTableExpiry(t *testing.T) {
 	it := NewInterestTable(5 * time.Second)
-	it.Add("/cam/x", "o", "q", "nb", tBase)
+	it.Add("/cam/x", "o", "q", "nb", 0, tBase)
 	if !it.pending("/cam/x", tBase.Add(4*time.Second)) {
 		t.Error("entry lapsed early")
 	}

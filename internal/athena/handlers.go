@@ -358,7 +358,7 @@ func (n *Node) handleRequest(from string, req *ObjectRequest) {
 		return
 	}
 
-	if !n.interest.Add(req.Object, req.Origin, req.QueryID, from, now) {
+	if !n.interest.Add(req.Object, req.Origin, req.QueryID, from, req.Budget, now) {
 		n.forwardRequest(req, 0)
 	}
 }
@@ -392,7 +392,8 @@ func (n *Node) duplicateInFlight(objName, neighbor string, size int64, now time.
 // object's interest mark, and, unless retries are disabled, arms a
 // retransmit timer: the request is re-forwarded with exponential backoff,
 // up to maxRetries, for as long as its mark and a waiter live
-// (InterestTable.retransmit). Retransmissions recover hop-by-hop — a
+// (InterestTable.retransmit), carrying as its budget what is left of the
+// last live waiter here. Retransmissions recover hop-by-hop — a
 // duplicate is absorbed by the next hop's mark, or answered from its
 // content store once data passed through — so a spurious retry costs one
 // request message on one link. Callers hold n.mu.
@@ -416,7 +417,9 @@ func (n *Node) forwardRequest(req *ObjectRequest, attempt int) {
 		until := now.Add(n.retryDelay(attempt+1, objSize) + retryInterval)
 		if n.interest.retransmit(req.Object, gen, attempt+1 > maxRetries, until, now) {
 			n.stats.Retransmits++
-			n.forwardRequest(req, attempt+1)
+			again := *req
+			again.Budget = n.interest.budget(req.Object, now)
+			n.forwardRequest(&again, attempt+1)
 		}
 	}))
 }
@@ -802,5 +805,6 @@ func (n *Node) dispatchRequest(q *localQuery, req *ObjectRequest) {
 		return
 	}
 
+	req.Budget = q.engine.Deadline().Sub(now)
 	n.sendTo(req.SourceNode, req)
 }

@@ -5,7 +5,8 @@ import "time"
 // interestEntry records that a downstream node awaits an object
 // (Section VI-B): who asked, for which query, via which neighbor the
 // request arrived (data returns along the reverse path, as in NDN), and
-// when the interest lapses.
+// when the interest lapses: after the interest TTL, or at the query's
+// deadline when that comes first.
 type interestEntry struct {
 	origin  string
 	queryID string
@@ -16,9 +17,10 @@ type interestEntry struct {
 // fwdReq is a forwarder's one record of an object, the PIT entry: the
 // downstream waiters, and the mark of the upstream request in flight for
 // them — its expiry, retransmit timer and generation (gen 0: no mark).
-// Waiters lapse after the interest TTL and the mark at its expiry, which
-// retransmission extends, so a lapsed waiter does not let a request be
-// forwarded again while the first is in flight. Whatever drops the mark
+// Waiters lapse after the interest TTL or at their query's deadline, and
+// the mark at its expiry, which retransmission extends while a waiter
+// lives, so a lapsed waiter does not let a request be forwarded again
+// while the first is in flight. Whatever drops the mark
 // stops its timer, and a timer that outlived its mark finds another
 // generation there, or none, and does nothing, stopped or not.
 type fwdReq struct {
@@ -78,26 +80,32 @@ func (t *InterestTable) put(obj string, r fwdReq) {
 	t.reqs[obj] = r
 }
 
-// Add is a request arriving from neighbor from: it records interest of
-// origin/query in the object (a duplicate waiter has its expiry
-// refreshed), and reports whether an upstream request for it is already
-// marked in flight, so that the caller must not forward a duplicate
-// (Section VI-B). When it reports false it has marked one under a new
-// generation, for the caller to forward: every forward is under a mark.
-func (t *InterestTable) Add(obj, origin, queryID, from string, now time.Time) (alreadyPending bool) {
+// Add is a request arriving from neighbor from with budget left of its
+// query (ObjectRequest.Budget; 0 is none): it records interest of
+// origin/query in the object until the interest TTL or the budget runs
+// out, whichever is first (a duplicate waiter has its expiry refreshed),
+// and reports whether an upstream request for it is already marked in
+// flight, so that the caller must not forward a duplicate (Section VI-B).
+// When it reports false it has marked one under a new generation, for the
+// caller to forward: every forward is under a mark.
+func (t *InterestTable) Add(obj, origin, queryID, from string, budget time.Duration, now time.Time) (alreadyPending bool) {
 	r := t.reqs[obj]
 	t.expiries += int64(r.reap(now))
+	expires := now.Add(t.ttl)
+	if budget > 0 && budget < t.ttl {
+		expires = now.Add(budget)
+	}
 	dup := false
 	for i := range r.waiters {
 		if r.waiters[i].origin == origin && r.waiters[i].queryID == queryID {
-			r.waiters[i].expires = now.Add(t.ttl)
+			r.waiters[i].expires = expires
 			dup = true
 			break
 		}
 	}
 	if !dup {
 		t.inserts++
-		r.waiters = append(r.waiters, interestEntry{origin: origin, queryID: queryID, from: from, expires: now.Add(t.ttl)})
+		r.waiters = append(r.waiters, interestEntry{origin: origin, queryID: queryID, from: from, expires: expires})
 	}
 	alreadyPending = r.marked(now)
 	if !alreadyPending {
@@ -127,10 +135,9 @@ func (t *InterestTable) Waiters(obj string, now time.Time, satisfied bool) []int
 // retransmit is the retry timer of the request forwarded under mark gen
 // coming due. It reports whether to forward it again, having extended the
 // mark to at least until. It does not when that mark is gone (answered,
-// lapsed or given up), when no waiter is left (the mark is left to
-// lapse), or when last is set: it gives up, and drops the mark so that
-// the next request is forwarded afresh, perhaps toward an alternate
-// source chosen at the origin.
+// lapsed or given up), when no waiter is left, or when last is set: then
+// it drops the mark, so that the next request is forwarded afresh,
+// perhaps toward an alternate source chosen at the origin.
 func (t *InterestTable) retransmit(obj string, gen uint64, last bool, until, now time.Time) bool {
 	r := t.reqs[obj]
 	if !r.marked(now) || r.gen != gen {
@@ -139,14 +146,26 @@ func (t *InterestTable) retransmit(obj string, gen uint64, last bool, until, now
 	}
 	t.expiries += int64(r.reap(now))
 	switch {
-	case len(r.waiters) == 0: // everyone downstream gave up
-	case last:
+	case len(r.waiters) == 0 || last: // everyone downstream gave up, or this hop
 		r.clearMark()
 	case until.After(r.mark.at):
 		r.mark.at = until
 	}
 	t.put(obj, r)
 	return len(r.waiters) > 0 && !last
+}
+
+// budget is what a retransmission of obj's request carries upstream: the
+// time until its last live waiter lapses, so the next hop's waiter lives
+// no longer than any here. Zero when none is live.
+func (t *InterestTable) budget(obj string, now time.Time) time.Duration {
+	var last time.Time
+	for _, e := range t.reqs[obj].waiters {
+		if e.expires.After(last) {
+			last = e.expires
+		}
+	}
+	return max(0, last.Sub(now))
 }
 
 // pending reports whether obj's upstream request is marked in flight at

@@ -18,9 +18,9 @@ func (t *InterestTable) hasWaiters(obj string, now time.Time) bool {
 // keeps re-requesting an object stays interested past the original TTL.
 func TestInterestDuplicateAddRefreshesExpiry(t *testing.T) {
 	it := NewInterestTable(10 * time.Second)
-	it.Add("/cam/x", "o1", "q1", "nb1", tBase)
+	it.Add("/cam/x", "o1", "q1", "nb1", 0, tBase)
 	// Re-request at +8s: the waiter must now live until +18s, not +10s.
-	it.Add("/cam/x", "o1", "q1", "nb1", tBase.Add(8*time.Second))
+	it.Add("/cam/x", "o1", "q1", "nb1", 0, tBase.Add(8*time.Second))
 	ws := it.Waiters("/cam/x", tBase.Add(12*time.Second), true)
 	if len(ws) != 1 {
 		t.Fatalf("waiters at +12s = %d, want 1 (expiry refreshed by duplicate Add)", len(ws))
@@ -38,17 +38,17 @@ func TestInterestDuplicateAddRefreshesExpiry(t *testing.T) {
 func TestInterestPendingLifetimeIndependentOfWaiters(t *testing.T) {
 	it := NewInterestTable(10 * time.Second)
 	// First interest forwards upstream; the request's lifetime runs to +10s.
-	if pending := it.Add("/cam/x", "o1", "q1", "nb1", tBase); pending {
+	if pending := it.Add("/cam/x", "o1", "q1", "nb1", 0, tBase); pending {
 		t.Fatal("first Add reported pending")
 	}
 	// A second origin joins at +5s; its waiter lives until +15s.
-	if pending := it.Add("/cam/x", "o2", "q2", "nb2", tBase.Add(5*time.Second)); !pending {
+	if pending := it.Add("/cam/x", "o2", "q2", "nb2", 0, tBase.Add(5*time.Second)); !pending {
 		t.Fatal("second Add did not see the pending request")
 	}
 	// At +11s the upstream request has lapsed (no data came back). The
 	// live o2 waiter must not keep reporting it pending: a fresh interest
 	// must trigger a re-forward instead of stranding every waiter.
-	if pending := it.Add("/cam/x", "o3", "q3", "nb3", tBase.Add(11*time.Second)); pending {
+	if pending := it.Add("/cam/x", "o3", "q3", "nb3", 0, tBase.Add(11*time.Second)); pending {
 		t.Fatal("lapsed upstream request still reported pending; new interest stranded")
 	}
 	if !it.hasWaiters("/cam/x", tBase.Add(11*time.Second)) {
@@ -61,7 +61,7 @@ func TestInterestPendingLifetimeIndependentOfWaiters(t *testing.T) {
 // the mark (InterestTable.retransmit).
 func TestInterestRefreshAndClearPending(t *testing.T) {
 	it := NewInterestTable(5 * time.Second)
-	it.Add("/cam/x", "o1", "q1", "nb1", tBase)
+	it.Add("/cam/x", "o1", "q1", "nb1", 0, tBase)
 	gen := it.reqs["/cam/x"].gen
 	if !it.retransmit("/cam/x", gen, false, tBase.Add(20*time.Second), tBase.Add(time.Second)) {
 		t.Fatal("a retry with a live waiter under its own mark was not sent")
@@ -98,7 +98,7 @@ func TestInterestEdgeCases(t *testing.T) {
 			// next Add would race the in-flight request with a duplicate.
 			name: "waiter lapse under live pending",
 			run: func(t *testing.T, it *InterestTable) {
-				it.Add(obj, "o1", "q1", "nb1", tBase)
+				it.Add(obj, "o1", "q1", "nb1", 0, tBase)
 				it.retransmit(obj, it.reqs[obj].gen, false, tBase.Add(30*time.Second), tBase)
 				at := tBase.Add(15 * time.Second) // waiter TTL 10s: lapsed
 				if it.hasWaiters(obj, at) {
@@ -107,7 +107,7 @@ func TestInterestEdgeCases(t *testing.T) {
 				if !it.pending(obj, at) {
 					t.Fatal("reap of lapsed waiters cleared the live pending mark")
 				}
-				if pending := it.Add(obj, "o2", "q2", "nb2", at); !pending {
+				if pending := it.Add(obj, "o2", "q2", "nb2", 0, at); !pending {
 					t.Error("Add after waiter lapse re-forwarded while the request was in flight")
 				}
 			},
@@ -119,8 +119,8 @@ func TestInterestEdgeCases(t *testing.T) {
 			// re-forwards on the survivor's behalf.
 			name: "pending expiry with surviving waiters",
 			run: func(t *testing.T, it *InterestTable) {
-				it.Add(obj, "o1", "q1", "nb1", tBase)
-				it.Add(obj, "o2", "q2", "nb2", tBase.Add(8*time.Second))
+				it.Add(obj, "o1", "q1", "nb1", 0, tBase)
+				it.Add(obj, "o2", "q2", "nb2", 0, tBase.Add(8*time.Second))
 				at := tBase.Add(11 * time.Second) // pending ran to +10s
 				if it.pending(obj, at) {
 					t.Fatal("lapsed pending mark still reported")
@@ -128,7 +128,7 @@ func TestInterestEdgeCases(t *testing.T) {
 				if !it.hasWaiters(obj, at) {
 					t.Fatal("younger waiter lost with the pending mark")
 				}
-				if pending := it.Add(obj, "o3", "q3", "nb3", at); pending {
+				if pending := it.Add(obj, "o3", "q3", "nb3", 0, at); pending {
 					t.Error("Add after pending expiry did not ask for a re-forward")
 				}
 			},
@@ -139,9 +139,9 @@ func TestInterestEdgeCases(t *testing.T) {
 			// a stale expiry from the reaped generation.
 			name: "Add after reap restarts pending lifetime",
 			run: func(t *testing.T, it *InterestTable) {
-				it.Add(obj, "o1", "q1", "nb1", tBase)
+				it.Add(obj, "o1", "q1", "nb1", 0, tBase)
 				at := tBase.Add(20 * time.Second) // waiter and pending both gone
-				if pending := it.Add(obj, "o2", "q2", "nb2", at); pending {
+				if pending := it.Add(obj, "o2", "q2", "nb2", 0, at); pending {
 					t.Fatal("Add after full lapse saw a stale pending mark")
 				}
 				if !it.pending(obj, at.Add(9*time.Second)) {
@@ -158,7 +158,7 @@ func TestInterestEdgeCases(t *testing.T) {
 			// still in flight, and the next Add must not duplicate it.
 			name: "background data leaves pending in flight",
 			run: func(t *testing.T, it *InterestTable) {
-				it.Add(obj, "o1", "q1", "nb1", tBase)
+				it.Add(obj, "o1", "q1", "nb1", 0, tBase)
 				at := tBase.Add(time.Second)
 				if ws := it.Waiters(obj, at, false); len(ws) != 1 {
 					t.Fatalf("background Waiters = %d entries, want 1", len(ws))
@@ -166,7 +166,7 @@ func TestInterestEdgeCases(t *testing.T) {
 				if !it.pending(obj, at) {
 					t.Fatal("background data cleared the pending mark")
 				}
-				if pending := it.Add(obj, "o2", "q2", "nb2", at); !pending {
+				if pending := it.Add(obj, "o2", "q2", "nb2", 0, at); !pending {
 					t.Error("Add after background push re-forwarded a duplicate request")
 				}
 				// Foreground data is the request's answer: mark cleared.
@@ -248,14 +248,14 @@ func TestFwdReqTransitions(t *testing.T) {
 	}{
 		{"none", func(*InterestTable) {}},
 		{"waiting, no mark", func(it *InterestTable) { // a retransmission gave up
-			it.Add(obj, "o1", "q1", "nb1", tBase)
+			it.Add(obj, "o1", "q1", "nb1", 0, tBase)
 			it.retransmit(obj, it.reqs[obj].gen, true, tBase, tBase)
 		}},
 		{"marked, no waiter", func(it *InterestTable) { // a background push served o1
-			it.Add(obj, "o1", "q1", "nb1", tBase)
+			it.Add(obj, "o1", "q1", "nb1", 0, tBase)
 			it.Waiters(obj, tBase, false)
 		}},
-		{"marked, waiting", func(it *InterestTable) { it.Add(obj, "o1", "q1", "nb1", tBase) }},
+		{"marked, waiting", func(it *InterestTable) { it.Add(obj, "o1", "q1", "nb1", 0, tBase) }},
 	}
 	at := tBase.Add(time.Second)
 	events := []struct {
@@ -264,8 +264,8 @@ func TestFwdReqTransitions(t *testing.T) {
 		// and returns what the transition reported.
 		do func(it *InterestTable, gen uint64) any
 	}{
-		{"request", func(it *InterestTable, _ uint64) any { return it.Add(obj, "o2", "q2", "nb2", at) }},
-		{"re-request", func(it *InterestTable, _ uint64) any { return it.Add(obj, "o1", "q1", "nb1", at) }},
+		{"request", func(it *InterestTable, _ uint64) any { return it.Add(obj, "o2", "q2", "nb2", 0, at) }},
+		{"re-request", func(it *InterestTable, _ uint64) any { return it.Add(obj, "o1", "q1", "nb1", 0, at) }},
 		{"data", func(it *InterestTable, _ uint64) any { return len(it.Waiters(obj, at, true)) }},
 		{"push", func(it *InterestTable, _ uint64) any { return len(it.Waiters(obj, at, false)) }},
 		{"retry", func(it *InterestTable, gen uint64) any {
@@ -274,7 +274,7 @@ func TestFwdReqTransitions(t *testing.T) {
 		{"last retry", func(it *InterestTable, gen uint64) any { return it.retransmit(obj, gen, true, at, at) }},
 		{"stale retry", func(it *InterestTable, gen uint64) any { return it.retransmit(obj, gen+1, false, at, at) }},
 		{"re-request after lapse", func(it *InterestTable, _ uint64) any {
-			return it.Add(obj, "o1", "q1", "nb1", tBase.Add(31*time.Second))
+			return it.Add(obj, "o1", "q1", "nb1", 0, tBase.Add(31*time.Second))
 		}},
 	}
 	// "returned waiters marked", per phase and event. A request is
@@ -302,8 +302,8 @@ func TestFwdReqTransitions(t *testing.T) {
 		"marked, no waiter/re-request":             "true 1 true",
 		"marked, no waiter/data":                   "0 0 false",
 		"marked, no waiter/push":                   "0 0 true",
-		"marked, no waiter/retry":                  "false 0 true", // nobody left to serve: the mark lapses
-		"marked, no waiter/last retry":             "false 0 true",
+		"marked, no waiter/retry":                  "false 0 false", // nobody left to serve: the mark goes
+		"marked, no waiter/last retry":             "false 0 false",
 		"marked, no waiter/stale retry":            "false 0 true",
 		"marked, no waiter/re-request after lapse": "false 1 true",
 		"marked, waiting/request":                  "true 2 true",
@@ -329,7 +329,7 @@ func TestFwdReqTransitions(t *testing.T) {
 	}
 	// A retry under the live mark extends it through the next window.
 	it := NewInterestTable(30 * time.Second)
-	it.Add(obj, "o1", "q1", "nb1", tBase)
+	it.Add(obj, "o1", "q1", "nb1", 0, tBase)
 	it.retransmit(obj, it.reqs[obj].gen, false, tBase.Add(40*time.Second), at)
 	if !it.pending(obj, tBase.Add(35*time.Second)) {
 		t.Error("a retransmission did not extend the mark")
@@ -401,5 +401,41 @@ func TestMarklessForward(t *testing.T) {
 				t.Error("no mark after the re-request was forwarded")
 			}
 		})
+	}
+}
+
+// A waiter lapses at the earlier of the interest TTL and its query's
+// deadline, never later than the TTL alone would let it; a duplicate
+// request refreshes it by the same rule; and a retransmission carries
+// upstream the time left of the last live waiter.
+func TestWaiterLapsesAtItsQuerysDeadline(t *testing.T) {
+	const obj = "/cam/x"
+	for _, tc := range []struct {
+		budget time.Duration
+		lapses time.Duration
+	}{
+		{0, 30 * time.Second}, // no deadline: the TTL
+		{5 * time.Second, 5 * time.Second},
+		{90 * time.Second, 30 * time.Second}, // never past the TTL
+	} {
+		it := NewInterestTable(30 * time.Second)
+		it.Add(obj, "o1", "q1", "nb1", tc.budget, tBase)
+		if w := it.reqs[obj].waiters; len(w) != 1 || !w[0].expires.Equal(tBase.Add(tc.lapses)) {
+			t.Errorf("budget %v: waiter %+v, want it to lapse at +%v", tc.budget, w, tc.lapses)
+		}
+	}
+	it := NewInterestTable(30 * time.Second)
+	it.Add(obj, "o1", "q1", "nb1", 5*time.Second, tBase)
+	it.Add(obj, "o2", "q2", "nb2", 20*time.Second, tBase.Add(time.Second))
+	it.Add(obj, "o1", "q1", "nb1", 2*time.Second, tBase.Add(2*time.Second)) // o1's re-request, nearer its deadline
+	at := tBase.Add(3 * time.Second)
+	if b := it.budget(obj, at); b != 18*time.Second {
+		t.Errorf("budget at +3s = %v, want 18s (o2's waiter lapses at +21s)", b)
+	}
+	if len(it.Waiters(obj, tBase.Add(4*time.Second), true)) != 1 {
+		t.Error("o1's refreshed waiter outlived its query's deadline (+4s)")
+	}
+	if b := it.budget(obj, at); b != 0 {
+		t.Errorf("budget with no waiter = %v, want 0", b)
 	}
 }

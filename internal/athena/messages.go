@@ -156,6 +156,11 @@ type ObjectRequest struct {
 	// Prefetch marks background requests, which are served from cache or
 	// source but never forwarded (Section VI-B).
 	Prefetch bool
+	// Budget is what was left of the query's deadline when the request
+	// was sent: a forwarder's waiter lapses no later than that after it
+	// arrives. Zero is none (the interest TTL alone bounds the waiter). A
+	// duration, not an instant, so daemons need no shared clock.
+	Budget time.Duration
 }
 
 // WireSize is the modeled frame length of the encoded message, charged

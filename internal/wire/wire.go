@@ -65,8 +65,8 @@ import (
 // reject frames with a different version rather than guessing. Version 2
 // folded the scoped ShardSync frames into SyncRequest/SyncResponse and
 // dropped fields no receiver read (QueryAnnounce.TTL, ShardLookup.Shard,
-// ShardLookupReply.Label and .Shard).
-const Version = 2
+// ShardLookupReply.Label and .Shard). Version 3 added ObjectRequest.Budget.
+const Version = 3
 
 // MaxFrame bounds a frame's total length (prefix included). The value is
 // the transport's receive-side guard: Append refuses to produce frames
@@ -372,6 +372,7 @@ func objectRequest(c *coder, m *athena.ObjectRequest) {
 	c.str(&m.SourceNode)
 	c.strs(&m.Labels)
 	c.bool(&m.Prefetch)
+	c.dur(&m.Budget)
 }
 
 func objectData(c *coder, m *athena.ObjectData) {

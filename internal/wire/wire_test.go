@@ -71,7 +71,7 @@ func sizedMessages() []interface {
 		WireSize() int64
 	}{
 		&athena.QueryAnnounce{QueryID: "node-042/q17", Origin: "node-042", Expr: "viable:h:1-2 & viable:v:3-1 | viable:h:2-2", Deadline: tAt(9e9), Hops: 1},
-		&athena.ObjectRequest{QueryID: "node-042/q17", Origin: "node-042", Object: "/city/market/cam3", SourceNode: "node-017", Labels: []string{"viable:h:1-2", "viable:v:3-1"}, Prefetch: false},
+		&athena.ObjectRequest{QueryID: "node-042/q17", Origin: "node-042", Object: "/city/market/cam3", SourceNode: "node-017", Labels: []string{"viable:h:1-2", "viable:v:3-1"}, Prefetch: false, Budget: 42 * time.Second},
 		&athena.ObjectData{Object: "/city/market/cam3", Version: 12, Size: 250_000, Created: tAt(5e9), Validity: time.Minute, Labels: []string{"viable:h:1-2", "viable:v:3-1"}, SourceNode: "node-017", Origin: "node-042", QueryID: "node-042/q17"},
 		&athena.LabelShare{Records: []trust.Label{label("viable:h:1-2", "node-017", 5e9), label("viable:v:3-1", "node-017", 6e9)}, Dest: "node-042", QueryID: "node-042/q17"},
 		&athena.Heartbeat{Node: "node-042", Beat: 991, AdvSeq: 7, Digest: 0xdeadbeefcafe},
@@ -87,8 +87,8 @@ func sizedMessages() []interface {
 		&athena.ShardLookup{From: "node-042", To: "node-017", Label: "viable:h:1-2", Nonce: 7771},
 		&athena.ShardLookupReply{From: "node-017", To: "node-042", Nonce: 7771, Adverts: []athena.Advertisement{advert("node-03", 4), advert("node-11", 9)}},
 		&athena.RequestBatch{Requests: []athena.ObjectRequest{
-			{QueryID: "node-042/q17", Origin: "node-042", Object: "/city/market/cam3", SourceNode: "node-017", Labels: []string{"viable:h:1-2", "viable:v:3-1"}},
-			{QueryID: "node-042/q18", Origin: "node-042", Object: "/city/market/cam4", SourceNode: "node-017", Labels: []string{"viable:h:2-2"}},
+			{QueryID: "node-042/q17", Origin: "node-042", Object: "/city/market/cam3", SourceNode: "node-017", Labels: []string{"viable:h:1-2", "viable:v:3-1"}, Budget: 42 * time.Second},
+			{QueryID: "node-042/q18", Origin: "node-042", Object: "/city/market/cam4", SourceNode: "node-017", Labels: []string{"viable:h:2-2"}, Budget: 41 * time.Second},
 			{QueryID: "node-011/q03", Origin: "node-011", Object: "/city/market/cam5", SourceNode: "node-017", Labels: []string{"viable:v:3-1"}, Prefetch: true},
 		}},
 		&athena.DataBatch{Items: []athena.ObjectData{
@@ -146,7 +146,7 @@ func TestGoldenFrameBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden := "0000003c" + // length: 60 bytes follow
-		"02" + // version 2
+		"03" + // version 3
 		"05" + // type: Heartbeat
 		"000161" + // from: "a"
 		"00026e31" + // Node: "n1"
@@ -172,7 +172,7 @@ func TestGoldenShardLookupBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden := "0000007c" + // length: 124 bytes follow
-		"02" + // version 2
+		"03" + // version 3
 		"0f" + // type: ShardLookup (15)
 		"000161" + // from: "a"
 		"00026e31" + // From: "n1"
@@ -193,14 +193,14 @@ func TestGoldenShardLookupBytes(t *testing.T) {
 // way the heartbeat golden pins the original message set.
 func TestGoldenRequestBatchBytes(t *testing.T) {
 	m := &athena.RequestBatch{Requests: []athena.ObjectRequest{
-		{QueryID: "q", Origin: "o", Object: "/x", SourceNode: "s"},
+		{QueryID: "q", Origin: "o", Object: "/x", SourceNode: "s", Budget: 5 * time.Second},
 	}}
 	frame, err := (Codec{}).Append(nil, "a", m.WireSize(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	golden := "000000ac" + // length: 172 bytes follow
-		"02" + // version 2
+		"03" + // version 3
 		"11" + // type: RequestBatch (17)
 		"000161" + // from: "a"
 		"0001" + // member count
@@ -210,7 +210,8 @@ func TestGoldenRequestBatchBytes(t *testing.T) {
 		"000173" + // SourceNode: "s"
 		"0000" + // Labels: empty
 		"00" + // Prefetch: false
-		strings.Repeat("00", 149) // padding up to batchBaseBytes + batchedRequestBytes (176)
+		"000000012a05f200" + // Budget: 5 s in nanoseconds
+		strings.Repeat("00", 141) // padding up to batchBaseBytes + batchedRequestBytes (176)
 	want, err := hex.DecodeString(golden)
 	if err != nil {
 		t.Fatal(err)
@@ -536,9 +537,9 @@ func FuzzQueryAnnounce(f *testing.F) {
 }
 
 func FuzzObjectRequest(f *testing.F) {
-	f.Add("q1", "origin", "/city/cam1", "src", "lbl", uint8(2), true)
-	f.Fuzz(func(t *testing.T, id, origin, obj, src, lbl string, n uint8, prefetch bool) {
-		roundTrip(t, &athena.ObjectRequest{QueryID: id, Origin: origin, Object: obj, SourceNode: src, Labels: fuzzStrings(lbl, n), Prefetch: prefetch})
+	f.Add("q1", "origin", "/city/cam1", "src", "lbl", uint8(2), true, int64(5e9))
+	f.Fuzz(func(t *testing.T, id, origin, obj, src, lbl string, n uint8, prefetch bool, budget int64) {
+		roundTrip(t, &athena.ObjectRequest{QueryID: id, Origin: origin, Object: obj, SourceNode: src, Labels: fuzzStrings(lbl, n), Prefetch: prefetch, Budget: time.Duration(budget)})
 	})
 }
 
@@ -654,12 +655,12 @@ func FuzzShardLookupReply(f *testing.F) {
 }
 
 func FuzzRequestBatch(f *testing.F) {
-	f.Add("q1", "origin", "/city/cam1", "src", "lbl", uint8(2), true, uint8(2))
-	f.Fuzz(func(t *testing.T, id, origin, obj, src, lbl string, n uint8, prefetch bool, count uint8) {
+	f.Add("q1", "origin", "/city/cam1", "src", "lbl", uint8(2), true, uint8(2), int64(5e9))
+	f.Fuzz(func(t *testing.T, id, origin, obj, src, lbl string, n uint8, prefetch bool, count uint8, budget int64) {
 		k := int(count % 4)
 		var reqs []athena.ObjectRequest
 		for i := 0; i < k; i++ {
-			reqs = append(reqs, athena.ObjectRequest{QueryID: id, Origin: origin, Object: obj, SourceNode: src, Labels: fuzzStrings(lbl, n), Prefetch: prefetch})
+			reqs = append(reqs, athena.ObjectRequest{QueryID: id, Origin: origin, Object: obj, SourceNode: src, Labels: fuzzStrings(lbl, n), Prefetch: prefetch, Budget: time.Duration(budget) * time.Duration(i)})
 		}
 		roundTrip(t, &athena.RequestBatch{Requests: reqs})
 	})
