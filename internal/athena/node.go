@@ -550,23 +550,46 @@ func (n *Node) collect(emit func(name string, v int64)) {
 	inserts, expiries := n.interest.inserts, n.interest.expiries
 	n.mu.Unlock()
 
-	v := reflect.ValueOf(st)
-	for i := 0; i < v.NumField(); i++ {
-		if name := v.Type().Field(i).Tag.Get("metric"); name != "" {
-			emit(name, v.Field(i).Int())
-		}
+	v := reflect.ValueOf(&st).Elem()
+	for _, m := range statMetrics {
+		emit(m.name, v.Field(m.field).Int())
 	}
 	emit("batch.frames_saved", int64(st.BatchedMsgs-st.BatchesSent))
 	emit("retry.failovers", failovers)
-	for i, prefix := range [2]string{"cache", "labels"} {
-		emit(prefix+".hits", caches[i].Hits)
-		emit(prefix+".approx_hits", caches[i].ApproxHits)
-		emit(prefix+".misses", caches[i].Misses)
-		emit(prefix+".stale_drops", caches[i].StaleDrops)
-		emit(prefix+".evictions", caches[i].Evictions)
+	for i, names := range cacheMetrics {
+		c := &caches[i]
+		for j, v := range [...]int64{c.Hits, c.ApproxHits, c.Misses, c.StaleDrops, c.Evictions} {
+			emit(names[j], v)
+		}
 	}
 	emit("interest.inserts", inserts)
 	emit("interest.expiries", expiries)
+}
+
+// statMetric is a Stats field tagged with a metric name: the name and the
+// field's index.
+type statMetric struct {
+	name  string
+	field int
+}
+
+// statMetrics lists the tagged Stats fields in field order, read off the
+// type once.
+var statMetrics = func() (out []statMetric) {
+	t := reflect.TypeOf(Stats{})
+	for i := 0; i < t.NumField(); i++ {
+		if name := t.Field(i).Tag.Get("metric"); name != "" {
+			out = append(out, statMetric{name, i})
+		}
+	}
+	return out
+}()
+
+// cacheMetrics names the content store's and the label cache's counts, in
+// collect's order: hits, approximate hits, misses, stale drops, evictions.
+var cacheMetrics = [2][5]string{
+	{"cache.hits", "cache.approx_hits", "cache.misses", "cache.stale_drops", "cache.evictions"},
+	{"labels.hits", "labels.approx_hits", "labels.misses", "labels.stale_drops", "labels.evictions"},
 }
 
 // Node is one Athena node.

@@ -669,3 +669,25 @@ func TestFetchQueueOrdersByQueryUrgency(t *testing.T) {
 			byID["nodeA/q2"].Finished, byID["nodeA/q1"].Finished)
 	}
 }
+
+// A snapshot's collect reads the node's counts without allocating: the
+// metric names are built once, not per call, and Stats is not boxed. It
+// emits every tagged Stats field, then the derived and cache counts.
+func TestCollectDoesNotAllocate(t *testing.T) {
+	n, _ := newDispatchNode(t, func(*Config) {})
+	names := map[string]bool{}
+	n.collect(func(name string, _ int64) { names[name] = true })
+	for _, want := range []string{"retry.retransmits", "membership.evictions", "batch.frames_saved",
+		"cache.hits", "labels.evictions", "interest.expiries"} {
+		if !names[want] {
+			t.Errorf("collect emits no %s (emitted %d names)", want, len(names))
+		}
+	}
+	if len(names) != len(statMetrics)+14 {
+		t.Errorf("collect emits %d names, want %d tagged fields and 14 others", len(names), len(statMetrics))
+	}
+	emit := func(string, int64) {}
+	if allocs := testing.AllocsPerRun(100, func() { n.collect(emit) }); allocs != 0 {
+		t.Errorf("collect allocates %.0f times a call, want 0", allocs)
+	}
+}
