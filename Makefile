@@ -49,7 +49,8 @@ ci-short:
 # node, sharded vs full replica; run without -benchmem, because its timed
 # region is the same model for both and its B/op said nothing), the
 # simulation-kernel benchmark
-# (n=512 synthetic workload, a lane per node), the data-plane
+# (n=512 synthetic workload, a lane per node), one run of the
+# kernel_fleet configuration (frames per decision), the data-plane
 # batching benchmark (A11 incast at n=64, coalescing off/on), the
 # node's object delivery with 0 and 2000 finished queries behind it and
 # its does-this-query-reference-that-label check, a 30-label source
@@ -74,7 +75,7 @@ ci-short:
 # CI archives the file per commit; regressions are judged against the
 # committed baseline.
 bench:
-	{ $(GO) test -run '^$$' -bench 'BenchmarkScheme|BenchmarkDecisionEngine|BenchmarkPlanFor|BenchmarkAblationPrefetch|BenchmarkMembershipControlPlane|BenchmarkSimKernel|BenchmarkBatchedFetch|BenchmarkDeliverObjectHistory|BenchmarkQueryReferences|BenchmarkSelectSources|BenchmarkDirectoryDelta|BenchmarkShardRefresh|BenchmarkShardLookupBegin|BenchmarkLookupReplies|BenchmarkShardLookupServe|BenchmarkSwimProbeRound|BenchmarkLaneQueue|BenchmarkEncode|BenchmarkDecode|BenchmarkSign|BenchmarkVerify|BenchmarkGenerate|BenchmarkTCPReceivePadded|BenchmarkTCPClosedPairHeld|BenchmarkLabelShare|BenchmarkPumpBatch|BenchmarkStorePut' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire ./internal/trust ./internal/workload ./internal/transport ./internal/cache && \
+	{ $(GO) test -run '^$$' -bench 'BenchmarkScheme|BenchmarkKernelFleet|BenchmarkDecisionEngine|BenchmarkPlanFor|BenchmarkAblationPrefetch|BenchmarkMembershipControlPlane|BenchmarkSimKernel|BenchmarkBatchedFetch|BenchmarkDeliverObjectHistory|BenchmarkQueryReferences|BenchmarkSelectSources|BenchmarkDirectoryDelta|BenchmarkShardRefresh|BenchmarkShardLookupBegin|BenchmarkLookupReplies|BenchmarkShardLookupServe|BenchmarkSwimProbeRound|BenchmarkLaneQueue|BenchmarkEncode|BenchmarkDecode|BenchmarkSign|BenchmarkVerify|BenchmarkGenerate|BenchmarkTCPReceivePadded|BenchmarkTCPClosedPairHeld|BenchmarkLabelShare|BenchmarkPumpBatch|BenchmarkStorePut' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire ./internal/trust ./internal/workload ./internal/transport ./internal/cache && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkDirectoryMemory' -benchtime 3x . ; } \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_core.json
 

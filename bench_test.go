@@ -314,6 +314,46 @@ func BenchmarkSimKernel(b *testing.B) {
 	})
 }
 
+// BenchmarkKernelFleet runs the benchmark's kernel_fleet configuration
+// once per iteration on its seed-2 scenario: an 81-node grid, SWIM gossip,
+// the directory sharded 400 ways at three replicas, coalescing and churn.
+// frames/decision counts every frame put on a link, control traffic
+// included, per query issued; it is a pure function of the seed, so ci.sh
+// gates it at 1 % slack, and allocs/op at 5 %. A shard control plane that
+// backfills shards a node kept all along, or re-parses adverts it already
+// declined, shows in both.
+func BenchmarkKernelFleet(b *testing.B) {
+	b.Run("seed2", func(b *testing.B) {
+		cfg := athena.DefaultWorkload()
+		cfg.GridRows, cfg.GridCols, cfg.Nodes = 9, 9, 81
+		cfg.LinkBandwidth = 1.25e6
+		cfg.Seed = 2
+		s, err := athena.GenerateScenario(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		var frames, issued int64
+		for i := 0; i < b.N; i++ {
+			c, err := athena.NewCluster(s, athena.ClusterConfig{
+				Scheme: athena.SchemeLVF, HeartbeatInterval: 2 * time.Second, GossipFanout: 2,
+				Shards: 400, ShardReplicas: 3, CoalesceWindow: 10 * time.Millisecond,
+				ChurnEvents: 3, ChurnOutage: 10 * time.Second,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			out, err := c.Run()
+			if err != nil {
+				b.Fatal(err)
+			}
+			frames += c.Network.Stats().MessagesSent
+			issued += int64(out.QueriesIssued)
+		}
+		b.ReportMetric(float64(frames)/float64(issued), "frames/decision")
+	})
+}
+
 // BenchmarkAblationNoise (A5) measures corroboration cost under sensor
 // noise.
 func BenchmarkAblationNoise(b *testing.B) {
