@@ -242,7 +242,7 @@ func newPlacement(shards, rf int, view []string) *Placement {
 	p.owned = make([]int, len(idx))
 	fill := slices.Clone(p.start[:len(view)])
 	for j, i := range idx {
-		p.owned[fill[i]] = j / max(k, 1)
+		p.owned[fill[i]] = j / k
 		fill[i]++
 	}
 	return p
