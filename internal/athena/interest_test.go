@@ -407,7 +407,9 @@ func TestMarklessForward(t *testing.T) {
 // A waiter lapses at the earlier of the interest TTL and its query's
 // deadline, never later than the TTL alone would let it; a duplicate
 // request refreshes it by the same rule; and a retransmission carries
-// upstream the time left of the last live waiter.
+// upstream the time left of the last live waiter. An origin sends its
+// query's time left, and nothing once none is left: a budget of zero
+// would read as none, the waiter's longest life.
 func TestWaiterLapsesAtItsQuerysDeadline(t *testing.T) {
 	const obj = "/cam/x"
 	for _, tc := range []struct {
@@ -437,5 +439,30 @@ func TestWaiterLapsesAtItsQuerysDeadline(t *testing.T) {
 	}
 	if b := it.budget(obj, at); b != 0 {
 		t.Errorf("budget with no waiter = %v, want 0", b)
+	}
+
+	r := newStopRig(t, false)
+	id := r.query(t, "la & lc")
+	dispatch := func() (budgets []time.Duration) {
+		r.sent = nil
+		r.locked(func() {
+			r.n.dispatchRequest(r.n.queries[id], &ObjectRequest{QueryID: id, Origin: "b", Object: "/cam/c", SourceNode: "c", Labels: []string{"lc"}})
+		})
+		for _, f := range r.sent {
+			if req, ok := f.payload.(*ObjectRequest); ok {
+				budgets = append(budgets, req.Budget)
+			}
+		}
+		return budgets
+	}
+	r.now = tBase.Add(time.Minute - time.Second)
+	if got := dispatch(); !slices.Equal(got, []time.Duration{time.Second}) {
+		t.Errorf("a request sent 1 s before its query's deadline carried budgets %v, want [1s]", got)
+	}
+	for _, past := range []time.Duration{0, time.Millisecond / 2} {
+		r.now = tBase.Add(time.Minute + past)
+		if got := dispatch(); len(got) != 0 {
+			t.Errorf("a request dispatched %v past its query's deadline was sent with budgets %v", past, got)
+		}
 	}
 }
