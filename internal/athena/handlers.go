@@ -805,6 +805,11 @@ func (n *Node) dispatchRequest(q *localQuery, req *ObjectRequest) {
 		return
 	}
 
+	// A query with no time left has no use for what the request would
+	// bring back, and a budget of zero would read as none upstream.
 	req.Budget = q.engine.Deadline().Sub(now)
+	if req.Budget <= 0 {
+		return
+	}
 	n.sendTo(req.SourceNode, req)
 }
