@@ -167,10 +167,11 @@ type Placement struct {
 	owned      []int
 }
 
-// placementMemoSize bounds the placements kept for reuse. A fleet's nodes
-// hold a few distinct views at once — the view before a churn event and
-// after it, at the nodes that heard and those that have not yet.
-const placementMemoSize = 8
+// placementMemoSize bounds the placements kept for reuse. It covers the
+// distinct views a simulated fleet's routers hold at once while churn
+// spreads (up to 13 on the churning 96-shard dump fleet); a view pushed
+// out is only built again, to the same assignment.
+const placementMemoSize = 16
 
 // placements is the process's memo, newest first. Its lock is a leaf: a
 // placement is built outside it.
