@@ -178,7 +178,7 @@ func TestPlanForCachesByExpressionAndDirectoryVersion(t *testing.T) {
 		"b": {Cost: 2, ProbTrue: 0.5, Validity: time.Minute},
 	}
 	dir := NewDirectory(nil)
-	n := &Node{scheme: SchemeLVF, meta: meta, dir: dir}
+	n := &Node{choices: schemeChoices[SchemeLVF].choices, meta: meta, dir: dir}
 	expr := boolexpr.ToDNF(boolexpr.MustParse("a & b"))
 	key := expr.String()
 
@@ -223,7 +223,7 @@ func BenchmarkPlanFor(b *testing.B) {
 	key := expr.String()
 
 	b.Run("uncached", func(b *testing.B) {
-		n := &Node{scheme: SchemeLVF, meta: meta, dir: NewDirectory(nil)}
+		n := &Node{choices: schemeChoices[SchemeLVF].choices, meta: meta, dir: NewDirectory(nil)}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			n.planCache = nil // force a re-plan, as before memoization
@@ -231,7 +231,7 @@ func BenchmarkPlanFor(b *testing.B) {
 		}
 	})
 	b.Run("cached", func(b *testing.B) {
-		n := &Node{scheme: SchemeLVF, meta: meta, dir: NewDirectory(nil)}
+		n := &Node{choices: schemeChoices[SchemeLVF].choices, meta: meta, dir: NewDirectory(nil)}
 		n.planFor(n.dir.View(), expr, key)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -246,7 +246,7 @@ func TestPlanForLVFOrdersByValidity(t *testing.T) {
 		"long":  {Cost: 1, ProbTrue: 0.5, Validity: time.Hour},
 		"mid":   {Cost: 1, ProbTrue: 0.5, Validity: time.Minute},
 	}
-	n := &Node{scheme: SchemeLVF, meta: meta, dir: NewDirectory(nil)}
+	n := &Node{choices: schemeChoices[SchemeLVF].choices, meta: meta, dir: NewDirectory(nil)}
 	expr := boolexpr.ToDNF(boolexpr.MustParse("short & long & mid"))
 	plan := n.planFor(n.dir.View(), expr, expr.String())
 	order := plan.LiteralOrder[0]

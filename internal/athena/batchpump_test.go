@@ -39,7 +39,7 @@ func refBatchTargets(n *Node, q *localQuery, now time.Time) []refTarget {
 		}
 	}
 	for _, label := range q.engine.UnknownLabels(now) {
-		if n.scheme == SchemeCMP {
+		if n.choices == schemeChoices[SchemeCMP].choices {
 			srcs, cached := refCandidates(n, q.engine.ID(), label)
 			if !cached {
 				srcs = refSourcesFor(n.dir, label)
@@ -53,7 +53,7 @@ func refBatchTargets(n *Node, q *localQuery, now time.Time) []refTarget {
 			}
 		}
 	}
-	if n.scheme == SchemeLCF {
+	if n.choices == schemeChoices[SchemeLCF].choices {
 		slices.SortStableFunc(targets, func(a, b target) int {
 			return cmp.Compare(a.size, b.size)
 		})
@@ -265,7 +265,7 @@ func TestBatchPumpMatchesDirectoryWalkSharded(t *testing.T) {
 			r := buildShardRig(t, 24, 16, 3, 9)
 			r.run(t, 10*time.Second)
 			origin := thinOrigin(t, r)
-			origin.scheme = scheme
+			origin.choices = schemeChoices[scheme].choices
 			if drop {
 				dropLookupReplies(t, r, origin.id)
 			}

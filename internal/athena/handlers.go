@@ -287,7 +287,7 @@ func (n *Node) handleRequest(from string, req *ObjectRequest) {
 	// Label-cache answer: if label sharing is on and fresh records cover
 	// everything the requester wants, reply with records instead of the
 	// object — "several orders of magnitude resource savings".
-	if n.scheme == SchemeLVFL && len(req.Labels) > 0 {
+	if n.choices.shareLabels && len(req.Labels) > 0 {
 		// Most requests a node sees are not covered: the records are
 		// copied out only once every label is.
 		var found [8]*trust.Label
@@ -610,7 +610,7 @@ func (n *Node) deliverObject(obj *object.Object, now time.Time) {
 		}
 		// Label sharing: propagate computed labels back toward the data
 		// source so the path caches them (Section VI-D).
-		if n.scheme == SchemeLVFL && len(records) > 0 && obj.Source != n.id {
+		if n.choices.shareLabels && len(records) > 0 && obj.Source != n.id {
 			n.sendTo(obj.Source, &LabelShare{Records: records, Dest: obj.Source})
 		}
 		n.pump(q)
@@ -759,7 +759,7 @@ func (n *Node) dispatchRequest(q *localQuery, req *ObjectRequest) {
 	now := n.now()
 
 	// Local label-cache answer (lvfl).
-	if n.scheme == SchemeLVFL {
+	if n.choices.shareLabels {
 		satisfied := true
 		for _, l := range req.Labels {
 			// The cache holds only authenticated records (admitLabel).

@@ -14,7 +14,9 @@ import (
 )
 
 // Scheme selects the data-retrieval strategy, matching the five schemes
-// evaluated in Section VII.
+// evaluated in Section VII. A scheme is three choices (schemeChoices):
+// which sources a query asks, the order its requests go out in, and
+// whether computed labels are shared.
 type Scheme int
 
 const (
@@ -32,40 +34,71 @@ const (
 	SchemeLVFL
 )
 
+// selectRule is which sources a query requests evidence from.
+type selectRule uint8
+
+const (
+	// selectEvery asks every source covering a label.
+	selectEvery selectRule = iota
+	// selectCover asks the least-cost set cover of the query's labels.
+	selectCover
+)
+
+// orderRule is how a query's requests are scheduled.
+type orderRule uint8
+
+const (
+	// orderNone keeps a request in flight for every unresolved label, in
+	// the order a walk of the directory gives, planned greedily.
+	orderNone orderRule = iota
+	// orderCost is orderNone with the requests sent lowest cost first.
+	orderCost
+	// orderValidity is decision-driven: one label at a time, the plan
+	// short-circuiting and longest validity first.
+	orderValidity
+)
+
+// choices are what a scheme decides: its selection, its order and whether
+// its nodes share computed labels (label records answer requests on the
+// path, Section VI-D).
+type choices struct {
+	sel         selectRule
+	order       orderRule
+	shareLabels bool
+}
+
+// schemeChoices is the preset table: each scheme's name and choices. The
+// index is the scheme's value.
+var schemeChoices = [...]struct {
+	name string
+	choices
+}{
+	SchemeCMP:  {"cmp", choices{selectEvery, orderNone, false}},
+	SchemeSLT:  {"slt", choices{selectCover, orderNone, false}},
+	SchemeLCF:  {"lcf", choices{selectCover, orderCost, false}},
+	SchemeLVF:  {"lvf", choices{selectCover, orderValidity, false}},
+	SchemeLVFL: {"lvfl", choices{selectCover, orderValidity, true}},
+}
+
+// valid reports whether s is one of the five schemes.
+func (s Scheme) valid() bool { return s >= SchemeCMP && s <= SchemeLVFL }
+
 // String returns the paper's abbreviation for the scheme.
 func (s Scheme) String() string {
-	switch s {
-	case SchemeCMP:
-		return "cmp"
-	case SchemeSLT:
-		return "slt"
-	case SchemeLCF:
-		return "lcf"
-	case SchemeLVF:
-		return "lvf"
-	case SchemeLVFL:
-		return "lvfl"
-	default:
+	if !s.valid() {
 		return fmt.Sprintf("Scheme(%d)", int(s))
 	}
+	return schemeChoices[s].name
 }
 
 // ParseScheme parses a paper abbreviation.
 func ParseScheme(s string) (Scheme, error) {
-	switch s {
-	case "cmp":
-		return SchemeCMP, nil
-	case "slt":
-		return SchemeSLT, nil
-	case "lcf":
-		return SchemeLCF, nil
-	case "lvf":
-		return SchemeLVF, nil
-	case "lvfl":
-		return SchemeLVFL, nil
-	default:
-		return 0, fmt.Errorf("athena: unknown scheme %q", s)
+	for _, sc := range Schemes() {
+		if schemeChoices[sc].name == s {
+			return sc, nil
+		}
 	}
+	return 0, fmt.Errorf("athena: unknown scheme %q", s)
 }
 
 // Schemes lists all retrieval schemes in the paper's presentation order.

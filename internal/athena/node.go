@@ -601,7 +601,7 @@ type Node struct {
 	router    Router
 	timers    Timers
 	stopper   StopTimers // timers, when they can be stopped (arm)
-	scheme    Scheme
+	choices   choices    // the scheme's selection, order and label sharing
 	dir       *Directory
 	meta      boolexpr.MetaTable
 	annotator *annotate.Machine
@@ -681,6 +681,9 @@ func New(cfg Config) (*Node, error) {
 	if cfg.Authority == nil || cfg.Policy == nil {
 		return nil, errors.New("athena: Authority and Policy are required")
 	}
+	if !cfg.Scheme.valid() {
+		return nil, fmt.Errorf("athena: unknown scheme %v", cfg.Scheme)
+	}
 	if cfg.SequentialWindow <= 0 {
 		cfg.SequentialWindow = 4
 	}
@@ -703,7 +706,7 @@ func New(cfg Config) (*Node, error) {
 		tr:               cfg.Transport,
 		router:           cfg.Router,
 		timers:           cfg.Timers,
-		scheme:           cfg.Scheme,
+		choices:          schemeChoices[cfg.Scheme].choices,
 		dir:              cfg.Directory,
 		meta:             cfg.Meta,
 		authority:        cfg.Authority,
@@ -897,7 +900,7 @@ func (n *Node) QueryInit(expr boolexpr.DNF, deadline time.Duration) (string, err
 		issued: now,
 		reqs:   make(map[string]objReq),
 	}
-	if n.scheme == SchemeCMP || n.scheme == SchemeSLT || n.scheme == SchemeLCF {
+	if n.choices.order != orderValidity {
 		q.batch = &batchTable{}
 	}
 	for _, l := range q.engine.Labels() {
@@ -905,7 +908,7 @@ func (n *Node) QueryInit(expr boolexpr.DNF, deadline time.Duration) (string, err
 			q.minValidity = v
 		}
 	}
-	if n.scheme != SchemeCMP {
+	if n.choices.sel == selectCover {
 		q.selected = n.selectSources(v, id, q.engine.Labels())
 	}
 	n.queries[id] = q
@@ -989,7 +992,7 @@ func (n *Node) planFor(v *View, expr boolexpr.DNF, key string) boolexpr.QueryPla
 		return c.plan
 	}
 	var plan boolexpr.QueryPlan
-	if n.scheme == SchemeLVF || n.scheme == SchemeLVFL {
+	if n.choices.order == orderValidity {
 		plan = boolexpr.ValidityFirstPlan(expr, n.meta)
 	} else {
 		plan = boolexpr.GreedyPlan(expr, n.meta)
@@ -1034,7 +1037,7 @@ func (n *Node) pumpBatch(v *View, q *localQuery, now time.Time) {
 	id, labels := q.engine.ID(), q.engine.Labels()
 	q.engine.EachUnknown(now, func(l int) {
 		label := labels[l]
-		if n.scheme != SchemeCMP {
+		if n.choices.sel == selectCover {
 			if r := n.sourceFor(v, q, label); r != nil {
 				targets = t.take(targets, r)
 			}
@@ -1045,7 +1048,7 @@ func (n *Node) pumpBatch(v *View, q *localQuery, now time.Time) {
 		}
 	})
 	t.targets = targets
-	if n.scheme == SchemeLCF {
+	if n.choices.order == orderCost {
 		slices.SortStableFunc(targets, func(a, b row) int {
 			return cmp.Compare(a.desc.Size, b.desc.Size)
 		})

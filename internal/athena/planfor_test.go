@@ -95,7 +95,7 @@ func TestPlanForMatchesSliceStablePlanner(t *testing.T) {
 			expr.Terms = append(expr.Terms, term)
 		}
 		for _, scheme := range Schemes() {
-			n := &Node{scheme: scheme, meta: meta, dir: NewDirectory(nil)}
+			n := &Node{choices: schemeChoices[scheme].choices, meta: meta, dir: NewDirectory(nil)}
 			got := n.planFor(n.dir.View(), expr, expr.String())
 			if want := sliceStablePlanFor(scheme, expr, meta); !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d scheme %s on %s:\ngot  %v\nwant %v", trial, scheme, expr, got, want)

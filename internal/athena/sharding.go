@@ -220,7 +220,7 @@ func (n *Node) reselectIfSettled(q *localQuery) bool {
 	if n.shard.router.AnyPending(labels) {
 		return false
 	}
-	if n.scheme != SchemeCMP {
+	if n.choices.sel == selectCover {
 		n.stats.ShardReselects++
 		q.selected = n.selectSources(n.dir.View(), q.engine.ID(), labels)
 	}
