@@ -159,9 +159,11 @@ fi
 # store whose put allocates a list element again — 2 allocs/op, the entry
 # and its index node, 3 with a container/list element; a sharded fleet
 # whose control plane backfills shards a node kept all along, or parses
-# adverts its directory already declined — BenchmarkKernelFleet/seed2's
-# frames/decision is a pure function of the seed, so its slack is 1 %: 170.7,
-# 189.1 with the backfill; its allocs/op at 5 %: about 134 800, 154 900 then).
+# adverts its directory already declined, or sends each lookup to its
+# shard's primary instead of the nearest replica — BenchmarkKernelFleet/seed2's
+# frames/decision is a pure function of the seed, so its slack is 1 %: 152.4,
+# 170.7 asking the primary, 189.1 with the backfill; its allocs/op at 5 %:
+# about 134 800, 154 900 with the backfill).
 # Refresh the baseline with `make bench` when an intentional change moves
 # one.
 # BenchmarkDecisionEngine, BenchmarkShardLookupBegin,

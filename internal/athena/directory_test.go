@@ -397,7 +397,7 @@ func TestServedAdvertsAreReadOnlyViews(t *testing.T) {
 	recv := NewDirectory(nil)
 	sr := NewShardRouter("n0", 8, 2, 16)
 	sr.Refresh(routerView(6))
-	m, _ := sr.Begin("seg", "q")
+	m, _ := sr.Begin("seg", "q", nil)
 	sr.Complete(m.Nonce, d.View().AdvertsFor("seg"), time.Time{})
 	for _, a := range append(d.View().AdvertsFor("seg"), d.Delta(nil, nil)...) {
 		desc, err := a.Descriptor()

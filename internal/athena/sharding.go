@@ -35,7 +35,7 @@ type shardClient struct {
 // shardRefresh recomputes shard ownership when the directory version moved
 // (the membership view is derived from it, mirroring refreshSampler),
 // refilters the directory on an ownership change, and backfills shards
-// gained since the last refresh from a standing co-replica — the local
+// gained since the last refresh from the nearest co-replica — the local
 // copies are thin, and only a scoped sync can restore the payloads. The
 // first refresh backfills nothing: until then every payload was kept. A
 // record this node never heard of is anti-entropy's (maybeSync). Callers
@@ -57,11 +57,8 @@ func (n *Node) shardRefresh() {
 	n.dir.Refilter()
 	byPeer := make(map[string][]uint32)
 	for _, s := range added {
-		for _, r := range sh.router.Replicas(s) {
-			if r != n.id {
-				byPeer[r] = append(byPeer[r], uint32(s))
-				break
-			}
+		if r := sh.router.Nearest(s, n.router); r != "" {
+			byPeer[r] = append(byPeer[r], uint32(s))
 		}
 	}
 	peers := make([]string, 0, len(byPeer))
@@ -148,11 +145,11 @@ func (n *Node) selectSources(v *View, queryID string, labels []string) []string 
 	return coverSources(coverable, pool)
 }
 
-// startShardLookup routes a lookup for an unowned label to its home
-// shard's primary, deduplicated per label, with a retry timer that walks
-// the replica set. Callers hold n.mu.
+// startShardLookup routes a lookup for an unowned label to the nearest
+// replica of its home shard, deduplicated per label, with a retry timer
+// that walks the replica set nearest first. Callers hold n.mu.
 func (n *Node) startShardLookup(label, queryID string) {
-	msg, p := n.shard.router.Begin(label, queryID)
+	msg, p := n.shard.router.Begin(label, queryID, n.router)
 	if p == nil {
 		return
 	}
@@ -163,7 +160,7 @@ func (n *Node) startShardLookup(label, queryID string) {
 
 // shardRetry fires shardRetryPeriods protocol periods after lookup arg (a
 // *pendingShardLookup) was sent: a lookup still unanswered is re-sent to
-// the next replica in rendezvous order and the timer re-armed; one that
+// the next replica of its try order and the timer re-armed; one that
 // runs out of tries hands its waiters back; an answered one is done. It is
 // bound once per node as shardClient.retry, so arming it builds nothing.
 func (n *Node) shardRetry(arg any) {

@@ -383,7 +383,7 @@ func routedNode(tb testing.TB, descs []object.Descriptor) *Node {
 	}
 	sort.Strings(labels)
 	for _, l := range labels {
-		msg, _ := sr.Begin(l, "")
+		msg, _ := sr.Begin(l, "", nil)
 		if msg == nil {
 			tb.Fatalf("no replica to ask for %s", l)
 		}
@@ -664,4 +664,59 @@ func BenchmarkSelectSources(b *testing.B) {
 			}
 		})
 	}
+}
+
+// On the kernel_fleet configuration (seed 2), every lookup's first try
+// goes to a replica at the shortest route length among its targets, read
+// off the network's routes as the frame leaves its origin; on many of
+// them the rendezvous primary is farther.
+func TestKernelFleetLookupsAskNearestReplica(t *testing.T) {
+	c := kernelFleet(t, 2, 0)
+	type try struct {
+		from  string
+		nonce uint64
+	}
+	seen := make(map[try]bool)
+	checked, fartherPrimary := 0, 0
+	for id, node := range c.Nodes {
+		node := node
+		err := c.Network.SetHandler(id, func(from string, size int64, payload any) {
+			if m, ok := payload.(*ShardLookup); ok && from == m.From && !seen[try{m.From, m.Nonce}] {
+				seen[try{m.From, m.Nonce}] = true
+				p := c.Nodes[m.From].shard.router.byNonce[m.Nonce]
+				if p != nil && p.tries == 0 && p.next == 0 {
+					checked++
+					hops := func(to string) int {
+						n, ok := routeLen(c.Network, m.From, to)
+						if !ok {
+							t.Fatalf("no route %s -> %s", m.From, to)
+						}
+						return n
+					}
+					best := hops(p.targets[0])
+					for _, r := range p.targets[1:] {
+						best = min(best, hops(r))
+					}
+					if got := hops(m.To); got != best {
+						t.Errorf("%s's lookup %d for %s first asked %s at %d hops; its nearest replica is %d hops away",
+							m.From, m.Nonce, m.Label, m.To, got, best)
+					}
+					if hops(p.targets[0]) > best {
+						fartherPrimary++
+					}
+				}
+			}
+			node.handleMessage(from, size, payload)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if checked < 1000 || fartherPrimary == 0 {
+		t.Fatalf("checked %d first tries, %d with a farther primary; want at least 1000 and some", checked, fartherPrimary)
+	}
+	t.Logf("%d first tries at the nearest replica, %d of them nearer than the primary", checked, fartherPrimary)
 }

@@ -52,19 +52,76 @@ type refDesc struct {
 }
 
 // pendingShardLookup tracks one in-flight ShardLookup: the replica set it
-// can be routed to (rendezvous order — index 0 is the shard's primary and
-// the rest is the deterministic re-route order), the target currently
-// tried, and the local queries waiting on the answer — sorted and
-// distinct, in one inline slot until a second query joins (most lookups
-// have one waiter).
+// can be routed to (rendezvous order, the placement's own slice), the
+// order it tries them in (nearest first, byRoute), the position in that
+// order currently tried, and the local queries waiting on the answer —
+// sorted and distinct, in one inline slot until a second query joins (most
+// lookups have one waiter).
 type pendingShardLookup struct {
 	label   string
 	nonce   uint64
 	targets []string
+	order   [lookupOrderCap]uint8 // indexes into targets, in try order
 	next    int
 	tries   int
 	waiting []string
 	one     [1]string
+}
+
+// lookupOrderCap is the most replicas a lookup orders by distance; a
+// larger set is tried in rendezvous order.
+const lookupOrderCap = 8
+
+// maxRouteHops bounds routeLen's walk, so a router that loops cannot
+// hold it.
+const maxRouteHops = 64
+
+// target is the replica at position i of the lookup's try order.
+func (p *pendingShardLookup) target(i int) string {
+	if len(p.targets) > len(p.order) {
+		return p.targets[i]
+	}
+	return p.targets[p.order[i]]
+}
+
+// routeLen counts the hops of rt's route from one node to another, a
+// NextHop at a time; ok is false when rt cannot give every step.
+func routeLen(rt Router, from, to string) (hops int, ok bool) {
+	for ; hops <= maxRouteHops; hops++ {
+		if from == to {
+			return hops, true
+		}
+		next, err := rt.NextHop(from, to)
+		if err != nil {
+			return 0, false
+		}
+		from = next
+	}
+	return 0, false
+}
+
+// byRoute writes into order, one slot per target, the targets' indexes
+// nearest first by the length of rt's route from self, ties in the
+// targets' (rendezvous) order. When rt cannot give the length of one of
+// them — a nil rt, or a StaticRouter asked past its first hop — order is
+// the targets' own.
+func byRoute(rt Router, self string, targets []string, order []uint8) {
+	var hops [lookupOrderCap]int
+	known := rt != nil
+	for i, t := range targets {
+		order[i] = uint8(i)
+		if known {
+			hops[i], known = routeLen(rt, self, t)
+		}
+	}
+	if !known {
+		return
+	}
+	for i := 1; i < len(order); i++ {
+		for j := i; j > 0 && hops[order[j]] < hops[order[j-1]]; j-- {
+			order[j], order[j-1] = order[j-1], order[j]
+		}
+	}
 }
 
 // join adds a query to the lookup's waiters, keeping them sorted and
@@ -285,11 +342,12 @@ func (sr *ShardRouter) Desc(src string) (object.Descriptor, bool) {
 }
 
 // Begin registers a lookup for an unowned label on behalf of a query. The
-// first caller gets the ShardLookup to send (routed to the shard's
-// primary) and the pending record, which its retry timer carries; later
-// callers for the same label just join the waiters. Both results are nil
-// for a joiner, and when the label's replica set is empty (nobody to ask).
-func (sr *ShardRouter) Begin(label, queryID string) (msg *ShardLookup, p *pendingShardLookup) {
+// first caller gets the ShardLookup to send (routed to the replica nearest
+// this node by rt's routes, byRoute) and the pending record, which its
+// retry timer carries; later callers for the same label just join the
+// waiters. Both results are nil for a joiner, and when the label's replica
+// set is empty (nobody to ask).
+func (sr *ShardRouter) Begin(label, queryID string, rt Router) (msg *ShardLookup, p *pendingShardLookup) {
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
 	if p, exists := sr.pending[label]; exists {
@@ -308,6 +366,9 @@ func (sr *ShardRouter) Begin(label, queryID string) (msg *ShardLookup, p *pendin
 		label:   label,
 		nonce:   sr.nonce,
 		targets: targets,
+	}
+	if len(targets) <= len(p.order) {
+		byRoute(rt, sr.self, targets, p.order[:len(targets)])
 	}
 	p.waiting = p.one[:0]
 	if queryID != "" {
@@ -337,21 +398,38 @@ func (sr *ShardRouter) targetsFor(s int) []string {
 	return out
 }
 
+// Nearest is the replica of shard s other than this node that is nearest
+// by rt's routes (byRoute), "" when there is none.
+func (sr *ShardRouter) Nearest(s int, rt Router) string {
+	sr.mu.Lock()
+	defer sr.mu.Unlock()
+	targets := sr.targetsFor(s)
+	switch {
+	case len(targets) == 0:
+		return ""
+	case len(targets) > lookupOrderCap:
+		return targets[0]
+	}
+	var order [lookupOrderCap]uint8
+	byRoute(rt, sr.self, targets, order[:len(targets)])
+	return targets[order[0]]
+}
+
 // lookup builds the wire message for the pending lookup's current target.
 func (p *pendingShardLookup) lookup(self string) *ShardLookup {
 	return &ShardLookup{
 		From:  self,
-		To:    p.targets[p.next],
+		To:    p.target(p.next),
 		Label: p.label,
 		Nonce: p.nonce,
 	}
 }
 
-// Retry advances a still-pending lookup to the next replica (wrapping) and
-// returns the re-routed message. A nil message means there is nothing to
-// re-send: the lookup completed in the meantime, or it exhausted its tries
-// and was abandoned, and then abandoned lists its waiting query ids — the
-// next pump of any of them starts a fresh lookup.
+// Retry advances a still-pending lookup to the next replica of its try
+// order (wrapping) and returns the re-routed message. A nil message means
+// there is nothing to re-send: the lookup completed in the meantime, or it
+// exhausted its tries and was abandoned, and then abandoned lists its
+// waiting query ids — the next pump of any of them starts a fresh lookup.
 func (sr *ShardRouter) Retry(nonce uint64) (msg *ShardLookup, abandoned []string) {
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
@@ -485,7 +563,7 @@ func (sr *ShardRouter) releaseLocked(sources []string) {
 // SourceDown reacts to a source's eviction or withdrawal: cache entries
 // naming it are invalidated (their labels get re-asked on the next pump),
 // and pending lookups currently targeting it are re-routed to the next
-// replica in rendezvous order. The re-routed messages are returned for the
+// replica of their try order. The re-routed messages are returned for the
 // node to send. A lookup with no replica left to try is dropped, and the
 // queries that waited on it are returned in abandoned, sorted and each
 // once.
@@ -510,7 +588,7 @@ func (sr *ShardRouter) SourceDown(src string) (resend []*ShardLookup, abandoned 
 
 	pend := make([]string, 0, len(sr.pending))
 	for l, p := range sr.pending {
-		if p.targets[p.next] == src {
+		if p.target(p.next) == src {
 			pend = append(pend, l)
 		}
 	}
@@ -520,7 +598,7 @@ func (sr *ShardRouter) SourceDown(src string) (resend []*ShardLookup, abandoned 
 		moved := false
 		for step := 1; step < len(p.targets); step++ {
 			cand := (p.next + step) % len(p.targets)
-			if p.targets[cand] != src {
+			if p.target(cand) != src {
 				p.next = cand
 				moved = true
 				break

@@ -124,14 +124,14 @@ func TestShardRouterSharedAndScope(t *testing.T) {
 func TestShardRouterLookupLifecycle(t *testing.T) {
 	sr := NewShardRouter("n0", 8, 2, 16)
 	sr.Refresh(routerView(6))
-	msg, _ := sr.Begin("sx", "q1")
+	msg, _ := sr.Begin("sx", "q1", nil)
 	if msg == nil {
 		t.Fatal("first Begin must start a lookup")
 	}
 	if msg.From != "n0" || msg.To == "n0" || msg.Label != "sx" {
 		t.Fatalf("lookup message = %+v", msg)
 	}
-	if dup, p := sr.Begin("sx", "q2"); p != nil || dup != nil {
+	if dup, p := sr.Begin("sx", "q2", nil); p != nil || dup != nil {
 		t.Fatal("second Begin for the same label must join, not re-send")
 	}
 	queries, ok := sr.Complete(msg.Nonce, []Advertisement{
@@ -152,7 +152,7 @@ func TestShardRouterLookupLifecycle(t *testing.T) {
 	// An empty reply is a negative entry: cached and empty until the
 	// instant Complete was given, a miss from then on, so the label is
 	// asked again; the next answer replaces it.
-	msg2, _ := sr.Begin("sy", "q3")
+	msg2, _ := sr.Begin("sy", "q3", nil)
 	if msg2 == nil {
 		t.Fatal("Begin sy")
 	}
@@ -166,7 +166,7 @@ func TestShardRouterLookupLifecycle(t *testing.T) {
 	if _, ok := sr.CachedSources("sy", until); ok {
 		t.Fatal("a lapsed negative entry must be a miss")
 	}
-	msg3, _ := sr.Begin("sy", "q3")
+	msg3, _ := sr.Begin("sy", "q3", nil)
 	if msg3 == nil {
 		t.Fatal("Begin sy after the negative entry lapsed")
 	}
@@ -184,11 +184,11 @@ func TestShardRouterLookupLifecycle(t *testing.T) {
 func TestShardRouterRetryWalksReplicas(t *testing.T) {
 	sr := NewShardRouter("n0", 8, 3, 16)
 	sr.Refresh(routerView(6))
-	msg, _ := sr.Begin("sx", "q1")
+	msg, _ := sr.Begin("sx", "q1", nil)
 	if msg == nil {
 		t.Fatal("Begin")
 	}
-	sr.Begin("sx", "q0")
+	sr.Begin("sx", "q0", nil)
 	seen := map[string]bool{msg.To: true}
 	tries := 1
 	for {
@@ -221,8 +221,119 @@ func TestShardRouterRetryWalksReplicas(t *testing.T) {
 		t.Fatalf("a second Retry after the give-up = %+v, %v; want nothing", msg, abandoned)
 	}
 	// The exhausted lookup is gone: a fresh Begin starts over.
-	if msg, _ := sr.Begin("sx", "q1"); msg == nil {
+	if msg, _ := sr.Begin("sx", "q1", nil); msg == nil {
 		t.Fatal("exhausted lookup must allow a fresh Begin")
+	}
+}
+
+// lineRouter routes along a line of nodes: NextHop steps one place toward
+// the destination, so a route's length is the distance along the line. It
+// has no route to or from a node off the line.
+type lineRouter []string
+
+func (l lineRouter) NextHop(from, to string) (string, error) {
+	i, j := slices.Index(l, from), slices.Index(l, to)
+	switch {
+	case i < 0 || j < 0:
+		return "", fmt.Errorf("%s -> %s: off the line", from, to)
+	case i < j:
+		return l[i+1], nil
+	case i > j:
+		return l[i-1], nil
+	}
+	return to, nil
+}
+
+// starRouter routes through its hub: the hub is one hop from every node,
+// any two others two hops apart.
+type starRouter string
+
+func (hub starRouter) NextHop(from, to string) (string, error) {
+	if from == string(hub) || to == string(hub) {
+		return to, nil
+	}
+	return string(hub), nil
+}
+
+// tryOrder starts a lookup for label on rt and follows it through Retry
+// once around its replica set: the order it asks them in.
+func tryOrder(t *testing.T, sr *ShardRouter, label string, rt Router) []string {
+	t.Helper()
+	msg, p := sr.Begin(label, "q", rt)
+	if msg == nil {
+		t.Fatalf("Begin(%s) started no lookup", label)
+	}
+	asked := []string{msg.To}
+	for range p.targets[1:] {
+		next, _ := sr.Retry(msg.Nonce)
+		asked = append(asked, next.To)
+	}
+	sr.Complete(msg.Nonce, nil, time.Time{})
+	return asked
+}
+
+// A lookup asks its replicas nearest first by the router's route lengths,
+// ties in rendezvous order; when the router cannot give one replica's
+// length — off its routes, or a StaticRouter asked past its first hop —
+// all of them keep rendezvous order, and so do a StaticRouter's one-hop
+// routes, which all tie.
+func TestShardRouterAsksNearestReplicaFirst(t *testing.T) {
+	sr := NewShardRouter("me", 8, 3, 16)
+	view := append(routerView(6), "me")
+	sr.Refresh(view)
+	const label = "sx"
+	r := sr.Replicas(sr.smap.OfKey(label))
+	if len(r) != 3 || slices.Contains(r, "me") {
+		t.Fatalf("replicas of %s = %v; want three others", label, r)
+	}
+	others := slices.DeleteFunc(slices.Clone(view), func(id string) bool { return id == "me" || slices.Contains(r, id) })
+	line := func(ids ...string) lineRouter { return append(ids, others...) }
+	for _, c := range []struct {
+		name string
+		rt   Router
+		want []string
+	}{
+		{"farthest primary", line("me", r[2], r[1], r[0]), []string{r[2], r[1], r[0]}},
+		{"tie keeps rendezvous order", line(r[0], "x", "me", r[2], r[1]), []string{r[2], r[0], r[1]}},
+		{"one replica off the routes", append(lineRouter{"me", r[2], r[0]}, others...), r},
+		{"no router", nil, r},
+		{"static, one hop each", &StaticRouter{Self: "me"}, r},
+		{"static, one multi-hop", &StaticRouter{Self: "me", NextHops: map[string]string{r[0]: r[2]}}, r},
+	} {
+		if got := tryOrder(t, sr, label, c.rt); !slices.Equal(got, c.want) {
+			t.Errorf("%s: asked %v, want %v", c.name, got, c.want)
+		}
+	}
+	if n, ok := routeLen(line("me", r[2], r[1], r[0]), "me", r[0]); !ok || n != 3 {
+		t.Errorf("routeLen along the line = %d, %v; want 3, true", n, ok)
+	}
+}
+
+// Retry and SourceDown walk on in the lookup's distance order, and the
+// backfill asks the nearest co-replica.
+func TestShardRouterWalksOnInDistanceOrder(t *testing.T) {
+	sr := NewShardRouter("me", 8, 3, 16)
+	sr.Refresh(append(routerView(6), "me"))
+	const label = "sx"
+	s := sr.smap.OfKey(label)
+	r := sr.Replicas(s)
+	rt := lineRouter{"me", r[2], r[1], r[0]}
+	msg, _ := sr.Begin(label, "q", rt)
+	if msg.To != r[2] {
+		t.Fatalf("first try %s, want the nearest %s", msg.To, r[2])
+	}
+	resend, _ := sr.SourceDown(r[2])
+	if len(resend) != 1 || resend[0].To != r[1] {
+		t.Fatalf("SourceDown(%s) re-sent %+v; want one lookup to %s", r[2], resend, r[1])
+	}
+	if next, _ := sr.Retry(msg.Nonce); next.To != r[0] {
+		t.Fatalf("Retry after SourceDown asked %s, want %s", next.To, r[0])
+	}
+	if got := sr.Nearest(s, rt); got != r[2] {
+		t.Fatalf("Nearest = %s, want %s", got, r[2])
+	}
+	if got := sr.Nearest(s, nil); got != r[0] {
+		t.Fatalf("Nearest without routes = %s, want the primary %s", got, r[0])
 	}
 }
 
@@ -232,15 +343,15 @@ func TestShardRouterRetryWalksReplicas(t *testing.T) {
 func TestShardRouterSourceDown(t *testing.T) {
 	sr := NewShardRouter("n0", 8, 3, 16)
 	sr.Refresh(routerView(6))
-	m1, _ := sr.Begin("sa", "q1")
+	m1, _ := sr.Begin("sa", "q1", nil)
 	sr.Complete(m1.Nonce, []Advertisement{
 		shardAdvert("n3", "/grid/g3/n3", 1, "sa"),
 		shardAdvert("n4", "/grid/g4/n4", 1, "sa"),
 	}, time.Time{})
-	m2, _ := sr.Begin("sb", "q2")
+	m2, _ := sr.Begin("sb", "q2", nil)
 	sr.Complete(m2.Nonce, []Advertisement{shardAdvert("n4", "/grid/g4/n4", 1, "sb")}, time.Time{})
 
-	m3, _ := sr.Begin("sc", "q3")
+	m3, _ := sr.Begin("sc", "q3", nil)
 	if m3 == nil {
 		t.Fatal("Begin sc")
 	}
@@ -270,8 +381,8 @@ func TestShardRouterSourceDown(t *testing.T) {
 	var asked []string
 	for i := 0; len(asked) < 2; i++ {
 		l := fmt.Sprintf("l%d", i)
-		if msg, _ := solo.Begin(l, "q2"); msg != nil {
-			solo.Begin(l, "q1")
+		if msg, _ := solo.Begin(l, "q2", nil); msg != nil {
+			solo.Begin(l, "q1", nil)
 			asked = append(asked, l)
 		}
 	}
@@ -290,7 +401,7 @@ func TestShardRouterCacheLRU(t *testing.T) {
 	sr := NewShardRouter("n0", 8, 2, 2)
 	sr.Refresh(routerView(6))
 	install := func(label, src string) {
-		m, _ := sr.Begin(label, "q")
+		m, _ := sr.Begin(label, "q", nil)
 		if m == nil {
 			t.Fatalf("Begin %s", label)
 		}
@@ -399,8 +510,8 @@ func TestShardRouterMemoFollowsView(t *testing.T) {
 		// are the replica set minus this node, and stay what they were.
 		for k := 0; k < 4; k++ {
 			label := fmt.Sprintf("step%d-l%d", step, k)
-			msg, _ := sr.Begin(label, "q")
-			fmsg, _ := fresh.Begin(label, "q")
+			msg, _ := sr.Begin(label, "q", nil)
+			fmsg, _ := fresh.Begin(label, "q", nil)
 			if (msg == nil) != (fmsg == nil) {
 				t.Fatalf("step %d: Begin(%s) = %+v, fresh router %+v", step, label, msg, fmsg)
 			}
@@ -453,17 +564,21 @@ func BenchmarkShardRefresh(b *testing.B) {
 
 // BenchmarkShardLookupBegin is one routed lookup started and answered on a
 // view whose placement is already memoized: the pending entry, its waiter
-// set, the message and the waiters' ids — no ranking of the 81 members.
+// set, the message and the waiters' ids — no ranking of the 81 members,
+// and the replicas ordered by route length (through a star's hub) in the
+// pending entry itself.
 // ci.sh gates the allocs/op.
 func BenchmarkShardLookupBegin(b *testing.B) {
 	sr := NewShardRouter("querier", 400, 3, shardCacheSize)
-	sr.Refresh(routerView(81))
+	view := routerView(81)
+	sr.Refresh(view)
+	var rt Router = starRouter("n40")
 	labels := make([]string, 64)
 	for i := range labels {
 		labels[i] = fmt.Sprintf("seg%02d", i)
 	}
 	ask := func(i int) {
-		msg, _ := sr.Begin(labels[i%len(labels)], "q")
+		msg, _ := sr.Begin(labels[i%len(labels)], "q", rt)
 		if msg == nil {
 			b.Fatal("no replica to ask")
 		}
@@ -499,7 +614,7 @@ func TestShardRouterWaitersMatchMapReference(t *testing.T) {
 				id = fmt.Sprintf("q%d", rng.Intn(7))
 				ref[id] = true
 			}
-			if m, _ := sr.Begin(label, id); m != nil {
+			if m, _ := sr.Begin(label, id, nil); m != nil {
 				msg = m
 			}
 		}
@@ -544,8 +659,8 @@ func TestShardRouterWaitersMatchMapReference(t *testing.T) {
 func TestShardRouterCompleteKeepsNewestDescriptor(t *testing.T) {
 	sr := NewShardRouter("n0", 8, 2, 16)
 	sr.Refresh(routerView(6))
-	ma, _ := sr.Begin("sa", "q1")
-	mb, _ := sr.Begin("sb", "q2")
+	ma, _ := sr.Begin("sa", "q1", nil)
+	mb, _ := sr.Begin("sb", "q2", nil)
 	if ma == nil || mb == nil {
 		t.Fatal("Begin")
 	}
@@ -559,13 +674,13 @@ func TestShardRouterCompleteKeepsNewestDescriptor(t *testing.T) {
 		t.Fatalf("CachedSources(sa) = %v, %v; want [n3]", srcs, ok)
 	}
 
-	mc, _ := sr.Begin("sc", "q3")
+	mc, _ := sr.Begin("sc", "q3", nil)
 	sr.Complete(mc.Nonce, []Advertisement{shardAdvert("n3", "/grid/g3/v5", 5, "sa", "sb")}, time.Time{})
 	if again, _ := sr.Desc("n3"); &again.Labels[0] != &held.Labels[0] {
 		t.Fatal("an advert equal to the held descriptor was copied again")
 	}
 
-	md, _ := sr.Begin("sd", "q4")
+	md, _ := sr.Begin("sd", "q4", nil)
 	sr.Complete(md.Nonce, []Advertisement{shardAdvert("n3", "/grid/g3/v6", 6, "sa")}, time.Time{})
 	if newer, _ := sr.Desc("n3"); newer.Name.String() != "/grid/g3/v6" || !slices.Equal(newer.Labels, []string{"sa"}) {
 		t.Fatalf("Desc(n3) = %+v after a newer reply, want the seq-6 record", newer)
