@@ -346,7 +346,8 @@ func (sr *ShardRouter) Desc(src string) (object.Descriptor, bool) {
 // this node by rt's routes, byRoute) and the pending record, which its
 // retry timer carries; later callers for the same label just join the
 // waiters. Both results are nil for a joiner, and when the label's replica
-// set is empty (nobody to ask).
+// set is empty (nobody to ask). rt is asked under the router's lock: as on
+// the node's own sends, a Router takes none of the node's locks.
 func (sr *ShardRouter) Begin(label, queryID string, rt Router) (msg *ShardLookup, p *pendingShardLookup) {
 	sr.mu.Lock()
 	defer sr.mu.Unlock()

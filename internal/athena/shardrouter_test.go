@@ -329,6 +329,10 @@ func TestShardRouterWalksOnInDistanceOrder(t *testing.T) {
 	if next, _ := sr.Retry(msg.Nonce); next.To != r[0] {
 		t.Fatalf("Retry after SourceDown asked %s, want %s", next.To, r[0])
 	}
+	// From the last of the order, a re-route wraps to its first.
+	if resend, _ := sr.SourceDown(r[0]); len(resend) != 1 || resend[0].To != r[2] {
+		t.Fatalf("SourceDown(%s) re-sent %+v; want one lookup to %s", r[0], resend, r[2])
+	}
 	if got := sr.Nearest(s, rt); got != r[2] {
 		t.Fatalf("Nearest = %s, want %s", got, r[2])
 	}
