@@ -720,3 +720,45 @@ func TestKernelFleetLookupsAskNearestReplica(t *testing.T) {
 	}
 	t.Logf("%d first tries at the nearest replica, %d of them nearer than the primary", checked, fartherPrimary)
 }
+
+// A node on a StaticRouter, as athenad and the socket fleet run, asks the
+// shard's primary first: the router refuses a hop asked from another
+// node, so a replica behind another has no route length and every replica
+// keeps rendezvous order — whether the primary or the other is the one
+// behind.
+func TestStaticRouterNodeAsksPrimary(t *testing.T) {
+	n, rec := newDispatchNode(t, func(c *Config) {
+		c.HeartbeatInterval, c.GossipFanout, c.Shards, c.ShardReplicas = time.Second, 2, 4, 2
+	})
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.shardRefresh()
+	sr := n.shard.router
+	next := 0
+	for _, primaryBehind := range []bool{true, false} {
+		label := ""
+		for ; label == ""; next++ {
+			if l := fmt.Sprintf("x%d", next); !sr.OwnsLabel(l) {
+				label = l
+			}
+		}
+		r := sr.Replicas(sr.smap.OfKey(label))
+		if len(r) != 2 || slices.Contains(r, "b") {
+			t.Fatalf("replicas of %s = %v; want two others", label, r)
+		}
+		far, near := r[0], r[1]
+		if !primaryBehind {
+			far, near = near, far
+		}
+		n.router = &StaticRouter{Self: "b", NextHops: map[string]string{far: near}}
+		rec.sent = nil
+		n.startShardLookup(label, "q")
+		if len(rec.sent) != 1 {
+			t.Fatalf("sent %d frames, want one lookup", len(rec.sent))
+		}
+		if m, ok := rec.sent[0].payload.(*ShardLookup); !ok || m.To != r[0] {
+			t.Fatalf("primary behind %v: sent %T %+v to %s; want a lookup for the primary %s",
+				primaryBehind, rec.sent[0].payload, rec.sent[0].payload, rec.sent[0].to, r[0])
+		}
+	}
+}
