@@ -52,7 +52,7 @@ type refDesc struct {
 }
 
 // pendingShardLookup tracks one in-flight ShardLookup: the replica set it
-// can be routed to (rendezvous order, the placement's own slice), the
+// can be routed to (rendezvous order, shared: targetsFor), the
 // order it tries them in (nearest first, byRoute), the position in that
 // order currently tried, and the local queries waiting on the answer —
 // sorted and distinct, in one inline slot until a second query joins (most
