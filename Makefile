@@ -61,10 +61,9 @@ ci-short:
 # and one SWIM probe round on full piggyback buffers (internal/athena), the event queue
 # at depths 1, 512 and 8192 (internal/simclock), the wire codec on three small frames and a 500 KB
 # one, each way, the 500 KB encode both whole and as the head the TCP
-# transport sends (internal/wire), the prefetch ablation (frames per
-# decision with the announce flood off and on), one label signature
-# and verification (internal/trust), and one scenario generated at the
-# Sec. VII shape and at the 81-node grid (internal/workload), and 1 MB
+# transport sends (internal/wire), one label signature and verification
+# (internal/trust), and one scenario generated at the Sec. VII shape and
+# at the 81-node grid (internal/workload), and 1 MB
 # padded frames received over one loopback connection with the heap it
 # holds after them (internal/transport), the heap a closed socket pair
 # of nodes still holds per decision it made, a share of label records
@@ -75,7 +74,7 @@ ci-short:
 # CI archives the file per commit; regressions are judged against the
 # committed baseline.
 bench:
-	{ $(GO) test -run '^$$' -bench 'BenchmarkScheme|BenchmarkKernelFleet|BenchmarkDecisionEngine|BenchmarkPlanFor|BenchmarkAblationPrefetch|BenchmarkMembershipControlPlane|BenchmarkSimKernel|BenchmarkBatchedFetch|BenchmarkDeliverObjectHistory|BenchmarkQueryReferences|BenchmarkSelectSources|BenchmarkDirectoryDelta|BenchmarkShardRefresh|BenchmarkShardLookupBegin|BenchmarkLookupReplies|BenchmarkShardLookupServe|BenchmarkSwimProbeRound|BenchmarkLaneQueue|BenchmarkEncode|BenchmarkDecode|BenchmarkSign|BenchmarkVerify|BenchmarkGenerate|BenchmarkTCPReceivePadded|BenchmarkTCPClosedPairHeld|BenchmarkLabelShare|BenchmarkPumpBatch|BenchmarkStorePut' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire ./internal/trust ./internal/workload ./internal/transport ./internal/cache && \
+	{ $(GO) test -run '^$$' -bench 'BenchmarkScheme|BenchmarkKernelFleet|BenchmarkDecisionEngine|BenchmarkPlanFor|BenchmarkMembershipControlPlane|BenchmarkSimKernel|BenchmarkBatchedFetch|BenchmarkDeliverObjectHistory|BenchmarkQueryReferences|BenchmarkSelectSources|BenchmarkDirectoryDelta|BenchmarkShardRefresh|BenchmarkShardLookupBegin|BenchmarkLookupReplies|BenchmarkShardLookupServe|BenchmarkSwimProbeRound|BenchmarkLaneQueue|BenchmarkEncode|BenchmarkDecode|BenchmarkSign|BenchmarkVerify|BenchmarkGenerate|BenchmarkTCPReceivePadded|BenchmarkTCPClosedPairHeld|BenchmarkLabelShare|BenchmarkPumpBatch|BenchmarkStorePut' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire ./internal/trust ./internal/workload ./internal/transport ./internal/cache && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkDirectoryMemory' -benchtime 3x . ; } \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_core.json
 
@@ -104,7 +103,7 @@ parity:
 	./parity.sh $(BASE)
 
 # chaos runs the fault-schedule draw (ROADMAP item 1) on more seeds than
-# ci.sh's budgeted step: 200 seeds from 1, each on the five chaos fleets,
+# ci.sh's budgeted step: 200 seeds from 1, each on the four chaos fleets,
 # every fleet invariant checked; a violation prints its shortest failing
 # schedule prefix and a one-line replay command. ~5 min.
 chaos:

@@ -32,11 +32,6 @@ func benchWorkload() athena.WorkloadConfig {
 
 func runScheme(b *testing.B, scheme athena.Scheme, dynamics float64) {
 	b.Helper()
-	runSchemeCluster(b, athena.ClusterConfig{Scheme: scheme}, dynamics)
-}
-
-func runSchemeCluster(b *testing.B, ccfg athena.ClusterConfig, dynamics float64) {
-	b.Helper()
 	cfg := benchWorkload()
 	cfg.FastRatio = dynamics
 	var ratio float64
@@ -47,7 +42,7 @@ func runSchemeCluster(b *testing.B, ccfg athena.ClusterConfig, dynamics float64)
 		if err != nil {
 			b.Fatal(err)
 		}
-		cluster, err := athena.NewCluster(s, ccfg)
+		cluster, err := athena.NewCluster(s, athena.ClusterConfig{Scheme: scheme})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -103,22 +98,6 @@ func BenchmarkAblationLabelSharing(b *testing.B) {
 	for _, scheme := range []athena.Scheme{athena.SchemeLVF, athena.SchemeLVFL} {
 		b.Run(scheme.String(), func(b *testing.B) {
 			runScheme(b, scheme, 0.4)
-		})
-	}
-}
-
-// BenchmarkAblationPrefetch (A2) measures lvf with prefetch pushes off
-// and on. No workload of the repo benchmark (bench/) runs prefetch on, so
-// the on variant's frames/decision, gated in ci.sh, is the one mechanical
-// hold on how far an announce is flooded (prefetchHops).
-func BenchmarkAblationPrefetch(b *testing.B) {
-	for _, enable := range []bool{false, true} {
-		name := "off"
-		if enable {
-			name = "on"
-		}
-		b.Run(name, func(b *testing.B) {
-			runSchemeCluster(b, athena.ClusterConfig{Scheme: athena.SchemeLVF, EnablePrefetch: enable}, 0.4)
 		})
 	}
 }

@@ -179,12 +179,12 @@ func TestWireProtoSeesRealCodec(t *testing.T) {
 			continue
 		}
 		blocks := wireTypeBlocks(pkg)
-		if len(blocks) != 1 || len(blocks[0]) != 18 {
-			t.Fatalf("wireproto sees %d Type* block(s) in %s, want one of 18 constants", len(blocks), pkg.Path)
+		if len(blocks) != 1 || len(blocks[0]) != 17 {
+			t.Fatalf("wireproto sees %d Type* block(s) in %s, want one of 17 constants", len(blocks), pkg.Path)
 		}
 		encode, decode := collectCodecCases(pkg)
-		if len(encode) != 18 || len(decode) != 18 {
-			t.Errorf("wireproto sees %d encode and %d decode cases in %s, want 18 of each", len(encode), len(decode), pkg.Path)
+		if len(encode) != 17 || len(decode) != 17 {
+			t.Errorf("wireproto sees %d encode and %d decode cases in %s, want 17 of each", len(encode), len(decode), pkg.Path)
 		}
 		return
 	}

@@ -3,7 +3,6 @@
 //	athena-sim -fig 2          # Figure 2: resolution ratio vs dynamics
 //	athena-sim -fig 3          # Figure 3: bandwidth by scheme
 //	athena-sim -fig a1         # Ablation: label sharing vs trust
-//	athena-sim -fig a2         # Ablation: prefetch on/off
 //	athena-sim -fig a3         # Ablation: cache capacity
 //	athena-sim -fig a4         # Ablation: infomax triage under overload
 //	athena-sim -fig a5         # Ablation: sensor noise vs corroboration cost
@@ -16,7 +15,7 @@
 //	athena-sim -fig all        # everything above
 //	athena-sim -fig misses     # where deadlines die: expired queries by cause
 //	                           # (not part of all)
-//	athena-sim -fig chaos      # seeded fault schedules on five fleets, fleet
+//	athena-sim -fig chaos      # seeded fault schedules on four fleets, fleet
 //	                           # invariants checked; exits 1 on a violation
 //	                           # (not part of all; -reps seeds from -seed,
 //	                           # -faults runs a schedule prefix)
@@ -67,7 +66,7 @@ func main() {
 
 func run() error {
 	var (
-		fig     = flag.String("fig", "all", "which figure to regenerate: 2, 3, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, all, misses, chaos, sweep, dump, smoke")
+		fig     = flag.String("fig", "all", "which figure to regenerate: 2, 3, a1, a3, a4, a5, a6, a7, a8, a9, a10, a11, all, misses, chaos, sweep, dump, smoke")
 		reps    = flag.Int("reps", 10, "repetitions per data point")
 		seed    = flag.Int64("seed", 1, "base random seed")
 		schemes = flag.String("schemes", "cmp,slt,lcf,lvf,lvfl", "comma-separated schemes")
@@ -146,15 +145,6 @@ func run() error {
 		fmt.Print(experiment.RenderAblation(
 			"Ablation A1: label sharing vs trusted-annotator fraction (40% fast)",
 			"label answers", rows))
-		fmt.Println()
-	}
-	if want("a2") {
-		rows, err := experiment.AblationPrefetch(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiment.RenderAblation(
-			"Ablation A2: prefetch on/off under lvf (40% fast)", "", rows))
 		fmt.Println()
 	}
 	if want("a3") {

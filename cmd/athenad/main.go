@@ -191,10 +191,7 @@ func run() error {
 			}
 			return nil
 		}(),
-		CacheBytes: 64 << 20,
-		// Prefetch stays off, as NewCluster has it: ablation A2 finds
-		// the pushes cost more bandwidth and resolution than they save.
-		DisablePrefetch:   true,
+		CacheBytes:        64 << 20,
 		HeartbeatInterval: *heartbeat,
 		GossipFanout:      *gfanout,
 		Shards:            *shards,
@@ -372,7 +369,7 @@ func runDemo() error {
 			Directory: dir, Meta: iathena.PriceLabels(nil, []object.Descriptor{desc}),
 			World: world, Authority: auth,
 			Signer: auth.Register(id, []byte(id)), Policy: trust.TrustAll(),
-			Descriptor: d, CacheBytes: 16 << 20, DisablePrefetch: true,
+			Descriptor: d, CacheBytes: 16 << 20,
 		})
 		if err != nil {
 			if cerr := tr.Close(); cerr != nil {

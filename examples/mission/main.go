@@ -5,9 +5,9 @@
 // decide a ROUTE; then clear TRANSPORT. Because the workflow is known
 // (workflow.go), the labels the next decision points will reference are
 // known too; the example prints them beside each step, weighted by
-// distance. It does not fetch them early: its nodes run with prefetch
-// off, the setting ablation A2 favours. Each step's query is issued once
-// the previous step's run window has ended. An estimator (estimator.go)
+// distance. It does not fetch them early: a node fetches evidence only
+// for a query it has issued. Each step's query is issued once the
+// previous step's run window has ended. An estimator (estimator.go)
 // records every step's label values and prints how often routeA and
 // routeB held; nothing feeds those numbers back into a node's planner.
 //

@@ -221,7 +221,7 @@ func BenchmarkLabelShare(b *testing.B) {
 			ID: "b", Transport: r, Router: &StaticRouter{Self: "b"}, Timers: noTimers{},
 			Scheme: SchemeLVFL, Directory: NewDirectory(nil), World: staticWorld{},
 			Authority: auth, Signer: auth.Register("b", []byte("k-b")), Policy: trust.TrustAll(),
-			DisablePrefetch: true, CacheBytes: 1,
+			CacheBytes: 1,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -126,7 +126,7 @@ func TestInterestTable(t *testing.T) {
 	if n := len(it.reqs["/cam/x"].waiters); n != 2 {
 		t.Errorf("%d waiters, want 2", n)
 	}
-	ws := it.Waiters("/cam/x", tBase.Add(time.Second), true)
+	ws := it.Waiters("/cam/x", tBase.Add(time.Second))
 	if len(ws) != 2 {
 		t.Fatalf("Waiters = %d", len(ws))
 	}
@@ -148,16 +148,12 @@ func TestInterestTableExpiry(t *testing.T) {
 	if it.pending("/cam/x", tBase.Add(6*time.Second)) {
 		t.Error("entry survived TTL")
 	}
-	if ws := it.Waiters("/cam/x", tBase.Add(6*time.Second), true); len(ws) != 0 {
+	if ws := it.Waiters("/cam/x", tBase.Add(6*time.Second)); len(ws) != 0 {
 		t.Errorf("stale waiters returned: %d", len(ws))
 	}
 }
 
 func TestMessageWireSizes(t *testing.T) {
-	a := QueryAnnounce{Expr: "a & b"}
-	if a.WireSize() <= announceBaseBytes {
-		t.Error("announce size ignores expression")
-	}
 	r := ObjectRequest{}
 	if r.WireSize() != requestBytes {
 		t.Error("request size")

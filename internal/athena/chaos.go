@@ -150,9 +150,9 @@ type Fleet struct {
 
 // ChaosFleets are the fleets a chaos seed runs on: the Sec. VII fleet
 // under lvfl and under cmp, the kernel_fleet configuration (SWIM, a
-// sharded directory, coalescing), a prefetch-on
-// fleet and a partial-trust one (A1's half-trusted policy). No golden,
-// dump or benchmark workload runs either of the last two.
+// sharded directory, coalescing) and a partial-trust one (A1's
+// half-trusted policy). No golden, dump or benchmark workload runs the
+// last.
 func ChaosFleets() []Fleet {
 	sec7 := workload.DefaultConfig()
 	grid := workload.DefaultConfig()
@@ -169,7 +169,6 @@ func ChaosFleets() []Fleet {
 			ShardReplicas:     3,
 			CoalesceWindow:    10 * time.Millisecond,
 		}},
-		{Name: "prefetch", Workload: sec7, Cluster: ClusterConfig{Scheme: SchemeLVF, EnablePrefetch: true}},
 		{Name: "partial-trust", Workload: sec7, Cluster: ClusterConfig{Scheme: SchemeLVFL, TrustFraction: 0.5}},
 	}
 }
@@ -372,8 +371,7 @@ func (a *chaosAudit) forwarded(it *InterestTable, obj string, now time.Time) {
 //   - the directory's seq vector has not gone back, or lost a source;
 //   - under SWIM, every outstanding probe's number lies in
 //     (timedOut, probeSeq], and no suspect is older than the longest
-//     suspicion window, (1+lhmMax)·suspectTO, plus a period;
-//   - seenAnnounce holds no more lapsed announces than one sweep.
+//     suspicion window, (1+lhmMax)·suspectTO, plus a period.
 //
 // It changes nothing a run reads.
 func (n *Node) chaosViolations() []string {
@@ -410,15 +408,6 @@ func (n *Node) chaosViolations() []string {
 				out = append(out, fmt.Sprintf("%s suspect for %v, over %v", target, age, window))
 			}
 		}
-	}
-	lapsed := 0
-	for _, deadline := range n.seenAnnounce {
-		if deadline.Before(now) {
-			lapsed++
-		}
-	}
-	if lapsed > seenAnnounceSweep {
-		out = append(out, fmt.Sprintf("%d lapsed announces held, over %d", lapsed, seenAnnounceSweep))
 	}
 	return out
 }

@@ -100,11 +100,6 @@ func TestChaosChecksSeeViolations(t *testing.T) {
 			r.n.member.swim.probes[7] = &probeState{target: "a"}
 		}},
 		{"stale suspect", "suspect for", func(r *stopRig) { r.n.member.swim.suspects["a"] = r.now.Add(-time.Hour) }},
-		{"lapsed announces", "lapsed announces", func(r *stopRig) {
-			for i := 0; i <= seenAnnounceSweep; i++ {
-				r.n.seenAnnounce[fmt.Sprint("x/q", i)] = r.now.Add(-time.Second)
-			}
-		}},
 		{"stale label served", "past its expiry", func(r *stopRig) {
 			r.n.audit.served(&trust.Label{Name: "la", Computed: r.now.Add(-time.Hour), Validity: time.Minute}, r.now)
 		}},

@@ -24,10 +24,6 @@ type ClusterConfig struct {
 	// accepts (1.0 = trust all, the Figure 2/3 setting; ablation A1
 	// lowers it).
 	TrustFraction float64
-	// EnablePrefetch turns on background prefetch pushes. Off by
-	// default: ablation A2 shows the push model costs more bandwidth
-	// than it saves in the Section VII workload.
-	EnablePrefetch bool
 	// SensorNoise passes through to every node's Config (ablation A5).
 	SensorNoise float64
 	// CoalesceWindow enables data-plane batching on every node (ablation
@@ -185,7 +181,6 @@ func NewCluster(s *workload.Scenario, cfg ClusterConfig) (*Cluster, error) {
 			Policy:            policy,
 			Descriptor:        &desc,
 			CacheBytes:        cfg.CacheBytes,
-			DisablePrefetch:   !cfg.EnablePrefetch,
 			CoalesceWindow:    cfg.CoalesceWindow,
 			SensorNoise:       cfg.SensorNoise,
 			DisableRetries:    cfg.DisableRetries,

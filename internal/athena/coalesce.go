@@ -58,13 +58,12 @@ type sendQueue struct {
 // enqueue coalesces a request or data message headed for the neighbor — the
 // one way into a send queue, for both kinds — reporting whether it was
 // queued (false = the caller transmits it natively). Critical-namespace
-// objects bypass, even as background pushes: the queue must never sit
-// between a critical object and the wire. So does a message for a quiet
-// link, the Nagle-style immediate path: with nothing queued and no
-// data-plane send to this neighbor within the last window, waiting would
-// add latency with nothing to merge (the send is remembered, so a companion
-// arriving within the window does coalesce behind it). Callers hold n.mu
-// and have checked n.coalesce.
+// objects bypass: the queue must never sit between a critical object and
+// the wire. So does a message for a quiet link, the Nagle-style immediate
+// path: with nothing queued and no data-plane send to this neighbor within
+// the last window, waiting would add latency with nothing to merge (the
+// send is remembered, so a companion arriving within the window does
+// coalesce behind it). Callers hold n.mu and have checked n.coalesce.
 func (n *Node) enqueue(hop string, msg frame) bool {
 	req, _ := msg.(*ObjectRequest)
 	data, _ := msg.(*ObjectData)

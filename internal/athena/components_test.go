@@ -5,129 +5,34 @@ import (
 	"testing"
 	"time"
 
+	"athena/internal/core"
 	"athena/internal/names"
 	"athena/internal/object"
 	"athena/internal/simclock"
 	"athena/internal/trust"
 )
 
-// TestComponentsNilWhenOff holds the shape of DESIGN §3.5 for the two
-// components of the data path: each exists exactly when its option is on,
-// a node announces its queries iff it has a prefetcher, and what every node
-// owes the fleet with or without one — Prewarm's flood, relaying an
-// announce once — stays in the core.
+// TestComponentsNilWhenOff holds the shape of DESIGN §3.5 for the
+// component of the data path: the coalescer exists exactly when its
+// option is on, and a decision resolves either way.
 func TestComponentsNilWhenOff(t *testing.T) {
-	for _, prefetchOn := range []bool{false, true} {
-		for _, window := range []time.Duration{0, 10 * time.Millisecond} {
-			t.Run(fmt.Sprintf("prefetch=%v/window=%v", prefetchOn, window), func(t *testing.T) {
-				r := buildMesh(t, SchemeLVF, line5, func(cfg *Config) {
-					cfg.DisablePrefetch, cfg.CoalesceWindow = !prefetchOn, window
-				})
-				for id, n := range r.nodes {
-					if (n.prefetch != nil) != prefetchOn || (n.coalesce != nil) != (window > 0) {
-						t.Errorf("%s: prefetcher %v, coalescer %v", id, n.prefetch != nil, n.coalesce != nil)
-					}
+	for _, window := range []time.Duration{0, 10 * time.Millisecond} {
+		t.Run(fmt.Sprintf("window=%v", window), func(t *testing.T) {
+			r := buildMesh(t, SchemeLVF, line5, func(cfg *Config) { cfg.CoalesceWindow = window })
+			for id, n := range r.nodes {
+				if (n.coalesce != nil) != (window > 0) {
+					t.Errorf("%s: coalescer %v", id, n.coalesce != nil)
 				}
-				a, b := r.nodes["a"], r.nodes["b"]
-				if _, err := a.QueryInit(mustDNF("lc"), 20*time.Second); err != nil {
-					t.Fatal(err)
-				}
-				r.run(t, 30*time.Second)
-				announced := 0
-				if prefetchOn {
-					announced = 1
-				}
-				if got := a.Stats().AnnouncesSent; got != announced {
-					t.Errorf("QueryInit sent %d announces, want %d", got, announced)
-				}
-				if err := a.Prewarm(mustDNF("ld")); err != nil {
-					t.Fatal(err)
-				}
-				r.run(t, time.Minute)
-				if got := a.Stats().AnnouncesSent; got != announced+1 {
-					t.Errorf("after Prewarm a has sent %d announces, want %d", got, announced+1)
-				}
-				// b relayed each announce that reached it once, and a second
-				// copy of the last one is a duplicate that goes nowhere.
-				before := b.Stats()
-				if before.AnnouncesSent != announced+1 {
-					t.Errorf("b relayed %d announces, want %d", before.AnnouncesSent, announced+1)
-				}
-				dup := &QueryAnnounce{
-					QueryID: fmt.Sprintf("a/warm%d", a.querySeq), Origin: "a", Expr: "ld",
-					Deadline: r.sched.Now().Add(time.Minute),
-				}
-				b.handleMessage("a", dup.WireSize(), dup)
-				if st := b.Stats(); st.AnnounceDups != before.AnnounceDups+1 || st.AnnouncesSent != before.AnnouncesSent {
-					t.Errorf("b on a second copy: %d duplicates (was %d), %d sent (was %d)",
-						st.AnnounceDups, before.AnnounceDups, st.AnnouncesSent, before.AnnouncesSent)
-				}
-				if pushes := b.Stats().PrefetchPushes + r.nodes["c"].Stats().PrefetchPushes; (pushes > 0) != prefetchOn {
-					t.Errorf("%d prefetch pushes with prefetch on = %v", pushes, prefetchOn)
-				}
-			})
-		}
-	}
-}
-
-// TestSeenAnnounceIsBounded: a relay remembers an announce until its
-// deadline and no longer. Three sweeps' worth of short-lived announces pass
-// through b; it never holds more than the sweep size plus the newcomer, and
-// a copy that arrives after its deadline — whose entry is gone — is dropped
-// on arrival, not flooded again.
-func TestSeenAnnounceIsBounded(t *testing.T) {
-	r := buildMesh(t, SchemeLVF, line5, nil)
-	b := r.nodes["b"]
-	announce := func(i int, deadline time.Time) *QueryAnnounce {
-		return &QueryAnnounce{QueryID: fmt.Sprintf("a/x%d", i), Origin: "a", Expr: "lzz", Deadline: deadline}
-	}
-	const n = 3 * seenAnnounceSweep
-	first := announce(0, tBase.Add(time.Second))
-	for i := 0; i < n; i++ {
-		r.run(t, time.Duration(i)*10*time.Millisecond)
-		a := announce(i, r.sched.Now().Add(time.Second))
-		b.handleMessage("a", a.WireSize(), a)
-		if len(b.seenAnnounce) > seenAnnounceSweep+1 {
-			t.Fatalf("after %d announces b remembers %d, past the sweep size %d", i+1, len(b.seenAnnounce), seenAnnounceSweep)
-		}
-	}
-	if got := b.Stats().AnnouncesSent; got != n {
-		t.Fatalf("b relayed %d of %d announces", got, n)
-	}
-	if _, held := b.seenAnnounce[first.QueryID]; held {
-		t.Errorf("b still remembers %s, whose deadline passed %v ago", first.QueryID, r.sched.Now().Sub(first.Deadline))
-	}
-	b.handleMessage("a", first.WireSize(), first)
-	if st := b.Stats(); st.AnnouncesSent != n || st.AnnounceDups != 0 {
-		t.Errorf("a copy past its deadline: %d announces sent (want %d), %d duplicates (want 0)", st.AnnouncesSent, n, st.AnnounceDups)
-	}
-	if _, held := b.seenAnnounce[first.QueryID]; held {
-		t.Error("a copy past its deadline was remembered")
-	}
-}
-
-// TestForegroundRequestIgnoresPrefetchPacing: b owes three background
-// pushes; the first goes at once and the other two wait out prefetchDelay
-// each. A query b issues inside that wait is b's own foreground traffic and
-// its request leaves at that instant — it used to sit in the fetch queue
-// until the pacing timer fired, up to 250 ms.
-func TestForegroundRequestIgnoresPrefetchPacing(t *testing.T) {
-	r := buildMesh(t, SchemeLVF, line5, nil)
-	b := r.nodes["b"]
-	for i := 0; i < 3; i++ {
-		a := &QueryAnnounce{QueryID: fmt.Sprintf("a/x%d", i), Origin: "a", Expr: "lb", Deadline: tBase.Add(time.Minute), Hops: prefetchHops - 1}
-		b.handleMessage("a", a.WireSize(), a)
-	}
-	r.run(t, 100*time.Millisecond)
-	if got := b.Stats().PrefetchPushes; got != 1 {
-		t.Fatalf("b pushed %d times in the first 100 ms, want 1 (the rest are paced)", got)
-	}
-	if _, err := b.QueryInit(mustDNF("lc"), time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	r.run(t, 150*time.Millisecond) // well inside the 250 ms pacing window
-	if got := r.tap.frames["*athena.ObjectRequest"]; got != 1 {
-		t.Errorf("%d requests delivered 50 ms after b's query, want 1: the fetch queue waited on prefetch pacing", got)
+			}
+			a := r.nodes["a"]
+			if _, err := a.QueryInit(mustDNF("lc"), 20*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			r.run(t, 30*time.Second)
+			if res := a.Results(); len(res) != 1 || res[0].Status != core.ResolvedTrue {
+				t.Errorf("results = %+v", res)
+			}
+		})
 	}
 }
 
@@ -207,7 +112,7 @@ func newCoalesceRig(t *testing.T, budget int64) *coalesceRig {
 		ID: "b", Transport: r, Router: &StaticRouter{Self: "b"}, Timers: r,
 		Scheme: SchemeLVF, Directory: NewDirectory([]object.Descriptor{dispatchDesc("a"), dispatchDesc("c")}),
 		Authority: auth, Signer: auth.Register("b", []byte("k-b")), Policy: trust.TrustAll(),
-		DisablePrefetch: true, CoalesceWindow: testWindow,
+		CoalesceWindow: testWindow,
 		CriticalPrefix: names.MustParse("/crit"),
 	})
 	if err != nil {

@@ -25,7 +25,7 @@ func TestDataLabelsAreReadOnlyViews(t *testing.T) {
 		Labels:   []string{"la", "lb"},
 		Source:   "src",
 	}
-	msg := dataMsg(obj, "origin", "q", false)
+	msg := dataMsg(obj, "origin", "q")
 	got := dataToObject(msg)
 	if &msg.Labels[0] != &obj.Labels[0] || &got.Labels[0] != &msg.Labels[0] {
 		t.Fatal("a data message or the object made of it copies the labels")

@@ -89,7 +89,7 @@ func newDispatchNode(t *testing.T, set func(*Config)) (*Node, *recTransport) {
 		Scheme:    SchemeLVF,
 		Directory: NewDirectory([]object.Descriptor{dispatchDesc("a"), desc, dispatchDesc("c")}),
 		Authority: auth, Signer: auth.Register("b", []byte("k-b")), Policy: trust.TrustAll(),
-		Descriptor: &desc, DisablePrefetch: true,
+		Descriptor: &desc,
 	}
 	set(&cfg)
 	n, err := New(cfg)

@@ -28,8 +28,6 @@ func (n *Node) handleMessage(from string, size int64, payload any) {
 	mem := n.member
 	swim := mem != nil && mem.swim != nil
 	switch msg := payload.(type) {
-	case *QueryAnnounce:
-		n.handleAnnounce(from, msg)
 	case *ObjectRequest:
 		n.handleRequest(from, msg)
 	case *ObjectData:
@@ -200,71 +198,6 @@ func (n *Node) isCritical(objName string) bool {
 	return name.HasPrefix(n.criticalPrefix)
 }
 
-// floodAnnounce fans a query announcement out to all neighbors except the
-// one it came from. Callers hold n.mu.
-func (n *Node) floodAnnounce(a *QueryAnnounce, except string) {
-	size := a.WireSize()
-	for _, nb := range n.tr.Neighbors() {
-		if nb != except {
-			n.stats.AnnouncesSent++
-			n.ship(nb, a, size, 0)
-		}
-	}
-}
-
-// handleAnnounce is Query_Recv: remember the announce so each is relayed
-// once, hand it to the prefetcher (if this node has one) to queue a push
-// of a locally sourced object the query needs, and keep flooding within
-// the prefetch radius.
-func (n *Node) handleAnnounce(from string, a *QueryAnnounce) {
-	// A copy from outside the radius (Hops is signed 64-bit on the wire,
-	// and the sender may be an older build or hostile) is neither
-	// acted on, forwarded nor remembered: were it marked seen, whether this
-	// node prefetches would depend on which copy the link queues let
-	// through first. Nor is one that arrives at or past its deadline —
-	// nobody can still use a push for it, and it is what lets markAnnounced
-	// forget an id at its deadline without a late copy being flooded anew.
-	now := n.now()
-	if a.Hops < 0 || a.Hops >= prefetchHops || !now.Before(a.Deadline) {
-		return
-	}
-	if !n.markAnnounced(a.QueryID, a.Deadline, now) {
-		n.stats.AnnounceDups++
-		return
-	}
-	if n.prefetch != nil {
-		n.considerPush(a)
-	}
-
-	// Forward only what the next receiver may still act on.
-	if a.Hops+1 < prefetchHops {
-		// The incoming message is shared with other receivers; copy
-		// before stamping this hop's Hops.
-		fwd := *a
-		fwd.Hops++
-		n.floodAnnounce(&fwd, from)
-	}
-}
-
-// seenAnnounceSweep is how many announces a node remembers before each new
-// one has it look for lapsed ones to forget.
-const seenAnnounceSweep = 1024
-
-// markAnnounced records that query id's announce, good until deadline, has
-// been seen here — the relay dedupe every node needs, prefetcher or not —
-// and reports whether that was news. An entry is needed only until its
-// deadline (handleAnnounce drops a later copy on arrival), so a long-lived
-// node holds the announces still live, not every one it ever saw. Callers
-// hold n.mu.
-func (n *Node) markAnnounced(id string, deadline, now time.Time) bool {
-	if _, seen := n.seenAnnounce[id]; seen {
-		return false
-	}
-	dropLapsed(n.seenAnnounce, seenAnnounceSweep, now)
-	n.seenAnnounce[id] = deadline
-	return true
-}
-
 // dropLapsed deletes the entries of m whose instant has come, once m holds
 // more than limit.
 func dropLapsed[K comparable](m map[K]time.Time, limit int, now time.Time) {
@@ -325,7 +258,7 @@ func (n *Node) handleRequest(from string, req *ObjectRequest) {
 				return
 			}
 			n.stats.CacheAnswers++
-			n.sendDataTo(from, obj, req.Origin, req.QueryID, false)
+			n.sendDataTo(from, obj, req.Origin, req.QueryID)
 			return
 		}
 		// Critical-namespace objects are exempt from approximation
@@ -337,7 +270,7 @@ func (n *Node) handleRequest(from string, req *ObjectRequest) {
 				}
 				n.stats.CacheAnswers++
 				n.stats.ApproxAnswers++
-				n.sendDataTo(from, obj, req.Origin, req.QueryID, false)
+				n.sendDataTo(from, obj, req.Origin, req.QueryID)
 				return
 			}
 		}
@@ -349,12 +282,7 @@ func (n *Node) handleRequest(from string, req *ObjectRequest) {
 		if n.duplicateInFlight(req.Object, from, obj.Size, now) {
 			return
 		}
-		n.sendDataTo(from, obj, req.Origin, req.QueryID, false)
-		return
-	}
-
-	// Prefetch requests are never forwarded.
-	if req.Prefetch {
+		n.sendDataTo(from, obj, req.Origin, req.QueryID)
 		return
 	}
 
@@ -446,7 +374,7 @@ func (n *Node) sample(now time.Time) *object.Object {
 }
 
 // dataMsg builds the wire form of an object destined for dest.
-func dataMsg(obj *object.Object, dest, queryID string, background bool) *ObjectData {
+func dataMsg(obj *object.Object, dest, queryID string) *ObjectData {
 	return &ObjectData{
 		Object:     obj.ID.Name.String(),
 		Version:    obj.ID.Version,
@@ -457,14 +385,13 @@ func dataMsg(obj *object.Object, dest, queryID string, background bool) *ObjectD
 		SourceNode: obj.Source,
 		Origin:     dest,
 		QueryID:    queryID,
-		Background: background,
 	}
 }
 
 // dataPriority gives critical-namespace objects transmission priority
-// (Section V-C); background pushes never get it.
+// (Section V-C).
 func (n *Node) dataPriority(msg *ObjectData) int {
-	if !msg.Background && n.isCritical(msg.Object) {
+	if n.isCritical(msg.Object) {
 		return 1
 	}
 	return 0
@@ -472,11 +399,11 @@ func (n *Node) dataPriority(msg *ObjectData) int {
 
 // sendDataTo ships an object to a specific neighbor — the reverse-path
 // hop of the request being answered. Callers hold n.mu.
-func (n *Node) sendDataTo(neighbor string, obj *object.Object, dest, queryID string, background bool) {
+func (n *Node) sendDataTo(neighbor string, obj *object.Object, dest, queryID string) {
 	if neighbor == n.id {
 		return
 	}
-	msg := dataMsg(obj, dest, queryID, background)
+	msg := dataMsg(obj, dest, queryID)
 	n.toNeighbor(neighbor, msg, msg.WireSize(), n.dataPriority(msg))
 }
 
@@ -495,8 +422,8 @@ func dataToObject(d *ObjectData) *object.Object {
 
 // handleData implements Data_Recv (Section VI-C): cache the object,
 // satisfy waiting interests along their reverse paths, deliver to any
-// interested local query, and keep prefetch pushes moving toward their
-// destination.
+// interested local query, and route on toward its destination data that
+// no waiter here took there.
 func (n *Node) handleData(from string, d *ObjectData) {
 	now := n.now()
 	obj := dataToObject(d)
@@ -506,7 +433,7 @@ func (n *Node) handleData(from string, d *ObjectData) {
 	// interest table fans out further.
 	servedOrigin := d.Origin == n.id
 	sentTo := make(map[string]bool)
-	for _, w := range n.interest.Waiters(d.Object, now, !d.Background) {
+	for _, w := range n.interest.Waiters(d.Object, now) {
 		if w.origin == d.Origin {
 			servedOrigin = true
 		}
@@ -515,7 +442,7 @@ func (n *Node) handleData(from string, d *ObjectData) {
 		}
 		if !sentTo[w.from] {
 			sentTo[w.from] = true
-			n.sendDataTo(w.from, obj, w.origin, w.queryID, d.Background)
+			n.sendDataTo(w.from, obj, w.origin, w.queryID)
 		}
 	}
 
@@ -714,11 +641,7 @@ func (n *Node) kick() {
 // already on the heap, so scheduling a drain allocates no closure.
 func drainTimer(arg any) { arg.(*Node).drain() }
 
-// drain processes the fetch queue fully, then lets the prefetcher serve a
-// background push if one is due (the prefetch queue is only served when
-// the fetch queue is empty, Section VI-A). It is kick's callback and the
-// prefetcher's pacing timer's; when both come due in one instant the
-// second finds nothing left to do.
+// drain processes the fetch queue fully. It is kick's callback.
 func (n *Node) drain() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -747,9 +670,6 @@ func (n *Node) drain() {
 	clear(n.fetchQ)
 	n.fetchQ = n.fetchQ[:0]
 
-	if n.prefetch != nil {
-		n.pushNext()
-	}
 }
 
 // dispatchRequest serves a request of local query q: local cache and

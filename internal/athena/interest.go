@@ -117,17 +117,13 @@ func (t *InterestTable) Add(obj, origin, queryID, from string, budget time.Durat
 }
 
 // Waiters is data arriving (Section VI-C): it consumes and returns the
-// live waiters. Foreground data answers the upstream request and drops
-// its mark; a background push (satisfied=false) leaves the mark, because
-// the foreground request it overlaps is still in flight upstream.
-func (t *InterestTable) Waiters(obj string, now time.Time, satisfied bool) []interestEntry {
+// live waiters, and drops the mark of the upstream request it answers.
+func (t *InterestTable) Waiters(obj string, now time.Time) []interestEntry {
 	r := t.reqs[obj]
 	t.expiries += int64(r.reap(now))
 	out := r.waiters
 	r.waiters = nil
-	if satisfied {
-		r.clearMark()
-	}
+	r.clearMark()
 	t.put(obj, r)
 	return out
 }

@@ -5,8 +5,6 @@ import (
 	"slices"
 	"testing"
 	"time"
-
-	"athena/internal/boolexpr"
 )
 
 // hasWaiters reports whether a live waiter for obj remains at now.
@@ -21,7 +19,7 @@ func TestInterestDuplicateAddRefreshesExpiry(t *testing.T) {
 	it.Add("/cam/x", "o1", "q1", "nb1", 0, tBase)
 	// Re-request at +8s: the waiter must now live until +18s, not +10s.
 	it.Add("/cam/x", "o1", "q1", "nb1", 0, tBase.Add(8*time.Second))
-	ws := it.Waiters("/cam/x", tBase.Add(12*time.Second), true)
+	ws := it.Waiters("/cam/x", tBase.Add(12*time.Second))
 	if len(ws) != 1 {
 		t.Fatalf("waiters at +12s = %d, want 1 (expiry refreshed by duplicate Add)", len(ws))
 	}
@@ -152,84 +150,10 @@ func TestInterestEdgeCases(t *testing.T) {
 				}
 			},
 		},
-		{
-			// A background push serves the waiters but must not satisfy
-			// the pending mark: the foreground request it overlaps is
-			// still in flight, and the next Add must not duplicate it.
-			name: "background data leaves pending in flight",
-			run: func(t *testing.T, it *InterestTable) {
-				it.Add(obj, "o1", "q1", "nb1", 0, tBase)
-				at := tBase.Add(time.Second)
-				if ws := it.Waiters(obj, at, false); len(ws) != 1 {
-					t.Fatalf("background Waiters = %d entries, want 1", len(ws))
-				}
-				if !it.pending(obj, at) {
-					t.Fatal("background data cleared the pending mark")
-				}
-				if pending := it.Add(obj, "o2", "q2", "nb2", 0, at); !pending {
-					t.Error("Add after background push re-forwarded a duplicate request")
-				}
-				// Foreground data is the request's answer: mark cleared.
-				it.Waiters(obj, at, true)
-				if it.pending(obj, at) {
-					t.Error("foreground data left the pending mark standing")
-				}
-			},
-		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.run(t, NewInterestTable(10*time.Second))
 		})
-	}
-}
-
-// TestBackgroundPushKeepsForegroundPending pins the node-level half of
-// the background-push interaction: a forwarder with a foreground request
-// in flight receives a prefetch push for the same object. The push must
-// serve the waiting origin, but the forwarder's pending mark must stand —
-// deliverObject marks pushes Background precisely so handleData can tell
-// them from the answer to its own upstream request.
-func TestBackgroundPushKeepsForegroundPending(t *testing.T) {
-	world := staticWorld{"lc1": true, "lc2": true}
-	r := buildRig(t, SchemeLVF, world, nil)
-	if _, err := r.nodes["nodeA"].QueryInit(boolexpr.ToDNF(boolexpr.MustParse("lc1 & lc2")), 30*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	// 200 KB over a 125 KB/s link: the request reaches nodeC quickly, the
-	// answer is still on the wire at +100ms, so nodeB's pending is live.
-	r.run(t, 100*time.Millisecond)
-	nodeB := r.nodes["nodeB"]
-	nodeB.mu.Lock()
-	pendingBefore := nodeB.interest.pending("/cam/c", nodeB.now())
-	nodeB.mu.Unlock()
-	if !pendingBefore {
-		t.Fatal("rig precondition: nodeB has no pending request for /cam/c at +100ms")
-	}
-
-	// A background push of the same object arrives from the upstream side.
-	push := &ObjectData{
-		Object: "/cam/c", Version: 99, Size: 200_000,
-		Created: tBase, Validity: time.Minute,
-		Labels: []string{"lc1", "lc2"}, SourceNode: "nodeC",
-		Origin: "nodeA", Background: true,
-	}
-	nodeB.handleMessage("nodeC", push.WireSize(), push)
-
-	nodeB.mu.Lock()
-	pendingAfter := nodeB.interest.pending("/cam/c", nodeB.now())
-	waitersAfter := nodeB.interest.hasWaiters("/cam/c", nodeB.now())
-	nodeB.mu.Unlock()
-	if !pendingAfter {
-		t.Error("background push cleared nodeB's foreground pending mark")
-	}
-	if waitersAfter {
-		t.Error("background push left the served waiters behind")
-	}
-	// The foreground answer still lands without incident.
-	r.run(t, time.Minute)
-	results := r.nodes["nodeA"].Results()
-	if len(results) != 1 || results[0].Status.String() != "resolved-true" {
-		t.Fatalf("query did not resolve cleanly after the push: %+v", results)
 	}
 }
 
@@ -251,9 +175,8 @@ func TestFwdReqTransitions(t *testing.T) {
 			it.Add(obj, "o1", "q1", "nb1", 0, tBase)
 			it.retransmit(obj, it.reqs[obj].gen, true, tBase, tBase)
 		}},
-		{"marked, no waiter", func(it *InterestTable) { // a background push served o1
-			it.Add(obj, "o1", "q1", "nb1", 0, tBase)
-			it.Waiters(obj, tBase, false)
+		{"marked, waiter lapsed", func(it *InterestTable) { // o1's budget ran out first
+			it.Add(obj, "o1", "q1", "nb1", time.Second/2, tBase)
 		}},
 		{"marked, waiting", func(it *InterestTable) { it.Add(obj, "o1", "q1", "nb1", 0, tBase) }},
 	}
@@ -266,8 +189,7 @@ func TestFwdReqTransitions(t *testing.T) {
 	}{
 		{"request", func(it *InterestTable, _ uint64) any { return it.Add(obj, "o2", "q2", "nb2", 0, at) }},
 		{"re-request", func(it *InterestTable, _ uint64) any { return it.Add(obj, "o1", "q1", "nb1", 0, at) }},
-		{"data", func(it *InterestTable, _ uint64) any { return len(it.Waiters(obj, at, true)) }},
-		{"push", func(it *InterestTable, _ uint64) any { return len(it.Waiters(obj, at, false)) }},
+		{"data", func(it *InterestTable, _ uint64) any { return len(it.Waiters(obj, at)) }},
 		{"retry", func(it *InterestTable, gen uint64) any {
 			return it.retransmit(obj, gen, false, at.Add(40*time.Second), at)
 		}},
@@ -279,41 +201,37 @@ func TestFwdReqTransitions(t *testing.T) {
 	}
 	// "returned waiters marked", per phase and event. A request is
 	// absorbed (true) under a live mark, and otherwise marked and
-	// forwarded; data and a push return the waiters they serve; a retry
-	// reports whether it re-forwards.
+	// forwarded; data returns the waiters it serves; a retry reports
+	// whether it re-forwards.
 	want := map[string]string{
-		"none/request":                             "false 1 true",
-		"none/re-request":                          "false 1 true",
-		"none/data":                                "0 0 false",
-		"none/push":                                "0 0 false",
-		"none/retry":                               "false 0 false",
-		"none/last retry":                          "false 0 false",
-		"none/stale retry":                         "false 0 false",
-		"none/re-request after lapse":              "false 1 true",
-		"waiting, no mark/request":                 "false 2 true",
-		"waiting, no mark/re-request":              "false 1 true", // a duplicate waiter marks too
-		"waiting, no mark/data":                    "1 0 false",
-		"waiting, no mark/push":                    "1 0 false",
-		"waiting, no mark/retry":                   "false 1 false",
-		"waiting, no mark/last retry":              "false 1 false",
-		"waiting, no mark/stale retry":             "false 1 false",
-		"waiting, no mark/re-request after lapse":  "false 1 true",
-		"marked, no waiter/request":                "true 1 true",
-		"marked, no waiter/re-request":             "true 1 true",
-		"marked, no waiter/data":                   "0 0 false",
-		"marked, no waiter/push":                   "0 0 true",
-		"marked, no waiter/retry":                  "false 0 false", // nobody left to serve: the mark goes
-		"marked, no waiter/last retry":             "false 0 false",
-		"marked, no waiter/stale retry":            "false 0 true",
-		"marked, no waiter/re-request after lapse": "false 1 true",
-		"marked, waiting/request":                  "true 2 true",
-		"marked, waiting/re-request":               "true 1 true",
-		"marked, waiting/data":                     "1 0 false",
-		"marked, waiting/push":                     "1 0 true",
-		"marked, waiting/retry":                    "true 1 true",
-		"marked, waiting/last retry":               "false 1 false",
-		"marked, waiting/stale retry":              "false 1 true",
-		"marked, waiting/re-request after lapse":   "false 1 true",
+		"none/request":                                 "false 1 true",
+		"none/re-request":                              "false 1 true",
+		"none/data":                                    "0 0 false",
+		"none/retry":                                   "false 0 false",
+		"none/last retry":                              "false 0 false",
+		"none/stale retry":                             "false 0 false",
+		"none/re-request after lapse":                  "false 1 true",
+		"waiting, no mark/request":                     "false 2 true",
+		"waiting, no mark/re-request":                  "false 1 true", // a duplicate waiter marks too
+		"waiting, no mark/data":                        "1 0 false",
+		"waiting, no mark/retry":                       "false 1 false",
+		"waiting, no mark/last retry":                  "false 1 false",
+		"waiting, no mark/stale retry":                 "false 1 false",
+		"waiting, no mark/re-request after lapse":      "false 1 true",
+		"marked, waiter lapsed/request":                "true 1 true",
+		"marked, waiter lapsed/re-request":             "true 1 true",
+		"marked, waiter lapsed/data":                   "0 0 false",
+		"marked, waiter lapsed/retry":                  "false 0 false", // nobody left to serve: the mark goes
+		"marked, waiter lapsed/last retry":             "false 0 false",
+		"marked, waiter lapsed/stale retry":            "false 1 true", // reaps nothing
+		"marked, waiter lapsed/re-request after lapse": "false 1 true",
+		"marked, waiting/request":                      "true 2 true",
+		"marked, waiting/re-request":                   "true 1 true",
+		"marked, waiting/data":                         "1 0 false",
+		"marked, waiting/retry":                        "true 1 true",
+		"marked, waiting/last retry":                   "false 1 false",
+		"marked, waiting/stale retry":                  "false 1 true",
+		"marked, waiting/re-request after lapse":       "false 1 true",
 	}
 	for _, p := range phases {
 		for _, e := range events {
@@ -434,7 +352,7 @@ func TestWaiterLapsesAtItsQuerysDeadline(t *testing.T) {
 	if b := it.budget(obj, at); b != 18*time.Second {
 		t.Errorf("budget at +3s = %v, want 18s (o2's waiter lapses at +21s)", b)
 	}
-	if len(it.Waiters(obj, tBase.Add(4*time.Second), true)) != 1 {
+	if len(it.Waiters(obj, tBase.Add(4*time.Second))) != 1 {
 		t.Error("o1's refreshed waiter outlived its query's deadline (+4s)")
 	}
 	if b := it.budget(obj, at); b != 0 {

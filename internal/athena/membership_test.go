@@ -71,7 +71,6 @@ func buildMemberRig(t *testing.T, world staticWorld, interval time.Duration) *me
 			Policy:            trust.TrustAll(),
 			Descriptor:        descs[id],
 			CacheBytes:        8 << 20,
-			DisablePrefetch:   true,
 			HeartbeatInterval: interval,
 		})
 		if err != nil {

@@ -1,9 +1,9 @@
 // Package athena implements the paper's proof-of-concept system
 // (Section VI): a distributed node that resolves decision queries by
 // routing object requests toward data sources through interest tables,
-// caching objects and labels on path, prefetching for queries announced by
-// neighbors, and — with label sharing enabled — answering object requests
-// with tiny signed label records instead of megabyte evidence objects.
+// caching objects and labels on path, and — with label sharing enabled —
+// answering object requests with tiny signed label records instead of
+// megabyte evidence objects.
 package athena
 
 import (
@@ -119,15 +119,15 @@ func Schemes() []Scheme {
 // (X.509-style cert chain reference + signature), matching the paper's
 // label-vs-object byte comparisons.
 const (
-	announceBaseBytes = 200
-	requestBytes      = 160
-	dataHeaderBytes   = 256
-	labelRecordBytes  = 600
-	heartbeatBytes    = 64
-	advertBytes       = 160
-	joinBaseBytes     = 120
-	peerEntryBytes    = 48
-	syncBaseBytes     = 96
+	gossipBaseBytes  = 200
+	requestBytes     = 160
+	dataHeaderBytes  = 256
+	labelRecordBytes = 600
+	heartbeatBytes   = 64
+	advertBytes      = 160
+	joinBaseBytes    = 120
+	peerEntryBytes   = 48
+	syncBaseBytes    = 96
 	// pingBaseBytes was 72, which underpriced the probe header: a raw
 	// Ping frame with OnBehalf set (indirect probe) and realistic node
 	// ids already encodes to ~80 B before piggyback, so gossip-mode
@@ -150,26 +150,11 @@ const (
 	batchedDataHeaderBytes = dataHeaderBytes - 64
 )
 
-// QueryAnnounce floods a query's Boolean expression to nearby nodes
-// (execution step (iv) of Section VI-A) so they can prefetch.
+// Deprecated: QueryAnnounce is no longer sent, encoded or handled. It
+// flooded a query's expression so that nearby sources could push
+// evidence ahead of requests; nodes no longer do either.
 type QueryAnnounce struct {
-	// QueryID is globally unique.
 	QueryID string
-	// Origin is the issuing node.
-	Origin string
-	// Expr is the DNF decision expression in parseable text form.
-	Expr string
-	// Deadline is the absolute decision deadline.
-	Deadline time.Time
-	// Hops counts how far the announcement has traveled from the origin;
-	// a copy is relayed while Hops+1 is inside the prefetch radius.
-	Hops int
-}
-
-// WireSize is the modeled frame length of the encoded message, charged
-// against link bandwidth by netsim and padded to by the TCP transport.
-func (m QueryAnnounce) WireSize() int64 {
-	return announceBaseBytes + int64(len(m.Expr))
 }
 
 // ObjectRequest asks for a (fresh copy of a) data object, traveling
@@ -186,9 +171,6 @@ type ObjectRequest struct {
 	// Labels are the predicates the origin wants resolved from the
 	// object; a label-cache hit on all of them can answer the request.
 	Labels []string
-	// Prefetch marks background requests, which are served from cache or
-	// source but never forwarded (Section VI-B).
-	Prefetch bool
 	// Budget is what was left of the query's deadline when the request
 	// was sent: a forwarder's waiter lapses no later than that after it
 	// arrives. Zero is none (the interest TTL alone bounds the waiter). A
@@ -219,10 +201,8 @@ type ObjectData struct {
 	SourceNode string
 	// Origin is the node the data is being delivered to.
 	Origin string
-	// QueryID is the query that requested it ("" for prefetch pushes).
+	// QueryID is the query that requested it.
 	QueryID string
-	// Background marks prefetch pushes.
-	Background bool
 }
 
 // WireSize is the modeled frame length of the encoded message, charged
@@ -282,7 +262,7 @@ type AdvertGossip struct {
 // WireSize is the modeled frame length of the encoded message, charged
 // against link bandwidth by netsim and padded to by the TCP transport.
 func (m AdvertGossip) WireSize() int64 {
-	return announceBaseBytes + int64(len(m.Adverts))*advertBytes
+	return gossipBaseBytes + int64(len(m.Adverts))*advertBytes
 }
 
 // PeerJoin is the join handshake: a newcomer introduces itself to one

@@ -111,13 +111,6 @@ type Stats struct {
 	ApproxAnswers int
 	// LabelAnswers counts requests answered with cached label records.
 	LabelAnswers int
-	// PrefetchPushes counts background object pushes.
-	PrefetchPushes int
-	// AnnouncesSent counts QueryAnnounce frames this node put on a link,
-	// as origin or relay; AnnounceDups counts the arrivals that found the
-	// announce already seen here — frames the flood carried for nothing.
-	AnnouncesSent int
-	AnnounceDups  int
 	// Annotations counts labels computed locally.
 	Annotations int
 	// RoutingDrops counts messages dropped for lack of a route.
@@ -250,11 +243,8 @@ type Config struct {
 	Descriptor *object.Descriptor
 	// CacheBytes bounds the content store (negative = unbounded).
 	CacheBytes int64
-	// DisablePrefetch takes the node out of prefetching (ablation A2): it
-	// neither pushes its object for others' queries nor announces its own
-	// queries to solicit pushes. It still relays the announces that reach
-	// it (it cannot know who lies beyond), and Prewarm, an explicit
-	// solicitation, still floods.
+	// Deprecated: DisablePrefetch is ignored. A node neither announces its
+	// queries nor pushes evidence nobody requested.
 	DisablePrefetch bool
 	// RetryBandwidth is the assumed worst-case end-to-end throughput
 	// used to stretch retry delays for large objects: every attempt
@@ -339,13 +329,6 @@ type Config struct {
 // exactly these values. One becomes a field again when two callers that
 // exist need different values (DESIGN §5 item 10, "Options").
 const (
-	// prefetchHops is the prefetch radius: a source pushes for a query only
-	// when the announce reached it over at most this many links, so that
-	// is also exactly how far an announce is flooded.
-	prefetchHops = 2
-	// prefetchDelay paces background pushes: the prefetch queue drains one
-	// task per delay, behind foreground traffic.
-	prefetchDelay = 250 * time.Millisecond
 	// interestTTL bounds interest-table entries.
 	interestTTL = 30 * time.Second
 	// batchWindow caps concurrent in-flight object requests per query for
@@ -621,7 +604,6 @@ type Node struct {
 
 	queries      map[string]*localQuery // the unrecorded queries issued here, by id
 	live         []*localQuery          // the same queries, sorted by id
-	seenAnnounce map[string]time.Time   // announced query -> its deadline (markAnnounced)
 	sentRecently map[sentKey]time.Time  // in-flight window end (duplicateInFlight)
 
 	fetchQ   []queuedRequest
@@ -639,12 +621,11 @@ type Node struct {
 	sensorNoise      float64
 
 	// The parts that are on, each owning its state: data-plane batching
-	// (coalesce.go), prefetch (prefetch.go), live membership (membership.go;
+	// (coalesce.go), live membership (membership.go;
 	// flooded heartbeats or SWIM, swim.go) and the sharded directory
 	// (sharding.go). Nil is off, and is tested where a frame, a send or a
 	// public call enters, not inside the handlers.
 	coalesce *coalescer
-	prefetch *prefetcher
 	member   *membership
 	shard    *shardClient
 
@@ -718,7 +699,6 @@ func New(cfg Config) (*Node, error) {
 		labelKeys:        cfg.Authority.Replacements(),
 		interest:         NewInterestTable(interestTTL),
 		queries:          make(map[string]*localQuery),
-		seenAnnounce:     make(map[string]time.Time),
 		sentRecently:     make(map[sentKey]time.Time),
 		sequentialWindow: cfg.SequentialWindow,
 		retryBandwidth:   cfg.RetryBandwidth,
@@ -730,9 +710,6 @@ func New(cfg Config) (*Node, error) {
 	n.stopper, _ = cfg.Timers.(StopTimers)
 	if cfg.CoalesceWindow > 0 {
 		n.coalesce = &coalescer{window: cfg.CoalesceWindow, budget: coalesceBudget, queues: make(map[string]*sendQueue)}
-	}
-	if !cfg.DisablePrefetch {
-		n.prefetch = &prefetcher{pushedVersions: make(map[string]uint64)}
 	}
 	n.reg = cfg.Metrics
 	n.m = newNodeMetrics(cfg.Metrics)
@@ -879,9 +856,7 @@ func (n *Node) DebugQueries() string {
 }
 
 // QueryInit issues a decision query at this node (the paper's Query_Init):
-// it plans retrieval per the node's scheme, floods the expression to
-// neighbors for prefetching (unless DisablePrefetch), and starts fetching
-// evidence.
+// it plans retrieval per the node's scheme and starts fetching evidence.
 func (n *Node) QueryInit(expr boolexpr.DNF, deadline time.Duration) (string, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -916,30 +891,11 @@ func (n *Node) QueryInit(expr boolexpr.DNF, deadline time.Duration) (string, err
 	n.live = slices.Insert(n.live, at, q)
 	n.stats.QueriesIssued++
 
-	// Step (iv): share the decision structure with neighbors. The only use
-	// a receiver has for it is prefetch, so a node that takes no part in
-	// prefetch does not ask the fleet to carry it.
-	if n.prefetch != nil {
-		n.announce(id, exprText, abs, now)
-	}
-
 	// Deadline watchdog.
 	q.watchdog = n.arm(deadline+time.Millisecond, func() { n.whenLive(id, n.recordIfTerminal) })
 
 	n.pump(q)
 	return id, nil
-}
-
-// announce floods a decision expression within the prefetch radius, as
-// its origin. Callers hold n.mu.
-func (n *Node) announce(id, expr string, deadline, now time.Time) {
-	n.markAnnounced(id, deadline, now)
-	n.floodAnnounce(&QueryAnnounce{
-		QueryID:  id,
-		Origin:   n.id,
-		Expr:     expr,
-		Deadline: deadline,
-	}, "")
 }
 
 // arm runs fn after d on the node's timers and returns the timer, nil
@@ -1386,24 +1342,6 @@ func (q *localQuery) waiting(now time.Time) []Waiting {
 		}
 	}
 	return out
-}
-
-// Prewarm floods a decision expression that is *anticipated* but not yet
-// issued (Section VIII: workflow anticipation): nearby sources prefetch
-// the evidence toward this node in the background, so a subsequent
-// QueryInit for the same logic finds it cached. No local query state is
-// created. Requires prefetching to be enabled somewhere in the network to
-// have any effect.
-func (n *Node) Prewarm(expr boolexpr.DNF) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if len(expr.Terms) == 0 {
-		return errors.New("athena: empty decision expression")
-	}
-	n.querySeq++
-	now := n.now()
-	n.announce(fmt.Sprintf("%s/warm%d", n.id, n.querySeq), expr.String(), now.Add(time.Hour), now)
-	return nil
 }
 
 // QueryEvery issues the decision expression periodically (Section IV-B:

@@ -81,9 +81,6 @@ func buildRig(t testing.TB, scheme Scheme, world staticWorld, opts func(*Config)
 			Policy:     trust.TrustAll(),
 			Descriptor: descs[id],
 			CacheBytes: 8 << 20,
-			// Prefetch is exercised by its own tests; keep byte-count
-			// assertions crisp elsewhere.
-			DisablePrefetch: true,
 		}
 		if opts != nil {
 			opts(&cfg)
@@ -156,7 +153,7 @@ func TestNodeShortCircuitsAcrossTerms(t *testing.T) {
 		t.Fatalf("results = %+v", results)
 	}
 	// la* evidence is nodeA's own sensor: no object should cross the
-	// network (only announcements).
+	// network.
 	if bytes := r.net.Stats().BytesSent; bytes > 10_000 {
 		t.Errorf("network bytes = %d, want control traffic only", bytes)
 	}
@@ -306,34 +303,6 @@ func TestRefetchAfterExpiry(t *testing.T) {
 	}
 }
 
-func TestPrefetchPushesFromAnnouncement(t *testing.T) {
-	world := staticWorld{"lc1": true, "lc2": true}
-	r := buildRig(t, SchemeLVF, world, func(cfg *Config) { cfg.DisablePrefetch = false })
-	expr := boolexpr.ToDNF(boolexpr.MustParse("lc1 & lc2"))
-	if _, err := r.nodes["nodeA"].QueryInit(expr, 30*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	r.run(t, time.Minute)
-	if r.nodes["nodeC"].Stats().PrefetchPushes == 0 {
-		t.Error("source did not prefetch-push for the announced query")
-	}
-}
-
-func TestPrefetchDisabled(t *testing.T) {
-	world := staticWorld{"lc1": true, "lc2": true}
-	r := buildRig(t, SchemeLVF, world, func(cfg *Config) { cfg.DisablePrefetch = true })
-	expr := boolexpr.ToDNF(boolexpr.MustParse("lc1 & lc2"))
-	if _, err := r.nodes["nodeA"].QueryInit(expr, 30*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	r.run(t, time.Minute)
-	for id, n := range r.nodes {
-		if n.Stats().PrefetchPushes != 0 {
-			t.Errorf("node %s pushed despite DisablePrefetch", id)
-		}
-	}
-}
-
 func TestQueryInitValidation(t *testing.T) {
 	world := staticWorld{}
 	r := buildRig(t, SchemeLVF, world, nil)
@@ -413,7 +382,7 @@ func TestApproximateSubstitution(t *testing.T) {
 			},
 			World: world, Authority: auth,
 			Signer: auth.Register(id, []byte(id)), Policy: trust.TrustAll(),
-			Descriptor: d, CacheBytes: 8 << 20, DisablePrefetch: true,
+			Descriptor: d, CacheBytes: 8 << 20,
 			ApproxMinSimilarity: 0.6,
 		})
 		if err != nil {
@@ -508,7 +477,7 @@ func TestCriticalNamespacePriority(t *testing.T) {
 			},
 			World: world, Authority: auth,
 			Signer: auth.Register(id, []byte(id)), Policy: trust.TrustAll(),
-			Descriptor: d, CacheBytes: 16 << 20, DisablePrefetch: true,
+			Descriptor: d, CacheBytes: 16 << 20,
 			CriticalPrefix: critical,
 		})
 		if err != nil {
@@ -553,44 +522,6 @@ func TestCriticalNamespacePriority(t *testing.T) {
 	// later.
 	if !critDone.Before(bulkDone) {
 		t.Errorf("critical finished %v, bulk %v: no preferential treatment", critDone, bulkDone)
-	}
-}
-
-func TestPrewarmTriggersPrefetch(t *testing.T) {
-	world := staticWorld{"lc1": true, "lc2": true}
-	r := buildRig(t, SchemeLVF, world, func(cfg *Config) { cfg.DisablePrefetch = false })
-	expr := boolexpr.ToDNF(boolexpr.MustParse("lc1 & lc2"))
-
-	// Anticipate the decision: nodeC (the source) pushes its object
-	// toward nodeA before any query exists.
-	if err := r.nodes["nodeA"].Prewarm(expr); err != nil {
-		t.Fatal(err)
-	}
-	r.run(t, 20*time.Second)
-	if r.nodes["nodeC"].Stats().PrefetchPushes == 0 {
-		t.Fatal("prewarm did not trigger a prefetch push")
-	}
-	warmBytes := r.net.Stats().BytesSent
-
-	// The actual query now resolves from local/cached state with little
-	// extra traffic and immediately.
-	if _, err := r.nodes["nodeA"].QueryInit(expr, 30*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	r.run(t, 40*time.Second)
-	results := r.nodes["nodeA"].Results()
-	if len(results) != 1 || results[0].Status != core.ResolvedTrue {
-		t.Fatalf("results = %+v", results)
-	}
-	delta := r.net.Stats().BytesSent - warmBytes
-	if delta > 50_000 {
-		t.Errorf("post-prewarm query moved %d bytes; want cached answer", delta)
-	}
-	if got := results[0].Finished.Sub(results[0].Issued); got > time.Second {
-		t.Errorf("post-prewarm latency = %v", got)
-	}
-	if err := r.nodes["nodeA"].Prewarm(boolexpr.DNF{}); err == nil {
-		t.Error("empty prewarm accepted")
 	}
 }
 

@@ -115,7 +115,7 @@ func buildNoisyRig(t *testing.T, noise float64, nSources int) (*simclock.Schedul
 			Timers: LaneTimers{Lane: sched.Lane}, Scheme: SchemeLVF, Directory: dir,
 			Meta: meta, World: world, Authority: auth,
 			Signer: auth.Register(id, []byte(id)), Policy: trust.TrustAll(),
-			Descriptor: d, CacheBytes: 8 << 20, DisablePrefetch: true,
+			Descriptor: d, CacheBytes: 8 << 20,
 			SensorNoise: noise,
 		})
 		if err != nil {

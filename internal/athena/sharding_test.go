@@ -87,7 +87,6 @@ func buildShardRigWith(t *testing.T, n, shards, rf int, seed int64, boot func(id
 			Policy:            trust.TrustAll(),
 			Descriptor:        &desc,
 			CacheBytes:        8 << 20,
-			DisablePrefetch:   true,
 			HeartbeatInterval: time.Second,
 			GossipFanout:      2,
 			GossipSeed:        seed,

@@ -274,7 +274,6 @@ func lookupNode(tb testing.TB, descs []object.Descriptor) *Node {
 		ID: "querier", Transport: &recTransport{}, Router: &StaticRouter{Self: "querier"}, Timers: noTimers{},
 		Scheme: SchemeLVF, Directory: NewDirectory(descs),
 		Authority: auth, Signer: auth.Register("querier", []byte("k-querier")), Policy: trust.TrustAll(),
-		DisablePrefetch:   true,
 		HeartbeatInterval: time.Second, GossipFanout: 2, Shards: 16, ShardReplicas: 1,
 	})
 	if err != nil {
@@ -308,7 +307,7 @@ func BenchmarkShardLookupServe(b *testing.B) {
 		ID: "owner", Transport: rec, Router: &StaticRouter{Self: "owner"}, Timers: noTimers{},
 		Scheme: SchemeLVF, Directory: NewDirectory(descs),
 		Authority: auth, Signer: auth.Register("owner", []byte("k-owner")), Policy: trust.TrustAll(),
-		DisablePrefetch: true, HeartbeatInterval: time.Second, GossipFanout: 2,
+		HeartbeatInterval: time.Second, GossipFanout: 2,
 	})
 	if err != nil {
 		b.Fatal(err)

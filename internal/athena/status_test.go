@@ -71,7 +71,6 @@ func buildStatusRig(t *testing.T, world staticWorld) (*memberRig, map[string]*me
 			Policy:            trust.TrustAll(),
 			Descriptor:        descs[id],
 			CacheBytes:        8 << 20,
-			DisablePrefetch:   true,
 			HeartbeatInterval: time.Second,
 			Metrics:           regs[id],
 		})

@@ -64,7 +64,6 @@ func buildGossipRig(t *testing.T, n, fanout int, seed int64) *gossipRig {
 			Policy:            trust.TrustAll(),
 			Descriptor:        &desc,
 			CacheBytes:        8 << 20,
-			DisablePrefetch:   true,
 			HeartbeatInterval: time.Second,
 			GossipFanout:      fanout,
 			GossipSeed:        seed,
@@ -299,7 +298,7 @@ func TestGossipControlPlaneCheaperThanFlood(t *testing.T) {
 				Directory: NewDirectory(descs), Meta: meta,
 				World: staticWorld{"ok": true}, Authority: auth,
 				Signer: auth.Register(id, []byte("k-"+id)), Policy: trust.TrustAll(),
-				Descriptor: &desc, CacheBytes: 8 << 20, DisablePrefetch: true,
+				Descriptor: &desc, CacheBytes: 8 << 20,
 				HeartbeatInterval: time.Second, GossipFanout: fanout, GossipSeed: 31,
 			})
 			if err != nil {
@@ -352,7 +351,7 @@ func BenchmarkSwimProbeRound(b *testing.B) {
 			ID: desc.Source, Transport: rec, Router: &StaticRouter{Self: desc.Source}, Timers: noTimers{},
 			Scheme: SchemeLVF, Directory: NewDirectory(descs), Descriptor: &desc,
 			Authority: auth, Signer: auth.Register(desc.Source, []byte("k")), Policy: trust.TrustAll(),
-			DisablePrefetch: true, HeartbeatInterval: time.Second, GossipFanout: 2,
+			HeartbeatInterval: time.Second, GossipFanout: 2,
 		})
 		if err != nil {
 			b.Fatal(err)

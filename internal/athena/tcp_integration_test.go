@@ -260,70 +260,46 @@ func (t countedTimer) Stop() bool {
 // TestTCPFinishedQueriesLeaveNode is the socket half of the soak: a
 // consumer with no room to cache makes 500 decisions against a source in
 // another endpoint, each resolving true on evidence fetched over the
-// socket, and both nodes end holding no query. With prefetch off, as in
-// the socket benchmark fleet, they also end holding no timer: the
+// socket, and both nodes end holding no query and no timer: the
 // wall-clock watchdog and request timeout of each decision would fire 6 to
 // 20 s later, and are stopped when the decision is recorded and its
 // request answered; what is armed for a moment (a drain, a completion
-// callback) fires at once. With prefetch on (the default), a push that
-// lands before the consumer's request is drained can resolve a decision
-// instead, so the source answers fewer requests; and it queues a push per
-// announced decision and paces them 250 ms apart, so 500 back-to-back
-// decisions leave it a pacing timer armed for two minutes (ROADMAP item 2).
-// That row checks the consumer's timers only.
+// callback) fires at once. The one row keeps the name it had beside a
+// prefetch-on row, from when a node could push evidence ahead of a request.
 func TestTCPFinishedQueriesLeaveNode(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		prefetch bool
-	}{
-		{"prefetch off", false},
-		{"prefetch on", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			timers := map[string]*countedTimers{"consumer": newCountedTimers(), "src": newCountedTimers()}
-			p := newSocketPair(t, "soak1", func(id string, c *athena.Config) {
-				c.Timers, c.DisablePrefetch = timers[id], !tc.prefetch
-			})
-			const decisions = 500
-			p.decide(decisions)
-			for name, n := range map[string]*athena.Node{"consumer": p.consumer, "src": p.src} {
-				if known, live := n.QueryCounts(); known != 0 || live != 0 {
-					t.Errorf("%s ends with %d queries, %d live; want none", name, known, live)
-				}
-				if tc.prefetch && name == "src" {
-					continue
-				}
-				c := timers[name]
-				if !c.drained(5 * time.Second) {
-					t.Errorf("%s ends with %d timers armed (%d armed, %d fired, %d stopped); want none",
-						name, c.pending(), c.armed.Load(), c.fired.Load(), c.stopped.Load())
-				}
+	t.Run("prefetch off", func(t *testing.T) {
+		timers := map[string]*countedTimers{"consumer": newCountedTimers(), "src": newCountedTimers()}
+		p := newSocketPair(t, "soak1", func(id string, c *athena.Config) { c.Timers = timers[id] })
+		const decisions = 500
+		p.decide(decisions)
+		for name, n := range map[string]*athena.Node{"consumer": p.consumer, "src": p.src} {
+			if known, live := n.QueryCounts(); known != 0 || live != 0 {
+				t.Errorf("%s ends with %d queries, %d live; want none", name, known, live)
 			}
-			s := p.src.Stats()
-			if got := s.CacheAnswers; !tc.prefetch && got < decisions-1 {
-				t.Errorf("the source answered %d requests; the consumer was meant to fetch every decision's evidence", got)
+			c := timers[name]
+			if !c.drained(5 * time.Second) {
+				t.Errorf("%s ends with %d timers armed (%d armed, %d fired, %d stopped); want none",
+					name, c.pending(), c.armed.Load(), c.fired.Load(), c.stopped.Load())
 			}
-			if got := s.CacheAnswers + s.PrefetchPushes; tc.prefetch && got < decisions-1 {
-				t.Errorf("the source answered %d requests and pushed %d objects; the consumer was meant to be sent every decision's evidence",
-					s.CacheAnswers, s.PrefetchPushes)
-			}
-		})
-	}
+		}
+		if got := p.src.Stats().CacheAnswers; got < decisions-1 {
+			t.Errorf("the source answered %d requests; the consumer was meant to fetch every decision's evidence", got)
+		}
+	})
 }
 
 // BenchmarkTCPClosedPairHeld makes b.N decisions on a socket pair of
-// WallTimers nodes, wired as the socket benchmark fleet is (no prefetch),
-// then closes the pair and drops it. held-B/op is the heap the closed
-// pair still holds, per decision: zero once both nodes have been
+// WallTimers nodes, wired as the socket benchmark fleet is, then closes
+// the pair and drops it. held-B/op is the heap the closed pair still
+// holds, per decision: zero once both nodes have been
 // collected, and otherwise the heap in use against the heap before the
 // pair was built. Timers that outlive their decision hold the whole pair
 // until the last of them fires, 6 to 20 s on; stopped when the decision
 // is settled, they hold nothing. ci.sh gates it.
 func BenchmarkTCPClosedPairHeld(b *testing.B) {
-	noPrefetch := func(_ string, c *athena.Config) { c.DisablePrefetch = true }
 	// A pair built, used and closed first takes what the socket path's
 	// first use allocates for good (codec tables, runtime settings).
-	warm := newSocketPair(b, "held0", noPrefetch)
+	warm := newSocketPair(b, "held0", nil)
 	warm.decide(1)
 	warm.close()
 	warm = nil
@@ -332,8 +308,7 @@ func BenchmarkTCPClosedPairHeld(b *testing.B) {
 	// node's), and a finalizer in a cycle never runs; the node's router
 	// is held by the node alone, so it goes when the node does.
 	collected := make(chan struct{}, 2)
-	p := newSocketPair(b, "held1", func(id string, c *athena.Config) {
-		noPrefetch(id, c)
+	p := newSocketPair(b, "held1", func(_ string, c *athena.Config) {
 		runtime.SetFinalizer(c.Router, func(athena.Router) { collected <- struct{}{} })
 	})
 	b.ReportAllocs()
@@ -443,13 +418,8 @@ func (s shareTap) SetHandler(h transport.Handler) {
 
 // TestTCPLabelSharingAcrossProcesses verifies that a second consumer is
 // answered with signed label records over TCP after the first resolved
-// the same predicates. Prefetching is off: with it on, the source also
-// pushes the object toward every announced query in the background
-// (Section VI-A), and a consumer that receives the push before its own
-// request has been dispatched or answered annotates the object itself —
-// a legitimate outcome in which no request is ever answered from the
-// source's label cache. With it off, a label answer is the only way
-// consumerB can resolve without fetching the object.
+// the same predicates: a label answer is the only way consumerB can
+// resolve without fetching the object.
 func TestTCPLabelSharingAcrossProcesses(t *testing.T) {
 	world := staticWorld{"shared1": true}
 	desc := object.Descriptor{
@@ -478,7 +448,7 @@ func TestTCPLabelSharingAcrossProcesses(t *testing.T) {
 			Timers: athena.WallTimers{}, Scheme: athena.SchemeLVFL, Directory: dir,
 			Meta: meta, World: world, Authority: auth,
 			Signer: auth.Register(id, []byte(id)), Policy: trust.TrustAll(),
-			Descriptor: d, CacheBytes: 8 << 20, DisablePrefetch: true,
+			Descriptor: d, CacheBytes: 8 << 20,
 		})
 		if err != nil {
 			tr.Close()

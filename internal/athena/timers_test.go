@@ -76,7 +76,7 @@ func newStopRig(t *testing.T, stoppable bool, set ...func(*Config)) *stopRig {
 		Scheme: SchemeLVF, Directory: NewDirectory([]object.Descriptor{dispatchDesc("a"), dispatchDesc("c")}),
 		World: staticWorld{"la": true, "lc": true}, Authority: auth,
 		Signer: auth.Register("b", []byte("k-b")), Policy: trust.TrustAll(),
-		DisablePrefetch: true, CacheBytes: 1,
+		CacheBytes: 1,
 	}
 	for _, f := range set {
 		f(&cfg)
@@ -149,7 +149,7 @@ func relayed(queryID string) *ObjectRequest {
 
 // answer is c's object, answering relayed(queryID), as it reaches b.
 func answer(queryID string, now time.Time) *ObjectData {
-	return dataMsg(sampleOf("c", now), "a", queryID, false)
+	return dataMsg(sampleOf("c", now), "a", queryID)
 }
 
 // rigState is what a timer's callback could change on the rig's node.

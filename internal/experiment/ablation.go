@@ -131,29 +131,6 @@ func AblationLabelSharing(cfg Config) ([]AblationRow, error) {
 	return rows, nil
 }
 
-// AblationPrefetch (A2) compares lvf with and without background
-// prefetching of announced query expressions.
-func AblationPrefetch(cfg Config) ([]AblationRow, error) {
-	scens, err := scenarios(cfg, cfg.Workload.FastRatio)
-	if err != nil {
-		return nil, err
-	}
-	var rows []AblationRow
-	for _, enable := range []bool{false, true} {
-		row, err := aggregate(cfg, scens, athena.ClusterConfig{Scheme: athena.SchemeLVF, EnablePrefetch: enable}, nil)
-		if err != nil {
-			return nil, err
-		}
-		if enable {
-			row.Label = "prefetch on"
-		} else {
-			row.Label = "prefetch off"
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
 // AblationCache (A3) sweeps per-node content-store capacity under lvf.
 func AblationCache(cfg Config) ([]AblationRow, error) {
 	scens, err := scenarios(cfg, cfg.Workload.FastRatio)

@@ -158,7 +158,6 @@ func RunBatching(n, fanIn int, window time.Duration) (BatchingRow, error) {
 			Policy:           trust.TrustAll(),
 			Descriptor:       desc,
 			CacheBytes:       8 << 20,
-			DisablePrefetch:  true,
 			SequentialWindow: fanIn,
 			CoalesceWindow:   window,
 			Metrics:          reg,

@@ -109,22 +109,6 @@ func TestAblationInfomax(t *testing.T) {
 	}
 }
 
-func TestAblationPrefetchSmall(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Reps = 1
-	rows, err := AblationPrefetch(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	out := RenderAblation("A2", "labelAns", rows)
-	if !strings.Contains(out, "prefetch on") {
-		t.Errorf("render:\n%s", out)
-	}
-}
-
 func TestAblationNoiseSmall(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Reps = 1

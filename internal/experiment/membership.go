@@ -117,7 +117,6 @@ func RunMembershipOpts(n int, o MembershipOpts) (MembershipRow, error) {
 			Policy:            trust.TrustAll(),
 			Descriptor:        &desc,
 			CacheBytes:        1 << 20,
-			DisablePrefetch:   true,
 			HeartbeatInterval: membershipInterval,
 			GossipFanout:      fanout,
 			GossipSeed:        seed,

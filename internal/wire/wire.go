@@ -8,7 +8,7 @@
 //
 //	offset  size  field
 //	0       4     N: frame length, bytes after this prefix (u32)
-//	4       1     format version (currently 2)
+//	4       1     format version (the Version constant)
 //	5       1     message type ID (see Type* constants)
 //	6       2     sender id length L (u16)
 //	8       L     sender id (UTF-8)
@@ -23,7 +23,7 @@
 // estimate. TestWireSizeIsFrameLength pins the equality per type.
 //
 // Each message's payload is written down once, as a layout function that
-// names its fields in wire order (see queryAnnounce and its siblings).
+// names its fields in wire order (see objectRequest and its siblings).
 // Append and Decode run the same function over a coder that either
 // appends the fields or reads them, so an encoder and a decoder cannot
 // disagree about a layout. What that cannot catch — a field swapped in
@@ -66,7 +66,9 @@ import (
 // folded the scoped ShardSync frames into SyncRequest/SyncResponse and
 // dropped fields no receiver read (QueryAnnounce.TTL, ShardLookup.Shard,
 // ShardLookupReply.Label and .Shard). Version 3 added ObjectRequest.Budget.
-const Version = 3
+// Version 4 retired QueryAnnounce (type ID 1) and the one-byte flags of
+// ObjectRequest and ObjectData, which only the retired push path set.
+const Version = 4
 
 // MaxFrame bounds a frame's total length (prefix included). The value is
 // the transport's receive-side guard: Append refuses to produce frames
@@ -74,10 +76,10 @@ const Version = 3
 const MaxFrame = transport.MaxFrame
 
 // Message type IDs, one per Athena wire message. The zero value is
-// reserved (it marks a corrupt frame).
+// reserved (it marks a corrupt frame), and so is 1, QueryAnnounce's ID
+// until version 4: no later message takes it.
 const (
-	TypeQueryAnnounce = 1 + iota
-	TypeObjectRequest
+	TypeObjectRequest = 2 + iota
 	TypeObjectData
 	TypeLabelShare
 	TypeHeartbeat
@@ -217,9 +219,6 @@ func allZero(b []byte) bool {
 // allocation per frame (TestEncodeDoesNotAllocate).
 func encodePayload(c *coder, payload any) byte {
 	switch m := payload.(type) {
-	case *athena.QueryAnnounce:
-		queryAnnounce(c, m)
-		return TypeQueryAnnounce
 	case *athena.ObjectRequest:
 		objectRequest(c, m)
 		return TypeObjectRequest
@@ -279,10 +278,6 @@ func encodePayload(c *coder, payload any) byte {
 // value, or returns nil for an ID the codec does not know.
 func decodePayload(c *coder, id byte) any {
 	switch id {
-	case TypeQueryAnnounce:
-		m := new(athena.QueryAnnounce)
-		queryAnnounce(c, m)
-		return m
 	case TypeObjectRequest:
 		m := new(athena.ObjectRequest)
 		objectRequest(c, m)
@@ -357,21 +352,12 @@ func decodePayload(c *coder, id byte) any {
 
 // --- message layouts: each lists its fields in wire order --------------
 
-func queryAnnounce(c *coder, m *athena.QueryAnnounce) {
-	c.str(&m.QueryID)
-	c.str(&m.Origin)
-	c.str(&m.Expr)
-	c.time(&m.Deadline)
-	c.int(&m.Hops)
-}
-
 func objectRequest(c *coder, m *athena.ObjectRequest) {
 	c.str(&m.QueryID)
 	c.str(&m.Origin)
 	c.str(&m.Object)
 	c.str(&m.SourceNode)
 	c.strs(&m.Labels)
-	c.bool(&m.Prefetch)
 	c.dur(&m.Budget)
 }
 
@@ -385,7 +371,6 @@ func objectData(c *coder, m *athena.ObjectData) {
 	c.str(&m.SourceNode)
 	c.str(&m.Origin)
 	c.str(&m.QueryID)
-	c.bool(&m.Background)
 }
 
 func labelShare(c *coder, m *athena.LabelShare) {
@@ -626,14 +611,6 @@ func (c *coder) i64(p *int64) {
 	c.u64(&v)
 	if !c.enc {
 		*p = int64(v)
-	}
-}
-
-func (c *coder) int(p *int) {
-	v := int64(*p)
-	c.i64(&v)
-	if !c.enc {
-		*p = int(v)
 	}
 }
 

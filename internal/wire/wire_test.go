@@ -70,8 +70,7 @@ func sizedMessages() []interface {
 	return []interface {
 		WireSize() int64
 	}{
-		&athena.QueryAnnounce{QueryID: "node-042/q17", Origin: "node-042", Expr: "viable:h:1-2 & viable:v:3-1 | viable:h:2-2", Deadline: tAt(9e9), Hops: 1},
-		&athena.ObjectRequest{QueryID: "node-042/q17", Origin: "node-042", Object: "/city/market/cam3", SourceNode: "node-017", Labels: []string{"viable:h:1-2", "viable:v:3-1"}, Prefetch: false, Budget: 42 * time.Second},
+		&athena.ObjectRequest{QueryID: "node-042/q17", Origin: "node-042", Object: "/city/market/cam3", SourceNode: "node-017", Labels: []string{"viable:h:1-2", "viable:v:3-1"}, Budget: 42 * time.Second},
 		&athena.ObjectData{Object: "/city/market/cam3", Version: 12, Size: 250_000, Created: tAt(5e9), Validity: time.Minute, Labels: []string{"viable:h:1-2", "viable:v:3-1"}, SourceNode: "node-017", Origin: "node-042", QueryID: "node-042/q17"},
 		&athena.LabelShare{Records: []trust.Label{label("viable:h:1-2", "node-017", 5e9), label("viable:v:3-1", "node-017", 6e9)}, Dest: "node-042", QueryID: "node-042/q17"},
 		&athena.Heartbeat{Node: "node-042", Beat: 991, AdvSeq: 7, Digest: 0xdeadbeefcafe},
@@ -89,11 +88,11 @@ func sizedMessages() []interface {
 		&athena.RequestBatch{Requests: []athena.ObjectRequest{
 			{QueryID: "node-042/q17", Origin: "node-042", Object: "/city/market/cam3", SourceNode: "node-017", Labels: []string{"viable:h:1-2", "viable:v:3-1"}, Budget: 42 * time.Second},
 			{QueryID: "node-042/q18", Origin: "node-042", Object: "/city/market/cam4", SourceNode: "node-017", Labels: []string{"viable:h:2-2"}, Budget: 41 * time.Second},
-			{QueryID: "node-011/q03", Origin: "node-011", Object: "/city/market/cam5", SourceNode: "node-017", Labels: []string{"viable:v:3-1"}, Prefetch: true},
+			{QueryID: "node-011/q03", Origin: "node-011", Object: "/city/market/cam5", SourceNode: "node-017", Labels: []string{"viable:v:3-1"}},
 		}},
 		&athena.DataBatch{Items: []athena.ObjectData{
 			{Object: "/city/market/cam3", Version: 12, Size: 250_000, Created: tAt(5e9), Validity: time.Minute, Labels: []string{"viable:h:1-2", "viable:v:3-1"}, SourceNode: "node-017", Origin: "node-042", QueryID: "node-042/q17"},
-			{Object: "/city/market/cam4", Version: 3, Size: 180_000, Created: tAt(6e9), Validity: time.Minute, Labels: []string{"viable:h:2-2"}, SourceNode: "node-017", Origin: "node-042", QueryID: "node-042/q18", Background: true},
+			{Object: "/city/market/cam4", Version: 3, Size: 180_000, Created: tAt(6e9), Validity: time.Minute, Labels: []string{"viable:h:2-2"}, SourceNode: "node-017", Origin: "node-042", QueryID: "node-042/q18"},
 		}},
 	}
 }
@@ -146,7 +145,7 @@ func TestGoldenFrameBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden := "0000003c" + // length: 60 bytes follow
-		"03" + // version 3
+		"04" + // version 4
 		"05" + // type: Heartbeat
 		"000161" + // from: "a"
 		"00026e31" + // Node: "n1"
@@ -172,7 +171,7 @@ func TestGoldenShardLookupBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden := "0000007c" + // length: 124 bytes follow
-		"03" + // version 3
+		"04" + // version 4
 		"0f" + // type: ShardLookup (15)
 		"000161" + // from: "a"
 		"00026e31" + // From: "n1"
@@ -200,7 +199,7 @@ func TestGoldenRequestBatchBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden := "000000ac" + // length: 172 bytes follow
-		"03" + // version 3
+		"04" + // version 4
 		"11" + // type: RequestBatch (17)
 		"000161" + // from: "a"
 		"0001" + // member count
@@ -209,9 +208,8 @@ func TestGoldenRequestBatchBytes(t *testing.T) {
 		"00022f78" + // Object: "/x"
 		"000173" + // SourceNode: "s"
 		"0000" + // Labels: empty
-		"00" + // Prefetch: false
 		"000000012a05f200" + // Budget: 5 s in nanoseconds
-		strings.Repeat("00", 141) // padding up to batchBaseBytes + batchedRequestBytes (176)
+		strings.Repeat("00", 142) // padding up to batchBaseBytes + batchedRequestBytes (176)
 	want, err := hex.DecodeString(golden)
 	if err != nil {
 		t.Fatal(err)
@@ -243,6 +241,21 @@ func TestDecodeRejectsBadFrames(t *testing.T) {
 		b[0] = 1
 		if _, _, err := (Codec{}).Decode(b); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("version-1 frame: err = %v, want ErrBadFrame", err)
+		}
+	})
+	t.Run("version 3", func(t *testing.T) {
+		b := append([]byte(nil), body...)
+		b[0] = 3
+		if _, _, err := (Codec{}).Decode(b); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("version-3 frame: err = %v, want ErrBadFrame", err)
+		}
+	})
+	t.Run("retired type 1", func(t *testing.T) {
+		// QueryAnnounce's ID until version 4; no message has it since.
+		b := append([]byte(nil), body...)
+		b[1] = 1
+		if _, _, err := (Codec{}).Decode(b); !errors.Is(err, ErrUnknownType) {
+			t.Errorf("type-1 frame: err = %v, want ErrUnknownType", err)
 		}
 	})
 	t.Run("unknown type", func(t *testing.T) {
@@ -325,7 +338,7 @@ func TestZeroPaddingOfAnyLengthDecodes(t *testing.T) {
 func TestOversizeEncodingShipsUnpadded(t *testing.T) {
 	// A message whose raw encoding exceeds its modeled size must ship
 	// as-is; the receiver reports actual bytes, never the stale model.
-	m := &athena.QueryAnnounce{QueryID: "q", Origin: "o", Expr: strings.Repeat("x", 300)}
+	m := &athena.ObjectRequest{QueryID: "q", Origin: "o", Object: strings.Repeat("x", 300)}
 	frame, err := (Codec{}).Append(nil, "a", 10 /* bogus model */, m)
 	if err != nil {
 		t.Fatal(err)
@@ -528,26 +541,18 @@ func fuzzLabels(name, annot, ev, sig string, n uint8, ns int64, validity int64, 
 	return out
 }
 
-func FuzzQueryAnnounce(f *testing.F) {
-	f.Add("q1", "origin", "a & b", int64(5e9), 1)
-	f.Add("", "", "", int64(math.MinInt64), -1)
-	f.Fuzz(func(t *testing.T, id, origin, expr string, deadline int64, hops int) {
-		roundTrip(t, &athena.QueryAnnounce{QueryID: id, Origin: origin, Expr: expr, Deadline: fuzzTime(deadline), Hops: hops})
-	})
-}
-
 func FuzzObjectRequest(f *testing.F) {
-	f.Add("q1", "origin", "/city/cam1", "src", "lbl", uint8(2), true, int64(5e9))
-	f.Fuzz(func(t *testing.T, id, origin, obj, src, lbl string, n uint8, prefetch bool, budget int64) {
-		roundTrip(t, &athena.ObjectRequest{QueryID: id, Origin: origin, Object: obj, SourceNode: src, Labels: fuzzStrings(lbl, n), Prefetch: prefetch, Budget: time.Duration(budget)})
+	f.Add("q1", "origin", "/city/cam1", "src", "lbl", uint8(2), int64(5e9))
+	f.Fuzz(func(t *testing.T, id, origin, obj, src, lbl string, n uint8, budget int64) {
+		roundTrip(t, &athena.ObjectRequest{QueryID: id, Origin: origin, Object: obj, SourceNode: src, Labels: fuzzStrings(lbl, n), Budget: time.Duration(budget)})
 	})
 }
 
 func FuzzObjectData(f *testing.F) {
-	f.Add("/city/cam1", uint64(3), int64(1000), int64(5e9), int64(1e9), "lbl", uint8(1), "src", "origin", "q1", false)
-	f.Add("/city/cam1", uint64(3), int64(1<<20+5), int64(5e9), int64(1e9), "lbl", uint8(1), "src", "origin", "q1", false)
-	f.Fuzz(func(t *testing.T, obj string, version uint64, size, created, validity int64, lbl string, n uint8, src, origin, id string, bg bool) {
-		roundTrip(t, &athena.ObjectData{Object: obj, Version: version, Size: size, Created: fuzzTime(created), Validity: time.Duration(validity), Labels: fuzzStrings(lbl, n), SourceNode: src, Origin: origin, QueryID: id, Background: bg})
+	f.Add("/city/cam1", uint64(3), int64(1000), int64(5e9), int64(1e9), "lbl", uint8(1), "src", "origin", "q1")
+	f.Add("/city/cam1", uint64(3), int64(1<<20+5), int64(5e9), int64(1e9), "lbl", uint8(1), "src", "origin", "q1")
+	f.Fuzz(func(t *testing.T, obj string, version uint64, size, created, validity int64, lbl string, n uint8, src, origin, id string) {
+		roundTrip(t, &athena.ObjectData{Object: obj, Version: version, Size: size, Created: fuzzTime(created), Validity: time.Duration(validity), Labels: fuzzStrings(lbl, n), SourceNode: src, Origin: origin, QueryID: id})
 	})
 }
 
@@ -655,24 +660,24 @@ func FuzzShardLookupReply(f *testing.F) {
 }
 
 func FuzzRequestBatch(f *testing.F) {
-	f.Add("q1", "origin", "/city/cam1", "src", "lbl", uint8(2), true, uint8(2), int64(5e9))
-	f.Fuzz(func(t *testing.T, id, origin, obj, src, lbl string, n uint8, prefetch bool, count uint8, budget int64) {
+	f.Add("q1", "origin", "/city/cam1", "src", "lbl", uint8(2), uint8(2), int64(5e9))
+	f.Fuzz(func(t *testing.T, id, origin, obj, src, lbl string, n uint8, count uint8, budget int64) {
 		k := int(count % 4)
 		var reqs []athena.ObjectRequest
 		for i := 0; i < k; i++ {
-			reqs = append(reqs, athena.ObjectRequest{QueryID: id, Origin: origin, Object: obj, SourceNode: src, Labels: fuzzStrings(lbl, n), Prefetch: prefetch, Budget: time.Duration(budget) * time.Duration(i)})
+			reqs = append(reqs, athena.ObjectRequest{QueryID: id, Origin: origin, Object: obj, SourceNode: src, Labels: fuzzStrings(lbl, n), Budget: time.Duration(budget) * time.Duration(i)})
 		}
 		roundTrip(t, &athena.RequestBatch{Requests: reqs})
 	})
 }
 
 func FuzzDataBatch(f *testing.F) {
-	f.Add("/city/cam1", uint64(3), int64(1000), int64(5e9), int64(1e9), "lbl", uint8(1), "src", "origin", "q1", false, uint8(2))
-	f.Fuzz(func(t *testing.T, obj string, version uint64, size, created, validity int64, lbl string, n uint8, src, origin, id string, bg bool, count uint8) {
+	f.Add("/city/cam1", uint64(3), int64(1000), int64(5e9), int64(1e9), "lbl", uint8(1), "src", "origin", "q1", uint8(2))
+	f.Fuzz(func(t *testing.T, obj string, version uint64, size, created, validity int64, lbl string, n uint8, src, origin, id string, count uint8) {
 		k := int(count % 4)
 		var items []athena.ObjectData
 		for i := 0; i < k; i++ {
-			items = append(items, athena.ObjectData{Object: obj, Version: version, Size: size, Created: fuzzTime(created), Validity: time.Duration(validity), Labels: fuzzStrings(lbl, n), SourceNode: src, Origin: origin, QueryID: id, Background: bg})
+			items = append(items, athena.ObjectData{Object: obj, Version: version, Size: size, Created: fuzzTime(created), Validity: time.Duration(validity), Labels: fuzzStrings(lbl, n), SourceNode: src, Origin: origin, QueryID: id})
 		}
 		roundTrip(t, &athena.DataBatch{Items: items})
 	})

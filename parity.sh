@@ -5,9 +5,8 @@
 # `-fig dump` (gossip and churn), also at GOMAXPROCS=1, with
 # batching off and on, on a full replica and on 96 directory shards (the
 # only recorded output that issues sharded queries); the quick figures that between
-# them run the flood, SWIM, sharded and batched paths, plus prefetch on
-# (a2: announce and push), noisy sensors (a5: corrSource's retry timer) and
-# lossy links (a6: the recovery timers); a4, the only figure that runs the
+# them run the flood, SWIM, sharded and batched paths, plus noisy sensors
+# (a5: corrSource's retry timer) and lossy links (a6: the recovery timers); a4, the only figure that runs the
 # infomax triage; and the n=512 gossip+sharding
 # smoke minus its wall-clock line; a3, whose rows share one generated
 # scenario per seed (a sweep's scenarios come from one generation pass);
@@ -81,7 +80,7 @@ for window in 0 10ms; do
 done
 # -codec is newer (ROADMAP item 24): a BASE without it fails this cell.
 cell "dump -codec shards=96 batch-window=10ms (new: a BASE before it differs)" "" -fig dump -codec -shards 96 -batch-window 10ms
-for fig in 2 3 a1 a2 a3 a4 a5 a6 a7 a8 a9 a11; do
+for fig in 2 3 a1 a3 a4 a5 a6 a7 a8 a9 a11; do
 	cell "fig $fig -quick" "" -fig "$fig" -quick
 done
 # The CSV is the only output with the ratio min/max and latency columns,
@@ -91,8 +90,9 @@ cell "fig 2 -csv -schemes lvfl,cmp -quick" "" -fig 2 -csv -schemes lvfl,cmp -qui
 # fails this cell.
 cell "fig misses -quick (new: a BASE before it differs)" "" -fig misses -quick
 # -fig chaos is newer still (ROADMAP item 1): two seeds of fault schedules
-# on the five chaos fleets, the only cell that runs prefetch and partial
-# trust under faults.
+# on the four chaos fleets, the only cell that runs partial trust under
+# faults. A BASE that still ran a fifth, prefetch-on fleet (wire version 3
+# and before) differs in this cell alone.
 cell "fig chaos -reps 2 (new: a BASE before it differs)" "" -fig chaos -reps 2
 # -fig sweep is the order-independence sweep (ROADMAP item 1): one seed of
 # the kernel_fleet and dump fleets, each in four same-instant orders beside

@@ -86,10 +86,9 @@ func (s *SimNetwork) AddLink(a, b string, bandwidth float64, latency time.Durati
 }
 
 // SimNodeConfig describes one node for AddNode. Every node it builds
-// trusts all verified annotators, has a 16 MB content store, reads its
-// sensors without noise, and runs with prefetch off, as NewCluster does by
-// default (ablation A2 finds prefetch costs bandwidth and resolution).
-// NewCluster and NewNode take each of these as an option.
+// trusts all verified annotators, has a 16 MB content store and reads its
+// sensors without noise. NewCluster and NewNode take each of these as an
+// option.
 type SimNodeConfig struct {
 	// ID is the node identifier (must appear in at least one AddLink).
 	ID string
@@ -229,7 +228,6 @@ func (s *SimNetwork) Build() error {
 			Policy:              trust.TrustAll(),
 			Descriptor:          cfg.Source,
 			CacheBytes:          16 << 20,
-			DisablePrefetch:     true,
 			ApproxMinSimilarity: cfg.ApproxMinSimilarity,
 			CriticalPrefix:      cfg.CriticalPrefix,
 			DisableRetries:      cfg.DisableRetries,
