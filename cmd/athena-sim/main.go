@@ -54,6 +54,7 @@ import (
 	"athena"
 	iathena "athena/internal/athena"
 	"athena/internal/experiment"
+	"athena/internal/trace"
 	"athena/internal/wire"
 )
 
@@ -76,13 +77,14 @@ func run() error {
 		shards  = flag.Int("shards", 0, "directory shards for the dump scenario, three replicas each (0 = every node a full replica); CI diffs dump output at 0 and 96")
 		codec   = flag.Bool("codec", false, "dump: deliver every frame through the wire codec (Decode(Encode(m))); CI diffs the output against the plain dump")
 		faults  = flag.Int("faults", -1, "chaos: run only the first N faults of each schedule (-1 = all); a violation prints the N that replays it")
+		traceTo = flag.String("trace", "", "dump: write every query's spans to this file as Chrome/Perfetto trace events, one track per node; the dump itself does not change")
 	)
 	flag.Parse()
 
 	// The CI scenarios bypass the figure machinery entirely.
 	switch *fig {
 	case "dump":
-		return runDump(*seed, *batch, *shards, *codec)
+		return runDump(*seed, *batch, *shards, *codec, *traceTo)
 	case "smoke":
 		return runSmoke(*seed, *quick)
 	case "chaos":
@@ -291,12 +293,14 @@ type dumpOutcome struct {
 // data-plane batching at batchWindow (0 = off) and
 // the directory in shards name-prefix shards (0 = a full replica on every
 // node), the only configuration a recorded output issues sharded queries
-// in. With codec set every frame goes through the wire codec.
-func dumpCluster(seed int64, batchWindow time.Duration, shards int, codec bool) (*athena.Cluster, error) {
+// in. With codec set every frame goes through the wire codec; with rec set
+// the run is traced into it.
+func dumpCluster(seed int64, batchWindow time.Duration, shards int, codec bool, rec *trace.Recorder) (*athena.Cluster, error) {
 	f := iathena.DumpFleet(batchWindow, shards)
 	if codec {
 		f.Cluster.Codec = wire.Codec{}
 	}
+	f.Cluster.Trace = rec
 	wcfg := f.Workload
 	wcfg.Seed = seed
 	s, err := athena.GenerateScenario(wcfg)
@@ -310,15 +314,25 @@ func dumpCluster(seed int64, batchWindow time.Duration, shards int, codec bool) 
 // outcome as JSON. The output is byte-identical run to run and at any
 // GOMAXPROCS; CI diffs it across both, with data-plane batching both off
 // and on (-batch-window), on a full and a sharded directory (-shards), and
-// against the same run with the codec in the loop (-codec).
-func runDump(seed int64, batchWindow time.Duration, shards int, codec bool) error {
-	cluster, err := dumpCluster(seed, batchWindow, shards, codec)
+// against the same run with the codec in the loop (-codec). With traceTo
+// set, the run is traced (internal/trace) and the spans written there.
+func runDump(seed int64, batchWindow time.Duration, shards int, codec bool, traceTo string) error {
+	var rec *trace.Recorder
+	if traceTo != "" {
+		rec = trace.New()
+	}
+	cluster, err := dumpCluster(seed, batchWindow, shards, codec, rec)
 	if err != nil {
 		return err
 	}
 	out, err := cluster.Run()
 	if err != nil {
 		return err
+	}
+	if rec != nil {
+		if err := writeTrace(traceTo, rec, cluster.Scenario.Epoch); err != nil {
+			return err
+		}
 	}
 	dump := dumpOutcome{
 		Scheme:          out.Scheme.String(),
@@ -340,6 +354,19 @@ func runDump(seed int64, batchWindow time.Duration, shards int, codec bool) erro
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	return enc.Encode(dump)
+}
+
+// writeTrace writes rec's spans to path as Chrome trace events.
+func writeTrace(path string, rec *trace.Recorder, epoch time.Time) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := rec.WriteChrome(f, epoch); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // runChaos runs reps seeds from seed on each chaos fleet under its drawn

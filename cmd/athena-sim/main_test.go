@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"slices"
@@ -10,6 +11,7 @@ import (
 
 	"athena"
 	iathena "athena/internal/athena"
+	"athena/internal/trace"
 	"athena/internal/wire"
 )
 
@@ -20,7 +22,7 @@ import (
 func TestDumpQuiescent(t *testing.T) {
 	for _, shards := range []int{0, 96} {
 		for seed := int64(1); seed <= 3; seed++ {
-			c, err := dumpCluster(seed, 0, shards, false)
+			c, err := dumpCluster(seed, 0, shards, false, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,4 +111,38 @@ func fleetOutcome(t *testing.T, f iathena.Fleet, seed int64) string {
 		fmt.Fprintf(&b, "%s %+v %+v\n", id, n.Stats(), n.Results())
 	}
 	return b.String()
+}
+
+// Tracing never changes a run: the sharded, batched dump's outcome is the
+// same with a recorder as without one, and two traced runs write the same
+// trace bytes.
+func TestTraceLeavesDumpUnchanged(t *testing.T) {
+	outcome := func(rec *trace.Recorder) string {
+		c, err := dumpCluster(1, 10*time.Millisecond, 96, false, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := c.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%+v", out)
+	}
+	plain := outcome(nil)
+	var traces [2]bytes.Buffer
+	for i := range traces {
+		rec := trace.New()
+		if got := outcome(rec); got != plain {
+			t.Fatalf("traced run %d differs from the untraced one", i)
+		}
+		if len(rec.Spans()) == 0 {
+			t.Fatal("the traced run recorded no span")
+		}
+		if err := rec.WriteChrome(&traces[i], time.Time{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(traces[0].Bytes(), traces[1].Bytes()) {
+		t.Fatal("two traced runs wrote different traces")
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"athena/internal/metrics"
 	"athena/internal/netsim"
 	"athena/internal/simclock"
+	"athena/internal/trace"
 	"athena/internal/transport"
 	"athena/internal/trust"
 	"athena/internal/workload"
@@ -73,6 +74,10 @@ type ClusterConfig struct {
 	// the sender's m. Outcomes must be byte-identical to a run without it
 	// (internal/wire's codec; athena-sim -fig dump -codec).
 	Codec transport.Codec
+	// Trace, when set, records every node's query spans and the network's
+	// link timings of each query frame (internal/trace). Tracing never
+	// changes a run's outcome.
+	Trace *trace.Recorder
 	// Deprecated: ignored; bench/ compiles against it. Every node runs
 	// on the kernel's one lane.
 	Workers int
@@ -190,11 +195,15 @@ func NewCluster(s *workload.Scenario, cfg ClusterConfig) (*Cluster, error) {
 			Shards:            cfg.Shards,
 			ShardReplicas:     cfg.ShardReplicas,
 			Metrics:           reg,
+			Trace:             cfg.Trace,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("athena: node %s: %w", p.ID, err)
 		}
 		c.Nodes[p.ID] = node
+	}
+	if cfg.Trace != nil {
+		net.SetLinkTrace(linkTrace(cfg.Trace))
 	}
 	if cfg.HeartbeatInterval > 0 {
 		// A node returning from an outage re-announces itself through the

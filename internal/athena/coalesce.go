@@ -1,6 +1,10 @@
 package athena
 
-import "time"
+import (
+	"time"
+
+	"athena/internal/trace"
+)
 
 // Data-plane batching (the coalescing layer): per-neighbor send queues
 // merge same-destination ObjectRequests and ObjectData messages into
@@ -53,6 +57,9 @@ type sendQueue struct {
 	flushAt  time.Time
 	lastSend time.Time
 	inBurst  bool
+	// held is when each member (requests, then data) was queued; kept
+	// only while the node traces.
+	heldReqs, heldDatas []time.Time
 }
 
 // enqueue coalesces a request or data message headed for the neighbor — the
@@ -96,6 +103,13 @@ func (n *Node) enqueue(hop string, msg frame) bool {
 		sq.datas = append(sq.datas, data)
 		sq.bytes += batchedDataHeaderBytes + data.Size
 	}
+	if n.trace.On() {
+		if req != nil {
+			sq.heldReqs = append(sq.heldReqs, now)
+		} else {
+			sq.heldDatas = append(sq.heldDatas, now)
+		}
+	}
 	// flushBursts looks at the queue again when this dispatch ends.
 	if !sq.inBurst {
 		sq.inBurst = true
@@ -132,7 +146,7 @@ func (n *Node) flushBursts() {
 	for _, sq := range c.burst {
 		sq.inBurst = false
 		if len(sq.reqs)+len(sq.datas) >= 2 {
-			n.flushQueue(sq)
+			n.flushQueue(sq, "burst")
 		}
 	}
 	c.burst = c.burst[:0]
@@ -142,8 +156,12 @@ func (n *Node) flushBursts() {
 // member demands an immediate send, and otherwise (re-)arms the flush
 // timer. Callers hold n.mu.
 func (n *Node) settleQueue(sq *sendQueue, delay time.Duration) {
-	if sq.bytes >= n.coalesce.budget || delay <= 0 {
-		n.flushQueue(sq)
+	switch {
+	case sq.bytes >= n.coalesce.budget:
+		n.flushQueue(sq, "budget")
+		return
+	case delay <= 0:
+		n.flushQueue(sq, "slack")
 		return
 	}
 	due := n.now().Add(delay)
@@ -157,7 +175,7 @@ func (n *Node) settleQueue(sq *sendQueue, delay time.Duration) {
 		if sq.flushAt.IsZero() || n.now().Before(sq.flushAt) {
 			return // already flushed, or re-armed for later members
 		}
-		n.flushQueue(sq)
+		n.flushQueue(sq, "window")
 	})
 }
 
@@ -165,13 +183,23 @@ func (n *Node) settleQueue(sq *sendQueue, delay time.Duration) {
 // one DataBatch, except that a lone member of either kind ships in its
 // native frame (a one-element batch would cost more wire than it saves).
 // Coalesced traffic is always default-priority (critical bypasses the
-// queue). Callers hold n.mu.
-func (n *Node) flushQueue(sq *sendQueue) {
+// queue). rule names the flush rule that fired, for the trace. Callers
+// hold n.mu.
+func (n *Node) flushQueue(sq *sendQueue, rule string) {
 	reqs, datas := sq.reqs, sq.datas
 	sq.reqs, sq.datas = nil, nil
 	sq.bytes = 0
 	sq.flushAt = time.Time{}
 	sq.lastSend = n.now()
+	if n.trace.On() {
+		for i, r := range reqs {
+			n.trace.Span(n.id, r.QueryID, trace.Hold, sq.heldReqs[i], sq.lastSend, rule)
+		}
+		for i, d := range datas {
+			n.trace.Span(n.id, d.QueryID, trace.Hold, sq.heldDatas[i], sq.lastSend, rule)
+		}
+		sq.heldReqs, sq.heldDatas = sq.heldReqs[:0], sq.heldDatas[:0]
+	}
 
 	switch {
 	case len(reqs) == 1:

@@ -9,6 +9,7 @@ import (
 	"athena/internal/core"
 	"athena/internal/names"
 	"athena/internal/object"
+	"athena/internal/trace"
 	"athena/internal/transport"
 	"athena/internal/trust"
 )
@@ -177,6 +178,7 @@ func (n *Node) transmit(neighbor string, msg frame, size int64, priority int) er
 	case *ObjectRequest, *ObjectData, *RequestBatch, *DataBatch:
 		n.stats.DataFrames++
 	}
+	n.traceSend(neighbor, msg)
 	if priority > 0 {
 		if ps, ok := n.tr.(transport.PrioritySender); ok {
 			return ps.SendPriority(neighbor, size, priority, msg)
@@ -243,6 +245,7 @@ func (n *Node) handleRequest(from string, req *ObjectRequest) {
 				records[i] = *rec
 			}
 			n.stats.LabelAnswers++
+			n.trace.Event(n.id, req.QueryID, trace.Answer, now, "label")
 			n.sendTo(req.Origin, &LabelShare{Records: records, Dest: req.Origin, QueryID: req.QueryID})
 			return
 		}
@@ -258,6 +261,7 @@ func (n *Node) handleRequest(from string, req *ObjectRequest) {
 				return
 			}
 			n.stats.CacheAnswers++
+			n.trace.Event(n.id, req.QueryID, trace.Answer, now, "store")
 			n.sendDataTo(from, obj, req.Origin, req.QueryID)
 			return
 		}
@@ -270,6 +274,7 @@ func (n *Node) handleRequest(from string, req *ObjectRequest) {
 				}
 				n.stats.CacheAnswers++
 				n.stats.ApproxAnswers++
+				n.trace.Event(n.id, req.QueryID, trace.Answer, now, "approx")
 				n.sendDataTo(from, obj, req.Origin, req.QueryID)
 				return
 			}
@@ -345,6 +350,7 @@ func (n *Node) forwardRequest(req *ObjectRequest, attempt int) {
 		until := now.Add(n.retryDelay(attempt+1, objSize) + retryInterval)
 		if n.interest.retransmit(req.Object, gen, attempt+1 > maxRetries, until, now) {
 			n.stats.Retransmits++
+			n.trace.Event(n.id, req.QueryID, trace.Retry, now, "retransmit")
 			again := *req
 			again.Budget = n.interest.budget(req.Object, now)
 			n.forwardRequest(&again, attempt+1)
@@ -491,6 +497,7 @@ func (n *Node) deliverObject(obj *object.Object, now time.Time) {
 				continue
 			}
 			n.stats.Annotations++
+			n.trace.Event(n.id, q.engine.ID(), trace.Annotate, now, label)
 			if n.sensorNoise > 0 {
 				decided, v := n.corroborate(q, label, obj, value)
 				if !decided {
@@ -528,6 +535,7 @@ func (n *Node) deliverObject(obj *object.Object, now time.Time) {
 			}
 			// The engine accepts the evidence with the object's expiry.
 			_ = q.engine.Set(label, value, obj.Expiry(), obj.Source, n.id)
+			n.trace.Event(n.id, q.engine.ID(), trace.Set, now, label)
 		}
 		if len(records) > 0 {
 			// Age of information at decision application (Dong et al.'s
@@ -605,6 +613,7 @@ func (n *Node) handleLabelShare(from string, s *LabelShare) {
 		if q != nil && n.policy.AcceptVerified(rec, now) == nil &&
 			q.engine.Set(rec.Name, rec.Value, rec.Expiry(), "", rec.Annotator) == nil {
 			accepted = true
+			n.trace.Event(n.id, s.QueryID, trace.Set, now, rec.Name)
 		}
 	}
 	if s.Dest != n.id {
@@ -692,9 +701,11 @@ func (n *Node) dispatchRequest(q *localQuery, req *ObjectRequest) {
 				n.audit.served(rec, now)
 			}
 			_ = q.engine.Set(rec.Name, rec.Value, rec.Expiry(), "", rec.Annotator)
+			n.trace.Event(n.id, q.engine.ID(), trace.Set, now, rec.Name)
 		}
 		if satisfied {
 			n.stats.LabelAnswers++
+			n.trace.Event(n.id, q.engine.ID(), trace.Answer, now, "label")
 			q.step(req.Object, reqLabel, 0)
 			n.pump(q)
 			return
@@ -711,6 +722,7 @@ func (n *Node) dispatchRequest(q *localQuery, req *ObjectRequest) {
 		if obj, ok := n.store.Get(name, now); ok {
 			if coversAnyLabel(obj, req.Labels) {
 				n.stats.CacheAnswers++
+				n.trace.Event(n.id, q.engine.ID(), trace.Answer, now, "store")
 				n.deliverObject(obj, now)
 				return
 			}

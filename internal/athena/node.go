@@ -20,6 +20,7 @@ import (
 	"athena/internal/metrics"
 	"athena/internal/names"
 	"athena/internal/object"
+	"athena/internal/trace"
 	"athena/internal/transport"
 	"athena/internal/trust"
 )
@@ -321,6 +322,10 @@ type Config struct {
 	// happen. Nil keeps instrumentation disabled (every instrument is a nil
 	// no-op; see internal/metrics).
 	Metrics *metrics.Registry
+	// Trace, when non-nil, records the spans of every query that crosses
+	// the node (internal/trace). Nil records nothing and allocates
+	// nothing; tracing never changes what the node does.
+	Trace *trace.Recorder
 }
 
 // Fixed parameters of a node. Each was a Config field until it turned out
@@ -601,6 +606,8 @@ type Node struct {
 	// audit checks, as they happen, the fleet invariants a chaos run
 	// cannot read off the node at a checkpoint; nil outside one (chaos.go).
 	audit *chaosAudit
+	// trace records query spans; nil when tracing is off.
+	trace *trace.Recorder
 
 	queries      map[string]*localQuery // the unrecorded queries issued here, by id
 	live         []*localQuery          // the same queries, sorted by id
@@ -706,6 +713,7 @@ func New(cfg Config) (*Node, error) {
 		approxMinSim:     cfg.ApproxMinSimilarity,
 		criticalPrefix:   cfg.CriticalPrefix,
 		sensorNoise:      cfg.SensorNoise,
+		trace:            cfg.Trace,
 	}
 	n.stopper, _ = cfg.Timers.(StopTimers)
 	if cfg.CoalesceWindow > 0 {
@@ -883,8 +891,10 @@ func (n *Node) QueryInit(expr boolexpr.DNF, deadline time.Duration) (string, err
 			q.minValidity = v
 		}
 	}
+	n.trace.Event(n.id, id, trace.Plan, now, "")
 	if n.choices.sel == selectCover {
 		q.selected = n.selectSources(v, id, q.engine.Labels())
+		n.traceSelect(id, q.selected)
 	}
 	n.queries[id] = q
 	at, _ := n.liveFrom(id)
@@ -1185,9 +1195,11 @@ func (n *Node) requestObject(q *localQuery, source, objName string, labels []str
 			}
 			if !n.disableRetries {
 				n.stats.RequestTimeouts++
+				n.trace.Event(n.id, id, trace.Retry, n.now(), "timeout")
 				if lapsed.attempts > maxRetries && !q.suspect[source] {
 					q.suspectSource(source)
 					n.failovers++
+					n.trace.Event(n.id, id, trace.Retry, n.now(), "failover")
 				}
 			}
 			n.pump(q)

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"athena/internal/object"
+	"athena/internal/trace"
 )
 
 // This file wires the ShardRouter (shardrouter.go) into the node: the
@@ -154,6 +155,7 @@ func (n *Node) startShardLookup(label, queryID string) {
 		return
 	}
 	n.stats.ShardLookups++
+	n.trace.Event(n.id, queryID, trace.Lookup, n.now(), label)
 	n.sendCtl(msg.To, msg)
 	n.timers.AfterArg(shardRetryPeriods*n.member.interval, n.shard.retry, p)
 }

@@ -78,6 +78,10 @@ type pendingMsg struct {
 
 	link *link
 	next *pendingMsg // freelist
+
+	// queued and sent are when the message reached its link and when its
+	// serialization began; stamped only while a link trace is set.
+	queued, sent time.Time
 }
 
 // msgQueue orders pending messages by descending priority, then FIFO.
@@ -164,7 +168,20 @@ type Network struct {
 	failSeed   uint64
 	failSeeded bool
 	churnHooks []func(id string, up bool)
+
+	// linkTrace, when set, hears of every delivered message (SetLinkTrace).
+	linkTrace LinkTrace
 }
+
+// LinkTrace hears of one delivered message: when it reached its link,
+// when its serialization began and ended, and when it arrived (the end of
+// its propagation).
+type LinkTrace func(from, to string, payload any, queued, sent, done, arrived time.Time)
+
+// SetLinkTrace installs fn to hear of every message delivered from now on
+// (nil stops it). It is called on the event loop, before the receiver's
+// handler, and must not send.
+func (n *Network) SetLinkTrace(fn LinkTrace) { n.linkTrace = fn }
 
 // New creates an empty network on the scheduler's lane.
 func New(sched *simclock.Scheduler) *Network {
@@ -370,6 +387,9 @@ func (n *Network) SendPriority(from, to string, size int64, priority int, payloa
 		m = &pendingMsg{size: size, payload: payload, from: from, to: to, priority: priority, seq: l.seq, link: l}
 	}
 	l.seq++
+	if n.linkTrace != nil {
+		m.queued = n.lane.Now()
+	}
 	if !l.sending {
 		// An idle link has an empty queue (transmitNext leaves it idle
 		// only then): m is next whatever its priority, so it goes
@@ -405,6 +425,9 @@ func (n *Network) transmitNext(l *link) {
 // transmit starts serializing m on the link.
 func (n *Network) transmit(l *link, m *pendingMsg) {
 	l.sending = true
+	if n.linkTrace != nil {
+		m.sent = n.lane.Now()
+	}
 	txTime := time.Duration(float64(m.size) / l.bandwidth * float64(time.Second))
 	n.lane.AfterCall(txTime, n.finishTxFn, m)
 }
@@ -449,6 +472,10 @@ func (n *Network) deliver(arg any) {
 	}
 	n.stats.MessagesDelivered++
 	n.stats.BytesDelivered += m.size
+	if n.linkTrace != nil {
+		now := n.lane.Now()
+		n.linkTrace(m.from, m.to, m.payload, m.queued, m.sent, now.Add(-l.latency), now)
+	}
 	if dst.handler != nil {
 		dst.handler(m.from, m.size, m.payload)
 	}
