@@ -484,6 +484,40 @@ func seqState(seq uint64, withdrawn bool) uint64 {
 	return s
 }
 
+// syncRecord is one record a scoped exchange can carry, for
+// ShardRouter.Digest: a present full record's descriptor, or a withdrawn
+// tombstone (in every scope), with the hash of its source and seqState.
+type syncRecord struct {
+	desc      object.Descriptor
+	tombstone bool
+	hash      uint64
+}
+
+// syncRecords appends to buf every record a scoped SeqVector can list —
+// present full records and withdrawn tombstones — in no particular order,
+// and returns it with the version it was read at.
+func (d *Directory) syncRecords(buf []syncRecord) ([]syncRecord, uint64) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	for src, r := range d.records {
+		withdrawn := !r.present && r.withdrawn
+		if !withdrawn && (!r.present || r.thin) {
+			continue
+		}
+		h := uint64(fnvOffset64)
+		for i := 0; i < len(src); i++ {
+			h = (h ^ uint64(src[i])) * fnvPrime64
+		}
+		st := seqState(r.seq, withdrawn)
+		for i := 0; i < 8; i++ {
+			h = (h ^ (st >> (8 * i) & 0xff)) * fnvPrime64
+		}
+		//lint:allow maporder the one caller folds the records with XOR, which no order changes
+		buf = append(buf, syncRecord{desc: r.desc, tombstone: withdrawn, hash: h})
+	}
+	return buf, d.version
+}
+
 // SeqVector summarizes the sequence state of the sources in scope for a
 // delta anti-entropy exchange: source → seqState. It is the watermark Delta
 // extracts changes against, and costs O(sources) small entries instead of

@@ -166,6 +166,13 @@ type ShardRouter struct {
 	nonce   uint64
 	pending map[string]*pendingShardLookup // by label
 	byNonce map[uint64]*pendingShardLookup
+
+	// digests[i] folds the records in the scope of owned[i] at directory
+	// version digestVer (Digest); nil when ownership changed since.
+	// digestRecs is the fold's scratch.
+	digests    []uint64
+	digestVer  uint64
+	digestRecs []syncRecord
 }
 
 // NewShardRouter builds a router for the given node over a fixed shard
@@ -246,6 +253,7 @@ func (sr *ShardRouter) Refresh(members []string) (added []int, changed bool) {
 	changed = first || !slices.Equal(owned, sr.owned)
 	sr.owned = owned
 	if changed {
+		sr.digests = nil
 		ownedSet := make(map[int]bool, len(owned))
 		for _, s := range owned {
 			ownedSet[s] = true
@@ -302,6 +310,88 @@ func (sr *ShardRouter) SharedShards(peer string) []uint32 {
 		}
 	}
 	return out
+}
+
+// Digest is the anti-entropy digest of what a scoped exchange with peer
+// can reconcile: the records in the scope of the shards both replicate
+// (SharedShards) — present full records and tombstones, as a scoped
+// SeqVector lists them — folded per shard and combined over the shared
+// ones. It is zero when they share no shard: there is nothing a scoped
+// exchange could carry, and maybeSync opens none. Two replicas whose views
+// and in-scope records agree compute the same value, whatever else they
+// hold, so a record only one of them keeps thin, or one that only the
+// piggyback converges, does not trigger an exchange that cannot carry it.
+// The per-shard folds are kept until the directory version or the
+// ownership moves.
+func (sr *ShardRouter) Digest(peer string, dir *Directory) uint64 {
+	sr.mu.Lock()
+	defer sr.mu.Unlock()
+	if len(sr.owned) == 0 {
+		return 0
+	}
+	if sr.digests == nil || dir.Version() != sr.digestVer {
+		sr.foldDigestsLocked(dir)
+	}
+	var d uint64
+	for i, s := range sr.owned {
+		if slices.Contains(sr.replicasLocked(s), peer) {
+			d ^= mix64(sr.digests[i] ^ uint64(s)*0x9e3779b97f4a7c15)
+		}
+	}
+	return d
+}
+
+// foldDigestsLocked recomputes the per-owned-shard record folds Digest
+// combines: each record's hash is XORed into every owned shard whose scope
+// holds it (inShards), a tombstone into all of them. Callers hold sr.mu.
+func (sr *ShardRouter) foldDigestsLocked(dir *Directory) {
+	recs, ver := dir.syncRecords(sr.digestRecs[:0])
+	sr.digestRecs = recs
+	if cap(sr.digests) < len(sr.owned) {
+		sr.digests = make([]uint64, len(sr.owned))
+	}
+	sr.digests = sr.digests[:len(sr.owned)]
+	clear(sr.digests)
+	var buf [8]int
+	for i := range recs {
+		r := &recs[i]
+		if r.tombstone {
+			for j := range sr.digests {
+				sr.digests[j] ^= r.hash
+			}
+			continue
+		}
+		for _, s := range sr.scopeShards(r.desc, buf[:0]) {
+			if j, owned := slices.BinarySearch(sr.owned, s); owned {
+				sr.digests[j] ^= r.hash
+			}
+		}
+	}
+	sr.digestVer = ver
+}
+
+// scopeShards appends to buf the distinct shards whose scope holds desc
+// under inShards: its name's shard and each label's home shard.
+func (sr *ShardRouter) scopeShards(desc object.Descriptor, buf []int) []int {
+	buf = append(buf, sr.smap.OfName(desc.Name))
+	for _, l := range desc.Labels {
+		if s := sr.smap.OfKey(l); !slices.Contains(buf, s) {
+			buf = append(buf, s)
+		}
+	}
+	return buf
+}
+
+// mix64 is a splitmix64 finalizer: it gives each shard's fold its own
+// avalanche before folds are combined, so two shards' records cannot
+// cancel out.
+func mix64(h uint64) uint64 {
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	h ^= h >> 31
+	return h
 }
 
 // InShards returns the scope predicate of a sharded anti-entropy exchange

@@ -232,7 +232,7 @@ func (n *Node) sendProbe(target string, now time.Time) {
 		To:      target,
 		Seq:     seq,
 		AdvSeq:  mem.adSeq,
-		Digest:  n.dir.Digest(),
+		Digest:  n.digestFor(target),
 		Updates: sw.takePiggy(),
 	})
 	n.timers.AfterArg(mem.interval/2, probeTimeout, n)
@@ -297,7 +297,7 @@ func (n *Node) handlePing(p *Ping) {
 // and a piggyback load. Callers hold n.mu.
 func (n *Node) sendAck(dest string, seq uint64) {
 	mem := n.member
-	n.sendCtl(dest, &Ack{From: n.id, To: dest, Seq: seq, AdvSeq: mem.adSeq, Digest: n.dir.Digest(), Updates: mem.swim.takePiggy()})
+	n.sendCtl(dest, &Ack{From: n.id, To: dest, Seq: seq, AdvSeq: mem.adSeq, Digest: n.digestFor(dest), Updates: mem.swim.takePiggy()})
 }
 
 // handleAck closes the matching outstanding probe and merges the
@@ -334,7 +334,7 @@ func (n *Node) handlePingReq(pr *PingReq) {
 		From:        n.id,
 		To:          pr.Target,
 		AdvSeq:      mem.adSeq,
-		Digest:      n.dir.Digest(),
+		Digest:      n.digestFor(pr.Target),
 		OnBehalf:    pr.From,
 		OnBehalfSeq: pr.Seq,
 		Updates:     sw.takePiggy(),
@@ -394,12 +394,24 @@ func (n *Node) checkPeerState(peer, syncWith string, advSeq, digest uint64, now 
 			needSync = true
 		}
 	}
-	if digest != n.dir.Digest() {
+	if digest != n.digestFor(peer) {
 		needSync = true
 	}
 	if needSync {
 		n.maybeSync(syncWith, now)
 	}
+}
+
+// digestFor is the directory digest this node exchanges with peer: the
+// whole directory's (Directory.Digest) on a full replica, and on a sharded
+// one only what a scoped exchange with peer can reconcile
+// (ShardRouter.Digest) — the piggyback converges the rest of the seq
+// space. Callers hold n.mu.
+func (n *Node) digestFor(peer string) uint64 {
+	if n.shard == nil {
+		return n.dir.Digest()
+	}
+	return n.shard.router.Digest(peer, n.dir)
 }
 
 // enqueuePiggy adds a membership update to the piggyback buffer with a
