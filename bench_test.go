@@ -297,10 +297,12 @@ func BenchmarkSimKernel(b *testing.B) {
 // once per iteration on its seed-2 scenario: an 81-node grid, SWIM gossip,
 // the directory sharded 400 ways at three replicas, coalescing and churn.
 // frames/decision counts every frame put on a link, control traffic
-// included, per query issued; it is a pure function of the seed, so ci.sh
-// gates it at 1 % slack, and allocs/op at 5 %. A shard control plane that
+// included, per query issued, and lookups/decision the routed shard
+// lookups started; both are pure functions of the seed, so ci.sh gates
+// them at 1 % slack, and allocs/op at 5 %. A shard control plane that
 // backfills shards a node kept all along, or re-parses adverts it already
-// declined, shows in both.
+// declined, shows in frames and allocs; a lookup asked per label instead
+// of per region shows in frames and lookups.
 func BenchmarkKernelFleet(b *testing.B) {
 	b.Run("seed2", func(b *testing.B) {
 		cfg := athena.DefaultWorkload()
@@ -312,7 +314,7 @@ func BenchmarkKernelFleet(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
-		var frames, issued int64
+		var frames, issued, lookups int64
 		for i := 0; i < b.N; i++ {
 			c, err := athena.NewCluster(s, athena.ClusterConfig{
 				Scheme: athena.SchemeLVF, HeartbeatInterval: 2 * time.Second, GossipFanout: 2,
@@ -328,8 +330,10 @@ func BenchmarkKernelFleet(b *testing.B) {
 			}
 			frames += c.Network.Stats().MessagesSent
 			issued += int64(out.QueriesIssued)
+			lookups += int64(out.Node.ShardLookups)
 		}
 		b.ReportMetric(float64(frames)/float64(issued), "frames/decision")
+		b.ReportMetric(float64(lookups)/float64(issued), "lookups/decision")
 	})
 }
 

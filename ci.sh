@@ -149,7 +149,8 @@ fi
 # walks the directory for its targets again instead of its query's target
 # table — 15 allocs/op, requestObject's own, and 40 when it walked; a
 # shard owner whose lookup reply copies each covering record's labels
-# again — 2 allocs/op, the reply and its advert list, 6 when it copied;
+# again, or makes its shard's listing per lookup — 1 allocs/op, the
+# reply, 2 with a listing per lookup, 6 when it copied;
 # a SWIM probe round whose piggyback takes box, reflect-sort and copy
 # their updates again — 4 allocs/op, two frames and their update lists,
 # 10 when they did; a Sec. VII lvfl run whose fetch path allocates more
@@ -162,10 +163,12 @@ fi
 # and its index node, 3 with a container/list element; a sharded fleet
 # whose control plane backfills shards a node kept all along, or parses
 # adverts its directory already declined, or sends each lookup to its
-# shard's primary instead of the nearest replica — BenchmarkKernelFleet/seed2's
-# frames/decision is a pure function of the seed, so its slack is 1 %: 152.4,
-# 170.7 asking the primary, 189.1 with the backfill; its allocs/op at 5 %:
-# about 134 800, 154 900 with the backfill).
+# shard's primary instead of the nearest replica, or asks a label's shard
+# instead of its region's — BenchmarkKernelFleet/seed2's frames/decision
+# and lookups/decision are pure functions of the seed, so their slack is
+# 1 %: 119.8 frames and 3.667 lookups, 152.4 and 14.19 with a lookup per
+# label, 170.7 frames asking the primary, 189.1 with the backfill; its
+# allocs/op at 5 %: about 134 900, 154 900 with the backfill).
 # Refresh the baseline with `make bench` when an intentional change moves
 # one.
 # BenchmarkDecisionEngine, BenchmarkShardLookupBegin,
@@ -193,6 +196,7 @@ fi
 		-gate 'BenchmarkDirectoryMemory/sharded:entries/node:10' \
 		-gate 'BenchmarkSimKernel/w1:allocs/op:10' \
 		-gate 'BenchmarkKernelFleet/seed2:frames/decision:1' \
+		-gate 'BenchmarkKernelFleet/seed2:lookups/decision:1' \
 		-gate 'BenchmarkKernelFleet/seed2:allocs/op:5' \
 		-gate 'BenchmarkBatchedFetch/on:frames/node:10' \
 		-gate 'BenchmarkDeliverObjectHistory/n2000:allocs/op:10' \

@@ -395,10 +395,10 @@ func TestServedAdvertsAreReadOnlyViews(t *testing.T) {
 	before := served()
 
 	recv := NewDirectory(nil)
-	sr := NewShardRouter("n0", 8, 2, 16)
+	sr := NewShardRouter("n0", 8, 2, 16, nil)
 	sr.Refresh(routerView(6))
 	m, _ := sr.Begin("seg", "q", nil)
-	sr.Complete(m.Nonce, d.View().AdvertsFor("seg"), time.Time{})
+	sr.Complete(m.Nonce, []string{"seg"}, d.View().AdvertsFor("seg"), time.Time{})
 	for _, a := range append(d.View().AdvertsFor("seg"), d.Delta(nil, nil)...) {
 		desc, err := a.Descriptor()
 		if err != nil {
@@ -701,7 +701,7 @@ func BenchmarkDirectoryDelta(b *testing.B) {
 		src := fmt.Sprintf("s%d", i)
 		d.Advertise(dirDesc(src, fmt.Sprintf("/r%d/b%d/%s", i%16, i/8, src), 1000, fmt.Sprintf("l%03d", i%256)), 1)
 	}
-	sr := NewShardRouter("n000", shards, 1, shardCacheSize)
+	sr := NewShardRouter("n000", shards, 1, shardCacheSize, nil)
 	scope := sr.InShards([]uint32{7})
 	peer := d.SeqVector(scope)
 	if len(peer) == 0 {

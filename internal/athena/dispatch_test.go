@@ -154,7 +154,7 @@ func ctlFrames() map[string]ctlFrame {
 				return &PingReq{From: from, To: to, Target: "c", Seq: 1, Updates: ups}
 			}, learnedZ},
 		"ShardLookup": {"shard", "shard",
-			func(from, to string) frame { return &ShardLookup{From: from, To: to, Label: "lb", Nonce: 1} },
+			func(from, to string) frame { return &ShardLookup{From: from, To: to, Shard: 1, Nonce: 1} },
 			func(n *Node, _ []sentFrame) bool { return n.Stats().ShardServed == 1 }},
 		"ShardLookupReply": {"shard", "shard",
 			func(from, to string) frame { return &ShardLookupReply{From: from, To: to, Nonce: 1} },

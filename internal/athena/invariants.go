@@ -91,15 +91,15 @@ func (n *Node) quiescenceViolations() []string {
 	return out
 }
 
-// pendingWith lists, sorted, the labels whose pending lookup has a waiter
-// live reports true for.
+// pendingWith lists, sorted, the labels asked of a pending lookup that has
+// a waiter live reports true for.
 func (sr *ShardRouter) pendingWith(live func(id string) bool) []string {
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
 	var out []string
-	for l, p := range sr.pending {
+	for _, p := range sr.pending {
 		if slices.ContainsFunc(p.waiting, live) {
-			out = append(out, l)
+			out = append(out, p.asked...)
 		}
 	}
 	sort.Strings(out)

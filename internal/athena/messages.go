@@ -136,9 +136,11 @@ const (
 	memberUpdateBytes = advertBytes + 16
 	seqEntryBytes     = 24
 	// Shard-routed directory traffic: a lookup is a small routed frame
-	// (sender, target, label, nonce), and a scoped sync carries a shard-id
-	// list on top of the usual seq-vector + advert load.
+	// (sender, target, shard, nonce), its reply lists the shard's labels
+	// on top of the adverts, and a scoped sync carries a shard-id list on
+	// top of the usual seq-vector + advert load.
 	shardLookupBytes = 128
+	shardLabelBytes  = 32
 	shardIDBytes     = 4
 	// Coalesced data-plane frames: one batch header amortizes the
 	// per-message overhead (length prefix, version/type, addressing,
@@ -470,17 +472,18 @@ func (m PingReq) WireSize() int64 {
 	return pingBaseBytes + int64(len(m.Updates))*memberUpdateBytes
 }
 
-// ShardLookup asks a shard owner to resolve a coverage label against its
-// shard-local directory. Under sharding, a non-owner holds only thin
-// records for the label's sources, so the query path routes to the label's
-// home shard instead of scanning a full replica.
+// ShardLookup asks a shard owner for the labels of one shard it holds and
+// the adverts covering them. Under sharding, a non-owner holds only thin
+// records for the labels' sources, so the query path routes to the labels'
+// home shard instead of scanning a full replica; the labels of one region
+// share a shard, so one lookup answers all of a region's labels.
 type ShardLookup struct {
 	// From is the querying node (the reply's destination).
 	From string
 	// To is the shard owner the lookup is routed to.
 	To string
-	// Label is the coverage label being resolved.
-	Label string
+	// Shard is the shard asked about.
+	Shard uint32
 	// Nonce matches the reply to the querier's pending lookup state.
 	Nonce uint64
 }
@@ -489,9 +492,9 @@ type ShardLookup struct {
 // against link bandwidth by netsim and padded to by the TCP transport.
 func (m ShardLookup) WireSize() int64 { return shardLookupBytes }
 
-// ShardLookupReply answers a ShardLookup with the full advertisements of
-// the present sources covering the label, straight from the owner's
-// shard-local index.
+// ShardLookupReply answers a ShardLookup with the shard's labels the owner
+// covers and the full advertisements of the present sources covering any
+// of them, straight from the owner's shard-local index.
 type ShardLookupReply struct {
 	// From is the answering shard owner.
 	From string
@@ -499,14 +502,18 @@ type ShardLookupReply struct {
 	To string
 	// Nonce echoes the lookup's nonce; it alone names the pending lookup.
 	Nonce uint64
-	// Adverts are the covering sources' full advertisement records.
+	// Labels are the shard's labels some advert covers, sorted: an asked
+	// label missing from them is covered by nobody.
+	Labels []string
+	// Adverts are the covering sources' full advertisement records, sorted
+	// by source.
 	Adverts []Advertisement
 }
 
 // WireSize is the modeled frame length of the encoded message, charged
 // against link bandwidth by netsim and padded to by the TCP transport.
 func (m ShardLookupReply) WireSize() int64 {
-	return shardLookupBytes + int64(len(m.Adverts))*advertBytes
+	return shardLookupBytes + int64(len(m.Labels))*shardLabelBytes + int64(len(m.Adverts))*advertBytes
 }
 
 // RequestBatch coalesces same-neighbor ObjectRequests into one frame.

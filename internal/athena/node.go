@@ -153,6 +153,10 @@ type Stats struct {
 	// ShardReroutes counts lookup re-sends to an alternate replica (retry
 	// timeouts and owner evictions).
 	ShardReroutes int
+	// ShardRepliesDropped counts lookup replies refused: for no lookup
+	// pending here, or listing a label outside the shard asked about.
+	// Omitted from JSON at zero, as ShardReselects is.
+	ShardRepliesDropped int `json:",omitempty"`
 	// DataFrames counts data-plane frames put on the wire by this node —
 	// per-hop ObjectRequest/ObjectData sends plus batch frames — the
 	// denominator the batching layer can actually shrink (control-plane
@@ -742,7 +746,7 @@ func New(cfg Config) (*Node, error) {
 		}
 		if cfg.Shards > 0 {
 			n.shard = &shardClient{
-				router: NewShardRouter(cfg.ID, cfg.Shards, cfg.ShardReplicas, shardCacheSize),
+				router: NewShardRouter(cfg.ID, cfg.Shards, cfg.ShardReplicas, shardCacheSize, cfg.Meta),
 				ver:    ^uint64(0),
 				retry:  n.shardRetry,
 			}

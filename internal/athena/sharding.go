@@ -2,6 +2,7 @@ package athena
 
 import (
 	"sort"
+	"time"
 
 	"athena/internal/object"
 	"athena/internal/trace"
@@ -146,8 +147,8 @@ func (n *Node) selectSources(v *View, queryID string, labels []string) []string 
 	return coverSources(coverable, pool)
 }
 
-// startShardLookup routes a lookup for an unowned label to the nearest
-// replica of its home shard, deduplicated per label, with a retry timer
+// startShardLookup routes a lookup of an unowned label's home shard to its
+// nearest replica, one in flight per shard (Begin), with a retry timer
 // that walks the replica set nearest first. Callers hold n.mu.
 func (n *Node) startShardLookup(label, queryID string) {
 	msg, p := n.shard.router.Begin(label, queryID, n.router)
@@ -155,7 +156,9 @@ func (n *Node) startShardLookup(label, queryID string) {
 		return
 	}
 	n.stats.ShardLookups++
-	n.trace.Event(n.id, queryID, trace.Lookup, n.now(), label)
+	if n.trace.On() {
+		p.started = n.now()
+	}
 	n.sendCtl(msg.To, msg)
 	n.timers.AfterArg(shardRetryPeriods*n.member.interval, n.shard.retry, p)
 }
@@ -171,6 +174,9 @@ func (n *Node) shardRetry(arg any) {
 	defer n.mu.Unlock()
 	msg, abandoned := n.shard.router.Retry(p.nonce)
 	if msg == nil {
+		for _, id := range abandoned {
+			n.trace.Span(n.id, id, trace.Lookup, p.started, n.now(), "abandoned")
+		}
 		n.resumeSettled(abandoned)
 		return
 	}
@@ -226,31 +232,42 @@ func (n *Node) reselectIfSettled(q *localQuery) bool {
 	return true
 }
 
-// handleShardLookup serves a routed label lookup from the local directory
-// (this replica owns the label's home shard; the index holds every
-// covering advert). A stale view at the requester just gets whatever this
-// replica has — the requester's retry walks on. Callers hold n.mu.
+// handleShardLookup serves a routed shard lookup from the local directory
+// (this replica owns the shard; the index holds every covering advert):
+// the shard's labels and their adverts, the listing made once per view
+// (ShardRouter.Listing). A stale view at the requester just gets whatever
+// this replica has — the requester's retry walks on. Callers hold n.mu.
 func (n *Node) handleShardLookup(m *ShardLookup) {
 	n.stats.ShardServed++
+	labels, adverts := n.shard.router.Listing(n.dir.View(), int(m.Shard))
 	n.sendCtl(m.From, &ShardLookupReply{
 		From:    n.id,
 		To:      m.From,
 		Nonce:   m.Nonce,
-		Adverts: n.dir.View().AdvertsFor(m.Label),
+		Labels:  labels,
+		Adverts: adverts,
 	})
 }
 
-// handleShardLookupReply completes a pending lookup: the result is cached,
-// and every query that was waiting pumps, so a label whose candidates just
-// arrived is fetched at once. A waiting query is re-selected only when this
-// was its last pending lookup: until then it pumps by the cover QueryInit
-// computed over a partial view. Callers hold n.mu.
+// handleShardLookupReply completes a pending lookup: the shard's labels are
+// cached, and every query that was waiting pumps, so a label whose
+// candidates just arrived is fetched at once. A waiting query is
+// re-selected only when this was its last pending lookup: until then it
+// pumps by the cover QueryInit computed over a partial view. A refused
+// reply is counted. Callers hold n.mu.
 func (n *Node) handleShardLookupReply(m *ShardLookupReply) {
-	ids, ok := n.shard.router.Complete(m.Nonce, m.Adverts, n.now().Add(shardRetryPeriods*n.member.interval))
+	sr := n.shard.router
+	var started time.Time
+	if n.trace.On() {
+		started, _ = sr.Started(m.Nonce)
+	}
+	ids, ok := sr.Complete(m.Nonce, m.Labels, m.Adverts, n.now().Add(shardRetryPeriods*n.member.interval))
 	if !ok {
+		n.stats.ShardRepliesDropped++
 		return
 	}
 	for _, id := range ids {
+		n.trace.Span(n.id, id, trace.Lookup, started, n.now(), m.From)
 		q, live := n.queries[id]
 		if !live {
 			continue

@@ -251,7 +251,7 @@ func TestShardedNodeLearnsMissingRecordsByAntiEntropy(t *testing.T) {
 		for i, d := range descs {
 			ids[i] = d.Source
 		}
-		sr := NewShardRouter("n0", shards, rf, shardCacheSize)
+		sr := NewShardRouter("n0", shards, rf, shardCacheSize, nil)
 		sr.Refresh(ids)
 		owned := make([]uint32, 0, shards)
 		for _, s := range sr.OwnedShards() {
@@ -366,7 +366,7 @@ func TestShardedClusterSurvivesOwnerCrash(t *testing.T) {
 // outside descs (a cache miss) must not be asked.
 func routedNode(tb testing.TB, descs []object.Descriptor) *Node {
 	tb.Helper()
-	sr := NewShardRouter("querier", 16, 2, shardCacheSize)
+	sr := NewShardRouter("querier", 16, 2, shardCacheSize, nil)
 	members := make([]string, len(descs))
 	byLabel := make(map[string][]Advertisement)
 	for i, d := range descs {
@@ -386,7 +386,7 @@ func routedNode(tb testing.TB, descs []object.Descriptor) *Node {
 		if msg == nil {
 			tb.Fatalf("no replica to ask for %s", l)
 		}
-		if _, ok := sr.Complete(msg.Nonce, byLabel[l], time.Time{}); !ok {
+		if _, ok := sr.Complete(msg.Nonce, []string{l}, byLabel[l], time.Time{}); !ok {
 			tb.Fatalf("lookup for %s did not complete", l)
 		}
 	}
@@ -643,7 +643,7 @@ func BenchmarkSelectSources(b *testing.B) {
 	descs, labels := selectFixture()
 	full := &Node{id: "querier", dir: NewDirectory(descs)}
 	sharded := routedNode(b, descs)
-	owner := NewShardRouter("querier", 16, 2, shardCacheSize)
+	owner := NewShardRouter("querier", 16, 2, shardCacheSize, nil)
 	owner.Refresh([]string{"querier"})
 	shardedOwned := &Node{id: "querier", dir: NewDirectory(descs), shard: &shardClient{router: owner}}
 	want := refSelectSources(full.dir, labels)
@@ -668,7 +668,9 @@ func BenchmarkSelectSources(b *testing.B) {
 // On the kernel_fleet configuration (seed 2), every lookup's first try
 // goes to a replica at the shortest route length among its targets, read
 // off the network's routes as the frame leaves its origin; on many of
-// them the rendezvous primary is farther.
+// them the rendezvous primary is farther. (A lookup asks for a region's
+// shard since wire version 5, so the run checks ~540 first tries, not the
+// ~2 000 it checked when every label was asked on its own.)
 func TestKernelFleetLookupsAskNearestReplica(t *testing.T) {
 	c := kernelFleet(t, 2, 0)
 	type try struct {
@@ -697,8 +699,8 @@ func TestKernelFleetLookupsAskNearestReplica(t *testing.T) {
 						best = min(best, hops(r))
 					}
 					if got := hops(m.To); got != best {
-						t.Errorf("%s's lookup %d for %s first asked %s at %d hops; its nearest replica is %d hops away",
-							m.From, m.Nonce, m.Label, m.To, got, best)
+						t.Errorf("%s's lookup %d of shard %d first asked %s at %d hops; its nearest replica is %d hops away",
+							m.From, m.Nonce, m.Shard, m.To, got, best)
 					}
 					if hops(p.targets[0]) > best {
 						fartherPrimary++
@@ -714,8 +716,8 @@ func TestKernelFleetLookupsAskNearestReplica(t *testing.T) {
 	if _, err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if checked < 1000 || fartherPrimary == 0 {
-		t.Fatalf("checked %d first tries, %d with a farther primary; want at least 1000 and some", checked, fartherPrimary)
+	if checked < 400 || fartherPrimary == 0 {
+		t.Fatalf("checked %d first tries, %d with a farther primary; want at least 400 and some", checked, fartherPrimary)
 	}
 	t.Logf("%d first tries at the nearest replica, %d of them nearer than the primary", checked, fartherPrimary)
 }
@@ -741,7 +743,7 @@ func TestStaticRouterNodeAsksPrimary(t *testing.T) {
 				label = l
 			}
 		}
-		r := sr.Replicas(sr.smap.OfKey(label))
+		r := sr.Replicas(sr.ShardOf(label))
 		if len(r) != 2 || slices.Contains(r, "b") {
 			t.Fatalf("replicas of %s = %v; want two others", label, r)
 		}
@@ -755,9 +757,11 @@ func TestStaticRouterNodeAsksPrimary(t *testing.T) {
 		if len(rec.sent) != 1 {
 			t.Fatalf("sent %d frames, want one lookup", len(rec.sent))
 		}
-		if m, ok := rec.sent[0].payload.(*ShardLookup); !ok || m.To != r[0] {
+		m, ok := rec.sent[0].payload.(*ShardLookup)
+		if !ok || m.To != r[0] {
 			t.Fatalf("primary behind %v: sent %T %+v to %s; want a lookup for the primary %s",
 				primaryBehind, rec.sent[0].payload, rec.sent[0].payload, rec.sent[0].to, r[0])
 		}
+		sr.Complete(m.Nonce, nil, nil, time.Time{}) // the next label may share its shard
 	}
 }

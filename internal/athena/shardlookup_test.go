@@ -29,7 +29,7 @@ func routedLabels(t *testing.T, origin *Node, k int, name func(i int) string) []
 	shards := map[int]bool{}
 	var out []string
 	for i := 0; i < 64; i++ {
-		l, s := name(i), sr.smap.OfKey(name(i))
+		l, s := name(i), sr.ShardOf(name(i))
 		if sr.OwnsLabel(l) || shards[s] || slices.Contains(origin.desc.Labels, l) {
 			continue
 		}
@@ -200,7 +200,7 @@ func TestAbandonedLookupReselects(t *testing.T) {
 		defer origin.mu.Unlock()
 		var targets []string
 		for _, l := range q.engine.Labels() {
-			targets = append(targets, origin.shard.router.pending[l].targets...)
+			targets = append(targets, origin.shard.router.pending[origin.shard.router.ShardOf(l)].targets...)
 		}
 		slices.Sort(targets)
 		targets = slices.Compact(targets)
@@ -220,11 +220,12 @@ func TestAbandonedLookupReselects(t *testing.T) {
 }
 
 // BenchmarkLookupReplies is one query's lookups landing: a query waits on
-// eight routed labels, and their eight replies are delivered. The work is
-// what the replies cost the origin — the cache installs, the pumps, and
-// the re-selections (reselects/op: 1, and 8 when every reply re-selects).
-// ci.sh gates the allocs/op, where re-selecting on every reply shows as
-// ~17 more.
+// eight routed labels of its own shards (the fixture's labels have no
+// region), and their eight replies, one label each, are delivered — the
+// per-label cost of a reply. The work is what the replies cost the origin
+// — the cache installs, the pumps, and the re-selections (reselects/op: 1,
+// and 8 when every reply re-selects). ci.sh gates the allocs/op, where
+// re-selecting on every reply shows as ~17 more.
 func BenchmarkLookupReplies(b *testing.B) {
 	descs, labels := selectFixture()
 	labels = labels[:8]
@@ -247,7 +248,14 @@ func BenchmarkLookupReplies(b *testing.B) {
 		var replies []*ShardLookupReply
 		for _, f := range n.tr.(*recTransport).sent {
 			if m, ok := f.payload.(*ShardLookup); ok {
-				replies = append(replies, &ShardLookupReply{From: m.To, To: "querier", Nonce: m.Nonce, Adverts: byLabel[m.Label]})
+				r := &ShardLookupReply{From: m.To, To: "querier", Nonce: m.Nonce}
+				for _, l := range labels {
+					if n.shard.router.ShardOf(l) == int(m.Shard) {
+						r.Labels = append(r.Labels, l)
+						r.Adverts = append(r.Adverts, byLabel[l]...)
+					}
+				}
+				replies = append(replies, r)
 			}
 		}
 		if len(replies) != len(labels) {
@@ -286,12 +294,15 @@ func lookupNode(tb testing.TB, descs []object.Descriptor) *Node {
 }
 
 // BenchmarkShardLookupServe is a shard owner answering one routed lookup
-// for a label four records cover: the reply frame and its advert list,
-// each advert a read-only view of its record (2 allocs/op; 6 when every
-// advert copied its record's labels). ci.sh gates the allocs/op. The owner
-// serves at one directory version, whose view is built before the timer
-// starts: a view is built once per version, not once per lookup, and at
-// -benchtime 3x its build would count a third against each serve.
+// of a shard that holds one label four records cover — a serve's
+// per-label cost: the reply frame, its label list and its advert list,
+// each advert a read-only view of its record, the listing made once per
+// view (1 allocs/op, the reply; 2 when the advert list was made per serve,
+// 6 when every advert copied its record's labels). ci.sh gates the
+// allocs/op. The owner serves at one directory version, whose view and
+// listing are built before the timer starts: each is built once per
+// version, not once per lookup, and at -benchtime 3x a build would count
+// a third against each serve.
 func BenchmarkShardLookupServe(b *testing.B) {
 	var descs []object.Descriptor
 	for i := 0; i < 8; i++ {
@@ -307,13 +318,13 @@ func BenchmarkShardLookupServe(b *testing.B) {
 		ID: "owner", Transport: rec, Router: &StaticRouter{Self: "owner"}, Timers: noTimers{},
 		Scheme: SchemeLVF, Directory: NewDirectory(descs),
 		Authority: auth, Signer: auth.Register("owner", []byte("k-owner")), Policy: trust.TrustAll(),
-		HeartbeatInterval: time.Second, GossipFanout: 2,
+		HeartbeatInterval: time.Second, GossipFanout: 2, Shards: 64, ShardReplicas: 1,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := &ShardLookup{From: "querier", To: "owner", Label: "seg", Nonce: 1}
-	n.dir.View()
+	m := &ShardLookup{From: "querier", To: "owner", Shard: uint32(n.shard.router.ShardOf("seg")), Nonce: 1}
+	n.shard.router.Listing(n.dir.View(), int(m.Shard))
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	b.ReportAllocs()
@@ -323,7 +334,8 @@ func BenchmarkShardLookupServe(b *testing.B) {
 		n.handleShardLookup(m)
 	}
 	b.StopTimer()
-	if len(rec.sent) != 1 || len(rec.sent[0].payload.(*ShardLookupReply).Adverts) != 4 {
-		b.Fatalf("served %+v, want one reply of four adverts", rec.sent)
+	if len(rec.sent) != 1 || len(rec.sent[0].payload.(*ShardLookupReply).Adverts) != 4 ||
+		!slices.Contains(rec.sent[0].payload.(*ShardLookupReply).Labels, "seg") {
+		b.Fatalf("served %+v, want one reply listing seg with four adverts", rec.sent)
 	}
 }

@@ -3,10 +3,12 @@ package athena
 import (
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"athena/internal/boolexpr"
 	"athena/internal/object"
 	"athena/internal/shard"
 )
@@ -51,21 +53,26 @@ type refDesc struct {
 	refs int
 }
 
-// pendingShardLookup tracks one in-flight ShardLookup: the replica set it
-// can be routed to (rendezvous order, shared: targetsFor), the
-// order it tries them in (nearest first, byRoute), the position in that
-// order currently tried, and the local queries waiting on the answer —
-// sorted and distinct, in one inline slot until a second query joins (most
-// lookups have one waiter).
+// pendingShardLookup tracks one in-flight ShardLookup, one per shard: the
+// replica set it can be routed to (rendezvous order, shared: targetsFor),
+// the order it tries them in (nearest first, byRoute), the position in that
+// order currently tried, the labels of the shard local queries asked for,
+// and the local queries waiting on the answer — each sorted and distinct,
+// in one inline slot until a second joins (most lookups have one of each).
 type pendingShardLookup struct {
-	label   string
+	shard   int
 	nonce   uint64
 	targets []string
 	order   [lookupOrderCap]uint8 // indexes into targets, in try order
 	next    int
 	tries   int
+	asked   []string
 	waiting []string
+	oneAsk  [1]string
 	one     [1]string
+	// started is when the lookup was first sent, for the node's trace;
+	// set by the node only while it traces.
+	started time.Time
 }
 
 // lookupOrderCap is the most replicas a lookup orders by distance; a
@@ -124,12 +131,24 @@ func byRoute(rt Router, self string, targets []string, order []uint8) {
 	}
 }
 
-// join adds a query to the lookup's waiters, keeping them sorted and
-// distinct.
-func (p *pendingShardLookup) join(queryID string) {
+// join adds a label to the lookup's asked labels and a query to its
+// waiters, keeping each sorted and distinct ("" joins no query).
+func (p *pendingShardLookup) join(label, queryID string) {
+	if i, found := slices.BinarySearch(p.asked, label); !found {
+		p.asked = slices.Insert(p.asked, i, label)
+	}
+	if queryID == "" {
+		return
+	}
 	if i, found := slices.BinarySearch(p.waiting, queryID); !found {
 		p.waiting = slices.Insert(p.waiting, i, queryID)
 	}
+}
+
+// asks reports whether a local query asked the lookup for label.
+func (p *pendingShardLookup) asks(label string) bool {
+	_, found := slices.BinarySearch(p.asked, label)
+	return found
 }
 
 // waiters returns the ids of the queries waiting on the lookup, sorted.
@@ -142,7 +161,7 @@ func (p *pendingShardLookup) waiters() []string { return p.waiting }
 // back, and the next query pump starts a fresh one.
 const shardLookupMaxTries = 8
 
-// ShardRouter owns the prefix→shard map, the rendezvous assignment of
+// ShardRouter owns the prefix→shard map, the label→shard rule (ShardOf), the rendezvous assignment of
 // per-shard replica sets from the live membership view, the bounded LRU of
 // remote lookup results, and the pending-lookup table. It is safe for
 // concurrent use; in the canonical lock order it ranks between Node and
@@ -150,9 +169,10 @@ const shardLookupMaxTries = 8
 type ShardRouter struct {
 	mu sync.Mutex
 
-	smap *shard.Map
-	rf   int
-	self string
+	smap    *shard.Map
+	regions boolexpr.MetaTable // the labels' regions (ShardOf); read-only
+	rf      int
+	self    string
 
 	view  atomic.Pointer[shardView]
 	place *shard.Placement // replica sets under the view at last Refresh; nil before
@@ -164,8 +184,17 @@ type ShardRouter struct {
 	descs    map[string]refDesc
 
 	nonce   uint64
-	pending map[string]*pendingShardLookup // by label
+	pending map[int]*pendingShardLookup // by shard
 	byNonce map[uint64]*pendingShardLookup
+	// dropped counts lookup replies refused: for no pending lookup, or
+	// listing a label outside the shard asked about.
+	dropped int
+
+	// listView is the directory view the served listings were made from;
+	// listings holds, per shard of it, the labels and covering adverts a
+	// lookup of the shard is answered with (Listing).
+	listView *View
+	listings map[int]shardListing
 
 	// digests[i] folds the records in the scope of owned[i] at directory
 	// version digestVer (Digest); nil when ownership changed since.
@@ -175,19 +204,44 @@ type ShardRouter struct {
 	digestRecs []syncRecord
 }
 
+// shardListing is what a replica answers a lookup of one shard with: the
+// shard's covered labels, sorted, and every advert covering any of them,
+// sorted by source. Both are shared by every reply made from one view and
+// never written.
+type shardListing struct {
+	labels  []string
+	adverts []Advertisement
+}
+
 // NewShardRouter builds a router for the given node over a fixed shard
 // count with the given replication factor and lookup-cache capacity.
-func NewShardRouter(self string, shards, rf, cacheCap int) *ShardRouter {
+// regions gives labels their regions (boolexpr.Meta.Region; nil for none):
+// every node of a fleet must be built with the same ones.
+func NewShardRouter(self string, shards, rf, cacheCap int, regions boolexpr.MetaTable) *ShardRouter {
 	return &ShardRouter{
 		smap:     shard.NewMap(shards, 0),
+		regions:  regions,
 		rf:       rf,
 		self:     self,
 		cacheCap: cacheCap,
 		cache:    make(map[string]*shardCacheEntry),
 		descs:    make(map[string]refDesc),
-		pending:  make(map[string]*pendingShardLookup),
+		pending:  make(map[int]*pendingShardLookup),
 		byNonce:  make(map[uint64]*pendingShardLookup),
 	}
+}
+
+// ShardOf is a label's home shard: its region's (shard.Map.OfRegion) when
+// the label has one, so a region's labels share a shard and one lookup
+// answers them all, and the flat label's hash (OfKey) when not. It is the
+// one label→shard rule: retention (inShards), OwnsLabel, Begin, the
+// listing a replica serves and the digest all place labels by it. It
+// takes no locks (the map and the regions are immutable).
+func (sr *ShardRouter) ShardOf(label string) int {
+	if r := sr.regions[label].Region; r != 0 {
+		return sr.smap.OfRegion(r)
+	}
+	return sr.smap.OfKey(label)
 }
 
 // Keep is the directory retention filter: keep the full payload when the
@@ -206,15 +260,15 @@ func (sr *ShardRouter) Keep(desc object.Descriptor) bool {
 
 // inShards is the scope rule of the sharded directory: an advertisement
 // belongs to a shard set when its name prefix's shard, or any coverage
-// label's home shard, is in the set. Labels hash to a home shard of their
-// own so a label query routes to ONE shard whose owners hold every
-// covering advert. It takes no locks (the shard map is immutable).
+// label's home shard (ShardOf), is in the set. Labels have a home shard of
+// their own so a label query routes to ONE shard whose owners hold every
+// covering advert. It takes no locks.
 func (sr *ShardRouter) inShards(set map[int]bool, desc object.Descriptor) bool {
 	if set[sr.smap.OfName(desc.Name)] {
 		return true
 	}
 	for _, l := range desc.Labels {
-		if set[sr.smap.OfKey(l)] {
+		if set[sr.ShardOf(l)] {
 			return true
 		}
 	}
@@ -278,7 +332,7 @@ func (sr *ShardRouter) replicasLocked(s int) []string {
 // the rest.
 func (sr *ShardRouter) OwnsLabel(label string) bool {
 	v := sr.view.Load()
-	return v != nil && v.owned[sr.smap.OfKey(label)]
+	return v != nil && v.owned[sr.ShardOf(label)]
 }
 
 // OwnedShards returns the sorted shards this node replicates under the
@@ -375,7 +429,7 @@ func (sr *ShardRouter) foldDigestsLocked(dir *Directory) {
 func (sr *ShardRouter) scopeShards(desc object.Descriptor, buf []int) []int {
 	buf = append(buf, sr.smap.OfName(desc.Name))
 	for _, l := range desc.Labels {
-		if s := sr.smap.OfKey(l); !slices.Contains(buf, s) {
+		if s := sr.ShardOf(l); !slices.Contains(buf, s) {
 			buf = append(buf, s)
 		}
 	}
@@ -431,41 +485,40 @@ func (sr *ShardRouter) Desc(src string) (object.Descriptor, bool) {
 	return object.Descriptor{}, false
 }
 
-// Begin registers a lookup for an unowned label on behalf of a query. The
-// first caller gets the ShardLookup to send (routed to the replica nearest
-// this node by rt's routes, byRoute) and the pending record, which its
-// retry timer carries; later callers for the same label just join the
-// waiters. Both results are nil for a joiner, and when the label's replica
-// set is empty (nobody to ask). rt is asked under the router's lock: as on
-// the node's own sends, a Router takes none of the node's locks.
+// Begin registers a lookup of an unowned label's home shard on behalf of a
+// query. The first caller for the shard gets the ShardLookup to send
+// (routed to the replica nearest this node by rt's routes, byRoute) and the
+// pending record, which its retry timer carries; later callers for any
+// label of the shard join it — the label among the asked ones, the query
+// among the waiters — while it is in flight: one lookup per shard, however
+// many labels and queries wait on it. Both results are nil for a joiner,
+// and when the shard's replica set is empty (nobody to ask). rt is asked
+// under the router's lock: as on the node's own sends, a Router takes none
+// of the node's locks.
 func (sr *ShardRouter) Begin(label, queryID string, rt Router) (msg *ShardLookup, p *pendingShardLookup) {
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
-	if p, exists := sr.pending[label]; exists {
-		if queryID != "" {
-			p.join(queryID)
-		}
+	s := sr.ShardOf(label)
+	if p, exists := sr.pending[s]; exists {
+		p.join(label, queryID)
 		return nil, nil
 	}
-	s := sr.smap.OfKey(label)
 	targets := sr.targetsFor(s)
 	if len(targets) == 0 {
 		return nil, nil
 	}
 	sr.nonce++
 	p = &pendingShardLookup{
-		label:   label,
+		shard:   s,
 		nonce:   sr.nonce,
 		targets: targets,
 	}
 	if len(targets) <= len(p.order) {
 		byRoute(rt, sr.self, targets, p.order[:len(targets)])
 	}
-	p.waiting = p.one[:0]
-	if queryID != "" {
-		p.join(queryID)
-	}
-	sr.pending[label] = p
+	p.asked, p.waiting = p.oneAsk[:0], p.one[:0]
+	p.join(label, queryID)
+	sr.pending[s] = p
 	sr.byNonce[p.nonce] = p
 	return p.lookup(sr.self), p
 }
@@ -511,7 +564,7 @@ func (p *pendingShardLookup) lookup(self string) *ShardLookup {
 	return &ShardLookup{
 		From:  self,
 		To:    p.target(p.next),
-		Label: p.label,
+		Shard: uint32(p.shard),
 		Nonce: p.nonce,
 	}
 }
@@ -537,58 +590,163 @@ func (sr *ShardRouter) Retry(nonce uint64) (msg *ShardLookup, abandoned []string
 	return p.lookup(sr.self), nil
 }
 
-// AnyPending reports whether any of the labels still has a lookup in
-// flight: a query over them has not yet seen all its candidates.
+// AnyPending reports whether any of the labels was asked of a lookup still
+// in flight: a query over them has not yet seen all its candidates. A label
+// whose shard is being looked up for other labels is not pending: nothing
+// waits on it there.
 func (sr *ShardRouter) AnyPending(labels []string) bool {
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
+	if len(sr.pending) == 0 {
+		return false
+	}
 	for _, l := range labels {
-		if _, ok := sr.pending[l]; ok {
+		if p, ok := sr.pending[sr.ShardOf(l)]; ok && p.asks(l) {
 			return true
 		}
 	}
 	return false
 }
 
-// Complete resolves a pending lookup from its reply: the result is
-// installed in the LRU cache and the waiting query ids are returned for
-// re-pumping. An empty result is cached as a negative entry that answers
+// Started is when the pending lookup with this nonce was first sent, as
+// the node set it while tracing; ok is false when none is pending.
+func (sr *ShardRouter) Started(nonce uint64) (at time.Time, ok bool) {
+	sr.mu.Lock()
+	defer sr.mu.Unlock()
+	p, ok := sr.byNonce[nonce]
+	if !ok {
+		return time.Time{}, false
+	}
+	return p.started, true
+}
+
+// Complete resolves a pending lookup from its reply — the shard's labels
+// the replica lists and the adverts covering them — and returns the
+// waiting query ids for re-pumping. Every listed label is installed in
+// the LRU cache with the sources of the adverts that cover it, so the
+// reply fills the cache for the shard's whole region at once; an asked
+// label the reply does not list is cached as a negative entry that answers
 // until emptyUntil, so a label nobody covers is not re-asked on every
-// pump, while one that gains coverage later still is. ok=false marks a
-// stale or duplicate reply.
+// pump, while one that gains coverage later still is. A reply for no
+// pending lookup (stale, or a duplicate), or one listing a label outside
+// the shard it was asked about, is refused: ok is false, it is counted
+// (Dropped), and a refused reply leaves its lookup pending for the retry
+// to walk on. Neither slice is written.
 //
 // The descriptor table only moves forward: an advert older than the held
 // descriptor of its source leaves it be (the source still counts as a
 // candidate, priced by what is held), and one equal to it field by field
 // is neither parsed nor copied — most replies repeat what the table has.
-func (sr *ShardRouter) Complete(nonce uint64, adverts []Advertisement, emptyUntil time.Time) (queries []string, ok bool) {
+func (sr *ShardRouter) Complete(nonce uint64, labels []string, adverts []Advertisement, emptyUntil time.Time) (queries []string, ok bool) {
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
 	p, exists := sr.byNonce[nonce]
 	if !exists {
+		sr.dropped++
 		return nil, false
 	}
+	for _, l := range labels {
+		if sr.ShardOf(l) != p.shard {
+			sr.dropped++
+			return nil, false
+		}
+	}
 	sr.dropPendingLocked(p)
-	var sources []string
-	if len(adverts) > 0 {
-		sources = make([]string, 0, len(adverts))
+	for i := range adverts {
+		a := &adverts[i]
+		if !coversAny(a.Labels, labels) {
+			continue
+		}
+		rd, have := sr.descs[a.Source]
+		if !have || (a.Seq >= rd.seq && !rd.holds(a)) {
+			desc, err := a.Descriptor()
+			if err != nil {
+				continue
+			}
+			rd.desc, rd.seq = desc, a.Seq
+			sr.descs[a.Source] = rd
+		}
+	}
+	for _, l := range labels {
+		k := 0
+		for i := range adverts {
+			if slices.Contains(adverts[i].Labels, l) {
+				k++
+			}
+		}
+		var sources []string
+		if k > 0 {
+			sources = make([]string, 0, k)
+		}
 		for i := range adverts {
 			a := &adverts[i]
-			rd, have := sr.descs[a.Source]
-			if !have || (a.Seq >= rd.seq && !rd.holds(a)) {
-				desc, err := a.Descriptor()
-				if err != nil {
-					continue
-				}
-				rd.desc, rd.seq = desc, a.Seq
-				sr.descs[a.Source] = rd
+			if _, held := sr.descs[a.Source]; held && slices.Contains(a.Labels, l) && !slices.Contains(sources, a.Source) {
+				sources = append(sources, a.Source)
 			}
-			sources = append(sources, a.Source)
 		}
-		sort.Strings(sources)
+		slices.Sort(sources)
+		sr.installLocked(l, sources, emptyUntil)
 	}
-	sr.installLocked(p.label, sources, emptyUntil)
+	for _, l := range p.asked {
+		if !slices.Contains(labels, l) {
+			sr.installLocked(l, nil, emptyUntil)
+		}
+	}
 	return p.waiters(), true
+}
+
+// coversAny reports whether any of an advert's labels is among labels.
+func coversAny(advLabels, labels []string) bool {
+	for _, l := range advLabels {
+		if slices.Contains(labels, l) {
+			return true
+		}
+	}
+	return false
+}
+
+// Dropped counts the lookup replies Complete refused.
+func (sr *ShardRouter) Dropped() int {
+	sr.mu.Lock()
+	defer sr.mu.Unlock()
+	return sr.dropped
+}
+
+// Listing is what this replica answers a lookup of shard s with, read
+// from view v: the shard's labels v covers, sorted, and every advert
+// covering any of them, sorted by source. The listings are made once per
+// view, for every shard at once, and shared by every reply made from it.
+func (sr *ShardRouter) Listing(v *View, s int) (labels []string, adverts []Advertisement) {
+	sr.mu.Lock()
+	defer sr.mu.Unlock()
+	if v != sr.listView {
+		sr.listView, sr.listings = v, make(map[int]shardListing)
+		for i := range v.labels {
+			l := v.labels[i].label
+			k := sr.ShardOf(l)
+			sl := sr.listings[k]
+			sl.labels = append(sl.labels, l)
+			sr.listings[k] = sl
+		}
+		for k, sl := range sr.listings {
+			var rows []*row
+			for _, l := range sl.labels {
+				for _, r := range v.cover(l) {
+					if !slices.Contains(rows, r) {
+						rows = append(rows, r)
+					}
+				}
+			}
+			slices.SortFunc(rows, func(a, b *row) int { return strings.Compare(a.desc.Source, b.desc.Source) })
+			sl.adverts = make([]Advertisement, len(rows))
+			for i, r := range rows {
+				sl.adverts[i] = advertisementOf(r.desc, r.seq)
+			}
+			sr.listings[k] = sl
+		}
+	}
+	sl := sr.listings[s]
+	return sl.labels, sl.adverts
 }
 
 // holds reports whether the held descriptor of a's source is the one a
@@ -602,7 +760,7 @@ func (rd *refDesc) holds(a *Advertisement) bool {
 // dropPendingLocked removes a pending lookup from both indexes. Callers
 // hold sr.mu.
 func (sr *ShardRouter) dropPendingLocked(p *pendingShardLookup) {
-	delete(sr.pending, p.label)
+	delete(sr.pending, p.shard)
 	delete(sr.byNonce, p.nonce)
 }
 
@@ -677,15 +835,15 @@ func (sr *ShardRouter) SourceDown(src string) (resend []*ShardLookup, abandoned 
 	}
 	delete(sr.descs, src)
 
-	pend := make([]string, 0, len(sr.pending))
-	for l, p := range sr.pending {
+	pend := make([]int, 0, len(sr.pending))
+	for s, p := range sr.pending {
 		if p.target(p.next) == src {
-			pend = append(pend, l)
+			pend = append(pend, s)
 		}
 	}
-	sort.Strings(pend)
-	for _, l := range pend {
-		p := sr.pending[l]
+	slices.Sort(pend)
+	for _, s := range pend {
+		p := sr.pending[s]
 		moved := false
 		for step := 1; step < len(p.targets); step++ {
 			cand := (p.next + step) % len(p.targets)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"athena/internal/boolexpr"
 	"athena/internal/names"
 	"athena/internal/object"
 )
@@ -34,7 +35,7 @@ func routerView(n int) []string {
 // Before the first refresh the nil snapshot keeps everything; afterwards
 // retention follows ownership, with the node's own source always kept.
 func TestShardRouterKeep(t *testing.T) {
-	sr := NewShardRouter("n0", 8, 2, 16)
+	sr := NewShardRouter("n0", 8, 2, 16, nil)
 	foreign := shardDesc("n9", "/grid/g1/n9", "s09")
 	if !sr.Keep(foreign) {
 		t.Fatal("nil snapshot must keep everything")
@@ -63,7 +64,7 @@ func TestShardRouterKeep(t *testing.T) {
 // at the first, when the nil snapshot had kept every payload — and a
 // shrinking view reassigns the lost node's shards to survivors.
 func TestShardRouterRefreshTracksOwnership(t *testing.T) {
-	sr := NewShardRouter("n0", 32, 3, 16)
+	sr := NewShardRouter("n0", 32, 3, 16, nil)
 	added, changed := sr.Refresh(routerView(8))
 	if !changed || len(added) != 0 || len(sr.OwnedShards()) == 0 {
 		t.Fatalf("first refresh: added=%v changed=%v owned=%v; want none added, a change, some owned", added, changed, sr.OwnedShards())
@@ -97,7 +98,7 @@ func TestShardRouterRefreshTracksOwnership(t *testing.T) {
 // their anti-entropy — and InShards admits exactly the descriptors whose
 // name or label shard falls in the given set.
 func TestShardRouterSharedAndScope(t *testing.T) {
-	sr := NewShardRouter("n0", 16, 3, 16)
+	sr := NewShardRouter("n0", 16, 3, 16, nil)
 	sr.Refresh(routerView(6))
 	shared := sr.SharedShards("n1")
 	sharedSet := make(map[int]bool)
@@ -122,25 +123,25 @@ func TestShardRouterSharedAndScope(t *testing.T) {
 // Begin dedups by label, Complete returns the union of waiting queries
 // exactly once, and a duplicate reply is rejected.
 func TestShardRouterLookupLifecycle(t *testing.T) {
-	sr := NewShardRouter("n0", 8, 2, 16)
+	sr := NewShardRouter("n0", 8, 2, 16, nil)
 	sr.Refresh(routerView(6))
 	msg, _ := sr.Begin("sx", "q1", nil)
 	if msg == nil {
 		t.Fatal("first Begin must start a lookup")
 	}
-	if msg.From != "n0" || msg.To == "n0" || msg.Label != "sx" {
+	if msg.From != "n0" || msg.To == "n0" || msg.Shard != uint32(sr.ShardOf("sx")) {
 		t.Fatalf("lookup message = %+v", msg)
 	}
 	if dup, p := sr.Begin("sx", "q2", nil); p != nil || dup != nil {
 		t.Fatal("second Begin for the same label must join, not re-send")
 	}
-	queries, ok := sr.Complete(msg.Nonce, []Advertisement{
+	queries, ok := completeWith(sr, msg, []Advertisement{
 		shardAdvert("n3", "/grid/g3/n3", 1, "sx"),
 	}, time.Time{})
 	if !ok || len(queries) != 2 || queries[0] != "q1" || queries[1] != "q2" {
 		t.Fatalf("Complete = %v, %v; want [q1 q2]", queries, ok)
 	}
-	if _, ok := sr.Complete(msg.Nonce, nil, time.Time{}); ok {
+	if _, ok := completeWith(sr, msg, nil, time.Time{}); ok {
 		t.Fatal("duplicate reply must be rejected")
 	}
 	if srcs, ok := sr.CachedSources("sx", time.Time{}); !ok || len(srcs) != 1 || srcs[0] != "n3" {
@@ -157,7 +158,7 @@ func TestShardRouterLookupLifecycle(t *testing.T) {
 		t.Fatal("Begin sy")
 	}
 	until := tBase.Add(2 * time.Second)
-	if _, ok := sr.Complete(msg2.Nonce, nil, until); !ok {
+	if _, ok := completeWith(sr, msg2, nil, until); !ok {
 		t.Fatal("empty reply still completes the lookup")
 	}
 	if srcs, ok := sr.CachedSources("sy", until.Add(-time.Nanosecond)); !ok || srcs != nil {
@@ -170,7 +171,7 @@ func TestShardRouterLookupLifecycle(t *testing.T) {
 	if msg3 == nil {
 		t.Fatal("Begin sy after the negative entry lapsed")
 	}
-	sr.Complete(msg3.Nonce, []Advertisement{shardAdvert("n4", "/grid/g4/n4", 1, "sy")}, until)
+	completeWith(sr, msg3, []Advertisement{shardAdvert("n4", "/grid/g4/n4", 1, "sy")}, until)
 	if srcs, ok := sr.CachedSources("sy", until.Add(time.Hour)); !ok || !slices.Equal(srcs, []string{"n4"}) {
 		t.Fatalf("CachedSources(sy) after coverage arrived = %v, %v; want [n4]", srcs, ok)
 	}
@@ -182,7 +183,7 @@ func TestShardRouterLookupLifecycle(t *testing.T) {
 // Retry walks the replica set and gives up after the try budget, handing
 // back the lookup's waiters; a completed lookup stops retrying.
 func TestShardRouterRetryWalksReplicas(t *testing.T) {
-	sr := NewShardRouter("n0", 8, 3, 16)
+	sr := NewShardRouter("n0", 8, 3, 16, nil)
 	sr.Refresh(routerView(6))
 	msg, _ := sr.Begin("sx", "q1", nil)
 	if msg == nil {
@@ -268,7 +269,7 @@ func tryOrder(t *testing.T, sr *ShardRouter, label string, rt Router) []string {
 		next, _ := sr.Retry(msg.Nonce)
 		asked = append(asked, next.To)
 	}
-	sr.Complete(msg.Nonce, nil, time.Time{})
+	completeWith(sr, msg, nil, time.Time{})
 	return asked
 }
 
@@ -278,7 +279,7 @@ func tryOrder(t *testing.T, sr *ShardRouter, label string, rt Router) []string {
 // all of them keep rendezvous order, and so do a StaticRouter's one-hop
 // routes, which all tie.
 func TestShardRouterAsksNearestReplicaFirst(t *testing.T) {
-	sr := NewShardRouter("me", 8, 3, 16)
+	sr := NewShardRouter("me", 8, 3, 16, nil)
 	view := append(routerView(6), "me")
 	sr.Refresh(view)
 	const label = "sx"
@@ -312,7 +313,7 @@ func TestShardRouterAsksNearestReplicaFirst(t *testing.T) {
 // Retry and SourceDown walk on in the lookup's distance order, and the
 // backfill asks the nearest co-replica.
 func TestShardRouterWalksOnInDistanceOrder(t *testing.T) {
-	sr := NewShardRouter("me", 8, 3, 16)
+	sr := NewShardRouter("me", 8, 3, 16, nil)
 	sr.Refresh(append(routerView(6), "me"))
 	const label = "sx"
 	s := sr.smap.OfKey(label)
@@ -345,22 +346,22 @@ func TestShardRouterWalksOnInDistanceOrder(t *testing.T) {
 // descriptor refcounts), re-routes pending lookups around it, and hands
 // back, each once, the waiters of lookups with no replica left.
 func TestShardRouterSourceDown(t *testing.T) {
-	sr := NewShardRouter("n0", 8, 3, 16)
+	sr := NewShardRouter("n0", 8, 3, 16, nil)
 	sr.Refresh(routerView(6))
 	m1, _ := sr.Begin("sa", "q1", nil)
-	sr.Complete(m1.Nonce, []Advertisement{
+	completeWith(sr, m1, []Advertisement{
 		shardAdvert("n3", "/grid/g3/n3", 1, "sa"),
 		shardAdvert("n4", "/grid/g4/n4", 1, "sa"),
 	}, time.Time{})
 	m2, _ := sr.Begin("sb", "q2", nil)
-	sr.Complete(m2.Nonce, []Advertisement{shardAdvert("n4", "/grid/g4/n4", 1, "sb")}, time.Time{})
+	completeWith(sr, m2, []Advertisement{shardAdvert("n4", "/grid/g4/n4", 1, "sb")}, time.Time{})
 
 	m3, _ := sr.Begin("sc", "q3", nil)
 	if m3 == nil {
 		t.Fatal("Begin sc")
 	}
 	resend, abandoned := sr.SourceDown(m3.To)
-	if len(resend) != 1 || resend[0].To == m3.To || resend[0].Label != "sc" || abandoned != nil {
+	if len(resend) != 1 || resend[0].To == m3.To || resend[0].Shard != uint32(sr.ShardOf("sc")) || abandoned != nil {
 		t.Fatalf("SourceDown resend = %+v, abandoned %v", resend, abandoned)
 	}
 
@@ -380,7 +381,7 @@ func TestShardRouterSourceDown(t *testing.T) {
 
 	// One replica a shard, on a two-node view: every lookup has the one
 	// target, and losing it abandons the lookup.
-	solo := NewShardRouter("n0", 8, 1, 16)
+	solo := NewShardRouter("n0", 8, 1, 16, nil)
 	solo.Refresh(routerView(2))
 	var asked []string
 	for i := 0; len(asked) < 2; i++ {
@@ -402,14 +403,14 @@ func TestShardRouterSourceDown(t *testing.T) {
 // The lookup cache evicts its least-recently-touched entry first, and
 // descriptor refcounts follow the entries.
 func TestShardRouterCacheLRU(t *testing.T) {
-	sr := NewShardRouter("n0", 8, 2, 2)
+	sr := NewShardRouter("n0", 8, 2, 2, nil)
 	sr.Refresh(routerView(6))
 	install := func(label, src string) {
 		m, _ := sr.Begin(label, "q", nil)
 		if m == nil {
 			t.Fatalf("Begin %s", label)
 		}
-		if _, ok := sr.Complete(m.Nonce, []Advertisement{shardAdvert(src, "/grid/g1/"+src, 1, label)}, time.Time{}); !ok {
+		if _, ok := completeWith(sr, m, []Advertisement{shardAdvert(src, "/grid/g1/"+src, 1, label)}, time.Time{}); !ok {
 			t.Fatalf("Complete %s", label)
 		}
 	}
@@ -446,11 +447,11 @@ func TestShardRouterMemoFollowsView(t *testing.T) {
 	const shards, rf = 32, 3
 	rng := rand.New(rand.NewSource(24))
 	all := routerView(12)
-	sr := NewShardRouter("n0", shards, rf, 16)
-	if added, changed := NewShardRouter("outsider", shards, rf, 16).Refresh(all); !changed || added != nil {
+	sr := NewShardRouter("n0", shards, rf, 16, nil)
+	if added, changed := NewShardRouter("outsider", shards, rf, 16, nil).Refresh(all); !changed || added != nil {
 		t.Fatalf("first refresh of a node that owns nothing = %v, %v; want nil, true", added, changed)
 	}
-	if _, changed := NewShardRouter("n0", shards, rf, 16).Refresh(nil); !changed {
+	if _, changed := NewShardRouter("n0", shards, rf, 16, nil).Refresh(nil); !changed {
 		t.Fatal("first refresh with an empty view (equal to the zero member list) must still report a change")
 	}
 
@@ -480,7 +481,7 @@ func TestShardRouterMemoFollowsView(t *testing.T) {
 		}
 		last = sorted
 
-		fresh := NewShardRouter("n0", shards, rf, 16)
+		fresh := NewShardRouter("n0", shards, rf, 16, nil)
 		fresh.Refresh(sorted)
 		if got, want := sr.OwnedShards(), fresh.OwnedShards(); !slices.Equal(got, want) {
 			t.Fatalf("step %d: OwnedShards = %v, fresh router %v", step, got, want)
@@ -514,6 +515,9 @@ func TestShardRouterMemoFollowsView(t *testing.T) {
 		// are the replica set minus this node, and stay what they were.
 		for k := 0; k < 4; k++ {
 			label := fmt.Sprintf("step%d-l%d", step, k)
+			if sr.pending[sr.ShardOf(label)] != nil {
+				continue // its shard's lookup, begun at an earlier step, is still pending
+			}
 			msg, _ := sr.Begin(label, "q", nil)
 			fmsg, _ := fresh.Begin(label, "q", nil)
 			if (msg == nil) != (fmsg == nil) {
@@ -522,18 +526,18 @@ func TestShardRouterMemoFollowsView(t *testing.T) {
 			if msg == nil {
 				continue
 			}
-			p, fp := sr.pending[label], fresh.pending[label]
+			p, fp := sr.pending[sr.ShardOf(label)], fresh.pending[fresh.ShardOf(label)]
 			if msg.To != fmsg.To || !slices.Equal(p.targets, fp.targets) || slices.Contains(p.targets, "n0") {
 				t.Fatalf("step %d: Begin(%s) targets %v (first %s), fresh router %v (first %s)", step, label, p.targets, msg.To, fp.targets, fmsg.To)
 			}
-			if s := sr.smap.OfKey(label); !slices.Equal(sr.Replicas(s), fresh.Replicas(s)) {
+			if s := sr.ShardOf(label); !slices.Equal(sr.Replicas(s), fresh.Replicas(s)) {
 				t.Fatalf("step %d: Replicas(%d) = %v after a lookup for it, fresh router %v", step, s, sr.Replicas(s), fresh.Replicas(s))
 			}
 			pendings = append(pendings, held{p, slices.Clone(p.targets)})
 		}
 		for _, h := range pendings {
 			if !slices.Equal(h.p.targets, h.targets) {
-				t.Fatalf("step %d: pending lookup for %s now targets %v, began with %v", step, h.p.label, h.p.targets, h.targets)
+				t.Fatalf("step %d: pending lookup of shard %d now targets %v, began with %v", step, h.p.shard, h.p.targets, h.targets)
 			}
 		}
 	}
@@ -555,7 +559,7 @@ func BenchmarkShardRefresh(b *testing.B) {
 		{"changed", [2][]string{full, full[1:]}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			sr := NewShardRouter("n40", 400, 3, shardCacheSize)
+			sr := NewShardRouter("n40", 400, 3, shardCacheSize, nil)
 			sr.Refresh(c.views[1])
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -573,7 +577,7 @@ func BenchmarkShardRefresh(b *testing.B) {
 // pending entry itself.
 // ci.sh gates the allocs/op.
 func BenchmarkShardLookupBegin(b *testing.B) {
-	sr := NewShardRouter("querier", 400, 3, shardCacheSize)
+	sr := NewShardRouter("querier", 400, 3, shardCacheSize, nil)
 	view := routerView(81)
 	sr.Refresh(view)
 	var rt Router = starRouter("n40")
@@ -586,7 +590,7 @@ func BenchmarkShardLookupBegin(b *testing.B) {
 		if msg == nil {
 			b.Fatal("no replica to ask")
 		}
-		sr.Complete(msg.Nonce, nil, time.Time{})
+		completeWith(sr, msg, nil, time.Time{})
 	}
 	for i := range labels {
 		ask(i)
@@ -607,7 +611,7 @@ func BenchmarkShardLookupBegin(b *testing.B) {
 func TestShardRouterWaitersMatchMapReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 300; trial++ {
-		sr := NewShardRouter("n0", 8, 2, 16)
+		sr := NewShardRouter("n0", 8, 2, 16, nil)
 		sr.Refresh(routerView(6))
 		label := fmt.Sprintf("l%d", trial)
 		ref := make(map[string]bool)
@@ -639,7 +643,7 @@ func TestShardRouterWaitersMatchMapReference(t *testing.T) {
 		}
 		var got []string
 		if trial%2 == 0 {
-			got, _ = sr.Complete(msg.Nonce, nil, time.Time{})
+			got, _ = completeWith(sr, msg, nil, time.Time{})
 		} else {
 			for m := msg; m != nil; {
 				m, got = sr.Retry(msg.Nonce)
@@ -661,15 +665,15 @@ func TestShardRouterWaitersMatchMapReference(t *testing.T) {
 // not copied again (the held labels stay the ones held), and a newer one
 // replaces it.
 func TestShardRouterCompleteKeepsNewestDescriptor(t *testing.T) {
-	sr := NewShardRouter("n0", 8, 2, 16)
+	sr := NewShardRouter("n0", 8, 2, 16, nil)
 	sr.Refresh(routerView(6))
 	ma, _ := sr.Begin("sa", "q1", nil)
 	mb, _ := sr.Begin("sb", "q2", nil)
 	if ma == nil || mb == nil {
 		t.Fatal("Begin")
 	}
-	sr.Complete(mb.Nonce, []Advertisement{shardAdvert("n3", "/grid/g3/v5", 5, "sa", "sb")}, time.Time{})
-	sr.Complete(ma.Nonce, []Advertisement{shardAdvert("n3", "/grid/g3/v4", 4, "sa", "sb")}, time.Time{})
+	completeWith(sr, mb, []Advertisement{shardAdvert("n3", "/grid/g3/v5", 5, "sa", "sb")}, time.Time{})
+	completeWith(sr, ma, []Advertisement{shardAdvert("n3", "/grid/g3/v4", 4, "sa", "sb")}, time.Time{})
 	held, ok := sr.Desc("n3")
 	if !ok || held.Name.String() != "/grid/g3/v5" {
 		t.Fatalf("Desc(n3) = %v after the older reply landed, want the seq-5 record /grid/g3/v5", held.Name)
@@ -678,15 +682,175 @@ func TestShardRouterCompleteKeepsNewestDescriptor(t *testing.T) {
 		t.Fatalf("CachedSources(sa) = %v, %v; want [n3]", srcs, ok)
 	}
 
-	mc, _ := sr.Begin("sc", "q3", nil)
-	sr.Complete(mc.Nonce, []Advertisement{shardAdvert("n3", "/grid/g3/v5", 5, "sa", "sb")}, time.Time{})
+	mc, _ := sr.Begin("sa", "q3", nil)
+	completeWith(sr, mc, []Advertisement{shardAdvert("n3", "/grid/g3/v5", 5, "sa", "sb")}, time.Time{})
 	if again, _ := sr.Desc("n3"); &again.Labels[0] != &held.Labels[0] {
 		t.Fatal("an advert equal to the held descriptor was copied again")
 	}
 
-	md, _ := sr.Begin("sd", "q4", nil)
-	sr.Complete(md.Nonce, []Advertisement{shardAdvert("n3", "/grid/g3/v6", 6, "sa")}, time.Time{})
+	md, _ := sr.Begin("sa", "q4", nil)
+	completeWith(sr, md, []Advertisement{shardAdvert("n3", "/grid/g3/v6", 6, "sa")}, time.Time{})
 	if newer, _ := sr.Desc("n3"); newer.Name.String() != "/grid/g3/v6" || !slices.Equal(newer.Labels, []string{"sa"}) {
 		t.Fatalf("Desc(n3) = %+v after a newer reply, want the seq-6 record", newer)
+	}
+}
+
+// completeWith answers the lookup m with adverts the way a replica does:
+// the reply lists the labels of m's shard the adverts cover, sorted.
+func completeWith(sr *ShardRouter, m *ShardLookup, adverts []Advertisement, until time.Time) ([]string, bool) {
+	var labels []string
+	for _, a := range adverts {
+		for _, l := range a.Labels {
+			if sr.ShardOf(l) == int(m.Shard) && !slices.Contains(labels, l) {
+				labels = append(labels, l)
+			}
+		}
+	}
+	slices.Sort(labels)
+	return sr.Complete(m.Nonce, labels, adverts, until)
+}
+
+// regionRouter is a router over routerView(6) whose labels ra1..ra4 share
+// region 1 and rb1 has region 2, on a shard of its own; "flat" has none.
+func regionRouter(t *testing.T) *ShardRouter {
+	t.Helper()
+	regions := boolexpr.MetaTable{
+		"ra1": {Region: 1}, "ra2": {Region: 1}, "ra3": {Region: 1}, "ra4": {Region: 1},
+		"rb1": {Region: 2},
+	}
+	sr := NewShardRouter("n0", 64, 2, 64, regions)
+	sr.Refresh(routerView(6))
+	if sr.ShardOf("ra1") != sr.smap.OfRegion(1) || sr.ShardOf("flat") != sr.smap.OfKey("flat") {
+		t.Fatal("ShardOf does not place by region, then by the flat label")
+	}
+	if sr.ShardOf("ra1") == sr.ShardOf("rb1") {
+		t.Fatal("fixture: regions 1 and 2 share a shard")
+	}
+	return sr
+}
+
+// One lookup is in flight per shard, however many of its labels and
+// queries ask: the first Begin sends, every later one joins its labels
+// and queries to the record.
+func TestShardRouterOneLookupPerShard(t *testing.T) {
+	sr := regionRouter(t)
+	msg, p := sr.Begin("ra1", "q1", nil)
+	if msg == nil || msg.Shard != uint32(sr.ShardOf("ra1")) {
+		t.Fatalf("first Begin = %+v, want a lookup of ra1's shard", msg)
+	}
+	for _, c := range []struct{ label, query string }{{"ra2", "q1"}, {"ra3", "q2"}, {"ra1", "q3"}, {"ra2", ""}} {
+		if m, joined := sr.Begin(c.label, c.query, nil); m != nil || joined != nil {
+			t.Fatalf("Begin(%s, %s) sent %+v while the shard's lookup is in flight", c.label, c.query, m)
+		}
+	}
+	if !slices.Equal(p.asked, []string{"ra1", "ra2", "ra3"}) || !slices.Equal(p.waiters(), []string{"q1", "q2", "q3"}) {
+		t.Fatalf("record asks %v for %v, want [ra1 ra2 ra3] for [q1 q2 q3]", p.asked, p.waiters())
+	}
+	if other, _ := sr.Begin("rb1", "q1", nil); other == nil || other.Nonce == msg.Nonce {
+		t.Fatal("a label of another region must start a lookup of its own")
+	}
+	if !sr.AnyPending([]string{"ra3"}) || sr.AnyPending([]string{"ra4"}) {
+		t.Fatal("AnyPending: ra3 was asked of the pending lookup and must be pending; ra4 was not asked and must not be")
+	}
+}
+
+// A reply installs every label of its shard it lists, each with the
+// sources of the adverts that cover it, and a negative entry for each
+// asked label it does not list; the waiters come back once.
+func TestShardRouterReplyFillsRegion(t *testing.T) {
+	sr := regionRouter(t)
+	msg, _ := sr.Begin("ra1", "q1", nil)
+	sr.Begin("ra4", "q2", nil)
+	until := tBase.Add(2 * time.Second)
+	adverts := []Advertisement{
+		shardAdvert("n3", "/grid/g3/n3", 1, "ra1", "ra2", "rb1"),
+		shardAdvert("n4", "/grid/g4/n4", 1, "ra2", "ra3"),
+	}
+	queries, ok := sr.Complete(msg.Nonce, []string{"ra1", "ra2", "ra3"}, adverts, until)
+	if !ok || !slices.Equal(queries, []string{"q1", "q2"}) {
+		t.Fatalf("Complete = %v, %v; want [q1 q2], true", queries, ok)
+	}
+	for label, want := range map[string][]string{"ra1": {"n3"}, "ra2": {"n3", "n4"}, "ra3": {"n4"}} {
+		if srcs, ok := sr.CachedSources(label, until.Add(time.Hour)); !ok || !slices.Equal(srcs, want) {
+			t.Errorf("CachedSources(%s) = %v, %v; want %v", label, srcs, ok, want)
+		}
+	}
+	if srcs, ok := sr.CachedSources("ra4", until.Add(-time.Nanosecond)); !ok || srcs != nil {
+		t.Errorf("asked, unlisted ra4: CachedSources = %v, %v; want a negative entry", srcs, ok)
+	}
+	if _, ok := sr.CachedSources("ra4", until); ok {
+		t.Error("ra4's negative entry must lapse at emptyUntil")
+	}
+	if _, ok := sr.CachedSources("rb1", time.Time{}); ok {
+		t.Error("rb1 is another shard's: a reply about ra1's shard must not install it")
+	}
+	if sr.AnyPending([]string{"ra1", "ra4"}) {
+		t.Error("the answered lookup is still pending")
+	}
+}
+
+// Retry's give-up, SourceDown with no replica left and the abandonment
+// they share hand back every waiter of the shard's record, each once.
+func TestShardRouterAbandonHandsBackShardWaiters(t *testing.T) {
+	sr := regionRouter(t)
+	msg, _ := sr.Begin("ra1", "q2", nil)
+	sr.Begin("ra2", "q1", nil)
+	sr.Begin("ra3", "q2", nil)
+	var abandoned []string
+	for next := msg; next != nil; {
+		next, abandoned = sr.Retry(msg.Nonce)
+	}
+	if !slices.Equal(abandoned, []string{"q1", "q2"}) {
+		t.Fatalf("Retry's give-up handed back %v, want [q1 q2]", abandoned)
+	}
+
+	// A querier outside a two-node view, one replica a shard: the lookup
+	// has the one target, and losing it abandons the lookup.
+	solo := NewShardRouter("querier", 64, 1, 64, boolexpr.MetaTable{"ra1": {Region: 1}, "ra2": {Region: 1}})
+	solo.Refresh(routerView(2))
+	m, _ := solo.Begin("ra1", "q3", nil)
+	solo.Begin("ra2", "q1", nil)
+	resend, gone := solo.SourceDown(m.To)
+	if resend != nil || !slices.Equal(gone, []string{"q1", "q3"}) {
+		t.Fatalf("SourceDown of the only replica = %+v, %v; want nothing to re-send and [q1 q3]", resend, gone)
+	}
+	if solo.AnyPending([]string{"ra1", "ra2"}) {
+		t.Fatal("the abandoned lookup is still pending")
+	}
+}
+
+// A reply for no pending lookup, or one listing a label outside the shard
+// it was asked about, is refused and counted; a refused reply leaves the
+// lookup pending, and the node counts it in ShardRepliesDropped.
+func TestShardRouterRefusesForeignReplies(t *testing.T) {
+	sr := regionRouter(t)
+	msg, _ := sr.Begin("ra1", "q1", nil)
+	if _, ok := sr.Complete(msg.Nonce+99, []string{"ra1"}, nil, time.Time{}); ok {
+		t.Fatal("a reply for an unknown nonce completed")
+	}
+	if _, ok := sr.Complete(msg.Nonce, []string{"ra1", "rb1"}, []Advertisement{shardAdvert("n3", "/grid/g3/n3", 1, "ra1", "rb1")}, time.Time{}); ok {
+		t.Fatal("a reply listing another shard's label completed")
+	}
+	if got := sr.Dropped(); got != 2 {
+		t.Fatalf("Dropped = %d, want 2", got)
+	}
+	if !sr.AnyPending([]string{"ra1"}) {
+		t.Fatal("a refused reply completed the lookup")
+	}
+	if _, ok := sr.CachedSources("rb1", time.Time{}); ok {
+		t.Fatal("a refused reply installed a label")
+	}
+	if _, ok := sr.Complete(msg.Nonce, []string{"ra1"}, nil, time.Time{}); !ok {
+		t.Fatal("the honest reply was refused after the foreign one")
+	}
+
+	n, _ := newDispatchNode(t, func(c *Config) {
+		c.HeartbeatInterval, c.GossipFanout, c.Shards, c.ShardReplicas = time.Second, 2, 4, 2
+	})
+	n.mu.Lock()
+	n.handleShardLookupReply(&ShardLookupReply{From: "c", To: n.id, Nonce: 12345})
+	n.mu.Unlock()
+	if got := n.Stats().ShardRepliesDropped; got != 1 {
+		t.Fatalf("ShardRepliesDropped = %d after a reply for no lookup, want 1", got)
 	}
 }

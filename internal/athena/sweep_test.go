@@ -12,13 +12,15 @@ import (
 
 // TestSweepOrderIndependence runs the order-independence sweep on two
 // same-instant orders besides the schedule order: the kernel_fleet
-// configuration on seed 5 (where the schedule order leaves athena08/q3
+// configuration on seed 2 (where the schedule order leaves athena04/q2
 // expired and every other order resolves it) and the dump's four
 // configurations on seed 1. Under every order the audit finds no violation
-// and every difference falls in a named class; athena08/q3's is an expiry
+// and every difference falls in a named class; athena04/q2's is an expiry
 // with a request in flight. (The test pinned seed 2's athena04/q2 until
-// lookups began asking their nearest replica, which resolves it in every
-// order.)
+// lookups began asking their nearest replica, which resolved it in every
+// order, then seed 5's athena08/q3 until a lookup came to ask for a
+// region's shard, which resolves that one in every order and leaves
+// athena04/q2 expired in the schedule order again.)
 func TestSweepOrderIndependence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the sweep runs five fleets three times each, for minutes of virtual time")
@@ -27,7 +29,7 @@ func TestSweepOrderIndependence(t *testing.T) {
 	for i, f := range fleets {
 		seed := int64(1)
 		if i == 0 {
-			seed = 5
+			seed = 2
 		}
 		rep, err := RunSweep(f, seed, 2)
 		if err != nil {
@@ -44,10 +46,10 @@ func TestSweepOrderIndependence(t *testing.T) {
 			if d.Class == SweepUnexplained {
 				t.Errorf("%s seed %d order %d %s differs unexplained:\n schedule order %s\n this order     %s", f.Name, seed, d.Perm, d.Query, d.Base, d.Got)
 			}
-			expiry = expiry || d.Query == "athena08/q3" && d.Class == SweepExpiry
+			expiry = expiry || d.Query == "athena04/q2" && d.Class == SweepExpiry
 		}
 		if i == 0 && !expiry {
-			t.Errorf("%s seed 5: athena08/q3 is no expiry difference: %+v", f.Name, rep.Diffs)
+			t.Errorf("%s seed 2: athena04/q2 is no expiry difference: %+v", f.Name, rep.Diffs)
 		}
 	}
 }

@@ -17,6 +17,13 @@ type Meta struct {
 	ProbTrue float64
 	// Validity is how long evidence for this label stays fresh.
 	Validity time.Duration
+	// Region names the part of the world the label describes — for a
+	// road segment, the grid block it lies in — or is zero for none. A
+	// sharded directory places a label by its region (labels of one
+	// region share a shard, so one lookup answers them all), and every
+	// node must hold the same regions, as it holds the same shard count.
+	// Planning ignores it.
+	Region uint32
 }
 
 // MetaTable maps label names to their metadata.

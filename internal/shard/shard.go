@@ -76,6 +76,18 @@ func (m *Map) OfKey(key string) int {
 	return int(fnvString(fnvOffset, key) % uint64(m.shards))
 }
 
+// OfRegion returns the shard owning a region (boolexpr.Meta.Region): the
+// hash of the region id's four bytes, so every label of one region lands
+// on one shard.
+func (m *Map) OfRegion(r uint32) int {
+	h := uint64(fnvOffset)
+	for k := 0; k < 4; k++ {
+		h ^= uint64(r) >> (8 * k) & 0xff
+		h *= fnvPrime
+	}
+	return int(h % uint64(m.shards))
+}
+
 // shardBase is the FNV state after shard s's id: the part of a rendezvous
 // weight that is the same for every node, so a walk over a view computes
 // it once.

@@ -68,7 +68,9 @@ import (
 // ShardLookupReply.Label and .Shard). Version 3 added ObjectRequest.Budget.
 // Version 4 retired QueryAnnounce (type ID 1) and the one-byte flags of
 // ObjectRequest and ObjectData, which only the retired push path set.
-const Version = 4
+// Version 5 made a shard lookup name a shard (ShardLookup.Shard, for
+// .Label) and its reply list the shard's labels (ShardLookupReply.Labels).
+const Version = 5
 
 // MaxFrame bounds a frame's total length (prefix included). The value is
 // the transport's receive-side guard: Append refuses to produce frames
@@ -458,7 +460,7 @@ func pingReq(c *coder, m *athena.PingReq) {
 func shardLookup(c *coder, m *athena.ShardLookup) {
 	c.str(&m.From)
 	c.str(&m.To)
-	c.str(&m.Label)
+	c.u32(&m.Shard)
 	c.u64(&m.Nonce)
 }
 
@@ -466,6 +468,7 @@ func shardLookupReply(c *coder, m *athena.ShardLookupReply) {
 	c.str(&m.From)
 	c.str(&m.To)
 	c.u64(&m.Nonce)
+	c.strs(&m.Labels)
 	adverts(c, &m.Adverts)
 }
 

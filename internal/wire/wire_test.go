@@ -83,8 +83,8 @@ func sizedMessages() []interface {
 		&athena.Ping{From: "node-042", To: "node-017", Seq: 31, AdvSeq: 7, Digest: 0xfeed, OnBehalf: "node-003", OnBehalfSeq: 12, Updates: updates(2)},
 		&athena.Ack{From: "node-017", To: "node-042", Seq: 31, AdvSeq: 2, Digest: 0xbeef, Updates: updates(3)},
 		&athena.PingReq{From: "node-042", To: "node-011", Target: "node-017", Seq: 31, Updates: updates(1)},
-		&athena.ShardLookup{From: "node-042", To: "node-017", Label: "viable:h:1-2", Nonce: 7771},
-		&athena.ShardLookupReply{From: "node-017", To: "node-042", Nonce: 7771, Adverts: []athena.Advertisement{advert("node-03", 4), advert("node-11", 9)}},
+		&athena.ShardLookup{From: "node-042", To: "node-017", Shard: 217, Nonce: 7771},
+		&athena.ShardLookupReply{From: "node-017", To: "node-042", Nonce: 7771, Labels: []string{"viable:h:1-2", "viable:v:3-1"}, Adverts: []athena.Advertisement{advert("node-03", 4), advert("node-11", 9)}},
 		&athena.RequestBatch{Requests: []athena.ObjectRequest{
 			{QueryID: "node-042/q17", Origin: "node-042", Object: "/city/market/cam3", SourceNode: "node-017", Labels: []string{"viable:h:1-2", "viable:v:3-1"}, Budget: 42 * time.Second},
 			{QueryID: "node-042/q18", Origin: "node-042", Object: "/city/market/cam4", SourceNode: "node-017", Labels: []string{"viable:h:2-2"}, Budget: 41 * time.Second},
@@ -145,7 +145,7 @@ func TestGoldenFrameBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden := "0000003c" + // length: 60 bytes follow
-		"04" + // version 4
+		"05" + // version 5
 		"05" + // type: Heartbeat
 		"000161" + // from: "a"
 		"00026e31" + // Node: "n1"
@@ -165,20 +165,20 @@ func TestGoldenFrameBytes(t *testing.T) {
 // TestGoldenShardLookupBytes pins the shard-routed lookup's frame layout
 // the same way the heartbeat golden pins the original message set.
 func TestGoldenShardLookupBytes(t *testing.T) {
-	m := &athena.ShardLookup{From: "n1", To: "n2", Label: "seg", Nonce: 9}
+	m := &athena.ShardLookup{From: "n1", To: "n2", Shard: 5, Nonce: 9}
 	frame, err := (Codec{}).Append(nil, "a", m.WireSize(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	golden := "0000007c" + // length: 124 bytes follow
-		"04" + // version 4
+		"05" + // version 5
 		"0f" + // type: ShardLookup (15)
 		"000161" + // from: "a"
 		"00026e31" + // From: "n1"
 		"00026e32" + // To: "n2"
-		"0003736567" + // Label: "seg"
+		"00000005" + // Shard
 		"0000000000000009" + // Nonce
-		strings.Repeat("00", 98) // padding up to shardLookupBytes (128)
+		strings.Repeat("00", 99) // padding up to shardLookupBytes (128)
 	want, err := hex.DecodeString(golden)
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +199,7 @@ func TestGoldenRequestBatchBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden := "000000ac" + // length: 172 bytes follow
-		"04" + // version 4
+		"05" + // version 5
 		"11" + // type: RequestBatch (17)
 		"000161" + // from: "a"
 		"0001" + // member count
@@ -248,6 +248,13 @@ func TestDecodeRejectsBadFrames(t *testing.T) {
 		b[0] = 3
 		if _, _, err := (Codec{}).Decode(b); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("version-3 frame: err = %v, want ErrBadFrame", err)
+		}
+	})
+	t.Run("version 4", func(t *testing.T) {
+		b := append([]byte(nil), body...)
+		b[0] = 4
+		if _, _, err := (Codec{}).Decode(b); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("version-4 frame: err = %v, want ErrBadFrame", err)
 		}
 	})
 	t.Run("retired type 1", func(t *testing.T) {
@@ -646,16 +653,19 @@ func FuzzPingReq(f *testing.F) {
 }
 
 func FuzzShardLookup(f *testing.F) {
-	f.Add("from", "to", "lbl", uint64(9))
-	f.Fuzz(func(t *testing.T, from, to, lbl string, nonce uint64) {
-		roundTrip(t, &athena.ShardLookup{From: from, To: to, Label: lbl, Nonce: nonce})
+	f.Add("from", "to", uint32(217), uint64(9))
+	f.Add("", "", uint32(0), uint64(0))
+	f.Fuzz(func(t *testing.T, from, to string, shard uint32, nonce uint64) {
+		roundTrip(t, &athena.ShardLookup{From: from, To: to, Shard: shard, Nonce: nonce})
 	})
 }
 
 func FuzzShardLookupReply(f *testing.F) {
-	f.Add("from", "to", uint64(9), "src", "/name", "lbl", uint8(1), uint8(1), int64(5), uint64(1), false)
-	f.Fuzz(func(t *testing.T, from, to string, nonce uint64, src, name, lbl string, count, lbls uint8, size int64, seq uint64, withdrawn bool) {
-		roundTrip(t, &athena.ShardLookupReply{From: from, To: to, Nonce: nonce, Adverts: fuzzAdverts(src, name, lbl, count, lbls, size, seq, withdrawn)})
+	f.Add("from", "to", uint64(9), "lbl", uint8(2), "src", "/name", "lbl", uint8(1), uint8(1), int64(5), uint64(1), false)
+	f.Add("from", "to", uint64(9), "", uint8(0), "src", "/name", "lbl", uint8(0), uint8(0), int64(0), uint64(0), false)
+	f.Fuzz(func(t *testing.T, from, to string, nonce uint64, listed string, nlisted uint8, src, name, lbl string, count, lbls uint8, size int64, seq uint64, withdrawn bool) {
+		roundTrip(t, &athena.ShardLookupReply{From: from, To: to, Nonce: nonce, Labels: fuzzStrings(listed, nlisted),
+			Adverts: fuzzAdverts(src, name, lbl, count, lbls, size, seq, withdrawn)})
 	})
 }
 

@@ -69,6 +69,11 @@ const (
 	queryDeadline = 55 * time.Second
 	// probViable is the per-epoch probability a segment is viable.
 	probViable = 0.8
+	// regionBlock is the side, in segments, of the square grid block a
+	// segment's region is (Segment.Region): a route's labels then fall in
+	// few regions, and a sharded directory answers each region's labels
+	// in one lookup.
+	regionBlock = 2
 )
 
 // Placement locates one Athena node at a grid intersection.
@@ -221,13 +226,14 @@ func Generate(cfg Config) (*Scenario, error) {
 			Source:   p.ID,
 			ProbTrue: probViable,
 		}
-		for _, l := range labels {
+		for j, l := range labels {
 			labelSources[l] = append(labelSources[l], p.ID)
 			if m, ok := meta[l]; !ok || float64(size) < m.Cost {
 				meta[l] = boolexpr.Meta{
 					Cost:     float64(size),
 					ProbTrue: probViable,
 					Validity: world.Period(l),
+					Region:   segs[j].Region(),
 				}
 			}
 		}

@@ -242,3 +242,43 @@ func TestMetaMatchesWorldPeriods(t *testing.T) {
 	}
 	var _ boolexpr.MetaTable = s.Meta
 }
+
+// Every segment label's metadata carries its region: the regionBlock ×
+// regionBlock grid block its segment lies in, one plus the block's index,
+// so the labels of one block share a region and none has region zero.
+func TestLabelsCarryRegions(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.GridRows, cfg.GridCols, cfg.Nodes = 9, 9, 81
+	s, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regions := make(map[uint32]int)
+	for l, m := range s.Meta {
+		if m.Region == 0 {
+			t.Fatalf("%s has no region", l)
+		}
+		regions[m.Region]++
+	}
+	for _, c := range []struct {
+		a, b Segment
+		same bool
+	}{
+		{Segment{0, 0, true}, Segment{1, 1, false}, true},
+		{Segment{1, 1, true}, Segment{0, 1, false}, true},
+		{Segment{0, 1, true}, Segment{0, 2, true}, false},
+		{Segment{1, 0, false}, Segment{2, 0, false}, false},
+	} {
+		if same := c.a.Region() == c.b.Region(); same != c.same {
+			t.Errorf("%s and %s: same region %v, want %v", c.a.Label(), c.b.Label(), same, c.same)
+		}
+		if got := s.Meta[c.a.Label()].Region; got != c.a.Region() {
+			t.Errorf("Meta[%s].Region = %d, want %d", c.a.Label(), got, c.a.Region())
+		}
+	}
+	// A 9×9 segment grid has 10 rows and 10 columns of segment endpoints:
+	// five blocks a side.
+	if want := 25; len(regions) != want {
+		t.Errorf("%d regions, want %d", len(regions), want)
+	}
+}

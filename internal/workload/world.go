@@ -21,6 +21,13 @@ type Segment struct {
 	Horizontal bool
 }
 
+// Region is the segment's region (boolexpr.Meta.Region): one plus the
+// index of the regionBlock × regionBlock block of the grid its upper-left
+// endpoint lies in, so no segment's region is zero (none).
+func (s Segment) Region() uint32 {
+	return (uint32(s.Row/regionBlock)<<16 | uint32(s.Col/regionBlock)) + 1
+}
+
 // Label is the decision label naming this segment's viability predicate:
 // "viable:h:R-C" or "viable:v:R-C". Built by hand rather than
 // fmt.Sprintf because scenario generation calls it in inner loops.
