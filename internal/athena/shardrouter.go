@@ -186,9 +186,6 @@ type ShardRouter struct {
 	nonce   uint64
 	pending map[int]*pendingShardLookup // by shard
 	byNonce map[uint64]*pendingShardLookup
-	// dropped counts lookup replies refused: for no pending lookup, or
-	// listing a label outside the shard asked about.
-	dropped int
 
 	// listView is the directory view the served listings were made from;
 	// listings holds, per shard of it, the labels and covering adverts a
@@ -198,8 +195,10 @@ type ShardRouter struct {
 
 	// digests[i] folds the records in the scope of owned[i] at directory
 	// version digestVer (Digest); nil when ownership changed since.
+	// byPeer holds the digests Digest combined from them, by peer.
 	// digestRecs is the fold's scratch.
 	digests    []uint64
+	byPeer     map[string]uint64
 	digestVer  uint64
 	digestRecs []syncRecord
 }
@@ -386,12 +385,16 @@ func (sr *ShardRouter) Digest(peer string, dir *Directory) uint64 {
 	if sr.digests == nil || dir.Version() != sr.digestVer {
 		sr.foldDigestsLocked(dir)
 	}
+	if d, ok := sr.byPeer[peer]; ok {
+		return d
+	}
 	var d uint64
 	for i, s := range sr.owned {
 		if slices.Contains(sr.replicasLocked(s), peer) {
 			d ^= mix64(sr.digests[i] ^ uint64(s)*0x9e3779b97f4a7c15)
 		}
 	}
+	sr.byPeer[peer] = d
 	return d
 }
 
@@ -406,6 +409,10 @@ func (sr *ShardRouter) foldDigestsLocked(dir *Directory) {
 	}
 	sr.digests = sr.digests[:len(sr.owned)]
 	clear(sr.digests)
+	if sr.byPeer == nil {
+		sr.byPeer = make(map[string]uint64)
+	}
+	clear(sr.byPeer)
 	var buf [8]int
 	for i := range recs {
 		r := &recs[i]
@@ -629,9 +636,9 @@ func (sr *ShardRouter) Started(nonce uint64) (at time.Time, ok bool) {
 // until emptyUntil, so a label nobody covers is not re-asked on every
 // pump, while one that gains coverage later still is. A reply for no
 // pending lookup (stale, or a duplicate), or one listing a label outside
-// the shard it was asked about, is refused: ok is false, it is counted
-// (Dropped), and a refused reply leaves its lookup pending for the retry
-// to walk on. Neither slice is written.
+// the shard it was asked about or its labels out of order, is refused: ok
+// is false (the node counts it), and a refused reply leaves its lookup
+// pending for the retry to walk on. Neither slice is written.
 //
 // The descriptor table only moves forward: an advert older than the held
 // descriptor of its source leaves it be (the source still counts as a
@@ -642,19 +649,35 @@ func (sr *ShardRouter) Complete(nonce uint64, labels []string, adverts []Adverti
 	defer sr.mu.Unlock()
 	p, exists := sr.byNonce[nonce]
 	if !exists {
-		sr.dropped++
 		return nil, false
 	}
-	for _, l := range labels {
-		if sr.ShardOf(l) != p.shard {
-			sr.dropped++
+	for i, l := range labels {
+		if sr.ShardOf(l) != p.shard || (i > 0 && l <= labels[i-1]) {
 			return nil, false
 		}
 	}
 	sr.dropPendingLocked(p)
+	// One pass over the adverts counts each listed label's sources and
+	// refreshes the descriptors, a second files the sources in one backing
+	// array, label by label: a reply costs its adverts' labels, not labels
+	// × adverts.
+	var offBuf, endBuf [32]int
+	offs, ends := offBuf[:0], endBuf[:0]
+	if len(labels) > len(offBuf) {
+		offs, ends = make([]int, 0, len(labels)), make([]int, 0, len(labels))
+	}
+	offs, ends = offs[:len(labels)], ends[:len(labels)]
+	clear(offs)
 	for i := range adverts {
 		a := &adverts[i]
-		if !coversAny(a.Labels, labels) {
+		covers := false
+		for _, l := range a.Labels {
+			if j, listed := slices.BinarySearch(labels, l); listed {
+				offs[j]++
+				covers = true
+			}
+		}
+		if !covers {
 			continue
 		}
 		rd, have := sr.descs[a.Source]
@@ -667,49 +690,39 @@ func (sr *ShardRouter) Complete(nonce uint64, labels []string, adverts []Adverti
 			sr.descs[a.Source] = rd
 		}
 	}
-	for _, l := range labels {
-		k := 0
-		for i := range adverts {
-			if slices.Contains(adverts[i].Labels, l) {
-				k++
+	total := 0
+	for j, k := range offs {
+		offs[j], ends[j] = total, total
+		total += k
+	}
+	all := make([]string, total)
+	for i := range adverts {
+		a := &adverts[i]
+		if _, held := sr.descs[a.Source]; !held {
+			continue // its advert did not parse
+		}
+		for _, l := range a.Labels {
+			if j, listed := slices.BinarySearch(labels, l); listed {
+				all[ends[j]] = a.Source
+				ends[j]++
 			}
 		}
+	}
+	for j, l := range labels {
 		var sources []string
-		if k > 0 {
-			sources = make([]string, 0, k)
+		if ends[j] > offs[j] {
+			sources = all[offs[j]:ends[j]:ends[j]]
+			slices.Sort(sources)
+			sources = slices.Compact(sources)
 		}
-		for i := range adverts {
-			a := &adverts[i]
-			if _, held := sr.descs[a.Source]; held && slices.Contains(a.Labels, l) && !slices.Contains(sources, a.Source) {
-				sources = append(sources, a.Source)
-			}
-		}
-		slices.Sort(sources)
 		sr.installLocked(l, sources, emptyUntil)
 	}
 	for _, l := range p.asked {
-		if !slices.Contains(labels, l) {
+		if _, listed := slices.BinarySearch(labels, l); !listed {
 			sr.installLocked(l, nil, emptyUntil)
 		}
 	}
 	return p.waiters(), true
-}
-
-// coversAny reports whether any of an advert's labels is among labels.
-func coversAny(advLabels, labels []string) bool {
-	for _, l := range advLabels {
-		if slices.Contains(labels, l) {
-			return true
-		}
-	}
-	return false
-}
-
-// Dropped counts the lookup replies Complete refused.
-func (sr *ShardRouter) Dropped() int {
-	sr.mu.Lock()
-	defer sr.mu.Unlock()
-	return sr.dropped
 }
 
 // Listing is what this replica answers a lookup of shard s with, read
