@@ -898,7 +898,9 @@ func (n *Node) QueryInit(expr boolexpr.DNF, deadline time.Duration) (string, err
 	n.trace.Event(n.id, id, trace.Plan, now, "")
 	if n.choices.sel == selectCover {
 		q.selected = n.selectSources(v, id, q.engine.Labels())
-		n.traceSelect(id, q.selected)
+		if n.trace.On() {
+			n.trace.Event(n.id, id, trace.Select, now, strings.Join(q.selected, ","))
+		}
 	}
 	n.queries[id] = q
 	at, _ := n.liveFrom(id)

@@ -1,7 +1,6 @@
 package athena
 
 import (
-	"strings"
 	"time"
 
 	"athena/internal/netsim"
@@ -9,17 +8,10 @@ import (
 )
 
 // This file is what the node reports to its trace recorder
-// (Config.Trace) beyond the one-line Event calls at the sites themselves:
-// the spans whose detail has to be built, and the adaptor that turns the
-// simulated network's link timings into per-query spans. Every function
-// here returns at once when tracing is off.
-
-// traceSelect records a source selection for query id. Callers hold n.mu.
-func (n *Node) traceSelect(id string, selected []string) {
-	if n.trace.On() {
-		n.trace.Event(n.id, id, trace.Select, n.now(), strings.Join(selected, ","))
-	}
-}
+// (Config.Trace) beyond the calls at the sites themselves: the frames
+// that name queries, and the adaptor that turns the simulated network's
+// link timings into per-query spans. Every function here returns at once
+// when tracing is off.
 
 // traceSend records a frame naming a query put on the link to neighbor,
 // once per query it names. Callers hold n.mu.
