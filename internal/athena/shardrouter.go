@@ -3,7 +3,6 @@ package athena
 import (
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -161,9 +160,10 @@ func (p *pendingShardLookup) waiters() []string { return p.waiting }
 // back, and the next query pump starts a fresh one.
 const shardLookupMaxTries = 8
 
-// ShardRouter owns the prefix→shard map, the label→shard rule (ShardOf), the rendezvous assignment of
-// per-shard replica sets from the live membership view, the bounded LRU of
-// remote lookup results, and the pending-lookup table. It is safe for
+// ShardRouter owns the prefix→shard map, the label→shard rule (ShardOf),
+// the rendezvous assignment of per-shard replica sets from the live
+// membership view, the bounded LRU of remote lookup results, and the
+// pending-lookup table. It is safe for
 // concurrent use; in the canonical lock order it ranks between Node and
 // Directory (Node < ShardRouter < Directory).
 type ShardRouter struct {
@@ -195,8 +195,8 @@ type ShardRouter struct {
 
 	// digests[i] folds the records in the scope of owned[i] at directory
 	// version digestVer (Digest); nil when ownership changed since.
-	// byPeer holds the digests Digest combined from them, by peer.
-	// digestRecs is the fold's scratch.
+	// byPeer holds the digests Digest combined from them, by peer, under
+	// the current placement. digestRecs is the fold's scratch.
 	digests    []uint64
 	byPeer     map[string]uint64
 	digestVer  uint64
@@ -263,11 +263,9 @@ func (sr *ShardRouter) Keep(desc object.Descriptor) bool {
 // their own so a label query routes to ONE shard whose owners hold every
 // covering advert. It takes no locks.
 func (sr *ShardRouter) inShards(set map[int]bool, desc object.Descriptor) bool {
-	if set[sr.smap.OfName(desc.Name)] {
-		return true
-	}
-	for _, l := range desc.Labels {
-		if set[sr.ShardOf(l)] {
+	var buf [8]int
+	for _, s := range sr.scopeShards(desc, buf[:0]) {
+		if set[s] {
 			return true
 		}
 	}
@@ -293,6 +291,7 @@ func (sr *ShardRouter) Refresh(members []string) (added []int, changed bool) {
 		return nil, false
 	}
 	sr.place = sr.smap.Placement(members, sr.rf)
+	clear(sr.byPeer) // a peer's shared shards are the placement's
 	owned := sr.place.Owned(sr.self)
 	// Until the first refresh the nil snapshot kept every payload, so no
 	// shard can be thin then: the first refresh gains none, and always
@@ -431,8 +430,8 @@ func (sr *ShardRouter) foldDigestsLocked(dir *Directory) {
 	sr.digestVer = ver
 }
 
-// scopeShards appends to buf the distinct shards whose scope holds desc
-// under inShards: its name's shard and each label's home shard.
+// scopeShards appends to buf the distinct shards whose scope holds desc:
+// its name's shard and each label's home shard (inShards' rule).
 func (sr *ShardRouter) scopeShards(desc object.Descriptor, buf []int) []int {
 	buf = append(buf, sr.smap.OfName(desc.Name))
 	for _, l := range desc.Labels {
@@ -742,19 +741,14 @@ func (sr *ShardRouter) Listing(v *View, s int) (labels []string, adverts []Adver
 			sr.listings[k] = sl
 		}
 		for k, sl := range sr.listings {
-			var rows []*row
 			for _, l := range sl.labels {
-				for _, r := range v.cover(l) {
-					if !slices.Contains(rows, r) {
-						rows = append(rows, r)
+				for _, a := range v.AdvertsFor(l) {
+					if !slices.ContainsFunc(sl.adverts, func(b Advertisement) bool { return b.Source == a.Source }) {
+						sl.adverts = append(sl.adverts, a)
 					}
 				}
 			}
-			slices.SortFunc(rows, func(a, b *row) int { return strings.Compare(a.desc.Source, b.desc.Source) })
-			sl.adverts = make([]Advertisement, len(rows))
-			for i, r := range rows {
-				sl.adverts[i] = advertisementOf(r.desc, r.seq)
-			}
+			sortAdverts(sl.adverts)
 			sr.listings[k] = sl
 		}
 	}

@@ -855,3 +855,38 @@ func TestShardRouterRefusesForeignReplies(t *testing.T) {
 		t.Fatalf("ShardRepliesDropped = %d after a reply for no lookup, want 1", got)
 	}
 }
+
+// A router's digest for each peer follows its view: after any refresh it
+// equals a fresh router's on the same view and directory, also when the
+// directory did not move and this node's own shards stayed what they were
+// (a co-replica changed).
+func TestShardRouterDigestFollowsView(t *testing.T) {
+	const shards, rf = 16, 2
+	all := routerView(12)
+	descs := make([]object.Descriptor, len(all))
+	for i, id := range all {
+		descs[i] = shardDesc(id, fmt.Sprintf("/grid/g%d/%s", i, id), fmt.Sprintf("s%02d", i), fmt.Sprintf("s%02d", (i+1)%len(all)))
+	}
+	dir := NewDirectory(descs)
+	sr := NewShardRouter("n0", shards, rf, 16, nil)
+	rng := rand.New(rand.NewSource(3))
+	for step := 0; step < 60; step++ {
+		view := []string{"n0"}
+		for _, id := range all[1:] {
+			if rng.Intn(4) > 0 {
+				view = append(view, id)
+			}
+		}
+		for _, peer := range all {
+			sr.Digest(peer, dir) // digests cached under the last placement
+		}
+		sr.Refresh(view)
+		fresh := NewShardRouter("n0", shards, rf, 16, nil)
+		fresh.Refresh(view)
+		for _, peer := range all {
+			if got, want := sr.Digest(peer, dir), fresh.Digest(peer, dir); got != want {
+				t.Fatalf("step %d: Digest(%s) = %x, a fresh router's %x", step, peer, got, want)
+			}
+		}
+	}
+}
