@@ -168,7 +168,7 @@ fi
 # and lookups/decision are pure functions of the seed, so their slack is
 # 1 %: 119.8 frames and 3.667 lookups, 152.4 and 14.19 with a lookup per
 # label, 170.7 frames asking the primary, 189.1 with the backfill; its
-# allocs/op at 5 %: about 126 900, 134 800 with a lookup per label,
+# allocs/op at 5 %: about 123 800, 134 800 with a lookup per label,
 # 154 900 with the backfill).
 # Refresh the baseline with `make bench` when an intentional change moves
 # one.

@@ -485,10 +485,12 @@ func seqState(seq uint64, withdrawn bool) uint64 {
 }
 
 // syncRecord is one record a scoped exchange can carry, for
-// ShardRouter.Digest: a present full record's descriptor, or a withdrawn
-// tombstone (in every scope), with the hash of its source and seqState.
+// ShardRouter.Digest: a present full record's name and labels (the record's
+// own, read-only), or a withdrawn tombstone (in every scope), with the hash
+// of its source and seqState.
 type syncRecord struct {
-	desc      object.Descriptor
+	name      names.Name
+	labels    []string
 	tombstone bool
 	hash      uint64
 }
@@ -513,7 +515,7 @@ func (d *Directory) syncRecords(buf []syncRecord) ([]syncRecord, uint64) {
 			h = (h ^ (st >> (8 * i) & 0xff)) * fnvPrime64
 		}
 		//lint:allow maporder the one caller folds the records with XOR, which no order changes
-		buf = append(buf, syncRecord{desc: r.desc, tombstone: withdrawn, hash: h})
+		buf = append(buf, syncRecord{name: r.desc.Name, labels: r.desc.Labels, tombstone: withdrawn, hash: h})
 	}
 	return buf, d.version
 }

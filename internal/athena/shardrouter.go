@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"athena/internal/boolexpr"
+	"athena/internal/names"
 	"athena/internal/object"
 	"athena/internal/shard"
 )
@@ -188,8 +189,8 @@ type ShardRouter struct {
 	byNonce map[uint64]*pendingShardLookup
 
 	// listView is the directory view the served listings were made from;
-	// listings holds, per shard of it, the labels and covering adverts a
-	// lookup of the shard is answered with (Listing).
+	// listings holds, per shard served under it, the labels and covering
+	// adverts a lookup of the shard is answered with (Listing).
 	listView *View
 	listings map[int]shardListing
 
@@ -264,7 +265,7 @@ func (sr *ShardRouter) Keep(desc object.Descriptor) bool {
 // covering advert. It takes no locks.
 func (sr *ShardRouter) inShards(set map[int]bool, desc object.Descriptor) bool {
 	var buf [8]int
-	for _, s := range sr.scopeShards(desc, buf[:0]) {
+	for _, s := range sr.scopeShards(desc.Name, desc.Labels, buf[:0]) {
 		if set[s] {
 			return true
 		}
@@ -421,7 +422,7 @@ func (sr *ShardRouter) foldDigestsLocked(dir *Directory) {
 			}
 			continue
 		}
-		for _, s := range sr.scopeShards(r.desc, buf[:0]) {
+		for _, s := range sr.scopeShards(r.name, r.labels, buf[:0]) {
 			if j, owned := slices.BinarySearch(sr.owned, s); owned {
 				sr.digests[j] ^= r.hash
 			}
@@ -430,11 +431,12 @@ func (sr *ShardRouter) foldDigestsLocked(dir *Directory) {
 	sr.digestVer = ver
 }
 
-// scopeShards appends to buf the distinct shards whose scope holds desc:
-// its name's shard and each label's home shard (inShards' rule).
-func (sr *ShardRouter) scopeShards(desc object.Descriptor, buf []int) []int {
-	buf = append(buf, sr.smap.OfName(desc.Name))
-	for _, l := range desc.Labels {
+// scopeShards appends to buf the distinct shards whose scope holds an
+// advert of this name and labels: the name's shard and each label's home
+// shard (inShards' rule).
+func (sr *ShardRouter) scopeShards(name names.Name, labels []string, buf []int) []int {
+	buf = append(buf, sr.smap.OfName(name))
+	for _, l := range labels {
 		if s := sr.ShardOf(l); !slices.Contains(buf, s) {
 			buf = append(buf, s)
 		}
@@ -726,33 +728,36 @@ func (sr *ShardRouter) Complete(nonce uint64, labels []string, adverts []Adverti
 
 // Listing is what this replica answers a lookup of shard s with, read
 // from view v: the shard's labels v covers, sorted, and every advert
-// covering any of them, sorted by source. The listings are made once per
-// view, for every shard at once, and shared by every reply made from it.
+// covering any of them, sorted by source. A shard's listing is made at its
+// first lookup under a view and shared by every reply made from it.
 func (sr *ShardRouter) Listing(v *View, s int) (labels []string, adverts []Advertisement) {
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
 	if v != sr.listView {
-		sr.listView, sr.listings = v, make(map[int]shardListing)
-		for i := range v.labels {
-			l := v.labels[i].label
-			k := sr.ShardOf(l)
-			sl := sr.listings[k]
-			sl.labels = append(sl.labels, l)
-			sr.listings[k] = sl
+		sr.listView = v
+		if sr.listings == nil {
+			sr.listings = make(map[int]shardListing)
 		}
-		for k, sl := range sr.listings {
-			for _, l := range sl.labels {
-				for _, a := range v.AdvertsFor(l) {
-					if !slices.ContainsFunc(sl.adverts, func(b Advertisement) bool { return b.Source == a.Source }) {
-						sl.adverts = append(sl.adverts, a)
-					}
-				}
+		clear(sr.listings)
+	}
+	if sl, ok := sr.listings[s]; ok {
+		return sl.labels, sl.adverts
+	}
+	var sl shardListing
+	for i := range v.labels {
+		l := v.labels[i].label
+		if sr.ShardOf(l) != s {
+			continue
+		}
+		sl.labels = append(sl.labels, l)
+		for _, a := range v.AdvertsFor(l) {
+			if !slices.ContainsFunc(sl.adverts, func(b Advertisement) bool { return b.Source == a.Source }) {
+				sl.adverts = append(sl.adverts, a)
 			}
-			sortAdverts(sl.adverts)
-			sr.listings[k] = sl
 		}
 	}
-	sl := sr.listings[s]
+	sortAdverts(sl.adverts)
+	sr.listings[s] = sl
 	return sl.labels, sl.adverts
 }
 
