@@ -234,9 +234,10 @@ func (n *Node) reselectIfSettled(q *localQuery) bool {
 
 // handleShardLookup serves a routed shard lookup from the local directory
 // (this replica owns the shard; the index holds every covering advert):
-// the shard's labels and their adverts, the listing made once per view
-// (ShardRouter.Listing). A stale view at the requester just gets whatever
-// this replica has — the requester's retry walks on. Callers hold n.mu.
+// the shard's labels and their adverts, the listing made once per shard
+// and view (ShardRouter.Listing). A stale view at the requester just gets
+// whatever this replica has — the requester's retry walks on. Callers hold
+// n.mu.
 func (n *Node) handleShardLookup(m *ShardLookup) {
 	n.stats.ShardServed++
 	labels, adverts := n.shard.router.Listing(n.dir.View(), int(m.Shard))

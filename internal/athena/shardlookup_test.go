@@ -297,7 +297,7 @@ func lookupNode(tb testing.TB, descs []object.Descriptor) *Node {
 // of a shard that holds one label four records cover — a serve's
 // per-label cost: the reply frame, its label list and its advert list,
 // each advert a read-only view of its record, the listing made once per
-// view (1 allocs/op, the reply; 2 when the advert list was made per serve,
+// shard and view (1 allocs/op, the reply; 2 when the advert list was made per serve,
 // 6 when every advert copied its record's labels). ci.sh gates the
 // allocs/op. The owner serves at one directory version, whose view and
 // listing are built before the timer starts: each is built once per
