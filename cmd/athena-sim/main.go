@@ -80,6 +80,9 @@ func run() error {
 		traceTo = flag.String("trace", "", "dump: write every query's spans to this file as Chrome/Perfetto trace events, one track per node; the dump itself does not change")
 	)
 	flag.Parse()
+	if *traceTo != "" && *fig != "dump" {
+		return fmt.Errorf("-trace traces the dump scenario: use it with -fig dump, not -fig %s", *fig)
+	}
 
 	// The CI scenarios bypass the figure machinery entirely.
 	switch *fig {
