@@ -2,6 +2,7 @@ package athena
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -161,6 +162,42 @@ func TestGossipCrashEvictionConverges(t *testing.T) {
 				t.Errorf("%s falsely dropped live %s", id, live)
 			}
 		}
+	}
+}
+
+// A death notice at the largest seq a uint64 holds must not evict its
+// subject for good. The subject refutes a notice at or past its own seq
+// with a seq one past the notice's, which here would wrap to zero, and no
+// advert could then supersede the notice. The same notice at the
+// subject's real seq is the control: it is refuted, and every replica
+// lists the subject again.
+func TestGossipMaxSeqDeathNoticeEvictsNobody(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		seq  func(have uint64) uint64
+	}{
+		{"real seq", func(s uint64) uint64 { return s }},
+		{"max seq", func(uint64) uint64 { return math.MaxUint64 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := buildGossipRig(t, 8, 2, 11)
+			r.run(t, 10*time.Second)
+			have, _ := r.nodes["n1"].Directory().Seq("n3")
+			notice := &Ping{From: "n0", To: "n1", Seq: 1, Updates: []MemberUpdate{
+				{Adv: Advertisement{Source: "n3", Seq: tc.seq(have)}, Dead: true},
+			}}
+			r.nodes["n1"].handleMessage("n0", notice.WireSize(), notice)
+			r.run(t, 120*time.Second)
+			var absent []string
+			for _, id := range r.ids {
+				if !r.nodes[id].Directory().Has("n3") {
+					absent = append(absent, id)
+				}
+			}
+			if len(absent) != 0 {
+				t.Errorf("n3 absent at %d of %d nodes 110 s after the notice: %v", len(absent), len(r.ids), absent)
+			}
+		})
 	}
 }
 
