@@ -179,12 +179,12 @@ func TestWireProtoSeesRealCodec(t *testing.T) {
 			continue
 		}
 		blocks := wireTypeBlocks(pkg)
-		if len(blocks) != 1 || len(blocks[0]) != 17 {
-			t.Fatalf("wireproto sees %d Type* block(s) in %s, want one of 17 constants", len(blocks), pkg.Path)
+		if len(blocks) != 1 || len(blocks[0]) != 16 {
+			t.Fatalf("wireproto sees %d Type* block(s) in %s, want one of 16 constants", len(blocks), pkg.Path)
 		}
 		encode, decode := collectCodecCases(pkg)
-		if len(encode) != 17 || len(decode) != 17 {
-			t.Errorf("wireproto sees %d encode and %d decode cases in %s, want 17 of each", len(encode), len(decode), pkg.Path)
+		if len(encode) != 16 || len(decode) != 16 {
+			t.Errorf("wireproto sees %d encode and %d decode cases in %s, want 16 of each", len(encode), len(decode), pkg.Path)
 		}
 		return
 	}

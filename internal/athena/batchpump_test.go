@@ -216,7 +216,7 @@ func churnDirectory(t *testing.T, c *Cluster) {
 	if len(srcs) < 5 {
 		t.Fatalf("directory lists %v, want five sources", srcs)
 	}
-	seq, _ := d.Seq(srcs[0])
+	seq, _, _ := d.Known(srcs[0])
 	if !d.Withdraw(srcs[0], seq+1) || !d.Evict(srcs[1]) {
 		t.Fatal("directory did not change")
 	}
@@ -226,7 +226,7 @@ func churnDirectory(t *testing.T, c *Cluster) {
 		src    string
 		labels []string
 	}{{srcs[3], third.Labels}, {srcs[4], fourth.Labels}} {
-		seq, _ = d.Seq(re.src)
+		seq, _, _ = d.Known(re.src)
 		moved := object.Descriptor{
 			Name: third.Name, Size: third.Size/2 + 1, Validity: third.Validity,
 			Labels: slices.Clone(re.labels), Source: re.src, ProbTrue: third.ProbTrue,

@@ -32,7 +32,8 @@ type Advertisement struct {
 	Labels []string
 	// ProbTrue is the prior probability a label from this stream is true.
 	ProbTrue float64
-	// Seq is the source's monotonic advertisement sequence number.
+	// Seq is the source's monotonic advertisement sequence number, below
+	// seqLimit.
 	Seq uint64
 	// Withdrawn marks a tombstone from an explicit leave.
 	Withdrawn bool
@@ -88,18 +89,39 @@ func PriceLabels(meta boolexpr.MetaTable, descs []object.Descriptor) boolexpr.Me
 	return meta
 }
 
+// seqLimit bounds the sequence numbers a record can hold: seq < 2^62. A
+// record's seqState shifts its seq left one bit and its piggyback rank
+// (updateRank) two; below the limit neither wraps, so no two seqs share a
+// vector entry, a hash or a rank. An honest source moves its seq once per
+// rejoin or refutation and never comes near it; a larger seq from the
+// wire is refused (seqHoldable).
+const seqLimit = 1 << 62
+
+// seqHoldable reports whether a record may take seq: below seqLimit, and
+// for a tombstone or eviction notice (notice) one lower still, so that
+// the refutation its subject answers with — one past it — is holdable too.
+func seqHoldable(seq uint64, notice bool) bool {
+	if notice {
+		return seq < seqLimit-1
+	}
+	return seq < seqLimit
+}
+
 // advState is one source's directory record. A record outlives its
 // presence: after a withdraw or eviction the sequence number is kept so
 // ordering against later advertisements still works.
 type advState struct {
 	desc object.Descriptor
 	seq  uint64
+	// hash is recordHash of the source and seqState: the record's share
+	// of the digest, kept with the state it hashes (stampLocked).
+	hash uint64
 	// present means the source is currently admitted (listed for lookups).
 	present bool
 	// withdrawn distinguishes an explicit leave (re-admission needs a
 	// strictly newer Seq) from a failure-detector eviction (re-admission at
 	// the same Seq is allowed — the eviction may have been a false
-	// positive).
+	// positive). A present record is never withdrawn.
 	withdrawn bool
 	// thin marks a record whose descriptor payload was declined by the
 	// retention filter (the source's shard is not replicated here): the
@@ -133,11 +155,8 @@ type Directory struct {
 	// every bump clears it. It is built under mu and loaded without it.
 	view atomic.Pointer[View]
 
-	// digest caches Digest()'s value until the next mutation. digestSrcs
-	// is the recompute's sort scratch; both are guarded by mu.
-	digest     uint64
-	digestOK   bool
-	digestSrcs []string
+	// digest is the XOR of every record's hash, guarded by mu.
+	digest uint64
 
 	// sources caches Sources()'s list until the next mutation, guarded by
 	// mu. A mutation drops it rather than rewriting it: callers share it.
@@ -222,9 +241,8 @@ func (d *Directory) Advertise(desc object.Descriptor, seq uint64) bool {
 		r.desc = object.Descriptor{Source: desc.Source, Name: desc.Name}
 		r.thin, r.thinAt = true, d.epoch
 	}
-	r.seq = seq
+	d.stampLocked(desc.Source, r, seq, false)
 	r.present = true
-	r.withdrawn = false
 	d.bumpVersionLocked()
 	return true
 }
@@ -302,23 +320,15 @@ func (d *Directory) Withdraw(source string, seq uint64) bool {
 	defer d.mu.Unlock()
 	r, ok := d.records[source]
 	if !ok {
-		d.records[source] = &advState{
-			desc:      object.Descriptor{Source: source},
-			seq:       seq,
-			withdrawn: true,
-		}
-		d.bumpVersionLocked()
-		return true
-	}
-	if seq < r.seq || (!r.present && r.withdrawn && seq == r.seq) {
+		r = &advState{desc: object.Descriptor{Source: source}}
+		d.records[source] = r
+	} else if seq < r.seq || (!r.present && r.withdrawn && seq == r.seq) {
 		return false
-	}
-	if r.present {
+	} else if r.present {
 		d.unindexLocked(r.desc)
 	}
 	r.present = false
-	r.withdrawn = true
-	r.seq = seq
+	d.stampLocked(source, r, seq, true)
 	d.bumpVersionLocked()
 	return true
 }
@@ -336,30 +346,42 @@ func (d *Directory) Evict(source string) bool {
 	}
 	d.unindexLocked(r.desc)
 	r.present = false
-	r.withdrawn = false
 	d.bumpVersionLocked()
 	return true
 }
 
+// stampLocked sets a record's seq and withdrawn flag — the state replicas
+// must agree on — and moves its hash in the digest with them: the one
+// place either changes. Callers hold d.mu.
+func (d *Directory) stampLocked(source string, r *advState, seq uint64, withdrawn bool) {
+	d.digest ^= r.hash
+	r.seq, r.withdrawn = seq, withdrawn
+	r.hash = recordHash(source, seqState(seq, withdrawn))
+	d.digest ^= r.hash
+}
+
 // bumpVersionLocked increments the mutation counter, mirrors it into
-// the instrumentation gauge, and invalidates the view, the cached digest
-// and the source list. Callers hold d.mu.
+// the instrumentation gauge, and invalidates the view and the source
+// list. Callers hold d.mu.
 func (d *Directory) bumpVersionLocked() {
 	d.version++
 	d.view.Store(nil)
-	d.digestOK = false
 	d.sources, d.sourcesOK = nil, false
 	// SetMax, not Set: in a cluster every replica mirrors into one fleet
 	// gauge, and max-merge is the only order-independent combination.
 	d.verGauge.SetMax(int64(d.version))
 }
 
-// Apply dispatches a wire advertisement to Advertise or Withdraw. An
-// advertisement Advertise would reject at any payload is turned away
-// before it is parsed: piggybacked and synced records are mostly ones the
-// directory already has, and parsing the name and copying the labels of
-// each was most of what applying them cost.
+// Apply dispatches a wire advertisement to Advertise or Withdraw. One
+// whose seq no record may take (seqHoldable) is refused. An advertisement
+// Advertise would reject at any payload is turned away before it is
+// parsed: piggybacked and synced records are mostly ones the directory
+// already has, and parsing the name and copying the labels of each was
+// most of what applying them cost.
 func (d *Directory) Apply(a Advertisement) bool {
+	if !seqHoldable(a.Seq, a.Withdrawn) {
+		return false
+	}
 	if a.Withdrawn {
 		return d.Withdraw(a.Source, a.Seq)
 	}
@@ -420,54 +442,27 @@ func (d *Directory) Version() uint64 {
 }
 
 // Digest summarizes the advertisement state replicas must agree on: every
-// known source's sequence number and withdrawn flag. Presence is excluded
-// on purpose — evictions are local suspicions, and two healthy replicas
-// disagreeing only about an eviction should not ping-pong anti-entropy
-// exchanges. Equal digests mean no advertisement either side is missing.
-// The digest is cached until the next mutation: probes attach it on
-// every ping, and between membership changes recomputing the sorted
-// fold is pure waste.
+// known source's sequence number and withdrawn flag, as the XOR of the
+// records' hashes. Presence is excluded on purpose — evictions are local
+// suspicions, and two healthy replicas disagreeing only about an eviction
+// should not ping-pong anti-entropy exchanges. Equal digests mean no
+// advertisement either side is missing (up to a 2^-64 collision). The
+// fold is kept as records change, so reading it costs a lock.
 func (d *Directory) Digest() uint64 {
 	d.mu.RLock()
-	if d.digestOK {
-		v := d.digest
-		d.mu.RUnlock()
-		return v
-	}
-	d.mu.RUnlock()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if !d.digestOK {
-		d.digest = d.computeDigestLocked()
-		d.digestOK = true
-	}
+	defer d.mu.RUnlock()
 	return d.digest
 }
 
-// computeDigestLocked folds the record state with FNV-1a, matching
-// hash/fnv's 64a parameters without its allocation. Callers hold d.mu
-// for writing (the sort scratch is reused).
-func (d *Directory) computeDigestLocked() uint64 {
-	srcs := d.digestSrcs[:0]
-	for s := range d.records {
-		srcs = append(srcs, s)
-	}
-	sort.Strings(srcs)
-	d.digestSrcs = srcs
+// recordHash is FNV-1a over a record's source and its seqState's eight
+// bytes, low first: hash/fnv's 64a parameters without its allocation.
+func recordHash(source string, state uint64) uint64 {
 	h := uint64(fnvOffset64)
-	for _, s := range srcs {
-		r := d.records[s]
-		for i := 0; i < len(s); i++ {
-			h = (h ^ uint64(s[i])) * fnvPrime64
-		}
-		for i := 0; i < 8; i++ {
-			h = (h ^ (r.seq >> (8 * i) & 0xff)) * fnvPrime64
-		}
-		w := uint64(0)
-		if r.withdrawn {
-			w = 1
-		}
-		h = (h ^ w) * fnvPrime64
+	for i := 0; i < len(source); i++ {
+		h = (h ^ uint64(source[i])) * fnvPrime64
+	}
+	for i := 0; i < 8; i++ {
+		h = (h ^ (state >> (8 * i) & 0xff)) * fnvPrime64
 	}
 	return h
 }
@@ -486,8 +481,8 @@ func seqState(seq uint64, withdrawn bool) uint64 {
 
 // syncRecord is one record a scoped exchange can carry, for
 // ShardRouter.Digest: a present full record's name and labels (the record's
-// own, read-only), or a withdrawn tombstone (in every scope), with the hash
-// of its source and seqState.
+// own, read-only), or a withdrawn tombstone (in every scope), with the
+// record's hash.
 type syncRecord struct {
 	name      names.Name
 	labels    []string
@@ -501,21 +496,12 @@ type syncRecord struct {
 func (d *Directory) syncRecords(buf []syncRecord) ([]syncRecord, uint64) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	for src, r := range d.records {
-		withdrawn := !r.present && r.withdrawn
-		if !withdrawn && (!r.present || r.thin) {
+	for _, r := range d.records {
+		if !r.withdrawn && (!r.present || r.thin) {
 			continue
 		}
-		h := uint64(fnvOffset64)
-		for i := 0; i < len(src); i++ {
-			h = (h ^ uint64(src[i])) * fnvPrime64
-		}
-		st := seqState(r.seq, withdrawn)
-		for i := 0; i < 8; i++ {
-			h = (h ^ (st >> (8 * i) & 0xff)) * fnvPrime64
-		}
 		//lint:allow maporder the one caller folds the records with XOR, which no order changes
-		buf = append(buf, syncRecord{name: r.desc.Name, labels: r.desc.Labels, tombstone: withdrawn, hash: h})
+		buf = append(buf, syncRecord{name: r.desc.Name, labels: r.desc.Labels, tombstone: r.withdrawn, hash: r.hash})
 	}
 	return buf, d.version
 }
@@ -539,9 +525,8 @@ func (d *Directory) SeqVector(scope func(object.Descriptor) bool) map[string]uin
 	}
 	out := make(map[string]uint64, size)
 	for src, r := range d.records {
-		withdrawn := !r.present && r.withdrawn
-		if scope == nil || withdrawn || (r.present && !r.thin && scope(r.desc)) {
-			out[src] = seqState(r.seq, withdrawn)
+		if scope == nil || r.withdrawn || (r.present && !r.thin && scope(r.desc)) {
+			out[src] = seqState(r.seq, r.withdrawn)
 		}
 	}
 	return out
@@ -568,16 +553,15 @@ func (d *Directory) Delta(peer map[string]uint64, scope func(object.Descriptor) 
 	}
 	out := make([]Advertisement, 0, size)
 	for src, r := range d.records {
-		withdrawn := !r.present && r.withdrawn
-		if !withdrawn && !(r.present && !r.thin && (scope == nil || scope(r.desc))) {
+		if !r.withdrawn && !(r.present && !r.thin && (scope == nil || scope(r.desc))) {
 			continue
 		}
 		// The peer's vector is checked before the advert is built: a
 		// caught-up peer costs no labels copy.
-		if have, ok := peer[src]; ok && seqState(r.seq, withdrawn) <= have {
+		if have, ok := peer[src]; ok && seqState(r.seq, r.withdrawn) <= have {
 			continue
 		}
-		if withdrawn {
+		if r.withdrawn {
 			out = append(out, Advertisement{Source: src, Seq: r.seq, Withdrawn: true})
 		} else {
 			out = append(out, advertisementOf(r.desc, r.seq))
@@ -656,18 +640,6 @@ func (d *Directory) Has(source string) bool {
 	defer d.mu.RUnlock()
 	r, ok := d.records[source]
 	return ok && r.present
-}
-
-// Seq returns the highest advertisement sequence number processed for the
-// source (whether or not it is present).
-func (d *Directory) Seq(source string) (uint64, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	r, ok := d.records[source]
-	if !ok {
-		return 0, false
-	}
-	return r.seq, true
 }
 
 // Known returns the source's full record state: its highest processed

@@ -1,7 +1,9 @@
 package athena
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -715,4 +717,99 @@ func BenchmarkDirectoryDelta(b *testing.B) {
 			}
 		}
 	})
+}
+
+// digestOracle is Directory.Digest computed from scratch: the XOR over
+// every record of FNV-1a(source ‖ state), state being the seq shifted left
+// one bit with the withdrawn flag low, as eight little-endian bytes. It
+// also returns the (source, seq, withdrawn) set the digest summarizes.
+func digestOracle(d *Directory) (uint64, map[string][2]uint64) {
+	var x uint64
+	set := make(map[string][2]uint64)
+	for _, src := range d.AllSources() {
+		seq, _, withdrawn := d.Known(src)
+		state := seq << 1
+		if withdrawn {
+			state |= 1
+		}
+		set[src] = [2]uint64{seq, state & 1}
+		h := fnv.New64a()
+		h.Write([]byte(src))
+		h.Write(binary.LittleEndian.AppendUint64(nil, state))
+		x ^= h.Sum64()
+	}
+	return x, set
+}
+
+// A seeded walk of every directory mutation over two replicas: after each
+// step each digest is the from-scratch fold of its records, and the two
+// digests are equal exactly when the replicas hold the same (source, seq,
+// withdrawn) set. Half the steps mirror one mutation onto both replicas,
+// so the walk keeps meeting equal sets as well as unequal ones.
+func TestDirectoryDigestIsRecordFold(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	srcs := []string{"a", "b", "c", "d", "e"}
+	keepA := func(desc object.Descriptor) bool { return slices.Contains(desc.Labels, "la") }
+	dirs := [2]*Directory{NewDirectory(nil), NewDirectory(nil)}
+	equal, unequal := 0, 0
+	for step := 0; step < 4000; step++ {
+		src := srcs[rng.Intn(len(srcs))]
+		seq := uint64(rng.Intn(6))
+		if rng.Intn(50) == 0 {
+			seq = seqLimit + uint64(rng.Intn(2)) // refused by Apply
+		}
+		labels := []string{"la", "lb"}[:1+rng.Intn(2)]
+		if rng.Intn(2) == 0 {
+			labels = []string{"lb"}
+		}
+		desc := dirDesc(src, "/s/"+src, 10, labels...)
+		var op func(d *Directory)
+		switch k := rng.Intn(7); k {
+		case 0:
+			op = func(d *Directory) { d.Advertise(desc, seq) }
+		case 1:
+			op = func(d *Directory) { d.Withdraw(src, seq) }
+		case 2:
+			op = func(d *Directory) { d.Evict(src) }
+		case 3:
+			op = func(d *Directory) { d.Apply(advertisementOf(desc, seq)) }
+		case 4:
+			op = func(d *Directory) { d.Apply(Advertisement{Source: src, Seq: seq, Withdrawn: true}) }
+		case 5:
+			keep := keepA
+			if rng.Intn(2) == 0 {
+				keep = nil
+			}
+			op = func(d *Directory) { d.SetRetention(keep) }
+		case 6:
+			op = func(d *Directory) { d.Refilter() }
+		}
+		if rng.Intn(2) == 0 {
+			op(dirs[0])
+			op(dirs[1])
+		} else {
+			op(dirs[rng.Intn(2)])
+		}
+		var sets [2]map[string][2]uint64
+		for i, d := range dirs {
+			var want uint64
+			want, sets[i] = digestOracle(d)
+			if got := d.Digest(); got != want {
+				t.Fatalf("step %d: replica %d digest %#x, fold of its records %#x", step, i, got, want)
+			}
+		}
+		same := reflect.DeepEqual(sets[0], sets[1])
+		if same {
+			equal++
+		} else {
+			unequal++
+		}
+		if (dirs[0].Digest() == dirs[1].Digest()) != same {
+			t.Fatalf("step %d: digests %#x, %#x; record sets equal %v:\n%v\n%v",
+				step, dirs[0].Digest(), dirs[1].Digest(), same, sets[0], sets[1])
+		}
+	}
+	if equal < 100 || unequal < 100 {
+		t.Fatalf("walk met %d equal and %d unequal steps; want both often", equal, unequal)
+	}
 }

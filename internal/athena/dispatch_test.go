@@ -136,9 +136,6 @@ func ctlFrames() map[string]ctlFrame {
 			func(from, _ string) frame { return &PeerJoin{Node: from, Adverts: news} }, learnedZ},
 		"PeerJoinAck": {"member", "local",
 			func(from, _ string) frame { return &PeerJoinAck{Node: from, Adverts: news} }, learnedZ},
-		"PeerLeave": {"member", "local",
-			func(from, _ string) frame { return &PeerLeave{Node: from, Seq: 5} },
-			func(n *Node, _ []sentFrame) bool { return !n.Directory().Has("a") }},
 		"AdvertGossip": {"member", "sync",
 			func(_, to string) frame { return &AdvertGossip{To: to, Adverts: news} }, learnedZ},
 		"SyncRequest": {"member", "sync",
@@ -172,7 +169,7 @@ func ctlFrames() map[string]ctlFrame {
 	}
 }
 
-// TestControlFrameDispatch pins what handleMessage does with each of the 12
+// TestControlFrameDispatch pins what handleMessage does with each of the 11
 // membership and shard frame types before any handler runs: which component
 // must be on, and each family's forwarding rule.
 func TestControlFrameDispatch(t *testing.T) {
@@ -181,8 +178,8 @@ func TestControlFrameDispatch(t *testing.T) {
 	for _, f := range frames {
 		types[fmt.Sprintf("%T", f.mk("a", "b"))] = true
 	}
-	if len(types) != 12 {
-		t.Fatalf("table has %d frame types, want 12", len(types))
+	if len(types) != 11 {
+		t.Fatalf("table has %d frame types, want 11", len(types))
 	}
 	for name, f := range frames {
 		for _, mode := range dispatchModes {

@@ -46,7 +46,7 @@ func (n *Node) handleMessage(from string, size int64, payload any) {
 		}
 	case *LabelShare:
 		n.handleLabelShare(from, msg)
-	// The 12 membership and shard frames. Each belongs to one component
+	// The 11 membership and shard frames. Each belongs to one component
 	// and is dropped, unforwarded, by a node where that component is off
 	// (nil); a routed one is handled only by its addressee (mine). The
 	// handlers below this switch assume both.
@@ -61,10 +61,6 @@ func (n *Node) handleMessage(from string, size int64, payload any) {
 	case *PeerJoinAck:
 		if mem != nil {
 			n.handlePeerJoinAck(msg)
-		}
-	case *PeerLeave:
-		if mem != nil {
-			n.handlePeerLeave(from, msg)
 		}
 	// Anti-entropy: routed in gossip mode; the flood's copies carry no To
 	// and are for whichever neighbor receives them.

@@ -125,7 +125,7 @@ func (n *Node) evictSource(src string) {
 }
 
 // sourceGone is what follows the directory dropping a source, evicted or
-// withdrawn (tombstone advert, PeerLeave): the detectors forget it, then
+// withdrawn (a tombstone advert): the detectors forget it, then
 // shard lookups waiting on it are re-routed, then fetches in flight to it
 // are re-sourced — in that order, the pumps read what the re-routing
 // invalidated. desc is its descriptor from before the drop. Callers hold
@@ -308,12 +308,13 @@ func (n *Node) applyOneAdvert(a Advertisement, now time.Time) bool {
 // the records that were news — flooding them to all neighbors except the
 // one they came from, or (gossip mode) enqueueing them on the piggyback
 // buffer. A flooded AdvertGossip is handled by exactly this, so its flood
-// self-terminates on convergence. Callers hold n.mu.
+// self-terminates on convergence; a graceful leave is one such flood.
+// Callers hold n.mu.
 func (n *Node) applyAdverts(advs []Advertisement, from string) []Advertisement {
 	now := n.now()
 	var news []Advertisement
 	for _, a := range advs {
-		if n.applyOneAdvert(a, now) {
+		if !n.refuseSeq(a.Seq, a.Withdrawn) && n.applyOneAdvert(a, now) {
 			news = append(news, a)
 		}
 	}
@@ -321,6 +322,17 @@ func (n *Node) applyAdverts(advs []Advertisement, from string) []Advertisement {
 		n.spreadAdverts(news, from, now)
 	}
 	return news
+}
+
+// refuseSeq reports whether seq is one no record may take (seqHoldable:
+// notice marks a tombstone or an eviction notice), counting the refusal.
+// Callers hold n.mu.
+func (n *Node) refuseSeq(seq uint64, notice bool) bool {
+	if seqHoldable(seq, notice) {
+		return false
+	}
+	n.stats.RecordsRefused++
+	return true
 }
 
 // spreadAdverts disseminates advertisement records that are news: on the
@@ -401,28 +413,6 @@ func (n *Node) handlePeerJoinAck(ack *PeerJoinAck) {
 	n.applyAdverts(ack.Adverts, ack.Node)
 }
 
-// handlePeerLeave tombstones a departing node, re-sources fetches that
-// depended on it, and re-floods while the withdraw is news. Callers hold
-// n.mu.
-func (n *Node) handlePeerLeave(from string, pl *PeerLeave) {
-	if pl.Node == n.id {
-		return
-	}
-	desc, had := n.descriptorOf(pl.Node)
-	if !n.dir.Withdraw(pl.Node, pl.Seq) {
-		return
-	}
-	n.sourceGone(pl.Node, desc, had)
-	if n.member.swim != nil {
-		n.enqueuePiggy(MemberUpdate{
-			Adv:  Advertisement{Source: pl.Node, Seq: pl.Seq, Withdrawn: true},
-			Born: n.now(),
-		})
-	} else {
-		n.floodCtl(pl, from)
-	}
-}
-
 var errMembershipOff = errors.New("athena: membership disabled (set HeartbeatInterval)")
 
 // Join introduces this node to an already-known peer: it sends the join
@@ -441,9 +431,10 @@ func (n *Node) Join(peer string) error {
 	return n.transmit(peer, pj, size, 0)
 }
 
-// Leave floods this node's graceful departure: every replica tombstones
-// its advertisement at the current sequence number and re-sources fetches
-// that depended on it.
+// Leave spreads this node's graceful departure as a tombstone advert at
+// its current sequence number, as any withdrawn record travels: flooded,
+// or on the piggyback channel. Every replica tombstones its advertisement
+// and re-sources fetches that depended on it.
 func (n *Node) Leave() error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -451,24 +442,28 @@ func (n *Node) Leave() error {
 	if mem == nil {
 		return errMembershipOff
 	}
-	n.dir.Withdraw(n.id, mem.adSeq)
+	now := n.now()
+	n.writeOwnRecord(Advertisement{Source: n.id, Seq: mem.adSeq, Withdrawn: true}, now)
 	if sw := mem.swim; sw != nil {
-		// The tombstone rides the piggyback channel; an immediate probe
-		// round seeds its dissemination before this node goes quiet.
+		// An immediate probe round seeds the tombstone's dissemination
+		// before this node goes quiet.
 		sw.left = true
-		n.enqueuePiggy(MemberUpdate{
-			Adv:  Advertisement{Source: n.id, Seq: mem.adSeq, Withdrawn: true},
-			Born: n.now(),
-		})
-		now := n.now()
 		n.refreshSampler()
 		for _, target := range sw.sampler.Next(sw.fanout) {
 			n.sendProbe(target, now)
 		}
-	} else {
-		n.floodCtl(&PeerLeave{Node: n.id, Seq: mem.adSeq}, "")
 	}
 	return nil
+}
+
+// writeOwnRecord is the one place this node changes its own record after
+// construction — Rejoin, SWIM's refutation and Leave: it takes a's seq as
+// the node's, applies a to its own directory and spreads it as news.
+// Callers hold n.mu.
+func (n *Node) writeOwnRecord(a Advertisement, now time.Time) {
+	n.member.adSeq = a.Seq
+	n.dir.Apply(a)
+	n.spreadAdverts([]Advertisement{a}, "", now)
 }
 
 // Rejoin re-announces this node after an outage: it bumps the
@@ -494,9 +489,7 @@ func (n *Node) Rejoin() {
 		clear(sw.probes)
 	}
 	if n.desc != nil {
-		mem.adSeq++
-		n.dir.Advertise(*n.desc, mem.adSeq)
-		n.spreadAdverts([]Advertisement{advertisementOf(*n.desc, mem.adSeq)}, "", now)
+		n.writeOwnRecord(advertisementOf(*n.desc, mem.adSeq+1), now)
 	}
 	if sw != nil {
 		// Relearn what changed while away from a sampled peer, and run an

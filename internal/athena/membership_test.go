@@ -1,6 +1,7 @@
 package athena
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -195,6 +196,53 @@ func TestMembershipPartitionHealAntiEntropy(t *testing.T) {
 	if mid1 != mid2 || srcC1 != srcC2 {
 		t.Fatalf("partition-heal run is not deterministic:\nrun1 mid=%+v srcC=%+v\nrun2 mid=%+v srcC=%+v",
 			mid1, srcC1, mid2, srcC2)
+	}
+}
+
+// A flood Leave is a tombstone advert: every replica records the leaver
+// withdrawn at its last seq, and each node floods it at most once — all
+// of a node's copies go out at one instant, one per link — because only
+// news is re-flooded.
+func TestFloodLeaveReachesEveryReplicaOnce(t *testing.T) {
+	r := buildGossipRig(t, 12, 0, 23) // fanout 0: the flood protocol
+	r.run(t, 5*time.Second)
+	leaver := r.ids[4]
+	seq, _, _ := r.nodes[leaver].Directory().Known(leaver)
+	floods := make(map[string]map[time.Time]bool) // sender -> instants it sent the tombstone
+	links := make(map[[2]string]int)
+	r.net.SetLinkTrace(func(from, to string, payload any, queued, _, _, _ time.Time) {
+		ag, ok := payload.(*AdvertGossip)
+		if !ok || !slices.ContainsFunc(ag.Adverts, func(a Advertisement) bool {
+			return a.Source == leaver && a.Seq == seq && a.Withdrawn
+		}) {
+			return
+		}
+		if floods[from] == nil {
+			floods[from] = make(map[time.Time]bool)
+		}
+		floods[from][queued] = true
+		links[[2]string{from, to}]++
+	})
+	if err := r.nodes[leaver].Leave(); err != nil {
+		t.Fatal(err)
+	}
+	r.run(t, 15*time.Second)
+	for _, id := range r.ids {
+		got, present, withdrawn := r.nodes[id].Directory().Known(leaver)
+		if present || !withdrawn || got != seq {
+			t.Errorf("%s: %s at seq %d present=%v withdrawn=%v; want the tombstone at seq %d", id, leaver, got, present, withdrawn, seq)
+		}
+		if len(floods[id]) > 1 {
+			t.Errorf("%s flooded the tombstone at %d instants; want at most one", id, len(floods[id]))
+		}
+	}
+	if len(floods[leaver]) != 1 {
+		t.Errorf("the leaver sent its tombstone at %d instants, want 1", len(floods[leaver]))
+	}
+	for link, n := range links {
+		if n > 1 {
+			t.Errorf("link %s→%s carried the tombstone %d times", link[0], link[1], n)
+		}
 	}
 }
 

@@ -306,19 +306,6 @@ func (m PeerJoinAck) WireSize() int64 {
 	return joinBaseBytes + int64(len(m.Peers))*peerEntryBytes + int64(len(m.Adverts))*advertBytes
 }
 
-// PeerLeave floods a graceful departure: receivers tombstone the node's
-// advertisement at Seq and re-flood while the withdraw is news.
-type PeerLeave struct {
-	// Node is the departing node.
-	Node string
-	// Seq is the node's final advertisement sequence number.
-	Seq uint64
-}
-
-// WireSize is the modeled frame length of the encoded message, charged
-// against link bandwidth by netsim and padded to by the TCP transport.
-func (m PeerLeave) WireSize() int64 { return heartbeatBytes }
-
 // SyncRequest opens a push-pull anti-entropy exchange (partition healing,
 // Section VI-D spirit). In flood mode the requester pushes its full
 // directory snapshot; in gossip mode it sends only its per-source seq

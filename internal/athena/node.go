@@ -154,9 +154,14 @@ type Stats struct {
 	// timeouts and owner evictions).
 	ShardReroutes int
 	// ShardRepliesDropped counts lookup replies refused: for no lookup
-	// pending here, or listing a label outside the shard asked about.
-	// Omitted from JSON at zero, as ShardReselects is.
+	// pending here, listing a label outside the shard asked about, or
+	// carrying an advert whose seq no record can hold. Omitted from JSON at
+	// zero, as ShardReselects is.
 	ShardRepliesDropped int `json:",omitempty"`
+	// RecordsRefused counts adverts, tombstones and eviction notices
+	// dropped on arrival because their seq is one no record may take
+	// (seqHoldable). Omitted from JSON at zero.
+	RecordsRefused int `json:",omitempty"`
 	// DataFrames counts data-plane frames put on the wire by this node —
 	// per-hop ObjectRequest/ObjectData sends plus batch frames — the
 	// denominator the batching layer can actually shrink (control-plane
@@ -737,7 +742,7 @@ func New(cfg Config) (*Node, error) {
 		// Make sure our own stream is advertised under a sequence number we
 		// own, so Leave/Rejoin can order later updates.
 		if n.desc != nil {
-			if seq, ok := n.dir.Seq(n.id); ok && n.dir.Has(n.id) {
+			if seq, present, _ := n.dir.Known(n.id); present {
 				n.member.adSeq = seq
 			} else {
 				n.member.adSeq = 1

@@ -636,10 +636,12 @@ func (sr *ShardRouter) Started(nonce uint64) (at time.Time, ok bool) {
 // label the reply does not list is cached as a negative entry that answers
 // until emptyUntil, so a label nobody covers is not re-asked on every
 // pump, while one that gains coverage later still is. A reply for no
-// pending lookup (stale, or a duplicate), or one listing a label outside
-// the shard it was asked about or its labels out of order, is refused: ok
-// is false (the node counts it), and a refused reply leaves its lookup
-// pending for the retry to walk on. Neither slice is written.
+// pending lookup (stale, or a duplicate), one listing a label outside the
+// shard it was asked about or its labels out of order, or one carrying an
+// advert whose seq no record may take (seqHoldable: no honest replica
+// lists one), is refused: ok is false (the node counts it), and a refused reply
+// leaves its lookup pending for the retry to walk on. Neither slice is
+// written.
 //
 // The descriptor table only moves forward: an advert older than the held
 // descriptor of its source leaves it be (the source still counts as a
@@ -654,6 +656,11 @@ func (sr *ShardRouter) Complete(nonce uint64, labels []string, adverts []Adverti
 	}
 	for i, l := range labels {
 		if sr.ShardOf(l) != p.shard || (i > 0 && l <= labels[i-1]) {
+			return nil, false
+		}
+	}
+	for i := range adverts {
+		if !seqHoldable(adverts[i].Seq, adverts[i].Withdrawn) {
 			return nil, false
 		}
 	}

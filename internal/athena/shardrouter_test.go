@@ -819,8 +819,9 @@ func TestShardRouterAbandonHandsBackShardWaiters(t *testing.T) {
 	}
 }
 
-// A reply for no pending lookup, or one listing a label outside the shard
-// it was asked about or its labels out of order, is refused; a refused
+// A reply for no pending lookup, one listing a label outside the shard it
+// was asked about or its labels out of order, or one carrying a seq no
+// record may take, is refused; a refused
 // reply leaves the lookup pending, and the node counts it in
 // ShardRepliesDropped.
 func TestShardRouterRefusesForeignReplies(t *testing.T) {
@@ -834,6 +835,9 @@ func TestShardRouterRefusesForeignReplies(t *testing.T) {
 	}
 	if _, ok := sr.Complete(msg.Nonce, []string{"ra2", "ra1"}, nil, time.Time{}); ok {
 		t.Fatal("a reply listing its labels out of order completed")
+	}
+	if _, ok := sr.Complete(msg.Nonce, []string{"ra1"}, []Advertisement{shardAdvert("n3", "/grid/g3/n3", seqLimit, "ra1")}, time.Time{}); ok {
+		t.Fatal("a reply carrying a seq no record may take completed")
 	}
 	if !sr.AnyPending([]string{"ra1"}) {
 		t.Fatal("a refused reply completed the lookup")

@@ -17,9 +17,9 @@ import (
 // intervals is evicted and the eviction notice disseminates epidemically.
 // All membership updates — joins, leaves, evictions, refutations — ride
 // as bounded piggyback buffers on ping/ack with per-update retransmit
-// budgets of λ·⌈log₂(n+1)⌉ transmissions, so the AdvertGossip/PeerLeave
-// floods and the periodic digest sync of the flood protocol collapse into
-// the probe channel. Directory divergence detected by a probe's digest
+// budgets of λ·⌈log₂(n+1)⌉ transmissions, so the AdvertGossip floods
+// (adverts and leave tombstones alike) and the periodic digest sync of the
+// flood protocol collapse into the probe channel. Directory divergence detected by a probe's digest
 // triggers a seq-vector delta anti-entropy exchange (see membership.go's
 // maybeSync) instead of a full-snapshot push. Per-node control traffic is
 // O(fanout·log n) per period instead of the flood's O(n·degree).
@@ -346,17 +346,19 @@ func (n *Node) handlePingReq(pr *PingReq) {
 // effects, eviction notices evict (when not already superseded), news
 // about this node itself is refuted with a bumped advertisement (SWIM's
 // incarnation, with the advert seq as incarnation number), and whatever
-// was news is re-enqueued so it keeps spreading epidemically. Callers
-// hold n.mu.
+// was news is re-enqueued so it keeps spreading epidemically. An update
+// whose seq no record may take is refused first, so a refutation always
+// has a seq past its notice. Callers hold n.mu.
 func (n *Node) applyUpdates(ups []MemberUpdate, now time.Time) {
 	mem, sw := n.member, n.member.swim
 	for _, u := range ups {
+		if n.refuseSeq(u.Adv.Seq, u.Dead || u.Adv.Withdrawn) {
+			continue
+		}
 		if u.Adv.Source == n.id {
 			if (u.Dead || u.Adv.Withdrawn) && !sw.left && n.desc != nil && u.Adv.Seq >= mem.adSeq {
-				mem.adSeq = u.Adv.Seq + 1
-				n.dir.Advertise(*n.desc, mem.adSeq)
 				n.stats.Refutations++
-				n.enqueuePiggy(MemberUpdate{Adv: advertisementOf(*n.desc, mem.adSeq), Born: now})
+				n.writeOwnRecord(advertisementOf(*n.desc, u.Adv.Seq+1), now)
 			}
 			continue
 		}

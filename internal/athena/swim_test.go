@@ -173,20 +173,27 @@ func TestGossipCrashEvictionConverges(t *testing.T) {
 // lists the subject again.
 func TestGossipMaxSeqDeathNoticeEvictsNobody(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		seq  func(have uint64) uint64
+		name    string
+		seq     func(have uint64) uint64
+		refused int // n1's RecordsRefused
 	}{
-		{"real seq", func(s uint64) uint64 { return s }},
-		{"max seq", func(uint64) uint64 { return math.MaxUint64 }},
+		{"real seq", func(s uint64) uint64 { return s }, 0},
+		{"max seq", func(uint64) uint64 { return math.MaxUint64 }, 1},
+		// The largest notice taken leaves its refutation a holdable seq.
+		{"limit-2", func(uint64) uint64 { return seqLimit - 2 }, 0},
+		{"limit-1", func(uint64) uint64 { return seqLimit - 1 }, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := buildGossipRig(t, 8, 2, 11)
 			r.run(t, 10*time.Second)
-			have, _ := r.nodes["n1"].Directory().Seq("n3")
+			have, _, _ := r.nodes["n1"].Directory().Known("n3")
 			notice := &Ping{From: "n0", To: "n1", Seq: 1, Updates: []MemberUpdate{
 				{Adv: Advertisement{Source: "n3", Seq: tc.seq(have)}, Dead: true},
 			}}
 			r.nodes["n1"].handleMessage("n0", notice.WireSize(), notice)
+			if got := r.nodes["n1"].Stats().RecordsRefused; got != tc.refused {
+				t.Errorf("n1 refused %d records, want %d", got, tc.refused)
+			}
 			r.run(t, 120*time.Second)
 			var absent []string
 			for _, id := range r.ids {

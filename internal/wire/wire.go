@@ -70,7 +70,8 @@ import (
 // ObjectRequest and ObjectData, which only the retired push path set.
 // Version 5 made a shard lookup name a shard (ShardLookup.Shard, for
 // .Label) and its reply list the shard's labels (ShardLookupReply.Labels).
-const Version = 5
+// Version 6 retired PeerLeave (type ID 9): a leave is a tombstone advert.
+const Version = 6
 
 // MaxFrame bounds a frame's total length (prefix included). The value is
 // the transport's receive-side guard: Append refuses to produce frames
@@ -78,8 +79,9 @@ const Version = 5
 const MaxFrame = transport.MaxFrame
 
 // Message type IDs, one per Athena wire message. The zero value is
-// reserved (it marks a corrupt frame), and so is 1, QueryAnnounce's ID
-// until version 4: no later message takes it.
+// reserved (it marks a corrupt frame), and so are 1, QueryAnnounce's ID
+// until version 4, and 9, PeerLeave's until version 5: no later message
+// takes them.
 const (
 	TypeObjectRequest = 2 + iota
 	TypeObjectData
@@ -88,7 +90,7 @@ const (
 	TypeAdvertGossip
 	TypePeerJoin
 	TypePeerJoinAck
-	TypePeerLeave
+	_ // 9: PeerLeave until version 5
 	TypeSyncRequest
 	TypeSyncResponse
 	TypePing
@@ -242,9 +244,6 @@ func encodePayload(c *coder, payload any) byte {
 	case *athena.PeerJoinAck:
 		peerJoinAck(c, m)
 		return TypePeerJoinAck
-	case *athena.PeerLeave:
-		peerLeave(c, m)
-		return TypePeerLeave
 	case *athena.SyncRequest:
 		syncRequest(c, m)
 		return TypeSyncRequest
@@ -307,10 +306,6 @@ func decodePayload(c *coder, id byte) any {
 	case TypePeerJoinAck:
 		m := new(athena.PeerJoinAck)
 		peerJoinAck(c, m)
-		return m
-	case TypePeerLeave:
-		m := new(athena.PeerLeave)
-		peerLeave(c, m)
 		return m
 	case TypeSyncRequest:
 		m := new(athena.SyncRequest)
@@ -404,11 +399,6 @@ func peerJoinAck(c *coder, m *athena.PeerJoinAck) {
 	c.str(&m.Addr)
 	c.strMap(&m.Peers)
 	adverts(c, &m.Adverts)
-}
-
-func peerLeave(c *coder, m *athena.PeerLeave) {
-	c.str(&m.Node)
-	c.u64(&m.Seq)
 }
 
 func syncRequest(c *coder, m *athena.SyncRequest) {

@@ -77,7 +77,6 @@ func sizedMessages() []interface {
 		&athena.AdvertGossip{To: "node-017", Adverts: []athena.Advertisement{advert("node-03", 4), advert("node-11", 9)}},
 		&athena.PeerJoin{Node: "node-042", Addr: "192.168.10.42:9042", Adverts: []athena.Advertisement{advert("node-042", 1)}},
 		&athena.PeerJoinAck{Node: "node-017", Addr: "192.168.10.17:9017", Peers: map[string]string{"node-03": "192.168.10.3:9003", "node-11": "192.168.10.11:9011"}, Adverts: []athena.Advertisement{advert("node-03", 4), advert("node-17", 2)}},
-		&athena.PeerLeave{Node: "node-042", Seq: 8},
 		&athena.SyncRequest{From: "node-042", To: "node-017", Shards: []uint32{3, 23, 41}, Adverts: []athena.Advertisement{advert("node-042", 7)}, Seqs: map[string]uint64{"node-03": 9, "node-11": 19, "node-17": 5}, Labels: []trust.Label{label("viable:h:1-2", "node-017", 5e9)}},
 		&athena.SyncResponse{From: "node-017", To: "node-042", Shards: []uint32{3, 23, 41}, Adverts: []athena.Advertisement{advert("node-17", 2)}, Seqs: map[string]uint64{"node-03": 9, "node-42": 15}, Labels: []trust.Label{label("viable:v:3-1", "node-042", 6e9)}},
 		&athena.Ping{From: "node-042", To: "node-017", Seq: 31, AdvSeq: 7, Digest: 0xfeed, OnBehalf: "node-003", OnBehalfSeq: 12, Updates: updates(2)},
@@ -145,7 +144,7 @@ func TestGoldenFrameBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden := "0000003c" + // length: 60 bytes follow
-		"05" + // version 5
+		"06" + // version 6
 		"05" + // type: Heartbeat
 		"000161" + // from: "a"
 		"00026e31" + // Node: "n1"
@@ -171,7 +170,7 @@ func TestGoldenShardLookupBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden := "0000007c" + // length: 124 bytes follow
-		"05" + // version 5
+		"06" + // version 6
 		"0f" + // type: ShardLookup (15)
 		"000161" + // from: "a"
 		"00026e31" + // From: "n1"
@@ -199,7 +198,7 @@ func TestGoldenRequestBatchBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden := "000000ac" + // length: 172 bytes follow
-		"05" + // version 5
+		"06" + // version 6
 		"11" + // type: RequestBatch (17)
 		"000161" + // from: "a"
 		"0001" + // member count
@@ -257,12 +256,27 @@ func TestDecodeRejectsBadFrames(t *testing.T) {
 			t.Errorf("version-4 frame: err = %v, want ErrBadFrame", err)
 		}
 	})
+	t.Run("version 5", func(t *testing.T) {
+		b := append([]byte(nil), body...)
+		b[0] = 5
+		if _, _, err := (Codec{}).Decode(b); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("version-5 frame: err = %v, want ErrBadFrame", err)
+		}
+	})
 	t.Run("retired type 1", func(t *testing.T) {
 		// QueryAnnounce's ID until version 4; no message has it since.
 		b := append([]byte(nil), body...)
 		b[1] = 1
 		if _, _, err := (Codec{}).Decode(b); !errors.Is(err, ErrUnknownType) {
 			t.Errorf("type-1 frame: err = %v, want ErrUnknownType", err)
+		}
+	})
+	t.Run("retired type 9", func(t *testing.T) {
+		// PeerLeave's ID until version 5; no message has it since.
+		b := append([]byte(nil), body...)
+		b[1] = 9
+		if _, _, err := (Codec{}).Decode(b); !errors.Is(err, ErrUnknownType) {
+			t.Errorf("type-9 frame: err = %v, want ErrUnknownType", err)
 		}
 	})
 	t.Run("unknown type", func(t *testing.T) {
@@ -599,13 +613,6 @@ func FuzzPeerJoinAck(f *testing.F) {
 			peers = map[string]string{k1: addr, k2: addr}
 		}
 		roundTrip(t, &athena.PeerJoinAck{Node: node, Addr: addr, Peers: peers, Adverts: fuzzAdverts(src, name, lbl, count, lbls, size, seq, withdrawn)})
-	})
-}
-
-func FuzzPeerLeave(f *testing.F) {
-	f.Add("n1", uint64(4))
-	f.Fuzz(func(t *testing.T, node string, seq uint64) {
-		roundTrip(t, &athena.PeerLeave{Node: node, Seq: seq})
 	})
 }
 
