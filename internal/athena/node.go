@@ -155,8 +155,8 @@ type Stats struct {
 	ShardReroutes int
 	// ShardRepliesDropped counts lookup replies refused: for no lookup
 	// pending here, listing a label outside the shard asked about, or
-	// carrying an advert whose seq no record can hold. Omitted from JSON at
-	// zero, as ShardReselects is.
+	// carrying an advert whose seq no record may take. Omitted from JSON
+	// at zero, as ShardReselects is.
 	ShardRepliesDropped int `json:",omitempty"`
 	// RecordsRefused counts adverts, tombstones and eviction notices
 	// dropped on arrival because their seq is one no record may take

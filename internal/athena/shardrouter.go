@@ -639,9 +639,9 @@ func (sr *ShardRouter) Started(nonce uint64) (at time.Time, ok bool) {
 // pending lookup (stale, or a duplicate), one listing a label outside the
 // shard it was asked about or its labels out of order, or one carrying an
 // advert whose seq no record may take (seqHoldable: no honest replica
-// lists one), is refused: ok is false (the node counts it), and a refused reply
-// leaves its lookup pending for the retry to walk on. Neither slice is
-// written.
+// lists one), is refused: ok is false (the node counts it), and a refused
+// reply leaves its lookup pending for the retry to walk on. Neither slice
+// is written.
 //
 // The descriptor table only moves forward: an advert older than the held
 // descriptor of its source leaves it be (the source still counts as a
