@@ -358,12 +358,17 @@ func liveHeap() int64 {
 // while a socket pair serves decisions: the registry's collector takes the
 // node lock the socket handlers hold, so under -race this is the check
 // that reading counts at snapshot time is safe. No count may fall from one
-// snapshot to the next.
+// snapshot to the next. The decisions run in two halves with a completed
+// poll between them: the poller reports a poll only after it has seen
+// that no stop came, so the poll after it has begun when the second half
+// ends, and at least two polls overlap the decisions however the two
+// goroutines are scheduled.
 func TestTCPStatusUnderLoad(t *testing.T) {
 	p := newSocketPair(t, "load1", func(_ string, c *athena.Config) { c.Metrics = metrics.NewRegistry() })
 	consumer, src := p.consumer, p.src
 	stop := make(chan struct{})
 	polled := make(chan error, 1)
+	progress := make(chan struct{}, 1)
 	go func() {
 		last := map[*athena.Node]map[string]int64{}
 		for polls := 1; ; polls++ {
@@ -386,10 +391,25 @@ func TestTCPStatusUnderLoad(t *testing.T) {
 				return
 			default:
 			}
+			select {
+			case progress <- struct{}{}:
+			default:
+			}
 		}
 	}()
 	const decisions = 100
-	p.decide(decisions)
+	p.decide(decisions / 2)
+	timeout := time.NewTimer(30 * time.Second)
+	select {
+	case <-progress:
+		timeout.Stop()
+	case err := <-polled:
+		t.Fatal(err)
+	case <-timeout.C:
+		close(stop)
+		t.Fatal("no status poll completed in 30 s")
+	}
+	p.decide(decisions - decisions/2)
 	close(stop)
 	if err := <-polled; err != nil {
 		t.Fatal(err)
