@@ -96,8 +96,8 @@ loc:
 
 # parity is the no-move proof for a change that claims every frame,
 # decision and dump is where it was: athena-sim and the eight examples
-# built at BASE and at the tree, 35 outputs compared byte for byte
-# (parity.sh lists them), one same/DIFFERS line each, non-zero exit on any
+# built at BASE and at the tree, their outputs compared byte for byte, one
+# same/DIFFERS line per cell parity.sh lists, non-zero exit on any
 # difference. ~1 min.
 parity:
 	./parity.sh $(BASE)

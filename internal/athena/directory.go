@@ -126,13 +126,31 @@ type advState struct {
 	// thin marks a record whose descriptor payload was declined by the
 	// retention filter (the source's shard is not replicated here): the
 	// sequence/liveness state is kept — digests and seq vectors still
-	// converge globally — but the labels are dropped and the record is not
-	// in the label index.
+	// converge globally — but the labels are dropped and the record has no
+	// row in the view.
 	thin bool
 	// thinAt is the retention epoch the record last went thin at, or was
 	// declined at its own seq at: while the epoch stays there, the filter
 	// still declines the payload its seq carries.
 	thinAt uint64
+}
+
+// takes is the one ordering rule: whether the record yields to a write at
+// seq, a tombstone when withdrawn, else an advertisement. A higher seq
+// wins; at an equal one a tombstone beats a presence, and an equal state
+// supersedes an eviction (a local suspicion, not a statement by the
+// source), or a thin record when upgrade says the retention filter wants
+// the payload it declined. It compares (seq, withdrawn) itself rather than
+// their seqState: a local write's seq is not held below seqLimit.
+func (r *advState) takes(seq uint64, withdrawn, upgrade bool) bool {
+	switch {
+	case seq != r.seq:
+		return seq > r.seq
+	case withdrawn != r.withdrawn:
+		return withdrawn
+	default:
+		return !withdrawn && (!r.present || (r.thin && upgrade))
+	}
 }
 
 // Directory is the semantic lookup service (standing in for the paper's
@@ -142,14 +160,16 @@ type advState struct {
 // processes an explicit leave, and Evict removes a source the failure
 // detector gave up on. Per-source monotonic sequence numbers order
 // concurrent updates, so replicas that exchange advertisements converge
-// regardless of delivery order. All methods are safe for concurrent use.
-// The data plane reads it through View, which takes no lock.
+// regardless of delivery order; advState.takes is the one rule that
+// decides which write supersedes a record. All methods are safe for
+// concurrent use. The directory keeps records only: its one label index
+// is the View, built from them once per version, through which the data
+// plane reads it without a lock.
 type Directory struct {
 	mu       sync.RWMutex
 	version  uint64
 	records  map[string]*advState
-	byLabel  map[string][]string // present sources per label, sorted
-	verGauge *metrics.Gauge      // mirrors version; nil when uninstrumented
+	verGauge *metrics.Gauge // mirrors version; nil when uninstrumented
 
 	// view is the current version's View once a reader has asked for it;
 	// every bump clears it. It is built under mu and loaded without it.
@@ -175,10 +195,7 @@ type Directory struct {
 // NewDirectory indexes the bootstrap descriptors. Later descriptors for
 // the same source replace earlier ones (they get a newer sequence number).
 func NewDirectory(descs []object.Descriptor) *Directory {
-	d := &Directory{
-		records: make(map[string]*advState, len(descs)),
-		byLabel: make(map[string][]string),
-	}
+	d := &Directory{records: make(map[string]*advState, len(descs))}
 	for i, desc := range descs {
 		d.Advertise(desc, uint64(i)+1)
 	}
@@ -195,10 +212,10 @@ func (d *Directory) Instrument(version *metrics.Gauge) {
 	d.verGauge.SetMax(int64(d.version))
 }
 
-// Advertise admits or updates a source's advertisement. It applies only
-// when seq is newer than the source's current record (or equal, for a
-// source that was evicted rather than withdrawn — an eviction is a local
-// suspicion, not a statement by the source). Returns whether the
+// Advertise admits or updates a source's advertisement when the source's
+// record takes it (advState.takes): a newer seq, or the record's own seq
+// when it was evicted, or is thin and the retention filter now wants the
+// payload (backfill after a shard ownership change). Returns whether the
 // directory changed.
 func (d *Directory) Advertise(desc object.Descriptor, seq uint64) bool {
 	if desc.Source == "" {
@@ -208,32 +225,18 @@ func (d *Directory) Advertise(desc object.Descriptor, seq uint64) bool {
 	defer d.mu.Unlock()
 	keepFull := d.keep == nil || d.keep(desc)
 	r, ok := d.records[desc.Source]
-	if ok {
-		if r.present && seq <= r.seq {
-			// One re-application at the current seq is allowed: upgrading a
-			// thin record to a full one when the retention filter now wants
-			// the payload (backfill after a shard ownership change).
-			if !(r.thin && keepFull && seq == r.seq) {
-				if r.thin && seq == r.seq {
-					r.thinAt = d.epoch
-				}
-				return false
-			}
-		}
-		if !r.present && (seq < r.seq || (r.withdrawn && seq == r.seq)) {
-			return false
-		}
-		if r.present && !r.thin {
-			d.unindexLocked(r.desc)
-		}
-	} else {
+	if !ok {
 		r = &advState{}
 		d.records[desc.Source] = r
+	} else if !r.takes(seq, false, keepFull) {
+		if r.thin && seq == r.seq {
+			r.thinAt = d.epoch
+		}
+		return false
 	}
 	if keepFull {
 		r.desc = desc
 		r.thin = false
-		d.indexLocked(desc)
 	} else {
 		// Retention declined the payload: keep only what ordering and
 		// liveness need. The name survives so re-route bookkeeping can still
@@ -249,7 +252,7 @@ func (d *Directory) Advertise(desc object.Descriptor, seq uint64) bool {
 
 // SetRetention installs a descriptor retention filter: advertisements the
 // filter declines are stored as thin records — sequence and liveness state
-// only, no descriptor payload and no label-index entry — so a sharded
+// only, no descriptor payload and no row in the view — so a sharded
 // node's descriptor memory stays proportional to the shards it replicates
 // while digests and sequence vectors still converge globally. A nil filter
 // keeps every payload (the full-replica default). Existing full records
@@ -282,7 +285,6 @@ func (d *Directory) refilterLocked() {
 		if !r.present || r.thin || d.keep(r.desc) {
 			continue
 		}
-		d.unindexLocked(r.desc)
 		r.desc = object.Descriptor{Source: src, Name: r.desc.Name}
 		r.thin, r.thinAt = true, d.epoch
 		changed = true
@@ -296,15 +298,7 @@ func (d *Directory) refilterLocked() {
 // (present, non-thin) — the per-node directory-memory metric ablation A9
 // reports. A full replica holds every present source.
 func (d *Directory) EntriesHeld() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	n := 0
-	for _, r := range d.records {
-		if r.present && !r.thin {
-			n++
-		}
-	}
-	return n
+	return len(d.View().rows)
 }
 
 // Withdraw processes an explicit leave: the source's record becomes a
@@ -322,10 +316,8 @@ func (d *Directory) Withdraw(source string, seq uint64) bool {
 	if !ok {
 		r = &advState{desc: object.Descriptor{Source: source}}
 		d.records[source] = r
-	} else if seq < r.seq || (!r.present && r.withdrawn && seq == r.seq) {
+	} else if !r.takes(seq, true, false) {
 		return false
-	} else if r.present {
-		d.unindexLocked(r.desc)
 	}
 	r.present = false
 	d.stampLocked(source, r, seq, true)
@@ -344,7 +336,6 @@ func (d *Directory) Evict(source string) bool {
 	if !ok || !r.present {
 		return false
 	}
-	d.unindexLocked(r.desc)
 	r.present = false
 	d.bumpVersionLocked()
 	return true
@@ -396,23 +387,14 @@ func (d *Directory) Apply(a Advertisement) bool {
 }
 
 // stale reports whether Advertise rejects seq for source whatever the
-// payload: a strict subset of its rejections, so Advertise stays the
-// authority. What it leaves out depends on the payload — a thin record
-// upgraded at its own seq when the retention filter wants the descriptor —
-// unless the filter has not changed since it declined that seq's payload
-// (the record's thinAt is the current epoch).
+// payload: the record does not take it even as an upgrade, unless the
+// filter has not changed since it declined that seq's payload (the
+// record's thinAt is the current epoch) — then the filter declines it again.
 func (d *Directory) stale(source string, seq uint64) bool {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	r, ok := d.records[source]
-	switch {
-	case !ok:
-		return false
-	case r.present:
-		return seq < r.seq || (seq == r.seq && (!r.thin || r.thinAt == d.epoch))
-	default:
-		return seq < r.seq || (seq == r.seq && r.withdrawn)
-	}
+	return ok && !r.takes(seq, false, r.thinAt != d.epoch)
 }
 
 // View returns the directory's current version as a read-only index,
@@ -654,38 +636,6 @@ func (d *Directory) Known(source string) (seq uint64, present, withdrawn bool) {
 		return 0, false, false
 	}
 	return r.seq, r.present, r.withdrawn
-}
-
-// indexLocked adds a present source to the label index. Callers hold d.mu.
-func (d *Directory) indexLocked(desc object.Descriptor) {
-	for _, l := range desc.Labels {
-		srcs := d.byLabel[l]
-		i := sort.SearchStrings(srcs, desc.Source)
-		if i < len(srcs) && srcs[i] == desc.Source {
-			continue
-		}
-		srcs = append(srcs, "")
-		copy(srcs[i+1:], srcs[i:])
-		srcs[i] = desc.Source
-		d.byLabel[l] = srcs
-	}
-}
-
-// unindexLocked removes a source from the label index. Callers hold d.mu.
-func (d *Directory) unindexLocked(desc object.Descriptor) {
-	for _, l := range desc.Labels {
-		srcs := d.byLabel[l]
-		i := sort.SearchStrings(srcs, desc.Source)
-		if i >= len(srcs) || srcs[i] != desc.Source {
-			continue
-		}
-		srcs = append(srcs[:i], srcs[i+1:]...)
-		if len(srcs) == 0 {
-			delete(d.byLabel, l)
-		} else {
-			d.byLabel[l] = srcs
-		}
-	}
 }
 
 // SourceForLabel picks, among preferred sources (if any cover the label),

@@ -691,6 +691,93 @@ func TestApplyStaleRejectMatchesAdvertise(t *testing.T) {
 	}
 }
 
+// The three seq checks advState.takes replaced, kept verbatim but for
+// taking the record, the retention verdict and the epoch as arguments and
+// returning whether the check turns seq away (Advertise's also left its
+// thinAt write behind: that is state, not the verdict).
+
+func refAdvertiseRejects(r *advState, seq uint64, keepFull bool) bool {
+	if r.present && seq <= r.seq {
+		// One re-application at the current seq is allowed: upgrading a
+		// thin record to a full one when the retention filter now wants
+		// the payload (backfill after a shard ownership change).
+		if !(r.thin && keepFull && seq == r.seq) {
+			return true
+		}
+	}
+	if !r.present && (seq < r.seq || (r.withdrawn && seq == r.seq)) {
+		return true
+	}
+	return false
+}
+
+func refWithdrawRejects(r *advState, seq uint64) bool {
+	return seq < r.seq || (!r.present && r.withdrawn && seq == r.seq)
+}
+
+func refStale(r *advState, seq, epoch uint64) bool {
+	switch {
+	case r.present:
+		return seq < r.seq || (seq == r.seq && (!r.thin || r.thinAt == epoch))
+	default:
+		return seq < r.seq || (seq == r.seq && r.withdrawn)
+	}
+}
+
+// Advertise, Withdraw and stale, each deciding through advState.takes,
+// turn away exactly what the checks they replaced did: every held and new
+// seq 0–3, six record states (present, evicted and withdrawn, each full
+// and thin), a retention filter that keeps or declines the payload, and a
+// record that went thin at the current epoch or an earlier one. Each case
+// runs on a one-record directory of its own. Dropping takes' thin clause
+// fails the Advertise upgrades, taking an advert at a tombstone's own seq
+// fails Advertise and stale, and a stale that passes the wrong upgrade
+// fails stale.
+func TestTakesMatchesTheChecksItReplaced(t *testing.T) {
+	const epoch = 7
+	states := []struct {
+		name                     string
+		present, thin, withdrawn bool
+	}{
+		{"present", true, false, false},
+		{"present thin", true, true, false},
+		{"evicted", false, false, false},
+		{"evicted thin", false, true, false},
+		{"withdrawn", false, false, true},
+		{"withdrawn thin", false, true, true},
+	}
+	for held := uint64(0); held < 4; held++ {
+		for seq := uint64(0); seq < 4; seq++ {
+			for _, st := range states {
+				for _, thinAt := range []uint64{epoch, epoch - 1} {
+					for _, keepFull := range []bool{false, true} {
+						ref := advState{seq: held, present: st.present, thin: st.thin, withdrawn: st.withdrawn, thinAt: thinAt}
+						one := func() *Directory {
+							r := ref
+							return &Directory{
+								records: map[string]*advState{"s": &r},
+								keep:    func(object.Descriptor) bool { return keepFull },
+								epoch:   epoch,
+							}
+						}
+						at := fmt.Sprintf("%s record at seq %d, thin at epoch %d of %d, filter keeps %v, seq %d",
+							st.name, held, thinAt, epoch, keepFull, seq)
+						if got, want := one().Advertise(dirDesc("s", "/g/s", 10, "l"), seq), !refAdvertiseRejects(&ref, seq, keepFull); got != want {
+							t.Errorf("%s: Advertise applied %v, reference %v", at, got, want)
+						}
+						if got, want := one().Withdraw("s", seq), !refWithdrawRejects(&ref, seq); got != want {
+							t.Errorf("%s: Withdraw applied %v, reference %v", at, got, want)
+						}
+						if got, want := one().stale("s", seq), refStale(&ref, seq, epoch); got != want {
+							t.Errorf("%s: stale %v, reference %v", at, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkDirectoryDelta is the responder's side of a shard sync on A9's
 // rig (10^4 records over 256 shards): the delta within one shard for a
 // peer that is caught up, which is what nearly every scoped exchange

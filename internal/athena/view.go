@@ -1,6 +1,7 @@
 package athena
 
 import (
+	"cmp"
 	"slices"
 	"strings"
 
@@ -47,20 +48,18 @@ type viewLabel struct {
 // buildViewLocked indexes the directory's present payloads at its current
 // version. Callers hold d.mu.
 func (d *Directory) buildViewLocked() *View {
-	nrows, ncover := 0, 0
+	nrows, nspans := 0, 0
 	for _, r := range d.records {
 		if r.present && !r.thin {
 			nrows++
+			nspans += len(r.desc.Labels)
 		}
-	}
-	for _, srcs := range d.byLabel {
-		ncover += len(srcs)
 	}
 	v := &View{
 		version:  d.version,
 		rows:     make([]row, 0, nrows),
-		labels:   make([]viewLabel, 0, len(d.byLabel)),
-		covering: make([]*row, 0, ncover),
+		labels:   make([]viewLabel, 0, nspans),
+		covering: make([]*row, 0, nspans),
 		byName:   make([]int32, 0, nrows),
 	}
 	for _, r := range d.records {
@@ -82,17 +81,32 @@ func (d *Directory) buildViewLocked() *View {
 			v.rows[i].obj = int32(k)
 		}
 	}
-	for l := range d.byLabel {
-		v.labels = append(v.labels, viewLabel{label: l})
-	}
-	slices.SortFunc(v.labels, func(a, b viewLabel) int { return strings.Compare(a.label, b.label) })
-	for i := range v.labels {
-		vl := &v.labels[i]
-		vl.lo = int32(len(v.covering))
-		for _, s := range d.byLabel[vl.label] {
-			v.covering = append(v.covering, v.source(s))
+	// One span per (label, row), lo the row, sorted by label and then row,
+	// which is source order; then folded in place, in the same array, into
+	// one span of covering per label. The fold writes behind what it reads.
+	for i := range v.rows {
+		for _, l := range v.rows[i].desc.Labels {
+			v.labels = append(v.labels, viewLabel{label: l, lo: int32(i)})
 		}
-		vl.hi = int32(len(v.covering))
+	}
+	slices.SortFunc(v.labels, func(a, b viewLabel) int {
+		if c := strings.Compare(a.label, b.label); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.lo, b.lo)
+	})
+	spans := v.labels
+	v.labels = v.labels[:0]
+	for _, s := range spans {
+		r, n := &v.rows[s.lo], len(v.labels)
+		if n == 0 || v.labels[n-1].label != s.label {
+			v.labels = append(v.labels, viewLabel{label: s.label, lo: int32(len(v.covering))})
+			n++
+		} else if v.covering[len(v.covering)-1] == r {
+			continue // a descriptor that names a label twice covers it once
+		}
+		v.covering = append(v.covering, r)
+		v.labels[n-1].hi = int32(len(v.covering))
 	}
 	return v
 }

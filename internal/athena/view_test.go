@@ -13,14 +13,30 @@ import (
 )
 
 // The directory's locked readers as they were before the view, kept
-// verbatim but for taking the directory as an argument: the reference the
-// view, the pick and the cover are checked against.
+// verbatim but for taking the directory as an argument and finding a
+// label's sources with refCovering: the reference the view, the pick and
+// the cover are checked against.
+
+// refCovering lists the source nodes covering a label, sorted: a scan of
+// every record for the present ones whose payload is held here and whose
+// descriptor lists the label, sharing no index with the view it checks.
+// Callers hold d.mu.
+func refCovering(d *Directory, label string) []string {
+	var out []string
+	for src, r := range d.records {
+		if r.present && !r.thin && slices.Contains(r.desc.Labels, label) {
+			out = append(out, src)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
 
 // refSourcesFor lists the source nodes covering a label, sorted.
 func refSourcesFor(d *Directory, label string) []string {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return append([]string(nil), d.byLabel[label]...)
+	return refCovering(d, label)
 }
 
 // refAppendCovering appends the descriptors of the present sources
@@ -28,7 +44,7 @@ func refSourcesFor(d *Directory, label string) []string {
 func refAppendCovering(d *Directory, out []object.Descriptor, label string) []object.Descriptor {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	for _, s := range d.byLabel[label] {
+	for _, s := range refCovering(d, label) {
 		out = append(out, d.records[s].desc)
 	}
 	return out
@@ -39,7 +55,7 @@ func refAppendCovering(d *Directory, out []object.Descriptor, label string) []ob
 func refAdvertsFor(d *Directory, label string) []Advertisement {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	srcs := d.byLabel[label]
+	srcs := refCovering(d, label)
 	out := make([]Advertisement, 0, len(srcs))
 	for _, s := range srcs {
 		r := d.records[s]
@@ -67,7 +83,7 @@ func refSelectSources(d *Directory, labels []string) []string {
 	coverable := make([]string, 0, len(labels))
 	var ids []string
 	for _, l := range labels {
-		srcs := d.byLabel[l]
+		srcs := refCovering(d, l)
 		if len(srcs) == 0 {
 			continue
 		}
@@ -98,7 +114,7 @@ func refSourceForLabelExcluding(d *Directory, label string, preferred []string, 
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	var best refCheapest
-	for _, s := range d.byLabel[label] {
+	for _, s := range refCovering(d, label) {
 		if !exclude[s] {
 			best.offer(s, d.records[s].desc.Size, slices.Contains(preferred, s))
 		}
@@ -232,11 +248,12 @@ func dumpView(v *View) string {
 }
 
 // The view equals the locked readers it replaced: seeded random runs of
-// Advertise (sizes that tie, names two sources share), Withdraw, Evict,
-// SetRetention and Refilter over six sources and five labels. After each
-// step, every label's rows (descriptors and seqs, in source order), every
-// source's Descriptor, AdvertsFor, the pick under random preferred and
-// excluded sets, and the cover of a random label set are the reference's.
+// Advertise (sizes that tie, names two sources share, a label named twice
+// by one descriptor), Withdraw, Evict, SetRetention and Refilter over six
+// sources and five labels. After each step, every label's rows
+// (descriptors and seqs, in source order), every source's Descriptor,
+// AdvertsFor, the pick under random preferred and excluded sets, and the
+// cover of a random label set are the reference's.
 // A view is rebuilt exactly when the version moved, and a view taken
 // earlier reads as it did however the directory changes after it.
 func TestViewMatchesLockedReaders(t *testing.T) {
@@ -265,6 +282,9 @@ func TestViewMatchesLockedReaders(t *testing.T) {
 					if rng.Intn(3) == 0 {
 						ls = append(ls, l)
 					}
+				}
+				if len(ls) > 0 && rng.Intn(4) == 0 {
+					ls = append(ls, ls[rng.Intn(len(ls))]) // one label named twice
 				}
 				name := "/g/" + src
 				if rng.Intn(4) == 0 {
