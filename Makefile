@@ -43,7 +43,7 @@ ci-short:
 # bench refreshes the committed benchmark baseline: the BenchmarkScheme
 # family (end-to-end scheme runs reporting ns/op, resolution and MB), the
 # decision engine's construct-ask-set loop on a nine-label query, a node's
-# query planning with and without its plan cache (internal/athena), the
+# query planning (internal/athena), the
 # membership control-plane benchmark (flood vs gossip bytes per node per
 # interval at n=64), the directory-memory benchmark (entries held per
 # node, sharded vs full replica; run without -benchmem, because its timed

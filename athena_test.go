@@ -84,6 +84,9 @@ func TestFacadeScenarioAndCluster(t *testing.T) {
 	if r := out.ResolutionRatio(); r < 0 || r > 1 {
 		t.Errorf("ratio = %v", r)
 	}
+	if got := athena.NewDirectory(s).Sources(); len(got) != len(s.Sources) {
+		t.Errorf("directory lists %d sources, the scenario advertises %d", len(got), len(s.Sources))
+	}
 }
 
 // worldTrue resolves every label true.
@@ -147,6 +150,9 @@ func TestSimNetworkValidation(t *testing.T) {
 	if _, err := net.Node("missing"); err == nil {
 		t.Error("unknown node returned")
 	}
+	if _, err := athena.ParseName("relative/name"); err == nil {
+		t.Error("a name without a leading slash parsed")
+	}
 	// Each membership layer is rejected at the call when the one beneath it
 	// is off, not later at Build.
 	if err := net.EnableGossip(1); err == nil {
@@ -154,6 +160,30 @@ func TestSimNetworkValidation(t *testing.T) {
 	}
 	if err := net.EnableSharding(4, 2); err == nil {
 		t.Error("EnableSharding without EnableGossip accepted")
+	}
+	// Stacked in order, each layer is accepted, and a shard count must be
+	// positive.
+	layered := athena.NewSimNetwork(time.Now())
+	if err := layered.EnableMembership(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := layered.EnableGossip(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := layered.EnableSharding(0, 2); err == nil {
+		t.Error("zero shards accepted")
+	}
+	if err := layered.EnableSharding(4, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := layered.Build(); err != nil {
+		t.Fatal(err)
+	}
+	if err := layered.EnableGossip(1); err == nil {
+		t.Error("EnableGossip after Build accepted")
+	}
+	if err := layered.EnableSharding(4, 2); err == nil {
+		t.Error("EnableSharding after Build accepted")
 	}
 	// Build is implicit and idempotent; post-build mutation fails.
 	if err := net.Build(); err != nil {
@@ -188,5 +218,15 @@ func TestFacadeExperimentRender(t *testing.T) {
 	}
 	if out := athena.ExperimentCSV(points); !strings.Contains(out, "lvfl,0.40") {
 		t.Errorf("csv: %s", out)
+	}
+	bars, err := athena.RunFig3(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bars) != 1 { // one scheme at 40% fast
+		t.Fatalf("bars = %d", len(bars))
+	}
+	if out := athena.RenderFig3(bars); !strings.Contains(out, "lvfl") {
+		t.Errorf("render: %s", out)
 	}
 }

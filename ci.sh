@@ -143,7 +143,7 @@ fi
 # heap a closed and dropped socket pair still holds per decision, is 0
 # once its nodes are collected and ~3 KB while armed timers pin them; a
 # query planner that looks a label's metadata up per comparison again, or
-# allocates per term — 5 allocs/op at -benchtime 3x, 21 when it did; a
+# allocates per term — 2 allocs/op at -benchtime 3x, 21 when it did; a
 # node that verifies, or copies, a shared label record it already holds —
 # baseline 0, 3 when every arriving record was copied; a batch pump that
 # walks the directory for its targets again instead of its query's target

@@ -2,15 +2,12 @@
 //
 // A bottleneck link out of a disaster area can carry 4 MB before the
 // reporting deadline, but 20 MB of camera imagery is queued. The example
-// contrasts three deliveries:
+// contrasts two deliveries:
 //
 //   - FIFO: forward whatever arrived first (mostly near-duplicate shots
 //     of the same bridge);
 //   - infomax triage (Section V-B): forward by marginal information
-//     utility per byte, using shared name prefixes to estimate redundancy;
-//   - approximate substitution (Section V-A): answer a request for
-//     camera 2 with a cached shot from camera 1 of the same scene when
-//     the names share a long prefix.
+//     utility per byte, using shared name prefixes to estimate redundancy.
 //
 // Run with: go run ./examples/overload
 package main
@@ -19,12 +16,9 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"time"
 
-	"athena/internal/cache"
 	"athena/internal/infomax"
 	"athena/internal/names"
-	"athena/internal/object"
 )
 
 func main() {
@@ -71,39 +65,6 @@ func run() error {
 	fmt.Printf("%-22s%10s%12s\n", "policy", "items", "utility")
 	fmt.Printf("%-22s%10d%12.1f\n", "fifo", len(fifo), infomax.SetUtility(fifo))
 	fmt.Printf("%-22s%10d%12.1f\n", "infomax triage", len(triaged), infomax.SetUtility(triaged))
-
-	// Approximate substitution: a consumer asks for a shot from cam2 of
-	// the bridge; the cache only has cam0's view of the same scene. The
-	// long shared prefix (/city/bridge) makes it an acceptable stand-in
-	// when approximate answers are allowed — and a congestion-control
-	// valve: the request never crosses the bottleneck.
-	now := time.Date(2026, 1, 1, 12, 0, 0, 0, time.UTC)
-	store := cache.NewStore(16 << 20)
-	cached := &object.Object{
-		ID:       object.ID{Name: names.MustParse("/city/bridge/cam0/shot1"), Version: 1},
-		Size:     600_000,
-		Created:  now,
-		Validity: time.Minute,
-	}
-	store.Put(cached, now)
-
-	want := names.MustParse("/city/bridge/cam2/shot0")
-	fmt.Printf("\nrequest:  %s\n", want)
-	if got, ok := store.Get(want, now); ok {
-		fmt.Printf("exact:    %v\n", got.ID)
-	} else {
-		fmt.Println("exact:    miss")
-	}
-	if got, ok := store.GetApprox(want, 0.5, now); ok {
-		fmt.Printf("approx:   %s (similarity %.2f) — served from cache, bottleneck spared\n",
-			got.ID, want.Similarity(got.ID.Name))
-	} else {
-		fmt.Println("approx:   miss")
-	}
-	// Tighten the acceptable-approximation knob (congestion subsided):
-	if _, ok := store.GetApprox(want, 0.9, now); !ok {
-		fmt.Println("approx with similarity >= 0.9: refused (fetch the real object)")
-	}
 	return nil
 }
 

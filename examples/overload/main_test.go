@@ -2,8 +2,8 @@ package main
 
 import "testing"
 
-// TestRun runs the bottleneck contrast end to end: FIFO, infomax
-// triage and approximate substitution.
+// TestRun runs the bottleneck contrast end to end: FIFO against infomax
+// triage.
 func TestRun(t *testing.T) {
 	if err := run(); err != nil {
 		t.Fatal(err)

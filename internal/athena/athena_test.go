@@ -168,41 +168,6 @@ func TestMessageWireSizes(t *testing.T) {
 	}
 }
 
-func TestPlanForCachesByExpressionAndDirectoryVersion(t *testing.T) {
-	meta := boolexpr.MetaTable{
-		"a": {Cost: 1, ProbTrue: 0.5, Validity: time.Second},
-		"b": {Cost: 2, ProbTrue: 0.5, Validity: time.Minute},
-	}
-	dir := NewDirectory(nil)
-	n := &Node{choices: schemeChoices[SchemeLVF].choices, meta: meta, dir: dir}
-	expr := boolexpr.ToDNF(boolexpr.MustParse("a & b"))
-	key := expr.String()
-
-	n.planFor(n.dir.View(), expr, key)
-	if n.stats.PlanCacheHits != 0 {
-		t.Fatalf("first planFor hit the cache")
-	}
-	n.planFor(n.dir.View(), expr, key)
-	if n.stats.PlanCacheHits != 1 {
-		t.Fatalf("second planFor missed the cache: hits = %d", n.stats.PlanCacheHits)
-	}
-
-	// A directory version bump (any membership event) invalidates the
-	// cached plan; the next call re-plans and re-caches.
-	dir.Advertise(object.Descriptor{
-		Name: names.MustParse("/new/src"), Source: "newsrc", Size: 10,
-		Validity: time.Minute, Labels: []string{"a"},
-	}, 1)
-	n.planFor(n.dir.View(), expr, key)
-	if n.stats.PlanCacheHits != 1 {
-		t.Fatalf("planFor used a stale plan after directory change: hits = %d", n.stats.PlanCacheHits)
-	}
-	n.planFor(n.dir.View(), expr, key)
-	if n.stats.PlanCacheHits != 2 {
-		t.Fatalf("planFor did not re-cache after directory change: hits = %d", n.stats.PlanCacheHits)
-	}
-}
-
 func BenchmarkPlanFor(b *testing.B) {
 	meta := make(boolexpr.MetaTable)
 	labels := make([]string, 12)
@@ -216,22 +181,12 @@ func BenchmarkPlanFor(b *testing.B) {
 	}
 	exprText := strings.Join(labels[:6], " & ") + " | " + strings.Join(labels[6:], " & ")
 	expr := boolexpr.ToDNF(boolexpr.MustParse(exprText))
-	key := expr.String()
 
 	b.Run("uncached", func(b *testing.B) {
-		n := &Node{choices: schemeChoices[SchemeLVF].choices, meta: meta, dir: NewDirectory(nil)}
+		n := &Node{choices: schemeChoices[SchemeLVF].choices, meta: meta}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			n.planCache = nil // force a re-plan, as before memoization
-			n.planFor(n.dir.View(), expr, key)
-		}
-	})
-	b.Run("cached", func(b *testing.B) {
-		n := &Node{choices: schemeChoices[SchemeLVF].choices, meta: meta, dir: NewDirectory(nil)}
-		n.planFor(n.dir.View(), expr, key)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			n.planFor(n.dir.View(), expr, key)
+			n.planFor(expr)
 		}
 	})
 }
@@ -244,7 +199,7 @@ func TestPlanForLVFOrdersByValidity(t *testing.T) {
 	}
 	n := &Node{choices: schemeChoices[SchemeLVF].choices, meta: meta, dir: NewDirectory(nil)}
 	expr := boolexpr.ToDNF(boolexpr.MustParse("short & long & mid"))
-	plan := n.planFor(n.dir.View(), expr, expr.String())
+	plan := n.planFor(expr)
 	order := plan.LiteralOrder[0]
 	lits := expr.Terms[0].Literals
 	if lits[order[0]].Label != "long" || lits[order[2]].Label != "short" {

@@ -392,7 +392,7 @@ func pumpFixture(tb testing.TB) (*Node, *localQuery) {
 	defer n.mu.Unlock()
 	id := n.id + "/bench"
 	q := &localQuery{
-		engine: core.NewEngineWithPlan(id, qs.Expr, n.now().Add(qs.Deadline), n.meta, n.planFor(n.dir.View(), qs.Expr, qs.Expr.String())),
+		engine: core.NewEngineWithPlan(id, qs.Expr, n.now().Add(qs.Deadline), n.meta, n.planFor(qs.Expr)),
 		reqs:   make(map[string]objReq),
 		batch:  &batchTable{},
 	}

@@ -264,15 +264,10 @@ func (o Outcome) ResolutionRatio() float64 {
 	return float64(o.QueriesResolved) / float64(o.QueriesIssued)
 }
 
-// CacheHitRatio is the fleet content-store hit ratio, counting approximate
-// substitutions as hits (1 when the cache saw no lookups).
+// CacheHitRatio is the fleet content-store hit ratio (1 when the cache saw
+// no lookups).
 func (o Outcome) CacheHitRatio() float64 {
-	hits := o.Metrics.Counter("cache.hits") + o.Metrics.Counter("cache.approx_hits")
-	total := hits + o.Metrics.Counter("cache.misses")
-	if total == 0 {
-		return 1
-	}
-	return float64(hits) / float64(total)
+	return o.Metrics.Ratio("cache.hits", "cache.misses")
 }
 
 // RetryCount sums the fleet's recovery-layer events: origin-side request

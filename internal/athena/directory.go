@@ -190,6 +190,10 @@ type Directory struct {
 	// epoch counts the retention filter's changes: SetRetention and every
 	// Refilter (what the filter decides changed) move it on.
 	epoch uint64
+
+	// spans is buildViewLocked's scratch, one (label, row) span per label
+	// a row advertises, guarded by mu.
+	spans []viewLabel
 }
 
 // NewDirectory indexes the bootstrap descriptors. Later descriptors for

@@ -247,10 +247,7 @@ func (n *Node) handleRequest(from string, req *ObjectRequest) {
 		}
 	}
 
-	// Content-store answer, returned along the reverse path. With
-	// approximate substitution enabled (Section V-A), a cached object of
-	// a sufficiently similar name may stand in for the requested one, as
-	// long as it actually evidences something the requester wants.
+	// Content-store answer, returned along the reverse path.
 	if name, err := names.Parse(req.Object); err == nil {
 		if obj, ok := n.store.Get(name, now); ok {
 			if n.duplicateInFlight(req.Object, from, obj.Size, now) {
@@ -260,20 +257,6 @@ func (n *Node) handleRequest(from string, req *ObjectRequest) {
 			n.trace.Event(n.id, req.QueryID, trace.Answer, now, "store")
 			n.sendDataTo(from, obj, req.Origin, req.QueryID)
 			return
-		}
-		// Critical-namespace objects are exempt from approximation
-		// (Section V-C): consumers get the real thing or nothing.
-		if n.approxMinSim > 0 && !n.isCritical(req.Object) {
-			if obj, ok := n.store.GetApprox(name, n.approxMinSim, now); ok && coversAnyLabel(obj, req.Labels) {
-				if n.duplicateInFlight(req.Object, from, obj.Size, now) {
-					return
-				}
-				n.stats.CacheAnswers++
-				n.stats.ApproxAnswers++
-				n.trace.Event(n.id, req.QueryID, trace.Answer, now, "approx")
-				n.sendDataTo(from, obj, req.Origin, req.QueryID)
-				return
-			}
 		}
 	}
 

@@ -107,9 +107,6 @@ type Stats struct {
 	// name with labels its content does not carry. The request went to the
 	// network instead. Omitted from JSON at zero.
 	ForeignAnswers int `json:",omitempty"`
-	// ApproxAnswers counts requests served by approximate name
-	// substitution (a subset of CacheAnswers).
-	ApproxAnswers int
 	// LabelAnswers counts requests answered with cached label records.
 	LabelAnswers int
 	// Annotations counts labels computed locally.
@@ -135,7 +132,8 @@ type Stats struct {
 	// this node, in both flood and gossip mode.
 	ControlMsgs  int   `metric:"membership.ctl_msgs"`
 	ControlBytes int64 `metric:"membership.ctl_bytes"`
-	// PlanCacheHits counts QueryInits served by the memoized query plan.
+	// Deprecated: PlanCacheHits is always 0; the node no longer memoizes
+	// query plans. It stays for callers that still read it.
 	PlanCacheHits int
 	// ShardLookups counts routed label lookups this node issued (sharded
 	// directory); ShardLookupHits counts query-path resolutions served from
@@ -279,16 +277,9 @@ type Config struct {
 	// byte. Queries close to their deadline flush immediately and
 	// critical-namespace traffic bypasses the queue.
 	CoalesceWindow time.Duration
-	// ApproxMinSimilarity enables approximate object substitution
-	// (Section V-A): a cached object whose name similarity to the
-	// requested one is at least this threshold may answer the request,
-	// provided it covers at least one requested label. Zero disables.
-	//lint:allow deadoption only tests set it; ROADMAP item 17 gives approximate matching (Sec. V-A) a recorded row or removes it
-	ApproxMinSimilarity float64
 	// CriticalPrefix marks a critical part of the name space
 	// (Section V-C): objects under this prefix get transmission priority
-	// on priority-capable transports and are exempt from approximate
-	// substitution. Zero value disables.
+	// on priority-capable transports. Zero value disables.
 	//lint:allow deadoption only tests set it; ROADMAP item 17 gives criticality (Sec. V-C) a recorded row or removes it
 	CriticalPrefix names.Name
 	// SensorNoise is the probability a single annotation misreads its
@@ -555,7 +546,7 @@ func (n *Node) collect(emit func(name string, v int64)) {
 	emit("retry.failovers", failovers)
 	for i, names := range cacheMetrics {
 		c := &caches[i]
-		for j, v := range [...]int64{c.Hits, c.ApproxHits, c.Misses, c.StaleDrops, c.Evictions} {
+		for j, v := range [...]int64{c.Hits, c.Misses, c.StaleDrops, c.Evictions} {
 			emit(names[j], v)
 		}
 	}
@@ -583,10 +574,10 @@ var statMetrics = func() (out []statMetric) {
 }()
 
 // cacheMetrics names the content store's and the label cache's counts, in
-// collect's order: hits, approximate hits, misses, stale drops, evictions.
-var cacheMetrics = [2][5]string{
-	{"cache.hits", "cache.approx_hits", "cache.misses", "cache.stale_drops", "cache.evictions"},
-	{"labels.hits", "labels.approx_hits", "labels.misses", "labels.stale_drops", "labels.evictions"},
+// collect's order: hits, misses, stale drops, evictions.
+var cacheMetrics = [2][4]string{
+	{"cache.hits", "cache.misses", "cache.stale_drops", "cache.evictions"},
+	{"labels.hits", "labels.misses", "labels.stale_drops", "labels.evictions"},
 }
 
 // Node is one Athena node.
@@ -632,7 +623,6 @@ type Node struct {
 	sequentialWindow int
 	retryBandwidth   float64
 	disableRetries   bool
-	approxMinSim     float64
 	criticalPrefix   names.Name
 	sensorNoise      float64
 
@@ -644,11 +634,6 @@ type Node struct {
 	coalesce *coalescer
 	member   *membership
 	shard    *shardClient
-
-	// Query-plan memoization: planFor's output keyed by expression text,
-	// valid while the directory view is unchanged (directory changes are
-	// the only event that re-prices planning metadata at runtime).
-	planCache map[string]cachedPlan
 
 	// selectSources' scratch, reset per call (callers hold n.mu): the
 	// coverable labels and the priced candidate pool.
@@ -719,7 +704,6 @@ func New(cfg Config) (*Node, error) {
 		sequentialWindow: cfg.SequentialWindow,
 		retryBandwidth:   cfg.RetryBandwidth,
 		disableRetries:   cfg.DisableRetries,
-		approxMinSim:     cfg.ApproxMinSimilarity,
 		criticalPrefix:   cfg.CriticalPrefix,
 		sensorNoise:      cfg.SensorNoise,
 		trace:            cfg.Trace,
@@ -884,11 +868,10 @@ func (n *Node) QueryInit(expr boolexpr.DNF, deadline time.Duration) (string, err
 	id := n.id + "/q" + strconv.Itoa(n.querySeq)
 	now := n.now()
 	abs := now.Add(deadline)
-	exprText := expr.String()
 	v := n.dir.View()
 
 	q := &localQuery{
-		engine: core.NewEngineWithPlan(id, expr, abs, n.meta, n.planFor(v, expr, exprText)),
+		engine: core.NewEngineWithPlan(id, expr, abs, n.meta, n.planFor(expr)),
 		issued: now,
 		reqs:   make(map[string]objReq),
 	}
@@ -945,40 +928,14 @@ func (n *Node) whenLive(id string, act func(*localQuery)) {
 	}
 }
 
-// cachedPlan is one memoized planFor result, valid while the directory
-// view it was computed under, by version, is current.
-type cachedPlan struct {
-	plan boolexpr.QueryPlan
-	dirv uint64
-}
-
 // planFor builds the evaluation plan per scheme: decision-driven schemes
 // order terms by short-circuit efficiency and literals by longest validity
-// first; batch schemes use the greedy plan only for bookkeeping. Plans are
-// memoized by expression text — recurring queries (QueryEvery) re-plan an
-// identical expression every period otherwise — and invalidated when the
-// directory's view v is not the one they were planned under. Node code
-// never writes n.meta: the only re-pricing is athenad's
-// mergeDirectoryMeta, which folds advertised streams into the table
-// between queries, and a new view is the cheap signal that one may have
-// run. Cached plans are shared across engines; the engine only reads them.
-func (n *Node) planFor(v *View, expr boolexpr.DNF, key string) boolexpr.QueryPlan {
-	dirv := v.version
-	if c, ok := n.planCache[key]; ok && c.dirv == dirv {
-		n.stats.PlanCacheHits++
-		return c.plan
-	}
-	var plan boolexpr.QueryPlan
+// first; batch schemes use the greedy plan only for bookkeeping.
+func (n *Node) planFor(expr boolexpr.DNF) boolexpr.QueryPlan {
 	if n.choices.order == orderValidity {
-		plan = boolexpr.ValidityFirstPlan(expr, n.meta)
-	} else {
-		plan = boolexpr.GreedyPlan(expr, n.meta)
+		return boolexpr.ValidityFirstPlan(expr, n.meta)
 	}
-	if n.planCache == nil || len(n.planCache) >= 256 {
-		n.planCache = make(map[string]cachedPlan)
-	}
-	n.planCache[key] = cachedPlan{plan: plan, dirv: dirv}
-	return plan
+	return boolexpr.GreedyPlan(expr, n.meta)
 }
 
 // pump advances a local query: issues whatever requests its scheme wants

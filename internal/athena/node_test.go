@@ -348,100 +348,6 @@ func TestBatchSchemeResolves(t *testing.T) {
 	}
 }
 
-func TestApproximateSubstitution(t *testing.T) {
-	// Two cameras under a shared name prefix view the same labels; with
-	// approximate matching on, a cached sibling object answers a request
-	// for the other camera without contacting its source.
-	sched := simclock.New(tBase)
-	net := netsim.New(sched)
-	for _, id := range []string{"origin", "mid", "cam1", "cam2"} {
-		net.AddNode(id, nil)
-	}
-	link := netsim.LinkConfig{Bandwidth: 125_000, Latency: time.Millisecond}
-	for _, l := range [][2]string{{"origin", "mid"}, {"mid", "cam1"}, {"mid", "cam2"}} {
-		if err := net.AddLink(l[0], l[1], link); err != nil {
-			t.Fatal(err)
-		}
-	}
-	world := staticWorld{"scene": true, "extra": true}
-	descs := []object.Descriptor{
-		{Name: names.MustParse("/city/market/cam1"), Size: 150_000, Source: "cam1",
-			Labels: []string{"scene"}, Validity: time.Minute, ProbTrue: 0.8},
-		{Name: names.MustParse("/city/market/cam2"), Size: 150_000, Source: "cam2",
-			Labels: []string{"scene", "extra"}, Validity: time.Minute, ProbTrue: 0.8},
-	}
-	dir := NewDirectory(descs)
-	auth := trust.NewAuthority()
-	mk := func(id string, d *object.Descriptor) *Node {
-		node, err := New(Config{
-			ID: id, Transport: transport.NewSim(net, id), Router: net,
-			Timers: LaneTimers{Lane: sched.Lane}, Scheme: SchemeLVF, Directory: dir,
-			Meta: boolexpr.MetaTable{
-				"scene": {Cost: 150_000, ProbTrue: 0.8, Validity: time.Minute},
-				"extra": {Cost: 150_000, ProbTrue: 0.8, Validity: time.Minute},
-			},
-			World: world, Authority: auth,
-			Signer: auth.Register(id, []byte(id)), Policy: trust.TrustAll(),
-			Descriptor: d, CacheBytes: 8 << 20,
-			ApproxMinSimilarity: 0.6,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return node
-	}
-	origin := mk("origin", nil)
-	mid := mk("mid", nil)
-	mk("cam1", &descs[0])
-	mk("cam2", &descs[1])
-
-	// Warm mid's cache with cam1's object ("scene" evidence) by resolving
-	// a first query at origin; SourceForLabel prefers the cheaper/first
-	// camera cam1.
-	if _, err := origin.QueryInit(boolexpr.ToDNF(boolexpr.MustParse("scene")), 30*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if err := sched.RunUntil(tBase.Add(20*time.Second), 0); err != nil {
-		t.Fatal(err)
-	}
-
-	// Now ask for something only cam2 advertises... actually request
-	// "scene" via cam2's object by directing the query from mid itself
-	// after clearing its own direct knowledge: issue a query at mid for
-	// "scene" — its exact cached name matches cam1's object, so to force
-	// the approximate path, request cam2's object name directly.
-	req := ObjectRequest{
-		QueryID:    "manual",
-		Origin:     "origin",
-		Object:     "/city/market/cam2",
-		SourceNode: "cam2",
-		Labels:     []string{"scene"},
-	}
-	before := mid.Stats().ApproxAnswers
-	mid.handleMessage("origin", req.WireSize(), &req)
-	if err := sched.RunUntil(tBase.Add(30*time.Second), 0); err != nil {
-		t.Fatal(err)
-	}
-	if got := mid.Stats().ApproxAnswers; got != before+1 {
-		t.Errorf("ApproxAnswers = %d, want %d (sibling camera substitution)", got, before+1)
-	}
-}
-
-func TestApproximateSubstitutionDisabledByDefault(t *testing.T) {
-	world := staticWorld{"lc1": true, "lc2": true}
-	r := buildRig(t, SchemeLVF, world, nil)
-	expr := boolexpr.ToDNF(boolexpr.MustParse("lc1 & lc2"))
-	if _, err := r.nodes["nodeA"].QueryInit(expr, 30*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	r.run(t, time.Minute)
-	for id, n := range r.nodes {
-		if n.Stats().ApproxAnswers != 0 {
-			t.Errorf("node %s served approximate answers with feature off", id)
-		}
-	}
-}
-
 func TestCriticalNamespacePriority(t *testing.T) {
 	// Two sensors behind one congested link: bulk traffic queues first,
 	// but the critical-namespace object must be serialized ahead of the
@@ -614,8 +520,8 @@ func TestCollectDoesNotAllocate(t *testing.T) {
 			t.Errorf("collect emits no %s (emitted %d names)", want, len(names))
 		}
 	}
-	if len(names) != len(statMetrics)+14 {
-		t.Errorf("collect emits %d names, want %d tagged fields and 14 others", len(names), len(statMetrics))
+	if len(names) != len(statMetrics)+12 {
+		t.Errorf("collect emits %d names, want %d tagged fields and 12 others", len(names), len(statMetrics))
 	}
 	emit := func(string, int64) {}
 	if allocs := testing.AllocsPerRun(100, func() { n.collect(emit) }); allocs != 0 {

@@ -96,7 +96,7 @@ func TestPlanForMatchesSliceStablePlanner(t *testing.T) {
 		}
 		for _, scheme := range Schemes() {
 			n := &Node{choices: schemeChoices[scheme].choices, meta: meta, dir: NewDirectory(nil)}
-			got := n.planFor(n.dir.View(), expr, expr.String())
+			got := n.planFor(expr)
 			if want := sliceStablePlanFor(scheme, expr, meta); !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d scheme %s on %s:\ngot  %v\nwant %v", trial, scheme, expr, got, want)
 			}

@@ -66,8 +66,8 @@ type StatusSnapshot struct {
 	// Stats are the node's lifetime counters (evictions, retries, cache
 	// answers, heartbeats, ...).
 	Stats Stats `json:"stats"`
-	// CacheHitRatio is the content store's hit ratio counting approximate
-	// substitutions as hits (1 when the store saw no lookups).
+	// CacheHitRatio is the content store's hit ratio (1 when the store saw
+	// no lookups).
 	CacheHitRatio float64 `json:"cache_hit_ratio"`
 	// Metrics is the node's registry snapshot — counters, gauges, and the
 	// fetch-latency / decision-age histograms. Empty when the node runs
@@ -94,9 +94,8 @@ func (n *Node) StatusSnapshot() StatusSnapshot {
 	reg := n.reg
 	n.mu.Unlock()
 
-	hits := cs.Hits + cs.ApproxHits
-	if total := hits + cs.Misses; total > 0 {
-		s.CacheHitRatio = float64(hits) / float64(total)
+	if total := cs.Hits + cs.Misses; total > 0 {
+		s.CacheHitRatio = float64(cs.Hits) / float64(total)
 	} else {
 		s.CacheHitRatio = 1
 	}

@@ -287,7 +287,6 @@ func TestRegistryCountsMatchStats(t *testing.T) {
 	var failovers, inserts, expiries int64
 	addCache := func(dst *cache.Stats, s cache.Stats) {
 		dst.Hits += s.Hits
-		dst.ApproxHits += s.ApproxHits
 		dst.Misses += s.Misses
 		dst.StaleDrops += s.StaleDrops
 		dst.Evictions += s.Evictions
@@ -319,13 +318,12 @@ func TestRegistryCountsMatchStats(t *testing.T) {
 	}
 	for prefix, cs := range map[string]cache.Stats{"cache": store, "labels": labels} {
 		want[prefix+".hits"] = cs.Hits
-		want[prefix+".approx_hits"] = cs.ApproxHits
 		want[prefix+".misses"] = cs.Misses
 		want[prefix+".stale_drops"] = cs.StaleDrops
 		want[prefix+".evictions"] = cs.Evictions
 	}
-	if len(want) != 25 {
-		t.Fatalf("the test lists %d counters, want 25", len(want))
+	if len(want) != 23 {
+		t.Fatalf("the test lists %d counters, want 23", len(want))
 	}
 	got := out.Metrics.Counters
 	for name, v := range want {

@@ -58,7 +58,6 @@ func (d *Directory) buildViewLocked() *View {
 	v := &View{
 		version:  d.version,
 		rows:     make([]row, 0, nrows),
-		labels:   make([]viewLabel, 0, nspans),
 		covering: make([]*row, 0, nspans),
 		byName:   make([]int32, 0, nrows),
 	}
@@ -82,32 +81,35 @@ func (d *Directory) buildViewLocked() *View {
 		}
 	}
 	// One span per (label, row), lo the row, sorted by label and then row,
-	// which is source order; then folded in place, in the same array, into
-	// one span of covering per label. The fold writes behind what it reads.
+	// which is source order; then folded in place, in the directory's
+	// scratch, into one span of covering per label, and copied out at the
+	// folded length. The fold writes behind what it reads.
+	d.spans = slices.Grow(d.spans[:0], nspans)
 	for i := range v.rows {
 		for _, l := range v.rows[i].desc.Labels {
-			v.labels = append(v.labels, viewLabel{label: l, lo: int32(i)})
+			d.spans = append(d.spans, viewLabel{label: l, lo: int32(i)})
 		}
 	}
-	slices.SortFunc(v.labels, func(a, b viewLabel) int {
+	slices.SortFunc(d.spans, func(a, b viewLabel) int {
 		if c := strings.Compare(a.label, b.label); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.lo, b.lo)
 	})
-	spans := v.labels
-	v.labels = v.labels[:0]
-	for _, s := range spans {
-		r, n := &v.rows[s.lo], len(v.labels)
-		if n == 0 || v.labels[n-1].label != s.label {
-			v.labels = append(v.labels, viewLabel{label: s.label, lo: int32(len(v.covering))})
+	labels := d.spans[:0]
+	for _, s := range d.spans {
+		r, n := &v.rows[s.lo], len(labels)
+		if n == 0 || labels[n-1].label != s.label {
+			labels = append(labels, viewLabel{label: s.label, lo: int32(len(v.covering))})
 			n++
 		} else if v.covering[len(v.covering)-1] == r {
 			continue // a descriptor that names a label twice covers it once
 		}
 		v.covering = append(v.covering, r)
-		v.labels[n-1].hi = int32(len(v.covering))
+		labels[n-1].hi = int32(len(v.covering))
 	}
+	v.labels = make([]viewLabel, len(labels))
+	copy(v.labels, labels)
 	return v
 }
 

@@ -429,7 +429,8 @@ func TestViewReadersRaceWriters(t *testing.T) {
 }
 
 // A view is a constant number of flat arrays: building one allocates the
-// same at ten sources as at a thousand.
+// same at ten sources as at a thousand, and its label index holds no
+// capacity past one span per label.
 func TestViewBuildAllocsFlat(t *testing.T) {
 	allocs := make(map[int]float64)
 	for _, n := range []int{10, 1000} {
@@ -447,6 +448,9 @@ func TestViewBuildAllocsFlat(t *testing.T) {
 		})
 		if len(v.rows) != n || len(v.cover("all")) != n {
 			t.Fatalf("%d sources: view of %d rows, %d covering all", n, len(v.rows), len(v.cover("all")))
+		}
+		if cap(v.labels) != len(v.labels) {
+			t.Errorf("%d sources: the view keeps capacity for %d label spans, holding %d", n, cap(v.labels), len(v.labels))
 		}
 	}
 	if allocs[10] != allocs[1000] || allocs[10] > 5 {

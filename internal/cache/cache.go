@@ -18,8 +18,6 @@ import (
 type Stats struct {
 	// Hits counts fresh exact-name hits.
 	Hits int64
-	// ApproxHits counts hits served by approximate name substitution.
-	ApproxHits int64
 	// Misses counts lookups with no usable entry.
 	Misses int64
 	// StaleDrops counts entries evicted or rejected because they aged out.
@@ -113,33 +111,10 @@ func (s *Store) Get(name names.Name, now time.Time) (*object.Object, bool) {
 	return e.obj, true
 }
 
-// GetApprox returns a fresh cached object whose name similarity to the
-// query is at least minSimilarity — the Section V-A approximate
-// substitution used for congestion control. Exact matches are preferred
-// automatically (similarity 1).
-func (s *Store) GetApprox(name names.Name, minSimilarity float64, now time.Time) (*object.Object, bool) {
-	match, e, ok := s.index.Nearest(name, minSimilarity, func(_ names.Name, e *entry) bool {
-		return e.obj.FreshAt(now)
-	})
-	if !ok {
-		s.stats.Misses++
-		return nil, false
-	}
-	s.unlink(e)
-	s.pushFront(e)
-	if match.Compare(name) == 0 {
-		s.stats.Hits++
-	} else {
-		s.stats.ApproxHits++
-	}
-	return e.obj, true
-}
-
 // reap drops all entries stale at now.
 func (s *Store) reap(now time.Time) {
-	// Scan the LRU list rather than walking the name index: the trie
-	// walk re-materializes every stored name, while the list already
-	// holds the entries. Removal is order-independent.
+	// Scan the LRU list, which holds every entry; removal is
+	// order-independent.
 	for e := s.head; e != nil; {
 		next := e.next
 		if !e.obj.FreshAt(now) {

@@ -157,27 +157,6 @@ func TestStoreReplaceSameName(t *testing.T) {
 	}
 }
 
-func TestStoreGetApprox(t *testing.T) {
-	s := NewStore(1000)
-	s.Put(obj("/city/market/south/cam1", 100, time.Minute), t0)
-	got, ok := s.GetApprox(names.MustParse("/city/market/south/cam2"), 0.7, t0)
-	if !ok || got.ID.Name.String() != "/city/market/south/cam1" {
-		t.Fatalf("GetApprox = %v, %v", got, ok)
-	}
-	if s.Stats().ApproxHits != 1 {
-		t.Errorf("ApproxHits = %d, want 1", s.Stats().ApproxHits)
-	}
-	if _, ok := s.GetApprox(names.MustParse("/rural/x"), 0.7, t0); ok {
-		t.Error("GetApprox matched dissimilar name")
-	}
-	// Stale candidates are vetoed.
-	s2 := NewStore(1000)
-	s2.Put(obj("/city/market/south/cam1", 100, time.Second), t0)
-	if _, ok := s2.GetApprox(names.MustParse("/city/market/south/cam2"), 0.7, t0.Add(time.Minute)); ok {
-		t.Error("GetApprox served stale object")
-	}
-}
-
 // Property: the store never exceeds capacity and never serves stale data,
 // under random operations.
 func TestStoreInvariantsProperty(t *testing.T) {

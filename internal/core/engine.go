@@ -82,8 +82,7 @@ type Engine struct {
 	expr     boolexpr.DNF
 	deadline time.Time
 	meta     boolexpr.MetaTable
-	// plan orders the walk over terms and literals. It may be shared with
-	// other engines (the node memoizes plans), so the engine only reads it.
+	// plan orders the walk over terms and literals. The engine only reads it.
 	plan boolexpr.QueryPlan
 
 	// labels is the set of labels the expression references, sorted and

@@ -24,7 +24,7 @@ type AblationRow struct {
 	// MeanLatency is the mean decision latency.
 	MeanLatency time.Duration
 	// HitRatio is the mean fleet cache hit ratio from the per-run metrics
-	// snapshots (approximate hits count as hits).
+	// snapshots.
 	HitRatio float64
 	// Retries is the mean recovery-layer event count per run (request
 	// timeouts plus retransmissions).

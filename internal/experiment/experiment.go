@@ -60,8 +60,8 @@ type Point struct {
 	MeanMB float64
 	// MeanLatency is the mean decision latency of resolved queries.
 	MeanLatency time.Duration
-	// HitRatio is the mean fleet cache hit ratio (approximate hits count
-	// as hits), from the per-run metrics registry snapshots.
+	// HitRatio is the mean fleet cache hit ratio, from the per-run metrics
+	// registry snapshots.
 	HitRatio float64
 	// Retries is the mean recovery-layer event count per run (request
 	// timeouts plus retransmissions).

@@ -1,7 +1,7 @@
 // Package names implements hierarchical semantic naming (Section V-A of the
 // paper): UNIX-path-like content names where a longer shared prefix means
 // higher semantic similarity, plus a prefix trie used for routing tables
-// (FIB), content stores, and approximate object substitution.
+// (FIB) and content stores.
 package names
 
 import (

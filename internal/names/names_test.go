@@ -214,38 +214,6 @@ func TestTrieDeletePrefixOfLiveName(t *testing.T) {
 	}
 }
 
-// Walk from the root must visit every stored name in lexicographic order
-// and honour an early stop.
-func TestTrieWalkPrefixFromRoot(t *testing.T) {
-	var tr Trie[int]
-	stored := []string{"/b/x", "/a/b", "/a", "/c"}
-	for i, s := range stored {
-		tr.Put(MustParse(s), i)
-	}
-	var got []string
-	tr.Walk(func(n Name, _ int) bool {
-		got = append(got, n.String())
-		return true
-	})
-	want := []string{"/a", "/a/b", "/b/x", "/c"}
-	if len(got) != len(want) {
-		t.Fatalf("Walk = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Walk = %v, want %v", got, want)
-		}
-	}
-	var first []string
-	tr.Walk(func(n Name, _ int) bool {
-		first = append(first, n.String())
-		return false
-	})
-	if len(first) != 1 || first[0] != "/a" {
-		t.Errorf("Walk early stop = %v, want [/a]", first)
-	}
-}
-
 // LongestPrefix when only an interior (non-present) node lies on the query
 // path must report no match: traversal alone is not a hit.
 func TestTrieLongestPrefixInteriorOnly(t *testing.T) {
@@ -266,34 +234,6 @@ func TestTrieLongestPrefixInteriorOnly(t *testing.T) {
 	tr.Delete(MustParse("/a/b/c"))
 	if _, _, ok := tr.LongestPrefix(MustParse("/a/b/c/d")); ok {
 		t.Error("LongestPrefix after delete still matches")
-	}
-}
-
-func TestTrieNearest(t *testing.T) {
-	var tr Trie[int]
-	tr.Put(MustParse("/city/market/south/cam1"), 1)
-	tr.Put(MustParse("/city/market/north/cam9"), 2)
-	tr.Put(MustParse("/rural/farm"), 3)
-
-	// Exact present: returns it.
-	n, v, ok := tr.Nearest(MustParse("/city/market/south/cam1"), 0.5, nil)
-	if !ok || v != 1 || n.String() != "/city/market/south/cam1" {
-		t.Errorf("Nearest exact = %v %d %v", n, v, ok)
-	}
-	// Sibling camera substitution.
-	n, v, ok = tr.Nearest(MustParse("/city/market/south/cam2"), 0.5, nil)
-	if !ok || v != 1 {
-		t.Errorf("Nearest sibling = %v %d %v", n, v, ok)
-	}
-	// Threshold too high: nothing acceptable.
-	if _, _, ok := tr.Nearest(MustParse("/ocean/deep"), 0.5, nil); ok {
-		t.Error("Nearest found dissimilar match")
-	}
-	// Veto the best candidate; falls back to next best.
-	n, _, ok = tr.Nearest(MustParse("/city/market/south/cam2"), 0.4,
-		func(cand Name, _ int) bool { return cand.String() != "/city/market/south/cam1" })
-	if !ok || n.String() != "/city/market/north/cam9" {
-		t.Errorf("Nearest with veto = %v %v", n, ok)
 	}
 }
 

@@ -1,10 +1,8 @@
 package names
 
-import "sort"
-
 // Trie is a component-wise prefix tree mapping Names to values. It backs
-// forwarding tables (longest-prefix match), content indexes (prefix walks),
-// and approximate substitution (Nearest). The zero value is an empty trie.
+// forwarding tables (longest-prefix match) and content indexes (exact
+// lookups). The zero value is an empty trie.
 type Trie[V any] struct {
 	root trieNode[V]
 	size int
@@ -132,58 +130,4 @@ func (t *Trie[V]) LongestPrefix(query Name) (Name, V, bool) {
 		return Name{}, zero, false
 	}
 	return query.Prefix(bestDepth), bestValue, true
-}
-
-// Walk visits every stored name in lexicographic order.
-func (t *Trie[V]) Walk(fn func(Name, V) bool) {
-	walk(&t.root, nil, fn)
-}
-
-func walk[V any](node *trieNode[V], comps []string, fn func(Name, V) bool) bool {
-	if node.present && len(comps) > 0 {
-		name, err := New(comps...)
-		if err == nil && !fn(name, node.value) {
-			return false
-		}
-	}
-	keys := make([]string, 0, len(node.children))
-	for k := range node.children {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if !walk(node.children[k], append(comps, k), fn) {
-			return false
-		}
-	}
-	return true
-}
-
-// Nearest implements approximate object substitution (Section V-A): it
-// returns the stored name with the highest Similarity to the query that is
-// at least minSimilarity, preferring deeper shared prefixes and breaking
-// ties lexicographically. An exact match always wins. The accept callback
-// (optional) can veto candidates, e.g. stale cache entries.
-func (t *Trie[V]) Nearest(query Name, minSimilarity float64, accept func(Name, V) bool) (Name, V, bool) {
-	var (
-		bestName Name
-		bestVal  V
-		bestSim  = -1.0
-		found    bool
-	)
-	t.Walk(func(n Name, v V) bool {
-		if accept != nil && !accept(n, v) {
-			return true
-		}
-		sim := query.Similarity(n)
-		if sim > bestSim || (sim == bestSim && found && n.Compare(bestName) < 0) {
-			bestSim, bestName, bestVal, found = sim, n, v, true
-		}
-		return bestSim < 1.0 // stop early on exact match
-	})
-	if !found || bestSim < minSimilarity {
-		var zero V
-		return Name{}, zero, false
-	}
-	return bestName, bestVal, true
 }

@@ -100,10 +100,6 @@ type SimNodeConfig struct {
 	// World is the ground truth this node's annotator reads. Required
 	// for nodes that issue queries or host sensors.
 	World GroundTruth
-	// ApproxMinSimilarity enables approximate object substitution
-	// (Section V-A); zero disables.
-	//lint:allow deadoption no caller sets it; ROADMAP item 17 gives approximate matching (Sec. V-A) a recorded row or removes it
-	ApproxMinSimilarity float64
 	// CriticalPrefix marks the critical name space (Section V-C).
 	//lint:allow deadoption no caller sets it; ROADMAP item 17 gives criticality (Sec. V-C) a recorded row or removes it
 	CriticalPrefix ContentName
@@ -215,28 +211,27 @@ func (s *SimNetwork) Build() error {
 			nodeDir = iathena.NewDirectory(s.descriptors)
 		}
 		node, err := iathena.New(iathena.Config{
-			ID:                  cfg.ID,
-			Transport:           transport.NewSim(s.net, cfg.ID),
-			Router:              s.net,
-			Timers:              iathena.LaneTimers{Lane: s.net.LaneOf(cfg.ID)},
-			Scheme:              cfg.Scheme,
-			Directory:           nodeDir,
-			Meta:                meta,
-			World:               cfg.World,
-			Authority:           s.auth,
-			Signer:              s.auth.Register(cfg.ID, []byte("simnet-"+cfg.ID)),
-			Policy:              trust.TrustAll(),
-			Descriptor:          cfg.Source,
-			CacheBytes:          16 << 20,
-			ApproxMinSimilarity: cfg.ApproxMinSimilarity,
-			CriticalPrefix:      cfg.CriticalPrefix,
-			DisableRetries:      cfg.DisableRetries,
-			HeartbeatInterval:   s.hbInterval,
-			GossipFanout:        s.gFanout,
-			GossipSeed:          s.gSeed,
-			Shards:              s.shards,
-			ShardReplicas:       s.shardRF,
-			Metrics:             s.reg,
+			ID:                cfg.ID,
+			Transport:         transport.NewSim(s.net, cfg.ID),
+			Router:            s.net,
+			Timers:            iathena.LaneTimers{Lane: s.net.LaneOf(cfg.ID)},
+			Scheme:            cfg.Scheme,
+			Directory:         nodeDir,
+			Meta:              meta,
+			World:             cfg.World,
+			Authority:         s.auth,
+			Signer:            s.auth.Register(cfg.ID, []byte("simnet-"+cfg.ID)),
+			Policy:            trust.TrustAll(),
+			Descriptor:        cfg.Source,
+			CacheBytes:        16 << 20,
+			CriticalPrefix:    cfg.CriticalPrefix,
+			DisableRetries:    cfg.DisableRetries,
+			HeartbeatInterval: s.hbInterval,
+			GossipFanout:      s.gFanout,
+			GossipSeed:        s.gSeed,
+			Shards:            s.shards,
+			ShardReplicas:     s.shardRF,
+			Metrics:           s.reg,
 		})
 		if err != nil {
 			return fmt.Errorf("athena: build node %s: %w", cfg.ID, err)
