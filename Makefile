@@ -72,11 +72,15 @@ ci-short:
 # (internal/cache), parsed into
 # machine-readable JSON.
 # CI archives the file per commit; regressions are judged against the
-# committed baseline.
+# committed baseline. The runs' output is copied to stderr from a file, not
+# through `tee /dev/stderr`, which reopens fd 2 and truncates a log that
+# `make bench > log 2>&1` writes.
 bench:
+	out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
 	{ $(GO) test -run '^$$' -bench 'BenchmarkScheme|BenchmarkKernelFleet|BenchmarkDecisionEngine|BenchmarkPlanFor|BenchmarkMembershipControlPlane|BenchmarkSimKernel|BenchmarkBatchedFetch|BenchmarkDeliverObjectHistory|BenchmarkQueryReferences|BenchmarkSelectSources|BenchmarkDirectoryDelta|BenchmarkShardRefresh|BenchmarkShardLookupBegin|BenchmarkLookupReplies|BenchmarkShardLookupServe|BenchmarkSwimProbeRound|BenchmarkLaneQueue|BenchmarkEncode|BenchmarkDecode|BenchmarkSign|BenchmarkVerify|BenchmarkGenerate|BenchmarkTCPReceivePadded|BenchmarkTCPClosedPairHeld|BenchmarkLabelShare|BenchmarkPumpBatch|BenchmarkStorePut' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire ./internal/trust ./internal/workload ./internal/transport ./internal/cache && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkDirectoryMemory' -benchtime 3x . ; } \
-		| tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_core.json
+	  $(GO) test -run '^$$' -bench 'BenchmarkDirectoryMemory' -benchtime 3x . ; } >"$$out"; \
+	st=$$?; cat "$$out" >&2; \
+	[ $$st -eq 0 ] && $(GO) run ./cmd/benchjson <"$$out" > BENCH_core.json
 
 # loc prints the net Go lines of a change, the figure ROADMAP has every
 # PR report in CHANGES.md: the tree (new files count once `git add`ed)

@@ -134,8 +134,10 @@ fi
 # generator whose route search allocates per extracted intersection; a
 # bulk frame whose zero padding is built in the encode buffer again
 # instead of written by the transport — frame-B/op, the bytes an encode
-# writes, is ~0.1 KB of a 500 KB frame; a small-frame decode that
-# allocates more than the 9 it does, which ROADMAP item 3 cuts; a TCP
+# writes, is ~0.1 KB of a 500 KB frame; a small-frame decode through a
+# connection's warmed decoder that copies the ids, names and labels its
+# intern table holds again — 3, 7 and 6 allocs/op for a request, a share
+# and a ping4, 9, 17 and 25 when every string was copied; a TCP
 # reader that holds its largest frame again instead of one 64 KB chunk —
 # held-B/op, the heap an open connection keeps after 1 MB frames, is
 # ~62 KB, and ~1 MB when frames are read whole; a finished decision whose
@@ -179,16 +181,24 @@ fi
 # none, so each gets its own run (the four lookup and probe benchmarks in
 # internal/athena share one). BenchmarkDirectoryMemory runs without
 # -benchmem, as `make bench` records it: only its entries/node is gated.
+# The runs' output goes to a file that is copied to stderr and then read
+# by benchjson: a `tee /dev/stderr` would reopen fd 2, and under
+# `./ci.sh > log 2>&1` that truncates the log, losing every earlier step.
+bench_out="$(mktemp)"
+trap 'rm -f "$bench_out"' EXIT
 {
-	go test -run '^$' -bench '^Benchmark(Scheme|SimKernel|KernelFleet|BatchedFetch|DeliverObjectHistory|SelectSources|DirectoryDelta|ShardRefresh|LaneQueue|EncodeSmall|EncodeObjectData|DecodeSmall|Generate|PlanFor|LabelShare|PumpBatch|StorePut)$/^(lvf|lvfl|full|sharded|sharded-owned|scoped|unchanged|w1|seed2|on|n2000|depth512|request|head|sec7|uncached|held|cmp|replace)$' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire ./internal/workload ./internal/cache
+	go test -run '^$' -bench '^Benchmark(Scheme|SimKernel|KernelFleet|BatchedFetch|DeliverObjectHistory|SelectSources|DirectoryDelta|ShardRefresh|LaneQueue|EncodeSmall|EncodeObjectData|DecodeSmall|Generate|PlanFor|LabelShare|PumpBatch|StorePut)$/^(lvf|lvfl|full|sharded|sharded-owned|scoped|unchanged|w1|seed2|on|n2000|depth512|request|share|ping4|head|sec7|uncached|held|cmp|replace)$' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire ./internal/workload ./internal/cache
 	go test -run '^$' -bench '^BenchmarkDirectoryMemory$/^sharded$' -benchtime 3x .
 	go test -run '^$' -bench '^BenchmarkDecisionEngine$' -benchmem -benchtime 3x .
 	go test -run '^$' -bench '^Benchmark(ShardLookupBegin|LookupReplies|ShardLookupServe|SwimProbeRound)$' -benchmem -benchtime 3x ./internal/athena
 	go test -run '^$' -bench '^BenchmarkTCPReceivePadded$' -benchmem -benchtime 3x ./internal/transport
 	go test -run '^$' -bench '^BenchmarkTCPClosedPairHeld$' -benchmem -benchtime 3x ./internal/athena
-} |
-	tee /dev/stderr |
-	go run ./cmd/benchjson -check BENCH_core.json \
+} >"$bench_out" || {
+	cat "$bench_out" >&2
+	exit 1
+}
+cat "$bench_out" >&2
+go run ./cmd/benchjson -check BENCH_core.json <"$bench_out" \
 		-gate 'BenchmarkScheme/lvf:allocs/op:10' \
 		-gate 'BenchmarkScheme/lvfl:allocs/op:5' \
 		-gate 'BenchmarkScheme/lvfl:frames/decision:10' \
@@ -214,6 +224,8 @@ fi
 		-gate 'BenchmarkEncodeSmall/request:allocs/op:10' \
 		-gate 'BenchmarkEncodeObjectData/head:frame-B/op:10' \
 		-gate 'BenchmarkDecodeSmall/request:allocs/op:10' \
+		-gate 'BenchmarkDecodeSmall/share:allocs/op:10' \
+		-gate 'BenchmarkDecodeSmall/ping4:allocs/op:10' \
 		-gate 'BenchmarkGenerate/sec7:allocs/op:10' \
 		-gate 'BenchmarkTCPReceivePadded:held-B/op:10' \
 		-gate 'BenchmarkTCPClosedPairHeld:held-B/op:10' \

@@ -943,6 +943,7 @@ func (n *Node) planFor(expr boolexpr.DNF) boolexpr.QueryPlan {
 // status. Callers hold n.mu.
 func (n *Node) pump(q *localQuery) {
 	now := n.now()
+	n.trace.Event(n.id, q.engine.ID(), trace.Pump, now, "")
 	if q.engine.Step(now) != core.Pending {
 		n.recordIfTerminal(q)
 		return

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -434,5 +435,86 @@ func BenchmarkSwimProbeRound(b *testing.B) {
 	b.StopTimer()
 	if ups := len(ra.sent[0].payload.(*Ping).Updates); ups != gossipMaxPiggyback || len(a.member.swim.probes) != 0 {
 		b.Fatalf("a ping carried %d updates with %d probes open, want %d and none", ups, len(a.member.swim.probes), gossipMaxPiggyback)
+	}
+}
+
+// TestForgedRecordsSpeakForLiveSource pins ROADMAP item 30's finding: a
+// directory record is not signed, so any node can speak for another. On
+// the 12-node rig, one node injects a single record about a live node at
+// 5 s, through applyAdverts and its dissemination, as a peer's
+// AdvertGossip would be applied, and the rig runs 120 s more:
+//   - a presence advert at seq 2^62-1 with labels the victim never
+//     advertised reaches every other replica, under flood and under SWIM,
+//     and the victim, which ignores records about itself, never refutes
+//     it;
+//   - a tombstone at 2^62-2 drops the live victim from every other
+//     replica under flood for good; under SWIM the victim refutes it, but
+//     only by jumping to seq 2^62-1, the highest a record may take.
+//
+// The counts are today's, not a contract: item 30's PR (signed records)
+// inverts this test, so that no replica holds the forgery.
+//
+// Replay: go test ./internal/athena -run TestForgedRecordsSpeakForLiveSource -v
+func TestForgedRecordsSpeakForLiveSource(t *testing.T) {
+	cases := []struct {
+		name      string
+		fanout    int
+		tombstone bool
+		forged    int // replicas other than the victim holding the forgery
+		refuted   bool
+	}{
+		{"flood/presence", 0, false, 11, false},
+		{"swim/presence", 2, false, 11, false},
+		{"flood/tombstone", 0, true, 11, false},
+		{"swim/tombstone", 2, true, 0, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			r := buildGossipRig(t, 12, c.fanout, 23)
+			r.run(t, 5*time.Second)
+			victim, forger := r.ids[2], r.nodes[r.ids[7]]
+			forgery := Advertisement{
+				Source: victim, Name: "/src/" + victim, Size: 1000, Validity: time.Minute,
+				Labels: []string{"forged"}, ProbTrue: 0.8, Seq: 1<<62 - 1,
+			}
+			if c.tombstone {
+				forgery = Advertisement{Source: victim, Seq: 1<<62 - 2, Withdrawn: true}
+			}
+			own, _, _ := r.nodes[victim].Directory().Known(victim)
+			forger.mu.Lock()
+			news := forger.applyAdverts([]Advertisement{forgery}, "")
+			forger.mu.Unlock()
+			if len(news) != 1 {
+				t.Fatalf("the forger applied %d of 1 forged records", len(news))
+			}
+			r.run(t, 125*time.Second)
+			forged := 0
+			for _, id := range r.ids {
+				if id == victim {
+					continue
+				}
+				n := r.nodes[id]
+				n.mu.Lock()
+				desc, ok := n.descriptorOf(victim)
+				n.mu.Unlock()
+				if c.tombstone && !n.Directory().Has(victim) || !c.tombstone && ok && slices.Contains(desc.Labels, "forged") {
+					forged++
+				}
+			}
+			seq, _, _ := r.nodes[victim].Directory().Known(victim)
+			t.Logf("%s: %d of %d other replicas hold the forgery; the victim's own seq is %d", c.name, forged, len(r.ids)-1, seq)
+			if forged != c.forged {
+				t.Errorf("%d of %d other replicas hold the forgery, pinned %d", forged, len(r.ids)-1, c.forged)
+			}
+			// Under SWIM the victim refutes a tombstone, but only by jumping
+			// to the highest seq a record may take; nothing else moves it.
+			want := own
+			if c.refuted {
+				want = 1<<62 - 1
+			}
+			if seq != want {
+				t.Errorf("the victim's own seq is %d, pinned %d", seq, want)
+			}
+		})
 	}
 }

@@ -2,9 +2,9 @@
 // spans a node (and the simulated network under it) reports as one query
 // crosses it — planning, source selection, shard lookups, the frames sent
 // for it, each frame's link queue wait, serialization and propagation,
-// coalescing holds, retries, answers, annotation and engine sets — keyed
-// by query id. WriteChrome writes them as Chrome/Perfetto trace events,
-// one track per node.
+// coalescing holds, retries, answers, annotation, engine sets and pumps —
+// keyed by query id. WriteChrome writes them as Chrome/Perfetto trace
+// events, one track per node.
 //
 // It keeps internal/metrics' contract: a nil *Recorder is a valid no-op
 // whose methods allocate nothing, so a node holds one unconditionally, and
@@ -58,12 +58,14 @@ const (
 	Annotate
 	// Set is a label value entering the query's decision engine.
 	Set
+	// Pump is the node asking the query's engine what to fetch next.
+	Pump
 	numKinds
 )
 
 var kindNames = [numKinds]string{
 	"plan", "select", "lookup", "send", "queue", "serialize", "propagate",
-	"hold", "retry", "answer", "annotate", "set",
+	"hold", "retry", "answer", "annotate", "set", "pump",
 }
 
 // String returns the kind's name as WriteChrome prints it.

@@ -16,6 +16,7 @@ func TestNilRecorderDoesNotAllocate(t *testing.T) {
 	at := epoch.Add(time.Second)
 	allocs := testing.AllocsPerRun(1000, func() {
 		r.Event("n1", "n1/q1", Set, at, "viable:h:1-2")
+		r.Event("n1", "n1/q1", Pump, at, "")
 		r.Span("n1", "n1/q1", Hold, epoch, at, "window")
 		if r.On() {
 			t.Fatal("a nil recorder is on")

@@ -28,8 +28,36 @@ type Codec interface {
 	// is zero padding, and a body that ends inside the message is an
 	// error. Then a first chunk that decodes is the whole message, and
 	// the transport checks the rest of the frame for zeros itself; one
-	// that does not is read whole and decoded again.
+	// that does not is read whole and decoded again. A codec that also
+	// implements StreamDecoder decodes each stream through its own
+	// Decoder instead, under the same rules.
 	Decode(body []byte) (from string, payload any, err error)
+}
+
+// Decoder decodes the frames of one stream, as Codec.Decode does. It may
+// keep state between frames (internal/wire's keeps the strings a stream
+// repeats), so each stream has its own and only that stream's reader
+// calls it.
+type Decoder interface {
+	Decode(body []byte) (from string, payload any, err error)
+}
+
+// StreamDecoder is the optional half of a Codec whose decoding keeps
+// per-stream state. The TCP transport asks for one Decoder per inbound
+// connection, and a SimTransport with a codec in the loop for one per
+// receiving node; a Codec without the method decodes every frame with
+// Decode.
+type StreamDecoder interface {
+	NewDecoder() Decoder
+}
+
+// newDecoder is codec's Decoder for one stream: its own when it has
+// one, the codec itself otherwise.
+func newDecoder(codec Codec) Decoder {
+	if sd, ok := codec.(StreamDecoder); ok {
+		return sd.NewDecoder()
+	}
+	return codec
 }
 
 // HeadAppender is the optional half of a Codec whose frames end in zero

@@ -358,6 +358,7 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 	// reads straight into any destination at least as large as its own
 	// buffer.
 	r := bufio.NewReader(conn)
+	dec := newDecoder(t.codec)
 	var buf []byte
 	var hdr [4]byte
 	for {
@@ -374,7 +375,7 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 		if len(buf) < min(n, len(zeroBlock)) {
 			buf = make([]byte, readBufSize(n))
 		}
-		from, payload, err := t.readFrame(r, buf, n)
+		from, payload, err := readFrame(r, dec, buf, n)
 		if err != nil {
 			return
 		}
@@ -404,21 +405,21 @@ func readBufSize(n int) int {
 // errPadding reports a non-zero byte where a frame's padding should be.
 var errPadding = errors.New("transport: non-zero padding")
 
-// readFrame reads an n-byte frame body off r and decodes it, using buf
-// (at least min(n, one chunk) long) as scratch. A body that fits in one
-// chunk is read whole and handed to Decode. A longer one is read a chunk
-// at a time, in buf: Decode is handed the first chunk, and if the message
-// ends there, every later byte is padding, compared with zeroBlock in the
-// buffer that just received it. If the first chunk does not decode (the
-// message is longer than a chunk, or corrupt), the body is gathered
-// whole, growing only as its bytes arrive, and decoded once it is
-// complete; that buffer is dropped as soon as Decode returns.
-func (t *TCPTransport) readFrame(r io.Reader, buf []byte, n int) (string, any, error) {
+// readFrame reads an n-byte frame body off r and decodes it with dec,
+// using buf (at least min(n, one chunk) long) as scratch. A body that
+// fits in one chunk is read whole and handed to Decode. A longer one is
+// read a chunk at a time, in buf: Decode is handed the first chunk, and
+// if the message ends there, every later byte is padding, compared with
+// zeroBlock in the buffer that just received it. If the first chunk does
+// not decode (the message is longer than a chunk, or corrupt), the body
+// is gathered whole, growing only as its bytes arrive, and decoded once
+// it is complete; that buffer is dropped as soon as Decode returns.
+func readFrame(r io.Reader, dec Decoder, buf []byte, n int) (string, any, error) {
 	chunk := buf[:min(n, len(zeroBlock))]
 	if _, err := io.ReadFull(r, chunk); err != nil {
 		return "", nil, err
 	}
-	from, payload, err := t.codec.Decode(chunk)
+	from, payload, err := dec.Decode(chunk)
 	if len(chunk) == n {
 		return from, payload, err
 	}
@@ -438,7 +439,7 @@ func (t *TCPTransport) readFrame(r io.Reader, buf []byte, n int) (string, any, e
 		}
 	}
 	if whole != nil {
-		return t.codec.Decode(whole)
+		return dec.Decode(whole)
 	}
 	return from, payload, nil
 }

@@ -50,11 +50,12 @@ func NewSim(net *netsim.Network, id string) *SimTransport {
 
 // NewSimCodec is NewSim with codec in the loop: a payload is encoded when
 // it is sent, and the receiver is handed its decoding instead of the
-// sender's struct, as over TCP. The network still charges the size the
-// sender gave. A run with the codec in the loop decides exactly as one
-// without, unless the codec drops a field or the plain run's sender and
-// receiver write through a slice they share; that is what it is for. A
-// nil codec is NewSim.
+// sender's struct, as over TCP. Each receiving node decodes through one
+// Decoder of its own (StreamDecoder). The network still charges the size
+// the sender gave. A run with the codec in the loop decides exactly as
+// one without, unless the codec drops a field or the plain run's sender
+// and receiver write through a slice they share; that is what it is for.
+// A nil codec is NewSim.
 func NewSimCodec(net *netsim.Network, id string, codec Codec) *SimTransport {
 	return &SimTransport{net: net, id: id, codec: codec}
 }
@@ -74,11 +75,14 @@ func (s *SimTransport) Send(to string, size int64, payload any) error {
 func (s *SimTransport) SetHandler(h Handler) {
 	handler := netsim.Handler(h)
 	if s.codec != nil {
+		// The node's one decoder, as a TCP connection has one: every frame
+		// reaches the node through it.
+		dec := newDecoder(s.codec)
 		handler = func(_ string, size int64, payload any) {
 			// The frame is one this network's own sender encoded: a frame
 			// the codec cannot read back is the codec's bug, not a peer's.
 			body, _ := payload.([]byte)
-			from, msg, err := s.codec.Decode(body)
+			from, msg, err := dec.Decode(body)
 			if err != nil {
 				panic(fmt.Sprintf("transport: %s: decoding a simulated frame: %v", s.id, err))
 			}

@@ -35,10 +35,16 @@
 // durations are their int64 nanosecond count. Maps are encoded sorted by
 // key so encoding is deterministic (golden tests depend on it).
 //
-// The codec keeps no buffers: Append extends the slice it is given (the
-// TCP transport recycles its own), and decoded messages never alias the
-// input buffer (strings and byte fields are copied out), so callers may
-// recycle a buffer as soon as Decode returns. The padding need not be
+// The codec keeps no frame buffers: Append extends the slice it is given
+// (the TCP transport recycles its own), and decoded messages never alias
+// the input buffer, so callers may recycle a buffer as soon as Decode
+// returns. What a stream of frames repeats — node ids, object names,
+// labels — is copied out once per stream, not once per frame: a Decoder
+// (Codec.NewDecoder, one per connection or simulated receiver) keeps an
+// intern table of those strings, bounded by a constant byte budget, and
+// hands every later frame the copy it holds. Strings a frame carries once
+// (query ids, signatures) are copied as they arrive. Codec.Decode is the
+// same decode with no table. The padding need not be
 // built at all: AppendHead stops before it and reports its length, and
 // the TCP transport writes those zeros by reference from a shared block
 // (transport.HeadAppender). Nor is it held on receipt: the transport
@@ -52,6 +58,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"sort"
 	"time"
@@ -107,8 +114,9 @@ const (
 type Codec struct{}
 
 var (
-	_ transport.Codec        = Codec{}
-	_ transport.HeadAppender = Codec{}
+	_ transport.Codec         = Codec{}
+	_ transport.HeadAppender  = Codec{}
+	_ transport.StreamDecoder = Codec{}
 )
 
 var (
@@ -147,7 +155,7 @@ func (Codec) AppendHead(dst []byte, from string, size int64, payload any) (frame
 	// Reserve the length prefix and the type byte; each is patched once
 	// known.
 	c := coder{b: append(dst, 0, 0, 0, 0, Version, 0), enc: true}
-	c.str(&from)
+	c.name(&from)
 	id := encodePayload(&c, payload)
 	if id == 0 {
 		return c.b[:start], 0, fmt.Errorf("%w: %T", ErrUnknownType, payload)
@@ -175,16 +183,39 @@ func (Codec) AppendHead(dst []byte, from string, size int64, payload any) (frame
 // and returns the sender id and the decoded message as a pointer
 // (*athena.Ping, *athena.ObjectData, ...). Trailing bytes must be zero
 // padding; anything else is ErrBadFrame, as is a body that ends inside
-// the message.
+// the message. Every string is copied out of body.
 func (Codec) Decode(body []byte) (from string, payload any, err error) {
-	c := coder{b: body}
+	return decode(body, nil)
+}
+
+// NewDecoder returns a Decoder for one stream of frames.
+func (Codec) NewDecoder() transport.Decoder { return new(Decoder) }
+
+// Decoder decodes the frames of one stream — an inbound connection, a
+// simulated receiver — as Codec.Decode does, but keeps the strings the
+// stream repeats (ids, names, labels) in an intern table and hands each
+// later frame the same copy. A decoded message still never aliases its
+// frame. The table is bounded (internBudget); once it is full, decoding
+// copies as Codec.Decode does. The zero value is ready to use; a Decoder
+// is not safe for concurrent use.
+type Decoder struct{ tab intern }
+
+// Decode is Codec.Decode through the stream's intern table.
+func (d *Decoder) Decode(body []byte) (from string, payload any, err error) {
+	return decode(body, &d.tab)
+}
+
+// decode is Codec.Decode and Decoder.Decode: tab, when not nil, interns
+// the fields a stream repeats.
+func decode(body []byte, tab *intern) (from string, payload any, err error) {
+	c := coder{b: body, tab: tab}
 	var v, id byte
 	c.u8(&v)
 	if v != Version {
 		return "", nil, fmt.Errorf("%w: version %d", ErrBadFrame, v)
 	}
 	c.u8(&id)
-	c.str(&from)
+	c.name(&from)
 	payload = decodePayload(&c, id)
 	if payload == nil {
 		return "", nil, fmt.Errorf("%w: id %d", ErrUnknownType, id)
@@ -351,59 +382,59 @@ func decodePayload(c *coder, id byte) any {
 
 func objectRequest(c *coder, m *athena.ObjectRequest) {
 	c.str(&m.QueryID)
-	c.str(&m.Origin)
-	c.str(&m.Object)
-	c.str(&m.SourceNode)
-	c.strs(&m.Labels)
+	c.name(&m.Origin)
+	c.name(&m.Object)
+	c.name(&m.SourceNode)
+	c.names(&m.Labels)
 	c.dur(&m.Budget)
 }
 
 func objectData(c *coder, m *athena.ObjectData) {
-	c.str(&m.Object)
+	c.name(&m.Object)
 	c.u64(&m.Version)
 	c.i64(&m.Size)
 	c.time(&m.Created)
 	c.dur(&m.Validity)
-	c.strs(&m.Labels)
-	c.str(&m.SourceNode)
-	c.str(&m.Origin)
+	c.names(&m.Labels)
+	c.name(&m.SourceNode)
+	c.name(&m.Origin)
 	c.str(&m.QueryID)
 }
 
 func labelShare(c *coder, m *athena.LabelShare) {
 	trustLabels(c, &m.Records)
-	c.str(&m.Dest)
+	c.name(&m.Dest)
 	c.str(&m.QueryID)
 }
 
 func heartbeat(c *coder, m *athena.Heartbeat) {
-	c.str(&m.Node)
+	c.name(&m.Node)
 	c.u64(&m.Beat)
 	c.u64(&m.AdvSeq)
 	c.u64(&m.Digest)
 }
 
 func advertGossip(c *coder, m *athena.AdvertGossip) {
-	c.str(&m.To)
+	c.name(&m.To)
 	adverts(c, &m.Adverts)
 }
 
 func peerJoin(c *coder, m *athena.PeerJoin) {
-	c.str(&m.Node)
-	c.str(&m.Addr)
+	c.name(&m.Node)
+	c.name(&m.Addr)
 	adverts(c, &m.Adverts)
 }
 
 func peerJoinAck(c *coder, m *athena.PeerJoinAck) {
-	c.str(&m.Node)
-	c.str(&m.Addr)
+	c.name(&m.Node)
+	c.name(&m.Addr)
 	c.strMap(&m.Peers)
 	adverts(c, &m.Adverts)
 }
 
 func syncRequest(c *coder, m *athena.SyncRequest) {
-	c.str(&m.From)
-	c.str(&m.To)
+	c.name(&m.From)
+	c.name(&m.To)
 	c.u32s(&m.Shards)
 	adverts(c, &m.Adverts)
 	c.seqMap(&m.Seqs)
@@ -411,8 +442,8 @@ func syncRequest(c *coder, m *athena.SyncRequest) {
 }
 
 func syncResponse(c *coder, m *athena.SyncResponse) {
-	c.str(&m.From)
-	c.str(&m.To)
+	c.name(&m.From)
+	c.name(&m.To)
 	c.u32s(&m.Shards)
 	adverts(c, &m.Adverts)
 	c.seqMap(&m.Seqs)
@@ -420,19 +451,19 @@ func syncResponse(c *coder, m *athena.SyncResponse) {
 }
 
 func ping(c *coder, m *athena.Ping) {
-	c.str(&m.From)
-	c.str(&m.To)
+	c.name(&m.From)
+	c.name(&m.To)
 	c.u64(&m.Seq)
 	c.u64(&m.AdvSeq)
 	c.u64(&m.Digest)
-	c.str(&m.OnBehalf)
+	c.name(&m.OnBehalf)
 	c.u64(&m.OnBehalfSeq)
 	memberUpdates(c, &m.Updates)
 }
 
 func ack(c *coder, m *athena.Ack) {
-	c.str(&m.From)
-	c.str(&m.To)
+	c.name(&m.From)
+	c.name(&m.To)
 	c.u64(&m.Seq)
 	c.u64(&m.AdvSeq)
 	c.u64(&m.Digest)
@@ -440,25 +471,25 @@ func ack(c *coder, m *athena.Ack) {
 }
 
 func pingReq(c *coder, m *athena.PingReq) {
-	c.str(&m.From)
-	c.str(&m.To)
-	c.str(&m.Target)
+	c.name(&m.From)
+	c.name(&m.To)
+	c.name(&m.Target)
 	c.u64(&m.Seq)
 	memberUpdates(c, &m.Updates)
 }
 
 func shardLookup(c *coder, m *athena.ShardLookup) {
-	c.str(&m.From)
-	c.str(&m.To)
+	c.name(&m.From)
+	c.name(&m.To)
 	c.u32(&m.Shard)
 	c.u64(&m.Nonce)
 }
 
 func shardLookupReply(c *coder, m *athena.ShardLookupReply) {
-	c.str(&m.From)
-	c.str(&m.To)
+	c.name(&m.From)
+	c.name(&m.To)
 	c.u64(&m.Nonce)
-	c.strs(&m.Labels)
+	c.names(&m.Labels)
 	adverts(c, &m.Adverts)
 }
 
@@ -479,11 +510,11 @@ func dataBatch(c *coder, m *athena.DataBatch) {
 // --- sub-records ------------------------------------------------------
 
 func advertisement(c *coder, a *athena.Advertisement) {
-	c.str(&a.Source)
-	c.str(&a.Name)
+	c.name(&a.Source)
+	c.name(&a.Name)
 	c.i64(&a.Size)
 	c.dur(&a.Validity)
-	c.strs(&a.Labels)
+	c.names(&a.Labels)
 	c.f64(&a.ProbTrue)
 	c.u64(&a.Seq)
 	c.bool(&a.Withdrawn)
@@ -512,10 +543,10 @@ func memberUpdates(c *coder, p *[]athena.MemberUpdate) {
 }
 
 func trustLabel(c *coder, l *trust.Label) {
-	c.str(&l.Name)
+	c.name(&l.Name)
 	c.bool(&l.Value)
-	c.str(&l.Annotator)
-	c.strs(&l.Evidence)
+	c.name(&l.Annotator)
+	c.names(&l.Evidence)
 	c.time(&l.Computed)
 	c.dur(&l.Validity)
 	c.str(&l.Signature)
@@ -543,6 +574,7 @@ type coder struct {
 	off int
 	enc bool
 	err error
+	tab *intern // decoding, the stream's intern table for name fields
 }
 
 // truncated and tooLarge latch the first error. They are functions of
@@ -666,14 +698,34 @@ func (c *coder) str(p *string) {
 		c.b = append(b, *p...)
 		return
 	}
+	if b, ok := c.field(); ok {
+		// string() copies, so decoded messages never alias the frame buffer.
+		*p = string(b)
+	}
+}
+
+// name is str for a field a stream repeats: a node id, an object name, a
+// label. Decoding, it takes the copy the stream's intern table holds.
+func (c *coder) name(p *string) {
+	if c.enc {
+		c.str(p)
+		return
+	}
+	if b, ok := c.field(); ok {
+		*p = c.tab.str(b)
+	}
+}
+
+// field reads a string's bytes in place, for str and name to copy.
+func (c *coder) field() ([]byte, bool) {
 	n := c.readLen()
 	if c.off+n > len(c.b) {
 		c.truncated()
-		return
+		return nil, false
 	}
-	// string() copies, so decoded messages never alias the frame buffer.
-	*p = string(c.b[c.off : c.off+n])
+	b := c.b[c.off : c.off+n]
 	c.off += n
+	return b, true
 }
 
 // count carries a slice or map length as a u16: encoding it appends n,
@@ -709,10 +761,11 @@ func elems[T any](c *coder, p *[]T) []T {
 	return (*p)[:n]
 }
 
-func (c *coder) strs(p *[]string) {
+// names carries a list of names (labels, evidence), each interned.
+func (c *coder) names(p *[]string) {
 	es := elems(c, p)
 	for i := range es {
-		c.str(&es[i])
+		c.name(&es[i])
 	}
 }
 
@@ -741,16 +794,16 @@ func (c *coder) strMap(p *map[string]string) {
 	if c.enc {
 		for _, k := range sortedKeys(*p) {
 			v := (*p)[k]
-			c.str(&k)
-			c.str(&v)
+			c.name(&k)
+			c.name(&v)
 		}
 		return
 	}
 	*p = make(map[string]string, n)
 	for i := 0; i < n; i++ {
 		var k, v string
-		c.str(&k)
-		c.str(&v)
+		c.name(&k)
+		c.name(&v)
 		(*p)[k] = v
 	}
 }
@@ -763,7 +816,7 @@ func (c *coder) seqMap(p *map[string]uint64) {
 	if c.enc {
 		for _, k := range sortedKeys(*p) {
 			v := (*p)[k]
-			c.str(&k)
+			c.name(&k)
 			c.u64(&v)
 		}
 		return
@@ -772,8 +825,67 @@ func (c *coder) seqMap(p *map[string]uint64) {
 	for i := 0; i < n; i++ {
 		var k string
 		var v uint64
-		c.str(&k)
+		c.name(&k)
 		c.u64(&v)
 		(*p)[k] = v
+	}
+}
+
+// The intern table's bounds. A stream's table holds at most internBudget
+// bytes: its slot array and, for each string it keeps, the string's
+// allocation, which for a string of at most internMaxLen bytes Go's size
+// classes round up by less than internSlack. That is well under the 64 KB
+// receive chunk a connection already holds (transport's zeroBlock), so a
+// peer that sends endless distinct names costs its connection no more
+// than the budget.
+const (
+	internSlots  = 256 // a power of two; at most three quarters are filled
+	internMaxLen = 64  // longer strings are copied, never kept
+	internSlack  = 16
+	internBudget = 16 << 10
+	// internSlotBytes is the slot array: a string header (a pointer and a
+	// length, 16 bytes on a 64-bit host) a slot.
+	internSlotBytes = internSlots * 16
+)
+
+// intern is a stream's table of the strings it repeats: an open-addressed
+// set of strings, probed linearly from a seeded hash of the bytes, made at
+// its first string. It only adds; a full table (three quarters of its
+// slots, or its byte budget) copies what it does not hold. The seed
+// places strings in slots, never decides what a lookup returns, so
+// decoding stays a function of the bytes.
+type intern struct {
+	seed  maphash.Seed
+	slots []string
+	n     int // slots filled
+	held  int // bytes held: the slot array and every kept string's allocation
+}
+
+// str returns a string equal to b: the table's copy, a new one it keeps,
+// or, past its bounds, a plain copy. A nil table copies.
+func (t *intern) str(b []byte) string {
+	if t == nil || len(b) == 0 || len(b) > internMaxLen {
+		return string(b)
+	}
+	if t.slots == nil {
+		t.seed = maphash.MakeSeed()
+		t.slots = make([]string, internSlots)
+		t.held = internSlotBytes
+	}
+	for i := maphash.Bytes(t.seed, b); ; i++ {
+		s := &t.slots[i%internSlots]
+		if *s == string(b) {
+			return *s
+		}
+		if *s != "" {
+			continue
+		}
+		if cost := len(b) + internSlack; t.n < internSlots*3/4 && t.held+cost <= internBudget {
+			*s = string(b)
+			t.n++
+			t.held += cost
+			return *s
+		}
+		return string(b)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -706,7 +707,9 @@ func FuzzDataBatch(f *testing.F) {
 // chunk: a body Decode accepts, cut short anywhere, is refused with no
 // payload until the cut reaches the end of the message, and from there
 // on decodes to the same sender and payload; a non-zero byte after the
-// message is refused.
+// message is refused. Each input then goes through a stream's Decoder
+// three ways — fresh, warmed by that first pass, and with its intern
+// table full — and each must decode every cut exactly as Codec.Decode.
 func FuzzDecode(f *testing.F) {
 	hb := &athena.Heartbeat{Node: "n1", Beat: 1}
 	frame, _ := (Codec{}).Append(nil, "a", hb.WireSize(), hb)
@@ -715,39 +718,157 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	bulk, _ := paddedData(f, 1<<20+5)
 	f.Add(bulk)
+	req, _ := (Codec{}).Append(nil, "node-042", 0, smallFrames[0].msg)
+	f.Add(req[4:])
+	full := fullDecoder(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var c Codec
 		from, payload, err := c.Decode(body)
 		if err != nil {
+			for _, d := range []*Decoder{new(Decoder), full} {
+				if _, p, err := d.Decode(body); err == nil || p != nil {
+					t.Fatalf("Codec.Decode refuses the body, a Decoder decodes %#v", p)
+				}
+			}
 			return
 		}
-		end := 0
-		for ; ; end++ {
-			fr, p, err := c.Decode(body[:end])
-			if err != nil {
-				if p != nil {
-					t.Fatalf("body cut at %d: payload %#v with error %v", end, p, err)
-				}
-				continue
-			}
-			if fr != from || !reflect.DeepEqual(p, payload) {
-				t.Fatalf("body cut at %d decodes to %q %#v, whole body to %q %#v", end, fr, p, from, payload)
-			}
-			break
-		}
-		if mid := (end + len(body)) / 2; mid > end {
-			if fr, p, err := c.Decode(body[:mid]); err != nil || fr != from || !reflect.DeepEqual(p, payload) {
-				t.Fatalf("message ends at %d, body cut at %d decodes to %q %#v, %v", end, mid, fr, p, err)
-			}
-		}
-		if end < len(body) {
-			bad := append([]byte(nil), body...)
-			bad[len(bad)-1] = 1
-			if _, p, err := c.Decode(bad); err == nil || p != nil {
-				t.Fatalf("message ends at %d, a non-zero last byte of %d decodes to %#v", end, len(body), p)
-			}
+		fresh := new(Decoder)
+		checkCuts(t, "Codec.Decode", c.Decode, body, from, payload)
+		checkCuts(t, "a fresh Decoder", fresh.Decode, body, from, payload)
+		checkCuts(t, "a warmed Decoder", fresh.Decode, body, from, payload)
+		checkCuts(t, "a full Decoder", full.Decode, body, from, payload)
+		if full.tab.held > internBudget {
+			t.Fatalf("a full table holds %d bytes, over its %d budget", full.tab.held, internBudget)
 		}
 	})
+}
+
+// checkCuts is FuzzDecode's chunk rule for one decode function: body cut
+// short decodes to nothing until the message ends, then to from and
+// payload; a non-zero byte after the message is refused.
+func checkCuts(t *testing.T, who string, decode func([]byte) (string, any, error), body []byte, from string, payload any) {
+	t.Helper()
+	end := 0
+	for ; ; end++ {
+		fr, p, err := decode(body[:end])
+		if err != nil {
+			if p != nil {
+				t.Fatalf("%s: body cut at %d: payload %#v with error %v", who, end, p, err)
+			}
+			continue
+		}
+		if fr != from || !reflect.DeepEqual(p, payload) {
+			t.Fatalf("%s: body cut at %d decodes to %q %#v, whole body to %q %#v", who, end, fr, p, from, payload)
+		}
+		break
+	}
+	if mid := (end + len(body)) / 2; mid > end {
+		if fr, p, err := decode(body[:mid]); err != nil || fr != from || !reflect.DeepEqual(p, payload) {
+			t.Fatalf("%s: message ends at %d, body cut at %d decodes to %q %#v, %v", who, end, mid, fr, p, err)
+		}
+	}
+	if end < len(body) {
+		bad := append([]byte(nil), body...)
+		bad[len(bad)-1] = 1
+		if _, p, err := decode(bad); err == nil || p != nil {
+			t.Fatalf("%s: message ends at %d, a non-zero last byte of %d decodes to %#v", who, end, len(body), p)
+		}
+	}
+}
+
+// fullDecoder is a Decoder whose intern table has stopped adding: it has
+// decoded heartbeats from more distinct senders than it keeps.
+func fullDecoder(t testing.TB) *Decoder {
+	t.Helper()
+	d := new(Decoder)
+	for i := 0; d.tab.n < internSlots*3/4 && d.tab.held+internMaxLen+internSlack <= internBudget; i++ {
+		name := fmt.Sprintf("filler-%04d-%s", i, strings.Repeat("x", i%48))
+		hb := &athena.Heartbeat{Node: name}
+		frame, err := (Codec{}).Append(nil, name, 0, hb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := d.Decode(frame[4:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return d
+}
+
+// TestDecoderHostileStream: a peer that sends 10^5 frames, each naming
+// two ids never seen before, fills its stream's table to the budget and
+// no further, and every frame still decodes to what Codec.Decode reads.
+// The heap the decoder holds afterwards is within the budget too.
+func TestDecoderHostileStream(t *testing.T) {
+	if testing.Short() {
+		t.Skip("10^5 frames")
+	}
+	d := new(Decoder)
+	var c Codec
+	for i := 0; i < 100_000; i++ {
+		from := fmt.Sprintf("peer-%06d-%s", i, strings.Repeat("z", 40))
+		m := &athena.Heartbeat{Node: fmt.Sprintf("/hostile/name/%08d/%s", i, strings.Repeat("y", 40)), Beat: uint64(i)}
+		frame, err := c.Append(nil, from, 0, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr, p, err := d.Decode(frame[4:])
+		wf, wp, werr := c.Decode(frame[4:])
+		if err != nil || werr != nil || fr != wf || !reflect.DeepEqual(p, wp) {
+			t.Fatalf("frame %d: Decoder %q %#v %v, Codec.Decode %q %#v %v", i, fr, p, err, wf, wp, werr)
+		}
+		if d.tab.held > internBudget {
+			t.Fatalf("frame %d: the table holds %d bytes, over its %d budget", i, d.tab.held, internBudget)
+		}
+	}
+	if full := d.tab.n == internSlots*3/4 || d.tab.held+internMaxLen+internSlack > internBudget; !full {
+		t.Fatalf("after 10^5 names the table holds %d strings, %d bytes: not full", d.tab.n, d.tab.held)
+	}
+	t.Logf("table: %d strings, %d bytes accounted", d.tab.n, d.tab.held)
+	// What the decoder holds is what collecting it frees. Its own struct
+	// (a few words) is the only heap it has outside the budget.
+	with := liveHeap()
+	runtime.KeepAlive(d)
+	if held := with - liveHeap(); held > internBudget+64 && !raceEnabled {
+		t.Errorf("the decoder holds %d heap bytes, over its %d budget", held, internBudget)
+	} else {
+		t.Logf("the decoder holds %d heap bytes", held)
+	}
+}
+
+// liveHeap is the heap in use after the garbage is collected.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
+}
+
+// TestDecoderAllocs pins what a small frame costs to decode: through
+// Codec.Decode, which copies every string, and through a stream's Decoder
+// warmed with one frame, which copies only what a frame carries once
+// (query ids, signatures) and allocates the message and its slices. The
+// warmed counts are BENCH_core.json's BenchmarkDecodeSmall rows.
+func TestDecoderAllocs(t *testing.T) {
+	want := map[string][2]float64{"request": {9, 3}, "share": {17, 7}, "ping4": {25, 6}}
+	var c Codec
+	for _, f := range smallFrames {
+		frame, err := c.Append(nil, "node-042", f.msg.WireSize(), f.msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := frame[4:]
+		d := new(Decoder)
+		if _, _, err := d.Decode(body); err != nil {
+			t.Fatal(err)
+		}
+		copied := testing.AllocsPerRun(100, func() { _, benchSink, _ = c.Decode(body) })
+		warmed := testing.AllocsPerRun(100, func() { _, benchSink, _ = d.Decode(body) })
+		if got := [2]float64{copied, warmed}; got != want[f.name] {
+			t.Errorf("%s: %v allocations per Codec.Decode and %v per warmed Decoder.Decode, want %v", f.name, copied, warmed, want[f.name])
+		}
+	}
 }
 
 // TestConstantsCoverRawEncoding checks the audited base constants: no
@@ -933,6 +1054,10 @@ func BenchmarkEncodeSmall(b *testing.B) {
 	}
 }
 
+// BenchmarkDecodeSmall decodes each small frame as a connection does once
+// its first frame has arrived: through the stream's Decoder, warmed with
+// that frame. Codec.Decode, which copies every string, reads 9, 17 and
+// 25 allocs/op (TestDecoderAllocs).
 func BenchmarkDecodeSmall(b *testing.B) {
 	var c Codec
 	for _, f := range smallFrames {
@@ -941,10 +1066,14 @@ func BenchmarkDecodeSmall(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			d := new(Decoder)
+			if _, _, err := d.Decode(frame[4:]); err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, m, err := c.Decode(frame[4:])
+				_, m, err := d.Decode(frame[4:])
 				if err != nil {
 					b.Fatal(err)
 				}
