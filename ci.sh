@@ -184,14 +184,16 @@ fi
 # The runs' output goes to a file that is copied to stderr and then read
 # by benchjson: a `tee /dev/stderr` would reopen fd 2, and under
 # `./ci.sh > log 2>&1` that truncates the log, losing every earlier step.
+# The runs are chained with `&&`: `set -e` does not act on the left side of
+# `||`, so without the chain only the last run's failure would fail CI.
 bench_out="$(mktemp)"
 trap 'rm -f "$bench_out"' EXIT
 {
-	go test -run '^$' -bench '^Benchmark(Scheme|SimKernel|KernelFleet|BatchedFetch|DeliverObjectHistory|SelectSources|DirectoryDelta|ShardRefresh|LaneQueue|EncodeSmall|EncodeObjectData|DecodeSmall|Generate|PlanFor|LabelShare|PumpBatch|StorePut)$/^(lvf|lvfl|full|sharded|sharded-owned|scoped|unchanged|w1|seed2|on|n2000|depth512|request|share|ping4|head|sec7|uncached|held|cmp|replace)$' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire ./internal/workload ./internal/cache
-	go test -run '^$' -bench '^BenchmarkDirectoryMemory$/^sharded$' -benchtime 3x .
-	go test -run '^$' -bench '^BenchmarkDecisionEngine$' -benchmem -benchtime 3x .
-	go test -run '^$' -bench '^Benchmark(ShardLookupBegin|LookupReplies|ShardLookupServe|SwimProbeRound)$' -benchmem -benchtime 3x ./internal/athena
-	go test -run '^$' -bench '^BenchmarkTCPReceivePadded$' -benchmem -benchtime 3x ./internal/transport
+	go test -run '^$' -bench '^Benchmark(Scheme|SimKernel|KernelFleet|BatchedFetch|DeliverObjectHistory|SelectSources|DirectoryDelta|ShardRefresh|LaneQueue|EncodeSmall|EncodeObjectData|DecodeSmall|Generate|PlanFor|LabelShare|PumpBatch|StorePut)$/^(lvf|lvfl|full|sharded|sharded-owned|scoped|unchanged|w1|seed2|on|n2000|depth512|request|share|ping4|head|sec7|uncached|held|cmp|replace)$' -benchmem -benchtime 3x . ./internal/athena ./internal/simclock ./internal/wire ./internal/workload ./internal/cache &&
+	go test -run '^$' -bench '^BenchmarkDirectoryMemory$/^sharded$' -benchtime 3x . &&
+	go test -run '^$' -bench '^BenchmarkDecisionEngine$' -benchmem -benchtime 3x . &&
+	go test -run '^$' -bench '^Benchmark(ShardLookupBegin|LookupReplies|ShardLookupServe|SwimProbeRound)$' -benchmem -benchtime 3x ./internal/athena &&
+	go test -run '^$' -bench '^BenchmarkTCPReceivePadded$' -benchmem -benchtime 3x ./internal/transport &&
 	go test -run '^$' -bench '^BenchmarkTCPClosedPairHeld$' -benchmem -benchtime 3x ./internal/athena
 } >"$bench_out" || {
 	cat "$bench_out" >&2

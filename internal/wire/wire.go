@@ -837,7 +837,9 @@ func (c *coder) seqMap(p *map[string]uint64) {
 // classes round up by less than internSlack. That is well under the 64 KB
 // receive chunk a connection already holds (transport's zeroBlock), so a
 // peer that sends endless distinct names costs its connection no more
-// than the budget.
+// than the budget. The bounds are picked, not derived from traffic: the
+// busiest connection of the benchmark's socket fleets keeps 34 names and
+// 4.9 KB (EXPERIMENTS P56).
 const (
 	internSlots  = 256 // a power of two; at most three quarters are filled
 	internMaxLen = 64  // longer strings are copied, never kept

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -798,7 +797,6 @@ func fullDecoder(t testing.TB) *Decoder {
 // TestDecoderHostileStream: a peer that sends 10^5 frames, each naming
 // two ids never seen before, fills its stream's table to the budget and
 // no further, and every frame still decodes to what Codec.Decode reads.
-// The heap the decoder holds afterwards is within the budget too.
 func TestDecoderHostileStream(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10^5 frames")
@@ -825,24 +823,6 @@ func TestDecoderHostileStream(t *testing.T) {
 		t.Fatalf("after 10^5 names the table holds %d strings, %d bytes: not full", d.tab.n, d.tab.held)
 	}
 	t.Logf("table: %d strings, %d bytes accounted", d.tab.n, d.tab.held)
-	// What the decoder holds is what collecting it frees. Its own struct
-	// (a few words) is the only heap it has outside the budget.
-	with := liveHeap()
-	runtime.KeepAlive(d)
-	if held := with - liveHeap(); held > internBudget+64 && !raceEnabled {
-		t.Errorf("the decoder holds %d heap bytes, over its %d budget", held, internBudget)
-	} else {
-		t.Logf("the decoder holds %d heap bytes", held)
-	}
-}
-
-// liveHeap is the heap in use after the garbage is collected.
-func liveHeap() int64 {
-	runtime.GC()
-	runtime.GC()
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	return int64(m.HeapAlloc)
 }
 
 // TestDecoderAllocs pins what a small frame costs to decode: through
