@@ -518,3 +518,68 @@ func TestForgedRecordsSpeakForLiveSource(t *testing.T) {
 		})
 	}
 }
+
+// TestRejoinKeepsOutageSuspicions pins the first defect of ROADMAP item
+// 28 (P53's FOUND): Rejoin clears a node's probes but keeps the
+// suspicions its own outage raised. On the 12-node SWIM rig (seed 23) the
+// leaf n10 is down from 10 s to 40 s, longer than suspectPeriods periods;
+// every probe it sends meanwhile times out, so it returns suspecting all
+// 11 peers. As it returns, the leaf n11's only link blips for 3 s, a third
+// of suspectPeriods periods. The acks of the other peers clear their
+// suspicions and wind the local health multiplier down, and n10 evicts
+// n11, whose suspicion dates from n10's own outage, although n11 was never
+// down. The twin run without n10's outage sees the same blip and evicts
+// nobody.
+//
+// The counts are today's, not a contract: item 28's PR (a returning node
+// starts clean) inverts this test, so that n10 returns with no suspicion
+// and evicts nobody.
+//
+// Replay: go test ./internal/athena -run TestRejoinKeepsOutageSuspicions -v
+func TestRejoinKeepsOutageSuspicions(t *testing.T) {
+	for _, c := range []struct {
+		name              string
+		outage            bool
+		suspects, evicted int
+	}{
+		{"returning", true, 11, 1},
+		{"never down", false, -1, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := buildGossipRig(t, 12, 2, 23)
+			node, blip := r.nodes["n10"], "n11"
+			if nb := r.net.Neighbors("n10"); len(nb) != 1 || len(r.net.Neighbors(blip)) != 1 {
+				t.Fatalf("n10 and %s are not both leaves of the seed-23 rig", blip)
+			}
+			held := -1 // suspicions n10 holds once it has rejoined
+			r.net.OnChurn(func(id string, up bool) {
+				if up && id == "n10" {
+					node.Rejoin()
+					held = len(node.member.swim.suspects)
+				}
+			})
+			back := 40 * time.Second
+			if c.outage {
+				if err := r.net.ScheduleNodeOutage("n10", tBase.Add(10*time.Second), 30*time.Second); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := r.net.ScheduleLinkOutage(blip, r.net.Neighbors(blip)[0], tBase.Add(back), 3*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			r.run(t, back-time.Millisecond)
+			before := node.Stats().Evictions
+			r.run(t, back+5*time.Second)
+			evicted := node.Stats().Evictions - before
+			t.Logf("n10 holds %d suspicions on its return and evicts %d peers in 5 s", held, evicted)
+			if held != c.suspects || evicted != c.evicted {
+				t.Errorf("n10 held %d suspicions and evicted %d peers, pinned %d and %d", held, evicted, c.suspects, c.evicted)
+			}
+			for _, id := range r.ids {
+				if id != "n10" && !r.nodes[id].Directory().Has(blip) {
+					t.Errorf("%s evicted %s over a 3 s blip", id, blip)
+				}
+			}
+		})
+	}
+}

@@ -180,3 +180,95 @@ func TestTrustPolicies(t *testing.T) {
 		}
 	}
 }
+
+// starWithOutage builds the star base–hub–{camA, camB}, both cameras
+// advertising, with membership at a 1 s period (SWIM gossip when gossip),
+// and takes camA down from 5 s to 25 s. It returns the network and the
+// nodes by id.
+func starWithOutage(t *testing.T, gossip bool) (*athena.SimNetwork, map[string]*athena.Node) {
+	t.Helper()
+	net := athena.NewSimNetwork(simStart)
+	if err := net.EnableMembership(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if gossip {
+		if err := net.EnableGossip(7); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, l := range [][2]string{{"base", "hub"}, {"hub", "camA"}, {"hub", "camB"}} {
+		if err := net.AddLink(l[0], l[1], 125_000, 5*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ids := []string{"base", "hub", "camA", "camB"}
+	for _, id := range ids {
+		cfg := athena.SimNodeConfig{ID: id, World: worldTrue{}}
+		if id == "camA" || id == "camB" {
+			cfg.Source = &athena.SourceDescriptor{
+				Name: athena.MustParseName("/city/" + id), Size: 10_000, Validity: time.Minute,
+				Labels: []string{"clear"}, Source: id, ProbTrue: 0.5,
+			}
+		}
+		if err := net.AddNode(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nodes := make(map[string]*athena.Node)
+	for _, id := range ids {
+		n, err := net.Node(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[id] = n
+	}
+	if err := net.ScheduleNodeOutage("camA", simStart.Add(5*time.Second), 20*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	return net, nodes
+}
+
+// TestGossipStarNeverReadmits pins the second defect of ROADMAP item 28
+// (P55's FOUND), and its flood twin. On the star base–hub–{camA, camB},
+// camA is down 5–25 s. Under SWIM gossip its probes of camB, its only
+// peer, time out while it is down, and it evicts camB at 23 s, so it
+// returns holding no peer, and nobody readmits camA in the 95 s after: no
+// source is left that probes it, and base and hub, which advertise
+// nothing, probe only sources. Under flooded heartbeats camA's beats readmit it, and it
+// holds camB again.
+//
+// The gossip row is today's, not a contract: item 28's PR (any sign of
+// life readmits) inverts it, so that both rows read readmitted.
+//
+// Replay: go test . -run TestGossipStarNeverReadmits -v
+func TestGossipStarNeverReadmits(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		gossip     bool
+		readmitted bool
+	}{
+		{"gossip", true, false},
+		{"flood", false, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			net, nodes := starWithOutage(t, c.gossip)
+			if err := net.Run(26 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if got := nodes["camA"].Directory().Has("camB"); got != c.readmitted {
+				t.Errorf("a second after its return camA holds camB: %v, pinned %v", got, c.readmitted)
+			}
+			if err := net.Run(94 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range []string{"base", "hub", "camB"} {
+				if got := nodes[id].Directory().Has("camA"); got != c.readmitted {
+					t.Errorf("95 s after camA returned %s holds it: %v, pinned %v", id, got, c.readmitted)
+				}
+			}
+			if got := nodes["camA"].Directory().Has("camB"); got != c.readmitted {
+				t.Errorf("95 s after its return camA holds camB: %v, pinned %v", got, c.readmitted)
+			}
+		})
+	}
+}
