@@ -406,9 +406,10 @@ func dataToObject(d *ObjectData) *object.Object {
 }
 
 // handleData implements Data_Recv (Section VI-C): cache the object,
-// satisfy waiting interests along their reverse paths, deliver to any
-// interested local query, and route on toward its destination data that
-// no waiter here took there.
+// satisfy waiting interests along their reverse paths, and deliver to any
+// interested local query. Data follows an interest or stops: an object no
+// waiter here asked for goes no further (a lapsed waiter's origin asks
+// again when its recovery timer fires).
 func (n *Node) handleData(from string, d *ObjectData) {
 	now := n.now()
 	obj := dataToObject(d)
@@ -416,12 +417,8 @@ func (n *Node) handleData(from string, d *ObjectData) {
 
 	// One copy per downstream neighbor suffices: that neighbor's own
 	// interest table fans out further.
-	servedOrigin := d.Origin == n.id
 	sentTo := make(map[string]bool)
 	for _, w := range n.interest.Waiters(d.Object, now) {
-		if w.origin == d.Origin {
-			servedOrigin = true
-		}
 		if w.from == n.id || w.origin == n.id {
 			continue // local delivery handled below
 		}
@@ -434,10 +431,6 @@ func (n *Node) handleData(from string, d *ObjectData) {
 	// Any pending local query that can use this object's evidence gets
 	// it, whether or not it asked (opportunistic reuse across queries).
 	n.deliverObject(obj, now)
-
-	if !servedOrigin {
-		n.route(d.Origin, d, d.WireSize(), n.dataPriority(d))
-	}
 }
 
 // deliverObject annotates an arrived object against every pending local

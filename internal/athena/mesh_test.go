@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"athena/internal/boolexpr"
+	"athena/internal/core"
 	"athena/internal/names"
 	"athena/internal/netsim"
 	"athena/internal/object"
@@ -194,5 +195,56 @@ func TestFinishedQueriesLeaveSimulatedFleet(t *testing.T) {
 	}
 	if decisions != 4*perOrigin || expired == 0 || expired == decisions {
 		t.Errorf("%d decisions (%d expired), want %d with some expired and some not", decisions, expired, 4*perOrigin)
+	}
+}
+
+// TestDataFollowsAnInterestOrStops: on the line a–b–c, a asks for c's
+// object, and b's waiter lapses while the request is upstream. The object
+// that reaches b is cached there and goes no further: no data frame
+// reaches a until a's recovery timer asks again, and b answers that
+// request from its store, which resolves the decision.
+func TestDataFollowsAnInterestOrStops(t *testing.T) {
+	r := buildMesh(t, SchemeLVF, [][2]string{{"a", "b"}, {"b", "c"}}, nil)
+	var dataAt []time.Duration // when each data frame reached a
+	a := r.nodes["a"]
+	if err := r.net.SetHandler("a", func(from string, size int64, payload any) {
+		if _, ok := payload.(*ObjectData); ok {
+			dataAt = append(dataAt, r.sched.Now().Sub(tBase))
+		}
+		a.handleMessage(from, size, payload)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.QueryInit(mustDNF("lc"), 20*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	r.run(t, 10*time.Millisecond) // the request has passed b
+	b, obj := r.nodes["b"], "/cam/c"
+	b.mu.Lock()
+	req := b.interest.reqs[obj]
+	if len(req.waiters) != 1 {
+		b.mu.Unlock()
+		t.Fatalf("b holds %d waiters for %s, want 1", len(req.waiters), obj)
+	}
+	req.waiters[0].expires = b.now() // the waiter lapses
+	b.mu.Unlock()
+
+	r.run(t, 5*time.Second) // the object reached b; a's recovery has not fired
+	b.mu.Lock()
+	_, cached := b.store.Get(names.MustParse(obj), b.now())
+	b.mu.Unlock()
+	if !cached {
+		t.Errorf("b did not cache %s", obj)
+	}
+	if len(dataAt) != 0 {
+		t.Fatalf("data reached a at %v with no waiter at b to ask for it", dataAt)
+	}
+	r.run(t, 20*time.Second)
+	res := a.Results()
+	if len(res) != 1 || res[0].Status != core.ResolvedTrue {
+		t.Fatalf("results %+v, want the decision resolved true", res)
+	}
+	if st := a.Stats(); st.RequestTimeouts != 1 || len(dataAt) != 1 {
+		t.Errorf("a's recovery fired %d times and %d data frames reached it (at %v), want 1 and 1", st.RequestTimeouts, len(dataAt), dataAt)
 	}
 }

@@ -184,8 +184,9 @@ type ObjectRequest struct {
 // against link bandwidth by netsim and padded to by the TCP transport.
 func (m ObjectRequest) WireSize() int64 { return requestBytes }
 
-// ObjectData carries an evidence object hop-by-hop toward Origin, being
-// cached at every node on the way (Section VI-C).
+// ObjectData carries an evidence object hop-by-hop back along the reverse
+// path its request left in the interest tables, being cached at every
+// node on the way (Section VI-C).
 type ObjectData struct {
 	// Object is the object's semantic name.
 	Object string
@@ -201,7 +202,8 @@ type ObjectData struct {
 	Labels []string
 	// SourceNode is the originating sensor node.
 	SourceNode string
-	// Origin is the node the data is being delivered to.
+	// Origin is the query's origin node. Data follows the interest
+	// tables, so no receiver reads it.
 	Origin string
 	// QueryID is the query that requested it.
 	QueryID string
