@@ -112,7 +112,8 @@ fi
 # regression (each benchmark's doc comment in bench_test.go says of
 # what: an allocating per-query or per-event path, a decision engine that
 # allocates to answer a question or plans a query twice, a leakier retention
-# filter, a coalescing layer that stopped merging, an object delivery
+# filter — a record scoped by its name's shard again: 468.8 entries/node,
+# 913 when the name's shard kept a record too — a coalescing layer that stopped merging, an object delivery
 # that pays for a node's finished queries, an event queue that allocates
 # at the depth the simulator runs it at, a wire encoder whose state
 # escapes to the heap — baseline 0 for both, so any allocation trips
@@ -168,10 +169,10 @@ fi
 # shard's primary instead of the nearest replica, or asks a label's shard
 # instead of its region's — BenchmarkKernelFleet/seed2's frames/decision
 # and lookups/decision are pure functions of the seed, so their slack is
-# 1 %: 119.8 frames and 3.667 lookups, 152.4 and 14.19 with a lookup per
+# 1 %: 119.7 frames and 3.667 lookups, 152.4 and 14.19 with a lookup per
 # label, 170.7 frames asking the primary, 189.1 with the backfill; its
-# allocs/op at 5 %: about 123 800, 134 800 with a lookup per label,
-# 154 900 with the backfill).
+# allocs/op at 5 %: about 98 400, 134 800 with a lookup per label,
+# 154 900 with the backfill, both taken when it was about 123 800).
 # Refresh the baseline with `make bench` when an intentional change moves
 # one.
 # BenchmarkDecisionEngine, BenchmarkShardLookupBegin,

@@ -294,7 +294,7 @@ type dumpOutcome struct {
 // dumpCluster builds the dump scenario: a fixed-seed cluster — gossip
 // membership, churn, the most timing-sensitive configuration — with
 // data-plane batching at batchWindow (0 = off) and
-// the directory in shards name-prefix shards (0 = a full replica on every
+// the directory in shards label shards (0 = a full replica on every
 // node), the only configuration a recorded output issues sharded queries
 // in. With codec set every frame goes through the wire codec; with rec set
 // the run is traced into it.

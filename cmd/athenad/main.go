@@ -80,7 +80,7 @@ func run() error {
 		heartbeat = flag.Duration("heartbeat", 0, "membership heartbeat interval (0 = static directory; implied 2s when -join is used)")
 		gfanout   = flag.Int("gossip-fanout", 0, "SWIM gossip probe fanout per interval (0 = flooded heartbeats)")
 		status    = flag.String("status", "", "serve the observability endpoint on this address (e.g. :8080): /statusz JSON, /debug/vars, /debug/pprof")
-		shards    = flag.Int("shards", 0, "partition the directory into this many name-prefix shards (0 = full replica; requires -gossip-fanout)")
+		shards    = flag.Int("shards", 0, "partition the directory into this many label shards (0 = full replica; requires -gossip-fanout)")
 		batchWin  = flag.Duration("batch-window", 0, "data-plane coalescing window: same-neighbor requests/data merge into batch frames for up to this long (0 = batching off)")
 		peers     repeatable
 		routes    repeatable

@@ -1,7 +1,7 @@
 // Sharding: sublinear directory memory with routed lookups.
 //
 // A 16-camera precinct runs gossip membership with the directory
-// partitioned into name-prefix shards, each replicated on two nodes.
+// partitioned into label shards, each replicated on two nodes.
 // Every node keeps full records only for the shards it owns (plus its own
 // advertisement) instead of the whole fleet, so per-node directory memory
 // drops to roughly shards-owned/shards of the full replica. When the

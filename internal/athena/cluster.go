@@ -56,7 +56,7 @@ type ClusterConfig struct {
 	// evicted after suspectPeriods silent intervals.
 	GossipFanout int
 	// Shards partitions every node's directory replica into this many
-	// name-prefix shards (ablation A9): each shard is replicated on
+	// label shards (ablation A9): each shard is replicated on
 	// ShardReplicas nodes chosen by rendezvous hashing, non-owned payloads
 	// are thinned out, and label lookups outside the owned shards are
 	// routed to shard owners. Zero (the default) keeps the full-replica

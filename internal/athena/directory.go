@@ -466,11 +466,10 @@ func seqState(seq uint64, withdrawn bool) uint64 {
 }
 
 // syncRecord is one record a scoped exchange can carry, for
-// ShardRouter.Digest: a present full record's name and labels (the record's
-// own, read-only), or a withdrawn tombstone (in every scope), with the
-// record's hash.
+// ShardRouter.Digest: a present full record's labels (the record's own,
+// read-only), or a withdrawn tombstone (in every scope), with the record's
+// hash.
 type syncRecord struct {
-	name      names.Name
 	labels    []string
 	tombstone bool
 	hash      uint64
@@ -487,7 +486,7 @@ func (d *Directory) syncRecords(buf []syncRecord) ([]syncRecord, uint64) {
 			continue
 		}
 		//lint:allow maporder the one caller folds the records with XOR, which no order changes
-		buf = append(buf, syncRecord{name: r.desc.Name, labels: r.desc.Labels, tombstone: r.withdrawn, hash: r.hash})
+		buf = append(buf, syncRecord{labels: r.desc.Labels, tombstone: r.withdrawn, hash: r.hash})
 	}
 	return buf, d.version
 }

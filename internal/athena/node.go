@@ -303,8 +303,8 @@ type Config struct {
 	// GossipSeed seeds the deterministic peer-sampling RNG; the node's own
 	// id is mixed in, so one scenario seed serves a whole fleet.
 	GossipSeed int64
-	// Shards enables the sharded directory: advertisements are partitioned
-	// by name prefix into this many shards, each replicated on
+	// Shards enables the sharded directory: an advertisement belongs to
+	// its labels' home shards, of this many, each replicated on
 	// ShardReplicas nodes chosen by rendezvous hashing over the live
 	// membership view. Non-owned payloads are thinned out of the local
 	// replica and label lookups outside the owned shards are routed to a

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"athena/internal/boolexpr"
-	"athena/internal/names"
 	"athena/internal/object"
 	"athena/internal/shard"
 )
@@ -161,7 +160,7 @@ func (p *pendingShardLookup) waiters() []string { return p.waiting }
 // back, and the next query pump starts a fresh one.
 const shardLookupMaxTries = 8
 
-// ShardRouter owns the prefix→shard map, the label→shard rule (ShardOf),
+// ShardRouter owns the shard map, the label→shard rule (ShardOf),
 // the rendezvous assignment of per-shard replica sets from the live
 // membership view, the bounded LRU of remote lookup results, and the
 // pending-lookup table. It is safe for
@@ -219,7 +218,7 @@ type shardListing struct {
 // every node of a fleet must be built with the same ones.
 func NewShardRouter(self string, shards, rf, cacheCap int, regions boolexpr.MetaTable) *ShardRouter {
 	return &ShardRouter{
-		smap:     shard.NewMap(shards, 0),
+		smap:     shard.New(shards),
 		regions:  regions,
 		rf:       rf,
 		self:     self,
@@ -259,13 +258,12 @@ func (sr *ShardRouter) Keep(desc object.Descriptor) bool {
 }
 
 // inShards is the scope rule of the sharded directory: an advertisement
-// belongs to a shard set when its name prefix's shard, or any coverage
-// label's home shard (ShardOf), is in the set. Labels have a home shard of
-// their own so a label query routes to ONE shard whose owners hold every
+// belongs to a shard set when any coverage label's home shard (ShardOf) is
+// in the set, so a label query routes to ONE shard whose owners hold every
 // covering advert. It takes no locks.
 func (sr *ShardRouter) inShards(set map[int]bool, desc object.Descriptor) bool {
 	var buf [8]int
-	for _, s := range sr.scopeShards(desc.Name, desc.Labels, buf[:0]) {
+	for _, s := range sr.scopeShards(desc.Labels, buf[:0]) {
 		if set[s] {
 			return true
 		}
@@ -422,7 +420,7 @@ func (sr *ShardRouter) foldDigestsLocked(dir *Directory) {
 			}
 			continue
 		}
-		for _, s := range sr.scopeShards(r.name, r.labels, buf[:0]) {
+		for _, s := range sr.scopeShards(r.labels, buf[:0]) {
 			if j, owned := slices.BinarySearch(sr.owned, s); owned {
 				sr.digests[j] ^= r.hash
 			}
@@ -432,10 +430,8 @@ func (sr *ShardRouter) foldDigestsLocked(dir *Directory) {
 }
 
 // scopeShards appends to buf the distinct shards whose scope holds an
-// advert of this name and labels: the name's shard and each label's home
-// shard (inShards' rule).
-func (sr *ShardRouter) scopeShards(name names.Name, labels []string, buf []int) []int {
-	buf = append(buf, sr.smap.OfName(name))
+// advert of these labels: each label's home shard (inShards' rule).
+func (sr *ShardRouter) scopeShards(labels []string, buf []int) []int {
 	for _, l := range labels {
 		if s := sr.ShardOf(l); !slices.Contains(buf, s) {
 			buf = append(buf, s)

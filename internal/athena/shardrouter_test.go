@@ -46,16 +46,58 @@ func TestShardRouterKeep(t *testing.T) {
 	if !sr.Keep(shardDesc("n0", "/grid/g0/n0", "s00")) {
 		t.Error("own source must always be kept")
 	}
-	// A descriptor is kept iff its name shard or any label shard is owned.
+	// A descriptor is kept iff any label's shard is owned.
 	owned := make(map[int]bool)
 	for _, s := range sr.OwnedShards() {
 		owned[s] = true
 	}
+	for _, d := range scopeCases(t, sr, owned) {
+		if got, want := sr.Keep(d), anyLabelIn(sr, owned, d.Labels); got != want {
+			t.Errorf("Keep(%s %v) = %v, want %v", d.Name, d.Labels, got, want)
+		}
+	}
+}
+
+// anyLabelIn is the scope rule's reference: some label's ShardOf is in
+// set.
+func anyLabelIn(sr *ShardRouter, set map[int]bool, labels []string) bool {
+	for _, l := range labels {
+		if set[sr.ShardOf(l)] {
+			return true
+		}
+	}
+	return false
+}
+
+// scopeCases are descriptors to hold the scope rule to: one label each,
+// two labels whose shards differ (one in set, one not, in either order),
+// and one whose name's depth-2 prefix hashes to a shard in set while none
+// of its labels' shards is — an advert the rule once kept for its name.
+func scopeCases(t *testing.T, sr *ShardRouter, set map[int]bool) []object.Descriptor {
+	t.Helper()
+	var in, out []string // labels whose shard is in set, and not
+	for i := 0; len(in) < 4 || len(out) < 4; i++ {
+		l := fmt.Sprintf("s%02d", i)
+		if set[sr.ShardOf(l)] {
+			in = append(in, l)
+		} else {
+			out = append(out, l)
+		}
+	}
+	var cases []object.Descriptor
 	for i := 0; i < 16; i++ {
-		d := shardDesc(fmt.Sprintf("n%d", i+100), fmt.Sprintf("/grid/g%d/x%d", i, i), fmt.Sprintf("s%02d", i))
-		want := owned[sr.smap.OfName(d.Name)] || owned[sr.smap.OfKey(d.Labels[0])]
-		if got := sr.Keep(d); got != want {
-			t.Errorf("Keep(%s) = %v, want %v", d.Name, got, want)
+		cases = append(cases, shardDesc(fmt.Sprintf("n%d", i+100), fmt.Sprintf("/grid/g%d/x%d", i, i), fmt.Sprintf("s%02d", i)))
+	}
+	for i := 0; i < 4; i++ {
+		cases = append(cases,
+			shardDesc("m"+in[i], "/multi/a/"+in[i], out[i], in[i]),
+			shardDesc("m"+out[i], "/multi/b/"+out[i], in[i], out[(i+1)%4]),
+			shardDesc("o"+out[i], "/multi/c/"+out[i], out[i], out[(i+1)%4]))
+	}
+	for i := 0; ; i++ {
+		name := names.MustParse(fmt.Sprintf("/named/p%d/x", i))
+		if set[sr.smap.OfKey(name.Prefix(2).String())] {
+			return append(cases, shardDesc("named", name.String(), out[0], out[1]))
 		}
 	}
 }
@@ -95,8 +137,8 @@ func TestShardRouterRefreshTracksOwnership(t *testing.T) {
 }
 
 // SharedShards is the intersection of two nodes' owned sets — the scope of
-// their anti-entropy — and InShards admits exactly the descriptors whose
-// name or label shard falls in the given set.
+// their anti-entropy — and InShards admits exactly the descriptors with a
+// label whose shard falls in the given set.
 func TestShardRouterSharedAndScope(t *testing.T) {
 	sr := NewShardRouter("n0", 16, 3, 16, nil)
 	sr.Refresh(routerView(6))
@@ -111,11 +153,9 @@ func TestShardRouterSharedAndScope(t *testing.T) {
 		}
 	}
 	include := sr.InShards(shared)
-	for i := 0; i < 12; i++ {
-		d := shardDesc(fmt.Sprintf("n%d", i), fmt.Sprintf("/grid/g%d/n%d", i, i), fmt.Sprintf("s%02d", i))
-		want := sharedSet[sr.smap.OfName(d.Name)] || sharedSet[sr.smap.OfKey(d.Labels[0])]
-		if got := include(d); got != want {
-			t.Errorf("InShards(%s) = %v, want %v", d.Name, got, want)
+	for _, d := range scopeCases(t, sr, sharedSet) {
+		if got, want := include(d), anyLabelIn(sr, sharedSet, d.Labels); got != want {
+			t.Errorf("InShards(%s %v) = %v, want %v", d.Name, d.Labels, got, want)
 		}
 	}
 }

@@ -5,7 +5,7 @@ package experiment
 // so this rig measures the two quantities the sharding refactor exists to
 // bound — directory entries held per node and anti-entropy bytes per
 // exchange — structurally: real rendezvous shard assignment over a real
-// membership view, real name-prefix partitioning, and real wire-message
+// membership view, the directory's label→shard rule, and real wire-message
 // sizes, with the advertisement population synthesized instead of
 // simulated. Query-path equivalence with the full replica is pinned
 // separately by the cluster tests in internal/athena.
@@ -16,7 +16,6 @@ import (
 	"strings"
 
 	"athena/internal/athena"
-	"athena/internal/names"
 	"athena/internal/shard"
 )
 
@@ -51,12 +50,11 @@ const shardScaleLabels = 256
 
 // RunShardScale measures per-node directory retention and scoped
 // anti-entropy cost for a fleet of n nodes sharing `sources` advertised
-// streams over `shards` name-prefix shards at replication factor rf.
-// Names follow the deployment shape /r<region>/b<building>/s<i> — the
-// depth-2 prefix key groups ~8 streams per building — and every stream
-// carries one label from the fixed vocabulary plus its building prefix.
-// Deterministic: rendezvous assignment and FNV partitioning have no
-// random inputs.
+// streams over `shards` label shards at replication factor rf. Every
+// stream carries one label from the fixed vocabulary and is held by the
+// replicas of that label's shard — the scope rule the sharded directory
+// runs (ShardRouter.inShards). Deterministic: rendezvous assignment and
+// FNV partitioning have no random inputs.
 func RunShardScale(n, sources, shards, rf int) (ShardScaleRow, error) {
 	if n <= 0 || sources <= 0 || shards <= 0 || rf <= 0 {
 		return ShardScaleRow{}, fmt.Errorf("shardscale: bad parameters n=%d S=%d shards=%d rf=%d", n, sources, shards, rf)
@@ -65,51 +63,32 @@ func RunShardScale(n, sources, shards, rf int) (ShardScaleRow, error) {
 	for i := range view {
 		view[i] = fmt.Sprintf("n%03d", i)
 	}
-	smap := shard.NewMap(shards, 0)
+	smap := shard.New(shards)
 
-	// Each source maps to two shards: its name-prefix shard and its
-	// label shard (a label must route to one shard whose owners hold
-	// every covering advert). Group the population by that pair so the
-	// per-node retention count is a sum over pairs, not sources.
-	type pair struct{ name, label int }
-	pairCount := make(map[pair]int)
+	// Each source falls in its label's shard (a label routes to one shard
+	// whose owners hold every covering advert). Count the population by
+	// shard so the per-node retention count is a sum over shards, not
+	// sources.
+	count := make([]int, shards)
 	for i := 0; i < sources; i++ {
-		name := names.MustParse(fmt.Sprintf("/r%d/b%d/s%d", i%16, i/8, i))
-		label := fmt.Sprintf("l%03d", i%shardScaleLabels)
-		pairCount[pair{smap.OfName(name), smap.OfKey(label)}]++
+		count[smap.OfKey(fmt.Sprintf("l%03d", i%shardScaleLabels))]++
 	}
 
 	place := smap.Placement(view, rf)
 	var totalEntries int64
 	var totalSync int64
 	for i, id := range view {
-		owned := make(map[int]bool)
-		for _, s := range place.Owned(id) {
-			owned[s] = true
-		}
-		for p, c := range pairCount {
-			if owned[p.name] || owned[p.label] {
-				totalEntries += int64(c)
-			}
-		}
-
 		// One steady-state exchange with the next node in the view:
 		// scope = the shards both replicate, seq vector = the sources
 		// inside that scope, no delta records (replicas converged).
 		peer := view[(i+1)%n]
 		var shared []uint32
-		sharedSet := make(map[int]bool)
-		for s := range owned {
+		scope := 0
+		for _, s := range place.Owned(id) {
+			totalEntries += int64(count[s])
 			if slices.Contains(place.Replicas(s), peer) {
 				shared = append(shared, uint32(s))
-				sharedSet[s] = true
-			}
-		}
-		slices.Sort(shared)
-		scope := 0
-		for p, c := range pairCount {
-			if sharedSet[p.name] || sharedSet[p.label] {
-				scope += c
+				scope += count[s]
 			}
 		}
 		seqs := make(map[string]uint64, scope)

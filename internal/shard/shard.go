@@ -1,8 +1,7 @@
-// Package shard partitions the hierarchical namespace into a fixed number
-// of shards and assigns each shard a replica set drawn from the live
-// membership view. The partition key of an advertisement is the leading
-// prefix of its name (names.Name.Prefix); flat keys such as coverage labels
-// hash directly. Replica sets use rendezvous (highest-random-weight)
+// Package shard partitions coverage labels into a fixed number of shards
+// and assigns each shard a replica set drawn from the live membership
+// view. A label's shard is its region's (OfRegion) or the hash of the
+// label itself (OfKey). Replica sets use rendezvous (highest-random-weight)
 // hashing, so the assignment is a pure function of (shard, view, rf):
 // every node that agrees on the membership view agrees on ownership, and
 // removing one node from the view moves only that node's shards.
@@ -12,8 +11,6 @@ import (
 	"cmp"
 	"slices"
 	"sync"
-
-	"athena/internal/names"
 )
 
 // FNV-1a, manually inlined so shard lookups stay allocation-free on the
@@ -31,44 +28,24 @@ func fnvString(h uint64, s string) uint64 {
 	return h
 }
 
-// Map is the prefix→shard partition: a fixed shard count plus the prefix
-// depth that forms the partition key. It is immutable and safe for
-// concurrent use.
+// Map is the key→shard partition over a fixed shard count. It is
+// immutable and safe for concurrent use.
 type Map struct {
 	shards int
-	depth  int
 }
 
-// DefaultPrefixDepth is the partition-key depth used when none is given:
-// two leading components ("/grid/cam") balance fan-out against locality in
-// the paper's namespaces.
-const DefaultPrefixDepth = 2
+// New builds a partition over the given shard count. shards < 1 is
+// clamped to 1.
+func New(shards int) *Map { return &Map{shards: max(shards, 1)} }
 
-// NewMap builds a partition over the given shard count. shards < 1 is
-// clamped to 1; depth < 1 takes DefaultPrefixDepth.
-func NewMap(shards, depth int) *Map {
-	if shards < 1 {
-		shards = 1
-	}
-	if depth < 1 {
-		depth = DefaultPrefixDepth
-	}
-	return &Map{shards: shards, depth: depth}
-}
+// NewMap is New; depth is not read.
+//
+// Deprecated: ignored; bench/ compiles against it. A shard holds labels,
+// not name prefixes: use New.
+func NewMap(shards, depth int) *Map { return New(shards) }
 
 // Shards returns the shard count.
 func (m *Map) Shards() int { return m.shards }
-
-// Depth returns the partition-key prefix depth.
-func (m *Map) Depth() int { return m.depth }
-
-// OfName returns the shard owning a hierarchical name: the hash of the
-// name's leading-prefix key reduced modulo the shard count. Every name
-// under the same prefix lands on the same shard, so prefix-local
-// advertisement bursts stay within one replica set.
-func (m *Map) OfName(n names.Name) int {
-	return m.OfKey(n.Prefix(m.depth).String())
-}
 
 // OfKey returns the shard owning a flat key (a coverage label or a source
 // id — anything without name structure).

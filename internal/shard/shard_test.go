@@ -7,8 +7,6 @@ import (
 	"sort"
 	"sync"
 	"testing"
-
-	"athena/internal/names"
 )
 
 func view(n int) []string {
@@ -58,25 +56,8 @@ func (m *Map) OwnedBy(node string, view []string, rf int) []int {
 	return out
 }
 
-func TestOfNamePrefixStability(t *testing.T) {
-	m := NewMap(16, 2)
-	a := m.OfName(names.MustParse("/grid/cam/3-4"))
-	b := m.OfName(names.MustParse("/grid/cam/7-1"))
-	c := m.OfName(names.MustParse("/grid/cam"))
-	if a != b || a != c {
-		t.Errorf("names under /grid/cam map to shards %d, %d, %d; want equal", a, b, c)
-	}
-	if a < 0 || a >= 16 {
-		t.Errorf("shard %d out of range", a)
-	}
-	// Shallower names than the partition depth still map deterministically.
-	if s := m.OfName(names.MustParse("/grid")); s < 0 || s >= 16 {
-		t.Errorf("shallow name shard %d out of range", s)
-	}
-}
-
 func TestOfKeyRange(t *testing.T) {
-	m := NewMap(8, 1)
+	m := New(8)
 	seen := make(map[int]bool)
 	for i := 0; i < 256; i++ {
 		s := m.OfKey(fmt.Sprintf("seg-h-%d-%d", i/16, i%16))
@@ -91,7 +72,7 @@ func TestOfKeyRange(t *testing.T) {
 }
 
 func TestReplicasDeterministicAndSized(t *testing.T) {
-	m := NewMap(32, 2)
+	m := New(32)
 	v := view(20)
 	for s := 0; s < 32; s++ {
 		r1 := m.Replicas(s, v, 3)
@@ -121,7 +102,7 @@ func TestReplicasDeterministicAndSized(t *testing.T) {
 }
 
 func TestOwnsMatchesReplicas(t *testing.T) {
-	m := NewMap(24, 2)
+	m := New(24)
 	v := view(12)
 	for s := 0; s < 24; s++ {
 		set := make(map[string]bool)
@@ -142,7 +123,7 @@ func TestOwnsMatchesReplicas(t *testing.T) {
 // Rendezvous property: removing one node from the view only reassigns
 // shards that node owned; every other shard's replica set is unchanged.
 func TestMinimalDisruptionOnRemoval(t *testing.T) {
-	m := NewMap(64, 2)
+	m := New(64)
 	v := view(16)
 	gone := v[5]
 	smaller := append(append([]string(nil), v[:5]...), v[6:]...)
@@ -181,7 +162,7 @@ func TestMinimalDisruptionOnRemoval(t *testing.T) {
 // Load balance: with shards >> nodes, per-node ownership counts stay within
 // a small factor of the mean.
 func TestOwnershipBalance(t *testing.T) {
-	m := NewMap(128, 2)
+	m := New(128)
 	v := view(16)
 	const rf = 3
 	counts := make(map[string]int)
@@ -205,9 +186,9 @@ func TestOwnershipBalance(t *testing.T) {
 }
 
 func TestNewMapClamps(t *testing.T) {
-	m := NewMap(0, 0)
-	if m.Shards() != 1 || m.Depth() != DefaultPrefixDepth {
-		t.Errorf("NewMap(0,0) = %d shards depth %d", m.Shards(), m.Depth())
+	m := New(0)
+	if m.Shards() != 1 || NewMap(0, 5).Shards() != 1 || NewMap(7, 5).Shards() != 7 {
+		t.Errorf("New(0) = %d shards; NewMap(0, 5) %d, NewMap(7, 5) %d", m.Shards(), NewMap(0, 5).Shards(), NewMap(7, 5).Shards())
 	}
 	if s := m.OfKey("anything"); s != 0 {
 		t.Errorf("single-shard OfKey = %d", s)
@@ -253,7 +234,7 @@ func fullRanking(view []string, rf int, weight func(string) uint64) []string {
 // with weights drawn from three values.
 func TestReplicasMatchesFullRanking(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
-	m := NewMap(64, 2)
+	m := New(64)
 	for c := 0; c < 2000; c++ {
 		v := view(rng.Intn(41))
 		if len(v) > 0 && rng.Intn(4) == 0 {
@@ -292,7 +273,7 @@ func TestReplicasMatchesFullRanking(t *testing.T) {
 // A replica set costs its result: the weights of an rf up to 8 are ranked
 // on the stack, and nothing is boxed or reflect-sorted.
 func TestReplicasAllocatesOnlyResult(t *testing.T) {
-	m, v := NewMap(64, 2), view(81)
+	m, v := New(64), view(81)
 	if allocs := testing.AllocsPerRun(50, func() { m.Replicas(7, v, 3) }); allocs > 1 {
 		t.Errorf("Replicas allocates %.0f times, want 1 (the result)", allocs)
 	}
@@ -306,7 +287,7 @@ func TestReplicasAllocatesOnlyResult(t *testing.T) {
 func TestPlacementMatchesReplicasAndOwns(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
 	for c := 0; c < 300; c++ {
-		m := NewMap(1+rng.Intn(70), 2)
+		m := New(1 + rng.Intn(70))
 		v := view(rng.Intn(30))
 		if len(v) > 0 && rng.Intn(4) == 0 {
 			v = append(v, v[rng.Intn(len(v))])
@@ -342,7 +323,7 @@ func TestPlacementMatchesReplicasAndOwns(t *testing.T) {
 // most placementMemoSize of them, so a view placementMemoSize newer ones
 // pushed out is built again, to the same assignment.
 func TestPlacementSharedAndBounded(t *testing.T) {
-	m := NewMap(40, 2)
+	m := New(40)
 	v := view(12)
 	p := m.Placement(v, 3)
 	shuffled := slices.Clone(v)
@@ -350,10 +331,10 @@ func TestPlacementSharedAndBounded(t *testing.T) {
 	if q := m.Placement(shuffled, 3); q != p {
 		t.Fatal("an equal view in another slice built a second placement")
 	}
-	if m.Placement(v, 2) == p || NewMap(41, 2).Placement(v, 3) == p {
+	if m.Placement(v, 2) == p || New(41).Placement(v, 3) == p {
 		t.Fatal("another rf or shard count shares the placement")
 	}
-	if NewMap(40, 3).Placement(v, 3) != p {
+	if New(40).Placement(v, 3) != p {
 		t.Fatal("the prefix depth is not part of placement")
 	}
 	for i := 0; i < placementMemoSize; i++ {
@@ -367,7 +348,7 @@ func TestPlacementSharedAndBounded(t *testing.T) {
 // Routers on many goroutines look placements up while others build them:
 // every caller gets the assignment of its view (run it under -race).
 func TestPlacementConcurrent(t *testing.T) {
-	m := NewMap(64, 2)
+	m := New(64)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

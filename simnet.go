@@ -176,7 +176,8 @@ func (s *SimNetwork) EnableGossip(seed int64) error {
 }
 
 // EnableSharding partitions every node's directory replica into `shards`
-// name-prefix shards, each replicated on `replicas` nodes chosen by
+// label shards (an advertisement belongs to its labels' home shards), each
+// replicated on `replicas` nodes chosen by
 // rendezvous hashing over the live membership view. Nodes thin out
 // payloads of shards they do not own and route label lookups to shard
 // owners, so per-node directory memory and sync traffic stay proportional
