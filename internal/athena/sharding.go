@@ -94,11 +94,11 @@ func (n *Node) descriptorOf(source string) (object.Descriptor, bool) {
 // miss a routed ShardLookup starts on the query's behalf (the query is
 // re-selected once none of its labels has a lookup pending) while the
 // view's partial rows — own source, adverts kept for another label in an
-// owned shard — serve best-effort meanwhile. A lookup-cache result is an overlay of rows, in the shard
-// client's scratch until the next one: a source the view holds is its row
-// there, any other the descriptor its lookup reply brought, which the
-// router keeps while a cache entry names the source (every cached source
-// has one). Callers hold n.mu.
+// owned shard — serve best-effort meanwhile. A lookup-cache result is an
+// overlay of rows, in the shard client's scratch until the next one: a
+// source the view holds is its row there, any other the descriptor its
+// lookup reply brought, which the router keeps while a cache entry names
+// the source (every cached source has one). Callers hold n.mu.
 func (n *Node) rowsFor(v *View, queryID, label string) []*row {
 	sh := n.shard
 	if sh == nil || sh.router.OwnsLabel(label) {

@@ -262,9 +262,8 @@ func (sr *ShardRouter) Keep(desc object.Descriptor) bool {
 // in the set, so a label query routes to ONE shard whose owners hold every
 // covering advert. It takes no locks.
 func (sr *ShardRouter) inShards(set map[int]bool, desc object.Descriptor) bool {
-	var buf [8]int
-	for _, s := range sr.scopeShards(desc.Labels, buf[:0]) {
-		if set[s] {
+	for _, l := range desc.Labels {
+		if set[sr.ShardOf(l)] {
 			return true
 		}
 	}
@@ -429,8 +428,8 @@ func (sr *ShardRouter) foldDigestsLocked(dir *Directory) {
 	sr.digestVer = ver
 }
 
-// scopeShards appends to buf the distinct shards whose scope holds an
-// advert of these labels: each label's home shard (inShards' rule).
+// scopeShards appends to buf the distinct home shards of these labels:
+// the shards whose scope holds their advert (inShards' rule), each once.
 func (sr *ShardRouter) scopeShards(labels []string, buf []int) []int {
 	for _, l := range labels {
 		if s := sr.ShardOf(l); !slices.Contains(buf, s) {
