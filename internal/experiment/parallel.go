@@ -134,12 +134,10 @@ func AblationKernelScale(sizes []int, seed int64) ([]KernelScaleRow, error) {
 	return rows, nil
 }
 
-// RenderKernelScale prints the A10 table. Its title still names the
-// lane-per-node layout the rows were first recorded on: results_full.txt
-// holds the table, and the title changes with its next shift.
+// RenderKernelScale prints the A10 table.
 func RenderKernelScale(rows []KernelScaleRow) string {
 	var b strings.Builder
-	b.WriteString("Ablation A10: lane-per-node kernel throughput — events/sec vs n\n")
+	b.WriteString("Ablation A10: kernel throughput — events/sec vs n\n")
 	fmt.Fprintf(&b, "%-16s%12s%12s%12s%14s\n",
 		"config", "events", "delivered", "wall", "events/sec")
 	for _, r := range rows {
