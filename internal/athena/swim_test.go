@@ -548,10 +548,10 @@ func TestRejoinKeepsOutageSuspicions(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			r := buildGossipRig(t, 12, 2, 23)
 			node, blip := r.nodes["n10"], "n11"
-			if nb := r.net.Neighbors("n10"); len(nb) != 1 || len(r.net.Neighbors(blip)) != 1 {
+			if len(r.net.Neighbors("n10")) != 1 || len(r.net.Neighbors(blip)) != 1 {
 				t.Fatalf("n10 and %s are not both leaves of the seed-23 rig", blip)
 			}
-			held := -1 // suspicions n10 holds once it has rejoined
+			held := -1 // suspicions n10 holds once it has rejoined; -1 if it never left
 			r.net.OnChurn(func(id string, up bool) {
 				if up && id == "n10" {
 					node.Rejoin()
