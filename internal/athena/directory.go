@@ -345,6 +345,22 @@ func (d *Directory) Evict(source string) bool {
 	return true
 }
 
+// Readmit undoes this replica's eviction of source when seq is the
+// evicted record's own (advState.takes at an equal seq): the source was
+// heard again at the state it was evicted at. The record keeps its
+// payload. Returns whether the source was re-admitted.
+func (d *Directory) Readmit(source string, seq uint64) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	r, ok := d.records[source]
+	if !ok || r.seq != seq || !r.takes(seq, false, false) {
+		return false
+	}
+	r.present = true
+	d.bumpVersionLocked()
+	return true
+}
+
 // stampLocked sets a record's seq and withdrawn flag — the state replicas
 // must agree on — and moves its hash in the digest with them: the one
 // place either changes. Callers hold d.mu.
@@ -558,7 +574,7 @@ func (d *Directory) Delta(peer map[string]uint64, scope func(object.Descriptor) 
 
 // Snapshot returns every present advertisement plus withdrawn tombstones,
 // sorted by source: the delta against a peer that has seen nothing — what
-// a join handshake and a flood-mode sync exchange.
+// the join handshake sends.
 func (d *Directory) Snapshot() []Advertisement { return d.Delta(nil, nil) }
 
 // sortAdverts orders adverts by source without sort.Slice's interface and

@@ -138,8 +138,10 @@ func ctlFrames() map[string]ctlFrame {
 			func(from, _ string) frame { return &PeerJoinAck{Node: from, Adverts: news} }, learnedZ},
 		"AdvertGossip": {"member", "sync",
 			func(_, to string) frame { return &AdvertGossip{To: to, Adverts: news} }, learnedZ},
+		// A request carries no records: a node answers it.
 		"SyncRequest": {"member", "sync",
-			func(from, to string) frame { return &SyncRequest{From: from, To: to, Adverts: news} }, learnedZ},
+			func(from, to string) frame { return &SyncRequest{From: from, To: to} },
+			sentTo("a", "*athena.SyncResponse")},
 		"SyncResponse": {"member", "sync",
 			func(from, to string) frame { return &SyncResponse{From: from, To: to, Adverts: news} }, learnedZ},
 		"Ping": {"swim", "probe",
@@ -256,9 +258,8 @@ func TestControlFrameDispatch(t *testing.T) {
 // TestScopedSyncWithEmptyVectorGetsScopedDelta: a node that has just
 // gained a shard holds only thin records there, so its backfill request
 // carries the shard and an empty seq vector. It is owed that shard's
-// records and the responder's vector over it — not the flood snapshot an
-// unscoped request with no vector gets, which would ship the whole
-// directory.
+// records and the responder's vector over it — not the whole directory an
+// unscoped request with no vector is owed.
 func TestScopedSyncWithEmptyVectorGetsScopedDelta(t *testing.T) {
 	n, rec := newDispatchNode(t, dispatchModes[3].set) // the sharded node
 	all := n.Directory().Snapshot()
@@ -283,9 +284,9 @@ func TestScopedSyncWithEmptyVectorGetsScopedDelta(t *testing.T) {
 	if !ok || rec.sent[0].to != "a" {
 		t.Fatalf("sent %T to %q, want a *SyncResponse to a", rec.sent[0].payload, rec.sent[0].to)
 	}
-	if !reflect.DeepEqual(resp.Adverts, want) || len(resp.Labels) != 0 || len(resp.Seqs) != len(want) {
-		t.Errorf("response to a scoped request with no vector: %d adverts, %d labels, %d seqs; want shard %d's %d adverts and vector, no labels (the directory holds %d)",
-			len(resp.Adverts), len(resp.Labels), len(resp.Seqs), shard, len(want), len(all))
+	if !reflect.DeepEqual(resp.Adverts, want) || len(resp.Seqs) != len(want) {
+		t.Errorf("response to a scoped request with no vector: %d adverts, %d seqs; want shard %d's %d adverts and vector (the directory holds %d)",
+			len(resp.Adverts), len(resp.Seqs), shard, len(want), len(all))
 	}
 	if !slices.Equal(resp.Shards, req.Shards) {
 		t.Errorf("response scope %v, want the request's %v", resp.Shards, req.Shards)

@@ -119,7 +119,7 @@ func TestDeliverObjectSignsEvidencedLabels(t *testing.T) {
 		Source:   "nodeC",
 	}
 	a.deliverObject(obj, now)
-	recs := a.labels.Records(now)
+	recs := a.labels.All()
 	if len(recs) != 1 || recs[0].Name != "lc1" {
 		t.Fatalf("records after the delivery = %+v, want one for lc1", recs)
 	}
@@ -130,7 +130,7 @@ func TestDeliverObjectSignsEvidencedLabels(t *testing.T) {
 	if !rec.Computed.Equal(now) || rec.Validity != obj.RemainingValidity(now) || rec.Validity != 55*time.Second {
 		t.Errorf("record computed %v valid %v, want %v and the object's remaining %v", rec.Computed, rec.Validity, now, obj.RemainingValidity(now))
 	}
-	if err := a.authority.Verify(&rec); err != nil {
+	if err := a.authority.Verify(rec); err != nil {
 		t.Errorf("record does not verify: %v", err)
 	}
 }

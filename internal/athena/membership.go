@@ -7,7 +7,6 @@ import (
 
 	"athena/internal/object"
 	"athena/internal/transport"
-	"athena/internal/trust"
 )
 
 // This file implements the live-membership layer (the deployment half of
@@ -15,7 +14,7 @@ import (
 // source streams, flood heartbeats so every replica's failure detector
 // hears every live node, evict sources that miss heartbeatMiss beats,
 // re-source in-flight fetches of evicted sources, and reconcile diverged
-// directory replicas and label caches with push-pull anti-entropy after a
+// directory replicas with push-pull seq-vector anti-entropy after a
 // partition heals. The same code path runs over the deterministic
 // simulator (cluster churn) and over real TCP (cmd/athenad join/leave).
 
@@ -177,9 +176,13 @@ func (n *Node) handleHeartbeat(from string, hb *Heartbeat) {
 	now := n.now()
 	n.member.lastHeard[hb.Node] = now
 	n.floodCtl(hb, from)
+	// A flood eviction is this replica's own verdict on silence, so a beat
+	// at the evicted record's seq undoes it here: no exchange could, as
+	// this replica's seq vector claims that seq.
+	n.dir.Readmit(hb.Node, hb.AdvSeq)
 	// The advert and digest examined are the originator's, but the flood
-	// protocol syncs with the neighbor that delivered the beat: the full
-	// snapshot it pushes then crosses one link, not a route.
+	// protocol syncs with the neighbor that delivered the beat: the
+	// exchange then crosses one link, not a route.
 	n.checkPeerState(hb.Node, from, hb.AdvSeq, hb.Digest, now)
 }
 
@@ -207,25 +210,15 @@ func (n *Node) maybeSync(peer string, now time.Time) {
 }
 
 // sendSync opens an exchange with peer, scoped to shards when any are
-// given. Flood mode pushes the full directory snapshot to a neighbor;
-// gossip mode, and any scoped exchange, routes a compact seq vector to
-// the (possibly distant) peer — the watermark it extracts its delta
-// against — and each side then ships only the records the other's vector
-// is behind on. Callers hold n.mu.
+// given: it routes a compact seq vector to the (possibly distant) peer —
+// the watermark the peer extracts its delta against — and each side then
+// ships only the records the other's vector is behind on (Demers et al.'s
+// push-pull anti-entropy). The exchange reconciles the directory only:
+// label records keep flowing through the retrieval plane (query answers),
+// and shipping the label cache on every digest divergence would dwarf the
+// control traffic the vector exists to bound. Callers hold n.mu.
 func (n *Node) sendSync(peer string, shards []uint32) {
-	req := &SyncRequest{From: n.id, To: peer, Shards: shards}
-	if len(shards) > 0 || n.member.swim != nil {
-		// Seq-vector sync reconciles the directory only: vectors in,
-		// deltas out. Label records keep flowing through the retrieval
-		// plane (query answers); shipping the full label cache on every
-		// digest divergence would dwarf the probe traffic this protocol
-		// exists to bound.
-		req.Seqs = n.dir.SeqVector(n.syncScope(shards))
-	} else {
-		req.Adverts = n.dir.Snapshot()
-		req.Labels = n.labelCache().Records(n.now())
-	}
-	n.sendCtl(peer, req)
+	n.sendCtl(peer, &SyncRequest{From: n.id, To: peer, Shards: shards, Seqs: n.dir.SeqVector(n.syncScope(shards))})
 }
 
 // syncScope is the directory scope of an exchange over shards: nil, the
@@ -238,37 +231,30 @@ func (n *Node) syncScope(shards []uint32) func(object.Descriptor) bool {
 	return n.shard.router.InShards(shards)
 }
 
-// handleSyncRequest applies the requester's push half and answers with
-// this replica's records — the full snapshot for a flood-mode request,
-// or the delta against the requester's seq vector plus this replica's own
-// vector for a gossip-mode or scoped one. Scope is tested before the
-// vector: a scoped request with an empty vector is the backfill of a
-// shard the requester has just gained, whose records there are all thin,
-// and it is owed that shard's records, not the whole directory. Callers
-// hold n.mu.
+// handleSyncRequest answers with the delta against the requester's seq
+// vector plus this replica's own vector, within the request's scope. A
+// scoped request with an empty vector is the backfill of a shard the
+// requester has just gained, whose records there are all thin: it is owed
+// that shard's records, not the whole directory. Callers hold n.mu.
 func (n *Node) handleSyncRequest(req *SyncRequest) {
-	n.applyAdverts(req.Adverts, "")
-	n.absorbLabels(req.Labels)
-	resp := &SyncResponse{From: n.id, To: req.From, Shards: req.Shards}
-	if len(req.Shards) > 0 || len(req.Seqs) > 0 {
-		scope := n.syncScope(req.Shards)
-		resp.Adverts = n.dir.Delta(req.Seqs, scope)
-		resp.Seqs = n.dir.SeqVector(scope)
-	} else {
-		resp.Adverts = n.dir.Snapshot()
-		resp.Labels = n.labelCache().Records(n.now())
-	}
-	n.sendCtl(req.From, resp)
+	scope := n.syncScope(req.Shards)
+	n.sendCtl(req.From, &SyncResponse{
+		From:    n.id,
+		To:      req.From,
+		Shards:  req.Shards,
+		Adverts: n.dir.Delta(req.Seqs, scope),
+		Seqs:    n.dir.SeqVector(scope),
+	})
 }
 
-// handleSyncResponse applies the pull half and, when the response carries
-// a seq vector, pushes back whatever that vector shows the responder is
-// still missing within the exchange's scope — closing it with both
-// replicas at the union of their records. A flood-mode response carries
-// no vector and gets no push. Callers hold n.mu.
+// handleSyncResponse applies the pull half and pushes back whatever the
+// responder's vector shows it is still missing within the exchange's
+// scope — closing it with both replicas at the union of their records. An
+// empty vector gets no push: its replica holds nothing in the scope, as a
+// node that has just gained a shard, which backfills it by a request of
+// its own. Callers hold n.mu.
 func (n *Node) handleSyncResponse(resp *SyncResponse) {
 	n.applyAdverts(resp.Adverts, "")
-	n.absorbLabels(resp.Labels)
 	if len(resp.Seqs) == 0 {
 		return
 	}
@@ -345,15 +331,6 @@ func (n *Node) spreadAdverts(news []Advertisement, except string, now time.Time)
 	}
 	for _, a := range news {
 		n.enqueuePiggy(MemberUpdate{Adv: a, Born: now})
-	}
-}
-
-// absorbLabels admits shared label records from an anti-entropy exchange
-// into the label cache. Callers hold n.mu.
-func (n *Node) absorbLabels(recs []trust.Label) {
-	labels := n.labelCache()
-	for i := range recs {
-		n.admitLabel(labels, &recs[i])
 	}
 }
 

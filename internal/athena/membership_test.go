@@ -134,32 +134,27 @@ func TestMembershipEvictsSilentSourceAndReSources(t *testing.T) {
 	}
 }
 
-// A partition makes both sides evict each other; after the link heals, the
-// next heartbeat reveals the missing advertisements and a push-pull
-// anti-entropy exchange re-admits the sources and reconciles the label
-// caches across the old partition boundary.
+// A partition makes both sides evict each other; after the link heals,
+// each side re-admits the sources whose beats it hears again at the seq it
+// evicted them at, and a push-pull anti-entropy exchange brings srcC the
+// advertisement srcA re-issued on the other side of the partition.
 func TestMembershipPartitionHealAntiEntropy(t *testing.T) {
 	runOnce := func(t *testing.T) (Stats, Stats) {
-		world := staticWorld{"shared": true, "la1": true}
-		r := buildMemberRig(t, world, time.Second)
+		r := buildMemberRig(t, staticWorld{"shared": true}, time.Second)
 
 		// Partition srcC away from {srcA, mid} between t=2s and t=15s.
 		if err := r.net.ScheduleLinkOutage("mid", "srcC", tBase.Add(2*time.Second), 13*time.Second); err != nil {
 			t.Fatal(err)
 		}
 
-		// During the partition, mid resolves la1 from srcA, computing a
-		// label record srcC cannot have seen.
-		mid := r.nodes["mid"]
-		r.sched.After(4*time.Second, func() {
-			if _, err := mid.QueryInit(boolexpr.ToDNF(boolexpr.MustParse("la1")), 20*time.Second); err != nil {
-				t.Errorf("QueryInit: %v", err)
-			}
-		})
+		// During the partition, srcA re-advertises at a fresh seq that srcC
+		// cannot hear: a divergence a heard beat alone cannot mend.
+		srcA := r.nodes["srcA"]
+		r.sched.After(4*time.Second, srcA.Rejoin)
 
 		// Let the partition persist long enough for mutual eviction.
 		r.run(t, 14*time.Second)
-		srcC := r.nodes["srcC"]
+		mid, srcC := r.nodes["mid"], r.nodes["srcC"]
 		if srcC.Directory().Has("srcA") {
 			t.Fatal("srcC should have evicted srcA during the partition")
 		}
@@ -177,13 +172,9 @@ func TestMembershipPartitionHealAntiEntropy(t *testing.T) {
 				}
 			}
 		}
-		// The anti-entropy exchange also reconciled label caches: srcC now
-		// holds the la1 record computed on the other side of the partition.
-		srcC.mu.Lock()
-		_, hasLabel := srcC.labels.Get("la1", trust.TrustAll(), srcC.now())
-		srcC.mu.Unlock()
-		if !hasLabel {
-			t.Fatal("after heal, srcC's label cache is missing la1")
+		want, _, _ := srcA.Directory().Known("srcA")
+		if got, _, _ := srcC.Directory().Known("srcA"); got != want {
+			t.Fatalf("after heal, srcC holds srcA at seq %d, want the re-advertised %d", got, want)
 		}
 		if st := srcC.Stats(); st.SyncExchanges == 0 {
 			t.Fatalf("expected srcC to initiate anti-entropy; stats %+v", st)
@@ -196,6 +187,44 @@ func TestMembershipPartitionHealAntiEntropy(t *testing.T) {
 	if mid1 != mid2 || srcC1 != srcC2 {
 		t.Fatalf("partition-heal run is not deterministic:\nrun1 mid=%+v srcC=%+v\nrun2 mid=%+v srcC=%+v",
 			mid1, srcC1, mid2, srcC2)
+	}
+}
+
+// A flood eviction is this replica's own verdict on silence, so the first
+// beat it hears from the evicted source at the evicted seq re-admits the
+// source at that instant, with no anti-entropy exchange: this replica's
+// seq vector claims that seq, so no exchange could bring the record back.
+func TestFloodBeatReadmitsEvictedSource(t *testing.T) {
+	r := buildMemberRig(t, staticWorld{"shared": true}, time.Second)
+	if err := r.net.ScheduleLinkOutage("mid", "srcC", tBase.Add(2*time.Second), 6*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	r.run(t, 7*time.Second)
+	mid := r.nodes["mid"]
+	if mid.Directory().Has("srcC") {
+		t.Fatal("mid should have evicted srcC during the partition")
+	}
+	syncs := mid.Stats().SyncExchanges
+	heard := false
+	r.net.SetLinkTrace(func(_, to string, payload any, _, _, _, _ time.Time) {
+		if hb, ok := payload.(*Heartbeat); heard || !ok || to != "mid" || hb.Node != "srcC" {
+			return
+		}
+		heard = true
+		// The trace runs before mid's handler; a zero delay runs after it,
+		// at the same instant.
+		r.sched.After(0, func() {
+			if !mid.Directory().Has("srcC") {
+				t.Error("srcC is still evicted once mid has handled its first beat")
+			}
+			if got := mid.Stats().SyncExchanges; got != syncs {
+				t.Errorf("mid opened %d anti-entropy exchanges on srcC's first beat, want none", got-syncs)
+			}
+		})
+	})
+	r.run(t, 12*time.Second)
+	if !heard {
+		t.Fatal("mid heard no beat from srcC after the heal")
 	}
 }
 

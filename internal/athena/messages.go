@@ -309,11 +309,10 @@ func (m PeerJoinAck) WireSize() int64 {
 }
 
 // SyncRequest opens a push-pull anti-entropy exchange (partition healing,
-// Section VI-D spirit). In flood mode the requester pushes its full
-// directory snapshot; in gossip mode it sends only its per-source seq
-// vector (Seqs), and each side then ships just the records the other is
-// behind on — delta extraction against a seq watermark. A scoped exchange
-// (Shards set) is the sharded directory's: the vector and every delta are
+// Section VI-D spirit): the requester sends its per-source seq vector
+// (Seqs), and each side then ships just the records the other is behind on
+// — delta extraction against a seq watermark. A scoped exchange (Shards
+// set) is the sharded directory's: the vector and every delta are
 // restricted to the shards both ends replicate, which also makes it the
 // backfill path when a node gains a shard.
 type SyncRequest struct {
@@ -325,27 +324,21 @@ type SyncRequest struct {
 	// Shards scopes the exchange to these shard ids (empty = the whole
 	// directory).
 	Shards []uint32
-	// Adverts are the requester's directory records (flood mode).
-	Adverts []Advertisement
-	// Seqs maps each known source to its encoded sequence state (gossip
-	// mode, or within Shards; see Directory.SeqVector).
+	// Seqs maps each source in scope to its encoded sequence state (see
+	// Directory.SeqVector).
 	Seqs map[string]uint64
-	// Labels are the requester's fresh signed label records (flood mode).
-	Labels []trust.Label
 }
 
 // WireSize is the modeled frame length of the encoded message, charged
 // against link bandwidth by netsim and padded to by the TCP transport.
 func (m SyncRequest) WireSize() int64 {
-	return syncBaseBytes + int64(len(m.Shards))*shardIDBytes + int64(len(m.Adverts))*advertBytes +
-		int64(len(m.Seqs))*seqEntryBytes + int64(len(m.Labels))*labelRecordBytes
+	return syncBaseBytes + int64(len(m.Shards))*shardIDBytes + int64(len(m.Seqs))*seqEntryBytes
 }
 
-// SyncResponse completes the exchange with the responder's records — the
-// full snapshot in flood mode, or only the delta the requester's seq
-// vector was missing plus the responder's own vector otherwise (so the
-// requester can push back whatever the responder lacks), within the
-// request's Shards when it was scoped.
+// SyncResponse completes the exchange with the delta the requester's seq
+// vector was missing plus the responder's own vector (so the requester can
+// push back whatever the responder lacks), within the request's Shards
+// when it was scoped.
 type SyncResponse struct {
 	// From is the responding node.
 	From string
@@ -353,19 +346,17 @@ type SyncResponse struct {
 	To string
 	// Shards echo the exchange's scope.
 	Shards []uint32
-	// Adverts are the responder's directory records (full or delta).
+	// Adverts are the records the requester's vector was behind on.
 	Adverts []Advertisement
-	// Seqs is the responder's seq vector (gossip mode or scoped).
+	// Seqs is the responder's seq vector over the scope.
 	Seqs map[string]uint64
-	// Labels are the responder's fresh signed label records (flood mode).
-	Labels []trust.Label
 }
 
 // WireSize is the modeled frame length of the encoded message, charged
 // against link bandwidth by netsim and padded to by the TCP transport.
 func (m SyncResponse) WireSize() int64 {
 	return syncBaseBytes + int64(len(m.Shards))*shardIDBytes + int64(len(m.Adverts))*advertBytes +
-		int64(len(m.Seqs))*seqEntryBytes + int64(len(m.Labels))*labelRecordBytes
+		int64(len(m.Seqs))*seqEntryBytes
 }
 
 // MemberUpdate is one piggybacked membership event riding on Ping/Ack/

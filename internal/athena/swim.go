@@ -20,10 +20,10 @@ import (
 // budgets of λ·⌈log₂(n+1)⌉ transmissions, so the AdvertGossip floods
 // (adverts and leave tombstones alike) and the periodic digest sync of the
 // flood protocol collapse into the probe channel. Directory divergence
-// detected by a probe's digest triggers a seq-vector delta anti-entropy
-// exchange (see membership.go's maybeSync) instead of a full-snapshot
-// push. Per-node control traffic is O(fanout·log n) per period instead of
-// the flood's O(n·degree).
+// detected by a probe's digest triggers the seq-vector delta anti-entropy
+// exchange both protocols run (see membership.go's maybeSync). Per-node
+// control traffic is O(fanout·log n) per period instead of the flood's
+// O(n·degree).
 
 // swimProto is what the SWIM protocol keeps beyond the shared membership
 // state: who to probe next, which probes and suspicions are open, and the

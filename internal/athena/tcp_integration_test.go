@@ -3,6 +3,7 @@ package athena_test
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -255,6 +256,74 @@ func (t countedTimer) Stop() bool {
 		t.c.count(&t.c.stopped)
 	}
 	return stopped
+}
+
+// endTimers is WallTimers whose armed timers are all stopped when the test
+// ends. A node has no stop of its own and its protocol period re-arms
+// itself, so on plain WallTimers a membership node ticks on through every
+// later test in the binary, and into their allocation counts
+// (TestViewBuildAllocsFlat's).
+type endTimers struct {
+	mu    sync.Mutex
+	ended bool
+	armed map[*time.Timer]bool
+}
+
+func newEndTimers(t *testing.T) *endTimers {
+	e := &endTimers{armed: make(map[*time.Timer]bool)}
+	t.Cleanup(func() {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		e.ended = true
+		for tm := range e.armed {
+			tm.Stop()
+		}
+		clear(e.armed)
+	})
+	return e
+}
+
+func (e *endTimers) After(d time.Duration, fn func()) { e.AfterStop(d, fn) }
+func (e *endTimers) AfterArg(d time.Duration, fn func(any), arg any) {
+	e.AfterStop(d, func() { fn(arg) })
+}
+
+// AfterStop arms fn until the test ends; a timer leaves the armed set when
+// it fires or is stopped.
+func (e *endTimers) AfterStop(d time.Duration, fn func()) athena.Stopper {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	var tm *time.Timer
+	tm = time.AfterFunc(max(d, 0), func() {
+		if e.disarm(tm) {
+			fn()
+		}
+	})
+	if e.ended {
+		tm.Stop()
+	} else {
+		e.armed[tm] = true
+	}
+	return endTimer{e, tm}
+}
+
+// disarm takes tm out of the armed set and reports whether the test is
+// still running.
+func (e *endTimers) disarm(tm *time.Timer) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	delete(e.armed, tm)
+	return !e.ended
+}
+
+type endTimer struct {
+	e  *endTimers
+	tm *time.Timer
+}
+
+func (t endTimer) Stop() bool {
+	t.e.disarm(t.tm)
+	return t.tm.Stop()
 }
 
 // TestTCPFinishedQueriesLeaveNode is the socket half of the soak: a
@@ -549,6 +618,7 @@ func TestTCPMembershipLifecycle(t *testing.T) {
 		}
 	}
 
+	timers := newEndTimers(t)
 	mk := func(id string, d *object.Descriptor) (*athena.Node, *transport.TCPTransport) {
 		t.Helper()
 		tr, err := transport.NewTCP(id, "127.0.0.1:0", wire.Codec{})
@@ -560,7 +630,7 @@ func TestTCPMembershipLifecycle(t *testing.T) {
 		tr.SetRetryPolicy(1, 0)
 		node, err := athena.New(athena.Config{
 			ID: id, Transport: tr, Router: &athena.StaticRouter{Self: id},
-			Timers: athena.WallTimers{}, Scheme: athena.SchemeLVF,
+			Timers: timers, Scheme: athena.SchemeLVF,
 			Directory: athena.NewDirectory(nil), // learned entirely from joins
 			Meta:      meta, World: world, Authority: auth,
 			Signer: auth.Register(id, []byte(id)), Policy: trust.TrustAll(),
@@ -680,6 +750,7 @@ func TestTCPGossipJoinAddressDissemination(t *testing.T) {
 	auth := trust.NewAuthority()
 	meta := boolexpr.MetaTable{"live": {Cost: 100_000, ProbTrue: 0.8, Validity: time.Minute}}
 
+	timers := newEndTimers(t)
 	mk := func(id string, d *object.Descriptor) (*athena.Node, *transport.TCPTransport) {
 		t.Helper()
 		tr, err := transport.NewTCP(id, "127.0.0.1:0", wire.Codec{})
@@ -689,7 +760,7 @@ func TestTCPGossipJoinAddressDissemination(t *testing.T) {
 		tr.SetRetryPolicy(1, 0)
 		node, err := athena.New(athena.Config{
 			ID: id, Transport: tr, Router: &athena.StaticRouter{Self: id},
-			Timers: athena.WallTimers{}, Scheme: athena.SchemeLVF,
+			Timers: timers, Scheme: athena.SchemeLVF,
 			Directory: athena.NewDirectory(nil),
 			Meta:      meta, World: world, Authority: auth,
 			Signer: auth.Register(id, []byte(id)), Policy: trust.TrustAll(),

@@ -287,26 +287,6 @@ func (c *LabelCache) prune(label string, recs []*trust.Label, now time.Time) []*
 	return kept
 }
 
-// Records returns every record still fresh at now, sorted by label name
-// then annotator — the payload of a membership anti-entropy exchange
-// (partition healing shares label caches, not just directories). Stale
-// records encountered are pruned.
-func (c *LabelCache) Records(now time.Time) []trust.Label {
-	var out []trust.Label
-	for label, recs := range c.records {
-		for _, rec := range c.prune(label, recs, now) {
-			out = append(out, *rec)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return out[i].Annotator < out[j].Annotator
-	})
-	return out
-}
-
 // Get returns the freshest record for label accepted by the policy, or
 // false; of equally fresh records, the one with the lower signature, so the
 // answer does not depend on the order records were put in. Stale records

@@ -50,30 +50,6 @@ func (c *mapLabelCache) Held(label, annotator string) *trust.Label {
 	return c.records[label][annotator]
 }
 
-func (c *mapLabelCache) Records(now time.Time) []trust.Label {
-	var out []trust.Label
-	for label, byAnn := range c.records {
-		for ann, rec := range byAnn {
-			if !rec.FreshAt(now) {
-				delete(byAnn, ann)
-				c.stats.StaleDrops++
-				continue
-			}
-			out = append(out, *rec)
-		}
-		if len(byAnn) == 0 {
-			delete(c.records, label)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return out[i].Annotator < out[j].Annotator
-	})
-	return out
-}
-
 func (c *mapLabelCache) Get(label string, policy *trust.Policy, now time.Time) (*trust.Label, bool) {
 	byAnn := c.records[label]
 	var best *trust.Label
@@ -178,22 +154,6 @@ func (c *sliceLabelCache) prune(label string, recs []*trust.Label, now time.Time
 	return kept
 }
 
-func (c *sliceLabelCache) Records(now time.Time) []trust.Label {
-	var out []trust.Label
-	for label, recs := range c.records {
-		for _, rec := range c.prune(label, recs, now) {
-			out = append(out, *rec)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return out[i].Annotator < out[j].Annotator
-	})
-	return out
-}
-
 func (c *sliceLabelCache) Get(label string, policy *trust.Policy, now time.Time) (*trust.Label, bool) {
 	var best *trust.Label
 	for _, rec := range c.prune(label, c.records[label], now) {
@@ -213,8 +173,8 @@ func (c *sliceLabelCache) Get(label string, policy *trust.Policy, now time.Time)
 	return best, true
 }
 
-// TestLabelCacheMatchesSliceReference replays random Put/Get/Records/
-// Held/All/Reset sequences on the slab-backed cache and on the map of
+// TestLabelCacheMatchesSliceReference replays random Put/Get/Held/All/
+// Reset sequences on the slab-backed cache and on the map of
 // slices it replaced, over enough labels that slabs fill and roll over
 // and with up to five annotators a label, so full labels move to larger
 // slots: every answer, Len and Stats must agree.
@@ -258,10 +218,6 @@ func TestLabelCacheMatchesSliceReference(t *testing.T) {
 				ann := annotators[rng.Intn(len(annotators))]
 				if got, want := slab.Held(label, ann), ref.Held(label, ann); got != want {
 					t.Fatalf("seed %d op %d: Held(%s, %s) = %v, reference %v", seed, op, label, ann, got, want)
-				}
-			case k < 163:
-				if got, want := slab.Records(now), ref.Records(now); !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d op %d: Records differ from the reference", seed, op)
 				}
 			case k < 166:
 				if got, want := slab.All(), ref.All(); !reflect.DeepEqual(got, want) {
@@ -327,7 +283,7 @@ func TestLabelCacheNewLabelsShareASlab(t *testing.T) {
 	}
 }
 
-// TestLabelCacheMatchesMapReference replays random Put/Get/Records/Held
+// TestLabelCacheMatchesMapReference replays random Put/Get/Held
 // sequences on the flat cache and on the map-of-maps one it replaced:
 // every answer, Len and Stats must agree. Validities are whole seconds and
 // the clock steps in half seconds, so records expire while the run goes
@@ -359,16 +315,12 @@ func TestLabelCacheMatchesMapReference(t *testing.T) {
 				signers[rng.Intn(len(signers))].Sign(rec)
 				flat.Put(rec)
 				ref.Put(rec)
-			case k < 7:
+			case k < 8:
 				p := policies[rng.Intn(len(policies))]
 				got, gok := flat.Get(label, p, now)
 				want, wok := ref.Get(label, p, now)
 				if got != want || gok != wok {
 					t.Fatalf("seed %d op %d: Get(%s) = %v, %v; reference %v, %v", seed, op, label, got, gok, want, wok)
-				}
-			case k < 8:
-				if got, want := flat.Records(now), ref.Records(now); !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d op %d: Records =\n%v\nreference\n%v", seed, op, got, want)
 				}
 			case k < 9:
 				ann := annotators[rng.Intn(len(annotators))]

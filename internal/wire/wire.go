@@ -78,7 +78,10 @@ import (
 // Version 5 made a shard lookup name a shard (ShardLookup.Shard, for
 // .Label) and its reply list the shard's labels (ShardLookupReply.Labels).
 // Version 6 retired PeerLeave (type ID 9): a leave is a tombstone advert.
-const Version = 6
+// Version 7 dropped SyncRequest.Adverts, SyncRequest.Labels and
+// SyncResponse.Labels: every anti-entropy exchange is the seq-vector one,
+// and label records no longer ride it.
+const Version = 7
 
 // MaxFrame bounds a frame's total length (prefix included). The value is
 // the transport's receive-side guard: Append refuses to produce frames
@@ -436,9 +439,7 @@ func syncRequest(c *coder, m *athena.SyncRequest) {
 	c.name(&m.From)
 	c.name(&m.To)
 	c.u32s(&m.Shards)
-	adverts(c, &m.Adverts)
 	c.seqMap(&m.Seqs)
-	trustLabels(c, &m.Labels)
 }
 
 func syncResponse(c *coder, m *athena.SyncResponse) {
@@ -447,7 +448,6 @@ func syncResponse(c *coder, m *athena.SyncResponse) {
 	c.u32s(&m.Shards)
 	adverts(c, &m.Adverts)
 	c.seqMap(&m.Seqs)
-	trustLabels(c, &m.Labels)
 }
 
 func ping(c *coder, m *athena.Ping) {

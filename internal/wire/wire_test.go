@@ -77,8 +77,8 @@ func sizedMessages() []interface {
 		&athena.AdvertGossip{To: "node-017", Adverts: []athena.Advertisement{advert("node-03", 4), advert("node-11", 9)}},
 		&athena.PeerJoin{Node: "node-042", Addr: "192.168.10.42:9042", Adverts: []athena.Advertisement{advert("node-042", 1)}},
 		&athena.PeerJoinAck{Node: "node-017", Addr: "192.168.10.17:9017", Peers: map[string]string{"node-03": "192.168.10.3:9003", "node-11": "192.168.10.11:9011"}, Adverts: []athena.Advertisement{advert("node-03", 4), advert("node-17", 2)}},
-		&athena.SyncRequest{From: "node-042", To: "node-017", Shards: []uint32{3, 23, 41}, Adverts: []athena.Advertisement{advert("node-042", 7)}, Seqs: map[string]uint64{"node-03": 9, "node-11": 19, "node-17": 5}, Labels: []trust.Label{label("viable:h:1-2", "node-017", 5e9)}},
-		&athena.SyncResponse{From: "node-017", To: "node-042", Shards: []uint32{3, 23, 41}, Adverts: []athena.Advertisement{advert("node-17", 2)}, Seqs: map[string]uint64{"node-03": 9, "node-42": 15}, Labels: []trust.Label{label("viable:v:3-1", "node-042", 6e9)}},
+		&athena.SyncRequest{From: "node-042", To: "node-017", Shards: []uint32{3, 23, 41}, Seqs: map[string]uint64{"node-03": 9, "node-11": 19, "node-17": 5}},
+		&athena.SyncResponse{From: "node-017", To: "node-042", Shards: []uint32{3, 23, 41}, Adverts: []athena.Advertisement{advert("node-17", 2)}, Seqs: map[string]uint64{"node-03": 9, "node-42": 15}},
 		&athena.Ping{From: "node-042", To: "node-017", Seq: 31, AdvSeq: 7, Digest: 0xfeed, OnBehalf: "node-003", OnBehalfSeq: 12, Updates: updates(2)},
 		&athena.Ack{From: "node-017", To: "node-042", Seq: 31, AdvSeq: 2, Digest: 0xbeef, Updates: updates(3)},
 		&athena.PingReq{From: "node-042", To: "node-011", Target: "node-017", Seq: 31, Updates: updates(1)},
@@ -144,7 +144,7 @@ func TestGoldenFrameBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden := "0000003c" + // length: 60 bytes follow
-		"06" + // version 6
+		"07" + // version 7
 		"05" + // type: Heartbeat
 		"000161" + // from: "a"
 		"00026e31" + // Node: "n1"
@@ -170,7 +170,7 @@ func TestGoldenShardLookupBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden := "0000007c" + // length: 124 bytes follow
-		"06" + // version 6
+		"07" + // version 7
 		"0f" + // type: ShardLookup (15)
 		"000161" + // from: "a"
 		"00026e31" + // From: "n1"
@@ -198,7 +198,7 @@ func TestGoldenRequestBatchBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden := "000000ac" + // length: 172 bytes follow
-		"06" + // version 6
+		"07" + // version 7
 		"11" + // type: RequestBatch (17)
 		"000161" + // from: "a"
 		"0001" + // member count
@@ -617,24 +617,24 @@ func FuzzPeerJoinAck(f *testing.F) {
 }
 
 func FuzzSyncRequest(f *testing.F) {
-	f.Add("from", "to", "src", "/name", "lbl", uint8(1), uint8(1), int64(5), uint64(1), false, "k1", "k2", uint8(1), "annot", "sig", int64(5e9), uint32(0), uint8(0))
-	f.Add("from", "to", "src", "/name", "lbl", uint8(0), uint8(1), int64(5), uint64(1), false, "k1", "k2", uint8(3), "annot", "sig", int64(5e9), uint32(3), uint8(2))
-	f.Fuzz(func(t *testing.T, from, to, src, name, lbl string, count, lbls uint8, size int64, seq uint64, withdrawn bool, k1, k2 string, n uint8, annot, sig string, ns int64, base uint32, sn uint8) {
+	f.Add("from", "to", "k1", "k2", uint8(1), uint32(0), uint8(0))
+	f.Add("from", "to", "k1", "k2", uint8(3), uint32(3), uint8(2))
+	f.Fuzz(func(t *testing.T, from, to, k1, k2 string, n uint8, base uint32, sn uint8) {
 		if k1 == k2 {
 			k2 = k1 + "x"
 		}
-		roundTrip(t, &athena.SyncRequest{From: from, To: to, Shards: fuzzShards(base, sn), Adverts: fuzzAdverts(src, name, lbl, count, lbls, size, seq, withdrawn), Seqs: fuzzSeqs(k1, k2, n), Labels: fuzzLabels(lbl, annot, name, sig, n, ns, size, withdrawn)})
+		roundTrip(t, &athena.SyncRequest{From: from, To: to, Shards: fuzzShards(base, sn), Seqs: fuzzSeqs(k1, k2, n)})
 	})
 }
 
 func FuzzSyncResponse(f *testing.F) {
-	f.Add("from", "to", "src", "/name", "lbl", uint8(1), uint8(1), int64(5), uint64(1), false, "k1", "k2", uint8(1), "annot", "sig", int64(5e9), uint32(0), uint8(0))
-	f.Add("from", "to", "src", "/name", "lbl", uint8(0), uint8(1), int64(5), uint64(1), false, "k1", "k2", uint8(3), "annot", "sig", int64(5e9), uint32(3), uint8(2))
-	f.Fuzz(func(t *testing.T, from, to, src, name, lbl string, count, lbls uint8, size int64, seq uint64, withdrawn bool, k1, k2 string, n uint8, annot, sig string, ns int64, base uint32, sn uint8) {
+	f.Add("from", "to", "src", "/name", "lbl", uint8(1), uint8(1), int64(5), uint64(1), false, "k1", "k2", uint8(1), uint32(0), uint8(0))
+	f.Add("from", "to", "src", "/name", "lbl", uint8(0), uint8(1), int64(5), uint64(1), false, "k1", "k2", uint8(3), uint32(3), uint8(2))
+	f.Fuzz(func(t *testing.T, from, to, src, name, lbl string, count, lbls uint8, size int64, seq uint64, withdrawn bool, k1, k2 string, n uint8, base uint32, sn uint8) {
 		if k1 == k2 {
 			k2 = k1 + "x"
 		}
-		roundTrip(t, &athena.SyncResponse{From: from, To: to, Shards: fuzzShards(base, sn), Adverts: fuzzAdverts(src, name, lbl, count, lbls, size, seq, withdrawn), Seqs: fuzzSeqs(k1, k2, n), Labels: fuzzLabels(lbl, annot, name, sig, n, ns, size, withdrawn)})
+		roundTrip(t, &athena.SyncResponse{From: from, To: to, Shards: fuzzShards(base, sn), Adverts: fuzzAdverts(src, name, lbl, count, lbls, size, seq, withdrawn), Seqs: fuzzSeqs(k1, k2, n)})
 	})
 }
 
