@@ -295,7 +295,13 @@ func (e *endTimers) AfterStop(d time.Duration, fn func()) athena.Stopper {
 	defer e.mu.Unlock()
 	var tm *time.Timer
 	tm = time.AfterFunc(max(d, 0), func() {
-		if e.disarm(tm) {
+		// tm is read under e.mu, which AfterStop holds while it assigns
+		// tm: the lock is what orders that write before this read.
+		e.mu.Lock()
+		delete(e.armed, tm)
+		running := !e.ended
+		e.mu.Unlock()
+		if running {
 			fn()
 		}
 	})
@@ -307,13 +313,11 @@ func (e *endTimers) AfterStop(d time.Duration, fn func()) athena.Stopper {
 	return endTimer{e, tm}
 }
 
-// disarm takes tm out of the armed set and reports whether the test is
-// still running.
-func (e *endTimers) disarm(tm *time.Timer) bool {
+// disarm takes tm out of the armed set.
+func (e *endTimers) disarm(tm *time.Timer) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	delete(e.armed, tm)
-	return !e.ended
 }
 
 type endTimer struct {
